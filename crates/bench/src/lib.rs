@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use lidx_core::DiskIndex;
-use lidx_experiments::runner::{IndexChoice, RunConfig};
+use lidx_experiments::runner::IndexChoice;
 use lidx_storage::{DeviceModel, Disk};
 use lidx_workloads::{Dataset, Workload, WorkloadKind, WorkloadSpec};
 
@@ -39,12 +39,6 @@ pub fn loaded_index(
     let mut index = choice.build(disk);
     index.bulk_load(&workload.bulk).expect("bulk load");
     (index, workload)
-}
-
-/// A run configuration with no simulated latency (used where benches call the
-/// higher-level runner).
-pub fn bench_config() -> RunConfig {
-    RunConfig { device: DeviceModel::none(), ..Default::default() }
 }
 
 /// The indexes compared by most benches.

@@ -53,13 +53,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use lidx_storage::{Disk, FileId, OpClass, WalSegment};
+use lidx_storage::{Disk, OpClass};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::error::{IndexError, IndexResult};
+use crate::error::IndexResult;
 use crate::index::{DiskIndex, IndexKind, IndexRead, IndexStats, IndexWrite};
 use crate::metrics::InsertBreakdown;
-use crate::persist::{decode_wal_entries, encode_wal_entry, Manifest};
 use crate::{Entry, Key, Value};
 
 /// A reader/writer lock around a [`DiskIndex`] that keeps the read side
@@ -265,11 +264,6 @@ struct Shard {
     /// Serialises drains of this shard (stagers and readers are *not*
     /// blocked by a drain holding this — they only touch `staged`).
     drain_gate: Mutex<()>,
-    /// This shard's write-ahead log, when the front is durable. Lock order
-    /// is `wal → staged`: a stager appends under the WAL lock and keeps
-    /// holding it across the staging insert, so per-shard WAL record order
-    /// always matches the overlay's newest-wins order.
-    wal: Option<Mutex<WalSegment>>,
 }
 
 /// A sharded group-commit staging front over a [`ConcurrentIndex`]: the
@@ -373,8 +367,6 @@ pub struct ShardedWriteBuffer<I> {
     shards: Vec<Shard>,
     drains: AtomicU64,
     drained_entries: AtomicU64,
-    /// The design tag written into the manifest (only used with WALs).
-    tag: String,
 }
 
 impl<I: DiskIndex> ShardedWriteBuffer<I> {
@@ -417,11 +409,7 @@ impl<I: DiskIndex> ShardedWriteBuffer<I> {
             "shard boundaries must be strictly increasing"
         );
         let shards = (0..=boundaries.len())
-            .map(|_| Shard {
-                staged: Mutex::new(BTreeMap::new()),
-                drain_gate: Mutex::new(()),
-                wal: None,
-            })
+            .map(|_| Shard { staged: Mutex::new(BTreeMap::new()), drain_gate: Mutex::new(()) })
             .collect();
         ShardedWriteBuffer {
             index: ConcurrentIndex::new(inner),
@@ -430,78 +418,7 @@ impl<I: DiskIndex> ShardedWriteBuffer<I> {
             shards,
             drains: AtomicU64::new(0),
             drained_entries: AtomicU64::new(0),
-            tag: String::new(),
         }
-    }
-
-    /// Wraps `inner` with uniform boundaries and one freshly created
-    /// write-ahead log per shard, so staged entries survive a kill.
-    ///
-    /// Every stage is logged (group-committed, under that shard's WAL lock)
-    /// before it enters the overlay; a full [`flush`] ends in a checkpoint
-    /// (save_meta → superblock persist of the [`Manifest`] carrying `tag` →
-    /// truncate all shard WALs). Bounded capacity-triggered drains do *not*
-    /// truncate — their entries simply replay idempotently after a crash.
-    ///
-    /// Durability is quiescent-checkpoint shaped: entries staged *while* a
-    /// checkpoint is truncating may only become durable at the next
-    /// checkpoint, so call [`flush`] from a point where writers are paused
-    /// when a hard durability boundary is needed.
-    ///
-    /// [`flush`]: ShardedWriteBuffer::flush
-    pub fn with_wal(inner: I, config: ShardedWriteBufferConfig, tag: &str) -> IndexResult<Self> {
-        let mut buffer = Self::new(inner, config);
-        for shard in &mut buffer.shards {
-            shard.wal = Some(Mutex::new(WalSegment::create(buffer.index.disk())?));
-        }
-        buffer.tag = tag.to_string();
-        Ok(buffer)
-    }
-
-    /// Reopens a WAL-backed sharded front after a restart: replays every
-    /// segment of `wal_files` (one per shard, in shard order, from the
-    /// recovered [`Manifest`]) into the staging overlay and returns the
-    /// front plus the number of replayed entries. Replayed entries route to
-    /// the shard owning their key under the *current* boundaries. Reopen
-    /// with the same shard count as the previous session: a key's records
-    /// all live in one segment then, so replay preserves newest-wins order.
-    pub fn with_wal_replayed(
-        inner: I,
-        config: ShardedWriteBufferConfig,
-        tag: &str,
-        wal_files: &[FileId],
-    ) -> IndexResult<(Self, u64)> {
-        let mut buffer = Self::new(inner, config);
-        if wal_files.len() != buffer.shards.len() {
-            return Err(IndexError::Internal(format!(
-                "manifest lists {} WAL segments but the front has {} shards",
-                wal_files.len(),
-                buffer.shards.len()
-            )));
-        }
-        buffer.tag = tag.to_string();
-        let disk = Arc::clone(buffer.index.disk());
-        let _span = disk.telemetry().span(OpClass::Recovery);
-        let mut replayed = 0u64;
-        for (shard_idx, &file) in wal_files.iter().enumerate() {
-            let (wal, payloads) = WalSegment::open(&disk, file)?;
-            buffer.shards[shard_idx].wal = Some(Mutex::new(wal));
-            for payload in payloads {
-                for (key, value) in decode_wal_entries(&payload)? {
-                    let target = buffer.shard_of(key);
-                    buffer.shards[target].staged.lock().insert(key, value);
-                    replayed += 1;
-                }
-            }
-        }
-        disk.invalidate_caches();
-        disk.telemetry().add(OpClass::Recovery, replayed);
-        Ok((buffer, replayed))
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> ShardedWriteBufferConfig {
-        self.config
     }
 
     /// Number of shards actually built (explicit boundaries may collapse
@@ -536,24 +453,10 @@ impl<I: DiskIndex> ShardedWriteBuffer<I> {
     /// call from any number of threads.
     pub fn stage(&self, key: Key, value: Value) -> IndexResult<()> {
         let s = self.shard_of(key);
-        let shard = &self.shards[s];
-        // With a WAL, log before staging and hold the WAL lock across the
-        // staging insert (lock order wal → staged) so the shard's record
-        // order matches the overlay's newest-wins order. A stage that
-        // cannot be logged does not happen.
-        let wal_guard = match &shard.wal {
-            Some(wal) => {
-                let mut guard = wal.lock();
-                guard.append(&encode_wal_entry(key, value))?;
-                Some(guard)
-            }
-            None => None,
-        };
-        let mut staged = self.lock_staged_write(shard);
+        let mut staged = self.lock_staged_write(&self.shards[s]);
         staged.insert(key, value);
         let full = staged.len() >= self.config.capacity;
         drop(staged);
-        drop(wal_guard);
         if full {
             self.drain_shard_bounded(s)?;
         }
@@ -572,51 +475,9 @@ impl<I: DiskIndex> ShardedWriteBuffer<I> {
     /// Drains every shard through the exclusive chunked path, leaving the
     /// staging front empty (unless a chunk fails, in which case the
     /// not-yet-applied entries stay staged and served by the overlay).
-    ///
-    /// When WALs are attached, a successful flush ends in a checkpoint:
-    /// `save_meta` under the index write lock, superblock persist of the
-    /// manifest, then truncation of every shard's WAL. Only this full
-    /// flush truncates — bounded capacity drains leave their records in
-    /// place to replay idempotently.
     pub fn flush(&self) -> IndexResult<()> {
         for s in 0..self.shards.len() {
             self.drain_shard(s)?;
-        }
-        self.write_checkpoint(false)
-    }
-
-    /// Flushes every shard and writes a durable checkpoint with the given
-    /// clean-shutdown flag. No-op beyond the drain when no WAL is attached.
-    pub fn checkpoint(&self, clean: bool) -> IndexResult<()> {
-        self.flush()?;
-        self.write_checkpoint(clean)
-    }
-
-    /// The checkpoint tail shared by [`flush`] and [`checkpoint`]: persist
-    /// the manifest *before* truncating any WAL, so a kill between the two
-    /// steps only replays entries the drain already applied.
-    ///
-    /// [`flush`]: ShardedWriteBuffer::flush
-    /// [`checkpoint`]: ShardedWriteBuffer::checkpoint
-    fn write_checkpoint(&self, clean: bool) -> IndexResult<()> {
-        if self.shards.iter().all(|s| s.wal.is_none()) {
-            return Ok(());
-        }
-        let _span = self.index.disk().telemetry().span(OpClass::Checkpoint);
-        self.index.disk().stats().record_checkpoint();
-        let index_meta = self.index.write().save_meta()?;
-        let wal_files: Vec<FileId> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.wal.as_ref())
-            .map(|wal| wal.lock().file())
-            .collect();
-        let manifest = Manifest { index_kind: self.tag.clone(), index_meta, wal_files };
-        self.index.disk().persist(&manifest.encode(), clean)?;
-        for shard in &self.shards {
-            if let Some(wal) = &shard.wal {
-                wal.lock().truncate()?;
-            }
         }
         Ok(())
     }
@@ -699,12 +560,6 @@ impl<I: DiskIndex> ShardedWriteBuffer<I> {
                 shard.drain_gate.lock()
             }
         };
-        // Fsync-point: the shard's staged entries must be durable before
-        // the drain starts mutating index blocks, so a kill mid-drain
-        // replays them over the last checkpoint's structure.
-        if let Some(wal) = &shard.wal {
-            wal.lock().sync()?;
-        }
         let mut drained_any = false;
         let mut chunks_done = 0usize;
         loop {
@@ -789,32 +644,14 @@ impl<I: DiskIndex> IndexRead for ShardedWriteBuffer<I> {
     /// unresolved remainder to the index's batched probe, under one read
     /// lock.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
-        out.clear();
-        out.resize(keys.len(), None);
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let mut forward_keys = Vec::new();
-        let mut forward_idx = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            let staged = self.lock_staged_read(&self.shards[self.shard_of(key)]);
-            match staged.get(&key) {
-                Some(&v) => out[i] = Some(v),
-                None => {
-                    forward_keys.push(key);
-                    forward_idx.push(i);
-                }
-            }
-        }
-        if forward_keys.is_empty() {
-            return Ok(());
-        }
-        let mut answers = Vec::new();
-        self.index.lookup_batch(&forward_keys, &mut answers)?;
-        for (slot, answer) in forward_idx.into_iter().zip(answers) {
-            out[slot] = answer;
-        }
-        Ok(())
+        crate::lookup_batch_layered(
+            keys,
+            out,
+            1,
+            |key| self.lock_staged_read(&self.shards[self.shard_of(key)]).get(&key).copied(),
+            |_| 0,
+            |_, keys, answers| self.index.lookup_batch(keys, answers),
+        )
     }
 
     /// Merges the staged range (collected shard-by-shard) into the index's
@@ -851,12 +688,9 @@ impl<I: DiskIndex> IndexRead for ShardedWriteBuffer<I> {
 }
 
 impl<I: DiskIndex> IndexWrite for ShardedWriteBuffer<I> {
-    /// Bulk load goes straight to the wrapped index, before sharing. With
-    /// WALs attached, the load ends in a durable checkpoint so a directory
-    /// is reopenable right after building.
+    /// Bulk load goes straight to the wrapped index, before sharing.
     fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
-        self.index.bulk_load(entries)?;
-        self.write_checkpoint(false)
+        self.index.bulk_load(entries)
     }
 
     /// The `&mut self` insert is just [`stage`](ShardedWriteBuffer::stage)
@@ -881,103 +715,7 @@ impl<I: DiskIndex> IndexWrite for ShardedWriteBuffer<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::IndexError;
-    use lidx_storage::DiskConfig;
-
-    /// The write_buffer test double, shared shape: an in-memory map index
-    /// that records how writes arrive and can poison one batch.
-    struct MapIndex {
-        disk: Arc<Disk>,
-        entries: BTreeMap<Key, Value>,
-        batches: Vec<usize>,
-        loaded: bool,
-        poison: Option<Key>,
-        /// Artificial per-batch latency, so racing tests can make staging
-        /// reliably faster than draining.
-        batch_delay: Option<std::time::Duration>,
-    }
-
-    impl MapIndex {
-        fn new() -> Self {
-            MapIndex {
-                disk: Disk::in_memory(DiskConfig::default()),
-                entries: BTreeMap::new(),
-                batches: Vec::new(),
-                loaded: false,
-                poison: None,
-                batch_delay: None,
-            }
-        }
-    }
-
-    impl IndexRead for MapIndex {
-        fn kind(&self) -> IndexKind {
-            IndexKind::BTree
-        }
-
-        fn disk(&self) -> &Arc<Disk> {
-            &self.disk
-        }
-
-        fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-            Ok(self.entries.get(&key).copied())
-        }
-
-        fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
-            out.clear();
-            out.extend(self.entries.range(start..).take(count).map(|(&k, &v)| (k, v)));
-            Ok(out.len())
-        }
-
-        fn len(&self) -> u64 {
-            self.entries.len() as u64
-        }
-
-        fn stats(&self) -> IndexStats {
-            IndexStats { keys: self.entries.len() as u64, ..Default::default() }
-        }
-    }
-
-    impl IndexWrite for MapIndex {
-        fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
-            if self.loaded {
-                return Err(IndexError::AlreadyLoaded);
-            }
-            self.entries = entries.iter().copied().collect();
-            self.loaded = true;
-            Ok(())
-        }
-
-        fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-            self.entries.insert(key, value);
-            Ok(())
-        }
-
-        fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
-            if let Some(delay) = self.batch_delay {
-                std::thread::sleep(delay);
-            }
-            if let Some(poison) = self.poison {
-                if entries.iter().any(|&(k, _)| k == poison) {
-                    self.poison = None;
-                    return Err(IndexError::Internal("poisoned batch".into()));
-                }
-            }
-            self.batches.push(entries.len());
-            assert!(
-                entries.windows(2).all(|w| w[0].0 < w[1].0),
-                "drain chunks must arrive sorted and de-duplicated"
-            );
-            for &(k, v) in entries {
-                self.entries.insert(k, v);
-            }
-            Ok(())
-        }
-
-        fn insert_breakdown(&self) -> InsertBreakdown {
-            InsertBreakdown::new()
-        }
-    }
+    use crate::test_support::MapIndex;
 
     fn buffer(config: ShardedWriteBufferConfig) -> ShardedWriteBuffer<MapIndex> {
         let mut b = ShardedWriteBuffer::new(MapIndex::new(), config);

@@ -25,8 +25,9 @@
 //! * [`persist::Manifest`] — the restart manifest stored in the storage
 //!   layer's checksummed superblock at every checkpoint: the design tag, its
 //!   [`index::IndexWrite::save_meta`] bytes, and the WAL segment files to
-//!   replay. Both write fronts can attach a WAL (`with_wal` /
-//!   `with_wal_replayed`) so staged entries survive a kill mid-drain.
+//!   replay. [`write_buffer::WriteBuffer`] is the one durable front: it
+//!   attaches the WAL (`with_wal` / `with_wal_replayed`) so staged entries
+//!   survive a kill mid-drain.
 //! * [`metrics`] — latency recording (mean / p50 / p99 / standard deviation),
 //!   throughput derivation from the simulated device time, and the
 //!   search / insert / SMO / maintenance breakdown of Fig. 6.
@@ -41,6 +42,8 @@ pub mod index;
 pub mod metrics;
 pub mod persist;
 pub mod sharded;
+#[cfg(test)]
+pub(crate) mod test_support;
 pub mod write_buffer;
 
 pub use concurrent::{
@@ -116,9 +119,55 @@ pub fn merge_newest_wins(
     }
 }
 
+/// The batched lookup every layered read path shares — both write-front
+/// overlays (one downstream group: the wrapped index) and the shard router
+/// (one group per shard, nothing answered locally). A key `staged` answers
+/// is settled on the spot; every other key joins the downstream group
+/// `group_of` names, each non-empty group is forwarded once (groups
+/// ascending, keys in caller order) and the answers are scattered back into
+/// caller order.
+pub(crate) fn lookup_batch_layered(
+    keys: &[Key],
+    out: &mut Vec<Option<Value>>,
+    groups: usize,
+    mut staged: impl FnMut(Key) -> Option<Value>,
+    mut group_of: impl FnMut(Key) -> usize,
+    mut forward: impl FnMut(usize, &[Key], &mut Vec<Option<Value>>) -> IndexResult<()>,
+) -> IndexResult<()> {
+    out.clear();
+    out.resize(keys.len(), None);
+    if keys.is_empty() {
+        return Ok(());
+    }
+    let mut group_keys: Vec<Vec<Key>> = vec![Vec::new(); groups];
+    let mut group_slots: Vec<Vec<usize>> = vec![Vec::new(); groups];
+    for (i, &key) in keys.iter().enumerate() {
+        out[i] = staged(key);
+        if out[i].is_none() {
+            let group = group_of(key);
+            group_keys[group].push(key);
+            group_slots[group].push(i);
+        }
+    }
+    let mut answers = Vec::new();
+    for (group, (keys, slots)) in group_keys.iter().zip(&group_slots).enumerate() {
+        if keys.is_empty() {
+            continue;
+        }
+        forward(group, keys, &mut answers)?;
+        for (&slot, answer) in slots.iter().zip(answers.drain(..)) {
+            out[slot] = answer;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::MapIndex;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn merged(
         newer: impl IntoIterator<Item = Entry>,
@@ -169,5 +218,70 @@ mod tests {
     fn the_limit_cuts_mid_merge_preserving_order() {
         let out = merged([(3, 30)], [(1, 1), (2, 2), (4, 4)], 3);
         assert_eq!(out, vec![(1, 1), (2, 2), (3, 30)]);
+    }
+
+    /// What any overlay scan must produce: staged entries overwrite stored
+    /// ones, then the first `count` entries with key `>= start`.
+    fn model_scan(
+        stored: &BTreeMap<Key, Value>,
+        staged: &BTreeMap<Key, Value>,
+        start: Key,
+        count: usize,
+    ) -> Vec<Entry> {
+        let mut merged = stored.clone();
+        for (&k, &v) in staged {
+            merged.insert(k, v);
+        }
+        merged.range(start..).take(count).map(|(&k, &v)| (k, v)).collect()
+    }
+
+    fn entries(map: &BTreeMap<Key, Value>) -> Vec<Entry> {
+        map.iter().map(|(&k, &v)| (k, v)).collect()
+    }
+
+    proptest! {
+        /// The same (stored, staged, scan) case runs through both staging
+        /// fronts; `capacity` is drawn too, so some cases drain mid-staging and
+        /// some answer purely from the overlay.
+        #[test]
+        fn overlay_scans_match_the_reference_model(
+            stored_pairs in proptest::collection::vec((0u64..200, 0u64..1_000), 0..32),
+            staged_pairs in proptest::collection::vec((0u64..200, 0u64..1_000), 0..32),
+            start in 0u64..210,
+            count in 0usize..48,
+            capacity in prop_oneof![Just(4usize), Just(1_024usize)],
+        ) {
+            // Later duplicates win when collecting, matching staging semantics.
+            let stored: BTreeMap<Key, Value> = stored_pairs.into_iter().collect();
+            let staged: BTreeMap<Key, Value> = staged_pairs.into_iter().collect();
+            let expected = model_scan(&stored, &staged, start, count);
+            let stored_entries = entries(&stored);
+            let staged_entries = entries(&staged);
+
+            // Single-threaded front.
+            let mut wb = WriteBuffer::new(
+                MapIndex::new(),
+                WriteBufferConfig { capacity, drain: capacity },
+            );
+            wb.bulk_load(&stored_entries).unwrap();
+            for &(k, v) in &staged_entries {
+                wb.insert(k, v).unwrap();
+            }
+            let mut got = Vec::new();
+            wb.scan(start, count, &mut got).unwrap();
+            prop_assert_eq!(&got, &expected, "WriteBuffer::scan diverged from the model");
+
+            // Sharded concurrent front (same case, three key-range shards).
+            let mut swb = ShardedWriteBuffer::with_boundaries(
+                MapIndex::new(),
+                ShardedWriteBufferConfig { capacity, drain: capacity, shards: 3 },
+                vec![70, 140],
+            );
+            swb.bulk_load(&stored_entries).unwrap();
+            swb.stage_batch(&staged_entries).unwrap();
+            let mut got = Vec::new();
+            swb.scan(start, count, &mut got).unwrap();
+            prop_assert_eq!(&got, &expected, "ShardedWriteBuffer::scan diverged from the model");
+        }
     }
 }

@@ -8,9 +8,9 @@
 //!   stable tag, e.g. `"btree"` or `"hybrid-pla"`),
 //! * that design's serialised root metadata (`index_meta`, produced by
 //!   [`IndexWrite::save_meta`](crate::index::IndexWrite::save_meta)), and
-//! * the file ids of the write-ahead-log segments
-//!   (`wal_files`, one per staging shard; a single-threaded
-//!   [`WriteBuffer`](crate::write_buffer::WriteBuffer) has exactly one).
+//! * the file ids of the write-ahead-log segments (`wal_files`; the format
+//!   carries a list, the one durable front —
+//!   [`WriteBuffer`](crate::write_buffer::WriteBuffer) — writes exactly one).
 //!
 //! Integrity is the superblock's job (the whole payload sits under its
 //! CRC32), so the manifest encoding only needs to be self-describing:
@@ -31,7 +31,7 @@ pub struct Manifest {
     pub index_kind: String,
     /// The design's own metadata bytes, from `IndexWrite::save_meta`.
     pub index_meta: Vec<u8>,
-    /// File ids of the WAL segments to replay, in shard order.
+    /// File ids of the WAL segments to replay.
     pub wal_files: Vec<FileId>,
 }
 

@@ -263,12 +263,6 @@ impl<I: DiskIndex> ShardedIndex<I> {
         })
     }
 
-    /// The configuration in use (the *initial* shard count; see
-    /// [`shard_count`](Self::shard_count) for the live one).
-    pub fn config(&self) -> ShardedIndexConfig {
-        self.config
-    }
-
     /// Clones the current routing snapshot, counting a router read stall
     /// if a rebalance is swapping the table.
     fn snapshot(&self) -> Arc<RouteTable<I>> {
@@ -587,30 +581,15 @@ impl<I: DiskIndex> IndexRead for ShardedIndex<I> {
     /// Fans the batch out per shard (one batched probe each) and re-merges
     /// the answers in caller order, all under one routing snapshot.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
-        out.clear();
-        out.resize(keys.len(), None);
-        if keys.is_empty() {
-            return Ok(());
-        }
         let table = self.snapshot();
-        let mut shard_keys: Vec<Vec<Key>> = vec![Vec::new(); table.shards.len()];
-        let mut shard_slots: Vec<Vec<usize>> = vec![Vec::new(); table.shards.len()];
-        for (i, &key) in keys.iter().enumerate() {
-            let s = table.route(key);
-            shard_keys[s].push(key);
-            shard_slots[s].push(i);
-        }
-        let mut answers = Vec::new();
-        for s in 0..table.shards.len() {
-            if shard_keys[s].is_empty() {
-                continue;
-            }
-            table.shards[s].front.lookup_batch(&shard_keys[s], &mut answers)?;
-            for (&slot, answer) in shard_slots[s].iter().zip(answers.drain(..)) {
-                out[slot] = answer;
-            }
-        }
-        Ok(())
+        crate::lookup_batch_layered(
+            keys,
+            out,
+            table.shards.len(),
+            |_| None,
+            |key| table.route(key),
+            |s, keys, answers| table.shards[s].front.lookup_batch(keys, answers),
+        )
     }
 
     /// Stitches one ascending result across shard boundaries: the scan
@@ -714,73 +693,7 @@ impl<I: DiskIndex> IndexWrite for ShardedIndex<I> {
 mod tests {
     use super::*;
     use crate::payload_for;
-    use std::collections::BTreeMap;
-
-    /// The concurrent-module test double, reused: an in-memory map index.
-    struct MapIndex {
-        disk: Arc<Disk>,
-        entries: BTreeMap<Key, Value>,
-        loaded: bool,
-    }
-
-    impl MapIndex {
-        fn new() -> Self {
-            MapIndex {
-                disk: Disk::in_memory(DiskConfig::default()),
-                entries: BTreeMap::new(),
-                loaded: false,
-            }
-        }
-    }
-
-    impl IndexRead for MapIndex {
-        fn kind(&self) -> IndexKind {
-            IndexKind::BTree
-        }
-
-        fn disk(&self) -> &Arc<Disk> {
-            &self.disk
-        }
-
-        fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-            Ok(self.entries.get(&key).copied())
-        }
-
-        fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
-            out.clear();
-            out.extend(self.entries.range(start..).take(count).map(|(&k, &v)| (k, v)));
-            Ok(out.len())
-        }
-
-        fn len(&self) -> u64 {
-            self.entries.len() as u64
-        }
-
-        fn stats(&self) -> IndexStats {
-            IndexStats { keys: self.entries.len() as u64, height: 1, ..IndexStats::default() }
-        }
-    }
-
-    impl IndexWrite for MapIndex {
-        fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
-            if self.loaded {
-                return Err(IndexError::AlreadyLoaded);
-            }
-            validate_bulk_load(entries)?;
-            self.entries = entries.iter().copied().collect();
-            self.loaded = true;
-            Ok(())
-        }
-
-        fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-            self.entries.insert(key, value);
-            Ok(())
-        }
-
-        fn insert_breakdown(&self) -> InsertBreakdown {
-            InsertBreakdown::new()
-        }
-    }
+    use crate::test_support::MapIndex;
 
     fn loaded_router(shards: usize, keys: u64) -> ShardedIndex<MapIndex> {
         let entries: Vec<Entry> = (0..keys).map(|k| (k * 3, payload_for(k * 3))).collect();

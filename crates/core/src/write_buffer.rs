@@ -219,16 +219,6 @@ impl<I: DiskIndex> WriteBuffer<I> {
         Ok((wb, replayed))
     }
 
-    /// Wraps `inner` with the default configuration.
-    pub fn with_default_config(inner: I) -> Self {
-        Self::new(inner, WriteBufferConfig::default())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> WriteBufferConfig {
-        self.config
-    }
-
     /// Number of entries currently staged (not yet drained).
     pub fn staged_len(&self) -> usize {
         self.staged.len()
@@ -355,31 +345,14 @@ impl<I: DiskIndex> IndexRead for WriteBuffer<I> {
     /// remainder to the wrapped index's `lookup_batch`, so a buffered index
     /// keeps whatever batched-probe amortisation the design implements.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
-        out.clear();
-        out.resize(keys.len(), None);
-        if keys.is_empty() {
-            return Ok(());
-        }
-        let mut forward_keys = Vec::new();
-        let mut forward_idx = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            match self.staged.get(&key) {
-                Some(&v) => out[i] = Some(v),
-                None => {
-                    forward_keys.push(key);
-                    forward_idx.push(i);
-                }
-            }
-        }
-        if forward_keys.is_empty() {
-            return Ok(());
-        }
-        let mut answers = Vec::new();
-        self.inner.lookup_batch(&forward_keys, &mut answers)?;
-        for (slot, answer) in forward_idx.into_iter().zip(answers) {
-            out[slot] = answer;
-        }
-        Ok(())
+        crate::lookup_batch_layered(
+            keys,
+            out,
+            1,
+            |key| self.staged.get(&key).copied(),
+            |_| 0,
+            |_, keys, answers| self.inner.lookup_batch(keys, answers),
+        )
     }
 
     /// Merges the staged range `[start, ..)` into the wrapped index's scan
@@ -469,99 +442,7 @@ impl<I: DiskIndex> IndexWrite for WriteBuffer<I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::IndexError;
-
-    /// A minimal in-memory index that counts how writes arrive, so the tests
-    /// can observe the group-commit behaviour without a real index crate.
-    struct MapIndex {
-        disk: Arc<Disk>,
-        entries: BTreeMap<Key, Value>,
-        batches: Vec<usize>,
-        singles: u64,
-        loaded: bool,
-        /// A batch containing this key fails before applying anything.
-        poison: Option<Key>,
-    }
-
-    impl MapIndex {
-        fn new() -> Self {
-            MapIndex {
-                disk: Disk::in_memory(lidx_storage::DiskConfig::default()),
-                entries: BTreeMap::new(),
-                batches: Vec::new(),
-                singles: 0,
-                loaded: false,
-                poison: None,
-            }
-        }
-    }
-
-    impl IndexRead for MapIndex {
-        fn kind(&self) -> IndexKind {
-            IndexKind::BTree
-        }
-
-        fn disk(&self) -> &Arc<Disk> {
-            &self.disk
-        }
-
-        fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-            Ok(self.entries.get(&key).copied())
-        }
-
-        fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
-            out.clear();
-            out.extend(self.entries.range(start..).take(count).map(|(&k, &v)| (k, v)));
-            Ok(out.len())
-        }
-
-        fn len(&self) -> u64 {
-            self.entries.len() as u64
-        }
-
-        fn stats(&self) -> IndexStats {
-            IndexStats { keys: self.entries.len() as u64, ..Default::default() }
-        }
-    }
-
-    impl IndexWrite for MapIndex {
-        fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
-            if self.loaded {
-                return Err(IndexError::AlreadyLoaded);
-            }
-            self.entries = entries.iter().copied().collect();
-            self.loaded = true;
-            Ok(())
-        }
-
-        fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-            self.singles += 1;
-            self.entries.insert(key, value);
-            Ok(())
-        }
-
-        fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
-            if let Some(poison) = self.poison {
-                if entries.iter().any(|&(k, _)| k == poison) {
-                    self.poison = None; // fail exactly once, so a retry works
-                    return Err(IndexError::Internal("poisoned batch".into()));
-                }
-            }
-            self.batches.push(entries.len());
-            assert!(
-                entries.windows(2).all(|w| w[0].0 < w[1].0),
-                "drains must arrive sorted and de-duplicated"
-            );
-            for &(k, v) in entries {
-                self.entries.insert(k, v);
-            }
-            Ok(())
-        }
-
-        fn insert_breakdown(&self) -> InsertBreakdown {
-            InsertBreakdown::new()
-        }
-    }
+    use crate::test_support::MapIndex;
 
     #[test]
     fn stages_then_drains_in_sorted_chunks() {

@@ -17,23 +17,32 @@
 
 use lidx_experiments::experiments::{all_experiments, Scale};
 
-fn parse_args() -> (Vec<String>, Scale) {
+const USAGE: &str = "usage: exp <target>... [--keys N] [--ops N] [--bulk N] [--seed N] \
+                     [--threads N] [--dataset-path FILE] [--quick]";
+
+/// Parses the command line; `Err` names the option whose value is missing
+/// or malformed.
+fn parse_args() -> Result<(Vec<String>, Scale), String> {
+    fn number<T: std::str::FromStr>(
+        option: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<T, String> {
+        let value = args.next().ok_or_else(|| format!("{option} needs a value"))?;
+        value.parse().map_err(|_| format!("{option} needs a number, got '{value}'"))
+    }
     let mut scale = Scale::default();
     let mut targets = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--keys" => scale.keys = args.next().and_then(|v| v.parse().ok()).expect("--keys N"),
-            "--ops" => scale.ops = args.next().and_then(|v| v.parse().ok()).expect("--ops N"),
-            "--bulk" => {
-                scale.bulk_keys = args.next().and_then(|v| v.parse().ok()).expect("--bulk N")
-            }
-            "--seed" => scale.seed = args.next().and_then(|v| v.parse().ok()).expect("--seed N"),
-            "--threads" => {
-                scale.threads = args.next().and_then(|v| v.parse().ok()).expect("--threads N")
-            }
+            "--keys" => scale.keys = number(&arg, &mut args)?,
+            "--ops" => scale.ops = number(&arg, &mut args)?,
+            "--bulk" => scale.bulk_keys = number(&arg, &mut args)?,
+            "--seed" => scale.seed = number(&arg, &mut args)?,
+            "--threads" => scale.threads = number(&arg, &mut args)?,
             "--dataset-path" => {
-                scale.dataset_path = Some(args.next().expect("--dataset-path FILE").into());
+                let path = args.next().ok_or("--dataset-path needs a file")?;
+                scale.dataset_path = Some(path.into());
             }
             "--quick" => {
                 scale.keys = 20_000;
@@ -43,18 +52,19 @@ fn parse_args() -> (Vec<String>, Scale) {
             other => targets.push(other.to_string()),
         }
     }
-    (targets, scale)
+    Ok((targets, scale))
 }
 
 fn main() {
-    let (targets, scale) = parse_args();
+    let (targets, scale) = parse_args().unwrap_or_else(|problem| {
+        eprintln!("exp: {problem}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
     let registry = all_experiments();
 
     if targets.is_empty() || targets.iter().any(|t| t == "list") {
-        eprintln!(
-            "usage: exp <target>... [--keys N] [--ops N] [--bulk N] [--seed N] [--threads N] \
-             [--dataset-path FILE] [--quick]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("targets:");
         for (name, _) in &registry {
             eprintln!("  {name}");

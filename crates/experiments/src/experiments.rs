@@ -14,7 +14,7 @@ use lidx_workloads::{profile_dataset, Dataset, Workload, WorkloadKind, WorkloadS
 use lidx_core::WriteBufferConfig;
 
 use crate::report::{
-    assert_percentiles_ordered, f2, ms, ops, telemetry_json, top_pauses_json, us, Table,
+    assert_percentiles_ordered, f2, ms, ops, telemetry_json, top_pauses_json, us, Json, Table,
 };
 use crate::runner::{
     run_batch_insert, run_batch_lookup, run_batch_lookup_qdepth_sweep, run_par_lookup,
@@ -647,7 +647,7 @@ pub fn batch_lookup(scale: &Scale) {
 /// per-index wall-clock ns per lookup (sequential and batched), fetched
 /// blocks per lookup, buffer hit rate, simulated I/O seconds and the
 /// zero-copy counters, so future PRs have a perf trajectory to compare
-/// against. The JSON is emitted by hand (stable field order, no serde).
+/// against. The JSON goes through [`Json`] (stable field order, no serde).
 pub fn bench_snapshot(scale: &Scale) {
     bench_snapshot_to(scale, std::path::Path::new("BENCH_lookup.json"));
 }
@@ -655,8 +655,8 @@ pub fn bench_snapshot(scale: &Scale) {
 /// [`bench_snapshot`] with an explicit output path (tests write to a temp
 /// file; the `exp` binary always writes `BENCH_lookup.json` in the cwd).
 pub fn bench_snapshot_to(scale: &Scale, path: &std::path::Path) {
-    let path = path.display();
-    println!("== bench snapshot: writing {path} ==");
+    let shown = path.display();
+    println!("== bench snapshot: writing {shown} ==");
     let cfg = RunConfig { buffer_blocks: 64, ..hdd() };
     let w = scale.search_workload(Dataset::Ycsb, WorkloadKind::LookupOnly);
     let mut entries = Vec::new();
@@ -688,75 +688,45 @@ pub fn bench_snapshot_to(scale: &Scale, path: &std::path::Path) {
             format!("{:.4}", seq.device_seconds),
             format!("{:.4}", sweep.last().unwrap().device_seconds),
         ]);
-        let qdepth_rows: Vec<String> = sweep
+        let qdepth_rows = sweep
             .iter()
             .map(|r| {
-                format!(
-                    concat!(
-                        "        {{ \"depth\": {}, \"simulated_io_seconds\": {:.6}, ",
-                        "\"overlap_saved_seconds\": {:.6} }}"
-                    ),
-                    r.queue_depth,
-                    r.device_seconds,
-                    r.overlap_saved_ns as f64 / 1e9,
-                )
+                Json::Row(vec![
+                    ("depth", Json::lit(r.queue_depth)),
+                    ("simulated_io_seconds", Json::float(r.device_seconds, 6)),
+                    ("overlap_saved_seconds", Json::float(r.overlap_saved_ns as f64 / 1e9, 6)),
+                ])
             })
             .collect();
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"index\": \"{}\",\n",
-                "      \"ns_per_lookup\": {:.1},\n",
-                "      \"batch64_ns_per_lookup\": {:.1},\n",
-                "      \"reads_per_lookup\": {:.4},\n",
-                "      \"buffer_hit_rate\": {:.4},\n",
-                "      \"reuse_hit_rate\": {:.4},\n",
-                "      \"simulated_io_seconds\": {:.6},\n",
-                "      \"bytes_copied\": {},\n",
-                "      \"frames_pinned\": {},\n",
-                "      \"checksum_failures\": {},\n",
-                "      \"io_retries\": {},\n",
-                "      \"wal_appends\": {},\n",
-                "      \"telemetry\": {},\n",
-                "      \"qdepth_sweep\": [\n{}\n      ]\n",
-                "    }}"
-            ),
-            seq.index,
-            seq.wall_ns_per_op(),
-            bat.wall_ns_per_op(),
-            seq.reads_per_op(),
-            seq.buffer_hit_rate(),
-            seq.reuse_hit_rate(),
-            seq.device_seconds,
-            seq.bytes_copied,
-            seq.frames_pinned,
-            seq.checksum_failures,
-            seq.io_retries,
-            seq.wal_appends,
-            telemetry_json(&seq.telemetry, "      "),
-            qdepth_rows.join(",\n"),
-        ));
+        entries.push(Json::Obj(vec![
+            ("index", Json::str(&seq.index)),
+            ("ns_per_lookup", Json::float(seq.wall_ns_per_op(), 1)),
+            ("batch64_ns_per_lookup", Json::float(bat.wall_ns_per_op(), 1)),
+            ("reads_per_lookup", Json::float(seq.reads_per_op(), 4)),
+            ("buffer_hit_rate", Json::float(seq.buffer_hit_rate(), 4)),
+            ("reuse_hit_rate", Json::float(seq.reuse_hit_rate(), 4)),
+            ("simulated_io_seconds", Json::float(seq.device_seconds, 6)),
+            ("bytes_copied", Json::lit(seq.bytes_copied)),
+            ("frames_pinned", Json::lit(seq.frames_pinned)),
+            ("checksum_failures", Json::lit(seq.checksum_failures)),
+            ("io_retries", Json::lit(seq.io_retries)),
+            ("wal_appends", Json::lit(seq.wal_appends)),
+            ("telemetry", telemetry_json(&seq.telemetry)),
+            ("qdepth_sweep", Json::Arr(qdepth_rows)),
+        ]));
     }
     t.print();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-snapshot-v1\",\n",
-            "  \"workload\": \"lookup-only/ycsb\",\n",
-            "  \"buffer_blocks\": 64,\n",
-            "  \"keys\": {},\n",
-            "  \"ops\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"indexes\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        scale.keys,
-        scale.ops,
-        scale.seed,
-        entries.join(",\n"),
-    );
-    std::fs::write(path.to_string(), json).expect("write bench snapshot");
-    println!("wrote {path}");
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-snapshot-v1")),
+        ("workload", Json::str("lookup-only/ycsb")),
+        ("buffer_blocks", Json::lit(64)),
+        ("keys", Json::lit(scale.keys)),
+        ("ops", Json::lit(scale.ops)),
+        ("seed", Json::lit(scale.seed)),
+        ("indexes", Json::Arr(entries)),
+    ]);
+    doc.write_to(path).expect("write bench snapshot");
+    println!("wrote {shown}");
 }
 
 /// Beyond the paper: scan-resistant buffer management. For three structural
@@ -775,9 +745,9 @@ pub fn scan_resistance(scale: &Scale) {
 /// [`scan_resistance`] with an explicit output path (tests write to a temp
 /// file; the `exp` binary always writes `BENCH_scan.json` in the cwd).
 pub fn scan_resistance_to(scale: &Scale, path: &std::path::Path) {
-    let path = path.display();
+    let shown = path.display();
     println!("== Scan resistance: hot-lookup pool hit rate vs a streaming full-table scan ==");
-    println!("(128-block pool, 32 hot keys; writing {path})");
+    println!("(128-block pool, 32 hot keys; writing {shown})");
     let w = scale.search_workload(Dataset::Ycsb, WorkloadKind::LookupOnly);
     let variants: [(ReplacementPolicy, PoolPartitions); 4] = [
         (ReplacementPolicy::Lru, PoolPartitions::Unified),
@@ -813,51 +783,31 @@ pub fn scan_resistance_to(scale: &Scale, path: &std::path::Path) {
                 f2(r.degradation_points()),
                 r.under_scan_inner_reads.to_string(),
             ]);
-            entries.push(format!(
-                concat!(
-                    "    {{\n",
-                    "      \"index\": \"{}\",\n",
-                    "      \"policy\": \"{}\",\n",
-                    "      \"partitions\": \"{}\",\n",
-                    "      \"baseline_hit_rate\": {:.4},\n",
-                    "      \"under_scan_hit_rate\": {:.4},\n",
-                    "      \"degradation_points\": {:.2},\n",
-                    "      \"under_scan_inner_reads\": {},\n",
-                    "      \"scanned_entries\": {},\n",
-                    "      \"scan_tagged_reads\": {}\n",
-                    "    }}"
-                ),
-                r.index,
-                policy.name(),
-                partitions.name(),
-                r.baseline_hit_rate,
-                r.under_scan_hit_rate,
-                r.degradation_points(),
-                r.under_scan_inner_reads,
-                r.scanned_entries,
-                r.scan_reads,
-            ));
+            entries.push(Json::Obj(vec![
+                ("index", Json::str(&r.index)),
+                ("policy", Json::str(policy.name())),
+                ("partitions", Json::str(partitions.name())),
+                ("baseline_hit_rate", Json::float(r.baseline_hit_rate, 4)),
+                ("under_scan_hit_rate", Json::float(r.under_scan_hit_rate, 4)),
+                ("degradation_points", Json::float(r.degradation_points(), 2)),
+                ("under_scan_inner_reads", Json::lit(r.under_scan_inner_reads)),
+                ("scanned_entries", Json::lit(r.scanned_entries)),
+                ("scan_tagged_reads", Json::lit(r.scan_reads)),
+            ]));
         }
     }
     t.print();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-scan-v1\",\n",
-            "  \"workload\": \"hot-lookups-vs-full-table-scan/ycsb\",\n",
-            "  \"buffer_blocks\": 128,\n",
-            "  \"hot_keys\": 32,\n",
-            "  \"keys\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        scale.keys,
-        scale.seed,
-        entries.join(",\n"),
-    );
-    std::fs::write(path.to_string(), json).expect("write scan snapshot");
-    println!("wrote {path}");
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-scan-v1")),
+        ("workload", Json::str("hot-lookups-vs-full-table-scan/ycsb")),
+        ("buffer_blocks", Json::lit(128)),
+        ("hot_keys", Json::lit(32)),
+        ("keys", Json::lit(scale.keys)),
+        ("seed", Json::lit(scale.seed)),
+        ("runs", Json::Arr(entries)),
+    ]);
+    doc.write_to(path).expect("write scan snapshot");
+    println!("wrote {shown}");
 }
 
 /// The storage configuration of the batched-write experiment: the same
@@ -907,9 +857,9 @@ pub fn batch_insert(scale: &Scale) {
 /// [`batch_insert`] with an explicit output path (tests write to a temp
 /// file; the `exp` binary always writes `BENCH_write.json` in the cwd).
 pub fn batch_insert_to(scale: &Scale, path: &std::path::Path) {
-    let path = path.display();
+    let shown = path.display();
     println!("== Batched inserts vs per-key (Write-Only, 64-block pool, HDD model) ==");
-    println!("(writing {path})");
+    println!("(writing {shown})");
     let cfg = batch_insert_config();
     let wb = batch_insert_buffer_config();
     let w = scale.mixed_workload(Dataset::Ycsb, WorkloadKind::WriteOnly);
@@ -951,36 +901,20 @@ pub fn batch_insert_to(scale: &Scale, path: &std::path::Path) {
             per_key.device_ns_per_insert(),
             buffered.device_ns_per_insert(),
         ));
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"index\": \"{}\",\n",
-                "      \"per_key_ns_per_insert\": {:.1},\n",
-                "      \"batch64_ns_per_insert\": {:.1},\n",
-                "      \"buffered_ns_per_insert\": {:.1},\n",
-                "      \"buffered_speedup\": {:.4},\n",
-                "      \"per_key_blocks_per_insert\": {:.4},\n",
-                "      \"batch64_blocks_per_insert\": {:.4},\n",
-                "      \"buffered_blocks_per_insert\": {:.4},\n",
-                "      \"per_key_smos\": {},\n",
-                "      \"buffered_smos\": {},\n",
-                "      \"drains\": {},\n",
-                "      \"drained_entries\": {}\n",
-                "    }}"
-            ),
-            per_key.index,
-            per_key.device_ns_per_insert(),
-            batch.device_ns_per_insert(),
-            buffered.device_ns_per_insert(),
-            speedup,
-            per_key.io_per_insert(),
-            batch.io_per_insert(),
-            buffered.io_per_insert(),
-            per_key.smos,
-            buffered.smos,
-            buffered.breakdown.drains,
-            buffered.breakdown.drained_entries,
-        ));
+        entries.push(Json::Obj(vec![
+            ("index", Json::str(&per_key.index)),
+            ("per_key_ns_per_insert", Json::float(per_key.device_ns_per_insert(), 1)),
+            ("batch64_ns_per_insert", Json::float(batch.device_ns_per_insert(), 1)),
+            ("buffered_ns_per_insert", Json::float(buffered.device_ns_per_insert(), 1)),
+            ("buffered_speedup", Json::float(speedup, 4)),
+            ("per_key_blocks_per_insert", Json::float(per_key.io_per_insert(), 4)),
+            ("batch64_blocks_per_insert", Json::float(batch.io_per_insert(), 4)),
+            ("buffered_blocks_per_insert", Json::float(buffered.io_per_insert(), 4)),
+            ("per_key_smos", Json::lit(per_key.smos)),
+            ("buffered_smos", Json::lit(buffered.smos)),
+            ("drains", Json::lit(buffered.breakdown.drains)),
+            ("drained_entries", Json::lit(buffered.breakdown.drained_entries)),
+        ]));
     }
     t.print();
 
@@ -995,34 +929,33 @@ pub fn batch_insert_to(scale: &Scale, path: &std::path::Path) {
         gap_per_key, gap_buffered
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-write-v1\",\n",
-            "  \"workload\": \"write-only/ycsb\",\n",
-            "  \"buffer_blocks\": 64,\n",
-            "  \"write_buffer\": {{ \"capacity\": {}, \"drain\": {} }},\n",
-            "  \"keys\": {},\n",
-            "  \"ops\": {},\n",
-            "  \"bulk_keys\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"pgm_gap_per_key\": {:.2},\n",
-            "  \"pgm_gap_buffered\": {:.2},\n",
-            "  \"indexes\": [\n{}\n  ]\n",
-            "}}\n"
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-write-v1")),
+        ("workload", Json::str("write-only/ycsb")),
+        ("buffer_blocks", Json::lit(64)),
+        (
+            "write_buffer",
+            Json::Row(vec![("capacity", Json::lit(wb.capacity)), ("drain", Json::lit(wb.drain))]),
         ),
-        wb.capacity,
-        wb.drain,
-        scale.keys,
-        scale.ops,
-        scale.bulk_keys,
-        scale.seed,
-        gap_per_key,
-        gap_buffered,
-        entries.join(",\n"),
-    );
-    std::fs::write(path.to_string(), json).expect("write batch-insert snapshot");
-    println!("wrote {path}");
+        ("keys", Json::lit(scale.keys)),
+        ("ops", Json::lit(scale.ops)),
+        ("bulk_keys", Json::lit(scale.bulk_keys)),
+        ("seed", Json::lit(scale.seed)),
+        ("pgm_gap_per_key", Json::float(gap_per_key, 2)),
+        ("pgm_gap_buffered", Json::float(gap_buffered, 2)),
+        ("indexes", Json::Arr(entries)),
+    ]);
+    doc.write_to(path).expect("write batch-insert snapshot");
+    println!("wrote {shown}");
+}
+
+/// The `"buffer"` header row of the two concurrent snapshots.
+fn buffer_json(buffer: lidx_core::ShardedWriteBufferConfig) -> Json {
+    Json::Row(vec![
+        ("capacity", Json::lit(buffer.capacity)),
+        ("drain", Json::lit(buffer.drain)),
+        ("shards", Json::lit(buffer.shards)),
+    ])
 }
 
 /// The [`lidx_core::ShardedWriteBufferConfig`] the mixed-workload sweep
@@ -1048,9 +981,9 @@ pub fn mixed_workload(scale: &Scale) {
 /// [`mixed_workload`] with an explicit output path (tests write to a temp
 /// file; the `exp` binary always writes `BENCH_mixed.json` in the cwd).
 pub fn mixed_workload_to(scale: &Scale, path: &std::path::Path) {
-    let path = path.display();
+    let shown = path.display();
     println!(
-        "== Mixed YCSB workloads: worker threads racing a draining writer (writing {path}) =="
+        "== Mixed YCSB workloads: worker threads racing a draining writer (writing {shown}) =="
     );
     let cfg = RunConfig {
         device: DeviceModel::custom("ssd-25us", 25_000, 30_000, 15_000),
@@ -1136,75 +1069,43 @@ pub fn mixed_workload_to(scale: &Scale, path: &std::path::Path) {
                     r.read_stalls.to_string(),
                     r.write_stalls.to_string(),
                 ]);
-                entries.push(format!(
-                    concat!(
-                        "    {{\n",
-                        "      \"index\": \"{}\",\n",
-                        "      \"mix\": \"{}\",\n",
-                        "      \"threads\": {},\n",
-                        "      \"aggregate_ops_per_sec\": {:.1},\n",
-                        "      \"speedup_vs_1_thread\": {:.4},\n",
-                        "      \"lookups\": {},\n",
-                        "      \"inserts\": {},\n",
-                        "      \"writer_entries\": {},\n",
-                        "      \"drain_chunks\": {},\n",
-                        "      \"drained_entries\": {},\n",
-                        "      \"read_stalls\": {},\n",
-                        "      \"write_stalls\": {},\n",
-                        "      \"not_found\": {},\n",
-                        "      \"lost\": {},\n",
-                        "      \"telemetry\": {},\n",
-                        "      \"top_pauses\": {}\n",
-                        "    }}"
-                    ),
-                    r.index,
-                    r.mix,
-                    threads,
-                    r.aggregate_ops_per_sec(),
-                    speedup,
-                    r.lookups,
-                    r.inserts,
-                    r.writer_entries,
-                    r.drain_chunks,
-                    r.drained_entries,
-                    r.read_stalls,
-                    r.write_stalls,
-                    r.not_found,
-                    r.lost,
-                    telemetry_json(&r.telemetry, "      "),
-                    top_pauses_json(&r.telemetry, 5, "      "),
-                ));
+                entries.push(Json::Obj(vec![
+                    ("index", Json::str(&r.index)),
+                    ("mix", Json::str(r.mix)),
+                    ("threads", Json::lit(threads)),
+                    ("aggregate_ops_per_sec", Json::float(r.aggregate_ops_per_sec(), 1)),
+                    ("speedup_vs_1_thread", Json::float(speedup, 4)),
+                    ("lookups", Json::lit(r.lookups)),
+                    ("inserts", Json::lit(r.inserts)),
+                    ("writer_entries", Json::lit(r.writer_entries)),
+                    ("drain_chunks", Json::lit(r.drain_chunks)),
+                    ("drained_entries", Json::lit(r.drained_entries)),
+                    ("read_stalls", Json::lit(r.read_stalls)),
+                    ("write_stalls", Json::lit(r.write_stalls)),
+                    ("not_found", Json::lit(r.not_found)),
+                    ("lost", Json::lit(r.lost)),
+                    ("telemetry", telemetry_json(&r.telemetry)),
+                    ("top_pauses", top_pauses_json(&r.telemetry, 5)),
+                ]));
             }
         }
     }
     table.print();
     println!("-- per-op-class tails at {} threads (wall-clock) --", sweep.last().unwrap());
     tails.print();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-mixed-v1\",\n",
-            "  \"workload\": \"ycsb-abc/ycsb\",\n",
-            "  \"device\": \"ssd-25us\",\n",
-            "  \"buffer\": {{ \"capacity\": {}, \"drain\": {}, \"shards\": {} }},\n",
-            "  \"keys\": {},\n",
-            "  \"ops_per_thread\": {},\n",
-            "  \"bulk_keys\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        buffer.capacity,
-        buffer.drain,
-        buffer.shards,
-        scale.keys,
-        ops_per_thread,
-        scale.bulk_keys,
-        scale.seed,
-        entries.join(",\n"),
-    );
-    std::fs::write(path.to_string(), json).expect("write mixed snapshot");
-    println!("wrote {path}");
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-mixed-v1")),
+        ("workload", Json::str("ycsb-abc/ycsb")),
+        ("device", Json::str("ssd-25us")),
+        ("buffer", buffer_json(buffer)),
+        ("keys", Json::lit(scale.keys)),
+        ("ops_per_thread", Json::lit(ops_per_thread)),
+        ("bulk_keys", Json::lit(scale.bulk_keys)),
+        ("seed", Json::lit(scale.seed)),
+        ("runs", Json::Arr(entries)),
+    ]);
+    doc.write_to(path).expect("write mixed snapshot");
+    println!("wrote {shown}");
 }
 
 /// The per-shard staging config the sharded-serving sweep uses: the same
@@ -1229,9 +1130,9 @@ pub fn sharded_serving(scale: &Scale) {
 /// [`sharded_serving`] with an explicit output path (tests write to a temp
 /// file; the `exp` binary always writes `BENCH_sharded.json` in the cwd).
 pub fn sharded_serving_to(scale: &Scale, path: &std::path::Path) {
-    let path = path.display();
+    let shown = path.display();
     println!(
-        "== Sharded serving: shard-count sweep under zipfian/uniform reads (writing {path}) =="
+        "== Sharded serving: shard-count sweep under zipfian/uniform reads (writing {shown}) =="
     );
     // Smoke scales (--quick) pass through; anything full-sized is floored
     // at the 2 M-key serving regime the sweep is about.
@@ -1325,50 +1226,27 @@ pub fn sharded_serving_to(scale: &Scale, path: &std::path::Path) {
                     r.read_stalls.to_string(),
                     r.write_stalls.to_string(),
                 ]);
-                entries.push(format!(
-                    concat!(
-                        "    {{\n",
-                        "      \"index\": \"{}\",\n",
-                        "      \"dist\": \"{}\",\n",
-                        "      \"shards\": {},\n",
-                        "      \"shards_final\": {},\n",
-                        "      \"threads\": {},\n",
-                        "      \"aggregate_ops_per_sec\": {:.1},\n",
-                        "      \"speedup_vs_1_shard\": {:.4},\n",
-                        "      \"lookups\": {},\n",
-                        "      \"inserts\": {},\n",
-                        "      \"writer_entries\": {},\n",
-                        "      \"drain_chunks\": {},\n",
-                        "      \"read_stalls\": {},\n",
-                        "      \"write_stalls\": {},\n",
-                        "      \"splits\": {},\n",
-                        "      \"split_overlapped\": {},\n",
-                        "      \"not_found\": {},\n",
-                        "      \"lost\": {},\n",
-                        "      \"telemetry\": {},\n",
-                        "      \"top_pauses\": {}\n",
-                        "    }}"
-                    ),
-                    r.index,
-                    r.dist,
-                    shards,
-                    r.shards_final,
-                    r.threads,
-                    r.aggregate_ops_per_sec(),
-                    speedup,
-                    r.lookups,
-                    r.inserts,
-                    r.writer_entries,
-                    r.drain_chunks,
-                    r.read_stalls,
-                    r.write_stalls,
-                    r.splits,
-                    r.split_overlapped,
-                    r.not_found,
-                    r.lost,
-                    telemetry_json(&r.telemetry, "      "),
-                    top_pauses_json(&r.telemetry, 5, "      "),
-                ));
+                entries.push(Json::Obj(vec![
+                    ("index", Json::str(&r.index)),
+                    ("dist", Json::str(r.dist)),
+                    ("shards", Json::lit(shards)),
+                    ("shards_final", Json::lit(r.shards_final)),
+                    ("threads", Json::lit(r.threads)),
+                    ("aggregate_ops_per_sec", Json::float(r.aggregate_ops_per_sec(), 1)),
+                    ("speedup_vs_1_shard", Json::float(speedup, 4)),
+                    ("lookups", Json::lit(r.lookups)),
+                    ("inserts", Json::lit(r.inserts)),
+                    ("writer_entries", Json::lit(r.writer_entries)),
+                    ("drain_chunks", Json::lit(r.drain_chunks)),
+                    ("read_stalls", Json::lit(r.read_stalls)),
+                    ("write_stalls", Json::lit(r.write_stalls)),
+                    ("splits", Json::lit(r.splits)),
+                    ("split_overlapped", Json::lit(r.split_overlapped)),
+                    ("not_found", Json::lit(r.not_found)),
+                    ("lost", Json::lit(r.lost)),
+                    ("telemetry", telemetry_json(&r.telemetry)),
+                    ("top_pauses", top_pauses_json(&r.telemetry, 5)),
+                ]));
             }
         }
     }
@@ -1378,34 +1256,21 @@ pub fn sharded_serving_to(scale: &Scale, path: &std::path::Path) {
         shard_sweep.last().unwrap()
     );
     tails.print();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-sharded-v1\",\n",
-            "  \"workload\": \"serving-95r5w/ycsb\",\n",
-            "  \"device\": \"ssd-25us\",\n",
-            "  \"buffer\": {{ \"capacity\": {}, \"drain\": {}, \"shards\": {} }},\n",
-            "  \"keys\": {},\n",
-            "  \"bulk_keys\": {},\n",
-            "  \"ops_per_thread\": {},\n",
-            "  \"threads\": {},\n",
-            "  \"zipfian_theta\": 0.99,\n",
-            "  \"seed\": {},\n",
-            "  \"runs\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        buffer.capacity,
-        buffer.drain,
-        buffer.shards,
-        eff.keys,
-        eff.bulk_keys,
-        eff.ops,
-        threads,
-        eff.seed,
-        entries.join(",\n"),
-    );
-    std::fs::write(path.to_string(), json).expect("write sharded snapshot");
-    println!("wrote {path}");
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-sharded-v1")),
+        ("workload", Json::str("serving-95r5w/ycsb")),
+        ("device", Json::str("ssd-25us")),
+        ("buffer", buffer_json(buffer)),
+        ("keys", Json::lit(eff.keys)),
+        ("bulk_keys", Json::lit(eff.bulk_keys)),
+        ("ops_per_thread", Json::lit(eff.ops)),
+        ("threads", Json::lit(threads)),
+        ("zipfian_theta", Json::float(0.99, 2)),
+        ("seed", Json::lit(eff.seed)),
+        ("runs", Json::Arr(entries)),
+    ]);
+    doc.write_to(path).expect("write sharded snapshot");
+    println!("wrote {shown}");
 }
 
 /// An experiment entry: a stable name and the function that prints it.

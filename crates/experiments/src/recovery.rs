@@ -21,6 +21,7 @@ use lidx_core::{
 use lidx_storage::{Disk, DiskConfig, FaultPlan, OpClass};
 
 use crate::experiments::Scale;
+use crate::report::Json;
 use crate::runner::IndexChoice;
 
 /// The WAL-backed durable write front the harness drives: any of the
@@ -295,67 +296,44 @@ pub fn recovery_to(scale: &Scale, path: &Path) {
     }
     rt.print();
 
-    let overhead_json: Vec<String> = overhead_rows
+    let overhead_json = overhead_rows
         .iter()
         .map(|r| {
-            format!(
-                concat!(
-                    "    {{ \"index\": \"{}\", \"wal_wall_ns_per_insert\": {:.1}, ",
-                    "\"buffered_wall_ns_per_insert\": {:.1}, ",
-                    "\"wal_device_ns_per_insert\": {:.1}, ",
-                    "\"buffered_device_ns_per_insert\": {:.1}, ",
-                    "\"device_overhead\": {:.4}, ",
-                    "\"wal_appends\": {}, \"wal_bytes\": {}, ",
-                    "\"wal_sync_p99_ns\": {}, \"checkpoint_max_ns\": {} }}"
-                ),
-                r.index,
-                r.wal_wall_ns_per_insert,
-                r.buffered_wall_ns_per_insert,
-                r.wal_device_ns_per_insert,
-                r.buffered_device_ns_per_insert,
-                r.device_overhead,
-                r.wal_appends,
-                r.wal_bytes,
-                r.wal_sync_p99_ns,
-                r.checkpoint_max_ns,
-            )
+            Json::Row(vec![
+                ("index", Json::str(r.index)),
+                ("wal_wall_ns_per_insert", Json::float(r.wal_wall_ns_per_insert, 1)),
+                ("buffered_wall_ns_per_insert", Json::float(r.buffered_wall_ns_per_insert, 1)),
+                ("wal_device_ns_per_insert", Json::float(r.wal_device_ns_per_insert, 1)),
+                ("buffered_device_ns_per_insert", Json::float(r.buffered_device_ns_per_insert, 1)),
+                ("device_overhead", Json::float(r.device_overhead, 4)),
+                ("wal_appends", Json::lit(r.wal_appends)),
+                ("wal_bytes", Json::lit(r.wal_bytes)),
+                ("wal_sync_p99_ns", Json::lit(r.wal_sync_p99_ns)),
+                ("checkpoint_max_ns", Json::lit(r.checkpoint_max_ns)),
+            ])
         })
         .collect();
-    let replay_json: Vec<String> = replay_rows
+    let replay_json = replay_rows
         .iter()
         .map(|r| {
-            format!(
-                concat!(
-                    "    {{ \"dirty_entries\": {}, \"replayed_entries\": {}, ",
-                    "\"replay_wall_micros\": {:.1}, \"recovered_len\": {}, ",
-                    "\"recovery_pause_ns\": {} }}"
-                ),
-                r.dirty_entries,
-                r.replayed_entries,
-                r.replay_wall_micros,
-                r.recovered_len,
-                r.recovery_pause_ns,
-            )
+            Json::Row(vec![
+                ("dirty_entries", Json::lit(r.dirty_entries)),
+                ("replayed_entries", Json::lit(r.replayed_entries)),
+                ("replay_wall_micros", Json::float(r.replay_wall_micros, 1)),
+                ("recovered_len", Json::lit(r.recovered_len)),
+                ("recovery_pause_ns", Json::lit(r.recovery_pause_ns)),
+            ])
         })
         .collect();
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"schema\": \"lidx-bench-recovery-v1\",\n",
-            "  \"bulk_keys\": {},\n",
-            "  \"ops\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"write_overhead\": [\n{}\n  ],\n",
-            "  \"replay\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        scale.bulk_keys,
-        scale.ops,
-        scale.seed,
-        overhead_json.join(",\n"),
-        replay_json.join(",\n"),
-    );
-    std::fs::write(path, json).expect("write recovery snapshot");
+    let doc = Json::Obj(vec![
+        ("schema", Json::str("lidx-bench-recovery-v1")),
+        ("bulk_keys", Json::lit(scale.bulk_keys)),
+        ("ops", Json::lit(scale.ops)),
+        ("seed", Json::lit(scale.seed)),
+        ("write_overhead", Json::Arr(overhead_json)),
+        ("replay", Json::Arr(replay_json)),
+    ]);
+    doc.write_to(path).expect("write recovery snapshot");
     println!("wrote {shown}");
 }
 

@@ -6,9 +6,9 @@ use std::time::Instant;
 use lidx_alex::{AlexConfig, AlexIndex, AlexLayout};
 use lidx_btree::{BTreeConfig, BTreeIndex};
 use lidx_core::{
-    DiskIndex, Entry, IndexRead, IndexWrite, InsertBreakdown, Key, LatencyRecorder, LatencySummary,
-    ShardedIndex, ShardedIndexConfig, ShardedWriteBuffer, ShardedWriteBufferConfig, WriteBuffer,
-    WriteBufferConfig,
+    DiskIndex, Entry, IndexRead, IndexResult, IndexWrite, InsertBreakdown, Key, LatencyRecorder,
+    LatencySummary, ShardedIndex, ShardedIndexConfig, ShardedWriteBuffer, ShardedWriteBufferConfig,
+    Value, WriteBuffer, WriteBufferConfig,
 };
 use lidx_fiting::{FitingConfig, FitingTree};
 use lidx_hybrid::{HybridConfig, HybridIndex, HybridInnerKind};
@@ -991,6 +991,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Maps one [`splitmix64`] draw onto `[0, 1)` (its top 53 bits).
+fn unit_interval(r: u64) -> f64 {
+    (r >> 11) as f64 / ((1u64 << 53) as f64)
+}
+
 /// Bulk loads `choice`, wraps it in a [`ShardedWriteBuffer`] (shard
 /// boundaries sampled from the full key population) and races `threads`
 /// worker threads executing `ops_per_thread` operations of the given YCSB
@@ -1012,13 +1017,132 @@ pub fn run_mixed_workload(
     ops_per_thread: usize,
     buffer: ShardedWriteBufferConfig,
 ) -> MixedWorkloadReport {
-    assert!(threads >= 1, "at least one worker thread is required");
-    let disk = config.make_disk();
-    let mut index = choice.build(Arc::clone(&disk));
-    index.bulk_load(&workload.bulk).expect("bulk load");
+    let keys = workload.bulk.len() as u64;
+    let phase = RacingPhase {
+        threads,
+        ops_per_thread,
+        chunk: buffer.drain.max(1),
+        read_fraction: mix.read_fraction(),
+        pick: &|r, _| (r % keys) as usize,
+    };
+    let build = |sample: &[Key]| {
+        let mut index = choice.build(config.make_disk());
+        index.bulk_load(&workload.bulk).expect("bulk load");
+        ShardedWriteBuffer::with_sampled_boundaries(index, buffer, sample)
+    };
+    let (swb, outcome, ()) = run_racing_phase(workload, &phase, build, |_, _| ());
 
-    let bulk_keys: Vec<Key> = workload.bulk.iter().map(|e| e.0).collect();
-    assert!(!bulk_keys.is_empty(), "mixed workload needs a non-empty bulk load");
+    MixedWorkloadReport {
+        index: swb.name(),
+        mix: mix.name(),
+        threads,
+        total_ops: outcome.lookups + outcome.inserts,
+        lookups: outcome.lookups,
+        inserts: outcome.inserts,
+        writer_entries: outcome.writer_entries,
+        wall_seconds: outcome.wall_seconds,
+        not_found: outcome.not_found,
+        drain_chunks: outcome.stats.drain_chunks,
+        drained_entries: outcome.stats.drain_entries,
+        read_stalls: outcome.stats.read_stalls,
+        write_stalls: outcome.stats.write_stalls,
+        lost: outcome.lost,
+        telemetry: outcome.telemetry,
+    }
+}
+
+/// What the racing phase needs from a concurrent write front beyond
+/// [`IndexRead`]: the `&self` write entry points both fronts expose under
+/// the same names, and the disks its counters and telemetry live on.
+trait RacingFront: IndexRead + Sync {
+    fn stage(&self, key: Key, value: Value) -> IndexResult<()>;
+    fn stage_batch(&self, entries: &[Entry]) -> IndexResult<()>;
+    fn flush(&self) -> IndexResult<()>;
+    /// Every live disk under the front, the accounting disk
+    /// ([`IndexRead::disk`]) included.
+    fn disks(&self) -> Vec<Arc<Disk>>;
+}
+
+impl<I: DiskIndex> RacingFront for ShardedWriteBuffer<I> {
+    fn stage(&self, key: Key, value: Value) -> IndexResult<()> {
+        ShardedWriteBuffer::stage(self, key, value)
+    }
+    fn stage_batch(&self, entries: &[Entry]) -> IndexResult<()> {
+        ShardedWriteBuffer::stage_batch(self, entries)
+    }
+    fn flush(&self) -> IndexResult<()> {
+        ShardedWriteBuffer::flush(self)
+    }
+    fn disks(&self) -> Vec<Arc<Disk>> {
+        vec![Arc::clone(self.disk())]
+    }
+}
+
+impl<I: DiskIndex> RacingFront for ShardedIndex<I> {
+    fn stage(&self, key: Key, value: Value) -> IndexResult<()> {
+        ShardedIndex::stage(self, key, value)
+    }
+    fn stage_batch(&self, entries: &[Entry]) -> IndexResult<()> {
+        ShardedIndex::stage_batch(self, entries)
+    }
+    fn flush(&self) -> IndexResult<()> {
+        ShardedIndex::flush(self)
+    }
+    fn disks(&self) -> Vec<Arc<Disk>> {
+        let mut disks = self.shard_disks();
+        disks.push(Arc::clone(self.disk()));
+        disks
+    }
+}
+
+/// The shape of one racing phase.
+struct RacingPhase<'a> {
+    threads: usize,
+    ops_per_thread: usize,
+    /// Entries the background writer stages between two flushes.
+    chunk: usize,
+    /// Fraction of worker operations that are lookups.
+    read_fraction: f64,
+    /// The read distribution: position in the bulk load of the key to look
+    /// up, from one raw 64-bit draw and one unit-interval draw.
+    pick: &'a (dyn Fn(u64, f64) -> usize + Sync),
+}
+
+/// What one racing phase measured, before it is shaped into a report.
+struct RacingOutcome {
+    wall_seconds: f64,
+    lookups: u64,
+    inserts: u64,
+    not_found: u64,
+    writer_entries: u64,
+    lost: u64,
+    /// Counters merged over every live disk of the front, after the final
+    /// flush.
+    stats: lidx_storage::OpStats,
+    /// Telemetry merged over the same disks.
+    telemetry: TelemetrySnapshot,
+}
+
+/// The racing phase behind [`run_mixed_workload`] and
+/// [`run_sharded_serving`] (their docs describe what races what). `build`
+/// wraps the bulk-loaded index — or indexes — in the front under test, given
+/// the sorted full key population to place shard boundaries on. Worker
+/// inserts consume disjoint per-thread slices of the head of the workload's
+/// insert pool; the writer cycles the tail third (re-staging is an upsert).
+/// Worker op latencies are recorded from inside the racing threads on the
+/// front's accounting disk. `coordinate` runs on the calling thread while
+/// the workers race, handed the count of worker operations completed so far.
+fn run_racing_phase<F: RacingFront, T>(
+    workload: &Workload,
+    phase: &RacingPhase<'_>,
+    build: impl FnOnce(&[Key]) -> F,
+    coordinate: impl FnOnce(&F, &std::sync::atomic::AtomicU64) -> T,
+) -> (F, RacingOutcome, T) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let threads = phase.threads;
+    assert!(threads >= 1, "at least one worker thread is required");
+    let bulk = &workload.bulk;
+    assert!(!bulk.is_empty(), "a racing phase needs a non-empty bulk load");
     let pool: Vec<Entry> = workload
         .ops
         .iter()
@@ -1027,136 +1151,119 @@ pub fn run_mixed_workload(
             _ => None,
         })
         .collect();
-    assert!(!pool.is_empty(), "mixed workload needs insert operations (the writer's fuel)");
-
-    // The background writer owns the tail third of the pool; the workers
-    // split the rest round-robin.
+    assert!(!pool.is_empty(), "a racing phase needs insert operations (the writer's fuel)");
     let writer_start = pool.len() - pool.len() / 3;
     let (worker_pool, writer_pool) = pool.split_at(writer_start.min(pool.len() - 1).max(1));
 
-    let mut boundary_sample: Vec<Key> =
-        bulk_keys.iter().chain(pool.iter().map(|(k, _)| k)).copied().collect();
-    boundary_sample.sort_unstable();
-    let swb = ShardedWriteBuffer::with_sampled_boundaries(index, buffer, &boundary_sample);
+    let mut sample: Vec<Key> = bulk.iter().chain(&pool).map(|e| e.0).collect();
+    sample.sort_unstable();
+    let built = build(&sample);
+    let front = &built;
+    for disk in front.disks() {
+        disk.stats().reset();
+        disk.telemetry().reset();
+        disk.clear_buffer();
+        disk.reset_access_state();
+    }
 
-    disk.stats().reset();
-    disk.telemetry().reset();
-    disk.clear_buffer();
-    disk.reset_access_state();
-
-    let swb = &swb;
-    let bulk_keys = &bulk_keys;
-    let telemetry = disk.telemetry();
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let stop = &stop;
-    let chunk = buffer.drain.max(1);
-    let (wall_seconds, lookups, inserts, not_found, staged_counts, writer_entries) =
-        std::thread::scope(|s| {
-            let writer = s.spawn(move || {
-                // Stage a chunk, then flush the whole buffer: the flush runs
-                // the exclusive drain protocol, so while this thread lives
-                // the workers race an actively draining writer. The pool is
-                // cycled (re-staging is an upsert) until the workers finish.
-                let mut staged = 0u64;
-                'outer: loop {
-                    for c in writer_pool.chunks(chunk) {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            break 'outer;
-                        }
-                        swb.stage_batch(c).expect("writer stage");
-                        swb.flush().expect("writer drain");
-                        staged += c.len() as u64;
+    let telemetry = front.disk().telemetry();
+    let stop = &AtomicBool::new(false);
+    let ops_done = &AtomicU64::new(0);
+    let (wall_seconds, results, writer_entries, coordinated) = std::thread::scope(|s| {
+        let writer = s.spawn(move || {
+            let mut staged = 0u64;
+            'outer: loop {
+                for c in writer_pool.chunks(phase.chunk) {
+                    if stop.load(Ordering::Relaxed) {
+                        break 'outer;
                     }
+                    front.stage_batch(c).expect("writer stage");
+                    front.flush().expect("writer drain");
+                    staged += c.len() as u64;
                 }
-                staged
-            });
-
-            let start = Instant::now();
-            let results: Vec<(u64, u64, u64, u64)> = {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        s.spawn(move || {
-                            let mine: Vec<Entry> =
-                                worker_pool.iter().skip(t).step_by(threads).copied().collect();
-                            let mut rng = 0x5EED_0000u64 + t as u64;
-                            let (mut lookups, mut inserts, mut misses) = (0u64, 0u64, 0u64);
-                            let mut next = 0usize;
-                            for _ in 0..ops_per_thread {
-                                let r = splitmix64(&mut rng);
-                                let is_read = mine.is_empty()
-                                    || (r >> 11) as f64 / ((1u64 << 53) as f64)
-                                        < mix.read_fraction();
-                                if is_read {
-                                    let k = bulk_keys[(r % bulk_keys.len() as u64) as usize];
-                                    let t0 = Instant::now();
-                                    if swb.lookup(k).expect("lookup").is_none() {
-                                        misses += 1;
-                                    }
-                                    telemetry
-                                        .record_ns(OpClass::Lookup, t0.elapsed().as_nanos() as u64);
-                                    lookups += 1;
-                                } else {
-                                    let (k, v) = mine[next % mine.len()];
-                                    let t0 = Instant::now();
-                                    swb.stage(k, v).expect("stage");
-                                    telemetry
-                                        .record_ns(OpClass::Insert, t0.elapsed().as_nanos() as u64);
-                                    next += 1;
-                                    inserts += 1;
-                                }
-                            }
-                            (lookups, inserts, misses, (next as u64).min(mine.len() as u64))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            };
-            let wall = start.elapsed().as_secs_f64();
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let writer_entries = writer.join().expect("writer panicked");
-
-            let lookups: u64 = results.iter().map(|r| r.0).sum();
-            let inserts: u64 = results.iter().map(|r| r.1).sum();
-            let misses: u64 = results.iter().map(|r| r.2).sum();
-            let staged_counts: Vec<u64> = results.iter().map(|r| r.3).collect();
-            (wall, lookups, inserts, misses, staged_counts, writer_entries)
+            }
+            staged
         });
 
-    swb.flush().expect("final flush");
-    let stats = disk.stats();
-    let (drain_chunks, drained_entries) = (stats.drain_chunks(), stats.drain_entries());
-    let (read_stalls, write_stalls) = (stats.read_stalls(), stats.write_stalls());
+        let start = Instant::now();
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let mine: Vec<Entry> =
+                        worker_pool.iter().skip(t).step_by(threads).copied().collect();
+                    let mut rng = 0x5EED_0000u64 + t as u64;
+                    let (mut lookups, mut inserts, mut misses) = (0u64, 0u64, 0u64);
+                    let mut next = 0usize;
+                    for _ in 0..phase.ops_per_thread {
+                        let r = splitmix64(&mut rng);
+                        let u = unit_interval(r);
+                        if mine.is_empty() || u < phase.read_fraction {
+                            let key = bulk[(phase.pick)(r, u / phase.read_fraction)].0;
+                            let t0 = Instant::now();
+                            if front.lookup(key).expect("lookup").is_none() {
+                                misses += 1;
+                            }
+                            telemetry.record_ns(OpClass::Lookup, t0.elapsed().as_nanos() as u64);
+                            lookups += 1;
+                        } else {
+                            let (k, v) = mine[next % mine.len()];
+                            let t0 = Instant::now();
+                            front.stage(k, v).expect("stage");
+                            telemetry.record_ns(OpClass::Insert, t0.elapsed().as_nanos() as u64);
+                            next += 1;
+                            inserts += 1;
+                        }
+                        ops_done.fetch_add(1, Ordering::Relaxed);
+                    }
+                    (lookups, inserts, misses, next.min(mine.len()))
+                })
+            })
+            .collect();
 
-    // Unmeasured self-check: every key any thread staged must be findable.
+        let coordinated = coordinate(front, ops_done);
+
+        let results: Vec<(u64, u64, u64, usize)> =
+            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
+        let wall = start.elapsed().as_secs_f64();
+        stop.store(true, Ordering::Relaxed);
+        let writer_entries = writer.join().expect("writer panicked");
+        (wall, results, writer_entries, coordinated)
+    });
+
+    front.flush().expect("final flush");
+    let disks = front.disks();
+    let stats = disks
+        .iter()
+        .map(|d| d.snapshot())
+        .reduce(|total, d| total.merge(&d))
+        .expect("a front has at least one disk");
+    let merged = lidx_storage::TelemetryRegistry::new();
+    for disk in &disks {
+        merged.merge_from(disk.telemetry());
+    }
+
+    // Unmeasured self-check: every key any thread staged must be findable
+    // after the drains (and, behind a router, the splits) it raced.
     let mut verify: Vec<Key> = Vec::new();
-    for (t, &count) in staged_counts.iter().enumerate() {
-        verify.extend(
-            worker_pool.iter().skip(t).step_by(threads).take(count as usize).map(|&(k, _)| k),
-        );
+    for (t, r) in results.iter().enumerate() {
+        verify.extend(worker_pool.iter().skip(t).step_by(threads).take(r.3).map(|&(k, _)| k));
     }
     let writer_staged = (writer_entries as usize).min(writer_pool.len());
     verify.extend(writer_pool.iter().take(writer_staged).map(|&(k, _)| k));
     let mut answers = Vec::new();
-    swb.lookup_batch(&verify, &mut answers).expect("verify lookups");
-    let lost = answers.iter().filter(|a| a.is_none()).count() as u64;
+    front.lookup_batch(&verify, &mut answers).expect("verify lookups");
 
-    MixedWorkloadReport {
-        index: swb.name(),
-        mix: mix.name(),
-        threads,
-        total_ops: lookups + inserts,
-        lookups,
-        inserts,
-        writer_entries,
+    let outcome = RacingOutcome {
         wall_seconds,
-        not_found,
-        drain_chunks,
-        drained_entries,
-        read_stalls,
-        write_stalls,
-        lost,
-        telemetry: disk.telemetry().snapshot(),
-    }
+        lookups: results.iter().map(|r| r.0).sum(),
+        inserts: results.iter().map(|r| r.1).sum(),
+        not_found: results.iter().map(|r| r.2).sum(),
+        writer_entries,
+        lost: answers.iter().filter(|a| a.is_none()).count() as u64,
+        stats,
+        telemetry: merged.snapshot(),
+    };
+    (built, outcome, coordinated)
 }
 
 /// Key distribution the sharded-serving phase draws its read stream from.
@@ -1275,169 +1382,59 @@ pub fn run_sharded_serving(
     buffer: ShardedWriteBufferConfig,
     split_hot: bool,
 ) -> ShardedServingReport {
-    assert!(threads >= 1, "at least one worker thread is required");
     assert!(shards >= 1, "at least one shard is required");
-    let bulk_keys: Vec<Key> = workload.bulk.iter().map(|e| e.0).collect();
-    assert!(!bulk_keys.is_empty(), "sharded serving needs a non-empty bulk load");
-    let pool: Vec<Entry> = workload
-        .ops
-        .iter()
-        .filter_map(|op| match *op {
-            Op::Insert(k, v) => Some((k, v)),
-            _ => None,
-        })
-        .collect();
-    assert!(!pool.is_empty(), "sharded serving needs insert operations (the writer's fuel)");
-    let writer_start = pool.len() - pool.len() / 3;
-    let (worker_pool, writer_pool) = pool.split_at(writer_start.min(pool.len() - 1).max(1));
-
-    let run_config = *config;
-    let factory = move || Ok(choice.build(run_config.make_disk()));
-    let mut boundary_sample: Vec<Key> =
-        bulk_keys.iter().chain(pool.iter().map(|(k, _)| k)).copied().collect();
-    boundary_sample.sort_unstable();
-    let router_config = ShardedIndexConfig { shards, buffer };
-    let mut router =
-        ShardedIndex::with_sampled_boundaries(Box::new(factory), router_config, &boundary_sample)
-            .expect("build router");
-    router.bulk_load(&workload.bulk).expect("bulk load");
-
-    for disk in router.shard_disks() {
-        disk.stats().reset();
-        disk.telemetry().reset();
-        disk.clear_buffer();
-        disk.reset_access_state();
-    }
-    router.disk().stats().reset();
-    router.disk().telemetry().reset();
-
-    let zipf = ScrambledZipfian::new(bulk_keys.len(), 0.99);
-    let router = &router;
-    let bulk_keys = &bulk_keys;
-    let telemetry = router.disk().telemetry();
-    let zipf = &zipf;
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let stop = &stop;
-    let ops_done = std::sync::atomic::AtomicU64::new(0);
-    let ops_done = &ops_done;
-    let chunk = buffer.drain.max(1);
+    let bulk = &workload.bulk;
+    let zipf = ScrambledZipfian::new(bulk.len(), 0.99);
+    let pick = |r: u64, u: f64| match dist {
+        KeyDist::Uniform => (r % bulk.len() as u64) as usize,
+        KeyDist::Zipfian => zipf.position(u),
+    };
+    let phase = RacingPhase {
+        threads,
+        ops_per_thread,
+        chunk: buffer.drain.max(1),
+        read_fraction: 0.95,
+        pick: &pick,
+    };
+    let build = |sample: &[Key]| {
+        let run_config = *config;
+        let factory = move || Ok(choice.build(run_config.make_disk()));
+        let router_config = ShardedIndexConfig { shards, buffer };
+        let mut router =
+            ShardedIndex::with_sampled_boundaries(Box::new(factory), router_config, sample)
+                .expect("build router");
+        router.bulk_load(bulk).expect("bulk load");
+        router
+    };
     let total_expected = (threads * ops_per_thread) as u64;
 
-    let (wall_seconds, lookups, inserts, not_found, staged_counts, writer_entries, split_state) =
-        std::thread::scope(|s| {
-            let writer = s.spawn(move || {
-                let mut staged = 0u64;
-                'outer: loop {
-                    for c in writer_pool.chunks(chunk) {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            break 'outer;
-                        }
-                        router.stage_batch(c).expect("writer stage");
-                        router.flush().expect("writer drain");
-                        staged += c.len() as u64;
-                    }
-                }
-                staged
-            });
-
-            let start = Instant::now();
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        let mine: Vec<Entry> =
-                            worker_pool.iter().skip(t).step_by(threads).copied().collect();
-                        let mut rng = 0x5EED_0000u64 + t as u64;
-                        let (mut lookups, mut inserts, mut misses) = (0u64, 0u64, 0u64);
-                        let mut next = 0usize;
-                        for _ in 0..ops_per_thread {
-                            let r = splitmix64(&mut rng);
-                            let u = (r >> 11) as f64 / ((1u64 << 53) as f64);
-                            let is_read = mine.is_empty() || u < 0.95;
-                            if is_read {
-                                let pos = match dist {
-                                    KeyDist::Uniform => (r % bulk_keys.len() as u64) as usize,
-                                    KeyDist::Zipfian => zipf.position(u / 0.95),
-                                };
-                                let t0 = Instant::now();
-                                if router.lookup(bulk_keys[pos]).expect("lookup").is_none() {
-                                    misses += 1;
-                                }
-                                telemetry
-                                    .record_ns(OpClass::Lookup, t0.elapsed().as_nanos() as u64);
-                                lookups += 1;
-                            } else {
-                                let (k, v) = mine[next % mine.len()];
-                                let t0 = Instant::now();
-                                router.stage(k, v).expect("stage");
-                                telemetry
-                                    .record_ns(OpClass::Insert, t0.elapsed().as_nanos() as u64);
-                                next += 1;
-                                inserts += 1;
-                            }
-                            ops_done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        (lookups, inserts, misses, (next as u64).min(mine.len() as u64))
-                    })
-                })
-                .collect();
-
-            // The coordinator: once a quarter of the operations have
-            // landed, split the hottest shard while the workload races.
-            let mut split_state = (0u64, false);
-            if split_hot && router.shard_count() > 1 {
-                while ops_done.load(std::sync::atomic::Ordering::Relaxed) < total_expected / 4 {
-                    std::thread::yield_now();
-                }
-                let mut heat = vec![0u64; router.shard_count()];
-                let mut rng = 0xD15Eu64;
-                for _ in 0..4096 {
-                    let r = splitmix64(&mut rng);
-                    let u = (r >> 11) as f64 / ((1u64 << 53) as f64);
-                    let pos = match dist {
-                        KeyDist::Uniform => (r % bulk_keys.len() as u64) as usize,
-                        KeyDist::Zipfian => zipf.position(u),
-                    };
-                    let s = router.shard_of(bulk_keys[pos]);
-                    if s < heat.len() {
-                        heat[s] += 1;
-                    }
-                }
-                let hot =
-                    heat.iter().enumerate().max_by_key(|&(_, &h)| h).map(|(s, _)| s).unwrap_or(0);
-                router.split_shard(hot, None).expect("online split");
-                let at = ops_done.load(std::sync::atomic::Ordering::Relaxed);
-                split_state = (router.splits(), at < total_expected);
+    // The coordinator: once a quarter of the operations have landed, split
+    // the hottest shard — measured by routing a sample of the read
+    // distribution — while the workload keeps racing.
+    let coordinate = |router: &ShardedIndex<_>, done: &std::sync::atomic::AtomicU64| {
+        use std::sync::atomic::Ordering;
+        if !split_hot || router.shard_count() <= 1 {
+            return (0u64, false);
+        }
+        while done.load(Ordering::Relaxed) < total_expected / 4 {
+            std::thread::yield_now();
+        }
+        let mut heat = vec![0u64; router.shard_count()];
+        let mut rng = 0xD15Eu64;
+        for _ in 0..4096 {
+            let r = splitmix64(&mut rng);
+            let u = unit_interval(r);
+            let s = router.shard_of(bulk[pick(r, u)].0);
+            if s < heat.len() {
+                heat[s] += 1;
             }
-
-            let results: Vec<(u64, u64, u64, u64)> =
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect();
-            let wall = start.elapsed().as_secs_f64();
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            let writer_entries = writer.join().expect("writer panicked");
-
-            let lookups: u64 = results.iter().map(|r| r.0).sum();
-            let inserts: u64 = results.iter().map(|r| r.1).sum();
-            let misses: u64 = results.iter().map(|r| r.2).sum();
-            let staged_counts: Vec<u64> = results.iter().map(|r| r.3).collect();
-            (wall, lookups, inserts, misses, staged_counts, writer_entries, split_state)
-        });
-
-    router.flush().expect("final flush");
-    let aggregate = router.aggregate_stats();
-
-    // Unmeasured self-check — the rebalance-race oracle: every key any
-    // thread staged must be findable after splits, merges and drains.
-    let mut verify: Vec<Key> = Vec::new();
-    for (t, &count) in staged_counts.iter().enumerate() {
-        verify.extend(
-            worker_pool.iter().skip(t).step_by(threads).take(count as usize).map(|&(k, _)| k),
-        );
-    }
-    let writer_staged = (writer_entries as usize).min(writer_pool.len());
-    verify.extend(writer_pool.iter().take(writer_staged).map(|&(k, _)| k));
-    let mut answers = Vec::new();
-    router.lookup_batch(&verify, &mut answers).expect("verify lookups");
-    let lost = answers.iter().filter(|a| a.is_none()).count() as u64;
+        }
+        let hot = heat.iter().enumerate().max_by_key(|&(_, &h)| h).map(|(s, _)| s).unwrap_or(0);
+        router.split_shard(hot, None).expect("online split");
+        (router.splits(), done.load(Ordering::Relaxed) < total_expected)
+    };
+    let (router, outcome, (splits, split_overlapped)) =
+        run_racing_phase(workload, &phase, build, coordinate);
 
     ShardedServingReport {
         index: router.name(),
@@ -1445,19 +1442,19 @@ pub fn run_sharded_serving(
         shards_initial: shards,
         shards_final: router.shard_count(),
         threads,
-        total_ops: lookups + inserts,
-        lookups,
-        inserts,
-        writer_entries,
-        wall_seconds,
-        not_found,
-        drain_chunks: aggregate.drain_chunks,
-        read_stalls: aggregate.read_stalls,
-        write_stalls: aggregate.write_stalls,
-        splits: split_state.0,
-        split_overlapped: split_state.1,
-        lost,
-        telemetry: router.aggregate_telemetry().snapshot(),
+        total_ops: outcome.lookups + outcome.inserts,
+        lookups: outcome.lookups,
+        inserts: outcome.inserts,
+        writer_entries: outcome.writer_entries,
+        wall_seconds: outcome.wall_seconds,
+        not_found: outcome.not_found,
+        drain_chunks: outcome.stats.drain_chunks,
+        read_stalls: outcome.stats.read_stalls,
+        write_stalls: outcome.stats.write_stalls,
+        splits,
+        split_overlapped,
+        lost: outcome.lost,
+        telemetry: outcome.telemetry,
     }
 }
 
@@ -1701,6 +1698,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_racing_driver_serves_both_fronts() {
+        let keys = Dataset::Ycsb.generate_keys(3_000, 21);
+        let w = Workload::build(&keys, WorkloadSpec::new(WorkloadKind::Balanced, 600, 1_500));
+        let buffer = ShardedWriteBufferConfig { capacity: 64, drain: 16, shards: 2 };
+        let population = w.bulk.len() as u64;
+        let phase = RacingPhase {
+            threads: 2,
+            ops_per_thread: 120,
+            chunk: 16,
+            read_fraction: 0.5,
+            pick: &|r, _| (r % population) as usize,
+        };
+        let check = |front: &str, o: RacingOutcome| {
+            assert_eq!(o.lost, 0, "{front}: staged keys must survive the race");
+            assert_eq!(o.not_found, 0, "{front}: bulk keys must stay visible");
+            assert_eq!(o.lookups + o.inserts, 240, "{front}: every worker op is counted");
+            assert!(o.inserts > 0 && o.writer_entries > 0, "{front}: both write sources ran");
+            let (lk, ins) =
+                (o.telemetry.class(OpClass::Lookup), o.telemetry.class(OpClass::Insert));
+            assert_eq!(lk.summary.count, o.lookups, "{front}: one lookup sample per lookup");
+            assert_eq!(ins.summary.count, o.inserts, "{front}: one insert sample per stage");
+            assert!(o.stats.drain_entries >= o.writer_entries.min(16), "{front}: drains counted");
+        };
+
+        let swb = |sample: &[Key]| {
+            let mut index = IndexChoice::BTree.build(RunConfig::default().make_disk());
+            index.bulk_load(&w.bulk).expect("bulk load");
+            ShardedWriteBuffer::with_sampled_boundaries(index, buffer, sample)
+        };
+        let (_, outcome, ()) = run_racing_phase(&w, &phase, swb, |_, _| ());
+        check("swb", outcome);
+
+        let router = |sample: &[Key]| {
+            let factory = || Ok(IndexChoice::BTree.build(RunConfig::default().make_disk()));
+            let config = ShardedIndexConfig { shards: 2, buffer };
+            let mut router =
+                ShardedIndex::with_sampled_boundaries(Box::new(factory), config, sample).unwrap();
+            router.bulk_load(&w.bulk).expect("bulk load");
+            router
+        };
+        let (router, outcome, ()) = run_racing_phase(&w, &phase, router, |_, _| ());
+        assert_eq!(router.shard_count(), 2);
+        check("router", outcome);
     }
 
     #[test]

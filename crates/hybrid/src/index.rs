@@ -129,11 +129,6 @@ impl HybridIndex {
         })
     }
 
-    /// The inner directory flavour.
-    pub fn inner_kind(&self) -> HybridInnerKind {
-        self.config.inner
-    }
-
     /// The outstanding-I/O variant of [`lookup_batch`](IndexRead::lookup_batch)
     /// used when the disk's queue depth exceeds 1: sorted probes are grouped
     /// by covering leaf through the in-memory boundary table (leaves cover

@@ -558,16 +558,6 @@ impl Disk {
         sb.write_slot(dir, tear)
     }
 
-    /// The backing directory of a durable disk, if any.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        self.dir.as_deref()
-    }
-
-    /// The fault plan wired into this disk, if any.
-    pub fn fault_plan(&self) -> Option<&crate::fault::FaultPlan> {
-        self.fault_plan.as_ref()
-    }
-
     /// Drops every cached frame and forgets all access history: buffer pool,
     /// readahead cache (its generation tags advance, so stale order entries
     /// can never resurrect a pre-clear frame), the single-slot reuse cache
@@ -824,13 +814,43 @@ impl Disk {
         if class == AccessClass::Scan {
             self.stats.record_scan_read();
         }
+        if let Some(frame) = self.probe_caches(file, block, kind, class)? {
+            return Ok(frame);
+        }
+        // Scan-class miss at depth > 1: fold the demand fetch and an
+        // extent-style readahead of the next `queue_depth - 1` blocks into
+        // one completion wave (the ext4-extent-walker model) — the wave is
+        // charged `max`, so the sequential prefetches ride along with the
+        // demand miss for free.
+        if self.queue_depth > 1 && class == AccessClass::Scan {
+            return self.scan_miss_with_readahead(file, block, kind, hint);
+        }
+        let (frame, cost) = self.fetch_miss(file, block, kind, hint)?;
+        self.charge(cost);
+        self.publish_miss(file, block, kind, class, &frame);
+        Ok(frame)
+    }
+
+    /// The cache ladder every delivered read climbs before it may touch the
+    /// device, shared by the synchronous path and the completion waves:
+    /// memory-resident kind → §6.5 reuse slot → buffer pool → readahead
+    /// cache, each rung with its own hit accounting. `Ok(None)` is a miss:
+    /// the caller fetches ([`Disk::fetch_miss`]), charges, and publishes
+    /// ([`Disk::publish_miss`]).
+    fn probe_caches(
+        &self,
+        file: FileId,
+        block: BlockId,
+        kind: BlockKind,
+        class: AccessClass,
+    ) -> StorageResult<Option<BlockRef>> {
         // Memory-resident kinds (§6.2): serve the read without touching the
         // *device* accounting. The copy-behaviour counters still apply — a
         // fresh frame is allocated and handed out, so it counts as pinned.
         if self.is_memory_resident(kind) {
             let frame = self.load_frame(file, block)?;
             self.stats.record_frame_pinned();
-            return Ok(frame);
+            return Ok(Some(frame));
         }
 
         // Last-block reuse (§6.5): re-reading the block we just fetched does
@@ -840,7 +860,7 @@ impl Disk {
                 if reuse.last_read == Some((file, block)) {
                     self.stats.record_reuse_hit();
                     self.stats.record_frame_pinned();
-                    return Ok(reuse.frame.clone());
+                    return Ok(Some(reuse.frame.clone()));
                 }
             }
         }
@@ -851,14 +871,16 @@ impl Disk {
                 self.stats.record_buffer_hit();
                 self.stats.record_frame_pinned();
                 self.note_last_read(file, block, &frame);
-                return Ok(frame);
+                return Ok(Some(frame));
             }
         }
 
+        // Readahead cache: a prefetch wave already paid the device for this
+        // block; consume the parked frame. The read was recorded when the
+        // prefetch fetched it, so this is a cache hit. Only disks configured
+        // for outstanding reads keep the rung: at depth 1 a miss must not
+        // take a disk-wide lock (racing readers share no mutex otherwise).
         if self.queue_depth > 1 {
-            // Readahead cache: a prefetch wave already paid the device for
-            // this block; consume the parked frame. The read was recorded
-            // when the prefetch fetched it, so this is a cache hit.
             let parked = self.readahead.lock().take(&(file, block));
             if let Some(frame) = parked {
                 self.stats.record_readahead_hit();
@@ -867,20 +889,24 @@ impl Disk {
                     self.pool.put_ref(file, block, kind, class, frame.clone());
                 }
                 self.note_last_read(file, block, &frame);
-                return Ok(frame);
-            }
-            // Scan-class miss: fold the demand fetch and an extent-style
-            // readahead of the next `queue_depth - 1` blocks into one
-            // completion wave (the ext4-extent-walker model) — the wave is
-            // charged `max`, so the sequential prefetches ride along with
-            // the demand miss for free.
-            if class == AccessClass::Scan {
-                return self.scan_miss_with_readahead(file, block, kind, hint);
+                return Ok(Some(frame));
             }
         }
+        Ok(None)
+    }
 
-        // Device access: load into a fresh frame once; the pool and the
-        // reuse slot share it from there.
+    /// One device fetch: loads the block into a fresh frame, classifies it
+    /// sequential/random against `hint`, counts the read and returns the
+    /// frame with its modelled cost. Charging is the caller's: the
+    /// synchronous path charges the cost itself, a wave charges the max over
+    /// its members.
+    fn fetch_miss(
+        &self,
+        file: FileId,
+        block: BlockId,
+        kind: BlockKind,
+        hint: SeqHint,
+    ) -> StorageResult<(BlockRef, u64)> {
         let frame = self.load_frame(file, block)?;
         let prev = self.last_device_access.swap(pack_access(file, block), Ordering::Relaxed);
         let sequential = match hint {
@@ -889,14 +915,24 @@ impl Disk {
             SeqHint::Random => false,
         };
         self.stats.record_read(kind);
-        self.charge(self.device.read_cost(sequential));
+        Ok((frame, self.device.read_cost(sequential)))
+    }
 
+    /// Publishes a fetched frame after its charge: the pool and the reuse
+    /// slot share it from here (two `Arc` clones, no byte copy).
+    fn publish_miss(
+        &self,
+        file: FileId,
+        block: BlockId,
+        kind: BlockKind,
+        class: AccessClass,
+        frame: &BlockRef,
+    ) {
         if self.pool.capacity() > 0 {
             self.pool.put_ref(file, block, kind, class, frame.clone());
         }
-        self.note_last_read(file, block, &frame);
+        self.note_last_read(file, block, frame);
         self.stats.record_frame_pinned();
-        Ok(frame)
     }
 
     /// Serves a scan-class device miss at `block` together with a readahead
@@ -945,8 +981,8 @@ impl Disk {
         self.stats.record_ios_submitted(reqs.len() as u64);
         let mut results: Vec<Option<BlockRef>> = Vec::with_capacity(reqs.len());
         results.resize(reqs.len(), None);
-        // Misses fetched by this wave: (request index, frame, cost).
-        let mut misses: Vec<(usize, BlockRef, u64)> = Vec::new();
+        // Misses fetched by this wave: (request index, frame).
+        let mut misses: Vec<(usize, BlockRef)> = Vec::new();
         // Blocks already being fetched by this wave, for duplicate requests.
         let mut in_wave: HashMap<(FileId, BlockId), usize> = HashMap::new();
         let mut total_cost = 0u64;
@@ -976,39 +1012,7 @@ impl Disk {
                     }
                 }
             } else {
-                if self.is_memory_resident(req.kind) {
-                    let frame = self.load_frame(req.file, req.block)?;
-                    self.stats.record_frame_pinned();
-                    results[i] = Some(frame);
-                    continue;
-                }
-                if self.reuse_last_block {
-                    if let Some(reuse) = self.reuse.try_lock() {
-                        if reuse.last_read == Some(at) {
-                            self.stats.record_reuse_hit();
-                            self.stats.record_frame_pinned();
-                            results[i] = Some(reuse.frame.clone());
-                            continue;
-                        }
-                    }
-                }
-                if self.pool.capacity() > 0 {
-                    if let Some(frame) = self.pool.get_ref(req.file, req.block, req.class) {
-                        self.stats.record_buffer_hit();
-                        self.stats.record_frame_pinned();
-                        self.note_last_read(req.file, req.block, &frame);
-                        results[i] = Some(frame);
-                        continue;
-                    }
-                }
-                let parked = self.readahead.lock().take(&at);
-                if let Some(frame) = parked {
-                    self.stats.record_readahead_hit();
-                    self.stats.record_frame_pinned();
-                    if self.pool.capacity() > 0 {
-                        self.pool.put_ref(req.file, req.block, req.kind, req.class, frame.clone());
-                    }
-                    self.note_last_read(req.file, req.block, &frame);
+                if let Some(frame) = self.probe_caches(req.file, req.block, req.kind, req.class)? {
                     results[i] = Some(frame);
                     continue;
                 }
@@ -1022,23 +1026,11 @@ impl Disk {
                 }
             }
 
-            // Device fetch.
-            let frame = self.load_frame(req.file, req.block)?;
-            let prev =
-                self.last_device_access.swap(pack_access(req.file, req.block), Ordering::Relaxed);
-            let sequential = match req.hint {
-                SeqHint::Auto => {
-                    prev != NO_ACCESS && prev == pack_access(req.file, req.block.wrapping_sub(1))
-                }
-                SeqHint::Sequential => true,
-                SeqHint::Random => false,
-            };
-            self.stats.record_read(req.kind);
-            let cost = self.device.read_cost(sequential);
+            let (frame, cost) = self.fetch_miss(req.file, req.block, req.kind, req.hint)?;
             total_cost += cost;
             max_cost = max_cost.max(cost);
             in_wave.insert(at, misses.len());
-            misses.push((i, frame, cost));
+            misses.push((i, frame));
         }
 
         // One charge for the whole wave: its members were in flight together.
@@ -1055,14 +1047,10 @@ impl Disk {
         // Publish after completion, in submission order, exactly like the
         // synchronous path publishes after its charge.
         let mut parked: Vec<((FileId, BlockId), BlockRef)> = Vec::new();
-        for (i, frame, _) in misses {
+        for (i, frame) in misses {
             let req = &reqs[i];
             if req.deliver {
-                if self.pool.capacity() > 0 {
-                    self.pool.put_ref(req.file, req.block, req.kind, req.class, frame.clone());
-                }
-                self.note_last_read(req.file, req.block, &frame);
-                self.stats.record_frame_pinned();
+                self.publish_miss(req.file, req.block, req.kind, req.class, &frame);
                 results[i] = Some(frame);
             } else {
                 parked.push(((req.file, req.block), frame));
@@ -1254,11 +1242,6 @@ impl Disk {
     /// Buffer pool capacity in blocks.
     pub fn buffer_capacity(&self) -> usize {
         self.pool.capacity()
-    }
-
-    /// The buffer pool configuration in use (capacity, policy, partitions).
-    pub fn buffer_config(&self) -> &PoolConfig {
-        self.pool.config()
     }
 }
 

@@ -469,13 +469,6 @@ pub struct Span<'a> {
     start: Instant,
 }
 
-impl Span<'_> {
-    /// Nanoseconds elapsed so far (the drop will record the final value).
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-}
-
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         self.registry.record_ns(self.class, self.start.elapsed().as_nanos() as u64);
