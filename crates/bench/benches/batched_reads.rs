@@ -1,6 +1,6 @@
 //! The zero-copy + batched read path on buffer-hit workloads.
 //!
-//! Two claims of the pinned-block refactor are measured here, both on a
+//! Three claims of the pinned-block read path are measured here, all on a
 //! buffer pool large enough to hold the whole index (so device cost is zero
 //! and per-lookup CPU/allocator overhead is all that remains):
 //!
@@ -9,11 +9,16 @@
 //!    a block copy per hit. The `pinned_vs_copy` group compares them on the
 //!    same hot block.
 //! 2. **Batched lookups beat N sequential lookups** — `lookup_batch` sorts
-//!    the probe keys and walks shared inner blocks / leaf decodes once per
+//!    the probe keys and walks shared inner blocks / leaf pins once per
 //!    run, so a 64-key batch is cheaper than 64 one-key lookups. The
 //!    `batched_lookups` group compares the two on the B+-tree and PGM
 //!    (specialised overrides) plus a default-implementation index as the
 //!    no-amortisation baseline.
+//! 3. **In-place views beat decoding** — a lookup routes through
+//!    `InnerView` / `LeafView` over the pinned bytes, where the mutation
+//!    path's `InnerNode::decode` / `LeafNode::decode` first copy the node
+//!    into fresh vectors. The `view_vs_decode` group answers the same probe
+//!    both ways on a real leaf and a real inner block (DESIGN.md §3.2).
 //!
 //! A wall-clock summary with the batch-vs-sequential speedup is printed
 //! after the Criterion measurements; CI runs this bench as a smoke gate.
@@ -22,6 +27,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use lidx_btree::{InnerNode, InnerView, LeafNode, LeafView};
 use lidx_core::DiskIndex;
 use lidx_experiments::runner::IndexChoice;
 use lidx_storage::{BlockKind, Disk, DiskConfig};
@@ -125,6 +131,54 @@ fn bench_batched_lookups(c: &mut Criterion) {
     group.finish();
 }
 
+/// Claim 3: one probe answered from a pinned block through the borrowed
+/// view vs through the owned decode, on a leaf and an inner block of a
+/// bulk-loaded B+-tree.
+fn bench_view_vs_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view_vs_decode");
+    group.warm_up_time(Duration::from_millis(150));
+    group.measurement_time(Duration::from_millis(600));
+    let (index, _) = loaded(IndexChoice::BTree);
+    let disk = Arc::clone(index.disk());
+    // The B+-tree is the disk's only file (block 0 is its meta block).
+    let frames: Vec<_> = (1..disk.num_blocks(0).unwrap())
+        .map(|b| disk.read_ref(0, b, BlockKind::Leaf).unwrap())
+        .collect();
+    let leaf = frames.iter().find(|f| LeafView::new(f).is_ok_and(|l| !l.is_empty())).unwrap();
+    let inner = frames.iter().find(|f| InnerView::new(f).is_ok()).unwrap();
+    let key = LeafView::new(leaf).unwrap().entry(0).0;
+    let expected = index.lookup(key).unwrap();
+    assert!(expected.is_some());
+
+    group.bench_function(BenchmarkId::new("leaf", "view"), |b| {
+        b.iter(|| {
+            let found = LeafView::new(black_box(leaf)).unwrap().lookup(black_box(key));
+            assert_eq!(found, expected);
+        })
+    });
+    group.bench_function(BenchmarkId::new("leaf", "decode"), |b| {
+        b.iter(|| {
+            let node = LeafNode::decode(black_box(leaf)).unwrap();
+            let at = node.entries.binary_search_by_key(&black_box(key), |&(k, _)| k);
+            assert_eq!(at.ok().map(|i| node.entries[i].1), expected);
+        })
+    });
+    let child = InnerNode::decode(inner).unwrap().child_for(key);
+    group.bench_function(BenchmarkId::new("inner", "view"), |b| {
+        b.iter(|| {
+            let node = InnerView::new(black_box(inner)).unwrap();
+            assert_eq!(node.child_for(black_box(key)), child);
+        })
+    });
+    group.bench_function(BenchmarkId::new("inner", "decode"), |b| {
+        b.iter(|| {
+            let node = InnerNode::decode(black_box(inner)).unwrap();
+            assert_eq!(node.child_for(black_box(key)), child);
+        })
+    });
+    group.finish();
+}
+
 /// Prints per-lookup wall time for both modes and the batch speedup — the
 /// acceptance signal for this bench (batched > 1.0x on the overridden
 /// indexes).
@@ -157,5 +211,11 @@ fn batching_summary(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_pinned_vs_copy, bench_batched_lookups, batching_summary);
+criterion_group!(
+    benches,
+    bench_pinned_vs_copy,
+    bench_batched_lookups,
+    bench_view_vs_decode,
+    batching_summary
+);
 criterion_main!(benches);

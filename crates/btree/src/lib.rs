@@ -16,5 +16,5 @@
 mod node;
 mod tree;
 
-pub use node::{InnerNode, LeafNode, NodeCapacity};
-pub use tree::{BTreeConfig, BTreeIndex};
+pub use node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
+pub use tree::{scan_leaf_chain, BTreeConfig, BTreeIndex};

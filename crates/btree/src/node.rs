@@ -11,9 +11,14 @@
 //!
 //! An inner node with `count` keys has `count + 1` children; child `i` covers
 //! keys `< keys[i]`, the last child covers keys `>= keys[count-1]`.
+//!
+//! Each layout has two readers. [`InnerView`] / [`LeafView`] borrow the
+//! pinned block and binary-search the slot array where it lies: every read
+//! path uses them. [`InnerNode`] / [`LeafNode`] own decoded vectors: a node
+//! is decoded only where it is about to be mutated and re-encoded.
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{BlockId, BlockReader, BlockWriter, INVALID_BLOCK};
+use lidx_storage::{BlockId, BlockReader, BlockWriter, SlotTable, INVALID_BLOCK};
 
 const TAG_INNER: u8 = 1;
 const TAG_LEAF: u8 = 2;
@@ -34,11 +39,88 @@ pub struct NodeCapacity {
 
 impl NodeCapacity {
     /// Computes the capacities for `block_size`.
+    ///
+    /// Both are capped at `u16::MAX`, the largest count the header's `count`
+    /// field can hold (reached by blocks above 1 MiB).
     pub fn for_block_size(block_size: usize) -> Self {
-        let inner_keys = (block_size - INNER_HEADER) / INNER_ENTRY;
-        let leaf_entries = (block_size - LEAF_HEADER) / LEAF_ENTRY;
+        let max_count = usize::from(u16::MAX);
+        let inner_keys = ((block_size - INNER_HEADER) / INNER_ENTRY).min(max_count);
+        let leaf_entries = ((block_size - LEAF_HEADER) / LEAF_ENTRY).min(max_count);
         assert!(inner_keys >= 2 && leaf_entries >= 2, "block size too small for B+-tree nodes");
         NodeCapacity { inner_keys, leaf_entries }
+    }
+}
+
+/// The header's `count` field for a node of `len` slots.
+fn slot_count(len: usize) -> IndexResult<u16> {
+    u16::try_from(len)
+        .map_err(|_| IndexError::Internal(format!("{len} slots exceed the u16 count field")))
+}
+
+/// The fixed `N`-byte header of an encoded node, checked to be there and to
+/// carry `tag`.
+fn header<'a, const N: usize>(buf: &'a [u8], tag: u8, what: &str) -> IndexResult<&'a [u8; N]> {
+    let head: &[u8; N] = buf.get(..N).and_then(|h| h.try_into().ok()).ok_or_else(|| {
+        IndexError::Internal(format!("{what} node header beyond block of {} bytes", buf.len()))
+    })?;
+    if head[0] != tag {
+        return Err(IndexError::Internal(format!("expected {what} node tag, found {}", head[0])));
+    }
+    Ok(head)
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
+}
+
+/// A read-only inner node borrowed from its encoded block.
+#[derive(Debug, Clone, Copy)]
+pub struct InnerView<'a> {
+    leftmost: BlockId,
+    slots: SlotTable<'a, INNER_ENTRY>,
+}
+
+impl<'a> InnerView<'a> {
+    /// Validates the header of an encoded inner node — the tag, and that
+    /// `count` slots fit `buf` — and borrows its slot array.
+    pub fn new(buf: &'a [u8]) -> IndexResult<Self> {
+        let head = header::<INNER_HEADER>(buf, TAG_INNER, "inner")?;
+        let count = u16::from_le_bytes([head[2], head[3]]);
+        let slots = SlotTable::new(buf, INNER_HEADER, usize::from(count))?;
+        Ok(InnerView { leftmost: u32_at(head, 4), slots })
+    }
+
+    /// Number of separator keys; the node has one child more.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True if the node has no separator key (and so a single child).
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Separator key `i`. Panics if `i >= len()`.
+    pub fn key(&self, i: usize) -> Key {
+        self.slots.key(i)
+    }
+
+    /// Child block `i`. Panics if `i > len()`.
+    pub fn child(&self, i: usize) -> BlockId {
+        match i.checked_sub(1) {
+            None => self.leftmost,
+            Some(slot) => u32_at(self.slots.slot(slot), 8),
+        }
+    }
+
+    /// Index of the child that covers `key`.
+    pub fn child_for(&self, key: Key) -> usize {
+        // First separator strictly greater than `key` determines the child.
+        self.slots.partition_point(|k| k <= key)
     }
 }
 
@@ -64,7 +146,7 @@ impl InnerNode {
         let mut w = BlockWriter::new(block_size);
         w.put_u8(TAG_INNER).map_err(IndexError::from)?;
         w.put_u8(0)?;
-        w.put_u16(self.keys.len() as u16)?;
+        w.put_u16(slot_count(self.keys.len())?)?;
         w.put_u32(self.children[0])?;
         for (i, &k) in self.keys.iter().enumerate() {
             w.put_u64(k)?;
@@ -93,6 +175,107 @@ impl InnerNode {
     }
 }
 
+/// A read-only leaf node borrowed from its encoded block.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafView<'a> {
+    next: BlockId,
+    prev: BlockId,
+    slots: SlotTable<'a, LEAF_ENTRY>,
+}
+
+impl<'a> LeafView<'a> {
+    /// Validates the header of an encoded leaf — the tag, and that `count`
+    /// slots fit `buf` — and borrows its slot array.
+    pub fn new(buf: &'a [u8]) -> IndexResult<Self> {
+        let head = header::<LEAF_HEADER>(buf, TAG_LEAF, "leaf")?;
+        let count = u16::from_le_bytes([head[2], head[3]]);
+        let slots = SlotTable::new(buf, LEAF_HEADER, usize::from(count))?;
+        Ok(LeafView { next: u32_at(head, 4), prev: u32_at(head, 8), slots })
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True if the leaf holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Block id of the next (right) leaf, or [`INVALID_BLOCK`].
+    pub fn next(&self) -> BlockId {
+        self.next
+    }
+
+    /// Block id of the previous (left) leaf, or [`INVALID_BLOCK`].
+    pub fn prev(&self) -> BlockId {
+        self.prev
+    }
+
+    /// Entry `i`. Panics if `i >= len()`.
+    pub fn entry(&self, i: usize) -> Entry {
+        let slot = self.slots.slot(i);
+        (u64_at(slot, 0), u64_at(slot, 8))
+    }
+
+    /// The entries from index `from` to the end, in key order.
+    pub fn entries_from(&self, from: usize) -> impl Iterator<Item = Entry> + 'a {
+        let view = *self;
+        (from..view.len()).map(move |i| view.entry(i))
+    }
+
+    /// The largest stored key, if any.
+    pub fn last_key(&self) -> Option<Key> {
+        self.len().checked_sub(1).map(|i| self.slots.key(i))
+    }
+
+    /// Index of the first entry whose key is `>= key` (`len()` if none).
+    pub fn lower_bound(&self, key: Key) -> usize {
+        self.slots.partition_point(|k| k < key)
+    }
+
+    /// Binary-searches for `key`, returning its payload if present.
+    pub fn lookup(&self, key: Key) -> Option<Value> {
+        let i = self.lower_bound(key);
+        (i < self.len() && self.slots.key(i) == key).then(|| self.entry(i).1)
+    }
+
+    /// Answers the run of sorted probes this leaf covers: `order[from..]`
+    /// indexes `keys` in ascending key order and `order[from]` is known to
+    /// route here. Leaves cover contiguous, disjoint key ranges, so each
+    /// following probe still belongs to this leaf as long as it does not
+    /// exceed the last stored key; a key in the gap between two leaves ends
+    /// the run and must be routed again, which proves its absence just as a
+    /// single lookup would. Writes the answers to `out` by probe index and
+    /// returns the position in `order` of the first probe left unanswered.
+    pub fn lookup_run(
+        &self,
+        keys: &[Key],
+        order: &[u32],
+        from: usize,
+        out: &mut [Option<Value>],
+    ) -> usize {
+        let last = self.last_key();
+        let mut next = from;
+        loop {
+            let i = order[next] as usize;
+            out[i] = self.lookup(keys[i]);
+            next += 1;
+            let in_leaf =
+                next < order.len() && last.is_some_and(|l| keys[order[next] as usize] <= l);
+            if !in_leaf {
+                return next;
+            }
+        }
+    }
+
+    /// The entry with the greatest key `<= key`, if any.
+    pub fn floor(&self, key: Key) -> Option<Entry> {
+        self.slots.partition_point(|k| k <= key).checked_sub(1).map(|i| self.entry(i))
+    }
+}
+
 /// A leaf node: dense sorted entries plus sibling links.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafNode {
@@ -111,11 +294,6 @@ impl Default for LeafNode {
 }
 
 impl LeafNode {
-    /// Binary-searches for `key`, returning its payload if present.
-    pub fn lookup(&self, key: Key) -> Option<Value> {
-        self.entries.binary_search_by_key(&key, |&(k, _)| k).ok().map(|i| self.entries[i].1)
-    }
-
     /// Inserts or overwrites `key`. Returns `true` if a new entry was added
     /// (as opposed to an existing payload being overwritten).
     pub fn upsert(&mut self, key: Key, value: Value) -> bool {
@@ -146,7 +324,7 @@ impl LeafNode {
         let mut w = BlockWriter::new(block_size);
         w.put_u8(TAG_LEAF)?;
         w.put_u8(0)?;
-        w.put_u16(self.entries.len() as u16)?;
+        w.put_u16(slot_count(self.entries.len())?)?;
         w.put_u32(self.next)?;
         w.put_u32(self.prev)?;
         for &(k, v) in &self.entries {
@@ -201,6 +379,14 @@ mod tests {
         assert_eq!(node.child_for(19), 1);
         assert_eq!(node.child_for(20), 2);
         assert_eq!(node.child_for(1000), 3);
+
+        let view = InnerView::new(&buf).unwrap();
+        assert_eq!(view.len(), 3);
+        for probe in [5, 10, 19, 20, 1000] {
+            assert_eq!(view.child_for(probe), node.child_for(probe));
+        }
+        assert_eq!((0..=3).map(|i| view.child(i)).collect::<Vec<_>>(), node.children);
+        assert_eq!(view.key(2), 30);
     }
 
     #[test]
@@ -211,14 +397,48 @@ mod tests {
         assert!(leaf.upsert(9, 10));
         assert!(!leaf.upsert(5, 7), "existing key is overwritten, not duplicated");
         assert_eq!(leaf.entries.iter().map(|e| e.0).collect::<Vec<_>>(), vec![1, 5, 9]);
-        assert_eq!(leaf.lookup(5), Some(7));
-        assert_eq!(leaf.lookup(4), None);
 
         leaf.next = 77;
         leaf.prev = 33;
         let buf = leaf.encode(256).unwrap();
         let back = LeafNode::decode(&buf).unwrap();
         assert_eq!(back, leaf);
+
+        let view = LeafView::new(&buf).unwrap();
+        assert_eq!(view.lookup(5), Some(7));
+        assert_eq!(view.lookup(4), None);
+        assert_eq!((view.len(), view.next(), view.prev()), (3, 77, 33));
+        assert_eq!(view.floor(4), Some((1, 2)));
+        assert_eq!(view.floor(0), None);
+        assert_eq!(view.entries_from(1).collect::<Vec<_>>(), vec![(5, 7), (9, 10)]);
+    }
+
+    #[test]
+    fn lookup_run_stops_at_the_leaf_last_key() {
+        let leaf = LeafNode { entries: vec![(10, 1), (20, 2), (30, 3)], ..LeafNode::default() };
+        let buf = leaf.encode(128).unwrap();
+        let view = LeafView::new(&buf).unwrap();
+        // Probes in slice order; `order` sorts them by key: 5 15 20 30 31 40.
+        let keys = [40, 20, 5, 31, 15, 30];
+        let order = [2, 4, 1, 5, 3, 0];
+        let mut out = vec![Some(99); keys.len()];
+        // The first probe is answered even though it is below every key;
+        // 31 exceeds the last key, so the run ends there.
+        assert_eq!(view.lookup_run(&keys, &order, 0, &mut out), 4);
+        assert_eq!(out, [Some(99), Some(2), None, Some(99), None, Some(3)]);
+        // A run starting above the last key answers exactly its first probe.
+        assert_eq!(view.lookup_run(&keys, &order, 4, &mut out), 5);
+        assert_eq!(out[3], None);
+        assert_eq!(view.lookup_run(&keys, &order, 5, &mut out), 6);
+    }
+
+    #[test]
+    fn capacities_fit_the_u16_count_field() {
+        let c = NodeCapacity::for_block_size(2 << 20);
+        assert_eq!((c.inner_keys, c.leaf_entries), (65_535, 65_535));
+        let full =
+            LeafNode { entries: (0..65_536).map(|k| (k, k)).collect(), ..LeafNode::default() };
+        assert!(full.encode(2 << 20).is_err(), "a count past u16 is refused, not truncated");
     }
 
     #[test]
@@ -240,5 +460,7 @@ mod tests {
         assert!(InnerNode::decode(&leaf).is_err());
         let inner = InnerNode { keys: vec![1], children: vec![0, 1] }.encode(128).unwrap();
         assert!(LeafNode::decode(&inner).is_err());
+        assert!(InnerView::new(&leaf).is_err());
+        assert!(LeafView::new(&inner).is_err());
     }
 }

@@ -7,10 +7,42 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
 };
 use lidx_storage::{
-    AccessClass, BlockId, BlockKind, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
+    AccessClass, BlockId, BlockKind, BlockRef, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
 };
 
-use crate::node::{InnerNode, LeafNode, NodeCapacity};
+use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
+
+/// Walks the chain of leaf blocks in `file` starting at `block`, appending
+/// the entries with key `>= start` to `out` until it holds `count` entries
+/// or the chain ends; returns `out.len()`. The one leaf-chain scan of every
+/// index over this leaf format (the B+-tree and the hybrid leaf level).
+///
+/// The reads are scan-class, so the buffer pool's admission policy can keep
+/// the walk from flushing the point-lookup working set. After the first hop
+/// the sequentiality hint comes from the chain itself (`next == block + 1`),
+/// so a concurrent reader touching other blocks between two hops cannot turn
+/// this scan's sequential charges into random ones.
+pub fn scan_leaf_chain(
+    disk: &Disk,
+    file: u32,
+    mut block: BlockId,
+    start: Key,
+    count: usize,
+    out: &mut Vec<Entry>,
+) -> IndexResult<usize> {
+    let mut hint = SeqHint::Auto;
+    while out.len() < count {
+        let frame = disk.read_ref_hinted(file, block, BlockKind::Leaf, AccessClass::Scan, hint)?;
+        let leaf = LeafView::new(&frame)?;
+        out.extend(leaf.entries_from(leaf.lower_bound(start)).take(count - out.len()));
+        if leaf.next() == INVALID_BLOCK {
+            break;
+        }
+        hint = if leaf.next() == block + 1 { SeqHint::Sequential } else { SeqHint::Random };
+        block = leaf.next();
+    }
+    Ok(out.len())
+}
 
 /// Construction-time options for [`BTreeIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -124,27 +156,14 @@ impl BTreeIndex {
         Ok(())
     }
 
-    fn read_leaf(&self, block: BlockId) -> IndexResult<LeafNode> {
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Leaf)?;
-        LeafNode::decode(&buf)
+    /// Pins the leaf at `block` for reading through a [`LeafView`].
+    fn pin_leaf(&self, block: BlockId) -> IndexResult<BlockRef> {
+        Ok(self.disk.read_ref(self.file, block, BlockKind::Leaf)?)
     }
 
-    /// [`Self::read_leaf`] tagged as part of a scan stream, so the buffer
-    /// pool's admission policy can keep the leaf-chain walk from flushing
-    /// the point-lookup working set. The caller passes an explicit
-    /// sequentiality hint derived from the leaf chain itself (`next ==
-    /// block + 1`), so a concurrent reader touching other blocks between
-    /// two chain steps cannot turn this scan's sequential charges into
-    /// random ones.
-    fn read_leaf_scan(&self, block: BlockId, hint: SeqHint) -> IndexResult<LeafNode> {
-        let buf = self.disk.read_ref_hinted(
-            self.file,
-            block,
-            BlockKind::Leaf,
-            AccessClass::Scan,
-            hint,
-        )?;
-        LeafNode::decode(&buf)
+    /// Decodes the leaf at `block` into an owned node, to mutate it.
+    fn read_leaf(&self, block: BlockId) -> IndexResult<LeafNode> {
+        LeafNode::decode(&self.pin_leaf(block)?)
     }
 
     fn write_leaf(&self, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
@@ -153,6 +172,7 @@ impl BTreeIndex {
         Ok(())
     }
 
+    /// Decodes the inner node at `block` into an owned node, to mutate it.
     fn read_inner(&self, block: BlockId) -> IndexResult<InnerNode> {
         let buf = self.disk.read_ref(self.file, block, BlockKind::Inner)?;
         InnerNode::decode(&buf)
@@ -164,51 +184,64 @@ impl BTreeIndex {
         Ok(())
     }
 
-    /// Descends from the root to the leaf covering `key`, returning the path
-    /// of `(inner block, child index chosen)` pairs and the leaf block id.
-    fn descend(&self, key: Key) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
+    /// Descends from the root to the leaf covering `key` and returns the
+    /// leaf's block id, routing through an [`InnerView`] of each pinned inner
+    /// block. `visit` sees every step — the inner block, the child index
+    /// chosen and the node — so the callers that need more than the leaf
+    /// (the insert path, the upper separator) collect it without a second
+    /// copy of the walk.
+    fn descend_with(
+        &self,
+        key: Key,
+        mut visit: impl FnMut(BlockId, usize, &InnerView<'_>),
+    ) -> IndexResult<BlockId> {
         if self.root == INVALID_BLOCK {
             return Err(IndexError::NotInitialized);
         }
-        let mut path = Vec::with_capacity(self.height as usize);
         let mut current = self.root;
         for _ in 1..self.height {
-            let node = self.read_inner(current)?;
+            let frame = self.disk.read_ref(self.file, current, BlockKind::Inner)?;
+            let node = InnerView::new(&frame)?;
             let idx = node.child_for(key);
-            let child = node.children[idx];
-            path.push((current, idx));
-            current = child;
+            visit(current, idx, &node);
+            current = node.child(idx);
         }
-        Ok((path, current))
+        Ok(current)
     }
 
-    /// Like [`Self::descend`], but additionally returns the leaf's upper
+    /// The read-only descent: the block id of the leaf covering `key`.
+    fn find_leaf(&self, key: Key) -> IndexResult<BlockId> {
+        self.descend_with(key, |_, _, _| {})
+    }
+
+    /// The insert-path descent: additionally returns the path of `(inner
+    /// block, child index chosen)` pairs a split propagates along.
+    fn descend(&self, key: Key) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
+        let mut path = Vec::with_capacity(self.height as usize);
+        let leaf = self.descend_with(key, |block, idx, _| path.push((block, idx)))?;
+        Ok((path, leaf))
+    }
+
+    /// Like [`Self::find_leaf`], but additionally returns the leaf's upper
     /// separator — the smallest routing key to the right of the descent
     /// path (`None` for the rightmost leaf). Every key strictly below the
     /// separator routes to the same leaf, so a sorted batch can group keys
     /// per leaf *without reading the leaf*, which is what lets the queued
     /// batch path fetch whole leaves as one outstanding-I/O wave.
     fn descend_bounded(&self, key: Key) -> IndexResult<(BlockId, Option<Key>)> {
-        if self.root == INVALID_BLOCK {
-            return Err(IndexError::NotInitialized);
-        }
-        let mut current = self.root;
         let mut upper = None;
-        for _ in 1..self.height {
-            let node = self.read_inner(current)?;
-            let idx = node.child_for(key);
-            if idx < node.keys.len() {
-                upper = Some(node.keys[idx]);
+        let leaf = self.descend_with(key, |_, idx, node| {
+            if idx < node.len() {
+                upper = Some(node.key(idx));
             }
-            current = node.children[idx];
-        }
-        Ok((current, upper))
+        })?;
+        Ok((leaf, upper))
     }
 
     /// The queued batch path: group the sorted probes per leaf via
     /// [`Self::descend_bounded`] (inner blocks only), then fetch all the
     /// group leaves as outstanding-I/O waves and answer each group from its
-    /// decoded leaf. Answers are identical to the pinned-leaf loop; only
+    /// pinned leaf. Answers are identical to the pinned-leaf loop; only
     /// the simulated time differs (a wave is charged its max, not its sum).
     fn lookup_batch_queued(
         &self,
@@ -240,7 +273,7 @@ impl BTreeIndex {
         let done = q.complete()?;
         debug_assert_eq!(done.len(), groups.len());
         for ((_, idxs), c) in groups.iter().zip(done) {
-            let leaf = LeafNode::decode(&c.frame)?;
+            let leaf = LeafView::new(&c.frame)?;
             for &i in idxs {
                 out[i as usize] = leaf.lookup(keys[i as usize]);
             }
@@ -253,22 +286,19 @@ impl BTreeIndex {
     /// hybrid designs of §6.1.2 which map each leaf page's boundary key to a
     /// page address.
     pub fn lookup_floor(&self, key: Key) -> IndexResult<Option<Entry>> {
-        let (_, leaf_block) = self.descend(key)?;
-        let leaf = self.read_leaf(leaf_block)?;
-        let pos = leaf.entries.partition_point(|&(k, _)| k <= key);
-        if pos > 0 {
-            return Ok(Some(leaf.entries[pos - 1]));
+        let frame = self.pin_leaf(self.find_leaf(key)?)?;
+        let leaf = LeafView::new(&frame)?;
+        if let Some(e) = leaf.floor(key) {
+            return Ok(Some(e));
         }
         // The floor may live in the previous leaf if `key` is smaller than
         // every key of this leaf (possible when `key` precedes the whole
         // subtree's range).
-        if leaf.prev != INVALID_BLOCK {
-            let prev = self.read_leaf(leaf.prev)?;
-            if let Some(&e) = prev.entries.last() {
-                return Ok(Some(e));
-            }
+        if leaf.prev() == INVALID_BLOCK {
+            return Ok(None);
         }
-        Ok(None)
+        let frame = self.pin_leaf(leaf.prev())?;
+        Ok(LeafView::new(&frame)?.floor(Key::MAX))
     }
 
     /// Builds the leaf level during bulk load, returning `(min_key, block)`
@@ -402,14 +432,13 @@ impl IndexRead for BTreeIndex {
     }
 
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        let (_, leaf_block) = self.descend(key)?;
-        let leaf = self.read_leaf(leaf_block)?;
-        Ok(leaf.lookup(key))
+        let frame = self.pin_leaf(self.find_leaf(key)?)?;
+        Ok(LeafView::new(&frame)?.lookup(key))
     }
 
     /// Batched lookups sort the probe keys and walk the tree once per *run*
     /// of keys landing in the same leaf: the shared root-to-leaf path and the
-    /// leaf decode are paid once per run instead of once per key.
+    /// leaf pin are paid once per run instead of once per key.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         out.resize(keys.len(), None);
@@ -421,24 +450,18 @@ impl IndexRead for BTreeIndex {
         if self.disk.queue_depth() > 1 {
             return self.lookup_batch_queued(keys, &order, out);
         }
-        let mut current: Option<(BlockId, LeafNode)> = None;
-        for &i in &order {
-            let key = keys[i as usize];
-            // A sorted probe key still belongs to the pinned leaf as long as
-            // it does not exceed the leaf's last stored key (leaves cover
-            // contiguous, disjoint key ranges). Keys in the gap between two
-            // leaves re-descend, which routes them to a leaf that proves
-            // their absence just as a sequential lookup would.
-            let in_current = current
-                .as_ref()
-                .is_some_and(|(_, leaf)| leaf.entries.last().is_some_and(|&(k, _)| key <= k));
-            if !in_current {
-                let (_, leaf_block) = self.descend(key)?;
-                if current.as_ref().map(|(b, _)| *b) != Some(leaf_block) {
-                    current = Some((leaf_block, self.read_leaf(leaf_block)?));
-                }
+        let mut pinned: Option<(BlockId, BlockRef)> = None;
+        let mut next = 0usize;
+        while next < order.len() {
+            // The descent is authoritative for the first key of a run; a key
+            // in the gap above the pinned leaf can route back to that leaf,
+            // which then stays pinned.
+            let leaf_block = self.find_leaf(keys[order[next] as usize])?;
+            if pinned.as_ref().map(|&(b, _)| b) != Some(leaf_block) {
+                pinned = Some((leaf_block, self.pin_leaf(leaf_block)?));
             }
-            out[i as usize] = current.as_ref().expect("leaf pinned").1.lookup(key);
+            let leaf = LeafView::new(&pinned.as_ref().expect("leaf pinned").1)?;
+            next = leaf.lookup_run(keys, &order, next, out);
         }
         Ok(())
     }
@@ -448,27 +471,7 @@ impl IndexRead for BTreeIndex {
         if count == 0 {
             return Ok(0);
         }
-        let (_, leaf_block) = self.descend(start)?;
-        let mut block = leaf_block;
-        let mut hint = SeqHint::Auto;
-        loop {
-            let leaf = self.read_leaf_scan(block, hint)?;
-            let from = leaf.entries.partition_point(|&(k, _)| k < start);
-            for &e in &leaf.entries[from..] {
-                out.push(e);
-                if out.len() == count {
-                    return Ok(out.len());
-                }
-            }
-            if leaf.next == INVALID_BLOCK {
-                return Ok(out.len());
-            }
-            // The chain itself knows whether the next hop is physically
-            // contiguous — no need to guess from the shared last-access
-            // word.
-            hint = if leaf.next == block + 1 { SeqHint::Sequential } else { SeqHint::Random };
-            block = leaf.next;
-        }
+        scan_leaf_chain(&self.disk, self.file, self.find_leaf(start)?, start, count, out)
     }
 
     /// Batched scans execute the ranges in ascending start-key order (the
@@ -995,6 +998,34 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn two_mib_blocks_keep_counts_inside_the_u16_header_field() {
+        // 2 MiB of 16-byte entries is 131 071 slots, twice what the header's
+        // u16 `count` can say: the capacity must stop at 65 535, so a full
+        // leaf splits instead of wrapping its count.
+        let disk = Disk::in_memory(DiskConfig::with_block_size(2 << 20));
+        let mut t = BTreeIndex::with_config(disk, BTreeConfig { fill_factor: 1.0 }).unwrap();
+        assert_eq!(t.capacity().leaf_entries, usize::from(u16::MAX));
+        let data: Vec<Entry> = (0..70_000u64).map(|i| (i * 4, i)).collect();
+        t.bulk_load(&data).unwrap();
+        assert_eq!(t.stats().leaf_nodes, 2, "65 535 entries in the first leaf, the rest beside");
+        let mut oracle: std::collections::BTreeMap<Key, Value> = data.iter().copied().collect();
+
+        // The first leaf is full: the first fresh key splits it.
+        for i in 0..24u64 {
+            let key = i * 9_973 * 4 + 1;
+            t.insert(key, i).unwrap();
+            oracle.insert(key, i);
+        }
+        assert!(t.stats().smo_count >= 1, "a full leaf must split");
+        assert_eq!(t.len(), oracle.len() as u64);
+
+        let mut out = Vec::new();
+        t.scan(0, usize::MAX, &mut out).unwrap();
+        assert_eq!(out, oracle.into_iter().collect::<Vec<_>>());
+        assert_eq!(t.lookup(9_973 * 4 + 1).unwrap(), Some(1));
     }
 
     #[test]

@@ -1171,15 +1171,18 @@ fn run_racing_phase<F: RacingFront, T>(
     let ops_done = &AtomicU64::new(0);
     let (wall_seconds, results, writer_entries, coordinated) = std::thread::scope(|s| {
         let writer = s.spawn(move || {
+            // `stop` is read after a chunk, not before it: the scheduler may
+            // not run this thread until the workers are done, and a phase
+            // must still have writer entries and a drain to report.
             let mut staged = 0u64;
             'outer: loop {
                 for c in writer_pool.chunks(phase.chunk) {
-                    if stop.load(Ordering::Relaxed) {
-                        break 'outer;
-                    }
                     front.stage_batch(c).expect("writer stage");
                     front.flush().expect("writer drain");
                     staged += c.len() as u64;
+                    if stop.load(Ordering::Relaxed) {
+                        break 'outer;
+                    }
                 }
             }
             staged

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use lidx_btree::LeafView;
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
@@ -158,8 +159,9 @@ impl HybridIndex {
             }
         }
         let blocks: Vec<BlockId> = groups.iter().map(|&(b, _)| b).collect();
-        let leaves = self.leaves.leaf_nodes_queued(&blocks)?;
-        for ((_, idxs), leaf) in groups.iter().zip(&leaves) {
+        let frames = self.leaves.pin_queued(&blocks)?;
+        for ((_, idxs), frame) in groups.iter().zip(&frames) {
+            let leaf = LeafView::new(frame)?;
             for &i in idxs {
                 out[i as usize] = leaf.lookup(keys[i as usize]);
             }
@@ -196,7 +198,7 @@ impl IndexRead for HybridIndex {
 
     /// Batched lookups sort the probe keys and route once per *run* of keys
     /// landing in the same leaf: the learned-directory descent and the leaf
-    /// block fetch/decode are paid once per run instead of once per key —
+    /// block pin are paid once per run instead of once per key —
     /// the same sorted-probe sharing as the B+-tree, with the inner
     /// structure's floor lookup standing in for the root-to-leaf walk.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
@@ -213,22 +215,11 @@ impl IndexRead for HybridIndex {
         if self.disk.queue_depth() > 1 {
             return self.lookup_batch_queued(keys, &order, out);
         }
-        let mut current: Option<lidx_btree::LeafNode> = None;
-        for &i in &order {
-            let key = keys[i as usize];
-            // Leaves cover contiguous, disjoint boundary ranges, so a sorted
-            // probe key still belongs to the pinned leaf as long as it does
-            // not exceed the leaf's last stored key; keys in the gap between
-            // two leaves re-route, which proves their absence exactly as a
-            // sequential lookup would.
-            let in_current = current
-                .as_ref()
-                .is_some_and(|leaf| leaf.entries.last().is_some_and(|&(last, _)| key <= last));
-            if !in_current {
-                let block = self.inner.find_leaf(key)?;
-                current = Some(self.leaves.leaf_node(block)?);
-            }
-            out[i as usize] = current.as_ref().expect("leaf pinned").lookup(key);
+        let mut next = 0usize;
+        while next < order.len() {
+            let block = self.inner.find_leaf(keys[order[next] as usize])?;
+            let frame = self.leaves.pin(block)?;
+            next = LeafView::new(&frame)?.lookup_run(keys, &order, next, out);
         }
         Ok(())
     }

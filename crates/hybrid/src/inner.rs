@@ -10,7 +10,7 @@ use lidx_core::{IndexError, IndexResult, Key};
 use lidx_models::fmcd::fit_fmcd;
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{BlockId, BlockKind, Disk};
+use lidx_storage::{BlockId, BlockKind, Disk, SlotTable};
 
 /// One `(boundary key, leaf block)` pair.
 pub type Boundary = (Key, BlockId);
@@ -54,6 +54,15 @@ struct PlaRecord {
 }
 
 impl PlaRecord {
+    fn decode(r: &[u8; PLA_RECORD]) -> Self {
+        PlaRecord {
+            first_key: Key::from_le_bytes(r[0..8].try_into().unwrap()),
+            slope: f64::from_le_bytes(r[8..16].try_into().unwrap()),
+            start: u64::from_le_bytes(r[16..24].try_into().unwrap()),
+            len: u32::from_le_bytes(r[24..28].try_into().unwrap()),
+        }
+    }
+
     fn predict(&self, key: Key) -> u64 {
         if self.len == 0 {
             return self.start;
@@ -105,53 +114,70 @@ impl PlaInner {
         self.disk.block_size() / PLA_RECORD
     }
 
-    fn read_base(&self, pos: u64) -> IndexResult<Boundary> {
-        let per = self.entries_per_block() as u64;
-        let block = (pos / per) as u32;
-        let slot = (pos % per) as usize;
-        let buf = self.disk.read_ref(self.file, self.base_start() + block, BlockKind::Inner)?;
-        let off = slot * PLA_ENTRY;
-        Ok((
-            Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            u64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()) as u32,
-        ))
+    /// Floor search inside the window `lo..=hi` of an on-disk array of
+    /// `STRIDE`-byte records sorted by their leading key, packed `per_block`
+    /// to a block from `first_block`: the last record of the window whose
+    /// key is `<= key`, decoded by `decode`, or `None` if the window starts
+    /// above `key`.
+    ///
+    /// Each block of the window is pinned once and binary-searched in place.
+    /// The blocks are visited left to right and the search stops in the
+    /// block holding the first key above `key` — the blocks, and the order,
+    /// a slot-by-slot walk of the window would read.
+    fn floor_in_window<const STRIDE: usize, T>(
+        &self,
+        first_block: u32,
+        per_block: usize,
+        (lo, hi): (u64, u64),
+        key: Key,
+        decode: impl Fn(&[u8; STRIDE]) -> T,
+    ) -> IndexResult<Option<T>> {
+        let per = per_block as u64;
+        let mut best = None;
+        let mut idx = lo;
+        while idx <= hi {
+            let block = idx / per;
+            let frame =
+                self.disk.read_ref(self.file, first_block + block as u32, BlockKind::Inner)?;
+            let from = (idx % per) as usize;
+            let until = (hi - block * per).min(per - 1) as usize;
+            let slots = SlotTable::<STRIDE>::new(&frame, from * STRIDE, until + 1 - from)?;
+            let below = slots.partition_point(|k| k <= key);
+            if let Some(i) = below.checked_sub(1) {
+                best = Some(decode(slots.slot(i)));
+            }
+            if below < slots.len() {
+                break;
+            }
+            idx = (block + 1) * per;
+        }
+        Ok(best)
     }
 
-    fn base_start(&self) -> u32 {
-        self.base_first_block
-    }
-
-    fn read_record(&self, level: &PlaLevel, idx: u64) -> IndexResult<PlaRecord> {
-        let per = self.records_per_block() as u64;
-        let block = level.first_block + (idx / per) as u32;
-        let slot = (idx % per) as usize;
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Inner)?;
-        let off = slot * PLA_RECORD;
-        Ok(PlaRecord {
-            first_key: Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            slope: f64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-            start: u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
-            len: u32::from_le_bytes(buf[off + 24..off + 28].try_into().unwrap()),
-        })
+    /// The ε-window around a predicted position in an array of `len` records.
+    fn window(&self, predicted: u64, len: u64) -> (u64, u64) {
+        let eps = self.epsilon as u64;
+        (predicted.saturating_sub(eps + 1), (predicted + eps).min(len - 1))
     }
 
     /// Searches one on-disk record level for the record covering `key`.
     fn search_level(&self, level: &PlaLevel, key: Key, predicted: u64) -> IndexResult<PlaRecord> {
-        let lo = predicted.saturating_sub(self.epsilon as u64 + 1);
-        let hi = (predicted + self.epsilon as u64).min(level.records - 1);
-        let mut best: Option<PlaRecord> = None;
-        for idx in lo..=hi {
-            let rec = self.read_record(level, idx)?;
-            if rec.first_key <= key {
-                best = Some(rec);
-            } else {
-                break;
-            }
+        let floor_in = |window, key| {
+            self.floor_in_window(
+                level.first_block,
+                self.records_per_block(),
+                window,
+                key,
+                PlaRecord::decode,
+            )
+        };
+        if let Some(rec) = floor_in(self.window(predicted, level.records), key)? {
+            return Ok(rec);
         }
-        match best {
-            Some(r) => Ok(r),
-            None => self.read_record(level, 0),
-        }
+        // `key` precedes the whole window: the level's first record, which
+        // is the floor of every key in the one-record window at 0.
+        floor_in((0, 0), Key::MAX)?
+            .ok_or_else(|| IndexError::Internal("empty PLA directory level".into()))
     }
 }
 
@@ -241,18 +267,14 @@ impl InnerDirectory for PlaInner {
         }
         // Search the base level inside the ε window.
         let predicted = rec.predict(key).min(self.boundaries - 1);
-        let lo = predicted.saturating_sub(self.epsilon as u64 + 1);
-        let hi = (predicted + self.epsilon as u64).min(self.boundaries - 1);
-        let mut best: Option<BlockId> = None;
-        for idx in lo..=hi {
-            let (k, blk) = self.read_base(idx)?;
-            if k <= key {
-                best = Some(blk);
-            } else {
-                break;
-            }
-        }
-        Ok(best.unwrap_or(self.first_leaf))
+        let leaf = self.floor_in_window(
+            self.base_first_block,
+            self.entries_per_block(),
+            self.window(predicted, self.boundaries),
+            key,
+            |e: &[u8; PLA_ENTRY]| u64::from_le_bytes(e[8..16].try_into().unwrap()) as BlockId,
+        )?;
+        Ok(leaf.unwrap_or(self.first_leaf))
     }
 
     fn node_count(&self) -> u64 {
@@ -527,6 +549,139 @@ mod tests {
         dir.find_leaf(bounds[777].0 + 1).unwrap();
         assert!(disk.stats().reads_of(BlockKind::Inner) > 0);
         assert_eq!(disk.stats().reads_of(BlockKind::Leaf), 0);
+    }
+
+    /// The slot-by-slot ε-window walk that `floor_in_window` replaced — one
+    /// `read_ref` per slot, stopping at the first key above `key` — kept as
+    /// the reference the in-place search must match, leaf for leaf and
+    /// block for block.
+    fn find_leaf_slot_by_slot(dir: &PlaInner, key: Key) -> BlockId {
+        let slot = |first_block: u32, per_block: usize, stride: usize, idx: u64| -> Vec<u8> {
+            let block = first_block + (idx / per_block as u64) as u32;
+            let frame = dir.disk.read_ref(dir.file, block, BlockKind::Inner).unwrap();
+            let off = (idx % per_block as u64) as usize * stride;
+            frame[off..off + stride].to_vec()
+        };
+        let eps = dir.epsilon as u64;
+        let mut rec = dir.root.unwrap();
+        for level in dir.levels.iter().rev() {
+            let record = |idx| {
+                let bytes = slot(level.first_block, dir.records_per_block(), PLA_RECORD, idx);
+                PlaRecord::decode(bytes[..].try_into().unwrap())
+            };
+            let predicted = rec.predict(key).min(level.records - 1);
+            let mut best = None;
+            for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(level.records - 1)
+            {
+                let r = record(idx);
+                if r.first_key > key {
+                    break;
+                }
+                best = Some(r);
+            }
+            rec = best.unwrap_or_else(|| record(0));
+        }
+        let predicted = rec.predict(key).min(dir.boundaries - 1);
+        let mut best = dir.first_leaf;
+        for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(dir.boundaries - 1) {
+            let e = slot(dir.base_first_block, dir.entries_per_block(), PLA_ENTRY, idx);
+            if Key::from_le_bytes(e[..8].try_into().unwrap()) > key {
+                break;
+            }
+            best = u64::from_le_bytes(e[8..].try_into().unwrap()) as BlockId;
+        }
+        best
+    }
+
+    /// Runs `find` on a cold pool and returns its answer with the inner
+    /// blocks it read from the device, the device time and the frames it
+    /// pinned.
+    fn cold(disk: &Disk, find: impl FnOnce() -> BlockId) -> (BlockId, u64, u64, u64) {
+        disk.clear_buffer();
+        disk.reset_access_state();
+        let before = disk.snapshot();
+        let leaf = find();
+        let delta = disk.snapshot().since(&before);
+        (leaf, delta.reads_of(BlockKind::Inner), delta.device_ns, delta.frames_pinned)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24, .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn pla_floor_search_matches_the_slot_by_slot_walk(
+            gaps in proptest::collection::vec(1u64..400, 1..1_500),
+            first in 0u64..1_000,
+            epsilon_pow in 0u32..5,
+            block_size_pow in 8u32..11, // 256 B .. 1 KB: windows span several blocks
+        ) {
+            use proptest::prelude::*;
+            let disk = Disk::in_memory(
+                DiskConfig::with_block_size(1 << block_size_pow)
+                    .device(lidx_storage::DeviceModel::ssd())
+                    .buffer_blocks(256),
+            );
+            let mut dir = PlaInner::new(Arc::clone(&disk), 1 << epsilon_pow).unwrap();
+            let mut key = first;
+            let bounds: Vec<Boundary> = gaps
+                .iter()
+                .enumerate()
+                .map(|(i, &gap)| {
+                    key += gap;
+                    (key, 100 + i as u32)
+                })
+                .collect();
+            dir.rebuild(&bounds).unwrap();
+
+            // Every boundary and its neighbours, including the keys below the
+            // first boundary, which no window can cover.
+            let probes = bounds
+                .iter()
+                .flat_map(|&(k, _)| [k - 1, k, k + 1])
+                .chain([0, first / 2, first, Key::MAX]);
+            for probe in probes {
+                let floor = bounds.partition_point(|&(b, _)| b <= probe).saturating_sub(1);
+                let (leaf, reads, device_ns, _) = cold(&disk, || dir.find_leaf(probe).unwrap());
+                let reference = cold(&disk, || find_leaf_slot_by_slot(&dir, probe));
+                prop_assert_eq!(leaf, bounds[floor].1, "probe {}", probe);
+                prop_assert_eq!(
+                    (leaf, reads, device_ns),
+                    (reference.0, reference.1, reference.2),
+                    "probe {}: leaf, inner blocks read cold, device ns",
+                    probe
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pla_floor_search_pins_each_window_block_once() {
+        // The default shape: ε = 64 windows of 130 slots (at most 3 640 bytes)
+        // touch at most two 4 KB blocks per level.
+        let disk = Disk::in_memory(DiskConfig::default().buffer_blocks(4_096));
+        let mut dir = PlaInner::new(Arc::clone(&disk), 64).unwrap();
+        // Uneven gaps with a jump every 97 keys, so ε = 64 needs many
+        // segments and the directory gets on-disk record levels.
+        let mut key = 0u64;
+        let bounds: Vec<Boundary> = (0..200_000u64)
+            .map(|i| {
+                key += 1 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 2_000;
+                key += u64::from(i % 97 == 0) * 5_000_000;
+                (key, i as u32)
+            })
+            .collect();
+        dir.rebuild(&bounds).unwrap();
+        assert!(!dir.levels.is_empty(), "the directory must have an on-disk record level");
+        let levels = dir.levels.len() as u64 + 1;
+        for &(k, blk) in bounds.iter().step_by(997) {
+            let (leaf, _, _, pinned) = cold(&disk, || dir.find_leaf(k + 1).unwrap());
+            assert_eq!(leaf, blk);
+            assert!(pinned <= 2 * levels + 2, "{pinned} frames pinned over {levels} levels");
+            let (_, _, _, walked) = cold(&disk, || find_leaf_slot_by_slot(&dir, k + 1));
+            assert!(walked > pinned, "the walk pins per slot ({walked}), the search per block");
+        }
     }
 
     #[test]

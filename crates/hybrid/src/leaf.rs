@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use lidx_btree::{LeafNode, NodeCapacity};
+use lidx_btree::{scan_leaf_chain, LeafNode, LeafView, NodeCapacity};
 use lidx_core::{Entry, IndexResult, Key, Value};
-use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, INVALID_BLOCK};
+use lidx_storage::{AccessClass, BlockId, BlockKind, BlockRef, Disk, INVALID_BLOCK};
 
 /// The leaf level: a file of linked, dense leaf blocks.
 pub struct LeafLevel {
@@ -62,16 +62,10 @@ impl LeafLevel {
         self.leaf_count
     }
 
-    fn read(&self, block: BlockId) -> IndexResult<LeafNode> {
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Leaf)?;
-        LeafNode::decode(&buf)
-    }
-
-    /// [`Self::read`] tagged as part of a scan stream (the leaf-chain walk
-    /// of [`LeafLevel::scan_from`]).
-    fn read_scan(&self, block: BlockId) -> IndexResult<LeafNode> {
-        let buf = self.disk.read_ref_scan(self.file, block, BlockKind::Leaf)?;
-        LeafNode::decode(&buf)
+    /// Pins the leaf at `block` (one block read) for reading through a
+    /// [`LeafView`]. The batched read path holds one such pin per probe run.
+    pub(crate) fn pin(&self, block: BlockId) -> IndexResult<BlockRef> {
+        Ok(self.disk.read_ref(self.file, block, BlockKind::Leaf)?)
     }
 
     fn write(&self, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
@@ -108,25 +102,19 @@ impl LeafLevel {
 
     /// Looks up `key` in the leaf at `block` (one block read).
     pub fn lookup_in(&self, block: BlockId, key: Key) -> IndexResult<Option<Value>> {
-        Ok(self.read(block)?.lookup(key))
+        Ok(LeafView::new(&self.pin(block)?)?.lookup(key))
     }
 
-    /// Decodes the leaf at `block` (one block read). Used by the batched
-    /// read path, which pins one decoded leaf per probe run.
-    pub(crate) fn leaf_node(&self, block: BlockId) -> IndexResult<LeafNode> {
-        self.read(block)
-    }
-
-    /// Decodes a batch of leaves with the blocks fetched as one
+    /// Pins a batch of leaves with the blocks fetched as one
     /// outstanding-read submission wave — the queue-depth > 1 counterpart of
-    /// calling [`LeafLevel::leaf_node`] once per block. Results are returned
-    /// in input order.
-    pub(crate) fn leaf_nodes_queued(&self, blocks: &[BlockId]) -> IndexResult<Vec<LeafNode>> {
+    /// calling [`LeafLevel::pin`] once per block. Results are returned in
+    /// input order.
+    pub(crate) fn pin_queued(&self, blocks: &[BlockId]) -> IndexResult<Vec<BlockRef>> {
         let mut q = self.disk.read_queue();
         for &b in blocks {
             q.submit(self.file, b, BlockKind::Leaf, AccessClass::Point)?;
         }
-        q.complete()?.iter().map(|c| LeafNode::decode(&c.frame)).collect()
+        Ok(q.complete()?.into_iter().map(|c| c.frame).collect())
     }
 
     /// Upserts a sorted run of entries into the leaf at `block` with one
@@ -141,7 +129,8 @@ impl LeafLevel {
         block: BlockId,
         run: &[Entry],
     ) -> IndexResult<(usize, u64, Option<LeafInsert>)> {
-        let mut leaf = self.read(block)?;
+        // The one place the leaf level decodes: the node is about to change.
+        let mut leaf = LeafNode::decode(&self.pin(block)?)?;
         let mut consumed = 0usize;
         let mut added = 0u64;
         for &(key, value) in run {
@@ -184,29 +173,16 @@ impl LeafLevel {
         count: usize,
         out: &mut Vec<Entry>,
     ) -> IndexResult<usize> {
-        let mut current = block;
-        loop {
-            let leaf = self.read_scan(current)?;
-            let from = leaf.entries.partition_point(|&(k, _)| k < start);
-            for &e in &leaf.entries[from..] {
-                out.push(e);
-                if out.len() == count {
-                    return Ok(out.len());
-                }
-            }
-            if leaf.next == INVALID_BLOCK {
-                return Ok(out.len());
-            }
-            current = leaf.next;
-        }
+        scan_leaf_chain(&self.disk, self.file, block, start, count, out)
     }
 
     /// Whether `key` belongs to the leaf at `block` — i.e. it is not smaller
     /// than the leaf's first entry (callers route by boundary key, so this is
     /// a sanity check used in tests).
     pub fn covers(&self, block: BlockId, key: Key) -> IndexResult<bool> {
-        let leaf = self.read(block)?;
-        Ok(leaf.entries.first().is_none_or(|&(k, _)| k <= key))
+        let frame = self.pin(block)?;
+        let leaf = LeafView::new(&frame)?;
+        Ok(leaf.is_empty() || leaf.entry(0).0 <= key)
     }
 }
 

@@ -4,6 +4,9 @@
 //! and IEEE-754 doubles laid out little-endian. [`BlockWriter`] appends
 //! values to a block-sized buffer and [`BlockReader`] consumes them again;
 //! both track a cursor so node serialisation code reads like a schema.
+//! [`SlotTable`] is the read-only counterpart for the hot path: it searches
+//! a sorted array of fixed-size records where it lies in the block, without
+//! copying it out.
 
 use crate::error::{StorageError, StorageResult};
 
@@ -157,9 +160,103 @@ impl<'a> BlockReader<'a> {
     }
 }
 
+/// A borrowed array of fixed-size records of `STRIDE` bytes, each led by a
+/// little-endian `u64` key and sorted ascending by that key — the slot array
+/// of a B+-tree node or one block of a learned directory, searched in place
+/// by arithmetic over the fixed layout.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotTable<'a, const STRIDE: usize> {
+    bytes: &'a [u8],
+}
+
+impl<'a, const STRIDE: usize> SlotTable<'a, STRIDE> {
+    /// A table of the `count` records starting at byte `offset` of `buf`,
+    /// or a typed error if they do not fit.
+    pub fn new(buf: &'a [u8], offset: usize, count: usize) -> StorageResult<Self> {
+        const { assert!(STRIDE >= 8, "a slot starts with its u64 key") };
+        count
+            .checked_mul(STRIDE)
+            .and_then(|len| offset.checked_add(len))
+            .and_then(|end| buf.get(offset..end))
+            .map(|bytes| SlotTable { bytes })
+            .ok_or_else(|| {
+                StorageError::Corrupt(format!(
+                    "{count} slots of {STRIDE} bytes at offset {offset} beyond block of {} bytes",
+                    buf.len()
+                ))
+            })
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / STRIDE
+    }
+
+    /// True if the table holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The bytes of record `i`. Panics if `i >= len()`.
+    pub fn slot(&self, i: usize) -> &'a [u8; STRIDE] {
+        self.bytes[i * STRIDE..][..STRIDE].try_into().expect("slice of STRIDE bytes")
+    }
+
+    /// The key of record `i`. Panics if `i >= len()`.
+    pub fn key(&self, i: usize) -> u64 {
+        u64::from_le_bytes(self.bytes[i * STRIDE..][..8].try_into().expect("slice of 8 bytes"))
+    }
+
+    /// Index of the first record whose key fails `pred`, which must hold for
+    /// a prefix of the (sorted) keys and for none after it — the binary
+    /// search of [`slice::partition_point`], run over the encoded bytes.
+    pub fn partition_point(&self, pred: impl Fn(u64) -> bool) -> usize {
+        let mut size = self.len();
+        if size == 0 {
+            return 0;
+        }
+        let mut base = 0;
+        while size > 1 {
+            let half = size / 2;
+            if pred(self.key(base + half)) {
+                base += half;
+            }
+            size -= half;
+        }
+        base + usize::from(pred(self.key(base)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slot_table_searches_in_place() {
+        let keys = [3u64, 7, 7, 20, 21];
+        let mut buf = vec![0xAAu8; 4];
+        for (i, k) in keys.iter().enumerate() {
+            buf.extend_from_slice(&k.to_le_bytes());
+            buf.extend_from_slice(&(i as u32).to_le_bytes());
+        }
+        let t = SlotTable::<12>::new(&buf, 4, keys.len()).unwrap();
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.key(3), 20);
+        assert_eq!(t.slot(4)[8..], 4u32.to_le_bytes());
+        for probe in [0u64, 3, 5, 7, 8, 20, 21, 22, u64::MAX] {
+            assert_eq!(
+                t.partition_point(|k| k <= probe),
+                keys.partition_point(|&k| k <= probe),
+                "probe {probe}"
+            );
+        }
+        let empty = SlotTable::<12>::new(&buf, 4, 0).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(empty.partition_point(|_| true), 0);
+        // One slot more than the buffer holds, and an overflowing count.
+        assert!(SlotTable::<12>::new(&buf, 4, keys.len() + 1).is_err());
+        assert!(SlotTable::<12>::new(&buf, 4, usize::MAX).is_err());
+    }
 
     #[test]
     fn writer_reader_roundtrip() {

@@ -70,7 +70,7 @@ pub use buffer::{
     AccessClass, BlockRef, BufferPool, PoolConfig, PoolPartitions, ReplacementPolicy,
     ShardedBufferPool,
 };
-pub use codec::{BlockReader, BlockWriter};
+pub use codec::{BlockReader, BlockWriter, SlotTable};
 pub use device::DeviceModel;
 pub use disk::{Disk, DiskConfig, FileId, SeqHint};
 pub use error::{StorageError, StorageResult};
