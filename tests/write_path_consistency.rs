@@ -368,3 +368,119 @@ proptest! {
         }
     }
 }
+
+/// What the measured interval of [`per_key_insert_cost_is_pinned`] cost.
+#[derive(Debug, PartialEq, Eq)]
+struct InsertCost {
+    /// Device reads by [`BlockKind::ALL`] (meta, inner, leaf, utility).
+    reads: [u64; 4],
+    /// Device writes by [`BlockKind::ALL`].
+    writes: [u64; 4],
+    device_ns: u64,
+    smo_count: u64,
+    storage_blocks: u64,
+    /// `[device_ns, reads, writes]` by [`InsertStep::ALL`] (search, insert,
+    /// smo, maintenance).
+    steps: [[u64; 3]; 4],
+}
+
+/// Recorded at the last commit whose designs carried a hand-written per-key
+/// `insert` body, one row per `(storage, design)` cell in iteration order.
+#[rustfmt::skip]
+const PER_KEY_INSERT_COST: [InsertCost; 14] = [
+    // hdd, no pool, btree
+    InsertCost { reads: [0, 2024, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60512100000, smo_count: 24, storage_blocks: 51, steps: [[39792100000, 4000, 0], [19760000000, 0, 1976], [960000000, 24, 72], [0, 0, 0]] },
+    // hdd, no pool, fiting
+    InsertCost { reads: [0, 3821, 7927, 24], writes: [0, 1846, 4903, 25], device_ns: 146028300000, smo_count: 7, storage_blocks: 202, steps: [[58215700000, 6868, 0], [85886500000, 4729, 6597], [1926100000, 175, 177], [0, 0, 0]] },
+    // hdd, no pool, pgm
+    InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 3208], device_ns: 52331400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [32050000000, 0, 3205], [200600000, 8, 18], [0, 0, 0]] },
+    // hdd, no pool, alex
+    InsertCost { reads: [0, 5766, 8914, 3820], writes: [0, 72, 7605, 1949], device_ns: 240155200000, smo_count: 66, storage_blocks: 3045, steps: [[67878800000, 7766, 0], [118946800000, 7656, 4603], [34619600000, 3078, 3152], [18710000000, 0, 1871]] },
+    // hdd, no pool, lipp
+    InsertCost { reads: [0, 0, 4759, 0], writes: [0, 0, 4837, 0], device_ns: 92207900000, smo_count: 361, storage_blocks: 884, steps: [[42147600000, 4488, 0], [16400000000, 0, 1640], [12650300000, 271, 1096], [21010000000, 0, 2101]] },
+    // hdd, no pool, hybrid-pla
+    InsertCost { reads: [0, 2000, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60480000000, smo_count: 24, storage_blocks: 74, steps: [[40000000000, 4000, 0], [19760000000, 0, 1976], [720000000, 0, 72], [0, 0, 0]] },
+    // hdd, no pool, hybrid-modeltree
+    InsertCost { reads: [0, 4000, 2000, 0], writes: [0, 48, 2024, 0], device_ns: 60920000000, smo_count: 24, storage_blocks: 99, steps: [[40200000000, 6000, 0], [19760000000, 0, 1976], [960000000, 0, 96], [0, 0, 0]] },
+    // ssd, pool 64, btree
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 51, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
+    // ssd, pool 64, fiting
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 1846, 4903, 25], device_ns: 812880000, smo_count: 7, storage_blocks: 202, steps: [[0, 0, 0], [791640000, 0, 6597], [21240000, 0, 177], [0, 0, 0]] },
+    // ssd, pool 64, pgm
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 0, 15, 3208], device_ns: 386760000, smo_count: 3, storage_blocks: 30, steps: [[0, 0, 0], [384600000, 0, 3205], [2160000, 0, 18], [0, 0, 0]] },
+    // ssd, pool 64, alex
+    InsertCost { reads: [0, 129, 2901, 81], writes: [0, 72, 7605, 1949], device_ns: 1379380000, smo_count: 66, storage_blocks: 3045, steps: [[16280000, 176, 0], [619500000, 677, 4603], [519080000, 2258, 3152], [224520000, 0, 1871]] },
+    // ssd, pool 64, lipp
+    InsertCost { reads: [0, 0, 1865, 0], writes: [0, 0, 4837, 0], device_ns: 759300000, smo_count: 361, storage_blocks: 884, steps: [[169600000, 1750, 0], [196800000, 0, 1640], [140780000, 115, 1096], [252120000, 0, 2101]] },
+    // ssd, pool 64, hybrid-pla
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 74, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
+    // ssd, pool 64, hybrid-modeltree
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 48, 2024, 0], device_ns: 248640000, smo_count: 24, storage_blocks: 99, steps: [[0, 0, 0], [237120000, 0, 1976], [11520000, 0, 96], [0, 0, 0]] },
+];
+
+/// Cost pin: a per-key `insert` costs exactly what it cost when every design
+/// had its own per-key write body. Bulk 5 000 keys, then 2 000 inserts of a
+/// fixed stream (fresh keys, overwrites of bulk keys, keys below the minimum
+/// and above the maximum), each from a cold access state like the harness
+/// runs them; every deterministic counter of the interval after the bulk
+/// load must match the recorded table.
+#[test]
+fn per_key_insert_cost_is_pinned() {
+    use lidx_storage::{BlockKind, DeviceModel};
+
+    let bulk: Vec<Entry> = (0..5_000u64).map(|i| (i * 16 + 1_000, i)).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let stream: Vec<Entry> = (0..2_000u64)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 33) % 84_000, 1_000_000 + i)
+        })
+        .collect();
+    let storages = [
+        ("hdd, no pool", RunConfig::default()),
+        (
+            "ssd, pool 64",
+            RunConfig { device: DeviceModel::ssd(), buffer_blocks: 64, ..RunConfig::default() },
+        ),
+    ];
+
+    let mut measured = Vec::new();
+    let mut labels = Vec::new();
+    for (storage, config) in storages {
+        for choice in IndexChoice::ALL_DESIGNS {
+            let disk = config.make_disk();
+            let mut index = choice.build(std::sync::Arc::clone(&disk));
+            index.bulk_load(&bulk).expect("bulk load");
+            let io_before = disk.snapshot();
+            let steps_before = index.insert_breakdown();
+            let smo_before = index.stats().smo_count;
+            for &(k, v) in &stream {
+                disk.reset_access_state();
+                index.insert(k, v).expect("insert");
+            }
+            let io = disk.snapshot().since(&io_before);
+            let steps = index.insert_breakdown().since(&steps_before);
+            measured.push(InsertCost {
+                reads: BlockKind::ALL.map(|kind| io.reads_of(kind)),
+                writes: BlockKind::ALL.map(|kind| io.writes_of(kind)),
+                device_ns: io.device_ns,
+                smo_count: index.stats().smo_count - smo_before,
+                storage_blocks: index.storage_blocks(),
+                steps: InsertStep::ALL
+                    .map(|step| [steps.device_ns(step), steps.reads(step), steps.writes(step)]),
+            });
+            labels.push(format!("{storage}, {}", choice.name()));
+        }
+    }
+    if measured[..] != PER_KEY_INSERT_COST[..] {
+        for (label, cost) in labels.iter().zip(&measured) {
+            eprintln!("    // {label}\n    {cost:?},");
+        }
+    }
+    for ((label, cost), pinned) in labels.iter().zip(&measured).zip(&PER_KEY_INSERT_COST) {
+        assert_eq!(cost, pinned, "{label}");
+    }
+    assert_eq!(measured.len(), PER_KEY_INSERT_COST.len());
+}
