@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::LinearModel;
 use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK};
@@ -550,12 +550,15 @@ impl AlexIndex {
 
     /// Writes the deferred statistics header of a batch-cached leaf, if any
     /// (the once-per-touched-node maintenance write of `insert_batch`).
-    fn flush_cached_leaf(&mut self, cached: &mut Option<CachedLeaf>) -> IndexResult<()> {
+    fn flush_cached_leaf(
+        &mut self,
+        cached: &mut Option<CachedLeaf>,
+        laps: &mut StepLaps,
+    ) -> IndexResult<()> {
         if let Some(c) = cached.take() {
             if c.dirty {
-                let before = self.disk.snapshot();
                 c.node.write_header(&self.disk)?;
-                self.breakdown.add(InsertStep::Maintenance, &self.disk.snapshot().since(&before));
+                laps.lap(&mut self.breakdown, InsertStep::Maintenance);
             }
         }
         Ok(())
@@ -707,43 +710,11 @@ impl IndexWrite for AlexIndex {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        loop {
-            let before = self.disk.snapshot();
-            let (path, mut node) = self.descend(key)?;
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-            let prior_count = node.header.count;
-            if self.try_insert_into(&mut node, key, value)? {
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-                if node.header.count != prior_count {
-                    // Persist the updated occupancy and cost-model statistics
-                    // (the maintenance overhead of Fig. 6).
-                    node.write_header(&self.disk)?;
-                    let after_maintenance = self.disk.snapshot();
-                    self.breakdown
-                        .add(InsertStep::Maintenance, &after_maintenance.since(&after_insert));
-                }
-                self.breakdown.finish_insert();
-                return Ok(());
-            }
-
-            // The node was too full: run the SMO and retry.
-            self.smo(&path, node)?;
-            let after_smo = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-        }
-    }
-
-    /// Batched inserts keep the current leaf's statistics header in memory
-    /// and write it once per touched node per batch instead of once per key
-    /// — the maintenance-batching counterpart of `lookup_batch`'s pinned
-    /// descent. A key reuses the cached leaf when it provably routes there
+    /// The one write path (`insert` is a batch of one): the current leaf's
+    /// statistics header stays in memory and is written once per touched
+    /// node per batch instead of once per key — the maintenance-batching
+    /// counterpart of `lookup_batch`'s pinned descent. A key reuses the
+    /// cached leaf when it provably routes there
     /// (`witness <= key <= max`, monotone model routing); any other key
     /// first flushes the deferred header, so the on-disk statistics are
     /// never stale when a node is re-loaded. SMOs receive the cached
@@ -753,6 +724,7 @@ impl IndexWrite for AlexIndex {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
+        let mut laps = StepLaps::start(&self.disk);
         let mut cached: Option<CachedLeaf> = None;
         for &(key, value) in entries {
             loop {
@@ -767,19 +739,21 @@ impl IndexWrite for AlexIndex {
                     }
                 }
                 if !hit {
-                    self.flush_cached_leaf(&mut cached)?;
-                    let before = self.disk.snapshot();
+                    // The lazy max-key read above is routing, not maintenance.
+                    laps.lap(&mut self.breakdown, InsertStep::Search);
+                    self.flush_cached_leaf(&mut cached, &mut laps)?;
                     let (path, node) = self.descend(key)?;
-                    self.breakdown.add(InsertStep::Search, &self.disk.snapshot().since(&before));
                     cached = Some(CachedLeaf { path, node, dirty: false, witness: key, max: None });
                 }
+                laps.lap(&mut self.breakdown, InsertStep::Search);
 
                 let c = cached.as_mut().expect("cached leaf just resolved");
-                let before = self.disk.snapshot();
                 let prior_count = c.node.header.count;
                 if self.try_insert_into(&mut c.node, key, value)? {
-                    self.breakdown.add(InsertStep::Insert, &self.disk.snapshot().since(&before));
+                    laps.lap(&mut self.breakdown, InsertStep::Insert);
                     if c.node.header.count != prior_count {
+                        // The updated occupancy and cost-model statistics
+                        // are the maintenance overhead of Fig. 6.
                         c.dirty = true;
                     }
                     break;
@@ -787,15 +761,15 @@ impl IndexWrite for AlexIndex {
 
                 // Too full: SMO with the authoritative in-memory header and
                 // the cached parent path, then retry this key. The freed
-                // node's deferred header write is dropped with it.
+                // node's deferred header write is dropped with it, and the
+                // failed fill attempt's reads are part of the SMO's cost.
                 let c = cached.take().expect("cached leaf just resolved");
-                let before_smo = self.disk.snapshot();
                 self.smo(&c.path, c.node)?;
-                self.breakdown.add(InsertStep::Smo, &self.disk.snapshot().since(&before_smo));
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             self.breakdown.finish_insert();
         }
-        self.flush_cached_leaf(&mut cached)
+        self.flush_cached_leaf(&mut cached, &mut laps)
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {

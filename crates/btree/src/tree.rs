@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_storage::{
     AccessClass, BlockId, BlockKind, BlockRef, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
@@ -525,35 +525,12 @@ impl IndexWrite for BTreeIndex {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        let before = self.disk.snapshot();
-        let (path, leaf_block) = self.descend(key)?;
-        let mut leaf = self.read_leaf(leaf_block)?;
-        let after_search = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-        let added = leaf.upsert(key, value);
-        if added {
-            self.key_count += 1;
-        }
-        if leaf.entries.len() <= self.capacity.leaf_entries {
-            self.write_leaf(leaf_block, &leaf)?;
-            let after_insert = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-        } else {
-            self.split_leaf_and_propagate(&path, leaf_block, leaf)?;
-            let after_smo = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-        }
-        self.breakdown.finish_insert();
-        Ok(())
-    }
-
-    /// Batched inserts sort the entries and descend the tree once per *run*
-    /// of keys landing in the same leaf: the shared root-to-leaf path, the
-    /// leaf decode and the leaf write-back are paid once per run instead of
-    /// once per key, and a run that overfills its leaf triggers one split
-    /// before the remainder re-descends against the updated tree.
+    /// The one write path (`insert` is a batch of one): the entries are
+    /// sorted and the tree is descended once per *run* of keys landing in
+    /// the same leaf, so the shared root-to-leaf path, the leaf decode and
+    /// the leaf write-back are paid once per run instead of once per key,
+    /// and a run that overfills its leaf triggers one split before the
+    /// remainder re-descends against the updated tree.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if entries.is_empty() {
             return Ok(());
@@ -562,16 +539,15 @@ impl IndexWrite for BTreeIndex {
             return Err(IndexError::NotInitialized);
         }
         // A stable sort keeps duplicate keys in slice order, so the last
-        // occurrence wins — exactly like the sequential loop.
+        // occurrence wins, as the contract requires.
         let mut order: Vec<u32> = (0..entries.len() as u32).collect();
         order.sort_by_key(|&i| entries[i as usize].0);
+        let mut laps = StepLaps::start(&self.disk);
         let mut next = 0usize;
         while next < order.len() {
-            let before = self.disk.snapshot();
             let (path, leaf_block) = self.descend(entries[order[next] as usize].0)?;
             let mut leaf = self.read_leaf(leaf_block)?;
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
+            laps.lap(&mut self.breakdown, InsertStep::Search);
 
             // Apply the run: the first key always lands here (the descent is
             // authoritative); every following sorted key stays in this leaf
@@ -601,12 +577,10 @@ impl IndexWrite for BTreeIndex {
             }
             if leaf.entries.len() <= self.capacity.leaf_entries {
                 self.write_leaf(leaf_block, &leaf)?;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Insert);
             } else {
                 self.split_leaf_and_propagate(&path, leaf_block, leaf)?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             next += consumed;
         }

@@ -195,10 +195,6 @@ impl<I: DiskIndex> IndexWrite for ConcurrentIndex<I> {
         self.inner.get_mut().bulk_load(entries)
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        self.inner.get_mut().insert(key, value)
-    }
-
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         self.inner.get_mut().insert_batch(entries)
     }
@@ -318,10 +314,12 @@ struct Shard {
 ///         self.entries = entries.to_vec();
 ///         Ok(())
 ///     }
-///     fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-///         match self.entries.binary_search_by_key(&key, |e| e.0) {
-///             Ok(i) => self.entries[i].1 = value,
-///             Err(i) => self.entries.insert(i, (key, value)),
+///     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
+///         for &(key, value) in entries {
+///             match self.entries.binary_search_by_key(&key, |e| e.0) {
+///                 Ok(i) => self.entries[i].1 = value,
+///                 Err(i) => self.entries.insert(i, (key, value)),
+///             }
 ///         }
 ///         Ok(())
 ///     }
@@ -693,12 +691,9 @@ impl<I: DiskIndex> IndexWrite for ShardedWriteBuffer<I> {
         self.index.bulk_load(entries)
     }
 
-    /// The `&mut self` insert is just [`stage`](ShardedWriteBuffer::stage)
-    /// — provided so the buffer remains a drop-in [`DiskIndex`].
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        self.stage(key, value)
-    }
-
+    /// The `&mut self` writes are just
+    /// [`stage_batch`](ShardedWriteBuffer::stage_batch) — provided so the
+    /// buffer remains a drop-in [`DiskIndex`].
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         self.stage_batch(entries)
     }

@@ -260,12 +260,13 @@ pub trait IndexRead: Send + Sync {
 ///
 /// # Example
 ///
-/// `insert_batch` is a plain contract over [`insert`], shown here with a
-/// minimal in-memory implementation:
+/// [`insert_batch`] is the one write primitive an implementation provides;
+/// [`insert`] is a batch of one. Shown here with a minimal in-memory
+/// implementation:
 ///
 /// ```
 /// use lidx_core::index::IndexWrite;
-/// use lidx_core::{Entry, IndexResult, InsertBreakdown, Key, Value};
+/// use lidx_core::{Entry, IndexResult, InsertBreakdown};
 ///
 /// #[derive(Default)]
 /// struct VecIndex {
@@ -277,10 +278,12 @@ pub trait IndexRead: Send + Sync {
 ///         self.entries = entries.to_vec();
 ///         Ok(())
 ///     }
-///     fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-///         match self.entries.binary_search_by_key(&key, |e| e.0) {
-///             Ok(i) => self.entries[i].1 = value,
-///             Err(i) => self.entries.insert(i, (key, value)),
+///     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
+///         for &(key, value) in entries {
+///             match self.entries.binary_search_by_key(&key, |e| e.0) {
+///                 Ok(i) => self.entries[i].1 = value,
+///                 Err(i) => self.entries.insert(i, (key, value)),
+///             }
 ///         }
 ///         Ok(())
 ///     }
@@ -291,14 +294,18 @@ pub trait IndexRead: Send + Sync {
 ///
 /// let mut index = VecIndex::default();
 /// index.bulk_load(&[(10, 1), (30, 3)])?;
-/// // A batch behaves exactly like the per-key loop: later entries win on
-/// // duplicate keys, existing keys are overwritten.
+/// // Entries apply in slice order: later entries win on duplicate keys,
+/// // existing keys are overwritten.
 /// index.insert_batch(&[(20, 2), (10, 9), (20, 4)])?;
 /// assert_eq!(index.entries, vec![(10, 9), (20, 4), (30, 3)]);
+/// // `insert` is provided: the same code path with a one-entry slice.
+/// index.insert(30, 7)?;
+/// assert_eq!(index.entries, vec![(10, 9), (20, 4), (30, 7)]);
 /// # Ok::<(), lidx_core::IndexError>(())
 /// ```
 ///
 /// [`insert`]: IndexWrite::insert
+/// [`insert_batch`]: IndexWrite::insert_batch
 pub trait IndexWrite {
     /// Builds the index from strictly-increasing `(key, payload)` pairs.
     ///
@@ -307,43 +314,47 @@ pub trait IndexWrite {
     /// strictly increasing.
     fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()>;
 
-    /// Inserts a new key-payload pair (upsert: an existing key is
-    /// overwritten and the key count does not grow).
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()>;
-
-    /// Inserts every entry of `entries`, in order.
+    /// Upserts every entry of `entries`, in order — the one write primitive
+    /// of an index; [`insert`] is a batch of one.
     ///
     /// # Contract
     ///
-    /// * A batch is semantically identical to the per-entry [`insert`] loop:
-    ///   after it returns, every lookup, scan and length query answers
-    ///   exactly as if the entries had been inserted one by one, in slice
-    ///   order. In particular, **later entries win** when the batch contains
-    ///   duplicate keys, and entries whose keys already exist overwrite the
-    ///   stored payload without growing the index.
-    /// * The *physical* structure may legally differ from the sequential
-    ///   outcome (e.g. one large SMO instead of several small ones) — only
-    ///   the logical content is pinned.
+    /// * Entries apply in slice order with upsert semantics: a key that is
+    ///   already stored has its payload overwritten and the key count does
+    ///   not grow, so **later entries win** when the batch contains
+    ///   duplicate keys. After the call returns, every lookup, scan and
+    ///   length query answers exactly as if the entries had been applied one
+    ///   at a time — any partition of a stream into consecutive batches
+    ///   (all batches of one included) leaves the same logical content.
+    /// * The *physical* structure may legally differ between partitions
+    ///   (e.g. one large SMO instead of several small ones) — only the
+    ///   logical content is pinned.
     /// * An error leaves previously applied entries of the batch in place
-    ///   (same as stopping a sequential loop at the failing entry).
+    ///   (the batch stops at the failing entry).
+    /// * A batch of one must cost what a dedicated single-key write would:
+    ///   no design keeps a second write body, so whatever work a sorted pass
+    ///   shares across entries has to degrade to nothing at one entry.
     ///
-    /// The default implementation is exactly that loop; indexes whose write
-    /// path can share work across a sorted pass override it to amortise
-    /// block fetches, pin lifetimes and SMO work across the batch: the
-    /// B+-tree descends once per *run* of keys landing in the same leaf and
-    /// writes each touched leaf once, the FITing-tree fills each segment's
-    /// delta buffer with one read-modify-write per segment, PGM merges the
-    /// batch into its insert run in memory (one run read and one rewrite
-    /// per batch, flushing exactly when the sequential loop would), and the
-    /// hybrid appends each run to its dense leaf and defers the
-    /// learned-directory rebuild to one retrain per batch.
+    /// Every design shares work across a sorted pass where its structure
+    /// allows: the B+-tree descends once per *run* of keys landing in the
+    /// same leaf and writes each touched leaf once, the FITing-tree fills
+    /// each segment's delta buffer with one read-modify-write per segment,
+    /// PGM merges the batch into its insert run in memory (one run read and
+    /// one rewrite per batch, flushing exactly when one-entry batches
+    /// would), ALEX and LIPP write each touched node's statistics header
+    /// once per batch, and the hybrid appends each run to its dense leaf
+    /// and defers the learned-directory rebuild to one retrain per batch.
     ///
     /// [`insert`]: IndexWrite::insert
-    fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
-        for &(key, value) in entries {
-            self.insert(key, value)?;
-        }
-        Ok(())
+    fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()>;
+
+    /// Inserts one key-payload pair (upsert): exactly
+    /// [`insert_batch`](IndexWrite::insert_batch) of a one-entry slice.
+    /// Wrappers whose primitive really is a single staged entry (the
+    /// [`WriteBuffer`](crate::write_buffer::WriteBuffer) front) override it;
+    /// no index design does.
+    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
+        self.insert_batch(&[(key, value)])
     }
 
     /// The accumulated insert-step breakdown (search / insert / SMO /
@@ -438,10 +449,6 @@ impl<T: IndexRead + ?Sized> IndexRead for Box<T> {
 impl<T: IndexWrite + ?Sized> IndexWrite for Box<T> {
     fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
         (**self).bulk_load(entries)
-    }
-
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        (**self).insert(key, value)
     }
 
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {

@@ -51,7 +51,9 @@ pub use concurrent::{
 };
 pub use error::{IndexError, IndexResult};
 pub use index::{DiskIndex, IndexKind, IndexRead, IndexStats, IndexWrite};
-pub use metrics::{InsertBreakdown, InsertStep, LatencyRecorder, LatencySummary, Throughput};
+pub use metrics::{
+    InsertBreakdown, InsertStep, LatencyRecorder, LatencySummary, StepLaps, Throughput,
+};
 pub use persist::{Manifest, MetaReader, MetaWriter};
 pub use sharded::{ShardFactory, ShardedIndex, ShardedIndexConfig};
 pub use write_buffer::{WriteBuffer, WriteBufferConfig};

@@ -6,6 +6,9 @@
 //! [`lidx_storage::IoStats`]; this module supplies the other two, plus the
 //! four-step insert breakdown of Fig. 6.
 
+use std::sync::Arc;
+
+use lidx_storage::Disk;
 use serde::Serialize;
 
 /// Records one latency sample (in nanoseconds) per operation and produces
@@ -205,14 +208,6 @@ impl InsertBreakdown {
         Self::default()
     }
 
-    /// Adds the I/O delta of one step of one insert.
-    pub fn add(&mut self, step: InsertStep, delta: &lidx_storage::OpStats) {
-        let i = step.idx();
-        self.device_ns[i] += delta.device_ns;
-        self.reads[i] += delta.reads();
-        self.writes[i] += delta.writes();
-    }
-
     /// Notes that one complete insert finished.
     pub fn finish_insert(&mut self) {
         self.inserts += 1;
@@ -273,6 +268,44 @@ impl InsertBreakdown {
     /// Total device time across all steps, nanoseconds.
     pub fn total_ns(&self) -> u64 {
         self.device_ns.iter().sum()
+    }
+}
+
+/// Meters a write path's disk I/O into an [`InsertBreakdown`] by laps: every
+/// [`lap`](StepLaps::lap) charges *everything* the disk did since the
+/// previous lap (or since [`start`](StepLaps::start)) to one [`InsertStep`].
+/// A write path starts one meter and laps at each step boundary, so I/O
+/// between two measurement points cannot be left unattributed and the step
+/// sums always equal the disk's own counters over the metered interval.
+#[derive(Debug)]
+pub struct StepLaps {
+    disk: Arc<Disk>,
+    /// `[device_ns, reads, writes]` at the previous lap.
+    mark: [u64; 3],
+}
+
+impl StepLaps {
+    /// Starts metering `disk` from its current counters.
+    pub fn start(disk: &Arc<Disk>) -> Self {
+        StepLaps { disk: Arc::clone(disk), mark: Self::read(disk) }
+    }
+
+    fn read(disk: &Disk) -> [u64; 3] {
+        let stats = disk.stats();
+        [stats.device_ns(), stats.reads(), stats.writes()]
+    }
+
+    /// Charges the device time, block reads and block writes since the
+    /// previous lap to `step` of `breakdown`.
+    pub fn lap(&mut self, breakdown: &mut InsertBreakdown, step: InsertStep) {
+        let now = Self::read(&self.disk);
+        let i = step.idx();
+        // Saturating like `OpStats::since`: a harness may reset the disk's
+        // counters between two laps.
+        breakdown.device_ns[i] += now[0].saturating_sub(self.mark[0]);
+        breakdown.reads[i] += now[1].saturating_sub(self.mark[1]);
+        breakdown.writes[i] += now[2].saturating_sub(self.mark[2]);
+        self.mark = now;
     }
 }
 
@@ -357,31 +390,41 @@ mod tests {
 
     #[test]
     fn insert_breakdown_accumulates_and_averages() {
-        use lidx_storage::{BlockKind, IoStats};
-        let stats = IoStats::new();
+        use lidx_storage::{BlockKind, DiskConfig};
+        let disk = Disk::in_memory(DiskConfig::default());
         let mut b = InsertBreakdown::new();
 
-        let before = stats.snapshot();
-        stats.record_device_ns(100);
-        // (record_* are crate-private; simulate deltas through public snapshot API)
-        let after = stats.snapshot();
-        b.add(InsertStep::Search, &after.since(&before));
+        let mut laps = StepLaps::start(&disk);
+        disk.stats().record_device_ns(100);
+        laps.lap(&mut b, InsertStep::Search);
         b.finish_insert();
         assert_eq!(b.inserts, 1);
         assert_eq!(b.device_ns(InsertStep::Search), 100);
         assert_eq!(b.device_ns(InsertStep::Smo), 0);
         assert!((b.avg_ns(InsertStep::Search) - 100.0).abs() < 1e-9);
 
+        // A lap takes everything since the previous one — nothing recorded
+        // between two laps can fall outside a step — and nothing twice.
+        disk.stats().record_read(BlockKind::Leaf);
+        disk.stats().record_device_ns(7);
+        disk.stats().record_write(BlockKind::Inner);
+        laps.lap(&mut b, InsertStep::Smo);
+        laps.lap(&mut b, InsertStep::Maintenance);
+        assert_eq!(
+            [b.device_ns(InsertStep::Smo), b.reads(InsertStep::Smo), b.writes(InsertStep::Smo)],
+            [7, 1, 1]
+        );
+        assert_eq!(b.device_ns(InsertStep::Maintenance), 0);
+        assert_eq!(b.total_ns(), disk.stats().device_ns());
+
         let mut b2 = InsertBreakdown::new();
-        let s2 = IoStats::new();
-        let before = s2.snapshot();
-        s2.record_device_ns(50);
-        let _ = BlockKind::ALL; // kinds are exercised in the storage crate tests
-        b2.add(InsertStep::Smo, &s2.snapshot().since(&before));
+        let mut laps2 = StepLaps::start(&disk);
+        disk.stats().record_device_ns(50);
+        laps2.lap(&mut b2, InsertStep::Smo);
         b2.finish_insert();
         b.merge(&b2);
         assert_eq!(b.inserts, 2);
-        assert_eq!(b.total_ns(), 150);
+        assert_eq!(b.total_ns(), 157);
     }
 
     #[test]

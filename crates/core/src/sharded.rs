@@ -157,10 +157,12 @@ pub type ShardFactory<I> = dyn Fn() -> IndexResult<I> + Send + Sync;
 /// #         self.entries = entries.to_vec();
 /// #         Ok(())
 /// #     }
-/// #     fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-/// #         match self.entries.binary_search_by_key(&key, |e| e.0) {
-/// #             Ok(i) => self.entries[i].1 = value,
-/// #             Err(i) => self.entries.insert(i, (key, value)),
+/// #     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
+/// #         for &(key, value) in entries {
+/// #             match self.entries.binary_search_by_key(&key, |e| e.0) {
+/// #                 Ok(i) => self.entries[i].1 = value,
+/// #                 Err(i) => self.entries.insert(i, (key, value)),
+/// #             }
 /// #         }
 /// #         Ok(())
 /// #     }
@@ -669,12 +671,9 @@ impl<I: DiskIndex> IndexWrite for ShardedIndex<I> {
         Ok(())
     }
 
-    /// The `&mut self` insert is just [`stage`](ShardedIndex::stage) —
-    /// provided so the router remains a drop-in [`DiskIndex`].
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        self.stage(key, value)
-    }
-
+    /// The `&mut self` writes are just
+    /// [`stage_batch`](ShardedIndex::stage_batch) — provided so the router
+    /// remains a drop-in [`DiskIndex`].
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         self.stage_batch(entries)
     }

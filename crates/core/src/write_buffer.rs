@@ -110,10 +110,12 @@ impl Default for WriteBufferConfig {
 ///         self.entries = entries.to_vec();
 ///         Ok(())
 ///     }
-///     fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-///         match self.entries.binary_search_by_key(&key, |e| e.0) {
-///             Ok(i) => self.entries[i].1 = value,
-///             Err(i) => self.entries.insert(i, (key, value)),
+///     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
+///         for &(key, value) in entries {
+///             match self.entries.binary_search_by_key(&key, |e| e.0) {
+///                 Ok(i) => self.entries[i].1 = value,
+///                 Err(i) => self.entries.insert(i, (key, value)),
+///             }
 ///         }
 ///         Ok(())
 ///     }

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::pla::ShrinkingCone;
 use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, OpClass, SeqHint};
@@ -283,8 +283,7 @@ impl FitingTree {
     /// Resegments `old` (identified by its directory `first_key`) together
     /// with `extra` entries (sorted by key, duplicates removed), replacing it
     /// with freshly built segments. On keys present both on disk and in
-    /// `extra`, the `extra` payload wins — the sequential insert path never
-    /// passes such duplicates, but the batched delta-buffer fill folds its
+    /// `extra`, the `extra` payload wins: the delta-buffer fill folds its
     /// pending overwrites through here.
     fn resegment(&mut self, old: SegmentMeta, extra: &[Entry]) -> IndexResult<()> {
         self.smo_count += 1;
@@ -478,115 +477,14 @@ impl IndexWrite for FitingTree {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        let before = self.disk.snapshot();
-
-        // Keys below the global minimum go to the overflow buffer (§4.2).
-        if key < self.global_min_key {
-            let mut overflow = self.read_overflow(AccessClass::Point)?;
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-            match overflow.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(pos) => overflow[pos].1 = value,
-                Err(pos) => {
-                    overflow.insert(pos, (key, value));
-                    self.key_count += 1;
-                }
-            }
-            if overflow.len() <= self.overflow_capacity() {
-                self.overflow_count = overflow.len() as u32;
-                self.write_overflow(&overflow)?;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-            } else {
-                // Overflow buffer full: fold its contents into the first
-                // segment via a resegmentation SMO.
-                let (first, _) = self.directory.find(self.global_min_key)?;
-                self.resegment(first, &overflow)?;
-                self.overflow_count = 0;
-                self.write_overflow(&[])?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-            }
-            self.breakdown.finish_insert();
-            return Ok(());
-        }
-
-        let (meta, slot) = self.directory.find(key)?;
-        // Search the data region and the buffer to honour upsert semantics.
-        let existing = search_data(&self.disk, self.seg_file, &meta, key, self.config.epsilon)?;
-        let buffer = if meta.buffer_count > 0 {
-            read_buffer(&self.disk, self.seg_file, &meta, AccessClass::Point)?
-        } else {
-            Vec::new()
-        };
-        let after_search = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-        if existing.is_some() {
-            // Overwrite in place: rewrite the data block holding the key.
-            let mut data = read_all_data(&self.disk, self.seg_file, &meta)?;
-            if let Ok(pos) = data.binary_search_by_key(&key, |&(k, _)| k) {
-                data[pos].1 = value;
-            }
-            write_data_region(
-                &self.disk,
-                self.seg_file,
-                meta.start_block,
-                meta.data_blocks,
-                &data,
-            )?;
-            let after_insert = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-            self.breakdown.finish_insert();
-            return Ok(());
-        }
-
-        let mut buffer = buffer;
-        match buffer.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(pos) => {
-                buffer[pos].1 = value;
-                write_buffer_region(&self.disk, self.seg_file, &meta, &buffer)?;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-                self.breakdown.finish_insert();
-                return Ok(());
-            }
-            Err(pos) => buffer.insert(pos, (key, value)),
-        }
-        self.key_count += 1;
-
-        if buffer.len() <= self.config.buffer_entries
-            && buffer.len() <= meta.buffer_capacity(self.disk.block_size()) as usize
-        {
-            // Normal delta insert: write the buffer and persist the new
-            // occupancy in the directory (the paper's "extra block" write).
-            write_buffer_region(&self.disk, self.seg_file, &meta, &buffer)?;
-            let mut updated = meta;
-            updated.buffer_count = buffer.len() as u32;
-            self.directory.update_meta(slot, updated)?;
-            let after_insert = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-        } else {
-            // Buffer full: resegment the segment together with the new key.
-            self.resegment(meta, &[(key, value)])?;
-            let after_smo = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-        }
-        self.breakdown.finish_insert();
-        Ok(())
-    }
-
-    /// Batched inserts fill each segment's delta buffer in one
-    /// read-modify-write pass: the entries are sorted, grouped by covering
-    /// segment (one directory descent plus one boundary probe per group),
-    /// and each group pays the buffer read, the buffer write, the directory
-    /// meta update and any data-region overwrite rewrite *once* — the
-    /// sequential path pays all four per key. Keys below the global minimum
-    /// are likewise folded into the overflow buffer as one group.
+    /// The one write path (`insert` is a batch of one): each segment's
+    /// delta buffer is filled in one read-modify-write pass. The entries are
+    /// sorted, grouped by covering segment (one directory descent per group,
+    /// plus one boundary probe when more keys follow), and each group pays
+    /// the buffer read, the buffer write, the directory meta update and any
+    /// data-region overwrite rewrite *once* — one-entry batches pay all four
+    /// per key. Keys below the global minimum are likewise folded into the
+    /// overflow buffer as one group.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
@@ -598,15 +496,15 @@ impl IndexWrite for FitingTree {
         let mut order: Vec<u32> = (0..entries.len() as u32).collect();
         order.sort_by_key(|&i| entries[i as usize].0);
 
+        let mut laps = StepLaps::start(&self.disk);
+
         // Group 1: keys below the global minimum go to the overflow buffer
         // (§4.2), merged in one pass; overflowing it folds everything into
         // the first segment with a single resegmentation SMO.
         let below = order.partition_point(|&i| entries[i as usize].0 < self.global_min_key);
         if below > 0 {
-            let before = self.disk.snapshot();
             let mut overflow = self.read_overflow(AccessClass::Point)?;
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
+            laps.lap(&mut self.breakdown, InsertStep::Search);
             for &i in &order[..below] {
                 let (key, value) = entries[i as usize];
                 match overflow.binary_search_by_key(&key, |&(k, _)| k) {
@@ -621,30 +519,43 @@ impl IndexWrite for FitingTree {
             if overflow.len() <= self.overflow_capacity() {
                 self.overflow_count = overflow.len() as u32;
                 self.write_overflow(&overflow)?;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Insert);
             } else {
                 let (first, _) = self.directory.find(self.global_min_key)?;
                 self.resegment(first, &overflow)?;
                 self.overflow_count = 0;
                 self.write_overflow(&[])?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
         }
 
         // Group 2: one pass per covering segment.
         let mut next = below;
         while next < order.len() {
-            let before = self.disk.snapshot();
-            let (meta, slot) = self.directory.find(entries[order[next] as usize].0)?;
+            let first_key = entries[order[next] as usize].0;
+            let (meta, slot) = self.directory.find(first_key)?;
             // The segment covers keys up to (but excluding) the next
-            // segment's first key; one directory probe bounds the group.
-            let upper = self.directory.next_segment(slot)?.map(|(m, _)| m.first_key);
-            let group_end = match upper {
-                Some(u) => next + order[next..].partition_point(|&i| entries[i as usize].0 < u),
-                None => order.len(),
+            // segment's first key; one directory probe bounds the group —
+            // spent only when a key follows that the bound could exclude
+            // (the next segment may sit in another directory leaf).
+            let group_end = if next + 1 == order.len() {
+                order.len()
+            } else {
+                match self.directory.next_segment(slot)? {
+                    Some((upper, _)) => {
+                        let covered = |&i: &u32| entries[i as usize].0 < upper.first_key;
+                        next + order[next..].partition_point(covered)
+                    }
+                    None => order.len(),
+                }
             };
+            // Probe the data region for the group's first key *before*
+            // reading the delta buffer: the buffer blocks follow the data
+            // blocks in the segment's extent, so in this order the buffer
+            // read is the sequential hop (the other order pays two seeks).
+            let first_in_data =
+                search_data(&self.disk, self.seg_file, &meta, first_key, self.config.epsilon)?
+                    .is_some();
             let mut buffer = if meta.buffer_count > 0 {
                 read_buffer(&self.disk, self.seg_file, &meta, AccessClass::Point)?
             } else {
@@ -655,14 +566,16 @@ impl IndexWrite for FitingTree {
             // probes benefit from the sorted order via the reuse slot.
             let mut data_overwrites: Vec<Entry> = Vec::new();
             let mut buffer_dirty = false;
-            for &i in &order[next..group_end] {
+            for (n, &i) in order[next..group_end].iter().enumerate() {
                 let (key, value) = entries[i as usize];
                 if let Ok(pos) = buffer.binary_search_by_key(&key, |&(k, _)| k) {
                     buffer[pos].1 = value;
                     buffer_dirty = true;
-                } else if search_data(&self.disk, self.seg_file, &meta, key, self.config.epsilon)?
-                    .is_some()
-                {
+                } else if match n {
+                    0 => first_in_data,
+                    _ => search_data(&self.disk, self.seg_file, &meta, key, self.config.epsilon)?
+                        .is_some(),
+                } {
                     match data_overwrites.binary_search_by_key(&key, |&(k, _)| k) {
                         Ok(pos) => data_overwrites[pos].1 = value,
                         Err(pos) => data_overwrites.insert(pos, (key, value)),
@@ -675,14 +588,14 @@ impl IndexWrite for FitingTree {
                 }
                 self.breakdown.finish_insert();
             }
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
+            laps.lap(&mut self.breakdown, InsertStep::Search);
 
             if buffer.len() <= self.config.buffer_entries
                 && buffer.len() <= meta.buffer_capacity(self.disk.block_size()) as usize
             {
                 // Delta fill: apply data overwrites with one region rewrite,
-                // then persist the merged buffer and its occupancy once.
+                // then persist the merged buffer and its occupancy once (the
+                // directory write is the paper's "extra block").
                 if !data_overwrites.is_empty() {
                     let mut data = read_all_data(&self.disk, self.seg_file, &meta)?;
                     for &(key, value) in &data_overwrites {
@@ -706,8 +619,7 @@ impl IndexWrite for FitingTree {
                         self.directory.update_meta(slot, updated)?;
                     }
                 }
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Insert);
             } else {
                 // The group overflows the delta buffer: fold every pending
                 // change (overwrites and fresh keys — `resegment` lets the
@@ -720,8 +632,7 @@ impl IndexWrite for FitingTree {
                     }
                 }
                 self.resegment(meta, &extras)?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             next = group_end;
         }
@@ -973,6 +884,71 @@ mod tests {
 
         let mut empty = tree(512);
         assert!(matches!(empty.insert_batch(&[(1, 1)]), Err(IndexError::NotInitialized)));
+    }
+
+    #[test]
+    fn one_entry_batch_probes_the_data_block_then_the_adjacent_buffer() {
+        use lidx_storage::DeviceModel;
+        // One segment with one data block, so its delta buffer is the very
+        // next block of the extent. Seeks dominate on the HDD model: reading
+        // the data block first makes the buffer read the sequential hop.
+        let hdd = DeviceModel::hdd();
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512).device(hdd));
+        let mut t = FitingTree::with_config(disk, FitingConfig { epsilon: 16, buffer_entries: 16 })
+            .unwrap();
+        t.bulk_load(&(0..20u64).map(|k| (k * 10, k)).collect::<Vec<_>>()).unwrap();
+        assert_eq!(t.segment_count(), 1);
+        t.insert_batch(&[(55, 1)]).unwrap();
+
+        let steps_before = t.insert_breakdown();
+        let io_before = t.disk().snapshot();
+        t.disk().reset_access_state();
+        t.insert_batch(&[(75, 2)]).unwrap();
+        let io = t.disk().snapshot().since(&io_before);
+        let steps = t.insert_breakdown().since(&steps_before);
+        assert_eq!(io.reads_of(BlockKind::Leaf), 2, "one data block, one buffer block");
+        let directory_reads = steps.reads(InsertStep::Search) - 2;
+        assert_eq!(
+            steps.device_ns(InsertStep::Search),
+            directory_reads * hdd.read_ns + hdd.read_ns + hdd.seq_read_ns,
+            "the buffer read must earn the sequential price, not a second seek"
+        );
+    }
+
+    #[test]
+    fn a_lone_key_spends_no_directory_probe_on_bounding_its_group() {
+        // Small blocks, so the directory has many leaves and many segments
+        // are the last of theirs: bounding such a segment's group means
+        // reading the next directory leaf, which only pays off when another
+        // key follows. Every fresh single-key insert must therefore cost the
+        // same directory descent, wherever its segment sits.
+        let disk = Disk::in_memory(DiskConfig::with_block_size(256));
+        let mut t =
+            FitingTree::with_config(disk, FitingConfig { epsilon: 2, buffer_entries: 16 }).unwrap();
+        // Gaps alternating between 1 and 1 000 every eight keys: each change
+        // of density ends a segment.
+        let mut key = 0u64;
+        let data: Vec<Entry> = (0..4_000u64)
+            .map(|i| {
+                key += if (i / 8) % 2 == 0 { 1 } else { 1_000 };
+                (key, i)
+            })
+            .collect();
+        t.bulk_load(&data).unwrap();
+        assert!(t.directory.leaf_nodes() > 16, "need segments at directory-leaf ends");
+        let mut inner_reads = std::collections::BTreeSet::new();
+        for &(k, _) in data.iter().step_by(3) {
+            if t.lookup(k + 1).unwrap().is_some() {
+                continue;
+            }
+            t.disk().reset_access_state();
+            let before = t.disk().snapshot();
+            t.insert(k + 1, 7).unwrap();
+            if t.stats().smo_count == 0 {
+                inner_reads.insert(t.disk().snapshot().since(&before).reads_of(BlockKind::Inner));
+            }
+        }
+        assert_eq!(inner_reads.len(), 1, "directory reads per insert vary: {inner_reads:?}");
     }
 
     #[test]

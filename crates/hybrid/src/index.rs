@@ -5,12 +5,12 @@ use std::sync::Arc;
 use lidx_btree::LeafView;
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_storage::{BlockId, Disk, OpClass};
 
 use crate::inner::{InnerDirectory, ModelTreeInner, PlaInner};
-use crate::leaf::{LeafInsert, LeafLevel};
+use crate::leaf::{LeafLevel, LeafSplit};
 
 /// Which learned structure routes queries to the leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,48 +264,12 @@ impl IndexWrite for HybridIndex {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        let before = self.disk.snapshot();
-        let leaf = self.inner.find_leaf(key)?;
-        let existed = self.leaves.lookup_in(leaf, key)?.is_some();
-        let after_search = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-        match self.leaves.insert_in(leaf, key, value)? {
-            LeafInsert::Done => {
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-            }
-            LeafInsert::Split { boundary, block } => {
-                // Register the new leaf and rebuild the learned directory —
-                // the heavy retraining cost that makes updatable learned
-                // inners expensive (design principle P2).
-                self.smo_count += 1;
-                let telemetry = Arc::clone(&self.disk);
-                let _span = telemetry.telemetry().span(OpClass::Smo);
-                telemetry.telemetry().add(OpClass::Smo, 1);
-                let pos = self.boundaries.partition_point(|&(b, _)| b <= boundary);
-                self.boundaries.insert(pos, (boundary, block));
-                self.inner.rebuild(&self.boundaries)?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-            }
-        }
-        if !existed {
-            self.key_count += 1;
-        }
-        self.breakdown.finish_insert();
-        Ok(())
-    }
-
-    /// Batched inserts append each sorted *run* of co-located entries to its
-    /// dense leaf with one read-modify-write, and — the big win — defer the
-    /// learned-directory retrain to a single [`InnerDirectory::rebuild`] at
-    /// the end of the batch instead of one per split (the P2 cost the
-    /// sequential path pays). While splits are pending, routing switches to
+    /// The one write path (`insert` is a batch of one): each sorted *run* of
+    /// co-located entries is appended to its dense leaf with one
+    /// read-modify-write, and — the big win — the learned-directory retrain
+    /// is deferred to a single [`InnerDirectory::rebuild`] at the end of the
+    /// batch instead of one per split (the P2 cost one-entry batches pay per
+    /// split). While splits are pending, routing switches to
     /// the in-memory boundary table, which is exactly the state the deferred
     /// rebuild will be trained on.
     ///
@@ -320,22 +284,23 @@ impl IndexWrite for HybridIndex {
         // Stable sort: duplicate keys keep slice order, later entries win.
         let mut order: Vec<u32> = (0..entries.len() as u32).collect();
         order.sort_by_key(|&i| entries[i as usize].0);
+        let mut laps = StepLaps::start(&self.disk);
         let mut directory_stale = false;
         let mut next = 0usize;
         while next < order.len() {
             let key = entries[order[next] as usize].0;
-            let before = self.disk.snapshot();
             // Route through the learned directory while it is current; once
             // a split leaves it stale, the in-memory boundary table (always
-            // current) takes over until the end-of-batch rebuild.
+            // current) takes over until the end-of-batch rebuild. Fetching
+            // the leaf is the last hop of the search.
             let upper_pos = self.boundaries.partition_point(|&(b, _)| b <= key);
             let leaf = if directory_stale {
                 self.boundaries[upper_pos.saturating_sub(1)].1
             } else {
                 self.inner.find_leaf(key)?
             };
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
+            let frame = self.leaves.pin(leaf)?;
+            laps.lap(&mut self.breakdown, InsertStep::Search);
 
             // The leaf covers keys up to (but excluding) the next boundary.
             let run_end = match self.boundaries.get(upper_pos) {
@@ -346,15 +311,14 @@ impl IndexWrite for HybridIndex {
             };
             let run: Vec<Entry> =
                 order[next..run_end].iter().map(|&i| entries[i as usize]).collect();
-            let (consumed, added, split) = self.leaves.insert_run_in(leaf, &run)?;
+            let (consumed, added, split) = self.leaves.insert_run_in(leaf, &frame, &run)?;
             self.key_count += added;
             for _ in 0..consumed {
                 self.breakdown.finish_insert();
             }
-            let after_apply = self.disk.snapshot();
             let step = if split.is_some() { InsertStep::Smo } else { InsertStep::Insert };
-            self.breakdown.add(step, &after_apply.since(&after_search));
-            if let Some(LeafInsert::Split { boundary, block }) = split {
+            laps.lap(&mut self.breakdown, step);
+            if let Some(LeafSplit { boundary, block }) = split {
                 self.smo_count += 1;
                 self.disk.telemetry().add(OpClass::Smo, 1);
                 let pos = self.boundaries.partition_point(|&(b, _)| b <= boundary);
@@ -364,14 +328,14 @@ impl IndexWrite for HybridIndex {
             next += consumed;
         }
         if directory_stale {
-            // The deferred directory retrain is the batch path's real SMO
-            // pause; the per-split bookkeeping above is bookkeeping only.
+            // The deferred directory retrain — the heavy cost that makes
+            // updatable learned inners expensive (design principle P2) — is
+            // the write path's real SMO pause; the per-split bookkeeping
+            // above is bookkeeping only.
             let telemetry = Arc::clone(&self.disk);
             let _span = telemetry.telemetry().span(OpClass::Smo);
-            let before_rebuild = self.disk.snapshot();
             self.inner.rebuild(&self.boundaries)?;
-            let after_rebuild = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_rebuild.since(&before_rebuild));
+            laps.lap(&mut self.breakdown, InsertStep::Smo);
         }
         Ok(())
     }

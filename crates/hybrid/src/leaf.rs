@@ -21,19 +21,15 @@ pub struct LeafLevel {
     leaf_count: u64,
 }
 
-/// Result of inserting into the leaf level.
+/// A leaf split reported by [`LeafLevel::insert_run_in`]: the new right leaf
+/// the caller has to register with the inner structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafInsert {
-    /// The entry was stored without structural change.
-    Done,
-    /// The entry was stored but the leaf split; the new right leaf starts at
-    /// the given block and covers keys from the given boundary upwards.
-    Split {
-        /// Boundary (first key) of the new right leaf.
-        boundary: Key,
-        /// Block id of the new right leaf.
-        block: BlockId,
-    },
+pub struct LeafSplit {
+    /// Boundary (first key) of the new right leaf, which covers keys from
+    /// here upwards.
+    pub boundary: Key,
+    /// Block id of the new right leaf.
+    pub block: BlockId,
 }
 
 impl LeafLevel {
@@ -117,20 +113,22 @@ impl LeafLevel {
         Ok(q.complete()?.into_iter().map(|c| c.frame).collect())
     }
 
-    /// Upserts a sorted run of entries into the leaf at `block` with one
-    /// read and one write, returning `(consumed, added, split)`: how many
-    /// leading entries of `run` were applied, how many of those were new
-    /// keys, and the split descriptor if the leaf overflowed. The caller
-    /// guarantees every run entry is covered by this leaf; consumption stops
-    /// one entry past capacity (that overflow forces the split), so the
-    /// caller re-routes the remainder against the post-split leaf level.
+    /// Upserts a sorted run of entries into the leaf at `block`, whose
+    /// pinned `frame` the caller fetched as the last hop of its search, with
+    /// one write, returning `(consumed, added, split)`: how many leading
+    /// entries of `run` were applied, how many of those were new keys, and
+    /// the split descriptor if the leaf overflowed. The caller guarantees
+    /// every run entry is covered by this leaf; consumption stops one entry
+    /// past capacity (that overflow forces the split), so the caller
+    /// re-routes the remainder against the post-split leaf level.
     pub fn insert_run_in(
         &mut self,
         block: BlockId,
+        frame: &BlockRef,
         run: &[Entry],
-    ) -> IndexResult<(usize, u64, Option<LeafInsert>)> {
+    ) -> IndexResult<(usize, u64, Option<LeafSplit>)> {
         // The one place the leaf level decodes: the node is about to change.
-        let mut leaf = LeafNode::decode(&self.pin(block)?)?;
+        let mut leaf = LeafNode::decode(frame)?;
         let mut consumed = 0usize;
         let mut added = 0u64;
         for &(key, value) in run {
@@ -153,15 +151,7 @@ impl LeafLevel {
         self.write(block, &leaf)?;
         self.write(right_block, &right)?;
         self.leaf_count += 1;
-        Ok((consumed, added, Some(LeafInsert::Split { boundary, block: right_block })))
-    }
-
-    /// Inserts into the leaf at `block`, splitting it if necessary: the
-    /// single-entry case of [`LeafLevel::insert_run_in`].
-    pub fn insert_in(&mut self, block: BlockId, key: Key, value: Value) -> IndexResult<LeafInsert> {
-        let (consumed, _, split) = self.insert_run_in(block, &[(key, value)])?;
-        debug_assert_eq!(consumed, 1, "a single entry is always consumed");
-        Ok(split.unwrap_or(LeafInsert::Done))
+        Ok((consumed, added, Some(LeafSplit { boundary, block: right_block })))
     }
 
     /// Scans forward from `start`, beginning at the leaf at `block`, until
@@ -222,13 +212,13 @@ mod tests {
         for i in 0..200u64 {
             let key = i * 5 + 1;
             let idx = bounds.partition_point(|&(b, _)| b <= key) - 1;
-            match l.insert_in(bounds[idx].1, key, i).unwrap() {
-                LeafInsert::Done => {}
-                LeafInsert::Split { boundary, block } => {
-                    splits += 1;
-                    assert!(boundary > bounds[idx].0);
-                    assert!(l.covers(block, boundary).unwrap());
-                }
+            let frame = l.pin(bounds[idx].1).unwrap();
+            let (consumed, _, split) = l.insert_run_in(bounds[idx].1, &frame, &[(key, i)]).unwrap();
+            assert_eq!(consumed, 1, "a single entry is always consumed");
+            if let Some(LeafSplit { boundary, block }) = split {
+                splits += 1;
+                assert!(boundary > bounds[idx].0);
+                assert!(l.covers(block, boundary).unwrap());
             }
         }
         assert!(splits > 0, "dense inserts must split at least one leaf");

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::fmcd::fit_fmcd;
 use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, OpClass, SeqHint};
@@ -183,24 +183,25 @@ impl LippIndex {
     }
 
     /// Writes the statistics header of every node in `dirty` once (the
-    /// batched-insert Maintenance step) and empties the set. The in-memory
-    /// cache is authoritative while headers are deferred, so this is the
-    /// only place batched inserts touch headers on disk.
+    /// Maintenance step) and empties the list. The in-memory cache is
+    /// authoritative while headers are deferred, so this is the only place
+    /// inserts touch headers on disk. `dirty` lists a node once per insert
+    /// that bumped it; headers go out in first-touch order — for one insert
+    /// that is the leaf, then its ancestors from the root down, which leaves
+    /// the device head on the deepest ancestor (the usual rebuild target).
     fn flush_dirty_headers(
         &mut self,
         nodes: &std::collections::HashMap<BlockId, LippNode>,
-        dirty: &mut std::collections::BTreeSet<BlockId>,
+        dirty: &mut Vec<BlockId>,
+        laps: &mut StepLaps,
     ) -> IndexResult<()> {
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        let before = self.disk.snapshot();
-        for b in std::mem::take(dirty) {
-            if let Some(node) = nodes.get(&b) {
+        let mut written = std::collections::HashSet::new();
+        for b in dirty.drain(..) {
+            if let (true, Some(node)) = (written.insert(b), nodes.get(&b)) {
                 node.write_header(&self.disk)?;
             }
         }
-        self.breakdown.add(InsertStep::Maintenance, &self.disk.snapshot().since(&before));
+        laps.lap(&mut self.breakdown, InsertStep::Maintenance);
         Ok(())
     }
 
@@ -433,115 +434,11 @@ impl IndexWrite for LippIndex {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        let before = self.disk.snapshot();
-
-        // Descend, remembering the path for the statistics maintenance pass.
-        let mut path: Vec<(LippNode, u32)> = Vec::new();
-        let mut node = LippNode::load(&self.disk, self.file, self.root)?;
-        let outcome = loop {
-            let slot = node.predict(key);
-            match node.read_slot(&self.disk, slot)? {
-                Slot::Child(b) => {
-                    path.push((node, slot));
-                    node = LippNode::load(&self.disk, self.file, b)?;
-                }
-                other => break (other, slot),
-            }
-        };
-        let after_search = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-        let (slot_content, slot) = outcome;
-        let mut conflicted = false;
-        match slot_content {
-            Slot::Data(k, _) if k == key => {
-                // Upsert: overwrite the payload in place.
-                node.write_slot(&self.disk, slot, Slot::Data(key, value))?;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-                self.breakdown.finish_insert();
-                return Ok(());
-            }
-            Slot::Null => {
-                node.write_slot(&self.disk, slot, Slot::Data(key, value))?;
-                node.header.data_count += 1;
-                let after_insert = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-            }
-            Slot::Data(k0, v0) => {
-                // Conflict: push both keys into a freshly created child node
-                // (LIPP's per-insert SMO, roughly one in three inserts, O7).
-                conflicted = true;
-                self.smo_count += 1;
-                let telemetry = Arc::clone(&self.disk);
-                let _span = telemetry.telemetry().span(OpClass::Smo);
-                telemetry.telemetry().add(OpClass::Smo, 1);
-                let mut pair = [(k0, v0), (key, value)];
-                pair.sort_unstable_by_key(|e| e.0);
-                let child = self.build_subtree(&pair, 0)?;
-                node.write_slot(&self.disk, slot, Slot::Child(child))?;
-                node.header.data_count -= 1;
-                node.header.child_count += 1;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-            }
-            Slot::Child(_) => unreachable!("descent only stops at NULL or DATA slots"),
-        }
-        self.key_count += 1;
-
-        // Maintenance: update the statistics of every node along the access
-        // path (the paper calls out this full-path write cost for LIPP).
-        let after_smo_or_insert = self.disk.snapshot();
-        node.header.num_inserts += 1;
-        if conflicted {
-            node.header.num_conflicts += 1;
-        }
-        node.write_header(&self.disk)?;
-        for (ancestor, _) in path.iter_mut() {
-            ancestor.header.num_inserts += 1;
-            if conflicted {
-                ancestor.header.num_conflicts += 1;
-            }
-            ancestor.write_header(&self.disk)?;
-        }
-        let after_maintenance = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Maintenance, &after_maintenance.since(&after_smo_or_insert));
-
-        // Subtree-rebuild SMO: find the highest node on the path whose
-        // statistics demand a rebuild and rebuild it.
-        let mut rebuild_target: Option<usize> = None;
-        for (i, (n, _)) in path.iter().enumerate() {
-            if self.should_rebuild(n) {
-                rebuild_target = Some(i);
-                break;
-            }
-        }
-        let leaf_needs_rebuild = rebuild_target.is_none() && self.should_rebuild(&node);
-        if let Some(i) = rebuild_target {
-            let (target, _) = path[i].clone();
-            let parent = if i == 0 { None } else { Some((&path[i - 1].0, path[i - 1].1)) };
-            self.rebuild_subtree(&target, parent)?;
-            let after_rebuild = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_rebuild.since(&after_maintenance));
-        } else if leaf_needs_rebuild {
-            let parent = path.last().map(|(p, s)| (p, *s));
-            self.rebuild_subtree(&node, parent)?;
-            let after_rebuild = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_rebuild.since(&after_maintenance));
-        }
-
-        self.breakdown.finish_insert();
-        Ok(())
-    }
-
-    /// Batched inserts accumulate the per-node statistics (`num_inserts`,
-    /// `num_conflicts`, slot counts) in an in-memory node cache and write
-    /// each touched node's header **once per batch** instead of once per
-    /// key per path level — the write-side counterpart of `lookup_batch`'s
+    /// The one write path (`insert` is a batch of one): the per-node
+    /// statistics (`num_inserts`, `num_conflicts`, slot counts) accumulate
+    /// in an in-memory node cache and each touched node's header is written
+    /// **once per batch** instead of once per key per path level — the
+    /// write-side counterpart of `lookup_batch`'s
     /// header caching, and the Fig. 6 maintenance cost LIPP pays worst of
     /// all designs. Slot writes (the actual data) still go to disk per
     /// entry, so the on-disk structure is never behind; only the statistics
@@ -554,11 +451,12 @@ impl IndexWrite for LippIndex {
         }
         let mut nodes: std::collections::HashMap<BlockId, LippNode> =
             std::collections::HashMap::new();
-        let mut dirty: std::collections::BTreeSet<BlockId> = std::collections::BTreeSet::new();
+        let mut dirty: Vec<BlockId> = Vec::new();
 
+        let mut laps = StepLaps::start(&self.disk);
         for &(key, value) in entries {
-            // Descend through the cache (in-memory headers authoritative).
-            let before = self.disk.snapshot();
+            // Descend through the cache (in-memory headers authoritative),
+            // remembering the path for the statistics maintenance pass.
             let mut path: Vec<(BlockId, u32)> = Vec::new();
             let mut block = self.root;
             let (slot_content, slot, leaf) = loop {
@@ -575,26 +473,26 @@ impl IndexWrite for LippIndex {
                     other => break (other, slot, block),
                 }
             };
-            let after_search = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Search, &after_search.since(&before));
+            laps.lap(&mut self.breakdown, InsertStep::Search);
 
             let mut conflicted = false;
             match slot_content {
                 Slot::Data(k, _) if k == key => {
                     // Upsert in place: no statistics change.
                     nodes[&leaf].write_slot(&self.disk, slot, Slot::Data(key, value))?;
-                    self.breakdown
-                        .add(InsertStep::Insert, &self.disk.snapshot().since(&after_search));
+                    laps.lap(&mut self.breakdown, InsertStep::Insert);
                     self.breakdown.finish_insert();
                     continue;
                 }
                 Slot::Null => {
                     nodes[&leaf].write_slot(&self.disk, slot, Slot::Data(key, value))?;
                     nodes.get_mut(&leaf).expect("cached").header.data_count += 1;
-                    self.breakdown
-                        .add(InsertStep::Insert, &self.disk.snapshot().since(&after_search));
+                    laps.lap(&mut self.breakdown, InsertStep::Insert);
                 }
                 Slot::Data(k0, v0) => {
+                    // Conflict: push both keys into a freshly created child
+                    // node (LIPP's per-insert SMO, roughly one in three
+                    // inserts, O7).
                     conflicted = true;
                     self.smo_count += 1;
                     let telemetry = Arc::clone(&self.disk);
@@ -607,21 +505,22 @@ impl IndexWrite for LippIndex {
                     let header = &mut nodes.get_mut(&leaf).expect("cached").header;
                     header.data_count -= 1;
                     header.child_count += 1;
-                    self.breakdown.add(InsertStep::Smo, &self.disk.snapshot().since(&after_search));
+                    laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
                 Slot::Child(_) => unreachable!("descent only stops at NULL or DATA slots"),
             }
             self.key_count += 1;
 
             // Maintenance, deferred: bump the statistics of the leaf and
-            // every ancestor in memory only.
-            for &(b, _) in path.iter().chain(std::iter::once(&(leaf, 0))) {
+            // every ancestor in memory only (written once per batch — the
+            // paper calls out this full-path write cost for LIPP).
+            for b in std::iter::once(leaf).chain(path.iter().map(|&(b, _)| b)) {
                 let header = &mut nodes.get_mut(&b).expect("cached").header;
                 header.num_inserts += 1;
                 if conflicted {
                     header.num_conflicts += 1;
                 }
-                dirty.insert(b);
+                dirty.push(b);
             }
 
             // Subtree-rebuild check against the (accurate) in-memory stats.
@@ -637,8 +536,7 @@ impl IndexWrite for LippIndex {
                 // Flush every deferred header before restructuring, then
                 // drop the cache: the rebuild frees blocks that may be
                 // re-allocated, so no stale handle may survive it.
-                self.flush_dirty_headers(&nodes, &mut dirty)?;
-                let before_rebuild = self.disk.snapshot();
+                self.flush_dirty_headers(&nodes, &mut dirty, &mut laps)?;
                 if let Some(i) = rebuild_target {
                     let target = nodes[&path[i].0].clone();
                     let parent = if i == 0 {
@@ -653,11 +551,11 @@ impl IndexWrite for LippIndex {
                     self.rebuild_subtree(&target, parent.as_ref().map(|(p, s)| (p, *s)))?;
                 }
                 nodes.clear();
-                self.breakdown.add(InsertStep::Smo, &self.disk.snapshot().since(&before_rebuild));
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             self.breakdown.finish_insert();
         }
-        self.flush_dirty_headers(&nodes, &mut dirty)
+        self.flush_dirty_headers(&nodes, &mut dirty, &mut laps)
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {

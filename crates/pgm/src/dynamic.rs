@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, Value,
+    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_storage::{AccessClass, BlockKind, Disk, OpClass};
 
@@ -383,45 +383,14 @@ impl IndexWrite for PgmIndex {
         Ok(())
     }
 
-    fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        let before = self.disk.snapshot();
-        // PGM only searches the insert run on insert (the paper highlights
-        // this as the reason for its write-only dominance, O6).
-        let mut run = self.read_run(AccessClass::Point)?;
-        let after_search = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &after_search.since(&before));
-
-        match run.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(pos) => run[pos].1 = value,
-            Err(pos) => {
-                run.insert(pos, (key, value));
-                self.key_count += 1;
-            }
-        }
-        if run.len() <= self.config.insert_run_entries {
-            self.run = run.len() as u32;
-            self.write_run(&run)?;
-            let after_insert = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Insert, &after_insert.since(&after_search));
-        } else {
-            self.flush_run(run)?;
-            let after_smo = self.disk.snapshot();
-            self.breakdown.add(InsertStep::Smo, &after_smo.since(&after_search));
-        }
-        self.breakdown.finish_insert();
-        Ok(())
-    }
-
-    /// Batched inserts append to the run in memory: the run blocks are read
-    /// once per batch and the run is rewritten once at the end — where the
-    /// sequential loop pays a run read and a run write *per key*. LSM
-    /// flushes fire exactly when the sequential loop would fire them (the
-    /// run crossing its capacity), so the logical outcome — including the
-    /// lazily-reconciled key count, which depends on *when* duplicates meet
-    /// the run — is identical to the per-key loop.
+    /// The one write path (`insert` is a batch of one): entries are
+    /// appended to the run in memory, so the run blocks are read once per
+    /// batch and the run is rewritten once at the end — where one-entry
+    /// batches pay a run read and a run write *per key*. LSM flushes fire
+    /// at the same entries under every partition of a stream into batches
+    /// (the run crossing its capacity), so the logical outcome — including
+    /// the lazily-reconciled key count, which depends on *when* duplicates
+    /// meet the run — does not depend on the partition.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
@@ -429,10 +398,11 @@ impl IndexWrite for PgmIndex {
         if entries.is_empty() {
             return Ok(());
         }
-        let before = self.disk.snapshot();
+        let mut laps = StepLaps::start(&self.disk);
+        // PGM only searches the insert run on insert (the paper highlights
+        // this as the reason for its write-only dominance, O6).
         let mut run = self.read_run(AccessClass::Point)?;
-        let mut last = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Search, &last.since(&before));
+        laps.lap(&mut self.breakdown, InsertStep::Search);
 
         for &(key, value) in entries {
             match run.binary_search_by_key(&key, |&(k, _)| k) {
@@ -445,9 +415,7 @@ impl IndexWrite for PgmIndex {
             self.breakdown.finish_insert();
             if run.len() > self.config.insert_run_entries {
                 self.flush_run(std::mem::take(&mut run))?;
-                let after_smo = self.disk.snapshot();
-                self.breakdown.add(InsertStep::Smo, &after_smo.since(&last));
-                last = after_smo;
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
         }
         // `flush_run` already persisted an empty run if it ran last.
@@ -455,8 +423,7 @@ impl IndexWrite for PgmIndex {
             self.run = run.len() as u32;
             self.write_run(&run)?;
         }
-        let after_insert = self.disk.snapshot();
-        self.breakdown.add(InsertStep::Insert, &after_insert.since(&last));
+        laps.lap(&mut self.breakdown, InsertStep::Insert);
         Ok(())
     }
 

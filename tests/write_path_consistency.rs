@@ -171,15 +171,39 @@ fn write_buffer_auto_drains_at_capacity_through_insert_batch() {
     }
 }
 
+/// Asserts that the step breakdown accumulated since `steps_before` accounts
+/// for exactly the I/O the disk recorded since `io_before`: no read, write
+/// or nanosecond of a write path may fall between two steps.
+fn assert_steps_sum_to_disk_io(
+    index: &dyn DiskIndex,
+    steps_before: &lidx_core::InsertBreakdown,
+    io_before: &lidx_storage::OpStats,
+    label: &str,
+) {
+    let steps = index.insert_breakdown().since(steps_before);
+    let io = index.disk().snapshot().since(io_before);
+    let total = |of: fn(&lidx_core::InsertBreakdown, InsertStep) -> u64| {
+        InsertStep::ALL.iter().map(|&step| of(&steps, step)).sum::<u64>()
+    };
+    assert_eq!(total(lidx_core::InsertBreakdown::reads), io.reads(), "{label}: reads");
+    assert_eq!(total(lidx_core::InsertBreakdown::writes), io.writes(), "{label}: writes");
+    assert_eq!(steps.total_ns(), io.device_ns, "{label}: device time");
+}
+
 #[test]
 fn every_design_reports_a_real_insert_breakdown() {
     // The satellite fix: `insert_breakdown` moved onto `IndexWrite` with no
     // silently-zero default, so after inserts every design must report its
     // insert count and a non-zero search cost (every write path starts by
-    // locating the key's position on disk).
+    // locating the key's position on disk) — and the four steps must add up
+    // to everything the disk did since the bulk load, for per-key inserts
+    // and for a multi-entry batch alike (ALEX used to drop a failed fill
+    // attempt and its cached-leaf routing read between steps).
     let bulk: Vec<Entry> = (0..3_000u64).map(|i| (i * 7, i)).collect();
     for choice in IndexChoice::ALL_DESIGNS {
         let mut index = build_loaded(choice, &bulk);
+        let steps_before = index.insert_breakdown();
+        let io_before = index.disk().snapshot();
         for i in 0..200u64 {
             index.insert(i * 7 + 3, i).expect("insert");
         }
@@ -192,11 +216,24 @@ fn every_design_reports_a_real_insert_breakdown() {
         assert!(b.reads(InsertStep::Search) > 0, "{choice:?} search must fetch blocks");
         assert!(b.total_ns() >= b.device_ns(InsertStep::Search));
         assert_eq!(b.drains, 0, "{choice:?} a bare index never drains");
+        assert_steps_sum_to_disk_io(
+            &*index,
+            &steps_before,
+            &io_before,
+            &format!("{choice:?} per-key"),
+        );
 
-        // The batched path must keep counting per-entry.
-        let batch: Vec<Entry> = (0..50u64).map(|i| (i * 7 + 4, i)).collect();
+        // The batched path must keep counting per-entry. Dense enough to
+        // overfill nodes mid-batch, so SMOs and retries are in the sum.
+        let batch: Vec<Entry> = (0..3_000u64).map(|i| (i * 7 + 4 + i % 2, i)).collect();
         index.insert_batch(&batch).expect("insert_batch");
-        assert_eq!(index.insert_breakdown().inserts, 250, "{choice:?} batch coverage");
+        assert_eq!(index.insert_breakdown().inserts, 3_200, "{choice:?} batch coverage");
+        assert_steps_sum_to_disk_io(
+            &*index,
+            &steps_before,
+            &io_before,
+            &format!("{choice:?} batch"),
+        );
     }
 }
 
@@ -219,34 +256,57 @@ fn empty_batches_and_uninitialised_indexes_error_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
-    /// Property: for random bulk loads and random insert batches (duplicate
-    /// keys and bulk-key overwrites included), `insert_batch` produces
-    /// exactly the content of the sequential loop, for every design.
+    /// Property: for random bulk loads and random insert streams (duplicate
+    /// keys and bulk-key overwrites included), every partition of the stream
+    /// into consecutive `insert_batch` calls leaves exactly the content of
+    /// the `BTreeMap` oracle, for every design: the whole stream as one
+    /// batch, a proptest-drawn partition into batches of sizes 1..=n, and
+    /// the all-ones partition through `insert` — the per-key loop is just
+    /// one more partition.
     #[test]
     fn random_insert_batches_match_sequential(
         bulk_keys in proptest::collection::btree_set(0u64..400_000, 20..200),
         batch_keys in proptest::collection::vec(0u64..450_000, 1..150),
+        cut_sizes in proptest::collection::vec(1usize..40, 150),
     ) {
         let bulk: Vec<Entry> = bulk_keys.iter().map(|&k| (k, k + 1)).collect();
-        let batch: Vec<Entry> =
+        let stream: Vec<Entry> =
             batch_keys.iter().enumerate().map(|(i, &k)| (k, 2_000_000 + i as u64)).collect();
         let mut oracle: BTreeMap<Key, Value> = bulk.iter().copied().collect();
-        for &(k, v) in &batch {
-            oracle.insert(k, v);
-        }
+        apply_to_oracle(&mut oracle, &stream);
+        let probes: Vec<Key> = oracle.keys().copied().collect();
+        let expected: Vec<Entry> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+        // `cut_sizes` has one size per stream entry at most, so it always
+        // covers the stream; the last batch is clipped to what is left.
+        let partitions: [(&str, &[usize]); 3] =
+            [("one batch", &[stream.len()]), ("drawn partition", &cut_sizes), ("per key", &[])];
         for choice in IndexChoice::ALL_DESIGNS {
-            let mut batched = build_loaded(choice, &bulk);
-            batched.insert_batch(&batch).expect("insert_batch");
-            let probes: Vec<Key> = oracle.keys().copied().collect();
-            let mut answers = Vec::new();
-            batched.lookup_batch(&probes, &mut answers).expect("lookup_batch");
-            for (i, &k) in probes.iter().enumerate() {
-                prop_assert_eq!(answers[i], oracle.get(&k).copied(), "{:?} key {}", choice, k);
+            for (label, sizes) in partitions {
+                let mut index = build_loaded(choice, &bulk);
+                if sizes.is_empty() {
+                    for &(k, v) in &stream {
+                        index.insert(k, v).expect("insert");
+                    }
+                } else {
+                    let mut rest = &stream[..];
+                    for &size in sizes {
+                        let (batch, tail) = rest.split_at(size.min(rest.len()));
+                        index.insert_batch(batch).expect("insert_batch");
+                        rest = tail;
+                    }
+                    prop_assert!(rest.is_empty());
+                }
+                let mut answers = Vec::new();
+                index.lookup_batch(&probes, &mut answers).expect("lookup_batch");
+                for (i, &k) in probes.iter().enumerate() {
+                    prop_assert_eq!(
+                        answers[i], oracle.get(&k).copied(), "{:?} {} key {}", choice, label, k
+                    );
+                }
+                let mut scanned = Vec::new();
+                index.scan(0, oracle.len() + 8, &mut scanned).expect("scan");
+                prop_assert_eq!(&scanned, &expected, "{:?} {} full scan", choice, label);
             }
-            let mut scanned = Vec::new();
-            batched.scan(0, oracle.len() + 8, &mut scanned).expect("scan");
-            let expected: Vec<Entry> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-            prop_assert_eq!(&scanned, &expected, "{:?} full scan", choice);
         }
     }
 
