@@ -1,5 +1,6 @@
-//! The `exp` binary's exit-code contract: a malformed option is a usage
-//! error (exit 2, usage line on stderr), an unknown target exits 1.
+//! The `exp` binary's contract: a malformed option is a usage error (exit 2,
+//! usage line on stderr), an unknown target exits 1, and every paper
+//! artifact prints exactly the recorded golden report.
 
 use std::process::{Command, Output};
 
@@ -21,18 +22,65 @@ fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
 }
 
-/// The paper's write figures are simulated device time only, so their
-/// output is a pure function of the per-key write paths: the golden file was
-/// recorded when every design still had a hand-written `insert` body, and a
-/// difference means a batch of one no longer costs what `insert` cost.
+/// `exp <target> --quick --seed 42` for every paper artifact, as
+/// `exp all --quick --seed 42` prints it: the scale line, then one
+/// `#### <target> ####` section per target in registry order.
+const GOLDEN: &str = include_str!("golden/paper_artifacts_quick_seed42.txt");
+
+/// The golden's scale line and its `(target, report)` sections.
+fn golden_sections() -> (&'static str, Vec<(&'static str, &'static str)>) {
+    let mut parts = GOLDEN.split("\n#### ");
+    let scale = parts.next().expect("scale line");
+    let sections = parts.map(|part| part.split_once(" ####\n").expect("section header")).collect();
+    (scale, sections)
+}
+
+/// Runs `exp <targets> --quick --seed 42` and diffs its stdout against the
+/// golden sections of those targets. The paper's artifacts are simulated
+/// device time only, so their output is a pure function of the code: a
+/// difference means a change moved a number the paper reports.
+fn assert_matches_golden(targets: &[&str]) {
+    let (scale, sections) = golden_sections();
+    let mut want = scale.to_string();
+    for target in targets {
+        let (_, report) = sections
+            .iter()
+            .find(|(name, _)| name == target)
+            .unwrap_or_else(|| panic!("{target} has no golden section"));
+        want.push('\n');
+        want.push_str(report);
+    }
+    let out = exp(&[targets, &["--quick", "--seed", "42"]].concat());
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = String::from_utf8(out.stdout).expect("utf-8 report");
+    for (i, (got, want)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(got, want, "{targets:?}: line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "{targets:?}");
+}
+
+/// The search-side artifacts: dataset profile, Lookup-/Scan-Only throughput
+/// and fetched blocks, hybrids, bulk load, memory-resident inner nodes.
+const SEARCH: [&str; 7] = ["table3", "fig3", "fig4", "table4", "table5", "fig7", "fig8"];
+
+/// The write-side artifacts: every figure a per-key insert path feeds.
+const WRITE: [&str; 7] = ["table2", "fig5", "fig6", "fig9", "fig10", "fig12", "fig14"];
+
+/// Block-size and buffer-size sensitivity, and the two ablations.
+const SENSITIVITY_AND_ABLATIONS: [&str; 4] =
+    ["fig11", "fig13", "layout_ablation", "space_reuse_ablation"];
+
+#[test]
+fn search_figures_match_the_recorded_golden() {
+    assert_matches_golden(&SEARCH);
+}
+
 #[test]
 fn write_figures_match_the_recorded_golden() {
-    let out = exp(&["fig5", "fig6", "fig10", "--quick", "--seed", "42"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
-    let golden = include_str!("golden/fig5_fig6_fig10_quick_seed42.txt");
-    for (i, (got, want)) in stdout.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "line {}", i + 1);
-    }
-    assert_eq!(stdout.lines().count(), golden.lines().count());
+    assert_matches_golden(&WRITE);
+}
+
+#[test]
+fn sensitivity_and_ablations_match_the_recorded_golden() {
+    assert_matches_golden(&SENSITIVITY_AND_ABLATIONS);
 }
