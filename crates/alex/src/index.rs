@@ -384,7 +384,10 @@ impl AlexIndex {
                 ],
             )?;
             self.inner_nodes += 1;
-            self.height += 1;
+            // The new data nodes sit one level below the replaced node (depth
+            // `path.len()`); height is the deepest data node's depth + 1, as
+            // bulk load sets it.
+            self.height = self.height.max(path.len() as u32 + 2);
             self.repoint_parent(path, node.start, ChildPtr { is_data: false, block: start })?;
         } else {
             // Expansion: rebuild with double capacity and a retrained model.
@@ -878,6 +881,40 @@ mod tests {
             assert_eq!(a.lookup(k).unwrap(), Some(v), "key {k}");
         }
         assert_eq!(a.lookup(data.last().unwrap().0 + 7).unwrap(), None);
+    }
+
+    /// Depth of the deepest data node below `ptr` (a data node at `ptr`
+    /// itself is depth `depth`).
+    fn deepest_data_node(a: &AlexIndex, ptr: ChildPtr, depth: u32) -> u32 {
+        if ptr.is_data {
+            return depth;
+        }
+        let node = InnerNode::load(&a.disk, a.inner_file, ptr.block).unwrap();
+        (0..node.header.children)
+            .map(|i| node.child_at(&a.disk, i).unwrap())
+            .map(|child| deepest_data_node(a, child, depth + 1))
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn height_is_one_plus_the_deepest_data_node_after_split_downs() {
+        let mut a = index(4096);
+        a.bulk_load(&entries(4_000, 10)).unwrap();
+        let bulk_height = a.stats().height;
+        assert_eq!(bulk_height, 1 + deepest_data_node(&a, a.root, 0));
+        let inner_before = a.stats().inner_nodes;
+        // Fill the gaps of every leaf until each splits downward: many
+        // split-downs at the same depth deepen the tree by one level only.
+        for i in 0..4_000u64 {
+            for d in 1..6 {
+                a.insert(i * 10 + 1 + d, d).unwrap();
+            }
+        }
+        let s = a.stats();
+        assert!(s.inner_nodes >= inner_before + 2, "the inserts must split leaves downward");
+        assert_eq!(s.height, 1 + deepest_data_node(&a, a.root, 0), "{s:?}");
+        assert!(s.height > bulk_height);
     }
 
     #[test]

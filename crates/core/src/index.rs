@@ -359,7 +359,7 @@ pub trait IndexWrite {
 
     /// The accumulated insert-step breakdown (search / insert / SMO /
     /// maintenance, plus group-commit drain counters) since the index was
-    /// created. Used for Fig. 6 and `BENCH_write.json`.
+    /// created. Used for Fig. 6 and the buffered-vs-per-key write contrast.
     ///
     /// Required — a design that tracks nothing must still say so explicitly
     /// by returning [`InsertBreakdown::new`], so a zeroed breakdown can no

@@ -194,8 +194,8 @@ pub struct InsertBreakdown {
     pub inserts: u64,
     /// Number of group-commit drains (buffered batches handed to
     /// `insert_batch`) folded into this breakdown. Zero for a bare index;
-    /// a `WriteBuffer` front adds its flush count so `BENCH_write.json` can
-    /// attribute drain cost.
+    /// a `WriteBuffer` front adds its flush count so a report can attribute
+    /// drain cost.
     pub drains: u64,
     /// Total entries those drains carried (so `drained_entries / drains` is
     /// the realised group-commit batch size).

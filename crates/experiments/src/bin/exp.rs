@@ -4,24 +4,26 @@
 //! cargo run --release -p lidx-experiments --bin exp -- <target> [options]
 //!
 //! targets:  table2 table3 table4 table5 fig3 fig4 ... fig14
-//!           layout_ablation space_reuse_ablation par_lookup all list
+//!           layout_ablation space_reuse_ablation all list
 //! options:  --keys N        dataset size for search workloads   (default 200000)
 //!           --ops N         operations per workload             (default 5000)
 //!           --bulk N        bulk-loaded keys for mixed workloads (default 50000)
 //!           --seed N        RNG seed                             (default 42)
-//!           --threads N     max reader threads for par_lookup    (default 4)
 //!           --dataset-path F  SOSD binary key file (u64 LE count + keys)
 //!                             replacing the synthetic datasets
 //!           --quick         tiny scale for smoke testing
 //! ```
+//!
+//! The whole command line is checked before anything runs: an unknown or
+//! malformed option exits 2 with the usage line, an unknown target exits 1.
 
 use lidx_experiments::experiments::{all_experiments, Scale};
 
 const USAGE: &str = "usage: exp <target>... [--keys N] [--ops N] [--bulk N] [--seed N] \
-                     [--threads N] [--dataset-path FILE] [--quick]";
+                     [--dataset-path FILE] [--quick]";
 
-/// Parses the command line; `Err` names the option whose value is missing
-/// or malformed.
+/// Parses the command line; `Err` names the option that is unknown or whose
+/// value is missing or malformed.
 fn parse_args() -> Result<(Vec<String>, Scale), String> {
     fn number<T: std::str::FromStr>(
         option: &str,
@@ -39,7 +41,6 @@ fn parse_args() -> Result<(Vec<String>, Scale), String> {
             "--ops" => scale.ops = number(&arg, &mut args)?,
             "--bulk" => scale.bulk_keys = number(&arg, &mut args)?,
             "--seed" => scale.seed = number(&arg, &mut args)?,
-            "--threads" => scale.threads = number(&arg, &mut args)?,
             "--dataset-path" => {
                 let path = args.next().ok_or("--dataset-path needs a file")?;
                 scale.dataset_path = Some(path.into());
@@ -49,7 +50,9 @@ fn parse_args() -> Result<(Vec<String>, Scale), String> {
                 scale.ops = 500;
                 scale.bulk_keys = 5_000;
             }
-            other => targets.push(other.to_string()),
+            other if other.starts_with('-') => return Err(format!("unknown option '{other}'")),
+            // Accept kebab-case spellings (`layout-ablation` == `layout_ablation`).
+            other => targets.push(other.replace('-', "_")),
         }
     }
     Ok((targets, scale))
@@ -73,29 +76,30 @@ fn main() {
         return;
     }
 
+    // Resolve every target before running any, so a typo in the last one
+    // does not first cost a run of the others. `all` heads each report with
+    // its target name.
+    let mut plan = Vec::new();
+    for target in &targets {
+        if target == "all" {
+            plan.extend(registry.iter().map(|&(name, f)| (Some(name), f)));
+        } else if let Some(&(_, f)) = registry.iter().find(|(name, _)| name == target) {
+            plan.push((None, f));
+        } else {
+            eprintln!("unknown experiment '{target}' (use 'list' to see the available ones)");
+            std::process::exit(1);
+        }
+    }
+
     println!(
         "scale: {} keys, {} ops, {} bulk keys, seed {}",
         scale.keys, scale.ops, scale.bulk_keys, scale.seed
     );
-    for target in &targets {
-        if target == "all" {
-            for (name, f) in &registry {
-                println!("\n#### {name} ####");
-                f(&scale);
-            }
-            continue;
+    for (name, f) in plan {
+        match name {
+            Some(name) => println!("\n#### {name} ####"),
+            None => println!(),
         }
-        // Accept kebab-case spellings (`bench-snapshot` == `bench_snapshot`).
-        let target = target.replace('-', "_");
-        match registry.iter().find(|(name, _)| *name == target) {
-            Some((_, f)) => {
-                println!();
-                f(&scale);
-            }
-            None => {
-                eprintln!("unknown experiment '{target}' (use 'list' to see the available ones)");
-                std::process::exit(1);
-            }
-        }
+        f(&scale);
     }
 }

@@ -10,10 +10,14 @@
 //! * [`experiments`] contains one function per table / figure; each prints
 //!   the same rows or series the paper shows, at a configurable scale.
 //! * [`report`] holds small text-table formatting helpers.
+//! * [`recovery`] creates and reopens a durable store (the perf ledger's
+//!   `durable_insert` workload and the kill-and-recover oracle suite use
+//!   it); [`sharded_recovery`] does the same for a sharded router.
 //!
 //! The `exp` binary (`cargo run -p lidx-experiments --bin exp -- <target>`)
-//! dispatches to these functions; `exp all` regenerates everything, which is
-//! what `EXPERIMENTS.md` records.
+//! dispatches to these functions; `exp all` regenerates every artifact, and
+//! `exp all --quick --seed 42` prints exactly the golden report
+//! `tests/golden/paper_artifacts_quick_seed42.txt`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -4,22 +4,33 @@
 
 use std::process::{Command, Output};
 
+use lidx_experiments::experiments::all_experiments;
+
 fn exp(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_exp")).args(args).output().expect("run exp")
 }
 
 #[test]
 fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
-    for args in [&["table2", "--keys", "abc"][..], &["--ops"], &["fig3", "--seed", "-1"]] {
+    for args in [
+        &["table2", "--keys", "abc"][..],
+        &["--ops"],
+        &["fig3", "--seed", "-1"],
+        &["fig3", "--quik"],
+        &["fig3", "--threads", "4"],
+    ] {
         let out = exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: exp <target>..."), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}: nothing may run before the usage error");
     }
-    let out = exp(&["no_such_target"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
+    for args in [&["no_such_target"][..], &["fig3", "no_such_target"]] {
+        let out = exp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run before an unknown target");
+    }
 }
 
 /// `exp <target> --quick --seed 42` for every paper artifact, as
@@ -83,4 +94,18 @@ fn write_figures_match_the_recorded_golden() {
 #[test]
 fn sensitivity_and_ablations_match_the_recorded_golden() {
     assert_matches_golden(&SENSITIVITY_AND_ABLATIONS);
+}
+
+/// No target can go unpinned: the golden holds one section per registered
+/// experiment, in registry order, and the three tests above run them all.
+#[test]
+fn the_golden_covers_every_registered_experiment() {
+    let registry: Vec<&str> = all_experiments().iter().map(|(name, _)| *name).collect();
+    let golden: Vec<&str> = golden_sections().1.iter().map(|(name, _)| *name).collect();
+    assert_eq!(golden, registry);
+    let mut tested = [&SEARCH[..], &WRITE, &SENSITIVITY_AND_ABLATIONS].concat();
+    let mut registered = registry.clone();
+    tested.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(tested, registered);
 }

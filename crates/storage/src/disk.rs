@@ -1667,7 +1667,7 @@ mod scan_resistance_tests {
 
     /// Without partitions, the 2Q policy alone keeps a *promoted* hot set
     /// resident across a scan, while strict LRU loses it — the behavioural
-    /// contrast the `scan_resistance` experiment quantifies.
+    /// contrast `run_scan_interference` in `lidx-experiments` quantifies.
     #[test]
     fn twoq_holds_hot_blocks_across_a_scan_where_lru_does_not() {
         let run = |policy: ReplacementPolicy| -> u64 {

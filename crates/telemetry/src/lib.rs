@@ -2,9 +2,8 @@
 //!
 //! The paper's tail-latency metric (Fig. 12, p99) was originally reproduced
 //! by buffering every sample in a `Vec` and sorting — workable
-//! single-threaded, unusable from the multi-threaded `mixed_workload` /
-//! `sharded_serving` phases. This crate replaces that recorder on the
-//! concurrent paths with three pieces:
+//! single-threaded, unusable from the racing reader/writer fronts. This
+//! crate replaces that recorder on the concurrent paths with three pieces:
 //!
 //! * [`Histogram`] — a log-bucketed, HDR-style histogram with **constant
 //!   memory** (a fixed array of atomic bucket counters, no per-sample

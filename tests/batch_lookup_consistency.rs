@@ -8,10 +8,11 @@
 //! sorted-range scans, PGM single-pass run + cached data blocks). These
 //! tests pin that contract for all seven `IndexChoice` designs,
 //! deterministically and under proptest-generated workloads, and
-//! additionally assert two storage invariants: lookups and batched lookups
-//! never copy a block into a caller buffer (zero-copy), and every design's
-//! scan path announces itself with scan-class reads (scan tagging, the
-//! admission signal of the scan-resistant buffer policies).
+//! additionally assert three storage invariants: lookups and batched lookups
+//! never copy a block into a caller buffer (zero-copy), a batch never
+//! fetches more blocks than the per-key loop over the same probes, and
+//! every design's scan path announces itself with scan-class reads (scan
+//! tagging, the admission signal of the scan-resistant buffer policies).
 
 use std::collections::BTreeMap;
 
@@ -26,19 +27,24 @@ fn build_loaded(choice: IndexChoice, entries: &[Entry]) -> Box<dyn DiskIndex> {
     index
 }
 
-/// Asserts batch == sequential on `probes` and returns the batched answers.
+/// Asserts batch == sequential on `probes` and returns the batched answers,
+/// with the device reads of the batched call and of the per-key loop.
 fn check_equivalence(
     index: &dyn DiskIndex,
     choice: IndexChoice,
     probes: &[Key],
-) -> Vec<Option<Value>> {
+) -> (Vec<Option<Value>>, u64, u64) {
+    let reads = || index.disk().stats().reads();
     let mut batched = Vec::new();
+    let before = reads();
     index.lookup_batch(probes, &mut batched).expect("lookup_batch");
+    let batch_reads = reads() - before;
     assert_eq!(batched.len(), probes.len(), "{choice:?} answer count");
+    let before = reads();
     for (i, &p) in probes.iter().enumerate() {
         assert_eq!(batched[i], index.lookup(p).expect("lookup"), "{choice:?} probe {p}");
     }
-    batched
+    (batched, batch_reads, reads() - before)
 }
 
 #[test]
@@ -63,13 +69,17 @@ fn batch_matches_sequential_for_every_design() {
     for choice in IndexChoice::ALL_DESIGNS {
         let index = build_loaded(choice, &entries);
         let before = index.disk().snapshot();
-        let batched = check_equivalence(&*index, choice, &probes);
+        let (batched, batch_reads, sequential_reads) = check_equivalence(&*index, choice, &probes);
         let delta = index.disk().snapshot().since(&before);
         assert_eq!(
             delta.bytes_copied, 0,
             "{choice:?} lookup/batch hot paths must never copy blocks"
         );
         assert!(delta.frames_pinned > 0, "{choice:?} reads must pin frames");
+        assert!(
+            batch_reads <= sequential_reads,
+            "{choice:?} batching must not fetch more blocks ({batch_reads} vs {sequential_reads})"
+        );
         for (i, &p) in probes.iter().enumerate() {
             assert_eq!(batched[i], oracle.get(&p).copied(), "{choice:?} oracle probe {p}");
         }
@@ -95,7 +105,7 @@ fn batch_matches_sequential_after_inserts() {
         for &(k, v) in &inserts {
             index.insert(k, v).unwrap();
         }
-        let batched = check_equivalence(&*index, choice, &probes);
+        let (batched, _, _) = check_equivalence(&*index, choice, &probes);
         for (i, &p) in probes.iter().enumerate() {
             assert_eq!(batched[i], oracle.get(&p).copied(), "{choice:?} oracle probe {p}");
         }

@@ -1,7 +1,7 @@
 //! The cross-index concurrency oracle suite: for every `IndexChoice`
-//! variant, 8 reader threads race random lookups and range scans against a
-//! bulk-loaded (frozen) index, and every single answer must match an
-//! in-memory `BTreeMap` oracle. Afterwards the disk's statistics must be
+//! variant, 8 reader threads race random lookups, batched lookups and range
+//! scans against a bulk-loaded (frozen) index, and every single answer must
+//! match an in-memory `BTreeMap` oracle. Afterwards the disk's statistics must be
 //! internally consistent — no torn or double-counted I/O counters.
 //!
 //! Races rarely surface in a single debug run, so CI additionally executes
@@ -63,9 +63,10 @@ fn eight_reader_threads_agree_with_the_oracle_for_every_index() {
                 s.spawn(move || {
                     let mut rng = 0xDEAD_BEEF_u64 ^ ((t as u64 + 1) << 32);
                     let mut out = Vec::new();
+                    let mut answers = Vec::new();
                     for _ in 0..OPS_PER_THREAD {
                         let r = splitmix(&mut rng);
-                        if r % 4 != 3 {
+                        if r % 4 < 2 {
                             // Lookup: alternate stored keys and random probes
                             // (mostly absent).
                             let k = if r.is_multiple_of(2) {
@@ -79,6 +80,27 @@ fn eight_reader_threads_agree_with_the_oracle_for_every_index() {
                                 oracle.get(&k).copied(),
                                 "{choice:?} thread {t} lookup({k})"
                             );
+                        } else if r % 4 == 2 {
+                            // Batched lookup of stored keys and random
+                            // probes, through each design's override.
+                            let probes: Vec<Key> = (0..8)
+                                .map(|i| {
+                                    let p = splitmix(&mut rng);
+                                    if i % 2 == 0 {
+                                        entries[p as usize % entries.len()].0
+                                    } else {
+                                        p % (max_key + 1000)
+                                    }
+                                })
+                                .collect();
+                            shared.lookup_batch(&probes, &mut answers).expect("lookup_batch");
+                            for (k, got) in probes.iter().zip(&answers) {
+                                assert_eq!(
+                                    *got,
+                                    oracle.get(k).copied(),
+                                    "{choice:?} thread {t} lookup_batch({k})"
+                                );
+                            }
                         } else {
                             // Range scan from a random start, random length.
                             let start = splitmix(&mut rng) % (max_key + 1000);

@@ -35,7 +35,7 @@ use lidx_core::{payload_for, IndexRead, IndexWrite, Key, Value, WriteBufferConfi
 use lidx_experiments::recovery::{create_durable_index, reopen_durable_index, DurableIndex};
 use lidx_experiments::sharded_recovery::{DurableShardedRouter, SplitFault};
 use lidx_experiments::IndexChoice;
-use lidx_storage::{Disk, FaultPlan};
+use lidx_storage::{Disk, FaultPlan, OpClass};
 
 const BLOCK: usize = 4096;
 const BULK: usize = 3_000;
@@ -191,6 +191,14 @@ fn mid_drain_kill_replays_the_full_staged_set() {
             stats.replayed_entries,
             OPS as u64,
             "{}: the replay is visible in IoStats",
+            choice.name()
+        );
+        let telemetry = disk_of(&recovered).telemetry().snapshot();
+        let replay = telemetry.class(OpClass::Recovery);
+        assert_eq!(
+            (replay.summary.count, replay.counter),
+            (1, OPS as u64),
+            "{}: the reopen is one recovery pause counting every replayed entry",
             choice.name()
         );
         assert_matches_oracle(&recovered, &oracle, choice.name());

@@ -8,7 +8,7 @@ use lidx_storage::DeviceModel;
 use lidx_workloads::{Dataset, Workload, WorkloadKind, WorkloadSpec};
 
 fn scale() -> Scale {
-    Scale { keys: 60_000, ops: 800, bulk_keys: 20_000, seed: 11, threads: 2, dataset_path: None }
+    Scale { keys: 60_000, ops: 800, bulk_keys: 20_000, seed: 11, dataset_path: None }
 }
 
 fn search_workload(dataset: Dataset, kind: WorkloadKind) -> Workload {

@@ -24,7 +24,7 @@ use lidx_core::{
     Entry, IndexRead, IndexWrite, Key, ShardedWriteBuffer, ShardedWriteBufferConfig, Value,
 };
 use lidx_experiments::runner::{IndexChoice, RunConfig};
-use lidx_storage::DeviceModel;
+use lidx_storage::{DeviceModel, OpClass};
 
 const WRITERS: usize = 3;
 const READERS: usize = 3;
@@ -203,6 +203,11 @@ fn racing_writers_and_readers_agree_with_the_oracle_for_every_design() {
             stats.drain_entries() >= stats.drain_chunks(),
             "{choice:?}: drain chunks cannot be empty"
         );
+        // Every drain chunk is one timed pause carrying its entries.
+        let telemetry = disk.telemetry().snapshot();
+        let drain = telemetry.class(OpClass::Drain);
+        assert_eq!(drain.summary.count, stats.drain_chunks(), "{choice:?}: drain pauses");
+        assert_eq!(drain.counter, stats.drain_entries(), "{choice:?}: drained entries");
     }
 }
 

@@ -24,7 +24,7 @@ use lidx_core::{
     ShardedWriteBufferConfig, Value,
 };
 use lidx_experiments::runner::{IndexChoice, RunConfig};
-use lidx_storage::DeviceModel;
+use lidx_storage::{DeviceModel, OpClass};
 
 const WRITERS: usize = 3;
 const READERS: usize = 2;
@@ -204,6 +204,12 @@ fn racing_readers_and_writers_agree_with_the_oracle_across_splits_and_merges() {
         // The shard map must actually have churned while the race ran.
         assert!(router.splits() >= 1, "{choice:?}: no online split happened");
         assert!(router.merges() >= 1, "{choice:?}: no online merge happened");
+        let telemetry = router.aggregate_telemetry().snapshot();
+        assert_eq!(
+            telemetry.class(OpClass::Rebalance).counter,
+            router.splits() + router.merges(),
+            "{choice:?}: every completed split and merge is a counted rebalance pause"
+        );
 
         // Linearizability by final state: flush, then every oracle key must
         // answer with its newest value and a full scan must match exactly —
