@@ -917,6 +917,40 @@ mod tests {
         assert!(s.height > bulk_height);
     }
 
+    /// Bulk loads 4 000 keys at stride 10 and fills every gap below key
+    /// 10 000, so only the first quarter of the key space splits, and keeps
+    /// splitting as its new data nodes fill up in turn.
+    fn split_down_one_region() -> (AlexIndex, u32) {
+        let mut a = index(4096);
+        a.bulk_load(&entries(4_000, 10)).unwrap();
+        let bulk_height = a.stats().height;
+        for k in (0..10_000u64).filter(|k| k % 10 != 1) {
+            a.insert(k, k).unwrap();
+        }
+        (a, bulk_height)
+    }
+
+    #[test]
+    fn height_tracks_split_downs_concentrated_in_one_key_range() {
+        let (a, bulk_height) = split_down_one_region();
+        let s = a.stats();
+        assert!(s.height > bulk_height, "the hot range must deepen the tree: {s:?}");
+        assert_eq!(s.height, 1 + deepest_data_node(&a, a.root, 0), "{s:?}");
+    }
+
+    #[test]
+    fn load_restores_the_height_split_downs_reached() {
+        let (mut a, _) = split_down_one_region();
+        let meta = a.save_meta().unwrap();
+        let reopened = AlexIndex::load(Arc::clone(&a.disk), a.config, &meta).unwrap();
+        assert_eq!(reopened.stats().height, a.stats().height);
+        assert_eq!(reopened.stats().height, 1 + deepest_data_node(&reopened, reopened.root, 0));
+        for k in (0..10_000u64).step_by(97) {
+            let want = if k % 10 == 1 { k + 1 } else { k };
+            assert_eq!(reopened.lookup(k).unwrap(), Some(want), "key {k}");
+        }
+    }
+
     #[test]
     fn lookup_reads_header_plus_slot_blocks() {
         let mut a = index(4096);

@@ -46,66 +46,72 @@ fn golden_sections() -> (&'static str, Vec<(&'static str, &'static str)>) {
     (scale, sections)
 }
 
-/// Runs `exp <targets> --quick --seed 42` and diffs its stdout against the
-/// golden sections of those targets. The paper's artifacts are simulated
-/// device time only, so their output is a pure function of the code: a
-/// difference means a change moved a number the paper reports.
-fn assert_matches_golden(targets: &[&str]) {
+/// Runs `exp <target> --quick --seed 42` and diffs its stdout against the
+/// golden section of that target. The paper's artifacts are simulated device
+/// time only, so their output is a pure function of the code: a difference
+/// means a change moved a number the paper reports.
+fn assert_matches_golden(target: &str) {
     let (scale, sections) = golden_sections();
-    let mut want = scale.to_string();
-    for target in targets {
-        let (_, report) = sections
-            .iter()
-            .find(|(name, _)| name == target)
-            .unwrap_or_else(|| panic!("{target} has no golden section"));
-        want.push('\n');
-        want.push_str(report);
-    }
-    let out = exp(&[targets, &["--quick", "--seed", "42"]].concat());
+    let (_, report) = sections
+        .iter()
+        .find(|(name, _)| *name == target)
+        .unwrap_or_else(|| panic!("{target} has no golden section"));
+    let want = format!("{scale}\n{report}");
+    let out = exp(&[target, "--quick", "--seed", "42"]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let got = String::from_utf8(out.stdout).expect("utf-8 report");
     for (i, (got, want)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(got, want, "{targets:?}: line {}", i + 1);
+        assert_eq!(got, want, "{target}: line {}", i + 1);
     }
-    assert_eq!(got.lines().count(), want.lines().count(), "{targets:?}");
+    assert_eq!(got.lines().count(), want.lines().count(), "{target}");
 }
 
-/// The search-side artifacts: dataset profile, Lookup-/Scan-Only throughput
-/// and fetched blocks, hybrids, bulk load, memory-resident inner nodes.
-const SEARCH: [&str; 7] = ["table3", "fig3", "fig4", "table4", "table5", "fig7", "fig8"];
+/// One test per paper artifact, named after its `exp` target
+/// (`golden::fig6`), so a change that moves numbers names every artifact it
+/// moved, and `cargo test` spreads the 18 runs over the cores. `PINNED`
+/// lists the targets in the order given, which is registry order.
+macro_rules! golden_tests {
+    ($($target:ident),* $(,)?) => {
+        const PINNED: &[&str] = &[$(stringify!($target)),*];
 
-/// The write-side artifacts: every figure a per-key insert path feeds.
-const WRITE: [&str; 7] = ["table2", "fig5", "fig6", "fig9", "fig10", "fig12", "fig14"];
-
-/// Block-size and buffer-size sensitivity, and the two ablations.
-const SENSITIVITY_AND_ABLATIONS: [&str; 4] =
-    ["fig11", "fig13", "layout_ablation", "space_reuse_ablation"];
-
-#[test]
-fn search_figures_match_the_recorded_golden() {
-    assert_matches_golden(&SEARCH);
+        mod golden {
+            $(
+                #[test]
+                fn $target() {
+                    super::assert_matches_golden(stringify!($target));
+                }
+            )*
+        }
+    };
 }
 
-#[test]
-fn write_figures_match_the_recorded_golden() {
-    assert_matches_golden(&WRITE);
-}
-
-#[test]
-fn sensitivity_and_ablations_match_the_recorded_golden() {
-    assert_matches_golden(&SENSITIVITY_AND_ABLATIONS);
-}
+golden_tests!(
+    table2,
+    table3,
+    fig3,
+    fig4,
+    table4,
+    table5,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    fig10,
+    fig11,
+    fig12,
+    fig13,
+    fig14,
+    layout_ablation,
+    space_reuse_ablation,
+);
 
 /// No target can go unpinned: the golden holds one section per registered
-/// experiment, in registry order, and the three tests above run them all.
+/// experiment, in registry order, and `golden::*` runs every one of them.
 #[test]
 fn the_golden_covers_every_registered_experiment() {
     let registry: Vec<&str> = all_experiments().iter().map(|(name, _)| *name).collect();
     let golden: Vec<&str> = golden_sections().1.iter().map(|(name, _)| *name).collect();
     assert_eq!(golden, registry);
-    let mut tested = [&SEARCH[..], &WRITE, &SENSITIVITY_AND_ABLATIONS].concat();
-    let mut registered = registry.clone();
-    tested.sort_unstable();
-    registered.sort_unstable();
-    assert_eq!(tested, registered);
+    assert_eq!(PINNED, registry);
 }

@@ -8,16 +8,20 @@
 //! sorted-range scans, PGM single-pass run + cached data blocks). These
 //! tests pin that contract for all seven `IndexChoice` designs,
 //! deterministically and under proptest-generated workloads, and
-//! additionally assert three storage invariants: lookups and batched lookups
-//! never copy a block into a caller buffer (zero-copy), a batch never
-//! fetches more blocks than the per-key loop over the same probes, and
-//! every design's scan path announces itself with scan-class reads (scan
-//! tagging, the admission signal of the scan-resistant buffer policies).
+//! additionally assert four storage invariants: lookups and batched lookups
+//! never copy a block into a caller buffer (zero-copy), with or without a
+//! buffer pool; a batch never fetches more blocks than the per-key loop over
+//! the same probes; at queue depth 8 a batch overlaps its misses and costs
+//! less simulated I/O than at depth 1, with the same answers; and every
+//! design's scan path announces itself with scan-class reads (scan tagging,
+//! the admission signal of the scan-resistant buffer policies).
 
 use std::collections::BTreeMap;
 
 use lidx_core::{DiskIndex, Entry, IndexWrite, Key, Value};
 use lidx_experiments::runner::{IndexChoice, RunConfig};
+use lidx_storage::{DeviceModel, Disk, DiskConfig, OpStats};
+use lidx_workloads::{Dataset, Op, Workload, WorkloadKind, WorkloadSpec};
 use proptest::prelude::*;
 
 fn build_loaded(choice: IndexChoice, entries: &[Entry]) -> Box<dyn DiskIndex> {
@@ -109,6 +113,103 @@ fn batch_matches_sequential_after_inserts() {
         for (i, &p) in probes.iter().enumerate() {
             assert_eq!(batched[i], oracle.get(&p).copied(), "{choice:?} oracle probe {p}");
         }
+    }
+}
+
+/// The bulk load and lookup probes of a YCSB-like Lookup-Only workload.
+fn lookup_workload(keys: usize, probes: usize, seed: u64) -> (Vec<Entry>, Vec<Key>) {
+    let keys = Dataset::Ycsb.generate_keys(keys, seed);
+    let w = Workload::build(&keys, WorkloadSpec::new(WorkloadKind::LookupOnly, probes, 0));
+    let probes = w
+        .ops
+        .iter()
+        .map(|op| match *op {
+            Op::Lookup(k) => k,
+            _ => unreachable!("a Lookup-Only workload holds lookups only"),
+        })
+        .collect();
+    (w.bulk, probes)
+}
+
+/// Bulk loads `choice` on an HDD disk with a 64-frame pool and the given
+/// outstanding-read queue depth, warms the pool with one per-key pass over
+/// `probes`, then looks them up again — per key when `batch` is 1, else
+/// through `lookup_batch` in chunks of `batch` — and returns the answers
+/// with the I/O of that second pass.
+fn warm_pass(
+    choice: IndexChoice,
+    entries: &[Entry],
+    probes: &[Key],
+    batch: usize,
+    queue_depth: usize,
+) -> (Vec<Option<Value>>, OpStats) {
+    let config = DiskConfig::with_block_size(4096)
+        .device(DeviceModel::hdd())
+        .buffer_blocks(64)
+        .queue_depth(queue_depth);
+    let mut index = choice.build(Disk::in_memory(config));
+    index.bulk_load(entries).expect("bulk load");
+    for &k in probes {
+        index.lookup(k).expect("warm lookup");
+    }
+    let disk = index.disk();
+    disk.reset_access_state();
+    let before = disk.snapshot();
+    let mut answers = Vec::with_capacity(probes.len());
+    if batch == 1 {
+        for &k in probes {
+            answers.push(index.lookup(k).expect("lookup"));
+        }
+    } else {
+        let mut out = Vec::with_capacity(batch);
+        for chunk in probes.chunks(batch) {
+            index.lookup_batch(chunk, &mut out).expect("lookup_batch");
+            answers.extend_from_slice(&out);
+        }
+    }
+    (answers, disk.snapshot().since(&before))
+}
+
+#[test]
+fn pool_hits_and_misses_stay_zero_copy_for_every_design() {
+    // The zero-copy check above runs without a buffer pool. Here a 64-frame
+    // pool holds part of the index: lookups and batches are served by pool
+    // hits (an Arc clone of the frame) and by misses that fill the pool, and
+    // neither path may copy a block into a caller buffer.
+    let (entries, probes) = lookup_workload(40_000, 400, 5);
+    let oracle: BTreeMap<Key, Value> = entries.iter().copied().collect();
+    let want: Vec<Option<Value>> = probes.iter().map(|k| oracle.get(k).copied()).collect();
+    assert!(want.iter().all(Option::is_some), "probes come from the bulk load");
+    for choice in IndexChoice::ALL_DESIGNS {
+        for batch in [1, 64] {
+            let (answers, io) = warm_pass(choice, &entries, &probes, batch, 1);
+            assert_eq!(answers, want, "{choice:?} batch {batch} answers");
+            assert_eq!(io.bytes_copied, 0, "{choice:?} batch {batch} must be zero-copy");
+            assert!(io.frames_pinned > 0, "{choice:?} batch {batch} must pin frames");
+            assert!(io.buffer_hits > 0, "{choice:?} batch {batch}: the warm pool must hit");
+            assert!(io.reads() > 0, "{choice:?} batch {batch}: the index must outgrow the pool");
+        }
+    }
+}
+
+#[test]
+fn queue_depth_8_overlaps_batched_lookups_for_every_design() {
+    let (entries, probes) = lookup_workload(20_000, 512, 7);
+    let oracle: BTreeMap<Key, Value> = entries.iter().copied().collect();
+    let want: Vec<Option<Value>> = probes.iter().map(|k| oracle.get(k).copied()).collect();
+    for choice in IndexChoice::ALL_DESIGNS {
+        let (d1, sync) = warm_pass(choice, &entries, &probes, 64, 1);
+        let (d8, queued) = warm_pass(choice, &entries, &probes, 64, 8);
+        assert_eq!(d1, want, "{choice:?} depth-1 answers");
+        assert_eq!(d8, want, "{choice:?} queue depth must never change the answers");
+        assert_eq!(sync.overlap_saved_ns, 0, "{choice:?} depth 1 must stay synchronous");
+        assert!(queued.overlap_saved_ns > 0, "{choice:?} depth 8 must overlap waves");
+        assert!(
+            queued.device_ns < sync.device_ns,
+            "{choice:?} outstanding reads must cut simulated I/O ({} vs {} ns)",
+            queued.device_ns,
+            sync.device_ns
+        );
     }
 }
 

@@ -134,6 +134,47 @@ fn eight_reader_threads_agree_with_the_oracle_for_every_index() {
 }
 
 #[test]
+fn batched_reader_threads_together_find_every_stored_key() {
+    // Three threads split the stored keys between them (every third key
+    // each) and look their share up through `lookup_batch` in chunks of 16:
+    // every answer is the stored value, and together they cover the set.
+    const READERS: usize = 3;
+    let (entries, _) = dataset();
+    for choice in IndexChoice::ALL_DESIGNS {
+        let disk = RunConfig::default().make_disk();
+        let mut index = choice.build(std::sync::Arc::clone(&disk));
+        index.bulk_load(&entries).expect("bulk load");
+        disk.stats().reset();
+
+        let shared: &dyn DiskIndex = &*index;
+        let entries = &entries;
+        let answered: usize = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mine: Vec<Entry> =
+                            entries.iter().skip(t).step_by(READERS).copied().collect();
+                        let mut answers = Vec::new();
+                        for chunk in mine.chunks(16) {
+                            let keys: Vec<Key> = chunk.iter().map(|&(k, _)| k).collect();
+                            shared.lookup_batch(&keys, &mut answers).expect("lookup_batch");
+                            for (&(k, v), got) in chunk.iter().zip(&answers) {
+                                assert_eq!(*got, Some(v), "{choice:?} thread {t} key {k}");
+                            }
+                        }
+                        mine.len()
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().expect("reader thread panicked")).sum()
+        });
+        assert_eq!(answered, entries.len(), "{choice:?}: the readers must cover every key");
+        assert_eq!(disk.stats().writes(), 0, "{choice:?}: a frozen index must never write");
+        assert!(disk.stats().reads() > 0, "{choice:?}: lookups must fetch blocks");
+    }
+}
+
+#[test]
 fn concurrent_readers_return_the_same_blocks_read_as_serial_execution() {
     // Determinism of the I/O accounting: the *set* of work is identical, so
     // the device-read counter after N threads must stay within the envelope
