@@ -389,11 +389,14 @@ impl StorageBackend for FileBackend {
         let sum = &state.sums[file as usize];
         let mut buf = vec![0u8; crate::format::BlockStamp::BYTES];
         let off = block as u64 * buf.len() as u64;
-        if sum.metadata()?.len() < off + buf.len() as u64 {
-            // Block never stamped (e.g. allocated but never written).
-            return Ok(None);
+        match read_at(sum, &mut buf, off) {
+            Ok(()) => {}
+            // The sidecar ends before this stamp, or inside it: the block
+            // was never stamped (allocated but never written), or the stamp
+            // write was cut short.
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e.into()),
         }
-        read_at(sum, &mut buf, off)?;
         if buf.iter().all(|&b| b == 0) {
             return Ok(None);
         }
@@ -447,6 +450,31 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lidx-storage-test-{}", std::process::id()));
         let b = FileBackend::new(&dir, 256).unwrap();
         roundtrip(&b);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn file_backend_reads_unwritten_and_cut_stamps_as_none() {
+        let dir = std::env::temp_dir().join(format!("lidx-storage-stamps-{}", std::process::id()));
+        let b = FileBackend::new(&dir, 256).unwrap();
+        let f = b.create_file().unwrap();
+        b.extend(f, 4).unwrap();
+        use crate::format::BlockStamp;
+        let stamp = BlockStamp { magic: BlockStamp::MAGIC, generation: 1, crc: 9 }.encode();
+        b.write_stamp(f, 0, &stamp).unwrap();
+        b.write_stamp(f, 2, &stamp).unwrap();
+        assert_eq!(b.read_stamp(f, 0).unwrap().as_deref(), Some(&stamp[..]));
+        // Allocated but never written: a zeroed hole inside the sidecar, and
+        // a block whose stamp lies past the sidecar's end.
+        assert_eq!(b.read_stamp(f, 1).unwrap(), None);
+        assert_eq!(b.read_stamp(f, 3).unwrap(), None);
+
+        // A sidecar cut in the middle of block 2's stamp.
+        let bytes = BlockStamp::BYTES as u64;
+        let sum = OpenOptions::new().write(true).open(dir.join(format!("file_{f}.sum"))).unwrap();
+        sum.set_len(2 * bytes + 5).unwrap();
+        assert_eq!(b.read_stamp(f, 2).unwrap(), None);
+        assert_eq!(b.read_stamp(f, 0).unwrap().as_deref(), Some(&stamp[..]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

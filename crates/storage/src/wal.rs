@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use crate::disk::Disk;
 use crate::error::{StorageError, StorageResult};
-use crate::format::crc32;
+use crate::format::{crc32, crc32_update};
 use crate::stats::BlockKind;
 use crate::{BlockId, FileId};
 
@@ -327,10 +327,7 @@ pub fn encode_record(epoch: u64, payload: &[u8]) -> Vec<u8> {
 
 /// CRC32 over `len || epoch || payload` — everything except the CRC field.
 fn record_crc(record: &[u8]) -> u32 {
-    let mut hashed = Vec::with_capacity(record.len() - 4);
-    hashed.extend_from_slice(&record[0..4]);
-    hashed.extend_from_slice(&record[8..]);
-    crc32(&hashed)
+    crc32_update(crc32(&record[0..4]), &record[8..])
 }
 
 /// Decodes the record at the front of `buf`.
