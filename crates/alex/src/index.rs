@@ -537,7 +537,7 @@ impl AlexIndex {
             }
         }
         for &block in &slot_blocks {
-            q.prefetch(self.data_file, block, BlockKind::Leaf, AccessClass::Point, SeqHint::Auto)?;
+            q.prefetch(self.data_file, block, BlockKind::Leaf, SeqHint::Auto)?;
         }
         q.flush()?;
 

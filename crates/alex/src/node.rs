@@ -381,8 +381,8 @@ impl DataNode {
     /// holds `limit` entries. Bitmap blocks and slot blocks are each fetched
     /// once and decoded in memory, so the I/O cost is `slots/B` slot blocks
     /// plus the covering bitmap blocks — the scan cost the paper attributes
-    /// to ALEX (Table 2 / S3). Every fetch is tagged scan-class so a
-    /// scan-resistant buffer pool admits the stream into probation only.
+    /// to ALEX (Table 2 / S3). Every fetch is tagged scan-class, so at queue
+    /// depth > 1 a miss also prefetches the blocks that follow it.
     pub fn scan_slots(
         &self,
         disk: &Disk,

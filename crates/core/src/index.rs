@@ -200,9 +200,8 @@ pub trait IndexRead: Send + Sync {
     ///   fewer than `count` keys `>= start`; `count == 0` returns 0 without
     ///   performing I/O beyond locating the start.
     /// * Implementations stream their data blocks with scan-class reads
-    ///   (`Disk::read_ref_scan`), so a buffer pool configured with a
-    ///   scan-resistant policy can keep the point-lookup working set
-    ///   resident while the scan passes through (`DESIGN.md` §3.3).
+    ///   (`Disk::read_ref_scan`), so the disk counts them as scan reads and,
+    ///   at queue depth > 1, reads ahead along the stream (`DESIGN.md` §3.3).
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize>;
 
     /// Runs one [`scan`] per `(start, count)` range of `ranges`, writing the

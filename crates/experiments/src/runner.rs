@@ -12,7 +12,7 @@ use lidx_fiting::{FitingConfig, FitingTree};
 use lidx_hybrid::{HybridConfig, HybridIndex, HybridInnerKind};
 use lidx_lipp::{LippConfig, LippIndex};
 use lidx_pgm::{PgmConfig, PgmIndex};
-use lidx_storage::{BlockKind, DeviceModel, Disk, DiskConfig, PoolPartitions, ReplacementPolicy};
+use lidx_storage::{BlockKind, DeviceModel, Disk, DiskConfig};
 use lidx_workloads::{Op, Workload};
 
 /// Which index to build.
@@ -177,16 +177,9 @@ pub struct RunConfig {
     pub block_size: usize,
     /// Device cost model.
     pub device: DeviceModel,
-    /// Buffer pool capacity in blocks (0 = the paper's default of no
-    /// buffer manager).
+    /// Strict-LRU buffer pool capacity in blocks (0 = the paper's default
+    /// of no buffer manager).
     pub buffer_blocks: usize,
-    /// Buffer pool replacement policy (strict LRU by default; clock and the
-    /// scan-resistant 2Q variant are [`run_scan_interference`]'s subjects).
-    pub buffer_policy: ReplacementPolicy,
-    /// Per-kind frame partitioning (unified by default;
-    /// [`PoolPartitions::InnerReserved`] shields inner/meta frames from data
-    /// scans).
-    pub buffer_partitions: PoolPartitions,
     /// Treat inner-node and meta blocks as memory-resident (§6.2).
     pub memory_resident_inner: bool,
 }
@@ -197,8 +190,6 @@ impl Default for RunConfig {
             block_size: 4096,
             device: DeviceModel::hdd(),
             buffer_blocks: 0,
-            buffer_policy: ReplacementPolicy::default(),
-            buffer_partitions: PoolPartitions::default(),
             memory_resident_inner: false,
         }
     }
@@ -209,9 +200,7 @@ impl RunConfig {
     pub fn make_disk(&self) -> Arc<Disk> {
         let mut cfg = DiskConfig::with_block_size(self.block_size)
             .device(self.device)
-            .buffer_blocks(self.buffer_blocks)
-            .buffer_policy(self.buffer_policy)
-            .buffer_partitions(self.buffer_partitions);
+            .buffer_blocks(self.buffer_blocks);
         if self.memory_resident_inner {
             cfg = cfg.memory_resident(&[BlockKind::Inner, BlockKind::Meta]);
         }
@@ -452,131 +441,6 @@ pub fn run_batch_insert(
     }
 }
 
-/// Everything measured by one [`run_scan_interference`] phase: the
-/// hot-lookup pool hit rate before and while a full-table scan streams.
-#[derive(Debug, Clone)]
-pub struct ScanInterferenceReport {
-    /// Pool hit rate of a hot-lookup pass with no scan running (after the
-    /// warm-up passes). Hit rates count buffer-pool hits over pool hits plus
-    /// device reads; single-slot last-block reuse hits (§6.5) are excluded
-    /// so the metric isolates replacement behaviour.
-    pub baseline_hit_rate: f64,
-    /// Pool hit rate of the hot-lookup passes interleaved with the scan
-    /// chunks (averaged over every round).
-    pub under_scan_hit_rate: f64,
-    /// Entries produced by the interfering full-table scan.
-    pub scanned_entries: u64,
-    /// Read requests the scan tagged as scan-class (proof the scan
-    /// announced itself to the pool).
-    pub scan_reads: u64,
-    /// Device reads of inner-node blocks during the measured hot rounds —
-    /// i.e. how often the scan managed to evict the descent path. Zero when
-    /// [`PoolPartitions::InnerReserved`] does its job.
-    pub under_scan_inner_reads: u64,
-}
-
-impl ScanInterferenceReport {
-    /// How many percentage points of hit rate the scan cost the hot lookups
-    /// (positive = degradation; ~0 = scan-resistant).
-    pub fn degradation_points(&self) -> f64 {
-        (self.baseline_hit_rate - self.under_scan_hit_rate) * 100.0
-    }
-}
-
-/// Bulk loads `choice`, promotes a strided hot-lookup working set into the
-/// buffer pool, measures its no-scan pool hit rate, then interleaves hot
-/// rounds with a chunked full-table scan (issued through
-/// [`lidx_core::index::IndexRead::scan_batch`], whose block reads the
-/// indexes tag scan-class) and measures the hit rate again.
-///
-/// Under strict LRU each scan chunk flushes the pool and the hot hit rate
-/// collapses, while the 2Q policy confines the stream to its probation queue
-/// and the hot (protected) set keeps hitting (DESIGN.md §3.3).
-///
-/// The hot keys are taken at a uniform stride over the bulk-loaded keys so
-/// each probe lands in a distinct leaf; `config.buffer_blocks` should
-/// comfortably exceed that working set (hot leaves plus the inner path) and
-/// be far smaller than the table, or the experiment degenerates.
-pub fn run_scan_interference(
-    choice: IndexChoice,
-    config: &RunConfig,
-    workload: &Workload,
-    hot_keys: usize,
-) -> ScanInterferenceReport {
-    assert!(config.buffer_blocks > 0, "scan interference needs a buffer pool");
-    let disk = config.make_disk();
-    let mut index = choice.build(Arc::clone(&disk));
-    index.bulk_load(&workload.bulk).expect("bulk load");
-    let bulk: Vec<Key> = workload.bulk.iter().map(|e| e.0).collect();
-    assert!(!bulk.is_empty(), "scan interference needs a non-empty bulk load");
-
-    let hot_keys = hot_keys.clamp(1, bulk.len());
-    let stride = (bulk.len() / hot_keys).max(1);
-    let hot: Vec<Key> = bulk.iter().step_by(stride).take(hot_keys).copied().collect();
-
-    disk.stats().reset();
-    disk.clear_buffer();
-    disk.reset_access_state();
-
-    // One hot pass; returns (pool hits, pool hits + device reads, device
-    // reads of inner blocks). Last-block reuse hits are excluded on both
-    // sides: the single-slot §6.5 cache serves same-block request bursts
-    // regardless of the pool policy (the hybrid inner directory issues
-    // dozens per lookup), and counting them would dilute exactly the
-    // pool-replacement behaviour this experiment isolates.
-    let hot_pass = |index: &dyn DiskIndex| -> (u64, u64, u64) {
-        disk.reset_access_state();
-        let before = disk.snapshot();
-        for &k in &hot {
-            index.lookup(k).expect("hot lookup");
-        }
-        let delta = disk.snapshot().since(&before);
-        (
-            delta.buffer_hits,
-            delta.reads() + delta.buffer_hits,
-            delta.reads_of(BlockKind::Inner) + delta.reads_of(BlockKind::Meta),
-        )
-    };
-    let rate = |(hits, served, _): (u64, u64, u64)| hits as f64 / served.max(1) as f64;
-
-    // Two warm passes: the first admits the hot working set, the second
-    // re-references it (which is what promotes it under 2Q / sets the CLOCK
-    // bits), then the measured no-scan baseline.
-    hot_pass(&*index);
-    hot_pass(&*index);
-    let baseline_hit_rate = rate(hot_pass(&*index));
-
-    // Interference: each round streams one full-table Scan-Only pass (split
-    // in two halves to exercise the multi-range `scan_batch` path) and then
-    // measures one hot round. At experiment scale the table is several times
-    // the pool, so under LRU every scan pass flushes the hot set.
-    const ROUNDS: usize = 4;
-    let half = bulk.len().div_ceil(2);
-    let mid_key = bulk[half.min(bulk.len() - 1)];
-    let ranges = [(bulk[0], half), (mid_key, bulk.len() - half)];
-    let mut rows: Vec<Vec<lidx_core::Entry>> = Vec::new();
-    let mut scanned_entries = 0u64;
-    let scan_reads_before = disk.stats().scan_reads();
-    let (mut hits, mut served, mut inner_reads) = (0u64, 0u64, 0u64);
-    for _ in 0..ROUNDS {
-        index.scan_batch(&ranges, &mut rows).expect("scan pass");
-        scanned_entries += rows.iter().map(|r| r.len() as u64).sum::<u64>();
-        let (h, s, i) = hot_pass(&*index);
-        hits += h;
-        served += s;
-        inner_reads += i;
-    }
-    let scan_reads = disk.stats().scan_reads() - scan_reads_before;
-
-    ScanInterferenceReport {
-        baseline_hit_rate,
-        under_scan_hit_rate: hits as f64 / served.max(1) as f64,
-        scanned_entries,
-        scan_reads,
-        under_scan_inner_reads: inner_reads,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -685,67 +549,6 @@ mod tests {
         assert!(
             gap_buffered < gap_per_key,
             "batching must narrow the PGM insert gap ({gap_per_key:.2}x -> {gap_buffered:.2}x)"
-        );
-    }
-
-    #[test]
-    fn scan_interference_pins_the_policy_contrast() {
-        // The scan-resistance claim of DESIGN.md §3.3 at a reduced scale: a
-        // 64-block pool against a ~30k-key table (hundreds of leaf blocks).
-        // 2Q must hold the hot hit rate within 5 points of its no-scan
-        // baseline; strict LRU must degrade by well more than that.
-        let keys = Dataset::Ycsb.generate_keys(30_000, 11);
-        let w = Workload::build(&keys, WorkloadSpec::new(WorkloadKind::LookupOnly, 1, 0));
-        let run = |policy| {
-            let cfg = RunConfig { buffer_blocks: 64, buffer_policy: policy, ..Default::default() };
-            run_scan_interference(IndexChoice::BTree, &cfg, &w, 24)
-        };
-        let twoq = run(ReplacementPolicy::TwoQ);
-        let lru = run(ReplacementPolicy::Lru);
-        assert!(twoq.scan_reads > 0, "the scan must tag its reads");
-        assert!(twoq.scanned_entries >= 30_000, "the scan must cover the table");
-        assert!(
-            twoq.baseline_hit_rate > 0.9,
-            "2Q baseline must be warm, got {}",
-            twoq.baseline_hit_rate
-        );
-        assert!(
-            twoq.degradation_points() <= 5.0,
-            "2Q must hold within 5 points, lost {:.1}",
-            twoq.degradation_points()
-        );
-        assert!(
-            lru.degradation_points() > 10.0,
-            "LRU must degrade under the scan, lost only {:.1}",
-            lru.degradation_points()
-        );
-    }
-
-    #[test]
-    fn inner_reservation_keeps_inner_reads_cached_during_scans() {
-        // Partitioning is orthogonal to the policy: even under LRU, a
-        // reserved inner partition keeps the descent path cached while the
-        // scan churns the general partition.
-        let keys = Dataset::Ycsb.generate_keys(30_000, 11);
-        let w = Workload::build(&keys, WorkloadSpec::new(WorkloadKind::LookupOnly, 1, 0));
-        let run = |partitions| {
-            let cfg = RunConfig {
-                buffer_blocks: 64,
-                buffer_partitions: partitions,
-                ..Default::default()
-            };
-            run_scan_interference(IndexChoice::BTree, &cfg, &w, 24)
-        };
-        let unified = run(PoolPartitions::Unified);
-        let reserved = run(PoolPartitions::InnerReserved { percent: 25 });
-        assert_eq!(
-            reserved.under_scan_inner_reads, 0,
-            "with a reserved partition the scan must never evict the descent path"
-        );
-        assert!(
-            unified.under_scan_inner_reads > 0,
-            "without partitions the scan must evict inner blocks (otherwise \
-             this test is vacuous)"
         );
     }
 

@@ -252,7 +252,7 @@ impl FitingTree {
 
         let mut q = self.disk.read_queue();
         for &b in &blocks {
-            q.prefetch(self.seg_file, b, BlockKind::Leaf, AccessClass::Point, SeqHint::Auto)?;
+            q.prefetch(self.seg_file, b, BlockKind::Leaf, SeqHint::Auto)?;
         }
         q.flush()?;
 

@@ -245,7 +245,7 @@ impl LippIndex {
                 })
                 .collect();
             for &b in &slot_blocks {
-                q.prefetch(self.file, b, BlockKind::Leaf, AccessClass::Point, SeqHint::Auto)?;
+                q.prefetch(self.file, b, BlockKind::Leaf, SeqHint::Auto)?;
             }
             q.flush()?;
 

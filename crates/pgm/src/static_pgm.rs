@@ -625,8 +625,8 @@ impl StaticPgm {
     }
 
     /// Collects up to `count` entries with keys `>= start` into `out`. The
-    /// data blocks are streamed with scan-class reads, so a scan-resistant
-    /// buffer pool admits them into probation only.
+    /// data blocks are streamed with scan-class reads, so at queue depth > 1
+    /// a miss also prefetches the blocks that follow it.
     pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<()> {
         if self.len == 0 || count == 0 || start > self.max_key {
             return Ok(());

@@ -1,34 +1,27 @@
-//! Scan-resistant buffer management over `(file, block)` pairs.
+//! Striped strict-LRU buffer management over `(file, block)` pairs.
 //!
 //! The paper's default configuration has *no* buffer manager — every request
-//! hits the disk — but §6.6 studies the impact of caching 0–128 blocks with
-//! an LRU policy (Fig. 13). This module provides that cache, generalised to a
-//! small buffer-manager design space:
+//! hits the disk — but §6.6 studies the impact of caching 0–128 blocks under
+//! strict LRU (Fig. 13). This module is that cache: a hit makes its frame the
+//! most recently used, and a full pool evicts the least recently used frame.
+//! Two levels exist:
 //!
-//! * **Replacement policy** ([`ReplacementPolicy`]): strict LRU (the paper's
-//!   policy and the default), a CLOCK / second-chance sweep, and a 2Q-style
-//!   scan-resistant policy with probation/protected queues.
-//! * **Per-kind partitions** ([`PoolPartitions`]): a fraction of the frames
-//!   can be reserved for index-structure blocks ([`BlockKind::Meta`] /
-//!   [`BlockKind::Inner`]) so that streaming over leaf data can never evict
-//!   the hot inner path.
-//! * **Access classes** ([`AccessClass`]): readers tag each request as a
-//!   point access or part of a scan stream, and the policy uses the tag for
-//!   admission (2Q admits scan reads into probation only; CLOCK gives them
-//!   no reference bit).
-//!
-//! All three knobs are carried by [`PoolConfig`] and selected per
-//! [`crate::Disk`] via `DiskConfig`. Two cache levels exist:
-//!
-//! * [`BufferPool`] — a single unsynchronised pool. Used directly by
-//!   single-threaded micro-benchmarks and as the building block below.
-//! * [`ShardedBufferPool`] — a lock-striped array of [`BufferPool`] shards,
-//!   each behind its own mutex, selected by `(file ^ block)`. This is what
+//! * [`BufferPool`] — one unsynchronised strict LRU: a frame slab threaded by
+//!   one intrusive recency list, plus a `(file, block)` map.
+//! * [`ShardedBufferPool`] — a lock-striped array of [`BufferPool`]s, each
+//!   behind its own mutex, selected by `(file ^ block)`. This is what
 //!   [`crate::Disk`] embeds so N reader threads hitting different blocks do
-//!   not serialise on one pool lock. Within a shard the configured policy
-//!   applies exactly; consecutive blocks of one file stripe round-robin
-//!   across shards, so the common "small pool, hot working set"
-//!   configurations of Fig. 13 keep their hit behaviour.
+//!   not serialise on one pool lock. Each stripe is an exact LRU over its own
+//!   blocks; consecutive blocks of one file stripe round-robin across the
+//!   stripes, so the common "small pool, hot working set" configurations of
+//!   Fig. 13 keep their hit behaviour.
+//!
+//! Readers tag each request with an [`AccessClass`]. The pool does not look
+//! at it — a scan and a lookup age the same LRU list, the behaviour the paper
+//! measures — but [`crate::Disk`] does: a scan-class miss at queue depth > 1
+//! fetches a readahead wave, and scan-class reads are counted in
+//! [`crate::IoStats::scan_reads`]. DESIGN.md §3.3 says why the pool has one
+//! policy and no knob.
 //!
 //! Cached block contents are stored as [`BlockRef`] frames — cheaply
 //! clonable, `Arc`-backed, read-only views. A pool hit hands the caller a
@@ -38,36 +31,27 @@
 //!
 //! # Example
 //!
-//! A 2Q pool with a quarter of its frames reserved for inner/meta blocks. A
-//! streaming scan admits its blocks into the probation queue only, so the
-//! re-referenced (protected) point-lookup working set survives it:
+//! A two-block pool: a hit makes its block the most recently used, so the
+//! next admission evicts the other one.
 //!
 //! ```
-//! use lidx_storage::{AccessClass, BlockKind, BlockRef, BufferPool, PoolConfig,
-//!                    PoolPartitions, ReplacementPolicy};
+//! use lidx_storage::{BlockRef, BufferPool};
 //!
-//! let mut pool = BufferPool::with_config(
-//!     PoolConfig::new(8)
-//!         .policy(ReplacementPolicy::TwoQ)
-//!         .partitions(PoolPartitions::InnerReserved { percent: 25 }),
-//! );
-//! // A hot block, re-referenced once: promoted to the protected queue.
-//! pool.put_ref(0, 0, BlockKind::Leaf, AccessClass::Point, BlockRef::from_vec(vec![1; 16]));
-//! assert!(pool.get_ref(0, 0, AccessClass::Point).is_some());
-//! // A scan streams far more blocks than the pool holds...
-//! for b in 1..100u32 {
-//!     pool.put_ref(0, b, BlockKind::Leaf, AccessClass::Scan, BlockRef::from_vec(vec![0; 16]));
-//! }
-//! // ...but only churns probation: the protected hot block is still cached.
+//! let mut pool = BufferPool::new(2);
+//! pool.put_ref(0, 0, BlockRef::from_vec(vec![1; 16]));
+//! pool.put_ref(0, 1, BlockRef::from_vec(vec![2; 16]));
+//! // The hit on block 0 leaves block 1 least recently used...
+//! assert_eq!(pool.get_ref(0, 0).as_deref(), Some(&[1u8; 16][..]));
+//! pool.put_ref(0, 2, BlockRef::from_vec(vec![3; 16]));
+//! // ...so admitting block 2 evicts block 1.
 //! assert!(pool.contains(0, 0));
+//! assert!(!pool.contains(0, 1));
 //! ```
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use crate::stats::BlockKind;
 
 /// A pinned, read-only view of one block's contents.
 ///
@@ -114,13 +98,10 @@ impl AsRef<[u8]> for BlockRef {
 
 /// How a block request relates to the access pattern around it.
 ///
-/// Scans announce themselves so the replacement policy can keep a streaming
-/// pass from flushing the point-lookup working set: under
-/// [`ReplacementPolicy::TwoQ`] scan-class blocks are admitted into the
-/// probation queue only and a scan-class re-reference does not promote, and
-/// under [`ReplacementPolicy::Clock`] scan-class hits do not set the
-/// reference bit. Strict LRU ignores the class — it is the scan-vulnerable
-/// baseline the paper evaluates.
+/// The buffer pool ignores the class; [`crate::Disk`] uses it. A scan-class
+/// miss at queue depth > 1 folds a readahead of the following blocks into
+/// its fetch (`DiskConfig::queue_depth`), and every scan-class read is
+/// counted in [`crate::IoStats::scan_reads`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AccessClass {
     /// An individual (point) access: lookups, descents, read-modify-write.
@@ -130,426 +111,56 @@ pub enum AccessClass {
     Scan,
 }
 
-/// The frame replacement policy of a [`BufferPool`] partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReplacementPolicy {
-    /// Strict least-recently-used (the paper's Fig. 13 policy, and the
-    /// default). Every hit front-moves the frame; eviction takes the tail.
-    /// A one-pass scan therefore replaces the entire pool.
-    #[default]
-    Lru,
-    /// CLOCK (second-chance): frames sit in a ring; a point hit sets the
-    /// frame's reference bit, and the eviction hand clears bits until it
-    /// finds an unreferenced victim. Scan-class accesses never set the bit,
-    /// so streamed blocks are reclaimed on the hand's first pass while
-    /// re-referenced point frames survive a full sweep.
-    Clock,
-    /// 2Q-style scan resistance: frames enter a probation FIFO; a *point*
-    /// re-reference promotes to a protected LRU segment capped at 3/4 of the
-    /// partition, while scan-class blocks stay in probation. Evictions take
-    /// probation first and touch protected frames only when probation is
-    /// empty, so a full-table scan churns probation and leaves the promoted
-    /// working set resident.
-    TwoQ,
-}
-
-impl ReplacementPolicy {
-    /// All policies, in a stable order used by sweeps and reports.
-    pub const ALL: [ReplacementPolicy; 3] =
-        [ReplacementPolicy::Lru, ReplacementPolicy::Clock, ReplacementPolicy::TwoQ];
-
-    /// Short lowercase name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Clock => "clock",
-            ReplacementPolicy::TwoQ => "2q",
-        }
-    }
-}
-
-impl std::fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// How pool frames are divided between block kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PoolPartitions {
-    /// Every block kind competes for the same frames (the paper's setting,
-    /// and the default).
-    #[default]
-    Unified,
-    /// `percent`% of the frames (clamped to `1..=capacity-1`) are reserved
-    /// for index-structure blocks ([`BlockKind::Meta`] and
-    /// [`BlockKind::Inner`]); leaf and utility blocks compete only for the
-    /// remainder. Each partition runs its own instance of the configured
-    /// policy and evicts strictly within itself, so a data scan can *never*
-    /// steal an inner frame. Pools of fewer than 2 frames cannot be split
-    /// and fall back to [`PoolPartitions::Unified`].
-    InnerReserved {
-        /// Share of the capacity reserved for meta/inner frames, in percent.
-        percent: u8,
-    },
-}
-
-impl PoolPartitions {
-    /// Short name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            PoolPartitions::Unified => "unified",
-            PoolPartitions::InnerReserved { .. } => "inner-reserved",
-        }
-    }
-}
-
-/// Construction-time configuration of a [`BufferPool`] /
-/// [`ShardedBufferPool`].
-///
-/// ```
-/// use lidx_storage::{PoolConfig, PoolPartitions, ReplacementPolicy};
-///
-/// // The paper's configuration: plain LRU, no partitions.
-/// let fig13 = PoolConfig::new(64);
-/// assert_eq!(fig13.policy, ReplacementPolicy::Lru);
-///
-/// // A scan-resistant pool: 2Q with 25% of frames reserved for inner nodes.
-/// let resistant = PoolConfig::new(64)
-///     .policy(ReplacementPolicy::TwoQ)
-///     .partitions(PoolPartitions::InnerReserved { percent: 25 });
-/// assert_eq!(resistant.capacity, 64);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolConfig {
-    /// Total capacity in blocks; 0 disables caching entirely.
-    pub capacity: usize,
-    /// The replacement policy (applied per partition).
-    pub policy: ReplacementPolicy,
-    /// How frames are divided between block kinds.
-    pub partitions: PoolPartitions,
-}
-
-impl PoolConfig {
-    /// An LRU, unpartitioned pool of `capacity` blocks — exactly the paper's
-    /// Fig. 13 buffer manager.
-    pub fn new(capacity: usize) -> Self {
-        PoolConfig { capacity, ..Default::default() }
-    }
-
-    /// Sets the replacement policy.
-    #[must_use]
-    pub fn policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the partitioning scheme.
-    #[must_use]
-    pub fn partitions(mut self, partitions: PoolPartitions) -> Self {
-        self.partitions = partitions;
-        self
-    }
-
-    /// The per-partition capacities this configuration resolves to:
-    /// `[reserved, general]` when partitioned, `[capacity]` otherwise.
-    pub fn partition_capacities(&self) -> Vec<usize> {
-        match self.partitions {
-            PoolPartitions::InnerReserved { percent } if self.capacity >= 2 => {
-                let reserved = (self.capacity * percent as usize / 100).clamp(1, self.capacity - 1);
-                vec![reserved, self.capacity - reserved]
-            }
-            _ => vec![self.capacity],
-        }
-    }
-}
-
 const NIL: usize = usize::MAX;
 
+/// One cached frame, threaded on its pool's recency list.
 #[derive(Debug)]
 struct Entry {
     key: (u32, u32),
     data: BlockRef,
     prev: usize,
     next: usize,
-    /// CLOCK reference bit.
-    referenced: bool,
-    /// 2Q: true when the entry lives on the protected list.
-    protected: bool,
 }
 
-/// One intrusive doubly-linked list over a [`SubPool`]'s entry slab.
-#[derive(Debug, Clone, Copy)]
-struct List {
-    head: usize,
-    tail: usize,
-    len: usize,
-}
-
-impl List {
-    fn new() -> Self {
-        List { head: NIL, tail: NIL, len: 0 }
-    }
-}
-
-/// One partition: an entry slab plus the policy queues over it.
+/// A strict-LRU block cache keyed by `(file, block)` — the paper's Fig. 13
+/// buffer manager.
 ///
-/// The `main` list is the LRU chain (MRU at head), the CLOCK ring (hand at
-/// head, newest at tail) or the 2Q probation FIFO (newest at head, victim at
-/// tail) depending on the policy; `prot` is the 2Q protected LRU segment and
-/// is unused by the other policies.
-#[derive(Debug)]
-struct SubPool {
-    policy: ReplacementPolicy,
-    capacity: usize,
-    /// 2Q: maximum entries on the protected list (3/4 of the capacity).
-    protected_cap: usize,
-    entries: Vec<Entry>,
-    free: Vec<usize>,
-    main: List,
-    prot: List,
-}
-
-impl SubPool {
-    fn new(policy: ReplacementPolicy, capacity: usize) -> Self {
-        SubPool {
-            policy,
-            capacity,
-            protected_cap: (capacity * 3 / 4).max(1),
-            entries: Vec::new(),
-            free: Vec::new(),
-            main: List::new(),
-            prot: List::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.main.len + self.prot.len
-    }
-
-    fn list(&mut self, protected: bool) -> &mut List {
-        if protected {
-            &mut self.prot
-        } else {
-            &mut self.main
-        }
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next, protected) =
-            (self.entries[idx].prev, self.entries[idx].next, self.entries[idx].protected);
-        let list = self.list(protected);
-        list.len -= 1;
-        if prev != NIL {
-            self.entries[prev].next = next;
-        } else {
-            self.list(protected).head = next;
-        }
-        if next != NIL {
-            self.entries[next].prev = prev;
-        } else {
-            self.list(protected).tail = prev;
-        }
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize, protected: bool) {
-        self.entries[idx].protected = protected;
-        let head = self.list(protected).head;
-        self.entries[idx].prev = NIL;
-        self.entries[idx].next = head;
-        if head != NIL {
-            self.entries[head].prev = idx;
-        }
-        let list = self.list(protected);
-        list.head = idx;
-        if list.tail == NIL {
-            list.tail = idx;
-        }
-        list.len += 1;
-    }
-
-    fn push_back(&mut self, idx: usize, protected: bool) {
-        self.entries[idx].protected = protected;
-        let tail = self.list(protected).tail;
-        self.entries[idx].next = NIL;
-        self.entries[idx].prev = tail;
-        if tail != NIL {
-            self.entries[tail].next = idx;
-        }
-        let list = self.list(protected);
-        list.tail = idx;
-        if list.head == NIL {
-            list.head = idx;
-        }
-        list.len += 1;
-    }
-
-    /// Applies the policy's on-hit transition for `idx`.
-    fn touch(&mut self, idx: usize, class: AccessClass) {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                self.detach(idx);
-                self.push_front(idx, false);
-            }
-            ReplacementPolicy::Clock => {
-                if class == AccessClass::Point {
-                    self.entries[idx].referenced = true;
-                }
-            }
-            ReplacementPolicy::TwoQ => {
-                if self.entries[idx].protected {
-                    self.detach(idx);
-                    self.push_front(idx, true);
-                } else if class == AccessClass::Point {
-                    // Promote out of probation. When protected is full, the
-                    // protected LRU tail is demoted back to the front of
-                    // probation (a swap, so no eviction happens on a hit).
-                    self.detach(idx);
-                    self.push_front(idx, true);
-                    if self.prot.len > self.protected_cap {
-                        let demoted = self.prot.tail;
-                        self.detach(demoted);
-                        self.push_front(demoted, false);
-                    }
-                }
-                // A scan-class probation hit stays where it is: streams get
-                // no second chance.
-            }
-        }
-    }
-
-    /// Selects the next victim (pool full), applying CLOCK's second-chance
-    /// rotation as a side effect.
-    fn victim(&mut self) -> usize {
-        match self.policy {
-            ReplacementPolicy::Lru => self.main.tail,
-            ReplacementPolicy::Clock => loop {
-                let hand = self.main.head;
-                debug_assert_ne!(hand, NIL);
-                if self.entries[hand].referenced {
-                    self.entries[hand].referenced = false;
-                    self.detach(hand);
-                    self.push_back(hand, false);
-                } else {
-                    break hand;
-                }
-            },
-            ReplacementPolicy::TwoQ => {
-                if self.main.len > 0 {
-                    self.main.tail
-                } else {
-                    self.prot.tail
-                }
-            }
-        }
-    }
-
-    /// Admits a new frame, returning its slot and the evicted key, if any.
-    fn insert(&mut self, key: (u32, u32), data: BlockRef, class: AccessClass) -> Admitted {
-        debug_assert!(self.capacity > 0);
-        let evicted = if self.len() >= self.capacity {
-            let victim = self.victim();
-            let key = self.entries[victim].key;
-            self.detach(victim);
-            // Drop the frame now: lazy free means outstanding caller pins
-            // alone decide the snapshot's lifetime, not a dead pool slot.
-            self.entries[victim].data = BlockRef::from_vec(Vec::new());
-            self.free.push(victim);
-            Some(key)
-        } else {
-            None
-        };
-        let entry = Entry { key, data, prev: NIL, next: NIL, referenced: false, protected: false };
-        let idx = if let Some(idx) = self.free.pop() {
-            self.entries[idx] = entry;
-            idx
-        } else {
-            self.entries.push(entry);
-            self.entries.len() - 1
-        };
-        match self.policy {
-            ReplacementPolicy::Lru => self.push_front(idx, false),
-            // CLOCK admits at the back of the ring with the bit clear: a
-            // never-referenced (scan) frame is reclaimed on the hand's first
-            // visit; `class` only matters on hits.
-            ReplacementPolicy::Clock => self.push_back(idx, false),
-            // 2Q admits everything into probation; only point *hits*
-            // promote, so `class` matters on hits, not on admission.
-            ReplacementPolicy::TwoQ => self.push_front(idx, false),
-        }
-        let _ = class;
-        Admitted { slot: idx, evicted }
-    }
-
-    /// Removes `idx` from the pool (invalidation).
-    fn remove(&mut self, idx: usize) {
-        self.detach(idx);
-        self.entries[idx].data = BlockRef::from_vec(Vec::new());
-        self.free.push(idx);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-        self.free.clear();
-        self.main = List::new();
-        self.prot = List::new();
-    }
-}
-
-struct Admitted {
-    slot: usize,
-    evicted: Option<(u32, u32)>,
-}
-
-/// A block cache keyed by `(file, block)` with a configurable replacement
-/// policy and optional per-kind partitions (see [`PoolConfig`]).
-///
-/// `capacity == 0` disables caching entirely (every lookup misses). The
-/// default [`BufferPool::new`] constructor is the paper's strict-LRU,
-/// unpartitioned Fig. 13 cache.
+/// Frames live in one slab threaded by an intrusive doubly-linked list, most
+/// recently used at the head. `capacity == 0` disables caching entirely
+/// (every lookup misses).
 #[derive(Debug)]
 pub struct BufferPool {
-    config: PoolConfig,
-    /// Map from (file, block) to (partition, slot).
-    map: HashMap<(u32, u32), (u8, u32)>,
-    parts: Vec<SubPool>,
+    capacity: usize,
+    /// Map from (file, block) to its slab slot.
+    map: HashMap<(u32, u32), usize>,
+    entries: Vec<Entry>,
+    free: Vec<usize>,
+    /// Most recently used slot.
+    head: usize,
+    /// Least recently used slot: the next victim.
+    tail: usize,
     hits: u64,
     misses: u64,
 }
 
 impl BufferPool {
-    /// Creates a strict-LRU, unpartitioned pool holding at most `capacity`
-    /// blocks (the paper's Fig. 13 configuration).
+    /// Creates a pool holding at most `capacity` blocks.
     pub fn new(capacity: usize) -> Self {
-        Self::with_config(PoolConfig::new(capacity))
-    }
-
-    /// Creates a pool from a full [`PoolConfig`].
-    pub fn with_config(config: PoolConfig) -> Self {
-        let parts = config
-            .partition_capacities()
-            .into_iter()
-            .map(|cap| SubPool::new(config.policy, cap))
-            .collect();
         BufferPool {
-            config,
-            map: HashMap::with_capacity(config.capacity.min(1 << 20)),
-            parts,
+            capacity,
+            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            entries: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The configuration this pool was built from.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-
     /// The configured capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.config.capacity
+        self.capacity
     }
 
     /// Number of blocks currently cached.
@@ -572,119 +183,116 @@ impl BufferPool {
         self.misses
     }
 
-    /// Whether a block is resident, without touching the policy state or the
-    /// hit/miss counters. Exposed for model-based tests and assertions.
+    /// Whether a block is resident, without touching the recency order or
+    /// the hit/miss counters. Exposed for model-based tests and assertions.
     pub fn contains(&self, file: u32, block: u32) -> bool {
         self.map.contains_key(&(file, block))
     }
 
-    /// The partition a block of `kind` is admitted to.
-    fn partition_for(&self, kind: BlockKind) -> usize {
-        if self.parts.len() == 1 {
-            return 0;
-        }
-        match kind {
-            BlockKind::Meta | BlockKind::Inner => 0,
-            BlockKind::Leaf | BlockKind::Utility => 1,
-        }
-    }
-
-    /// Looks up a block; on a hit, returns a clone of its pinned frame (no
-    /// byte copy) and applies the policy's on-hit transition under the given
-    /// access class.
-    pub fn get_ref(&mut self, file: u32, block: u32, class: AccessClass) -> Option<BlockRef> {
-        if self.config.capacity == 0 {
-            self.misses += 1;
-            return None;
-        }
-        if let Some(&(pid, idx)) = self.map.get(&(file, block)) {
-            let part = &mut self.parts[pid as usize];
-            let frame = part.entries[idx as usize].data.clone();
-            part.touch(idx as usize, class);
-            self.hits += 1;
-            Some(frame)
+    fn detach(&mut self, idx: usize) {
+        let (prev, next) = (self.entries[idx].prev, self.entries[idx].next);
+        if prev != NIL {
+            self.entries[prev].next = next;
         } else {
-            self.misses += 1;
-            None
+            self.head = next;
+        }
+        if next != NIL {
+            self.entries[next].prev = prev;
+        } else {
+            self.tail = prev;
         }
     }
 
-    /// Looks up a block; on a hit, copies its contents into `out` as a
-    /// point access. Returns `true` on a hit.
-    pub fn get(&mut self, file: u32, block: u32, out: &mut [u8]) -> bool {
-        match self.get_ref(file, block, AccessClass::Point) {
-            Some(frame) => {
-                out.copy_from_slice(&frame);
-                true
+    fn push_front(&mut self, idx: usize) {
+        self.entries[idx].prev = NIL;
+        self.entries[idx].next = self.head;
+        if self.head != NIL {
+            self.entries[self.head].prev = idx;
+        } else {
+            self.tail = idx;
+        }
+        self.head = idx;
+    }
+
+    /// Makes `idx` the most recently used frame.
+    fn touch(&mut self, idx: usize) {
+        if self.head != idx {
+            self.detach(idx);
+            self.push_front(idx);
+        }
+    }
+
+    /// Unlinks slot `idx` and returns it to the free list. The frame is
+    /// dropped now: lazy free means outstanding caller pins alone decide the
+    /// snapshot's lifetime, not a dead pool slot.
+    fn release(&mut self, idx: usize) {
+        self.detach(idx);
+        self.entries[idx].data = BlockRef::from_vec(Vec::new());
+        self.free.push(idx);
+    }
+
+    /// Looks up a block; on a hit, makes it the most recently used and
+    /// returns a clone of its pinned frame (no byte copy).
+    pub fn get_ref(&mut self, file: u32, block: u32) -> Option<BlockRef> {
+        match self.map.get(&(file, block)) {
+            Some(&idx) => {
+                self.touch(idx);
+                self.hits += 1;
+                Some(self.entries[idx].data.clone())
             }
-            None => false,
+            None => {
+                self.misses += 1;
+                None
+            }
         }
     }
 
-    /// Inserts or refreshes a block's pinned frame without copying the bytes,
-    /// evicting within the block's partition according to the policy if that
-    /// partition is full. Evicted frames are dropped, not overwritten:
-    /// outstanding [`BlockRef`] clones keep their snapshot alive until
-    /// released. A refresh of an already-resident block updates the frame in
-    /// place and counts as an access of the given class (`kind` cannot move
-    /// an existing block between partitions).
-    pub fn put_ref(
-        &mut self,
-        file: u32,
-        block: u32,
-        kind: BlockKind,
-        class: AccessClass,
-        frame: BlockRef,
-    ) {
-        if self.config.capacity == 0 {
+    /// Inserts or refreshes a block's pinned frame without copying the
+    /// bytes; either way the block becomes the most recently used. Admitting
+    /// a new block into a full pool evicts the least recently used one.
+    /// Evicted frames are dropped, not overwritten: outstanding [`BlockRef`]
+    /// clones keep their snapshot alive until released.
+    pub fn put_ref(&mut self, file: u32, block: u32, frame: BlockRef) {
+        if self.capacity == 0 {
             return;
         }
-        if let Some(&(pid, idx)) = self.map.get(&(file, block)) {
-            let part = &mut self.parts[pid as usize];
-            part.entries[idx as usize].data = frame;
-            part.touch(idx as usize, class);
+        if let Some(&idx) = self.map.get(&(file, block)) {
+            self.entries[idx].data = frame;
+            self.touch(idx);
             return;
         }
-        let pid = self.partition_for(kind);
-        let admitted = self.parts[pid].insert((file, block), frame, class);
-        if let Some(evicted) = admitted.evicted {
-            self.map.remove(&evicted);
+        if self.map.len() >= self.capacity {
+            let victim = self.tail;
+            self.map.remove(&self.entries[victim].key);
+            self.release(victim);
         }
-        self.map.insert((file, block), (pid as u8, admitted.slot as u32));
-    }
-
-    /// Inserts or refreshes a block's contents from a borrowed buffer (one
-    /// copy to build the frame), as a point access of leaf kind. Legacy
-    /// paths and tests use this; the zero-copy read path inserts its
-    /// already-owned frame via [`BufferPool::put_ref`].
-    pub fn put(&mut self, file: u32, block: u32, data: &[u8]) {
-        if self.config.capacity == 0 {
-            // Don't build (allocate + copy) a frame just to discard it.
-            return;
-        }
-        self.put_ref(
-            file,
-            block,
-            BlockKind::Leaf,
-            AccessClass::Point,
-            BlockRef::from_vec(data.to_vec()),
-        );
+        let entry = Entry { key: (file, block), data: frame, prev: NIL, next: NIL };
+        let idx = if let Some(idx) = self.free.pop() {
+            self.entries[idx] = entry;
+            idx
+        } else {
+            self.entries.push(entry);
+            self.entries.len() - 1
+        };
+        self.push_front(idx);
+        self.map.insert((file, block), idx);
     }
 
     /// Removes a cached block if present (used when blocks are invalidated by
     /// structural modification operations).
     pub fn invalidate(&mut self, file: u32, block: u32) {
-        if let Some((pid, idx)) = self.map.remove(&(file, block)) {
-            self.parts[pid as usize].remove(idx as usize);
+        if let Some(idx) = self.map.remove(&(file, block)) {
+            self.release(idx);
         }
     }
 
     /// Drops every cached block and resets hit/miss counters.
     pub fn clear(&mut self) {
         self.map.clear();
-        for part in &mut self.parts {
-            part.clear();
-        }
+        self.entries.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
         self.hits = 0;
         self.misses = 0;
     }
@@ -696,75 +304,49 @@ pub const MAX_SHARDS: usize = 8;
 /// The smallest per-stripe capacity worth striping for. Below this, shard
 /// collisions would visibly distort the hit behaviour that the paper's
 /// buffer-size study (Fig. 13) depends on, so smaller pools fall back to a
-/// single stripe — i.e. one exact instance of the configured policy behind
-/// one mutex.
+/// single stripe — i.e. one exact global LRU behind one mutex.
 pub const MIN_BLOCKS_PER_SHARD: usize = 4;
 
-/// A lock-striped buffer pool: an array of [`BufferPool`] shards, each
-/// behind its own mutex, all sharing one [`PoolConfig`] (policy and
-/// partitioning apply per shard).
+/// A lock-striped buffer pool: an array of strict-LRU [`BufferPool`]
+/// stripes, each behind its own mutex.
 ///
-/// The shard for a block is `(file ^ block) % shards` with a power-of-two
-/// shard count, so consecutive blocks of one file land on distinct shards
+/// The stripe for a block is `(file ^ block) % shards` with a power-of-two
+/// stripe count, so consecutive blocks of one file land on distinct stripes
 /// (good both for lock spreading and for keeping a sequentially-filled pool
-/// balanced). Pools smaller than `2 * MIN_BLOCKS_PER_SHARD` blocks use a
-/// single stripe and therefore behave *exactly* like the unsharded
-/// [`BufferPool`]; larger pools trade a bounded amount of replacement-order
-/// fidelity (eviction is per-stripe) for reader parallelism.
-/// `capacity == 0` disables caching, exactly like [`BufferPool`].
+/// balanced). The stripes split the capacity exactly: the first
+/// `capacity % shards` stripes hold one block more than the rest. Pools
+/// smaller than `2 * MIN_BLOCKS_PER_SHARD` blocks use a single stripe and
+/// therefore behave *exactly* like the unsharded [`BufferPool`]; larger
+/// pools trade a bounded amount of replacement-order fidelity (eviction is
+/// per stripe) for reader parallelism. `capacity == 0` disables caching,
+/// exactly like [`BufferPool`].
 #[derive(Debug)]
 pub struct ShardedBufferPool {
     shards: Box<[Mutex<BufferPool>]>,
     mask: u32,
-    config: PoolConfig,
+    capacity: usize,
 }
 
 impl ShardedBufferPool {
-    /// Creates a strict-LRU, unpartitioned pool holding at most `capacity`
-    /// blocks in total.
+    /// Creates a pool holding at most `capacity` blocks in total, striped
+    /// over up to [`MAX_SHARDS`] locks with at least
+    /// [`MIN_BLOCKS_PER_SHARD`] blocks per stripe (so small pools stay one
+    /// exact LRU).
     pub fn new(capacity: usize) -> Self {
-        Self::with_config(PoolConfig::new(capacity))
-    }
-
-    /// Creates a pool from a full [`PoolConfig`], striping `capacity` over
-    /// up to [`MAX_SHARDS`] locks with at least [`MIN_BLOCKS_PER_SHARD`]
-    /// blocks per stripe (so small pools keep whole-pool policy behaviour).
-    pub fn with_config(config: PoolConfig) -> Self {
-        let capacity = config.capacity;
-        let shard_count = if capacity == 0 {
-            1
-        } else {
-            // Largest power of two <= min(capacity / MIN_BLOCKS_PER_SHARD,
-            // MAX_SHARDS), and at least 1.
-            let limit = (capacity / MIN_BLOCKS_PER_SHARD).clamp(1, MAX_SHARDS);
-            let mut n = 1usize;
-            while n * 2 <= limit {
-                n *= 2;
-            }
-            n
-        };
-        let per_shard = capacity.div_ceil(shard_count);
+        // Largest power of two <= min(capacity / MIN_BLOCKS_PER_SHARD,
+        // MAX_SHARDS), and at least 1.
+        let shard_count = 1usize << (capacity / MIN_BLOCKS_PER_SHARD).clamp(1, MAX_SHARDS).ilog2();
+        let (base, extra) = (capacity / shard_count, capacity % shard_count);
         let shards = (0..shard_count)
-            .map(|_| {
-                Mutex::new(BufferPool::with_config(PoolConfig {
-                    capacity: if capacity == 0 { 0 } else { per_shard },
-                    ..config
-                }))
-            })
+            .map(|i| Mutex::new(BufferPool::new(base + usize::from(i < extra))))
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        ShardedBufferPool { shards, mask: shard_count as u32 - 1, config }
-    }
-
-    /// The configuration this pool was built from (total capacity; policy
-    /// and partitions apply per shard).
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
+        ShardedBufferPool { shards, mask: shard_count as u32 - 1, capacity }
     }
 
     /// The configured total capacity in blocks.
     pub fn capacity(&self) -> usize {
-        self.config.capacity
+        self.capacity
     }
 
     /// Number of lock stripes.
@@ -772,11 +354,10 @@ impl ShardedBufferPool {
         self.shards.len()
     }
 
-    /// Capacity of each stripe in blocks (`ceil(capacity / shard_count)`;
-    /// 0 when the pool is disabled). Exposed so model-based tests can mirror
-    /// the per-stripe behaviour exactly.
-    pub fn shard_capacity(&self) -> usize {
-        self.shards[0].lock().capacity()
+    /// Capacity of stripe `shard` in blocks (0 when the pool is disabled).
+    /// Exposed so model-based tests can mirror each stripe exactly.
+    pub fn shard_capacity(&self, shard: usize) -> usize {
+        self.shards[shard].lock().capacity()
     }
 
     /// The stripe a given block maps to (exposed so model-based tests can
@@ -789,7 +370,7 @@ impl ShardedBufferPool {
         &self.shards[self.shard_index(file, block)]
     }
 
-    /// Number of blocks currently cached across all shards.
+    /// Number of blocks currently cached across all stripes.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
@@ -799,52 +380,32 @@ impl ShardedBufferPool {
         self.len() == 0
     }
 
-    /// Cache hits observed so far, across all shards.
+    /// Cache hits observed so far, across all stripes.
     pub fn hits(&self) -> u64 {
         self.shards.iter().map(|s| s.lock().hits()).sum()
     }
 
-    /// Cache misses observed so far, across all shards.
+    /// Cache misses observed so far, across all stripes.
     pub fn misses(&self) -> u64 {
         self.shards.iter().map(|s| s.lock().misses()).sum()
     }
 
-    /// Whether a block is resident, without touching policy state or
-    /// counters.
+    /// Whether a block is resident, without touching the recency order or
+    /// the counters.
     pub fn contains(&self, file: u32, block: u32) -> bool {
         self.shard(file, block).lock().contains(file, block)
     }
 
-    /// Looks up a block; on a hit, returns a clone of its pinned frame (no
-    /// byte copy) and applies the policy's on-hit transition within its
-    /// shard.
-    pub fn get_ref(&self, file: u32, block: u32, class: AccessClass) -> Option<BlockRef> {
-        self.shard(file, block).lock().get_ref(file, block, class)
-    }
-
-    /// Looks up a block; on a hit, copies its contents into `out` as a point
-    /// access. Returns `true` on a hit.
-    pub fn get(&self, file: u32, block: u32, out: &mut [u8]) -> bool {
-        self.shard(file, block).lock().get(file, block, out)
+    /// Looks up a block; on a hit, makes it the most recently used of its
+    /// stripe and returns a clone of its pinned frame (no byte copy).
+    pub fn get_ref(&self, file: u32, block: u32) -> Option<BlockRef> {
+        self.shard(file, block).lock().get_ref(file, block)
     }
 
     /// Inserts or refreshes a block's pinned frame without copying the
-    /// bytes, evicting within the block's shard and partition if full.
-    pub fn put_ref(
-        &self,
-        file: u32,
-        block: u32,
-        kind: BlockKind,
-        class: AccessClass,
-        frame: BlockRef,
-    ) {
-        self.shard(file, block).lock().put_ref(file, block, kind, class, frame);
-    }
-
-    /// Inserts or refreshes a block's contents from a borrowed buffer (one
-    /// copy to build the frame), as a point access of leaf kind.
-    pub fn put(&self, file: u32, block: u32, data: &[u8]) {
-        self.shard(file, block).lock().put(file, block, data);
+    /// bytes, evicting its stripe's least recently used block if full.
+    pub fn put_ref(&self, file: u32, block: u32, frame: BlockRef) {
+        self.shard(file, block).lock().put_ref(file, block, frame);
     }
 
     /// Removes a cached block if present.
@@ -861,19 +422,19 @@ impl ShardedBufferPool {
 }
 
 #[cfg(test)]
+fn frame(v: u8, n: usize) -> BlockRef {
+    BlockRef::from_vec(vec![v; n])
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    fn blk(v: u8, n: usize) -> Vec<u8> {
-        vec![v; n]
-    }
 
     #[test]
     fn zero_capacity_never_caches() {
         let mut p = BufferPool::new(0);
-        p.put(0, 0, &blk(1, 8));
-        let mut out = blk(0, 8);
-        assert!(!p.get(0, 0, &mut out));
+        p.put_ref(0, 0, frame(1, 8));
+        assert!(p.get_ref(0, 0).is_none());
         assert_eq!(p.len(), 0);
         assert_eq!(p.misses(), 1);
     }
@@ -881,36 +442,46 @@ mod tests {
     #[test]
     fn hit_returns_latest_contents() {
         let mut p = BufferPool::new(2);
-        p.put(0, 5, &blk(9, 8));
-        let mut out = blk(0, 8);
-        assert!(p.get(0, 5, &mut out));
-        assert_eq!(out, blk(9, 8));
-        p.put(0, 5, &blk(7, 8));
-        assert!(p.get(0, 5, &mut out));
-        assert_eq!(out, blk(7, 8));
+        p.put_ref(0, 5, frame(9, 8));
+        assert_eq!(p.get_ref(0, 5).as_deref(), Some(&[9u8; 8][..]));
+        p.put_ref(0, 5, frame(7, 8));
+        assert_eq!(p.get_ref(0, 5).as_deref(), Some(&[7u8; 8][..]));
         assert_eq!(p.len(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut p = BufferPool::new(2);
-        p.put(0, 1, &blk(1, 4));
-        p.put(0, 2, &blk(2, 4));
+        p.put_ref(0, 1, frame(1, 4));
+        p.put_ref(0, 2, frame(2, 4));
         // touch block 1 so block 2 becomes LRU
-        let mut out = blk(0, 4);
-        assert!(p.get(0, 1, &mut out));
-        p.put(0, 3, &blk(3, 4));
-        assert!(p.get(0, 1, &mut out), "recently used block must survive");
-        assert!(!p.get(0, 2, &mut out), "LRU block must have been evicted");
-        assert!(p.get(0, 3, &mut out));
+        assert!(p.get_ref(0, 1).is_some());
+        p.put_ref(0, 3, frame(3, 4));
+        assert!(p.get_ref(0, 1).is_some(), "recently used block must survive");
+        assert!(p.get_ref(0, 2).is_none(), "LRU block must have been evicted");
+        assert!(p.get_ref(0, 3).is_some());
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn refreshing_a_resident_block_makes_it_most_recent() {
+        // Write-through (`Disk::write`) refreshes resident frames with
+        // `put_ref`; a refresh is a use, so the other block is the victim.
+        let mut p = BufferPool::new(2);
+        p.put_ref(0, 1, frame(1, 4));
+        p.put_ref(0, 2, frame(2, 4));
+        p.put_ref(0, 1, frame(5, 4));
+        p.put_ref(0, 3, frame(3, 4));
+        assert!(!p.contains(0, 2), "the untouched block is least recently used");
+        assert_eq!(p.get_ref(0, 1).as_deref(), Some(&[5u8; 4][..]));
+        assert_eq!(p.hits() + p.misses(), 1, "a refresh is not a lookup");
     }
 
     #[test]
     fn invalidate_releases_the_pool_reference() {
         let mut p = BufferPool::new(4);
-        p.put_ref(0, 1, BlockKind::Leaf, AccessClass::Point, BlockRef::from_vec(vec![9u8; 8]));
-        let pinned = p.get_ref(0, 1, AccessClass::Point).unwrap();
+        p.put_ref(0, 1, frame(9, 8));
+        let pinned = p.get_ref(0, 1).unwrap();
         assert_eq!(pinned.ref_count(), 2, "pool + caller");
         p.invalidate(0, 1);
         assert_eq!(pinned.ref_count(), 1, "invalidate must drop the pool's reference");
@@ -920,206 +491,51 @@ mod tests {
     #[test]
     fn invalidate_and_clear() {
         let mut p = BufferPool::new(4);
-        p.put(1, 1, &blk(1, 4));
-        p.put(1, 2, &blk(2, 4));
+        p.put_ref(1, 1, frame(1, 4));
+        p.put_ref(1, 2, frame(2, 4));
         p.invalidate(1, 1);
-        let mut out = blk(0, 4);
-        assert!(!p.get(1, 1, &mut out));
-        assert!(p.get(1, 2, &mut out));
+        assert!(p.get_ref(1, 1).is_none());
+        assert!(p.get_ref(1, 2).is_some());
         p.clear();
         assert!(p.is_empty());
         assert_eq!(p.hits(), 0);
         // reuse of freed slots must not corrupt the list
-        p.put(1, 3, &blk(3, 4));
-        p.put(1, 4, &blk(4, 4));
-        assert!(p.get(1, 3, &mut out));
-        assert_eq!(out, blk(3, 4));
+        p.put_ref(1, 3, frame(3, 4));
+        p.put_ref(1, 4, frame(4, 4));
+        assert_eq!(p.get_ref(1, 3).as_deref(), Some(&[3u8; 4][..]));
     }
 
     #[test]
     fn files_do_not_collide() {
         let mut p = BufferPool::new(4);
-        p.put(0, 7, &blk(1, 4));
-        p.put(1, 7, &blk(2, 4));
-        let mut out = blk(0, 4);
-        assert!(p.get(0, 7, &mut out));
-        assert_eq!(out, blk(1, 4));
-        assert!(p.get(1, 7, &mut out));
-        assert_eq!(out, blk(2, 4));
+        p.put_ref(0, 7, frame(1, 4));
+        p.put_ref(1, 7, frame(2, 4));
+        assert_eq!(p.get_ref(0, 7).as_deref(), Some(&[1u8; 4][..]));
+        assert_eq!(p.get_ref(1, 7).as_deref(), Some(&[2u8; 4][..]));
     }
 
     #[test]
     fn heavy_churn_respects_capacity() {
-        for policy in ReplacementPolicy::ALL {
-            let mut p = BufferPool::with_config(PoolConfig::new(8).policy(policy));
-            for i in 0..1000u32 {
-                p.put(0, i, &blk((i % 251) as u8, 16));
-                assert!(p.len() <= 8, "{policy}: over capacity");
-            }
-            // The last-inserted block is always resident, whatever the
-            // policy (it was just admitted).
-            assert!(p.contains(0, 999), "{policy}: newest block must be resident");
-        }
         // Strict LRU keeps exactly the most recent 8.
         let mut p = BufferPool::new(8);
         for i in 0..1000u32 {
-            p.put(0, i, &blk((i % 251) as u8, 16));
+            p.put_ref(0, i, frame((i % 251) as u8, 16));
+            assert!(p.len() <= 8, "over capacity");
         }
-        let mut out = blk(0, 16);
         for i in 992..1000u32 {
-            assert!(p.get(0, i, &mut out), "block {i} should be resident");
+            assert!(p.get_ref(0, i).is_some(), "block {i} should be resident");
         }
-    }
-
-    #[test]
-    fn clock_gives_referenced_frames_a_second_chance() {
-        let mut p = BufferPool::with_config(PoolConfig::new(3).policy(ReplacementPolicy::Clock));
-        p.put(0, 0, &blk(0, 4));
-        p.put(0, 1, &blk(1, 4));
-        p.put(0, 2, &blk(2, 4));
-        // Reference block 1 (sets its bit); 0 and 2 stay unreferenced.
-        assert!(p.get_ref(0, 1, AccessClass::Point).is_some());
-        // Admitting 3 sweeps the hand: 0 (unreferenced, oldest) is evicted.
-        p.put(0, 3, &blk(3, 4));
-        assert!(!p.contains(0, 0), "unreferenced oldest frame is the victim");
-        assert!(p.contains(0, 1), "referenced frame survives the sweep");
-        // Admitting 4 evicts 2: the hand passed 1, clearing its bit but
-        // giving it a second chance (1 rotates behind the newer frames).
-        p.put(0, 4, &blk(4, 4));
-        assert!(!p.contains(0, 2));
-        assert!(p.contains(0, 1));
-        // The hand reclaims the never-referenced 3 first, then — its bit now
-        // clear — frame 1's second chance is spent.
-        p.put(0, 5, &blk(5, 4));
-        assert!(!p.contains(0, 3));
-        assert!(p.contains(0, 1));
-        p.put(0, 6, &blk(6, 4));
-        assert!(!p.contains(0, 1), "second chance is spent");
-        assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn clock_scan_hits_set_no_reference_bit() {
-        let mut p = BufferPool::with_config(PoolConfig::new(2).policy(ReplacementPolicy::Clock));
-        p.put(0, 0, &blk(0, 4));
-        p.put(0, 1, &blk(1, 4));
-        // A scan-class hit leaves the bit clear...
-        assert!(p.get_ref(0, 0, AccessClass::Scan).is_some());
-        p.put(0, 2, &blk(2, 4));
-        assert!(!p.contains(0, 0), "scan hit must not protect a frame");
-        // ...while a point hit protects the frame for one sweep.
-        assert!(p.get_ref(0, 1, AccessClass::Point).is_some());
-        p.put(0, 3, &blk(3, 4));
-        assert!(p.contains(0, 1));
-    }
-
-    #[test]
-    fn twoq_scan_stream_cannot_evict_the_protected_set() {
-        let mut p = BufferPool::with_config(PoolConfig::new(8).policy(ReplacementPolicy::TwoQ));
-        // Hot blocks 0..4: admitted (probation), then point-referenced
-        // (promoted to protected).
-        for b in 0..4u32 {
-            p.put(0, b, &blk(b as u8, 4));
-        }
-        for b in 0..4u32 {
-            assert!(p.get_ref(0, b, AccessClass::Point).is_some());
-        }
-        // A scan streams 100 blocks through the pool as scan class.
-        for b in 100..200u32 {
-            p.put_ref(0, b, BlockKind::Leaf, AccessClass::Scan, BlockRef::from_vec(blk(9, 4)));
-        }
-        for b in 0..4u32 {
-            assert!(p.contains(0, b), "protected block {b} must survive the scan");
-        }
-        assert!(p.len() <= 8);
-        // Hot hits after the scan are still served from the pool.
-        let before = p.hits();
-        for b in 0..4u32 {
-            assert!(p.get_ref(0, b, AccessClass::Point).is_some());
-        }
-        assert_eq!(p.hits() - before, 4);
-    }
-
-    #[test]
-    fn twoq_scan_class_hits_do_not_promote() {
-        let mut p = BufferPool::with_config(PoolConfig::new(4).policy(ReplacementPolicy::TwoQ));
-        // Block 0 is admitted and re-referenced by a *scan*: it must stay in
-        // probation and be evicted by later admissions, FIFO order.
-        p.put(0, 0, &blk(0, 4));
-        assert!(p.get_ref(0, 0, AccessClass::Scan).is_some());
-        for b in 1..5u32 {
-            p.put(0, b, &blk(b as u8, 4));
-        }
-        assert!(!p.contains(0, 0), "scan re-reference must not promote");
-    }
-
-    #[test]
-    fn twoq_probation_evicts_before_protected() {
-        let mut p = BufferPool::with_config(PoolConfig::new(4).policy(ReplacementPolicy::TwoQ));
-        p.put(0, 0, &blk(0, 4));
-        assert!(p.get_ref(0, 0, AccessClass::Point).is_some(), "promote block 0");
-        // Fill with probation blocks and keep churning: block 0 survives.
-        for b in 1..20u32 {
-            p.put(0, b, &blk(b as u8, 4));
-            assert!(p.contains(0, 0), "protected block evicted while probation non-empty");
-        }
-    }
-
-    #[test]
-    fn inner_reservation_shields_inner_blocks_from_leaf_churn() {
-        for policy in ReplacementPolicy::ALL {
-            let mut p = BufferPool::with_config(
-                PoolConfig::new(8)
-                    .policy(policy)
-                    .partitions(PoolPartitions::InnerReserved { percent: 25 }),
-            );
-            // Two inner blocks fill the reserved partition (25% of 8 = 2).
-            for b in 0..2u32 {
-                p.put_ref(
-                    9,
-                    b,
-                    BlockKind::Inner,
-                    AccessClass::Point,
-                    BlockRef::from_vec(blk(b as u8, 4)),
-                );
-            }
-            // A leaf scan streams 500 blocks; it may only use the general
-            // partition.
-            for b in 0..500u32 {
-                p.put_ref(0, b, BlockKind::Leaf, AccessClass::Scan, BlockRef::from_vec(blk(1, 4)));
-            }
-            for b in 0..2u32 {
-                assert!(p.contains(9, b), "{policy}: inner block {b} stolen by a leaf scan");
-            }
-            assert!(p.len() <= 8);
-        }
-    }
-
-    #[test]
-    fn partition_capacities_resolve_sanely() {
-        let caps = |cfg: PoolConfig| cfg.partition_capacities();
-        assert_eq!(caps(PoolConfig::new(64)), vec![64]);
-        let part = |capacity, percent| {
-            caps(PoolConfig::new(capacity).partitions(PoolPartitions::InnerReserved { percent }))
-        };
-        assert_eq!(part(64, 25), vec![16, 48]);
-        // Clamped to leave both partitions at least one frame.
-        assert_eq!(part(64, 0), vec![1, 63]);
-        assert_eq!(part(64, 100), vec![63, 1]);
-        assert_eq!(part(2, 50), vec![1, 1]);
-        // Too small to split: unified.
-        assert_eq!(part(1, 50), vec![1]);
-        assert_eq!(part(0, 50), vec![0]);
+        assert_eq!(p.len(), 8);
     }
 
     #[test]
     fn contains_does_not_perturb_policy_state() {
         let mut p = BufferPool::new(2);
-        p.put(0, 1, &blk(1, 4));
-        p.put(0, 2, &blk(2, 4));
+        p.put_ref(0, 1, frame(1, 4));
+        p.put_ref(0, 2, frame(2, 4));
         // `contains` on block 1 must NOT refresh it...
         assert!(p.contains(0, 1));
-        p.put(0, 3, &blk(3, 4));
+        p.put_ref(0, 3, frame(3, 4));
         // ...so it is still the LRU victim.
         assert!(!p.contains(0, 1));
         assert_eq!(p.hits() + p.misses(), 0, "contains must not count as an access");
@@ -1129,6 +545,11 @@ mod tests {
 #[cfg(test)]
 mod sharded_tests {
     use super::*;
+
+    fn stripe_capacities(capacity: usize) -> Vec<usize> {
+        let p = ShardedBufferPool::new(capacity);
+        (0..p.shard_count()).map(|i| p.shard_capacity(i)).collect()
+    }
 
     #[test]
     fn shard_count_tracks_capacity() {
@@ -1144,7 +565,41 @@ mod sharded_tests {
         assert_eq!(ShardedBufferPool::new(64).shard_count(), 8);
         assert_eq!(ShardedBufferPool::new(128).shard_count(), 8);
         assert_eq!(ShardedBufferPool::new(64).capacity(), 64);
-        assert!(ShardedBufferPool::new(64).shard_capacity() >= 4);
+        assert!(stripe_capacities(64).iter().all(|&c| c >= 4));
+    }
+
+    #[test]
+    fn stripes_split_the_remainder_and_keep_the_measured_sizes() {
+        // A remainder goes one block each to the first stripes, so the
+        // stripes hold exactly the capacity.
+        assert_eq!(stripe_capacities(9), vec![5, 4]);
+        // Every pool size the paper artifacts (Fig. 13: 0-128 blocks) and
+        // the perf ledger (16, 64 and 100 000 blocks) run divides evenly:
+        // the remainder rule must not move their numbers.
+        let sizes: [(usize, &[usize]); 9] = [
+            (0, &[0]),
+            (2, &[2]),
+            (4, &[4]),
+            (8, &[4, 4]),
+            (16, &[4; 4]),
+            (32, &[4; 8]),
+            (64, &[8; 8]),
+            (128, &[16; 8]),
+            (100_000, &[12_500; 8]),
+        ];
+        for (capacity, stripes) in sizes {
+            assert_eq!(stripe_capacities(capacity), stripes, "capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn stripe_capacities_sum_to_the_capacity_for_every_size() {
+        for capacity in 0..=1_000usize {
+            let caps = stripe_capacities(capacity);
+            assert_eq!(caps.iter().sum::<usize>(), capacity, "capacity {capacity}");
+            let (min, max) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
+            assert!(max - min <= 1, "capacity {capacity}: uneven stripes {caps:?}");
+        }
     }
 
     #[test]
@@ -1154,12 +609,11 @@ mod sharded_tests {
         // Fig. 13 small-pool fidelity.
         let p = ShardedBufferPool::new(2);
         assert_eq!(p.shard_count(), 1);
-        p.put(0, 0, &[1u8; 8]);
-        p.put(0, 2, &[2u8; 8]);
-        let mut out = [0u8; 8];
+        p.put_ref(0, 0, frame(1, 8));
+        p.put_ref(0, 2, frame(2, 8));
         for _ in 0..4 {
-            assert!(p.get(0, 0, &mut out), "block 0 must stay resident");
-            assert!(p.get(0, 2, &mut out), "block 2 must stay resident");
+            assert!(p.get_ref(0, 0).is_some(), "block 0 must stay resident");
+            assert!(p.get_ref(0, 2).is_some(), "block 2 must stay resident");
         }
         assert_eq!(p.hits(), 8);
     }
@@ -1172,12 +626,10 @@ mod sharded_tests {
         assert_eq!(seen.len(), 4, "blocks 0..4 must land on distinct shards");
         // A sequentially-filled pool therefore stays balanced and resident.
         for b in 0..16u32 {
-            p.put(0, b, &[b as u8; 8]);
+            p.put_ref(0, b, frame(b as u8, 8));
         }
-        let mut out = vec![0u8; 8];
         for b in [2u32, 0, 3, 1, 15, 8] {
-            assert!(p.get(0, b, &mut out), "block {b} must be resident");
-            assert_eq!(out, vec![b as u8; 8]);
+            assert_eq!(p.get_ref(0, b).as_deref(), Some(&[b as u8; 8][..]), "block {b}");
         }
         assert_eq!(p.hits(), 6);
         assert_eq!(p.len(), 16);
@@ -1186,9 +638,8 @@ mod sharded_tests {
     #[test]
     fn zero_capacity_disables_caching() {
         let p = ShardedBufferPool::new(0);
-        p.put(0, 0, &[1u8; 8]);
-        let mut out = [0u8; 8];
-        assert!(!p.get(0, 0, &mut out));
+        p.put_ref(0, 0, frame(1, 8));
+        assert!(p.get_ref(0, 0).is_none());
         assert!(p.is_empty());
         assert_eq!(p.misses(), 1);
     }
@@ -1197,71 +648,38 @@ mod sharded_tests {
     fn invalidate_and_clear_are_shard_aware() {
         let p = ShardedBufferPool::new(8);
         for b in 0..8u32 {
-            p.put(1, b, &[b as u8; 8]);
+            p.put_ref(1, b, frame(b as u8, 8));
         }
         p.invalidate(1, 5);
-        let mut out = [0u8; 8];
-        assert!(!p.get(1, 5, &mut out));
-        assert!(p.get(1, 6, &mut out));
+        assert!(p.get_ref(1, 5).is_none());
+        assert!(p.get_ref(1, 6).is_some());
         p.clear();
         assert!(p.is_empty());
         assert_eq!(p.hits(), 0);
     }
 
     #[test]
-    fn sharded_policy_and_partitions_apply_per_shard() {
-        let p = ShardedBufferPool::with_config(
-            PoolConfig::new(32)
-                .policy(ReplacementPolicy::TwoQ)
-                .partitions(PoolPartitions::InnerReserved { percent: 25 }),
-        );
-        assert_eq!(p.config().policy, ReplacementPolicy::TwoQ);
-        // Inner blocks fill their reservation, then a huge leaf scan
-        // streams through: every inner block must survive, in every shard.
-        for b in 0..8u32 {
-            p.put_ref(
-                7,
-                b,
-                BlockKind::Inner,
-                AccessClass::Point,
-                BlockRef::from_vec(vec![b as u8; 8]),
-            );
-        }
-        for b in 0..1000u32 {
-            p.put_ref(0, b, BlockKind::Leaf, AccessClass::Scan, BlockRef::from_vec(vec![0; 8]));
-        }
-        for b in 0..8u32 {
-            assert!(p.contains(7, b), "inner block {b} stolen by the scan");
-        }
-        assert!(p.len() <= 32 + p.shard_count());
-    }
-
-    #[test]
     fn concurrent_get_put_keeps_blocks_intact() {
         // 8 threads hammer the pool with whole-block values; any hit must
-        // return an untorn block (all bytes identical). Exercised under
-        // every policy, since each rewires the shard-internal queues.
-        for policy in ReplacementPolicy::ALL {
-            let p = ShardedBufferPool::with_config(PoolConfig::new(16).policy(policy));
-            let p = &p;
-            std::thread::scope(|s| {
-                for t in 0..8u32 {
-                    s.spawn(move || {
-                        let mut out = vec![0u8; 64];
-                        for round in 0..500u32 {
-                            let block = (round.wrapping_mul(7) + t) % 32;
-                            p.put(0, block, &[(block % 251) as u8; 64]);
-                            if p.get(0, block, &mut out) {
-                                assert!(
-                                    out.iter().all(|&b| b == (block % 251) as u8),
-                                    "torn block {block}: {out:?}"
-                                );
-                            }
+        // return an untorn block (all bytes identical).
+        let p = ShardedBufferPool::new(16);
+        let p = &p;
+        std::thread::scope(|s| {
+            for t in 0..8u32 {
+                s.spawn(move || {
+                    for round in 0..500u32 {
+                        let block = (round.wrapping_mul(7) + t) % 32;
+                        p.put_ref(0, block, frame((block % 251) as u8, 64));
+                        if let Some(out) = p.get_ref(0, block) {
+                            assert!(
+                                out.iter().all(|&b| b == (block % 251) as u8),
+                                "torn block {block}: {out:?}"
+                            );
                         }
-                    });
-                }
-            });
-            assert!(p.len() <= 16 + p.shard_count());
-        }
+                    }
+                });
+            }
+        });
+        assert!(p.len() <= 16);
     }
 }

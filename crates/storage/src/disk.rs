@@ -30,9 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::backend::{MemoryBackend, StorageBackend};
-use crate::buffer::{
-    AccessClass, BlockRef, PoolConfig, PoolPartitions, ReplacementPolicy, ShardedBufferPool,
-};
+use crate::buffer::{AccessClass, BlockRef, ShardedBufferPool};
 use crate::device::DeviceModel;
 use crate::error::{StorageError, StorageResult};
 use crate::pager::Pager;
@@ -50,17 +48,9 @@ pub struct DiskConfig {
     pub block_size: usize,
     /// Device cost model used to accumulate simulated latency.
     pub device: DeviceModel,
-    /// Buffer pool capacity in blocks; 0 disables the pool (the paper's
-    /// default setting).
+    /// Capacity of the strict-LRU buffer pool in blocks (the paper's Fig. 13
+    /// study); 0 disables the pool (the paper's default setting).
     pub buffer_blocks: usize,
-    /// Buffer pool replacement policy (strict LRU by default, matching the
-    /// paper's Fig. 13 study; see [`ReplacementPolicy`] for the
-    /// scan-resistant alternatives).
-    pub buffer_policy: ReplacementPolicy,
-    /// How buffer frames are divided between block kinds (unified by
-    /// default; [`PoolPartitions::InnerReserved`] shields inner/meta frames
-    /// from data scans).
-    pub buffer_partitions: PoolPartitions,
     /// Whether a read of the block fetched by the immediately preceding read
     /// is served without charging an I/O (§6.5).
     pub reuse_last_block: bool,
@@ -105,8 +95,6 @@ impl Default for DiskConfig {
             block_size: DEFAULT_BLOCK_SIZE,
             device: DeviceModel::none(),
             buffer_blocks: 0,
-            buffer_policy: ReplacementPolicy::default(),
-            buffer_partitions: PoolPartitions::default(),
             reuse_last_block: true,
             reuse_freed_space: false,
             simulate_latency: false,
@@ -135,38 +123,6 @@ impl DiskConfig {
     pub fn buffer_blocks(mut self, blocks: usize) -> Self {
         self.buffer_blocks = blocks;
         self
-    }
-
-    /// Sets the buffer pool replacement policy.
-    #[must_use]
-    pub fn buffer_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.buffer_policy = policy;
-        self
-    }
-
-    /// Sets the buffer pool partitioning scheme.
-    #[must_use]
-    pub fn buffer_partitions(mut self, partitions: PoolPartitions) -> Self {
-        self.buffer_partitions = partitions;
-        self
-    }
-
-    /// Sets capacity, policy and partitions from one [`PoolConfig`].
-    #[must_use]
-    pub fn buffer_pool(mut self, pool: PoolConfig) -> Self {
-        self.buffer_blocks = pool.capacity;
-        self.buffer_policy = pool.policy;
-        self.buffer_partitions = pool.partitions;
-        self
-    }
-
-    /// The [`PoolConfig`] this configuration resolves to.
-    pub fn pool_config(&self) -> PoolConfig {
-        PoolConfig {
-            capacity: self.buffer_blocks,
-            policy: self.buffer_policy,
-            partitions: self.buffer_partitions,
-        }
     }
 
     /// Enables or disables last-block reuse.
@@ -270,7 +226,6 @@ pub(crate) struct WaveReq {
     pub(crate) file: FileId,
     pub(crate) block: BlockId,
     pub(crate) kind: BlockKind,
-    pub(crate) class: AccessClass,
     pub(crate) hint: SeqHint,
     /// `true`: the caller wants the pinned frame back (a queued read).
     /// `false`: a readahead prefetch — the frame is parked in the readahead
@@ -431,7 +386,7 @@ impl Disk {
         pager.set_reuse_freed(config.reuse_freed_space);
         Arc::new(Disk {
             backend,
-            pool: ShardedBufferPool::with_config(config.pool_config()),
+            pool: ShardedBufferPool::new(config.buffer_blocks),
             pager: Mutex::new(pager),
             reuse: Mutex::new(ReuseState {
                 last_read: None,
@@ -771,11 +726,12 @@ impl Disk {
         self.read_ref_class(file, block, kind, AccessClass::Point)
     }
 
-    /// [`Disk::read_ref`] tagged as part of a scan stream: the buffer pool
-    /// admits the block under scan class (2Q: probation only, no promotion;
-    /// CLOCK: no reference bit), so a streaming pass cannot flush the
-    /// point-lookup working set. Index scan paths use this for the blocks
-    /// they stream over; their descent to the first block stays point-class.
+    /// [`Disk::read_ref`] tagged as part of a scan stream: the read is
+    /// counted in [`IoStats::scan_reads`], and at queue depth > 1 a miss
+    /// fetches a readahead wave of the following blocks with it. The buffer
+    /// pool treats it like any other read (one strict LRU). Index scan paths
+    /// use this for the blocks they stream over; their descent to the first
+    /// block stays point-class.
     pub fn read_ref_scan(
         &self,
         file: FileId,
@@ -814,7 +770,7 @@ impl Disk {
         if class == AccessClass::Scan {
             self.stats.record_scan_read();
         }
-        if let Some(frame) = self.probe_caches(file, block, kind, class)? {
+        if let Some(frame) = self.probe_caches(file, block, kind)? {
             return Ok(frame);
         }
         // Scan-class miss at depth > 1: fold the demand fetch and an
@@ -827,7 +783,7 @@ impl Disk {
         }
         let (frame, cost) = self.fetch_miss(file, block, kind, hint)?;
         self.charge(cost);
-        self.publish_miss(file, block, kind, class, &frame);
+        self.publish_miss(file, block, &frame);
         Ok(frame)
     }
 
@@ -842,7 +798,6 @@ impl Disk {
         file: FileId,
         block: BlockId,
         kind: BlockKind,
-        class: AccessClass,
     ) -> StorageResult<Option<BlockRef>> {
         // Memory-resident kinds (§6.2): serve the read without touching the
         // *device* accounting. The copy-behaviour counters still apply — a
@@ -867,7 +822,7 @@ impl Disk {
 
         // Buffer pool.
         if self.pool.capacity() > 0 {
-            if let Some(frame) = self.pool.get_ref(file, block, class) {
+            if let Some(frame) = self.pool.get_ref(file, block) {
                 self.stats.record_buffer_hit();
                 self.stats.record_frame_pinned();
                 self.note_last_read(file, block, &frame);
@@ -886,7 +841,7 @@ impl Disk {
                 self.stats.record_readahead_hit();
                 self.stats.record_frame_pinned();
                 if self.pool.capacity() > 0 {
-                    self.pool.put_ref(file, block, kind, class, frame.clone());
+                    self.pool.put_ref(file, block, frame.clone());
                 }
                 self.note_last_read(file, block, &frame);
                 return Ok(Some(frame));
@@ -920,16 +875,9 @@ impl Disk {
 
     /// Publishes a fetched frame after its charge: the pool and the reuse
     /// slot share it from here (two `Arc` clones, no byte copy).
-    fn publish_miss(
-        &self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        class: AccessClass,
-        frame: &BlockRef,
-    ) {
+    fn publish_miss(&self, file: FileId, block: BlockId, frame: &BlockRef) {
         if self.pool.capacity() > 0 {
-            self.pool.put_ref(file, block, kind, class, frame.clone());
+            self.pool.put_ref(file, block, frame.clone());
         }
         self.note_last_read(file, block, frame);
         self.stats.record_frame_pinned();
@@ -947,14 +895,13 @@ impl Disk {
     ) -> StorageResult<BlockRef> {
         let end = self.num_blocks(file).unwrap_or(0);
         let mut reqs = Vec::with_capacity(self.queue_depth);
-        reqs.push(WaveReq { file, block, kind, class: AccessClass::Scan, hint, deliver: true });
+        reqs.push(WaveReq { file, block, kind, hint, deliver: true });
         let mut next = block.saturating_add(1);
         while reqs.len() < self.queue_depth && next < end {
             reqs.push(WaveReq {
                 file,
                 block: next,
                 kind,
-                class: AccessClass::Scan,
                 hint: SeqHint::Sequential,
                 deliver: false,
             });
@@ -1001,7 +948,7 @@ impl Disk {
                     continue;
                 }
                 if self.pool.capacity() > 0 {
-                    if let Some(frame) = self.pool.get_ref(req.file, req.block, req.class) {
+                    if let Some(frame) = self.pool.get_ref(req.file, req.block) {
                         // Pool-resident: re-park the frame (free — no device
                         // slot) so the wave's consumer still finds it even if
                         // the pool evicts the block before the probe
@@ -1012,7 +959,7 @@ impl Disk {
                     }
                 }
             } else {
-                if let Some(frame) = self.probe_caches(req.file, req.block, req.kind, req.class)? {
+                if let Some(frame) = self.probe_caches(req.file, req.block, req.kind)? {
                     results[i] = Some(frame);
                     continue;
                 }
@@ -1050,7 +997,7 @@ impl Disk {
         for (i, frame) in misses {
             let req = &reqs[i];
             if req.deliver {
-                self.publish_miss(req.file, req.block, req.kind, req.class, &frame);
+                self.publish_miss(req.file, req.block, &frame);
                 results[i] = Some(frame);
             } else {
                 parked.push(((req.file, req.block), frame));
@@ -1150,7 +1097,7 @@ impl Disk {
         let mut frame: Option<BlockRef> = None;
         if self.pool.capacity() > 0 {
             let f = BlockRef::from_vec(data.to_vec());
-            self.pool.put_ref(file, block, kind, AccessClass::Point, f.clone());
+            self.pool.put_ref(file, block, f.clone());
             frame = Some(f);
         }
         let mut reuse = self.reuse.lock();
@@ -1621,84 +1568,63 @@ mod tests {
 }
 
 #[cfg(test)]
-mod scan_resistance_tests {
+mod scan_tests {
     use super::*;
-    use crate::buffer::{PoolPartitions, ReplacementPolicy};
 
-    /// The ISSUE's regression case: a full-table scan must not be able to
-    /// evict an inner block living in the reserved partition, under *any*
-    /// replacement policy.
+    /// Strict LRU is scan-vulnerable, and the pool is strict LRU whatever
+    /// the access class: a full-table scan streams every data block through
+    /// the pool and flushes the hot set, even one referenced twice. Serving
+    /// it again costs one device read per hot block — the textbook LRU
+    /// behaviour the ledger's `scan_cold` workload measures.
     #[test]
-    fn full_table_scan_cannot_evict_reserved_inner_blocks() {
-        for policy in ReplacementPolicy::ALL {
-            let d = Disk::in_memory(
-                DiskConfig::with_block_size(128)
-                    .buffer_blocks(16)
-                    .buffer_policy(policy)
-                    .buffer_partitions(PoolPartitions::InnerReserved { percent: 25 })
-                    .reuse_last_block(false),
-            );
-            let f = d.create_file().unwrap();
-            d.allocate(f, 512).unwrap();
-            // Blocks 0..4 are the hot inner path; the rest is table data.
-            for b in 0..4u32 {
-                d.read_ref(f, b, BlockKind::Inner).unwrap();
-            }
-            let warm_reads = d.stats().reads();
-            // A full-table scan streams every data block, tagged scan-class.
-            for b in 4..512u32 {
-                d.read_ref_scan(f, b, BlockKind::Leaf).unwrap();
-            }
-            assert_eq!(d.stats().scan_reads(), 508, "{policy}: scans must announce themselves");
-            // Re-reading the inner path must be pure pool hits: the scan was
-            // confined to the general partition.
-            let before = d.stats().reads();
-            for b in 0..4u32 {
-                d.read_ref(f, b, BlockKind::Inner).unwrap();
-            }
-            assert_eq!(
-                d.stats().reads(),
-                before,
-                "{policy}: a data scan must not evict reserved inner frames"
-            );
-            assert_eq!(warm_reads, 4, "{policy}: warm-up should have read each inner block once");
-        }
-    }
-
-    /// Without partitions, the 2Q policy alone keeps a *promoted* hot set
-    /// resident across a scan, while strict LRU loses it — the behavioural
-    /// contrast `run_scan_interference` in `lidx-experiments` quantifies.
-    #[test]
-    fn twoq_holds_hot_blocks_across_a_scan_where_lru_does_not() {
-        let run = |policy: ReplacementPolicy| -> u64 {
-            let d = Disk::in_memory(
-                DiskConfig::with_block_size(128)
-                    .buffer_blocks(8)
-                    .buffer_policy(policy)
-                    .reuse_last_block(false),
-            );
-            let f = d.create_file().unwrap();
-            d.allocate(f, 256).unwrap();
-            // Hot blocks 0..4, referenced twice (second touch promotes
-            // under 2Q).
-            for _ in 0..2 {
-                for b in 0..4u32 {
-                    d.read_ref(f, b, BlockKind::Leaf).unwrap();
-                }
-            }
-            // Scan the table.
-            for b in 4..256u32 {
-                d.read_ref_scan(f, b, BlockKind::Leaf).unwrap();
-            }
-            // Count device reads needed to serve the hot set again.
-            let before = d.stats().reads();
+    fn a_full_table_scan_flushes_the_lru_hot_set() {
+        let d = Disk::in_memory(
+            DiskConfig::with_block_size(128).buffer_blocks(8).reuse_last_block(false),
+        );
+        let f = d.create_file().unwrap();
+        d.allocate(f, 256).unwrap();
+        // Hot blocks 0..4, referenced twice.
+        for _ in 0..2 {
             for b in 0..4u32 {
                 d.read_ref(f, b, BlockKind::Leaf).unwrap();
             }
-            d.stats().reads() - before
-        };
-        assert_eq!(run(ReplacementPolicy::TwoQ), 0, "2Q must hold the promoted hot set");
-        assert_eq!(run(ReplacementPolicy::Lru), 4, "strict LRU must have lost the hot set");
+        }
+        // Scan the table.
+        for b in 4..256u32 {
+            d.read_ref_scan(f, b, BlockKind::Leaf).unwrap();
+        }
+        assert_eq!(d.stats().scan_reads(), 252, "scans must announce themselves");
+        // Count device reads needed to serve the hot set again.
+        let before = d.stats().reads();
+        for b in 0..4u32 {
+            d.read_ref(f, b, BlockKind::Leaf).unwrap();
+        }
+        assert_eq!(d.stats().reads() - before, 4, "strict LRU must have lost the hot set");
+    }
+
+    /// The pool ignores the access class: a scan-class hit refreshes a
+    /// block's recency exactly like a point hit.
+    #[test]
+    fn scan_class_hits_refresh_recency_like_point_hits() {
+        let d = Disk::in_memory(
+            DiskConfig::with_block_size(128).buffer_blocks(4).reuse_last_block(false),
+        );
+        let f = d.create_file().unwrap();
+        d.allocate(f, 8).unwrap();
+        for b in 0..4u32 {
+            d.read_ref(f, b, BlockKind::Leaf).unwrap();
+        }
+        // Block 0 is least recently used until a scan-class hit refreshes it;
+        // admitting block 4 then evicts block 1 instead.
+        let before = d.stats().reads();
+        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        assert_eq!(d.stats().reads(), before, "a resident block is a pool hit");
+        d.read_ref(f, 4, BlockKind::Leaf).unwrap();
+        let before = d.stats().reads();
+        d.read_ref(f, 0, BlockKind::Leaf).unwrap();
+        assert_eq!(d.stats().reads(), before, "the scan-class hit kept block 0");
+        d.read_ref(f, 1, BlockKind::Leaf).unwrap();
+        assert_eq!(d.stats().reads(), before + 1, "block 1 was the victim");
     }
 }
 

@@ -11,13 +11,12 @@
 //!   accesses into simulated latency, replacing the paper's physical disks.
 //! * [`stats::IoStats`] — per-index I/O accounting (reads / writes, split by
 //!   [`BlockKind`]) that drives every fetched-block table in the paper.
-//! * [`buffer::BufferPool`] / [`buffer::ShardedBufferPool`] — a block cache
-//!   with pluggable replacement ([`buffer::ReplacementPolicy`]: strict LRU
-//!   for the paper's buffer-size study, Fig. 13, plus CLOCK and a
-//!   scan-resistant 2Q variant), optional per-kind frame partitions
-//!   ([`buffer::PoolPartitions`]) and scan-aware admission
-//!   ([`buffer::AccessClass`]); the lock-striped variant is embedded in
-//!   [`Disk`] so concurrent readers do not serialise on a single pool mutex.
+//! * [`buffer::BufferPool`] / [`buffer::ShardedBufferPool`] — the strict-LRU
+//!   block cache of the paper's buffer-size study (Fig. 13); the
+//!   lock-striped variant is embedded in [`Disk`] so concurrent readers do
+//!   not serialise on a single pool mutex. Reads carry a
+//!   [`buffer::AccessClass`], which the pool ignores and the disk uses for
+//!   scan readahead and scan-read accounting.
 //! * [`pager::Pager`] — extent allocation on top of a file, required by ALEX
 //!   and LIPP whose variable-sized nodes may span several contiguous blocks.
 //! * [`queue::ReadQueue`] — the outstanding-read engine: an io_uring-shaped
@@ -66,10 +65,7 @@ pub mod stats;
 pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
-pub use buffer::{
-    AccessClass, BlockRef, BufferPool, PoolConfig, PoolPartitions, ReplacementPolicy,
-    ShardedBufferPool,
-};
+pub use buffer::{AccessClass, BlockRef, BufferPool, ShardedBufferPool};
 pub use codec::{BlockReader, BlockWriter, SlotTable};
 pub use device::DeviceModel;
 pub use disk::{Disk, DiskConfig, FileId, SeqHint};

@@ -96,7 +96,7 @@ impl ReadQueue<'_> {
         if class == AccessClass::Scan {
             self.disk.stats().record_scan_read();
         }
-        self.pending.push(WaveReq { file, block, kind, class, hint, deliver: true });
+        self.pending.push(WaveReq { file, block, kind, hint, deliver: true });
         if self.pending.len() >= self.depth {
             self.flush()?;
         }
@@ -112,10 +112,9 @@ impl ReadQueue<'_> {
         file: FileId,
         block: BlockId,
         kind: BlockKind,
-        class: AccessClass,
         hint: SeqHint,
     ) -> StorageResult<()> {
-        self.pending.push(WaveReq { file, block, kind, class, hint, deliver: false });
+        self.pending.push(WaveReq { file, block, kind, hint, deliver: false });
         if self.pending.len() >= self.depth {
             self.flush()?;
         }
@@ -260,7 +259,7 @@ mod tests {
         let f = fill(&d, 16);
         let mut q = d.read_queue();
         for b in 4u32..8 {
-            q.prefetch(f, b, BlockKind::Leaf, AccessClass::Scan, SeqHint::Sequential).unwrap();
+            q.prefetch(f, b, BlockKind::Leaf, SeqHint::Sequential).unwrap();
         }
         q.flush().unwrap();
         assert_eq!(d.stats().reads(), 4, "prefetch fetches are counted reads");

@@ -81,8 +81,8 @@ pub struct IoStats {
     frames_pinned: AtomicU64,
     /// Read requests tagged [`crate::buffer::AccessClass::Scan`] (whether
     /// they were served by the device, the pool or the reuse slot). Index
-    /// scan paths tag their block streaming so the buffer pool can admit it
-    /// into probation only; this counter makes the tagging observable, so
+    /// scan paths tag their block streaming so the disk reads ahead along
+    /// it at queue depth > 1; this counter makes the tagging observable, so
     /// "scans announce themselves" is a tested invariant.
     scan_reads: AtomicU64,
     /// Exclusive drain chunks applied through a concurrent write front (one

@@ -1,12 +1,10 @@
-//! Property tests for the storage substrate: every buffer pool policy (LRU,
-//! CLOCK, 2Q — unpartitioned and with a reserved inner partition) must
-//! behave exactly like a straightforward reference model under arbitrary
-//! access traces, and the Disk façade must preserve data regardless of the
-//! access pattern and configuration.
+//! Property tests for the storage substrate: the strict-LRU buffer pool,
+//! unstriped and lock-striped, must behave exactly like a straightforward
+//! reference LRU under arbitrary access traces, and the Disk façade must
+//! preserve data regardless of the access pattern and configuration.
 
 use lidx_storage::{
-    AccessClass, BlockKind, BlockRef, BufferPool, DeviceModel, Disk, DiskConfig, PoolConfig,
-    PoolPartitions, ReplacementPolicy, ShardedBufferPool,
+    BlockKind, BlockRef, BufferPool, DeviceModel, Disk, DiskConfig, ShardedBufferPool,
 };
 use proptest::prelude::*;
 
@@ -42,249 +40,10 @@ impl ModelLru {
         }
         self.entries.insert(0, (key, data));
     }
-}
-
-/// A reference model of one pool partition under one replacement policy,
-/// built from plain `Vec` queues — the "obviously correct" executable
-/// specification the slab-and-intrusive-list implementation is checked
-/// against.
-///
-/// Queue conventions (mirroring the documented implementation semantics):
-/// * LRU: `main` front = MRU; evict from the back.
-/// * CLOCK: `main` front = hand, back = newest; a point hit sets the
-///   reference bit in place; eviction rotates referenced frames to the back
-///   (clearing the bit) and evicts the first unreferenced frame; admission
-///   pushes to the back with the bit clear.
-/// * 2Q: `main` is the probation FIFO (front = newest, evict from the
-///   back); `prot` front = MRU, capped at `max(1, 3/4 cap)` — a point hit in
-///   probation promotes, swapping with the protected LRU tail when full; a
-///   scan hit changes nothing; eviction drains probation before protected.
-struct ModelPart {
-    policy: ReplacementPolicy,
-    capacity: usize,
-    main: Vec<((u32, u32), Vec<u8>, bool)>,
-    prot: Vec<((u32, u32), Vec<u8>)>,
-}
-
-impl ModelPart {
-    fn new(policy: ReplacementPolicy, capacity: usize) -> Self {
-        ModelPart { policy, capacity, main: Vec::new(), prot: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.main.len() + self.prot.len()
-    }
-
-    fn contains(&self, key: (u32, u32)) -> bool {
-        self.main.iter().any(|(k, ..)| *k == key) || self.prot.iter().any(|(k, _)| *k == key)
-    }
-
-    fn protected_cap(&self) -> usize {
-        (self.capacity * 3 / 4).max(1)
-    }
-
-    fn touch(&mut self, key: (u32, u32), class: AccessClass, data: Option<Vec<u8>>) {
-        match self.policy {
-            ReplacementPolicy::Lru => {
-                let pos = self.main.iter().position(|(k, ..)| *k == key).unwrap();
-                let mut e = self.main.remove(pos);
-                if let Some(d) = data {
-                    e.1 = d;
-                }
-                self.main.insert(0, e);
-            }
-            ReplacementPolicy::Clock => {
-                let pos = self.main.iter().position(|(k, ..)| *k == key).unwrap();
-                if let Some(d) = data {
-                    self.main[pos].1 = d;
-                }
-                if class == AccessClass::Point {
-                    self.main[pos].2 = true;
-                }
-            }
-            ReplacementPolicy::TwoQ => {
-                if let Some(pos) = self.prot.iter().position(|(k, _)| *k == key) {
-                    let mut e = self.prot.remove(pos);
-                    if let Some(d) = data {
-                        e.1 = d;
-                    }
-                    self.prot.insert(0, e);
-                } else {
-                    let pos = self.main.iter().position(|(k, ..)| *k == key).unwrap();
-                    if let Some(d) = data {
-                        self.main[pos].1 = d;
-                    }
-                    if class == AccessClass::Point {
-                        let (k, d, _) = self.main.remove(pos);
-                        self.prot.insert(0, (k, d));
-                        if self.prot.len() > self.protected_cap() {
-                            let (dk, dd) = self.prot.pop().unwrap();
-                            self.main.insert(0, (dk, dd, false));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn get(&mut self, key: (u32, u32), class: AccessClass) -> Option<Vec<u8>> {
-        if !self.contains(key) {
-            return None;
-        }
-        self.touch(key, class, None);
-        let data = self
-            .main
-            .iter()
-            .find(|(k, ..)| *k == key)
-            .map(|(_, d, _)| d.clone())
-            .or_else(|| self.prot.iter().find(|(k, _)| *k == key).map(|(_, d)| d.clone()));
-        data
-    }
-
-    fn put(&mut self, key: (u32, u32), data: Vec<u8>, class: AccessClass) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.contains(key) {
-            self.touch(key, class, Some(data));
-            return;
-        }
-        if self.len() >= self.capacity {
-            match self.policy {
-                ReplacementPolicy::Lru => {
-                    self.main.pop();
-                }
-                ReplacementPolicy::Clock => loop {
-                    let mut front = self.main.remove(0);
-                    if front.2 {
-                        front.2 = false;
-                        self.main.push(front);
-                    } else {
-                        break;
-                    }
-                },
-                ReplacementPolicy::TwoQ => {
-                    if self.main.is_empty() {
-                        self.prot.pop();
-                    } else {
-                        self.main.pop();
-                    }
-                }
-            }
-        }
-        match self.policy {
-            ReplacementPolicy::Lru | ReplacementPolicy::TwoQ => {
-                self.main.insert(0, (key, data, false));
-            }
-            ReplacementPolicy::Clock => self.main.push((key, data, false)),
-        }
-    }
 
     fn invalidate(&mut self, key: (u32, u32)) {
-        self.main.retain(|(k, ..)| *k != key);
-        self.prot.retain(|(k, _)| *k != key);
+        self.entries.retain(|(k, _)| *k != key);
     }
-}
-
-/// The partition-routing layer of the reference model.
-struct ModelPool {
-    parts: Vec<ModelPart>,
-}
-
-impl ModelPool {
-    fn new(config: PoolConfig) -> Self {
-        let parts = config
-            .partition_capacities()
-            .into_iter()
-            .map(|cap| ModelPart::new(config.policy, cap))
-            .collect();
-        ModelPool { parts }
-    }
-
-    fn part_for(&mut self, kind: BlockKind) -> &mut ModelPart {
-        let idx = if self.parts.len() == 1 {
-            0
-        } else {
-            match kind {
-                BlockKind::Meta | BlockKind::Inner => 0,
-                BlockKind::Leaf | BlockKind::Utility => 1,
-            }
-        };
-        &mut self.parts[idx]
-    }
-
-    fn len(&self) -> usize {
-        self.parts.iter().map(ModelPart::len).sum()
-    }
-
-    fn contains(&self, key: (u32, u32)) -> bool {
-        self.parts.iter().any(|p| p.contains(key))
-    }
-
-    fn get(&mut self, key: (u32, u32), class: AccessClass) -> Option<Vec<u8>> {
-        self.parts.iter_mut().find(|p| p.contains(key)).and_then(|p| p.get(key, class))
-    }
-
-    fn put(&mut self, key: (u32, u32), kind: BlockKind, data: Vec<u8>, class: AccessClass) {
-        // A refresh stays in whatever partition holds the block (matching
-        // `BufferPool::put_ref`); only fresh admissions route by kind.
-        if let Some(p) = self.parts.iter_mut().find(|p| p.contains(key)) {
-            p.put(key, data, class);
-        } else {
-            self.part_for(kind).put(key, data, class);
-        }
-    }
-
-    fn invalidate(&mut self, key: (u32, u32)) {
-        for p in &mut self.parts {
-            p.invalidate(key);
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum ClassOp {
-    Get(u32, AccessClass),
-    Put(u32, BlockKind, AccessClass, u8),
-    Invalidate(u32),
-}
-
-fn access_class() -> impl Strategy<Value = AccessClass> {
-    prop_oneof![Just(AccessClass::Point), Just(AccessClass::Scan)]
-}
-
-fn block_kind() -> impl Strategy<Value = BlockKind> {
-    prop_oneof![
-        Just(BlockKind::Meta),
-        Just(BlockKind::Inner),
-        Just(BlockKind::Leaf),
-        Just(BlockKind::Utility),
-    ]
-}
-
-fn class_op() -> impl Strategy<Value = ClassOp> {
-    prop_oneof![
-        (0u32..24, access_class()).prop_map(|(b, c)| ClassOp::Get(b, c)),
-        (0u32..24, block_kind(), access_class(), any::<u8>())
-            .prop_map(|(b, k, c, v)| ClassOp::Put(b, k, c, v)),
-        (0u32..24).prop_map(ClassOp::Invalidate),
-    ]
-}
-
-fn replacement_policy() -> impl Strategy<Value = ReplacementPolicy> {
-    prop_oneof![
-        Just(ReplacementPolicy::Lru),
-        Just(ReplacementPolicy::Clock),
-        Just(ReplacementPolicy::TwoQ),
-    ]
-}
-
-fn pool_partitions() -> impl Strategy<Value = PoolPartitions> {
-    prop_oneof![
-        Just(PoolPartitions::Unified),
-        Just(PoolPartitions::InnerReserved { percent: 25 }),
-        Just(PoolPartitions::InnerReserved { percent: 50 }),
-    ]
 }
 
 #[derive(Debug, Clone)]
@@ -322,63 +81,9 @@ fn sharded_op() -> impl Strategy<Value = ShardedOp> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
-    /// The eviction-order model test of every replacement policy: under an
-    /// arbitrary trace of kind- and class-tagged gets / puts / invalidates,
-    /// the pool must agree with the [`ModelPool`] reference on every hit,
-    /// every returned byte, the resident size and the full residency set —
-    /// for LRU, CLOCK and 2Q, with and without a reserved inner partition.
-    #[test]
-    fn every_policy_matches_its_reference_model(
-        capacity in 0usize..12,
-        policy in replacement_policy(),
-        partitions in pool_partitions(),
-        ops in proptest::collection::vec(class_op(), 1..250),
-    ) {
-        let config = PoolConfig::new(capacity).policy(policy).partitions(partitions);
-        let mut pool = BufferPool::with_config(config);
-        let mut model = ModelPool::new(config);
-        for op in ops {
-            match op {
-                ClassOp::Get(b, class) => {
-                    let got = pool.get_ref(0, b, class);
-                    let expected = model.get((0, b), class);
-                    prop_assert_eq!(
-                        got.is_some(),
-                        expected.is_some(),
-                        "{}/{}: hit/miss mismatch for block {}",
-                        policy.name(),
-                        partitions.name(),
-                        b
-                    );
-                    if let (Some(g), Some(e)) = (got, expected) {
-                        prop_assert_eq!(&g[..], &e[..], "contents mismatch for block {}", b);
-                    }
-                }
-                ClassOp::Put(b, kind, class, v) => {
-                    let data = vec![v; 16];
-                    pool.put_ref(0, b, kind, class, BlockRef::from_vec(data.clone()));
-                    model.put((0, b), kind, data, class);
-                }
-                ClassOp::Invalidate(b) => {
-                    pool.invalidate(0, b);
-                    model.invalidate((0, b));
-                }
-            }
-            prop_assert!(pool.len() <= capacity);
-            prop_assert_eq!(pool.len(), model.len(), "resident-set size diverges");
-            for b in 0..24u32 {
-                prop_assert_eq!(
-                    pool.contains(0, b),
-                    model.contains((0, b)),
-                    "{}/{}: residency diverges for block {}",
-                    policy.name(),
-                    partitions.name(),
-                    b
-                );
-            }
-        }
-    }
-
+    /// Under an arbitrary trace of gets / puts / invalidates, the pool must
+    /// agree with the [`ModelLru`] reference on every hit, every returned
+    /// byte, the resident size and the full residency set.
     #[test]
     fn buffer_pool_matches_reference_lru(
         capacity in 0usize..12,
@@ -386,36 +91,44 @@ proptest! {
     ) {
         let mut pool = BufferPool::new(capacity);
         let mut model = ModelLru::new(capacity);
-        let mut buf = vec![0u8; 32];
         for op in ops {
             match op {
                 PoolOp::Get(b) => {
-                    let hit = pool.get(0, b, &mut buf);
+                    let got = pool.get_ref(0, b);
                     let expected = model.get((0, b));
-                    prop_assert_eq!(hit, expected.is_some(), "hit/miss mismatch for block {}", b);
-                    if let Some(e) = expected {
-                        prop_assert_eq!(&buf, &e, "contents mismatch for block {}", b);
+                    prop_assert_eq!(got.is_some(), expected.is_some(), "hit/miss mismatch for block {}", b);
+                    if let (Some(g), Some(e)) = (got, expected) {
+                        prop_assert_eq!(&g[..], &e[..], "contents mismatch for block {}", b);
                     }
                 }
                 PoolOp::Put(b, v) => {
                     let data = vec![v; 32];
-                    pool.put(0, b, &data);
+                    pool.put_ref(0, b, BlockRef::from_vec(data.clone()));
                     model.put((0, b), data);
                 }
                 PoolOp::Invalidate(b) => {
                     pool.invalidate(0, b);
-                    model.entries.retain(|(k, _)| *k != (0, b));
+                    model.invalidate((0, b));
                 }
             }
             prop_assert!(pool.len() <= capacity);
             prop_assert_eq!(pool.len(), model.entries.len());
+            for b in 0..40u32 {
+                prop_assert_eq!(
+                    pool.contains(0, b),
+                    model.entries.iter().any(|(k, _)| *k == (0, b)),
+                    "residency diverges for block {}",
+                    b
+                );
+            }
         }
     }
 
     /// The lock-striped pool behaves, stripe by stripe, exactly like a
-    /// sequential reference LRU: the shard of a block is a pure function of
-    /// its key, and each shard is an independent strict-LRU of
-    /// `shard_capacity()` blocks. Model-checked against [`ModelLru`] under
+    /// sequential reference LRU: the stripe of a block is a pure function of
+    /// its key, and stripe `i` is an independent strict LRU of
+    /// `shard_capacity(i)` blocks. The stripes together never hold more than
+    /// the pool's capacity. Model-checked against [`ModelLru`] under
     /// interleaved multi-file get / put / invalidate sequences.
     #[test]
     fn sharded_pool_matches_per_shard_reference_lru(
@@ -424,30 +137,30 @@ proptest! {
     ) {
         let pool = ShardedBufferPool::new(capacity);
         let mut models: Vec<ModelLru> =
-            (0..pool.shard_count()).map(|_| ModelLru::new(pool.shard_capacity())).collect();
-        let mut buf = vec![0u8; 16];
+            (0..pool.shard_count()).map(|i| ModelLru::new(pool.shard_capacity(i))).collect();
         let mut gets = 0u64;
         for op in ops {
             match op {
                 ShardedOp::Get(f, b) => {
                     gets += 1;
-                    let hit = pool.get(f, b, &mut buf);
+                    let got = pool.get_ref(f, b);
                     let expected = models[pool.shard_index(f, b)].get((f, b));
-                    prop_assert_eq!(hit, expected.is_some(), "hit/miss mismatch for ({}, {})", f, b);
-                    if let Some(e) = expected {
-                        prop_assert_eq!(&buf, &e, "contents mismatch for ({}, {})", f, b);
+                    prop_assert_eq!(got.is_some(), expected.is_some(), "hit/miss mismatch for ({}, {})", f, b);
+                    if let (Some(g), Some(e)) = (got, expected) {
+                        prop_assert_eq!(&g[..], &e[..], "contents mismatch for ({}, {})", f, b);
                     }
                 }
                 ShardedOp::Put(f, b, v) => {
                     let data = vec![v; 16];
-                    pool.put(f, b, &data);
+                    pool.put_ref(f, b, BlockRef::from_vec(data.clone()));
                     models[pool.shard_index(f, b)].put((f, b), data);
                 }
                 ShardedOp::Invalidate(f, b) => {
                     pool.invalidate(f, b);
-                    models[pool.shard_index(f, b)].entries.retain(|(k, _)| *k != (f, b));
+                    models[pool.shard_index(f, b)].invalidate((f, b));
                 }
             }
+            prop_assert!(pool.len() <= capacity, "{} frames in a {}-block pool", pool.len(), capacity);
             prop_assert_eq!(
                 pool.len(),
                 models.iter().map(|m| m.entries.len()).sum::<usize>(),

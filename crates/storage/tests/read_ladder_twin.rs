@@ -15,7 +15,7 @@ const BLOCK_SIZE: usize = 64;
 #[derive(Debug, Clone, Copy)]
 enum Step {
     Read(u32, BlockKind, AccessClass, SeqHint),
-    Prefetch(u32, BlockKind, AccessClass, SeqHint),
+    Prefetch(u32, BlockKind, SeqHint),
     Write(u32, BlockKind, u8),
 }
 
@@ -37,7 +37,7 @@ fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         target().prop_map(|(b, k, c, h)| Step::Read(b, k, c, h)),
         target().prop_map(|(b, k, c, h)| Step::Read(b, k, c, h)),
-        target().prop_map(|(b, k, c, h)| Step::Prefetch(b, k, c, h)),
+        (0..BLOCKS, kind(), hint()).prop_map(|(b, k, h)| Step::Prefetch(b, k, h)),
         (0..BLOCKS, kind(), any::<u8>()).prop_map(|(b, k, v)| Step::Write(b, k, v)),
     ]
 }
@@ -95,12 +95,12 @@ proptest! {
                     prop_assert_eq!(&a[..], &[content[b as usize]; BLOCK_SIZE][..], "step {}", n);
                     demand_reads += 1;
                 }
-                Step::Prefetch(b, kind, class, hint) => {
+                Step::Prefetch(b, kind, hint) => {
                     // Prefetches only exist on the queue, so both twins park
                     // through one; what differs is who consumes the frame.
                     for disk in [&sync, &queued] {
                         let mut q = disk.read_queue_with_depth(1);
-                        q.prefetch(0, b, kind, class, hint).unwrap();
+                        q.prefetch(0, b, kind, hint).unwrap();
                         q.flush().unwrap();
                     }
                 }

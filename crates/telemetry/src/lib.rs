@@ -254,7 +254,7 @@ pub struct TailSummary {
 /// What a latency sample (or pause span) was doing — the key of the
 /// [`TelemetryRegistry`].
 ///
-/// The first three are *per-operation* classes recorded by the harness
+/// The first two are *per-operation* classes recorded by the harness
 /// around whole operations; the rest are *pause* classes recorded by RAII
 /// [`Span`]s around the stack's blocking points, so a tail spike in an op
 /// class is attributable to the pause class that caused it.
@@ -262,8 +262,6 @@ pub struct TailSummary {
 pub enum OpClass {
     /// One point lookup (or one lookup batch on batched paths).
     Lookup,
-    /// One range scan.
-    Scan,
     /// One insert / stage operation.
     Insert,
     /// A write-buffer drain: staged entries applied through `insert_batch`.
@@ -289,9 +287,8 @@ pub enum OpClass {
 
 impl OpClass {
     /// All classes, in stable reporting order.
-    pub const ALL: [OpClass; 12] = [
+    pub const ALL: [OpClass; 11] = [
         OpClass::Lookup,
-        OpClass::Scan,
         OpClass::Insert,
         OpClass::Drain,
         OpClass::Smo,
@@ -311,17 +308,16 @@ impl OpClass {
     fn idx(self) -> usize {
         match self {
             OpClass::Lookup => 0,
-            OpClass::Scan => 1,
-            OpClass::Insert => 2,
-            OpClass::Drain => 3,
-            OpClass::Smo => 4,
-            OpClass::WalSync => 5,
-            OpClass::Checkpoint => 6,
-            OpClass::LockRead => 7,
-            OpClass::LockWrite => 8,
-            OpClass::Wave => 9,
-            OpClass::Rebalance => 10,
-            OpClass::Recovery => 11,
+            OpClass::Insert => 1,
+            OpClass::Drain => 2,
+            OpClass::Smo => 3,
+            OpClass::WalSync => 4,
+            OpClass::Checkpoint => 5,
+            OpClass::LockRead => 6,
+            OpClass::LockWrite => 7,
+            OpClass::Wave => 8,
+            OpClass::Rebalance => 9,
+            OpClass::Recovery => 10,
         }
     }
 
@@ -329,7 +325,6 @@ impl OpClass {
     pub fn label(self) -> &'static str {
         match self {
             OpClass::Lookup => "lookup",
-            OpClass::Scan => "scan",
             OpClass::Insert => "insert",
             OpClass::Drain => "drain",
             OpClass::Smo => "smo",
@@ -346,7 +341,7 @@ impl OpClass {
     /// True for the pause-attribution classes (everything that is a
     /// blocking point rather than a whole operation).
     pub fn is_pause(self) -> bool {
-        !matches!(self, OpClass::Lookup | OpClass::Scan | OpClass::Insert)
+        !matches!(self, OpClass::Lookup | OpClass::Insert)
     }
 }
 

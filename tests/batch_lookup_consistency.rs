@@ -14,7 +14,7 @@
 //! the same probes; at queue depth 8 a batch overlaps its misses and costs
 //! less simulated I/O than at depth 1, with the same answers; and every
 //! design's scan path announces itself with scan-class reads (scan tagging,
-//! the admission signal of the scan-resistant buffer policies).
+//! which at queue depth 8 reads ahead without changing a scan's entries).
 
 use std::collections::BTreeMap;
 
@@ -213,6 +213,57 @@ fn queue_depth_8_overlaps_batched_lookups_for_every_design() {
     }
 }
 
+/// The HDD disk the scan tests run on: 4 KiB blocks, a 16-block pool and the
+/// given outstanding-read queue depth.
+fn scan_disk_config(queue_depth: usize) -> DiskConfig {
+    DiskConfig::with_block_size(4096)
+        .device(DeviceModel::hdd())
+        .buffer_blocks(16)
+        .queue_depth(queue_depth)
+}
+
+#[test]
+fn queue_depth_8_scans_match_depth_1_for_every_design() {
+    // At depth > 1 a scan-class miss folds a readahead of the following
+    // blocks into its fetch: the one thing the access class still changes.
+    // It may change the cost of a scan, never its entries.
+    let entries: Vec<Entry> = (0..20_000u64).map(|i| (i * 7 + 3, i)).collect();
+    let ranges: Vec<(Key, usize)> = (0..40).map(|i| (entries[i * 487].0 - 1, 300)).collect();
+    for choice in IndexChoice::ALL_DESIGNS {
+        let scans = |depth| {
+            let mut index = choice.build(Disk::in_memory(scan_disk_config(depth)));
+            index.bulk_load(&entries).expect("bulk load");
+            let disk = index.disk();
+            disk.reset_access_state();
+            let before = disk.snapshot();
+            let mut out = Vec::new();
+            let rows: Vec<Vec<Entry>> = ranges
+                .iter()
+                .map(|&(start, count)| {
+                    index.scan(start, count, &mut out).expect("scan");
+                    out.clone()
+                })
+                .collect();
+            (rows, disk.snapshot().since(&before))
+        };
+        let (d1, sync) = scans(1);
+        let (d8, queued) = scans(8);
+        for (i, &(start, count)) in ranges.iter().enumerate() {
+            let from = entries.partition_point(|&(k, _)| k < start);
+            assert_eq!(d1[i], entries[from..from + count], "{choice:?} depth-1 range {i}");
+        }
+        assert_eq!(d8, d1, "{choice:?} queue depth must never change a scan's entries");
+        assert!(sync.scan_reads > 0 && queued.scan_reads > 0, "{choice:?} scans must tag reads");
+        assert_eq!(sync.readahead_hits, 0, "{choice:?} depth 1 never reads ahead");
+        if choice == IndexChoice::BTree {
+            assert!(
+                queued.readahead_hits > 0,
+                "the B+-tree's contiguous leaf chain must be read ahead at depth 8"
+            );
+        }
+    }
+}
+
 #[test]
 fn empty_and_degenerate_batches() {
     for choice in IndexChoice::ALL_DESIGNS {
@@ -293,9 +344,9 @@ proptest! {
     /// Property: for random bulk loads and random (possibly overlapping,
     /// unsorted, duplicate, empty or past-the-end) ranges, `scan_batch`
     /// returns exactly what a standalone `scan` returns for each range, and
-    /// both match the oracle — for every design, including under a
-    /// scan-resistant partitioned pool so the scan-class read path is the
-    /// one being exercised.
+    /// both match the oracle — for every design, on a disk at queue depth 8
+    /// with a 16-block pool, so scan-class misses take the readahead path,
+    /// the one place the access class changes what a read does.
     #[test]
     fn random_range_batches_match_sequential_scans(
         bulk_keys in proptest::collection::btree_set(0u64..200_000, 30..250),
@@ -303,15 +354,8 @@ proptest! {
     ) {
         let bulk: Vec<Entry> = bulk_keys.iter().map(|&k| (k, k + 1)).collect();
         let oracle: Vec<Entry> = bulk.clone();
-        let cfg = RunConfig {
-            buffer_blocks: 16,
-            buffer_policy: lidx_storage::ReplacementPolicy::TwoQ,
-            buffer_partitions: lidx_storage::PoolPartitions::InnerReserved { percent: 25 },
-            ..Default::default()
-        };
         for choice in IndexChoice::ALL_DESIGNS {
-            let disk = cfg.make_disk();
-            let mut index = choice.build(disk);
+            let mut index = choice.build(Disk::in_memory(scan_disk_config(8)));
             index.bulk_load(&bulk).expect("bulk load");
             let mut batched: Vec<Vec<Entry>> = Vec::new();
             index.scan_batch(&ranges, &mut batched).expect("scan_batch");
