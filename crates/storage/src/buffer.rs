@@ -540,6 +540,99 @@ mod tests {
         assert!(!p.contains(0, 1));
         assert_eq!(p.hits() + p.misses(), 0, "contains must not count as an access");
     }
+
+    /// Walks the recency list from the most recently used block, checking
+    /// that the backward links mirror the forward ones.
+    fn recency_order(p: &BufferPool) -> Vec<u32> {
+        let mut forward = Vec::new();
+        let mut idx = p.head;
+        while idx != NIL {
+            forward.push(p.entries[idx].key.1);
+            idx = p.entries[idx].next;
+        }
+        let mut backward = Vec::new();
+        let mut idx = p.tail;
+        while idx != NIL {
+            backward.push(p.entries[idx].key.1);
+            idx = p.entries[idx].prev;
+        }
+        backward.reverse();
+        assert_eq!(forward, backward, "prev links must mirror next links");
+        assert_eq!(forward.len(), p.len(), "every resident block is on the list");
+        forward
+    }
+
+    #[test]
+    fn invalidating_either_end_keeps_the_recency_order() {
+        let mut p = BufferPool::new(3);
+        for b in 1..=3u32 {
+            p.put_ref(0, b, frame(b as u8, 4));
+        }
+        assert_eq!(recency_order(&p), [3, 2, 1]);
+        p.invalidate(0, 1); // the tail
+        assert_eq!(recency_order(&p), [3, 2]);
+        p.put_ref(0, 4, frame(4, 4));
+        p.invalidate(0, 4); // the head
+        assert_eq!(recency_order(&p), [3, 2]);
+        p.put_ref(0, 5, frame(5, 4));
+        p.put_ref(0, 6, frame(6, 4));
+        assert_eq!(recency_order(&p), [6, 5, 3], "block 2 was least recently used");
+        p.invalidate(0, 5); // the middle
+        assert!(p.get_ref(0, 3).is_some());
+        assert_eq!(recency_order(&p), [3, 6]);
+    }
+
+    #[test]
+    fn capacity_one_keeps_only_the_newest_block() {
+        // Head and tail are the same slot: a hit on it must leave the list
+        // intact and every admission must evict it.
+        let mut p = BufferPool::new(1);
+        p.put_ref(0, 1, frame(1, 4));
+        assert_eq!(p.get_ref(0, 1).as_deref(), Some(&[1u8; 4][..]));
+        p.put_ref(0, 2, frame(2, 4));
+        assert!(!p.contains(0, 1));
+        assert_eq!(recency_order(&p), [2]);
+        p.put_ref(0, 2, frame(3, 4));
+        assert_eq!(p.get_ref(0, 2).as_deref(), Some(&[3u8; 4][..]));
+        assert_eq!(p.entries.len(), 1, "the victim's slot is reused");
+        assert_eq!((p.hits(), p.misses()), (2, 0));
+    }
+
+    #[test]
+    fn eviction_drops_the_pool_reference_but_not_a_pinned_snapshot() {
+        let mut p = BufferPool::new(2);
+        p.put_ref(0, 1, frame(1, 8));
+        let pinned = p.get_ref(0, 1).unwrap();
+        p.put_ref(0, 2, frame(2, 8));
+        p.put_ref(0, 3, frame(3, 8));
+        assert!(!p.contains(0, 1), "block 1 is the LRU victim");
+        assert_eq!(pinned.ref_count(), 1, "eviction must drop the pool's reference");
+        assert_eq!(&pinned[..], &[1u8; 8]);
+    }
+
+    #[test]
+    fn refreshing_a_block_keeps_an_outstanding_snapshot() {
+        let mut p = BufferPool::new(2);
+        p.put_ref(0, 1, frame(1, 8));
+        let old = p.get_ref(0, 1).unwrap();
+        p.put_ref(0, 1, frame(2, 8));
+        assert_eq!(&old[..], &[1u8; 8], "a refresh installs a new frame");
+        assert_eq!(old.ref_count(), 1, "the pool let go of the old frame");
+        assert_eq!(p.get_ref(0, 1).as_deref(), Some(&[2u8; 8][..]));
+    }
+
+    #[test]
+    fn freed_slots_are_reused_so_the_slab_never_outgrows_the_capacity() {
+        let mut p = BufferPool::new(4);
+        for i in 0..500u32 {
+            p.put_ref(0, i % 11, frame(i as u8, 4));
+            if i % 3 == 0 {
+                p.invalidate(0, (i * 7) % 11);
+            }
+            assert!(p.entries.len() <= 4, "slab grew past the capacity at step {i}");
+            assert_eq!(p.entries.len(), p.len() + p.free.len(), "every slot is resident or free");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +693,43 @@ mod sharded_tests {
             let (min, max) = (caps.iter().min().unwrap(), caps.iter().max().unwrap());
             assert!(max - min <= 1, "capacity {capacity}: uneven stripes {caps:?}");
         }
+    }
+
+    #[test]
+    fn uneven_stripes_each_fill_to_their_own_capacity() {
+        let p = ShardedBufferPool::new(9);
+        assert_eq!(p.shard_count(), 2);
+        // Stripe 0 (even blocks) holds five blocks, stripe 1 (odd) four.
+        for b in (0..40u32).step_by(2) {
+            p.put_ref(0, b, frame(b as u8, 8));
+        }
+        assert_eq!(p.len(), 5);
+        assert!((30..40u32).step_by(2).all(|b| p.contains(0, b)), "the five newest even blocks");
+        for b in (1..40u32).step_by(2) {
+            p.put_ref(0, b, frame(b as u8, 8));
+        }
+        assert_eq!(p.len(), 9, "together the stripes hold exactly the capacity");
+        assert!((33..40u32).step_by(2).all(|b| p.contains(0, b)), "the four newest odd blocks");
+        assert!(!p.contains(0, 31));
+    }
+
+    #[test]
+    fn a_striped_pool_evicts_within_the_stripe_of_the_new_block() {
+        // Eviction is per stripe, the fidelity a striped pool trades for
+        // reader parallelism: the victim is the least recently used block of
+        // the new block's stripe, not of the whole pool.
+        let p = ShardedBufferPool::new(8);
+        assert_eq!(p.shard_count(), 2);
+        for b in 0..8u32 {
+            p.put_ref(0, b, frame(b as u8, 8));
+        }
+        assert!(p.get_ref(0, 0).is_some());
+        // Block 1 (odd stripe) is now least recently used overall, but
+        // block 8 lands on the even stripe, whose LRU block is 2.
+        p.put_ref(0, 8, frame(8, 8));
+        assert!(p.contains(0, 1), "a global LRU would have evicted block 1");
+        assert!(!p.contains(0, 2));
+        assert_eq!(p.len(), 8);
     }
 
     #[test]

@@ -1626,6 +1626,50 @@ mod scan_tests {
         d.read_ref(f, 1, BlockKind::Leaf).unwrap();
         assert_eq!(d.stats().reads(), before + 1, "block 1 was the victim");
     }
+
+    /// The class is what decides readahead: at queue depth 4, point-class
+    /// misses over a contiguous range fetch block by block, while the same
+    /// range read scan-class rides readahead waves.
+    #[test]
+    fn only_scan_class_misses_read_ahead() {
+        let run = |class: AccessClass| {
+            let d = Disk::in_memory(
+                DiskConfig::with_block_size(128)
+                    .device(DeviceModel::custom("t", 100, 1, 5))
+                    .queue_depth(4)
+                    .reuse_last_block(false),
+            );
+            let f = d.create_file().unwrap();
+            d.allocate(f, 8).unwrap();
+            d.stats().reset();
+            d.reset_access_state();
+            for b in 0..8u32 {
+                d.read_ref_class(f, b, BlockKind::Leaf, class).unwrap();
+            }
+            let s = d.stats();
+            (s.reads(), s.readahead_hits(), s.device_ns(), s.scan_reads())
+        };
+        assert_eq!(run(AccessClass::Point), (8, 0, 100 + 7 * 5, 0));
+        assert_eq!(run(AccessClass::Scan), (8, 6, 100 + 5, 8));
+    }
+
+    /// `scan_reads` counts scan-class requests, whichever cache rung (or
+    /// the device) serves them; point-class reads never count.
+    #[test]
+    fn scan_reads_count_every_scan_class_request_hit_or_miss() {
+        let d = Disk::in_memory(
+            DiskConfig::with_block_size(128).buffer_blocks(4).reuse_last_block(false),
+        );
+        let f = d.create_file().unwrap();
+        d.allocate(f, 2).unwrap();
+        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        d.read_ref(f, 1, BlockKind::Leaf).unwrap();
+        d.read_ref(f, 1, BlockKind::Leaf).unwrap();
+        assert_eq!(d.stats().scan_reads(), 2);
+        assert_eq!(d.stats().reads(), 2);
+        assert_eq!(d.stats().buffer_hits(), 2);
+    }
 }
 
 #[cfg(test)]
