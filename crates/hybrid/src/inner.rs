@@ -15,6 +15,14 @@ use lidx_storage::{BlockId, BlockKind, Disk, SlotTable};
 /// One `(boundary key, leaf block)` pair.
 pub type Boundary = (Key, BlockId);
 
+/// A block pointer read from a directory block: stored as a `u64`, it must
+/// fit a [`BlockId`], or the block is corrupt.
+fn block_id(stored: u64) -> IndexResult<BlockId> {
+    BlockId::try_from(stored).map_err(|_| {
+        IndexError::Internal(format!("directory block pointer {stored} is not a block id"))
+    })
+}
+
 /// A floor-lookup directory over leaf boundaries.
 pub trait InnerDirectory {
     /// Rebuilds the directory from scratch over `boundaries` (sorted by key).
@@ -272,9 +280,9 @@ impl InnerDirectory for PlaInner {
             self.entries_per_block(),
             self.window(predicted, self.boundaries),
             key,
-            |e: &[u8; PLA_ENTRY]| u64::from_le_bytes(e[8..16].try_into().unwrap()) as BlockId,
+            |e: &[u8; PLA_ENTRY]| u64::from_le_bytes(e[8..16].try_into().unwrap()),
         )?;
-        Ok(leaf.unwrap_or(self.first_leaf))
+        leaf.map_or(Ok(self.first_leaf), block_id)
     }
 
     fn node_count(&self) -> u64 {
@@ -429,12 +437,12 @@ impl ModelTreeInner {
                 MT_NULL => {}
                 MT_DATA => {
                     if boundary <= key {
-                        return Ok(Some(value as u32));
+                        return block_id(value).map(Some);
                     }
                 }
                 MT_CHILD => {
                     if boundary <= key {
-                        if let Some(found) = self.find_in(value as u32, key)? {
+                        if let Some(found) = self.find_in(block_id(value)?, key)? {
                             return Ok(Some(found));
                         }
                         // Every boundary in the child exceeded `key` (only
@@ -682,6 +690,38 @@ mod tests {
             let (_, _, _, walked) = cold(&disk, || find_leaf_slot_by_slot(&dir, k + 1));
             assert!(walked > pinned, "the walk pins per slot ({walked}), the search per block");
         }
+    }
+
+    /// Overwrites the `u64` at byte `off` of inner block `block` of `file`.
+    fn forge(disk: &Disk, file: u32, block: BlockId, off: usize, value: u64) {
+        let mut buf = disk.read_vec(file, block, BlockKind::Inner).unwrap();
+        buf[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        disk.write(file, block, BlockKind::Inner, &buf).unwrap();
+    }
+
+    #[test]
+    fn block_pointers_beyond_the_block_id_range_are_errors() {
+        // Truncated to 32 bits, each forged pointer would name block 0: for
+        // the model tree that is its own root.
+        let beyond = 1u64 << 32;
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        mt.rebuild(&[(10, 7)]).unwrap();
+        for tag in [MT_DATA, MT_CHILD] {
+            for slot in 0..mt.slots_per_block() {
+                let off = slot * MT_SLOT;
+                forge(&disk, mt.file, mt.root + 1, off, tag);
+                forge(&disk, mt.file, mt.root + 1, off + 8, 0);
+                forge(&disk, mt.file, mt.root + 1, off + 16, beyond);
+            }
+            assert!(matches!(mt.find_leaf(10), Err(IndexError::Internal(_))), "tag {tag}");
+        }
+
+        let mut pla = PlaInner::new(Arc::clone(&disk), 8).unwrap();
+        let bounds = boundaries(100, 37);
+        pla.rebuild(&bounds).unwrap();
+        forge(&disk, pla.file, pla.base_first_block, 8, beyond);
+        assert!(matches!(pla.find_leaf(bounds[0].0), Err(IndexError::Internal(_))));
     }
 
     #[test]

@@ -47,7 +47,9 @@ impl Slot {
         match raw[0] {
             SLOT_NULL => Ok(Slot::Null),
             SLOT_DATA => Ok(Slot::Data(raw[1], raw[2])),
-            SLOT_CHILD => Ok(Slot::Child(raw[2] as u32)),
+            SLOT_CHILD => BlockId::try_from(raw[2]).map(Slot::Child).map_err(|_| {
+                IndexError::Internal(format!("LIPP child pointer {} is not a block id", raw[2]))
+            }),
             other => Err(IndexError::Internal(format!("invalid LIPP slot tag {other}"))),
         }
     }
@@ -335,6 +337,26 @@ mod tests {
             assert_eq!(Slot::decode(s.encode()).unwrap(), s);
         }
         assert!(Slot::decode([9, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn a_child_pointer_beyond_the_block_id_range_is_an_error() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        let capacity = 8u32;
+        let start = d.allocate(file, blocks_for(capacity, 512)).unwrap();
+        let mut slots = vec![Slot::Null; capacity as usize];
+        slots[2] = Slot::Child(99);
+        let node =
+            LippNode::write_new(&d, file, start, capacity, LinearModel::new(0.1, 0.0), &slots, 1)
+                .unwrap();
+        // Forge the child pointer's high half: truncated to 32 bits it would
+        // still name block 99.
+        let (block, off) = node.slot_location(2, 512);
+        let mut buf = d.read_vec(file, block, BlockKind::Leaf).unwrap();
+        buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
+        d.write(file, block, BlockKind::Leaf, &buf).unwrap();
+        assert!(matches!(node.read_slot(&d, 2), Err(IndexError::Internal(_))));
     }
 
     #[test]

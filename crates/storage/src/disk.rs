@@ -71,8 +71,9 @@ pub struct DiskConfig {
     /// main memory while leaves stay on disk.
     pub memory_resident: [bool; 4],
     /// Outstanding-read queue depth of the [`Disk::read_queue`] engine: how
-    /// many read requests a completion wave may carry (and how far scan
-    /// readahead prefetches). A wave charges the *max* of its members' device
+    /// many device reads a completion wave may carry (cache hits take no
+    /// slot), and how far scan readahead prefetches: the next
+    /// `queue_depth - 1` blocks. A wave charges the *max* of its members' device
     /// costs instead of their sum, modelling depth-parallel service. Depth 1
     /// (the default) degenerates to the fully synchronous path — one request
     /// per wave, `max == sum` — so every existing number is reproduced
@@ -221,16 +222,16 @@ pub enum SeqHint {
     Random,
 }
 
-/// One request of a completion wave processed by [`Disk::run_wave`].
+/// One device request of a completion wave processed by [`Disk::run_wave`]:
+/// a block its submitter already found in no cache.
 pub(crate) struct WaveReq {
     pub(crate) file: FileId,
     pub(crate) block: BlockId,
     pub(crate) kind: BlockKind,
     pub(crate) hint: SeqHint,
-    /// `true`: the caller wants the pinned frame back (a queued read).
-    /// `false`: a readahead prefetch — the frame is parked in the readahead
-    /// cache and the request is skipped entirely if the block is already
-    /// cached anywhere.
+    /// `true`: the caller wants the pinned frame back (a queued read); the
+    /// wave publishes it to the pool and the reuse slot. `false`: a readahead
+    /// prefetch; the wave parks the frame in the readahead cache.
     pub(crate) deliver: bool,
 }
 
@@ -788,12 +789,12 @@ impl Disk {
     }
 
     /// The cache ladder every delivered read climbs before it may touch the
-    /// device, shared by the synchronous path and the completion waves:
+    /// device, shared by the synchronous path and [`crate::ReadQueue`] submission:
     /// memory-resident kind → §6.5 reuse slot → buffer pool → readahead
     /// cache, each rung with its own hit accounting. `Ok(None)` is a miss:
     /// the caller fetches ([`Disk::fetch_miss`]), charges, and publishes
     /// ([`Disk::publish_miss`]).
-    fn probe_caches(
+    pub(crate) fn probe_caches(
         &self,
         file: FileId,
         block: BlockId,
@@ -894,123 +895,93 @@ impl Disk {
         hint: SeqHint,
     ) -> StorageResult<BlockRef> {
         let end = self.num_blocks(file).unwrap_or(0);
+        let depth = u32::try_from(self.queue_depth).unwrap_or(u32::MAX);
+        let readahead = block.saturating_add(1)..end.min(block.saturating_add(depth));
+        // The whole extent counts as accepted engine traffic, as a queue
+        // counts a prefetch it skips.
+        let accepted = 1 + readahead.len() as u64;
+        self.stats.record_ios_submitted(accepted);
         let mut reqs = Vec::with_capacity(self.queue_depth);
         reqs.push(WaveReq { file, block, kind, hint, deliver: true });
-        let mut next = block.saturating_add(1);
-        while reqs.len() < self.queue_depth && next < end {
-            reqs.push(WaveReq {
-                file,
-                block: next,
-                kind,
-                hint: SeqHint::Sequential,
-                deliver: false,
-            });
-            next += 1;
+        for next in readahead {
+            if !self.prefetch_is_cached(file, next, kind) {
+                reqs.push(WaveReq {
+                    file,
+                    block: next,
+                    kind,
+                    hint: SeqHint::Sequential,
+                    deliver: false,
+                });
+            }
         }
-        let mut frames = self.run_wave(&reqs)?;
-        frames
-            .swap_remove(0)
-            .ok_or_else(|| StorageError::Corrupt("wave dropped a delivered frame".into()))
+        let frame = self.run_wave(&reqs)?.swap_remove(0);
+        self.stats.record_ios_completed(accepted);
+        Ok(frame)
     }
 
-    /// Processes one completion wave of the outstanding-read engine: every
-    /// request is served (cache hits as usual, misses loaded from the
-    /// backend), but the device is charged the *max* of the wave's per-miss
-    /// costs instead of their sum — the requests are in flight together, so
-    /// the wave completes when its slowest member does. The saved difference
-    /// is recorded in [`IoStats::overlap_saved_ns`]. A wave of one request
-    /// charges exactly what the synchronous path charges.
-    ///
-    /// Returns one entry per request, aligned with `reqs`: `Some(frame)` for
-    /// delivered requests, `None` for prefetches (parked or skipped).
-    pub(crate) fn run_wave(&self, reqs: &[WaveReq]) -> StorageResult<Vec<Option<BlockRef>>> {
-        let wave_start = std::time::Instant::now();
-        self.stats.record_ios_submitted(reqs.len() as u64);
-        let mut results: Vec<Option<BlockRef>> = Vec::with_capacity(reqs.len());
-        results.resize(reqs.len(), None);
-        // Misses fetched by this wave: (request index, frame).
-        let mut misses: Vec<(usize, BlockRef)> = Vec::new();
-        // Blocks already being fetched by this wave, for duplicate requests.
-        let mut in_wave: HashMap<(FileId, BlockId), usize> = HashMap::new();
-        let mut total_cost = 0u64;
-        let mut max_cost = 0u64;
-
-        for (i, req) in reqs.iter().enumerate() {
-            let at = (req.file, req.block);
-            if !req.deliver {
-                // Prefetch: skip silently when the block is already cached
-                // (or free to read) — parking it would only waste a device
-                // slot.
-                if self.is_memory_resident(req.kind)
-                    || in_wave.contains_key(&at)
-                    || self.readahead.lock().contains(&at)
-                {
-                    continue;
-                }
-                if self.pool.capacity() > 0 {
-                    if let Some(frame) = self.pool.get_ref(req.file, req.block) {
-                        // Pool-resident: re-park the frame (free — no device
-                        // slot) so the wave's consumer still finds it even if
-                        // the pool evicts the block before the probe
-                        // resolves, e.g. under the churn of the batch's own
-                        // consumptions.
-                        self.readahead.lock().park(at, frame);
-                        continue;
-                    }
-                }
-            } else {
-                if let Some(frame) = self.probe_caches(req.file, req.block, req.kind)? {
-                    results[i] = Some(frame);
-                    continue;
-                }
-                if let Some(&m) = in_wave.get(&at) {
-                    // A duplicate of a block this wave is already fetching:
-                    // share the in-flight frame, like last-block reuse.
-                    self.stats.record_reuse_hit();
-                    self.stats.record_frame_pinned();
-                    results[i] = Some(misses[m].1.clone());
-                    continue;
-                }
+    /// The prefetch skip rule, applied when a prefetch is submitted: a block
+    /// that is free to read (memory-resident kind), already parked, or
+    /// pool-resident needs no device request. A pool-resident block is
+    /// re-parked (an `Arc` clone, no device slot), so the consumer still finds
+    /// it if the pool evicts the block before the probe resolves, e.g. under
+    /// the churn of the batch's own consumptions.
+    pub(crate) fn prefetch_is_cached(&self, file: FileId, block: BlockId, kind: BlockKind) -> bool {
+        let at = (file, block);
+        if self.is_memory_resident(kind) || self.readahead.lock().contains(&at) {
+            return true;
+        }
+        if self.pool.capacity() > 0 {
+            if let Some(frame) = self.pool.get_ref(file, block) {
+                self.readahead.lock().park(at, frame);
+                return true;
             }
+        }
+        false
+    }
 
+    /// Processes one non-empty completion wave of the outstanding-read
+    /// engine. Its submitter already climbed the cache ladder for every
+    /// member, so each request is a device fetch of a distinct block: every
+    /// member is loaded from the backend, and the device is charged the
+    /// *max* of their costs instead of the sum — the requests are in flight
+    /// together, so the wave completes when its slowest member does. The
+    /// saved difference is recorded in [`IoStats::overlap_saved_ns`]. A wave
+    /// of one request charges exactly what the synchronous path charges.
+    ///
+    /// Returns the fetched frames, aligned with `reqs`. Delivered ones are
+    /// published to the pool and the reuse slot; prefetched ones are parked
+    /// in the readahead cache.
+    pub(crate) fn run_wave(&self, reqs: &[WaveReq]) -> StorageResult<Vec<BlockRef>> {
+        let wave_start = std::time::Instant::now();
+        let mut frames = Vec::with_capacity(reqs.len());
+        let (mut total_cost, mut max_cost) = (0u64, 0u64);
+        for req in reqs {
             let (frame, cost) = self.fetch_miss(req.file, req.block, req.kind, req.hint)?;
             total_cost += cost;
             max_cost = max_cost.max(cost);
-            in_wave.insert(at, misses.len());
-            misses.push((i, frame));
+            frames.push(frame);
         }
 
         // One charge for the whole wave: its members were in flight together.
-        self.stats.note_inflight(misses.len() as u64);
+        self.stats.note_inflight(reqs.len() as u64);
         self.charge(max_cost);
         self.stats.record_overlap_saved_ns(total_cost - max_cost);
-        // A wave that hit the device is an I/O pause; waves served entirely
-        // from cache are free and would only flood the histogram with noise.
-        if !misses.is_empty() {
-            self.telemetry.record_ns(OpClass::Wave, wave_start.elapsed().as_nanos() as u64);
-            self.telemetry.add(OpClass::Wave, misses.len() as u64);
-        }
+        self.telemetry.record_ns(OpClass::Wave, wave_start.elapsed().as_nanos() as u64);
+        self.telemetry.add(OpClass::Wave, reqs.len() as u64);
 
         // Publish after completion, in submission order, exactly like the
         // synchronous path publishes after its charge.
-        let mut parked: Vec<((FileId, BlockId), BlockRef)> = Vec::new();
-        for (i, frame) in misses {
-            let req = &reqs[i];
-            if req.deliver {
-                self.publish_miss(req.file, req.block, &frame);
-                results[i] = Some(frame);
-            } else {
-                parked.push(((req.file, req.block), frame));
-            }
+        let pairs = || reqs.iter().zip(&frames);
+        for (req, frame) in pairs().filter(|(req, _)| req.deliver) {
+            self.publish_miss(req.file, req.block, frame);
         }
-        if !parked.is_empty() {
+        if reqs.iter().any(|req| !req.deliver) {
             let mut cache = self.readahead.lock();
-            for (key, frame) in parked {
-                cache.park(key, frame);
+            for (req, frame) in pairs().filter(|(req, _)| !req.deliver) {
+                cache.park((req.file, req.block), frame.clone());
             }
         }
-        self.stats.record_ios_completed(reqs.len() as u64);
-        Ok(results)
+        Ok(frames)
     }
 
     /// The configured outstanding-read queue depth.

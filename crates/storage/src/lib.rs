@@ -20,8 +20,9 @@
 //! * [`pager::Pager`] — extent allocation on top of a file, required by ALEX
 //!   and LIPP whose variable-sized nodes may span several contiguous blocks.
 //! * [`queue::ReadQueue`] — the outstanding-read engine: an io_uring-shaped
-//!   submission/completion queue that overlaps a wave of fetches (the device
-//!   is charged the max, not the sum, of the wave's costs) and powers the
+//!   submission/completion queue that resolves cache hits at submit and
+//!   overlaps a wave of `queue_depth` device fetches (the device is charged
+//!   the max, not the sum, of the wave's costs) and powers the
 //!   scan readahead; at queue depth 1 it degenerates to the synchronous
 //!   path.
 //! * [`Disk`] — the façade combining all of the above, which is what index

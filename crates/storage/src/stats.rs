@@ -96,12 +96,12 @@ pub struct IoStats {
     /// Writer-side stalls: stage or drain steps that found their target lock
     /// (shard mutex or index write lock) contended and had to block for it.
     write_stalls: AtomicU64,
-    /// Read requests entering the outstanding-read engine (one per request in
-    /// a completion wave, whether it missed, hit a cache or was a skipped
-    /// prefetch).
+    /// Read requests the outstanding-read engine accepted, whether they
+    /// missed, hit a cache at submit or were skipped prefetches.
     ios_submitted: AtomicU64,
     /// Requests retired by the outstanding-read engine (delivered frames,
-    /// cache hits and parked readahead frames alike).
+    /// cache hits and parked readahead frames alike); a hit or a skipped
+    /// prefetch retires at submit.
     ios_completed: AtomicU64,
     /// High-water mark of device fetches in flight within one completion
     /// wave — the effective queue depth actually reached.

@@ -277,7 +277,8 @@ pub enum OpClass {
     LockRead,
     /// A writer blocked on a contended shard or index lock.
     LockWrite,
-    /// One completion wave of the outstanding-read engine.
+    /// One completion wave of the outstanding-read engine; its counter adds
+    /// the wave's device fetches.
     Wave,
     /// A shard split or merge in the keyspace router.
     Rebalance,
