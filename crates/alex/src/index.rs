@@ -8,7 +8,9 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::LinearModel;
-use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK};
+use lidx_storage::{
+    AccessClass, BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK,
+};
 
 use crate::node::{ChildPtr, DataGeometry, DataNode, InnerNode};
 
@@ -242,21 +244,25 @@ impl AlexIndex {
 
     /// Descends from the root to the data node covering `key`, returning the
     /// inner-node path (node handle + chosen child index) and the data node.
+    /// The insert path's descent; reads go through [`AlexIndex::data_node`].
     fn descend(&self, key: Key) -> IndexResult<(Vec<(InnerNode, u32)>, DataNode)> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
+        let mut cursor = self.disk.cursor();
         let mut path = Vec::new();
-        let mut ptr = self.root;
-        while !ptr.is_data {
-            let node = InnerNode::load(&self.disk, self.inner_file, ptr.block)?;
-            let idx = node.child_index(key);
-            let child = node.child_at(&self.disk, idx)?;
-            path.push((node, idx));
-            ptr = child;
+        let start = self.route(&mut cursor, key, Some(&mut path))?;
+        Ok((path, DataNode::load_with(&mut cursor, self.data_file, start)?))
+    }
+
+    /// The data node covering `key`, read through `cursor`: the descent of
+    /// the read paths, which keeps no path and so allocates nothing.
+    fn data_node(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<DataNode> {
+        if !self.loaded {
+            return Err(IndexError::NotInitialized);
         }
-        let data = DataNode::load(&self.disk, self.data_file, ptr.block)?;
-        Ok((path, data))
+        let start = self.route(cursor, key, None)?;
+        DataNode::load_with(cursor, self.data_file, start)
     }
 
     /// Repoints the parent of an SMO'd node (or the root) to `new_ptr`.
@@ -280,7 +286,7 @@ impl AlexIndex {
                     if i == 0 {
                         break;
                     }
-                    let prev = parent.child_at(&self.disk, i - 1)?;
+                    let prev = parent.child_at(&mut self.disk.cursor(), i - 1)?;
                     if prev.is_data && prev.block == old_block {
                         i -= 1;
                     } else {
@@ -289,7 +295,7 @@ impl AlexIndex {
                 }
                 let mut i = *idx + 1;
                 while i < parent.header.children {
-                    let nxt = parent.child_at(&self.disk, i)?;
+                    let nxt = parent.child_at(&mut self.disk.cursor(), i)?;
                     if nxt.is_data && nxt.block == old_block {
                         parent.set_child(&self.disk, i, new_ptr)?;
                         i += 1;
@@ -415,7 +421,7 @@ impl AlexIndex {
         if (node.header.count + 1) as f64 > capacity as f64 * self.config.max_density {
             return Ok(false);
         }
-        let lb = node.lower_bound(&self.disk, key)?;
+        let lb = node.lower_bound(&mut self.disk.cursor(), key)?;
 
         // Upsert: overwrite every duplicate of an existing key so gap copies
         // stay consistent with the real slot.
@@ -473,16 +479,25 @@ impl AlexIndex {
     }
 
     /// Routes `key` through the inner levels only, returning the start block
-    /// of the covering data node without touching the data file. This is the
-    /// descent the outstanding-read batch uses: it resolves *where* every
-    /// probe lands first, so the data-node header fetches can ride one
+    /// of the covering data node without touching the data file, and pushing
+    /// each inner node with the child index taken onto `path` if one is
+    /// given. The outstanding-read batch routes first: it resolves *where*
+    /// every probe lands, so the data-node header fetches can ride one
     /// submission wave instead of being paid one blocking latency at a time.
-    fn route(&self, key: Key) -> IndexResult<BlockId> {
+    fn route(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        key: Key,
+        mut path: Option<&mut Vec<(InnerNode, u32)>>,
+    ) -> IndexResult<BlockId> {
         let mut ptr = self.root;
         while !ptr.is_data {
-            let node = InnerNode::load(&self.disk, self.inner_file, ptr.block)?;
+            let node = InnerNode::load(cursor, self.inner_file, ptr.block)?;
             let idx = node.child_index(key);
-            ptr = node.child_at(&self.disk, idx)?;
+            ptr = node.child_at(cursor, idx)?;
+            if let Some(path) = path.as_deref_mut() {
+                path.push((node, idx));
+            }
         }
         Ok(ptr.block)
     }
@@ -505,8 +520,9 @@ impl AlexIndex {
         // so probes landing in the same data node are consecutive in sorted
         // order and grouping is a plain run-length pass.
         let mut groups: Vec<(BlockId, Vec<u32>)> = Vec::new();
+        let mut cursor = self.disk.cursor();
         for &i in order {
-            let start = self.route(keys[i as usize])?;
+            let start = self.route(&mut cursor, keys[i as usize], None)?;
             match groups.last_mut() {
                 Some((block, idxs)) if *block == start => idxs.push(i),
                 _ => groups.push((start, vec![i])),
@@ -541,11 +557,14 @@ impl AlexIndex {
         }
         q.flush()?;
 
-        // Phase 4: answer from the parked frames.
+        // Phase 4: answer from the parked frames, through a cursor that
+        // starts after the waves, whose completions the disk's reuse slot
+        // sees.
+        let mut cursor = self.disk.cursor();
         for (start, idxs) in &groups {
             let node = &nodes[start];
             for &i in idxs {
-                out[i as usize] = node.lookup(&self.disk, keys[i as usize])?;
+                out[i as usize] = node.lookup(&mut cursor, keys[i as usize])?;
             }
         }
         Ok(())
@@ -596,8 +615,8 @@ impl IndexRead for AlexIndex {
     }
 
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        let (_, data) = self.descend(key)?;
-        data.lookup(&self.disk, key)
+        let mut cursor = self.disk.cursor();
+        self.data_node(&mut cursor, key)?.lookup(&mut cursor, key)
     }
 
     /// Batched lookups sort the probe keys and descend once per *run* of
@@ -627,25 +646,26 @@ impl IndexRead for AlexIndex {
         // The pinned node and its largest stored key (fetched on the second
         // consecutive landing; empty nodes are never pinned).
         let mut current: Option<(DataNode, Option<Key>)> = None;
+        let mut cursor = self.disk.cursor();
         for &i in &order {
             let key = keys[i as usize];
             if let Some((node, Some(max))) = &current {
                 if key <= *max {
-                    out[i as usize] = node.lookup(&self.disk, key)?;
+                    out[i as usize] = node.lookup(&mut cursor, key)?;
                     continue;
                 }
             }
-            let (_, node) = self.descend(key)?;
+            let node = self.data_node(&mut cursor, key)?;
             if node.header.count == 0 {
                 // An empty node answers every probe with a miss.
                 current = None;
                 continue;
             }
-            out[i as usize] = node.lookup(&self.disk, key)?;
+            out[i as usize] = node.lookup(&mut cursor, key)?;
             match &mut current {
                 Some((cached, max)) if cached.start == node.start => {
                     if max.is_none() {
-                        *max = Some(node.max_key(&self.disk)?);
+                        *max = Some(node.max_key(&mut cursor)?);
                     }
                 }
                 _ => current = Some((node, None)),
@@ -662,8 +682,12 @@ impl IndexRead for AlexIndex {
             }
             return Ok(0);
         }
-        let (_, mut node) = self.descend(start)?;
-        let mut slot = node.lower_bound(&self.disk, start)?;
+        let (mut node, mut slot) = {
+            let mut cursor = self.disk.cursor();
+            let node = self.data_node(&mut cursor, start)?;
+            let slot = node.lower_bound(&mut cursor, start)?;
+            (node, slot)
+        };
         loop {
             // The bitmap distinguishes real entries from gap duplicates — the
             // extra utility I/O the paper highlights for ALEX scans (S3). The
@@ -736,7 +760,7 @@ impl IndexWrite for AlexIndex {
                 if let Some(c) = cached.as_mut() {
                     if key >= c.witness {
                         if c.max.is_none() && c.node.header.count > 0 {
-                            c.max = Some(c.node.max_key(&self.disk)?);
+                            c.max = Some(c.node.max_key(&mut self.disk.cursor())?);
                         }
                         hit = c.max.is_some_and(|m| key <= m);
                     }
@@ -889,9 +913,9 @@ mod tests {
         if ptr.is_data {
             return depth;
         }
-        let node = InnerNode::load(&a.disk, a.inner_file, ptr.block).unwrap();
+        let node = InnerNode::load(&mut a.disk.cursor(), a.inner_file, ptr.block).unwrap();
         (0..node.header.children)
-            .map(|i| node.child_at(&a.disk, i).unwrap())
+            .map(|i| node.child_at(&mut a.disk.cursor(), i).unwrap())
             .map(|child| deepest_data_node(a, child, depth + 1))
             .max()
             .unwrap()

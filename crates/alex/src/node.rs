@@ -27,7 +27,7 @@
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{BlockId, BlockKind, BlockReader, BlockWriter, Disk};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 16;
@@ -163,8 +163,13 @@ pub struct DataNode {
 impl DataNode {
     /// Reads the header of the data node at `start` (one block read).
     pub fn load(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = disk.read_ref(file, start, BlockKind::Leaf)?;
-        Ok(DataNode { file, start, header: DataHeader::decode(&buf)? })
+        Self::load_with(&mut disk.cursor(), file, start)
+    }
+
+    /// [`DataNode::load`] through a walk's cursor.
+    pub fn load_with(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
+        let buf = cursor.read(file, start, BlockKind::Leaf)?;
+        Self::from_header_bytes(file, start, buf)
     }
 
     /// Builds a handle from an already-fetched header block (e.g. one
@@ -211,8 +216,14 @@ impl DataNode {
 
     /// Reads the slot at `slot` (entry may be a gap duplicate).
     pub fn read_slot(&self, disk: &Disk, slot: u32) -> IndexResult<Entry> {
-        let (block, idx) = self.slot_block(slot, disk);
-        let buf = disk.read_ref(self.file, block, BlockKind::Leaf)?;
+        self.read_slot_with(&mut disk.cursor(), slot)
+    }
+
+    /// [`DataNode::read_slot`] through a walk's cursor: the slots a walk
+    /// reads in one block cost one disk read.
+    pub fn read_slot_with(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
+        let (block, idx) = self.slot_block(slot, cursor.disk());
+        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
         let off = idx * SLOT_BYTES;
         Ok((
             Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
@@ -262,14 +273,15 @@ impl DataNode {
 
     /// Finds the leftmost slot whose key is `>= key` using exponential search
     /// from the model's prediction, as ALEX does. Returns `capacity` if every
-    /// slot key is smaller.
-    pub fn lower_bound(&self, disk: &Disk, key: Key) -> IndexResult<u32> {
+    /// slot key is smaller. The probes read through `cursor`, so the probes
+    /// that land in one slot block cost one disk read.
+    pub fn lower_bound(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<u32> {
         let n = self.header.capacity;
         if n == 0 {
             return Ok(0);
         }
         let pred = self.predict(key);
-        let at = |s: u32| -> IndexResult<Key> { Ok(self.read_slot(disk, s)?.0) };
+        let mut at = |s: u32| -> IndexResult<Key> { Ok(self.read_slot_with(cursor, s)?.0) };
 
         let (mut lo, mut hi);
         if at(pred)? >= key {
@@ -332,21 +344,22 @@ impl DataNode {
     /// entry), so the final slot always carries the maximum real key —
     /// whether it is the real occurrence or a gap copy. Meaningless when the
     /// node is empty (`header.count == 0`).
-    pub fn max_key(&self, disk: &Disk) -> IndexResult<Key> {
-        Ok(self.read_slot(disk, self.header.capacity.saturating_sub(1))?.0)
+    pub fn max_key(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Key> {
+        Ok(self.read_slot_with(cursor, self.header.capacity.saturating_sub(1))?.0)
     }
 
     /// Point lookup. Gap slots duplicate the payload of the real entry they
-    /// copy, so no bitmap access is required.
-    pub fn lookup(&self, disk: &Disk, key: Key) -> IndexResult<Option<Value>> {
+    /// copy, so no bitmap access is required. The search and the final slot
+    /// read share `cursor`.
+    pub fn lookup(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<Value>> {
         if self.header.count == 0 {
             return Ok(None);
         }
-        let slot = self.lower_bound(disk, key)?;
+        let slot = self.lower_bound(cursor, key)?;
         if slot >= self.header.capacity {
             return Ok(None);
         }
-        let (k, v) = self.read_slot(disk, slot)?;
+        let (k, v) = self.read_slot_with(cursor, slot)?;
         Ok((k == key).then_some(v))
     }
 
@@ -594,10 +607,11 @@ impl InnerNode {
         }
     }
 
-    /// Reads the header of the inner node at `start` (one block read).
-    pub fn load(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = disk.read_ref(file, start, BlockKind::Inner)?;
-        let mut r = BlockReader::new(&buf);
+    /// Reads the header of the inner node at `start` (one block read, which
+    /// a following [`InnerNode::child_at`] in the header block shares).
+    pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
+        let buf = cursor.read(file, start, BlockKind::Inner)?;
+        let mut r = BlockReader::new(buf);
         let tag = r.get_u8()?;
         if tag != TAG_INNER {
             return Err(IndexError::Internal(format!("expected inner node tag, got {tag:#x}")));
@@ -668,9 +682,10 @@ impl InnerNode {
     }
 
     /// Reads the child pointer at `idx`. Costs one extra block read only when
-    /// the pointer lives outside the header block.
-    pub fn child_at(&self, disk: &Disk, idx: u32) -> IndexResult<ChildPtr> {
-        let bs = disk.block_size();
+    /// the pointer lives outside the header block (or `cursor` no longer
+    /// holds the header block).
+    pub fn child_at(&self, cursor: &mut BlockCursor<'_>, idx: u32) -> IndexResult<ChildPtr> {
+        let bs = cursor.disk().block_size();
         let in_first = Self::ptrs_in_first_block(bs) as u32;
         let (block, offset) = if idx < in_first {
             (self.start, INNER_HEADER_BYTES + idx as usize * 8)
@@ -679,7 +694,7 @@ impl InnerNode {
             let per_block = (bs / 8) as u32;
             (self.start + 1 + rest / per_block, ((rest % per_block) as usize) * 8)
         };
-        let buf = disk.read_ref(self.file, block, BlockKind::Inner)?;
+        let buf = cursor.read(self.file, block, BlockKind::Inner)?;
         Ok(ChildPtr::unpack(u64::from_le_bytes(buf[offset..offset + 8].try_into().unwrap())))
     }
 
@@ -750,11 +765,11 @@ mod tests {
         let reloaded = DataNode::load(&d, node.file, node.start).unwrap();
         assert_eq!(reloaded.header, node.header);
         for &(k, v) in entries.iter().step_by(17) {
-            assert_eq!(node.lookup(&d, k).unwrap(), Some(v), "key {k}");
+            assert_eq!(node.lookup(&mut d.cursor(), k).unwrap(), Some(v), "key {k}");
         }
-        assert_eq!(node.lookup(&d, 1).unwrap(), None);
-        assert_eq!(node.lookup(&d, 4).unwrap(), None);
-        assert_eq!(node.lookup(&d, 10_000).unwrap(), None);
+        assert_eq!(node.lookup(&mut d.cursor(), 1).unwrap(), None);
+        assert_eq!(node.lookup(&mut d.cursor(), 4).unwrap(), None);
+        assert_eq!(node.lookup(&mut d.cursor(), 10_000).unwrap(), None);
     }
 
     #[test]
@@ -790,7 +805,7 @@ mod tests {
         let entries: Vec<Entry> = (0..400u64).map(|i| (i * 3 + 10, i)).collect();
         let node = build_data(&d, &entries, 600);
         for probe in [0u64, 10, 11, 500, 1_207, 1_209, 5_000] {
-            let lb = node.lower_bound(&d, probe).unwrap();
+            let lb = node.lower_bound(&mut d.cursor(), probe).unwrap();
             // Every slot before lb holds a key < probe and lb (if valid) holds
             // a key >= probe.
             if lb < node.header.capacity {
@@ -807,7 +822,7 @@ mod tests {
         let d = disk(512);
         let node = build_data(&d, &[], 64);
         assert_eq!(node.header.count, 0);
-        assert_eq!(node.lookup(&d, 5).unwrap(), None);
+        assert_eq!(node.lookup(&mut d.cursor(), 5).unwrap(), None);
         let mut out = Vec::new();
         node.collect_entries(&d, &mut out).unwrap();
         assert!(out.is_empty());
@@ -827,10 +842,10 @@ mod tests {
         let node = InnerNode::build(&d, file, start, model, &children).unwrap();
         assert_eq!(node.total_blocks(512), blocks);
 
-        let reloaded = InnerNode::load(&d, file, start).unwrap();
+        let reloaded = InnerNode::load(&mut d.cursor(), file, start).unwrap();
         assert_eq!(reloaded.header.children, 200);
         for idx in [0u32, 1, 57, 63, 64, 150, 199] {
-            assert_eq!(reloaded.child_at(&d, idx).unwrap(), children[idx as usize]);
+            assert_eq!(reloaded.child_at(&mut d.cursor(), idx).unwrap(), children[idx as usize]);
         }
         assert_eq!(reloaded.child_index(0), 0);
         assert_eq!(reloaded.child_index(1_000), 100);
@@ -838,7 +853,7 @@ mod tests {
 
         let new_ptr = ChildPtr { is_data: true, block: 9999 };
         reloaded.set_child(&d, 150, new_ptr).unwrap();
-        assert_eq!(reloaded.child_at(&d, 150).unwrap(), new_ptr);
-        assert_eq!(reloaded.child_at(&d, 149).unwrap(), children[149]);
+        assert_eq!(reloaded.child_at(&mut d.cursor(), 150).unwrap(), new_ptr);
+        assert_eq!(reloaded.child_at(&mut d.cursor(), 149).unwrap(), children[149]);
     }
 }

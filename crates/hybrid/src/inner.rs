@@ -10,7 +10,7 @@ use lidx_core::{IndexError, IndexResult, Key};
 use lidx_models::fmcd::fit_fmcd;
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{BlockId, BlockKind, Disk, SlotTable};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, SlotTable};
 
 /// One `(boundary key, leaf block)` pair.
 pub type Boundary = (Key, BlockId);
@@ -347,8 +347,8 @@ impl ModelTreeInner {
         1 + (capacity as usize).div_ceil(self.slots_per_block()).max(1) as u32
     }
 
-    fn read_header(&self, start: BlockId) -> IndexResult<MtHeader> {
-        let buf = self.disk.read_ref(self.file, start, BlockKind::Inner)?;
+    fn read_header(&self, cursor: &mut BlockCursor<'_>, start: BlockId) -> IndexResult<MtHeader> {
+        let buf = cursor.read(self.file, start, BlockKind::Inner)?;
         Ok(MtHeader {
             capacity: u32::from_le_bytes(buf[0..4].try_into().unwrap()),
             model: LinearModel::new(
@@ -358,11 +358,16 @@ impl ModelTreeInner {
         })
     }
 
-    fn read_slot(&self, start: BlockId, slot: u32) -> IndexResult<(u64, Key, u64)> {
+    fn read_slot(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        start: BlockId,
+        slot: u32,
+    ) -> IndexResult<(u64, Key, u64)> {
         let per = self.slots_per_block() as u32;
         let block = start + 1 + slot / per;
         let off = ((slot % per) as usize) * MT_SLOT;
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Inner)?;
+        let buf = cursor.read(self.file, block, BlockKind::Inner)?;
         Ok((
             u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
             Key::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
@@ -423,16 +428,33 @@ impl ModelTreeInner {
     }
 
     /// Floor search within the node at `start`: the greatest boundary
-    /// `<= key` in this subtree, if any.
-    fn find_in(&self, start: BlockId, key: Key) -> IndexResult<Option<BlockId>> {
-        let header = self.read_header(start)?;
+    /// `<= key` in this subtree, if any. One cursor carries the whole
+    /// search down the recursion, so the slots walked in one block cost one
+    /// disk read. `budget` is how many more nodes the search may visit: a
+    /// floor search of a tree visits each node at most once, so a budget of
+    /// the node count only runs out when a child pointer leads back into
+    /// the search — an error, not a stack overflow.
+    fn find_in(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        start: BlockId,
+        key: Key,
+        budget: &mut u64,
+    ) -> IndexResult<Option<BlockId>> {
+        *budget = budget.checked_sub(1).ok_or_else(|| {
+            IndexError::Internal(format!(
+                "model-tree search visited more than its {} nodes: a child pointer is cyclic",
+                self.nodes
+            ))
+        })?;
+        let header = self.read_header(cursor, start)?;
         let predicted = header.model.predict_clamped(key, header.capacity as usize) as u32;
         // Scan from the predicted slot leftwards until a usable entry is
         // found (the "walk to the next occupied slot" cost the paper notes
         // for LIPP-style nodes without separate data/inner types).
         let mut slot = predicted as i64;
         while slot >= 0 {
-            let (tag, boundary, value) = self.read_slot(start, slot as u32)?;
+            let (tag, boundary, value) = self.read_slot(cursor, start, slot as u32)?;
             match tag {
                 MT_NULL => {}
                 MT_DATA => {
@@ -442,7 +464,7 @@ impl ModelTreeInner {
                 }
                 MT_CHILD => {
                     if boundary <= key {
-                        if let Some(found) = self.find_in(block_id(value)?, key)? {
+                        if let Some(found) = self.find_in(cursor, block_id(value)?, key, budget)? {
                             return Ok(Some(found));
                         }
                         // Every boundary in the child exceeded `key` (only
@@ -474,7 +496,9 @@ impl InnerDirectory for ModelTreeInner {
         if !self.built {
             return Err(IndexError::NotInitialized);
         }
-        Ok(self.find_in(self.root, key)?.unwrap_or(self.first_leaf))
+        let mut budget = self.nodes;
+        let found = self.find_in(&mut self.disk.cursor(), self.root, key, &mut budget)?;
+        Ok(found.unwrap_or(self.first_leaf))
     }
 
     fn node_count(&self) -> u64 {
@@ -722,6 +746,31 @@ mod tests {
         pla.rebuild(&bounds).unwrap();
         forge(&disk, pla.file, pla.base_first_block, 8, beyond);
         assert!(matches!(pla.find_leaf(bounds[0].0), Err(IndexError::Internal(_))));
+    }
+
+    #[test]
+    fn a_cyclic_child_pointer_is_an_error_not_a_stack_overflow() {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        mt.rebuild(&[(10, 7)]).unwrap();
+        assert_eq!(mt.node_count(), 1);
+        // Every slot of the root names the root itself as a child whose
+        // boundary admits the key, so an unbounded search recurses forever.
+        for slot in 0..mt.slots_per_block() {
+            let off = slot * MT_SLOT;
+            forge(&disk, mt.file, mt.root + 1, off, MT_CHILD);
+            forge(&disk, mt.file, mt.root + 1, off + 8, 0);
+            forge(&disk, mt.file, mt.root + 1, off + 16, u64::from(mt.root));
+        }
+        // On its own thread with a deadline, so a search that never returns
+        // fails the test instead of hanging it.
+        let (done, result) = std::sync::mpsc::channel();
+        let search = std::thread::spawn(move || done.send(mt.find_leaf(10)));
+        let found = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the search never returned");
+        search.join().expect("the search's thread finished").expect("the answer was received");
+        assert!(matches!(found, Err(IndexError::Internal(_))), "{found:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::fmcd::fit_fmcd;
-use lidx_storage::{AccessClass, BlockId, BlockKind, Disk, OpClass, SeqHint};
+use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
 use crate::node::{blocks_for, group_by_slot, LippNode, Slot};
 
@@ -168,11 +168,14 @@ impl LippIndex {
         let _span = telemetry.telemetry().span(OpClass::Smo);
         telemetry.telemetry().add(OpClass::Smo, 1);
         let mut entries = Vec::new();
-        node.collect_subtree(&self.disk, &mut entries)?;
         // Subtract the nodes that are about to disappear.
         let mut removed = 0u64;
-        count_nodes(&self.disk, node, &mut removed)?;
-        node.free_subtree(&self.disk)?;
+        {
+            let mut cursor = self.disk.cursor();
+            node.collect_subtree(&mut cursor, &mut entries)?;
+            count_nodes(&mut cursor, node, &mut removed)?;
+            node.free_subtree(&mut cursor)?;
+        }
         self.node_count -= removed;
         let new_block = self.build_subtree(&entries, 0)?;
         match parent {
@@ -250,11 +253,14 @@ impl LippIndex {
             q.flush()?;
 
             // Resolve the level from the parked frames; probes that hit a
-            // child pointer go another round.
+            // child pointer go another round. The cursor starts after the
+            // waves, whose completions the disk's reuse slot sees.
             let mut next = Vec::new();
+            let mut cursor = self.disk.cursor();
             for (i, b) in active {
                 let node = &nodes[&b];
-                match node.read_slot(&self.disk, node.predict(keys[i as usize]))? {
+                let slot = node.predict(keys[i as usize]);
+                match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
                     Slot::Child(child) => next.push((i, child)),
@@ -263,6 +269,26 @@ impl LippIndex {
             active = next;
         }
         Ok(())
+    }
+
+    /// Loads the node at `block` for a read walk that may still load
+    /// `budget` nodes. A walk of a tree loads each node at most once, so a
+    /// budget of [`LippIndex::node_count`] only runs out when a child
+    /// pointer leads back into the walk: that is an error, not a hang.
+    fn visit(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        block: BlockId,
+        class: AccessClass,
+        budget: &mut u64,
+    ) -> IndexResult<LippNode> {
+        *budget = budget.checked_sub(1).ok_or_else(|| {
+            IndexError::Internal(format!(
+                "LIPP walk reached more than the tree's {} nodes: a child pointer is cyclic",
+                self.node_count
+            ))
+        })?;
+        LippNode::load_with(cursor, self.file, block, class)
     }
 
     fn should_rebuild(&self, node: &LippNode) -> bool {
@@ -274,12 +300,12 @@ impl LippIndex {
 }
 
 /// Counts the nodes of a subtree (used when a rebuild replaces them).
-fn count_nodes(disk: &Disk, node: &LippNode, acc: &mut u64) -> IndexResult<()> {
+fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, acc: &mut u64) -> IndexResult<()> {
     *acc += 1;
     for slot in 0..node.header.capacity {
-        if let Slot::Child(b) = node.read_slot(disk, slot)? {
-            let child = LippNode::load(disk, node.file, b)?;
-            count_nodes(disk, &child, acc)?;
+        if let Slot::Child(b) = node.read_slot_with(cursor, slot, AccessClass::Point)? {
+            let child = LippNode::load_with(cursor, node.file, b, AccessClass::Point)?;
+            count_nodes(cursor, &child, acc)?;
         }
     }
     Ok(())
@@ -298,13 +324,16 @@ impl IndexRead for LippIndex {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        let mut node = LippNode::load(&self.disk, self.file, self.root)?;
+        let mut cursor = self.disk.cursor();
+        let mut budget = self.node_count;
+        let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
         loop {
-            let slot = node.predict(key);
-            match node.read_slot(&self.disk, slot)? {
+            match node.read_slot_with(&mut cursor, node.predict(key), AccessClass::Point)? {
                 Slot::Null => return Ok(None),
                 Slot::Data(k, v) => return Ok((k == key).then_some(v)),
-                Slot::Child(b) => node = LippNode::load(&self.disk, self.file, b)?,
+                Slot::Child(b) => {
+                    node = self.visit(&mut cursor, b, AccessClass::Point, &mut budget)?;
+                }
             }
         }
     }
@@ -313,10 +342,11 @@ impl IndexRead for LippIndex {
     /// duration of the batch: a sequential LIPP lookup pays a header read
     /// plus a slot read *per level*, and the header half is identical for
     /// every probe that traverses the same node (always true for the root).
-    /// The slot reads — where the answers live — still go to the disk per
-    /// probe, in sorted order so co-located probes hit the same slot blocks
-    /// back to back. The traversal logic is otherwise byte-for-byte the
-    /// sequential descent, so answers are identical.
+    /// The slot reads — where the answers live — still go out per probe, in
+    /// sorted order so co-located probes read the same slot block back to
+    /// back, which the batch's cursor answers with one disk read. The
+    /// traversal logic is otherwise byte-for-byte the sequential descent,
+    /// so answers are identical.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         if keys.is_empty() {
@@ -333,16 +363,19 @@ impl IndexRead for LippIndex {
         }
         let mut nodes: std::collections::HashMap<BlockId, LippNode> =
             std::collections::HashMap::new();
+        let mut cursor = self.disk.cursor();
         for &i in &order {
             let key = keys[i as usize];
             let mut block = self.root;
             loop {
                 if let std::collections::hash_map::Entry::Vacant(slot) = nodes.entry(block) {
-                    slot.insert(LippNode::load(&self.disk, self.file, block)?);
+                    let node =
+                        LippNode::load_with(&mut cursor, self.file, block, AccessClass::Point)?;
+                    slot.insert(node);
                 }
                 let node = &nodes[&block];
                 let slot = node.predict(key);
-                match node.read_slot(&self.disk, slot)? {
+                match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
                     Slot::Null => break,
                     Slot::Data(k, v) => {
                         out[i as usize] = (k == key).then_some(v);
@@ -363,16 +396,21 @@ impl IndexRead for LippIndex {
         if count == 0 {
             return Ok(0);
         }
+        // One cursor carries the whole walk, so the slots of one block cost
+        // one disk read; the budget turns a cyclic child pointer into an
+        // error (see `visit`).
+        let mut cursor = self.disk.cursor();
+        let mut budget = self.node_count;
         // Seed the traversal stack with the access path of `start`: every
         // ancestor resumes just after the slot we descended through.
         let mut stack: Vec<(LippNode, u32)> = Vec::new();
-        let mut node = LippNode::load(&self.disk, self.file, self.root)?;
+        let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
         loop {
             let slot = node.predict(start);
-            match node.read_slot(&self.disk, slot)? {
+            match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
                 Slot::Child(b) => {
                     stack.push((node, slot + 1));
-                    node = LippNode::load(&self.disk, self.file, b)?;
+                    node = self.visit(&mut cursor, b, AccessClass::Point, &mut budget)?;
                 }
                 _ => {
                     stack.push((node, slot));
@@ -388,7 +426,7 @@ impl IndexRead for LippIndex {
                 if out.len() >= count {
                     break 'outer;
                 }
-                match node.read_slot_scan(&self.disk, idx)? {
+                match node.read_slot_with(&mut cursor, idx, AccessClass::Scan)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => {
                         if k >= start {
@@ -397,7 +435,8 @@ impl IndexRead for LippIndex {
                     }
                     Slot::Child(b) => {
                         stack.push((node, idx + 1));
-                        stack.push((LippNode::load_scan(&self.disk, self.file, b)?, 0));
+                        let child = self.visit(&mut cursor, b, AccessClass::Scan, &mut budget)?;
+                        stack.push((child, 0));
                         continue 'outer;
                     }
                 }
@@ -934,6 +973,53 @@ mod tests {
         let total = l.scan(0, 10_000, &mut out).unwrap();
         assert_eq!(total as u64, l.len());
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// Runs `walk` on its own thread and fails the test if it has not
+    /// returned after ten seconds, so a walk that never ends fails the test
+    /// instead of hanging it.
+    fn within_deadline<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        let walker = std::thread::spawn(move || done.send(walk()));
+        let answer = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the walk never returned");
+        walker.join().expect("the walk's thread finished").expect("the answer was received");
+        answer
+    }
+
+    /// Replaces the root of `l` with a 2 000-slot node whose model sends
+    /// every key to slot 0, holding `data` at slot 0 and a child pointer
+    /// back at the node itself at slot `cyclic`.
+    fn forge_cyclic_root(l: &mut LippIndex, data: Slot, cyclic: u32) {
+        let capacity = 2_000u32;
+        let start = l.disk.allocate(l.file, blocks_for(capacity, 512)).unwrap();
+        let mut slots = vec![Slot::Null; capacity as usize];
+        slots[0] = data;
+        slots[cyclic as usize] = Slot::Child(start);
+        let model = lidx_models::LinearModel::new(0.0, 0.0);
+        LippNode::write_new(&l.disk, l.file, start, capacity, model, &slots, 1).unwrap();
+        l.root = start;
+    }
+
+    #[test]
+    fn a_cyclic_child_pointer_is_an_error_not_a_hang() {
+        let cyclic = |data: Slot, slot: u32| {
+            let mut l = index();
+            l.bulk_load(&[(1, 1)]).unwrap();
+            assert_eq!(l.node_count(), 1);
+            forge_cyclic_root(&mut l, data, slot);
+            l
+        };
+        // Every lookup descends through slot 0, which names the root again.
+        let l = cyclic(Slot::Null, 0);
+        let looked_up = within_deadline(move || l.lookup(5));
+        assert!(matches!(looked_up, Err(IndexError::Internal(_))), "{looked_up:?}");
+        // A scan from above every key walks the root to its last slot, which
+        // names the root again: without a bound the walk restarts forever.
+        let l = cyclic(Slot::Data(1, 1), 1_999);
+        let scanned = within_deadline(move || l.scan(2, usize::MAX, &mut Vec::new()));
+        assert!(matches!(scanned, Err(IndexError::Internal(_))), "{scanned:?}");
     }
 
     #[test]

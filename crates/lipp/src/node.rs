@@ -12,7 +12,7 @@
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{AccessClass, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
+use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 24;
@@ -141,21 +141,25 @@ pub fn blocks_for(capacity: u32, block_size: usize) -> u32 {
 impl LippNode {
     /// Reads the header of the node at `start` (one block read).
     pub fn load(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = disk.read_ref(file, start, BlockKind::Leaf)?;
-        Ok(LippNode { file, start, header: LippHeader::decode(&buf)? })
+        Self::load_with(&mut disk.cursor(), file, start, AccessClass::Point)
+    }
+
+    /// [`LippNode::load`] through a walk's cursor, under `class` (the
+    /// in-order scan reads scan-class).
+    pub fn load_with(
+        cursor: &mut BlockCursor<'_>,
+        file: u32,
+        start: BlockId,
+        class: AccessClass,
+    ) -> IndexResult<Self> {
+        let buf = cursor.read_class(file, start, BlockKind::Leaf, class)?;
+        Self::from_header_bytes(file, start, buf)
     }
 
     /// Builds a handle from an already-fetched header block (e.g. one
     /// delivered by a read-queue completion wave), avoiding a second read.
     pub fn from_header_bytes(file: u32, start: BlockId, buf: &[u8]) -> IndexResult<Self> {
         Ok(LippNode { file, start, header: LippHeader::decode(buf)? })
-    }
-
-    /// [`LippNode::load`] tagged as part of a scan stream: used by the
-    /// in-order scan traversal when it descends into a child subtree.
-    pub fn load_scan(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = disk.read_ref_scan(file, start, BlockKind::Leaf)?;
-        Ok(LippNode { file, start, header: LippHeader::decode(&buf)? })
     }
 
     /// Total blocks of the node's extent.
@@ -188,17 +192,19 @@ impl LippNode {
 
     /// Reads one slot.
     pub fn read_slot(&self, disk: &Disk, slot: u32) -> IndexResult<Slot> {
-        self.read_slot_class(disk, slot, AccessClass::Point)
+        self.read_slot_with(&mut disk.cursor(), slot, AccessClass::Point)
     }
 
-    /// [`LippNode::read_slot`] tagged as part of a scan stream.
-    pub fn read_slot_scan(&self, disk: &Disk, slot: u32) -> IndexResult<Slot> {
-        self.read_slot_class(disk, slot, AccessClass::Scan)
-    }
-
-    fn read_slot_class(&self, disk: &Disk, slot: u32, class: AccessClass) -> IndexResult<Slot> {
-        let (block, off) = self.slot_location(slot, disk.block_size());
-        let buf = disk.read_ref_class(self.file, block, BlockKind::Leaf, class)?;
+    /// [`LippNode::read_slot`] through a walk's cursor, under `class`: the
+    /// slots a walk reads in one block cost one disk read.
+    pub fn read_slot_with(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        slot: u32,
+        class: AccessClass,
+    ) -> IndexResult<Slot> {
+        let (block, off) = self.slot_location(slot, cursor.disk().block_size());
+        let buf = cursor.read_class(self.file, block, BlockKind::Leaf, class)?;
         let raw = [
             u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
             u64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
@@ -276,14 +282,18 @@ impl LippNode {
     }
 
     /// Collects every entry stored in this node's subtree, in key order.
-    pub fn collect_subtree(&self, disk: &Disk, out: &mut Vec<Entry>) -> IndexResult<()> {
+    pub fn collect_subtree(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        out: &mut Vec<Entry>,
+    ) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            match self.read_slot(disk, slot)? {
+            match self.read_slot_with(cursor, slot, AccessClass::Point)? {
                 Slot::Null => {}
                 Slot::Data(k, v) => out.push((k, v)),
                 Slot::Child(block) => {
-                    let child = LippNode::load(disk, self.file, block)?;
-                    child.collect_subtree(disk, out)?;
+                    let child = LippNode::load_with(cursor, self.file, block, AccessClass::Point)?;
+                    child.collect_subtree(cursor, out)?;
                 }
             }
         }
@@ -291,13 +301,18 @@ impl LippNode {
     }
 
     /// Frees this node's extent and, recursively, every descendant's.
-    pub fn free_subtree(&self, disk: &Disk) -> IndexResult<()> {
+    pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            if let Slot::Child(block) = self.read_slot(disk, slot)? {
-                let child = LippNode::load(disk, self.file, block)?;
-                child.free_subtree(disk)?;
+            if let Slot::Child(block) = self.read_slot_with(cursor, slot, AccessClass::Point)? {
+                let child = LippNode::load_with(cursor, self.file, block, AccessClass::Point)?;
+                child.free_subtree(cursor)?;
             }
         }
+        // A free clears the disk's reuse slot when it names a freed block;
+        // the cursor lets go of its frame too, so it answers no read the
+        // disk would not.
+        cursor.release();
+        let disk = cursor.disk();
         disk.free(self.file, self.start, self.total_blocks(disk.block_size()));
         Ok(())
     }
@@ -451,11 +466,11 @@ mod tests {
                 .unwrap();
 
         let mut out = Vec::new();
-        parent.collect_subtree(&d, &mut out).unwrap();
+        parent.collect_subtree(&mut d.cursor(), &mut out).unwrap();
         assert_eq!(out, vec![(5, 50), (10, 100), (20, 200), (30, 300)]);
 
         let before_freed = d.stats().freed_blocks();
-        parent.free_subtree(&d).unwrap();
+        parent.free_subtree(&mut d.cursor()).unwrap();
         let freed = d.stats().freed_blocks() - before_freed;
         assert_eq!(
             freed,

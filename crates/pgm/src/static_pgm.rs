@@ -21,7 +21,7 @@ use std::sync::Arc;
 use lidx_core::{Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value};
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{AccessClass, BlockKind, BlockRef, Disk, SeqHint};
+use lidx_storage::{AccessClass, BlockCursor, BlockKind, BlockRef, Disk, SeqHint};
 
 /// Size of one data entry in bytes.
 const ENTRY_BYTES: usize = 16;
@@ -297,7 +297,13 @@ impl StaticPgm {
 
     /// Finds, within an inner level, the record covering `key`: the rightmost
     /// record with `first_key <= key` inside the window `[lo, hi]`.
-    fn search_level(&self, level: &LevelInfo, key: Key, predicted: u64) -> IndexResult<SegRecord> {
+    fn search_level(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        level: &LevelInfo,
+        key: Key,
+        predicted: u64,
+    ) -> IndexResult<SegRecord> {
         let rec_per_block = records_per_block(self.disk.block_size());
         // The covering record sits at rank(key) - 1, which can fall one slot
         // below the ε window around the predicted rank — widen by one.
@@ -307,7 +313,7 @@ impl StaticPgm {
         let last_block = (hi / rec_per_block as u64) as u32;
         let mut best: Option<SegRecord> = None;
         for b in first_block..=last_block {
-            let buf = self.disk.read_ref(self.file, level.first_block + b, BlockKind::Inner)?;
+            let buf = cursor.read(self.file, level.first_block + b, BlockKind::Inner)?;
             let slot_lo = if b == first_block { (lo % rec_per_block as u64) as usize } else { 0 };
             let slot_hi = if b == last_block {
                 (hi % rec_per_block as u64) as usize
@@ -315,7 +321,7 @@ impl StaticPgm {
                 rec_per_block - 1
             };
             for slot in slot_lo..=slot_hi {
-                let rec = record_at(&buf, slot);
+                let rec = record_at(buf, slot);
                 if rec.first_key == SENTINEL {
                     break;
                 }
@@ -332,15 +338,16 @@ impl StaticPgm {
         match best {
             Some(r) => Ok(r),
             None => {
-                let buf = self.disk.read_ref(self.file, level.first_block, BlockKind::Inner)?;
-                Ok(record_at(&buf, 0))
+                let buf = cursor.read(self.file, level.first_block, BlockKind::Inner)?;
+                Ok(record_at(buf, 0))
             }
         }
     }
 
     /// Locates the data position of the first entry with key `>= key`.
-    /// Returns `self.len` if every stored key is smaller.
-    fn locate(&self, key: Key) -> IndexResult<u64> {
+    /// Returns `self.len` if every stored key is smaller. Reads go through
+    /// `cursor`, which holds the data block of the answer afterwards.
+    fn locate(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<u64> {
         if self.len == 0 {
             return Ok(0);
         }
@@ -348,7 +355,7 @@ impl StaticPgm {
         let mut rec = self.root;
         for level in self.levels.iter().rev() {
             let predicted = rec.predict(key).min(level.records - 1);
-            rec = self.search_level(level, key, predicted)?;
+            rec = self.search_level(cursor, level, key, predicted)?;
         }
         // `rec` now covers positions in the data level.
         let per_block = entries_per_block(self.disk.block_size());
@@ -362,12 +369,12 @@ impl StaticPgm {
         // the window; otherwise it is lo or hi+1.
         let mut result = hi + 1;
         'outer: for b in first_block..=last_block {
-            let buf = self.disk.read_ref(self.file, b, BlockKind::Leaf)?;
+            let buf = cursor.read(self.file, b, BlockKind::Leaf)?;
             let slot_lo = if b == first_block { (lo % per_block as u64) as usize } else { 0 };
             let slot_hi =
                 if b == last_block { (hi % per_block as u64) as usize } else { per_block - 1 };
             for slot in slot_lo..=slot_hi {
-                let (k, _) = entry_at(&buf, slot);
+                let (k, _) = entry_at(buf, slot);
                 if k >= key {
                     result = b as u64 * per_block as u64 + slot as u64;
                     break 'outer;
@@ -377,20 +384,22 @@ impl StaticPgm {
         Ok(result)
     }
 
-    /// Point lookup.
+    /// Point lookup. The answer's data block is almost always the one
+    /// `locate` ended on, so the shared cursor answers its re-read.
     pub fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
         if self.len == 0 || key < self.min_key || key > self.max_key {
             return Ok(None);
         }
-        let pos = self.locate(key)?;
+        let mut cursor = self.disk.cursor();
+        let pos = self.locate(&mut cursor, key)?;
         if pos >= self.len {
             return Ok(None);
         }
         let per_block = entries_per_block(self.disk.block_size());
         let block = (pos / per_block as u64) as u32;
         let slot = (pos % per_block as u64) as usize;
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Leaf)?;
-        let (k, v) = entry_at(&buf, slot);
+        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
+        let (k, v) = entry_at(buf, slot);
         Ok((k == key).then_some(v))
     }
 
@@ -420,6 +429,7 @@ impl StaticPgm {
         let per_block = entries_per_block(self.disk.block_size());
         // The pinned last data block: (first key, last key, valid slots, frame).
         let mut cached: Option<(Key, Key, usize, BlockRef)> = None;
+        let mut cursor = self.disk.cursor();
         let mut still = Vec::with_capacity(pending.len());
         for &i in pending.iter() {
             let key = keys[i as usize];
@@ -432,12 +442,12 @@ impl StaticPgm {
                     Self::search_block(buf, *valid, key)
                 }
                 _ => {
-                    let pos = self.locate(key)?;
+                    let pos = self.locate(&mut cursor, key)?;
                     if pos >= self.len {
                         None
                     } else {
                         let block = (pos / per_block as u64) as u32;
-                        let buf = self.disk.read_ref(self.file, block, BlockKind::Leaf)?;
+                        let buf = cursor.read(self.file, block, BlockKind::Leaf)?.clone();
                         let valid = ((self.len - u64::from(block) * per_block as u64) as usize)
                             .min(per_block);
                         let slot = (pos % per_block as u64) as usize;
@@ -631,7 +641,8 @@ impl StaticPgm {
         if self.len == 0 || count == 0 || start > self.max_key {
             return Ok(());
         }
-        let mut pos = if start <= self.min_key { 0 } else { self.locate(start)? };
+        let mut pos =
+            if start <= self.min_key { 0 } else { self.locate(&mut self.disk.cursor(), start)? };
         let per_block = entries_per_block(self.disk.block_size());
         let mut taken = 0usize;
         let mut hint = SeqHint::Auto;

@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 
 use crate::backend::{MemoryBackend, StorageBackend};
 use crate::buffer::{AccessClass, BlockRef, ShardedBufferPool};
+use crate::cursor::BlockCursor;
 use crate::device::DeviceModel;
 use crate::error::{StorageError, StorageResult};
 use crate::pager::Pager;
@@ -727,6 +728,18 @@ impl Disk {
         self.read_ref_class(file, block, kind, AccessClass::Point)
     }
 
+    /// A [`BlockCursor`] over this disk, for one read-only walk: a re-read of
+    /// the block it read last costs nothing.
+    pub fn cursor(&self) -> BlockCursor<'_> {
+        BlockCursor::new(self)
+    }
+
+    /// Whether a re-read of the last block read is served by the §6.5 reuse
+    /// slot, which is what lets a [`BlockCursor`] answer it instead.
+    pub(crate) fn reuses_last_block(&self) -> bool {
+        self.reuse_last_block
+    }
+
     /// [`Disk::read_ref`] tagged as part of a scan stream: the read is
     /// counted in [`IoStats::scan_reads`], and at queue depth > 1 a miss
     /// fetches a readahead wave of the following blocks with it. The buffer
@@ -1160,6 +1173,12 @@ impl Disk {
     /// Buffer pool capacity in blocks.
     pub fn buffer_capacity(&self) -> usize {
         self.pool.capacity()
+    }
+
+    /// Whether the buffer pool holds `block` of `file`, without touching its
+    /// recency or hit counters. Exposed for model-based tests.
+    pub fn buffer_contains(&self, file: FileId, block: BlockId) -> bool {
+        self.pool.contains(file, block)
     }
 }
 

@@ -27,6 +27,9 @@
 //!   path.
 //! * [`Disk`] — the façade combining all of the above, which is what index
 //!   crates actually talk to.
+//! * [`BlockCursor`] — one read-only walk's hold on the last block it read,
+//!   so an index that reads a node slot by slot pays one disk read per
+//!   block, not per slot, at unchanged device cost.
 //! * [`mod@format`] — the crash-safe on-disk format: CRC32 block stamps
 //!   ([`format::BlockStamp`]) verified on every read of a durable disk, and
 //!   the double-buffered, checksummed [`format::Superblock`] that anchors a
@@ -55,6 +58,7 @@
 pub mod backend;
 pub mod buffer;
 pub mod codec;
+pub mod cursor;
 pub mod device;
 pub mod disk;
 pub mod error;
@@ -68,6 +72,7 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use buffer::{AccessClass, BlockRef, BufferPool, ShardedBufferPool};
 pub use codec::{BlockReader, BlockWriter, SlotTable};
+pub use cursor::BlockCursor;
 pub use device::DeviceModel;
 pub use disk::{Disk, DiskConfig, FileId, SeqHint};
 pub use error::{StorageError, StorageResult};

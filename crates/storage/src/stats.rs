@@ -300,7 +300,9 @@ impl IoStats {
         self.buffer_hits.load(Ordering::Relaxed)
     }
 
-    /// Number of reads satisfied by last-block reuse.
+    /// Number of reads satisfied by last-block reuse. A re-read within one
+    /// walk that a [`crate::BlockCursor`] answers is not a request, so it is
+    /// not counted.
     pub fn reuse_hits(&self) -> u64 {
         self.reuse_hits.load(Ordering::Relaxed)
     }
@@ -326,12 +328,16 @@ impl IoStats {
         self.bytes_copied.load(Ordering::Relaxed)
     }
 
-    /// Pinned frames handed out by the read path.
+    /// Pinned frames handed out by the read path. A re-read within one walk
+    /// that a [`crate::BlockCursor`] answers is not a request: it hands back
+    /// the frame the walk holds and is not counted.
     pub fn frames_pinned(&self) -> u64 {
         self.frames_pinned.load(Ordering::Relaxed)
     }
 
-    /// Read requests tagged as part of a scan stream.
+    /// Read requests tagged as part of a scan stream. A re-read within one
+    /// walk that a [`crate::BlockCursor`] answers is not a request, so it is
+    /// not counted.
     pub fn scan_reads(&self) -> u64 {
         self.scan_reads.load(Ordering::Relaxed)
     }

@@ -1,11 +1,15 @@
-//! A warm point lookup allocates nothing on the B+-tree and both hybrids.
+//! A warm point lookup allocates nothing on every design but FITing.
 //!
-//! Their read paths search each pinned block in place through
-//! `InnerView` / `LeafView` (DESIGN.md §3.2): a buffer-pool hit is one `Arc`
-//! clone and routing is arithmetic over the slot array, so once the pool
-//! holds the whole index a lookup touches the heap zero times. This binary
-//! installs a counting `#[global_allocator]` and asserts exactly that — a
-//! node decoded into a `Vec` anywhere on the lookup path fails it.
+//! The B+-tree and both hybrids search each pinned block in place through
+//! `InnerView` / `LeafView` (DESIGN.md §3.2); ALEX, LIPP and PGM decode
+//! their few header fields into stack values and walk their slots through a
+//! `BlockCursor`, which holds a frame inline. A buffer-pool hit is one `Arc`
+//! clone, so once the pool holds the whole index a lookup touches the heap
+//! zero times. This binary installs a counting `#[global_allocator]` and
+//! asserts exactly that — a node decoded into a `Vec`, or a descent path
+//! collected and thrown away, anywhere on the lookup path fails it. FITing
+//! is left out: its lookup still builds the directory path and the delta
+//! buffer as two `Vec`s (ROADMAP item 9).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,8 +74,10 @@ fn warm_lookups_do_not_allocate() {
 
     assert!(allocations_in(|| drop(Vec::<u8>::with_capacity(64))) > 0, "the counter must count");
 
-    for choice in [IndexChoice::BTree, IndexChoice::HybridPla, IndexChoice::HybridModelTree] {
-        // A pool far larger than any of the three indexes (~500 blocks).
+    let designs = IndexChoice::ALL_DESIGNS.into_iter().filter(|&c| c != IndexChoice::Fiting);
+    for choice in designs {
+        // A pool larger than any of these indexes (the reads assertion
+        // below checks that it holds every block the probes touch).
         let disk = RunConfig { buffer_blocks: 1 << 14, ..RunConfig::default() }.make_disk();
         let mut index = choice.build(disk);
         index.bulk_load(&entries).expect("bulk load");
