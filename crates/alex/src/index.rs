@@ -481,9 +481,11 @@ impl AlexIndex {
     /// Routes `key` through the inner levels only, returning the start block
     /// of the covering data node without touching the data file, and pushing
     /// each inner node with the child index taken onto `path` if one is
-    /// given. The outstanding-read batch routes first: it resolves *where*
-    /// every probe lands, so the data-node header fetches can ride one
-    /// submission wave instead of being paid one blocking latency at a time.
+    /// given. The batch routes first: it resolves *where* every probe lands,
+    /// so the data-node header fetches can ride one submission wave instead
+    /// of being paid one blocking latency at a time. A path holds fewer than
+    /// `height` inner nodes, so a walk that meets more has followed a cyclic
+    /// child pointer: an error, not a hang.
     fn route(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -491,7 +493,15 @@ impl AlexIndex {
         mut path: Option<&mut Vec<(InnerNode, u32)>>,
     ) -> IndexResult<BlockId> {
         let mut ptr = self.root;
+        let mut budget = self.height;
         while !ptr.is_data {
+            budget = budget.checked_sub(1).ok_or_else(|| {
+                IndexError::Internal(format!(
+                    "ALEX walk met more inner nodes than the tree's height {}: \
+                     a child pointer is cyclic",
+                    self.height
+                ))
+            })?;
             let node = InnerNode::load(cursor, self.inner_file, ptr.block)?;
             let idx = node.child_index(key);
             ptr = node.child_at(cursor, idx)?;
@@ -500,74 +510,6 @@ impl AlexIndex {
             }
         }
         Ok(ptr.block)
-    }
-
-    /// The outstanding-I/O variant of [`lookup_batch`](IndexRead::lookup_batch)
-    /// used when the disk's queue depth exceeds 1: probes are routed through
-    /// the (pool-resident) inner levels first, then the data-node header
-    /// blocks are fetched as one completion wave, then every probe's
-    /// predicted slot block is prefetched as a second wave; the final
-    /// in-node probes consume the parked frames, with only exponential-search
-    /// spillover reads left synchronous. Answers are identical to the
-    /// synchronous batch — the queue only overlaps the simulated latencies.
-    fn lookup_batch_queued(
-        &self,
-        keys: &[Key],
-        order: &[u32],
-        out: &mut [Option<Value>],
-    ) -> IndexResult<()> {
-        // Phase 1: route every probe; model routing is monotone in the key,
-        // so probes landing in the same data node are consecutive in sorted
-        // order and grouping is a plain run-length pass.
-        let mut groups: Vec<(BlockId, Vec<u32>)> = Vec::new();
-        let mut cursor = self.disk.cursor();
-        for &i in order {
-            let start = self.route(&mut cursor, keys[i as usize], None)?;
-            match groups.last_mut() {
-                Some((block, idxs)) if *block == start => idxs.push(i),
-                _ => groups.push((start, vec![i])),
-            }
-        }
-
-        // Phase 2: one wave over the distinct data-node header blocks.
-        let mut q = self.disk.read_queue();
-        let mut header_blocks = std::collections::BTreeSet::new();
-        for &(start, _) in &groups {
-            header_blocks.insert(start);
-        }
-        for &start in &header_blocks {
-            q.submit(self.data_file, start, BlockKind::Leaf, AccessClass::Point)?;
-        }
-        let mut nodes = std::collections::HashMap::new();
-        for c in q.complete()? {
-            nodes.insert(c.block, DataNode::from_header_bytes(self.data_file, c.block, &c.frame)?);
-        }
-
-        // Phase 3: one wave prefetching every probe's predicted slot block.
-        let mut slot_blocks = std::collections::BTreeSet::new();
-        for (start, idxs) in &groups {
-            let node = &nodes[start];
-            for &i in idxs {
-                let slot = node.predict(keys[i as usize]);
-                slot_blocks.insert(node.slot_block_id(&self.disk, slot));
-            }
-        }
-        for &block in &slot_blocks {
-            q.prefetch(self.data_file, block, BlockKind::Leaf, SeqHint::Auto)?;
-        }
-        q.flush()?;
-
-        // Phase 4: answer from the parked frames, through a cursor that
-        // starts after the waves, whose completions the disk's reuse slot
-        // sees.
-        let mut cursor = self.disk.cursor();
-        for (start, idxs) in &groups {
-            let node = &nodes[start];
-            for &i in idxs {
-                out[i as usize] = node.lookup(&mut cursor, keys[i as usize])?;
-            }
-        }
-        Ok(())
     }
 
     /// Writes the deferred statistics header of a batch-cached leaf, if any
@@ -619,16 +561,15 @@ impl IndexRead for AlexIndex {
         self.data_node(&mut cursor, key)?.lookup(&mut cursor, key)
     }
 
-    /// Batched lookups sort the probe keys and descend once per *run* of
-    /// keys landing in the same data node: the inner-node routing blocks and
-    /// the node's header block are fetched once per run instead of once per
-    /// key. Model routing is monotone in the key, so any probe between two
-    /// keys stored in the pinned node provably descends to that same node;
-    /// probes beyond its largest key re-descend, exactly like a sequential
-    /// lookup. The node's key bound (one slot read) is fetched lazily, only
-    /// once a second probe lands in the same node — a batch of scattered
-    /// probes (one per node) therefore costs exactly what the sequential
-    /// loop costs, never more.
+    /// Batched lookups sort the probe keys and run in four phases. Probes
+    /// are routed through the inner levels first, then the data-node header
+    /// blocks are fetched as one completion wave, then every probe's
+    /// predicted slot block is prefetched as a second wave, and finally the
+    /// in-node searches run through one cursor. Above queue depth 1 the
+    /// searches consume the parked frames, with only exponential-search
+    /// spillover reads left synchronous; at depth 1 the prefetch does
+    /// nothing and the searches read on demand, co-located probes sharing
+    /// each slot block through the cursor.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         if keys.is_empty() {
@@ -640,36 +581,59 @@ impl IndexRead for AlexIndex {
         out.resize(keys.len(), None);
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        if self.disk.queue_depth() > 1 {
-            return self.lookup_batch_queued(keys, &order, out);
-        }
-        // The pinned node and its largest stored key (fetched on the second
-        // consecutive landing; empty nodes are never pinned).
-        let mut current: Option<(DataNode, Option<Key>)> = None;
+
+        // Phase 1: route every probe; model routing is monotone in the key,
+        // so probes landing in the same data node are consecutive in sorted
+        // order and grouping is a plain run-length pass. Each group is a
+        // node's start block and the end of its run of `order`.
+        let mut groups: Vec<(BlockId, usize)> = Vec::new();
         let mut cursor = self.disk.cursor();
-        for &i in &order {
-            let key = keys[i as usize];
-            if let Some((node, Some(max))) = &current {
-                if key <= *max {
-                    out[i as usize] = node.lookup(&mut cursor, key)?;
-                    continue;
-                }
+        for (at, &i) in order.iter().enumerate() {
+            let start = self.route(&mut cursor, keys[i as usize], None)?;
+            if groups.last().map(|&(b, _)| b) != Some(start) {
+                groups.push((start, at));
             }
-            let node = self.data_node(&mut cursor, key)?;
-            if node.header.count == 0 {
-                // An empty node answers every probe with a miss.
-                current = None;
-                continue;
+            groups.last_mut().expect("group exists").1 = at + 1;
+        }
+
+        // Phase 2: one wave over the distinct data-node header blocks.
+        let mut q = self.disk.read_queue();
+        let header_blocks: std::collections::BTreeSet<BlockId> =
+            groups.iter().map(|&(start, _)| start).collect();
+        for &start in &header_blocks {
+            q.submit(self.data_file, start, BlockKind::Leaf, AccessClass::Point)?;
+        }
+        let mut nodes = std::collections::HashMap::new();
+        for c in q.complete()? {
+            nodes.insert(c.block, DataNode::from_header_bytes(self.data_file, c.block, &c.frame)?);
+        }
+
+        // Phase 3: one wave prefetching every probe's predicted slot block.
+        let mut slot_blocks = std::collections::BTreeSet::new();
+        let mut from = 0;
+        for &(start, end) in &groups {
+            let node = &nodes[&start];
+            for &i in &order[from..end] {
+                let slot = node.predict(keys[i as usize]);
+                slot_blocks.insert(node.slot_block_id(&self.disk, slot));
             }
-            out[i as usize] = node.lookup(&mut cursor, key)?;
-            match &mut current {
-                Some((cached, max)) if cached.start == node.start => {
-                    if max.is_none() {
-                        *max = Some(node.max_key(&mut cursor)?);
-                    }
-                }
-                _ => current = Some((node, None)),
+            from = end;
+        }
+        for &block in &slot_blocks {
+            q.prefetch(self.data_file, block, BlockKind::Leaf, SeqHint::Auto)?;
+        }
+        q.flush()?;
+
+        // Phase 4: search each node, through a cursor that starts after the
+        // waves, whose completions the disk's reuse slot sees.
+        let mut cursor = self.disk.cursor();
+        let mut from = 0;
+        for &(start, end) in &groups {
+            let node = &nodes[&start];
+            for &i in &order[from..end] {
+                out[i as usize] = node.lookup(&mut cursor, keys[i as usize])?;
             }
+            from = end;
         }
         Ok(())
     }
@@ -1185,6 +1149,54 @@ mod tests {
         );
         assert!(queued_alex.disk().stats().overlap_saved_ns() > 0);
         assert!(queued_alex.disk().stats().max_inflight() > 1);
+    }
+
+    /// Runs `walk` on its own thread and fails the test if it has not
+    /// returned after ten seconds, so a walk that never ends fails the test
+    /// instead of hanging it.
+    fn within_deadline<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        let walker = std::thread::spawn(move || done.send(walk()));
+        let answer = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the walk never returned");
+        walker.join().expect("the walk's thread finished").expect("the answer was received");
+        answer
+    }
+
+    #[test]
+    fn a_cyclic_child_pointer_is_an_error_not_a_hang() {
+        type Walk = fn(&AlexIndex) -> IndexResult<()>;
+        let walks: [(&str, Walk); 3] = [
+            ("lookup", |a| a.lookup(5).map(drop)),
+            ("lookup_batch", |a| a.lookup_batch(&[5, 4_000, 9], &mut Vec::new())),
+            ("scan", |a| a.scan(2, 10, &mut Vec::new()).map(drop)),
+        ];
+        for depth in [1, 8] {
+            let disk = Disk::in_memory(DiskConfig::with_block_size(512).queue_depth(depth));
+            let config = AlexConfig {
+                target_leaf_entries: 128,
+                max_leaf_entries: 1024,
+                ..Default::default()
+            };
+            let mut a = AlexIndex::with_config(disk, config).unwrap();
+            a.bulk_load(&entries(2_000, 3)).unwrap();
+            // Forge an inner root whose every child pointer names itself.
+            let start = a.disk.allocate(a.inner_file, 1).unwrap();
+            let cyclic = ChildPtr { is_data: false, block: start };
+            let model = LinearModel::new(0.0, 0.0);
+            InnerNode::build(&a.disk, a.inner_file, start, model, &[cyclic, cyclic]).unwrap();
+            a.root = cyclic;
+            let a = Arc::new(a);
+            for (name, walk) in walks {
+                let a = Arc::clone(&a);
+                let walked = within_deadline(move || walk(&a));
+                assert!(
+                    matches!(walked, Err(IndexError::Internal(_))),
+                    "{name} at depth {depth}: {walked:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,9 +50,14 @@ impl ChildPtr {
         (u64::from(self.is_data) << 63) | u64::from(self.block)
     }
 
-    /// Unpacks a pointer from a `u64`.
-    pub fn unpack(raw: u64) -> Self {
-        ChildPtr { is_data: raw >> 63 == 1, block: (raw & 0xFFFF_FFFF) as u32 }
+    /// Unpacks a pointer from a `u64`. A stored pointer with any of bits
+    /// 32–62 set names no block id: that is an error, not a pointer silently
+    /// truncated to another block.
+    pub fn unpack(raw: u64) -> IndexResult<Self> {
+        let block = BlockId::try_from(raw & !(1 << 63)).map_err(|_| {
+            IndexError::Internal(format!("ALEX child pointer {raw:#x} is not a block id"))
+        })?;
+        Ok(ChildPtr { is_data: raw >> 63 == 1, block })
     }
 }
 
@@ -695,7 +700,7 @@ impl InnerNode {
             (self.start + 1 + rest / per_block, ((rest % per_block) as usize) * 8)
         };
         let buf = cursor.read(self.file, block, BlockKind::Inner)?;
-        Ok(ChildPtr::unpack(u64::from_le_bytes(buf[offset..offset + 8].try_into().unwrap())))
+        ChildPtr::unpack(u64::from_le_bytes(buf[offset..offset + 8].try_into().unwrap()))
     }
 
     /// Overwrites the child pointer at `idx`.
@@ -740,8 +745,27 @@ mod tests {
             ChildPtr { is_data: false, block: 12345 },
             ChildPtr { is_data: true, block: u32::MAX },
         ] {
-            assert_eq!(ChildPtr::unpack(ptr.pack()), ptr);
+            assert_eq!(ChildPtr::unpack(ptr.pack()).unwrap(), ptr);
         }
+    }
+
+    #[test]
+    fn a_child_pointer_beyond_the_block_id_range_is_an_error() {
+        let d = disk(512);
+        let file = d.create_file().unwrap();
+        let start = d.allocate(file, 1).unwrap();
+        let ptr = ChildPtr { is_data: true, block: 99 };
+        let node =
+            InnerNode::build(&d, file, start, LinearModel::new(0.0, 0.0), &[ptr, ptr]).unwrap();
+        // Forge the high half of child 1: masked to 32 bits it would still
+        // name block 99.
+        let mut buf = d.read_vec(file, start, BlockKind::Inner).unwrap();
+        let off = INNER_HEADER_BYTES + 8;
+        buf[off..off + 8].copy_from_slice(&(ptr.pack() | 1 << 32).to_le_bytes());
+        d.write(file, start, BlockKind::Inner, &buf).unwrap();
+        assert_eq!(node.child_at(&mut d.cursor(), 0).unwrap(), ptr);
+        let forged = node.child_at(&mut d.cursor(), 1);
+        assert!(matches!(forged, Err(IndexError::Internal(_))), "{forged:?}");
     }
 
     #[test]

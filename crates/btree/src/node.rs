@@ -241,35 +241,6 @@ impl<'a> LeafView<'a> {
         (i < self.len() && self.slots.key(i) == key).then(|| self.entry(i).1)
     }
 
-    /// Answers the run of sorted probes this leaf covers: `order[from..]`
-    /// indexes `keys` in ascending key order and `order[from]` is known to
-    /// route here. Leaves cover contiguous, disjoint key ranges, so each
-    /// following probe still belongs to this leaf as long as it does not
-    /// exceed the last stored key; a key in the gap between two leaves ends
-    /// the run and must be routed again, which proves its absence just as a
-    /// single lookup would. Writes the answers to `out` by probe index and
-    /// returns the position in `order` of the first probe left unanswered.
-    pub fn lookup_run(
-        &self,
-        keys: &[Key],
-        order: &[u32],
-        from: usize,
-        out: &mut [Option<Value>],
-    ) -> usize {
-        let last = self.last_key();
-        let mut next = from;
-        loop {
-            let i = order[next] as usize;
-            out[i] = self.lookup(keys[i]);
-            next += 1;
-            let in_leaf =
-                next < order.len() && last.is_some_and(|l| keys[order[next] as usize] <= l);
-            if !in_leaf {
-                return next;
-            }
-        }
-    }
-
     /// The entry with the greatest key `<= key`, if any.
     pub fn floor(&self, key: Key) -> Option<Entry> {
         self.slots.partition_point(|k| k <= key).checked_sub(1).map(|i| self.entry(i))
@@ -411,25 +382,6 @@ mod tests {
         assert_eq!(view.floor(4), Some((1, 2)));
         assert_eq!(view.floor(0), None);
         assert_eq!(view.entries_from(1).collect::<Vec<_>>(), vec![(5, 7), (9, 10)]);
-    }
-
-    #[test]
-    fn lookup_run_stops_at_the_leaf_last_key() {
-        let leaf = LeafNode { entries: vec![(10, 1), (20, 2), (30, 3)], ..LeafNode::default() };
-        let buf = leaf.encode(128).unwrap();
-        let view = LeafView::new(&buf).unwrap();
-        // Probes in slice order; `order` sorts them by key: 5 15 20 30 31 40.
-        let keys = [40, 20, 5, 31, 15, 30];
-        let order = [2, 4, 1, 5, 3, 0];
-        let mut out = vec![Some(99); keys.len()];
-        // The first probe is answered even though it is below every key;
-        // 31 exceeds the last key, so the run ends there.
-        assert_eq!(view.lookup_run(&keys, &order, 0, &mut out), 4);
-        assert_eq!(out, [Some(99), Some(2), None, Some(99), None, Some(3)]);
-        // A run starting above the last key answers exactly its first probe.
-        assert_eq!(view.lookup_run(&keys, &order, 4, &mut out), 5);
-        assert_eq!(out[3], None);
-        assert_eq!(view.lookup_run(&keys, &order, 5, &mut out), 6);
     }
 
     #[test]

@@ -226,8 +226,8 @@ impl BTreeIndex {
     /// separator — the smallest routing key to the right of the descent
     /// path (`None` for the rightmost leaf). Every key strictly below the
     /// separator routes to the same leaf, so a sorted batch can group keys
-    /// per leaf *without reading the leaf*, which is what lets the queued
-    /// batch path fetch whole leaves as one outstanding-I/O wave.
+    /// per leaf *without reading the leaf*, which is what lets the batch
+    /// path fetch whole leaves through one outstanding-read queue.
     fn descend_bounded(&self, key: Key) -> IndexResult<(BlockId, Option<Key>)> {
         let mut upper = None;
         let leaf = self.descend_with(key, |_, idx, node| {
@@ -236,49 +236,6 @@ impl BTreeIndex {
             }
         })?;
         Ok((leaf, upper))
-    }
-
-    /// The queued batch path: group the sorted probes per leaf via
-    /// [`Self::descend_bounded`] (inner blocks only), then fetch all the
-    /// group leaves as outstanding-I/O waves and answer each group from its
-    /// pinned leaf. Answers are identical to the pinned-leaf loop; only
-    /// the simulated time differs (a wave is charged its max, not its sum).
-    fn lookup_batch_queued(
-        &self,
-        keys: &[Key],
-        order: &[u32],
-        out: &mut [Option<Value>],
-    ) -> IndexResult<()> {
-        let mut groups: Vec<(BlockId, Vec<u32>)> = Vec::new();
-        let mut bound: Option<Key> = None;
-        for &i in order {
-            let key = keys[i as usize];
-            let in_current = !groups.is_empty() && bound.is_none_or(|b| key < b);
-            if in_current {
-                groups.last_mut().expect("group exists").1.push(i);
-            } else {
-                let (leaf_block, upper) = self.descend_bounded(key)?;
-                bound = upper;
-                match groups.last_mut() {
-                    // A gap key can re-route to the group's own leaf.
-                    Some((block, idxs)) if *block == leaf_block => idxs.push(i),
-                    _ => groups.push((leaf_block, vec![i])),
-                }
-            }
-        }
-        let mut q = self.disk.read_queue();
-        for &(block, _) in &groups {
-            q.submit(self.file, block, BlockKind::Leaf, AccessClass::Point)?;
-        }
-        let done = q.complete()?;
-        debug_assert_eq!(done.len(), groups.len());
-        for ((_, idxs), c) in groups.iter().zip(done) {
-            let leaf = LeafView::new(&c.frame)?;
-            for &i in idxs {
-                out[i as usize] = leaf.lookup(keys[i as usize]);
-            }
-        }
-        Ok(())
     }
 
     /// Finds the entry with the greatest stored key `<= key` (a "floor"
@@ -436,9 +393,12 @@ impl IndexRead for BTreeIndex {
         Ok(LeafView::new(&frame)?.lookup(key))
     }
 
-    /// Batched lookups sort the probe keys and walk the tree once per *run*
-    /// of keys landing in the same leaf: the shared root-to-leaf path and the
-    /// leaf pin are paid once per run instead of once per key.
+    /// Batched lookups sort the probe keys and group them per leaf with one
+    /// bounded descent each (inner blocks only): the keys below a leaf's
+    /// upper separator share one root-to-leaf descent. The group leaves are
+    /// then fetched through one outstanding-read queue, one blocking read at
+    /// a time at queue depth 1 and as waves charged their max above it, and
+    /// each group is answered from its pinned leaf.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         out.resize(keys.len(), None);
@@ -447,21 +407,32 @@ impl IndexRead for BTreeIndex {
         }
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        if self.disk.queue_depth() > 1 {
-            return self.lookup_batch_queued(keys, &order, out);
-        }
-        let mut pinned: Option<(BlockId, BlockRef)> = None;
-        let mut next = 0usize;
-        while next < order.len() {
-            // The descent is authoritative for the first key of a run; a key
-            // in the gap above the pinned leaf can route back to that leaf,
-            // which then stays pinned.
-            let leaf_block = self.find_leaf(keys[order[next] as usize])?;
-            if pinned.as_ref().map(|&(b, _)| b) != Some(leaf_block) {
-                pinned = Some((leaf_block, self.pin_leaf(leaf_block)?));
+        // Each group is a leaf and the end of its run of `order`.
+        let mut groups: Vec<(BlockId, usize)> = Vec::new();
+        let mut bound: Option<Key> = None;
+        for (at, &i) in order.iter().enumerate() {
+            let key = keys[i as usize];
+            if groups.is_empty() || bound.is_some_and(|b| key >= b) {
+                let (leaf_block, upper) = self.descend_bounded(key)?;
+                bound = upper;
+                // A gap key can re-route to the group's own leaf.
+                if groups.last().map(|&(b, _)| b) != Some(leaf_block) {
+                    groups.push((leaf_block, at));
+                }
             }
-            let leaf = LeafView::new(&pinned.as_ref().expect("leaf pinned").1)?;
-            next = leaf.lookup_run(keys, &order, next, out);
+            groups.last_mut().expect("group exists").1 = at + 1;
+        }
+        let mut q = self.disk.read_queue();
+        for &(block, _) in &groups {
+            q.submit(self.file, block, BlockKind::Leaf, AccessClass::Point)?;
+        }
+        let mut from = 0;
+        for (&(_, end), c) in groups.iter().zip(q.complete()?) {
+            let leaf = LeafView::new(&c.frame)?;
+            for &i in &order[from..end] {
+                out[i as usize] = leaf.lookup(keys[i as usize]);
+            }
+            from = end;
         }
         Ok(())
     }

@@ -250,15 +250,15 @@ impl FitingTree {
         entries_per_block(self.disk.block_size())
     }
 
-    /// Batched lookups with the segment I/O issued as outstanding-read
-    /// waves: every probe is routed through the directory first (inner
-    /// blocks only), then the distinct ε-window data blocks and occupied
-    /// delta-buffer blocks of the whole batch are prefetched in one
-    /// submission wave, and finally each probe is resolved exactly as
-    /// [`IndexRead::lookup`] would — its reads consume the parked frames.
-    /// The routing pass and the resolve pass each read through a cursor of
-    /// their own: the wave between them moves the disk's reuse slot.
-    /// Only called with `queue_depth > 1`.
+    /// The wave strategy of [`lookup_batch`](IndexRead::lookup_batch) on a
+    /// disk with outstanding reads: every probe is routed through the
+    /// directory first (inner blocks only), in ascending key order, then the
+    /// distinct ε-window data blocks and occupied delta-buffer blocks of the
+    /// whole batch are prefetched in one submission wave, and finally each
+    /// probe is resolved exactly as [`IndexRead::lookup`] would — its reads
+    /// consume the parked frames. The routing pass and the resolve pass each
+    /// read through a cursor of their own: the wave between them moves the
+    /// disk's reuse slot.
     fn lookup_batch_queued(
         &self,
         keys: &[Key],
@@ -361,12 +361,15 @@ impl IndexRead for FitingTree {
         self.lookup_with(&mut self.disk.cursor(), key)
     }
 
+    /// Batched lookups. On a disk with outstanding reads this is the wave
+    /// strategy (`lookup_batch_queued`). At queue depth 1 it is the per-key
+    /// loop in input order: the wave strategy runs in sorted key order, and
+    /// that order alone costs the read-path cost pin two more device reads
+    /// at depth 1 (DESIGN.md §3.6), so this design keeps its pair.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        // At queue depth 1 this is byte-for-byte the trait default (per-key
-        // lookups in input order), so existing numbers are reproducible.
         if self.disk.queue_depth() <= 1 || keys.len() <= 1 {
             out.clear();
             out.reserve(keys.len());

@@ -130,45 +130,6 @@ impl HybridIndex {
         })
     }
 
-    /// The outstanding-I/O variant of [`lookup_batch`](IndexRead::lookup_batch)
-    /// used when the disk's queue depth exceeds 1: sorted probes are grouped
-    /// by covering leaf through the in-memory boundary table (leaves cover
-    /// contiguous disjoint ranges, so groups are runs), one learned-directory
-    /// descent is still charged per group — the routing I/O the sequential
-    /// batch pays per run — and then every group's leaf block is fetched as
-    /// one submission wave instead of one blocking read per run. Answers are
-    /// identical to the synchronous batch.
-    fn lookup_batch_queued(
-        &self,
-        keys: &[Key],
-        order: &[u32],
-        out: &mut [Option<Value>],
-    ) -> IndexResult<()> {
-        let mut groups: Vec<(BlockId, Vec<u32>)> = Vec::new();
-        let mut current: Option<usize> = None;
-        for &i in order {
-            let key = keys[i as usize];
-            let idx = self.boundaries.partition_point(|&(b, _)| b <= key).saturating_sub(1);
-            match (current, groups.last_mut()) {
-                (Some(c), Some((_, idxs))) if c == idx => idxs.push(i),
-                _ => {
-                    let block = self.inner.find_leaf(key)?;
-                    groups.push((block, vec![i]));
-                    current = Some(idx);
-                }
-            }
-        }
-        let blocks: Vec<BlockId> = groups.iter().map(|&(b, _)| b).collect();
-        let frames = self.leaves.pin_queued(&blocks)?;
-        for ((_, idxs), frame) in groups.iter().zip(&frames) {
-            let leaf = LeafView::new(frame)?;
-            for &i in idxs {
-                out[i as usize] = leaf.lookup(keys[i as usize]);
-            }
-        }
-        Ok(())
-    }
-
     /// Number of leaf blocks.
     pub fn leaf_count(&self) -> u64 {
         self.leaves.leaf_count()
@@ -196,11 +157,12 @@ impl IndexRead for HybridIndex {
         self.leaves.lookup_in(leaf, key)
     }
 
-    /// Batched lookups sort the probe keys and route once per *run* of keys
-    /// landing in the same leaf: the learned-directory descent and the leaf
-    /// block pin are paid once per run instead of once per key —
-    /// the same sorted-probe sharing as the B+-tree, with the inner
-    /// structure's floor lookup standing in for the root-to-leaf walk.
+    /// Batched lookups sort the probe keys and group them by covering leaf
+    /// through the in-memory boundary table (leaves cover contiguous
+    /// disjoint ranges, so groups are runs). One learned-directory descent is
+    /// charged per group, the routing I/O a per-run loop pays, and the group
+    /// leaves are fetched through one outstanding-read queue: one blocking
+    /// read at a time at queue depth 1, waves charged their max above it.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         if keys.is_empty() {
@@ -212,14 +174,28 @@ impl IndexRead for HybridIndex {
         out.resize(keys.len(), None);
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        if self.disk.queue_depth() > 1 {
-            return self.lookup_batch_queued(keys, &order, out);
+        // Each group is a leaf block and the end of its run of `order`; the
+        // group takes every key below the next leaf's boundary.
+        let mut groups: Vec<(BlockId, usize)> = Vec::new();
+        let mut bound: Option<Key> = None;
+        for (at, &i) in order.iter().enumerate() {
+            let key = keys[i as usize];
+            if groups.is_empty() || bound.is_some_and(|b| key >= b) {
+                let idx = self.boundaries.partition_point(|&(b, _)| b <= key).saturating_sub(1);
+                bound = self.boundaries.get(idx + 1).map(|&(b, _)| b);
+                groups.push((self.inner.find_leaf(key)?, at));
+            }
+            groups.last_mut().expect("group exists").1 = at + 1;
         }
-        let mut next = 0usize;
-        while next < order.len() {
-            let block = self.inner.find_leaf(keys[order[next] as usize])?;
-            let frame = self.leaves.pin(block)?;
-            next = LeafView::new(&frame)?.lookup_run(keys, &order, next, out);
+        let blocks: Vec<BlockId> = groups.iter().map(|&(b, _)| b).collect();
+        let frames = self.leaves.pin_queued(&blocks)?;
+        let mut from = 0;
+        for (&(_, end), frame) in groups.iter().zip(&frames) {
+            let leaf = LeafView::new(frame)?;
+            for &i in &order[from..end] {
+                out[i as usize] = leaf.lookup(keys[i as usize]);
+            }
+            from = end;
         }
         Ok(())
     }

@@ -59,7 +59,7 @@ impl LeafLevel {
     }
 
     /// Pins the leaf at `block` (one block read) for reading through a
-    /// [`LeafView`]. The batched read path holds one such pin per probe run.
+    /// [`LeafView`].
     pub(crate) fn pin(&self, block: BlockId) -> IndexResult<BlockRef> {
         Ok(self.disk.read_ref(self.file, block, BlockKind::Leaf)?)
     }
@@ -101,10 +101,10 @@ impl LeafLevel {
         Ok(LeafView::new(&self.pin(block)?)?.lookup(key))
     }
 
-    /// Pins a batch of leaves with the blocks fetched as one
-    /// outstanding-read submission wave — the queue-depth > 1 counterpart of
-    /// calling [`LeafLevel::pin`] once per block. Results are returned in
-    /// input order.
+    /// Pins a batch of leaves through one outstanding-read queue: waves of
+    /// up to the disk's queue depth, so at depth 1 exactly what calling
+    /// [`LeafLevel::pin`] once per block costs. Results are returned in input
+    /// order.
     pub(crate) fn pin_queued(&self, blocks: &[BlockId]) -> IndexResult<Vec<BlockRef>> {
         let mut q = self.disk.read_queue();
         for &b in blocks {

@@ -208,69 +208,6 @@ impl LippIndex {
         Ok(())
     }
 
-    /// The outstanding-I/O variant of [`lookup_batch`](IndexRead::lookup_batch)
-    /// used when the disk's queue depth exceeds 1: every probe descends the
-    /// tree level by level in lock-step, so each level's header fetches ride
-    /// one completion wave and each level's predicted slot blocks ride a
-    /// prefetch wave — the per-level "header + slot" latency pair every LIPP
-    /// probe pays is overlapped across the whole batch. Answers are identical
-    /// to the synchronous batch: the per-probe routing (predict → slot →
-    /// child) is byte-for-byte the sequential descent.
-    fn lookup_batch_queued(
-        &self,
-        keys: &[Key],
-        order: &[u32],
-        out: &mut [Option<Value>],
-    ) -> IndexResult<()> {
-        use std::collections::{BTreeSet, HashMap};
-        let bs = self.disk.block_size();
-        let mut nodes: HashMap<BlockId, LippNode> = HashMap::new();
-        let mut active: Vec<(u32, BlockId)> = order.iter().map(|&i| (i, self.root)).collect();
-        let mut q = self.disk.read_queue();
-        while !active.is_empty() {
-            // Wave A: headers of the nodes this level reaches for the first
-            // time (always exactly one — the root — on the first round).
-            let need: BTreeSet<BlockId> =
-                active.iter().map(|&(_, b)| b).filter(|b| !nodes.contains_key(b)).collect();
-            for &b in &need {
-                q.submit(self.file, b, BlockKind::Leaf, AccessClass::Point)?;
-            }
-            for c in q.complete()? {
-                nodes.insert(c.block, LippNode::from_header_bytes(self.file, c.block, &c.frame)?);
-            }
-
-            // Wave B: every active probe's predicted slot block.
-            let slot_blocks: BTreeSet<BlockId> = active
-                .iter()
-                .map(|&(i, b)| {
-                    let node = &nodes[&b];
-                    node.slot_block_id(node.predict(keys[i as usize]), bs)
-                })
-                .collect();
-            for &b in &slot_blocks {
-                q.prefetch(self.file, b, BlockKind::Leaf, SeqHint::Auto)?;
-            }
-            q.flush()?;
-
-            // Resolve the level from the parked frames; probes that hit a
-            // child pointer go another round. The cursor starts after the
-            // waves, whose completions the disk's reuse slot sees.
-            let mut next = Vec::new();
-            let mut cursor = self.disk.cursor();
-            for (i, b) in active {
-                let node = &nodes[&b];
-                let slot = node.predict(keys[i as usize]);
-                match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
-                    Slot::Null => {}
-                    Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
-                    Slot::Child(child) => next.push((i, child)),
-                }
-            }
-            active = next;
-        }
-        Ok(())
-    }
-
     /// Loads the node at `block` for a read walk that may still load
     /// `budget` nodes. A walk of a tree loads each node at most once, so a
     /// budget of [`LippIndex::node_count`] only runs out when a child
@@ -282,13 +219,19 @@ impl LippIndex {
         class: AccessClass,
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
+        self.spend(budget)?;
+        LippNode::load_with(cursor, self.file, block, class)
+    }
+
+    /// Takes one node from a read walk's `budget` (see [`LippIndex::visit`]).
+    fn spend(&self, budget: &mut u64) -> IndexResult<()> {
         *budget = budget.checked_sub(1).ok_or_else(|| {
             IndexError::Internal(format!(
                 "LIPP walk reached more than the tree's {} nodes: a child pointer is cyclic",
                 self.node_count
             ))
         })?;
-        LippNode::load_with(cursor, self.file, block, class)
+        Ok(())
     }
 
     fn should_rebuild(&self, node: &LippNode) -> bool {
@@ -338,16 +281,21 @@ impl IndexRead for LippIndex {
         }
     }
 
-    /// Batched lookups cache each routing node's decoded header for the
-    /// duration of the batch: a sequential LIPP lookup pays a header read
-    /// plus a slot read *per level*, and the header half is identical for
-    /// every probe that traverses the same node (always true for the root).
-    /// The slot reads — where the answers live — still go out per probe, in
-    /// sorted order so co-located probes read the same slot block back to
-    /// back, which the batch's cursor answers with one disk read. The
-    /// traversal logic is otherwise byte-for-byte the sequential descent,
-    /// so answers are identical.
+    /// Batched lookups descend the tree level by level in lock-step, probes
+    /// in sorted key order, and decode each node's header once per batch (a
+    /// per-key LIPP lookup pays a header read plus a slot read *per level*,
+    /// and the header half is shared by every probe through the node). Each
+    /// level's new headers are fetched as one completion wave and its
+    /// predicted slot blocks prefetched as a second; then the level resolves
+    /// through a cursor, so co-located probes read one slot block once.
+    /// Above queue depth 1 the waves overlap the per-level "header + slot"
+    /// latency pair across the batch; at depth 1 the prefetch does nothing
+    /// and the resolve loop reads each slot block on demand. Every round
+    /// descends one level, so a tree of [`LippIndex::node_count`] nodes
+    /// finishes within that many rounds: one more means a child pointer is
+    /// cyclic, an error rather than a hang.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
+        use std::collections::HashMap;
         out.clear();
         if keys.is_empty() {
             return Ok(());
@@ -358,32 +306,56 @@ impl IndexRead for LippIndex {
         out.resize(keys.len(), None);
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        if self.disk.queue_depth() > 1 {
-            return self.lookup_batch_queued(keys, &order, out);
-        }
-        let mut nodes: std::collections::HashMap<BlockId, LippNode> =
-            std::collections::HashMap::new();
-        let mut cursor = self.disk.cursor();
-        for &i in &order {
-            let key = keys[i as usize];
-            let mut block = self.root;
-            loop {
-                if let std::collections::hash_map::Entry::Vacant(slot) = nodes.entry(block) {
-                    let node =
-                        LippNode::load_with(&mut cursor, self.file, block, AccessClass::Point)?;
-                    slot.insert(node);
-                }
-                let node = &nodes[&block];
-                let slot = node.predict(key);
+        let bs = self.disk.block_size();
+        let mut nodes: HashMap<BlockId, LippNode> = HashMap::new();
+        let mut active: Vec<(u32, BlockId)> = order.iter().map(|&i| (i, self.root)).collect();
+        let mut q = self.disk.read_queue();
+        let mut rounds = self.node_count;
+        while !active.is_empty() {
+            self.spend(&mut rounds)?;
+            // Wave A: headers of the nodes this level reaches for the first
+            // time (always exactly one — the root — on the first round).
+            let mut need: Vec<BlockId> =
+                active.iter().map(|&(_, b)| b).filter(|b| !nodes.contains_key(b)).collect();
+            need.sort_unstable();
+            need.dedup();
+            for &b in &need {
+                q.submit(self.file, b, BlockKind::Leaf, AccessClass::Point)?;
+            }
+            for c in q.complete()? {
+                nodes.insert(c.block, LippNode::from_header_bytes(self.file, c.block, &c.frame)?);
+            }
+
+            // Wave B: every active probe's predicted slot block.
+            let mut slot_blocks: Vec<BlockId> = active
+                .iter()
+                .map(|&(i, b)| {
+                    let node = &nodes[&b];
+                    node.slot_block_id(node.predict(keys[i as usize]), bs)
+                })
+                .collect();
+            slot_blocks.sort_unstable();
+            slot_blocks.dedup();
+            for &b in &slot_blocks {
+                q.prefetch(self.file, b, BlockKind::Leaf, SeqHint::Auto)?;
+            }
+            q.flush()?;
+
+            // Resolve the level; probes that hit a child pointer go another
+            // round. The cursor starts after the waves, whose completions
+            // the disk's reuse slot sees.
+            let mut next = Vec::new();
+            let mut cursor = self.disk.cursor();
+            for (i, b) in active {
+                let node = &nodes[&b];
+                let slot = node.predict(keys[i as usize]);
                 match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
-                    Slot::Null => break,
-                    Slot::Data(k, v) => {
-                        out[i as usize] = (k == key).then_some(v);
-                        break;
-                    }
-                    Slot::Child(child) => block = child,
+                    Slot::Null => {}
+                    Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
+                    Slot::Child(child) => next.push((i, child)),
                 }
             }
+            active = next;
         }
         Ok(())
     }
@@ -1004,20 +976,28 @@ mod tests {
 
     #[test]
     fn a_cyclic_child_pointer_is_an_error_not_a_hang() {
-        let cyclic = |data: Slot, slot: u32| {
-            let mut l = index();
+        let cyclic = |data: Slot, slot: u32, depth: usize| {
+            let disk = Disk::in_memory(DiskConfig::with_block_size(512).queue_depth(depth));
+            let mut l = LippIndex::new(disk).unwrap();
             l.bulk_load(&[(1, 1)]).unwrap();
             assert_eq!(l.node_count(), 1);
             forge_cyclic_root(&mut l, data, slot);
             l
         };
         // Every lookup descends through slot 0, which names the root again.
-        let l = cyclic(Slot::Null, 0);
+        let l = cyclic(Slot::Null, 0, 1);
         let looked_up = within_deadline(move || l.lookup(5));
         assert!(matches!(looked_up, Err(IndexError::Internal(_))), "{looked_up:?}");
+        // A batch's lock-step rounds find the root again every round, at
+        // either queue depth.
+        for depth in [1, 8] {
+            let l = cyclic(Slot::Null, 0, depth);
+            let batched = within_deadline(move || l.lookup_batch(&[5, 9, 3], &mut Vec::new()));
+            assert!(matches!(batched, Err(IndexError::Internal(_))), "depth {depth}: {batched:?}");
+        }
         // A scan from above every key walks the root to its last slot, which
         // names the root again: without a bound the walk restarts forever.
-        let l = cyclic(Slot::Data(1, 1), 1_999);
+        let l = cyclic(Slot::Data(1, 1), 1_999, 1);
         let scanned = within_deadline(move || l.scan(2, usize::MAX, &mut Vec::new()));
         assert!(matches!(scanned, Err(IndexError::Internal(_))), "{scanned:?}");
     }

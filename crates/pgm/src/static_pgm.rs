@@ -414,6 +414,12 @@ impl StaticPgm {
     /// pinned ([`BlockRef`]) and any following key inside its key range is
     /// answered by an in-memory binary search — one block fetch and one
     /// model descent per *run* of co-located keys instead of per key.
+    ///
+    /// On a disk with outstanding reads the wave strategy
+    /// (`lookup_batch_sorted_queued`) runs instead. Depth 1 keeps
+    /// this loop: the waves fetch whole ε-windows and give up the pinned
+    /// block, which at depth 1 costs more device reads and nearly twice the
+    /// CPU per lookup (DESIGN.md §3.6).
     pub fn lookup_batch_sorted(
         &self,
         keys: &[Key],
@@ -508,7 +514,7 @@ impl StaticPgm {
     }
 
     /// The outstanding-I/O variant of [`Self::lookup_batch_sorted`], taken
-    /// when the disk's queue depth exceeds 1: the pending probes descend the
+    /// on a disk with outstanding reads: the pending probes descend the
     /// component *level by level*, and each level's ε-windows are fetched as
     /// one set of completion waves (charged max-per-wave, not
     /// sum-of-misses). The blocks touched and the answers produced are the

@@ -76,9 +76,11 @@ pub struct DiskConfig {
     /// slot), and how far scan readahead prefetches: the next
     /// `queue_depth - 1` blocks. A wave charges the *max* of its members' device
     /// costs instead of their sum, modelling depth-parallel service. Depth 1
-    /// (the default) degenerates to the fully synchronous path — one request
-    /// per wave, `max == sum` — so every existing number is reproduced
-    /// bit for bit.
+    /// (the default) degenerates to the fully synchronous path: one request
+    /// per wave, `max == sum`, no readahead rung, and a
+    /// [`prefetch`](crate::ReadQueue::prefetch) that does nothing. So every
+    /// design's one batched read path, run at depth 1, reads each block on
+    /// demand as a synchronous walk does.
     pub queue_depth: usize,
     /// When true, every write also stores a [`crate::format::BlockStamp`]
     /// (CRC32 + write generation) in the backend's sidecar table and every
@@ -792,7 +794,7 @@ impl Disk {
         // one completion wave (the ext4-extent-walker model) — the wave is
         // charged `max`, so the sequential prefetches ride along with the
         // demand miss for free.
-        if self.queue_depth > 1 && class == AccessClass::Scan {
+        if self.keeps_readahead() && class == AccessClass::Scan {
             return self.scan_miss_with_readahead(file, block, kind, hint);
         }
         let (frame, cost) = self.fetch_miss(file, block, kind, hint)?;
@@ -846,10 +848,8 @@ impl Disk {
 
         // Readahead cache: a prefetch wave already paid the device for this
         // block; consume the parked frame. The read was recorded when the
-        // prefetch fetched it, so this is a cache hit. Only disks configured
-        // for outstanding reads keep the rung: at depth 1 a miss must not
-        // take a disk-wide lock (racing readers share no mutex otherwise).
-        if self.queue_depth > 1 {
+        // prefetch fetched it, so this is a cache hit.
+        if self.keeps_readahead() {
             let parked = self.readahead.lock().take(&(file, block));
             if let Some(frame) = parked {
                 self.stats.record_readahead_hit();
@@ -1000,6 +1000,15 @@ impl Disk {
     /// The configured outstanding-read queue depth.
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
+    }
+
+    /// Whether this disk has the readahead rung: scan readahead, parked
+    /// prefetches and their consumption. Only disks configured for
+    /// outstanding reads keep it: at depth 1 a miss must not take a
+    /// disk-wide lock (racing readers share no mutex otherwise), so a
+    /// prefetch there could park a frame no read ever consumes.
+    pub(crate) fn keeps_readahead(&self) -> bool {
+        self.queue_depth > 1
     }
 
     /// Reads one block into `buf`, charging the device unless the block is

@@ -25,8 +25,11 @@
 //!
 //! At queue depth 1 every wave carries one device request, `max == sum`, and
 //! the engine degenerates to the synchronous path — all existing numbers are
-//! reproduced bit for bit. Block-fetch *counts* do not depend on the depth:
-//! the engine only redistributes simulated time.
+//! reproduced bit for bit. A disk configured at depth 1 also has no
+//! readahead rung, so there a [`prefetch`](ReadQueue::prefetch) does nothing:
+//! a design's one batched read path, run at depth 1, reads each block on
+//! demand in its resolve loop, as a synchronous walk does. Above depth 1 the
+//! engine fetches the same blocks and only redistributes simulated time.
 
 use crate::buffer::{AccessClass, BlockRef};
 use crate::disk::{Disk, FileId, SeqHint, WaveReq};
@@ -151,6 +154,12 @@ impl ReadQueue<'_> {
     /// Prefetches ride the same waves as submitted reads, but a block that is
     /// already in the wave, parked, free to read (memory-resident kind) or
     /// pool-resident (re-parked at no device cost) takes no slot.
+    ///
+    /// A disk configured with [`queue_depth`](Disk::queue_depth) 1 has no
+    /// readahead rung, so no read could ever consume a parked frame. There a
+    /// prefetch is counted as submitted and completed and does nothing else:
+    /// no device read and no parked frame. The block's later read fetches it
+    /// on demand, exactly as the synchronous path would.
     pub fn prefetch(
         &mut self,
         file: FileId,
@@ -160,7 +169,8 @@ impl ReadQueue<'_> {
     ) -> StorageResult<()> {
         let stats = self.disk.stats();
         stats.record_ios_submitted(1);
-        if self.pending_index(file, block).is_some()
+        if !self.disk.keeps_readahead()
+            || self.pending_index(file, block).is_some()
             || self.disk.prefetch_is_cached(file, block, kind)
         {
             stats.record_ios_completed(1);
@@ -413,6 +423,26 @@ mod tests {
         assert_eq!(d.stats().device_ns(), after_prefetch);
         assert_eq!(d.stats().readahead_hits(), 4);
         assert_eq!(d.stats().reads(), 4, "no re-fetch of parked blocks");
+    }
+
+    #[test]
+    fn a_prefetch_a_depth_one_disk_cannot_consume_reads_nothing() {
+        let d = disk(1, 100, 5);
+        let f = fill(&d, 8);
+        let mut q = d.read_queue_with_depth(4);
+        for b in 0u32..4 {
+            q.prefetch(f, b, BlockKind::Leaf, SeqHint::Random).unwrap();
+        }
+        q.flush().unwrap();
+        assert_eq!(d.stats().reads(), 0, "no prefetch reaches the device");
+        for b in 0u32..4 {
+            let frame = d.read_ref(f, b, BlockKind::Leaf).unwrap();
+            assert!(frame.iter().all(|&x| x == (b % 251) as u8), "wrong frame contents");
+        }
+        let s = d.snapshot();
+        assert_eq!(s.reads(), 4, "each block is fetched once, by its read");
+        assert_eq!(s.readahead_hits, 0);
+        assert_eq!((s.ios_submitted, s.ios_completed), (4, 4), "the prefetches still count");
     }
 
     #[test]

@@ -25,23 +25,26 @@ struct ReadCost {
 
 /// Recorded while every slot-by-slot walk still read each slot through its
 /// own `Disk::read_ref`, one row per `(storage, design)` cell in iteration
-/// order.
+/// order. The depth-1 rows of the B+-tree, ALEX and both hybrids were
+/// re-recorded when their `lookup_batch` became the wave strategy at every
+/// depth: device reads and device time stayed or fell, and only the pool
+/// hits of the batch's reads moved.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 1, btree
-    ReadCost { reads: [0, 0, 856, 0], device_ns: 84040000, buffer_hits: 3724, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 856, 0], device_ns: 84040000, buffer_hits: 3678, readahead_hits: 0 },
     // ssd, pool 64, depth 1, fiting
     ReadCost { reads: [0, 0, 581, 0], device_ns: 56300000, buffer_hits: 4799, readahead_hits: 0 },
     // ssd, pool 64, depth 1, pgm
     ReadCost { reads: [0, 0, 522, 0], device_ns: 50080000, buffer_hits: 2327, readahead_hits: 0 },
     // ssd, pool 64, depth 1, alex
-    ReadCost { reads: [0, 0, 1480, 40], device_ns: 149760000, buffer_hits: 5773, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 1467, 40], device_ns: 148380000, buffer_hits: 5722, readahead_hits: 0 },
     // ssd, pool 64, depth 1, lipp
     ReadCost { reads: [0, 0, 2554, 0], device_ns: 235360000, buffer_hits: 2488, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-pla
-    ReadCost { reads: [0, 0, 861, 0], device_ns: 84500000, buffer_hits: 3719, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 861, 0], device_ns: 84500000, buffer_hits: 3673, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-modeltree
-    ReadCost { reads: [0, 1, 901, 0], device_ns: 88560000, buffer_hits: 5934, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 901, 0], device_ns: 88460000, buffer_hits: 5935, readahead_hits: 0 },
     // ssd, pool 64, depth 8, btree
     ReadCost { reads: [0, 0, 1047, 0], device_ns: 80560000, buffer_hits: 3690, readahead_hits: 12 },
     // ssd, pool 64, depth 8, fiting
