@@ -245,14 +245,14 @@ impl AlexIndex {
     /// Descends from the root to the data node covering `key`, returning the
     /// inner-node path (node handle + chosen child index) and the data node.
     /// The insert path's descent; reads go through [`AlexIndex::data_node`].
-    fn descend(&self, key: Key) -> IndexResult<(Vec<(InnerNode, u32)>, DataNode)> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
-        let mut cursor = self.disk.cursor();
+    fn descend(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        key: Key,
+    ) -> IndexResult<(Vec<(InnerNode, u32)>, DataNode)> {
         let mut path = Vec::new();
-        let start = self.route(&mut cursor, key, Some(&mut path))?;
-        Ok((path, DataNode::load_with(&mut cursor, self.data_file, start)?))
+        let start = self.route(cursor, key, Some(&mut path))?;
+        Ok((path, DataNode::load(cursor, self.data_file, start)?))
     }
 
     /// The data node covering `key`, read through `cursor`: the descent of
@@ -262,12 +262,13 @@ impl AlexIndex {
             return Err(IndexError::NotInitialized);
         }
         let start = self.route(cursor, key, None)?;
-        DataNode::load_with(cursor, self.data_file, start)
+        DataNode::load(cursor, self.data_file, start)
     }
 
     /// Repoints the parent of an SMO'd node (or the root) to `new_ptr`.
     fn repoint_parent(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         path: &[(InnerNode, u32)],
         old_block: BlockId,
         new_ptr: ChildPtr,
@@ -282,11 +283,11 @@ impl AlexIndex {
                 // child; repoint every pointer that referenced the old node.
                 let mut i = *idx;
                 loop {
-                    parent.set_child(&self.disk, i, new_ptr)?;
+                    parent.set_child(cursor, i, new_ptr)?;
                     if i == 0 {
                         break;
                     }
-                    let prev = parent.child_at(&mut self.disk.cursor(), i - 1)?;
+                    let prev = parent.child_at(cursor, i - 1)?;
                     if prev.is_data && prev.block == old_block {
                         i -= 1;
                     } else {
@@ -295,9 +296,9 @@ impl AlexIndex {
                 }
                 let mut i = *idx + 1;
                 while i < parent.header.children {
-                    let nxt = parent.child_at(&mut self.disk.cursor(), i)?;
+                    let nxt = parent.child_at(cursor, i)?;
                     if nxt.is_data && nxt.block == old_block {
-                        parent.set_child(&self.disk, i, new_ptr)?;
+                        parent.set_child(cursor, i, new_ptr)?;
                         i += 1;
                     } else {
                         break;
@@ -311,20 +312,21 @@ impl AlexIndex {
     /// Fixes the sibling links of the nodes adjacent to a rebuilt node.
     fn relink_neighbours(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         prev: BlockId,
         next: BlockId,
         new_first: BlockId,
         new_last: BlockId,
     ) -> IndexResult<()> {
         if prev != INVALID_BLOCK {
-            let mut n = DataNode::load(&self.disk, self.data_file, prev)?;
+            let mut n = DataNode::load(cursor, self.data_file, prev)?;
             n.header.next = new_first;
-            n.write_header(&self.disk)?;
+            n.write_header(cursor)?;
         }
         if next != INVALID_BLOCK {
-            let mut n = DataNode::load(&self.disk, self.data_file, next)?;
+            let mut n = DataNode::load(cursor, self.data_file, next)?;
             n.header.prev = new_last;
-            n.write_header(&self.disk)?;
+            n.write_header(cursor)?;
         }
         Ok(())
     }
@@ -332,7 +334,12 @@ impl AlexIndex {
     /// Runs a structural modification operation on a full data node: either
     /// expands it in place (doubling the capacity) or splits it downward into
     /// a new two-child inner node.
-    fn smo(&mut self, path: &[(InnerNode, u32)], node: DataNode) -> IndexResult<()> {
+    fn smo(
+        &mut self,
+        cursor: &mut BlockCursor<'_>,
+        path: &[(InnerNode, u32)],
+        node: DataNode,
+    ) -> IndexResult<()> {
         self.smo_count += 1;
         // The SMO is the learned-index pause the paper attributes tail
         // latency to: time the whole operation and count it, off a local
@@ -341,10 +348,12 @@ impl AlexIndex {
         let _span = telemetry.telemetry().span(OpClass::Smo);
         telemetry.telemetry().add(OpClass::Smo, 1);
         let mut entries = Vec::with_capacity(node.header.count as usize);
-        node.collect_entries(&self.disk, &mut entries)?;
+        node.collect_entries(cursor, &mut entries)?;
         let old_blocks = node.total_blocks(self.disk.block_size());
         let prev = node.header.prev;
         let next = node.header.next;
+        // The cursor holds a block of the node about to be freed.
+        cursor.release();
         self.disk.free(self.data_file, node.start, old_blocks);
         self.data_nodes -= 1;
 
@@ -374,8 +383,8 @@ impl AlexIndex {
             let right = self.make_data_node(right_entries, left.start, next)?;
             let mut left = left;
             left.header.next = right.start;
-            left.write_header(&self.disk)?;
-            self.relink_neighbours(prev, next, left.start, right.start)?;
+            left.write_header(cursor)?;
+            self.relink_neighbours(cursor, prev, next, left.start, right.start)?;
 
             let blocks = InnerNode::blocks_for(2, self.disk.block_size());
             let start = self.disk.allocate(self.inner_file, blocks)?;
@@ -394,7 +403,12 @@ impl AlexIndex {
             // `path.len()`); height is the deepest data node's depth + 1, as
             // bulk load sets it.
             self.height = self.height.max(path.len() as u32 + 2);
-            self.repoint_parent(path, node.start, ChildPtr { is_data: false, block: start })?;
+            self.repoint_parent(
+                cursor,
+                path,
+                node.start,
+                ChildPtr { is_data: false, block: start },
+            )?;
         } else {
             // Expansion: rebuild with double capacity and a retrained model.
             let capacity = grown_capacity.max(self.capacity_for(entries.len()) as usize) as u32;
@@ -403,8 +417,9 @@ impl AlexIndex {
             let new =
                 DataNode::build(&self.disk, self.data_file, start, capacity, &entries, prev, next)?;
             self.data_nodes += 1;
-            self.relink_neighbours(prev, next, new.start, new.start)?;
-            self.repoint_parent(path, node.start, ChildPtr { is_data: true, block: new.start })?;
+            self.relink_neighbours(cursor, prev, next, new.start, new.start)?;
+            let new_ptr = ChildPtr { is_data: true, block: new.start };
+            self.repoint_parent(cursor, path, node.start, new_ptr)?;
         }
         Ok(())
     }
@@ -413,6 +428,7 @@ impl AlexIndex {
     /// node is too full and an SMO is required first.
     fn try_insert_into(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         node: &mut DataNode,
         key: Key,
         value: Value,
@@ -421,22 +437,22 @@ impl AlexIndex {
         if (node.header.count + 1) as f64 > capacity as f64 * self.config.max_density {
             return Ok(false);
         }
-        let lb = node.lower_bound(&mut self.disk.cursor(), key)?;
+        let lb = node.lower_bound(cursor, key)?;
 
         // Upsert: overwrite every duplicate of an existing key so gap copies
         // stay consistent with the real slot.
         if lb < capacity {
-            let (k, _) = node.read_slot(&self.disk, lb)?;
+            let (k, _) = node.read_slot(cursor, lb)?;
             if k == key && node.header.count > 0 {
                 // Ensure the key really exists (a gap can duplicate a key only
                 // if the real occurrence exists somewhere in the node).
                 let mut s = lb;
                 while s < capacity {
-                    let (k2, _) = node.read_slot(&self.disk, s)?;
+                    let (k2, _) = node.read_slot(cursor, s)?;
                     if k2 != key {
                         break;
                     }
-                    node.write_slot(&self.disk, s, (key, value))?;
+                    node.write_slot(cursor, s, (key, value))?;
                     s += 1;
                 }
                 return Ok(true);
@@ -445,9 +461,9 @@ impl AlexIndex {
 
         // Fresh insert. Prefer the gap immediately left of the lower bound.
         let inserted_shifts;
-        if lb > 0 && !node.read_bit(&self.disk, lb - 1)? {
-            node.write_slot(&self.disk, lb - 1, (key, value))?;
-            node.set_bit(&self.disk, lb - 1, true)?;
+        if lb > 0 && !node.read_bit(cursor, lb - 1)? {
+            node.write_slot(cursor, lb - 1, (key, value))?;
+            node.set_bit(cursor, lb - 1, true)?;
             inserted_shifts = 0;
         } else {
             // Find the first gap at or after the lower bound and shift the
@@ -455,7 +471,7 @@ impl AlexIndex {
             let mut gap = None;
             let mut s = lb;
             while s < capacity {
-                if !node.read_bit(&self.disk, s)? {
+                if !node.read_bit(cursor, s)? {
                     gap = Some(s);
                     break;
                 }
@@ -465,9 +481,9 @@ impl AlexIndex {
                 return Ok(false);
             };
             // Shift [lb, gap) right by one, block-wise, then place the key.
-            node.shift_right(&self.disk, lb, gap)?;
-            node.write_slot(&self.disk, lb, (key, value))?;
-            node.set_bit(&self.disk, gap, true)?;
+            node.shift_right(cursor, lb, gap)?;
+            node.write_slot(cursor, lb, (key, value))?;
+            node.set_bit(cursor, gap, true)?;
             inserted_shifts = (gap - lb) as u64;
         }
 
@@ -516,12 +532,13 @@ impl AlexIndex {
     /// (the once-per-touched-node maintenance write of `insert_batch`).
     fn flush_cached_leaf(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         cached: &mut Option<CachedLeaf>,
         laps: &mut StepLaps,
     ) -> IndexResult<()> {
         if let Some(c) = cached.take() {
             if c.dirty {
-                c.node.write_header(&self.disk)?;
+                c.node.write_header(cursor)?;
                 laps.lap(&mut self.breakdown, InsertStep::Maintenance);
             }
         }
@@ -625,7 +642,7 @@ impl IndexRead for AlexIndex {
         q.flush()?;
 
         // Phase 4: search each node, through a cursor that starts after the
-        // waves, whose completions the disk's reuse slot sees.
+        // waves.
         let mut cursor = self.disk.cursor();
         let mut from = 0;
         for &(start, end) in &groups {
@@ -646,22 +663,23 @@ impl IndexRead for AlexIndex {
             }
             return Ok(0);
         }
-        let (mut node, mut slot) = {
-            let mut cursor = self.disk.cursor();
-            let node = self.data_node(&mut cursor, start)?;
-            let slot = node.lower_bound(&mut cursor, start)?;
-            (node, slot)
-        };
+        let mut cursor = self.disk.cursor();
+        let mut node = self.data_node(&mut cursor, start)?;
+        let mut slot = node.lower_bound(&mut cursor, start)?;
         loop {
             // The bitmap distinguishes real entries from gap duplicates — the
             // extra utility I/O the paper highlights for ALEX scans (S3). The
             // scan fetches each bitmap block and each slot block once and
             // walks them in memory.
-            node.scan_slots(&self.disk, slot, start, count, out)?;
+            node.scan_slots(&mut cursor, slot, start, count, out)?;
             if out.len() >= count || node.header.next == INVALID_BLOCK {
                 return Ok(out.len());
             }
-            node = DataNode::load_scan(&self.disk, self.data_file, node.header.next)?;
+            // Follow the sibling chain, scan-class.
+            let next = node.header.next;
+            let buf =
+                cursor.read_class(self.data_file, next, BlockKind::Leaf, AccessClass::Scan)?;
+            node = DataNode::from_header_bytes(self.data_file, next, buf)?;
             slot = 0;
         }
     }
@@ -690,11 +708,12 @@ impl IndexWrite for AlexIndex {
         let mut leaves = Vec::new();
         self.root = self.build_subtree(entries, &mut leaves, 0)?;
         // Fix up sibling links across the whole leaf level.
+        let mut cursor = self.disk.cursor();
         for i in 0..leaves.len() {
             leaves[i].header.prev = if i > 0 { leaves[i - 1].start } else { INVALID_BLOCK };
             leaves[i].header.next =
                 if i + 1 < leaves.len() { leaves[i + 1].start } else { INVALID_BLOCK };
-            leaves[i].write_header(&self.disk)?;
+            leaves[i].write_header(&mut cursor)?;
         }
         self.key_count = entries.len() as u64;
         self.loaded = true;
@@ -716,6 +735,10 @@ impl IndexWrite for AlexIndex {
             return Err(IndexError::NotInitialized);
         }
         let mut laps = StepLaps::start(&self.disk);
+        // One cursor carries the batch's every read and write: re-reads of
+        // the block read last cost nothing, as §6.5 has it.
+        let disk = Arc::clone(&self.disk);
+        let mut cursor = disk.cursor();
         let mut cached: Option<CachedLeaf> = None;
         for &(key, value) in entries {
             loop {
@@ -724,7 +747,7 @@ impl IndexWrite for AlexIndex {
                 if let Some(c) = cached.as_mut() {
                     if key >= c.witness {
                         if c.max.is_none() && c.node.header.count > 0 {
-                            c.max = Some(c.node.max_key(&mut self.disk.cursor())?);
+                            c.max = Some(c.node.max_key(&mut cursor)?);
                         }
                         hit = c.max.is_some_and(|m| key <= m);
                     }
@@ -732,15 +755,15 @@ impl IndexWrite for AlexIndex {
                 if !hit {
                     // The lazy max-key read above is routing, not maintenance.
                     laps.lap(&mut self.breakdown, InsertStep::Search);
-                    self.flush_cached_leaf(&mut cached, &mut laps)?;
-                    let (path, node) = self.descend(key)?;
+                    self.flush_cached_leaf(&mut cursor, &mut cached, &mut laps)?;
+                    let (path, node) = self.descend(&mut cursor, key)?;
                     cached = Some(CachedLeaf { path, node, dirty: false, witness: key, max: None });
                 }
                 laps.lap(&mut self.breakdown, InsertStep::Search);
 
                 let c = cached.as_mut().expect("cached leaf just resolved");
                 let prior_count = c.node.header.count;
-                if self.try_insert_into(&mut c.node, key, value)? {
+                if self.try_insert_into(&mut cursor, &mut c.node, key, value)? {
                     laps.lap(&mut self.breakdown, InsertStep::Insert);
                     if c.node.header.count != prior_count {
                         // The updated occupancy and cost-model statistics
@@ -755,12 +778,12 @@ impl IndexWrite for AlexIndex {
                 // node's deferred header write is dropped with it, and the
                 // failed fill attempt's reads are part of the SMO's cost.
                 let c = cached.take().expect("cached leaf just resolved");
-                self.smo(&c.path, c.node)?;
+                self.smo(&mut cursor, &c.path, c.node)?;
                 laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             self.breakdown.finish_insert();
         }
-        self.flush_cached_leaf(&mut cached, &mut laps)
+        self.flush_cached_leaf(&mut cursor, &mut cached, &mut laps)
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {

@@ -27,7 +27,9 @@
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
+use lidx_storage::{
+    AccessClass, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint,
+};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 16;
@@ -166,13 +168,9 @@ pub struct DataNode {
 }
 
 impl DataNode {
-    /// Reads the header of the data node at `start` (one block read).
-    pub fn load(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        Self::load_with(&mut disk.cursor(), file, start)
-    }
-
-    /// [`DataNode::load`] through a walk's cursor.
-    pub fn load_with(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
+    /// Reads the header of the data node at `start` through the
+    /// operation's cursor (one block read).
+    pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
         let buf = cursor.read(file, start, BlockKind::Leaf)?;
         Self::from_header_bytes(file, start, buf)
     }
@@ -181,13 +179,6 @@ impl DataNode {
     /// delivered by a read-queue completion wave), avoiding a second read.
     pub fn from_header_bytes(file: u32, start: BlockId, buf: &[u8]) -> IndexResult<Self> {
         Ok(DataNode { file, start, header: DataHeader::decode(buf)? })
-    }
-
-    /// [`DataNode::load`] tagged as part of a scan stream: used when a range
-    /// scan follows the sibling chain into the next data node.
-    pub fn load_scan(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = disk.read_ref_scan(file, start, BlockKind::Leaf)?;
-        Ok(DataNode { file, start, header: DataHeader::decode(&buf)? })
     }
 
     /// The extent geometry implied by the header.
@@ -201,9 +192,9 @@ impl DataNode {
     }
 
     /// Persists the header (one block write).
-    pub fn write_header(&self, disk: &Disk) -> IndexResult<()> {
-        let buf = self.header.encode(disk.block_size())?;
-        disk.write(self.file, self.start, BlockKind::Leaf, &buf)?;
+    pub fn write_header(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
+        let buf = self.header.encode(cursor.disk().block_size())?;
+        cursor.write(self.file, self.start, BlockKind::Leaf, &buf)?;
         Ok(())
     }
 
@@ -219,14 +210,10 @@ impl DataNode {
         self.slot_block(slot, disk).0
     }
 
-    /// Reads the slot at `slot` (entry may be a gap duplicate).
-    pub fn read_slot(&self, disk: &Disk, slot: u32) -> IndexResult<Entry> {
-        self.read_slot_with(&mut disk.cursor(), slot)
-    }
-
-    /// [`DataNode::read_slot`] through a walk's cursor: the slots a walk
-    /// reads in one block cost one disk read.
-    pub fn read_slot_with(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
+    /// Reads the slot at `slot` (entry may be a gap duplicate) through the
+    /// operation's cursor: the slots a walk reads in one block cost one disk
+    /// read.
+    pub fn read_slot(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
         let (block, idx) = self.slot_block(slot, cursor.disk());
         let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
         let off = idx * SLOT_BYTES;
@@ -236,38 +223,49 @@ impl DataNode {
         ))
     }
 
-    /// Writes the slot at `slot`.
-    pub fn write_slot(&self, disk: &Disk, slot: u32, entry: Entry) -> IndexResult<()> {
-        let (block, idx) = self.slot_block(slot, disk);
-        let mut buf = disk.read_vec(self.file, block, BlockKind::Leaf)?;
+    /// Writes the slot at `slot`: a read-modify-write of its block through
+    /// the operation's cursor.
+    pub fn write_slot(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        slot: u32,
+        entry: Entry,
+    ) -> IndexResult<()> {
+        let (block, idx) = self.slot_block(slot, cursor.disk());
+        let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
         let off = idx * SLOT_BYTES;
         buf[off..off + 8].copy_from_slice(&entry.0.to_le_bytes());
         buf[off + 8..off + 16].copy_from_slice(&entry.1.to_le_bytes());
-        disk.write(self.file, block, BlockKind::Leaf, &buf)?;
+        cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
         Ok(())
     }
 
-    /// Reads the bitmap bit for `slot` (charged as a utility block).
-    pub fn read_bit(&self, disk: &Disk, slot: u32) -> IndexResult<bool> {
-        let bs = disk.block_size();
-        let block = self.start + 1 + slot / (bs as u32 * 8);
-        let buf = disk.read_ref(self.file, block, BlockKind::Utility)?;
-        let bit = (slot as usize) % (bs * 8);
+    /// The bitmap block holding `slot`'s bit (charged as a utility block),
+    /// and the bit's index inside it.
+    fn bit_block(&self, slot: u32, block_size: usize) -> (BlockId, usize) {
+        let bits = block_size * 8;
+        (self.start + 1 + slot / bits as u32, slot as usize % bits)
+    }
+
+    /// Reads the bitmap bit for `slot`: a gap search over one bitmap block
+    /// costs one disk read through the operation's cursor.
+    pub fn read_bit(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<bool> {
+        let (block, bit) = self.bit_block(slot, cursor.disk().block_size());
+        let buf = cursor.read(self.file, block, BlockKind::Utility)?;
         Ok(buf[bit / 8] & (1 << (bit % 8)) != 0)
     }
 
-    /// Sets the bitmap bit for `slot`.
-    pub fn set_bit(&self, disk: &Disk, slot: u32, value: bool) -> IndexResult<()> {
-        let bs = disk.block_size();
-        let block = self.start + 1 + slot / (bs as u32 * 8);
-        let mut buf = disk.read_vec(self.file, block, BlockKind::Utility)?;
-        let bit = (slot as usize) % (bs * 8);
+    /// Sets the bitmap bit for `slot`: a read-modify-write through the
+    /// operation's cursor.
+    pub fn set_bit(&self, cursor: &mut BlockCursor<'_>, slot: u32, value: bool) -> IndexResult<()> {
+        let (block, bit) = self.bit_block(slot, cursor.disk().block_size());
+        let mut buf = cursor.read(self.file, block, BlockKind::Utility)?.to_vec();
         if value {
             buf[bit / 8] |= 1 << (bit % 8);
         } else {
             buf[bit / 8] &= !(1 << (bit % 8));
         }
-        disk.write(self.file, block, BlockKind::Utility, &buf)?;
+        cursor.write(self.file, block, BlockKind::Utility, &buf)?;
         Ok(())
     }
 
@@ -286,7 +284,7 @@ impl DataNode {
             return Ok(0);
         }
         let pred = self.predict(key);
-        let mut at = |s: u32| -> IndexResult<Key> { Ok(self.read_slot_with(cursor, s)?.0) };
+        let mut at = |s: u32| -> IndexResult<Key> { Ok(self.read_slot(cursor, s)?.0) };
 
         let (mut lo, mut hi);
         if at(pred)? >= key {
@@ -350,7 +348,7 @@ impl DataNode {
     /// whether it is the real occurrence or a gap copy. Meaningless when the
     /// node is empty (`header.count == 0`).
     pub fn max_key(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Key> {
-        Ok(self.read_slot_with(cursor, self.header.capacity.saturating_sub(1))?.0)
+        Ok(self.read_slot(cursor, self.header.capacity.saturating_sub(1))?.0)
     }
 
     /// Point lookup. Gap slots duplicate the payload of the real entry they
@@ -364,7 +362,7 @@ impl DataNode {
         if slot >= self.header.capacity {
             return Ok(None);
         }
-        let (k, v) = self.read_slot_with(cursor, slot)?;
+        let (k, v) = self.read_slot(cursor, slot)?;
         Ok((k == key).then_some(v))
     }
 
@@ -372,24 +370,38 @@ impl DataNode {
     /// is overwritten), reading and writing each affected slot block exactly
     /// once — the on-disk equivalent of ALEX's in-memory shift, whose cost is
     /// proportional to the blocks touched rather than the slots moved.
-    pub fn shift_right(&self, disk: &Disk, from: u32, gap: u32) -> IndexResult<()> {
+    pub fn shift_right(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        from: u32,
+        gap: u32,
+    ) -> IndexResult<()> {
         if gap <= from {
             return Ok(());
         }
-        let bs = disk.block_size();
+        let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
         let geo = self.geometry(bs);
-        let base = self.start + 1 + geo.bitmap_blocks;
-        let first_block = from / per_block;
-        let last_block = gap / per_block;
-        let nblocks = last_block - first_block + 1;
-        let mut data = disk.read_extent(self.file, base + first_block, BlockKind::Leaf, nblocks)?;
-        let rel_from = (from - first_block * per_block) as usize * SLOT_BYTES;
-        let rel_gap = (gap - first_block * per_block) as usize * SLOT_BYTES;
-        data.copy_within(rel_from..rel_gap, rel_from + SLOT_BYTES);
+        let first = self.start + 1 + geo.bitmap_blocks + from / per_block;
+        let nblocks = gap / per_block - from / per_block + 1;
+        // The affected slot blocks are one contiguous extent: every block
+        // after the first is a sequential read.
+        let mut data = Vec::with_capacity(nblocks as usize * bs);
         for i in 0..nblocks {
-            let off = i as usize * bs;
-            disk.write(self.file, base + first_block + i, BlockKind::Leaf, &data[off..off + bs])?;
+            let hint = if i == 0 { SeqHint::Auto } else { SeqHint::Sequential };
+            data.extend_from_slice(cursor.read_hinted(
+                self.file,
+                first + i,
+                BlockKind::Leaf,
+                AccessClass::Point,
+                hint,
+            )?);
+        }
+        let rel_from = (from % per_block) as usize * SLOT_BYTES;
+        let rel_gap = (gap - from / per_block * per_block) as usize * SLOT_BYTES;
+        data.copy_within(rel_from..rel_gap, rel_from + SLOT_BYTES);
+        for (i, block) in data.chunks_exact(bs).enumerate() {
+            cursor.write(self.file, first + i as u32, BlockKind::Leaf, block)?;
         }
         Ok(())
     }
@@ -403,13 +415,13 @@ impl DataNode {
     /// depth > 1 a miss also prefetches the blocks that follow it.
     pub fn scan_slots(
         &self,
-        disk: &Disk,
+        cursor: &mut BlockCursor<'_>,
         from_slot: u32,
         start: Key,
         limit: usize,
         out: &mut Vec<Entry>,
     ) -> IndexResult<()> {
-        let bs = disk.block_size();
+        let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
         let bits_per_block = (bs * 8) as u32;
         let geo = self.geometry(bs);
@@ -421,20 +433,26 @@ impl DataNode {
             // hold it (charged as a utility block).
             let needed_bitmap = slot / bits_per_block;
             if needed_bitmap != bitmap_block_idx {
-                bitmap_frame = Some(disk.read_ref_scan(
-                    self.file,
-                    self.start + 1 + needed_bitmap,
-                    BlockKind::Utility,
-                )?);
+                bitmap_frame = Some(
+                    cursor
+                        .read_class(
+                            self.file,
+                            self.start + 1 + needed_bitmap,
+                            BlockKind::Utility,
+                            AccessClass::Scan,
+                        )?
+                        .clone(),
+                );
                 bitmap_block_idx = needed_bitmap;
             }
             let bitmap = bitmap_frame.as_deref().expect("bitmap block pinned");
             // Fetch the slot block and walk every slot it contains.
             let slot_block = slot / per_block;
-            let buf = disk.read_ref_scan(
+            let buf = cursor.read_class(
                 self.file,
                 self.start + 1 + geo.bitmap_blocks + slot_block,
                 BlockKind::Leaf,
+                AccessClass::Scan,
             )?;
             let block_end = ((slot_block + 1) * per_block).min(self.header.capacity);
             while slot < block_end && out.len() < limit {
@@ -459,8 +477,12 @@ impl DataNode {
 
     /// Collects all real entries in key order (bitmap-guided; used by scans,
     /// SMOs and tests).
-    pub fn collect_entries(&self, disk: &Disk, out: &mut Vec<Entry>) -> IndexResult<()> {
-        self.scan_slots(disk, 0, Key::MIN, usize::MAX, out)?;
+    pub fn collect_entries(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        out: &mut Vec<Entry>,
+    ) -> IndexResult<()> {
+        self.scan_slots(cursor, 0, Key::MIN, usize::MAX, out)?;
         debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "slots must be strictly increasing");
         Ok(())
     }
@@ -568,7 +590,8 @@ impl DataNode {
                 num_lookups: 0,
             },
         };
-        node.write_header(disk)?;
+        let buf = node.header.encode(bs)?;
+        disk.write(file, start, BlockKind::Leaf, &buf)?;
         Ok(node)
     }
 }
@@ -703,9 +726,15 @@ impl InnerNode {
         ChildPtr::unpack(u64::from_le_bytes(buf[offset..offset + 8].try_into().unwrap()))
     }
 
-    /// Overwrites the child pointer at `idx`.
-    pub fn set_child(&self, disk: &Disk, idx: u32, ptr: ChildPtr) -> IndexResult<()> {
-        let bs = disk.block_size();
+    /// Overwrites the child pointer at `idx`: a read-modify-write through
+    /// the operation's cursor.
+    pub fn set_child(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        idx: u32,
+        ptr: ChildPtr,
+    ) -> IndexResult<()> {
+        let bs = cursor.disk().block_size();
         let in_first = Self::ptrs_in_first_block(bs) as u32;
         let (block, offset) = if idx < in_first {
             (self.start, INNER_HEADER_BYTES + idx as usize * 8)
@@ -714,9 +743,9 @@ impl InnerNode {
             let per_block = (bs / 8) as u32;
             (self.start + 1 + rest / per_block, ((rest % per_block) as usize) * 8)
         };
-        let mut buf = disk.read_vec(self.file, block, BlockKind::Inner)?;
+        let mut buf = cursor.read(self.file, block, BlockKind::Inner)?.to_vec();
         buf[offset..offset + 8].copy_from_slice(&ptr.pack().to_le_bytes());
-        disk.write(self.file, block, BlockKind::Inner, &buf)?;
+        cursor.write(self.file, block, BlockKind::Inner, &buf)?;
         Ok(())
     }
 }
@@ -786,7 +815,7 @@ mod tests {
         let node = build_data(&d, &entries, 800);
         assert_eq!(node.header.count, 500);
         // Header survives a reload.
-        let reloaded = DataNode::load(&d, node.file, node.start).unwrap();
+        let reloaded = DataNode::load(&mut d.cursor(), node.file, node.start).unwrap();
         assert_eq!(reloaded.header, node.header);
         for &(k, v) in entries.iter().step_by(17) {
             assert_eq!(node.lookup(&mut d.cursor(), k).unwrap(), Some(v), "key {k}");
@@ -802,8 +831,39 @@ mod tests {
         let entries: Vec<Entry> = (0..300u64).map(|i| (i * i + 1, i)).collect();
         let node = build_data(&d, &entries, 512);
         let mut out = Vec::new();
-        node.collect_entries(&d, &mut out).unwrap();
+        node.collect_entries(&mut d.cursor(), &mut out).unwrap();
         assert_eq!(out, entries);
+    }
+
+    /// A shift moves the slots right by one across block boundaries, reads
+    /// each affected slot block once — the first at a seek, the rest as the
+    /// sequential extent they are, even past a pool hit — and writes each
+    /// once.
+    #[test]
+    fn shift_right_reads_and_writes_each_block_once() {
+        let model = lidx_storage::DeviceModel::custom("t", 100, 10, 7);
+        let d = Disk::in_memory(DiskConfig::with_block_size(512).device(model).buffer_blocks(8));
+        let entries: Vec<Entry> = (0..90u64).map(|i| (i * 5 + 1, i)).collect();
+        let node = build_data(&d, &entries, 128);
+        let slots = |d: &Disk| -> Vec<Entry> {
+            (0..128).map(|s| node.read_slot(&mut d.cursor(), s).unwrap()).collect()
+        };
+        let before = slots(&d);
+        // Slots 10..70 span the first three of the four 32-slot blocks; only
+        // the middle one is pooled.
+        let (first, _) = node.slot_block(10, &d);
+        d.clear_buffer();
+        d.read_ref(node.file, first + 1, BlockKind::Leaf).unwrap();
+        d.stats().reset();
+        d.reset_access_state();
+        node.shift_right(&mut d.cursor(), 10, 70).unwrap();
+        let s = d.snapshot();
+        assert_eq!((s.reads(), s.buffer_hits, s.writes()), (2, 1, 3));
+        assert_eq!(s.device_ns, 100 + 7 + 3 * 10, "a seek, then a sequential read");
+        let after = slots(&d);
+        assert_eq!(after[..=10], before[..=10]);
+        assert_eq!(after[11..=70], before[10..70]);
+        assert_eq!(after[71..], before[71..]);
     }
 
     #[test]
@@ -813,14 +873,14 @@ mod tests {
         let node = build_data(&d, &entries, 128);
         let mut occupied = 0;
         for s in 0..node.header.capacity {
-            if node.read_bit(&d, s).unwrap() {
+            if node.read_bit(&mut d.cursor(), s).unwrap() {
                 occupied += 1;
             }
         }
         assert_eq!(occupied, 50);
         // Toggling a bit round-trips.
-        node.set_bit(&d, 5, true).unwrap();
-        assert!(node.read_bit(&d, 5).unwrap());
+        node.set_bit(&mut d.cursor(), 5, true).unwrap();
+        assert!(node.read_bit(&mut d.cursor(), 5).unwrap());
     }
 
     #[test]
@@ -833,10 +893,10 @@ mod tests {
             // Every slot before lb holds a key < probe and lb (if valid) holds
             // a key >= probe.
             if lb < node.header.capacity {
-                assert!(node.read_slot(&d, lb).unwrap().0 >= probe);
+                assert!(node.read_slot(&mut d.cursor(), lb).unwrap().0 >= probe);
             }
             if lb > 0 {
-                assert!(node.read_slot(&d, lb - 1).unwrap().0 < probe);
+                assert!(node.read_slot(&mut d.cursor(), lb - 1).unwrap().0 < probe);
             }
         }
     }
@@ -848,7 +908,7 @@ mod tests {
         assert_eq!(node.header.count, 0);
         assert_eq!(node.lookup(&mut d.cursor(), 5).unwrap(), None);
         let mut out = Vec::new();
-        node.collect_entries(&d, &mut out).unwrap();
+        node.collect_entries(&mut d.cursor(), &mut out).unwrap();
         assert!(out.is_empty());
     }
 
@@ -876,7 +936,7 @@ mod tests {
         assert_eq!(reloaded.child_index(1_000_000), 199, "predictions clamp to the last child");
 
         let new_ptr = ChildPtr { is_data: true, block: 9999 };
-        reloaded.set_child(&d, 150, new_ptr).unwrap();
+        reloaded.set_child(&mut d.cursor(), 150, new_ptr).unwrap();
         assert_eq!(reloaded.child_at(&mut d.cursor(), 150).unwrap(), new_ptr);
         assert_eq!(reloaded.child_at(&mut d.cursor(), 149).unwrap(), children[149]);
     }

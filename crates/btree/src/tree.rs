@@ -7,7 +7,8 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_storage::{
-    AccessClass, BlockId, BlockKind, BlockRef, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
+    AccessClass, BlockCursor, BlockId, BlockKind, BlockRef, BlockWriter, Disk, OpClass, SeqHint,
+    INVALID_BLOCK,
 };
 
 use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
@@ -185,13 +186,14 @@ impl BTreeIndex {
     }
 
     /// Descends from the root to the leaf covering `key` and returns the
-    /// leaf's block id, routing through an [`InnerView`] of each pinned inner
-    /// block. `visit` sees every step — the inner block, the child index
-    /// chosen and the node — so the callers that need more than the leaf
-    /// (the insert path, the upper separator) collect it without a second
-    /// copy of the walk.
+    /// leaf's block id, routing through an [`InnerView`] of each inner block
+    /// pinned through `cursor`. `visit` sees every step — the inner block,
+    /// the child index chosen and the node — so the callers that need more
+    /// than the leaf (the insert path, the upper separator) collect it
+    /// without a second copy of the walk.
     fn descend_with(
         &self,
+        cursor: &mut BlockCursor<'_>,
         key: Key,
         mut visit: impl FnMut(BlockId, usize, &InnerView<'_>),
     ) -> IndexResult<BlockId> {
@@ -200,8 +202,7 @@ impl BTreeIndex {
         }
         let mut current = self.root;
         for _ in 1..self.height {
-            let frame = self.disk.read_ref(self.file, current, BlockKind::Inner)?;
-            let node = InnerView::new(&frame)?;
+            let node = InnerView::new(cursor.read(self.file, current, BlockKind::Inner)?)?;
             let idx = node.child_for(key);
             visit(current, idx, &node);
             current = node.child(idx);
@@ -211,14 +212,15 @@ impl BTreeIndex {
 
     /// The read-only descent: the block id of the leaf covering `key`.
     fn find_leaf(&self, key: Key) -> IndexResult<BlockId> {
-        self.descend_with(key, |_, _, _| {})
+        self.descend_with(&mut self.disk.cursor(), key, |_, _, _| {})
     }
 
     /// The insert-path descent: additionally returns the path of `(inner
     /// block, child index chosen)` pairs a split propagates along.
     fn descend(&self, key: Key) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
         let mut path = Vec::with_capacity(self.height as usize);
-        let leaf = self.descend_with(key, |block, idx, _| path.push((block, idx)))?;
+        let leaf = self
+            .descend_with(&mut self.disk.cursor(), key, |block, idx, _| path.push((block, idx)))?;
         Ok((path, leaf))
     }
 
@@ -228,9 +230,13 @@ impl BTreeIndex {
     /// separator routes to the same leaf, so a sorted batch can group keys
     /// per leaf *without reading the leaf*, which is what lets the batch
     /// path fetch whole leaves through one outstanding-read queue.
-    fn descend_bounded(&self, key: Key) -> IndexResult<(BlockId, Option<Key>)> {
+    fn descend_bounded(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        key: Key,
+    ) -> IndexResult<(BlockId, Option<Key>)> {
         let mut upper = None;
-        let leaf = self.descend_with(key, |_, idx, node| {
+        let leaf = self.descend_with(cursor, key, |_, idx, node| {
             if idx < node.len() {
                 upper = Some(node.key(idx));
             }
@@ -407,13 +413,16 @@ impl IndexRead for BTreeIndex {
         }
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        // Each group is a leaf and the end of its run of `order`.
+        // Each group is a leaf and the end of its run of `order`. One cursor
+        // routes the whole batch: a descent that starts on the inner block
+        // the previous one ended on re-reads nothing.
         let mut groups: Vec<(BlockId, usize)> = Vec::new();
         let mut bound: Option<Key> = None;
+        let mut cursor = self.disk.cursor();
         for (at, &i) in order.iter().enumerate() {
             let key = keys[i as usize];
             if groups.is_empty() || bound.is_some_and(|b| key >= b) {
-                let (leaf_block, upper) = self.descend_bounded(key)?;
+                let (leaf_block, upper) = self.descend_bounded(&mut cursor, key)?;
                 bound = upper;
                 // A gap key can re-route to the group's own leaf.
                 if groups.last().map(|&(b, _)| b) != Some(leaf_block) {
@@ -448,8 +457,8 @@ impl IndexRead for BTreeIndex {
     /// Batched scans execute the ranges in ascending start-key order (the
     /// results stay positional): adjacent ranges then walk the leaf chain as
     /// one mostly-forward block stream, which the device cost model prices
-    /// as sequential reads and the reuse slot / buffer pool serve without
-    /// re-fetching a shared boundary leaf.
+    /// as sequential reads and the buffer pool serves without re-fetching a
+    /// shared boundary leaf.
     fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
         out.clear();
         out.resize_with(ranges.len(), Vec::new);
@@ -889,9 +898,7 @@ mod tests {
         // deployment would), so the comparison isolates the leaf fetches —
         // the part the outstanding-I/O engine overlaps.
         let model = lidx_storage::DeviceModel::ssd();
-        let config = || {
-            DiskConfig::with_block_size(512).device(model).buffer_blocks(64).reuse_last_block(true)
-        };
+        let config = || DiskConfig::with_block_size(512).device(model).buffer_blocks(64);
         let mut expected = Vec::new();
         let mut t1 = BTreeIndex::new(Disk::in_memory(config())).unwrap();
         t1.bulk_load(&data).unwrap();

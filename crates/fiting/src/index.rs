@@ -257,8 +257,7 @@ impl FitingTree {
     /// whole batch are prefetched in one submission wave, and finally each
     /// probe is resolved exactly as [`IndexRead::lookup`] would — its reads
     /// consume the parked frames. The routing pass and the resolve pass each
-    /// read through a cursor of their own: the wave between them moves the
-    /// disk's reuse slot.
+    /// read through a cursor of their own.
     fn lookup_batch_queued(
         &self,
         keys: &[Key],

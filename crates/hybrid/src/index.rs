@@ -153,7 +153,7 @@ impl IndexRead for HybridIndex {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        let leaf = self.inner.find_leaf(key)?;
+        let leaf = self.inner.find_leaf(&mut self.disk.cursor(), key)?;
         self.leaves.lookup_in(leaf, key)
     }
 
@@ -175,15 +175,18 @@ impl IndexRead for HybridIndex {
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
         // Each group is a leaf block and the end of its run of `order`; the
-        // group takes every key below the next leaf's boundary.
+        // group takes every key below the next leaf's boundary. One cursor
+        // routes the whole batch: a descent that starts on the directory
+        // block the previous one ended on re-reads nothing.
         let mut groups: Vec<(BlockId, usize)> = Vec::new();
         let mut bound: Option<Key> = None;
+        let mut cursor = self.disk.cursor();
         for (at, &i) in order.iter().enumerate() {
             let key = keys[i as usize];
             if groups.is_empty() || bound.is_some_and(|b| key >= b) {
                 let idx = self.boundaries.partition_point(|&(b, _)| b <= key).saturating_sub(1);
                 bound = self.boundaries.get(idx + 1).map(|&(b, _)| b);
-                groups.push((self.inner.find_leaf(key)?, at));
+                groups.push((self.inner.find_leaf(&mut cursor, key)?, at));
             }
             groups.last_mut().expect("group exists").1 = at + 1;
         }
@@ -208,7 +211,7 @@ impl IndexRead for HybridIndex {
         if count == 0 {
             return Ok(0);
         }
-        let leaf = self.inner.find_leaf(start)?;
+        let leaf = self.inner.find_leaf(&mut self.disk.cursor(), start)?;
         self.leaves.scan_from(leaf, start, count, out)
     }
 
@@ -273,7 +276,7 @@ impl IndexWrite for HybridIndex {
             let leaf = if directory_stale {
                 self.boundaries[upper_pos.saturating_sub(1)].1
             } else {
-                self.inner.find_leaf(key)?
+                self.inner.find_leaf(&mut self.disk.cursor(), key)?
             };
             let frame = self.leaves.pin(leaf)?;
             laps.lap(&mut self.breakdown, InsertStep::Search);

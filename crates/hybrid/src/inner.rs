@@ -30,8 +30,9 @@ pub trait InnerDirectory {
 
     /// Returns the leaf block covering `key`: the entry with the greatest
     /// boundary `<= key`, or the first leaf when `key` precedes every
-    /// boundary.
-    fn find_leaf(&self, key: Key) -> IndexResult<BlockId>;
+    /// boundary. Every directory block is read through the operation's
+    /// `cursor`, so a batch that routes several keys re-reads nothing.
+    fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId>;
 
     /// Number of on-disk nodes (blocks for the PLA directory).
     fn node_count(&self) -> u64;
@@ -134,6 +135,7 @@ impl PlaInner {
     /// a slot-by-slot walk of the window would read.
     fn floor_in_window<const STRIDE: usize, T>(
         &self,
+        cursor: &mut BlockCursor<'_>,
         first_block: u32,
         per_block: usize,
         (lo, hi): (u64, u64),
@@ -145,11 +147,10 @@ impl PlaInner {
         let mut idx = lo;
         while idx <= hi {
             let block = idx / per;
-            let frame =
-                self.disk.read_ref(self.file, first_block + block as u32, BlockKind::Inner)?;
+            let frame = cursor.read(self.file, first_block + block as u32, BlockKind::Inner)?;
             let from = (idx % per) as usize;
             let until = (hi - block * per).min(per - 1) as usize;
-            let slots = SlotTable::<STRIDE>::new(&frame, from * STRIDE, until + 1 - from)?;
+            let slots = SlotTable::<STRIDE>::new(frame, from * STRIDE, until + 1 - from)?;
             let below = slots.partition_point(|k| k <= key);
             if let Some(i) = below.checked_sub(1) {
                 best = Some(decode(slots.slot(i)));
@@ -169,9 +170,16 @@ impl PlaInner {
     }
 
     /// Searches one on-disk record level for the record covering `key`.
-    fn search_level(&self, level: &PlaLevel, key: Key, predicted: u64) -> IndexResult<PlaRecord> {
-        let floor_in = |window, key| {
+    fn search_level(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        level: &PlaLevel,
+        key: Key,
+        predicted: u64,
+    ) -> IndexResult<PlaRecord> {
+        let mut floor_in = |window, key| {
             self.floor_in_window(
+                cursor,
                 level.first_block,
                 self.records_per_block(),
                 window,
@@ -264,18 +272,19 @@ impl InnerDirectory for PlaInner {
         Ok(())
     }
 
-    fn find_leaf(&self, key: Key) -> IndexResult<BlockId> {
+    fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
         if self.boundaries == 0 {
             return Err(IndexError::NotInitialized);
         }
         let mut rec = self.root.ok_or(IndexError::NotInitialized)?;
         for level in self.levels.iter().rev() {
             let predicted = rec.predict(key).min(level.records - 1);
-            rec = self.search_level(level, key, predicted)?;
+            rec = self.search_level(cursor, level, key, predicted)?;
         }
         // Search the base level inside the ε window.
         let predicted = rec.predict(key).min(self.boundaries - 1);
         let leaf = self.floor_in_window(
+            cursor,
             self.base_first_block,
             self.entries_per_block(),
             self.window(predicted, self.boundaries),
@@ -492,12 +501,12 @@ impl InnerDirectory for ModelTreeInner {
         Ok(())
     }
 
-    fn find_leaf(&self, key: Key) -> IndexResult<BlockId> {
+    fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
         if !self.built {
             return Err(IndexError::NotInitialized);
         }
         let mut budget = self.nodes;
-        let found = self.find_in(&mut self.disk.cursor(), self.root, key, &mut budget)?;
+        let found = self.find_in(cursor, self.root, key, &mut budget)?;
         Ok(found.unwrap_or(self.first_leaf))
     }
 
@@ -519,47 +528,48 @@ mod tests {
         (0..n).map(|i| (i * stride + 5, (i + 100) as u32)).collect()
     }
 
-    fn check_floor(dir: &dyn InnerDirectory, bounds: &[Boundary]) {
+    fn check_floor(disk: &Disk, dir: &dyn InnerDirectory, bounds: &[Boundary]) {
+        let find = |key| dir.find_leaf(&mut disk.cursor(), key).unwrap();
         // Exact boundary keys route to their own leaf.
         for &(k, blk) in bounds.iter().step_by(13) {
-            assert_eq!(dir.find_leaf(k).unwrap(), blk, "boundary {k}");
+            assert_eq!(find(k), blk, "boundary {k}");
         }
         // Keys inside a leaf's range route to that leaf.
         for w in bounds.windows(2).step_by(17) {
             let probe = w[0].0 + (w[1].0 - w[0].0) / 2;
-            assert_eq!(dir.find_leaf(probe).unwrap(), w[0].1, "probe {probe}");
+            assert_eq!(find(probe), w[0].1, "probe {probe}");
         }
         // Keys beyond the last boundary route to the last leaf; keys before
         // the first boundary route to the first leaf.
-        assert_eq!(dir.find_leaf(u64::MAX).unwrap(), bounds.last().unwrap().1);
-        assert_eq!(dir.find_leaf(0).unwrap(), bounds[0].1);
+        assert_eq!(find(u64::MAX), bounds.last().unwrap().1);
+        assert_eq!(find(0), bounds[0].1);
     }
 
     #[test]
     fn pla_inner_floor_lookups() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = PlaInner::new(disk, 8).unwrap();
+        let mut dir = PlaInner::new(Arc::clone(&disk), 8).unwrap();
         let bounds = boundaries(5_000, 37);
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() > 0);
         assert!(dir.height() >= 2);
-        check_floor(&dir, &bounds);
+        check_floor(&disk, &dir, &bounds);
     }
 
     #[test]
     fn model_tree_inner_floor_lookups() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(disk, 2).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
         let bounds = boundaries(5_000, 37);
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() >= 1);
-        check_floor(&dir, &bounds);
+        check_floor(&disk, &dir, &bounds);
     }
 
     #[test]
     fn model_tree_handles_clustered_boundaries() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(disk, 2).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
         let mut bounds: Vec<Boundary> = Vec::new();
         for c in 0..50u64 {
             for i in 0..40u64 {
@@ -568,7 +578,7 @@ mod tests {
         }
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() > 1, "clustered boundaries must create child nodes");
-        check_floor(&dir, &bounds);
+        check_floor(&disk, &dir, &bounds);
     }
 
     #[test]
@@ -578,7 +588,7 @@ mod tests {
         let bounds = boundaries(2_000, 11);
         dir.rebuild(&bounds).unwrap();
         disk.stats().reset();
-        dir.find_leaf(bounds[777].0 + 1).unwrap();
+        dir.find_leaf(&mut disk.cursor(), bounds[777].0 + 1).unwrap();
         assert!(disk.stats().reads_of(BlockKind::Inner) > 0);
         assert_eq!(disk.stats().reads_of(BlockKind::Leaf), 0);
     }
@@ -675,7 +685,7 @@ mod tests {
                 .chain([0, first / 2, first, Key::MAX]);
             for probe in probes {
                 let floor = bounds.partition_point(|&(b, _)| b <= probe).saturating_sub(1);
-                let (leaf, reads, device_ns, _) = cold(&disk, || dir.find_leaf(probe).unwrap());
+                let (leaf, reads, device_ns, _) = cold(&disk, || dir.find_leaf(&mut disk.cursor(), probe).unwrap());
                 let reference = cold(&disk, || find_leaf_slot_by_slot(&dir, probe));
                 prop_assert_eq!(leaf, bounds[floor].1, "probe {}", probe);
                 prop_assert_eq!(
@@ -708,7 +718,8 @@ mod tests {
         assert!(!dir.levels.is_empty(), "the directory must have an on-disk record level");
         let levels = dir.levels.len() as u64 + 1;
         for &(k, blk) in bounds.iter().step_by(997) {
-            let (leaf, _, _, pinned) = cold(&disk, || dir.find_leaf(k + 1).unwrap());
+            let (leaf, _, _, pinned) =
+                cold(&disk, || dir.find_leaf(&mut disk.cursor(), k + 1).unwrap());
             assert_eq!(leaf, blk);
             assert!(pinned <= 2 * levels + 2, "{pinned} frames pinned over {levels} levels");
             let (_, _, _, walked) = cold(&disk, || find_leaf_slot_by_slot(&dir, k + 1));
@@ -738,14 +749,20 @@ mod tests {
                 forge(&disk, mt.file, mt.root + 1, off + 8, 0);
                 forge(&disk, mt.file, mt.root + 1, off + 16, beyond);
             }
-            assert!(matches!(mt.find_leaf(10), Err(IndexError::Internal(_))), "tag {tag}");
+            assert!(
+                matches!(mt.find_leaf(&mut disk.cursor(), 10), Err(IndexError::Internal(_))),
+                "tag {tag}"
+            );
         }
 
         let mut pla = PlaInner::new(Arc::clone(&disk), 8).unwrap();
         let bounds = boundaries(100, 37);
         pla.rebuild(&bounds).unwrap();
         forge(&disk, pla.file, pla.base_first_block, 8, beyond);
-        assert!(matches!(pla.find_leaf(bounds[0].0), Err(IndexError::Internal(_))));
+        assert!(matches!(
+            pla.find_leaf(&mut disk.cursor(), bounds[0].0),
+            Err(IndexError::Internal(_))
+        ));
     }
 
     #[test]
@@ -765,7 +782,7 @@ mod tests {
         // On its own thread with a deadline, so a search that never returns
         // fails the test instead of hanging it.
         let (done, result) = std::sync::mpsc::channel();
-        let search = std::thread::spawn(move || done.send(mt.find_leaf(10)));
+        let search = std::thread::spawn(move || done.send(mt.find_leaf(&mut disk.cursor(), 10)));
         let found = result
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("the search never returned");
@@ -777,8 +794,8 @@ mod tests {
     fn directories_refuse_lookups_before_rebuild() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
         let pla = PlaInner::new(Arc::clone(&disk), 8).unwrap();
-        assert!(pla.find_leaf(1).is_err());
-        let mt = ModelTreeInner::new(disk, 2).unwrap();
-        assert!(mt.find_leaf(1).is_err());
+        assert!(pla.find_leaf(&mut disk.cursor(), 1).is_err());
+        let mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        assert!(mt.find_leaf(&mut disk.cursor(), 1).is_err());
     }
 }

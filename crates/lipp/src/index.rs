@@ -157,6 +157,7 @@ impl LippIndex {
     /// slot described by `parent` or the root.
     fn rebuild_subtree(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         node: &LippNode,
         parent: Option<(&LippNode, u32)>,
     ) -> IndexResult<()> {
@@ -170,16 +171,13 @@ impl LippIndex {
         let mut entries = Vec::new();
         // Subtract the nodes that are about to disappear.
         let mut removed = 0u64;
-        {
-            let mut cursor = self.disk.cursor();
-            node.collect_subtree(&mut cursor, &mut entries)?;
-            count_nodes(&mut cursor, node, &mut removed)?;
-            node.free_subtree(&mut cursor)?;
-        }
+        node.collect_subtree(cursor, &mut entries)?;
+        count_nodes(cursor, node, &mut removed)?;
+        node.free_subtree(cursor)?;
         self.node_count -= removed;
         let new_block = self.build_subtree(&entries, 0)?;
         match parent {
-            Some((p, slot)) => p.write_slot(&self.disk, slot, Slot::Child(new_block))?,
+            Some((p, slot)) => p.write_slot(cursor, slot, Slot::Child(new_block))?,
             None => self.root = new_block,
         }
         Ok(())
@@ -194,6 +192,7 @@ impl LippIndex {
     /// the device head on the deepest ancestor (the usual rebuild target).
     fn flush_dirty_headers(
         &mut self,
+        cursor: &mut BlockCursor<'_>,
         nodes: &std::collections::HashMap<BlockId, LippNode>,
         dirty: &mut Vec<BlockId>,
         laps: &mut StepLaps,
@@ -201,7 +200,7 @@ impl LippIndex {
         let mut written = std::collections::HashSet::new();
         for b in dirty.drain(..) {
             if let (true, Some(node)) = (written.insert(b), nodes.get(&b)) {
-                node.write_header(&self.disk)?;
+                node.write_header(cursor)?;
             }
         }
         laps.lap(&mut self.breakdown, InsertStep::Maintenance);
@@ -220,7 +219,7 @@ impl LippIndex {
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
         self.spend(budget)?;
-        LippNode::load_with(cursor, self.file, block, class)
+        LippNode::load(cursor, self.file, block, class)
     }
 
     /// Takes one node from a read walk's `budget` (see [`LippIndex::visit`]).
@@ -246,8 +245,8 @@ impl LippIndex {
 fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, acc: &mut u64) -> IndexResult<()> {
     *acc += 1;
     for slot in 0..node.header.capacity {
-        if let Slot::Child(b) = node.read_slot_with(cursor, slot, AccessClass::Point)? {
-            let child = LippNode::load_with(cursor, node.file, b, AccessClass::Point)?;
+        if let Slot::Child(b) = node.read_slot(cursor, slot, AccessClass::Point)? {
+            let child = LippNode::load(cursor, node.file, b, AccessClass::Point)?;
             count_nodes(cursor, &child, acc)?;
         }
     }
@@ -271,7 +270,7 @@ impl IndexRead for LippIndex {
         let mut budget = self.node_count;
         let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
         loop {
-            match node.read_slot_with(&mut cursor, node.predict(key), AccessClass::Point)? {
+            match node.read_slot(&mut cursor, node.predict(key), AccessClass::Point)? {
                 Slot::Null => return Ok(None),
                 Slot::Data(k, v) => return Ok((k == key).then_some(v)),
                 Slot::Child(b) => {
@@ -341,15 +340,14 @@ impl IndexRead for LippIndex {
             }
             q.flush()?;
 
-            // Resolve the level; probes that hit a child pointer go another
-            // round. The cursor starts after the waves, whose completions
-            // the disk's reuse slot sees.
+            // Resolve the level through a cursor; probes that hit a child
+            // pointer go another round.
             let mut next = Vec::new();
             let mut cursor = self.disk.cursor();
             for (i, b) in active {
                 let node = &nodes[&b];
                 let slot = node.predict(keys[i as usize]);
-                match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
+                match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
                     Slot::Child(child) => next.push((i, child)),
@@ -379,7 +377,7 @@ impl IndexRead for LippIndex {
         let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
         loop {
             let slot = node.predict(start);
-            match node.read_slot_with(&mut cursor, slot, AccessClass::Point)? {
+            match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
                 Slot::Child(b) => {
                     stack.push((node, slot + 1));
                     node = self.visit(&mut cursor, b, AccessClass::Point, &mut budget)?;
@@ -398,7 +396,7 @@ impl IndexRead for LippIndex {
                 if out.len() >= count {
                     break 'outer;
                 }
-                match node.read_slot_with(&mut cursor, idx, AccessClass::Scan)? {
+                match node.read_slot(&mut cursor, idx, AccessClass::Scan)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => {
                         if k >= start {
@@ -465,18 +463,26 @@ impl IndexWrite for LippIndex {
         let mut dirty: Vec<BlockId> = Vec::new();
 
         let mut laps = StepLaps::start(&self.disk);
+        // One cursor carries the batch's every read and write: a slot's
+        // read-modify-write re-reads the block its search just read.
+        let disk = Arc::clone(&self.disk);
+        let mut cursor = disk.cursor();
         for &(key, value) in entries {
             // Descend through the cache (in-memory headers authoritative),
-            // remembering the path for the statistics maintenance pass.
+            // remembering the path for the statistics maintenance pass. A
+            // descent visits each node at most once, so one past the node
+            // count means a child pointer is cyclic.
             let mut path: Vec<(BlockId, u32)> = Vec::new();
             let mut block = self.root;
+            let mut budget = self.node_count;
             let (slot_content, slot, leaf) = loop {
+                self.spend(&mut budget)?;
                 if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
-                    e.insert(LippNode::load(&self.disk, self.file, block)?);
+                    e.insert(LippNode::load(&mut cursor, self.file, block, AccessClass::Point)?);
                 }
                 let node = &nodes[&block];
                 let slot = node.predict(key);
-                match node.read_slot(&self.disk, slot)? {
+                match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
                     Slot::Child(b) => {
                         path.push((block, slot));
                         block = b;
@@ -490,13 +496,13 @@ impl IndexWrite for LippIndex {
             match slot_content {
                 Slot::Data(k, _) if k == key => {
                     // Upsert in place: no statistics change.
-                    nodes[&leaf].write_slot(&self.disk, slot, Slot::Data(key, value))?;
+                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Data(key, value))?;
                     laps.lap(&mut self.breakdown, InsertStep::Insert);
                     self.breakdown.finish_insert();
                     continue;
                 }
                 Slot::Null => {
-                    nodes[&leaf].write_slot(&self.disk, slot, Slot::Data(key, value))?;
+                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Data(key, value))?;
                     nodes.get_mut(&leaf).expect("cached").header.data_count += 1;
                     laps.lap(&mut self.breakdown, InsertStep::Insert);
                 }
@@ -512,7 +518,7 @@ impl IndexWrite for LippIndex {
                     let mut pair = [(k0, v0), (key, value)];
                     pair.sort_unstable_by_key(|e| e.0);
                     let child = self.build_subtree(&pair, 0)?;
-                    nodes[&leaf].write_slot(&self.disk, slot, Slot::Child(child))?;
+                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Child(child))?;
                     let header = &mut nodes.get_mut(&leaf).expect("cached").header;
                     header.data_count -= 1;
                     header.child_count += 1;
@@ -547,7 +553,7 @@ impl IndexWrite for LippIndex {
                 // Flush every deferred header before restructuring, then
                 // drop the cache: the rebuild frees blocks that may be
                 // re-allocated, so no stale handle may survive it.
-                self.flush_dirty_headers(&nodes, &mut dirty, &mut laps)?;
+                self.flush_dirty_headers(&mut cursor, &nodes, &mut dirty, &mut laps)?;
                 if let Some(i) = rebuild_target {
                     let target = nodes[&path[i].0].clone();
                     let parent = if i == 0 {
@@ -555,18 +561,26 @@ impl IndexWrite for LippIndex {
                     } else {
                         Some((nodes[&path[i - 1].0].clone(), path[i - 1].1))
                     };
-                    self.rebuild_subtree(&target, parent.as_ref().map(|(p, s)| (p, *s)))?;
+                    self.rebuild_subtree(
+                        &mut cursor,
+                        &target,
+                        parent.as_ref().map(|(p, s)| (p, *s)),
+                    )?;
                 } else {
                     let target = nodes[&leaf].clone();
                     let parent = path.last().map(|&(b, s)| (nodes[&b].clone(), s));
-                    self.rebuild_subtree(&target, parent.as_ref().map(|(p, s)| (p, *s)))?;
+                    self.rebuild_subtree(
+                        &mut cursor,
+                        &target,
+                        parent.as_ref().map(|(p, s)| (p, *s)),
+                    )?;
                 }
                 nodes.clear();
                 laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             self.breakdown.finish_insert();
         }
-        self.flush_dirty_headers(&nodes, &mut dirty, &mut laps)
+        self.flush_dirty_headers(&mut cursor, &nodes, &mut dirty, &mut laps)
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {
@@ -988,6 +1002,11 @@ mod tests {
         let l = cyclic(Slot::Null, 0, 1);
         let looked_up = within_deadline(move || l.lookup(5));
         assert!(matches!(looked_up, Err(IndexError::Internal(_))), "{looked_up:?}");
+        // So does an insert's descent, which would otherwise also grow its
+        // path without limit.
+        let mut l = cyclic(Slot::Null, 0, 1);
+        let inserted = within_deadline(move || l.insert(5, 5));
+        assert!(matches!(inserted, Err(IndexError::Internal(_))), "{inserted:?}");
         // A batch's lock-step rounds find the root again every round, at
         // either queue depth.
         for depth in [1, 8] {

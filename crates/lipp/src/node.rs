@@ -139,14 +139,10 @@ pub fn blocks_for(capacity: u32, block_size: usize) -> u32 {
 }
 
 impl LippNode {
-    /// Reads the header of the node at `start` (one block read).
-    pub fn load(disk: &Disk, file: u32, start: BlockId) -> IndexResult<Self> {
-        Self::load_with(&mut disk.cursor(), file, start, AccessClass::Point)
-    }
-
-    /// [`LippNode::load`] through a walk's cursor, under `class` (the
-    /// in-order scan reads scan-class).
-    pub fn load_with(
+    /// Reads the header of the node at `start` (one block read) through the
+    /// operation's cursor, under `class` (the in-order scan reads
+    /// scan-class).
+    pub fn load(
         cursor: &mut BlockCursor<'_>,
         file: u32,
         start: BlockId,
@@ -167,10 +163,11 @@ impl LippNode {
         blocks_for(self.header.capacity, block_size)
     }
 
-    /// Persists the header (one block write).
-    pub fn write_header(&self, disk: &Disk) -> IndexResult<()> {
-        let buf = self.header.encode(disk.block_size())?;
-        disk.write(self.file, self.start, BlockKind::Leaf, &buf)?;
+    /// Persists the header (one block write) through the operation's
+    /// cursor.
+    pub fn write_header(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
+        let buf = self.header.encode(cursor.disk().block_size())?;
+        cursor.write(self.file, self.start, BlockKind::Leaf, &buf)?;
         Ok(())
     }
 
@@ -190,14 +187,9 @@ impl LippNode {
         self.slot_location(slot, block_size).0
     }
 
-    /// Reads one slot.
-    pub fn read_slot(&self, disk: &Disk, slot: u32) -> IndexResult<Slot> {
-        self.read_slot_with(&mut disk.cursor(), slot, AccessClass::Point)
-    }
-
-    /// [`LippNode::read_slot`] through a walk's cursor, under `class`: the
+    /// Reads one slot through the operation's cursor, under `class`: the
     /// slots a walk reads in one block cost one disk read.
-    pub fn read_slot_with(
+    pub fn read_slot(
         &self,
         cursor: &mut BlockCursor<'_>,
         slot: u32,
@@ -213,15 +205,21 @@ impl LippNode {
         Slot::decode(raw)
     }
 
-    /// Writes one slot.
-    pub fn write_slot(&self, disk: &Disk, slot: u32, value: Slot) -> IndexResult<()> {
-        let (block, off) = self.slot_location(slot, disk.block_size());
-        let mut buf = disk.read_vec(self.file, block, BlockKind::Leaf)?;
+    /// Writes one slot: a read-modify-write of its block through the
+    /// operation's cursor.
+    pub fn write_slot(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        slot: u32,
+        value: Slot,
+    ) -> IndexResult<()> {
+        let (block, off) = self.slot_location(slot, cursor.disk().block_size());
+        let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
         let raw = value.encode();
         buf[off..off + 8].copy_from_slice(&raw[0].to_le_bytes());
         buf[off + 8..off + 16].copy_from_slice(&raw[1].to_le_bytes());
         buf[off + 16..off + 24].copy_from_slice(&raw[2].to_le_bytes());
-        disk.write(self.file, block, BlockKind::Leaf, &buf)?;
+        cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
         Ok(())
     }
 
@@ -277,7 +275,7 @@ impl LippNode {
                 num_conflicts: 0,
             },
         };
-        node.write_header(disk)?;
+        disk.write(file, start, BlockKind::Leaf, &node.header.encode(bs)?)?;
         Ok(node)
     }
 
@@ -288,11 +286,11 @@ impl LippNode {
         out: &mut Vec<Entry>,
     ) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            match self.read_slot_with(cursor, slot, AccessClass::Point)? {
+            match self.read_slot(cursor, slot, AccessClass::Point)? {
                 Slot::Null => {}
                 Slot::Data(k, v) => out.push((k, v)),
                 Slot::Child(block) => {
-                    let child = LippNode::load_with(cursor, self.file, block, AccessClass::Point)?;
+                    let child = LippNode::load(cursor, self.file, block, AccessClass::Point)?;
                     child.collect_subtree(cursor, out)?;
                 }
             }
@@ -303,14 +301,13 @@ impl LippNode {
     /// Frees this node's extent and, recursively, every descendant's.
     pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            if let Slot::Child(block) = self.read_slot_with(cursor, slot, AccessClass::Point)? {
-                let child = LippNode::load_with(cursor, self.file, block, AccessClass::Point)?;
+            if let Slot::Child(block) = self.read_slot(cursor, slot, AccessClass::Point)? {
+                let child = LippNode::load(cursor, self.file, block, AccessClass::Point)?;
                 child.free_subtree(cursor)?;
             }
         }
-        // A free clears the disk's reuse slot when it names a freed block;
-        // the cursor lets go of its frame too, so it answers no read the
-        // disk would not.
+        // The cursor holds a block of this extent: let go of it before the
+        // extent is freed.
         cursor.release();
         let disk = cursor.disk();
         disk.free(self.file, self.start, self.total_blocks(disk.block_size()));
@@ -371,7 +368,8 @@ mod tests {
         let mut buf = d.read_vec(file, block, BlockKind::Leaf).unwrap();
         buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
         d.write(file, block, BlockKind::Leaf, &buf).unwrap();
-        assert!(matches!(node.read_slot(&d, 2), Err(IndexError::Internal(_))));
+        let read = node.read_slot(&mut d.cursor(), 2, AccessClass::Point);
+        assert!(matches!(read, Err(IndexError::Internal(_))), "{read:?}");
     }
 
     #[test]
@@ -389,15 +387,18 @@ mod tests {
         assert_eq!(node.header.data_count, 2);
         assert_eq!(node.header.child_count, 1);
 
-        let reloaded = LippNode::load(&d, file, start).unwrap();
+        let mut cursor = d.cursor();
+        let reloaded = LippNode::load(&mut cursor, file, start, AccessClass::Point).unwrap();
         assert_eq!(reloaded.header, node.header);
-        assert_eq!(reloaded.read_slot(&d, 3).unwrap(), Slot::Data(30, 31));
-        assert_eq!(reloaded.read_slot(&d, 10).unwrap(), Slot::Child(99));
-        assert_eq!(reloaded.read_slot(&d, 4).unwrap(), Slot::Null);
+        let mut read = |slot| reloaded.read_slot(&mut cursor, slot, AccessClass::Point).unwrap();
+        assert_eq!(read(3), Slot::Data(30, 31));
+        assert_eq!(read(10), Slot::Child(99));
+        assert_eq!(read(4), Slot::Null);
 
-        reloaded.write_slot(&d, 4, Slot::Data(40, 41)).unwrap();
-        assert_eq!(reloaded.read_slot(&d, 4).unwrap(), Slot::Data(40, 41));
-        assert_eq!(reloaded.read_slot(&d, 3).unwrap(), Slot::Data(30, 31));
+        reloaded.write_slot(&mut cursor, 4, Slot::Data(40, 41)).unwrap();
+        let mut read = |slot| reloaded.read_slot(&mut cursor, slot, AccessClass::Point).unwrap();
+        assert_eq!(read(4), Slot::Data(40, 41));
+        assert_eq!(read(3), Slot::Data(30, 31));
     }
 
     #[test]

@@ -135,8 +135,9 @@ impl PgmIndex {
         let per_block = bs / ENTRY_BYTES;
         let blocks = (self.run as usize).div_ceil(per_block) as u32;
         let mut out = Vec::with_capacity(self.run as usize);
+        let mut cursor = self.disk.cursor();
         for b in 0..blocks {
-            let buf = self.disk.read_ref_class(self.run_file, b, BlockKind::Utility, class)?;
+            let buf = cursor.read_class(self.run_file, b, BlockKind::Utility, class)?;
             let start = b as usize * per_block;
             let take = (self.run as usize - start).min(per_block);
             for slot in 0..take {

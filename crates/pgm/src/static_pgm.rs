@@ -647,8 +647,10 @@ impl StaticPgm {
         if self.len == 0 || count == 0 || start > self.max_key {
             return Ok(());
         }
-        let mut pos =
-            if start <= self.min_key { 0 } else { self.locate(&mut self.disk.cursor(), start)? };
+        // The scan's first data block is the one `locate` ended on: one
+        // cursor carries both, so it is read once.
+        let mut cursor = self.disk.cursor();
+        let mut pos = if start <= self.min_key { 0 } else { self.locate(&mut cursor, start)? };
         let per_block = entries_per_block(self.disk.block_size());
         let mut taken = 0usize;
         let mut hint = SeqHint::Auto;
@@ -658,17 +660,12 @@ impl StaticPgm {
             // consecutive data blocks, so the sequential charge is declared
             // explicitly instead of inferred from the shared last-access
             // word (which concurrent readers would perturb).
-            let buf = self.disk.read_ref_hinted(
-                self.file,
-                block,
-                BlockKind::Leaf,
-                AccessClass::Scan,
-                hint,
-            )?;
+            let buf =
+                cursor.read_hinted(self.file, block, BlockKind::Leaf, AccessClass::Scan, hint)?;
             hint = SeqHint::Sequential;
             let mut slot = (pos % per_block as u64) as usize;
             while slot < per_block && pos < self.len && taken < count {
-                let e = entry_at(&buf, slot);
+                let e = entry_at(buf, slot);
                 debug_assert_ne!(e.0, SENTINEL);
                 out.push(e);
                 taken += 1;

@@ -56,11 +56,11 @@ use parking_lot::Mutex;
 /// A pinned, read-only view of one block's contents.
 ///
 /// `BlockRef` is the unit of the zero-copy read path: the buffer pool, the
-/// last-block-reuse slot and every index hot path share the same `Arc`-backed
-/// frame, so a buffer-hit lookup performs no allocation and no byte copy —
-/// cloning a `BlockRef` is one atomic increment. Frames are immutable once
-/// published; a write to the same `(file, block)` installs a *new* frame,
-/// leaving outstanding references with the snapshot they pinned.
+/// readahead cache, block cursors and every index hot path share the same
+/// `Arc`-backed frame, so a buffer-hit lookup performs no allocation and no
+/// byte copy — cloning a `BlockRef` is one atomic increment. Frames are
+/// immutable once published; a write to the same `(file, block)` installs a
+/// *new* frame, leaving outstanding references with the snapshot they pinned.
 #[derive(Clone, Debug)]
 pub struct BlockRef(Arc<Vec<u8>>);
 

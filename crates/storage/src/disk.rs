@@ -1,20 +1,19 @@
 //! The [`Disk`] façade that index implementations talk to.
 //!
 //! `Disk` combines a [`StorageBackend`], the [`DeviceModel`] cost accounting,
-//! the per-index [`IoStats`], the optional LRU buffer pool and the
-//! last-block-reuse micro-optimisation described in §6.5 of the paper ("we
-//! check whether the last block fetched can be reused").
+//! the per-index [`IoStats`], the optional LRU buffer pool and the readahead
+//! cache. The last-block reuse of §6.5 of the paper ("we check whether the
+//! last block fetched can be reused") is not the disk's: it is scoped to one
+//! operation and lives in that operation's [`BlockCursor`].
 //!
 //! All methods take `&self`, and the layer is built so N concurrent reader
 //! threads over a frozen (bulk-loaded) index never serialise on a single
 //! lock:
 //!
 //! * statistics are atomic counters ([`IoStats`]);
-//! * the buffer pool is lock-striped ([`ShardedBufferPool`]);
+//! * the buffer pool is lock-striped ([`ShardedBufferPool`]), and a read
+//!   that hits it touches only its stripe;
 //! * backends synchronise internally (reads share a reader/writer lock);
-//! * the single-slot last-read reuse cache is guarded by a mutex that the
-//!   read path only ever `try_lock`s — under contention the micro-opt is
-//!   skipped rather than waited for;
 //! * the sequential-access detector for the device cost model is one atomic
 //!   word.
 //!
@@ -52,9 +51,6 @@ pub struct DiskConfig {
     /// Capacity of the strict-LRU buffer pool in blocks (the paper's Fig. 13
     /// study); 0 disables the pool (the paper's default setting).
     pub buffer_blocks: usize,
-    /// Whether a read of the block fetched by the immediately preceding read
-    /// is served without charging an I/O (§6.5).
-    pub reuse_last_block: bool,
     /// Whether freed extents may be reused by later allocations (the paper's
     /// measurements assume they are not; see §6.3).
     pub reuse_freed_space: bool,
@@ -99,7 +95,6 @@ impl Default for DiskConfig {
             block_size: DEFAULT_BLOCK_SIZE,
             device: DeviceModel::none(),
             buffer_blocks: 0,
-            reuse_last_block: true,
             reuse_freed_space: false,
             simulate_latency: false,
             memory_resident: [false; 4],
@@ -126,13 +121,6 @@ impl DiskConfig {
     #[must_use]
     pub fn buffer_blocks(mut self, blocks: usize) -> Self {
         self.buffer_blocks = blocks;
-        self
-    }
-
-    /// Enables or disables last-block reuse.
-    #[must_use]
-    pub fn reuse_last_block(mut self, reuse: bool) -> Self {
-        self.reuse_last_block = reuse;
         self
     }
 
@@ -189,14 +177,6 @@ impl DiskConfig {
     }
 }
 
-/// The single-slot §6.5 reuse cache: the last block read and its pinned
-/// frame. Refreshing the slot is one `Arc` clone, and a reuse hit hands the
-/// frame back without copying a byte.
-struct ReuseState {
-    last_read: Option<(FileId, BlockId)>,
-    frame: BlockRef,
-}
-
 /// Sentinel for [`Disk::last_device_access`] meaning "no access yet".
 const NO_ACCESS: u64 = u64::MAX;
 
@@ -233,7 +213,7 @@ pub(crate) struct WaveReq {
     pub(crate) kind: BlockKind,
     pub(crate) hint: SeqHint,
     /// `true`: the caller wants the pinned frame back (a queued read); the
-    /// wave publishes it to the pool and the reuse slot. `false`: a readahead
+    /// wave publishes it to the pool. `false`: a readahead
     /// prefetch; the wave parks the frame in the readahead cache.
     pub(crate) deliver: bool,
 }
@@ -313,10 +293,6 @@ pub struct Disk {
     backend: Box<dyn StorageBackend>,
     pool: ShardedBufferPool,
     pager: Mutex<Pager>,
-    /// The §6.5 reuse slot. The read path only `try_lock`s this: under
-    /// reader contention the micro-optimisation degrades to a miss instead
-    /// of serialising the readers. Write paths lock it normally.
-    reuse: Mutex<ReuseState>,
     /// Packed `(file, block)` of the most recent *device* access, used to
     /// decide whether a read is sequential for the cost model.
     last_device_access: AtomicU64,
@@ -330,7 +306,6 @@ pub struct Disk {
     telemetry: lidx_telemetry::TelemetryRegistry,
     device: DeviceModel,
     block_size: usize,
-    reuse_last_block: bool,
     simulate_latency: bool,
     memory_resident: [bool; 4],
     queue_depth: usize,
@@ -392,17 +367,12 @@ impl Disk {
             backend,
             pool: ShardedBufferPool::new(config.buffer_blocks),
             pager: Mutex::new(pager),
-            reuse: Mutex::new(ReuseState {
-                last_read: None,
-                frame: BlockRef::from_vec(vec![0; config.block_size]),
-            }),
             last_device_access: AtomicU64::new(NO_ACCESS),
             readahead: Mutex::new(ReadaheadCache::new()),
             stats: IoStats::new(),
             telemetry: lidx_telemetry::TelemetryRegistry::new(),
             device: config.device,
             block_size: config.block_size,
-            reuse_last_block: config.reuse_last_block,
             simulate_latency: config.simulate_latency,
             memory_resident: config.memory_resident,
             queue_depth: config.queue_depth.max(1),
@@ -519,14 +489,13 @@ impl Disk {
 
     /// Drops every cached frame and forgets all access history: buffer pool,
     /// readahead cache (its generation tags advance, so stale order entries
-    /// can never resurrect a pre-clear frame), the single-slot reuse cache
-    /// and the sequential-access detector. Called on [`Disk::open`] and
-    /// after recovery replay, so a parked pre-crash frame can never serve a
-    /// read that should see recovered bytes.
+    /// can never resurrect a pre-clear frame) and the sequential-access
+    /// detector. Called on [`Disk::open`] and after recovery replay, so a
+    /// parked pre-crash frame can never serve a read that should see
+    /// recovered bytes.
     pub fn invalidate_caches(&self) {
         self.pool.clear();
         self.readahead.lock().clear();
-        self.reuse.lock().last_read = None;
         self.last_device_access.store(NO_ACCESS, Ordering::Relaxed);
     }
 
@@ -636,27 +605,12 @@ impl Disk {
                 readahead.take(&(file, b));
             }
         }
-        {
-            let mut reuse = self.reuse.lock();
-            if reuse.last_read.is_some_and(|(f, b)| f == file && b >= start && b < start + count) {
-                reuse.last_read = None;
-            }
-        }
         self.pager.lock().free(file, start, count);
     }
 
     /// Blocks currently sitting in freed (reclaimable) extents of `file`.
     pub fn freed_blocks(&self, file: FileId) -> u64 {
         self.pager.lock().freed_blocks(file)
-    }
-
-    /// Refreshes the reuse slot with the frame just obtained (one `Arc`
-    /// clone). Best-effort: skipped when another thread holds the slot.
-    fn note_last_read(&self, file: FileId, block: BlockId, frame: &BlockRef) {
-        if let Some(mut reuse) = self.reuse.try_lock() {
-            reuse.last_read = Some((file, block));
-            reuse.frame = frame.clone();
-        }
     }
 
     /// Reads one block from the backend with bounded-backoff retry of
@@ -712,10 +666,10 @@ impl Disk {
     }
 
     /// Reads one block as a pinned, zero-copy [`BlockRef`], charging the
-    /// device unless the block is served by last-block reuse or the buffer
-    /// pool. Point-access class; see [`Disk::read_ref_class`].
+    /// device unless the block is served by the buffer pool or the readahead
+    /// cache. Point-access class; see [`Disk::read_ref_hinted`].
     ///
-    /// This is the hot-path read API: a reuse or pool hit is one `Arc` clone
+    /// This is the hot-path read API: a pool hit is one `Arc` clone
     /// — no allocation, no byte copy — and a miss loads the block into a new
     /// frame exactly once, which the pool then shares (the pool insert is
     /// another clone, not a second copy). The returned frame stays valid —
@@ -727,19 +681,13 @@ impl Disk {
         block: BlockId,
         kind: BlockKind,
     ) -> StorageResult<BlockRef> {
-        self.read_ref_class(file, block, kind, AccessClass::Point)
+        self.read_ref_hinted(file, block, kind, AccessClass::Point, SeqHint::Auto)
     }
 
-    /// A [`BlockCursor`] over this disk, for one read-only walk: a re-read of
-    /// the block it read last costs nothing.
+    /// A [`BlockCursor`] over this disk, for one operation: a re-read of the
+    /// block it read last costs nothing (§6.5).
     pub fn cursor(&self) -> BlockCursor<'_> {
         BlockCursor::new(self)
-    }
-
-    /// Whether a re-read of the last block read is served by the §6.5 reuse
-    /// slot, which is what lets a [`BlockCursor`] answer it instead.
-    pub(crate) fn reuses_last_block(&self) -> bool {
-        self.reuse_last_block
     }
 
     /// [`Disk::read_ref`] tagged as part of a scan stream: the read is
@@ -754,27 +702,15 @@ impl Disk {
         block: BlockId,
         kind: BlockKind,
     ) -> StorageResult<BlockRef> {
-        self.read_ref_class(file, block, kind, AccessClass::Scan)
+        self.read_ref_hinted(file, block, kind, AccessClass::Scan, SeqHint::Auto)
     }
 
     /// Reads one block as a pinned, zero-copy [`BlockRef`] under an explicit
     /// [`AccessClass`] (see [`Disk::read_ref`] for the pinning guarantees
-    /// and [`Disk::read_ref_scan`] for what the class changes).
-    pub fn read_ref_class(
-        &self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        class: AccessClass,
-    ) -> StorageResult<BlockRef> {
-        self.read_ref_hinted(file, block, kind, class, SeqHint::Auto)
-    }
-
-    /// [`Disk::read_ref_class`] with an explicit sequential-cost hint
-    /// ([`SeqHint`]): scan streams that know their block layout pass
-    /// `Sequential` so concurrent readers cannot destroy each other's
-    /// sequentiality through the shared last-access word. With
-    /// `SeqHint::Auto` this is exactly `read_ref_class`.
+    /// and [`Disk::read_ref_scan`] for what the class changes) and
+    /// sequential-cost hint ([`SeqHint`]): scan streams that know their
+    /// block layout pass `Sequential` so concurrent readers cannot destroy
+    /// each other's sequentiality through the shared last-access word.
     pub fn read_ref_hinted(
         &self,
         file: FileId,
@@ -805,8 +741,8 @@ impl Disk {
 
     /// The cache ladder every delivered read climbs before it may touch the
     /// device, shared by the synchronous path and [`crate::ReadQueue`] submission:
-    /// memory-resident kind → §6.5 reuse slot → buffer pool → readahead
-    /// cache, each rung with its own hit accounting. `Ok(None)` is a miss:
+    /// memory-resident kind → buffer pool → readahead cache, each rung with
+    /// its own hit accounting. `Ok(None)` is a miss:
     /// the caller fetches ([`Disk::fetch_miss`]), charges, and publishes
     /// ([`Disk::publish_miss`]).
     pub(crate) fn probe_caches(
@@ -824,24 +760,11 @@ impl Disk {
             return Ok(Some(frame));
         }
 
-        // Last-block reuse (§6.5): re-reading the block we just fetched does
-        // not touch the device again.
-        if self.reuse_last_block {
-            if let Some(reuse) = self.reuse.try_lock() {
-                if reuse.last_read == Some((file, block)) {
-                    self.stats.record_reuse_hit();
-                    self.stats.record_frame_pinned();
-                    return Ok(Some(reuse.frame.clone()));
-                }
-            }
-        }
-
         // Buffer pool.
         if self.pool.capacity() > 0 {
             if let Some(frame) = self.pool.get_ref(file, block) {
                 self.stats.record_buffer_hit();
                 self.stats.record_frame_pinned();
-                self.note_last_read(file, block, &frame);
                 return Ok(Some(frame));
             }
         }
@@ -857,7 +780,6 @@ impl Disk {
                 if self.pool.capacity() > 0 {
                     self.pool.put_ref(file, block, frame.clone());
                 }
-                self.note_last_read(file, block, &frame);
                 return Ok(Some(frame));
             }
         }
@@ -887,13 +809,12 @@ impl Disk {
         Ok((frame, self.device.read_cost(sequential)))
     }
 
-    /// Publishes a fetched frame after its charge: the pool and the reuse
-    /// slot share it from here (two `Arc` clones, no byte copy).
+    /// Publishes a fetched frame after its charge: the pool shares it from
+    /// here (an `Arc` clone, no byte copy).
     fn publish_miss(&self, file: FileId, block: BlockId, frame: &BlockRef) {
         if self.pool.capacity() > 0 {
             self.pool.put_ref(file, block, frame.clone());
         }
-        self.note_last_read(file, block, frame);
         self.stats.record_frame_pinned();
     }
 
@@ -962,8 +883,8 @@ impl Disk {
     /// of one request charges exactly what the synchronous path charges.
     ///
     /// Returns the fetched frames, aligned with `reqs`. Delivered ones are
-    /// published to the pool and the reuse slot; prefetched ones are parked
-    /// in the readahead cache.
+    /// published to the pool; prefetched ones are parked in the readahead
+    /// cache.
     pub(crate) fn run_wave(&self, reqs: &[WaveReq]) -> StorageResult<Vec<BlockRef>> {
         let wave_start = std::time::Instant::now();
         let mut frames = Vec::with_capacity(reqs.len());
@@ -1012,7 +933,7 @@ impl Disk {
     }
 
     /// Reads one block into `buf`, charging the device unless the block is
-    /// served by last-block reuse or the buffer pool.
+    /// served by the buffer pool or the readahead cache.
     ///
     /// This is the legacy copying path (kept for write-side read-modify-write
     /// and external buffers); every call pays one block copy, recorded in
@@ -1085,84 +1006,19 @@ impl Disk {
         }
         // A parked readahead frame for this block is now stale.
         self.readahead.lock().take(&(file, block));
-        // Publish at most one new frame for the cached copies; readers that
-        // pinned the previous frame keep their snapshot (immutable frames).
-        let mut frame: Option<BlockRef> = None;
+        // Publish a new frame for the pooled copy; readers that pinned the
+        // previous frame keep their snapshot (immutable frames).
         if self.pool.capacity() > 0 {
-            let f = BlockRef::from_vec(data.to_vec());
-            self.pool.put_ref(file, block, f.clone());
-            frame = Some(f);
-        }
-        let mut reuse = self.reuse.lock();
-        if reuse.last_read == Some((file, block)) {
-            reuse.frame = frame.unwrap_or_else(|| BlockRef::from_vec(data.to_vec()));
+            self.pool.put_ref(file, block, BlockRef::from_vec(data.to_vec()));
         }
         Ok(())
     }
 
-    /// Reads `nblocks` consecutive blocks starting at `start` and returns the
-    /// concatenated bytes. Each block is charged individually; blocks after
-    /// the first carry an explicit [`SeqHint::Sequential`] — the extent *is*
-    /// contiguous, so concurrent readers must not be able to turn its
-    /// follow-up blocks into random charges through the shared last-access
-    /// word.
-    pub fn read_extent(
-        &self,
-        file: FileId,
-        start: BlockId,
-        kind: BlockKind,
-        nblocks: u32,
-    ) -> StorageResult<Vec<u8>> {
-        let mut out = vec![0u8; nblocks as usize * self.block_size];
-        for i in 0..nblocks {
-            let off = i as usize * self.block_size;
-            let buf = &mut out[off..off + self.block_size];
-            if self.is_memory_resident(kind) {
-                self.backend_read(file, start + i, buf)?;
-                self.stats.record_bytes_copied(self.block_size as u64);
-                continue;
-            }
-            let hint = if i == 0 { SeqHint::Auto } else { SeqHint::Sequential };
-            let frame = self.read_ref_hinted(file, start + i, kind, AccessClass::Point, hint)?;
-            buf.copy_from_slice(&frame);
-            self.stats.record_bytes_copied(self.block_size as u64);
-        }
-        Ok(out)
-    }
-
-    /// Writes `data` across consecutive blocks starting at `start`, padding
-    /// the final block with zeros. Returns the number of blocks written.
-    pub fn write_extent(
-        &self,
-        file: FileId,
-        start: BlockId,
-        kind: BlockKind,
-        data: &[u8],
-    ) -> StorageResult<u32> {
-        let bs = self.block_size;
-        let nblocks = data.len().div_ceil(bs).max(1) as u32;
-        let mut block_buf = vec![0u8; bs];
-        for i in 0..nblocks {
-            let off = i as usize * bs;
-            let end = (off + bs).min(data.len());
-            block_buf.fill(0);
-            if off < data.len() {
-                block_buf[..end - off].copy_from_slice(&data[off..end]);
-            }
-            self.write(file, start + i, kind, &block_buf)?;
-        }
-        Ok(nblocks)
-    }
-
-    /// Number of blocks needed to store `bytes` bytes on this disk.
-    pub fn blocks_for(&self, bytes: usize) -> u32 {
-        bytes.div_ceil(self.block_size).max(1) as u32
-    }
-
-    /// Forgets the last-read block (used by the harness between queries so
-    /// reuse never spans two operations).
+    /// Forgets the access history: the sequential-access detector and the
+    /// parked readahead frames. The harness calls it between queries so that
+    /// each starts cold; §6.5 reuse never spans two operations anyway, since
+    /// it lives in each operation's [`BlockCursor`].
     pub fn reset_access_state(&self) {
-        self.reuse.lock().last_read = None;
         self.last_device_access.store(NO_ACCESS, Ordering::Relaxed);
         self.readahead.lock().clear();
     }
@@ -1216,33 +1072,23 @@ mod tests {
         assert_eq!(d.total_bytes(), 3 * 128);
     }
 
+    /// §6.5 reuse lives in an operation's [`BlockCursor`], not in the disk:
+    /// two plain reads of one block are two requests, served by the device
+    /// twice without a pool and by the pool the second time with one.
     #[test]
-    fn last_block_reuse_skips_device_charge() {
-        let d = disk(128);
-        let f = d.create_file().unwrap();
-        d.allocate(f, 2).unwrap();
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Inner, &mut buf).unwrap();
-        d.read(f, 0, BlockKind::Inner, &mut buf).unwrap();
-        assert_eq!(d.stats().reads(), 1, "second read of same block must be a reuse hit");
-        assert_eq!(d.stats().reuse_hits(), 1);
-        d.read(f, 1, BlockKind::Inner, &mut buf).unwrap();
-        d.read(f, 0, BlockKind::Inner, &mut buf).unwrap();
-        assert_eq!(d.stats().reads(), 3, "reuse only applies to the immediately previous block");
-        d.reset_access_state();
-        d.read(f, 0, BlockKind::Inner, &mut buf).unwrap();
-        assert_eq!(d.stats().reads(), 4);
-    }
-
-    #[test]
-    fn reuse_can_be_disabled() {
-        let d = Disk::in_memory(DiskConfig::with_block_size(128).reuse_last_block(false));
-        let f = d.create_file().unwrap();
-        d.allocate(f, 1).unwrap();
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
-        assert_eq!(d.stats().reads(), 2);
+    fn a_plain_re_read_is_not_free() {
+        for pool in [0, 1, 4] {
+            let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(pool));
+            let f = d.create_file().unwrap();
+            d.allocate(f, 1).unwrap();
+            for _ in 0..2 {
+                d.read_ref(f, 0, BlockKind::Leaf).unwrap();
+            }
+            let s = d.snapshot();
+            let expected = if pool == 0 { (2, 0) } else { (1, 1) };
+            assert_eq!((s.reads(), s.buffer_hits), expected, "pool {pool}");
+            assert_eq!(s.reuse_hits, 0, "pool {pool}");
+        }
     }
 
     #[test]
@@ -1279,20 +1125,6 @@ mod tests {
     }
 
     #[test]
-    fn extents_roundtrip_across_blocks() {
-        let d = disk(64);
-        let f = d.create_file().unwrap();
-        let data: Vec<u8> = (0..150u8).collect();
-        let start = d.allocate(f, d.blocks_for(data.len())).unwrap();
-        let n = d.write_extent(f, start, BlockKind::Leaf, &data).unwrap();
-        assert_eq!(n, 3);
-        let out = d.read_extent(f, start, BlockKind::Leaf, n).unwrap();
-        assert_eq!(&out[..data.len()], &data[..]);
-        assert!(out[data.len()..].iter().all(|&b| b == 0));
-        assert_eq!(d.stats().writes(), 3);
-    }
-
-    #[test]
     fn free_invalidates_cached_copies() {
         let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
@@ -1301,7 +1133,7 @@ mod tests {
         d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
         d.free(f, 0, 1);
         assert_eq!(d.stats().freed_blocks(), 1);
-        // Reading again must go back to the device (cache + reuse are invalidated).
+        // Reading again must go back to the device (the pooled copy is invalidated).
         d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
         assert_eq!(d.stats().reads(), 2);
     }
@@ -1368,7 +1200,7 @@ mod tests {
                 });
             }
         });
-        let served = d.stats().reads() + d.stats().buffer_hits() + d.stats().reuse_hits();
+        let served = d.stats().reads() + d.stats().buffer_hits();
         assert_eq!(served, 8 * 400, "every read must be accounted exactly once");
         assert_eq!(
             d.stats().device_ns() - write_ns,
@@ -1391,7 +1223,7 @@ mod tests {
         assert_eq!(d.stats().bytes_copied(), 0, "read_ref must never copy into caller buffers");
         assert_eq!(d.stats().frames_pinned(), 2, "every served read pins exactly one frame");
         // The write-through populated the pool, so both reads are hits.
-        assert_eq!(d.stats().reuse_hits() + d.stats().buffer_hits(), 2);
+        assert_eq!(d.stats().buffer_hits(), 2);
         assert_eq!(d.stats().reads(), 0);
         // The legacy copying path is the one that pays (and records) copies.
         let mut buf = vec![0u8; 128];
@@ -1433,8 +1265,7 @@ mod tests {
         let d = Disk::in_memory(
             DiskConfig::with_block_size(128)
                 .device(DeviceModel::custom("t", 100, 1, 5))
-                .queue_depth(4)
-                .reuse_last_block(false),
+                .queue_depth(4),
         );
         let f = d.create_file().unwrap();
         d.allocate(f, 8).unwrap();
@@ -1454,9 +1285,7 @@ mod tests {
 
         // Depth 1 on the same access pattern keeps today's per-block charges.
         let d1 = Disk::in_memory(
-            DiskConfig::with_block_size(128)
-                .device(DeviceModel::custom("t", 100, 1, 5))
-                .reuse_last_block(false),
+            DiskConfig::with_block_size(128).device(DeviceModel::custom("t", 100, 1, 5)),
         );
         let f1 = d1.create_file().unwrap();
         d1.allocate(f1, 8).unwrap();
@@ -1477,8 +1306,7 @@ mod tests {
         let d = Disk::in_memory(
             DiskConfig::with_block_size(128)
                 .device(DeviceModel::custom("t", 100, 1, 5))
-                .queue_depth(4)
-                .reuse_last_block(false),
+                .queue_depth(4),
         );
         let f = d.create_file().unwrap();
         d.allocate(f, 8).unwrap();
@@ -1509,9 +1337,7 @@ mod tests {
         // last-access word. (Auto detection would let the interleaving turn
         // nearly every fetch into a random charge.)
         let d = Disk::in_memory(
-            DiskConfig::with_block_size(128)
-                .device(DeviceModel::custom("t", 1_000, 1, 7))
-                .reuse_last_block(false),
+            DiskConfig::with_block_size(128).device(DeviceModel::custom("t", 1_000, 1, 7)),
         );
         let f0 = d.create_file().unwrap();
         let f1 = d.create_file().unwrap();
@@ -1548,8 +1374,7 @@ mod tests {
         let d = Disk::in_memory(
             DiskConfig::with_block_size(128)
                 .device(DeviceModel::custom("slow", 2_000_000, 0, 2_000_000))
-                .simulate_latency(true)
-                .reuse_last_block(false),
+                .simulate_latency(true),
         );
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
@@ -1577,9 +1402,7 @@ mod scan_tests {
     /// behaviour the ledger's `scan_cold` workload measures.
     #[test]
     fn a_full_table_scan_flushes_the_lru_hot_set() {
-        let d = Disk::in_memory(
-            DiskConfig::with_block_size(128).buffer_blocks(8).reuse_last_block(false),
-        );
+        let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(8));
         let f = d.create_file().unwrap();
         d.allocate(f, 256).unwrap();
         // Hot blocks 0..4, referenced twice.
@@ -1605,9 +1428,7 @@ mod scan_tests {
     /// block's recency exactly like a point hit.
     #[test]
     fn scan_class_hits_refresh_recency_like_point_hits() {
-        let d = Disk::in_memory(
-            DiskConfig::with_block_size(128).buffer_blocks(4).reuse_last_block(false),
-        );
+        let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
         d.allocate(f, 8).unwrap();
         for b in 0..4u32 {
@@ -1635,15 +1456,14 @@ mod scan_tests {
             let d = Disk::in_memory(
                 DiskConfig::with_block_size(128)
                     .device(DeviceModel::custom("t", 100, 1, 5))
-                    .queue_depth(4)
-                    .reuse_last_block(false),
+                    .queue_depth(4),
             );
             let f = d.create_file().unwrap();
             d.allocate(f, 8).unwrap();
             d.stats().reset();
             d.reset_access_state();
             for b in 0..8u32 {
-                d.read_ref_class(f, b, BlockKind::Leaf, class).unwrap();
+                d.read_ref_hinted(f, b, BlockKind::Leaf, class, SeqHint::Auto).unwrap();
             }
             let s = d.stats();
             (s.reads(), s.readahead_hits(), s.device_ns(), s.scan_reads())
@@ -1656,9 +1476,7 @@ mod scan_tests {
     /// the device) serves them; point-class reads never count.
     #[test]
     fn scan_reads_count_every_scan_class_request_hit_or_miss() {
-        let d = Disk::in_memory(
-            DiskConfig::with_block_size(128).buffer_blocks(4).reuse_last_block(false),
-        );
+        let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
         d.allocate(f, 2).unwrap();
         d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();

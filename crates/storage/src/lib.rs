@@ -27,9 +27,10 @@
 //!   path.
 //! * [`Disk`] — the façade combining all of the above, which is what index
 //!   crates actually talk to.
-//! * [`BlockCursor`] — one read-only walk's hold on the last block it read,
-//!   so an index that reads a node slot by slot pays one disk read per
-//!   block, not per slot, at unchanged device cost.
+//! * [`BlockCursor`] — one operation's hold on the last block it read: the
+//!   §6.5 "reuse the last block fetched" optimisation, scoped to one query.
+//!   An index that reads a node slot by slot pays one disk read per block,
+//!   not per slot, and a write through the cursor refreshes the held frame.
 //! * [`mod@format`] — the crash-safe on-disk format: CRC32 block stamps
 //!   ([`format::BlockStamp`]) verified on every read of a durable disk, and
 //!   the double-buffered, checksummed [`format::Superblock`] that anchors a
@@ -43,14 +44,14 @@
 //!
 //! The read path is zero-copy: [`Disk::read_ref`] hands out pinned
 //! [`buffer::BlockRef`] frames (`Arc`-backed, read-only) instead of copying
-//! into caller buffers, so a buffer-pool or reuse hit costs one atomic
-//! increment — no allocation, no memcpy. Eviction drops the pool's reference
-//! only; a caller holding a frame keeps its snapshot alive (lazy free). The
-//! whole layer is safe for N concurrent reader threads over a frozen index:
-//! statistics are atomic counters, the pool is lock-striped, backends
-//! synchronise internally behind a reader/writer lock, and the single-slot
-//! last-block-reuse cache degrades gracefully under contention (`try_lock`,
-//! never blocking a reader).
+//! into caller buffers, so a buffer-pool hit costs one atomic increment — no
+//! allocation, no memcpy. Eviction drops the pool's reference only; a caller
+//! holding a frame keeps its snapshot alive (lazy free). The whole layer is
+//! safe for N concurrent reader threads over a frozen index: statistics are
+//! atomic counters, the pool is lock-striped (a read that hits it touches
+//! only its stripe), backends synchronise internally behind a reader/writer
+//! lock, and each operation's [`BlockCursor`] is its own, shared with no
+//! other reader.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

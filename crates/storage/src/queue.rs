@@ -138,7 +138,7 @@ impl ReadQueue<'_> {
         self.done.push((file, block, None));
         if let Some(p) = self.pending_index(file, block) {
             // A duplicate of a block this wave is already fetching: share the
-            // in-flight frame, like last-block reuse.
+            // in-flight frame. This is the one producer of a reuse hit.
             stats.record_reuse_hit();
             stats.record_frame_pinned();
             self.waiting.push((p, slot));
@@ -256,7 +256,7 @@ mod tests {
     }
 
     /// A depth-8 disk with a 32-frame pool holding blocks `0..8` of a
-    /// 32-block file, with fresh counters and an empty reuse slot.
+    /// 32-block file, with fresh counters and a cold access state.
     fn pool_disk() -> (std::sync::Arc<Disk>, FileId) {
         let d = Disk::in_memory(
             DiskConfig::with_block_size(128)
@@ -332,22 +332,28 @@ mod tests {
 
     #[test]
     fn hits_and_duplicates_inside_a_wave_are_not_double_fetched() {
-        let d = disk(8, 100, 5);
+        let d = Disk::in_memory(
+            DiskConfig::with_block_size(128)
+                .device(DeviceModel::custom("t", 100, 1, 5))
+                .buffer_blocks(4)
+                .queue_depth(8),
+        );
         let f = fill(&d, 8);
-        // Warm block 0 into the pool? No pool configured — use the device
-        // once, then the reuse slot holds block 0.
+        // Warm block 0 into the pool.
         d.read_ref(f, 0, BlockKind::Leaf).unwrap();
-        let before = d.stats().reads();
+        let before = d.snapshot();
         let mut q = d.read_queue();
         for b in [0u32, 4, 4, 5] {
             q.submit(f, b, BlockKind::Leaf, AccessClass::Point).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.len(), 4);
-        // Block 0 is a reuse-slot hit; the second 4 shares the in-flight
-        // fetch; only blocks 4 and 5 touch the device.
-        assert_eq!(d.stats().reads() - before, 2);
-        assert!(d.stats().reuse_hits() >= 2);
+        // Block 0 is a pool hit; the second 4 shares the in-flight fetch;
+        // only blocks 4 and 5 touch the device.
+        let s = d.snapshot().since(&before);
+        assert_eq!(s.reads(), 2);
+        assert_eq!(s.buffer_hits, 1);
+        assert_eq!(s.reuse_hits, 1, "only the duplicate sharing an in-flight frame");
         for c in &done {
             assert!(c.frame.iter().all(|&x| x == (c.block % 251) as u8));
         }

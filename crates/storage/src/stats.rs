@@ -61,8 +61,8 @@ pub struct IoStats {
     writes: [AtomicU64; 4],
     /// Reads that were served by the buffer pool (not charged to the device).
     buffer_hits: AtomicU64,
-    /// Reads avoided because the same block was fetched by the immediately
-    /// preceding read ("last block reuse", §6.5 of the paper).
+    /// Queued reads served by a frame already in flight: a duplicate of a
+    /// block the same completion wave is fetching.
     reuse_hits: AtomicU64,
     allocated_blocks: AtomicU64,
     freed_blocks: AtomicU64,
@@ -80,7 +80,7 @@ pub struct IoStats {
     /// memory-resident branch fills the caller buffer directly.
     frames_pinned: AtomicU64,
     /// Read requests tagged [`crate::buffer::AccessClass::Scan`] (whether
-    /// they were served by the device, the pool or the reuse slot). Index
+    /// they were served by the device, the pool or the readahead cache). Index
     /// scan paths tag their block streaming so the disk reads ahead along
     /// it at queue depth > 1; this counter makes the tagging observable, so
     /// "scans announce themselves" is a tested invariant.
@@ -275,7 +275,7 @@ impl IoStats {
         self.io_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total device reads (all kinds), excluding buffer / reuse hits.
+    /// Total device reads (all kinds), excluding cache and reuse hits.
     pub fn reads(&self) -> u64 {
         self.reads.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
@@ -300,9 +300,11 @@ impl IoStats {
         self.buffer_hits.load(Ordering::Relaxed)
     }
 
-    /// Number of reads satisfied by last-block reuse. A re-read within one
-    /// walk that a [`crate::BlockCursor`] answers is not a request, so it is
-    /// not counted.
+    /// Number of queued reads that shared the frame of a duplicate request
+    /// already in their completion wave ([`crate::ReadQueue::submit`]): the
+    /// only producer of a reuse hit. The §6.5 re-read of the block read last,
+    /// which an operation's [`crate::BlockCursor`] answers, is not a request,
+    /// so it is not counted.
     pub fn reuse_hits(&self) -> u64 {
         self.reuse_hits.load(Ordering::Relaxed)
     }
@@ -498,7 +500,8 @@ pub struct OpStats {
     writes: [u64; 4],
     /// Buffer pool hits during the window.
     pub buffer_hits: u64,
-    /// Last-block reuse hits during the window.
+    /// Queued reads that shared an in-flight duplicate's frame during the
+    /// window (see [`IoStats::reuse_hits`]).
     pub reuse_hits: u64,
     /// Blocks allocated during the window.
     pub allocated_blocks: u64,

@@ -1,32 +1,33 @@
-//! A [`BlockCursor`] answers a re-read of the block it read last exactly
-//! where the disk's §6.5 reuse slot would: driven by the same trace, walks
-//! through a cursor on one disk and plain `read_ref_class` calls on its twin
-//! must hand out identical frames and leave identical device reads, device
-//! time, pool and readahead hits and pool residency after every single step.
-//! With reuse off the cursor reads every block through, so the whole
-//! [`OpStats`] must match.
+//! A [`BlockCursor`] walk costs exactly what plain disk reads of the same
+//! sequence cost once every read that repeats the read before it (same
+//! file, block and kind) is dropped. Driven by the same trace, walks through
+//! a cursor on one disk — reads and writes — and plain `read_ref_hinted` /
+//! `write` calls on its twin, with those repeats dropped, must leave the
+//! whole [`OpStats`] and the pool residency identical after every single
+//! step, and every read through the cursor must return the block's current
+//! bytes, including what the walk itself just wrote.
 //!
 //! [`BlockCursor`]: lidx_storage::BlockCursor
 
-use lidx_storage::{AccessClass, BlockKind, DeviceModel, Disk, DiskConfig, OpStats};
+use lidx_storage::{AccessClass, BlockKind, DeviceModel, Disk, DiskConfig, OpStats, SeqHint};
 use proptest::prelude::*;
 
 const BLOCKS: u32 = 12;
 const BLOCK_SIZE: usize = 64;
 
-/// One read of a walk, repeated `times` in a row (a slot-by-slot walk of
-/// one block).
+/// One step of a walk. A `None` block names the block the walk read last,
+/// so re-reads under another kind and writes of the held block are common.
 #[derive(Debug, Clone, Copy)]
-struct Read {
-    block: u32,
-    kind: BlockKind,
-    class: AccessClass,
-    times: usize,
+enum Access {
+    /// A read, repeated `times` in a row (a slot-by-slot walk of one block).
+    Read { block: Option<u32>, kind: BlockKind, class: AccessClass, hint: SeqHint, times: usize },
+    /// A write through the cursor.
+    Write { block: Option<u32>, kind: BlockKind, value: u8 },
 }
 
 #[derive(Debug, Clone)]
 enum Step {
-    Walk(Vec<Read>),
+    Walk(Vec<Access>),
     Write(u32, BlockKind, u8),
     Free(u32),
     ResetAccessState,
@@ -41,31 +42,54 @@ fn class() -> impl Strategy<Value = AccessClass> {
     prop_oneof![Just(AccessClass::Point), Just(AccessClass::Scan)]
 }
 
-fn read() -> impl Strategy<Value = Read> {
-    (0..BLOCKS, kind(), class(), 1usize..4).prop_map(|(block, kind, class, times)| Read {
-        block,
-        kind,
-        class,
-        times,
-    })
+fn hint() -> impl Strategy<Value = SeqHint> {
+    prop_oneof![Just(SeqHint::Auto), Just(SeqHint::Sequential), Just(SeqHint::Random)]
+}
+
+fn block() -> impl Strategy<Value = Option<u32>> {
+    prop_oneof![(0..BLOCKS).prop_map(Some), (0..BLOCKS).prop_map(Some), Just(None)]
+}
+
+fn access() -> impl Strategy<Value = Access> {
+    let read = || {
+        ((block(), kind()), (class(), hint(), 1usize..4)).prop_map(
+            |((block, kind), (class, hint, times))| Access::Read {
+                block,
+                kind,
+                class,
+                hint,
+                times,
+            },
+        )
+    };
+    prop_oneof![
+        read(),
+        read(),
+        (block(), kind(), any::<u8>()).prop_map(|(block, kind, value)| Access::Write {
+            block,
+            kind,
+            value
+        }),
+    ]
 }
 
 fn step() -> impl Strategy<Value = Step> {
+    let walk = || proptest::collection::vec(access(), 1..12).prop_map(Step::Walk);
     prop_oneof![
-        proptest::collection::vec(read(), 1..12).prop_map(Step::Walk),
-        proptest::collection::vec(read(), 1..12).prop_map(Step::Walk),
+        walk(),
+        walk(),
+        walk(),
         (0..BLOCKS, kind(), any::<u8>()).prop_map(|(b, k, v)| Step::Write(b, k, v)),
         (0..BLOCKS).prop_map(Step::Free),
         Just(Step::ResetAccessState),
     ]
 }
 
-fn twin(pool: usize, reuse: bool, depth: usize) -> std::sync::Arc<Disk> {
+fn twin(pool: usize, depth: usize) -> std::sync::Arc<Disk> {
     let disk = Disk::in_memory(
         DiskConfig::with_block_size(BLOCK_SIZE)
             .device(DeviceModel::custom("t", 100, 10, 7))
             .buffer_blocks(pool)
-            .reuse_last_block(reuse)
             .queue_depth(depth)
             .memory_resident(&[BlockKind::Inner]),
     );
@@ -81,15 +105,9 @@ fn twin(pool: usize, reuse: bool, depth: usize) -> std::sync::Arc<Disk> {
     disk
 }
 
-/// Every counter of `disk`, plus the requests a cursor answered itself
-/// (`saved`), and which blocks the pool holds. Device reads, device time and
-/// pool and readahead hits are never in `saved`, so they must match as is.
-fn observed(disk: &Disk, saved: &OpStats) -> (OpStats, Vec<bool>) {
-    let mut stats = disk.snapshot();
-    stats.frames_pinned += saved.frames_pinned;
-    stats.reuse_hits += saved.reuse_hits;
-    stats.scan_reads += saved.scan_reads;
-    (stats, (0..BLOCKS).map(|b| disk.buffer_contains(0, b)).collect())
+/// Every counter of `disk` and which blocks its pool holds.
+fn observed(disk: &Disk) -> (OpStats, Vec<bool>) {
+    (disk.snapshot(), (0..BLOCKS).map(|b| disk.buffer_contains(0, b)).collect())
 }
 
 proptest! {
@@ -98,45 +116,53 @@ proptest! {
     #[test]
     fn cursor_walks_and_plain_reads_cost_the_same_device_work(
         pool in 0usize..4,
-        reuse in any::<bool>(),
         depth in prop_oneof![Just(1usize), Just(4usize)],
         steps in proptest::collection::vec(step(), 1..60),
     ) {
-        let walked = twin(pool, reuse, depth);
-        let plain = twin(pool, reuse, depth);
+        let walked = twin(pool, depth);
+        let plain = twin(pool, depth);
         let mut content: Vec<u8> = (0..BLOCKS as u8).collect();
-        // The requests the cursor answered itself: each is one pinned frame,
-        // one reuse hit unless its kind is memory-resident, and one scan
-        // read if scan-class, that the plain twin counts and it does not.
-        let mut saved = OpStats::default();
         for (n, step) in steps.into_iter().enumerate() {
             match step {
-                Step::Walk(reads) => {
+                Step::Walk(accesses) => {
                     let mut cursor = walked.cursor();
-                    let mut last = None;
-                    for r in reads.iter().flat_map(|r| std::iter::repeat_n(*r, r.times)) {
-                        if reuse && last == Some((r.block, r.kind)) {
-                            saved.frames_pinned += 1;
-                            saved.reuse_hits += u64::from(r.kind != BlockKind::Inner);
-                            saved.scan_reads += u64::from(r.class == AccessClass::Scan);
+                    // The walk's last read: the plain twin drops a read that
+                    // repeats it, and a `None` block names its block.
+                    let mut last: Option<(u32, BlockKind)> = None;
+                    for access in accesses {
+                        match access {
+                            Access::Read { block, kind, class, hint, times } => {
+                                let b = block.or(last.map(|(b, _)| b)).unwrap_or(0);
+                                for _ in 0..times {
+                                    let a = cursor.read_hinted(0, b, kind, class, hint).unwrap();
+                                    prop_assert_eq!(
+                                        &a[..],
+                                        &[content[b as usize]; BLOCK_SIZE][..],
+                                        "step {}: block {} is stale",
+                                        n,
+                                        b
+                                    );
+                                    if last != Some((b, kind)) {
+                                        plain.read_ref_hinted(0, b, kind, class, hint).unwrap();
+                                    }
+                                    last = Some((b, kind));
+                                    prop_assert_eq!(
+                                        observed(&walked),
+                                        observed(&plain),
+                                        "step {}: read of {} as {:?} diverged",
+                                        n,
+                                        b,
+                                        kind
+                                    );
+                                }
+                            }
+                            Access::Write { block, kind, value } => {
+                                let b = block.or(last.map(|(b, _)| b)).unwrap_or(0);
+                                cursor.write(0, b, kind, &[value; BLOCK_SIZE]).unwrap();
+                                plain.write(0, b, kind, &[value; BLOCK_SIZE]).unwrap();
+                                content[b as usize] = value;
+                            }
                         }
-                        last = Some((r.block, r.kind));
-                        let a = cursor.read_class(0, r.block, r.kind, r.class).unwrap().clone();
-                        let b = plain.read_ref_class(0, r.block, r.kind, r.class).unwrap();
-                        prop_assert_eq!(&a[..], &b[..], "step {}: frames differ", n);
-                        prop_assert_eq!(
-                            &a[..],
-                            &[content[r.block as usize]; BLOCK_SIZE][..],
-                            "step {}",
-                            n
-                        );
-                        prop_assert_eq!(
-                            observed(&walked, &saved),
-                            observed(&plain, &OpStats::default()),
-                            "step {}: {:?} diverged",
-                            n,
-                            r
-                        );
                     }
                 }
                 Step::Write(b, kind, v) => {
@@ -156,12 +182,7 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(
-                observed(&walked, &saved),
-                observed(&plain, &OpStats::default()),
-                "step {}",
-                n
-            );
+            prop_assert_eq!(observed(&walked), observed(&plain), "step {}", n);
         }
     }
 }

@@ -174,18 +174,16 @@ proptest! {
         );
     }
 
-    /// Whatever the configuration (buffer, reuse, device), reads always
-    /// return the last written contents of a block.
+    /// Whatever the configuration (buffer, device), reads always return the
+    /// last written contents of a block.
     #[test]
     fn disk_reads_return_last_written_contents(
         buffer_blocks in 0usize..8,
-        reuse in any::<bool>(),
         writes in proptest::collection::vec((0u32..16, any::<u8>()), 1..100),
     ) {
         let disk = Disk::in_memory(
             DiskConfig::with_block_size(64)
                 .buffer_blocks(buffer_blocks)
-                .reuse_last_block(reuse)
                 .device(DeviceModel::ssd()),
         );
         let file = disk.create_file().unwrap();

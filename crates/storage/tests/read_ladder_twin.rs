@@ -42,12 +42,11 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn twin(pool: usize, reuse: bool, depth: usize) -> std::sync::Arc<Disk> {
+fn twin(pool: usize, depth: usize) -> std::sync::Arc<Disk> {
     let disk = Disk::in_memory(
         DiskConfig::with_block_size(BLOCK_SIZE)
             .device(DeviceModel::custom("t", 100, 10, 7))
             .buffer_blocks(pool)
-            .reuse_last_block(reuse)
             .queue_depth(depth)
             .memory_resident(&[BlockKind::Inner]),
     );
@@ -69,14 +68,13 @@ proptest! {
     #[test]
     fn sync_reads_and_depth_one_waves_are_indistinguishable(
         pool in 0usize..4,
-        reuse in any::<bool>(),
         // Depth 4 switches the readahead rung on, so parked frames are
         // consumed by both twins; depth 1 keeps it off for both.
         depth in prop_oneof![Just(1usize), Just(4usize)],
         steps in proptest::collection::vec(step(), 1..200),
     ) {
-        let sync = twin(pool, reuse, depth);
-        let queued = twin(pool, reuse, depth);
+        let sync = twin(pool, depth);
+        let queued = twin(pool, depth);
         let mut content: Vec<u8> = (0..BLOCKS as u8).collect();
         let mut demand_reads = 0u64;
         for (n, step) in steps.into_iter().enumerate() {
