@@ -663,9 +663,14 @@ impl IndexRead for AlexIndex {
             }
             return Ok(0);
         }
-        let mut cursor = self.disk.cursor();
+        // One scan cursor carries the route (point-class inner nodes), the
+        // first node's header and search, and the stream (scan-class).
+        let mut cursor = self.disk.scan_cursor();
         let mut node = self.data_node(&mut cursor, start)?;
         let mut slot = node.lower_bound(&mut cursor, start)?;
+        // A sound sibling chain holds `data_nodes` nodes: a walk that would
+        // visit more follows a cyclic link.
+        let mut visited = 1u64;
         loop {
             // The bitmap distinguishes real entries from gap duplicates — the
             // extra utility I/O the paper highlights for ALEX scans (S3). The
@@ -675,11 +680,15 @@ impl IndexRead for AlexIndex {
             if out.len() >= count || node.header.next == INVALID_BLOCK {
                 return Ok(out.len());
             }
-            // Follow the sibling chain, scan-class.
+            if visited >= self.data_nodes {
+                return Err(IndexError::Internal(format!(
+                    "ALEX scan walked past the index's {visited} data nodes: a sibling link is \
+                     cyclic"
+                )));
+            }
+            visited += 1;
             let next = node.header.next;
-            let buf =
-                cursor.read_class(self.data_file, next, BlockKind::Leaf, AccessClass::Scan)?;
-            node = DataNode::from_header_bytes(self.data_file, next, buf)?;
+            node = DataNode::load(&mut cursor, self.data_file, next)?;
             slot = 0;
         }
     }
@@ -1220,6 +1229,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_cyclic_sibling_link_fails_the_scan_instead_of_repeating_rows() {
+        let config =
+            AlexConfig { target_leaf_entries: 128, max_leaf_entries: 1024, ..Default::default() };
+        let mut a =
+            AlexIndex::with_config(Disk::in_memory(DiskConfig::with_block_size(512)), config)
+                .unwrap();
+        let data = entries(2_000, 3);
+        a.bulk_load(&data).unwrap();
+        assert!(a.data_nodes > 2);
+        // The last data node links back to the first.
+        let mut cursor = a.disk.cursor();
+        let first = a.route(&mut cursor, Key::MIN, None).unwrap();
+        let last = a.route(&mut cursor, Key::MAX, None).unwrap();
+        let mut node = DataNode::load(&mut cursor, a.data_file, last).unwrap();
+        assert_eq!(node.header.next, INVALID_BLOCK);
+        node.header.next = first;
+        node.write_header(&mut cursor).unwrap();
+        drop(cursor);
+        // The row budget, four times the stored keys, bounds what a walk
+        // that repeats rows collects.
+        let a = Arc::new(a);
+        let rows = 4 * data.len();
+        let scan = within_deadline(move || a.scan(Key::MIN, rows, &mut Vec::new()));
+        assert!(matches!(scan, Err(IndexError::Internal(_))), "the scan returned {scan:?}");
     }
 
     #[test]

@@ -27,9 +27,7 @@
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{
-    AccessClass, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint,
-};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 16;
@@ -389,13 +387,8 @@ impl DataNode {
         let mut data = Vec::with_capacity(nblocks as usize * bs);
         for i in 0..nblocks {
             let hint = if i == 0 { SeqHint::Auto } else { SeqHint::Sequential };
-            data.extend_from_slice(cursor.read_hinted(
-                self.file,
-                first + i,
-                BlockKind::Leaf,
-                AccessClass::Point,
-                hint,
-            )?);
+            let block = cursor.read_hinted(self.file, first + i, BlockKind::Leaf, hint)?;
+            data.extend_from_slice(block);
         }
         let rel_from = (from % per_block) as usize * SLOT_BYTES;
         let rel_gap = (gap - from / per_block * per_block) as usize * SLOT_BYTES;
@@ -411,8 +404,10 @@ impl DataNode {
     /// holds `limit` entries. Bitmap blocks and slot blocks are each fetched
     /// once and decoded in memory, so the I/O cost is `slots/B` slot blocks
     /// plus the covering bitmap blocks — the scan cost the paper attributes
-    /// to ALEX (Table 2 / S3). Every fetch is tagged scan-class, so at queue
-    /// depth > 1 a miss also prefetches the blocks that follow it.
+    /// to ALEX (Table 2 / S3). The fetches take `cursor`'s class: through a
+    /// scan's cursor they are scan reads, so at queue depth > 1 a miss also
+    /// prefetches the blocks that follow it; an SMO collecting a node's
+    /// entries on its insert's cursor reads point-class.
     pub fn scan_slots(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -433,27 +428,15 @@ impl DataNode {
             // hold it (charged as a utility block).
             let needed_bitmap = slot / bits_per_block;
             if needed_bitmap != bitmap_block_idx {
-                bitmap_frame = Some(
-                    cursor
-                        .read_class(
-                            self.file,
-                            self.start + 1 + needed_bitmap,
-                            BlockKind::Utility,
-                            AccessClass::Scan,
-                        )?
-                        .clone(),
-                );
+                let block = self.start + 1 + needed_bitmap;
+                bitmap_frame = Some(cursor.read(self.file, block, BlockKind::Utility)?.clone());
                 bitmap_block_idx = needed_bitmap;
             }
             let bitmap = bitmap_frame.as_deref().expect("bitmap block pinned");
             // Fetch the slot block and walk every slot it contains.
             let slot_block = slot / per_block;
-            let buf = cursor.read_class(
-                self.file,
-                self.start + 1 + geo.bitmap_blocks + slot_block,
-                BlockKind::Leaf,
-                AccessClass::Scan,
-            )?;
+            let block = self.start + 1 + geo.bitmap_blocks + slot_block;
+            let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
             let block_end = ((slot_block + 1) * per_block).min(self.header.capacity);
             while slot < block_end && out.len() < limit {
                 // The bitmap block can end before the slot block does.

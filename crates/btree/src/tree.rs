@@ -18,23 +18,32 @@ use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
 /// or the chain ends; returns `out.len()`. The one leaf-chain scan of every
 /// index over this leaf format (the B+-tree and the hybrid leaf level).
 ///
-/// The reads are scan-class, so the buffer pool's admission policy can keep
-/// the walk from flushing the point-lookup working set. After the first hop
-/// the sequentiality hint comes from the chain itself (`next == block + 1`),
-/// so a concurrent reader touching other blocks between two hops cannot turn
-/// this scan's sequential charges into random ones.
+/// The reads go through the scan's `cursor` (a [`Disk::scan_cursor`]), so
+/// they are scan-class. After the first hop the sequentiality hint comes
+/// from the chain itself (`next == block + 1`), so a concurrent reader
+/// touching other blocks between two hops cannot turn this scan's
+/// sequential charges into random ones. A sound chain holds `leaves`
+/// leaves: a walk that would read more follows a cyclic `next` link, an
+/// error rather than a hang or repeated rows.
 pub fn scan_leaf_chain(
-    disk: &Disk,
+    cursor: &mut BlockCursor<'_>,
     file: u32,
     mut block: BlockId,
+    leaves: u64,
     start: Key,
     count: usize,
     out: &mut Vec<Entry>,
 ) -> IndexResult<usize> {
     let mut hint = SeqHint::Auto;
+    let mut read = 0u64;
     while out.len() < count {
-        let frame = disk.read_ref_hinted(file, block, BlockKind::Leaf, AccessClass::Scan, hint)?;
-        let leaf = LeafView::new(&frame)?;
+        if read == leaves {
+            return Err(IndexError::Internal(format!(
+                "leaf-chain scan walked past the index's {leaves} leaves: a next link is cyclic"
+            )));
+        }
+        read += 1;
+        let leaf = LeafView::new(cursor.read_hinted(file, block, BlockKind::Leaf, hint)?)?;
         out.extend(leaf.entries_from(leaf.lower_bound(start)).take(count - out.len()));
         if leaf.next() == INVALID_BLOCK {
             break;
@@ -451,7 +460,11 @@ impl IndexRead for BTreeIndex {
         if count == 0 {
             return Ok(0);
         }
-        scan_leaf_chain(&self.disk, self.file, self.find_leaf(start)?, start, count, out)
+        // One scan cursor carries the descent (point-class inner nodes)
+        // and the leaf chain (scan-class).
+        let mut cursor = self.disk.scan_cursor();
+        let leaf = self.descend_with(&mut cursor, start, |_, _, _| {})?;
+        scan_leaf_chain(&mut cursor, self.file, leaf, self.leaf_nodes, start, count, out)
     }
 
     /// Batched scans execute the ranges in ascending start-key order (the
@@ -978,6 +991,34 @@ mod tests {
         t.scan(0, usize::MAX, &mut out).unwrap();
         assert_eq!(out, oracle.into_iter().collect::<Vec<_>>());
         assert_eq!(t.lookup(9_973 * 4 + 1).unwrap(), Some(1));
+    }
+
+    #[test]
+    fn a_cyclic_leaf_link_fails_the_scan_instead_of_repeating_rows() {
+        let mut t = make_tree(512);
+        let data = entries(2_000, 3);
+        t.bulk_load(&data).unwrap();
+        assert!(t.leaf_nodes > 2);
+        // The last leaf links back to the first.
+        let (first, last) = (t.find_leaf(Key::MIN).unwrap(), t.find_leaf(Key::MAX).unwrap());
+        let mut leaf =
+            LeafNode::decode(&t.disk.read_ref(t.file, last, BlockKind::Leaf).unwrap()).unwrap();
+        assert_eq!(leaf.next, INVALID_BLOCK);
+        leaf.next = first;
+        t.write_leaf(last, &leaf).unwrap();
+        // The scan runs under a watchdog, so a walk that never ends fails the
+        // test instead of hanging it. The row budget, four times the stored
+        // keys, bounds what a walk that repeats rows collects.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rows = 4 * data.len();
+        let scanner = std::thread::spawn(move || {
+            tx.send(t.scan(Key::MIN, rows, &mut Vec::new())).expect("the test waits");
+        });
+        let scan = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scan did not finish within a minute");
+        scanner.join().expect("the scan thread");
+        assert!(matches!(scan, Err(IndexError::Internal(_))), "the scan returned {scan:?}");
     }
 
     #[test]

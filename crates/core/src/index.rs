@@ -199,9 +199,11 @@ pub trait IndexRead: Send + Sync {
     /// * Fewer than `count` entries are returned only when the index stores
     ///   fewer than `count` keys `>= start`; `count == 0` returns 0 without
     ///   performing I/O beyond locating the start.
-    /// * Implementations stream their data blocks with scan-class reads
-    ///   (`Disk::read_ref_scan`), so the disk counts them as scan reads and,
-    ///   at queue depth > 1, reads ahead along the stream (`DESIGN.md` §3.3).
+    /// * Implementations send every read through one `Disk::scan_cursor`:
+    ///   its data blocks (`Leaf`, `Utility`) are scan-class from the first
+    ///   one on, so the disk counts them as scan reads and, at a queue
+    ///   depth above 1, reads ahead along the stream, while routing blocks
+    ///   stay point-class (`DESIGN.md` §3.3).
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize>;
 
     /// Runs one [`scan`] per `(start, count)` range of `ranges`, writing the

@@ -7,7 +7,7 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::pla::ShrinkingCone;
-use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
 use crate::directory::Directory;
 use crate::segment::{
@@ -185,15 +185,11 @@ impl FitingTree {
         Ok(metas)
     }
 
-    fn read_overflow(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        class: AccessClass,
-    ) -> IndexResult<Vec<Entry>> {
+    fn read_overflow(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Vec<Entry>> {
         if self.overflow_count == 0 {
             return Ok(Vec::new());
         }
-        let buf = cursor.read_class(self.seg_file, 0, BlockKind::Utility, class)?;
+        let buf = cursor.read(self.seg_file, 0, BlockKind::Utility)?;
         Ok((0..self.overflow_count as usize).map(|i| segment::entry_at(buf, i)).collect())
     }
 
@@ -207,7 +203,7 @@ impl FitingTree {
         if self.overflow_count == 0 {
             return Ok(None);
         }
-        let buf = cursor.read_class(self.seg_file, 0, BlockKind::Utility, AccessClass::Point)?;
+        let buf = cursor.read(self.seg_file, 0, BlockKind::Utility)?;
         find_in_block(buf, 0..self.overflow_count as usize, key)
     }
 
@@ -324,8 +320,11 @@ impl FitingTree {
         let telemetry = Arc::clone(&self.disk);
         let _span = telemetry.telemetry().span(OpClass::Smo);
         telemetry.telemetry().add(OpClass::Smo, 1);
-        let mut stored = read_all_data(&self.disk, self.seg_file, &old)?;
-        let buffer = read_buffer(&mut self.disk.cursor(), self.seg_file, &old, AccessClass::Scan)?;
+        // The maintenance stream reads through its own scan cursor.
+        let mut cursor = self.disk.scan_cursor();
+        let mut stored = read_all_data(&mut cursor, self.seg_file, &old)?;
+        let buffer = read_buffer(&mut cursor, self.seg_file, &old)?;
+        drop(cursor);
         stored.extend_from_slice(&buffer);
         // Data region and delta buffer are disjoint by construction, so this
         // sort sees no equal keys.
@@ -394,12 +393,12 @@ impl IndexRead for FitingTree {
             return Ok(0);
         }
 
-        // One cursor carries every read of the scan. Entries in the overflow
-        // buffer are all below the global minimum, so they come first in key
-        // order.
-        let mut cursor = self.disk.cursor();
+        // One scan cursor carries every read of the scan. Entries in the
+        // overflow buffer are all below the global minimum, so they come
+        // first in key order.
+        let mut cursor = self.disk.scan_cursor();
         if start < self.global_min_key && self.overflow_count > 0 {
-            let overflow = self.read_overflow(&mut cursor, AccessClass::Scan)?;
+            let overflow = self.read_overflow(&mut cursor)?;
             for &(k, v) in overflow.iter().filter(|&&(k, _)| k >= start) {
                 out.push((k, v));
                 if out.len() == count {
@@ -434,7 +433,7 @@ impl IndexRead for FitingTree {
                 needed,
             )?;
             let buffer = if meta.buffer_count > 0 {
-                read_buffer(&mut cursor, self.seg_file, &meta, AccessClass::Scan)?
+                read_buffer(&mut cursor, self.seg_file, &meta)?
             } else {
                 Vec::new()
             };
@@ -539,7 +538,7 @@ impl IndexWrite for FitingTree {
         // the first segment with a single resegmentation SMO.
         let below = order.partition_point(|&i| entries[i as usize].0 < self.global_min_key);
         if below > 0 {
-            let mut overflow = self.read_overflow(&mut self.disk.cursor(), AccessClass::Point)?;
+            let mut overflow = self.read_overflow(&mut self.disk.cursor())?;
             laps.lap(&mut self.breakdown, InsertStep::Search);
             for &i in &order[..below] {
                 let (key, value) = entries[i as usize];
@@ -596,7 +595,7 @@ impl IndexWrite for FitingTree {
                 search_data(&mut cursor, self.seg_file, &meta, first_key, self.config.epsilon)?
                     .is_some();
             let mut buffer = if meta.buffer_count > 0 {
-                read_buffer(&mut cursor, self.seg_file, &meta, AccessClass::Point)?
+                read_buffer(&mut cursor, self.seg_file, &meta)?
             } else {
                 Vec::new()
             };
@@ -637,7 +636,8 @@ impl IndexWrite for FitingTree {
                 // then persist the merged buffer and its occupancy once (the
                 // directory write is the paper's "extra block").
                 if !data_overwrites.is_empty() {
-                    let mut data = read_all_data(&self.disk, self.seg_file, &meta)?;
+                    let mut data =
+                        read_all_data(&mut self.disk.scan_cursor(), self.seg_file, &meta)?;
                     for &(key, value) in &data_overwrites {
                         if let Ok(pos) = data.binary_search_by_key(&key, |&(k, _)| k) {
                             data[pos].1 = value;

@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, Disk, SlotTable};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, SlotTable};
 
 use lidx_models::LinearModel;
 
@@ -242,7 +242,7 @@ pub fn search_buffer(
         if remaining == 0 {
             break;
         }
-        let buf = cursor.read_class(file, start + b, BlockKind::Leaf, AccessClass::Point)?;
+        let buf = cursor.read(file, start + b, BlockKind::Leaf)?;
         let take = remaining.min(per_block);
         if found.is_none() {
             found = find_in_block(buf, 0..take, key)?;
@@ -252,30 +252,36 @@ pub fn search_buffer(
     Ok(found)
 }
 
-/// Reads the valid entries of the data region (`count` entries), charging one
-/// read per data block. Used by resegmentation; the whole-segment stream is
-/// tagged scan-class so maintenance passes do not flush the hot pool set.
-pub fn read_all_data(disk: &Disk, file: u32, meta: &SegmentMeta) -> IndexResult<Vec<Entry>> {
-    let per_block = entries_per_block(disk.block_size());
+/// Reads the valid entries of the data region (`count` entries) through
+/// `cursor`, charging one read per data block. Used by resegmentation and
+/// the delta fill's data rewrite, each through a fresh
+/// [`Disk::scan_cursor`]: the whole-segment stream is counted as scan reads
+/// and, at queue depth > 1, read ahead.
+pub fn read_all_data(
+    cursor: &mut BlockCursor<'_>,
+    file: u32,
+    meta: &SegmentMeta,
+) -> IndexResult<Vec<Entry>> {
+    let per_block = entries_per_block(cursor.disk().block_size());
     let mut out = Vec::with_capacity(meta.count as usize);
     let mut remaining = meta.count as usize;
     for b in 0..meta.data_blocks {
         if remaining == 0 {
             break;
         }
-        let buf = disk.read_ref_scan(file, meta.start_block + b, BlockKind::Leaf)?;
+        let buf = cursor.read(file, meta.start_block + b, BlockKind::Leaf)?;
         let take = remaining.min(per_block);
         for slot in 0..take {
-            out.push(entry_at(&buf, slot));
+            out.push(entry_at(buf, slot));
         }
         remaining -= take;
     }
     Ok(out)
 }
 
-/// Reads data-region entries for a range scan through the operation's
-/// `cursor`: starting from position `from_pos`, blocks are fetched in order
-/// (tagged scan-class) and decoded until `needed` entries with keys
+/// Reads data-region entries for a range scan through the scan's `cursor`:
+/// starting from position `from_pos`, blocks are fetched in order and
+/// decoded until `needed` entries with keys
 /// `>= min_key` have been seen (or the data is exhausted). All decoded
 /// entries from `from_pos` onwards are returned so the caller can merge them
 /// with the delta buffer.
@@ -297,12 +303,7 @@ pub fn read_data_from(
     let mut block = from_pos / per_block;
     let last_block = (count - 1) / per_block;
     while block <= last_block && matched < needed {
-        let buf = cursor.read_class(
-            file,
-            meta.start_block + block as u32,
-            BlockKind::Leaf,
-            AccessClass::Scan,
-        )?;
+        let buf = cursor.read(file, meta.start_block + block as u32, BlockKind::Leaf)?;
         let slot_lo = if block == from_pos / per_block { from_pos % per_block } else { 0 };
         let slot_hi = per_block.min(count - block * per_block);
         for slot in slot_lo..slot_hi {
@@ -319,13 +320,12 @@ pub fn read_data_from(
 
 /// Reads the valid entries of the delta buffer (sorted) through the
 /// operation's `cursor`, charging one read per buffer block actually holding
-/// data. `class` distinguishes an insert's buffer read from a scan /
-/// maintenance stream.
+/// data: point-class for an insert, scan-class for a scan or maintenance
+/// stream's scan cursor.
 pub fn read_buffer(
     cursor: &mut BlockCursor<'_>,
     file: u32,
     meta: &SegmentMeta,
-    class: AccessClass,
 ) -> IndexResult<Vec<Entry>> {
     let per_block = entries_per_block(cursor.disk().block_size());
     let mut out = Vec::with_capacity(meta.buffer_count as usize);
@@ -335,7 +335,7 @@ pub fn read_buffer(
         if remaining == 0 {
             break;
         }
-        let buf = cursor.read_class(file, start + b, BlockKind::Leaf, class)?;
+        let buf = cursor.read(file, start + b, BlockKind::Leaf)?;
         let take = remaining.min(per_block);
         for slot in 0..take {
             out.push(entry_at(buf, slot));
@@ -402,18 +402,13 @@ mod tests {
     #[test]
     fn read_all_data_and_buffer_roundtrip() {
         let (disk, file, mut meta, entries) = setup(50);
-        assert_eq!(read_all_data(&disk, file, &meta).unwrap(), entries);
-        assert!(read_buffer(&mut disk.cursor(), file, &meta, AccessClass::Point)
-            .unwrap()
-            .is_empty());
+        assert_eq!(read_all_data(&mut disk.scan_cursor(), file, &meta).unwrap(), entries);
+        assert!(read_buffer(&mut disk.cursor(), file, &meta).unwrap().is_empty());
 
         let buffered: Vec<Entry> = vec![(3, 4), (7, 8)];
         meta.buffer_count = buffered.len() as u32;
         write_buffer_region(&disk, file, &meta, &buffered).unwrap();
-        assert_eq!(
-            read_buffer(&mut disk.cursor(), file, &meta, AccessClass::Point).unwrap(),
-            buffered
-        );
+        assert_eq!(read_buffer(&mut disk.cursor(), file, &meta).unwrap(), buffered);
         for (key, expected) in [(3, Some(4)), (7, Some(8)), (5, None), (u64::MAX, None)] {
             let found = search_buffer(&mut disk.cursor(), file, &meta, key).unwrap();
             assert_eq!(found, expected, "buffer probe for {key}");

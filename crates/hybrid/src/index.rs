@@ -211,8 +211,11 @@ impl IndexRead for HybridIndex {
         if count == 0 {
             return Ok(0);
         }
-        let leaf = self.inner.find_leaf(&mut self.disk.cursor(), start)?;
-        self.leaves.scan_from(leaf, start, count, out)
+        // One scan cursor carries the directory descent (point-class inner
+        // nodes) and the leaf chain (scan-class).
+        let mut cursor = self.disk.scan_cursor();
+        let leaf = self.inner.find_leaf(&mut cursor, start)?;
+        self.leaves.scan_from(&mut cursor, leaf, start, count, out)
     }
 
     fn len(&self) -> u64 {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use lidx_btree::{scan_leaf_chain, LeafNode, LeafView, NodeCapacity};
 use lidx_core::{Entry, IndexResult, Key, Value};
-use lidx_storage::{AccessClass, BlockId, BlockKind, BlockRef, Disk, INVALID_BLOCK};
+use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, BlockRef, Disk, INVALID_BLOCK};
 
 /// The leaf level: a file of linked, dense leaf blocks.
 pub struct LeafLevel {
@@ -155,15 +155,18 @@ impl LeafLevel {
     }
 
     /// Scans forward from `start`, beginning at the leaf at `block`, until
-    /// `count` entries are collected or the leaf chain ends.
+    /// `count` entries are collected or the leaf chain ends, reading through
+    /// the scan's `cursor`. A walk past [`LeafLevel::leaf_count`] leaves is
+    /// an error (see [`scan_leaf_chain`]).
     pub fn scan_from(
         &self,
+        cursor: &mut BlockCursor<'_>,
         block: BlockId,
         start: Key,
         count: usize,
         out: &mut Vec<Entry>,
     ) -> IndexResult<usize> {
-        scan_leaf_chain(&self.disk, self.file, block, start, count, out)
+        scan_leaf_chain(cursor, self.file, block, self.leaf_count, start, count, out)
     }
 
     /// Whether `key` belongs to the leaf at `block` — i.e. it is not smaller
@@ -179,6 +182,7 @@ impl LeafLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lidx_core::IndexError;
     use lidx_storage::DiskConfig;
 
     fn level() -> LeafLevel {
@@ -225,12 +229,41 @@ mod tests {
     }
 
     #[test]
+    fn a_cyclic_leaf_link_fails_the_scan_instead_of_repeating_rows() {
+        let mut l = level();
+        let entries: Vec<Entry> = (0..2_000u64).map(|i| (i * 2, i)).collect();
+        let bounds = l.bulk_build(&entries).unwrap();
+        assert!(bounds.len() > 2);
+        // The last leaf links back to the first.
+        let (first, last) = (bounds[0].1, bounds[bounds.len() - 1].1);
+        let frame = l.disk.read_ref(l.file, last, BlockKind::Leaf).unwrap();
+        let mut leaf = LeafNode::decode(&frame).unwrap();
+        assert_eq!(leaf.next, INVALID_BLOCK);
+        leaf.next = first;
+        l.write(last, &leaf).unwrap();
+        // The scan runs under a watchdog, so a walk that never ends fails the
+        // test instead of hanging it. The row budget, four times the stored
+        // keys, bounds what a walk that repeats rows collects.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rows = 4 * entries.len();
+        let scanner = std::thread::spawn(move || {
+            let scan = l.scan_from(&mut l.disk.scan_cursor(), first, 0, rows, &mut Vec::new());
+            tx.send(scan).expect("the test waits");
+        });
+        let scan = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the scan did not finish within a minute");
+        scanner.join().expect("the scan thread");
+        assert!(matches!(scan, Err(IndexError::Internal(_))), "the scan returned {scan:?}");
+    }
+
+    #[test]
     fn scan_walks_the_chain() {
         let mut l = level();
         let entries: Vec<Entry> = (0..500u64).map(|i| (i * 2, i)).collect();
         let bounds = l.bulk_build(&entries).unwrap();
         let mut out = Vec::new();
-        let n = l.scan_from(bounds[0].1, 100, 50, &mut out).unwrap();
+        let n = l.scan_from(&mut l.disk.scan_cursor(), bounds[0].1, 100, 50, &mut out).unwrap();
         assert_eq!(n, 50);
         assert_eq!(out[0], (100, 50));
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));

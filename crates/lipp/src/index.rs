@@ -215,11 +215,10 @@ impl LippIndex {
         &self,
         cursor: &mut BlockCursor<'_>,
         block: BlockId,
-        class: AccessClass,
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
         self.spend(budget)?;
-        LippNode::load(cursor, self.file, block, class)
+        LippNode::load(cursor, self.file, block)
     }
 
     /// Takes one node from a read walk's `budget` (see [`LippIndex::visit`]).
@@ -245,8 +244,8 @@ impl LippIndex {
 fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, acc: &mut u64) -> IndexResult<()> {
     *acc += 1;
     for slot in 0..node.header.capacity {
-        if let Slot::Child(b) = node.read_slot(cursor, slot, AccessClass::Point)? {
-            let child = LippNode::load(cursor, node.file, b, AccessClass::Point)?;
+        if let Slot::Child(b) = node.read_slot(cursor, slot)? {
+            let child = LippNode::load(cursor, node.file, b)?;
             count_nodes(cursor, &child, acc)?;
         }
     }
@@ -268,13 +267,13 @@ impl IndexRead for LippIndex {
         }
         let mut cursor = self.disk.cursor();
         let mut budget = self.node_count;
-        let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
+        let mut node = self.visit(&mut cursor, self.root, &mut budget)?;
         loop {
-            match node.read_slot(&mut cursor, node.predict(key), AccessClass::Point)? {
+            match node.read_slot(&mut cursor, node.predict(key))? {
                 Slot::Null => return Ok(None),
                 Slot::Data(k, v) => return Ok((k == key).then_some(v)),
                 Slot::Child(b) => {
-                    node = self.visit(&mut cursor, b, AccessClass::Point, &mut budget)?;
+                    node = self.visit(&mut cursor, b, &mut budget)?;
                 }
             }
         }
@@ -347,7 +346,7 @@ impl IndexRead for LippIndex {
             for (i, b) in active {
                 let node = &nodes[&b];
                 let slot = node.predict(keys[i as usize]);
-                match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
+                match node.read_slot(&mut cursor, slot)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
                     Slot::Child(child) => next.push((i, child)),
@@ -366,21 +365,22 @@ impl IndexRead for LippIndex {
         if count == 0 {
             return Ok(0);
         }
-        // One cursor carries the whole walk, so the slots of one block cost
-        // one disk read; the budget turns a cyclic child pointer into an
-        // error (see `visit`).
-        let mut cursor = self.disk.cursor();
+        // One scan cursor carries the whole walk, descent included: every
+        // LIPP node is a `Leaf` block, so the first read already streams.
+        // The slots of one block cost one disk read; the budget turns a
+        // cyclic child pointer into an error (see `visit`).
+        let mut cursor = self.disk.scan_cursor();
         let mut budget = self.node_count;
         // Seed the traversal stack with the access path of `start`: every
         // ancestor resumes just after the slot we descended through.
         let mut stack: Vec<(LippNode, u32)> = Vec::new();
-        let mut node = self.visit(&mut cursor, self.root, AccessClass::Point, &mut budget)?;
+        let mut node = self.visit(&mut cursor, self.root, &mut budget)?;
         loop {
             let slot = node.predict(start);
-            match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
+            match node.read_slot(&mut cursor, slot)? {
                 Slot::Child(b) => {
                     stack.push((node, slot + 1));
-                    node = self.visit(&mut cursor, b, AccessClass::Point, &mut budget)?;
+                    node = self.visit(&mut cursor, b, &mut budget)?;
                 }
                 _ => {
                     stack.push((node, slot));
@@ -396,7 +396,7 @@ impl IndexRead for LippIndex {
                 if out.len() >= count {
                     break 'outer;
                 }
-                match node.read_slot(&mut cursor, idx, AccessClass::Scan)? {
+                match node.read_slot(&mut cursor, idx)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => {
                         if k >= start {
@@ -405,7 +405,7 @@ impl IndexRead for LippIndex {
                     }
                     Slot::Child(b) => {
                         stack.push((node, idx + 1));
-                        let child = self.visit(&mut cursor, b, AccessClass::Scan, &mut budget)?;
+                        let child = self.visit(&mut cursor, b, &mut budget)?;
                         stack.push((child, 0));
                         continue 'outer;
                     }
@@ -478,11 +478,11 @@ impl IndexWrite for LippIndex {
             let (slot_content, slot, leaf) = loop {
                 self.spend(&mut budget)?;
                 if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
-                    e.insert(LippNode::load(&mut cursor, self.file, block, AccessClass::Point)?);
+                    e.insert(LippNode::load(&mut cursor, self.file, block)?);
                 }
                 let node = &nodes[&block];
                 let slot = node.predict(key);
-                match node.read_slot(&mut cursor, slot, AccessClass::Point)? {
+                match node.read_slot(&mut cursor, slot)? {
                     Slot::Child(b) => {
                         path.push((block, slot));
                         block = b;

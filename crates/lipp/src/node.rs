@@ -12,7 +12,7 @@
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 24;
@@ -140,15 +140,9 @@ pub fn blocks_for(capacity: u32, block_size: usize) -> u32 {
 
 impl LippNode {
     /// Reads the header of the node at `start` (one block read) through the
-    /// operation's cursor, under `class` (the in-order scan reads
-    /// scan-class).
-    pub fn load(
-        cursor: &mut BlockCursor<'_>,
-        file: u32,
-        start: BlockId,
-        class: AccessClass,
-    ) -> IndexResult<Self> {
-        let buf = cursor.read_class(file, start, BlockKind::Leaf, class)?;
+    /// operation's cursor: scan-class through a scan's cursor.
+    pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
+        let buf = cursor.read(file, start, BlockKind::Leaf)?;
         Self::from_header_bytes(file, start, buf)
     }
 
@@ -187,16 +181,11 @@ impl LippNode {
         self.slot_location(slot, block_size).0
     }
 
-    /// Reads one slot through the operation's cursor, under `class`: the
-    /// slots a walk reads in one block cost one disk read.
-    pub fn read_slot(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        slot: u32,
-        class: AccessClass,
-    ) -> IndexResult<Slot> {
+    /// Reads one slot through the operation's cursor: the slots a walk
+    /// reads in one block cost one disk read.
+    pub fn read_slot(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Slot> {
         let (block, off) = self.slot_location(slot, cursor.disk().block_size());
-        let buf = cursor.read_class(self.file, block, BlockKind::Leaf, class)?;
+        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
         let raw = [
             u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
             u64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
@@ -286,11 +275,11 @@ impl LippNode {
         out: &mut Vec<Entry>,
     ) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            match self.read_slot(cursor, slot, AccessClass::Point)? {
+            match self.read_slot(cursor, slot)? {
                 Slot::Null => {}
                 Slot::Data(k, v) => out.push((k, v)),
                 Slot::Child(block) => {
-                    let child = LippNode::load(cursor, self.file, block, AccessClass::Point)?;
+                    let child = LippNode::load(cursor, self.file, block)?;
                     child.collect_subtree(cursor, out)?;
                 }
             }
@@ -301,8 +290,8 @@ impl LippNode {
     /// Frees this node's extent and, recursively, every descendant's.
     pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
         for slot in 0..self.header.capacity {
-            if let Slot::Child(block) = self.read_slot(cursor, slot, AccessClass::Point)? {
-                let child = LippNode::load(cursor, self.file, block, AccessClass::Point)?;
+            if let Slot::Child(block) = self.read_slot(cursor, slot)? {
+                let child = LippNode::load(cursor, self.file, block)?;
                 child.free_subtree(cursor)?;
             }
         }
@@ -368,7 +357,7 @@ mod tests {
         let mut buf = d.read_vec(file, block, BlockKind::Leaf).unwrap();
         buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
         d.write(file, block, BlockKind::Leaf, &buf).unwrap();
-        let read = node.read_slot(&mut d.cursor(), 2, AccessClass::Point);
+        let read = node.read_slot(&mut d.cursor(), 2);
         assert!(matches!(read, Err(IndexError::Internal(_))), "{read:?}");
     }
 
@@ -388,15 +377,15 @@ mod tests {
         assert_eq!(node.header.child_count, 1);
 
         let mut cursor = d.cursor();
-        let reloaded = LippNode::load(&mut cursor, file, start, AccessClass::Point).unwrap();
+        let reloaded = LippNode::load(&mut cursor, file, start).unwrap();
         assert_eq!(reloaded.header, node.header);
-        let mut read = |slot| reloaded.read_slot(&mut cursor, slot, AccessClass::Point).unwrap();
+        let mut read = |slot| reloaded.read_slot(&mut cursor, slot).unwrap();
         assert_eq!(read(3), Slot::Data(30, 31));
         assert_eq!(read(10), Slot::Child(99));
         assert_eq!(read(4), Slot::Null);
 
         reloaded.write_slot(&mut cursor, 4, Slot::Data(40, 41)).unwrap();
-        let mut read = |slot| reloaded.read_slot(&mut cursor, slot, AccessClass::Point).unwrap();
+        let mut read = |slot| reloaded.read_slot(&mut cursor, slot).unwrap();
         assert_eq!(read(4), Slot::Data(40, 41));
         assert_eq!(read(3), Slot::Data(30, 31));
     }

@@ -20,7 +20,7 @@ use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
-use lidx_storage::{AccessClass, BlockKind, Disk, OpClass};
+use lidx_storage::{BlockCursor, BlockKind, Disk, OpClass};
 
 use crate::static_pgm::StaticPgm;
 
@@ -127,7 +127,9 @@ impl PgmIndex {
         (self.config.insert_run_entries as u64) << (i + 1)
     }
 
-    fn read_run(&self, class: AccessClass) -> IndexResult<Vec<Entry>> {
+    /// The insert run's entries, read through the operation's `cursor`:
+    /// point-class for lookups and inserts, scan-class for a scan's cursor.
+    fn read_run(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Vec<Entry>> {
         if self.run == 0 {
             return Ok(Vec::new());
         }
@@ -135,9 +137,8 @@ impl PgmIndex {
         let per_block = bs / ENTRY_BYTES;
         let blocks = (self.run as usize).div_ceil(per_block) as u32;
         let mut out = Vec::with_capacity(self.run as usize);
-        let mut cursor = self.disk.cursor();
         for b in 0..blocks {
-            let buf = cursor.read_class(self.run_file, b, BlockKind::Utility, class)?;
+            let buf = cursor.read(self.run_file, b, BlockKind::Utility)?;
             let start = b as usize * per_block;
             let take = (self.run as usize - start).min(per_block);
             for slot in 0..take {
@@ -266,7 +267,7 @@ impl IndexRead for PgmIndex {
         }
         // Newest data first: the insert run, then components small to large.
         if self.run > 0 {
-            let run = self.read_run(AccessClass::Point)?;
+            let run = self.read_run(&mut self.disk.cursor())?;
             if let Ok(pos) = run.binary_search_by_key(&key, |&(k, _)| k) {
                 return Ok(Some(run[pos].1));
             }
@@ -296,7 +297,7 @@ impl IndexRead for PgmIndex {
         let mut pending: Vec<u32> = (0..keys.len() as u32).collect();
         pending.sort_unstable_by_key(|&i| keys[i as usize]);
         if self.run > 0 {
-            let run = self.read_run(AccessClass::Point)?;
+            let run = self.read_run(&mut self.disk.cursor())?;
             pending.retain(|&i| match run.binary_search_by_key(&keys[i as usize], |&(k, _)| k) {
                 Ok(pos) => {
                     out[i as usize] = Some(run[pos].1);
@@ -326,12 +327,14 @@ impl IndexRead for PgmIndex {
         // preferring newer components on duplicate keys. (Preallocation is
         // capped by the component size: full-table scans legitimately pass
         // huge sentinel counts.)
-        let run = self.read_run(AccessClass::Scan)?;
+        // One scan cursor carries the run and every component's scan.
+        let mut cursor = self.disk.scan_cursor();
+        let run = self.read_run(&mut cursor)?;
         let mut merged: Vec<Entry> =
             run.into_iter().filter(|&(k, _)| k >= start).take(count).collect();
         for level in self.levels.iter().flatten() {
             let mut part = Vec::with_capacity(count.min(level.len() as usize));
-            level.scan_into(start, count, &mut part)?;
+            level.scan_into(&mut cursor, start, count, &mut part)?;
             let (m, _) = Self::merge_entries(merged, part);
             merged = m;
         }
@@ -402,7 +405,7 @@ impl IndexWrite for PgmIndex {
         let mut laps = StepLaps::start(&self.disk);
         // PGM only searches the insert run on insert (the paper highlights
         // this as the reason for its write-only dominance, O6).
-        let mut run = self.read_run(AccessClass::Point)?;
+        let mut run = self.read_run(&mut self.disk.cursor())?;
         laps.lap(&mut self.breakdown, InsertStep::Search);
 
         for &(key, value) in entries {

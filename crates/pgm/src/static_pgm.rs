@@ -640,17 +640,24 @@ impl StaticPgm {
         Ok(())
     }
 
-    /// Collects up to `count` entries with keys `>= start` into `out`. The
-    /// data blocks are streamed with scan-class reads, so at queue depth > 1
-    /// a miss also prefetches the blocks that follow it.
-    pub fn scan_into(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<()> {
+    /// Collects up to `count` entries with keys `>= start` into `out`,
+    /// reading through the scan's `cursor` (a [`Disk::scan_cursor`]): the
+    /// descent's inner levels are point-class, and every data block —
+    /// `locate`'s ε-window included — is a scan read, so at queue depth > 1
+    /// the first data miss already prefetches the blocks that follow it.
+    pub fn scan_into(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        start: Key,
+        count: usize,
+        out: &mut Vec<Entry>,
+    ) -> IndexResult<()> {
         if self.len == 0 || count == 0 || start > self.max_key {
             return Ok(());
         }
-        // The scan's first data block is the one `locate` ended on: one
+        // The scan's first data block is the one `locate` ended on: the
         // cursor carries both, so it is read once.
-        let mut cursor = self.disk.cursor();
-        let mut pos = if start <= self.min_key { 0 } else { self.locate(&mut cursor, start)? };
+        let mut pos = if start <= self.min_key { 0 } else { self.locate(cursor, start)? };
         let per_block = entries_per_block(self.disk.block_size());
         let mut taken = 0usize;
         let mut hint = SeqHint::Auto;
@@ -660,8 +667,7 @@ impl StaticPgm {
             // consecutive data blocks, so the sequential charge is declared
             // explicitly instead of inferred from the shared last-access
             // word (which concurrent readers would perturb).
-            let buf =
-                cursor.read_hinted(self.file, block, BlockKind::Leaf, AccessClass::Scan, hint)?;
+            let buf = cursor.read_hinted(self.file, block, BlockKind::Leaf, hint)?;
             hint = SeqHint::Sequential;
             let mut slot = (pos % per_block as u64) as usize;
             while slot < per_block && pos < self.len && taken < count {
@@ -680,7 +686,7 @@ impl StaticPgm {
     /// block.
     pub fn all_entries(&self) -> IndexResult<Vec<Entry>> {
         let mut out = Vec::with_capacity(self.len as usize);
-        self.scan_into(0, self.len as usize, &mut out)?;
+        self.scan_into(&mut self.disk.scan_cursor(), 0, self.len as usize, &mut out)?;
         if self.len > 0 && out.len() != self.len as usize {
             return Err(IndexError::Internal(format!(
                 "static PGM expected {} entries, read {}",
@@ -747,17 +753,18 @@ mod tests {
         let entries = skewed_entries(20_000);
         let pgm = StaticPgm::build(disk(512), &entries, 32).unwrap();
         let mut out = Vec::new();
-        pgm.scan_into(entries[5_000].0, 300, &mut out).unwrap();
+        pgm.scan_into(&mut pgm.disk.scan_cursor(), entries[5_000].0, 300, &mut out).unwrap();
         assert_eq!(out.len(), 300);
         assert_eq!(out[0], entries[5_000]);
         assert_eq!(out[299], entries[5_299]);
         // Starting below the minimum yields the first entries.
         out.clear();
-        pgm.scan_into(0, 5, &mut out).unwrap();
+        pgm.scan_into(&mut pgm.disk.scan_cursor(), 0, 5, &mut out).unwrap();
         assert_eq!(out, entries[..5].to_vec());
         // Starting beyond the maximum yields nothing.
         out.clear();
-        pgm.scan_into(entries.last().unwrap().0 + 1, 5, &mut out).unwrap();
+        pgm.scan_into(&mut pgm.disk.scan_cursor(), entries.last().unwrap().0 + 1, 5, &mut out)
+            .unwrap();
         assert!(out.is_empty());
     }
 
@@ -815,7 +822,7 @@ mod tests {
         assert!(pgm.is_empty());
         assert_eq!(pgm.lookup(5).unwrap(), None);
         let mut out = Vec::new();
-        pgm.scan_into(0, 10, &mut out).unwrap();
+        pgm.scan_into(&mut pgm.disk.scan_cursor(), 0, 10, &mut out).unwrap();
         assert!(out.is_empty());
 
         let one = StaticPgm::build(disk(512), &[(42, 43)], 16).unwrap();

@@ -21,9 +21,17 @@
 //! would leave it holding the old bytes. A walk that frees blocks calls
 //! [`BlockCursor::release`] before each [`Disk::free`].
 //!
+//! A cursor also holds the operation's access class, as a rule over block
+//! kinds: a [`Disk::cursor`] reads every block point-class, and a
+//! [`Disk::scan_cursor`] reads `Leaf` and `Utility` blocks scan-class and
+//! `Inner` and `Meta` blocks point-class. A scan sends its descent and its
+//! stream through one scan cursor, so the first data block it reads is
+//! already a scan read and, at queue depth > 1, starts the readahead wave.
+//!
 //! So a walk through a cursor costs exactly what plain disk reads of the
-//! same sequence cost once each read that repeats the read before it
-//! (same file, block and kind) is dropped.
+//! same sequence, each under the class the cursor's rule gives its kind,
+//! cost once each read that repeats the read before it (same file, block
+//! and kind) is dropped.
 
 use crate::buffer::{AccessClass, BlockRef};
 use crate::disk::{Disk, FileId, SeqHint};
@@ -52,6 +60,9 @@ use crate::BlockId;
 /// ```
 pub struct BlockCursor<'d> {
     disk: &'d Disk,
+    /// Whether this is a scan cursor: its `Leaf` and `Utility` reads are
+    /// scan-class.
+    scan: bool,
     /// The block read last, with the kind it was read as: a frame read as
     /// one kind only answers re-reads of that kind, so a memory-resident
     /// read never stands in for a charged one.
@@ -59,10 +70,19 @@ pub struct BlockCursor<'d> {
 }
 
 impl<'d> BlockCursor<'d> {
-    /// An empty cursor over `disk` ([`Disk::cursor`]): its first read goes
-    /// to the disk.
-    pub(crate) fn new(disk: &'d Disk) -> Self {
-        BlockCursor { disk, held: None }
+    /// An empty cursor over `disk` ([`Disk::cursor`], or
+    /// [`Disk::scan_cursor`] when `scan`): its first read goes to the disk.
+    pub(crate) fn new(disk: &'d Disk, scan: bool) -> Self {
+        BlockCursor { disk, scan, held: None }
+    }
+
+    /// The class this cursor reads `kind` under: scan-class for the data
+    /// kinds of a scan cursor, point-class otherwise.
+    fn class_of(&self, kind: BlockKind) -> AccessClass {
+        match kind {
+            BlockKind::Leaf | BlockKind::Utility if self.scan => AccessClass::Scan,
+            _ => AccessClass::Point,
+        }
     }
 
     /// The disk this cursor reads from.
@@ -70,28 +90,18 @@ impl<'d> BlockCursor<'d> {
         self.disk
     }
 
-    /// Reads one block, point-class (see [`BlockCursor::read_hinted`]).
+    /// Reads one block (see [`BlockCursor::read_hinted`]).
     pub fn read(
         &mut self,
         file: FileId,
         block: BlockId,
         kind: BlockKind,
     ) -> StorageResult<&BlockRef> {
-        self.read_hinted(file, block, kind, AccessClass::Point, SeqHint::Auto)
+        self.read_hinted(file, block, kind, SeqHint::Auto)
     }
 
-    /// Reads one block under `class` (see [`BlockCursor::read_hinted`]).
-    pub fn read_class(
-        &mut self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        class: AccessClass,
-    ) -> StorageResult<&BlockRef> {
-        self.read_hinted(file, block, kind, class, SeqHint::Auto)
-    }
-
-    /// Reads one block under `class` with a sequential-cost `hint`: the held
+    /// Reads one block with a sequential-cost `hint`, under the class the
+    /// cursor's rule gives `kind` (see the [module docs](self)): the held
     /// frame if it is the block read last (as the same kind), otherwise
     /// [`Disk::read_ref_hinted`], whose frame the cursor then holds instead.
     pub fn read_hinted(
@@ -99,13 +109,13 @@ impl<'d> BlockCursor<'d> {
         file: FileId,
         block: BlockId,
         kind: BlockKind,
-        class: AccessClass,
         hint: SeqHint,
     ) -> StorageResult<&BlockRef> {
         if !matches!(self.held, Some((f, b, k, _)) if (f, b, k) == (file, block, kind)) {
             // Drop the old frame first: if the read fails, nothing stale is
             // left to answer the next one.
             self.held = None;
+            let class = self.class_of(kind);
             let frame = self.disk.read_ref_hinted(file, block, kind, class, hint)?;
             self.held = Some((file, block, kind, frame));
         }
@@ -165,14 +175,38 @@ mod tests {
     #[test]
     fn a_re_read_is_the_held_frame_and_no_request() {
         let d = disk();
-        let mut cursor = d.cursor();
+        let mut cursor = d.scan_cursor();
         let first = cursor.read(0, 2, BlockKind::Leaf).unwrap().clone();
-        let again = cursor.read_class(0, 2, BlockKind::Leaf, AccessClass::Scan).unwrap();
+        let again = cursor.read(0, 2, BlockKind::Leaf).unwrap();
         assert_eq!(&again[..], &[2u8; 64]);
         assert!(std::ptr::eq(first.as_slice(), again.as_slice()), "the held frame, not a new one");
         let s = d.snapshot();
         assert_eq!((s.reads(), s.device_ns), (1, 100));
-        assert_eq!((s.reuse_hits, s.frames_pinned, s.scan_reads), (0, 1, 0));
+        assert_eq!((s.reuse_hits, s.frames_pinned, s.scan_reads), (0, 1, 1));
+    }
+
+    #[test]
+    fn a_scan_cursor_streams_data_kinds_and_descends_point_class() {
+        let kinds = [BlockKind::Meta, BlockKind::Inner, BlockKind::Leaf, BlockKind::Utility];
+        for (scan, tagged) in [(false, 0), (true, 2)] {
+            let d = disk();
+            let mut cursor = if scan { d.scan_cursor() } else { d.cursor() };
+            for (block, kind) in kinds.into_iter().enumerate() {
+                cursor.read(0, block as BlockId, kind).unwrap();
+            }
+            let s = d.snapshot();
+            assert_eq!((s.reads(), s.scan_reads), (4, tagged), "scan cursor: {scan}");
+        }
+        // At depth > 1 only a scan cursor's data miss reads ahead.
+        let config = DiskConfig::with_block_size(64).queue_depth(4);
+        for (kind, ahead) in [(BlockKind::Inner, 0), (BlockKind::Leaf, 3), (BlockKind::Utility, 3)]
+        {
+            let d = Disk::in_memory(config);
+            let file = d.create_file().unwrap();
+            d.allocate(file, 4).unwrap();
+            d.scan_cursor().read(file, 0, kind).unwrap();
+            assert_eq!(d.stats().reads(), 1 + ahead, "{kind:?}");
+        }
     }
 
     #[test]

@@ -684,33 +684,33 @@ impl Disk {
         self.read_ref_hinted(file, block, kind, AccessClass::Point, SeqHint::Auto)
     }
 
-    /// A [`BlockCursor`] over this disk, for one operation: a re-read of the
-    /// block it read last costs nothing (§6.5).
+    /// A [`BlockCursor`] over this disk, for one point operation: a re-read
+    /// of the block it read last costs nothing (§6.5), and every read is
+    /// point-class.
     pub fn cursor(&self) -> BlockCursor<'_> {
-        BlockCursor::new(self)
+        BlockCursor::new(self, false)
     }
 
-    /// [`Disk::read_ref`] tagged as part of a scan stream: the read is
-    /// counted in [`IoStats::scan_reads`], and at queue depth > 1 a miss
-    /// fetches a readahead wave of the following blocks with it. The buffer
-    /// pool treats it like any other read (one strict LRU). Index scan paths
-    /// use this for the blocks they stream over; their descent to the first
-    /// block stays point-class.
-    pub fn read_ref_scan(
-        &self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-    ) -> StorageResult<BlockRef> {
-        self.read_ref_hinted(file, block, kind, AccessClass::Scan, SeqHint::Auto)
+    /// A [`BlockCursor`] for one scan: like [`Disk::cursor`], but its
+    /// `Leaf` and `Utility` reads are scan-class while its `Inner` and
+    /// `Meta` reads — the descent — stay point-class. Index scans send every
+    /// read through one scan cursor, so a scan streams from its first data
+    /// block.
+    pub fn scan_cursor(&self) -> BlockCursor<'_> {
+        BlockCursor::new(self, true)
     }
 
     /// Reads one block as a pinned, zero-copy [`BlockRef`] under an explicit
-    /// [`AccessClass`] (see [`Disk::read_ref`] for the pinning guarantees
-    /// and [`Disk::read_ref_scan`] for what the class changes) and
-    /// sequential-cost hint ([`SeqHint`]): scan streams that know their
+    /// [`AccessClass`] (see [`Disk::read_ref`] for the pinning guarantees)
+    /// and sequential-cost hint ([`SeqHint`]): scan streams that know their
     /// block layout pass `Sequential` so concurrent readers cannot destroy
     /// each other's sequentiality through the shared last-access word.
+    ///
+    /// A scan-class read is part of a scan stream: it is counted in
+    /// [`IoStats::scan_reads`], and at queue depth > 1 a miss fetches a
+    /// readahead wave of the following blocks with it, counted under this
+    /// read's `kind`. The buffer pool treats it like any other read (one
+    /// strict LRU). Index scans reach it through [`Disk::scan_cursor`].
     pub fn read_ref_hinted(
         &self,
         file: FileId,
@@ -1274,8 +1274,9 @@ mod tests {
         }
         d.stats().reset();
         d.reset_access_state();
+        let mut cursor = d.scan_cursor();
         for b in 0..8u32 {
-            let frame = d.read_ref_scan(f, b, BlockKind::Leaf).unwrap();
+            let frame = cursor.read(f, b, BlockKind::Leaf).unwrap();
             assert!(frame.iter().all(|&x| x == (b + 1) as u8), "block {b}");
         }
         assert_eq!(d.stats().reads(), 8, "readahead never changes the fetched-block count");
@@ -1294,8 +1295,9 @@ mod tests {
         }
         d1.stats().reset();
         d1.reset_access_state();
+        let mut cursor = d1.scan_cursor();
         for b in 0..8u32 {
-            d1.read_ref_scan(f1, b, BlockKind::Leaf).unwrap();
+            cursor.read(f1, b, BlockKind::Leaf).unwrap();
         }
         assert_eq!(d1.stats().device_ns(), 100 + 7 * 5);
         assert_eq!(d1.stats().readahead_hits(), 0);
@@ -1315,10 +1317,11 @@ mod tests {
         }
         d.reset_access_state();
         // Park blocks 1..=3 via the scan readahead.
-        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        d.scan_cursor().read(f, 0, BlockKind::Leaf).unwrap();
         // Overwrite block 1: its parked frame must not be served.
         d.write(f, 1, BlockKind::Leaf, &[9u8; 128]).unwrap();
-        let frame = d.read_ref_scan(f, 1, BlockKind::Leaf).unwrap();
+        let mut cursor = d.scan_cursor();
+        let frame = cursor.read(f, 1, BlockKind::Leaf).unwrap();
         assert!(frame.iter().all(|&x| x == 9), "stale readahead frame served after overwrite");
         // Free blocks 2..=3: their parked frames must be dropped too. (A
         // point read avoids kicking off another readahead wave here, so the
@@ -1412,8 +1415,9 @@ mod scan_tests {
             }
         }
         // Scan the table.
+        let mut cursor = d.scan_cursor();
         for b in 4..256u32 {
-            d.read_ref_scan(f, b, BlockKind::Leaf).unwrap();
+            cursor.read(f, b, BlockKind::Leaf).unwrap();
         }
         assert_eq!(d.stats().scan_reads(), 252, "scans must announce themselves");
         // Count device reads needed to serve the hot set again.
@@ -1437,7 +1441,7 @@ mod scan_tests {
         // Block 0 is least recently used until a scan-class hit refreshes it;
         // admitting block 4 then evicts block 1 instead.
         let before = d.stats().reads();
-        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        d.scan_cursor().read(f, 0, BlockKind::Leaf).unwrap();
         assert_eq!(d.stats().reads(), before, "a resident block is a pool hit");
         d.read_ref(f, 4, BlockKind::Leaf).unwrap();
         let before = d.stats().reads();
@@ -1479,8 +1483,8 @@ mod scan_tests {
         let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
         d.allocate(f, 2).unwrap();
-        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
-        d.read_ref_scan(f, 0, BlockKind::Leaf).unwrap();
+        d.scan_cursor().read(f, 0, BlockKind::Leaf).unwrap();
+        d.scan_cursor().read(f, 0, BlockKind::Leaf).unwrap();
         d.read_ref(f, 1, BlockKind::Leaf).unwrap();
         d.read_ref(f, 1, BlockKind::Leaf).unwrap();
         assert_eq!(d.stats().scan_reads(), 2);

@@ -31,6 +31,9 @@
 //!   §6.5 "reuse the last block fetched" optimisation, scoped to one query.
 //!   An index that reads a node slot by slot pays one disk read per block,
 //!   not per slot, and a write through the cursor refreshes the held frame.
+//!   The cursor also holds the operation's access class: a
+//!   [`Disk::scan_cursor`] reads data kinds scan-class, so a scan's every
+//!   read follows one rule.
 //! * [`mod@format`] — the crash-safe on-disk format: CRC32 block stamps
 //!   ([`format::BlockStamp`]) verified on every read of a durable disk, and
 //!   the double-buffered, checksummed [`format::Superblock`] that anchors a

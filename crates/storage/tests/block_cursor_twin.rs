@@ -1,8 +1,10 @@
 //! A [`BlockCursor`] walk costs exactly what plain disk reads of the same
 //! sequence cost once every read that repeats the read before it (same
 //! file, block and kind) is dropped. Driven by the same trace, walks through
-//! a cursor on one disk — reads and writes — and plain `read_ref_hinted` /
-//! `write` calls on its twin, with those repeats dropped, must leave the
+//! a cursor on one disk — reads and writes, through a point or a scan
+//! cursor — and plain `read_ref_hinted` / `write` calls on its twin, each
+//! read under the class the cursor's kind rule gives it (a scan cursor reads
+//! `Leaf` and `Utility` scan-class), with those repeats dropped, must leave the
 //! whole [`OpStats`] and the pool residency identical after every single
 //! step, and every read through the cursor must return the block's current
 //! bytes, including what the walk itself just wrote.
@@ -20,26 +22,29 @@ const BLOCK_SIZE: usize = 64;
 #[derive(Debug, Clone, Copy)]
 enum Access {
     /// A read, repeated `times` in a row (a slot-by-slot walk of one block).
-    Read { block: Option<u32>, kind: BlockKind, class: AccessClass, hint: SeqHint, times: usize },
+    Read { block: Option<u32>, kind: BlockKind, hint: SeqHint, times: usize },
     /// A write through the cursor.
     Write { block: Option<u32>, kind: BlockKind, value: u8 },
 }
 
 #[derive(Debug, Clone)]
 enum Step {
-    Walk(Vec<Access>),
+    /// A walk through a scan cursor (`true`) or a point cursor.
+    Walk(bool, Vec<Access>),
     Write(u32, BlockKind, u8),
     Free(u32),
     ResetAccessState,
 }
 
-/// `Inner` is the memory-resident kind of the twin disks.
+/// `Inner` is the memory-resident kind of the twin disks; `Meta` is a
+/// charged kind a scan cursor still reads point-class.
 fn kind() -> impl Strategy<Value = BlockKind> {
-    prop_oneof![Just(BlockKind::Inner), Just(BlockKind::Leaf), Just(BlockKind::Utility)]
-}
-
-fn class() -> impl Strategy<Value = AccessClass> {
-    prop_oneof![Just(AccessClass::Point), Just(AccessClass::Scan)]
+    prop_oneof![
+        Just(BlockKind::Meta),
+        Just(BlockKind::Inner),
+        Just(BlockKind::Leaf),
+        Just(BlockKind::Utility)
+    ]
 }
 
 fn hint() -> impl Strategy<Value = SeqHint> {
@@ -51,17 +56,11 @@ fn block() -> impl Strategy<Value = Option<u32>> {
 }
 
 fn access() -> impl Strategy<Value = Access> {
-    let read = || {
-        ((block(), kind()), (class(), hint(), 1usize..4)).prop_map(
-            |((block, kind), (class, hint, times))| Access::Read {
-                block,
-                kind,
-                class,
-                hint,
-                times,
-            },
-        )
-    };
+    let read =
+        || {
+            (block(), kind(), hint(), 1usize..4)
+                .prop_map(|(block, kind, hint, times)| Access::Read { block, kind, hint, times })
+        };
     prop_oneof![
         read(),
         read(),
@@ -74,7 +73,10 @@ fn access() -> impl Strategy<Value = Access> {
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    let walk = || proptest::collection::vec(access(), 1..12).prop_map(Step::Walk);
+    let walk = || {
+        (any::<bool>(), proptest::collection::vec(access(), 1..12))
+            .prop_map(|(scan, accesses)| Step::Walk(scan, accesses))
+    };
     prop_oneof![
         walk(),
         walk(),
@@ -124,17 +126,21 @@ proptest! {
         let mut content: Vec<u8> = (0..BLOCKS as u8).collect();
         for (n, step) in steps.into_iter().enumerate() {
             match step {
-                Step::Walk(accesses) => {
-                    let mut cursor = walked.cursor();
+                Step::Walk(scan, accesses) => {
+                    let mut cursor = if scan { walked.scan_cursor() } else { walked.cursor() };
+                    let class = |kind| match kind {
+                        BlockKind::Leaf | BlockKind::Utility if scan => AccessClass::Scan,
+                        _ => AccessClass::Point,
+                    };
                     // The walk's last read: the plain twin drops a read that
                     // repeats it, and a `None` block names its block.
                     let mut last: Option<(u32, BlockKind)> = None;
                     for access in accesses {
                         match access {
-                            Access::Read { block, kind, class, hint, times } => {
+                            Access::Read { block, kind, hint, times } => {
                                 let b = block.or(last.map(|(b, _)| b)).unwrap_or(0);
                                 for _ in 0..times {
-                                    let a = cursor.read_hinted(0, b, kind, class, hint).unwrap();
+                                    let a = cursor.read_hinted(0, b, kind, hint).unwrap();
                                     prop_assert_eq!(
                                         &a[..],
                                         &[content[b as usize]; BLOCK_SIZE][..],
@@ -143,7 +149,7 @@ proptest! {
                                         b
                                     );
                                     if last != Some((b, kind)) {
-                                        plain.read_ref_hinted(0, b, kind, class, hint).unwrap();
+                                        plain.read_ref_hinted(0, b, kind, class(kind), hint).unwrap();
                                     }
                                     last = Some((b, kind));
                                     prop_assert_eq!(

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use lidx_core::{DiskIndex, Entry, IndexWrite, Key, Value};
 use lidx_experiments::runner::{IndexChoice, RunConfig};
-use lidx_storage::{DeviceModel, Disk, DiskConfig, OpStats};
+use lidx_storage::{BlockKind, DeviceModel, Disk, DiskConfig, OpStats};
 use lidx_workloads::{Dataset, Op, Workload, WorkloadKind, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -299,6 +299,38 @@ fn every_design_tags_its_scan_reads() {
             tagged,
             "{choice:?} lookups must stay point-class"
         );
+    }
+
+    // The scan rule: every data block a scan reads — the descent's last hop
+    // to its first data block included — is a scan read, and nothing else
+    // is. With no pool and memory-resident `Inner`/`Meta` blocks, every scan
+    // read is a device read of a `Leaf` or `Utility` block and vice versa.
+    // The first start lies inside a single data block, past the minimum.
+    let starts = [entries[10].0, entries[2_345].0 + 1, entries[5_000].0];
+    for choice in IndexChoice::ALL_DESIGNS {
+        let disk = Disk::in_memory(
+            DiskConfig::default()
+                .buffer_blocks(0)
+                .queue_depth(1)
+                .memory_resident(&[BlockKind::Inner, BlockKind::Meta]),
+        );
+        let mut index = choice.build(disk);
+        index.bulk_load(&entries).expect("bulk load");
+        let mut out = Vec::new();
+        for start in starts {
+            let disk = index.disk();
+            disk.reset_access_state();
+            let before = disk.snapshot();
+            index.scan(start, 100, &mut out).expect("scan");
+            assert_eq!(out.len(), 100, "{choice:?} scan from {start}");
+            let io = disk.snapshot().since(&before);
+            let data_reads = io.reads_of(BlockKind::Leaf) + io.reads_of(BlockKind::Utility);
+            assert_eq!(
+                io.scan_reads, data_reads,
+                "{choice:?} scan from {start}: {} of {data_reads} data reads tagged scan-class",
+                io.scan_reads
+            );
+        }
     }
 }
 

@@ -28,7 +28,15 @@ struct ReadCost {
 /// order. The depth-1 rows of the B+-tree, ALEX and both hybrids were
 /// re-recorded when their `lookup_batch` became the wave strategy at every
 /// depth: device reads and device time stayed or fell, and only the pool
-/// hits of the batch's reads moved.
+/// hits of the batch's reads moved. The depth-8 rows of PGM, ALEX and LIPP
+/// were re-recorded when scans began reading through a scan cursor: their
+/// first data block (PGM's ε-window, ALEX's data-node header and search
+/// slots, LIPP's descent) became a scan read, so its miss starts a readahead
+/// wave. Device time fell in all three rows (PGM 48.16 → 47.40 ms, ALEX
+/// 143.20 → 135.82 ms, LIPP 210.62 → 200.00 ms); PGM and ALEX now fetch more
+/// blocks (526 → 571, 1 938 → 2 129), as readahead brings in blocks a scan
+/// may not reach, and ALEX's prefetched bitmap blocks count under the
+/// demanding read's `Leaf` kind.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 1, btree
@@ -50,11 +58,11 @@ const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 8, fiting
     ReadCost { reads: [0, 0, 662, 0], device_ns: 54080000, buffer_hits: 4714, readahead_hits: 22 },
     // ssd, pool 64, depth 8, pgm
-    ReadCost { reads: [0, 0, 526, 0], device_ns: 48160000, buffer_hits: 2341, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 571, 0], device_ns: 47400000, buffer_hits: 2348, readahead_hits: 3 },
     // ssd, pool 64, depth 8, alex
-    ReadCost { reads: [0, 0, 1653, 285], device_ns: 143200000, buffer_hits: 5725, readahead_hits: 61 },
+    ReadCost { reads: [0, 0, 2023, 106], device_ns: 135820000, buffer_hits: 5721, readahead_hits: 152 },
     // ssd, pool 64, depth 8, lipp
-    ReadCost { reads: [0, 0, 3461, 0], device_ns: 210620000, buffer_hits: 2489, readahead_hits: 385 },
+    ReadCost { reads: [0, 0, 3311, 0], device_ns: 200000000, buffer_hits: 2488, readahead_hits: 561 },
     // ssd, pool 64, depth 8, hybrid-pla
     ReadCost { reads: [0, 0, 1051, 0], device_ns: 80820000, buffer_hits: 3687, readahead_hits: 12 },
     // ssd, pool 64, depth 8, hybrid-modeltree
