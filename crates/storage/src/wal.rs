@@ -368,6 +368,7 @@ pub fn decode_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::DeviceModel;
     use crate::disk::{Disk, DiskConfig};
     use crate::fault::FaultPlan;
 
@@ -411,6 +412,42 @@ mod tests {
         assert_eq!(got.len(), want.len() + 1);
         assert_eq!(got.last().unwrap(), b"after-reopen");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a reopen reads, pinned: the header, every allocated record
+    /// block, then the partly filled tail block once more, which is a
+    /// device read on a pool-0 disk and a pool hit on a pooled one.
+    #[test]
+    fn reopen_cost_is_pinned() {
+        // Random reads 100 ns, writes 10 ns, sequential reads 7 ns.
+        let device = DeviceModel::custom("t", 100, 10, 7);
+        // Five 56-byte records fill blocks 1 and 2 and 24 bytes of block 3;
+        // the log holds one 8-block extent.
+        let want: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 40]).collect();
+        // Header (random), blocks 1-7 (sequential), tail block 3 (random).
+        for (pool, reads, device_ns) in [(0, 9, 100 + 7 * 7 + 100), (64, 8, 100 + 7 * 7)] {
+            let dir = tempdir(&format!("open-cost-{pool}"));
+            let config = DiskConfig::with_block_size(128).device(device).buffer_blocks(pool);
+            let file = {
+                let disk = Disk::create_durable(&dir, config).unwrap();
+                let mut wal = WalSegment::create(&disk).unwrap();
+                for p in &want {
+                    wal.append(p).unwrap();
+                }
+                wal.sync().unwrap();
+                disk.persist(&[], false).unwrap();
+                wal.file()
+            };
+            let (disk, _sb) = Disk::open(&dir, config).unwrap();
+            disk.stats().reset();
+            let (wal, got) = WalSegment::open(&disk, file).unwrap();
+            assert_eq!(got, want, "pool {pool}");
+            assert_eq!((wal.tail_block, wal.tail_len), (3, 24), "pool {pool}");
+            assert_eq!(&wal.tail[..24], &encode_record(1, &want[4])[32..], "pool {pool}");
+            let s = disk.snapshot();
+            assert_eq!((s.reads(), s.device_ns), (reads, device_ns), "pool {pool}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
