@@ -8,9 +8,7 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::LinearModel;
-use lidx_storage::{
-    AccessClass, BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK,
-};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK};
 
 use crate::node::{ChildPtr, DataGeometry, DataNode, InnerNode};
 
@@ -618,7 +616,7 @@ impl IndexRead for AlexIndex {
         let header_blocks: std::collections::BTreeSet<BlockId> =
             groups.iter().map(|&(start, _)| start).collect();
         for &start in &header_blocks {
-            q.submit(self.data_file, start, BlockKind::Leaf, AccessClass::Point)?;
+            q.submit(self.data_file, start, BlockKind::Leaf)?;
         }
         let mut nodes = std::collections::HashMap::new();
         for c in q.complete()? {

@@ -771,7 +771,7 @@ mod tests {
             InnerNode::build(&d, file, start, LinearModel::new(0.0, 0.0), &[ptr, ptr]).unwrap();
         // Forge the high half of child 1: masked to 32 bits it would still
         // name block 99.
-        let mut buf = d.read_vec(file, start, BlockKind::Inner).unwrap();
+        let mut buf = d.cursor().read(file, start, BlockKind::Inner).unwrap().to_vec();
         let off = INNER_HEADER_BYTES + 8;
         buf[off..off + 8].copy_from_slice(&(ptr.pack() | 1 << 32).to_le_bytes());
         d.write(file, start, BlockKind::Inner, &buf).unwrap();
@@ -836,7 +836,7 @@ mod tests {
         // the middle one is pooled.
         let (first, _) = node.slot_block(10, &d);
         d.clear_buffer();
-        d.read_ref(node.file, first + 1, BlockKind::Leaf).unwrap();
+        d.cursor().read(node.file, first + 1, BlockKind::Leaf).unwrap();
         d.stats().reset();
         d.reset_access_state();
         node.shift_right(&mut d.cursor(), 10, 70).unwrap();

@@ -7,8 +7,7 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_storage::{
-    AccessClass, BlockCursor, BlockId, BlockKind, BlockRef, BlockWriter, Disk, OpClass, SeqHint,
-    INVALID_BLOCK,
+    BlockCursor, BlockId, BlockKind, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
 };
 
 use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
@@ -166,26 +165,10 @@ impl BTreeIndex {
         Ok(())
     }
 
-    /// Pins the leaf at `block` for reading through a [`LeafView`].
-    fn pin_leaf(&self, block: BlockId) -> IndexResult<BlockRef> {
-        Ok(self.disk.read_ref(self.file, block, BlockKind::Leaf)?)
-    }
-
-    /// Decodes the leaf at `block` into an owned node, to mutate it.
-    fn read_leaf(&self, block: BlockId) -> IndexResult<LeafNode> {
-        LeafNode::decode(&self.pin_leaf(block)?)
-    }
-
     fn write_leaf(&self, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
         let buf = leaf.encode(self.disk.block_size())?;
         self.disk.write(self.file, block, BlockKind::Leaf, &buf)?;
         Ok(())
-    }
-
-    /// Decodes the inner node at `block` into an owned node, to mutate it.
-    fn read_inner(&self, block: BlockId) -> IndexResult<InnerNode> {
-        let buf = self.disk.read_ref(self.file, block, BlockKind::Inner)?;
-        InnerNode::decode(&buf)
     }
 
     fn write_inner(&self, block: BlockId, node: &InnerNode) -> IndexResult<()> {
@@ -220,16 +203,19 @@ impl BTreeIndex {
     }
 
     /// The read-only descent: the block id of the leaf covering `key`.
-    fn find_leaf(&self, key: Key) -> IndexResult<BlockId> {
-        self.descend_with(&mut self.disk.cursor(), key, |_, _, _| {})
+    fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
+        self.descend_with(cursor, key, |_, _, _| {})
     }
 
     /// The insert-path descent: additionally returns the path of `(inner
     /// block, child index chosen)` pairs a split propagates along.
-    fn descend(&self, key: Key) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
+    fn descend(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        key: Key,
+    ) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
         let mut path = Vec::with_capacity(self.height as usize);
-        let leaf = self
-            .descend_with(&mut self.disk.cursor(), key, |block, idx, _| path.push((block, idx)))?;
+        let leaf = self.descend_with(cursor, key, |block, idx, _| path.push((block, idx)))?;
         Ok((path, leaf))
     }
 
@@ -258,19 +244,20 @@ impl BTreeIndex {
     /// hybrid designs of §6.1.2 which map each leaf page's boundary key to a
     /// page address.
     pub fn lookup_floor(&self, key: Key) -> IndexResult<Option<Entry>> {
-        let frame = self.pin_leaf(self.find_leaf(key)?)?;
-        let leaf = LeafView::new(&frame)?;
+        let mut cursor = self.disk.cursor();
+        let block = self.find_leaf(&mut cursor, key)?;
+        let leaf = LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?;
         if let Some(e) = leaf.floor(key) {
             return Ok(Some(e));
         }
         // The floor may live in the previous leaf if `key` is smaller than
         // every key of this leaf (possible when `key` precedes the whole
         // subtree's range).
-        if leaf.prev() == INVALID_BLOCK {
+        let prev = leaf.prev();
+        if prev == INVALID_BLOCK {
             return Ok(None);
         }
-        let frame = self.pin_leaf(leaf.prev())?;
-        Ok(LeafView::new(&frame)?.floor(Key::MAX))
+        Ok(LeafView::new(cursor.read(self.file, prev, BlockKind::Leaf)?)?.floor(Key::MAX))
     }
 
     /// Builds the leaf level during bulk load, returning `(min_key, block)`
@@ -359,7 +346,8 @@ impl BTreeIndex {
         let mut child = child;
         for depth in (0..path.len()).rev() {
             let (block, _) = path[depth];
-            let mut node = self.read_inner(block)?;
+            let mut node =
+                InnerNode::decode(self.disk.cursor().read(self.file, block, BlockKind::Inner)?)?;
             let pos = node.keys.partition_point(|&k| k <= key);
             node.keys.insert(pos, key);
             node.children.insert(pos + 1, child);
@@ -404,8 +392,9 @@ impl IndexRead for BTreeIndex {
     }
 
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        let frame = self.pin_leaf(self.find_leaf(key)?)?;
-        Ok(LeafView::new(&frame)?.lookup(key))
+        let mut cursor = self.disk.cursor();
+        let block = self.find_leaf(&mut cursor, key)?;
+        Ok(LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?.lookup(key))
     }
 
     /// Batched lookups sort the probe keys and group them per leaf with one
@@ -442,7 +431,7 @@ impl IndexRead for BTreeIndex {
         }
         let mut q = self.disk.read_queue();
         for &(block, _) in &groups {
-            q.submit(self.file, block, BlockKind::Leaf, AccessClass::Point)?;
+            q.submit(self.file, block, BlockKind::Leaf)?;
         }
         let mut from = 0;
         for (&(_, end), c) in groups.iter().zip(q.complete()?) {
@@ -538,8 +527,16 @@ impl IndexWrite for BTreeIndex {
         let mut laps = StepLaps::start(&self.disk);
         let mut next = 0usize;
         while next < order.len() {
-            let (path, leaf_block) = self.descend(entries[order[next] as usize].0)?;
-            let mut leaf = self.read_leaf(leaf_block)?;
+            // The search reads through one cursor, dropped before the run's
+            // first write.
+            let (path, leaf_block, mut leaf) = {
+                let mut cursor = self.disk.cursor();
+                let (path, leaf_block) =
+                    self.descend(&mut cursor, entries[order[next] as usize].0)?;
+                let leaf =
+                    LeafNode::decode(cursor.read(self.file, leaf_block, BlockKind::Leaf)?)?;
+                (path, leaf_block, leaf)
+            };
             laps.lap(&mut self.breakdown, InsertStep::Search);
 
             // Apply the run: the first key always lands here (the descent is
@@ -1000,9 +997,12 @@ mod tests {
         t.bulk_load(&data).unwrap();
         assert!(t.leaf_nodes > 2);
         // The last leaf links back to the first.
-        let (first, last) = (t.find_leaf(Key::MIN).unwrap(), t.find_leaf(Key::MAX).unwrap());
+        let mut cursor = t.disk.cursor();
+        let first = t.find_leaf(&mut cursor, Key::MIN).unwrap();
+        let last = t.find_leaf(&mut cursor, Key::MAX).unwrap();
         let mut leaf =
-            LeafNode::decode(&t.disk.read_ref(t.file, last, BlockKind::Leaf).unwrap()).unwrap();
+            LeafNode::decode(cursor.read(t.file, last, BlockKind::Leaf).unwrap()).unwrap();
+        drop(cursor);
         assert_eq!(leaf.next, INVALID_BLOCK);
         leaf.next = first;
         t.write_leaf(last, &leaf).unwrap();

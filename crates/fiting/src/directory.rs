@@ -399,8 +399,9 @@ impl Directory {
     /// current item count" the paper attributes to FITing-tree inserts.
     pub fn update_meta(&mut self, slot: DirSlot, meta: SegmentMeta) -> IndexResult<()> {
         meta.check_extent(self.disk.block_size())?;
-        let buf = self.disk.read_ref(self.file, slot.block, BlockKind::Inner)?;
-        let mut leaf = DirLeaf::decode(&buf, self.disk.block_size())?;
+        let bs = self.disk.block_size();
+        let mut leaf =
+            DirLeaf::decode(self.disk.cursor().read(self.file, slot.block, BlockKind::Inner)?, bs)?;
         let entry = leaf
             .entries
             .get_mut(slot.slot)
@@ -487,7 +488,7 @@ impl Directory {
         for depth in (0..path.len()).rev() {
             let (block, _) = path[depth];
             let mut node =
-                InnerNode::decode(&self.disk.read_ref(self.file, block, BlockKind::Inner)?)?;
+                InnerNode::decode(self.disk.cursor().read(self.file, block, BlockKind::Inner)?)?;
             let pos = node.keys.partition_point(|&k| k <= key);
             node.keys.insert(pos, key);
             node.children.insert(pos + 1, child);
@@ -677,7 +678,7 @@ mod tests {
 
     /// Rewrites the stored bytes of directory block `block` with `patch`.
     fn patch_block(dir: &Directory, block: BlockId, patch: impl FnOnce(&mut [u8])) {
-        let mut buf = dir.disk.read_ref(dir.file, block, BlockKind::Inner).unwrap().to_vec();
+        let mut buf = dir.disk.cursor().read(dir.file, block, BlockKind::Inner).unwrap().to_vec();
         patch(&mut buf);
         dir.disk.write(dir.file, block, BlockKind::Inner, &buf).unwrap();
     }

@@ -1045,7 +1045,7 @@ mod tests {
     /// Rewrites the stored bytes of directory block `block` with `patch`.
     fn patch_directory_block(t: &FitingTree, block: BlockId, patch: impl FnOnce(&mut [u8])) {
         let file = t.directory.file_id();
-        let mut buf = t.disk.read_ref(file, block, BlockKind::Inner).unwrap().to_vec();
+        let mut buf = t.disk.cursor().read(file, block, BlockKind::Inner).unwrap().to_vec();
         patch(&mut buf);
         t.disk.write(file, block, BlockKind::Inner, &buf).unwrap();
     }

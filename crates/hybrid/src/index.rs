@@ -7,7 +7,7 @@ use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
-use lidx_storage::{BlockId, Disk, OpClass};
+use lidx_storage::{BlockId, BlockKind, Disk, OpClass};
 
 use crate::inner::{InnerDirectory, ModelTreeInner, PlaInner};
 use crate::leaf::{LeafLevel, LeafSplit};
@@ -153,8 +153,9 @@ impl IndexRead for HybridIndex {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        let leaf = self.inner.find_leaf(&mut self.disk.cursor(), key)?;
-        self.leaves.lookup_in(leaf, key)
+        let mut cursor = self.disk.cursor();
+        let leaf = self.inner.find_leaf(&mut cursor, key)?;
+        self.leaves.lookup_in(&mut cursor, leaf, key)
     }
 
     /// Batched lookups sort the probe keys and group them by covering leaf
@@ -274,14 +275,18 @@ impl IndexWrite for HybridIndex {
             // Route through the learned directory while it is current; once
             // a split leaves it stale, the in-memory boundary table (always
             // current) takes over until the end-of-batch rebuild. Fetching
-            // the leaf is the last hop of the search.
+            // the leaf is the last hop of the search, whose cursor is dropped
+            // before the run's write.
             let upper_pos = self.boundaries.partition_point(|&(b, _)| b <= key);
-            let leaf = if directory_stale {
-                self.boundaries[upper_pos.saturating_sub(1)].1
-            } else {
-                self.inner.find_leaf(&mut self.disk.cursor(), key)?
+            let (leaf, frame) = {
+                let mut cursor = self.disk.cursor();
+                let leaf = if directory_stale {
+                    self.boundaries[upper_pos.saturating_sub(1)].1
+                } else {
+                    self.inner.find_leaf(&mut cursor, key)?
+                };
+                (leaf, cursor.read(self.leaves.file_id(), leaf, BlockKind::Leaf)?.clone())
             };
-            let frame = self.leaves.pin(leaf)?;
             laps.lap(&mut self.breakdown, InsertStep::Search);
 
             // The leaf covers keys up to (but excluding) the next boundary.

@@ -594,15 +594,15 @@ mod tests {
     }
 
     /// The slot-by-slot ε-window walk that `floor_in_window` replaced — one
-    /// `read_ref` per slot, stopping at the first key above `key` — kept as
-    /// the reference the in-place search must match, leaf for leaf and
-    /// block for block.
+    /// read per slot, each through a fresh cursor, stopping at the first key
+    /// above `key` — kept as the reference the in-place search must match,
+    /// leaf for leaf and block for block.
     fn find_leaf_slot_by_slot(dir: &PlaInner, key: Key) -> BlockId {
         let slot = |first_block: u32, per_block: usize, stride: usize, idx: u64| -> Vec<u8> {
             let block = first_block + (idx / per_block as u64) as u32;
-            let frame = dir.disk.read_ref(dir.file, block, BlockKind::Inner).unwrap();
             let off = (idx % per_block as u64) as usize * stride;
-            frame[off..off + stride].to_vec()
+            dir.disk.cursor().read(dir.file, block, BlockKind::Inner).unwrap()[off..off + stride]
+                .to_vec()
         };
         let eps = dir.epsilon as u64;
         let mut rec = dir.root.unwrap();
@@ -729,7 +729,7 @@ mod tests {
 
     /// Overwrites the `u64` at byte `off` of inner block `block` of `file`.
     fn forge(disk: &Disk, file: u32, block: BlockId, off: usize, value: u64) {
-        let mut buf = disk.read_vec(file, block, BlockKind::Inner).unwrap();
+        let mut buf = disk.cursor().read(file, block, BlockKind::Inner).unwrap().to_vec();
         buf[off..off + 8].copy_from_slice(&value.to_le_bytes());
         disk.write(file, block, BlockKind::Inner, &buf).unwrap();
     }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use lidx_btree::{scan_leaf_chain, LeafNode, LeafView, NodeCapacity};
 use lidx_core::{Entry, IndexResult, Key, Value};
-use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, BlockRef, Disk, INVALID_BLOCK};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockRef, Disk, INVALID_BLOCK};
 
 /// The leaf level: a file of linked, dense leaf blocks.
 pub struct LeafLevel {
@@ -58,12 +58,6 @@ impl LeafLevel {
         self.leaf_count
     }
 
-    /// Pins the leaf at `block` (one block read) for reading through a
-    /// [`LeafView`].
-    pub(crate) fn pin(&self, block: BlockId) -> IndexResult<BlockRef> {
-        Ok(self.disk.read_ref(self.file, block, BlockKind::Leaf)?)
-    }
-
     fn write(&self, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
         let buf = leaf.encode(self.disk.block_size())?;
         self.disk.write(self.file, block, BlockKind::Leaf, &buf)?;
@@ -96,19 +90,24 @@ impl LeafLevel {
         Ok(boundaries)
     }
 
-    /// Looks up `key` in the leaf at `block` (one block read).
-    pub fn lookup_in(&self, block: BlockId, key: Key) -> IndexResult<Option<Value>> {
-        Ok(LeafView::new(&self.pin(block)?)?.lookup(key))
+    /// Looks up `key` in the leaf at `block` (one block read, through the
+    /// operation's `cursor`).
+    pub fn lookup_in(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        block: BlockId,
+        key: Key,
+    ) -> IndexResult<Option<Value>> {
+        Ok(LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?.lookup(key))
     }
 
     /// Pins a batch of leaves through one outstanding-read queue: waves of
-    /// up to the disk's queue depth, so at depth 1 exactly what calling
-    /// [`LeafLevel::pin`] once per block costs. Results are returned in input
-    /// order.
+    /// up to the disk's queue depth, so at depth 1 exactly what reading each
+    /// block once costs. Results are returned in input order.
     pub(crate) fn pin_queued(&self, blocks: &[BlockId]) -> IndexResult<Vec<BlockRef>> {
         let mut q = self.disk.read_queue();
         for &b in blocks {
-            q.submit(self.file, b, BlockKind::Leaf, AccessClass::Point)?;
+            q.submit(self.file, b, BlockKind::Leaf)?;
         }
         Ok(q.complete()?.into_iter().map(|c| c.frame).collect())
     }
@@ -173,8 +172,8 @@ impl LeafLevel {
     /// than the leaf's first entry (callers route by boundary key, so this is
     /// a sanity check used in tests).
     pub fn covers(&self, block: BlockId, key: Key) -> IndexResult<bool> {
-        let frame = self.pin(block)?;
-        let leaf = LeafView::new(&frame)?;
+        let mut cursor = self.disk.cursor();
+        let leaf = LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?;
         Ok(leaf.is_empty() || leaf.entry(0).0 <= key)
     }
 }
@@ -202,7 +201,7 @@ mod tests {
         // Every key is found in the leaf its boundary routes to.
         for &(k, v) in entries.iter().step_by(97) {
             let idx = bounds.partition_point(|&(b, _)| b <= k) - 1;
-            assert_eq!(l.lookup_in(bounds[idx].1, k).unwrap(), Some(v));
+            assert_eq!(l.lookup_in(&mut l.disk.cursor(), bounds[idx].1, k).unwrap(), Some(v));
             assert!(l.covers(bounds[idx].1, k).unwrap());
         }
     }
@@ -216,7 +215,8 @@ mod tests {
         for i in 0..200u64 {
             let key = i * 5 + 1;
             let idx = bounds.partition_point(|&(b, _)| b <= key) - 1;
-            let frame = l.pin(bounds[idx].1).unwrap();
+            let frame =
+                l.disk.cursor().read(l.file, bounds[idx].1, BlockKind::Leaf).unwrap().clone();
             let (consumed, _, split) = l.insert_run_in(bounds[idx].1, &frame, &[(key, i)]).unwrap();
             assert_eq!(consumed, 1, "a single entry is always consumed");
             if let Some(LeafSplit { boundary, block }) = split {
@@ -236,8 +236,8 @@ mod tests {
         assert!(bounds.len() > 2);
         // The last leaf links back to the first.
         let (first, last) = (bounds[0].1, bounds[bounds.len() - 1].1);
-        let frame = l.disk.read_ref(l.file, last, BlockKind::Leaf).unwrap();
-        let mut leaf = LeafNode::decode(&frame).unwrap();
+        let mut leaf =
+            LeafNode::decode(l.disk.cursor().read(l.file, last, BlockKind::Leaf).unwrap()).unwrap();
         assert_eq!(leaf.next, INVALID_BLOCK);
         leaf.next = first;
         l.write(last, &leaf).unwrap();

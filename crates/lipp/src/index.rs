@@ -8,9 +8,9 @@ use lidx_core::{
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
 use lidx_models::fmcd::fit_fmcd;
-use lidx_storage::{AccessClass, BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
-use crate::node::{blocks_for, group_by_slot, LippNode, Slot};
+use crate::node::{blocks_for, group_by_slot, spend, LippNode, Slot};
 
 /// Configuration of the on-disk LIPP index.
 #[derive(Debug, Clone, Copy)]
@@ -168,12 +168,13 @@ impl LippIndex {
         let telemetry = Arc::clone(&self.disk);
         let _span = telemetry.telemetry().span(OpClass::Smo);
         telemetry.telemetry().add(OpClass::Smo, 1);
+        // Each walk of the subtree may load the tree's every node once.
+        let budget = self.node_count;
         let mut entries = Vec::new();
+        node.collect_subtree(cursor, &mut entries, budget)?;
         // Subtract the nodes that are about to disappear.
-        let mut removed = 0u64;
-        node.collect_subtree(cursor, &mut entries)?;
-        count_nodes(cursor, node, &mut removed)?;
-        node.free_subtree(cursor)?;
+        let removed = count_nodes(cursor, node, budget)?;
+        node.free_subtree(cursor, budget)?;
         self.node_count -= removed;
         let new_block = self.build_subtree(&entries, 0)?;
         match parent {
@@ -208,28 +209,15 @@ impl LippIndex {
     }
 
     /// Loads the node at `block` for a read walk that may still load
-    /// `budget` nodes. A walk of a tree loads each node at most once, so a
-    /// budget of [`LippIndex::node_count`] only runs out when a child
-    /// pointer leads back into the walk: that is an error, not a hang.
+    /// `budget` nodes, seeded from [`LippIndex::node_count`] (see [`spend`]).
     fn visit(
         &self,
         cursor: &mut BlockCursor<'_>,
         block: BlockId,
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
-        self.spend(budget)?;
+        spend(budget)?;
         LippNode::load(cursor, self.file, block)
-    }
-
-    /// Takes one node from a read walk's `budget` (see [`LippIndex::visit`]).
-    fn spend(&self, budget: &mut u64) -> IndexResult<()> {
-        *budget = budget.checked_sub(1).ok_or_else(|| {
-            IndexError::Internal(format!(
-                "LIPP walk reached more than the tree's {} nodes: a child pointer is cyclic",
-                self.node_count
-            ))
-        })?;
-        Ok(())
     }
 
     fn should_rebuild(&self, node: &LippNode) -> bool {
@@ -240,16 +228,12 @@ impl LippIndex {
     }
 }
 
-/// Counts the nodes of a subtree (used when a rebuild replaces them).
-fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, acc: &mut u64) -> IndexResult<()> {
-    *acc += 1;
-    for slot in 0..node.header.capacity {
-        if let Slot::Child(b) = node.read_slot(cursor, slot)? {
-            let child = LippNode::load(cursor, node.file, b)?;
-            count_nodes(cursor, &child, acc)?;
-        }
-    }
-    Ok(())
+/// Counts the nodes of a subtree (used when a rebuild replaces them), a
+/// [`LippNode::walk_subtree`] under `budget`.
+fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, budget: u64) -> IndexResult<u64> {
+    let mut nodes = 0;
+    node.walk_subtree(cursor, budget, |_| {}, |_, _| nodes += 1)?;
+    Ok(nodes)
 }
 
 impl IndexRead for LippIndex {
@@ -310,7 +294,7 @@ impl IndexRead for LippIndex {
         let mut q = self.disk.read_queue();
         let mut rounds = self.node_count;
         while !active.is_empty() {
-            self.spend(&mut rounds)?;
+            spend(&mut rounds)?;
             // Wave A: headers of the nodes this level reaches for the first
             // time (always exactly one — the root — on the first round).
             let mut need: Vec<BlockId> =
@@ -318,7 +302,7 @@ impl IndexRead for LippIndex {
             need.sort_unstable();
             need.dedup();
             for &b in &need {
-                q.submit(self.file, b, BlockKind::Leaf, AccessClass::Point)?;
+                q.submit(self.file, b, BlockKind::Leaf)?;
             }
             for c in q.complete()? {
                 nodes.insert(c.block, LippNode::from_header_bytes(self.file, c.block, &c.frame)?);
@@ -476,7 +460,7 @@ impl IndexWrite for LippIndex {
             let mut block = self.root;
             let mut budget = self.node_count;
             let (slot_content, slot, leaf) = loop {
-                self.spend(&mut budget)?;
+                spend(&mut budget)?;
                 if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
                     e.insert(LippNode::load(&mut cursor, self.file, block)?);
                 }
@@ -1019,6 +1003,31 @@ mod tests {
         let l = cyclic(Slot::Data(1, 1), 1_999, 1);
         let scanned = within_deadline(move || l.scan(2, usize::MAX, &mut Vec::new()));
         assert!(matches!(scanned, Err(IndexError::Internal(_))), "{scanned:?}");
+    }
+
+    /// A child slot that names an ancestor fails each subtree walk a
+    /// rebuild makes with a typed error instead of a stack overflow.
+    #[test]
+    fn a_cyclic_child_pointer_fails_every_subtree_walk() {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let file = disk.create_file().unwrap();
+        let (capacity, model) = (8u32, lidx_models::LinearModel::new(0.1, 0.0));
+        let parent = disk.allocate(file, blocks_for(capacity, 512)).unwrap();
+        let child = disk.allocate(file, blocks_for(capacity, 512)).unwrap();
+        let mut slots = vec![Slot::Null; capacity as usize];
+        slots[1] = Slot::Data(10, 10);
+        slots[3] = Slot::Child(parent);
+        LippNode::write_new(&disk, file, child, capacity, model, &slots, 1).unwrap();
+        slots[3] = Slot::Child(child);
+        let root = LippNode::write_new(&disk, file, parent, capacity, model, &slots, 2).unwrap();
+        let nodes = 2;
+        let mut cursor = disk.cursor();
+        let collected = root.collect_subtree(&mut cursor, &mut Vec::new(), nodes);
+        assert!(matches!(collected, Err(IndexError::Internal(_))), "{collected:?}");
+        let counted = count_nodes(&mut cursor, &root, nodes);
+        assert!(matches!(counted, Err(IndexError::Internal(_))), "{counted:?}");
+        let freed = root.free_subtree(&mut cursor, nodes);
+        assert!(matches!(freed, Err(IndexError::Internal(_))), "{freed:?}");
     }
 
     #[test]

@@ -268,40 +268,83 @@ impl LippNode {
         Ok(node)
     }
 
-    /// Collects every entry stored in this node's subtree, in key order.
-    pub fn collect_subtree(
+    /// Walks this node's subtree depth first in slot order, reading every
+    /// slot through `cursor`: `data` sees each stored entry, in key order,
+    /// and `done` each node once its subtree is walked (children before
+    /// their parent). The walk may load `budget` nodes, the tree's node
+    /// count (see [`spend`]), and keeps its path on the heap, so a cyclic
+    /// child pointer is an error, neither a hang nor a stack overflow.
+    pub(crate) fn walk_subtree(
         &self,
         cursor: &mut BlockCursor<'_>,
-        out: &mut Vec<Entry>,
+        mut budget: u64,
+        mut data: impl FnMut(Entry),
+        mut done: impl FnMut(&mut BlockCursor<'_>, &LippNode),
     ) -> IndexResult<()> {
-        for slot in 0..self.header.capacity {
-            match self.read_slot(cursor, slot)? {
+        // Each node on the path with the next slot to read.
+        let mut path = vec![(self.clone(), 0u32)];
+        while let Some((node, slot)) = path.last_mut() {
+            if *slot == node.header.capacity {
+                let (node, _) = path.pop().expect("the path is not empty");
+                done(cursor, &node);
+                continue;
+            }
+            let read = node.read_slot(cursor, *slot)?;
+            *slot += 1;
+            match read {
                 Slot::Null => {}
-                Slot::Data(k, v) => out.push((k, v)),
+                Slot::Data(k, v) => data((k, v)),
                 Slot::Child(block) => {
-                    let child = LippNode::load(cursor, self.file, block)?;
-                    child.collect_subtree(cursor, out)?;
+                    spend(&mut budget)?;
+                    let child = LippNode::load(cursor, node.file, block)?;
+                    path.push((child, 0));
                 }
             }
         }
         Ok(())
     }
 
-    /// Frees this node's extent and, recursively, every descendant's.
-    pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
-        for slot in 0..self.header.capacity {
-            if let Slot::Child(block) = self.read_slot(cursor, slot)? {
-                let child = LippNode::load(cursor, self.file, block)?;
-                child.free_subtree(cursor)?;
-            }
-        }
-        // The cursor holds a block of this extent: let go of it before the
-        // extent is freed.
-        cursor.release();
-        let disk = cursor.disk();
-        disk.free(self.file, self.start, self.total_blocks(disk.block_size()));
-        Ok(())
+    /// Collects every entry stored in this node's subtree, in key order.
+    /// The walk may load `budget` nodes, the tree's node count, so a cyclic
+    /// child pointer is an error.
+    pub fn collect_subtree(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        out: &mut Vec<Entry>,
+        budget: u64,
+    ) -> IndexResult<()> {
+        self.walk_subtree(cursor, budget, |e| out.push(e), |_, _| {})
     }
+
+    /// Frees this node's extent and every descendant's, children first.
+    /// The walk may load `budget` nodes, the tree's node count, so a cyclic
+    /// child pointer is an error.
+    pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>, budget: u64) -> IndexResult<()> {
+        self.walk_subtree(
+            cursor,
+            budget,
+            |_| {},
+            |cursor, node| {
+                // The cursor holds a block of this extent: let go of it before
+                // the extent is freed.
+                cursor.release();
+                let disk = cursor.disk();
+                disk.free(node.file, node.start, node.total_blocks(disk.block_size()));
+            },
+        )
+    }
+}
+
+/// Takes one node from a walk's `budget`. A walk of a tree loads each node
+/// at most once, so a budget of the tree's node count only runs out when a
+/// child pointer leads back into the walk: that is an error, not a hang.
+pub(crate) fn spend(budget: &mut u64) -> IndexResult<()> {
+    *budget = budget.checked_sub(1).ok_or_else(|| {
+        IndexError::Internal(
+            "LIPP walk loaded more nodes than the tree holds: a child pointer is cyclic".into(),
+        )
+    })?;
+    Ok(())
 }
 
 /// Returns `(entry, entry)` slot groupings: entries that map to the same slot
@@ -354,7 +397,7 @@ mod tests {
         // Forge the child pointer's high half: truncated to 32 bits it would
         // still name block 99.
         let (block, off) = node.slot_location(2, 512);
-        let mut buf = d.read_vec(file, block, BlockKind::Leaf).unwrap();
+        let mut buf = d.cursor().read(file, block, BlockKind::Leaf).unwrap().to_vec();
         buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
         d.write(file, block, BlockKind::Leaf, &buf).unwrap();
         let read = node.read_slot(&mut d.cursor(), 2);
@@ -456,11 +499,11 @@ mod tests {
                 .unwrap();
 
         let mut out = Vec::new();
-        parent.collect_subtree(&mut d.cursor(), &mut out).unwrap();
+        parent.collect_subtree(&mut d.cursor(), &mut out, 2).unwrap();
         assert_eq!(out, vec![(5, 50), (10, 100), (20, 200), (30, 300)]);
 
         let before_freed = d.stats().freed_blocks();
-        parent.free_subtree(&mut d.cursor()).unwrap();
+        parent.free_subtree(&mut d.cursor(), 2).unwrap();
         let freed = d.stats().freed_blocks() - before_freed;
         assert_eq!(
             freed,

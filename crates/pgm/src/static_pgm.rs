@@ -21,7 +21,7 @@ use std::sync::Arc;
 use lidx_core::{Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value};
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{AccessClass, BlockCursor, BlockKind, BlockRef, Disk, SeqHint};
+use lidx_storage::{BlockCursor, BlockKind, BlockRef, Disk, SeqHint};
 
 /// Size of one data entry in bytes.
 const ENTRY_BYTES: usize = 16;
@@ -508,7 +508,7 @@ impl StaticPgm {
         }
         let mut q = self.disk.read_queue();
         for &b in &blocks {
-            q.submit(self.file, first_block + b, kind, AccessClass::Point)?;
+            q.submit(self.file, first_block + b, kind)?;
         }
         Ok(q.complete()?.into_iter().map(|c| (c.block - first_block, c.frame)).collect())
     }
@@ -583,9 +583,11 @@ impl StaticPgm {
                         // Same fallback as `search_level`: the key precedes
                         // every record of the window, so it belongs to the
                         // level's very first segment.
-                        let buf =
-                            self.disk.read_ref(self.file, level.first_block, BlockKind::Inner)?;
-                        record_at(&buf, 0)
+                        // A fresh cursor: one shared across the batch could
+                        // serve a repeated fallback for free, changing what
+                        // the batch costs.
+                        let mut cursor = self.disk.cursor();
+                        record_at(cursor.read(self.file, level.first_block, BlockKind::Inner)?, 0)
                     }
                 };
             }

@@ -16,10 +16,11 @@
 //!   stripes, so the common "small pool, hot working set" configurations of
 //!   Fig. 13 keep their hit behaviour.
 //!
-//! Readers tag each request with an [`AccessClass`]. The pool does not look
-//! at it — a scan and a lookup age the same LRU list, the behaviour the paper
-//! measures — but [`crate::Disk`] does: a scan-class miss at queue depth > 1
-//! fetches a readahead wave, and scan-class reads are counted in
+//! A read's access class (point or scan, chosen by the operation's
+//! [`crate::BlockCursor`]) never reaches the pool — a scan and a lookup age
+//! the same LRU list, the behaviour the paper measures — but
+//! [`crate::Disk`] uses it: a scan-class miss at queue depth > 1 fetches a
+//! readahead wave, and scan-class reads are counted in
 //! [`crate::IoStats::scan_reads`]. DESIGN.md §3.3 says why the pool has one
 //! policy and no knob.
 //!
@@ -96,16 +97,16 @@ impl AsRef<[u8]> for BlockRef {
     }
 }
 
-/// How a block request relates to the access pattern around it.
+/// How a block request relates to the access pattern around it. Only a
+/// [`crate::BlockCursor`]'s rule picks it, from the block's kind.
 ///
 /// The buffer pool ignores the class; [`crate::Disk`] uses it. A scan-class
 /// miss at queue depth > 1 folds a readahead of the following blocks into
 /// its fetch (`DiskConfig::queue_depth`), and every scan-class read is
 /// counted in [`crate::IoStats::scan_reads`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccessClass {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AccessClass {
     /// An individual (point) access: lookups, descents, read-modify-write.
-    #[default]
     Point,
     /// Part of a sequential scan stream over many blocks.
     Scan,

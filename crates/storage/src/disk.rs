@@ -665,16 +665,19 @@ impl Disk {
         Ok(BlockRef::from_vec(buf))
     }
 
-    /// Reads one block as a pinned, zero-copy [`BlockRef`], charging the
-    /// device unless the block is served by the buffer pool or the readahead
-    /// cache. Point-access class; see [`Disk::read_ref_hinted`].
+    /// Reads one block point-class as a pinned, zero-copy [`BlockRef`],
+    /// charging the device unless the block is served by the buffer pool or
+    /// the readahead cache.
     ///
-    /// This is the hot-path read API: a pool hit is one `Arc` clone
-    /// — no allocation, no byte copy — and a miss loads the block into a new
-    /// frame exactly once, which the pool then shares (the pool insert is
-    /// another clone, not a second copy). The returned frame stays valid —
-    /// with the bytes it was pinned with — across pool eviction, block frees
-    /// and subsequent writes to the same block.
+    /// This is the door for callers outside any index operation, such as a
+    /// probe that times the pool's hit and miss paths; index code reads
+    /// through a [`BlockCursor`] ([`Disk::cursor`], [`Disk::scan_cursor`]).
+    /// A pool hit is one `Arc` clone — no allocation, no byte copy — and a
+    /// miss loads the block into a new frame exactly once, which the pool
+    /// then shares (the pool insert is another clone, not a second copy).
+    /// The returned frame stays valid — with the bytes it was pinned with —
+    /// across pool eviction, block frees and subsequent writes to the same
+    /// block.
     pub fn read_ref(
         &self,
         file: FileId,
@@ -710,8 +713,9 @@ impl Disk {
     /// [`IoStats::scan_reads`], and at queue depth > 1 a miss fetches a
     /// readahead wave of the following blocks with it, counted under this
     /// read's `kind`. The buffer pool treats it like any other read (one
-    /// strict LRU). Index scans reach it through [`Disk::scan_cursor`].
-    pub fn read_ref_hinted(
+    /// strict LRU). Only [`BlockCursor`] calls it, with the class its rule
+    /// gives the block's kind.
+    pub(crate) fn read_ref_hinted(
         &self,
         file: FileId,
         block: BlockId,
@@ -932,49 +936,6 @@ impl Disk {
         self.queue_depth > 1
     }
 
-    /// Reads one block into `buf`, charging the device unless the block is
-    /// served by the buffer pool or the readahead cache.
-    ///
-    /// This is the legacy copying path (kept for write-side read-modify-write
-    /// and external buffers); every call pays one block copy, recorded in
-    /// [`IoStats::bytes_copied`]. Hot read paths use [`Disk::read_ref`].
-    pub fn read(
-        &self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        buf: &mut [u8],
-    ) -> StorageResult<()> {
-        if buf.len() != self.block_size {
-            return Err(StorageError::BadBufferSize { got: buf.len(), expected: self.block_size });
-        }
-        if self.is_memory_resident(kind) {
-            // Avoid the frame allocation entirely: memory-resident reads can
-            // fill the caller's buffer straight from the backend. It is
-            // still a copy into a caller buffer, so it is still recorded.
-            self.backend_read(file, block, buf)?;
-            self.stats.record_bytes_copied(self.block_size as u64);
-            return Ok(());
-        }
-        let frame = self.read_ref(file, block, kind)?;
-        buf.copy_from_slice(&frame);
-        self.stats.record_bytes_copied(self.block_size as u64);
-        Ok(())
-    }
-
-    /// Reads one block into a freshly allocated vector (legacy copying path;
-    /// see [`Disk::read`]).
-    pub fn read_vec(
-        &self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-    ) -> StorageResult<Vec<u8>> {
-        let mut buf = vec![0u8; self.block_size];
-        self.read(file, block, kind, &mut buf)?;
-        Ok(buf)
-    }
-
     /// Writes one block. Writes always reach the device (write-through).
     pub fn write(
         &self,
@@ -1064,7 +1025,7 @@ mod tests {
         let mut data = vec![0u8; 128];
         data[0] = 42;
         d.write(f, b + 1, BlockKind::Leaf, &data).unwrap();
-        let out = d.read_vec(f, b + 1, BlockKind::Leaf).unwrap();
+        let out = d.read_ref(f, b + 1, BlockKind::Leaf).unwrap();
         assert_eq!(out[0], 42);
         assert_eq!(d.stats().reads(), 1);
         assert_eq!(d.stats().writes(), 1);
@@ -1096,14 +1057,13 @@ mod tests {
         let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
         d.allocate(f, 8).unwrap();
-        let mut buf = vec![0u8; 128];
         for b in 0..4u32 {
-            d.read(f, b, BlockKind::Leaf, &mut buf).unwrap();
+            d.read_ref(f, b, BlockKind::Leaf).unwrap();
         }
         assert_eq!(d.stats().reads(), 4);
         // Re-reading the cached blocks (not consecutively) hits the pool.
         for b in [2u32, 0, 3, 1] {
-            d.read(f, b, BlockKind::Leaf, &mut buf).unwrap();
+            d.read_ref(f, b, BlockKind::Leaf).unwrap();
         }
         assert_eq!(d.stats().reads(), 4);
         assert!(d.buffer_hits() >= 3);
@@ -1115,11 +1075,10 @@ mod tests {
         let d = Disk::in_memory(cfg);
         let f = d.create_file().unwrap();
         d.allocate(f, 3).unwrap();
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap(); // random: 100
-        d.read(f, 1, BlockKind::Leaf, &mut buf).unwrap(); // sequential: 1
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap(); // random: 100
-        d.write(f, 2, BlockKind::Leaf, &buf).unwrap(); // write: 10
+        d.read_ref(f, 0, BlockKind::Leaf).unwrap(); // random: 100
+        d.read_ref(f, 1, BlockKind::Leaf).unwrap(); // sequential: 1
+        d.read_ref(f, 0, BlockKind::Leaf).unwrap(); // random: 100
+        d.write(f, 2, BlockKind::Leaf, &[0u8; 128]).unwrap(); // write: 10
         assert_eq!(d.stats().device_ns(), 100 + 1 + 100 + 10);
         assert!(d.simulated_seconds() > 0.0);
     }
@@ -1129,12 +1088,11 @@ mod tests {
         let d = Disk::in_memory(DiskConfig::with_block_size(128).buffer_blocks(4));
         let f = d.create_file().unwrap();
         d.allocate(f, 2).unwrap();
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
+        d.read_ref(f, 0, BlockKind::Leaf).unwrap();
         d.free(f, 0, 1);
         assert_eq!(d.stats().freed_blocks(), 1);
         // Reading again must go back to the device (the pooled copy is invalidated).
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
+        d.read_ref(f, 0, BlockKind::Leaf).unwrap();
         assert_eq!(d.stats().reads(), 2);
     }
 
@@ -1162,9 +1120,7 @@ mod tests {
         let d = disk(128);
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
-        let mut small = vec![0u8; 64];
-        assert!(d.read(f, 0, BlockKind::Leaf, &mut small).is_err());
-        assert!(d.write(f, 0, BlockKind::Leaf, &small).is_err());
+        assert!(d.write(f, 0, BlockKind::Leaf, &[0u8; 64]).is_err());
     }
 
     #[test]
@@ -1188,10 +1144,9 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..8u32 {
                 s.spawn(move || {
-                    let mut buf = vec![0u8; 128];
                     for round in 0..400u32 {
                         let b = (round.wrapping_mul(13) + t * 5) % 32;
-                        d.read(f, b, BlockKind::Leaf, &mut buf).unwrap();
+                        let buf = d.read_ref(f, b, BlockKind::Leaf).unwrap();
                         assert!(
                             buf.iter().all(|&x| x == (b % 251) as u8),
                             "torn read of block {b}"
@@ -1225,10 +1180,6 @@ mod tests {
         // The write-through populated the pool, so both reads are hits.
         assert_eq!(d.stats().buffer_hits(), 2);
         assert_eq!(d.stats().reads(), 0);
-        // The legacy copying path is the one that pays (and records) copies.
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
-        assert_eq!(d.stats().bytes_copied(), 128);
     }
 
     #[test]
@@ -1381,10 +1332,9 @@ mod tests {
         );
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
-        let mut buf = vec![0u8; 128];
         let t0 = std::time::Instant::now();
         for _ in 0..5 {
-            d.read(f, 0, BlockKind::Leaf, &mut buf).unwrap();
+            d.read_ref(f, 0, BlockKind::Leaf).unwrap();
         }
         assert!(
             t0.elapsed() >= Duration::from_millis(10),
@@ -1510,10 +1460,9 @@ mod memory_resident_tests {
         d.write(f, 0, BlockKind::Inner, &data).unwrap();
         d.write(f, 1, BlockKind::Meta, &data).unwrap();
         d.write(f, 2, BlockKind::Leaf, &data).unwrap();
-        let mut buf = vec![0u8; 128];
-        d.read(f, 0, BlockKind::Inner, &mut buf).unwrap();
-        assert_eq!(buf, data, "memory-resident reads still return real contents");
-        d.read(f, 2, BlockKind::Leaf, &mut buf).unwrap();
+        let inner = d.read_ref(f, 0, BlockKind::Inner).unwrap();
+        assert_eq!(&inner[..], &data[..], "memory-resident reads still return real contents");
+        d.read_ref(f, 2, BlockKind::Leaf).unwrap();
         assert_eq!(d.stats().reads(), 1);
         assert_eq!(d.stats().writes(), 1);
         assert_eq!(d.stats().writes_of(BlockKind::Leaf), 1);
@@ -1548,10 +1497,10 @@ mod durable_tests {
         assert!(sb.clean_shutdown);
         assert_eq!(sb.file_blocks, vec![4]);
         assert_eq!(d.num_blocks(0).unwrap(), 4);
-        let out = d.read_vec(0, 2, BlockKind::Leaf).unwrap();
+        let out = d.read_ref(0, 2, BlockKind::Leaf).unwrap();
         assert_eq!(&out[..4], &0xDEAD_BEEFu32.to_le_bytes());
         // Never-written blocks carry no stamp and read back as zeros.
-        assert_eq!(d.read_vec(0, 3, BlockKind::Leaf).unwrap(), vec![0u8; 256]);
+        assert_eq!(&d.read_ref(0, 3, BlockKind::Leaf).unwrap()[..], &[0u8; 256]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1586,14 +1535,14 @@ mod durable_tests {
         d.clear_buffer();
         d.reset_access_state();
         plan.flip_read_bit(1, 5);
-        let err = d.read_vec(f, 0, BlockKind::Leaf).unwrap_err();
+        let err = d.read_ref(f, 0, BlockKind::Leaf).unwrap_err();
         assert!(matches!(err, StorageError::ChecksumMismatch { file: 0, block: 0 }), "{err}");
         assert_eq!(d.stats().checksum_failures(), 1);
         // With the fault disarmed the block reads back intact.
         plan.clear();
         d.clear_buffer();
         d.reset_access_state();
-        assert_eq!(d.read_vec(f, 0, BlockKind::Leaf).unwrap(), vec![9u8; 128]);
+        assert_eq!(&d.read_ref(f, 0, BlockKind::Leaf).unwrap()[..], &[9u8; 128]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1613,7 +1562,7 @@ mod durable_tests {
         d.clear_buffer();
         d.reset_access_state();
         plan.transient_read_errors(2);
-        assert_eq!(d.read_vec(f, 0, BlockKind::Leaf).unwrap(), vec![3u8; 128]);
+        assert_eq!(&d.read_ref(f, 0, BlockKind::Leaf).unwrap()[..], &[3u8; 128]);
         assert_eq!(d.stats().io_retries(), 2);
         assert_eq!(plan.transients_served(), 2);
 
@@ -1622,7 +1571,7 @@ mod durable_tests {
         d.clear_buffer();
         d.reset_access_state();
         plan.transient_read_errors(64);
-        let err = d.read_vec(f, 0, BlockKind::Leaf).unwrap_err();
+        let err = d.read_ref(f, 0, BlockKind::Leaf).unwrap_err();
         assert!(matches!(err, StorageError::Transient(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1658,8 +1607,8 @@ mod durable_tests {
             Disk::open(&dir, cfg).unwrap()
         };
         for b in 0..8u32 {
-            let got = d.read_vec(0, b, BlockKind::Leaf).unwrap();
-            assert_eq!(got, vec![0xA0 | b as u8; 128], "block {b} must come from the device");
+            let got = d.read_ref(0, b, BlockKind::Leaf).unwrap();
+            assert_eq!(&got[..], &[0xA0 | b as u8; 128], "block {b} must come from the device");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

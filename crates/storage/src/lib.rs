@@ -14,9 +14,9 @@
 //! * [`buffer::BufferPool`] / [`buffer::ShardedBufferPool`] — the strict-LRU
 //!   block cache of the paper's buffer-size study (Fig. 13); the
 //!   lock-striped variant is embedded in [`Disk`] so concurrent readers do
-//!   not serialise on a single pool mutex. Reads carry a
-//!   [`buffer::AccessClass`], which the pool ignores and the disk uses for
-//!   scan readahead and scan-read accounting.
+//!   not serialise on a single pool mutex. Reads carry an access class
+//!   (point or scan), which the pool ignores and the disk uses for scan
+//!   readahead and scan-read accounting.
 //! * [`pager::Pager`] — extent allocation on top of a file, required by ALEX
 //!   and LIPP whose variable-sized nodes may span several contiguous blocks.
 //! * [`queue::ReadQueue`] — the outstanding-read engine: an io_uring-shaped
@@ -33,7 +33,8 @@
 //!   not per slot, and a write through the cursor refreshes the held frame.
 //!   The cursor also holds the operation's access class: a
 //!   [`Disk::scan_cursor`] reads data kinds scan-class, so a scan's every
-//!   read follows one rule.
+//!   read follows one rule. It is the read door of every index crate and
+//!   of the WAL (batches read through a [`queue::ReadQueue`]).
 //! * [`mod@format`] — the crash-safe on-disk format: CRC32 block stamps
 //!   ([`format::BlockStamp`]) verified on every read of a durable disk, and
 //!   the double-buffered, checksummed [`format::Superblock`] that anchors a
@@ -45,16 +46,17 @@
 //!   injection (failed writes, torn writes, read bit-flips, transient EIO)
 //!   wrapped around any backend, powering the kill-and-recover test suites.
 //!
-//! The read path is zero-copy: [`Disk::read_ref`] hands out pinned
-//! [`buffer::BlockRef`] frames (`Arc`-backed, read-only) instead of copying
-//! into caller buffers, so a buffer-pool hit costs one atomic increment — no
-//! allocation, no memcpy. Eviction drops the pool's reference only; a caller
-//! holding a frame keeps its snapshot alive (lazy free). The whole layer is
-//! safe for N concurrent reader threads over a frozen index: statistics are
-//! atomic counters, the pool is lock-striped (a read that hits it touches
-//! only its stripe), backends synchronise internally behind a reader/writer
-//! lock, and each operation's [`BlockCursor`] is its own, shared with no
-//! other reader.
+//! The read path is zero-copy: a [`BlockCursor`] read, a [`ReadQueue`]
+//! completion and [`Disk::read_ref`] (the door for callers outside an index
+//! operation) hand out pinned [`buffer::BlockRef`] frames (`Arc`-backed,
+//! read-only) instead of copying into caller buffers, so a buffer-pool hit
+//! costs one atomic increment — no allocation, no memcpy. Eviction drops
+//! the pool's reference only; a caller holding a frame keeps its snapshot
+//! alive (lazy free). The whole layer is safe for N concurrent reader
+//! threads over a frozen index: statistics are atomic counters, the pool is
+//! lock-striped (a read that hits it touches only its stripe), backends
+//! synchronise internally behind a reader/writer lock, and each operation's
+//! [`BlockCursor`] is its own, shared with no other reader.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -74,7 +76,7 @@ pub mod stats;
 pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
-pub use buffer::{AccessClass, BlockRef, BufferPool, ShardedBufferPool};
+pub use buffer::{BlockRef, BufferPool, ShardedBufferPool};
 pub use codec::{BlockReader, BlockWriter, SlotTable};
 pub use cursor::BlockCursor;
 pub use device::DeviceModel;

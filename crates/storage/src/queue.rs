@@ -5,15 +5,15 @@
 //! blocking latency per miss — so a batch of N independent fetches pays N
 //! sequential latencies. Real storage stacks instead keep a *queue depth* of
 //! requests in flight and complete them together. [`ReadQueue`] reproduces
-//! that shape: callers [`submit`](ReadQueue::submit) `(file, block, kind,
-//! class)` requests, and each submission climbs the cache ladder right away.
-//! A cache hit is a completion at submit: it takes no device slot, exactly as
-//! a page-cache hit never reaches an io_uring submission ring. Only device
-//! misses enter the open wave. Once it holds `queue_depth` of them (or on an
-//! explicit [`flush`](ReadQueue::flush)), the wave fetches them together and
-//! charges the device the **max** of their costs instead of their sum — the
-//! requests were outstanding together, so the wave completes when its
-//! slowest member does. The difference (`sum − max`) is recorded as
+//! that shape: callers [`submit`](ReadQueue::submit) `(file, block, kind)`
+//! point-class requests, and each submission climbs the cache ladder right
+//! away. A cache hit is a completion at submit: it takes no device slot,
+//! exactly as a page-cache hit never reaches an io_uring submission ring.
+//! Only device misses enter the open wave. Once it holds `queue_depth` of
+//! them (or on an explicit [`flush`](ReadQueue::flush)), the wave fetches
+//! them together and charges the device the **max** of their costs instead
+//! of their sum — the requests were outstanding together, so the wave
+//! completes when its slowest member does. The difference (`sum − max`) is recorded as
 //! [`overlap_saved_ns`](crate::IoStats::overlap_saved_ns).
 //!
 //! Hits that took a slot cut waves early. On the ledger's `lookup_cold`
@@ -31,7 +31,7 @@
 //! demand in its resolve loop, as a synchronous walk does. Above depth 1 the
 //! engine fetches the same blocks and only redistributes simulated time.
 
-use crate::buffer::{AccessClass, BlockRef};
+use crate::buffer::BlockRef;
 use crate::disk::{Disk, FileId, SeqHint, WaveReq};
 use crate::error::{StorageError, StorageResult};
 use crate::stats::BlockKind;
@@ -100,34 +100,12 @@ impl ReadQueue<'_> {
         self.depth
     }
 
-    /// Submits one read request ([`SeqHint::Auto`]); runs the wave if the
-    /// request fills it.
-    pub fn submit(
-        &mut self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        class: AccessClass,
-    ) -> StorageResult<()> {
-        self.submit_hinted(file, block, kind, class, SeqHint::Auto)
-    }
-
-    /// Submits one read request with an explicit sequential-cost hint. The
-    /// request climbs the cache ladder now: a hit completes at once, a miss
-    /// joins the open wave (or shares the fetch of the same block already in
-    /// it), and the wave runs if the miss fills it.
-    pub fn submit_hinted(
-        &mut self,
-        file: FileId,
-        block: BlockId,
-        kind: BlockKind,
-        class: AccessClass,
-        hint: SeqHint,
-    ) -> StorageResult<()> {
+    /// Submits one point-class read request. The request climbs the cache
+    /// ladder now: a hit completes at once, a miss joins the open wave (or
+    /// shares the fetch of the same block already in it), and the wave runs
+    /// if the miss fills it.
+    pub fn submit(&mut self, file: FileId, block: BlockId, kind: BlockKind) -> StorageResult<()> {
         let stats = self.disk.stats();
-        if class == AccessClass::Scan {
-            stats.record_scan_read();
-        }
         stats.record_ios_submitted(1);
         if let Some(frame) = self.disk.probe_caches(file, block, kind)? {
             self.done.push((file, block, Some(frame)));
@@ -145,7 +123,7 @@ impl ReadQueue<'_> {
             return Ok(());
         }
         self.waiting.push((self.pending.len(), slot));
-        self.pending.push(WaveReq { file, block, kind, hint, deliver: true });
+        self.pending.push(WaveReq { file, block, kind, hint: SeqHint::Auto, deliver: true });
         self.run_if_full()
     }
 
@@ -279,7 +257,7 @@ mod tests {
         let fq = fill(&queued, 8);
         let mut q = queued.read_queue();
         for b in [3u32, 7, 0, 4] {
-            q.submit(fq, b, BlockKind::Leaf, AccessClass::Point).unwrap();
+            q.submit(fq, b, BlockKind::Leaf).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.len(), 4);
@@ -300,7 +278,7 @@ mod tests {
         let f = fill(&d, 8);
         let mut q = d.read_queue();
         for b in [0u32, 2, 4, 6] {
-            q.submit(f, b, BlockKind::Leaf, AccessClass::Point).unwrap();
+            q.submit(f, b, BlockKind::Leaf).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.len(), 4);
@@ -321,7 +299,7 @@ mod tests {
         let f = fill(&d, 8);
         let mut q = d.read_queue();
         for b in [5u32, 1, 6, 2, 0] {
-            q.submit(f, b, BlockKind::Leaf, AccessClass::Point).unwrap();
+            q.submit(f, b, BlockKind::Leaf).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.iter().map(|c| c.block).collect::<Vec<_>>(), vec![5, 1, 6, 2, 0]);
@@ -344,7 +322,7 @@ mod tests {
         let before = d.snapshot();
         let mut q = d.read_queue();
         for b in [0u32, 4, 4, 5] {
-            q.submit(f, b, BlockKind::Leaf, AccessClass::Point).unwrap();
+            q.submit(f, b, BlockKind::Leaf).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.len(), 4);
@@ -368,7 +346,7 @@ mod tests {
         // request towards the depth would cut three waves here.
         let order = [0u32, 8, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15];
         for &b in &order {
-            q.submit_hinted(f, b, BlockKind::Leaf, AccessClass::Point, SeqHint::Random).unwrap();
+            q.submit(f, b, BlockKind::Leaf).unwrap();
         }
         let done = q.complete().unwrap();
         assert_eq!(done.iter().map(|c| c.block).collect::<Vec<_>>(), order);
@@ -458,9 +436,126 @@ mod tests {
         let mut q = d.read_queue_with_depth(4);
         assert_eq!(q.depth(), 4);
         for b in [0u32, 2, 4, 6] {
-            q.submit(f, b, BlockKind::Leaf, AccessClass::Point).unwrap();
+            q.submit(f, b, BlockKind::Leaf).unwrap();
         }
         q.complete().unwrap();
         assert_eq!(d.stats().device_ns(), 100, "the explicit depth wins");
+    }
+}
+
+/// The synchronous read path and a depth-1 completion wave climb one cache
+/// ladder (`Disk::probe_caches` → `fetch_miss` → `publish_miss`): driven by
+/// the same trace, [`Disk::read_ref`] on one disk and a depth-1
+/// [`ReadQueue`] on its twin must hand out identical frames and leave
+/// identical counters after every single step.
+#[cfg(test)]
+mod ladder_twin {
+    use crate::{BlockKind, DeviceModel, Disk, DiskConfig, OpStats, SeqHint};
+    use proptest::prelude::*;
+
+    const BLOCKS: u32 = 12;
+    const BLOCK_SIZE: usize = 64;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Read(u32, BlockKind),
+        Prefetch(u32, BlockKind, SeqHint),
+        Write(u32, BlockKind, u8),
+    }
+
+    /// `Inner` is the memory-resident kind of the twin disks.
+    fn kind() -> impl Strategy<Value = BlockKind> {
+        prop_oneof![Just(BlockKind::Inner), Just(BlockKind::Leaf), Just(BlockKind::Utility)]
+    }
+
+    fn hint() -> impl Strategy<Value = SeqHint> {
+        prop_oneof![Just(SeqHint::Auto), Just(SeqHint::Sequential), Just(SeqHint::Random)]
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        let read = || (0..BLOCKS, kind()).prop_map(|(b, k)| Step::Read(b, k));
+        prop_oneof![
+            read(),
+            read(),
+            (0..BLOCKS, kind(), hint()).prop_map(|(b, k, h)| Step::Prefetch(b, k, h)),
+            (0..BLOCKS, kind(), any::<u8>()).prop_map(|(b, k, v)| Step::Write(b, k, v)),
+        ]
+    }
+
+    fn twin(pool: usize, depth: usize) -> std::sync::Arc<Disk> {
+        let disk = Disk::in_memory(
+            DiskConfig::with_block_size(BLOCK_SIZE)
+                .device(DeviceModel::custom("t", 100, 10, 7))
+                .buffer_blocks(pool)
+                .queue_depth(depth)
+                .memory_resident(&[BlockKind::Inner]),
+        );
+        let file = disk.create_file().unwrap();
+        assert_eq!(file, 0);
+        disk.allocate(file, BLOCKS).unwrap();
+        for b in 0..BLOCKS {
+            disk.write(file, b, BlockKind::Leaf, &[b as u8; BLOCK_SIZE]).unwrap();
+        }
+        disk.stats().reset();
+        disk.clear_buffer();
+        disk.reset_access_state();
+        disk
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+        #[test]
+        fn sync_reads_and_depth_one_waves_are_indistinguishable(
+            pool in 0usize..4,
+            // Depth 4 switches the readahead rung on, so parked frames are
+            // consumed by both twins; depth 1 keeps it off for both.
+            depth in prop_oneof![Just(1usize), Just(4usize)],
+            steps in proptest::collection::vec(step(), 1..200),
+        ) {
+            let sync = twin(pool, depth);
+            let queued = twin(pool, depth);
+            let mut content: Vec<u8> = (0..BLOCKS as u8).collect();
+            let mut demand_reads = 0u64;
+            for (n, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Read(b, kind) => {
+                        let a = sync.read_ref(0, b, kind).unwrap();
+                        let mut q = queued.read_queue_with_depth(1);
+                        q.submit(0, b, kind).unwrap();
+                        let done = q.complete().unwrap();
+                        prop_assert_eq!(done.len(), 1);
+                        prop_assert_eq!(&a[..], &done[0].frame[..], "step {}: frames differ", n);
+                        prop_assert_eq!(&a[..], &[content[b as usize]; BLOCK_SIZE][..], "step {}", n);
+                        demand_reads += 1;
+                    }
+                    Step::Prefetch(b, kind, hint) => {
+                        // Prefetches only exist on the queue, so both twins
+                        // park through one; what differs is who consumes the
+                        // frame.
+                        for disk in [&sync, &queued] {
+                            let mut q = disk.read_queue_with_depth(1);
+                            q.prefetch(0, b, kind, hint).unwrap();
+                            q.flush().unwrap();
+                        }
+                    }
+                    Step::Write(b, kind, v) => {
+                        for disk in [&sync, &queued] {
+                            disk.write(0, b, kind, &[v; BLOCK_SIZE]).unwrap();
+                        }
+                        content[b as usize] = v;
+                    }
+                }
+                // The engine's own traffic counters are the one legitimate
+                // difference: a synchronous read never enters the queue.
+                let (s, mut q): (OpStats, OpStats) = (sync.snapshot(), queued.snapshot());
+                prop_assert_eq!(q.ios_submitted - s.ios_submitted, demand_reads, "step {}", n);
+                prop_assert_eq!(q.ios_completed - s.ios_completed, demand_reads, "step {}", n);
+                q.ios_submitted = s.ios_submitted;
+                q.ios_completed = s.ios_completed;
+                q.max_inflight = s.max_inflight;
+                prop_assert_eq!(s, q, "step {}: counters diverged", n);
+            }
+        }
     }
 }

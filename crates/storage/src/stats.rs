@@ -68,22 +68,20 @@ pub struct IoStats {
     freed_blocks: AtomicU64,
     /// Simulated device time in nanoseconds.
     device_ns: AtomicU64,
-    /// Bytes memcpy'd into caller-provided buffers by the legacy copying
-    /// read path ([`crate::Disk::read`] / `read_vec`). The zero-copy
-    /// [`crate::Disk::read_ref`] path never increments this, which is how
-    /// the "no per-hit copy" claim is observable rather than asserted.
+    /// Bytes memcpy'd into caller-provided buffers by a read. Every read
+    /// hands out a pinned frame instead, so nothing increments this any
+    /// more: it reads 0, which is how the "no per-hit copy" claim stays
+    /// observable, and the perf ledger still prints it.
     bytes_copied: AtomicU64,
-    /// Pinned block frames ([`crate::buffer::BlockRef`]) handed out by
-    /// [`crate::Disk::read_ref`] — every read served through it (including
-    /// memory-resident reads) pins exactly one frame. The legacy copying
-    /// `read` only pins when it delegates to `read_ref`; its
-    /// memory-resident branch fills the caller buffer directly.
+    /// Pinned block frames ([`crate::buffer::BlockRef`]) handed out by the
+    /// disk — every read request it serves (including memory-resident reads)
+    /// pins exactly one frame.
     frames_pinned: AtomicU64,
-    /// Read requests tagged [`crate::buffer::AccessClass::Scan`] (whether
-    /// they were served by the device, the pool or the readahead cache). Index
-    /// scan paths tag their block streaming so the disk reads ahead along
-    /// it at queue depth > 1; this counter makes the tagging observable, so
-    /// "scans announce themselves" is a tested invariant.
+    /// Scan-class read requests (whether they were served by the device, the
+    /// pool or the readahead cache): the `Leaf` and `Utility` reads of a
+    /// [`crate::Disk::scan_cursor`], which the disk reads ahead along at
+    /// queue depth > 1; this counter makes the class observable, so "scans
+    /// announce themselves" is a tested invariant.
     scan_reads: AtomicU64,
     /// Exclusive drain chunks applied through a concurrent write front (one
     /// per `insert_batch` call made under the index write lock).
@@ -325,7 +323,8 @@ impl IoStats {
         self.device_ns.load(Ordering::Relaxed)
     }
 
-    /// Bytes copied into caller buffers by the legacy copying read path.
+    /// Bytes copied into caller buffers by a read: 0, since every read
+    /// pins a frame instead.
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied.load(Ordering::Relaxed)
     }
@@ -509,8 +508,8 @@ pub struct OpStats {
     pub freed_blocks: u64,
     /// Simulated device nanoseconds spent during the window.
     pub device_ns: u64,
-    /// Bytes copied into caller buffers by the legacy read path during the
-    /// window (zero on the `read_ref` fast path).
+    /// Bytes copied into caller buffers by a read during the window: 0,
+    /// since every read pins a frame instead.
     pub bytes_copied: u64,
     /// Pinned frames handed out during the window.
     pub frames_pinned: u64,

@@ -138,7 +138,10 @@ impl WalSegment {
         wal.tail_block = 1 + (pos / bs) as u32;
         wal.tail_len = pos % bs;
         if wal.tail_len > 0 {
-            let buf = wal.disk.read_vec(file, wal.tail_block, BlockKind::Utility)?;
+            // A fresh cursor: one shared with the replay could serve this
+            // re-read of its last block for free, changing what an open costs.
+            let mut cursor = disk.cursor();
+            let buf = cursor.read(file, wal.tail_block, BlockKind::Utility)?;
             wal.tail[..wal.tail_len].copy_from_slice(&buf[..wal.tail_len]);
             wal.tail[wal.tail_len..].fill(0);
         }
@@ -221,7 +224,8 @@ impl WalSegment {
     }
 
     fn read_header(&self) -> StorageResult<u64> {
-        let buf = self.disk.read_vec(self.file, 0, BlockKind::Utility)?;
+        let mut cursor = self.disk.cursor();
+        let buf = cursor.read(self.file, 0, BlockKind::Utility)?;
         let magic = u32::from_le_bytes(buf[0..4].try_into().unwrap());
         if magic != WAL_MAGIC {
             return Err(StorageError::Corrupt(format!(
@@ -254,9 +258,10 @@ impl WalSegment {
     fn scan_records(&self) -> StorageResult<(Vec<Vec<u8>>, usize)> {
         let bs = self.tail.len();
         let mut region = Vec::with_capacity((self.allocated.saturating_sub(1)) as usize * bs);
+        let mut cursor = self.disk.cursor();
         for block in 1..self.allocated {
-            match self.disk.read_vec(self.file, block, BlockKind::Utility) {
-                Ok(buf) => region.extend_from_slice(&buf),
+            match cursor.read(self.file, block, BlockKind::Utility) {
+                Ok(buf) => region.extend_from_slice(buf),
                 // A torn tail flush: the stamp is stale, the block contents
                 // are partial. Everything decoded so far is still a valid
                 // prefix; stop reading here.

@@ -196,11 +196,11 @@ proptest! {
             // Read back a pseudo-random other block as well to churn the
             // caches.
             let probe = (block.wrapping_mul(7) + 3) % 16;
-            let got = disk.read_vec(file, probe, BlockKind::Leaf).unwrap();
+            let got = disk.cursor().read(file, probe, BlockKind::Leaf).unwrap()[..].to_vec();
             prop_assert_eq!(&got, &expected[probe as usize]);
         }
         for block in 0..16u32 {
-            let got = disk.read_vec(file, block, BlockKind::Leaf).unwrap();
+            let got = disk.cursor().read(file, block, BlockKind::Leaf).unwrap()[..].to_vec();
             prop_assert_eq!(&got, &expected[block as usize]);
         }
     }

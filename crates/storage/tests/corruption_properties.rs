@@ -64,7 +64,7 @@ proptest! {
         disk.clear_buffer();
         disk.reset_access_state();
         plan.flip_read_bit(1, bit);
-        let err = disk.read_vec(file, 0, BlockKind::Leaf).expect_err("flip must surface");
+        let err = disk.cursor().read(file, 0, BlockKind::Leaf).expect_err("flip must surface");
         prop_assert!(
             matches!(err, StorageError::ChecksumMismatch { .. }),
             "bit {bit}: expected ChecksumMismatch, got {err}"
@@ -73,8 +73,8 @@ proptest! {
         // Once the one-shot fault is spent the block reads back intact.
         disk.clear_buffer();
         disk.reset_access_state();
-        prop_assert_eq!(disk.read_vec(file, 0, BlockKind::Leaf).expect("clean read"),
-                        vec![fill; 128]);
+        let clean = disk.cursor().read(file, 0, BlockKind::Leaf).expect("clean read")[..].to_vec();
+        prop_assert_eq!(clean, vec![fill; 128]);
     }
 
     /// Flipping any byte of an encoded WAL record must never decode as a
