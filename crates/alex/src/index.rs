@@ -422,8 +422,12 @@ impl AlexIndex {
         Ok(())
     }
 
-    /// Attempts the actual slot insertion into `node`. Returns `false` if the
-    /// node is too full and an SMO is required first.
+    /// Attempts the actual slot insertion into `node`. Returns `false` only
+    /// when the insert would take the node past its density bound, so an
+    /// SMO is required first. Under the bound a fresh key shifts toward the
+    /// closest gap ([`DataNode::closest_gap`]): a node under its density
+    /// bound always has one, so a bitmap that shows none is corrupt, an
+    /// error rather than a reason to expand.
     fn try_insert_into(
         &mut self,
         cursor: &mut BlockCursor<'_>,
@@ -435,7 +439,8 @@ impl AlexIndex {
         if (node.header.count + 1) as f64 > capacity as f64 * self.config.max_density {
             return Ok(false);
         }
-        let lb = node.lower_bound(cursor, key)?;
+        // An empty node has nothing to search: the key becomes its first.
+        let lb = if node.header.count == 0 { 0 } else { node.lower_bound(cursor, key)? };
 
         // Upsert: overwrite every duplicate of an existing key so gap copies
         // stay consistent with the real slot.
@@ -457,37 +462,33 @@ impl AlexIndex {
             }
         }
 
-        // Fresh insert. Prefer the gap immediately left of the lower bound.
-        let inserted_shifts;
-        if lb > 0 && !node.read_bit(cursor, lb - 1)? {
-            node.write_slot(cursor, lb - 1, (key, value))?;
-            node.set_bit(cursor, lb - 1, true)?;
-            inserted_shifts = 0;
-        } else {
-            // Find the first gap at or after the lower bound and shift the
-            // occupied run one slot to the right.
-            let mut gap = None;
-            let mut s = lb;
-            while s < capacity {
-                if !node.read_bit(cursor, s)? {
-                    gap = Some(s);
-                    break;
-                }
-                s += 1;
-            }
-            let Some(gap) = gap else {
-                return Ok(false);
+        // Fresh insert: shift toward the closest gap.
+        let gap = node.closest_gap(cursor, lb)?.ok_or_else(|| {
+            IndexError::Internal(format!(
+                "ALEX data node at block {} holds {} of {capacity} slots, but its bitmap shows \
+                 no free slot",
+                node.start, node.header.count
+            ))
+        })?;
+        node.set_bit(cursor, gap, true)?;
+        let shifts = if gap == lb {
+            // The lower bound itself is free only ahead of the node's first
+            // entry (or in an empty node): the key becomes the first entry,
+            // and the gaps up to the next entry now copy it.
+            let next = if lb + 1 < capacity {
+                node.find_bit(cursor, lb + 1, capacity - 1, true)?
+            } else {
+                None
             };
-            // Shift [lb, gap) right by one, block-wise, then place the key.
-            node.shift_right(cursor, lb, gap)?;
-            node.write_slot(cursor, lb, (key, value))?;
-            node.set_bit(cursor, gap, true)?;
-            inserted_shifts = (gap - lb) as u64;
-        }
+            node.fill_slots(cursor, lb, next.unwrap_or(capacity) - 1, (key, value))?;
+            0
+        } else {
+            node.shift_insert(cursor, lb, gap, (key, value))?
+        };
 
         node.header.count += 1;
         node.header.num_inserts += 1;
-        node.header.num_shifts += inserted_shifts;
+        node.header.num_shifts += u64::from(shifts);
         self.key_count += 1;
         Ok(true)
     }
@@ -558,7 +559,10 @@ struct CachedLeaf {
     /// routing, every key in `[witness, max]` provably descends here.
     witness: Key,
     /// The node's largest stored key, fetched lazily (one slot read) on the
-    /// first reuse attempt.
+    /// first reuse attempt. A later key of the batch can land after it (a
+    /// key past the node's last one shifts toward a left gap), so `max` may
+    /// sit below the node's true last key. That only makes the cache route
+    /// fewer keys here, never a key that belongs elsewhere.
     max: Option<Key>,
 }
 
@@ -818,6 +822,7 @@ impl IndexWrite for AlexIndex {
 mod tests {
     use super::*;
     use lidx_storage::{BlockKind, DiskConfig};
+    use proptest::prelude::*;
 
     fn index(bs: usize) -> AlexIndex {
         let disk = Disk::in_memory(DiskConfig::with_block_size(bs));
@@ -1351,6 +1356,227 @@ mod tests {
         for &(k, v) in run.iter().step_by(17) {
             assert_eq!(a.lookup(k).unwrap(), Some(v), "key {k}");
         }
+    }
+
+    /// One bulk-loaded data node of 100 keys at stride 10 (capacity 143,
+    /// density bound 0.8·143 = 114.4 entries).
+    fn one_data_node() -> AlexIndex {
+        let mut a = index(512);
+        a.bulk_load(&entries(100, 10)).unwrap();
+        assert_eq!((a.stats().leaf_nodes, a.stats().inner_nodes), (1, 0));
+        a
+    }
+
+    /// Regression: a node expands only at its density bound. Keys after the
+    /// node's last key and keys into its packed right edge have no gap to
+    /// their right; they shift toward the nearest gap on the left instead
+    /// of doubling the node.
+    #[test]
+    fn a_node_under_its_density_bound_never_expands() {
+        let mut a = one_data_node();
+        let (height, blocks) = (a.stats().height, a.storage_blocks());
+        let last = entries(100, 10).last().unwrap().0;
+        // Seven keys after the last key pack the right edge; seven more
+        // land between them. 100 + 14 = 114 entries, just below the bound.
+        let after: Vec<Key> = (1..=7).map(|i| last + 10 * i).collect();
+        let edge: Vec<Key> = after.iter().map(|k| k - 5).collect();
+        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+        let node = |a: &AlexIndex| DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
+        for (i, &k) in after.iter().chain(&edge).enumerate() {
+            a.insert(k, k + 1).unwrap();
+            assert_eq!(a.stats().smo_count, 0, "key {k} expanded the node");
+            assert_eq!(node(&a).header.count, 101 + i as u32);
+        }
+        let full = node(&a);
+        let capacity = full.header.capacity;
+        let last_slot = full.find_bit(&mut a.disk.cursor(), capacity - 1, capacity - 1, true);
+        assert_eq!(last_slot.unwrap(), Some(capacity - 1), "a packed right edge");
+        let bound = capacity as f64 * a.config.max_density;
+        assert!(full.header.count as f64 <= bound && full.header.count as f64 + 1.0 > bound);
+        let s = a.stats();
+        assert_eq!((s.smo_count, s.height, a.storage_blocks()), (0, height, blocks), "{s:?}");
+        for (k, v) in
+            entries(100, 10).into_iter().chain(after.iter().chain(&edge).map(|&k| (k, k + 1)))
+        {
+            assert_eq!(a.lookup(k).unwrap(), Some(v), "key {k}");
+        }
+        // The next fresh key crosses the bound and expands the node.
+        a.insert(5, 5).unwrap();
+        assert_eq!(a.stats().smo_count, 1);
+    }
+
+    /// A node under its density bound always has a gap, so a bitmap block
+    /// with every bit set is corrupt: the insert fails with a typed error
+    /// and starts no expansion.
+    #[test]
+    fn a_bitmap_with_no_gap_is_an_error_not_an_expansion() {
+        let mut a = one_data_node();
+        let mut cursor = a.disk.cursor();
+        let root = a.route(&mut cursor, Key::MIN, None).unwrap();
+        let node = DataNode::load(&mut cursor, a.data_file, root).unwrap();
+        assert_eq!(node.geometry(512).bitmap_blocks, 1);
+        cursor.write(a.data_file, root + 1, BlockKind::Utility, &[0xFF; 512]).unwrap();
+        drop(cursor);
+        for key in [0, 15, 555, 10_000] {
+            let inserted = a.insert(key, 1);
+            assert!(matches!(inserted, Err(IndexError::Internal(_))), "key {key}: {inserted:?}");
+        }
+        assert_eq!((a.stats().smo_count, a.len()), (0, 100));
+        assert_eq!(a.lookup(11).unwrap(), Some(12));
+    }
+
+    /// Every data node of `a`, from the leftmost along the sibling chain.
+    fn data_nodes(a: &AlexIndex) -> Vec<DataNode> {
+        let mut cursor = a.disk.cursor();
+        let mut block = a.route(&mut cursor, Key::MIN, None).unwrap();
+        let mut nodes = Vec::new();
+        while block != INVALID_BLOCK {
+            let node = DataNode::load(&mut cursor, a.data_file, block).unwrap();
+            block = node.header.next;
+            nodes.push(node);
+        }
+        nodes
+    }
+
+    /// The gap-copy invariant, read straight from the slots and bitmap of
+    /// every data node: real entries strictly increase, each gap copies its
+    /// nearest real entry to the left, leading gaps copy the first entry,
+    /// and the bitmap counts `count` entries and marks no slot past the
+    /// capacity.
+    fn check_gap_copies(a: &AlexIndex) -> Result<(), String> {
+        let mut cursor = a.disk.cursor();
+        for node in data_nodes(a) {
+            let capacity = node.header.capacity;
+            let bits: Vec<bool> = (0..capacity)
+                .map(|s| node.find_bit(&mut cursor, s, s, true).unwrap() == Some(s))
+                .collect();
+            let slots: Vec<Entry> =
+                (0..capacity).map(|s| node.read_slot(&mut cursor, s).unwrap()).collect();
+            let real: Vec<Entry> =
+                (0..capacity as usize).filter(|&s| bits[s]).map(|s| slots[s]).collect();
+            if real.len() != node.header.count as usize {
+                return Err(format!(
+                    "node {}: {} bits for count {}",
+                    node.start,
+                    real.len(),
+                    node.header.count
+                ));
+            }
+            if !real.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("node {}: real entries out of order", node.start));
+            }
+            let bitmap_end =
+                node.geometry(a.disk.block_size()).bitmap_blocks * a.disk.block_size() as u32 * 8;
+            if capacity < bitmap_end {
+                if let Some(s) = node.find_bit(&mut cursor, capacity, bitmap_end - 1, true).unwrap()
+                {
+                    return Err(format!("node {}: bit {s} past capacity {capacity}", node.start));
+                }
+            }
+            let Some(&first) = real.first() else { continue };
+            let mut copy = first;
+            for (s, &slot) in slots.iter().enumerate() {
+                if bits[s] {
+                    copy = slot;
+                } else if slot != copy {
+                    return Err(format!(
+                        "node {}: gap {s} holds {slot:?}, not {copy:?}",
+                        node.start
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// ALEX against a `BTreeMap` through per-key `insert` and multi-key
+        /// `insert_batch` (the cached-leaf path) into one data node of more
+        /// than 4 096 slots at 512-byte blocks: 32 slots per slot block and
+        /// 4 096 per bitmap block. A hot cluster of keys around slot 4 096
+        /// packs that region, so shifts in both directions cross slot-block
+        /// and bitmap-block boundaries; keys below the minimum and above the
+        /// maximum take the node's edges. A far outlier in the bulk set
+        /// packs the other keys into the middle of the node, behind leading
+        /// gaps that the first key below the minimum is copied into. After
+        /// every step each key is looked up, a full scan matches, and the
+        /// gap copies hold.
+        #[test]
+        fn closest_gap_inserts_keep_gap_copies_and_match_an_oracle(
+            bulk in 3_000u64..3_600,
+            outlier in any::<bool>(),
+            steps in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec((0u8..4, any::<u64>()), 1..120)),
+                1..6,
+            ),
+        ) {
+            let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+            let config = AlexConfig { target_leaf_entries: 4_096, ..Default::default() };
+            let mut a = AlexIndex::with_config(disk, config).unwrap();
+            let mut data: Vec<Entry> = (0..bulk).map(|i| (1_000 * i + 1_000_000, i)).collect();
+            if outlier {
+                data.push((1 << 40, 0));
+            }
+            a.bulk_load(&data).unwrap();
+            let root = data_nodes(&a).remove(0);
+            prop_assert!(root.header.capacity > 4_096);
+            let hot = root.read_slot(&mut a.disk.cursor(), 4_096).unwrap().0;
+            let (min, max) = (data[0].0, data[data.len() - 1].0);
+            let mut oracle: std::collections::BTreeMap<Key, Value> = data.iter().copied().collect();
+            for (per_key, picks) in steps {
+                let batch: Vec<Entry> = picks
+                    .into_iter()
+                    .map(|(kind, r)| {
+                        let key = match kind {
+                            0 => hot - 20_000 + r % 40_000,
+                            1 => min + r % (max - min),
+                            2 => r % min,
+                            _ => max + 1 + r % 100_000,
+                        };
+                        (key, r)
+                    })
+                    .collect();
+                if per_key {
+                    for &(k, v) in &batch {
+                        a.insert(k, v).unwrap();
+                    }
+                } else {
+                    a.insert_batch(&batch).unwrap();
+                }
+                oracle.extend(batch.iter().copied());
+                prop_assert_eq!(a.len(), oracle.len() as u64);
+                for (&k, &v) in &oracle {
+                    prop_assert_eq!(a.lookup(k).unwrap(), Some(v), "key {}", k);
+                }
+                let mut scanned = Vec::new();
+                a.scan(Key::MIN, oracle.len() + 1, &mut scanned).unwrap();
+                prop_assert!(scanned.iter().copied().eq(oracle.iter().map(|(&k, &v)| (k, v))));
+                if let Err(broken) = check_gap_copies(&a) {
+                    prop_assert!(false, "{}", broken);
+                }
+            }
+        }
+    }
+
+    /// The first key of an empty node becomes its only entry, and every
+    /// other slot copies it: no slot keeps the empty node's zero filler,
+    /// which a lookup of key 0 would otherwise find.
+    #[test]
+    fn the_first_key_of_an_empty_node_is_copied_into_every_slot() {
+        let mut a = index(512);
+        a.bulk_load(&[]).unwrap();
+        a.insert(500, 1).unwrap();
+        check_gap_copies(&a).unwrap();
+        assert_eq!((a.lookup(0).unwrap(), a.lookup(500).unwrap()), (None, Some(1)));
+        for key in [100, 900, 0] {
+            a.insert(key, key).unwrap();
+            check_gap_copies(&a).unwrap();
+        }
+        let mut out = Vec::new();
+        a.scan(0, 10, &mut out).unwrap();
+        assert_eq!(out, [(0, 0), (100, 100), (500, 1), (900, 900)]);
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! duplicates), which is exactly where the paper locates ALEX's utility
 //! overhead (S3).
 //!
+//! An insert follows ALEX's closest-gap rule ([`DataNode::closest_gap`]): a
+//! fresh key finds the nearest free slot on either side of its lower bound
+//! and shifts the occupied run between them one slot toward that gap
+//! ([`DataNode::shift_insert`]), reading and writing each touched slot block
+//! once. A node with a free slot anywhere can take the key, so a structural
+//! modification (expansion or split) is density-triggered: it happens only
+//! when `count + 1 > capacity · max_density`.
+//!
 //! # Inner node extent
 //!
 //! ```text
@@ -34,6 +42,22 @@ pub const SLOT_BYTES: usize = 16;
 
 const TAG_DATA: u8 = 0xD1;
 const TAG_INNER: u8 = 0xA1;
+
+/// Encodes `entry` into the 16 bytes of one slot.
+fn put_slot(slot: &mut [u8], entry: Entry) {
+    slot[..8].copy_from_slice(&entry.0.to_le_bytes());
+    slot[8..SLOT_BYTES].copy_from_slice(&entry.1.to_le_bytes());
+}
+
+/// Word `w` of a bitmap block: bit `i` of the word is the bit of slot
+/// `64·w + i` of the block (byte `i / 8`, bit `i % 8` of the word's bytes).
+/// A block that ends inside the word reads as zero past its end.
+fn bitmap_word(buf: &[u8], w: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    let word = &buf[w * 8..(w * 8 + 8).min(buf.len())];
+    bytes[..word.len()].copy_from_slice(word);
+    u64::from_le_bytes(bytes)
+}
 
 /// A packed child pointer: data/inner flag plus start block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,9 +255,7 @@ impl DataNode {
     ) -> IndexResult<()> {
         let (block, idx) = self.slot_block(slot, cursor.disk());
         let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
-        let off = idx * SLOT_BYTES;
-        buf[off..off + 8].copy_from_slice(&entry.0.to_le_bytes());
-        buf[off + 8..off + 16].copy_from_slice(&entry.1.to_le_bytes());
+        put_slot(&mut buf[idx * SLOT_BYTES..(idx + 1) * SLOT_BYTES], entry);
         cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
         Ok(())
     }
@@ -243,14 +265,6 @@ impl DataNode {
     fn bit_block(&self, slot: u32, block_size: usize) -> (BlockId, usize) {
         let bits = block_size * 8;
         (self.start + 1 + slot / bits as u32, slot as usize % bits)
-    }
-
-    /// Reads the bitmap bit for `slot`: a gap search over one bitmap block
-    /// costs one disk read through the operation's cursor.
-    pub fn read_bit(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<bool> {
-        let (block, bit) = self.bit_block(slot, cursor.disk().block_size());
-        let buf = cursor.read(self.file, block, BlockKind::Utility)?;
-        Ok(buf[bit / 8] & (1 << (bit % 8)) != 0)
     }
 
     /// Sets the bitmap bit for `slot`: a read-modify-write through the
@@ -364,35 +378,149 @@ impl DataNode {
         Ok((k == key).then_some(v))
     }
 
-    /// Shifts the slots `[from, gap)` one position to the right (slot `gap`
-    /// is overwritten), reading and writing each affected slot block exactly
-    /// once — the on-disk equivalent of ALEX's in-memory shift, whose cost is
-    /// proportional to the blocks touched rather than the slots moved.
-    pub fn shift_right(
+    /// The slot nearest to `from` whose bitmap bit is `occupied`, searching
+    /// from `from` toward `toward` (both inclusive, either direction) and no
+    /// farther, or `None` if no slot of that range has it. The search tests
+    /// a 64-bit word of the bitmap frame at a time and reads each bitmap
+    /// block it crosses once through `cursor`.
+    pub fn find_bit(
         &self,
         cursor: &mut BlockCursor<'_>,
         from: u32,
-        gap: u32,
-    ) -> IndexResult<()> {
-        if gap <= from {
-            return Ok(());
+        toward: u32,
+        occupied: bool,
+    ) -> IndexResult<Option<u32>> {
+        let bits = (cursor.disk().block_size() * 8) as u32;
+        let up = toward >= from;
+        let mut slot = from;
+        loop {
+            let base = slot / bits * bits;
+            let buf = cursor.read(self.file, self.start + 1 + slot / bits, BlockKind::Utility)?;
+            // The part of the range this bitmap block covers, walked a word
+            // at a time.
+            let end = if up { toward.min(base + bits - 1) } else { toward.max(base) };
+            loop {
+                let word_base = slot - (slot - base) % 64;
+                let (lo, hi) = if up {
+                    (slot - word_base, end.min(word_base + 63) - word_base)
+                } else {
+                    (end.max(word_base) - word_base, slot - word_base)
+                };
+                let word = bitmap_word(buf, ((word_base - base) / 64) as usize);
+                let word = if occupied { word } else { !word };
+                let hits = word & (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+                if hits != 0 {
+                    let bit = if up { hits.trailing_zeros() } else { 63 - hits.leading_zeros() };
+                    return Ok(Some(word_base + bit));
+                }
+                if up && word_base + 63 < end {
+                    slot = word_base + 64;
+                } else if !up && word_base > end {
+                    slot = word_base - 1;
+                } else {
+                    break;
+                }
+            }
+            if end == toward {
+                return Ok(None);
+            }
+            slot = if up { end + 1 } else { end - 1 };
         }
+    }
+
+    /// The free slot the fresh key whose lower bound is `lb` shifts toward
+    /// (ALEX's `closest_gap`): a gap `g >= lb` moves the slots `[lb, g)` one
+    /// right, a gap `g < lb` moves the slots `(g, lb - 1]` one left, and the
+    /// gap that moves fewer slots wins. A tie goes to the right gap, which is
+    /// the order ALEX probes in (at distance `d` from `lb` it tries `lb - d`
+    /// first, and a left gap there moves `d - 1` slots). The right side is
+    /// searched first, and the left search stops once it would move as many
+    /// slots. `None` means the bitmap shows no free slot at all.
+    pub fn closest_gap(&self, cursor: &mut BlockCursor<'_>, lb: u32) -> IndexResult<Option<u32>> {
+        let capacity = self.header.capacity;
+        let right =
+            if lb < capacity { self.find_bit(cursor, lb, capacity - 1, false)? } else { None };
+        if lb == 0 || right == Some(lb) {
+            return Ok(right);
+        }
+        // The left gaps that move strictly fewer slots than the right one.
+        let floor = right.map_or(0, |gap| lb.saturating_sub(gap - lb));
+        Ok(self.find_bit(cursor, lb - 1, floor, false)?.or(right))
+    }
+
+    /// Inserts the fresh `entry` whose lower bound is `lb` by shifting the
+    /// occupied run between `lb` and the free slot `gap` one slot toward the
+    /// gap, and returns the number of slots moved. Toward a right gap the
+    /// run `[lb, gap)` moves right and the entry lands at `lb`; toward a
+    /// left gap the run `(gap, lb - 1]` moves left and the entry lands at
+    /// `lb - 1` (also for `lb == capacity`, a key after the node's last
+    /// key). Either way the gap copies keep their meaning: the slots on the
+    /// far side of the gap do not move, and the entries that move keep
+    /// their order. Each touched slot block is read and written once.
+    pub fn shift_insert(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        lb: u32,
+        gap: u32,
+        entry: Entry,
+    ) -> IndexResult<u32> {
+        if gap >= lb {
+            self.rewrite_slots(cursor, lb, gap, |run| {
+                run.copy_within(..run.len() - SLOT_BYTES, SLOT_BYTES);
+                put_slot(&mut run[..SLOT_BYTES], entry);
+            })?;
+            Ok(gap - lb)
+        } else {
+            self.rewrite_slots(cursor, gap, lb - 1, |run| {
+                run.copy_within(SLOT_BYTES.., 0);
+                let last = run.len() - SLOT_BYTES;
+                put_slot(&mut run[last..], entry);
+            })?;
+            Ok(lb - 1 - gap)
+        }
+    }
+
+    /// Writes `entry` into every slot of `lo..=hi` in one pass (a new first
+    /// entry and the gap copies that follow it).
+    pub fn fill_slots(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        lo: u32,
+        hi: u32,
+        entry: Entry,
+    ) -> IndexResult<()> {
+        self.rewrite_slots(cursor, lo, hi, |run| {
+            run.chunks_exact_mut(SLOT_BYTES).for_each(|slot| put_slot(slot, entry))
+        })
+    }
+
+    /// Rewrites the slots `lo..=hi`: reads each slot block of the run once
+    /// through `cursor` (the first at a seek, the rest as the sequential
+    /// extent they are), lets `edit` change the run's bytes, and writes each
+    /// block once — the on-disk equivalent of ALEX's in-memory shift, whose
+    /// cost is proportional to the blocks touched rather than the slots
+    /// moved.
+    fn rewrite_slots(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        lo: u32,
+        hi: u32,
+        edit: impl FnOnce(&mut [u8]),
+    ) -> IndexResult<()> {
         let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
-        let geo = self.geometry(bs);
-        let first = self.start + 1 + geo.bitmap_blocks + from / per_block;
-        let nblocks = gap / per_block - from / per_block + 1;
-        // The affected slot blocks are one contiguous extent: every block
-        // after the first is a sequential read.
+        let first = self.slot_block(lo, cursor.disk()).0;
+        let nblocks = hi / per_block - lo / per_block + 1;
+        // The run's slot blocks are one contiguous extent: every block after
+        // the first is a sequential read.
         let mut data = Vec::with_capacity(nblocks as usize * bs);
         for i in 0..nblocks {
             let hint = if i == 0 { SeqHint::Auto } else { SeqHint::Sequential };
             let block = cursor.read_hinted(self.file, first + i, BlockKind::Leaf, hint)?;
             data.extend_from_slice(block);
         }
-        let rel_from = (from % per_block) as usize * SLOT_BYTES;
-        let rel_gap = (gap - from / per_block * per_block) as usize * SLOT_BYTES;
-        data.copy_within(rel_from..rel_gap, rel_from + SLOT_BYTES);
+        let base = lo - lo % per_block;
+        edit(&mut data[(lo - base) as usize * SLOT_BYTES..(hi - base + 1) as usize * SLOT_BYTES]);
         for (i, block) in data.chunks_exact(bs).enumerate() {
             cursor.write(self.file, first + i as u32, BlockKind::Leaf, block)?;
         }
@@ -818,12 +946,13 @@ mod tests {
         assert_eq!(out, entries);
     }
 
-    /// A shift moves the slots right by one across block boundaries, reads
-    /// each affected slot block once — the first at a seek, the rest as the
-    /// sequential extent they are, even past a pool hit — and writes each
-    /// once.
+    /// A shift moves the run one slot toward its gap across block
+    /// boundaries, in either direction, with the entry written into the same
+    /// buffer: it reads each affected slot block once — the first at a seek,
+    /// the rest as the sequential extent they are, even past a pool hit — and
+    /// writes each once.
     #[test]
-    fn shift_right_reads_and_writes_each_block_once() {
+    fn shift_insert_reads_and_writes_each_block_once() {
         let model = lidx_storage::DeviceModel::custom("t", 100, 10, 7);
         let d = Disk::in_memory(DiskConfig::with_block_size(512).device(model).buffer_blocks(8));
         let entries: Vec<Entry> = (0..90u64).map(|i| (i * 5 + 1, i)).collect();
@@ -831,22 +960,87 @@ mod tests {
         let slots = |d: &Disk| -> Vec<Entry> {
             (0..128).map(|s| node.read_slot(&mut d.cursor(), s).unwrap()).collect()
         };
-        let before = slots(&d);
-        // Slots 10..70 span the first three of the four 32-slot blocks; only
-        // the middle one is pooled.
-        let (first, _) = node.slot_block(10, &d);
-        d.clear_buffer();
-        d.cursor().read(node.file, first + 1, BlockKind::Leaf).unwrap();
-        d.stats().reset();
-        d.reset_access_state();
-        node.shift_right(&mut d.cursor(), 10, 70).unwrap();
-        let s = d.snapshot();
-        assert_eq!((s.reads(), s.buffer_hits, s.writes()), (2, 1, 3));
-        assert_eq!(s.device_ns, 100 + 7 + 3 * 10, "a seek, then a sequential read");
-        let after = slots(&d);
-        assert_eq!(after[..=10], before[..=10]);
-        assert_eq!(after[11..=70], before[10..70]);
-        assert_eq!(after[71..], before[71..]);
+        let entry = (7, 7);
+        // (lb, gap): slots 10..=70 span the first three of the four 32-slot
+        // blocks; only the middle one is pooled.
+        for (lb, gap) in [(10, 70), (71, 10)] {
+            let before = slots(&d);
+            let (first, _) = node.slot_block(10, &d);
+            d.clear_buffer();
+            d.cursor().read(node.file, first + 1, BlockKind::Leaf).unwrap();
+            d.stats().reset();
+            d.reset_access_state();
+            let moved = node.shift_insert(&mut d.cursor(), lb, gap, entry).unwrap();
+            assert_eq!(moved, 60);
+            let s = d.snapshot();
+            assert_eq!((s.reads(), s.buffer_hits, s.writes()), (2, 1, 3), "lb {lb}");
+            assert_eq!(s.device_ns, 100 + 7 + 3 * 10, "a seek, then a sequential read");
+            let after = slots(&d);
+            assert_eq!(after[..10], before[..10]);
+            assert_eq!(after[71..], before[71..]);
+            if gap > lb {
+                assert_eq!(after[10], entry);
+                assert_eq!(after[11..=70], before[10..70]);
+            } else {
+                assert_eq!(after[10..70], before[11..=70]);
+                assert_eq!(after[70], entry);
+            }
+        }
+    }
+
+    /// `find_bit` and `closest_gap` walk the bitmap a word at a time across
+    /// bitmap-block boundaries and agree with a slot-by-slot reading of it.
+    #[test]
+    fn gap_search_matches_a_bit_by_bit_search() {
+        // 64-byte blocks: 512 bits per bitmap block, so 1 100 slots span
+        // three bitmap blocks.
+        let d = disk(64);
+        let node = build_data(&d, &[], 1_100);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut bits = vec![false; 1_100];
+        for (b, block) in (0..3u32).map(|b| (b, node.start + 1 + b)) {
+            let buf: Vec<u8> = (0..64)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Mostly set, with gaps; the middle block has none.
+                    (x as u8 | (x >> 8) as u8) | if b == 1 { 0xFF } else { 0 }
+                })
+                .collect();
+            for (i, bit) in bits.iter_mut().enumerate().skip(b as usize * 512).take(512) {
+                let rel = i - b as usize * 512;
+                *bit = buf[rel / 8] & (1 << (rel % 8)) != 0;
+            }
+            d.write(node.file, block, BlockKind::Utility, &buf).unwrap();
+        }
+        let naive = |from: u32, toward: u32, want: bool| -> Option<u32> {
+            let hit = |&s: &u32| bits[s as usize] == want;
+            if toward >= from {
+                (from..=toward).find(hit)
+            } else {
+                (toward..=from).rev().find(hit)
+            }
+        };
+        let probes = [0u32, 1, 63, 64, 65, 300, 511, 512, 513, 700, 1_023, 1_024, 1_099];
+        for &from in &probes {
+            for &toward in &probes {
+                for want in [false, true] {
+                    let got = node.find_bit(&mut d.cursor(), from, toward, want).unwrap();
+                    assert_eq!(got, naive(from, toward, want), "{from} -> {toward}, {want}");
+                }
+            }
+        }
+        for lb in (0..=1_100).step_by(7) {
+            let right = if lb < 1_100 { naive(lb, 1_099, false) } else { None };
+            let left = if lb > 0 { naive(lb - 1, 0, false) } else { None };
+            let want = match (left, right) {
+                (Some(l), Some(r)) if lb - 1 - l < r - lb => Some(l),
+                (l, None) => l,
+                (_, r) => r,
+            };
+            assert_eq!(node.closest_gap(&mut d.cursor(), lb).unwrap(), want, "lb {lb}");
+        }
     }
 
     #[test]
@@ -854,16 +1048,13 @@ mod tests {
         let d = disk(512);
         let entries: Vec<Entry> = (0..50u64).map(|i| (i * 100, i)).collect();
         let node = build_data(&d, &entries, 128);
-        let mut occupied = 0;
-        for s in 0..node.header.capacity {
-            if node.read_bit(&mut d.cursor(), s).unwrap() {
-                occupied += 1;
-            }
-        }
-        assert_eq!(occupied, 50);
-        // Toggling a bit round-trips.
-        node.set_bit(&mut d.cursor(), 5, true).unwrap();
-        assert!(node.read_bit(&mut d.cursor(), 5).unwrap());
+        let bit = |s| node.find_bit(&mut d.cursor(), s, s, true).unwrap() == Some(s);
+        assert_eq!((0..node.header.capacity).filter(|&s| bit(s)).count(), 50);
+        // Setting a gap's bit round-trips.
+        let gap = node.find_bit(&mut d.cursor(), 0, node.header.capacity - 1, false).unwrap();
+        let gap = gap.expect("78 of the 128 slots are gaps");
+        node.set_bit(&mut d.cursor(), gap, true).unwrap();
+        assert!(bit(gap));
     }
 
     #[test]

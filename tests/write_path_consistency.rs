@@ -446,6 +446,9 @@ struct InsertCost {
 
 /// Recorded at the last commit whose designs carried a hand-written per-key
 /// `insert` body, one row per `(storage, design)` cell in iteration order.
+/// The two ALEX rows were recorded again when ALEX's insert began shifting
+/// toward the closest gap and expanding a node only at its density bound
+/// (66 SMOs and 3 045 blocks before, 4 and 103 after).
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // hdd, no pool, btree
@@ -455,7 +458,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // hdd, no pool, pgm
     InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 3208], device_ns: 52331400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [32050000000, 0, 3205], [200600000, 8, 18], [0, 0, 0]] },
     // hdd, no pool, alex
-    InsertCost { reads: [0, 5766, 8914, 3820], writes: [0, 72, 7605, 1949], device_ns: 240155200000, smo_count: 66, storage_blocks: 3045, steps: [[67878800000, 7766, 0], [118946800000, 7656, 4603], [34619600000, 3078, 3152], [18710000000, 0, 1871]] },
+    InsertCost { reads: [0, 4012, 5925, 1875], writes: [0, 4, 4061, 1875], device_ns: 175084600000, smo_count: 4, storage_blocks: 103, steps: [[60100200000, 6012, 0], [95431200000, 5758, 3995], [843200000, 42, 74], [18710000000, 0, 1871]] },
     // hdd, no pool, lipp
     InsertCost { reads: [0, 0, 4759, 0], writes: [0, 0, 4837, 0], device_ns: 92207900000, smo_count: 361, storage_blocks: 884, steps: [[42147600000, 4488, 0], [16400000000, 0, 1640], [12650300000, 271, 1096], [21010000000, 0, 2101]] },
     // hdd, no pool, hybrid-pla
@@ -469,7 +472,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // ssd, pool 64, pgm
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 0, 15, 3208], device_ns: 386760000, smo_count: 3, storage_blocks: 30, steps: [[0, 0, 0], [384600000, 0, 3205], [2160000, 0, 18], [0, 0, 0]] },
     // ssd, pool 64, alex
-    InsertCost { reads: [0, 129, 2901, 81], writes: [0, 72, 7605, 1949], device_ns: 1379380000, smo_count: 66, storage_blocks: 3045, steps: [[16280000, 176, 0], [619500000, 677, 4603], [519080000, 2258, 3152], [224520000, 0, 1871]] },
+    InsertCost { reads: [0, 0, 76, 0], writes: [0, 4, 4061, 1875], device_ns: 720400000, smo_count: 4, storage_blocks: 103, steps: [[0, 0, 0], [486900000, 75, 3995], [8980000, 1, 74], [224520000, 0, 1871]] },
     // ssd, pool 64, lipp
     InsertCost { reads: [0, 0, 1865, 0], writes: [0, 0, 4837, 0], device_ns: 759300000, smo_count: 361, storage_blocks: 884, steps: [[169600000, 1750, 0], [196800000, 0, 1640], [140780000, 115, 1096], [252120000, 0, 2101]] },
     // ssd, pool 64, hybrid-pla
@@ -479,7 +482,8 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
 ];
 
 /// Cost pin: a per-key `insert` costs exactly what it cost when every design
-/// had its own per-key write body. Bulk 5 000 keys, then 2 000 inserts of a
+/// had its own per-key write body (ALEX: what its closest-gap insert costs
+/// since). Bulk 5 000 keys, then 2 000 inserts of a
 /// fixed stream (fresh keys, overwrites of bulk keys, keys below the minimum
 /// and above the maximum), each from a cold access state like the harness
 /// runs them; every deterministic counter of the interval after the bulk
