@@ -35,7 +35,11 @@ fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
 
 /// `exp <target> --quick --seed 42` for every paper artifact, as
 /// `exp all --quick --seed 42` prints it: the scale line, then one
-/// `#### <target> ####` section per target in registry order.
+/// `#### <target> ####` section per target in registry order. Re-recorded
+/// when a LIPP node began keeping its first slots in its header block: every
+/// token that changed is a LIPP value (a small node is one block, so LIPP
+/// reads and writes fewer blocks; its Fig. 6 maintenance column is
+/// unchanged), and the other designs' rows changed only in column width.
 const GOLDEN: &str = include_str!("golden/paper_artifacts_quick_seed42.txt");
 
 /// The golden's scale line and its `(target, report)` sections.

@@ -10,7 +10,7 @@ use lidx_core::{
 use lidx_models::fmcd::fit_fmcd;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
-use crate::node::{blocks_for, group_by_slot, spend, LippNode, Slot};
+use crate::node::{blocks_for, group_by_slot, spend, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
 
 /// Configuration of the on-disk LIPP index.
 #[derive(Debug, Clone, Copy)]
@@ -67,6 +67,10 @@ impl LippIndex {
     pub fn with_config(disk: Arc<Disk>, config: LippConfig) -> IndexResult<Self> {
         assert!(config.small_gap_factor >= 1 && config.large_gap_factor >= 1);
         assert!(config.max_node_slots >= 8);
+        assert!(
+            disk.block_size() >= HEADER_BYTES + SLOT_BYTES,
+            "block 0 holds a header and a slot"
+        );
         let file = disk.create_file()?;
         Ok(LippIndex {
             disk,
@@ -159,7 +163,7 @@ impl LippIndex {
         &mut self,
         cursor: &mut BlockCursor<'_>,
         node: &LippNode,
-        parent: Option<(&LippNode, u32)>,
+        parent: Option<(LippNode, u32)>,
     ) -> IndexResult<()> {
         self.smo_count += 1;
         // The SMO is the learned-index pause the paper attributes tail
@@ -178,7 +182,7 @@ impl LippIndex {
         self.node_count -= removed;
         let new_block = self.build_subtree(&entries, 0)?;
         match parent {
-            Some((p, slot)) => p.write_slot(cursor, slot, Slot::Child(new_block))?,
+            Some((mut p, slot)) => p.write_slot(cursor, slot, Slot::Child(new_block))?,
             None => self.root = new_block,
         }
         Ok(())
@@ -194,13 +198,13 @@ impl LippIndex {
     fn flush_dirty_headers(
         &mut self,
         cursor: &mut BlockCursor<'_>,
-        nodes: &std::collections::HashMap<BlockId, LippNode>,
+        nodes: &mut std::collections::HashMap<BlockId, LippNode>,
         dirty: &mut Vec<BlockId>,
         laps: &mut StepLaps,
     ) -> IndexResult<()> {
         let mut written = std::collections::HashSet::new();
         for b in dirty.drain(..) {
-            if let (true, Some(node)) = (written.insert(b), nodes.get(&b)) {
+            if let (true, Some(node)) = (written.insert(b), nodes.get_mut(&b)) {
                 node.write_header(cursor)?;
             }
         }
@@ -265,11 +269,12 @@ impl IndexRead for LippIndex {
 
     /// Batched lookups descend the tree level by level in lock-step, probes
     /// in sorted key order, and decode each node's header once per batch (a
-    /// per-key LIPP lookup pays a header read plus a slot read *per level*,
-    /// and the header half is shared by every probe through the node). Each
-    /// level's new headers are fetched as one completion wave and its
-    /// predicted slot blocks prefetched as a second; then the level resolves
-    /// through a cursor, so co-located probes read one slot block once.
+    /// per-key LIPP lookup pays a header read plus, unless its slot shares
+    /// block 0 with the header, a slot read *per level*, and the header half
+    /// is shared by every probe through the node). Each level's new headers
+    /// are fetched as one completion wave and its predicted slot blocks past
+    /// block 0 prefetched as a second; then the level resolves from block 0
+    /// or through a cursor, so co-located probes read one slot block once.
     /// Above queue depth 1 the waves overlap the per-level "header + slot"
     /// latency pair across the batch; at depth 1 the prefetch does nothing
     /// and the resolve loop reads each slot block on demand. Every round
@@ -305,15 +310,17 @@ impl IndexRead for LippIndex {
                 q.submit(self.file, b, BlockKind::Leaf)?;
             }
             for c in q.complete()? {
-                nodes.insert(c.block, LippNode::from_header_bytes(self.file, c.block, &c.frame)?);
+                nodes.insert(c.block, LippNode::from_frame(self.file, c.block, c.frame)?);
             }
 
-            // Wave B: every active probe's predicted slot block.
+            // Wave B: every active probe's predicted slot block past block 0
+            // (a slot in block 0 resolves from the frame wave A delivered).
             let mut slot_blocks: Vec<BlockId> = active
                 .iter()
-                .map(|&(i, b)| {
+                .filter_map(|&(i, b)| {
                     let node = &nodes[&b];
-                    node.slot_block_id(node.predict(keys[i as usize]), bs)
+                    let block = node.slot_block_id(node.predict(keys[i as usize]), bs);
+                    (block != node.start).then_some(block)
                 })
                 .collect();
             slot_blocks.sort_unstable();
@@ -477,17 +484,18 @@ impl IndexWrite for LippIndex {
             laps.lap(&mut self.breakdown, InsertStep::Search);
 
             let mut conflicted = false;
+            let node = nodes.get_mut(&leaf).expect("cached");
             match slot_content {
                 Slot::Data(k, _) if k == key => {
                     // Upsert in place: no statistics change.
-                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Data(key, value))?;
+                    node.write_slot(&mut cursor, slot, Slot::Data(key, value))?;
                     laps.lap(&mut self.breakdown, InsertStep::Insert);
                     self.breakdown.finish_insert();
                     continue;
                 }
                 Slot::Null => {
-                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Data(key, value))?;
-                    nodes.get_mut(&leaf).expect("cached").header.data_count += 1;
+                    node.write_slot(&mut cursor, slot, Slot::Data(key, value))?;
+                    node.header.data_count += 1;
                     laps.lap(&mut self.breakdown, InsertStep::Insert);
                 }
                 Slot::Data(k0, v0) => {
@@ -502,10 +510,9 @@ impl IndexWrite for LippIndex {
                     let mut pair = [(k0, v0), (key, value)];
                     pair.sort_unstable_by_key(|e| e.0);
                     let child = self.build_subtree(&pair, 0)?;
-                    nodes[&leaf].write_slot(&mut cursor, slot, Slot::Child(child))?;
-                    let header = &mut nodes.get_mut(&leaf).expect("cached").header;
-                    header.data_count -= 1;
-                    header.child_count += 1;
+                    node.write_slot(&mut cursor, slot, Slot::Child(child))?;
+                    node.header.data_count -= 1;
+                    node.header.child_count += 1;
                     laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
                 Slot::Child(_) => unreachable!("descent only stops at NULL or DATA slots"),
@@ -537,7 +544,7 @@ impl IndexWrite for LippIndex {
                 // Flush every deferred header before restructuring, then
                 // drop the cache: the rebuild frees blocks that may be
                 // re-allocated, so no stale handle may survive it.
-                self.flush_dirty_headers(&mut cursor, &nodes, &mut dirty, &mut laps)?;
+                self.flush_dirty_headers(&mut cursor, &mut nodes, &mut dirty, &mut laps)?;
                 if let Some(i) = rebuild_target {
                     let target = nodes[&path[i].0].clone();
                     let parent = if i == 0 {
@@ -545,26 +552,18 @@ impl IndexWrite for LippIndex {
                     } else {
                         Some((nodes[&path[i - 1].0].clone(), path[i - 1].1))
                     };
-                    self.rebuild_subtree(
-                        &mut cursor,
-                        &target,
-                        parent.as_ref().map(|(p, s)| (p, *s)),
-                    )?;
+                    self.rebuild_subtree(&mut cursor, &target, parent)?;
                 } else {
                     let target = nodes[&leaf].clone();
                     let parent = path.last().map(|&(b, s)| (nodes[&b].clone(), s));
-                    self.rebuild_subtree(
-                        &mut cursor,
-                        &target,
-                        parent.as_ref().map(|(p, s)| (p, *s)),
-                    )?;
+                    self.rebuild_subtree(&mut cursor, &target, parent)?;
                 }
                 nodes.clear();
                 laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             self.breakdown.finish_insert();
         }
-        self.flush_dirty_headers(&mut cursor, &nodes, &mut dirty, &mut laps)
+        self.flush_dirty_headers(&mut cursor, &mut nodes, &mut dirty, &mut laps)
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {
@@ -589,6 +588,7 @@ impl IndexWrite for LippIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::{head_slots, slots_per_block};
     use lidx_storage::{BlockKind, DiskConfig};
 
     fn index() -> LippIndex {
@@ -632,6 +632,8 @@ mod tests {
         }
     }
 
+    /// A cold lookup reads at most two blocks per level: one when the
+    /// probed slot shares block 0 with the header, two when it does not.
     #[test]
     fn lookup_io_is_two_blocks_per_level() {
         let mut l = index();
@@ -650,7 +652,7 @@ mod tests {
             "lookup cost {per_query} exceeds 2·height = {}",
             2.0 * height
         );
-        assert!(per_query >= 1.5, "header + slot blocks are usually distinct");
+        assert!(per_query >= 1.5, "a 250 000-slot root keeps few slots beside its header");
     }
 
     #[test]
@@ -943,6 +945,153 @@ mod tests {
         let total = l.scan(0, 10_000, &mut out).unwrap();
         assert_eq!(total as u64, l.len());
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+
+    /// The nodes a lookup of `key` visits, root first, each with the slot
+    /// it probes there.
+    fn path_of(l: &LippIndex, key: Key) -> Vec<(LippNode, u32)> {
+        let mut cursor = l.disk.cursor();
+        let mut node = LippNode::load(&mut cursor, l.file, l.root).unwrap();
+        let mut path = Vec::new();
+        loop {
+            let slot = node.predict(key);
+            let next = node.read_slot(&mut cursor, slot).unwrap();
+            path.push((node, slot));
+            match next {
+                Slot::Child(b) => node = LippNode::load(&mut cursor, l.file, b).unwrap(),
+                _ => return path,
+            }
+        }
+    }
+
+    /// 20 000 scattered keys bulk-loaded on 4 KiB blocks, where a node's
+    /// first 168 slots share block 0 with its header. Keys that collide on
+    /// a root slot build small conflict children.
+    fn scattered_4k(queue_depth: usize) -> (LippIndex, Vec<Entry>) {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(4096).queue_depth(queue_depth));
+        let mut l = LippIndex::new(disk).unwrap();
+        // The splitmix64 finaliser: keys with no structure a model can use.
+        let mix = |i: u64| {
+            let z = (i ^ (i >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) >> 24
+        };
+        let mut keys: Vec<Key> = (1..=20_000u64).map(mix).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let data: Vec<Entry> = keys.into_iter().map(|k| (k, k ^ 1)).collect();
+        l.bulk_load(&data).unwrap();
+        (l, data)
+    }
+
+    #[test]
+    fn a_small_node_is_one_block() {
+        const BS: usize = 4096;
+        assert_eq!((head_slots(BS), slots_per_block(BS)), (168, 170));
+        assert_eq!((blocks_for(168, BS), blocks_for(169, BS), blocks_for(338, BS)), (1, 2, 2));
+        assert_eq!(blocks_for(339, BS), 3);
+        let (l, data) = scattered_4k(1);
+        let mut small = 0;
+        let root = LippNode::load(&mut l.disk.cursor(), l.file, l.root).unwrap();
+        let walk = |_: &mut BlockCursor<'_>, node: &LippNode| {
+            if node.header.capacity as usize <= head_slots(BS) {
+                assert_eq!(node.total_blocks(BS), 1, "a {}-slot node", node.header.capacity);
+                small += 1;
+            }
+        };
+        root.walk_subtree(&mut l.disk.cursor(), l.node_count, |_| {}, walk).unwrap();
+        assert!(small > 1_000, "scattered keys build many small children ({small})");
+
+        // A cold lookup reads one block at a level whose probed slot is in
+        // block 0 and two at any other; a one-block child is always one.
+        let mut ended_in_small = 0;
+        for &(k, v) in data.iter().step_by(7) {
+            let path = path_of(&l, k);
+            let (leaf, ancestors) = path.split_last().unwrap();
+            let above: u64 = ancestors
+                .iter()
+                .map(|(n, s)| 1 + u64::from(n.slot_block_id(*s, BS) != n.start))
+                .sum();
+            l.disk.stats().reset();
+            l.disk.reset_access_state();
+            assert_eq!(l.lookup(k).unwrap(), Some(v), "key {k}");
+            if !ancestors.is_empty() && leaf.0.total_blocks(BS) == 1 {
+                assert_eq!(l.disk.stats().reads(), above + 1, "key {k}: one read for its child");
+                ended_in_small += 1;
+            }
+        }
+        assert!(ended_in_small > 100, "{ended_in_small} lookups ended in a one-block child");
+    }
+
+    #[test]
+    fn a_header_write_keeps_the_slots_in_its_block() {
+        let mut l = index();
+        // Four keys build a 20-slot root on 512-byte blocks: its first 19
+        // slots share block 0 with the header, the last is in block 1.
+        let bulk = [(0, 0), (1_000, 1), (2_000, 2), (3_000, 3)];
+        l.bulk_load(&bulk).unwrap();
+        assert_eq!(head_slots(512), 19);
+        let batch: Vec<Entry> = (0..40u64).map(|i| (i * 75 + 1, 100 + i)).collect();
+        l.insert_batch(&batch).unwrap();
+        assert_eq!(l.insert_breakdown().reads(InsertStep::Maintenance), 0, "no header read");
+
+        // Reload the root from disk: the header the batch flushed last must
+        // sit beside every slot the batch wrote into block 0.
+        let mut cursor = l.disk.cursor();
+        let root = LippNode::load(&mut cursor, l.file, l.root).unwrap();
+        let h = root.header;
+        assert_eq!((h.capacity, h.build_size), (20, 4));
+        assert_eq!((h.num_inserts, u64::from(h.num_conflicts)), (40, l.stats().smo_count));
+        assert!(h.num_conflicts > 0, "some inserts conflicted");
+        let (mut data_slots, mut child_slots) = (0, 0);
+        for slot in 0..h.capacity {
+            match root.read_slot(&mut cursor, slot).unwrap() {
+                Slot::Data(..) => data_slots += 1,
+                Slot::Child(_) => child_slots += 1,
+                Slot::Null => {}
+            }
+        }
+        assert_eq!((h.data_count, h.child_count), (data_slots, child_slots));
+        assert!(child_slots > 0 && data_slots > 0);
+        let mut stored = Vec::new();
+        root.collect_subtree(&mut cursor, &mut stored, l.node_count).unwrap();
+        let mut want: Vec<Entry> = bulk.iter().copied().chain(batch.iter().copied()).collect();
+        want.sort_unstable();
+        assert_eq!(stored, want, "every slot the batch wrote survives its header write");
+    }
+
+    #[test]
+    fn a_batch_reads_each_one_block_child_once() {
+        const BS: usize = 4096;
+        let (l, data) = scattered_4k(8);
+        // Probes that end in one-block children one level below the root,
+        // several per child.
+        let (mut probes, mut children, mut root_blocks) = (Vec::new(), Vec::new(), Vec::new());
+        for &(k, _) in &data {
+            if let [(root, slot), (child, _)] = &path_of(&l, k)[..] {
+                if child.total_blocks(BS) == 1 {
+                    probes.push(k);
+                    children.push(child.start);
+                    root_blocks.push(root.slot_block_id(*slot, BS));
+                }
+            }
+        }
+        children.sort_unstable();
+        children.dedup();
+        root_blocks.retain(|&b| b != l.root);
+        root_blocks.sort_unstable();
+        root_blocks.dedup();
+        assert!(children.len() > 100 && probes.len() > 2 * children.len());
+
+        l.disk.stats().reset();
+        l.disk.reset_access_state();
+        let mut out = Vec::new();
+        l.lookup_batch(&probes, &mut out).unwrap();
+        assert!(out.iter().all(Option::is_some));
+        // The root's block 0 and each of its probed slot blocks, then every
+        // child's one block, each read once.
+        let want = 1 + root_blocks.len() + children.len();
+        assert_eq!(l.disk.stats().reads(), want as u64);
     }
 
     /// Runs `walk` on its own thread and fails the test if it has not

@@ -10,12 +10,13 @@
 //! The on-disk extension follows §4.2: the layout mirrors ALEX's (each node
 //! is a contiguous block extent, the meta block stores the root) except that
 //! the bitmap is replaced by a per-slot type flag stored inline with the
-//! slot, so no separate utility blocks have to be fetched. The price the
-//! paper measures remains: node headers and slots usually live in different
-//! blocks (2 · log N lookup cost, S1), inserts create a new node roughly
-//! every third insertion and must update statistics along the whole access
-//! path (O7 / S3), and scans traverse interleaved `DATA`/`NODE` slots across
-//! many blocks (O5 / S2).
+//! slot, so no separate utility blocks have to be fetched. A node's first
+//! slots share its header's block ([`node`]), so a small conflict child is
+//! one block. The price the paper measures remains: a large node's slots
+//! mostly live in other blocks than its header (up to 2 · log N lookup
+//! cost, S1), inserts create a new node roughly every third insertion and
+//! must update statistics along the whole access path (O7 / S3), and scans
+//! traverse interleaved `DATA`/`NODE` slots across many blocks (O5 / S2).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

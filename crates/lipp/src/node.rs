@@ -3,19 +3,32 @@
 //! A node occupies a contiguous extent:
 //!
 //! ```text
-//! block 0   : header (model, capacity, counters, statistics)
-//! blocks 1..: slots, 24 bytes each: [type u64][key u64][payload-or-child u64]
+//! block 0   : header (48 bytes: model, capacity, counters, statistics),
+//!             then slots 0..H, H = (block_size - 48) / 24 (168 at 4 KiB)
+//! blocks 1..: slots H.., block_size / 24 per block (170 at 4 KiB)
+//! slot      : 24 bytes, [type u64][key u64][payload-or-child u64]
 //! ```
 //!
-//! The slot type is stored inline (the paper's replacement for ALEX's
-//! bitmap), so one block read yields both the type and the content of a slot.
+//! A node of at most H slots — every small conflict child — is one block,
+//! and a lookup whose predicted slot is among the first H reads one block at
+//! that level. The slot type is stored inline (the paper's replacement for
+//! ALEX's bitmap), so one block read yields both the type and the content of
+//! a slot.
+//!
+//! A [`LippNode`] handle keeps the block-0 frame it was loaded from or last
+//! wrote. Its slots in block 0 are read from that frame, and a header write
+//! patches the frame's first 48 bytes, so it costs one block write and no
+//! read.
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 24;
+
+/// Bytes of block 0 the header reserves; the first slots follow it.
+pub const HEADER_BYTES: usize = 48;
 
 const TAG_NODE: u8 = 0x71;
 
@@ -34,24 +47,30 @@ pub enum Slot {
     Child(BlockId),
 }
 
-impl Slot {
-    fn encode(self) -> [u64; 3] {
-        match self {
-            Slot::Null => [SLOT_NULL, 0, 0],
-            Slot::Data(k, v) => [SLOT_DATA, k, v],
-            Slot::Child(b) => [SLOT_CHILD, 0, u64::from(b)],
-        }
+/// Encodes `slot` into the 24 bytes of `buf` at `off`.
+fn put_slot(buf: &mut [u8], off: usize, slot: Slot) {
+    let words = match slot {
+        Slot::Null => [SLOT_NULL, 0, 0],
+        Slot::Data(k, v) => [SLOT_DATA, k, v],
+        Slot::Child(b) => [SLOT_CHILD, 0, u64::from(b)],
+    };
+    for (bytes, word) in buf[off..off + SLOT_BYTES].chunks_exact_mut(8).zip(words) {
+        bytes.copy_from_slice(&word.to_le_bytes());
     }
+}
 
-    fn decode(raw: [u64; 3]) -> IndexResult<Slot> {
-        match raw[0] {
-            SLOT_NULL => Ok(Slot::Null),
-            SLOT_DATA => Ok(Slot::Data(raw[1], raw[2])),
-            SLOT_CHILD => BlockId::try_from(raw[2]).map(Slot::Child).map_err(|_| {
-                IndexError::Internal(format!("LIPP child pointer {} is not a block id", raw[2]))
-            }),
-            other => Err(IndexError::Internal(format!("invalid LIPP slot tag {other}"))),
-        }
+/// Decodes the slot stored in the 24 bytes of `buf` at `off`.
+fn get_slot(buf: &[u8], off: usize) -> IndexResult<Slot> {
+    let mut r = BlockReader::new(buf);
+    r.seek(off)?;
+    let (tag, key, word) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    match tag {
+        SLOT_NULL => Ok(Slot::Null),
+        SLOT_DATA => Ok(Slot::Data(key, word)),
+        SLOT_CHILD => BlockId::try_from(word).map(Slot::Child).map_err(|_| {
+            IndexError::Internal(format!("LIPP child pointer {word} is not a block id"))
+        }),
+        other => Err(IndexError::Internal(format!("invalid LIPP slot tag {other}"))),
     }
 }
 
@@ -76,8 +95,9 @@ pub struct LippHeader {
 }
 
 impl LippHeader {
-    fn encode(&self, block_size: usize) -> IndexResult<Vec<u8>> {
-        let mut w = BlockWriter::new(block_size);
+    /// Encodes the header into its [`HEADER_BYTES`] at the front of block 0.
+    fn encode(&self) -> IndexResult<Vec<u8>> {
+        let mut w = BlockWriter::new(HEADER_BYTES);
         w.put_u8(TAG_NODE)?;
         w.put_u8(0)?;
         w.put_u16(0)?;
@@ -126,30 +146,42 @@ pub struct LippNode {
     pub start: BlockId,
     /// The decoded header.
     pub header: LippHeader,
+    /// Block 0 as this handle loaded or last wrote it: the header bytes
+    /// (possibly behind [`LippNode::header`] while statistics are deferred)
+    /// and the first [`head_slots`] slots.
+    block0: BlockRef,
 }
 
-/// Number of slots per block for a given block size.
+/// Number of slots per block after block 0 for a given block size.
 pub fn slots_per_block(block_size: usize) -> usize {
     block_size / SLOT_BYTES
 }
 
-/// Total blocks of a node extent with `capacity` slots.
+/// Number of slots that share block 0 with the header.
+pub fn head_slots(block_size: usize) -> usize {
+    (block_size - HEADER_BYTES) / SLOT_BYTES
+}
+
+/// Total blocks of a node extent with `capacity` slots: one while the
+/// slots fit beside the header.
 pub fn blocks_for(capacity: u32, block_size: usize) -> u32 {
-    1 + (capacity as usize).div_ceil(slots_per_block(block_size)).max(1) as u32
+    let rest = (capacity as usize).saturating_sub(head_slots(block_size));
+    1 + rest.div_ceil(slots_per_block(block_size)) as u32
 }
 
 impl LippNode {
-    /// Reads the header of the node at `start` (one block read) through the
-    /// operation's cursor: scan-class through a scan's cursor.
+    /// Reads the node at `start` (block 0: its header and first slots, one
+    /// block read) through the operation's cursor: scan-class through a
+    /// scan's cursor.
     pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = cursor.read(file, start, BlockKind::Leaf)?;
-        Self::from_header_bytes(file, start, buf)
+        let frame = cursor.read(file, start, BlockKind::Leaf)?;
+        Self::from_frame(file, start, frame.clone())
     }
 
-    /// Builds a handle from an already-fetched header block (e.g. one
-    /// delivered by a read-queue completion wave), avoiding a second read.
-    pub fn from_header_bytes(file: u32, start: BlockId, buf: &[u8]) -> IndexResult<Self> {
-        Ok(LippNode { file, start, header: LippHeader::decode(buf)? })
+    /// Builds a handle from an already-fetched block 0 (e.g. one delivered
+    /// by a read-queue completion wave), avoiding a second read.
+    pub fn from_frame(file: u32, start: BlockId, block0: BlockRef) -> IndexResult<Self> {
+        Ok(LippNode { file, start, header: LippHeader::decode(&block0)?, block0 })
     }
 
     /// Total blocks of the node's extent.
@@ -157,11 +189,14 @@ impl LippNode {
         blocks_for(self.header.capacity, block_size)
     }
 
-    /// Persists the header (one block write) through the operation's
-    /// cursor.
-    pub fn write_header(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
-        let buf = self.header.encode(cursor.disk().block_size())?;
+    /// Persists the header through the operation's cursor: one block write
+    /// of block 0 with the header bytes patched into the handle's frame, so
+    /// the slots that share the block are kept and nothing is read.
+    pub fn write_header(&mut self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
+        let mut buf = self.block0.to_vec();
+        buf[..HEADER_BYTES].copy_from_slice(&self.header.encode()?);
         cursor.write(self.file, self.start, BlockKind::Leaf, &buf)?;
+        self.block0 = BlockRef::from_vec(buf);
         Ok(())
     }
 
@@ -171,44 +206,54 @@ impl LippNode {
     }
 
     fn slot_location(&self, slot: u32, block_size: usize) -> (BlockId, usize) {
-        let per_block = slots_per_block(block_size) as u32;
-        (self.start + 1 + slot / per_block, ((slot % per_block) as usize) * SLOT_BYTES)
+        let head = head_slots(block_size) as u32;
+        match slot.checked_sub(head) {
+            None => (self.start, HEADER_BYTES + slot as usize * SLOT_BYTES),
+            Some(rest) => {
+                let per_block = slots_per_block(block_size) as u32;
+                (self.start + 1 + rest / per_block, (rest % per_block) as usize * SLOT_BYTES)
+            }
+        }
     }
 
     /// Absolute block id holding `slot` — the prefetch target for batched
-    /// lookups that wave a whole level's slot fetches at once.
+    /// lookups that wave a whole level's slot fetches at once. A slot in
+    /// block 0 is already in the handle's frame.
     pub fn slot_block_id(&self, slot: u32, block_size: usize) -> BlockId {
         self.slot_location(slot, block_size).0
     }
 
-    /// Reads one slot through the operation's cursor: the slots a walk
-    /// reads in one block cost one disk read.
+    /// Reads one slot: from the handle's frame when it is in block 0,
+    /// otherwise through the operation's cursor, so the slots a walk reads
+    /// in one block cost one disk read.
     pub fn read_slot(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Slot> {
         let (block, off) = self.slot_location(slot, cursor.disk().block_size());
-        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
-        let raw = [
-            u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            u64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-            u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
-        ];
-        Slot::decode(raw)
+        if block == self.start {
+            return get_slot(&self.block0, off);
+        }
+        get_slot(cursor.read(self.file, block, BlockKind::Leaf)?, off)
     }
 
-    /// Writes one slot: a read-modify-write of its block through the
-    /// operation's cursor.
+    /// Writes one slot through the operation's cursor: a read-modify-write
+    /// of its block, whose read is the handle's frame in block 0 (which the
+    /// write then refreshes).
     pub fn write_slot(
-        &self,
+        &mut self,
         cursor: &mut BlockCursor<'_>,
         slot: u32,
         value: Slot,
     ) -> IndexResult<()> {
         let (block, off) = self.slot_location(slot, cursor.disk().block_size());
-        let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
-        let raw = value.encode();
-        buf[off..off + 8].copy_from_slice(&raw[0].to_le_bytes());
-        buf[off + 8..off + 16].copy_from_slice(&raw[1].to_le_bytes());
-        buf[off + 16..off + 24].copy_from_slice(&raw[2].to_le_bytes());
+        let mut buf = if block == self.start {
+            self.block0.to_vec()
+        } else {
+            cursor.read(self.file, block, BlockKind::Leaf)?.to_vec()
+        };
+        put_slot(&mut buf, off, value);
         cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
+        if block == self.start {
+            self.block0 = BlockRef::from_vec(buf);
+        }
         Ok(())
     }
 
@@ -227,7 +272,6 @@ impl LippNode {
     ) -> IndexResult<LippNode> {
         debug_assert_eq!(slots.len(), capacity as usize);
         let bs = disk.block_size();
-        let per_block = slots_per_block(bs);
         let mut data_count = 0;
         let mut child_count = 0;
         for s in slots {
@@ -237,39 +281,36 @@ impl LippNode {
                 Slot::Null => {}
             }
         }
-        let mut buf = vec![0u8; bs];
-        let slot_blocks = (capacity as usize).div_ceil(per_block).max(1) as u32;
-        for b in 0..slot_blocks {
-            buf.fill(0);
-            for i in 0..per_block {
-                let idx = b as usize * per_block + i;
-                let raw = slots.get(idx).copied().unwrap_or(Slot::Null).encode();
-                let off = i * SLOT_BYTES;
-                buf[off..off + 8].copy_from_slice(&raw[0].to_le_bytes());
-                buf[off + 8..off + 16].copy_from_slice(&raw[1].to_le_bytes());
-                buf[off + 16..off + 24].copy_from_slice(&raw[2].to_le_bytes());
-            }
-            disk.write(file, start + 1 + b, BlockKind::Leaf, &buf)?;
-        }
-        let node = LippNode {
-            file,
-            start,
-            header: LippHeader {
-                capacity,
-                data_count,
-                child_count,
-                model,
-                build_size,
-                num_inserts: 0,
-                num_conflicts: 0,
-            },
+        let header = LippHeader {
+            capacity,
+            data_count,
+            child_count,
+            model,
+            build_size,
+            num_inserts: 0,
+            num_conflicts: 0,
         };
-        disk.write(file, start, BlockKind::Leaf, &node.header.encode(bs)?)?;
-        Ok(node)
+        // The slots past block 0 first, then block 0 with the header.
+        let (head, rest) = slots.split_at(head_slots(bs).min(slots.len()));
+        let mut buf = vec![0u8; bs];
+        for (b, chunk) in (1..).zip(rest.chunks(slots_per_block(bs))) {
+            buf.fill(0);
+            for (i, &s) in chunk.iter().enumerate() {
+                put_slot(&mut buf, i * SLOT_BYTES, s);
+            }
+            disk.write(file, start + b, BlockKind::Leaf, &buf)?;
+        }
+        buf.fill(0);
+        buf[..HEADER_BYTES].copy_from_slice(&header.encode()?);
+        for (i, &s) in head.iter().enumerate() {
+            put_slot(&mut buf, HEADER_BYTES + i * SLOT_BYTES, s);
+        }
+        disk.write(file, start, BlockKind::Leaf, &buf)?;
+        Ok(LippNode { file, start, header, block0: BlockRef::from_vec(buf) })
     }
 
     /// Walks this node's subtree depth first in slot order, reading every
-    /// slot through `cursor`: `data` sees each stored entry, in key order,
+    /// slot with [`LippNode::read_slot`]: `data` sees each stored entry, in key order,
     /// and `done` each node once its subtree is walked (children before
     /// their parent). The walk may load `budget` nodes, the tree's node
     /// count (see [`spend`]), and keeps its path on the heap, so a cyclic
@@ -377,10 +418,13 @@ mod tests {
 
     #[test]
     fn slot_encoding_roundtrips() {
+        let mut buf = [0xFFu8; 2 * SLOT_BYTES];
         for s in [Slot::Null, Slot::Data(5, 6), Slot::Child(1234)] {
-            assert_eq!(Slot::decode(s.encode()).unwrap(), s);
+            put_slot(&mut buf, SLOT_BYTES, s);
+            assert_eq!(get_slot(&buf, SLOT_BYTES).unwrap(), s);
         }
-        assert!(Slot::decode([9, 0, 0]).is_err());
+        assert!(get_slot(&buf, 0).is_err(), "tag 0xFF..FF is no slot type");
+        assert!(get_slot(&buf, SLOT_BYTES + 1).is_err(), "a slot past the block's end");
     }
 
     #[test]
@@ -395,12 +439,15 @@ mod tests {
             LippNode::write_new(&d, file, start, capacity, LinearModel::new(0.1, 0.0), &slots, 1)
                 .unwrap();
         // Forge the child pointer's high half: truncated to 32 bits it would
-        // still name block 99.
+        // still name block 99. The handle holds block 0 as it wrote it, so
+        // the forged block is read through a fresh one.
         let (block, off) = node.slot_location(2, 512);
         let mut buf = d.cursor().read(file, block, BlockKind::Leaf).unwrap().to_vec();
         buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
         d.write(file, block, BlockKind::Leaf, &buf).unwrap();
-        let read = node.read_slot(&mut d.cursor(), 2);
+        let mut cursor = d.cursor();
+        let forged = LippNode::load(&mut cursor, file, start).unwrap();
+        let read = forged.read_slot(&mut cursor, 2);
         assert!(matches!(read, Err(IndexError::Internal(_))), "{read:?}");
     }
 
@@ -420,7 +467,7 @@ mod tests {
         assert_eq!(node.header.child_count, 1);
 
         let mut cursor = d.cursor();
-        let reloaded = LippNode::load(&mut cursor, file, start).unwrap();
+        let mut reloaded = LippNode::load(&mut cursor, file, start).unwrap();
         assert_eq!(reloaded.header, node.header);
         let mut read = |slot| reloaded.read_slot(&mut cursor, slot).unwrap();
         assert_eq!(read(3), Slot::Data(30, 31));

@@ -36,7 +36,12 @@ struct ReadCost {
 /// 143.20 → 135.82 ms, LIPP 210.62 → 200.00 ms); PGM and ALEX now fetch more
 /// blocks (526 → 571, 1 938 → 2 129), as readahead brings in blocks a scan
 /// may not reach, and ALEX's prefetched bitmap blocks count under the
-/// demanding read's `Leaf` kind.
+/// demanding read's `Leaf` kind. Both LIPP rows were re-recorded when a
+/// LIPP node began keeping its first 168 slots in its header block. The
+/// pin's near-linear 20 000 keys build almost no child nodes, so the layout
+/// saves little here: the root's slot-block boundaries shift by 168 slots,
+/// and depth 1 reads 2 554 → 2 558 blocks (235.36 → 235.76 ms), depth 8
+/// 3 311 blocks as before (200.00 → 200.40 ms).
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 1, btree
@@ -48,7 +53,7 @@ const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 1, alex
     ReadCost { reads: [0, 0, 1467, 40], device_ns: 148380000, buffer_hits: 5722, readahead_hits: 0 },
     // ssd, pool 64, depth 1, lipp
-    ReadCost { reads: [0, 0, 2554, 0], device_ns: 235360000, buffer_hits: 2488, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 2558, 0], device_ns: 235760000, buffer_hits: 2482, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-pla
     ReadCost { reads: [0, 0, 861, 0], device_ns: 84500000, buffer_hits: 3673, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-modeltree
@@ -62,7 +67,7 @@ const READ_PATH_COST: [ReadCost; 14] = [
     // ssd, pool 64, depth 8, alex
     ReadCost { reads: [0, 0, 2023, 106], device_ns: 135820000, buffer_hits: 5721, readahead_hits: 152 },
     // ssd, pool 64, depth 8, lipp
-    ReadCost { reads: [0, 0, 3311, 0], device_ns: 200000000, buffer_hits: 2488, readahead_hits: 561 },
+    ReadCost { reads: [0, 0, 3311, 0], device_ns: 200400000, buffer_hits: 2481, readahead_hits: 562 },
     // ssd, pool 64, depth 8, hybrid-pla
     ReadCost { reads: [0, 0, 1051, 0], device_ns: 80820000, buffer_hits: 3687, readahead_hits: 12 },
     // ssd, pool 64, depth 8, hybrid-modeltree

@@ -448,7 +448,12 @@ struct InsertCost {
 /// `insert` body, one row per `(storage, design)` cell in iteration order.
 /// The two ALEX rows were recorded again when ALEX's insert began shifting
 /// toward the closest gap and expanding a node only at its density bound
-/// (66 SMOs and 3 045 blocks before, 4 and 103 after).
+/// (66 SMOs and 3 045 blocks before, 4 and 103 after). The two LIPP rows
+/// were recorded again when a LIPP node began keeping its first slots in its
+/// header block: a two-key conflict child is one block instead of two, so
+/// on the HDD reads fell 4 759 → 4 315, writes 4 837 → 4 470 and blocks
+/// 884 → 516, with the same 361 SMOs and the same Maintenance step (0
+/// reads, 2 101 header writes).
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // hdd, no pool, btree
@@ -460,7 +465,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // hdd, no pool, alex
     InsertCost { reads: [0, 4012, 5925, 1875], writes: [0, 4, 4061, 1875], device_ns: 175084600000, smo_count: 4, storage_blocks: 103, steps: [[60100200000, 6012, 0], [95431200000, 5758, 3995], [843200000, 42, 74], [18710000000, 0, 1871]] },
     // hdd, no pool, lipp
-    InsertCost { reads: [0, 0, 4759, 0], writes: [0, 0, 4837, 0], device_ns: 92207900000, smo_count: 361, storage_blocks: 884, steps: [[42147600000, 4488, 0], [16400000000, 0, 1640], [12650300000, 271, 1096], [21010000000, 0, 2101]] },
+    InsertCost { reads: [0, 0, 4315, 0], writes: [0, 0, 4470, 0], device_ns: 87701500000, smo_count: 361, storage_blocks: 516, steps: [[41971500000, 4212, 0], [16400000000, 0, 1640], [8320000000, 103, 729], [21010000000, 0, 2101]] },
     // hdd, no pool, hybrid-pla
     InsertCost { reads: [0, 2000, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60480000000, smo_count: 24, storage_blocks: 74, steps: [[40000000000, 4000, 0], [19760000000, 0, 1976], [720000000, 0, 72], [0, 0, 0]] },
     // hdd, no pool, hybrid-modeltree
@@ -474,7 +479,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     // ssd, pool 64, alex
     InsertCost { reads: [0, 0, 76, 0], writes: [0, 4, 4061, 1875], device_ns: 720400000, smo_count: 4, storage_blocks: 103, steps: [[0, 0, 0], [486900000, 75, 3995], [8980000, 1, 74], [224520000, 0, 1871]] },
     // ssd, pool 64, lipp
-    InsertCost { reads: [0, 0, 1865, 0], writes: [0, 0, 4837, 0], device_ns: 759300000, smo_count: 361, storage_blocks: 884, steps: [[169600000, 1750, 0], [196800000, 0, 1640], [140780000, 115, 1096], [252120000, 0, 2101]] },
+    InsertCost { reads: [0, 0, 1468, 0], writes: [0, 0, 4470, 0], device_ns: 683160000, smo_count: 361, storage_blocks: 516, steps: [[143660000, 1437, 0], [196800000, 0, 1640], [90580000, 31, 729], [252120000, 0, 2101]] },
     // ssd, pool 64, hybrid-pla
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 74, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, hybrid-modeltree
