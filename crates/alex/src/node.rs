@@ -33,7 +33,7 @@
 //! A child pointer packs "is data node" into bit 63 and the child's start
 //! block into the low 32 bits.
 
-use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
+use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint};
 
@@ -78,9 +78,7 @@ impl ChildPtr {
     /// 32–62 set names no block id: that is an error, not a pointer silently
     /// truncated to another block.
     pub fn unpack(raw: u64) -> IndexResult<Self> {
-        let block = BlockId::try_from(raw & !(1 << 63)).map_err(|_| {
-            IndexError::Internal(format!("ALEX child pointer {raw:#x} is not a block id"))
-        })?;
+        let block = block_pointer(raw & !(1 << 63), "ALEX child pointer")?;
         Ok(ChildPtr { is_data: raw >> 63 == 1, block })
     }
 }

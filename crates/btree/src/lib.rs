@@ -5,6 +5,12 @@
 //! are linked to their siblings so range scans walk the leaf level without
 //! touching inner nodes again (§3 and Table 2 of the paper).
 //!
+//! The tree is its two levels: [`InnerLevels`] (the routing nodes) over a
+//! [`LeafLevel`] (the linked leaves), both in one file. Each is public on
+//! its own: the FITing-tree's directory runs its own leaf format under
+//! [`InnerLevels`], and the hybrid designs run a learned router over a
+//! [`LeafLevel`].
+//!
 //! The index meta data (root block, height, key count) is kept in memory
 //! while the index is open and persisted to block 0 of the file, matching
 //! the paper's assumption that "the meta block … is stored in main memory
@@ -13,8 +19,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod levels;
 mod node;
 mod tree;
 
+pub use levels::{InnerLevels, LeafLevel, LeafSplit};
 pub use node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
-pub use tree::{scan_leaf_chain, BTreeConfig, BTreeIndex};
+pub use tree::{BTreeConfig, BTreeIndex};

@@ -208,7 +208,8 @@ impl<'a> LeafView<'a> {
         self.next
     }
 
-    /// Block id of the previous (left) leaf, or [`INVALID_BLOCK`].
+    /// The stored `prev` link: a leaf to the left, or [`INVALID_BLOCK`] (see
+    /// [`LeafNode`] for why it may not be the adjacent one).
     pub fn prev(&self) -> BlockId {
         self.prev
     }
@@ -248,13 +249,21 @@ impl<'a> LeafView<'a> {
 }
 
 /// A leaf node: dense sorted entries plus sibling links.
+///
+/// `next` is exact: scans follow it. `prev` is only a hint, and nothing
+/// reads it. Bulk load sets both links, and a split sets the new right
+/// half's `prev` to the left half. The split does not write the old right
+/// neighbour, so that neighbour's `prev` still names the left half, not the
+/// new leaf between them. Repairing it would cost one more block write per
+/// split.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafNode {
     /// Sorted key-payload pairs.
     pub entries: Vec<Entry>,
     /// Block id of the next (right) leaf, or [`INVALID_BLOCK`].
     pub next: BlockId,
-    /// Block id of the previous (left) leaf, or [`INVALID_BLOCK`].
+    /// Block id of a leaf to the left, or [`INVALID_BLOCK`] for the leftmost
+    /// leaf. After a split further left it is not the adjacent one.
     pub prev: BlockId,
 }
 

@@ -1,4 +1,5 @@
-//! The on-disk B+-tree implementation.
+//! The on-disk B+-tree implementation: [`InnerLevels`] over a
+//! [`LeafLevel`], both in one file behind a meta block.
 
 use std::sync::Arc;
 
@@ -6,52 +7,10 @@ use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
-use lidx_storage::{
-    BlockCursor, BlockId, BlockKind, BlockWriter, Disk, OpClass, SeqHint, INVALID_BLOCK,
-};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockWriter, Disk, OpClass, INVALID_BLOCK};
 
-use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
-
-/// Walks the chain of leaf blocks in `file` starting at `block`, appending
-/// the entries with key `>= start` to `out` until it holds `count` entries
-/// or the chain ends; returns `out.len()`. The one leaf-chain scan of every
-/// index over this leaf format (the B+-tree and the hybrid leaf level).
-///
-/// The reads go through the scan's `cursor` (a [`Disk::scan_cursor`]), so
-/// they are scan-class. After the first hop the sequentiality hint comes
-/// from the chain itself (`next == block + 1`), so a concurrent reader
-/// touching other blocks between two hops cannot turn this scan's
-/// sequential charges into random ones. A sound chain holds `leaves`
-/// leaves: a walk that would read more follows a cyclic `next` link, an
-/// error rather than a hang or repeated rows.
-pub fn scan_leaf_chain(
-    cursor: &mut BlockCursor<'_>,
-    file: u32,
-    mut block: BlockId,
-    leaves: u64,
-    start: Key,
-    count: usize,
-    out: &mut Vec<Entry>,
-) -> IndexResult<usize> {
-    let mut hint = SeqHint::Auto;
-    let mut read = 0u64;
-    while out.len() < count {
-        if read == leaves {
-            return Err(IndexError::Internal(format!(
-                "leaf-chain scan walked past the index's {leaves} leaves: a next link is cyclic"
-            )));
-        }
-        read += 1;
-        let leaf = LeafView::new(cursor.read_hinted(file, block, BlockKind::Leaf, hint)?)?;
-        out.extend(leaf.entries_from(leaf.lower_bound(start)).take(count - out.len()));
-        if leaf.next() == INVALID_BLOCK {
-            break;
-        }
-        hint = if leaf.next() == block + 1 { SeqHint::Sequential } else { SeqHint::Random };
-        block = leaf.next();
-    }
-    Ok(out.len())
-}
+use crate::levels::{InnerLevels, LeafLevel, LeafSplit};
+use crate::node::{LeafView, NodeCapacity};
 
 /// Construction-time options for [`BTreeIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -71,13 +30,11 @@ impl Default for BTreeConfig {
 pub struct BTreeIndex {
     disk: Arc<Disk>,
     config: BTreeConfig,
-    capacity: NodeCapacity,
-    file: u32,
-    root: BlockId,
-    height: u32,
+    /// The routing levels; their file also holds the leaves and the meta
+    /// block.
+    inner: InnerLevels,
+    leaves: LeafLevel,
     key_count: u64,
-    inner_nodes: u64,
-    leaf_nodes: u64,
     smo_count: u64,
     loaded: bool,
     breakdown: InsertBreakdown,
@@ -95,22 +52,18 @@ impl BTreeIndex {
             config.fill_factor > 0.1 && config.fill_factor <= 1.0,
             "fill factor must be in (0.1, 1.0]"
         );
-        let capacity = NodeCapacity::for_block_size(disk.block_size());
         let file = disk.create_file()?;
         // Block 0 is the meta block (root pointer); it is kept memory-resident
         // while the index is open, as the paper assumes.
         let meta = disk.allocate(file, 1)?;
         debug_assert_eq!(meta, 0);
+        let block_size = disk.block_size();
         Ok(BTreeIndex {
             disk,
             config,
-            capacity,
-            file,
-            root: INVALID_BLOCK,
-            height: 0,
+            inner: InnerLevels::new(file, block_size),
+            leaves: LeafLevel::new(block_size),
             key_count: 0,
-            inner_nodes: 0,
-            leaf_nodes: 0,
             smo_count: 0,
             loaded: false,
             breakdown: InsertBreakdown::new(),
@@ -119,7 +72,7 @@ impl BTreeIndex {
 
     /// The node capacities derived from the disk's block size.
     pub fn capacity(&self) -> NodeCapacity {
-        self.capacity
+        NodeCapacity::for_block_size(self.disk.block_size())
     }
 
     /// Rebuilds a tree handle over blocks already on `disk` from the bytes
@@ -133,90 +86,38 @@ impl BTreeIndex {
         let inner_nodes = r.u64()?;
         let leaf_nodes = r.u64()?;
         let smo_count = r.u64()?;
-        let capacity = NodeCapacity::for_block_size(disk.block_size());
+        let block_size = disk.block_size();
         Ok(BTreeIndex {
             disk,
             config,
-            capacity,
-            file,
-            root,
-            height,
+            inner: InnerLevels::from_parts(file, block_size, root, height, inner_nodes),
+            leaves: LeafLevel::from_parts(block_size, leaf_nodes),
             key_count,
-            inner_nodes,
-            leaf_nodes,
             smo_count,
             loaded: true,
             breakdown: InsertBreakdown::new(),
         })
     }
 
-    /// The file id holding this tree (exposed for the hybrid designs).
-    pub fn file_id(&self) -> u32 {
-        self.file
+    /// The one file holding the meta block, the routing levels and the
+    /// leaves.
+    fn file(&self) -> u32 {
+        self.inner.file()
     }
 
     /// Persists the meta block (root, height, key count) to block 0.
-    pub fn persist_meta(&self) -> IndexResult<()> {
+    fn persist_meta(&self) -> IndexResult<()> {
         let mut w = BlockWriter::new(self.disk.block_size());
-        w.put_u32(self.root)?;
-        w.put_u32(self.height)?;
+        w.put_u32(self.inner.root())?;
+        w.put_u32(self.inner.height())?;
         w.put_u64(self.key_count)?;
-        self.disk.write(self.file, 0, BlockKind::Meta, &w.finish())?;
+        self.disk.write(self.file(), 0, BlockKind::Meta, &w.finish())?;
         Ok(())
-    }
-
-    fn write_leaf(&self, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
-        let buf = leaf.encode(self.disk.block_size())?;
-        self.disk.write(self.file, block, BlockKind::Leaf, &buf)?;
-        Ok(())
-    }
-
-    fn write_inner(&self, block: BlockId, node: &InnerNode) -> IndexResult<()> {
-        let buf = node.encode(self.disk.block_size())?;
-        self.disk.write(self.file, block, BlockKind::Inner, &buf)?;
-        Ok(())
-    }
-
-    /// Descends from the root to the leaf covering `key` and returns the
-    /// leaf's block id, routing through an [`InnerView`] of each inner block
-    /// pinned through `cursor`. `visit` sees every step — the inner block,
-    /// the child index chosen and the node — so the callers that need more
-    /// than the leaf (the insert path, the upper separator) collect it
-    /// without a second copy of the walk.
-    fn descend_with(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        key: Key,
-        mut visit: impl FnMut(BlockId, usize, &InnerView<'_>),
-    ) -> IndexResult<BlockId> {
-        if self.root == INVALID_BLOCK {
-            return Err(IndexError::NotInitialized);
-        }
-        let mut current = self.root;
-        for _ in 1..self.height {
-            let node = InnerView::new(cursor.read(self.file, current, BlockKind::Inner)?)?;
-            let idx = node.child_for(key);
-            visit(current, idx, &node);
-            current = node.child(idx);
-        }
-        Ok(current)
     }
 
     /// The read-only descent: the block id of the leaf covering `key`.
     fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
-        self.descend_with(cursor, key, |_, _, _| {})
-    }
-
-    /// The insert-path descent: additionally returns the path of `(inner
-    /// block, child index chosen)` pairs a split propagates along.
-    fn descend(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        key: Key,
-    ) -> IndexResult<(Vec<(BlockId, usize)>, BlockId)> {
-        let mut path = Vec::with_capacity(self.height as usize);
-        let leaf = self.descend_with(cursor, key, |block, idx, _| path.push((block, idx)))?;
-        Ok((path, leaf))
+        self.inner.descend(cursor, key, |_, _, _| {})
     }
 
     /// Like [`Self::find_leaf`], but additionally returns the leaf's upper
@@ -231,154 +132,12 @@ impl BTreeIndex {
         key: Key,
     ) -> IndexResult<(BlockId, Option<Key>)> {
         let mut upper = None;
-        let leaf = self.descend_with(cursor, key, |_, idx, node| {
+        let leaf = self.inner.descend(cursor, key, |_, idx, node| {
             if idx < node.len() {
                 upper = Some(node.key(idx));
             }
         })?;
         Ok((leaf, upper))
-    }
-
-    /// Finds the entry with the greatest stored key `<= key` (a "floor"
-    /// lookup). Used by structures that index range boundaries, e.g. the
-    /// hybrid designs of §6.1.2 which map each leaf page's boundary key to a
-    /// page address.
-    pub fn lookup_floor(&self, key: Key) -> IndexResult<Option<Entry>> {
-        let mut cursor = self.disk.cursor();
-        let block = self.find_leaf(&mut cursor, key)?;
-        let leaf = LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?;
-        if let Some(e) = leaf.floor(key) {
-            return Ok(Some(e));
-        }
-        // The floor may live in the previous leaf if `key` is smaller than
-        // every key of this leaf (possible when `key` precedes the whole
-        // subtree's range).
-        let prev = leaf.prev();
-        if prev == INVALID_BLOCK {
-            return Ok(None);
-        }
-        Ok(LeafView::new(cursor.read(self.file, prev, BlockKind::Leaf)?)?.floor(Key::MAX))
-    }
-
-    /// Builds the leaf level during bulk load, returning `(min_key, block)`
-    /// pairs for the next level up.
-    fn bulk_load_leaves(&mut self, entries: &[Entry]) -> IndexResult<Vec<(Key, BlockId)>> {
-        let per_leaf = ((self.capacity.leaf_entries as f64 * self.config.fill_factor) as usize)
-            .clamp(1, self.capacity.leaf_entries);
-        let leaf_count = entries.len().div_ceil(per_leaf).max(1);
-        let first_block = self.disk.allocate(self.file, leaf_count as u32)?;
-        let mut level = Vec::with_capacity(leaf_count);
-        for (i, chunk) in entries.chunks(per_leaf).enumerate() {
-            let block = first_block + i as u32;
-            let next = if i + 1 < leaf_count { block + 1 } else { INVALID_BLOCK };
-            let prev = if i > 0 { block - 1 } else { INVALID_BLOCK };
-            let leaf = LeafNode { entries: chunk.to_vec(), next, prev };
-            self.write_leaf(block, &leaf)?;
-            level.push((chunk[0].0, block));
-        }
-        if entries.is_empty() {
-            // A single empty leaf keeps every operation well-defined.
-            let leaf = LeafNode::default();
-            self.write_leaf(first_block, &leaf)?;
-            level.push((0, first_block));
-        }
-        self.leaf_nodes = level.len() as u64;
-        Ok(level)
-    }
-
-    /// Builds one inner level over `children`, returning the next level up.
-    fn bulk_load_inner_level(
-        &mut self,
-        children: &[(Key, BlockId)],
-    ) -> IndexResult<Vec<(Key, BlockId)>> {
-        let per_node = ((self.capacity.inner_keys as f64 * self.config.fill_factor) as usize)
-            .clamp(2, self.capacity.inner_keys);
-        // Each inner node holds up to `per_node` keys, i.e. `per_node + 1` children.
-        let node_count = children.len().div_ceil(per_node + 1).max(1);
-        let first_block = self.disk.allocate(self.file, node_count as u32)?;
-        let mut level = Vec::with_capacity(node_count);
-        for (i, chunk) in children.chunks(per_node + 1).enumerate() {
-            let block = first_block + i as u32;
-            let node = InnerNode {
-                keys: chunk[1..].iter().map(|&(k, _)| k).collect(),
-                children: chunk.iter().map(|&(_, b)| b).collect(),
-            };
-            self.write_inner(block, &node)?;
-            level.push((chunk[0].0, block));
-        }
-        self.inner_nodes += level.len() as u64;
-        Ok(level)
-    }
-
-    /// Handles a leaf split during insert: writes both halves, then inserts
-    /// the separator into the parent chain (splitting upward as necessary).
-    fn split_leaf_and_propagate(
-        &mut self,
-        path: &[(BlockId, usize)],
-        leaf_block: BlockId,
-        mut leaf: LeafNode,
-    ) -> IndexResult<()> {
-        self.smo_count += 1;
-        // One span covers the leaf split and any upward inner-node splits:
-        // the cascade is a single pause from the caller's point of view.
-        let telemetry = Arc::clone(&self.disk);
-        let _span = telemetry.telemetry().span(OpClass::Smo);
-        telemetry.telemetry().add(OpClass::Smo, 1);
-        let (split_key, mut right) = leaf.split();
-        let right_block = self.disk.allocate(self.file, 1)?;
-        right.prev = leaf_block;
-        leaf.next = right_block;
-        self.write_leaf(leaf_block, &leaf)?;
-        self.write_leaf(right_block, &right)?;
-        self.leaf_nodes += 1;
-        self.insert_into_parent(path, split_key, right_block)
-    }
-
-    /// Inserts `(key, child)` into the lowest node of `path`, splitting inner
-    /// nodes upward as needed.
-    fn insert_into_parent(
-        &mut self,
-        path: &[(BlockId, usize)],
-        key: Key,
-        child: BlockId,
-    ) -> IndexResult<()> {
-        let mut key = key;
-        let mut child = child;
-        for depth in (0..path.len()).rev() {
-            let (block, _) = path[depth];
-            let mut node =
-                InnerNode::decode(self.disk.cursor().read(self.file, block, BlockKind::Inner)?)?;
-            let pos = node.keys.partition_point(|&k| k <= key);
-            node.keys.insert(pos, key);
-            node.children.insert(pos + 1, child);
-            if node.keys.len() <= self.capacity.inner_keys {
-                self.write_inner(block, &node)?;
-                return Ok(());
-            }
-            // Split the inner node.
-            self.smo_count += 1;
-            let mid = node.keys.len() / 2;
-            let up_key = node.keys[mid];
-            let right = InnerNode {
-                keys: node.keys.split_off(mid + 1),
-                children: node.children.split_off(mid + 1),
-            };
-            node.keys.pop(); // `up_key` moves up rather than staying in either half
-            let right_block = self.disk.allocate(self.file, 1)?;
-            self.write_inner(block, &node)?;
-            self.write_inner(right_block, &right)?;
-            self.inner_nodes += 1;
-            key = up_key;
-            child = right_block;
-        }
-        // The root itself split: create a new root.
-        let new_root_block = self.disk.allocate(self.file, 1)?;
-        let new_root = InnerNode { keys: vec![key], children: vec![self.root, child] };
-        self.write_inner(new_root_block, &new_root)?;
-        self.inner_nodes += 1;
-        self.root = new_root_block;
-        self.height += 1;
-        Ok(())
     }
 }
 
@@ -394,7 +153,7 @@ impl IndexRead for BTreeIndex {
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
         let mut cursor = self.disk.cursor();
         let block = self.find_leaf(&mut cursor, key)?;
-        Ok(LeafView::new(cursor.read(self.file, block, BlockKind::Leaf)?)?.lookup(key))
+        Ok(LeafView::new(cursor.read(self.file(), block, BlockKind::Leaf)?)?.lookup(key))
     }
 
     /// Batched lookups sort the probe keys and group them per leaf with one
@@ -429,13 +188,11 @@ impl IndexRead for BTreeIndex {
             }
             groups.last_mut().expect("group exists").1 = at + 1;
         }
-        let mut q = self.disk.read_queue();
-        for &(block, _) in &groups {
-            q.submit(self.file, block, BlockKind::Leaf)?;
-        }
+        let frames =
+            LeafLevel::pin_queued(&self.disk, self.file(), groups.iter().map(|&(b, _)| b))?;
         let mut from = 0;
-        for (&(_, end), c) in groups.iter().zip(q.complete()?) {
-            let leaf = LeafView::new(&c.frame)?;
+        for (&(_, end), frame) in groups.iter().zip(&frames) {
+            let leaf = LeafView::new(frame)?;
             for &i in &order[from..end] {
                 out[i as usize] = leaf.lookup(keys[i as usize]);
             }
@@ -452,8 +209,8 @@ impl IndexRead for BTreeIndex {
         // One scan cursor carries the descent (point-class inner nodes)
         // and the leaf chain (scan-class).
         let mut cursor = self.disk.scan_cursor();
-        let leaf = self.descend_with(&mut cursor, start, |_, _, _| {})?;
-        scan_leaf_chain(&mut cursor, self.file, leaf, self.leaf_nodes, start, count, out)
+        let leaf = self.find_leaf(&mut cursor, start)?;
+        self.leaves.scan_from(&mut cursor, self.file(), leaf, start, count, out)
     }
 
     /// Batched scans execute the ranges in ascending start-key order (the
@@ -480,9 +237,9 @@ impl IndexRead for BTreeIndex {
     fn stats(&self) -> IndexStats {
         IndexStats {
             keys: self.key_count,
-            height: self.height,
-            inner_nodes: self.inner_nodes,
-            leaf_nodes: self.leaf_nodes,
+            height: self.inner.height(),
+            inner_nodes: self.inner.node_count(),
+            leaf_nodes: self.leaves.leaf_count(),
             smo_count: self.smo_count,
         }
     }
@@ -494,13 +251,9 @@ impl IndexWrite for BTreeIndex {
             return Err(IndexError::AlreadyLoaded);
         }
         validate_bulk_load(entries)?;
-        let mut level = self.bulk_load_leaves(entries)?;
-        self.height = 1;
-        while level.len() > 1 {
-            level = self.bulk_load_inner_level(&level)?;
-            self.height += 1;
-        }
-        self.root = level[0].1;
+        let fill = self.config.fill_factor;
+        let level = self.leaves.bulk_build(&self.disk, self.file(), entries, fill)?;
+        self.inner.bulk_build(&self.disk, level, fill)?;
         self.key_count = entries.len() as u64;
         self.loaded = true;
         self.persist_meta()?;
@@ -517,60 +270,62 @@ impl IndexWrite for BTreeIndex {
         if entries.is_empty() {
             return Ok(());
         }
-        if self.root == INVALID_BLOCK {
+        if self.inner.root() == INVALID_BLOCK {
             return Err(IndexError::NotInitialized);
         }
         // A stable sort keeps duplicate keys in slice order, so the last
         // occurrence wins, as the contract requires.
-        let mut order: Vec<u32> = (0..entries.len() as u32).collect();
-        order.sort_by_key(|&i| entries[i as usize].0);
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|&(k, _)| k);
+        let file = self.file();
         let mut laps = StepLaps::start(&self.disk);
         let mut next = 0usize;
-        while next < order.len() {
+        while next < sorted.len() {
+            let rest = &sorted[next..];
             // The search reads through one cursor, dropped before the run's
-            // first write.
-            let (path, leaf_block, mut leaf) = {
+            // first write; the leaf is its last hop.
+            let (mut path, leaf_block, frame) = {
                 let mut cursor = self.disk.cursor();
-                let (path, leaf_block) =
-                    self.descend(&mut cursor, entries[order[next] as usize].0)?;
-                let leaf =
-                    LeafNode::decode(cursor.read(self.file, leaf_block, BlockKind::Leaf)?)?;
-                (path, leaf_block, leaf)
+                let mut path = Vec::with_capacity(self.inner.height() as usize);
+                let leaf = self.inner.descend(&mut cursor, rest[0].0, |b, _, _| path.push(b))?;
+                (path, leaf, cursor.read(file, leaf, BlockKind::Leaf)?.clone())
             };
             laps.lap(&mut self.breakdown, InsertStep::Search);
 
-            // Apply the run: the first key always lands here (the descent is
-            // authoritative); every following sorted key stays in this leaf
-            // as long as it does not exceed the leaf's current last key
+            // The run: the first key always lands here (the descent is
+            // authoritative); every following sorted key stays as long as it
+            // does not exceed the leaf's last key once the first key is in
             // (leaves cover contiguous disjoint ranges, so such a key cannot
-            // belong anywhere else). Stop once the leaf holds one entry too
-            // many — that overflow needs a split before the rest continue.
-            let mut consumed = 0usize;
-            while next + consumed < order.len() {
-                if leaf.entries.len() > self.capacity.leaf_entries {
-                    break;
-                }
-                let (key, value) = entries[order[next + consumed] as usize];
-                // The rightmost leaf covers every key from its separator to
-                // infinity, so a sorted append run stays pinned to it.
-                let in_leaf = consumed == 0
-                    || leaf.entries.last().is_some_and(|&(last, _)| key <= last)
-                    || leaf.next == INVALID_BLOCK;
-                if !in_leaf {
-                    break;
-                }
-                if leaf.upsert(key, value) {
-                    self.key_count += 1;
-                }
-                self.breakdown.finish_insert();
-                consumed += 1;
-            }
-            if leaf.entries.len() <= self.capacity.leaf_entries {
-                self.write_leaf(leaf_block, &leaf)?;
-                laps.lap(&mut self.breakdown, InsertStep::Insert);
+            // belong anywhere else). The rightmost leaf covers every key from
+            // its separator to infinity, so a sorted append run stays pinned
+            // to it.
+            let leaf = LeafView::new(&frame)?;
+            let run = if leaf.next() == INVALID_BLOCK {
+                rest
             } else {
-                self.split_leaf_and_propagate(&path, leaf_block, leaf)?;
-                laps.lap(&mut self.breakdown, InsertStep::Smo);
+                let last = leaf.last_key().map_or(rest[0].0, |last| last.max(rest[0].0));
+                &rest[..1 + rest[1..].partition_point(|&(k, _)| k <= last)]
+            };
+            let (consumed, added, split) =
+                self.leaves.insert_run_in(&self.disk, file, leaf_block, &frame, run)?;
+            self.key_count += added;
+            for _ in 0..consumed {
+                self.breakdown.finish_insert();
+            }
+            match split {
+                None => laps.lap(&mut self.breakdown, InsertStep::Insert),
+                Some(LeafSplit { boundary, block }) => {
+                    // One span covers the separator insert and any upward
+                    // inner-node splits: the cascade is a single pause from
+                    // the caller's point of view.
+                    self.smo_count += 1;
+                    let telemetry = Arc::clone(&self.disk);
+                    let _span = telemetry.telemetry().span(OpClass::Smo);
+                    telemetry.telemetry().add(OpClass::Smo, 1);
+                    self.smo_count +=
+                        self.inner.insert_separator(&self.disk, &mut path, boundary, block)?;
+                    laps.lap(&mut self.breakdown, InsertStep::Smo);
+                }
             }
             next += consumed;
         }
@@ -584,12 +339,12 @@ impl IndexWrite for BTreeIndex {
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
         self.persist_meta()?;
         let mut w = MetaWriter::new();
-        w.u32(self.file)
-            .u32(self.root)
-            .u32(self.height)
+        w.u32(self.file())
+            .u32(self.inner.root())
+            .u32(self.inner.height())
             .u64(self.key_count)
-            .u64(self.inner_nodes)
-            .u64(self.leaf_nodes)
+            .u64(self.inner.node_count())
+            .u64(self.leaves.leaf_count())
             .u64(self.smo_count);
         Ok(w.finish())
     }
@@ -598,6 +353,7 @@ impl IndexWrite for BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::LeafNode;
     use lidx_core::payload_for;
     use lidx_storage::DiskConfig;
 
@@ -995,17 +751,17 @@ mod tests {
         let mut t = make_tree(512);
         let data = entries(2_000, 3);
         t.bulk_load(&data).unwrap();
-        assert!(t.leaf_nodes > 2);
+        assert!(t.leaves.leaf_count() > 2);
         // The last leaf links back to the first.
         let mut cursor = t.disk.cursor();
         let first = t.find_leaf(&mut cursor, Key::MIN).unwrap();
         let last = t.find_leaf(&mut cursor, Key::MAX).unwrap();
         let mut leaf =
-            LeafNode::decode(cursor.read(t.file, last, BlockKind::Leaf).unwrap()).unwrap();
+            LeafNode::decode(cursor.read(t.file(), last, BlockKind::Leaf).unwrap()).unwrap();
         drop(cursor);
         assert_eq!(leaf.next, INVALID_BLOCK);
         leaf.next = first;
-        t.write_leaf(last, &leaf).unwrap();
+        t.disk.write(t.file(), last, BlockKind::Leaf, &leaf.encode(512).unwrap()).unwrap();
         // The scan runs under a watchdog, so a walk that never ends fails the
         // test instead of hanging it. The row budget, four times the stored
         // keys, bounds what a walk that repeats rows collects.

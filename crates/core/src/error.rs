@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use lidx_storage::StorageError;
+use lidx_storage::{BlockId, StorageError};
 
 /// Result alias for index operations.
 pub type IndexResult<T> = Result<T, IndexError>;
@@ -67,9 +67,29 @@ impl From<StorageError> for IndexError {
     }
 }
 
+/// Decodes a block pointer stored wider than a [`BlockId`]. A stored value
+/// past `u32::MAX` names no block: it is corrupt data
+/// ([`IndexError::Internal`], the error naming the pointer as `what`), never
+/// a pointer silently truncated to another block.
+#[inline]
+pub fn block_pointer(stored: u64, what: &str) -> IndexResult<BlockId> {
+    BlockId::try_from(stored)
+        .map_err(|_| IndexError::Internal(format!("{what} {stored:#x} is not a block id")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn block_pointers_past_the_block_id_range_are_errors() {
+        assert_eq!(block_pointer(7, "pointer").unwrap(), 7);
+        assert_eq!(block_pointer(u64::from(u32::MAX), "pointer").unwrap(), u32::MAX);
+        for stored in [1 << 32, (1 << 32) | 7, u64::MAX] {
+            let err = block_pointer(stored, "test pointer").unwrap_err();
+            assert!(matches!(&err, IndexError::Internal(m) if m.starts_with("test pointer")));
+        }
+    }
 
     #[test]
     fn storage_errors_convert() {

@@ -6,8 +6,10 @@
 //! entries are valid — no segment header ever needs to be fetched. All
 //! directory I/O is attributed to [`BlockKind::Inner`].
 //!
-//! Routing nodes reuse the [`lidx_btree::InnerNode`] block layout; directory
-//! leaves use their own:
+//! The routing levels are the B+-tree's own [`InnerLevels`]: the same bulk
+//! build, descent and separator insert with its split cascade, over
+//! [`lidx_btree::InnerNode`] blocks in the directory's file. What is the
+//! directory's own is the leaf format:
 //!
 //! ```text
 //! off  size  field
@@ -19,19 +21,23 @@
 //!            data_blocks u32, buffer_blocks u32, count u32, buffer_count u32
 //! ```
 //!
+//! with its bulk build, its in-place update ([`Directory::update_meta`]),
+//! its split into as many leaves as a resegmentation needs
+//! ([`Directory::replace`]) and its walks ([`Directory::next_segment`],
+//! [`Directory::all_segments`]).
+//!
 //! Views read, owned nodes mutate (DESIGN.md §3.2). [`Directory::find`] and
 //! [`Directory::next_segment`] search each pinned block where it lies — the
 //! routing levels through [`lidx_btree::InnerView`], a leaf through
 //! `DirLeafView`, which decodes only the one record it is asked for — and
-//! read through the caller's [`BlockCursor`]. `DirLeaf` and `InnerNode` copy
-//! a node into vectors only where it is about to change:
-//! [`Directory::update_meta`], [`Directory::replace`] and the routing split
-//! cascade. Both readers refuse a record whose counts overrun its extent
-//! ([`IndexError::Internal`]).
+//! read through the caller's [`BlockCursor`]. `DirLeaf` copies a leaf into
+//! a vector only where it is about to change: [`Directory::update_meta`] and
+//! [`Directory::replace`]. Both readers refuse a record whose counts overrun
+//! its extent ([`IndexError::Internal`]).
 
 use std::sync::Arc;
 
-use lidx_btree::{InnerNode, InnerView};
+use lidx_btree::InnerLevels;
 use lidx_core::{IndexError, IndexResult, Key};
 use lidx_storage::{
     BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SlotTable, INVALID_BLOCK,
@@ -187,30 +193,19 @@ impl DirLeaf {
     }
 }
 
-/// The directory B+-tree.
+/// The directory B+-tree: directory leaves under [`InnerLevels`].
 pub struct Directory {
     disk: Arc<Disk>,
-    file: u32,
-    root: BlockId,
-    height: u32,
+    routing: InnerLevels,
     leaf_count: u64,
-    routing_count: u64,
     segment_count: u64,
 }
 
 impl Directory {
     /// Creates an empty directory in its own file on `disk`.
     pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
-        let file = disk.create_file()?;
-        Ok(Directory {
-            disk,
-            file,
-            root: INVALID_BLOCK,
-            height: 0,
-            leaf_count: 0,
-            routing_count: 0,
-            segment_count: 0,
-        })
+        let routing = InnerLevels::new(disk.create_file()?, disk.block_size());
+        Ok(Directory { disk, routing, leaf_count: 0, segment_count: 0 })
     }
 
     /// Number of segments currently registered.
@@ -225,23 +220,23 @@ impl Directory {
 
     /// Number of routing (non-leaf) directory nodes.
     pub fn routing_nodes(&self) -> u64 {
-        self.routing_count
+        self.routing.node_count()
     }
 
     /// Height of the directory (1 = a single leaf).
     pub fn height(&self) -> u32 {
-        self.height
+        self.routing.height()
     }
 
     /// The directory's file id.
     pub fn file_id(&self) -> u32 {
-        self.file
+        self.routing.file()
     }
 
     /// Root block of the directory tree ([`INVALID_BLOCK`] before the first
     /// bulk build).
     pub fn root_block(&self) -> BlockId {
-        self.root
+        self.routing.root()
     }
 
     /// Reconstructs a directory handle from persisted counters. The blocks
@@ -256,7 +251,8 @@ impl Directory {
         routing_count: u64,
         segment_count: u64,
     ) -> Self {
-        Directory { disk, file, root, height, leaf_count, routing_count, segment_count }
+        let routing = InnerLevels::from_parts(file, disk.block_size(), root, height, routing_count);
+        Directory { disk, routing, leaf_count, segment_count }
     }
 
     /// The leaf at `block`, read through `cursor` and viewed in place.
@@ -265,19 +261,13 @@ impl Directory {
         cursor: &'c mut BlockCursor<'_>,
         block: BlockId,
     ) -> IndexResult<DirLeafView<'c>> {
-        let buf = cursor.read(self.file, block, BlockKind::Inner)?;
+        let buf = cursor.read(self.file_id(), block, BlockKind::Inner)?;
         DirLeafView::new(buf, self.disk.block_size())
     }
 
     fn write_leaf(&self, block: BlockId, leaf: &DirLeaf) -> IndexResult<()> {
         let buf = leaf.encode(self.disk.block_size())?;
-        self.disk.write(self.file, block, BlockKind::Inner, &buf)?;
-        Ok(())
-    }
-
-    fn write_routing(&self, block: BlockId, node: &InnerNode) -> IndexResult<()> {
-        let buf = node.encode(self.disk.block_size())?;
-        self.disk.write(self.file, block, BlockKind::Inner, &buf)?;
+        self.disk.write(self.file_id(), block, BlockKind::Inner, &buf)?;
         Ok(())
     }
 
@@ -286,7 +276,7 @@ impl Directory {
         let bs = self.disk.block_size();
         let per_leaf = (DirLeaf::capacity(bs) as f64 * 0.8).max(1.0) as usize;
         let leaf_total = metas.len().div_ceil(per_leaf).max(1);
-        let first_block = self.disk.allocate(self.file, leaf_total as u32)?;
+        let first_block = self.disk.allocate(self.file_id(), leaf_total as u32)?;
         let mut level: Vec<(Key, BlockId)> = Vec::with_capacity(leaf_total);
         if metas.is_empty() {
             self.write_leaf(first_block, &DirLeaf::default())?;
@@ -301,55 +291,9 @@ impl Directory {
             }
         }
         self.leaf_count = level.len() as u64;
-        self.height = 1;
-
-        let inner_cap = lidx_btree::NodeCapacity::for_block_size(bs).inner_keys;
-        let per_node = ((inner_cap as f64 * 0.8) as usize).clamp(2, inner_cap);
-        while level.len() > 1 {
-            let node_count = level.len().div_ceil(per_node + 1).max(1);
-            let first = self.disk.allocate(self.file, node_count as u32)?;
-            let mut up = Vec::with_capacity(node_count);
-            for (i, chunk) in level.chunks(per_node + 1).enumerate() {
-                let block = first + i as u32;
-                let node = InnerNode {
-                    keys: chunk[1..].iter().map(|&(k, _)| k).collect(),
-                    children: chunk.iter().map(|&(_, b)| b).collect(),
-                };
-                self.write_routing(block, &node)?;
-                up.push((chunk[0].0, block));
-            }
-            self.routing_count += up.len() as u64;
-            self.height += 1;
-            level = up;
-        }
-        self.root = level[0].1;
+        self.routing.bulk_build(&self.disk, level, 0.8)?;
         self.segment_count = metas.len() as u64;
         Ok(())
-    }
-
-    /// Descends from the root to the directory leaf covering `key` and
-    /// returns its block id, reading each routing level through `cursor` and
-    /// routing through an [`InnerView`] of it. `visit` sees every step — the
-    /// routing block and the child index chosen — so [`Directory::replace`]
-    /// collects its split path through the walk the read-only
-    /// [`Directory::find`] takes.
-    fn walk(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        key: Key,
-        mut visit: impl FnMut(BlockId, usize),
-    ) -> IndexResult<BlockId> {
-        if self.root == INVALID_BLOCK {
-            return Err(IndexError::NotInitialized);
-        }
-        let mut current = self.root;
-        for _ in 1..self.height {
-            let node = InnerView::new(cursor.read(self.file, current, BlockKind::Inner)?)?;
-            let idx = node.child_for(key);
-            visit(current, idx);
-            current = node.child(idx);
-        }
-        Ok(current)
     }
 
     /// Finds the segment covering `key`: the entry with the greatest
@@ -361,7 +305,7 @@ impl Directory {
         cursor: &mut BlockCursor<'_>,
         key: Key,
     ) -> IndexResult<(SegmentMeta, DirSlot)> {
-        let block = self.walk(cursor, key, |_, _| {})?;
+        let block = self.routing.descend(cursor, key, |_, _, _| {})?;
         let leaf = self.leaf_view(cursor, block)?;
         let Some(slot) = leaf.partition_point(key).checked_sub(1) else {
             return Err(IndexError::Internal(format!(
@@ -399,9 +343,10 @@ impl Directory {
     /// current item count" the paper attributes to FITing-tree inserts.
     pub fn update_meta(&mut self, slot: DirSlot, meta: SegmentMeta) -> IndexResult<()> {
         meta.check_extent(self.disk.block_size())?;
-        let bs = self.disk.block_size();
-        let mut leaf =
-            DirLeaf::decode(self.disk.cursor().read(self.file, slot.block, BlockKind::Inner)?, bs)?;
+        let mut leaf = DirLeaf::decode(
+            self.disk.cursor().read(self.file_id(), slot.block, BlockKind::Inner)?,
+            self.disk.block_size(),
+        )?;
         let entry = leaf
             .entries
             .get_mut(slot.slot)
@@ -424,11 +369,11 @@ impl Directory {
         if new_metas.is_empty() {
             return Err(IndexError::Internal("replace requires at least one new segment".into()));
         }
-        let mut path = Vec::with_capacity(self.height as usize);
+        let mut path = Vec::with_capacity(self.height() as usize);
         let (leaf_block, mut leaf) = {
             let mut cursor = self.disk.cursor();
-            let block = self.walk(&mut cursor, old_first_key, |b, idx| path.push((b, idx)))?;
-            let buf = cursor.read(self.file, block, BlockKind::Inner)?;
+            let block = self.routing.descend(&mut cursor, old_first_key, |b, _, _| path.push(b))?;
+            let buf = cursor.read(self.file_id(), block, BlockKind::Inner)?;
             (block, DirLeaf::decode(buf, self.disk.block_size())?)
         };
         let pos =
@@ -443,79 +388,26 @@ impl Directory {
             return self.write_leaf(leaf_block, &leaf);
         }
 
-        // Split the overflowing directory leaf into as many leaves as needed.
-        let chunks: Vec<Vec<SegmentMeta>> =
-            leaf.entries.chunks(cap.div_ceil(2).max(1)).map(|c| c.to_vec()).collect();
-        let extra = chunks.len() - 1;
-        let new_first = self.disk.allocate(self.file, extra as u32)?;
-        let old_next = leaf.next;
-        let mut separators = Vec::with_capacity(extra);
-        for (i, chunk) in chunks.iter().enumerate() {
-            let block = if i == 0 { leaf_block } else { new_first + (i as u32 - 1) };
-            let next = if i + 1 < chunks.len() {
-                if i == 0 {
-                    new_first
-                } else {
-                    new_first + i as u32
-                }
-            } else {
-                old_next
-            };
-            let node = DirLeaf { entries: chunk.clone(), next };
-            self.write_leaf(block, &node)?;
-            if i > 0 {
-                separators.push((chunk[0].first_key, block));
-            }
+        // Split the overflowing directory leaf into as many leaves as needed,
+        // the first in place and the rest in one new extent, chained in key
+        // order, then route to each new leaf from its first key.
+        let chunks: Vec<&[SegmentMeta]> = leaf.entries.chunks(cap.div_ceil(2).max(1)).collect();
+        let extra = chunks.len() as u32 - 1;
+        let new_first = self.disk.allocate(self.file_id(), extra)?;
+        let block_of = |i: u32| if i == 0 { leaf_block } else { new_first + i - 1 };
+        for (i, chunk) in (0..).zip(&chunks) {
+            let next = if i < extra { block_of(i + 1) } else { leaf.next };
+            self.write_leaf(block_of(i), &DirLeaf { entries: chunk.to_vec(), next })?;
         }
-        self.leaf_count += extra as u64;
-        for (key, child) in separators {
-            self.insert_into_routing(&path, key, child)?;
+        self.leaf_count += u64::from(extra);
+        for (i, chunk) in (1..).zip(&chunks[1..]) {
+            self.routing.insert_separator(
+                &self.disk,
+                &mut path,
+                chunk[0].first_key,
+                block_of(i),
+            )?;
         }
-        Ok(())
-    }
-
-    /// Inserts `(key, child)` into the routing nodes along `path`, splitting
-    /// upward as needed.
-    fn insert_into_routing(
-        &mut self,
-        path: &[(BlockId, usize)],
-        key: Key,
-        child: BlockId,
-    ) -> IndexResult<()> {
-        let inner_cap = lidx_btree::NodeCapacity::for_block_size(self.disk.block_size()).inner_keys;
-        let mut key = key;
-        let mut child = child;
-        for depth in (0..path.len()).rev() {
-            let (block, _) = path[depth];
-            let mut node =
-                InnerNode::decode(self.disk.cursor().read(self.file, block, BlockKind::Inner)?)?;
-            let pos = node.keys.partition_point(|&k| k <= key);
-            node.keys.insert(pos, key);
-            node.children.insert(pos + 1, child);
-            if node.keys.len() <= inner_cap {
-                self.write_routing(block, &node)?;
-                return Ok(());
-            }
-            let mid = node.keys.len() / 2;
-            let up_key = node.keys[mid];
-            let right = InnerNode {
-                keys: node.keys.split_off(mid + 1),
-                children: node.children.split_off(mid + 1),
-            };
-            node.keys.pop();
-            let right_block = self.disk.allocate(self.file, 1)?;
-            self.write_routing(block, &node)?;
-            self.write_routing(right_block, &right)?;
-            self.routing_count += 1;
-            key = up_key;
-            child = right_block;
-        }
-        let new_root = self.disk.allocate(self.file, 1)?;
-        let node = InnerNode { keys: vec![key], children: vec![self.root, child] };
-        self.write_routing(new_root, &node)?;
-        self.routing_count += 1;
-        self.root = new_root;
-        self.height += 1;
         Ok(())
     }
 
@@ -525,12 +417,12 @@ impl Directory {
     /// at least one, so a leaf chain that runs longer — a damaged `next`
     /// link, possibly a cycle — is [`IndexError::Internal`].
     pub fn all_segments(&self) -> IndexResult<Vec<SegmentMeta>> {
-        if self.root == INVALID_BLOCK {
+        if self.root_block() == INVALID_BLOCK {
             return Ok(Vec::new());
         }
         // Walk down the leftmost path, then follow leaf links.
         let mut cursor = self.disk.cursor();
-        let mut current = self.walk(&mut cursor, Key::MIN, |_, _| {})?;
+        let mut current = self.routing.descend(&mut cursor, Key::MIN, |_, _, _| {})?;
         let mut out = Vec::new();
         for _ in 0..=self.segment_count {
             let leaf = self.leaf_view(&mut cursor, current)?;
@@ -555,6 +447,7 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lidx_btree::{InnerNode, InnerView};
     use lidx_storage::DiskConfig;
 
     fn meta(first_key: Key, start_block: BlockId) -> SegmentMeta {
@@ -654,6 +547,63 @@ mod tests {
     }
 
     #[test]
+    fn replace_grows_the_routing_levels_and_keeps_every_segment() {
+        // 512-byte blocks: 14 records per directory leaf and 42 keys per
+        // routing node, so a few hundred replaces split the routing root.
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut dir = Directory::new(Arc::clone(&disk)).unwrap();
+        let gap = 1 << 20;
+        let metas: Vec<SegmentMeta> = (0..60).map(|i| meta(i * gap, i as u32)).collect();
+        dir.bulk_build(&metas).unwrap();
+        let h0 = dir.height();
+        assert_eq!(h0, 2);
+        // Each round replaces every segment whose successor is far enough
+        // away with 1 + `fan` segments inside its range: multi-leaf splits,
+        // several separators per replace, splits cascading into the root.
+        let mut round = 0;
+        while dir.height() == h0 {
+            round += 1;
+            assert!(round < 8, "the routing root never split");
+            let all = dir.all_segments().unwrap();
+            for (i, m) in all.iter().enumerate().step_by(2) {
+                let end = all.get(i + 1).map_or(m.first_key + gap, |n| n.first_key);
+                let fan = (i % 23 + 1) as u64;
+                let step = (end - m.first_key) / (fan + 1);
+                if step == 0 {
+                    continue;
+                }
+                let news: Vec<SegmentMeta> =
+                    (0..=fan).map(|j| meta(m.first_key + j * step, m.start_block)).collect();
+                dir.replace(m.first_key, &news).unwrap();
+            }
+        }
+        assert!(dir.height() > h0);
+
+        let all = dir.all_segments().unwrap();
+        assert_eq!(all.len() as u64, dir.segment_count());
+        assert!(all.windows(2).all(|w| w[0].first_key < w[1].first_key));
+        for m in &all {
+            assert_eq!(find(&dir, m.first_key).unwrap().0, *m);
+            assert_eq!(find(&dir, m.first_key + 1).unwrap().0, *m);
+        }
+        // Every block of the directory file is a leaf or a routing node,
+        // and the counters name exactly the blocks written.
+        let mut cursor = disk.cursor();
+        let (mut leaves, mut routing) = (0, 0);
+        for block in 0..disk.num_blocks(dir.file_id()).unwrap() {
+            match cursor.read(dir.file_id(), block, BlockKind::Inner).unwrap()[0] {
+                TAG_DIR_LEAF => leaves += 1,
+                _ => {
+                    InnerView::new(cursor.read(dir.file_id(), block, BlockKind::Inner).unwrap())
+                        .unwrap();
+                    routing += 1;
+                }
+            }
+        }
+        assert_eq!((leaves, routing), (dir.leaf_nodes(), dir.routing_nodes()));
+    }
+
+    #[test]
     fn replace_missing_segment_fails() {
         let mut dir = build(10, 512);
         assert!(dir.replace(123_456, &[meta(123_456, 1)]).is_err());
@@ -678,15 +628,16 @@ mod tests {
 
     /// Rewrites the stored bytes of directory block `block` with `patch`.
     fn patch_block(dir: &Directory, block: BlockId, patch: impl FnOnce(&mut [u8])) {
-        let mut buf = dir.disk.cursor().read(dir.file, block, BlockKind::Inner).unwrap().to_vec();
+        let mut buf =
+            dir.disk.cursor().read(dir.file_id(), block, BlockKind::Inner).unwrap().to_vec();
         patch(&mut buf);
-        dir.disk.write(dir.file, block, BlockKind::Inner, &buf).unwrap();
+        dir.disk.write(dir.file_id(), block, BlockKind::Inner, &buf).unwrap();
     }
 
     /// The leaf blocks in chain order.
     fn leaf_chain(dir: &Directory) -> Vec<BlockId> {
         let mut cursor = dir.disk.cursor();
-        let mut chain = vec![dir.walk(&mut cursor, Key::MIN, |_, _| {}).unwrap()];
+        let mut chain = vec![dir.routing.descend(&mut cursor, Key::MIN, |_, _, _| {}).unwrap()];
         loop {
             let next = dir.leaf_view(&mut cursor, *chain.last().unwrap()).unwrap().next();
             if next == INVALID_BLOCK {
@@ -720,7 +671,7 @@ mod tests {
     fn a_record_that_overruns_its_extent_is_refused_where_it_is_read() {
         let mut dir = build(10, 512);
         // Record 3: count past its two data blocks of 32 entries.
-        patch_block(&dir, dir.root, |b| {
+        patch_block(&dir, dir.root_block(), |b| {
             b[DIR_LEAF_HEADER + 3 * DIR_ENTRY + 28..][..4].copy_from_slice(&65u32.to_le_bytes())
         });
         assert!(matches!(find(&dir, 310), Err(IndexError::Internal(_))));

@@ -1,8 +1,8 @@
-//! The hybrid index: learned inner directory + B+-tree-styled leaves.
+//! The hybrid index: learned inner directory over a B+-tree leaf level.
 
 use std::sync::Arc;
 
-use lidx_btree::LeafView;
+use lidx_btree::{LeafLevel, LeafSplit, LeafView};
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
@@ -10,7 +10,9 @@ use lidx_core::{
 use lidx_storage::{BlockId, BlockKind, Disk, OpClass};
 
 use crate::inner::{InnerDirectory, ModelTreeInner, PlaInner};
-use crate::leaf::{LeafLevel, LeafSplit};
+
+/// Fraction of a leaf filled at bulk load, the B+-tree's default.
+const LEAF_FILL: f64 = 0.8;
 
 /// Which learned structure routes queries to the leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,13 +42,11 @@ pub struct HybridConfig {
     pub epsilon: usize,
     /// Slot over-allocation factor of the model tree (ignored by PLA).
     pub gap_factor: u32,
-    /// Leaf fill factor at bulk load.
-    pub leaf_fill: f64,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig { inner: HybridInnerKind::Pla, epsilon: 64, gap_factor: 2, leaf_fill: 0.8 }
+        HybridConfig { inner: HybridInnerKind::Pla, epsilon: 64, gap_factor: 2 }
     }
 }
 
@@ -54,6 +54,8 @@ impl Default for HybridConfig {
 pub struct HybridIndex {
     disk: Arc<Disk>,
     config: HybridConfig,
+    /// The leaf level's own file.
+    leaf_file: u32,
     leaves: LeafLevel,
     inner: Box<dyn InnerDirectory + Send + Sync>,
     /// In-memory copy of the `(boundary, leaf block)` pairs, used only to
@@ -69,7 +71,8 @@ pub struct HybridIndex {
 impl HybridIndex {
     /// Creates an empty hybrid index.
     pub fn new(disk: Arc<Disk>, config: HybridConfig) -> IndexResult<Self> {
-        let leaves = LeafLevel::new(Arc::clone(&disk), config.leaf_fill)?;
+        let leaf_file = disk.create_file()?;
+        let leaves = LeafLevel::new(disk.block_size());
         let inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
             HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
             HybridInnerKind::ModelTree => {
@@ -79,6 +82,7 @@ impl HybridIndex {
         Ok(HybridIndex {
             disk,
             config,
+            leaf_file,
             leaves,
             inner,
             boundaries: Vec::new(),
@@ -106,8 +110,7 @@ impl HybridIndex {
         for _ in 0..boundary_count {
             boundaries.push((r.u64()?, r.u32()?));
         }
-        let leaves =
-            LeafLevel::from_parts(Arc::clone(&disk), leaf_file, config.leaf_fill, leaf_count);
+        let leaves = LeafLevel::from_parts(disk.block_size(), leaf_count);
         let mut inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
             HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
             HybridInnerKind::ModelTree => {
@@ -120,6 +123,7 @@ impl HybridIndex {
         Ok(HybridIndex {
             disk,
             config,
+            leaf_file,
             leaves,
             inner,
             boundaries,
@@ -155,7 +159,7 @@ impl IndexRead for HybridIndex {
         }
         let mut cursor = self.disk.cursor();
         let leaf = self.inner.find_leaf(&mut cursor, key)?;
-        self.leaves.lookup_in(&mut cursor, leaf, key)
+        Ok(LeafView::new(cursor.read(self.leaf_file, leaf, BlockKind::Leaf)?)?.lookup(key))
     }
 
     /// Batched lookups sort the probe keys and group them by covering leaf
@@ -191,8 +195,8 @@ impl IndexRead for HybridIndex {
             }
             groups.last_mut().expect("group exists").1 = at + 1;
         }
-        let blocks: Vec<BlockId> = groups.iter().map(|&(b, _)| b).collect();
-        let frames = self.leaves.pin_queued(&blocks)?;
+        let frames =
+            LeafLevel::pin_queued(&self.disk, self.leaf_file, groups.iter().map(|&(b, _)| b))?;
         let mut from = 0;
         for (&(_, end), frame) in groups.iter().zip(&frames) {
             let leaf = LeafView::new(frame)?;
@@ -216,7 +220,7 @@ impl IndexRead for HybridIndex {
         // nodes) and the leaf chain (scan-class).
         let mut cursor = self.disk.scan_cursor();
         let leaf = self.inner.find_leaf(&mut cursor, start)?;
-        self.leaves.scan_from(&mut cursor, leaf, start, count, out)
+        self.leaves.scan_from(&mut cursor, self.leaf_file, leaf, start, count, out)
     }
 
     fn len(&self) -> u64 {
@@ -240,7 +244,7 @@ impl IndexWrite for HybridIndex {
             return Err(IndexError::AlreadyLoaded);
         }
         validate_bulk_load(entries)?;
-        self.boundaries = self.leaves.bulk_build(entries)?;
+        self.boundaries = self.leaves.bulk_build(&self.disk, self.leaf_file, entries, LEAF_FILL)?;
         self.inner.rebuild(&self.boundaries)?;
         self.key_count = entries.len() as u64;
         self.loaded = true;
@@ -265,13 +269,14 @@ impl IndexWrite for HybridIndex {
             return Ok(());
         }
         // Stable sort: duplicate keys keep slice order, later entries win.
-        let mut order: Vec<u32> = (0..entries.len() as u32).collect();
-        order.sort_by_key(|&i| entries[i as usize].0);
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|&(k, _)| k);
         let mut laps = StepLaps::start(&self.disk);
         let mut directory_stale = false;
         let mut next = 0usize;
-        while next < order.len() {
-            let key = entries[order[next] as usize].0;
+        while next < sorted.len() {
+            let rest = &sorted[next..];
+            let key = rest[0].0;
             // Route through the learned directory while it is current; once
             // a split leaves it stale, the in-memory boundary table (always
             // current) takes over until the end-of-batch rebuild. Fetching
@@ -285,20 +290,17 @@ impl IndexWrite for HybridIndex {
                 } else {
                     self.inner.find_leaf(&mut cursor, key)?
                 };
-                (leaf, cursor.read(self.leaves.file_id(), leaf, BlockKind::Leaf)?.clone())
+                (leaf, cursor.read(self.leaf_file, leaf, BlockKind::Leaf)?.clone())
             };
             laps.lap(&mut self.breakdown, InsertStep::Search);
 
             // The leaf covers keys up to (but excluding) the next boundary.
-            let run_end = match self.boundaries.get(upper_pos) {
-                Some(&(upper, _)) => {
-                    next + order[next..].partition_point(|&i| entries[i as usize].0 < upper)
-                }
-                None => order.len(),
+            let run = match self.boundaries.get(upper_pos) {
+                Some(&(upper, _)) => &rest[..rest.partition_point(|&(k, _)| k < upper)],
+                None => rest,
             };
-            let run: Vec<Entry> =
-                order[next..run_end].iter().map(|&i| entries[i as usize]).collect();
-            let (consumed, added, split) = self.leaves.insert_run_in(leaf, &frame, &run)?;
+            let (consumed, added, split) =
+                self.leaves.insert_run_in(&self.disk, self.leaf_file, leaf, &frame, run)?;
             self.key_count += added;
             for _ in 0..consumed {
                 self.breakdown.finish_insert();
@@ -336,7 +338,7 @@ impl IndexWrite for HybridIndex {
         // from the boundary table (it is rebuilt on load), so the meta is
         // the leaf-level parts plus the boundaries.
         let mut w = MetaWriter::new();
-        w.u32(self.leaves.file_id())
+        w.u32(self.leaf_file)
             .u64(self.leaves.leaf_count())
             .u32(self.loaded as u32)
             .u64(self.key_count)
@@ -356,11 +358,8 @@ mod tests {
 
     fn build(inner: HybridInnerKind, n: u64) -> (HybridIndex, Vec<Entry>) {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut h = HybridIndex::new(
-            disk,
-            HybridConfig { inner, epsilon: 16, gap_factor: 2, leaf_fill: 0.8 },
-        )
-        .unwrap();
+        let mut h =
+            HybridIndex::new(disk, HybridConfig { inner, epsilon: 16, gap_factor: 2 }).unwrap();
         let mut keys: Vec<u64> = (0..n).map(|i| i * 13 + (i % 29) * 7).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -509,7 +508,7 @@ mod tests {
             || DiskConfig::with_block_size(512).device(DeviceModel::ssd()).buffer_blocks(64);
 
         for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
-            let hybrid_config = HybridConfig { inner, epsilon: 16, gap_factor: 2, leaf_fill: 0.8 };
+            let hybrid_config = HybridConfig { inner, epsilon: 16, gap_factor: 2 };
             let mut sync_h = HybridIndex::new(Disk::in_memory(config()), hybrid_config).unwrap();
             sync_h.bulk_load(&data).unwrap();
             let mut expected = Vec::new();

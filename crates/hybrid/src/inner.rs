@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use lidx_core::{IndexError, IndexResult, Key};
+use lidx_core::{block_pointer, IndexError, IndexResult, Key};
 use lidx_models::fmcd::fit_fmcd;
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
@@ -15,13 +15,8 @@ use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, SlotTable};
 /// One `(boundary key, leaf block)` pair.
 pub type Boundary = (Key, BlockId);
 
-/// A block pointer read from a directory block: stored as a `u64`, it must
-/// fit a [`BlockId`], or the block is corrupt.
-fn block_id(stored: u64) -> IndexResult<BlockId> {
-    BlockId::try_from(stored).map_err(|_| {
-        IndexError::Internal(format!("directory block pointer {stored} is not a block id"))
-    })
-}
+/// What a block pointer stored in a directory block is called in errors.
+const DIR_POINTER: &str = "directory block pointer";
 
 /// A floor-lookup directory over leaf boundaries.
 pub trait InnerDirectory {
@@ -291,7 +286,7 @@ impl InnerDirectory for PlaInner {
             key,
             |e: &[u8; PLA_ENTRY]| u64::from_le_bytes(e[8..16].try_into().unwrap()),
         )?;
-        leaf.map_or(Ok(self.first_leaf), block_id)
+        leaf.map_or(Ok(self.first_leaf), |p| block_pointer(p, DIR_POINTER))
     }
 
     fn node_count(&self) -> u64 {
@@ -468,12 +463,14 @@ impl ModelTreeInner {
                 MT_NULL => {}
                 MT_DATA => {
                     if boundary <= key {
-                        return block_id(value).map(Some);
+                        return block_pointer(value, DIR_POINTER).map(Some);
                     }
                 }
                 MT_CHILD => {
                     if boundary <= key {
-                        if let Some(found) = self.find_in(cursor, block_id(value)?, key, budget)? {
+                        if let Some(found) =
+                            self.find_in(cursor, block_pointer(value, DIR_POINTER)?, key, budget)?
+                        {
                             return Ok(Some(found));
                         }
                         // Every boundary in the child exceeded `key` (only

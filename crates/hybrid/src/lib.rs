@@ -5,6 +5,9 @@
 //! B+-tree — dense, sorted key-payload pairs in linked blocks, which scans
 //! love — and to replace only the routing structure above it with a learned
 //! index over the per-leaf boundary keys (the minimum key of each leaf).
+//! The leaf level is the B+-tree's own [`lidx_btree::LeafLevel`], in a file
+//! of its own: the same bulk build (leaves 80 % full), run insert, split and
+//! chain scan as [`lidx_btree::BTreeIndex`].
 //!
 //! Two learned inner structures are provided:
 //!
@@ -28,6 +31,5 @@
 
 pub mod index;
 pub mod inner;
-pub mod leaf;
 
 pub use index::{HybridConfig, HybridIndex, HybridInnerKind};

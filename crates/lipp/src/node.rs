@@ -20,7 +20,7 @@
 //! patches the frame's first 48 bytes, so it costs one block write and no
 //! read.
 
-use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
+use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk};
 
@@ -67,9 +67,7 @@ fn get_slot(buf: &[u8], off: usize) -> IndexResult<Slot> {
     match tag {
         SLOT_NULL => Ok(Slot::Null),
         SLOT_DATA => Ok(Slot::Data(key, word)),
-        SLOT_CHILD => BlockId::try_from(word).map(Slot::Child).map_err(|_| {
-            IndexError::Internal(format!("LIPP child pointer {word} is not a block id"))
-        }),
+        SLOT_CHILD => block_pointer(word, "LIPP child pointer").map(Slot::Child),
         other => Err(IndexError::Internal(format!("invalid LIPP slot tag {other}"))),
     }
 }
