@@ -453,9 +453,10 @@ struct InsertCost {
 /// header block: a two-key conflict child is one block instead of two, so
 /// on the HDD reads fell 4 759 → 4 315, writes 4 837 → 4 470 and blocks
 /// 884 → 516, with the same 361 SMOs and the same Maintenance step (0
-/// reads, 2 101 header writes).
+/// reads, 2 101 header writes). The seven `fb` rows were recorded when they
+/// were added, before any change to a design's inner levels.
 #[rustfmt::skip]
-const PER_KEY_INSERT_COST: [InsertCost; 14] = [
+const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
     InsertCost { reads: [0, 2024, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60512100000, smo_count: 24, storage_blocks: 51, steps: [[39792100000, 4000, 0], [19760000000, 0, 1976], [960000000, 24, 72], [0, 0, 0]] },
     // hdd, no pool, fiting
@@ -484,63 +485,121 @@ const PER_KEY_INSERT_COST: [InsertCost; 14] = [
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 74, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, hybrid-modeltree
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 48, 2024, 0], device_ns: 248640000, smo_count: 24, storage_blocks: 99, steps: [[0, 0, 0], [237120000, 0, 1976], [11520000, 0, 96], [0, 0, 0]] },
+    // fb, 512 B, ssd, no pool, btree
+    InsertCost { reads: [0, 4098, 2000, 0], writes: [0, 101, 2095, 0], device_ns: 871800000, smo_count: 98, storage_blocks: 959, steps: [[598480000, 6000, 0], [228600000, 0, 1905], [44720000, 98, 291], [0, 0, 0]] },
+    // fb, 512 B, ssd, no pool, fiting
+    InsertCost { reads: [0, 6007, 18175, 0], writes: [0, 2000, 16217, 0], device_ns: 4019240000, smo_count: 7, storage_blocks: 1159, steps: [[1615900000, 21903, 0], [2351740000, 1993, 17937], [51600000, 286, 280], [0, 0, 0]] },
+    // fb, 512 B, ssd, no pool, pgm
+    InsertCost { reads: [0, 0, 19, 17961], writes: [0, 0, 75, 17972], device_ns: 3324320000, smo_count: 3, storage_blocks: 702, steps: [[1157500000, 17961, 0], [2156280000, 0, 17969], [10540000, 19, 78], [0, 0, 0]] },
+    // fb, 512 B, ssd, no pool, alex
+    InsertCost { reads: [0, 2002, 80568, 2002], writes: [0, 4, 65674, 2003], device_ns: 13990440000, smo_count: 2, storage_blocks: 1300, steps: [[400200000, 4002, 0], [13295420000, 80387, 65317], [54820000, 183, 364], [240000000, 0, 2000]] },
+    // fb, 512 B, ssd, no pool, lipp
+    InsertCost { reads: [0, 0, 9525, 0], writes: [0, 0, 9802, 0], device_ns: 2111500000, smo_count: 926, storage_blocks: 15631, steps: [[708500000, 7255, 0], [131640000, 0, 1097], [505520000, 2270, 2323], [765840000, 0, 6382]] },
+    // fb, 512 B, ssd, no pool, hybrid-pla
+    InsertCost { reads: [0, 7620, 2000, 0], writes: [0, 2759, 2095, 0], device_ns: 1399680000, smo_count: 95, storage_blocks: 3716, steps: [[817200000, 9620, 0], [228600000, 0, 1905], [353880000, 0, 2949], [0, 0, 0]] },
+    // fb, 512 B, ssd, no pool, hybrid-modeltree
+    InsertCost { reads: [0, 9169, 2000, 0], writes: [0, 20881, 2095, 0], device_ns: 3774940000, smo_count: 95, storage_blocks: 22017, steps: [[1017820000, 11169, 0], [228600000, 0, 1905], [2528520000, 0, 21071], [0, 0, 0]] },
 ];
+
+/// Bulk-loads `bulk` into `choice` on `disk`, then inserts `stream` one key
+/// at a time, each from a cold access state like the harness runs them, and
+/// returns every deterministic counter of the interval after the bulk load,
+/// with the index for its preconditions.
+fn measure_inserts(
+    choice: IndexChoice,
+    disk: std::sync::Arc<lidx_storage::Disk>,
+    bulk: &[Entry],
+    stream: &[Entry],
+) -> (InsertCost, Box<dyn DiskIndex>) {
+    let mut index = choice.build(std::sync::Arc::clone(&disk));
+    index.bulk_load(bulk).expect("bulk load");
+    let io_before = disk.snapshot();
+    let steps_before = index.insert_breakdown();
+    let smo_before = index.stats().smo_count;
+    for &(k, v) in stream {
+        disk.reset_access_state();
+        index.insert(k, v).expect("insert");
+    }
+    let io = disk.snapshot().since(&io_before);
+    let steps = index.insert_breakdown().since(&steps_before);
+    let cost = InsertCost {
+        reads: lidx_storage::BlockKind::ALL.map(|kind| io.reads_of(kind)),
+        writes: lidx_storage::BlockKind::ALL.map(|kind| io.writes_of(kind)),
+        device_ns: io.device_ns,
+        smo_count: index.stats().smo_count - smo_before,
+        storage_blocks: index.storage_blocks(),
+        steps: InsertStep::ALL
+            .map(|step| [steps.device_ns(step), steps.reads(step), steps.writes(step)]),
+    };
+    (cost, index)
+}
 
 /// Cost pin: a per-key `insert` costs exactly what it cost when every design
 /// had its own per-key write body (ALEX: what its closest-gap insert costs
-/// since). Bulk 5 000 keys, then 2 000 inserts of a
-/// fixed stream (fresh keys, overwrites of bulk keys, keys below the minimum
-/// and above the maximum), each from a cold access state like the harness
-/// runs them; every deterministic counter of the interval after the bulk
-/// load must match the recorded table.
+/// since). Every deterministic counter of [`measure_inserts`] must match the
+/// recorded table, in two setups:
+///
+/// - 5 000 bulk keys and 2 000 inserts of a fixed stream (fresh keys,
+///   overwrites of bulk keys, keys below the minimum and above the maximum)
+///   on 4 KiB blocks, on an HDD with no pool and an SSD with a 64-block pool;
+/// - 20 000 bulk `Dataset::Fb` keys (Table 3's hardest to model linearly)
+///   and 2 000 random keys on 512-byte SSD blocks with no pool, where the
+///   routing levels are on disk and the B+-tree and ALEX split.
 #[test]
 fn per_key_insert_cost_is_pinned() {
-    use lidx_storage::{BlockKind, DeviceModel};
+    use lidx_storage::DeviceModel;
+    use lidx_workloads::Dataset;
 
     let bulk: Vec<Entry> = (0..5_000u64).map(|i| (i * 16 + 1_000, i)).collect();
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
-    let stream: Vec<Entry> = (0..2_000u64)
-        .map(|i| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((state >> 33) % 84_000, 1_000_000 + i)
-        })
-        .collect();
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let stream: Vec<Entry> = (0..2_000u64).map(|i| (next() % 84_000, 1_000_000 + i)).collect();
+    // Random keys up to 1 000 past the largest `fb` key: most fall into the
+    // dataset's rare enormous gaps, so the leaves at their edges split.
+    let fb_bulk = Dataset::Fb.generate(20_000, 7);
+    let key_space = fb_bulk.last().expect("non-empty bulk").0 + 1_000;
+    let fb_stream: Vec<Entry> =
+        (0..2_000u64).map(|i| (next() % key_space, 1_000_000 + i)).collect();
     let storages = [
-        ("hdd, no pool", RunConfig::default()),
+        ("hdd, no pool", RunConfig::default(), &bulk, &stream),
         (
             "ssd, pool 64",
             RunConfig { device: DeviceModel::ssd(), buffer_blocks: 64, ..RunConfig::default() },
+            &bulk,
+            &stream,
+        ),
+        (
+            "fb, 512 B, ssd, no pool",
+            RunConfig { block_size: 512, device: DeviceModel::ssd(), ..RunConfig::default() },
+            &fb_bulk,
+            &fb_stream,
         ),
     ];
 
     let mut measured = Vec::new();
     let mut labels = Vec::new();
-    for (storage, config) in storages {
+    for (storage, config, bulk, stream) in storages {
         for choice in IndexChoice::ALL_DESIGNS {
-            let disk = config.make_disk();
-            let mut index = choice.build(std::sync::Arc::clone(&disk));
-            index.bulk_load(&bulk).expect("bulk load");
-            let io_before = disk.snapshot();
-            let steps_before = index.insert_breakdown();
-            let smo_before = index.stats().smo_count;
-            for &(k, v) in &stream {
-                disk.reset_access_state();
-                index.insert(k, v).expect("insert");
+            let (cost, index) = measure_inserts(choice, config.make_disk(), bulk, stream);
+            let label = format!("{storage}, {}", choice.name());
+            if storage.starts_with("fb") {
+                match choice {
+                    // LIPP charges every node, inner or not, as a leaf block.
+                    IndexChoice::Lipp => {
+                        assert!(index.stats().height >= 2, "{label}: no node below the root")
+                    }
+                    // PGM's insert searches only its insert run (O6); its
+                    // merges read whole components' data levels.
+                    IndexChoice::Pgm => assert!(cost.smo_count > 0, "{label}: no merge ran"),
+                    _ => assert!(cost.reads[1] > 0, "{label}: no on-disk inner level was read"),
+                }
             }
-            let io = disk.snapshot().since(&io_before);
-            let steps = index.insert_breakdown().since(&steps_before);
-            measured.push(InsertCost {
-                reads: BlockKind::ALL.map(|kind| io.reads_of(kind)),
-                writes: BlockKind::ALL.map(|kind| io.writes_of(kind)),
-                device_ns: io.device_ns,
-                smo_count: index.stats().smo_count - smo_before,
-                storage_blocks: index.storage_blocks(),
-                steps: InsertStep::ALL
-                    .map(|step| [steps.device_ns(step), steps.reads(step), steps.writes(step)]),
-            });
-            labels.push(format!("{storage}, {}", choice.name()));
+            measured.push(cost);
+            labels.push(label);
         }
     }
     if measured[..] != PER_KEY_INSERT_COST[..] {
