@@ -22,7 +22,7 @@ use lidx_core::{
 };
 use lidx_storage::{BlockCursor, BlockKind, Disk, OpClass};
 
-use crate::static_pgm::StaticPgm;
+use crate::static_pgm::{entries_in, write_entries, StaticPgm};
 
 /// Configuration of the dynamic PGM-index.
 #[derive(Debug, Clone, Copy)]
@@ -140,70 +140,42 @@ impl PgmIndex {
         for b in 0..blocks {
             let buf = cursor.read(self.run_file, b, BlockKind::Utility)?;
             let start = b as usize * per_block;
-            let take = (self.run as usize - start).min(per_block);
-            for slot in 0..take {
-                let off = slot * ENTRY_BYTES;
-                out.push((
-                    Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-                    Value::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-                ));
-            }
+            out.extend(entries_in(buf, 0, (self.run as usize - start).min(per_block))?);
         }
         Ok(out)
     }
 
     fn write_run(&self, entries: &[Entry]) -> IndexResult<()> {
-        let bs = self.disk.block_size();
-        let per_block = bs / ENTRY_BYTES;
+        let per_block = self.disk.block_size() / ENTRY_BYTES;
         let blocks = entries.len().div_ceil(per_block).max(1) as u32;
-        let mut buf = vec![0u8; bs];
-        for b in 0..blocks {
-            buf.fill(0);
-            for slot in 0..per_block {
-                if let Some(&(k, v)) = entries.get(b as usize * per_block + slot) {
-                    let off = slot * ENTRY_BYTES;
-                    buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-                    buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            self.disk.write(self.run_file, b, BlockKind::Utility, &buf)?;
-        }
-        Ok(())
+        write_entries(&self.disk, (self.run_file, 0, blocks), BlockKind::Utility, entries)
+    }
+
+    /// Builds `entries` into a component in a file of its own, its data
+    /// level charged to `Leaf`.
+    fn build_component(&self, entries: &[Entry]) -> IndexResult<StaticPgm> {
+        let file = self.disk.create_file()?;
+        StaticPgm::build(
+            Arc::clone(&self.disk),
+            file,
+            entries,
+            self.config.epsilon,
+            BlockKind::Leaf,
+        )
     }
 
     /// Merges two sorted entry lists; on duplicate keys, `newer` wins.
+    /// Returns the merge and the number of duplicates.
     fn merge_entries(newer: Vec<Entry>, older: Vec<Entry>) -> (Vec<Entry>, u64) {
         let mut out = Vec::with_capacity(newer.len() + older.len());
         let mut duplicates = 0u64;
-        let mut a = newer.into_iter().peekable();
-        let mut b = older.into_iter().peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => {
-                    if x.0 < y.0 {
-                        out.push(x);
-                        a.next();
-                    } else if x.0 > y.0 {
-                        out.push(y);
-                        b.next();
-                    } else {
-                        out.push(x);
-                        a.next();
-                        b.next();
-                        duplicates += 1;
-                    }
-                }
-                (Some(&x), None) => {
-                    out.push(x);
-                    a.next();
-                }
-                (None, Some(&y)) => {
-                    out.push(y);
-                    b.next();
-                }
-                (None, None) => break,
-            }
+        let mut older = older.into_iter().peekable();
+        for (key, value) in newer {
+            out.extend(std::iter::from_fn(|| older.next_if(|&(k, _)| k < key)));
+            duplicates += u64::from(older.next_if(|&(k, _)| k == key).is_some());
+            out.push((key, value));
         }
+        out.extend(older);
         (out, duplicates)
     }
 
@@ -244,7 +216,7 @@ impl PgmIndex {
             }
             target += 1;
         }
-        let component = StaticPgm::build(Arc::clone(&self.disk), &merged, self.config.epsilon)?;
+        let component = self.build_component(&merged)?;
         self.levels[target] = Some(component);
         self.run = 0;
         self.write_run(&[])?;
@@ -380,7 +352,7 @@ impl IndexWrite for PgmIndex {
         while self.levels.len() <= level {
             self.levels.push(None);
         }
-        let component = StaticPgm::build(Arc::clone(&self.disk), entries, self.config.epsilon)?;
+        let component = self.build_component(entries)?;
         self.levels[level] = Some(component);
         self.key_count = entries.len() as u64;
         self.loaded = true;
@@ -472,6 +444,17 @@ mod tests {
 
     fn entries(n: u64, stride: u64) -> Vec<Entry> {
         (0..n).map(|i| (i * stride + 1, i * stride + 2)).collect()
+    }
+
+    #[test]
+    fn merges_prefer_newer_entries_and_count_duplicates() {
+        let newer = vec![(1, 10), (4, 40), (9, 90), (20, 200)];
+        let older = vec![(0, 0), (4, 4), (5, 5), (9, 9), (12, 12)];
+        let (merged, duplicates) = PgmIndex::merge_entries(newer, older);
+        let expected = [(0, 0), (1, 10), (4, 40), (5, 5), (9, 90), (12, 12), (20, 200)];
+        assert_eq!((merged, duplicates), (expected.to_vec(), 2));
+        assert_eq!(PgmIndex::merge_entries(vec![], vec![(3, 3)]), (vec![(3, 3)], 0));
+        assert_eq!(PgmIndex::merge_entries(vec![(3, 4)], vec![]), (vec![(3, 4)], 0));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! One immutable PGM component: recursive ε-bounded piecewise-linear levels
-//! over a dense sorted data array, all stored on disk.
+//! over a dense sorted array of `(key, payload)` entries, all stored on disk.
 //!
-//! File layout (one file per component):
+//! Layout (in the file the component is built into, from its first block):
 //!
 //! ```text
-//! [ data blocks         ]  (key u64, payload u64) pairs, sentinel padded
+//! [ data blocks         ]  (key u64, payload u64) entries, sentinel padded
 //! [ level-1 seg blocks  ]  records over data positions
 //! [ level-2 seg blocks  ]  records over level-1 record indexes
 //! ...
@@ -14,14 +14,28 @@
 //! len u32`, predicting *absolute* positions within the level below. The
 //! root level always has exactly one record, which is kept in memory with
 //! the component's metadata (the paper's memory-resident meta block).
+//!
+//! Every level is searched the same way: predict a position, then run
+//! [`search_window`] over the ε-window around it. The component has two
+//! users, which differ only in their payloads and in the block kind their
+//! data level is charged to:
+//!
+//! * [`crate::PgmIndex`] builds one component per LSM level, each in a file
+//!   of its own, with values as payloads and its data level charged to
+//!   [`BlockKind::Leaf`] ([`StaticPgm::lookup`], [`StaticPgm::scan_into`]);
+//! * the PLA hybrid (§6.1.2) builds its directory as one component over
+//!   `(leaf boundary, leaf block)` entries, charged wholly to
+//!   [`BlockKind::Inner`] as Table 5 counts it ([`StaticPgm::floor`]).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use lidx_core::{Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value};
+use lidx_core::{
+    block_pointer, Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value,
+};
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockKind, BlockRef, Disk, SeqHint};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockRef, Disk, FileId, SeqHint, SlotTable};
 
 /// Size of one data entry in bytes.
 const ENTRY_BYTES: usize = 16;
@@ -29,24 +43,99 @@ const ENTRY_BYTES: usize = 16;
 const RECORD_BYTES: usize = 28;
 /// Sentinel key used to pad unused slots.
 const SENTINEL: Key = Key::MAX;
+/// What a payload read as a block pointer is called in errors.
+const FLOOR_POINTER: &str = "PGM entry block pointer";
+
+/// The `N` bytes at `at` of a fixed-size record.
+fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| bytes[at + i])
+}
+
+/// Decodes one data entry.
+fn entry(e: &[u8; ENTRY_BYTES]) -> Entry {
+    (Key::from_le_bytes(le(e, 0)), Value::from_le_bytes(le(e, 8)))
+}
+
+/// Writes `entries` packed into `blocks` blocks of `file` from
+/// `first_block`, charged to `kind`, padding the last block with sentinels.
+pub(crate) fn write_entries(
+    disk: &Disk,
+    (file, first_block, blocks): (FileId, u32, u32),
+    kind: BlockKind,
+    entries: &[Entry],
+) -> IndexResult<()> {
+    let mut buf = vec![0u8; disk.block_size()];
+    let mut entries = entries.iter().copied();
+    for b in 0..blocks {
+        for slot in buf.chunks_exact_mut(ENTRY_BYTES) {
+            let (k, v) = entries.next().unwrap_or((SENTINEL, 0));
+            slot[..8].copy_from_slice(&k.to_le_bytes());
+            slot[8..].copy_from_slice(&v.to_le_bytes());
+        }
+        disk.write(file, first_block + b, kind, &buf)?;
+    }
+    Ok(())
+}
+
+/// The `n` entries from slot `from` of a block of entries.
+pub(crate) fn entries_in(
+    buf: &[u8],
+    from: usize,
+    n: usize,
+) -> IndexResult<impl Iterator<Item = Entry> + '_> {
+    let slots = SlotTable::<ENTRY_BYTES>::new(buf, from * ENTRY_BYTES, n)?;
+    Ok((0..n).map(move |i| entry(slots.slot(i))))
+}
 
 /// A segment record of an inner PGM level.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SegRecord {
+struct SegRecord {
     /// Smallest key covered by the segment.
-    pub first_key: Key,
+    first_key: Key,
     /// Slope of the linear model (positions per key unit).
-    pub slope: f64,
+    slope: f64,
     /// Absolute start position of the covered range in the level below.
-    pub start: u64,
+    start: u64,
     /// Number of covered positions in the level below.
-    pub len: u32,
+    len: u32,
 }
 
 impl SegRecord {
+    /// The record padding a level's last block.
+    const PAD: SegRecord = SegRecord { first_key: SENTINEL, slope: 0.0, start: 0, len: 0 };
+
+    fn decode(r: &[u8; RECORD_BYTES]) -> Self {
+        SegRecord {
+            first_key: Key::from_le_bytes(le(r, 0)),
+            slope: f64::from_le_bytes(le(r, 8)),
+            start: u64::from_le_bytes(le(r, 16)),
+            len: u32::from_le_bytes(le(r, 24)),
+        }
+    }
+
+    fn encode(&self, out: &mut [u8]) {
+        out[0..8].copy_from_slice(&self.first_key.to_le_bytes());
+        out[8..16].copy_from_slice(&self.slope.to_le_bytes());
+        out[16..24].copy_from_slice(&self.start.to_le_bytes());
+        out[24..28].copy_from_slice(&self.len.to_le_bytes());
+    }
+
+    /// Segments `keys` into the records of the level above them.
+    fn fit(keys: &[Key], epsilon: usize) -> Vec<SegRecord> {
+        segment_keys(keys, epsilon)
+            .iter()
+            .map(|s| SegRecord {
+                first_key: s.first_key,
+                slope: s.model.slope,
+                start: s.start_index as u64,
+                len: s.len as u32,
+            })
+            .collect()
+    }
+
     /// Predicts the absolute position of `key` in the level below, clamped to
     /// the record's range.
-    pub fn predict(&self, key: Key) -> u64 {
+    fn predict(&self, key: Key) -> u64 {
         if self.len == 0 {
             return self.start;
         }
@@ -56,21 +145,63 @@ impl SegRecord {
     }
 }
 
-/// Description of one on-disk level of segment records.
+/// One on-disk level: `records` records packed from block `first_block`.
 #[derive(Debug, Clone, Copy)]
 struct LevelInfo {
     first_block: u32,
     records: u64,
 }
 
+/// The ε-window search every level of a component shares. Over the records
+/// `lo..=hi` of a level of `STRIDE`-byte records sorted by their leading
+/// key, packed `per_block` to a block, finds the first record whose key
+/// fails `pred` (which holds for a prefix of the keys). Returns its position
+/// (`hi + 1` if every record of the window passes) and the last record of
+/// the window that passes, decoded by `decode`.
+///
+/// `frame(b)` gives the level's block `b`. Each block of the window is asked
+/// for once and binary-searched in place; the blocks are visited left to
+/// right and the search stops in the block that holds the first failing
+/// record — the blocks, and the order, a slot-by-slot walk would read.
+fn search_window<const STRIDE: usize, T>(
+    (lo, hi): (u64, u64),
+    per_block: u64,
+    mut frame: impl FnMut(u32) -> IndexResult<BlockRef>,
+    pred: impl Fn(Key) -> bool,
+    decode: impl Fn(&[u8; STRIDE]) -> T,
+) -> IndexResult<(u64, Option<T>)> {
+    let mut best = None;
+    let mut idx = lo;
+    while idx <= hi {
+        let block = idx / per_block;
+        let frame = frame(block as u32)?;
+        let from = (idx % per_block) as usize;
+        let until = (hi - block * per_block).min(per_block - 1) as usize;
+        let slots = SlotTable::<STRIDE>::new(&frame, from * STRIDE, until + 1 - from)?;
+        let below = slots.partition_point(&pred);
+        if let Some(i) = below.checked_sub(1) {
+            best = Some(decode(slots.slot(i)));
+        }
+        if below < slots.len() {
+            return Ok((idx + below as u64, best));
+        }
+        idx = (block + 1) * per_block;
+    }
+    Ok((hi + 1, best))
+}
+
 /// One immutable PGM component.
 pub struct StaticPgm {
     disk: Arc<Disk>,
-    file: u32,
+    file: FileId,
     epsilon: usize,
     /// Number of data entries.
     len: u64,
+    /// First block of the data level.
+    data_first_block: u32,
     data_blocks: u32,
+    /// The kind the data level is charged to.
+    data_kind: BlockKind,
     /// Inner levels, from the one directly above the data (index 0) upwards.
     levels: Vec<LevelInfo>,
     /// The single root record (memory-resident).
@@ -80,115 +211,57 @@ pub struct StaticPgm {
     max_key: Key,
 }
 
-fn entries_per_block(block_size: usize) -> usize {
-    block_size / ENTRY_BYTES
+fn entries_per_block(block_size: usize) -> u64 {
+    (block_size / ENTRY_BYTES) as u64
 }
 
-fn records_per_block(block_size: usize) -> usize {
-    block_size / RECORD_BYTES
-}
-
-fn record_at(buf: &[u8], slot: usize) -> SegRecord {
-    let off = slot * RECORD_BYTES;
-    SegRecord {
-        first_key: Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-        slope: f64::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-        start: u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
-        len: u32::from_le_bytes(buf[off + 24..off + 28].try_into().unwrap()),
-    }
-}
-
-fn put_record(buf: &mut [u8], slot: usize, r: &SegRecord) {
-    let off = slot * RECORD_BYTES;
-    buf[off..off + 8].copy_from_slice(&r.first_key.to_le_bytes());
-    buf[off + 8..off + 16].copy_from_slice(&r.slope.to_le_bytes());
-    buf[off + 16..off + 24].copy_from_slice(&r.start.to_le_bytes());
-    buf[off + 24..off + 28].copy_from_slice(&r.len.to_le_bytes());
-}
-
-fn entry_at(buf: &[u8], slot: usize) -> Entry {
-    let off = slot * ENTRY_BYTES;
-    (
-        Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-        Value::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-    )
+fn records_per_block(block_size: usize) -> u64 {
+    (block_size / RECORD_BYTES) as u64
 }
 
 impl StaticPgm {
-    /// Builds a component from sorted, strictly-increasing entries.
-    ///
-    /// A dedicated file is created on `disk`; all data and segment blocks are
-    /// written immediately (this is the bulk-load / merge cost of Fig. 7).
-    pub fn build(disk: Arc<Disk>, entries: &[Entry], epsilon: usize) -> IndexResult<Self> {
+    /// Builds a component from sorted, strictly-increasing entries into
+    /// `file`, charging its data level to `data_kind` and its inner levels to
+    /// [`BlockKind::Inner`]. Every data and segment block is allocated and
+    /// written immediately (the bulk-load / merge cost of Fig. 7), data level
+    /// first.
+    pub fn build(
+        disk: Arc<Disk>,
+        file: FileId,
+        entries: &[Entry],
+        epsilon: usize,
+        data_kind: BlockKind,
+    ) -> IndexResult<Self> {
         let bs = disk.block_size();
-        let file = disk.create_file()?;
-        let per_block = entries_per_block(bs);
+        let per_block = entries_per_block(bs) as usize;
         let data_blocks = entries.len().div_ceil(per_block).max(1) as u32;
-        let data_start = disk.allocate(file, data_blocks)?;
-        debug_assert_eq!(data_start, 0);
+        let data_first_block = disk.allocate(file, data_blocks)?;
 
-        // Write the data level.
-        let mut buf = vec![0u8; bs];
-        for b in 0..data_blocks as usize {
-            for slot in 0..per_block {
-                let off = slot * ENTRY_BYTES;
-                let (k, v) = entries.get(b * per_block + slot).copied().unwrap_or((SENTINEL, 0));
-                buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-                buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-            }
-            disk.write(file, data_start + b as u32, BlockKind::Leaf, &buf)?;
-        }
+        write_entries(&disk, (file, data_first_block, data_blocks), data_kind, entries)?;
 
         // Build the inner levels bottom-up.
         let mut levels = Vec::new();
-        let mut keys: Vec<Key> = entries.iter().map(|&(k, _)| k).collect();
-        let mut records: Vec<SegRecord> = if keys.is_empty() {
-            vec![SegRecord { first_key: 0, slope: 0.0, start: 0, len: 0 }]
-        } else {
-            segment_keys(&keys, epsilon)
-                .iter()
-                .map(|s| SegRecord {
-                    first_key: s.first_key,
-                    slope: s.model.slope,
-                    start: s.start_index as u64,
-                    len: s.len as u32,
-                })
-                .collect()
-        };
-
-        let rec_per_block = records_per_block(bs);
+        let keys: Vec<Key> = entries.iter().map(|&(k, _)| k).collect();
+        let mut records = SegRecord::fit(&keys, epsilon);
+        let rec_per_block = records_per_block(bs) as usize;
+        let mut buf = vec![0u8; bs];
         while records.len() > 1 {
             // Persist this level.
             let blocks = records.len().div_ceil(rec_per_block) as u32;
             let first_block = disk.allocate(file, blocks)?;
-            let mut block_buf = vec![0u8; bs];
             for b in 0..blocks as usize {
-                block_buf.fill(0);
+                buf.fill(0);
                 for slot in 0..rec_per_block {
-                    let idx = b * rec_per_block + slot;
-                    let rec = records.get(idx).copied().unwrap_or(SegRecord {
-                        first_key: SENTINEL,
-                        slope: 0.0,
-                        start: 0,
-                        len: 0,
-                    });
-                    put_record(&mut block_buf, slot, &rec);
+                    let rec = records.get(b * rec_per_block + slot).unwrap_or(&SegRecord::PAD);
+                    rec.encode(&mut buf[slot * RECORD_BYTES..]);
                 }
-                disk.write(file, first_block + b as u32, BlockKind::Inner, &block_buf)?;
+                disk.write(file, first_block + b as u32, BlockKind::Inner, &buf)?;
             }
             levels.push(LevelInfo { first_block, records: records.len() as u64 });
 
             // Segment the first keys of this level to form the level above.
-            keys = records.iter().map(|r| r.first_key).collect();
-            records = segment_keys(&keys, epsilon)
-                .iter()
-                .map(|s| SegRecord {
-                    first_key: s.first_key,
-                    slope: s.model.slope,
-                    start: s.start_index as u64,
-                    len: s.len as u32,
-                })
-                .collect();
+            let keys: Vec<Key> = records.iter().map(|r| r.first_key).collect();
+            records = SegRecord::fit(&keys, epsilon);
         }
 
         let root =
@@ -198,7 +271,9 @@ impl StaticPgm {
             file,
             epsilon,
             len: entries.len() as u64,
+            data_first_block,
             data_blocks,
+            data_kind,
             levels,
             root,
             min_key: entries.first().map_or(Key::MAX, |e| e.0),
@@ -241,9 +316,12 @@ impl StaticPgm {
         self.levels.iter().map(|l| l.records).sum()
     }
 
-    /// Total blocks occupied by this component's file.
+    /// Blocks the component occupies: its data level and its on-disk inner
+    /// levels.
     pub fn blocks(&self) -> u64 {
-        self.disk.num_blocks(self.file).unwrap_or(0) as u64
+        let per = records_per_block(self.disk.block_size());
+        u64::from(self.data_blocks)
+            + self.levels.iter().map(|l| l.records.div_ceil(per)).sum::<u64>()
     }
 
     /// Serialises the component's placement metadata (file id, level table,
@@ -266,9 +344,10 @@ impl StaticPgm {
             .u64(self.max_key);
     }
 
-    /// Rebuilds a component handle from metadata written by
-    /// [`save_meta`](Self::save_meta); the blocks themselves must already
-    /// exist on `disk`.
+    /// Rebuilds a handle on a component [`crate::PgmIndex`] built — its data
+    /// level at block 0 of its file and charged to [`BlockKind::Leaf`] — from
+    /// metadata written by [`save_meta`](Self::save_meta); the blocks
+    /// themselves must already exist on `disk`.
     pub fn load_meta(disk: Arc<Disk>, r: &mut MetaReader<'_>) -> IndexResult<Self> {
         let file = r.u32()?;
         let epsilon = r.u64()? as usize;
@@ -283,11 +362,24 @@ impl StaticPgm {
             SegRecord { first_key: r.u64()?, slope: r.f64()?, start: r.u64()?, len: r.u32()? };
         let min_key = r.u64()?;
         let max_key = r.u64()?;
-        Ok(StaticPgm { disk, file, epsilon, len, data_blocks, levels, root, min_key, max_key })
+        Ok(StaticPgm {
+            disk,
+            file,
+            epsilon,
+            len,
+            data_first_block: 0,
+            data_blocks,
+            data_kind: BlockKind::Leaf,
+            levels,
+            root,
+            min_key,
+            max_key,
+        })
     }
 
-    /// Frees every block of the component (called after an LSM merge; models
-    /// deleting the component's file).
+    /// Frees every block of the component's file (called after an LSM merge;
+    /// models deleting the file, which [`crate::PgmIndex`] gives each
+    /// component of its own).
     pub fn release(&self) {
         let blocks = self.disk.num_blocks(self.file).unwrap_or(0);
         if blocks > 0 {
@@ -295,53 +387,53 @@ impl StaticPgm {
         }
     }
 
-    /// Finds, within an inner level, the record covering `key`: the rightmost
-    /// record with `first_key <= key` inside the window `[lo, hi]`.
-    fn search_level(
+    /// The ε-window around the position `rec` predicts for `key` in a level
+    /// of `records` records. A floor sits at rank(key) − 1, which can fall
+    /// one slot below the window around the predicted rank, so a `floor`
+    /// window is widened by one.
+    fn window(&self, rec: &SegRecord, key: Key, records: u64, floor: bool) -> (u64, u64) {
+        let (eps, predicted) = (self.epsilon as u64, rec.predict(key).min(records - 1));
+        (predicted.saturating_sub(eps + u64::from(floor)), (predicted + eps).min(records - 1))
+    }
+
+    /// The first record of `level`, read through `cursor`.
+    fn first_record(
         &self,
         cursor: &mut BlockCursor<'_>,
         level: &LevelInfo,
-        key: Key,
-        predicted: u64,
     ) -> IndexResult<SegRecord> {
-        let rec_per_block = records_per_block(self.disk.block_size());
-        // The covering record sits at rank(key) - 1, which can fall one slot
-        // below the ε window around the predicted rank — widen by one.
-        let lo = predicted.saturating_sub(self.epsilon as u64 + 1);
-        let hi = (predicted + self.epsilon as u64).min(level.records - 1);
-        let first_block = (lo / rec_per_block as u64) as u32;
-        let last_block = (hi / rec_per_block as u64) as u32;
-        let mut best: Option<SegRecord> = None;
-        for b in first_block..=last_block {
-            let buf = cursor.read(self.file, level.first_block + b, BlockKind::Inner)?;
-            let slot_lo = if b == first_block { (lo % rec_per_block as u64) as usize } else { 0 };
-            let slot_hi = if b == last_block {
-                (hi % rec_per_block as u64) as usize
-            } else {
-                rec_per_block - 1
+        let buf = cursor.read(self.file, level.first_block, BlockKind::Inner)?;
+        Ok(SegRecord::decode(SlotTable::<RECORD_BYTES>::new(buf, 0, 1)?.slot(0)))
+    }
+
+    /// Descends the on-disk inner levels from the root to the record
+    /// covering `key` in the data level: on each level, the rightmost record
+    /// with `first_key <= key` inside the window.
+    fn descend(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<SegRecord> {
+        let mut rec = self.root;
+        for level in self.levels.iter().rev() {
+            let (_, covering) = search_window(
+                self.window(&rec, key, level.records, true),
+                records_per_block(self.disk.block_size()),
+                |b| Ok(cursor.read(self.file, level.first_block + b, BlockKind::Inner)?.clone()),
+                |k| k <= key,
+                SegRecord::decode,
+            )?;
+            // The window is ε-bounded around the true position, so the
+            // covering record is always inside it; if every record in the
+            // window starts after `key`, the key belongs to the level's very
+            // first segment.
+            rec = match covering {
+                Some(r) => r,
+                None => self.first_record(cursor, level)?,
             };
-            for slot in slot_lo..=slot_hi {
-                let rec = record_at(buf, slot);
-                if rec.first_key == SENTINEL {
-                    break;
-                }
-                if rec.first_key <= key {
-                    best = Some(rec);
-                } else {
-                    break;
-                }
-            }
         }
-        // The window is ε-bounded around the true position, so the covering
-        // record is always inside it; if every record in the window starts
-        // after `key`, the key belongs to the component's very first segment.
-        match best {
-            Some(r) => Ok(r),
-            None => {
-                let buf = cursor.read(self.file, level.first_block, BlockKind::Inner)?;
-                Ok(record_at(buf, 0))
-            }
-        }
+        Ok(rec)
+    }
+
+    /// Reads block `b` of the data level through `cursor`.
+    fn data_frame(&self, cursor: &mut BlockCursor<'_>, b: u32) -> IndexResult<BlockRef> {
+        Ok(cursor.read(self.file, self.data_first_block + b, self.data_kind)?.clone())
     }
 
     /// Locates the data position of the first entry with key `>= key`.
@@ -351,56 +443,68 @@ impl StaticPgm {
         if self.len == 0 {
             return Ok(0);
         }
-        // Descend the inner levels from the root.
-        let mut rec = self.root;
-        for level in self.levels.iter().rev() {
-            let predicted = rec.predict(key).min(level.records - 1);
-            rec = self.search_level(cursor, level, key, predicted)?;
-        }
-        // `rec` now covers positions in the data level.
-        let per_block = entries_per_block(self.disk.block_size());
-        let predicted = rec.predict(key).min(self.len - 1);
-        let lo = predicted.saturating_sub(self.epsilon as u64);
-        let hi = (predicted + self.epsilon as u64).min(self.len - 1);
-        let first_block = (lo / per_block as u64) as u32;
-        let last_block = (hi / per_block as u64) as u32;
-        // Find the first position in [lo, hi] whose key is >= `key`; thanks to
-        // the ε bound this is the global lower bound as long as key falls in
-        // the window; otherwise it is lo or hi+1.
-        let mut result = hi + 1;
-        'outer: for b in first_block..=last_block {
-            let buf = cursor.read(self.file, b, BlockKind::Leaf)?;
-            let slot_lo = if b == first_block { (lo % per_block as u64) as usize } else { 0 };
-            let slot_hi =
-                if b == last_block { (hi % per_block as u64) as usize } else { per_block - 1 };
-            for slot in slot_lo..=slot_hi {
-                let (k, _) = entry_at(buf, slot);
-                if k >= key {
-                    result = b as u64 * per_block as u64 + slot as u64;
-                    break 'outer;
-                }
-            }
-        }
-        Ok(result)
+        let rec = self.descend(cursor, key)?;
+        // Thanks to the ε bound the first position in the window whose key
+        // is >= `key` is the global lower bound as long as `key` falls in
+        // the window; otherwise it is the window's first or one past its
+        // last.
+        let (pos, _) = search_window::<ENTRY_BYTES, ()>(
+            self.window(&rec, key, self.len, false),
+            entries_per_block(self.disk.block_size()),
+            |b| self.data_frame(cursor, b),
+            |k| k < key,
+            |_| (),
+        )?;
+        Ok(pos)
     }
 
-    /// Point lookup. The answer's data block is almost always the one
-    /// `locate` ended on, so the shared cursor answers its re-read.
-    pub fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        if self.len == 0 || key < self.min_key || key > self.max_key {
+    /// Floor lookup in a component whose payloads are block pointers: the
+    /// pointer stored with the greatest key `<= key`, or `None` when `key`
+    /// precedes every stored key. Every block is read through `cursor`; a
+    /// payload past the block-id range is [`IndexError::Internal`].
+    pub fn floor(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<BlockId>> {
+        if self.len == 0 {
             return Ok(None);
         }
-        let mut cursor = self.disk.cursor();
-        let pos = self.locate(&mut cursor, key)?;
+        let rec = self.descend(cursor, key)?;
+        let (_, floor) = search_window(
+            self.window(&rec, key, self.len, true),
+            entries_per_block(self.disk.block_size()),
+            |b| self.data_frame(cursor, b),
+            |k| k <= key,
+            |e| entry(e).1,
+        )?;
+        floor.map(|p| block_pointer(p, FLOOR_POINTER)).transpose()
+    }
+
+    /// Locates `key` and reads the data block its lower bound lands in
+    /// through `cursor`, which almost always still holds it: the block, its
+    /// number of entries and the payload stored with `key`, if any. `None`
+    /// if every stored key is smaller.
+    fn probe(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        key: Key,
+    ) -> IndexResult<Option<(BlockRef, usize, Option<Value>)>> {
+        let pos = self.locate(cursor, key)?;
         if pos >= self.len {
             return Ok(None);
         }
         let per_block = entries_per_block(self.disk.block_size());
-        let block = (pos / per_block as u64) as u32;
-        let slot = (pos % per_block as u64) as usize;
-        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
-        let (k, v) = entry_at(buf, slot);
-        Ok((k == key).then_some(v))
+        let block = pos / per_block;
+        let buf = self.data_frame(cursor, block as u32)?;
+        let slot = (pos % per_block) as usize;
+        let (k, v) = entry(SlotTable::<ENTRY_BYTES>::new(&buf, slot * ENTRY_BYTES, 1)?.slot(0));
+        let valid = (self.len - block * per_block).min(per_block) as usize;
+        Ok(Some((buf, valid, (k == key).then_some(v))))
+    }
+
+    /// Point lookup.
+    pub fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
+        if self.len == 0 || key < self.min_key || key > self.max_key {
+            return Ok(None);
+        }
+        Ok(self.probe(&mut self.disk.cursor(), key)?.and_then(|(_, _, hit)| hit))
     }
 
     /// Batched point lookups over probe keys sorted ascending.
@@ -432,9 +536,8 @@ impl StaticPgm {
         if self.disk.queue_depth() > 1 {
             return self.lookup_batch_sorted_queued(keys, pending, out);
         }
-        let per_block = entries_per_block(self.disk.block_size());
-        // The pinned last data block: (first key, last key, valid slots, frame).
-        let mut cached: Option<(Key, Key, usize, BlockRef)> = None;
+        // The pinned last data block and its number of entries.
+        let mut cached: Option<(BlockRef, usize)> = None;
         let mut cursor = self.disk.cursor();
         let mut still = Vec::with_capacity(pending.len());
         for &i in pending.iter() {
@@ -443,28 +546,18 @@ impl StaticPgm {
                 still.push(i);
                 continue;
             }
-            let served = match &cached {
-                Some((first, last, valid, buf)) if key >= *first && key <= *last => {
-                    Self::search_block(buf, *valid, key)
+            let pinned = cached.as_ref().map(|(buf, n)| SlotTable::<ENTRY_BYTES>::new(buf, 0, *n));
+            let pinned =
+                pinned.transpose()?.filter(|s| s.key(0) <= key && key <= s.key(s.len() - 1));
+            let served = match pinned {
+                Some(slots) => {
+                    let at = slots.partition_point(|k| k < key);
+                    (at < slots.len() && slots.key(at) == key).then(|| entry(slots.slot(at)).1)
                 }
-                _ => {
-                    let pos = self.locate(&mut cursor, key)?;
-                    if pos >= self.len {
-                        None
-                    } else {
-                        let block = (pos / per_block as u64) as u32;
-                        let buf = cursor.read(self.file, block, BlockKind::Leaf)?.clone();
-                        let valid = ((self.len - u64::from(block) * per_block as u64) as usize)
-                            .min(per_block);
-                        let slot = (pos % per_block as u64) as usize;
-                        let (k, v) = entry_at(&buf, slot);
-                        let hit = (k == key).then_some(v);
-                        let first = entry_at(&buf, 0).0;
-                        let last = entry_at(&buf, valid - 1).0;
-                        cached = Some((first, last, valid, buf));
-                        hit
-                    }
-                }
+                None => self.probe(&mut cursor, key)?.and_then(|(buf, valid, hit)| {
+                    cached = Some((buf, valid));
+                    hit
+                }),
             };
             match served {
                 Some(v) => out[i as usize] = Some(v),
@@ -473,22 +566,6 @@ impl StaticPgm {
         }
         *pending = still;
         Ok(())
-    }
-
-    /// Binary search for `key` among the first `valid` slots of a pinned
-    /// data block.
-    fn search_block(buf: &[u8], valid: usize, key: Key) -> Option<Value> {
-        let (mut lo, mut hi) = (0usize, valid);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let (k, v) = entry_at(buf, mid);
-            match k.cmp(&key) {
-                std::cmp::Ordering::Equal => return Some(v),
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        None
     }
 
     /// Wave-fetches the distinct blocks named by `ranges` (inclusive block
@@ -517,8 +594,9 @@ impl StaticPgm {
     /// on a disk with outstanding reads: the pending probes descend the
     /// component *level by level*, and each level's ε-windows are fetched as
     /// one set of completion waves (charged max-per-wave, not
-    /// sum-of-misses). The blocks touched and the answers produced are the
-    /// same as the synchronous path; only the simulated time differs.
+    /// sum-of-misses), then searched in memory by [`search_window`]. The
+    /// answers produced are the same as the synchronous path; the blocks
+    /// read are whole windows and the simulated time differs.
     fn lookup_batch_sorted_queued(
         &self,
         keys: &[Key],
@@ -526,9 +604,8 @@ impl StaticPgm {
         out: &mut [Option<Value>],
     ) -> IndexResult<()> {
         let bs = self.disk.block_size();
-        let rec_per_block = records_per_block(bs) as u64;
-        let per_block = entries_per_block(bs) as u64;
-        let eps = self.epsilon as u64;
+        let rec_per_block = records_per_block(bs);
+        let per_block = entries_per_block(bs);
         // Probes outside the component's key range stay pending for older
         // components; everything else starts its descent at the root.
         let mut active: Vec<(u32, SegRecord)> = pending
@@ -539,105 +616,59 @@ impl StaticPgm {
 
         // Inner levels: predict every probe's window, wave-fetch the
         // windows' blocks, then resolve each probe's covering record in
-        // memory (mirroring `search_level`).
+        // memory (as `descend` does).
         for level in self.levels.iter().rev() {
             let windows: Vec<(u64, u64)> = active
                 .iter()
-                .map(|&(i, rec)| {
-                    let predicted = rec.predict(keys[i as usize]).min(level.records - 1);
-                    (predicted.saturating_sub(eps + 1), (predicted + eps).min(level.records - 1))
-                })
+                .map(|(i, rec)| self.window(rec, keys[*i as usize], level.records, true))
                 .collect();
             let frames = self.fetch_wave(
                 windows.iter().map(|&(lo, hi)| (lo / rec_per_block, hi / rec_per_block)),
                 level.first_block,
                 BlockKind::Inner,
             )?;
-            for ((i, rec), &(lo, hi)) in active.iter_mut().zip(&windows) {
+            for ((i, rec), &window) in active.iter_mut().zip(&windows) {
                 let key = keys[*i as usize];
-                let (first_block, last_block) = (lo / rec_per_block, hi / rec_per_block);
-                let mut best: Option<SegRecord> = None;
-                for b in first_block..=last_block {
-                    let buf = &frames[&(b as u32)];
-                    let slot_lo = if b == first_block { (lo % rec_per_block) as usize } else { 0 };
-                    let slot_hi = if b == last_block {
-                        (hi % rec_per_block) as usize
-                    } else {
-                        rec_per_block as usize - 1
-                    };
-                    for slot in slot_lo..=slot_hi {
-                        let r = record_at(buf, slot);
-                        if r.first_key == SENTINEL {
-                            break;
-                        }
-                        if r.first_key <= key {
-                            best = Some(r);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                *rec = match best {
+                let (_, covering) = search_window(
+                    window,
+                    rec_per_block,
+                    |b| Ok(frames[&b].clone()),
+                    |k| k <= key,
+                    SegRecord::decode,
+                )?;
+                *rec = match covering {
                     Some(r) => r,
-                    None => {
-                        // Same fallback as `search_level`: the key precedes
-                        // every record of the window, so it belongs to the
-                        // level's very first segment.
-                        // A fresh cursor: one shared across the batch could
-                        // serve a repeated fallback for free, changing what
-                        // the batch costs.
-                        let mut cursor = self.disk.cursor();
-                        record_at(cursor.read(self.file, level.first_block, BlockKind::Inner)?, 0)
-                    }
+                    // Same fallback as `descend`, through a fresh
+                    // cursor: one shared across the batch could serve a
+                    // repeated fallback for free, changing what the batch
+                    // costs.
+                    None => self.first_record(&mut self.disk.cursor(), level)?,
                 };
             }
         }
 
         // Data level: one more wave over the final ε-windows, then answer
-        // each probe in memory (mirroring `locate` + the point lookup).
+        // each probe in memory: a stored key is the floor of itself.
         let windows: Vec<(u64, u64)> = active
             .iter()
-            .map(|&(i, rec)| {
-                let predicted = rec.predict(keys[i as usize]).min(self.len - 1);
-                (predicted.saturating_sub(eps), (predicted + eps).min(self.len - 1))
-            })
+            .map(|(i, rec)| self.window(rec, keys[*i as usize], self.len, false))
             .collect();
         let frames = self.fetch_wave(
             windows.iter().map(|&(lo, hi)| (lo / per_block, hi / per_block)),
-            0,
-            BlockKind::Leaf,
+            self.data_first_block,
+            self.data_kind,
         )?;
-        let mut answered = Vec::new();
-        for (&(i, _), &(lo, hi)) in active.iter().zip(&windows) {
+        let mut answered = BTreeSet::new();
+        for (&(i, _), &window) in active.iter().zip(&windows) {
             let key = keys[i as usize];
-            let (first_block, last_block) = (lo / per_block, hi / per_block);
-            let mut pos = hi + 1;
-            'outer: for b in first_block..=last_block {
-                let buf = &frames[&(b as u32)];
-                let slot_lo = if b == first_block { (lo % per_block) as usize } else { 0 };
-                let slot_hi = if b == last_block {
-                    (hi % per_block) as usize
-                } else {
-                    per_block as usize - 1
-                };
-                for slot in slot_lo..=slot_hi {
-                    if entry_at(buf, slot).0 >= key {
-                        pos = b * per_block + slot as u64;
-                        break 'outer;
-                    }
-                }
-            }
-            if pos >= self.len {
-                continue;
-            }
-            let (k, v) = entry_at(&frames[&((pos / per_block) as u32)], (pos % per_block) as usize);
-            if k == key {
+            let (_, floor) =
+                search_window(window, per_block, |b| Ok(frames[&b].clone()), |k| k <= key, entry)?;
+            if let Some((_, v)) = floor.filter(|&(k, _)| k == key) {
                 out[i as usize] = Some(v);
-                answered.push(i);
+                answered.insert(i);
             }
         }
         // Misses stay pending in their original (ascending-key) order.
-        let answered: BTreeSet<u32> = answered.into_iter().collect();
         pending.retain(|i| !answered.contains(i));
         Ok(())
     }
@@ -664,22 +695,23 @@ impl StaticPgm {
         let mut taken = 0usize;
         let mut hint = SeqHint::Auto;
         while pos < self.len && taken < count {
-            let block = (pos / per_block as u64) as u32;
+            let block = (pos / per_block) as u32;
             // After the first block the stream advances through physically
             // consecutive data blocks, so the sequential charge is declared
             // explicitly instead of inferred from the shared last-access
             // word (which concurrent readers would perturb).
-            let buf = cursor.read_hinted(self.file, block, BlockKind::Leaf, hint)?;
+            let buf = cursor.read_hinted(
+                self.file,
+                self.data_first_block + block,
+                self.data_kind,
+                hint,
+            )?;
             hint = SeqHint::Sequential;
-            let mut slot = (pos % per_block as u64) as usize;
-            while slot < per_block && pos < self.len && taken < count {
-                let e = entry_at(buf, slot);
-                debug_assert_ne!(e.0, SENTINEL);
-                out.push(e);
-                taken += 1;
-                slot += 1;
-                pos += 1;
-            }
+            let from = pos % per_block;
+            let n = (per_block - from).min(self.len - pos).min((count - taken) as u64) as usize;
+            out.extend(entries_in(buf, from as usize, n)?);
+            taken += n;
+            pos += n as u64;
         }
         Ok(())
     }
@@ -709,6 +741,13 @@ mod tests {
         Disk::in_memory(DiskConfig::with_block_size(bs))
     }
 
+    /// A component as `PgmIndex` builds one: in a file of its own, with its
+    /// data level charged to `Leaf`.
+    fn build(disk: Arc<Disk>, entries: &[Entry], epsilon: usize) -> IndexResult<StaticPgm> {
+        let file = disk.create_file()?;
+        StaticPgm::build(disk, file, entries, epsilon, BlockKind::Leaf)
+    }
+
     fn skewed_entries(n: u64) -> Vec<Entry> {
         let mut keys: Vec<u64> = (0..n).map(|i| i * 11 + (i % 31) * (i % 17) * 13).collect();
         keys.sort_unstable();
@@ -719,7 +758,7 @@ mod tests {
     #[test]
     fn build_and_lookup_all_keys() {
         let entries = skewed_entries(30_000);
-        let pgm = StaticPgm::build(disk(512), &entries, 16).unwrap();
+        let pgm = build(disk(512), &entries, 16).unwrap();
         assert_eq!(pgm.len(), entries.len() as u64);
         assert!(pgm.inner_levels() >= 1);
         for &(k, v) in entries.iter().step_by(703) {
@@ -738,7 +777,7 @@ mod tests {
     #[test]
     fn lookup_io_is_bounded_by_height_and_epsilon() {
         let entries = skewed_entries(50_000);
-        let pgm = StaticPgm::build(disk(4096), &entries, 64).unwrap();
+        let pgm = build(disk(4096), &entries, 64).unwrap();
         pgm.disk.stats().reset();
         let queries: Vec<Key> = entries.iter().step_by(977).map(|e| e.0).collect();
         for &k in &queries {
@@ -753,7 +792,7 @@ mod tests {
     #[test]
     fn scan_returns_sorted_contiguous_entries() {
         let entries = skewed_entries(20_000);
-        let pgm = StaticPgm::build(disk(512), &entries, 32).unwrap();
+        let pgm = build(disk(512), &entries, 32).unwrap();
         let mut out = Vec::new();
         pgm.scan_into(&mut pgm.disk.scan_cursor(), entries[5_000].0, 300, &mut out).unwrap();
         assert_eq!(out.len(), 300);
@@ -782,15 +821,14 @@ mod tests {
 
         let config =
             || DiskConfig::with_block_size(512).device(DeviceModel::ssd()).buffer_blocks(64);
-        let sync_pgm = StaticPgm::build(Disk::in_memory(config()), &entries, 16).unwrap();
+        let sync_pgm = build(Disk::in_memory(config()), &entries, 16).unwrap();
         let mut sync_pending: Vec<u32> = (0..probes.len() as u32).collect();
         let mut sync_out = vec![None; probes.len()];
         sync_pgm.disk.stats().reset();
         sync_pgm.lookup_batch_sorted(&probes, &mut sync_pending, &mut sync_out).unwrap();
         let sync_ns = sync_pgm.disk.stats().device_ns();
 
-        let queued_pgm =
-            StaticPgm::build(Disk::in_memory(config().queue_depth(8)), &entries, 16).unwrap();
+        let queued_pgm = build(Disk::in_memory(config().queue_depth(8)), &entries, 16).unwrap();
         let mut queued_pending: Vec<u32> = (0..probes.len() as u32).collect();
         let mut queued_out = vec![None; probes.len()];
         queued_pgm.disk.stats().reset();
@@ -810,7 +848,7 @@ mod tests {
     fn all_entries_roundtrips_and_release_frees_blocks() {
         let entries = skewed_entries(5_000);
         let d = disk(512);
-        let pgm = StaticPgm::build(Arc::clone(&d), &entries, 16).unwrap();
+        let pgm = build(Arc::clone(&d), &entries, 16).unwrap();
         assert_eq!(pgm.all_entries().unwrap(), entries);
         let blocks = pgm.blocks();
         assert!(blocks > 0);
@@ -820,17 +858,181 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_components() {
-        let pgm = StaticPgm::build(disk(512), &[], 16).unwrap();
+        let pgm = build(disk(512), &[], 16).unwrap();
         assert!(pgm.is_empty());
         assert_eq!(pgm.lookup(5).unwrap(), None);
         let mut out = Vec::new();
         pgm.scan_into(&mut pgm.disk.scan_cursor(), 0, 10, &mut out).unwrap();
         assert!(out.is_empty());
 
-        let one = StaticPgm::build(disk(512), &[(42, 43)], 16).unwrap();
+        let one = build(disk(512), &[(42, 43)], 16).unwrap();
         assert_eq!(one.lookup(42).unwrap(), Some(43));
         assert_eq!(one.lookup(41).unwrap(), None);
         assert_eq!(one.min_key(), 42);
         assert_eq!(one.max_key(), 42);
+    }
+
+    /// `(boundary, leaf block)` entries, as the PLA hybrid's directory holds.
+    fn boundaries(n: u64, stride: u64) -> Vec<Entry> {
+        (0..n).map(|i| (i * stride + 5, i + 100)).collect()
+    }
+
+    /// A component as the PLA hybrid builds its directory: charged wholly to
+    /// `Inner`.
+    fn directory(disk: &Arc<Disk>, bounds: &[Entry], epsilon: usize) -> StaticPgm {
+        let file = disk.create_file().unwrap();
+        StaticPgm::build(Arc::clone(disk), file, bounds, epsilon, BlockKind::Inner).unwrap()
+    }
+
+    /// The slot-by-slot ε-window walk that the in-place window search
+    /// replaced — one read per slot, each through a fresh cursor, stopping at
+    /// the first key above `key` — kept as the reference [`StaticPgm::floor`]
+    /// must match, answer for answer and block for block.
+    fn floor_slot_by_slot(pgm: &StaticPgm, key: Key) -> Option<BlockId> {
+        let slot = |first_block: u32, per_block: u64, stride: usize, kind, idx: u64| -> Vec<u8> {
+            let block = first_block + (idx / per_block) as u32;
+            let off = (idx % per_block) as usize * stride;
+            pgm.disk.cursor().read(pgm.file, block, kind).unwrap()[off..off + stride].to_vec()
+        };
+        let bs = pgm.disk.block_size();
+        let eps = pgm.epsilon as u64;
+        let mut rec = pgm.root;
+        for level in pgm.levels.iter().rev() {
+            let record = |idx| {
+                let (first, per) = (level.first_block, records_per_block(bs));
+                let bytes = slot(first, per, RECORD_BYTES, BlockKind::Inner, idx);
+                SegRecord::decode(bytes[..].try_into().unwrap())
+            };
+            let predicted = rec.predict(key).min(level.records - 1);
+            let mut best = None;
+            for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(level.records - 1)
+            {
+                let r = record(idx);
+                if r.first_key > key {
+                    break;
+                }
+                best = Some(r);
+            }
+            rec = best.unwrap_or_else(|| record(0));
+        }
+        let predicted = rec.predict(key).min(pgm.len - 1);
+        let mut best = None;
+        for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(pgm.len - 1) {
+            let (first, per) = (pgm.data_first_block, entries_per_block(bs));
+            let e = slot(first, per, ENTRY_BYTES, pgm.data_kind, idx);
+            if Key::from_le_bytes(e[..8].try_into().unwrap()) > key {
+                break;
+            }
+            best = Some(u64::from_le_bytes(e[8..].try_into().unwrap()) as BlockId);
+        }
+        best
+    }
+
+    /// Runs `find` on a cold pool and returns its answer with the inner
+    /// blocks it read from the device, the device time and the frames it
+    /// pinned.
+    fn cold<T>(disk: &Disk, find: impl FnOnce() -> T) -> (T, u64, u64, u64) {
+        disk.clear_buffer();
+        disk.reset_access_state();
+        let before = disk.snapshot();
+        let found = find();
+        let delta = disk.snapshot().since(&before);
+        (found, delta.reads_of(BlockKind::Inner), delta.device_ns, delta.frames_pinned)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 24, .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn pla_floor_search_matches_the_slot_by_slot_walk(
+            gaps in proptest::collection::vec(1u64..400, 1..1_500),
+            first in 0u64..1_000,
+            epsilon_pow in 0u32..5,
+            block_size_pow in 8u32..11, // 256 B .. 1 KB: windows span several blocks
+        ) {
+            use proptest::prelude::*;
+            let disk = Disk::in_memory(
+                DiskConfig::with_block_size(1 << block_size_pow)
+                    .device(lidx_storage::DeviceModel::ssd())
+                    .buffer_blocks(256),
+            );
+            let mut key = first;
+            let bounds: Vec<Entry> = gaps
+                .iter()
+                .enumerate()
+                .map(|(i, &gap)| {
+                    key += gap;
+                    (key, 100 + i as u64)
+                })
+                .collect();
+            let pgm = directory(&disk, &bounds, 1 << epsilon_pow);
+
+            // Every boundary and its neighbours, including the keys below the
+            // first boundary, which no window can cover.
+            let probes = bounds
+                .iter()
+                .flat_map(|&(k, _)| [k - 1, k, k + 1])
+                .chain([0, first / 2, first, Key::MAX]);
+            for probe in probes {
+                let floor = bounds.partition_point(|&(b, _)| b <= probe).checked_sub(1);
+                let (leaf, reads, device_ns, _) =
+                    cold(&disk, || pgm.floor(&mut disk.cursor(), probe).unwrap());
+                let reference = cold(&disk, || floor_slot_by_slot(&pgm, probe));
+                prop_assert_eq!(leaf, floor.map(|i| bounds[i].1 as BlockId), "probe {}", probe);
+                prop_assert_eq!(
+                    (leaf, reads, device_ns),
+                    (reference.0, reference.1, reference.2),
+                    "probe {}: leaf, inner blocks read cold, device ns",
+                    probe
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pla_floor_search_pins_each_window_block_once() {
+        // The default shape: ε = 64 windows of 130 slots (at most 3 640 bytes)
+        // touch at most two 4 KB blocks per level.
+        let disk = Disk::in_memory(DiskConfig::default().buffer_blocks(4_096));
+        // Uneven gaps with a jump every 97 keys, so ε = 64 needs many
+        // segments and the directory gets on-disk record levels.
+        let mut key = 0u64;
+        let bounds: Vec<Entry> = (0..200_000u64)
+            .map(|i| {
+                key += 1 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 2_000;
+                key += u64::from(i % 97 == 0) * 5_000_000;
+                (key, i)
+            })
+            .collect();
+        let pgm = directory(&disk, &bounds, 64);
+        assert!(!pgm.levels.is_empty(), "the directory must have an on-disk record level");
+        let levels = pgm.levels.len() as u64 + 1;
+        for &(k, blk) in bounds.iter().step_by(997) {
+            let (leaf, _, _, pinned) =
+                cold(&disk, || pgm.floor(&mut disk.cursor(), k + 1).unwrap());
+            assert_eq!(leaf, Some(blk as BlockId));
+            assert!(pinned <= 2 * levels + 2, "{pinned} frames pinned over {levels} levels");
+            let (_, _, _, walked) = cold(&disk, || floor_slot_by_slot(&pgm, k + 1));
+            assert!(walked > pinned, "the walk pins per slot ({walked}), the search per block");
+        }
+    }
+
+    /// Overwrites the `u64` at byte `off` of inner block `block` of `file`.
+    fn forge(disk: &Disk, file: u32, block: BlockId, off: usize, value: u64) {
+        let mut buf = disk.cursor().read(file, block, BlockKind::Inner).unwrap().to_vec();
+        buf[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        disk.write(file, block, BlockKind::Inner, &buf).unwrap();
+    }
+
+    #[test]
+    fn floor_pointers_beyond_the_block_id_range_are_errors() {
+        // Truncated to 32 bits, the forged pointer would name block 0.
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let bounds = boundaries(100, 37);
+        let pgm = directory(&disk, &bounds, 8);
+        forge(&disk, pgm.file, pgm.data_first_block, 8, 1u64 << 32);
+        assert!(matches!(pgm.floor(&mut disk.cursor(), bounds[0].0), Err(IndexError::Internal(_))));
     }
 }

@@ -49,7 +49,12 @@ struct ReadCost {
 ///
 /// The fourteen `fb` rows were recorded when they were added, before any
 /// change to a design's inner levels: they are the first rows in which every
-/// design reads routing blocks from the device.
+/// design reads routing blocks from the device. The two PGM `fb` rows were
+/// re-recorded when its inner-level search became the one in-place window
+/// search, which stops in the block holding the first record above the key
+/// instead of reading the rest of the window: `Inner` reads fell 4 464 →
+/// 2 453 at depth 1 (888.54 → 767.88 ms) and 4 400 → 2 417 at depth 8
+/// (817.64 → 698.66 ms), with every other counter unchanged.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
@@ -85,7 +90,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, fiting
     ReadCost { reads: [0, 4633, 7391, 0], device_ns: 1001480000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, pgm
-    ReadCost { reads: [0, 4464, 7369, 0], device_ns: 888540000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 2453, 7369, 0], device_ns: 767880000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, alex
     ReadCost { reads: [0, 3004, 10515, 206], device_ns: 1202220000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, lipp
@@ -99,7 +104,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, fiting
     ReadCost { reads: [0, 4633, 8601, 0], device_ns: 937260000, buffer_hits: 0, readahead_hits: 1080 },
     // fb, 512 B, no pool, depth 8, pgm
-    ReadCost { reads: [0, 4400, 7816, 0], device_ns: 817640000, buffer_hits: 0, readahead_hits: 1011 },
+    ReadCost { reads: [0, 2417, 7816, 0], device_ns: 698660000, buffer_hits: 0, readahead_hits: 1011 },
     // fb, 512 B, no pool, depth 8, alex
     ReadCost { reads: [0, 3004, 12957, 0], device_ns: 996540000, buffer_hits: 0, readahead_hits: 3244 },
     // fb, 512 B, no pool, depth 8, lipp
