@@ -241,11 +241,6 @@ impl<'a> LeafView<'a> {
         let i = self.lower_bound(key);
         (i < self.len() && self.slots.key(i) == key).then(|| self.entry(i).1)
     }
-
-    /// The entry with the greatest key `<= key`, if any.
-    pub fn floor(&self, key: Key) -> Option<Entry> {
-        self.slots.partition_point(|k| k <= key).checked_sub(1).map(|i| self.entry(i))
-    }
 }
 
 /// A leaf node: dense sorted entries plus sibling links.
@@ -388,8 +383,6 @@ mod tests {
         assert_eq!(view.lookup(5), Some(7));
         assert_eq!(view.lookup(4), None);
         assert_eq!((view.len(), view.next(), view.prev()), (3, 77, 33));
-        assert_eq!(view.floor(4), Some((1, 2)));
-        assert_eq!(view.floor(0), None);
         assert_eq!(view.entries_from(1).collect::<Vec<_>>(), vec![(5, 7), (9, 10)]);
     }
 

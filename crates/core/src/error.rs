@@ -77,6 +77,21 @@ pub fn block_pointer(stored: u64, what: &str) -> IndexResult<BlockId> {
         .map_err(|_| IndexError::Internal(format!("{what} {stored:#x} is not a block id")))
 }
 
+/// Takes one node from a walk's `budget`. A walk of a tree loads each node
+/// at most once, so a budget of the tree's node count only runs out when a
+/// child pointer leads back into the walk: that is an error
+/// ([`IndexError::Internal`], the error naming the walk as `walk`), not a
+/// hang or a stack overflow.
+#[inline]
+pub fn spend(budget: &mut u64, walk: &str) -> IndexResult<()> {
+    *budget = budget.checked_sub(1).ok_or_else(|| {
+        IndexError::Internal(format!(
+            "{walk} loaded more nodes than its tree holds: a child pointer is cyclic"
+        ))
+    })?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +104,16 @@ mod tests {
             let err = block_pointer(stored, "test pointer").unwrap_err();
             assert!(matches!(&err, IndexError::Internal(m) if m.starts_with("test pointer")));
         }
+    }
+
+    #[test]
+    fn a_spent_budget_is_an_error() {
+        let mut budget = 2;
+        spend(&mut budget, "test walk").unwrap();
+        spend(&mut budget, "test walk").unwrap();
+        let err = spend(&mut budget, "test walk").unwrap_err();
+        assert!(matches!(&err, IndexError::Internal(m) if m.starts_with("test walk")));
+        assert_eq!(budget, 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod write_buffer;
 pub use concurrent::{
     sampled_boundaries, ConcurrentIndex, ShardedWriteBuffer, ShardedWriteBufferConfig,
 };
-pub use error::{block_pointer, IndexError, IndexResult};
+pub use error::{block_pointer, spend, IndexError, IndexResult};
 pub use index::{DiskIndex, IndexKind, IndexRead, IndexStats, IndexWrite};
 pub use metrics::{
     InsertBreakdown, InsertStep, LatencyRecorder, LatencySummary, StepLaps, Throughput,

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key};
+use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key};
 use lidx_models::fmcd::fit_fmcd;
 use lidx_models::LinearModel;
 use lidx_pgm::StaticPgm;
@@ -227,10 +227,8 @@ impl ModelTreeInner {
     /// Floor search within the node at `start`: the greatest boundary
     /// `<= key` in this subtree, if any. One cursor carries the whole
     /// search down the recursion, so the slots walked in one block cost one
-    /// disk read. `budget` is how many more nodes the search may visit: a
-    /// floor search of a tree visits each node at most once, so a budget of
-    /// the node count only runs out when a child pointer leads back into
-    /// the search — an error, not a stack overflow.
+    /// disk read. `budget` is how many more nodes the search may visit,
+    /// seeded from the node count ([`spend`]).
     fn find_in(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -238,12 +236,7 @@ impl ModelTreeInner {
         key: Key,
         budget: &mut u64,
     ) -> IndexResult<Option<BlockId>> {
-        *budget = budget.checked_sub(1).ok_or_else(|| {
-            IndexError::Internal(format!(
-                "model-tree search visited more than its {} nodes: a child pointer is cyclic",
-                self.nodes
-            ))
-        })?;
+        spend(budget, "model-tree search")?;
         let header = self.read_header(cursor, start)?;
         let predicted = header.model.predict_clamped(key, header.capacity as usize) as u32;
         // Scan from the predicted slot leftwards until a usable entry is

@@ -4,13 +4,14 @@
 use std::sync::Arc;
 
 use lidx_core::{
-    index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
+    index::validate_bulk_load, spend, Entry, IndexError, IndexKind, IndexRead, IndexResult,
+    IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
+    Value,
 };
 use lidx_models::fmcd::fit_fmcd;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
-use crate::node::{blocks_for, group_by_slot, spend, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
+use crate::node::{blocks_for, group_by_slot, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
 
 /// Configuration of the on-disk LIPP index.
 #[derive(Debug, Clone, Copy)]
@@ -213,14 +214,14 @@ impl LippIndex {
     }
 
     /// Loads the node at `block` for a read walk that may still load
-    /// `budget` nodes, seeded from [`LippIndex::node_count`] (see [`spend`]).
+    /// `budget` nodes, seeded from [`LippIndex::node_count`] (see [`lidx_core::spend`]).
     fn visit(
         &self,
         cursor: &mut BlockCursor<'_>,
         block: BlockId,
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
-        spend(budget)?;
+        spend(budget, "LIPP walk")?;
         LippNode::load(cursor, self.file, block)
     }
 
@@ -299,7 +300,7 @@ impl IndexRead for LippIndex {
         let mut q = self.disk.read_queue();
         let mut rounds = self.node_count;
         while !active.is_empty() {
-            spend(&mut rounds)?;
+            spend(&mut rounds, "LIPP walk")?;
             // Wave A: headers of the nodes this level reaches for the first
             // time (always exactly one — the root — on the first round).
             let mut need: Vec<BlockId> =
@@ -467,7 +468,7 @@ impl IndexWrite for LippIndex {
             let mut block = self.root;
             let mut budget = self.node_count;
             let (slot_content, slot, leaf) = loop {
-                spend(&mut budget)?;
+                spend(&mut budget, "LIPP walk")?;
                 if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
                     e.insert(LippNode::load(&mut cursor, self.file, block)?);
                 }

@@ -20,7 +20,7 @@
 //! patches the frame's first 48 bytes, so it costs one block write and no
 //! read.
 
-use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
+use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk};
 
@@ -311,7 +311,7 @@ impl LippNode {
     /// slot with [`LippNode::read_slot`]: `data` sees each stored entry, in key order,
     /// and `done` each node once its subtree is walked (children before
     /// their parent). The walk may load `budget` nodes, the tree's node
-    /// count (see [`spend`]), and keeps its path on the heap, so a cyclic
+    /// count (see [`lidx_core::spend`]), and keeps its path on the heap, so a cyclic
     /// child pointer is an error, neither a hang nor a stack overflow.
     pub(crate) fn walk_subtree(
         &self,
@@ -334,7 +334,7 @@ impl LippNode {
                 Slot::Null => {}
                 Slot::Data(k, v) => data((k, v)),
                 Slot::Child(block) => {
-                    spend(&mut budget)?;
+                    spend(&mut budget, "LIPP walk")?;
                     let child = LippNode::load(cursor, node.file, block)?;
                     path.push((child, 0));
                 }
@@ -372,18 +372,6 @@ impl LippNode {
             },
         )
     }
-}
-
-/// Takes one node from a walk's `budget`. A walk of a tree loads each node
-/// at most once, so a budget of the tree's node count only runs out when a
-/// child pointer leads back into the walk: that is an error, not a hang.
-pub(crate) fn spend(budget: &mut u64) -> IndexResult<()> {
-    *budget = budget.checked_sub(1).ok_or_else(|| {
-        IndexError::Internal(
-            "LIPP walk loaded more nodes than the tree holds: a child pointer is cyclic".into(),
-        )
-    })?;
-    Ok(())
 }
 
 /// Returns `(entry, entry)` slot groupings: entries that map to the same slot
