@@ -4,8 +4,9 @@
 use std::sync::Arc;
 
 use lidx_core::{
-    index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
+    index::validate_bulk_load, spend, Entry, IndexError, IndexKind, IndexRead, IndexResult,
+    IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
+    Value,
 };
 use lidx_models::LinearModel;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK};
@@ -508,15 +509,9 @@ impl AlexIndex {
         mut path: Option<&mut Vec<(InnerNode, u32)>>,
     ) -> IndexResult<BlockId> {
         let mut ptr = self.root;
-        let mut budget = self.height;
+        let mut budget = u64::from(self.height);
         while !ptr.is_data {
-            budget = budget.checked_sub(1).ok_or_else(|| {
-                IndexError::Internal(format!(
-                    "ALEX walk met more inner nodes than the tree's height {}: \
-                     a child pointer is cyclic",
-                    self.height
-                ))
-            })?;
+            spend(&mut budget, "ALEX route")?;
             let node = InnerNode::load(cursor, self.inner_file, ptr.block)?;
             let idx = node.child_index(key);
             ptr = node.child_at(cursor, idx)?;

@@ -77,16 +77,17 @@ pub fn block_pointer(stored: u64, what: &str) -> IndexResult<BlockId> {
         .map_err(|_| IndexError::Internal(format!("{what} {stored:#x} is not a block id")))
 }
 
-/// Takes one node from a walk's `budget`. A walk of a tree loads each node
-/// at most once, so a budget of the tree's node count only runs out when a
-/// child pointer leads back into the walk: that is an error
+/// Takes one node from a walk's `budget`: how many nodes the walk may load,
+/// the tree's node count (each node is loaded at most once) or, for a
+/// root-to-leaf walk, its height. The budget only runs out when a child
+/// pointer leads back into the walk: that is an error
 /// ([`IndexError::Internal`], the error naming the walk as `walk`), not a
 /// hang or a stack overflow.
 #[inline]
 pub fn spend(budget: &mut u64, walk: &str) -> IndexResult<()> {
     *budget = budget.checked_sub(1).ok_or_else(|| {
         IndexError::Internal(format!(
-            "{walk} loaded more nodes than its tree holds: a child pointer is cyclic"
+            "{walk} loaded more nodes than its budget allows: a child pointer is cyclic"
         ))
     })?;
     Ok(())

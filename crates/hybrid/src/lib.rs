@@ -12,9 +12,11 @@
 //! Two learned inner structures are provided:
 //!
 //! * [`inner::PlaInner`] — a recursive ε-bounded piecewise-linear directory,
-//!   the structure a FITing-tree or PGM would use for its inner part. The
-//!   harness reports it for both the "FITing-tree" and "PGM" hybrid columns
-//!   of Table 5 (they behave identically at this granularity).
+//!   the structure a FITing-tree or PGM would use for its inner part: a
+//!   [`lidx_pgm::StaticPgm`] over the `(boundary, leaf block)` pairs, routed
+//!   by its floor query. The harness reports it for both the "FITing-tree"
+//!   and "PGM" hybrid columns of Table 5 (they behave identically at this
+//!   granularity).
 //! * [`inner::ModelTreeInner`] — an FMCD-fitted model tree in the spirit of
 //!   LIPP/ALEX inner nodes: each node maps a boundary key to a slot holding
 //!   either the leaf address or a child node. Reported for the "ALEX" and

@@ -148,7 +148,7 @@ impl PgmIndex {
     fn write_run(&self, entries: &[Entry]) -> IndexResult<()> {
         let per_block = self.disk.block_size() / ENTRY_BYTES;
         let blocks = entries.len().div_ceil(per_block).max(1) as u32;
-        write_entries(&self.disk, (self.run_file, 0, blocks), BlockKind::Utility, entries)
+        write_entries(&self.disk, self.run_file, 0, blocks, BlockKind::Utility, entries)
     }
 
     /// Builds `entries` into a component in a file of its own, its data

@@ -16,7 +16,7 @@
 //! the component's metadata (the paper's memory-resident meta block).
 //!
 //! Every level is searched the same way: predict a position, then run
-//! [`search_window`] over the ε-window around it. The component has two
+//! `search_window` over the ε-window around it. The component has two
 //! users, which differ only in their payloads and in the block kind their
 //! data level is charged to:
 //!
@@ -60,7 +60,9 @@ fn entry(e: &[u8; ENTRY_BYTES]) -> Entry {
 /// `first_block`, charged to `kind`, padding the last block with sentinels.
 pub(crate) fn write_entries(
     disk: &Disk,
-    (file, first_block, blocks): (FileId, u32, u32),
+    file: FileId,
+    first_block: u32,
+    blocks: u32,
     kind: BlockKind,
     entries: &[Entry],
 ) -> IndexResult<()> {
@@ -237,7 +239,7 @@ impl StaticPgm {
         let data_blocks = entries.len().div_ceil(per_block).max(1) as u32;
         let data_first_block = disk.allocate(file, data_blocks)?;
 
-        write_entries(&disk, (file, data_first_block, data_blocks), data_kind, entries)?;
+        write_entries(&disk, file, data_first_block, data_blocks, data_kind, entries)?;
 
         // Build the inner levels bottom-up.
         let mut levels = Vec::new();
