@@ -665,10 +665,11 @@ impl IndexRead for AlexIndex {
         let mut cursor = self.disk.scan_cursor();
         let mut node = self.data_node(&mut cursor, start)?;
         let mut slot = node.lower_bound(&mut cursor, start)?;
-        // A sound sibling chain holds `data_nodes` nodes: a walk that would
-        // visit more follows a cyclic link.
-        let mut visited = 1u64;
+        // A sound sibling chain holds `data_nodes` nodes, the walk's budget:
+        // a walk that would visit more follows a cyclic link.
+        let mut budget = self.data_nodes;
         loop {
+            spend(&mut budget, "ALEX sibling walk")?;
             // The bitmap distinguishes real entries from gap duplicates — the
             // extra utility I/O the paper highlights for ALEX scans (S3). The
             // scan fetches each bitmap block and each slot block once and
@@ -677,13 +678,6 @@ impl IndexRead for AlexIndex {
             if out.len() >= count || node.header.next == INVALID_BLOCK {
                 return Ok(out.len());
             }
-            if visited >= self.data_nodes {
-                return Err(IndexError::Internal(format!(
-                    "ALEX scan walked past the index's {visited} data nodes: a sibling link is \
-                     cyclic"
-                )));
-            }
-            visited += 1;
             let next = node.header.next;
             node = DataNode::load(&mut cursor, self.data_file, next)?;
             slot = 0;

@@ -3,20 +3,30 @@
 //! [`InnerLevels`] are the routing levels: [`InnerNode`] blocks over
 //! `(separator, block)` pairs, built bottom-up at bulk load, descended
 //! through [`InnerView`]s and grown by separator inserts that split nodes
-//! upward and add a root. [`LeafLevel`] is the level below: dense
-//! [`LeafNode`] blocks linked left to right, built at bulk load, upserted a
-//! sorted run at a time, split when full, and scanned along the chain.
+//! upward and add a root. [`LeafLevelOf`] is the level below: dense leaves
+//! of one [`LeafRecord`] type linked left to right, built at bulk load,
+//! written back after a change — split into as many leaves as the change
+//! needs — and scanned along the chain.
 //!
-//! [`BTreeIndex`](crate::BTreeIndex) is the two together in one file. The
-//! FITing-tree's directory puts its own leaf format under [`InnerLevels`],
-//! and the hybrid designs put a learned router over a [`LeafLevel`]. Neither
-//! type holds the disk; the leaf level does not hold its file either, so the
-//! B+-tree keeps both levels in the one file [`InnerLevels::file`] names.
+//! [`BTreeIndex`](crate::BTreeIndex) is the two together in one file, over
+//! `(key, payload)` entries ([`LeafLevel`]). The FITing-tree's directory
+//! runs both over its segment records, and the hybrid designs put a learned
+//! router over a [`LeafLevel`]. Neither type holds the disk; the leaf level
+//! does not hold its file either, so the B+-tree keeps both levels in the
+//! one file [`InnerLevels::file`] names.
 
-use lidx_core::{Entry, IndexError, IndexResult, Key};
+use std::marker::PhantomData;
+
+use lidx_core::{spend, Entry, IndexError, IndexResult, Key};
 use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockRef, Disk, SeqHint, INVALID_BLOCK};
 
-use crate::node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
+use crate::node::{
+    leaf_capacity, InnerNode, InnerView, LeafNodeOf, LeafRecord, LeafViewOf, NodeCapacity,
+    LEAF_ENTRY,
+};
+
+/// A leaf's `(first key, block)` pair: what a routing structure indexes.
+pub type Boundary = (Key, BlockId);
 
 /// The routing levels of a B+-tree over some leaf level: the file they live
 /// in, their root, the height they give the tree and how many nodes they
@@ -83,7 +93,7 @@ impl InnerLevels {
     pub fn bulk_build(
         &mut self,
         disk: &Disk,
-        mut level: Vec<(Key, BlockId)>,
+        mut level: Vec<Boundary>,
         fill: f64,
     ) -> IndexResult<()> {
         let per_node = ((self.capacity as f64 * fill) as usize).clamp(2, self.capacity);
@@ -190,26 +200,19 @@ impl InnerLevels {
     }
 }
 
-/// A leaf split reported by [`LeafLevel::insert_run_in`]: the new right leaf
-/// the caller registers with its routing structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeafSplit {
-    /// Boundary (first key) of the new right leaf, which covers keys from
-    /// here upwards.
-    pub boundary: Key,
-    /// Block id of the new right leaf.
-    pub block: BlockId,
-}
-
-/// The leaf level: linked, dense [`LeafNode`] blocks in a file the caller
+/// The leaf level: linked, dense leaves of `R` records in a file the caller
 /// names on every call.
 #[derive(Debug)]
-pub struct LeafLevel {
+pub struct LeafLevelOf<R, const W: usize> {
     capacity: usize,
     leaf_count: u64,
+    record: PhantomData<R>,
 }
 
-impl LeafLevel {
+/// The B+-tree's leaf level, of `(key, payload)` entries.
+pub type LeafLevel = LeafLevelOf<Entry, LEAF_ENTRY>;
+
+impl<R: LeafRecord<W>, const W: usize> LeafLevelOf<R, W> {
     /// An empty leaf level for `block_size`-byte blocks.
     pub fn new(block_size: usize) -> Self {
         Self::from_parts(block_size, 0)
@@ -217,7 +220,7 @@ impl LeafLevel {
 
     /// A leaf level of `leaf_count` leaves already on disk. No I/O.
     pub fn from_parts(block_size: usize, leaf_count: u64) -> Self {
-        LeafLevel { capacity: NodeCapacity::for_block_size(block_size).leaf_entries, leaf_count }
+        LeafLevelOf { capacity: leaf_capacity::<W>(block_size), leaf_count, record: PhantomData }
     }
 
     /// Number of leaf blocks.
@@ -225,8 +228,8 @@ impl LeafLevel {
         self.leaf_count
     }
 
-    fn write(disk: &Disk, file: u32, block: BlockId, leaf: &LeafNode) -> IndexResult<()> {
-        disk.write(file, block, BlockKind::Leaf, &leaf.encode(disk.block_size())?)?;
+    fn write(disk: &Disk, file: u32, block: BlockId, leaf: &LeafNodeOf<R, W>) -> IndexResult<()> {
+        disk.write(file, block, R::KIND, &leaf.encode(disk.block_size())?)?;
         Ok(())
     }
 
@@ -239,25 +242,21 @@ impl LeafLevel {
         &mut self,
         disk: &Disk,
         file: u32,
-        entries: &[Entry],
+        entries: &[R],
         fill: f64,
-    ) -> IndexResult<Vec<(Key, BlockId)>> {
+    ) -> IndexResult<Vec<Boundary>> {
         let per_leaf = ((self.capacity as f64 * fill) as usize).clamp(1, self.capacity);
         let leaves = entries.len().div_ceil(per_leaf).max(1);
         let first = disk.allocate(file, leaves as u32)?;
         let mut boundaries = Vec::with_capacity(leaves);
         for (i, chunk) in entries.chunks(per_leaf).enumerate() {
             let block = first + i as u32;
-            let leaf = LeafNode {
-                entries: chunk.to_vec(),
-                next: if i + 1 < leaves { block + 1 } else { INVALID_BLOCK },
-                prev: if i > 0 { block - 1 } else { INVALID_BLOCK },
-            };
-            Self::write(disk, file, block, &leaf)?;
-            boundaries.push((chunk[0].0, block));
+            let next = if i + 1 < leaves { block + 1 } else { INVALID_BLOCK };
+            Self::write(disk, file, block, &LeafNodeOf { entries: chunk.to_vec(), next })?;
+            boundaries.push((chunk[0].key(), block));
         }
         if entries.is_empty() {
-            Self::write(disk, file, first, &LeafNode::default())?;
+            Self::write(disk, file, first, &LeafNodeOf::default())?;
             boundaries.push((0, first));
         }
         self.leaf_count = boundaries.len() as u64;
@@ -274,55 +273,73 @@ impl LeafLevel {
     ) -> IndexResult<Vec<BlockRef>> {
         let mut q = disk.read_queue();
         for b in blocks {
-            q.submit(file, b, BlockKind::Leaf)?;
+            q.submit(file, b, R::KIND)?;
         }
         Ok(q.complete()?.into_iter().map(|c| c.frame).collect())
     }
 
+    /// Writes `leaf`, decoded from `block` of `file` and since mutated, back
+    /// to its block. A leaf past capacity splits into chunks of half the
+    /// capacity, rounded up: the first stays at `block`, the rest go into
+    /// one new extent, chained in key order and on to the leaf's old `next`.
+    /// Returns the `(first key, block)` pairs of the new leaves in key
+    /// order, for the caller's routing structure; none if the leaf fit.
+    pub fn write_back(
+        &mut self,
+        disk: &Disk,
+        file: u32,
+        block: BlockId,
+        leaf: LeafNodeOf<R, W>,
+    ) -> IndexResult<Vec<Boundary>> {
+        if leaf.entries.len() <= self.capacity {
+            Self::write(disk, file, block, &leaf)?;
+            return Ok(Vec::new());
+        }
+        let chunks: Vec<&[R]> = leaf.entries.chunks(self.capacity.div_ceil(2)).collect();
+        let extra = chunks.len() as u32 - 1;
+        let new_first = disk.allocate(file, extra)?;
+        let block_of = |i: u32| if i == 0 { block } else { new_first + i - 1 };
+        for (i, chunk) in (0..).zip(&chunks) {
+            let next = if i < extra { block_of(i + 1) } else { leaf.next };
+            Self::write(disk, file, block_of(i), &LeafNodeOf { entries: chunk.to_vec(), next })?;
+        }
+        self.leaf_count += u64::from(extra);
+        Ok((1..).zip(&chunks[1..]).map(|(i, chunk)| (chunk[0].key(), block_of(i))).collect())
+    }
+
     /// Upserts a sorted `run` into the leaf at `block` of `file`, whose
     /// pinned `frame` the caller read as the last hop of its search, and
-    /// writes it back once. Returns `(consumed, added, split)`: how many
-    /// leading entries of `run` were applied, how many of those were new
-    /// keys, and the new right leaf if the leaf overflowed and split.
+    /// writes it back once ([`LeafLevelOf::write_back`]). Returns
+    /// `(consumed, added, splits)`: how many leading entries of `run` were
+    /// applied, how many of those were new keys, and the new leaf, if the
+    /// leaf overflowed and split.
     ///
     /// The caller guarantees every run entry belongs to this leaf. The run
-    /// stops one entry past capacity — that overflow forces the split — so
-    /// the caller re-routes the rest against the split leaves. A split
-    /// leaves the old right neighbour's `prev` naming the left half (see
-    /// [`LeafNode::prev`]).
+    /// stops one entry past capacity — that overflow forces the split into
+    /// two halves — so the caller re-routes the rest against the split
+    /// leaves.
     pub fn insert_run_in(
         &mut self,
         disk: &Disk,
         file: u32,
         block: BlockId,
         frame: &[u8],
-        run: &[Entry],
-    ) -> IndexResult<(usize, u64, Option<LeafSplit>)> {
+        run: &[R],
+    ) -> IndexResult<(usize, u64, Vec<Boundary>)> {
         // The one place a leaf is decoded: it is about to change.
-        let mut leaf = LeafNode::decode(frame)?;
+        let mut leaf = LeafNodeOf::<R, W>::decode(frame)?;
         let mut consumed = 0usize;
         let mut added = 0u64;
-        for &(key, value) in run {
+        for &record in run {
             if leaf.entries.len() > self.capacity {
                 break;
             }
-            if leaf.upsert(key, value) {
+            if leaf.upsert(record) {
                 added += 1;
             }
             consumed += 1;
         }
-        if leaf.entries.len() <= self.capacity {
-            Self::write(disk, file, block, &leaf)?;
-            return Ok((consumed, added, None));
-        }
-        let (boundary, mut right) = leaf.split();
-        let right_block = disk.allocate(file, 1)?;
-        right.prev = block;
-        leaf.next = right_block;
-        Self::write(disk, file, block, &leaf)?;
-        Self::write(disk, file, right_block, &right)?;
-        self.leaf_count += 1;
-        Ok((consumed, added, Some(LeafSplit { boundary, block: right_block })))
+        Ok((consumed, added, self.write_back(disk, file, block, leaf)?))
     }
 
     /// Walks the chain of leaves in `file` from the leaf at `block`,
@@ -334,8 +351,9 @@ impl LeafLevel {
     /// from the chain itself (`next == block + 1`), so a concurrent reader
     /// touching other blocks between two hops cannot turn this scan's
     /// sequential charges into random ones. A sound chain holds
-    /// [`LeafLevel::leaf_count`] leaves: a walk that would read more follows
-    /// a cyclic `next` link, an error rather than a hang or repeated rows.
+    /// [`LeafLevelOf::leaf_count`] leaves, the walk's budget: a walk that
+    /// would read more follows a cyclic `next` link, an error rather than a
+    /// hang or repeated rows.
     pub fn scan_from(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -343,19 +361,14 @@ impl LeafLevel {
         mut block: BlockId,
         start: Key,
         count: usize,
-        out: &mut Vec<Entry>,
+        out: &mut Vec<R>,
     ) -> IndexResult<usize> {
         let mut hint = SeqHint::Auto;
-        let mut read = 0u64;
+        let mut budget = self.leaf_count;
         while out.len() < count {
-            if read == self.leaf_count {
-                return Err(IndexError::Internal(format!(
-                    "leaf-chain scan walked past the index's {} leaves: a next link is cyclic",
-                    self.leaf_count
-                )));
-            }
-            read += 1;
-            let leaf = LeafView::new(cursor.read_hinted(file, block, BlockKind::Leaf, hint)?)?;
+            spend(&mut budget, "leaf-chain scan")?;
+            let frame = cursor.read_hinted(file, block, R::KIND, hint)?;
+            let leaf = LeafViewOf::<R, W>::new(frame)?;
             out.extend(leaf.entries_from(leaf.lower_bound(start)).take(count - out.len()));
             if leaf.next() == INVALID_BLOCK {
                 break;
@@ -370,6 +383,7 @@ impl LeafLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::LeafNode;
     use lidx_storage::DiskConfig;
     use std::sync::Arc;
 
@@ -419,16 +433,58 @@ mod tests {
             let (consumed, _, split) =
                 l.insert_run_in(&disk, file, block, &frame, &[(key, i)]).unwrap();
             assert_eq!(consumed, 1, "a single entry is always consumed");
-            if let Some(LeafSplit { boundary, block: right }) = split {
+            for (boundary, right) in split {
                 splits += 1;
                 assert!(boundary > lower);
                 assert!(covers(&disk, file, right, boundary));
-                assert_eq!(leaf_at(&disk, file, right).prev, block);
                 assert_eq!(leaf_at(&disk, file, block).next, right);
             }
         }
         assert!(splits > 0, "dense inserts must split at least one leaf");
         assert_eq!(l.leaf_count(), bounds.len() as u64 + splits);
+    }
+
+    #[test]
+    fn write_back_splits_an_overfull_leaf_into_a_chained_extent() {
+        let capacity = NodeCapacity::for_block_size(256).leaf_entries;
+        assert_eq!(capacity, 15);
+        // One record over capacity halves the leaf, the B+-tree's split;
+        // about 2.5 × capacity, a multi-leaf change, gives chunks of 8.
+        for (records, sizes) in [(capacity + 1, vec![8, 8]), (37, vec![8, 8, 8, 8, 5])] {
+            let (disk, file, mut l) = level();
+            // Two leaves: keys 0..=110 at block 0, 120..=230 at block 1.
+            let entries: Vec<Entry> = (0..24u64).map(|i| (i * 10, i)).collect();
+            let bounds = l.bulk_build(&disk, file, &entries, 0.8).unwrap();
+            assert_eq!(bounds, vec![(0, 0), (120, 1)]);
+            let mut leaf = leaf_at(&disk, file, 0);
+            leaf.entries = (0..records as u64).map(|k| (k, k + 1)).collect();
+            let splits = l.write_back(&disk, file, 0, leaf).unwrap();
+
+            assert_eq!(splits.len(), sizes.len() - 1);
+            assert_eq!(l.leaf_count(), 2 + splits.len() as u64);
+            // The new leaves are one extent past the old ones, in key order.
+            let blocks: Vec<BlockId> = splits.iter().map(|&(_, block)| block).collect();
+            assert_eq!(blocks, (2..2 + splits.len() as BlockId).collect::<Vec<_>>());
+            // The chain runs from the old leaf through the new ones to the
+            // old right neighbour, each leaf holding its chunk.
+            let mut chain = vec![0];
+            let mut scanned = Vec::new();
+            loop {
+                let leaf = leaf_at(&disk, file, chain[chain.len() - 1]);
+                assert_eq!(leaf.entries.len(), sizes[chain.len() - 1]);
+                scanned.extend_from_slice(&leaf.entries);
+                if leaf.next == 1 {
+                    break;
+                }
+                chain.push(leaf.next);
+            }
+            assert_eq!(chain.len(), sizes.len());
+            assert_eq!(chain[1..], blocks);
+            assert_eq!(scanned, (0..records as u64).map(|k| (k, k + 1)).collect::<Vec<_>>());
+            for &(boundary, block) in &splits {
+                assert_eq!(leaf_at(&disk, file, block).entries[0].0, boundary);
+            }
+        }
     }
 
     #[test]

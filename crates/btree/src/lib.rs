@@ -7,9 +7,9 @@
 //!
 //! The tree is its two levels: [`InnerLevels`] (the routing nodes) over a
 //! [`LeafLevel`] (the linked leaves), both in one file. Each is public on
-//! its own: the FITing-tree's directory runs its own leaf format under
-//! [`InnerLevels`], and the hybrid designs run a learned router over a
-//! [`LeafLevel`].
+//! its own: the leaf level is generic over a fixed-width [`LeafRecord`], so
+//! the FITing-tree's directory runs both levels over its segment records,
+//! and the hybrid designs run a learned router over a [`LeafLevel`].
 //!
 //! The index meta data (root block, height, key count) is kept in memory
 //! while the index is open and persisted to block 0 of the file, matching
@@ -23,6 +23,9 @@ mod levels;
 mod node;
 mod tree;
 
-pub use levels::{InnerLevels, LeafLevel, LeafSplit};
-pub use node::{InnerNode, InnerView, LeafNode, LeafView, NodeCapacity};
+pub use levels::{Boundary, InnerLevels, LeafLevel, LeafLevelOf};
+pub use node::{
+    InnerNode, InnerView, LeafNode, LeafNodeOf, LeafRecord, LeafView, LeafViewOf, NodeCapacity,
+    LEAF_HEADER,
+};
 pub use tree::{BTreeConfig, BTreeIndex};

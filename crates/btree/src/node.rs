@@ -5,28 +5,38 @@
 //! ```text
 //! Inner:  [tag u8][pad u8][count u16][leftmost_child u32]
 //!         [ (key u64, child u32) * count ]
-//! Leaf:   [tag u8][pad u8][count u16][next u32][prev u32]
-//!         [ (key u64, payload u64) * count ]
+//! Leaf:   [tag u8][pad u8][count u16][next u32]
+//!         [ record (W bytes, led by its key u64) * count ]
 //! ```
 //!
 //! An inner node with `count` keys has `count + 1` children; child `i` covers
 //! keys `< keys[i]`, the last child covers keys `>= keys[count-1]`.
 //!
-//! Each layout has two readers. [`InnerView`] / [`LeafView`] borrow the
+//! A leaf holds fixed-width records of one [`LeafRecord`] type, whose tag
+//! the header carries. The B+-tree's are 16-byte `(key, payload)` pairs
+//! (tag 2, charged to `Leaf`); the FITing-tree's directory stores its
+//! 36-byte segment records in the same layout (tag 3, charged to `Inner`).
+//!
+//! Each layout has two readers. [`InnerView`] / [`LeafViewOf`] borrow the
 //! pinned block and binary-search the slot array where it lies: every read
-//! path uses them. [`InnerNode`] / [`LeafNode`] own decoded vectors: a node
+//! path uses them. [`InnerNode`] / [`LeafNodeOf`] own decoded vectors: a node
 //! is decoded only where it is about to be mutated and re-encoded.
+//! [`LeafView`] and [`LeafNode`] name the B+-tree's leaves.
+
+use std::marker::PhantomData;
 
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{BlockId, BlockReader, BlockWriter, SlotTable, INVALID_BLOCK};
+use lidx_storage::{
+    bytes_at, BlockId, BlockKind, BlockReader, BlockWriter, SlotTable, INVALID_BLOCK,
+};
 
 const TAG_INNER: u8 = 1;
-const TAG_LEAF: u8 = 2;
 
 const INNER_HEADER: usize = 1 + 1 + 2 + 4;
-const LEAF_HEADER: usize = 1 + 1 + 2 + 4 + 4;
+/// Bytes of a leaf's header, ahead of its first record.
+pub const LEAF_HEADER: usize = 1 + 1 + 2 + 4;
 const INNER_ENTRY: usize = 8 + 4;
-const LEAF_ENTRY: usize = 8 + 8;
+pub(crate) const LEAF_ENTRY: usize = 8 + 8;
 
 /// Derived node capacities for a given block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +53,8 @@ impl NodeCapacity {
     /// Both are capped at `u16::MAX`, the largest count the header's `count`
     /// field can hold (reached by blocks above 1 MiB).
     pub fn for_block_size(block_size: usize) -> Self {
-        let max_count = usize::from(u16::MAX);
-        let inner_keys = ((block_size - INNER_HEADER) / INNER_ENTRY).min(max_count);
-        let leaf_entries = ((block_size - LEAF_HEADER) / LEAF_ENTRY).min(max_count);
+        let inner_keys = ((block_size - INNER_HEADER) / INNER_ENTRY).min(usize::from(u16::MAX));
+        let leaf_entries = leaf_capacity::<LEAF_ENTRY>(block_size);
         assert!(inner_keys >= 2 && leaf_entries >= 2, "block size too small for B+-tree nodes");
         NodeCapacity { inner_keys, leaf_entries }
     }
@@ -70,11 +79,7 @@ fn header<'a, const N: usize>(buf: &'a [u8], tag: u8, what: &str) -> IndexResult
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
+    u32::from_le_bytes(bytes_at(bytes, at))
 }
 
 /// A read-only inner node borrowed from its encoded block.
@@ -175,22 +180,71 @@ impl InnerNode {
     }
 }
 
-/// A read-only leaf node borrowed from its encoded block.
-#[derive(Debug, Clone, Copy)]
-pub struct LeafView<'a> {
-    next: BlockId,
-    prev: BlockId,
-    slots: SlotTable<'a, LEAF_ENTRY>,
+/// A fixed-width leaf record: `W` bytes in a slot, led by its `u64` key.
+///
+/// `W` is a parameter of the trait rather than an associated constant
+/// because it sizes the [`SlotTable`] a [`LeafViewOf`] reads through.
+pub trait LeafRecord<const W: usize>: Copy {
+    /// The header tag of a leaf of these records; readers refuse any other.
+    const TAG: u8;
+    /// The block kind a leaf of these records is charged to.
+    const KIND: BlockKind;
+
+    /// The record's key, stored little-endian in the slot's first 8 bytes.
+    fn key(&self) -> Key;
+
+    /// Writes the record into its slot.
+    fn put(&self, slot: &mut [u8; W]);
+
+    /// Reads a record from its slot.
+    fn get(slot: &[u8; W]) -> Self;
 }
 
-impl<'a> LeafView<'a> {
+/// The B+-tree's own record, a key and its payload.
+impl LeafRecord<LEAF_ENTRY> for Entry {
+    const TAG: u8 = 2;
+    const KIND: BlockKind = BlockKind::Leaf;
+
+    fn key(&self) -> Key {
+        self.0
+    }
+
+    fn put(&self, slot: &mut [u8; LEAF_ENTRY]) {
+        slot[..8].copy_from_slice(&self.0.to_le_bytes());
+        slot[8..].copy_from_slice(&self.1.to_le_bytes());
+    }
+
+    fn get(slot: &[u8; LEAF_ENTRY]) -> Self {
+        (Key::from_le_bytes(bytes_at(slot, 0)), Value::from_le_bytes(bytes_at(slot, 8)))
+    }
+}
+
+/// Most records a leaf of `W`-byte records holds in a `block_size`-byte
+/// block, capped at `u16::MAX`, the largest count the header's `count` field
+/// can hold (reached by blocks above 1 MiB at 16 bytes a record).
+pub(crate) fn leaf_capacity<const W: usize>(block_size: usize) -> usize {
+    ((block_size - LEAF_HEADER) / W).min(usize::from(u16::MAX))
+}
+
+/// A read-only leaf borrowed from its encoded block.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafViewOf<'a, R, const W: usize> {
+    next: BlockId,
+    slots: SlotTable<'a, W>,
+    record: PhantomData<R>,
+}
+
+/// A B+-tree leaf, read in place.
+pub type LeafView<'a> = LeafViewOf<'a, Entry, LEAF_ENTRY>;
+
+impl<'a, R: LeafRecord<W>, const W: usize> LeafViewOf<'a, R, W> {
     /// Validates the header of an encoded leaf — the tag, and that `count`
     /// slots fit `buf` — and borrows its slot array.
     pub fn new(buf: &'a [u8]) -> IndexResult<Self> {
-        let head = header::<LEAF_HEADER>(buf, TAG_LEAF, "leaf")?;
+        let head = header::<LEAF_HEADER>(buf, R::TAG, "leaf")?;
         let count = u16::from_le_bytes([head[2], head[3]]);
         let slots = SlotTable::new(buf, LEAF_HEADER, usize::from(count))?;
-        Ok(LeafView { next: u32_at(head, 4), prev: u32_at(head, 8), slots })
+        Ok(LeafViewOf { next: u32_at(head, 4), slots, record: PhantomData })
     }
 
     /// Number of entries.
@@ -208,20 +262,16 @@ impl<'a> LeafView<'a> {
         self.next
     }
 
-    /// The stored `prev` link: a leaf to the left, or [`INVALID_BLOCK`] (see
-    /// [`LeafNode`] for why it may not be the adjacent one).
-    pub fn prev(&self) -> BlockId {
-        self.prev
-    }
-
     /// Entry `i`. Panics if `i >= len()`.
-    pub fn entry(&self, i: usize) -> Entry {
-        let slot = self.slots.slot(i);
-        (u64_at(slot, 0), u64_at(slot, 8))
+    pub fn entry(&self, i: usize) -> R {
+        R::get(self.slots.slot(i))
     }
 
     /// The entries from index `from` to the end, in key order.
-    pub fn entries_from(&self, from: usize) -> impl Iterator<Item = Entry> + 'a {
+    pub fn entries_from(&self, from: usize) -> impl Iterator<Item = R> + 'a
+    where
+        R: 'a,
+    {
         let view = *self;
         (from..view.len()).map(move |i| view.entry(i))
     }
@@ -236,6 +286,13 @@ impl<'a> LeafView<'a> {
         self.slots.partition_point(|k| k < key)
     }
 
+    /// Index of the first entry whose key is `> key` (`len()` if none).
+    pub fn upper_bound(&self, key: Key) -> usize {
+        self.slots.partition_point(|k| k <= key)
+    }
+}
+
+impl LeafView<'_> {
     /// Binary-searches for `key`, returning its payload if present.
     pub fn lookup(&self, key: Key) -> Option<Value> {
         let i = self.lower_bound(key);
@@ -243,90 +300,71 @@ impl<'a> LeafView<'a> {
     }
 }
 
-/// A leaf node: dense sorted entries plus sibling links.
-///
-/// `next` is exact: scans follow it. `prev` is only a hint, and nothing
-/// reads it. Bulk load sets both links, and a split sets the new right
-/// half's `prev` to the left half. The split does not write the old right
-/// neighbour, so that neighbour's `prev` still names the left half, not the
-/// new leaf between them. Repairing it would cost one more block write per
-/// split.
+/// A leaf decoded to be mutated and re-encoded: sorted records and the
+/// link to the next leaf, which scans follow.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeafNode {
-    /// Sorted key-payload pairs.
-    pub entries: Vec<Entry>,
+pub struct LeafNodeOf<R, const W: usize> {
+    /// Records sorted by key.
+    pub entries: Vec<R>,
     /// Block id of the next (right) leaf, or [`INVALID_BLOCK`].
     pub next: BlockId,
-    /// Block id of a leaf to the left, or [`INVALID_BLOCK`] for the leftmost
-    /// leaf. After a split further left it is not the adjacent one.
-    pub prev: BlockId,
 }
 
-impl Default for LeafNode {
+/// A B+-tree leaf, decoded.
+pub type LeafNode = LeafNodeOf<Entry, LEAF_ENTRY>;
+
+impl<R, const W: usize> Default for LeafNodeOf<R, W> {
     fn default() -> Self {
-        LeafNode { entries: Vec::new(), next: INVALID_BLOCK, prev: INVALID_BLOCK }
+        LeafNodeOf { entries: Vec::new(), next: INVALID_BLOCK }
     }
 }
 
-impl LeafNode {
-    /// Inserts or overwrites `key`. Returns `true` if a new entry was added
-    /// (as opposed to an existing payload being overwritten).
-    pub fn upsert(&mut self, key: Key, value: Value) -> bool {
-        match self.entries.binary_search_by_key(&key, |&(k, _)| k) {
+impl<R: LeafRecord<W>, const W: usize> LeafNodeOf<R, W> {
+    /// Inserts `record`, or overwrites the one with its key. Returns `true`
+    /// if a new record was added.
+    pub fn upsert(&mut self, record: R) -> bool {
+        match self.entries.binary_search_by_key(&record.key(), R::key) {
             Ok(i) => {
-                self.entries[i].1 = value;
+                self.entries[i] = record;
                 false
             }
             Err(i) => {
-                self.entries.insert(i, (key, value));
+                self.entries.insert(i, record);
                 true
             }
         }
     }
 
-    /// Splits off the upper half of the entries into a new leaf, returning
-    /// the split key (first key of the new right leaf) and the new leaf.
-    pub fn split(&mut self) -> (Key, LeafNode) {
-        let mid = self.entries.len() / 2;
-        let right_entries = self.entries.split_off(mid);
-        let split_key = right_entries[0].0;
-        let right = LeafNode { entries: right_entries, next: self.next, prev: INVALID_BLOCK };
-        (split_key, right)
-    }
-
     /// Encodes the leaf into a block buffer.
     pub fn encode(&self, block_size: usize) -> IndexResult<Vec<u8>> {
         let mut w = BlockWriter::new(block_size);
-        w.put_u8(TAG_LEAF)?;
+        w.put_u8(R::TAG)?;
         w.put_u8(0)?;
         w.put_u16(slot_count(self.entries.len())?)?;
         w.put_u32(self.next)?;
-        w.put_u32(self.prev)?;
-        for &(k, v) in &self.entries {
-            w.put_u64(k)?;
-            w.put_u64(v)?;
+        let mut slot = [0; W];
+        for record in &self.entries {
+            record.put(&mut slot);
+            w.put_bytes(&slot)?;
         }
         Ok(w.finish())
     }
 
-    /// Decodes a leaf node from a block buffer.
+    /// Decodes a leaf from a block buffer.
     pub fn decode(buf: &[u8]) -> IndexResult<Self> {
         let mut r = BlockReader::new(buf);
         let tag = r.get_u8()?;
-        if tag != TAG_LEAF {
+        if tag != R::TAG {
             return Err(IndexError::Internal(format!("expected leaf node tag, found {tag}")));
         }
         r.get_u8()?;
-        let count = r.get_u16()? as usize;
+        let count = r.get_u16()?;
         let next = r.get_u32()?;
-        let prev = r.get_u32()?;
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(usize::from(count));
         for _ in 0..count {
-            let k = r.get_u64()?;
-            let v = r.get_u64()?;
-            entries.push((k, v));
+            entries.push(R::get(&bytes_at(r.get_bytes(W)?, 0)));
         }
-        Ok(LeafNode { entries, next, prev })
+        Ok(LeafNodeOf { entries, next })
     }
 }
 
@@ -367,14 +405,13 @@ mod tests {
     #[test]
     fn leaf_node_roundtrip_lookup_and_upsert() {
         let mut leaf = LeafNode::default();
-        assert!(leaf.upsert(5, 6));
-        assert!(leaf.upsert(1, 2));
-        assert!(leaf.upsert(9, 10));
-        assert!(!leaf.upsert(5, 7), "existing key is overwritten, not duplicated");
+        assert!(leaf.upsert((5, 6)));
+        assert!(leaf.upsert((1, 2)));
+        assert!(leaf.upsert((9, 10)));
+        assert!(!leaf.upsert((5, 7)), "existing key is overwritten, not duplicated");
         assert_eq!(leaf.entries.iter().map(|e| e.0).collect::<Vec<_>>(), vec![1, 5, 9]);
 
         leaf.next = 77;
-        leaf.prev = 33;
         let buf = leaf.encode(256).unwrap();
         let back = LeafNode::decode(&buf).unwrap();
         assert_eq!(back, leaf);
@@ -382,7 +419,7 @@ mod tests {
         let view = LeafView::new(&buf).unwrap();
         assert_eq!(view.lookup(5), Some(7));
         assert_eq!(view.lookup(4), None);
-        assert_eq!((view.len(), view.next(), view.prev()), (3, 77, 33));
+        assert_eq!((view.len(), view.next()), (3, 77));
         assert_eq!(view.entries_from(1).collect::<Vec<_>>(), vec![(5, 7), (9, 10)]);
     }
 
@@ -393,19 +430,6 @@ mod tests {
         let full =
             LeafNode { entries: (0..65_536).map(|k| (k, k)).collect(), ..LeafNode::default() };
         assert!(full.encode(2 << 20).is_err(), "a count past u16 is refused, not truncated");
-    }
-
-    #[test]
-    fn leaf_split_keeps_order_and_links() {
-        let mut leaf =
-            LeafNode { entries: (0..10).map(|i| (i, i + 1)).collect(), next: 42, prev: 7 };
-        let (split_key, right) = leaf.split();
-        assert_eq!(split_key, 5);
-        assert_eq!(leaf.entries.len(), 5);
-        assert_eq!(right.entries.len(), 5);
-        assert_eq!(right.next, 42, "right leaf inherits the old next pointer");
-        assert!(leaf.entries.iter().all(|&(k, _)| k < split_key));
-        assert!(right.entries.iter().all(|&(k, _)| k >= split_key));
     }
 
     #[test]

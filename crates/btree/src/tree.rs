@@ -9,7 +9,7 @@ use lidx_core::{
 };
 use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockWriter, Disk, OpClass, INVALID_BLOCK};
 
-use crate::levels::{InnerLevels, LeafLevel, LeafSplit};
+use crate::levels::{InnerLevels, LeafLevel};
 use crate::node::{LeafView, NodeCapacity};
 
 /// Construction-time options for [`BTreeIndex`].
@@ -306,26 +306,27 @@ impl IndexWrite for BTreeIndex {
                 let last = leaf.last_key().map_or(rest[0].0, |last| last.max(rest[0].0));
                 &rest[..1 + rest[1..].partition_point(|&(k, _)| k <= last)]
             };
-            let (consumed, added, split) =
+            let (consumed, added, splits) =
                 self.leaves.insert_run_in(&self.disk, file, leaf_block, &frame, run)?;
             self.key_count += added;
             for _ in 0..consumed {
                 self.breakdown.finish_insert();
             }
-            match split {
-                None => laps.lap(&mut self.breakdown, InsertStep::Insert),
-                Some(LeafSplit { boundary, block }) => {
-                    // One span covers the separator insert and any upward
-                    // inner-node splits: the cascade is a single pause from
-                    // the caller's point of view.
+            if splits.is_empty() {
+                laps.lap(&mut self.breakdown, InsertStep::Insert);
+            } else {
+                // One span covers the separator inserts and any upward
+                // inner-node splits: the cascade is a single pause from the
+                // caller's point of view.
+                let telemetry = Arc::clone(&self.disk);
+                let _span = telemetry.telemetry().span(OpClass::Smo);
+                for (boundary, block) in splits {
                     self.smo_count += 1;
-                    let telemetry = Arc::clone(&self.disk);
-                    let _span = telemetry.telemetry().span(OpClass::Smo);
                     telemetry.telemetry().add(OpClass::Smo, 1);
                     self.smo_count +=
                         self.inner.insert_separator(&self.disk, &mut path, boundary, block)?;
-                    laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
+                laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
             next += consumed;
         }

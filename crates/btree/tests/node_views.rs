@@ -9,9 +9,9 @@ use lidx_btree::{InnerNode, InnerView, LeafNode, LeafView};
 use lidx_core::Key;
 use proptest::prelude::*;
 
-/// Room for the largest generated node: 12 header bytes + 60 × 16.
+/// Room for the largest generated node: 8 header bytes + 60 × 16.
 const BLOCK: usize = 1024;
-const LEAF_HEADER: usize = 12;
+const LEAF_HEADER: usize = 8;
 const INNER_HEADER: usize = 8;
 
 /// Checks that the two leaf readers agree on `buf`: both refuse it, or both
@@ -30,7 +30,7 @@ fn leaf_readers_agree(buf: &[u8], probes: &[Key]) -> Result<(), TestCaseError> {
     };
     prop_assert_eq!(view.len(), node.entries.len());
     prop_assert_eq!(view.is_empty(), node.entries.is_empty());
-    prop_assert_eq!((view.next(), view.prev()), (node.next, node.prev));
+    prop_assert_eq!(view.next(), node.next);
     prop_assert_eq!(view.last_key(), node.entries.last().map(|e| e.0));
     for (i, &e) in node.entries.iter().enumerate() {
         prop_assert_eq!(view.entry(i), e);
@@ -109,12 +109,13 @@ proptest! {
         keys in proptest::collection::btree_set(0u64..5_000, 0..60),
         payload_seed in any::<u64>(),
         next in any::<u32>(),
-        prev in any::<u32>(),
         extra in proptest::collection::vec(0u64..6_000, 1..8),
     ) {
-        let entries = keys.iter().map(|&k| (k, k.wrapping_mul(payload_seed))).collect();
-        let buf = LeafNode { entries, next, prev }.encode(BLOCK).unwrap();
+        let entries: Vec<_> = keys.iter().map(|&k| (k, k.wrapping_mul(payload_seed))).collect();
+        let node = LeafNode { entries, next };
+        let buf = node.encode(BLOCK).unwrap();
         let probes = probes_around(keys.iter().copied(), &extra);
+        prop_assert_eq!(LeafNode::decode(&buf).unwrap(), node);
         prop_assert!(LeafView::new(&buf).is_ok());
         leaf_readers_agree(&buf, &probes)?;
         // The block as an inner node: the tag is wrong for both readers.

@@ -6,10 +6,11 @@
 //! entries are valid — no segment header ever needs to be fetched. All
 //! directory I/O is attributed to [`BlockKind::Inner`].
 //!
-//! The routing levels are the B+-tree's own [`InnerLevels`]: the same bulk
-//! build, descent and separator insert with its split cascade, over
-//! [`lidx_btree::InnerNode`] blocks in the directory's file. What is the
-//! directory's own is the leaf format:
+//! The directory is the B+-tree's own two levels in one file: its
+//! [`InnerLevels`] over a [`LeafLevelOf`] of segment records, which does the
+//! bulk build, the write-back that splits a leaf into as many leaves as a
+//! resegmentation needs, and the chain walk of [`Directory::all_segments`].
+//! A leaf is the B+-tree's leaf layout with 36-byte records under tag 3:
 //!
 //! ```text
 //! off  size  field
@@ -21,34 +22,78 @@
 //!            data_blocks u32, buffer_blocks u32, count u32, buffer_count u32
 //! ```
 //!
-//! with its bulk build, its in-place update ([`Directory::update_meta`]),
-//! its split into as many leaves as a resegmentation needs
-//! ([`Directory::replace`]) and its walks ([`Directory::next_segment`],
-//! [`Directory::all_segments`]).
-//!
 //! Views read, owned nodes mutate (DESIGN.md §3.2). [`Directory::find`] and
-//! [`Directory::next_segment`] search each pinned block where it lies — the
-//! routing levels through [`lidx_btree::InnerView`], a leaf through
-//! `DirLeafView`, which decodes only the one record it is asked for — and
-//! read through the caller's [`BlockCursor`]. `DirLeaf` copies a leaf into
-//! a vector only where it is about to change: [`Directory::update_meta`] and
-//! [`Directory::replace`]. Both readers refuse a record whose counts overrun
-//! its extent ([`IndexError::Internal`]).
+//! [`Directory::next_segment`] search each pinned block where it lies, a
+//! leaf through a [`LeafViewOf`] that decodes only the record asked for,
+//! and read through the caller's [`BlockCursor`]. A leaf is decoded into a
+//! [`LeafNodeOf`] only where it is about to change: [`Directory::update_meta`]
+//! and [`Directory::replace`]. Every reader refuses a record whose counts
+//! overrun its extent ([`IndexError::Internal`]).
 
 use std::sync::Arc;
 
-use lidx_btree::InnerLevels;
+use lidx_btree::{InnerLevels, LeafLevelOf, LeafNodeOf, LeafRecord, LeafViewOf};
 use lidx_core::{IndexError, IndexResult, Key};
-use lidx_storage::{
-    BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SlotTable, INVALID_BLOCK,
-};
+use lidx_storage::{bytes_at, BlockCursor, BlockId, BlockKind, Disk, INVALID_BLOCK};
 
 use crate::segment::SegmentMeta;
 
-const TAG_DIR_LEAF: u8 = 3;
-pub(crate) const DIR_LEAF_HEADER: usize = 1 + 1 + 2 + 4;
-/// Bytes per serialized [`SegmentMeta`] entry.
+/// Bytes per serialized [`SegmentMeta`] record.
 pub(crate) const DIR_ENTRY: usize = 8 + 8 + 4 + 4 + 4 + 4 + 4;
+
+/// A directory leaf, decoded.
+type DirLeafNode = LeafNodeOf<SegmentMeta, DIR_ENTRY>;
+
+impl LeafRecord<DIR_ENTRY> for SegmentMeta {
+    const TAG: u8 = 3;
+    const KIND: BlockKind = BlockKind::Inner;
+
+    fn key(&self) -> Key {
+        self.first_key
+    }
+
+    fn put(&self, slot: &mut [u8; DIR_ENTRY]) {
+        slot[..8].copy_from_slice(&self.first_key.to_le_bytes());
+        slot[8..16].copy_from_slice(&self.slope.to_le_bytes());
+        let words =
+            [self.start_block, self.data_blocks, self.buffer_blocks, self.count, self.buffer_count];
+        for (field, word) in slot[16..].chunks_exact_mut(4).zip(words) {
+            field.copy_from_slice(&word.to_le_bytes());
+        }
+    }
+
+    fn get(slot: &[u8; DIR_ENTRY]) -> Self {
+        let word = |at| u32::from_le_bytes(bytes_at(slot, at));
+        SegmentMeta {
+            first_key: Key::from_le_bytes(bytes_at(slot, 0)),
+            slope: f64::from_le_bytes(bytes_at(slot, 8)),
+            start_block: word(16),
+            data_blocks: word(20),
+            buffer_blocks: word(24),
+            count: word(28),
+            buffer_count: word(32),
+        }
+    }
+}
+
+/// Record `i` of a directory leaf, checked against its extent on a segment
+/// file of `block_size`-byte blocks. Panics if `i >= leaf.len()`.
+fn record(
+    leaf: &LeafViewOf<'_, SegmentMeta, DIR_ENTRY>,
+    i: usize,
+    block_size: usize,
+) -> IndexResult<SegmentMeta> {
+    let meta = leaf.entry(i);
+    meta.check_extent(block_size).map(|()| meta)
+}
+
+/// Decodes a directory leaf to mutate it, every record checked against its
+/// extent on a segment file of `block_size`-byte blocks.
+fn decode_leaf(buf: &[u8], block_size: usize) -> IndexResult<DirLeafNode> {
+    let leaf = DirLeafNode::decode(buf)?;
+    leaf.entries.iter().try_for_each(|meta| meta.check_extent(block_size))?;
+    Ok(leaf)
+}
 
 /// Location of a directory entry (used to update occupancy counters in
 /// place).
@@ -60,144 +105,12 @@ pub struct DirSlot {
     pub slot: usize,
 }
 
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte field"))
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte field"))
-}
-
-/// A read-only directory leaf borrowed from its pinned block.
-#[derive(Debug, Clone, Copy)]
-struct DirLeafView<'a> {
-    next: BlockId,
-    /// Block size of the segment file, against which a record's extent is
-    /// checked.
-    block_size: usize,
-    slots: SlotTable<'a, DIR_ENTRY>,
-}
-
-impl<'a> DirLeafView<'a> {
-    /// Validates the header of an encoded directory leaf — the tag, and that
-    /// `count` records fit `buf` — and borrows its record array.
-    fn new(buf: &'a [u8], block_size: usize) -> IndexResult<Self> {
-        let head = buf.get(..DIR_LEAF_HEADER).ok_or_else(|| {
-            IndexError::Internal(format!(
-                "directory leaf header beyond block of {} bytes",
-                buf.len()
-            ))
-        })?;
-        if head[0] != TAG_DIR_LEAF {
-            return Err(IndexError::Internal(format!(
-                "expected directory leaf tag, got {}",
-                head[0]
-            )));
-        }
-        let count = u16::from_le_bytes([head[2], head[3]]);
-        let slots = SlotTable::new(buf, DIR_LEAF_HEADER, usize::from(count))?;
-        Ok(DirLeafView { next: u32_at(head, 4), block_size, slots })
-    }
-
-    /// Number of records.
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of records whose `first_key <= key`: the segment covering
-    /// `key` is the one before it.
-    fn partition_point(&self, key: Key) -> usize {
-        self.slots.partition_point(|first_key| first_key <= key)
-    }
-
-    /// Record `i`, decoded and checked against its extent. Panics if
-    /// `i >= len()`.
-    fn meta(&self, i: usize) -> IndexResult<SegmentMeta> {
-        let slot = self.slots.slot(i);
-        let meta = SegmentMeta {
-            first_key: u64_at(slot, 0),
-            slope: f64::from_bits(u64_at(slot, 8)),
-            start_block: u32_at(slot, 16),
-            data_blocks: u32_at(slot, 20),
-            buffer_blocks: u32_at(slot, 24),
-            count: u32_at(slot, 28),
-            buffer_count: u32_at(slot, 32),
-        };
-        meta.check_extent(self.block_size)?;
-        Ok(meta)
-    }
-
-    /// Block id of the next leaf, or [`INVALID_BLOCK`].
-    fn next(&self) -> BlockId {
-        self.next
-    }
-}
-
-/// A directory leaf node holding segment metadata records sorted by
-/// `first_key`, decoded to be mutated and re-encoded.
-#[derive(Debug, Clone, PartialEq, Default)]
-struct DirLeaf {
-    entries: Vec<SegmentMeta>,
-    next: BlockId,
-}
-
-impl DirLeaf {
-    fn capacity(block_size: usize) -> usize {
-        (block_size - DIR_LEAF_HEADER) / DIR_ENTRY
-    }
-
-    fn encode(&self, block_size: usize) -> IndexResult<Vec<u8>> {
-        let mut w = BlockWriter::new(block_size);
-        w.put_u8(TAG_DIR_LEAF)?;
-        w.put_u8(0)?;
-        w.put_u16(self.entries.len() as u16)?;
-        w.put_u32(self.next)?;
-        for m in &self.entries {
-            w.put_u64(m.first_key)?;
-            w.put_f64(m.slope)?;
-            w.put_u32(m.start_block)?;
-            w.put_u32(m.data_blocks)?;
-            w.put_u32(m.buffer_blocks)?;
-            w.put_u32(m.count)?;
-            w.put_u32(m.buffer_count)?;
-        }
-        Ok(w.finish())
-    }
-
-    /// Decodes every record, each checked against its extent on a segment
-    /// file of `block_size`-byte blocks.
-    fn decode(buf: &[u8], block_size: usize) -> IndexResult<Self> {
-        let mut r = BlockReader::new(buf);
-        let tag = r.get_u8()?;
-        if tag != TAG_DIR_LEAF {
-            return Err(IndexError::Internal(format!("expected directory leaf tag, got {tag}")));
-        }
-        r.get_u8()?;
-        let count = r.get_u16()? as usize;
-        let next = r.get_u32()?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let meta = SegmentMeta {
-                first_key: r.get_u64()?,
-                slope: r.get_f64()?,
-                start_block: r.get_u32()?,
-                data_blocks: r.get_u32()?,
-                buffer_blocks: r.get_u32()?,
-                count: r.get_u32()?,
-                buffer_count: r.get_u32()?,
-            };
-            meta.check_extent(block_size)?;
-            entries.push(meta);
-        }
-        Ok(DirLeaf { entries, next })
-    }
-}
-
-/// The directory B+-tree: directory leaves under [`InnerLevels`].
+/// The directory B+-tree: a leaf level of segment records under
+/// [`InnerLevels`].
 pub struct Directory {
     disk: Arc<Disk>,
     routing: InnerLevels,
-    leaf_count: u64,
+    leaves: LeafLevelOf<SegmentMeta, DIR_ENTRY>,
     segment_count: u64,
 }
 
@@ -205,7 +118,8 @@ impl Directory {
     /// Creates an empty directory in its own file on `disk`.
     pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
         let routing = InnerLevels::new(disk.create_file()?, disk.block_size());
-        Ok(Directory { disk, routing, leaf_count: 0, segment_count: 0 })
+        let leaves = LeafLevelOf::new(disk.block_size());
+        Ok(Directory { disk, routing, leaves, segment_count: 0 })
     }
 
     /// Number of segments currently registered.
@@ -215,7 +129,7 @@ impl Directory {
 
     /// Number of directory leaf nodes.
     pub fn leaf_nodes(&self) -> u64 {
-        self.leaf_count
+        self.leaves.leaf_count()
     }
 
     /// Number of routing (non-leaf) directory nodes.
@@ -252,7 +166,8 @@ impl Directory {
         segment_count: u64,
     ) -> Self {
         let routing = InnerLevels::from_parts(file, disk.block_size(), root, height, routing_count);
-        Directory { disk, routing, leaf_count, segment_count }
+        let leaves = LeafLevelOf::from_parts(disk.block_size(), leaf_count);
+        Directory { disk, routing, leaves, segment_count }
     }
 
     /// The leaf at `block`, read through `cursor` and viewed in place.
@@ -260,37 +175,13 @@ impl Directory {
         &self,
         cursor: &'c mut BlockCursor<'_>,
         block: BlockId,
-    ) -> IndexResult<DirLeafView<'c>> {
-        let buf = cursor.read(self.file_id(), block, BlockKind::Inner)?;
-        DirLeafView::new(buf, self.disk.block_size())
-    }
-
-    fn write_leaf(&self, block: BlockId, leaf: &DirLeaf) -> IndexResult<()> {
-        let buf = leaf.encode(self.disk.block_size())?;
-        self.disk.write(self.file_id(), block, BlockKind::Inner, &buf)?;
-        Ok(())
+    ) -> IndexResult<LeafViewOf<'c, SegmentMeta, DIR_ENTRY>> {
+        LeafViewOf::new(cursor.read(self.file_id(), block, BlockKind::Inner)?)
     }
 
     /// Bulk-builds the directory from segment metadata sorted by `first_key`.
     pub fn bulk_build(&mut self, metas: &[SegmentMeta]) -> IndexResult<()> {
-        let bs = self.disk.block_size();
-        let per_leaf = (DirLeaf::capacity(bs) as f64 * 0.8).max(1.0) as usize;
-        let leaf_total = metas.len().div_ceil(per_leaf).max(1);
-        let first_block = self.disk.allocate(self.file_id(), leaf_total as u32)?;
-        let mut level: Vec<(Key, BlockId)> = Vec::with_capacity(leaf_total);
-        if metas.is_empty() {
-            self.write_leaf(first_block, &DirLeaf::default())?;
-            level.push((0, first_block));
-        } else {
-            for (i, chunk) in metas.chunks(per_leaf).enumerate() {
-                let block = first_block + i as u32;
-                let next = if i + 1 < leaf_total { block + 1 } else { INVALID_BLOCK };
-                let leaf = DirLeaf { entries: chunk.to_vec(), next };
-                self.write_leaf(block, &leaf)?;
-                level.push((chunk[0].first_key, block));
-            }
-        }
-        self.leaf_count = level.len() as u64;
+        let level = self.leaves.bulk_build(&self.disk, self.file_id(), metas, 0.8)?;
         self.routing.bulk_build(&self.disk, level, 0.8)?;
         self.segment_count = metas.len() as u64;
         Ok(())
@@ -307,12 +198,12 @@ impl Directory {
     ) -> IndexResult<(SegmentMeta, DirSlot)> {
         let block = self.routing.descend(cursor, key, |_, _, _| {})?;
         let leaf = self.leaf_view(cursor, block)?;
-        let Some(slot) = leaf.partition_point(key).checked_sub(1) else {
+        let Some(slot) = leaf.upper_bound(key).checked_sub(1) else {
             return Err(IndexError::Internal(format!(
                 "no segment covers key {key}; the caller must route keys below the global minimum to the overflow buffer"
             )));
         };
-        Ok((leaf.meta(slot)?, DirSlot { block, slot }))
+        Ok((record(&leaf, slot, self.disk.block_size())?, DirSlot { block, slot }))
     }
 
     /// Returns the segment following `slot` in key order, if any, reading
@@ -322,20 +213,27 @@ impl Directory {
         cursor: &mut BlockCursor<'_>,
         slot: DirSlot,
     ) -> IndexResult<Option<(SegmentMeta, DirSlot)>> {
+        let bs = self.disk.block_size();
         let leaf = self.leaf_view(cursor, slot.block)?;
         if slot.slot + 1 < leaf.len() {
             let next = DirSlot { block: slot.block, slot: slot.slot + 1 };
-            return Ok(Some((leaf.meta(next.slot)?, next)));
+            return Ok(Some((record(&leaf, next.slot, bs)?, next)));
         }
         let block = leaf.next();
         if block == INVALID_BLOCK {
             return Ok(None);
         }
         let leaf = self.leaf_view(cursor, block)?;
-        if leaf.len() == 0 {
+        if leaf.is_empty() {
             return Ok(None);
         }
-        Ok(Some((leaf.meta(0)?, DirSlot { block, slot: 0 })))
+        Ok(Some((record(&leaf, 0, bs)?, DirSlot { block, slot: 0 })))
+    }
+
+    /// The leaf at `block`, decoded to be mutated.
+    fn decode_at(&self, block: BlockId) -> IndexResult<DirLeafNode> {
+        let mut cursor = self.disk.cursor();
+        decode_leaf(cursor.read(self.file_id(), block, BlockKind::Inner)?, self.disk.block_size())
     }
 
     /// Overwrites the metadata stored at `slot` (the entry's `first_key` must
@@ -343,10 +241,7 @@ impl Directory {
     /// current item count" the paper attributes to FITing-tree inserts.
     pub fn update_meta(&mut self, slot: DirSlot, meta: SegmentMeta) -> IndexResult<()> {
         meta.check_extent(self.disk.block_size())?;
-        let mut leaf = DirLeaf::decode(
-            self.disk.cursor().read(self.file_id(), slot.block, BlockKind::Inner)?,
-            self.disk.block_size(),
-        )?;
+        let mut leaf = self.decode_at(slot.block)?;
         let entry = leaf
             .entries
             .get_mut(slot.slot)
@@ -358,7 +253,8 @@ impl Directory {
             )));
         }
         *entry = meta;
-        self.write_leaf(slot.block, &leaf)
+        self.leaves.write_back(&self.disk, self.file_id(), slot.block, leaf)?;
+        Ok(())
     }
 
     /// Replaces the segment whose `first_key` equals `old_first_key` with one
@@ -370,84 +266,50 @@ impl Directory {
             return Err(IndexError::Internal("replace requires at least one new segment".into()));
         }
         let mut path = Vec::with_capacity(self.height() as usize);
-        let (leaf_block, mut leaf) = {
-            let mut cursor = self.disk.cursor();
-            let block = self.routing.descend(&mut cursor, old_first_key, |b, _, _| path.push(b))?;
-            let buf = cursor.read(self.file_id(), block, BlockKind::Inner)?;
-            (block, DirLeaf::decode(buf, self.disk.block_size())?)
-        };
+        let block =
+            self.routing.descend(&mut self.disk.cursor(), old_first_key, |b, _, _| path.push(b))?;
+        let mut leaf = self.decode_at(block)?;
         let pos =
             leaf.entries.iter().position(|m| m.first_key == old_first_key).ok_or_else(|| {
                 IndexError::Internal(format!("segment with first_key {old_first_key} not found"))
             })?;
         leaf.entries.splice(pos..=pos, new_metas.iter().copied());
         self.segment_count += new_metas.len() as u64 - 1;
-
-        let cap = DirLeaf::capacity(self.disk.block_size());
-        if leaf.entries.len() <= cap {
-            return self.write_leaf(leaf_block, &leaf);
-        }
-
-        // Split the overflowing directory leaf into as many leaves as needed,
-        // the first in place and the rest in one new extent, chained in key
-        // order, then route to each new leaf from its first key.
-        let chunks: Vec<&[SegmentMeta]> = leaf.entries.chunks(cap.div_ceil(2).max(1)).collect();
-        let extra = chunks.len() as u32 - 1;
-        let new_first = self.disk.allocate(self.file_id(), extra)?;
-        let block_of = |i: u32| if i == 0 { leaf_block } else { new_first + i - 1 };
-        for (i, chunk) in (0..).zip(&chunks) {
-            let next = if i < extra { block_of(i + 1) } else { leaf.next };
-            self.write_leaf(block_of(i), &DirLeaf { entries: chunk.to_vec(), next })?;
-        }
-        self.leaf_count += u64::from(extra);
-        for (i, chunk) in (1..).zip(&chunks[1..]) {
-            self.routing.insert_separator(
-                &self.disk,
-                &mut path,
-                chunk[0].first_key,
-                block_of(i),
-            )?;
+        // Route to each new leaf from its first key.
+        for (boundary, new) in self.leaves.write_back(&self.disk, self.file_id(), block, leaf)? {
+            self.routing.insert_separator(&self.disk, &mut path, boundary, new)?;
         }
         Ok(())
     }
 
     /// Collects every segment's metadata in key order (test / debugging aid;
-    /// reads the whole leaf level). A sound directory holds
-    /// `segment_count` segments, and every leaf but a lone empty one holds
-    /// at least one, so a leaf chain that runs longer — a damaged `next`
-    /// link, possibly a cycle — is [`IndexError::Internal`].
+    /// reads the whole leaf level). The walk is the leaf level's chain scan,
+    /// whose budget is the leaf count, so a damaged `next` link — possibly
+    /// a cycle — is [`IndexError::Internal`].
     pub fn all_segments(&self) -> IndexResult<Vec<SegmentMeta>> {
         if self.root_block() == INVALID_BLOCK {
             return Ok(Vec::new());
         }
-        // Walk down the leftmost path, then follow leaf links.
         let mut cursor = self.disk.cursor();
-        let mut current = self.routing.descend(&mut cursor, Key::MIN, |_, _, _| {})?;
+        let first = self.routing.descend(&mut cursor, Key::MIN, |_, _, _| {})?;
         let mut out = Vec::new();
-        for _ in 0..=self.segment_count {
-            let leaf = self.leaf_view(&mut cursor, current)?;
-            for i in 0..leaf.len() {
-                out.push(leaf.meta(i)?);
-            }
-            if out.len() as u64 > self.segment_count {
-                break;
-            }
-            if leaf.next() == INVALID_BLOCK {
-                return Ok(out);
-            }
-            current = leaf.next();
-        }
-        Err(IndexError::Internal(format!(
-            "directory leaf chain holds more than its {} segments",
-            self.segment_count
-        )))
+        self.leaves.scan_from(
+            &mut cursor,
+            self.file_id(),
+            first,
+            Key::MIN,
+            usize::MAX,
+            &mut out,
+        )?;
+        out.iter().try_for_each(|meta| meta.check_extent(self.disk.block_size()))?;
+        Ok(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lidx_btree::{InnerNode, InnerView};
+    use lidx_btree::{InnerNode, InnerView, LEAF_HEADER};
     use lidx_storage::DiskConfig;
 
     fn meta(first_key: Key, start_block: BlockId) -> SegmentMeta {
@@ -592,7 +454,7 @@ mod tests {
         let (mut leaves, mut routing) = (0, 0);
         for block in 0..disk.num_blocks(dir.file_id()).unwrap() {
             match cursor.read(dir.file_id(), block, BlockKind::Inner).unwrap()[0] {
-                TAG_DIR_LEAF => leaves += 1,
+                SegmentMeta::TAG => leaves += 1,
                 _ => {
                     InnerView::new(cursor.read(dir.file_id(), block, BlockKind::Inner).unwrap())
                         .unwrap();
@@ -672,7 +534,7 @@ mod tests {
         let mut dir = build(10, 512);
         // Record 3: count past its two data blocks of 32 entries.
         patch_block(&dir, dir.root_block(), |b| {
-            b[DIR_LEAF_HEADER + 3 * DIR_ENTRY + 28..][..4].copy_from_slice(&65u32.to_le_bytes())
+            b[LEAF_HEADER + 3 * DIR_ENTRY + 28..][..4].copy_from_slice(&65u32.to_le_bytes())
         });
         assert!(matches!(find(&dir, 310), Err(IndexError::Internal(_))));
         let (_, slot) = find(&dir, 210).unwrap();
@@ -688,13 +550,16 @@ mod tests {
     }
 
     mod views {
-        //! `DirLeafView` ≡ `DirLeaf::decode`: the read path's view and the
-        //! mutation path's decoder of one layout tell the same story on any
+        //! `LeafViewOf` ≡ `LeafNodeOf::decode` over segment records: the read
+        //! path's view and the mutation path's decoder of one layout, each
+        //! with the directory's extent check, tell the same story on any
         //! bytes — the same records, link and search on a well-formed leaf,
         //! and the same `Ok`/`Err` verdict, without a panic, on a truncated
-        //! block, a damaged header or a record that overruns its extent.
+        //! block, a damaged header, a record that overruns its extent or a
+        //! leaf of the B+-tree's own records.
 
         use super::*;
+        use lidx_btree::{LeafNode, LeafView};
         use proptest::prelude::*;
 
         /// Room for the largest generated leaf: 8 header bytes + 48 × 36.
@@ -703,9 +568,12 @@ mod tests {
         const PER_BLOCK: u32 = (BLOCK / 16) as u32;
 
         /// Reads `buf` through the view: the header, then every record.
-        fn view_records(buf: &[u8]) -> IndexResult<(DirLeafView<'_>, Vec<SegmentMeta>)> {
-            let view = DirLeafView::new(buf, BLOCK)?;
-            let metas = (0..view.len()).map(|i| view.meta(i)).collect::<IndexResult<_>>()?;
+        fn view_records(
+            buf: &[u8],
+        ) -> IndexResult<(LeafViewOf<'_, SegmentMeta, DIR_ENTRY>, Vec<SegmentMeta>)> {
+            let view = LeafViewOf::new(buf)?;
+            let metas =
+                (0..view.len()).map(|i| record(&view, i, BLOCK)).collect::<IndexResult<_>>()?;
             Ok((view, metas))
         }
 
@@ -713,7 +581,7 @@ mod tests {
         /// both accept it and every accessor of the view matches the decoded
         /// leaf.
         fn readers_agree(buf: &[u8], probes: &[Key]) -> Result<(), TestCaseError> {
-            let ((view, metas), leaf) = match (view_records(buf), DirLeaf::decode(buf, BLOCK)) {
+            let ((view, metas), leaf) = match (view_records(buf), decode_leaf(buf, BLOCK)) {
                 (Err(_), Err(_)) => return Ok(()),
                 (Ok(view), Ok(leaf)) => (view, leaf),
                 (view, leaf) => {
@@ -732,7 +600,7 @@ mod tests {
             if leaf.entries.windows(2).all(|w| w[0].first_key < w[1].first_key) {
                 for &p in probes {
                     let expected = leaf.entries.partition_point(|m| m.first_key <= p);
-                    prop_assert_eq!(view.partition_point(p), expected);
+                    prop_assert_eq!(view.upper_bound(p), expected);
                 }
             }
             Ok(())
@@ -741,7 +609,7 @@ mod tests {
         /// Every truncation of `buf`, and every value of every header byte.
         fn damaged(buf: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
             let cuts = (0..buf.len()).map(|len| buf[..len].to_vec());
-            let flips = (0..DIR_LEAF_HEADER).flat_map(move |at| {
+            let flips = (0..LEAF_HEADER).flat_map(move |at| {
                 (1..=u8::MAX).map(move |mask| {
                     let mut flipped = buf.to_vec();
                     flipped[at] ^= mask;
@@ -792,21 +660,29 @@ mod tests {
                         m.buffer_count = m.buffer_blocks * PER_BLOCK + 1;
                     }
                 }
-                let buf = DirLeaf { entries, next }.encode(BLOCK).unwrap();
+                let leaf = DirLeafNode { entries, next };
+                let buf = leaf.encode(BLOCK).unwrap();
                 let mut probes: Vec<Key> = keys
                     .iter()
                     .flat_map(|&k| [k.saturating_sub(1), k, k + 1])
                     .chain(extra.iter().copied())
                     .collect();
                 probes.extend([0, Key::MAX]);
-                prop_assert_eq!(DirLeaf::decode(&buf, BLOCK).is_ok(), !broken);
-                prop_assert!(DirLeafView::new(&buf, BLOCK).is_ok());
+                prop_assert_eq!(DirLeafNode::decode(&buf).unwrap(), leaf);
+                prop_assert_eq!(decode_leaf(&buf, BLOCK).is_ok(), !broken);
+                prop_assert!(LeafViewOf::<SegmentMeta, DIR_ENTRY>::new(&buf).is_ok());
                 readers_agree(&buf, &probes)?;
                 // The leaf as a routing node and a routing node as a leaf:
                 // the tag is wrong for every reader.
                 prop_assert!(InnerView::new(&buf).is_err());
                 let routing = InnerNode { keys: keys.iter().copied().collect(), children: (0..=keys.len() as u32).collect() };
                 readers_agree(&routing.encode(BLOCK).unwrap(), &probes)?;
+                // The same for the two record types of one leaf layout: a
+                // directory leaf is no B+-tree leaf, and the other way round.
+                prop_assert!(LeafView::new(&buf).is_err() && LeafNode::decode(&buf).is_err());
+                let entry_leaf = LeafNode { entries: keys.iter().map(|&k| (k, seed)).collect(), next };
+                let entry_buf = entry_leaf.encode(BLOCK).unwrap();
+                prop_assert!(view_records(&entry_buf).is_err() && decode_leaf(&entry_buf, BLOCK).is_err());
                 for bytes in damaged(&buf) {
                     readers_agree(&bytes, &extra)?;
                 }

@@ -3,8 +3,9 @@
 use std::sync::Arc;
 
 use lidx_core::{
-    index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
+    index::validate_bulk_load, spend, Entry, IndexError, IndexKind, IndexRead, IndexResult,
+    IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
+    Value,
 };
 use lidx_models::pla::ShrinkingCone;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
@@ -409,11 +410,13 @@ impl IndexRead for FitingTree {
 
         let anchor = start.max(self.global_min_key);
         let (mut meta, mut slot) = self.directory.find(&mut cursor, anchor)?;
-        // A sound directory holds `segment_count` segments: a walk past that
-        // many follows a damaged leaf link, which may cycle for ever.
-        let mut segments = 1;
+        // A sound directory holds `segment_count` segments, the walk's
+        // budget: a walk past that many follows a damaged leaf link, which
+        // may cycle for ever.
+        let mut budget = self.directory.segment_count();
         let mut first_segment = true;
         loop {
+            spend(&mut budget, "FITing segment walk")?;
             // Only the blocks that can contain keys >= `start` are fetched:
             // within the first segment the model bounds the start position to
             // within ε, and later segments are read from their beginning.
@@ -468,16 +471,7 @@ impl IndexRead for FitingTree {
                 return Ok(out.len());
             }
             match self.directory.next_segment(&mut cursor, slot)? {
-                Some(_) if segments == self.directory.segment_count() => {
-                    return Err(IndexError::Internal(format!(
-                        "scan walked past the directory's {segments} segments"
-                    )));
-                }
-                Some((m, s)) => {
-                    meta = m;
-                    slot = s;
-                    segments += 1;
-                }
+                Some(next) => (meta, slot) = next,
                 None => return Ok(out.len()),
             }
         }
@@ -1052,7 +1046,8 @@ mod tests {
 
     #[test]
     fn a_record_that_overruns_its_extent_fails_lookup_and_scan() {
-        use crate::directory::{DIR_ENTRY, DIR_LEAF_HEADER};
+        use crate::directory::DIR_ENTRY;
+        use lidx_btree::LEAF_HEADER;
         let data = irregular_entries(3_000);
         // Byte offsets in a directory record of `count` and `buffer_count`.
         for (field, what) in [(28, "count"), (32, "buffer_count")] {
@@ -1069,7 +1064,7 @@ mod tests {
                 _ => forged.buffer_blocks * 32 + 1,
             };
             patch_directory_block(&t, slot.block, |b| {
-                let at = DIR_LEAF_HEADER + slot.slot * DIR_ENTRY + field;
+                let at = LEAF_HEADER + slot.slot * DIR_ENTRY + field;
                 b[at..at + 4].copy_from_slice(&overrun.to_le_bytes());
             });
             let lookup = t.lookup(forged.first_key);

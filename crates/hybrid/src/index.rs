@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use lidx_btree::{LeafLevel, LeafSplit, LeafView};
+use lidx_btree::{Boundary, LeafLevel, LeafView};
 use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
@@ -61,7 +61,7 @@ pub struct HybridIndex {
     /// In-memory copy of the `(boundary, leaf block)` pairs, used only to
     /// rebuild the inner directory after leaf splits (meta-style state; all
     /// routing I/O still goes through the on-disk directory).
-    boundaries: Vec<(Key, BlockId)>,
+    boundaries: Vec<Boundary>,
     key_count: u64,
     smo_count: u64,
     loaded: bool,
@@ -299,15 +299,15 @@ impl IndexWrite for HybridIndex {
                 Some(&(upper, _)) => &rest[..rest.partition_point(|&(k, _)| k < upper)],
                 None => rest,
             };
-            let (consumed, added, split) =
+            let (consumed, added, splits) =
                 self.leaves.insert_run_in(&self.disk, self.leaf_file, leaf, &frame, run)?;
             self.key_count += added;
             for _ in 0..consumed {
                 self.breakdown.finish_insert();
             }
-            let step = if split.is_some() { InsertStep::Smo } else { InsertStep::Insert };
+            let step = if splits.is_empty() { InsertStep::Insert } else { InsertStep::Smo };
             laps.lap(&mut self.breakdown, step);
-            if let Some(LeafSplit { boundary, block }) = split {
+            for (boundary, block) in splits {
                 self.smo_count += 1;
                 self.disk.telemetry().add(OpClass::Smo, 1);
                 let pos = self.boundaries.partition_point(|&(b, _)| b <= boundary);

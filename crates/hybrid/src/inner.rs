@@ -12,8 +12,7 @@ use lidx_models::LinearModel;
 use lidx_pgm::StaticPgm;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, FileId};
 
-/// One `(boundary key, leaf block)` pair.
-pub type Boundary = (Key, BlockId);
+pub use lidx_btree::Boundary;
 
 /// What a block pointer stored in a directory block is called in errors.
 const DIR_POINTER: &str = "directory block pointer";

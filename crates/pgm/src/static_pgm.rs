@@ -35,7 +35,9 @@ use lidx_core::{
 };
 use lidx_models::pla::segment_keys;
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockRef, Disk, FileId, SeqHint, SlotTable};
+use lidx_storage::{
+    bytes_at, BlockCursor, BlockId, BlockKind, BlockRef, Disk, FileId, SeqHint, SlotTable,
+};
 
 /// Size of one data entry in bytes.
 const ENTRY_BYTES: usize = 16;
@@ -46,14 +48,9 @@ const SENTINEL: Key = Key::MAX;
 /// What a payload read as a block pointer is called in errors.
 const FLOOR_POINTER: &str = "PGM entry block pointer";
 
-/// The `N` bytes at `at` of a fixed-size record.
-fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
-    std::array::from_fn(|i| bytes[at + i])
-}
-
 /// Decodes one data entry.
 fn entry(e: &[u8; ENTRY_BYTES]) -> Entry {
-    (Key::from_le_bytes(le(e, 0)), Value::from_le_bytes(le(e, 8)))
+    (Key::from_le_bytes(bytes_at(e, 0)), Value::from_le_bytes(bytes_at(e, 8)))
 }
 
 /// Writes `entries` packed into `blocks` blocks of `file` from
@@ -108,10 +105,10 @@ impl SegRecord {
 
     fn decode(r: &[u8; RECORD_BYTES]) -> Self {
         SegRecord {
-            first_key: Key::from_le_bytes(le(r, 0)),
-            slope: f64::from_le_bytes(le(r, 8)),
-            start: u64::from_le_bytes(le(r, 16)),
-            len: u32::from_le_bytes(le(r, 24)),
+            first_key: Key::from_le_bytes(bytes_at(r, 0)),
+            slope: f64::from_le_bytes(bytes_at(r, 8)),
+            start: u64::from_le_bytes(bytes_at(r, 16)),
+            len: u32::from_le_bytes(bytes_at(r, 24)),
         }
     }
 

@@ -160,6 +160,14 @@ impl<'a> BlockReader<'a> {
     }
 }
 
+/// The `N` bytes at `at` of a fixed-size record, to be read with
+/// `from_le_bytes`. Panics if they run past the end of `bytes`.
+pub fn bytes_at<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(&bytes[at..at + N]);
+    out
+}
+
 /// A borrowed array of fixed-size records of `STRIDE` bytes, each led by a
 /// little-endian `u64` key and sorted ascending by that key — the slot array
 /// of a B+-tree node or one block of a learned directory, searched in place

@@ -77,7 +77,7 @@ pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, StorageBackend};
 pub use buffer::{BlockRef, BufferPool, ShardedBufferPool};
-pub use codec::{BlockReader, BlockWriter, SlotTable};
+pub use codec::{bytes_at, BlockReader, BlockWriter, SlotTable};
 pub use cursor::BlockCursor;
 pub use device::DeviceModel;
 pub use disk::{Disk, DiskConfig, FileId, SeqHint};
