@@ -40,13 +40,11 @@ pub struct HybridConfig {
     pub inner: HybridInnerKind,
     /// Error bound of the PLA directory (ignored by the model tree).
     pub epsilon: usize,
-    /// Slot over-allocation factor of the model tree (ignored by PLA).
-    pub gap_factor: u32,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig { inner: HybridInnerKind::Pla, epsilon: 64, gap_factor: 2 }
+        HybridConfig { inner: HybridInnerKind::Pla, epsilon: 64 }
     }
 }
 
@@ -75,9 +73,7 @@ impl HybridIndex {
         let leaves = LeafLevel::new(disk.block_size());
         let inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
             HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
-            HybridInnerKind::ModelTree => {
-                Box::new(ModelTreeInner::new(Arc::clone(&disk), config.gap_factor)?)
-            }
+            HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(&disk))?),
         };
         Ok(HybridIndex {
             disk,
@@ -113,9 +109,7 @@ impl HybridIndex {
         let leaves = LeafLevel::from_parts(disk.block_size(), leaf_count);
         let mut inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
             HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
-            HybridInnerKind::ModelTree => {
-                Box::new(ModelTreeInner::new(Arc::clone(&disk), config.gap_factor)?)
-            }
+            HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(&disk))?),
         };
         if !boundaries.is_empty() {
             inner.rebuild(&boundaries)?;
@@ -358,8 +352,7 @@ mod tests {
 
     fn build(inner: HybridInnerKind, n: u64) -> (HybridIndex, Vec<Entry>) {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut h =
-            HybridIndex::new(disk, HybridConfig { inner, epsilon: 16, gap_factor: 2 }).unwrap();
+        let mut h = HybridIndex::new(disk, HybridConfig { inner, epsilon: 16 }).unwrap();
         let mut keys: Vec<u64> = (0..n).map(|i| i * 13 + (i % 29) * 7).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -508,7 +501,7 @@ mod tests {
             || DiskConfig::with_block_size(512).device(DeviceModel::ssd()).buffer_blocks(64);
 
         for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
-            let hybrid_config = HybridConfig { inner, epsilon: 16, gap_factor: 2 };
+            let hybrid_config = HybridConfig { inner, epsilon: 16 };
             let mut sync_h = HybridIndex::new(Disk::in_memory(config()), hybrid_config).unwrap();
             sync_h.bulk_load(&data).unwrap();
             let mut expected = Vec::new();

@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key};
-use lidx_models::fmcd::fit_fmcd;
-use lidx_models::LinearModel;
+use lidx_lipp::node::{build_subtree, LippNode, Slot};
 use lidx_pgm::StaticPgm;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, FileId};
 
@@ -95,201 +94,85 @@ impl InnerDirectory for PlaInner {
 // FMCD model tree (ALEX / LIPP style)
 // ---------------------------------------------------------------------------
 
-const MT_SLOT: usize = 24;
-const MT_NULL: u64 = 0;
-const MT_DATA: u64 = 1;
-const MT_CHILD: u64 = 2;
+/// Slot over-allocation factor of a model-tree node: a node over `n`
+/// boundaries has `GAP_FACTOR · n` slots, clamped to `8..=2^20`.
+const GAP_FACTOR: usize = 2;
 
 /// An FMCD-fitted model tree over the boundaries, in the spirit of the inner
-/// nodes of ALEX and LIPP (Table 5, "ALEX" / "LIPP" columns).
+/// nodes of ALEX and LIPP (Table 5, "ALEX" / "LIPP" columns): a LIPP subtree
+/// ([`lidx_lipp::node`]) over the `(boundary, leaf block)` pairs, charged to
+/// [`BlockKind::Inner`]. A slot holds a boundary with its leaf, or a child
+/// keyed by the first boundary it holds; every rebuild writes a fresh tree
+/// into the directory's one file.
 pub struct ModelTreeInner {
     disk: Arc<Disk>,
-    file: u32,
-    gap_factor: u32,
-    root: BlockId,
+    file: FileId,
+    /// Start block of the root node; `None` before the first rebuild.
+    root: Option<BlockId>,
     nodes: u64,
     height: u32,
     first_leaf: BlockId,
-    built: bool,
-}
-
-struct MtHeader {
-    capacity: u32,
-    model: LinearModel,
 }
 
 impl ModelTreeInner {
-    /// Creates an empty model-tree directory; `gap_factor` is the slot
-    /// over-allocation factor (LIPP-style).
-    pub fn new(disk: Arc<Disk>, gap_factor: u32) -> IndexResult<Self> {
+    /// Creates an empty model-tree directory.
+    pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
         let file = disk.create_file()?;
-        Ok(ModelTreeInner {
-            disk,
-            file,
-            gap_factor: gap_factor.max(1),
-            root: 0,
-            nodes: 0,
-            height: 0,
-            first_leaf: 0,
-            built: false,
-        })
-    }
-
-    fn slots_per_block(&self) -> usize {
-        self.disk.block_size() / MT_SLOT
-    }
-
-    fn blocks_for(&self, capacity: u32) -> u32 {
-        1 + (capacity as usize).div_ceil(self.slots_per_block()).max(1) as u32
-    }
-
-    fn read_header(&self, cursor: &mut BlockCursor<'_>, start: BlockId) -> IndexResult<MtHeader> {
-        let buf = cursor.read(self.file, start, BlockKind::Inner)?;
-        Ok(MtHeader {
-            capacity: u32::from_le_bytes(buf[0..4].try_into().unwrap()),
-            model: LinearModel::new(
-                f64::from_le_bytes(buf[8..16].try_into().unwrap()),
-                f64::from_le_bytes(buf[16..24].try_into().unwrap()),
-            ),
-        })
-    }
-
-    fn read_slot(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        start: BlockId,
-        slot: u32,
-    ) -> IndexResult<(u64, Key, u64)> {
-        let per = self.slots_per_block() as u32;
-        let block = start + 1 + slot / per;
-        let off = ((slot % per) as usize) * MT_SLOT;
-        let buf = cursor.read(self.file, block, BlockKind::Inner)?;
-        Ok((
-            u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            Key::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-            u64::from_le_bytes(buf[off + 16..off + 24].try_into().unwrap()),
-        ))
-    }
-
-    fn build_node(&mut self, boundaries: &[Boundary], depth: u32) -> IndexResult<BlockId> {
-        self.height = self.height.max(depth + 1);
-        let capacity = (boundaries.len() as u32 * self.gap_factor).clamp(8, 1 << 20);
-        let keys: Vec<Key> = boundaries.iter().map(|b| b.0).collect();
-        let model = fit_fmcd(&keys, capacity as usize).model;
-
-        // Group boundaries by slot.
-        let mut slots: Vec<(u64, Key, u64)> = vec![(MT_NULL, 0, 0); capacity as usize];
-        let mut i = 0usize;
-        while i < boundaries.len() {
-            let slot = model.predict_clamped(boundaries[i].0, capacity as usize);
-            let mut j = i + 1;
-            while j < boundaries.len()
-                && model.predict_clamped(boundaries[j].0, capacity as usize) == slot
-            {
-                j += 1;
-            }
-            if j - i == 1 {
-                slots[slot] = (MT_DATA, boundaries[i].0, u64::from(boundaries[i].1));
-            } else {
-                let child = self.build_node(&boundaries[i..j], depth + 1)?;
-                slots[slot] = (MT_CHILD, boundaries[i].0, u64::from(child));
-            }
-            i = j;
-        }
-
-        // Serialise.
-        let bs = self.disk.block_size();
-        let start = self.disk.allocate(self.file, self.blocks_for(capacity))?;
-        let mut buf = vec![0u8; bs];
-        buf[0..4].copy_from_slice(&capacity.to_le_bytes());
-        buf[8..16].copy_from_slice(&model.slope.to_le_bytes());
-        buf[16..24].copy_from_slice(&model.intercept.to_le_bytes());
-        self.disk.write(self.file, start, BlockKind::Inner, &buf)?;
-        let per = self.slots_per_block();
-        let slot_blocks = (capacity as usize).div_ceil(per).max(1) as u32;
-        for b in 0..slot_blocks {
-            buf.fill(0);
-            for s in 0..per {
-                if let Some(&(t, k, v)) = slots.get(b as usize * per + s) {
-                    let off = s * MT_SLOT;
-                    buf[off..off + 8].copy_from_slice(&t.to_le_bytes());
-                    buf[off + 8..off + 16].copy_from_slice(&k.to_le_bytes());
-                    buf[off + 16..off + 24].copy_from_slice(&v.to_le_bytes());
-                }
-            }
-            self.disk.write(self.file, start + 1 + b, BlockKind::Inner, &buf)?;
-        }
-        self.nodes += 1;
-        Ok(start)
-    }
-
-    /// Floor search within the node at `start`: the greatest boundary
-    /// `<= key` in this subtree, if any. One cursor carries the whole
-    /// search down the recursion, so the slots walked in one block cost one
-    /// disk read. `budget` is how many more nodes the search may visit,
-    /// seeded from the node count ([`spend`]).
-    fn find_in(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        start: BlockId,
-        key: Key,
-        budget: &mut u64,
-    ) -> IndexResult<Option<BlockId>> {
-        spend(budget, "model-tree search")?;
-        let header = self.read_header(cursor, start)?;
-        let predicted = header.model.predict_clamped(key, header.capacity as usize) as u32;
-        // Scan from the predicted slot leftwards until a usable entry is
-        // found (the "walk to the next occupied slot" cost the paper notes
-        // for LIPP-style nodes without separate data/inner types).
-        let mut slot = predicted as i64;
-        while slot >= 0 {
-            let (tag, boundary, value) = self.read_slot(cursor, start, slot as u32)?;
-            match tag {
-                MT_NULL => {}
-                MT_DATA => {
-                    if boundary <= key {
-                        return block_pointer(value, DIR_POINTER).map(Some);
-                    }
-                }
-                MT_CHILD => {
-                    if boundary <= key {
-                        if let Some(found) =
-                            self.find_in(cursor, block_pointer(value, DIR_POINTER)?, key, budget)?
-                        {
-                            return Ok(Some(found));
-                        }
-                        // Every boundary in the child exceeded `key` (only
-                        // possible at the predicted slot); keep looking left.
-                    }
-                }
-                other => {
-                    return Err(IndexError::Internal(format!("bad model-tree slot tag {other}")))
-                }
-            }
-            slot -= 1;
-        }
-        Ok(None)
+        Ok(ModelTreeInner { disk, file, root: None, nodes: 0, height: 0, first_leaf: 0 })
     }
 }
 
 impl InnerDirectory for ModelTreeInner {
     fn rebuild(&mut self, boundaries: &[Boundary]) -> IndexResult<()> {
-        self.nodes = 0;
-        self.height = 0;
+        let entries: Vec<Entry> = boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
+        let capacity = |n: usize| n.saturating_mul(GAP_FACTOR).clamp(8, 1 << 20) as u32;
+        let built = build_subtree(&self.disk, self.file, BlockKind::Inner, &entries, &capacity)?;
+        self.root = Some(built.root);
+        self.nodes = built.nodes;
+        self.height = built.depth;
         self.first_leaf = boundaries.first().map_or(0, |b| b.1);
-        let bounds = if boundaries.is_empty() { &[(0, 0)][..] } else { boundaries };
-        self.root = self.build_node(bounds, 0)?;
-        self.built = true;
         Ok(())
     }
 
+    /// Walks from the predicted slot leftwards to the first boundary
+    /// `<= key`, descending into a child whose first boundary is `<= key`
+    /// (the "walk to the next occupied slot" cost the paper notes for
+    /// LIPP-style nodes without separate data/inner types). Such a child
+    /// holds the floor: the model is monotone, so the walk from its
+    /// predicted slot reaches its first boundary, and a child that yields
+    /// none is a damaged directory. Each node the walk loads spends one
+    /// unit of a budget seeded from the node count ([`spend`]), so a cyclic
+    /// child pointer is an error, not a hang.
     fn find_leaf(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
-        if !self.built {
-            return Err(IndexError::NotInitialized);
-        }
+        let root = self.root.ok_or(IndexError::NotInitialized)?;
         let mut budget = self.nodes;
-        let found = self.find_in(cursor, self.root, key, &mut budget)?;
-        Ok(found.unwrap_or(self.first_leaf))
+        let mut visit = |cursor: &mut BlockCursor<'_>, block| {
+            spend(&mut budget, "model-tree search")?;
+            LippNode::load(cursor, self.file, block, BlockKind::Inner)
+        };
+        let mut node = visit(cursor, root)?;
+        // The slots of `node` left to read, from the predicted one down.
+        let mut left = node.predict(key) + 1;
+        while let Some(slot) = left.checked_sub(1) {
+            left = slot;
+            match node.read_slot(cursor, slot)? {
+                Slot::Data(boundary, leaf) if boundary <= key => {
+                    return block_pointer(leaf, DIR_POINTER);
+                }
+                Slot::Child(first, child) if first <= key => {
+                    node = visit(cursor, child)?;
+                    left = node.predict(key) + 1;
+                }
+                _ => {}
+            }
+        }
+        if node.start != root {
+            return Err(IndexError::Internal(format!(
+                "model-tree node {} holds no boundary <= {key}",
+                node.start
+            )));
+        }
+        Ok(self.first_leaf)
     }
 
     fn node_count(&self) -> u64 {
@@ -304,7 +187,9 @@ impl InnerDirectory for ModelTreeInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lidx_lipp::node::{head_slots, HEADER_BYTES, SLOT_BYTES};
     use lidx_storage::DiskConfig;
+    use proptest::prelude::*;
 
     fn boundaries(n: u64, stride: u64) -> Vec<Boundary> {
         (0..n).map(|i| (i * stride + 5, (i + 100) as u32)).collect()
@@ -341,7 +226,7 @@ mod tests {
     #[test]
     fn model_tree_inner_floor_lookups() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
         let bounds = boundaries(5_000, 37);
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() >= 1);
@@ -351,7 +236,7 @@ mod tests {
     #[test]
     fn model_tree_handles_clustered_boundaries() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
         let mut bounds: Vec<Boundary> = Vec::new();
         for c in 0..50u64 {
             for i in 0..40u64 {
@@ -382,21 +267,33 @@ mod tests {
         disk.write(file, block, BlockKind::Inner, &buf).unwrap();
     }
 
+    /// Overwrites every slot position of block 0 of the root of `mt` with
+    /// `[tag][key 0][word]`. A one-boundary tree is one block: its header,
+    /// then its slots from byte [`HEADER_BYTES`].
+    fn forge_root_slots(disk: &Disk, mt: &ModelTreeInner, tag: u64, word: u64) {
+        let root = mt.root.unwrap();
+        for slot in 0..head_slots(disk.block_size()) {
+            let off = HEADER_BYTES + slot * SLOT_BYTES;
+            forge(disk, mt.file, root, off, tag);
+            forge(disk, mt.file, root, off + 8, 0);
+            forge(disk, mt.file, root, off + 16, word);
+        }
+    }
+
+    /// The `DATA` and `NODE` slot tags of [`lidx_lipp::node`].
+    const DATA: u64 = 1;
+    const CHILD: u64 = 2;
+
     #[test]
     fn block_pointers_beyond_the_block_id_range_are_errors() {
         // Truncated to 32 bits, each forged pointer would name block 0: for
         // the model tree that is its own root.
         let beyond = 1u64 << 32;
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
         mt.rebuild(&[(10, 7)]).unwrap();
-        for tag in [MT_DATA, MT_CHILD] {
-            for slot in 0..mt.slots_per_block() {
-                let off = slot * MT_SLOT;
-                forge(&disk, mt.file, mt.root + 1, off, tag);
-                forge(&disk, mt.file, mt.root + 1, off + 8, 0);
-                forge(&disk, mt.file, mt.root + 1, off + 16, beyond);
-            }
+        for tag in [DATA, CHILD] {
+            forge_root_slots(&disk, &mt, tag, beyond);
             assert!(
                 matches!(mt.find_leaf(&mut disk.cursor(), 10), Err(IndexError::Internal(_))),
                 "tag {tag}"
@@ -407,17 +304,12 @@ mod tests {
     #[test]
     fn a_cyclic_child_pointer_is_an_error_not_a_stack_overflow() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
         mt.rebuild(&[(10, 7)]).unwrap();
         assert_eq!(mt.node_count(), 1);
         // Every slot of the root names the root itself as a child whose
-        // boundary admits the key, so an unbounded search recurses forever.
-        for slot in 0..mt.slots_per_block() {
-            let off = slot * MT_SLOT;
-            forge(&disk, mt.file, mt.root + 1, off, MT_CHILD);
-            forge(&disk, mt.file, mt.root + 1, off + 8, 0);
-            forge(&disk, mt.file, mt.root + 1, off + 16, u64::from(mt.root));
-        }
+        // boundary admits the key, so an unbounded search never ends.
+        forge_root_slots(&disk, &mt, CHILD, u64::from(mt.root.unwrap()));
         // On its own thread with a deadline, so a search that never returns
         // fails the test instead of hanging it.
         let (done, result) = std::sync::mpsc::channel();
@@ -430,11 +322,88 @@ mod tests {
     }
 
     #[test]
+    fn a_child_without_a_boundary_below_its_key_is_an_error() {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        // Three adjacent boundaries conflict in one slot of an 18-slot,
+        // one-block root, so they form a child keyed 100.
+        let mut bounds: Vec<Boundary> = vec![(100, 1), (101, 2), (102, 3)];
+        bounds.extend((1..7).map(|i| (i * 1_000_000, 10 + i as u32)));
+        mt.rebuild(&bounds).unwrap();
+        assert_eq!(mt.find_leaf(&mut disk.cursor(), 1).unwrap(), 1, "below every boundary");
+        // Lower the child's key word below the probe: the walk descends into
+        // a child that holds no boundary <= 1.
+        let root = mt.root.unwrap();
+        let mut cursor = disk.cursor();
+        let node = LippNode::load(&mut cursor, mt.file, root, BlockKind::Inner).unwrap();
+        let child = (0..node.header.capacity)
+            .find(|&s| matches!(node.read_slot(&mut cursor, s), Ok(Slot::Child(100, _))))
+            .expect("the adjacent boundaries form a child");
+        forge(&disk, mt.file, root, HEADER_BYTES + child as usize * SLOT_BYTES + 8, 0);
+        let found = mt.find_leaf(&mut disk.cursor(), 1);
+        assert!(matches!(found, Err(IndexError::Internal(_))), "{found:?}");
+    }
+
+    #[test]
+    fn a_one_block_model_tree_node_costs_one_inner_read() {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        // Nine evenly spaced boundaries: 18 slots, within the 19 that share
+        // block 0 with the header at 512 bytes, and one slot each.
+        let bounds = boundaries(9, 1_000);
+        assert!(9 * GAP_FACTOR <= head_slots(512));
+        mt.rebuild(&bounds).unwrap();
+        assert_eq!(mt.node_count(), 1);
+        assert_eq!(disk.num_blocks(mt.file).unwrap(), 1, "the node is one block");
+        for &(k, leaf) in &bounds {
+            disk.stats().reset();
+            assert_eq!(mt.find_leaf(&mut disk.cursor(), k + 1).unwrap(), leaf);
+            assert_eq!(disk.stats().reads_of(BlockKind::Inner), 1, "key {}", k + 1);
+            assert_eq!(disk.stats().reads(), 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+        /// The model tree routes every key to the leaf of the greatest
+        /// boundary `<= key`, or to the first leaf below every boundary.
+        #[test]
+        fn model_tree_find_leaf_is_the_floor(
+            gaps in proptest::collection::vec((1u64..1_000_000, 1usize..12), 1..60),
+            block_size in prop_oneof![Just(256usize), Just(512usize), Just(1024usize)],
+        ) {
+            // Runs of boundaries one to four apart, the runs far apart: the
+            // runs conflict on one slot, so the root has children.
+            let mut bounds: Vec<Boundary> = Vec::new();
+            let mut key = 0u64;
+            for (i, &(gap, run)) in gaps.iter().enumerate() {
+                key += gap;
+                for j in 0..run as u64 {
+                    key += 1 + (gap + j) % 4;
+                    bounds.push((key, (bounds.len() + 100 * i) as u32));
+                }
+            }
+            let disk = Disk::in_memory(DiskConfig::with_block_size(block_size));
+            let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+            mt.rebuild(&bounds).unwrap();
+            let floor = |key: Key| {
+                let i = bounds.partition_point(|b| b.0 <= key);
+                bounds[i.saturating_sub(1)].1
+            };
+            let probes = bounds.iter().flat_map(|&(k, _)| [k - 1, k, k + 1]).chain([0, Key::MAX]);
+            for p in probes {
+                prop_assert_eq!(mt.find_leaf(&mut disk.cursor(), p).unwrap(), floor(p), "key {}", p);
+            }
+        }
+    }
+
+    #[test]
     fn directories_refuse_lookups_before_rebuild() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
         let pla = PlaInner::new(Arc::clone(&disk), 8).unwrap();
         assert!(pla.find_leaf(&mut disk.cursor(), 1).is_err());
-        let mt = ModelTreeInner::new(Arc::clone(&disk), 2).unwrap();
+        let mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
         assert!(mt.find_leaf(&mut disk.cursor(), 1).is_err());
     }
 }

@@ -18,9 +18,11 @@
 //!   and "PGM" hybrid columns of Table 5 (they behave identically at this
 //!   granularity).
 //! * [`inner::ModelTreeInner`] — an FMCD-fitted model tree in the spirit of
-//!   LIPP/ALEX inner nodes: each node maps a boundary key to a slot holding
-//!   either the leaf address or a child node. Reported for the "ALEX" and
-//!   "LIPP" hybrid columns.
+//!   LIPP/ALEX inner nodes: a LIPP subtree ([`lidx_lipp::node`], built by
+//!   its `build_subtree`) over the `(boundary, leaf block)` pairs, whose
+//!   slots hold either a boundary with its leaf address or a child keyed by
+//!   its first boundary, routed by a leftward floor walk from the predicted
+//!   slot. Reported for the "ALEX" and "LIPP" hybrid columns.
 //!
 //! The plain B+-tree column of Table 5 is simply [`lidx_btree::BTreeIndex`].
 //!

@@ -8,10 +8,9 @@ use lidx_core::{
     IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
     Value,
 };
-use lidx_models::fmcd::fit_fmcd;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
-use crate::node::{blocks_for, group_by_slot, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
+use crate::node::{build_subtree, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
 
 /// Configuration of the on-disk LIPP index.
 #[derive(Debug, Clone, Copy)]
@@ -126,36 +125,14 @@ impl LippIndex {
         ((count.max(1) * factor).max(8) as u32).min(self.config.max_node_slots)
     }
 
-    /// Recursively builds a node for `entries`, returning its start block.
-    fn build_subtree(&mut self, entries: &[Entry], depth: u32) -> IndexResult<BlockId> {
-        self.max_depth = self.max_depth.max(depth + 1);
-        let capacity = self.capacity_for(entries.len());
-        let keys: Vec<Key> = entries.iter().map(|e| e.0).collect();
-        let fitted = fit_fmcd(&keys, capacity as usize);
-        let model = fitted.model;
-
-        let mut slots = vec![Slot::Null; capacity as usize];
-        for (slot, group) in group_by_slot(entries, &model, capacity) {
-            if group.len() == 1 {
-                slots[slot as usize] = Slot::Data(group[0].0, group[0].1);
-            } else {
-                let child = self.build_subtree(&group, depth + 1)?;
-                slots[slot as usize] = Slot::Child(child);
-            }
-        }
-
-        let start = self.disk.allocate(self.file, blocks_for(capacity, self.disk.block_size()))?;
-        LippNode::write_new(
-            &self.disk,
-            self.file,
-            start,
-            capacity,
-            model,
-            &slots,
-            entries.len() as u32,
-        )?;
-        self.node_count += 1;
-        Ok(start)
+    /// Builds a subtree for `entries` ([`build_subtree`], charged to
+    /// `Leaf`) and counts its nodes and depth, returning its start block.
+    fn build(&mut self, entries: &[Entry]) -> IndexResult<BlockId> {
+        let capacity = |n| self.capacity_for(n);
+        let built = build_subtree(&self.disk, self.file, BlockKind::Leaf, entries, &capacity)?;
+        self.node_count += built.nodes;
+        self.max_depth = self.max_depth.max(built.depth);
+        Ok(built.root)
     }
 
     /// Rebuilds the subtree rooted at `node`, repointing either the parent
@@ -181,9 +158,10 @@ impl LippIndex {
         let removed = count_nodes(cursor, node, budget)?;
         node.free_subtree(cursor, budget)?;
         self.node_count -= removed;
-        let new_block = self.build_subtree(&entries, 0)?;
+        let new_block = self.build(&entries)?;
+        let first = entries.first().map_or(0, |e| e.0);
         match parent {
-            Some((mut p, slot)) => p.write_slot(cursor, slot, Slot::Child(new_block))?,
+            Some((mut p, slot)) => p.write_slot(cursor, slot, Slot::Child(first, new_block))?,
             None => self.root = new_block,
         }
         Ok(())
@@ -222,7 +200,7 @@ impl LippIndex {
         budget: &mut u64,
     ) -> IndexResult<LippNode> {
         spend(budget, "LIPP walk")?;
-        LippNode::load(cursor, self.file, block)
+        LippNode::load(cursor, self.file, block, BlockKind::Leaf)
     }
 
     fn should_rebuild(&self, node: &LippNode) -> bool {
@@ -261,7 +239,7 @@ impl IndexRead for LippIndex {
             match node.read_slot(&mut cursor, node.predict(key))? {
                 Slot::Null => return Ok(None),
                 Slot::Data(k, v) => return Ok((k == key).then_some(v)),
-                Slot::Child(b) => {
+                Slot::Child(_, b) => {
                     node = self.visit(&mut cursor, b, &mut budget)?;
                 }
             }
@@ -311,7 +289,8 @@ impl IndexRead for LippIndex {
                 q.submit(self.file, b, BlockKind::Leaf)?;
             }
             for c in q.complete()? {
-                nodes.insert(c.block, LippNode::from_frame(self.file, c.block, c.frame)?);
+                let node = LippNode::from_frame(self.file, c.block, BlockKind::Leaf, c.frame)?;
+                nodes.insert(c.block, node);
             }
 
             // Wave B: every active probe's predicted slot block past block 0
@@ -341,7 +320,7 @@ impl IndexRead for LippIndex {
                 match node.read_slot(&mut cursor, slot)? {
                     Slot::Null => {}
                     Slot::Data(k, v) => out[i as usize] = (k == keys[i as usize]).then_some(v),
-                    Slot::Child(child) => next.push((i, child)),
+                    Slot::Child(_, child) => next.push((i, child)),
                 }
             }
             active = next;
@@ -370,7 +349,7 @@ impl IndexRead for LippIndex {
         loop {
             let slot = node.predict(start);
             match node.read_slot(&mut cursor, slot)? {
-                Slot::Child(b) => {
+                Slot::Child(_, b) => {
                     stack.push((node, slot + 1));
                     node = self.visit(&mut cursor, b, &mut budget)?;
                 }
@@ -395,7 +374,7 @@ impl IndexRead for LippIndex {
                             out.push((k, v));
                         }
                     }
-                    Slot::Child(b) => {
+                    Slot::Child(_, b) => {
                         stack.push((node, idx + 1));
                         let child = self.visit(&mut cursor, b, &mut budget)?;
                         stack.push((child, 0));
@@ -429,7 +408,7 @@ impl IndexWrite for LippIndex {
             return Err(IndexError::AlreadyLoaded);
         }
         validate_bulk_load(entries)?;
-        self.root = self.build_subtree(entries, 0)?;
+        self.root = self.build(entries)?;
         self.key_count = entries.len() as u64;
         self.loaded = true;
         Ok(())
@@ -470,12 +449,12 @@ impl IndexWrite for LippIndex {
             let (slot_content, slot, leaf) = loop {
                 spend(&mut budget, "LIPP walk")?;
                 if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
-                    e.insert(LippNode::load(&mut cursor, self.file, block)?);
+                    e.insert(LippNode::load(&mut cursor, self.file, block, BlockKind::Leaf)?);
                 }
                 let node = &nodes[&block];
                 let slot = node.predict(key);
                 match node.read_slot(&mut cursor, slot)? {
-                    Slot::Child(b) => {
+                    Slot::Child(_, b) => {
                         path.push((block, slot));
                         block = b;
                     }
@@ -510,13 +489,13 @@ impl IndexWrite for LippIndex {
                     telemetry.telemetry().add(OpClass::Smo, 1);
                     let mut pair = [(k0, v0), (key, value)];
                     pair.sort_unstable_by_key(|e| e.0);
-                    let child = self.build_subtree(&pair, 0)?;
-                    node.write_slot(&mut cursor, slot, Slot::Child(child))?;
+                    let child = self.build(&pair)?;
+                    node.write_slot(&mut cursor, slot, Slot::Child(pair[0].0, child))?;
                     node.header.data_count -= 1;
                     node.header.child_count += 1;
                     laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
-                Slot::Child(_) => unreachable!("descent only stops at NULL or DATA slots"),
+                Slot::Child(..) => unreachable!("descent only stops at NULL or DATA slots"),
             }
             self.key_count += 1;
 
@@ -589,7 +568,7 @@ impl IndexWrite for LippIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{head_slots, slots_per_block};
+    use crate::node::{blocks_for, head_slots, slots_per_block};
     use lidx_storage::{BlockKind, DiskConfig};
 
     fn index() -> LippIndex {
@@ -952,14 +931,16 @@ mod tests {
     /// it probes there.
     fn path_of(l: &LippIndex, key: Key) -> Vec<(LippNode, u32)> {
         let mut cursor = l.disk.cursor();
-        let mut node = LippNode::load(&mut cursor, l.file, l.root).unwrap();
+        let mut node = LippNode::load(&mut cursor, l.file, l.root, BlockKind::Leaf).unwrap();
         let mut path = Vec::new();
         loop {
             let slot = node.predict(key);
             let next = node.read_slot(&mut cursor, slot).unwrap();
             path.push((node, slot));
             match next {
-                Slot::Child(b) => node = LippNode::load(&mut cursor, l.file, b).unwrap(),
+                Slot::Child(_, b) => {
+                    node = LippNode::load(&mut cursor, l.file, b, BlockKind::Leaf).unwrap()
+                }
                 _ => return path,
             }
         }
@@ -993,7 +974,7 @@ mod tests {
         assert_eq!(blocks_for(339, BS), 3);
         let (l, data) = scattered_4k(1);
         let mut small = 0;
-        let root = LippNode::load(&mut l.disk.cursor(), l.file, l.root).unwrap();
+        let root = LippNode::load(&mut l.disk.cursor(), l.file, l.root, BlockKind::Leaf).unwrap();
         let walk = |_: &mut BlockCursor<'_>, node: &LippNode| {
             if node.header.capacity as usize <= head_slots(BS) {
                 assert_eq!(node.total_blocks(BS), 1, "a {}-slot node", node.header.capacity);
@@ -1039,7 +1020,7 @@ mod tests {
         // Reload the root from disk: the header the batch flushed last must
         // sit beside every slot the batch wrote into block 0.
         let mut cursor = l.disk.cursor();
-        let root = LippNode::load(&mut cursor, l.file, l.root).unwrap();
+        let root = LippNode::load(&mut cursor, l.file, l.root, BlockKind::Leaf).unwrap();
         let h = root.header;
         assert_eq!((h.capacity, h.build_size), (20, 4));
         assert_eq!((h.num_inserts, u64::from(h.num_conflicts)), (40, l.stats().smo_count));
@@ -1048,7 +1029,7 @@ mod tests {
         for slot in 0..h.capacity {
             match root.read_slot(&mut cursor, slot).unwrap() {
                 Slot::Data(..) => data_slots += 1,
-                Slot::Child(_) => child_slots += 1,
+                Slot::Child(..) => child_slots += 1,
                 Slot::Null => {}
             }
         }
@@ -1116,9 +1097,9 @@ mod tests {
         let start = l.disk.allocate(l.file, blocks_for(capacity, 512)).unwrap();
         let mut slots = vec![Slot::Null; capacity as usize];
         slots[0] = data;
-        slots[cyclic as usize] = Slot::Child(start);
+        slots[cyclic as usize] = Slot::Child(0, start);
         let model = lidx_models::LinearModel::new(0.0, 0.0);
-        LippNode::write_new(&l.disk, l.file, start, capacity, model, &slots, 1).unwrap();
+        LippNode::write_new(&l.disk, l.file, start, BlockKind::Leaf, model, &slots, 1).unwrap();
         l.root = start;
     }
 
@@ -1166,10 +1147,11 @@ mod tests {
         let child = disk.allocate(file, blocks_for(capacity, 512)).unwrap();
         let mut slots = vec![Slot::Null; capacity as usize];
         slots[1] = Slot::Data(10, 10);
-        slots[3] = Slot::Child(parent);
-        LippNode::write_new(&disk, file, child, capacity, model, &slots, 1).unwrap();
-        slots[3] = Slot::Child(child);
-        let root = LippNode::write_new(&disk, file, parent, capacity, model, &slots, 2).unwrap();
+        slots[3] = Slot::Child(10, parent);
+        LippNode::write_new(&disk, file, child, BlockKind::Leaf, model, &slots, 1).unwrap();
+        slots[3] = Slot::Child(10, child);
+        let root =
+            LippNode::write_new(&disk, file, parent, BlockKind::Leaf, model, &slots, 2).unwrap();
         let nodes = 2;
         let mut cursor = disk.cursor();
         let collected = root.collect_subtree(&mut cursor, &mut Vec::new(), nodes);

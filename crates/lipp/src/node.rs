@@ -13,7 +13,16 @@
 //! and a lookup whose predicted slot is among the first H reads one block at
 //! that level. The slot type is stored inline (the paper's replacement for
 //! ALEX's bitmap), so one block read yields both the type and the content of
-//! a slot.
+//! a slot. A `DATA` slot's key word is its key; a `NODE` slot's is the
+//! smallest key its child was built over, so a floor search can skip a child
+//! that starts above the search key without loading it.
+//!
+//! Two designs run on this node. [`LippIndex`](crate::LippIndex) charges its
+//! blocks to [`BlockKind::Leaf`]; the model-tree hybrid's directory (Table 5's
+//! ALEX/LIPP column) charges them to [`BlockKind::Inner`]. A handle carries
+//! the kind it was loaded or written with, and every read and write through
+//! it, and every child a subtree walk loads from it, is charged to that
+//! kind. [`build_subtree`] is the one bulk build of both.
 //!
 //! A [`LippNode`] handle keeps the block-0 frame it was loaded from or last
 //! wrote. Its slots in block 0 are read from that frame, and a header write
@@ -21,8 +30,9 @@
 //! read.
 
 use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key, Value};
+use lidx_models::fmcd::fit_fmcd;
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk};
+use lidx_storage::{bytes_at, BlockCursor, BlockId, BlockKind, BlockRef, BlockWriter, Disk};
 
 /// Size of one slot in bytes.
 pub const SLOT_BYTES: usize = 24;
@@ -43,8 +53,9 @@ pub enum Slot {
     Null,
     /// The slot stores a key-payload pair.
     Data(Key, Value),
-    /// The slot points at a child node (start block of its extent).
-    Child(BlockId),
+    /// The slot points at a child node: the smallest key the child was
+    /// built over, and the start block of its extent.
+    Child(Key, BlockId),
 }
 
 /// Encodes `slot` into the 24 bytes of `buf` at `off`.
@@ -52,7 +63,7 @@ fn put_slot(buf: &mut [u8], off: usize, slot: Slot) {
     let words = match slot {
         Slot::Null => [SLOT_NULL, 0, 0],
         Slot::Data(k, v) => [SLOT_DATA, k, v],
-        Slot::Child(b) => [SLOT_CHILD, 0, u64::from(b)],
+        Slot::Child(k, b) => [SLOT_CHILD, k, u64::from(b)],
     };
     for (bytes, word) in buf[off..off + SLOT_BYTES].chunks_exact_mut(8).zip(words) {
         bytes.copy_from_slice(&word.to_le_bytes());
@@ -61,13 +72,15 @@ fn put_slot(buf: &mut [u8], off: usize, slot: Slot) {
 
 /// Decodes the slot stored in the 24 bytes of `buf` at `off`.
 fn get_slot(buf: &[u8], off: usize) -> IndexResult<Slot> {
-    let mut r = BlockReader::new(buf);
-    r.seek(off)?;
-    let (tag, key, word) = (r.get_u64()?, r.get_u64()?, r.get_u64()?);
+    let slot = buf.get(off..off + SLOT_BYTES).ok_or_else(|| {
+        IndexError::Internal(format!("LIPP slot at byte {off} of a {}-byte block", buf.len()))
+    })?;
+    let u64_at = |at| u64::from_le_bytes(bytes_at(slot, at));
+    let (tag, key, word) = (u64_at(0), u64_at(8), u64_at(16));
     match tag {
         SLOT_NULL => Ok(Slot::Null),
         SLOT_DATA => Ok(Slot::Data(key, word)),
-        SLOT_CHILD => block_pointer(word, "LIPP child pointer").map(Slot::Child),
+        SLOT_CHILD => Ok(Slot::Child(key, block_pointer(word, "LIPP child pointer")?)),
         other => Err(IndexError::Internal(format!("invalid LIPP slot tag {other}"))),
     }
 }
@@ -110,27 +123,25 @@ impl LippHeader {
         Ok(w.finish())
     }
 
+    /// Decodes the header from the front of block 0: one length check, then
+    /// each field at the offset [`LippHeader::encode`] writes it to.
     fn decode(buf: &[u8]) -> IndexResult<Self> {
-        let mut r = BlockReader::new(buf);
-        let tag = r.get_u8()?;
-        if tag != TAG_NODE {
-            return Err(IndexError::Internal(format!("expected LIPP node tag, got {tag:#x}")));
+        let h = buf.get(..HEADER_BYTES).ok_or_else(|| {
+            IndexError::Internal(format!("a LIPP header in a block of {} bytes", buf.len()))
+        })?;
+        if h[0] != TAG_NODE {
+            return Err(IndexError::Internal(format!("expected LIPP node tag, got {:#x}", h[0])));
         }
-        r.get_u8()?;
-        r.get_u16()?;
-        let capacity = r.get_u32()?;
-        let data_count = r.get_u32()?;
-        let child_count = r.get_u32()?;
-        let slope = r.get_f64()?;
-        let intercept = r.get_f64()?;
+        let u32_at = |at| u32::from_le_bytes(bytes_at(h, at));
+        let f64_at = |at| f64::from_le_bytes(bytes_at(h, at));
         Ok(LippHeader {
-            capacity,
-            data_count,
-            child_count,
-            model: LinearModel::new(slope, intercept),
-            build_size: r.get_u32()?,
-            num_inserts: r.get_u32()?,
-            num_conflicts: r.get_u32()?,
+            capacity: u32_at(4),
+            data_count: u32_at(8),
+            child_count: u32_at(12),
+            model: LinearModel::new(f64_at(16), f64_at(24)),
+            build_size: u32_at(32),
+            num_inserts: u32_at(36),
+            num_conflicts: u32_at(40),
         })
     }
 }
@@ -142,6 +153,8 @@ pub struct LippNode {
     pub file: u32,
     /// First block of the extent.
     pub start: BlockId,
+    /// The block kind the node's reads and writes are charged to.
+    pub kind: BlockKind,
     /// The decoded header.
     pub header: LippHeader,
     /// Block 0 as this handle loaded or last wrote it: the header bytes
@@ -169,17 +182,27 @@ pub fn blocks_for(capacity: u32, block_size: usize) -> u32 {
 
 impl LippNode {
     /// Reads the node at `start` (block 0: its header and first slots, one
-    /// block read) through the operation's cursor: scan-class through a
-    /// scan's cursor.
-    pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
-        let frame = cursor.read(file, start, BlockKind::Leaf)?;
-        Self::from_frame(file, start, frame.clone())
+    /// block read of `kind`) through the operation's cursor: scan-class
+    /// through a scan's cursor.
+    pub fn load(
+        cursor: &mut BlockCursor<'_>,
+        file: u32,
+        start: BlockId,
+        kind: BlockKind,
+    ) -> IndexResult<Self> {
+        let frame = cursor.read(file, start, kind)?;
+        Self::from_frame(file, start, kind, frame.clone())
     }
 
     /// Builds a handle from an already-fetched block 0 (e.g. one delivered
     /// by a read-queue completion wave), avoiding a second read.
-    pub fn from_frame(file: u32, start: BlockId, block0: BlockRef) -> IndexResult<Self> {
-        Ok(LippNode { file, start, header: LippHeader::decode(&block0)?, block0 })
+    pub fn from_frame(
+        file: u32,
+        start: BlockId,
+        kind: BlockKind,
+        block0: BlockRef,
+    ) -> IndexResult<Self> {
+        Ok(LippNode { file, start, kind, header: LippHeader::decode(&block0)?, block0 })
     }
 
     /// Total blocks of the node's extent.
@@ -193,7 +216,7 @@ impl LippNode {
     pub fn write_header(&mut self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
         let mut buf = self.block0.to_vec();
         buf[..HEADER_BYTES].copy_from_slice(&self.header.encode()?);
-        cursor.write(self.file, self.start, BlockKind::Leaf, &buf)?;
+        cursor.write(self.file, self.start, self.kind, &buf)?;
         self.block0 = BlockRef::from_vec(buf);
         Ok(())
     }
@@ -229,7 +252,7 @@ impl LippNode {
         if block == self.start {
             return get_slot(&self.block0, off);
         }
-        get_slot(cursor.read(self.file, block, BlockKind::Leaf)?, off)
+        get_slot(cursor.read(self.file, block, self.kind)?, off)
     }
 
     /// Writes one slot through the operation's cursor: a read-modify-write
@@ -245,37 +268,37 @@ impl LippNode {
         let mut buf = if block == self.start {
             self.block0.to_vec()
         } else {
-            cursor.read(self.file, block, BlockKind::Leaf)?.to_vec()
+            cursor.read(self.file, block, self.kind)?.to_vec()
         };
         put_slot(&mut buf, off, value);
-        cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
+        cursor.write(self.file, block, self.kind, &buf)?;
         if block == self.start {
             self.block0 = BlockRef::from_vec(buf);
         }
         Ok(())
     }
 
-    /// Builds a node for `entries` (sorted, strictly increasing) with the
-    /// given slot capacity and FMCD model. Conflicting keys are *not* handled
-    /// here — the caller groups keys per slot and builds child nodes; this
-    /// function receives the final per-slot assignment.
+    /// Writes a node of `slots.len()` slots with the given FMCD model into
+    /// the extent at `start`, charged to `kind`. Conflicting keys are *not*
+    /// handled here — [`build_subtree`] groups keys per slot and builds
+    /// child nodes; this function receives the final per-slot assignment.
     pub fn write_new(
         disk: &Disk,
         file: u32,
         start: BlockId,
-        capacity: u32,
+        kind: BlockKind,
         model: LinearModel,
         slots: &[Slot],
         build_size: u32,
     ) -> IndexResult<LippNode> {
-        debug_assert_eq!(slots.len(), capacity as usize);
+        let capacity = slots.len() as u32;
         let bs = disk.block_size();
         let mut data_count = 0;
         let mut child_count = 0;
         for s in slots {
             match s {
                 Slot::Data(..) => data_count += 1,
-                Slot::Child(_) => child_count += 1,
+                Slot::Child(..) => child_count += 1,
                 Slot::Null => {}
             }
         }
@@ -296,21 +319,22 @@ impl LippNode {
             for (i, &s) in chunk.iter().enumerate() {
                 put_slot(&mut buf, i * SLOT_BYTES, s);
             }
-            disk.write(file, start + b, BlockKind::Leaf, &buf)?;
+            disk.write(file, start + b, kind, &buf)?;
         }
         buf.fill(0);
         buf[..HEADER_BYTES].copy_from_slice(&header.encode()?);
         for (i, &s) in head.iter().enumerate() {
             put_slot(&mut buf, HEADER_BYTES + i * SLOT_BYTES, s);
         }
-        disk.write(file, start, BlockKind::Leaf, &buf)?;
-        Ok(LippNode { file, start, header, block0: BlockRef::from_vec(buf) })
+        disk.write(file, start, kind, &buf)?;
+        Ok(LippNode { file, start, kind, header, block0: BlockRef::from_vec(buf) })
     }
 
     /// Walks this node's subtree depth first in slot order, reading every
     /// slot with [`LippNode::read_slot`]: `data` sees each stored entry, in key order,
     /// and `done` each node once its subtree is walked (children before
-    /// their parent). The walk may load `budget` nodes, the tree's node
+    /// their parent). Children are loaded with this node's block kind. The
+    /// walk may load `budget` nodes, the tree's node
     /// count (see [`lidx_core::spend`]), and keeps its path on the heap, so a cyclic
     /// child pointer is an error, neither a hang nor a stack overflow.
     pub(crate) fn walk_subtree(
@@ -333,9 +357,9 @@ impl LippNode {
             match read {
                 Slot::Null => {}
                 Slot::Data(k, v) => data((k, v)),
-                Slot::Child(block) => {
+                Slot::Child(_, block) => {
                     spend(&mut budget, "LIPP walk")?;
-                    let child = LippNode::load(cursor, node.file, block)?;
+                    let child = LippNode::load(cursor, node.file, block, node.kind)?;
                     path.push((child, 0));
                 }
             }
@@ -392,6 +416,51 @@ pub fn group_by_slot(
     groups
 }
 
+/// What [`build_subtree`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Subtree {
+    /// Start block of the root node's extent.
+    pub root: BlockId,
+    /// Number of nodes written.
+    pub nodes: u64,
+    /// Levels of the subtree: 1 for a node without children.
+    pub depth: u32,
+}
+
+/// Builds a subtree over `entries` (sorted, strictly increasing) into
+/// `file`, charged to `kind`. Each node gets `capacity(n)` slots for its `n`
+/// entries and an FMCD model over their keys; a slot that one entry maps to
+/// holds it, and a slot that several map to holds a child built over them,
+/// keyed by the first. Children are allocated and written before their
+/// parent, in slot order.
+pub fn build_subtree(
+    disk: &Disk,
+    file: u32,
+    kind: BlockKind,
+    entries: &[Entry],
+    capacity: &dyn Fn(usize) -> u32,
+) -> IndexResult<Subtree> {
+    let slot_count = capacity(entries.len());
+    let keys: Vec<Key> = entries.iter().map(|e| e.0).collect();
+    let model = fit_fmcd(&keys, slot_count as usize).model;
+    let mut slots = vec![Slot::Null; slot_count as usize];
+    let (mut nodes, mut depth) = (1, 1);
+    for (slot, group) in group_by_slot(entries, &model, slot_count) {
+        slots[slot as usize] = match group[..] {
+            [(k, v)] => Slot::Data(k, v),
+            _ => {
+                let child = build_subtree(disk, file, kind, &group, capacity)?;
+                nodes += child.nodes;
+                depth = depth.max(child.depth + 1);
+                Slot::Child(group[0].0, child.root)
+            }
+        };
+    }
+    let root = disk.allocate(file, blocks_for(slot_count, disk.block_size()))?;
+    LippNode::write_new(disk, file, root, kind, model, &slots, entries.len() as u32)?;
+    Ok(Subtree { root, nodes, depth })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,12 +474,33 @@ mod tests {
     #[test]
     fn slot_encoding_roundtrips() {
         let mut buf = [0xFFu8; 2 * SLOT_BYTES];
-        for s in [Slot::Null, Slot::Data(5, 6), Slot::Child(1234)] {
+        for s in [Slot::Null, Slot::Data(5, 6), Slot::Child(0, 1234), Slot::Child(77, 1234)] {
             put_slot(&mut buf, SLOT_BYTES, s);
             assert_eq!(get_slot(&buf, SLOT_BYTES).unwrap(), s);
         }
         assert!(get_slot(&buf, 0).is_err(), "tag 0xFF..FF is no slot type");
         assert!(get_slot(&buf, SLOT_BYTES + 1).is_err(), "a slot past the block's end");
+    }
+
+    #[test]
+    fn header_decoding_roundtrips_and_refuses_short_or_untagged_bytes() {
+        let header = LippHeader {
+            capacity: 70,
+            data_count: 3,
+            child_count: 2,
+            model: LinearModel::new(0.25, -1.5),
+            build_size: 7,
+            num_inserts: 11,
+            num_conflicts: 5,
+        };
+        let bytes = header.encode().unwrap();
+        assert_eq!(LippHeader::decode(&bytes).unwrap(), header);
+        for len in 0..HEADER_BYTES {
+            assert!(LippHeader::decode(&bytes[..len]).is_err(), "{len} bytes");
+        }
+        let mut untagged = bytes.clone();
+        untagged[0] ^= 1;
+        assert!(LippHeader::decode(&untagged).is_err());
     }
 
     #[test]
@@ -420,10 +510,9 @@ mod tests {
         let capacity = 8u32;
         let start = d.allocate(file, blocks_for(capacity, 512)).unwrap();
         let mut slots = vec![Slot::Null; capacity as usize];
-        slots[2] = Slot::Child(99);
-        let node =
-            LippNode::write_new(&d, file, start, capacity, LinearModel::new(0.1, 0.0), &slots, 1)
-                .unwrap();
+        slots[2] = Slot::Child(20, 99);
+        let model = LinearModel::new(0.1, 0.0);
+        let node = LippNode::write_new(&d, file, start, BlockKind::Leaf, model, &slots, 1).unwrap();
         // Forge the child pointer's high half: truncated to 32 bits it would
         // still name block 99. The handle holds block 0 as it wrote it, so
         // the forged block is read through a fresh one.
@@ -432,7 +521,7 @@ mod tests {
         buf[off + 16..off + 24].copy_from_slice(&((1u64 << 32) | 99).to_le_bytes());
         d.write(file, block, BlockKind::Leaf, &buf).unwrap();
         let mut cursor = d.cursor();
-        let forged = LippNode::load(&mut cursor, file, start).unwrap();
+        let forged = LippNode::load(&mut cursor, file, start, BlockKind::Leaf).unwrap();
         let read = forged.read_slot(&mut cursor, 2);
         assert!(matches!(read, Err(IndexError::Internal(_))), "{read:?}");
     }
@@ -445,19 +534,19 @@ mod tests {
         let start = d.allocate(file, blocks_for(capacity, 512)).unwrap();
         let mut slots = vec![Slot::Null; capacity as usize];
         slots[3] = Slot::Data(30, 31);
-        slots[10] = Slot::Child(99);
+        slots[10] = Slot::Child(100, 99);
         slots[63] = Slot::Data(630, 631);
         let model = LinearModel::new(0.1, 0.0);
-        let node = LippNode::write_new(&d, file, start, capacity, model, &slots, 3).unwrap();
+        let node = LippNode::write_new(&d, file, start, BlockKind::Leaf, model, &slots, 3).unwrap();
         assert_eq!(node.header.data_count, 2);
         assert_eq!(node.header.child_count, 1);
 
         let mut cursor = d.cursor();
-        let mut reloaded = LippNode::load(&mut cursor, file, start).unwrap();
+        let mut reloaded = LippNode::load(&mut cursor, file, start, BlockKind::Leaf).unwrap();
         assert_eq!(reloaded.header, node.header);
         let mut read = |slot| reloaded.read_slot(&mut cursor, slot).unwrap();
         assert_eq!(read(3), Slot::Data(30, 31));
-        assert_eq!(read(10), Slot::Child(99));
+        assert_eq!(read(10), Slot::Child(100, 99));
         assert_eq!(read(4), Slot::Null);
 
         reloaded.write_slot(&mut cursor, 4, Slot::Data(40, 41)).unwrap();
@@ -473,16 +562,8 @@ mod tests {
         let capacity = 100u32;
         let start = d.allocate(file, blocks_for(capacity, 512)).unwrap();
         let model = LinearModel::new(0.01, 0.0); // keys 0..10_000 -> slots 0..100
-        let node = LippNode::write_new(
-            &d,
-            file,
-            start,
-            capacity,
-            model,
-            &vec![Slot::Null; capacity as usize],
-            0,
-        )
-        .unwrap();
+        let slots = vec![Slot::Null; capacity as usize];
+        let node = LippNode::write_new(&d, file, start, BlockKind::Leaf, model, &slots, 0).unwrap();
         assert_eq!(node.predict(0), 0);
         assert_eq!(node.predict(5_000), 50);
         assert_eq!(node.predict(1_000_000), 99);
@@ -510,26 +591,19 @@ mod tests {
         let mut child_slots = vec![Slot::Null; child_cap as usize];
         child_slots[1] = Slot::Data(10, 100);
         child_slots[6] = Slot::Data(20, 200);
-        LippNode::write_new(
-            &d,
-            file,
-            child_start,
-            child_cap,
-            LinearModel::new(0.5, -4.0),
-            &child_slots,
-            2,
-        )
-        .unwrap();
+        let child_model = LinearModel::new(0.5, -4.0);
+        LippNode::write_new(&d, file, child_start, BlockKind::Leaf, child_model, &child_slots, 2)
+            .unwrap();
         // Parent referencing the child between two data slots.
         let cap = 8u32;
         let start = d.allocate(file, blocks_for(cap, 512)).unwrap();
         let mut slots = vec![Slot::Null; cap as usize];
         slots[0] = Slot::Data(5, 50);
-        slots[2] = Slot::Child(child_start);
+        slots[2] = Slot::Child(10, child_start);
         slots[5] = Slot::Data(30, 300);
+        let model = LinearModel::new(0.1, 0.0);
         let parent =
-            LippNode::write_new(&d, file, start, cap, LinearModel::new(0.1, 0.0), &slots, 4)
-                .unwrap();
+            LippNode::write_new(&d, file, start, BlockKind::Leaf, model, &slots, 4).unwrap();
 
         let mut out = Vec::new();
         parent.collect_subtree(&mut d.cursor(), &mut out, 2).unwrap();
@@ -543,5 +617,42 @@ mod tests {
             u64::from(blocks_for(child_cap, 512) + blocks_for(cap, 512)),
             "both extents must be freed"
         );
+    }
+
+    #[test]
+    fn a_subtree_is_charged_to_its_block_kind_and_keys_its_children() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        // Runs of adjacent keys far apart: the runs conflict, so the root
+        // has children.
+        let entries: Vec<Entry> = (0..20u64)
+            .flat_map(|run| (0..6).map(move |i| (run * 1_000_000 + i, run + i)))
+            .collect();
+        let built = build_subtree(&d, file, BlockKind::Inner, &entries, &|n| (n * 2).max(8) as u32)
+            .unwrap();
+        assert!(built.nodes > 1 && built.depth > 1, "{built:?}");
+        assert_eq!(d.stats().writes_of(BlockKind::Leaf), 0);
+
+        d.stats().reset();
+        let mut cursor = d.cursor();
+        let root = LippNode::load(&mut cursor, file, built.root, BlockKind::Inner).unwrap();
+        let mut out = Vec::new();
+        root.collect_subtree(&mut cursor, &mut out, built.nodes).unwrap();
+        assert_eq!(out, entries);
+        assert!(d.stats().reads_of(BlockKind::Inner) >= built.nodes);
+        assert_eq!(d.stats().reads_of(BlockKind::Leaf), 0, "children inherit the kind");
+
+        // Every child slot carries the first key its child holds.
+        let mut children = 0;
+        for slot in 0..root.header.capacity {
+            if let Slot::Child(first, block) = root.read_slot(&mut cursor, slot).unwrap() {
+                let child = LippNode::load(&mut cursor, file, block, BlockKind::Inner).unwrap();
+                let mut held = Vec::new();
+                child.collect_subtree(&mut cursor, &mut held, built.nodes).unwrap();
+                assert_eq!(first, held[0].0);
+                children += 1;
+            }
+        }
+        assert_eq!(children, root.header.child_count);
     }
 }

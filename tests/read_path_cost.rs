@@ -55,6 +55,15 @@ struct ReadCost {
 /// instead of reading the rest of the window: `Inner` reads fell 4 464 →
 /// 2 453 at depth 1 (888.54 → 767.88 ms) and 4 400 → 2 417 at depth 8
 /// (817.64 → 698.66 ms), with every other counter unchanged.
+///
+/// The four hybrid-modeltree rows were re-recorded when the model tree began
+/// running on LIPP's node, whose first slots share block 0 with the header:
+/// a level of a lookup reads one block where it read a header block and a
+/// slot block. Near-linear depth 1: `Leaf` reads 901 → 880, pool hits 5 935
+/// → 4 001, 88.46 → 86.36 ms. Depth 8: reads `[0, 1, 1110, 0]` →
+/// `[0, 0, 1080, 0]`, pool hits 5 945 → 4 015, readahead hits 14 → 13,
+/// 84.72 → 82.48 ms. `fb`: `Inner` reads 9 123 → 7 690 at both depths,
+/// 1 126.92 → 1 031.26 ms at depth 1 and 1 075.68 → 980.02 ms at depth 8.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
@@ -70,7 +79,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, hybrid-pla
     ReadCost { reads: [0, 0, 861, 0], device_ns: 84500000, buffer_hits: 3673, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-modeltree
-    ReadCost { reads: [0, 0, 901, 0], device_ns: 88460000, buffer_hits: 5935, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 880, 0], device_ns: 86360000, buffer_hits: 4001, readahead_hits: 0 },
     // ssd, pool 64, depth 8, btree
     ReadCost { reads: [0, 0, 1047, 0], device_ns: 80560000, buffer_hits: 3690, readahead_hits: 12 },
     // ssd, pool 64, depth 8, fiting
@@ -84,7 +93,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 8, hybrid-pla
     ReadCost { reads: [0, 0, 1051, 0], device_ns: 80820000, buffer_hits: 3687, readahead_hits: 12 },
     // ssd, pool 64, depth 8, hybrid-modeltree
-    ReadCost { reads: [0, 1, 1110, 0], device_ns: 84720000, buffer_hits: 5945, readahead_hits: 14 },
+    ReadCost { reads: [0, 0, 1080, 0], device_ns: 82480000, buffer_hits: 4015, readahead_hits: 13 },
     // fb, 512 B, no pool, depth 1, btree
     ReadCost { reads: [0, 4466, 3041, 0], device_ns: 718340000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, fiting
@@ -98,7 +107,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, hybrid-pla
     ReadCost { reads: [0, 7978, 3041, 0], device_ns: 929060000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, hybrid-modeltree
-    ReadCost { reads: [0, 9123, 3041, 0], device_ns: 1126920000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 7690, 3041, 0], device_ns: 1031260000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 8, btree
     ReadCost { reads: [0, 4466, 3633, 0], device_ns: 667100000, buffer_hits: 0, readahead_hits: 808 },
     // fb, 512 B, no pool, depth 8, fiting
@@ -112,7 +121,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, hybrid-pla
     ReadCost { reads: [0, 7978, 3633, 0], device_ns: 877820000, buffer_hits: 0, readahead_hits: 808 },
     // fb, 512 B, no pool, depth 8, hybrid-modeltree
-    ReadCost { reads: [0, 9123, 3633, 0], device_ns: 1075680000, buffer_hits: 0, readahead_hits: 808 },
+    ReadCost { reads: [0, 7690, 3633, 0], device_ns: 980020000, buffer_hits: 0, readahead_hits: 808 },
 ];
 
 /// The probes of one measured interval over `bulk`: 2 000 point lookups,

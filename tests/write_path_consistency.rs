@@ -454,7 +454,14 @@ struct InsertCost {
 /// on the HDD reads fell 4 759 → 4 315, writes 4 837 → 4 470 and blocks
 /// 884 → 516, with the same 361 SMOs and the same Maintenance step (0
 /// reads, 2 101 header writes). The seven `fb` rows were recorded when they
-/// were added, before any change to a design's inner levels.
+/// were added, before any change to a design's inner levels. The three
+/// hybrid-modeltree rows were recorded again when the model tree began
+/// running on LIPP's node, whose first slots share block 0 with the header,
+/// so a small directory node is one block instead of two: on the HDD `Inner`
+/// reads 4 000 → 2 000, `Inner` writes 48 → 24, blocks 99 → 74, 60.92 →
+/// 60.48 s; on the SSD `Inner` writes 48 → 24, blocks 99 → 74, 248.64 →
+/// 245.76 ms; on `fb` `Inner` reads 9 169 → 6 718, `Inner` writes 20 881 →
+/// 18 353, blocks 22 017 → 19 462, 3 774.94 → 3 315.56 ms.
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
@@ -470,7 +477,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, hybrid-pla
     InsertCost { reads: [0, 2000, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60480000000, smo_count: 24, storage_blocks: 74, steps: [[40000000000, 4000, 0], [19760000000, 0, 1976], [720000000, 0, 72], [0, 0, 0]] },
     // hdd, no pool, hybrid-modeltree
-    InsertCost { reads: [0, 4000, 2000, 0], writes: [0, 48, 2024, 0], device_ns: 60920000000, smo_count: 24, storage_blocks: 99, steps: [[40200000000, 6000, 0], [19760000000, 0, 1976], [960000000, 0, 96], [0, 0, 0]] },
+    InsertCost { reads: [0, 2000, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60480000000, smo_count: 24, storage_blocks: 74, steps: [[40000000000, 4000, 0], [19760000000, 0, 1976], [720000000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, btree
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 51, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, fiting
@@ -484,7 +491,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // ssd, pool 64, hybrid-pla
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 74, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, hybrid-modeltree
-    InsertCost { reads: [0, 0, 0, 0], writes: [0, 48, 2024, 0], device_ns: 248640000, smo_count: 24, storage_blocks: 99, steps: [[0, 0, 0], [237120000, 0, 1976], [11520000, 0, 96], [0, 0, 0]] },
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 74, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, btree
     InsertCost { reads: [0, 4098, 2000, 0], writes: [0, 101, 2095, 0], device_ns: 871800000, smo_count: 98, storage_blocks: 959, steps: [[598480000, 6000, 0], [228600000, 0, 1905], [44720000, 98, 291], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, fiting
@@ -498,7 +505,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // fb, 512 B, ssd, no pool, hybrid-pla
     InsertCost { reads: [0, 7620, 2000, 0], writes: [0, 2759, 2095, 0], device_ns: 1399680000, smo_count: 95, storage_blocks: 3716, steps: [[817200000, 9620, 0], [228600000, 0, 1905], [353880000, 0, 2949], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, hybrid-modeltree
-    InsertCost { reads: [0, 9169, 2000, 0], writes: [0, 20881, 2095, 0], device_ns: 3774940000, smo_count: 95, storage_blocks: 22017, steps: [[1017820000, 11169, 0], [228600000, 0, 1905], [2528520000, 0, 21071], [0, 0, 0]] },
+    InsertCost { reads: [0, 6718, 2000, 0], writes: [0, 18353, 2095, 0], device_ns: 3315560000, smo_count: 95, storage_blocks: 19462, steps: [[861800000, 8718, 0], [228600000, 0, 1905], [2225160000, 0, 18543], [0, 0, 0]] },
 ];
 
 /// Bulk-loads `bulk` into `choice` on `disk`, then inserts `stream` one key
