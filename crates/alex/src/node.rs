@@ -33,21 +33,19 @@
 //! A child pointer packs "is data node" into bit 63 and the child's start
 //! block into the low 32 bits.
 
+use lidx_core::entries::{self, ENTRY_BYTES};
 use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
-use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint};
+use lidx_storage::{
+    bytes_at, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint,
+};
 
-/// Size of one slot in bytes.
-pub const SLOT_BYTES: usize = 16;
+/// Size of one slot in bytes: a `(key, payload)` entry in the shared slot
+/// codec ([`lidx_core::entries`]).
+pub const SLOT_BYTES: usize = ENTRY_BYTES;
 
 const TAG_DATA: u8 = 0xD1;
 const TAG_INNER: u8 = 0xA1;
-
-/// Encodes `entry` into the 16 bytes of one slot.
-fn put_slot(slot: &mut [u8], entry: Entry) {
-    slot[..8].copy_from_slice(&entry.0.to_le_bytes());
-    slot[8..SLOT_BYTES].copy_from_slice(&entry.1.to_le_bytes());
-}
 
 /// Word `w` of a bitmap block: bit `i` of the word is the bit of slot
 /// `64·w + i` of the block (byte `i / 8`, bit `i % 8` of the word's bytes).
@@ -236,11 +234,7 @@ impl DataNode {
     pub fn read_slot(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
         let (block, idx) = self.slot_block(slot, cursor.disk());
         let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
-        let off = idx * SLOT_BYTES;
-        Ok((
-            Key::from_le_bytes(buf[off..off + 8].try_into().unwrap()),
-            Value::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap()),
-        ))
+        Ok(entries::get(&bytes_at(buf, idx * SLOT_BYTES)))
     }
 
     /// Writes the slot at `slot`: a read-modify-write of its block through
@@ -253,7 +247,7 @@ impl DataNode {
     ) -> IndexResult<()> {
         let (block, idx) = self.slot_block(slot, cursor.disk());
         let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
-        put_slot(&mut buf[idx * SLOT_BYTES..(idx + 1) * SLOT_BYTES], entry);
+        entries::put(&mut buf.as_chunks_mut().0[idx], entry);
         cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
         Ok(())
     }
@@ -465,14 +459,13 @@ impl DataNode {
         if gap >= lb {
             self.rewrite_slots(cursor, lb, gap, |run| {
                 run.copy_within(..run.len() - SLOT_BYTES, SLOT_BYTES);
-                put_slot(&mut run[..SLOT_BYTES], entry);
+                entries::put(run.first_chunk_mut().expect("a run of slots"), entry);
             })?;
             Ok(gap - lb)
         } else {
             self.rewrite_slots(cursor, gap, lb - 1, |run| {
                 run.copy_within(SLOT_BYTES.., 0);
-                let last = run.len() - SLOT_BYTES;
-                put_slot(&mut run[last..], entry);
+                entries::put(run.last_chunk_mut().expect("a run of slots"), entry);
             })?;
             Ok(lb - 1 - gap)
         }
@@ -488,7 +481,7 @@ impl DataNode {
         entry: Entry,
     ) -> IndexResult<()> {
         self.rewrite_slots(cursor, lo, hi, |run| {
-            run.chunks_exact_mut(SLOT_BYTES).for_each(|slot| put_slot(slot, entry))
+            run.as_chunks_mut().0.iter_mut().for_each(|slot| entries::put(slot, entry))
         })
     }
 
@@ -572,9 +565,8 @@ impl DataNode {
                 let bit = (slot % bits_per_block) as usize;
                 if bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
                     let off = (slot % per_block) as usize * SLOT_BYTES;
-                    let k = Key::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+                    let (k, v) = entries::get(&bytes_at(buf, off));
                     if k >= start {
-                        let v = Value::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap());
                         out.push((k, v));
                     }
                 }
@@ -663,12 +655,9 @@ impl DataNode {
         let mut buf = vec![0u8; bs];
         for b in 0..geo.slot_blocks {
             buf.fill(0);
-            for i in 0..per_block {
+            for (i, slot) in buf.as_chunks_mut().0.iter_mut().enumerate() {
                 let idx = b as usize * per_block + i;
-                let e = materialised.get(idx).copied().unwrap_or(fill);
-                let off = i * SLOT_BYTES;
-                buf[off..off + 8].copy_from_slice(&e.0.to_le_bytes());
-                buf[off + 8..off + 16].copy_from_slice(&e.1.to_le_bytes());
+                entries::put(slot, materialised.get(idx).copied().unwrap_or(fill));
             }
             disk.write(file, start + 1 + geo.bitmap_blocks + b, BlockKind::Leaf, &buf)?;
         }

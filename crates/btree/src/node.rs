@@ -25,7 +25,7 @@
 
 use std::marker::PhantomData;
 
-use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
+use lidx_core::{entries, Entry, IndexError, IndexResult, Key, Value};
 use lidx_storage::{
     bytes_at, BlockId, BlockKind, BlockReader, BlockWriter, SlotTable, INVALID_BLOCK,
 };
@@ -36,7 +36,7 @@ const INNER_HEADER: usize = 1 + 1 + 2 + 4;
 /// Bytes of a leaf's header, ahead of its first record.
 pub const LEAF_HEADER: usize = 1 + 1 + 2 + 4;
 const INNER_ENTRY: usize = 8 + 4;
-pub(crate) const LEAF_ENTRY: usize = 8 + 8;
+pub(crate) const LEAF_ENTRY: usize = entries::ENTRY_BYTES;
 
 /// Derived node capacities for a given block size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,12 +210,11 @@ impl LeafRecord<LEAF_ENTRY> for Entry {
     }
 
     fn put(&self, slot: &mut [u8; LEAF_ENTRY]) {
-        slot[..8].copy_from_slice(&self.0.to_le_bytes());
-        slot[8..].copy_from_slice(&self.1.to_le_bytes());
+        entries::put(slot, *self);
     }
 
     fn get(slot: &[u8; LEAF_ENTRY]) -> Self {
-        (Key::from_le_bytes(bytes_at(slot, 0)), Value::from_le_bytes(bytes_at(slot, 8)))
+        entries::get(slot)
     }
 }
 

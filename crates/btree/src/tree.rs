@@ -213,23 +213,6 @@ impl IndexRead for BTreeIndex {
         self.leaves.scan_from(&mut cursor, self.file(), leaf, start, count, out)
     }
 
-    /// Batched scans execute the ranges in ascending start-key order (the
-    /// results stay positional): adjacent ranges then walk the leaf chain as
-    /// one mostly-forward block stream, which the device cost model prices
-    /// as sequential reads and the buffer pool serves without re-fetching a
-    /// shared boundary leaf.
-    fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
-        out.clear();
-        out.resize_with(ranges.len(), Vec::new);
-        let mut order: Vec<u32> = (0..ranges.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| ranges[i as usize].0);
-        for &i in &order {
-            let (start, count) = ranges[i as usize];
-            self.scan(start, count, &mut out[i as usize])?;
-        }
-        Ok(())
-    }
-
     fn len(&self) -> u64 {
         self.key_count
     }

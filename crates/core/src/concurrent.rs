@@ -170,10 +170,6 @@ impl<I: DiskIndex> IndexRead for ConcurrentIndex<I> {
         self.read().scan(start, count, out)
     }
 
-    fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
-        self.read().scan_batch(ranges, out)
-    }
-
     fn len(&self) -> u64 {
         self.read().len()
     }

@@ -96,8 +96,8 @@ pub struct IndexStats {
 ///
 /// # Example
 ///
-/// The batched entry points are plain contracts over [`lookup`] / [`scan`],
-/// shown here with a minimal in-memory implementation:
+/// The batched entry point is a plain contract over [`lookup`], shown here
+/// with [`scan`] on a minimal in-memory implementation:
 ///
 /// ```
 /// use std::sync::Arc;
@@ -134,10 +134,10 @@ pub struct IndexStats {
 /// let mut answers = Vec::new();
 /// index.lookup_batch(&[20, 99, 20], &mut answers)?;
 /// assert_eq!(answers, vec![Some(2), None, Some(2)]);
-/// // scan_batch runs one scan per (start, count) range.
+/// // scan collects up to `count` entries from `start` on.
 /// let mut rows = Vec::new();
-/// index.scan_batch(&[(15, 2), (0, 1)], &mut rows)?;
-/// assert_eq!(rows, vec![vec![(20, 2), (30, 3)], vec![(10, 1)]]);
+/// index.scan(15, 2, &mut rows)?;
+/// assert_eq!(rows, vec![(20, 2), (30, 3)]);
 /// # Ok::<(), lidx_core::IndexError>(())
 /// ```
 ///
@@ -205,34 +205,6 @@ pub trait IndexRead: Send + Sync {
     ///   depth above 1, reads ahead along the stream, while routing blocks
     ///   stay point-class (`DESIGN.md` §3.3).
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize>;
-
-    /// Runs one [`scan`] per `(start, count)` range of `ranges`, writing the
-    /// result rows for `ranges[i]` to `out[i]`.
-    ///
-    /// # Contract
-    ///
-    /// * `out` is **cleared and resized** to `ranges.len()` first; each
-    ///   inner vector then follows the [`scan`] contract for its range.
-    /// * Results are positional: overlapping, duplicate and unsorted ranges
-    ///   are all fine, and each produces exactly what a standalone [`scan`]
-    ///   would.
-    ///
-    /// The default implementation is the per-range loop. Indexes whose scan
-    /// is a leaf-chain walk (the B+-tree) override it to execute the ranges
-    /// in sorted start-key order, which turns the block accesses of adjacent
-    /// ranges into one mostly-sequential, prefetch-friendly stream — the
-    /// scan-side mirror of [`lookup_batch`]'s sorted probe.
-    ///
-    /// [`scan`]: IndexRead::scan
-    /// [`lookup_batch`]: IndexRead::lookup_batch
-    fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
-        out.clear();
-        out.resize_with(ranges.len(), Vec::new);
-        for (i, &(start, count)) in ranges.iter().enumerate() {
-            self.scan(start, count, &mut out[i])?;
-        }
-        Ok(())
-    }
 
     /// Number of keys stored.
     fn len(&self) -> u64;
@@ -424,10 +396,6 @@ impl<T: IndexRead + ?Sized> IndexRead for Box<T> {
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
         (**self).scan(start, count, out)
-    }
-
-    fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
-        (**self).scan_batch(ranges, out)
     }
 
     fn len(&self) -> u64 {

@@ -31,12 +31,16 @@
 //! * [`metrics`] — latency recording (mean / p50 / p99 / standard deviation),
 //!   throughput derivation from the simulated device time, and the
 //!   search / insert / SMO / maintenance breakdown of Fig. 6.
+//! * [`entries`] — the sorted 16-byte entry array that the PGM and
+//!   FITing-tree data blocks share, and the slot codec of every
+//!   `(key, payload)` slot.
 //! * [`error::IndexError`] — the error type shared by the index crates.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod concurrent;
+pub mod entries;
 pub mod error;
 pub mod index;
 pub mod metrics;
@@ -76,8 +80,8 @@ pub type Entry = (Key, Value);
 /// Merges two ascending-key entry streams into `out` (appended), with
 /// `newer` shadowing `stored` on equal keys, stopping once `limit` entries
 /// have been produced. This is the newest-wins merge every layered read
-/// path needs — the [`WriteBuffer`] overlay scan and the FITing-tree's
-/// resegmentation both route through it.
+/// path needs — the [`WriteBuffer`] overlay scan, the PGM flush and scan,
+/// and the FITing-tree's resegmentation and scan all route through it.
 ///
 /// Both inputs must be strictly ascending in key; the output then is too.
 ///
@@ -214,6 +218,19 @@ mod tests {
         assert_eq!(merged([(4, 40), (6, 60)], [], usize::MAX), vec![(4, 40), (6, 60)]);
         assert_eq!(merged([], [(4, 4), (6, 6)], usize::MAX), vec![(4, 4), (6, 6)]);
         assert_eq!(merged([], [(4, 4), (6, 6)], 1), vec![(4, 4)]);
+    }
+
+    #[test]
+    fn each_key_both_sides_hold_comes_out_once() {
+        // The PGM flush counts its duplicates as the entries the merge
+        // dropped: `newer.len() + stored.len() - merged.len()`.
+        let newer = [(1, 10), (4, 40), (9, 90), (20, 200)];
+        let stored = [(0, 0), (4, 4), (5, 5), (9, 9), (12, 12)];
+        let out = merged(newer, stored, usize::MAX);
+        let expected = [(0, 0), (1, 10), (4, 40), (5, 5), (9, 90), (12, 12), (20, 200)];
+        assert_eq!((out.clone(), newer.len() + stored.len() - out.len()), (expected.to_vec(), 2));
+        assert_eq!(merged([], [(3, 3)], usize::MAX), vec![(3, 3)]);
+        assert_eq!(merged([(3, 4)], [], usize::MAX), vec![(3, 4)]);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use lidx_storage::FileId;
 
+use crate::entries::{self, ENTRY_BYTES};
 use crate::error::{IndexError, IndexResult};
 
 /// Magic tag leading every encoded manifest.
@@ -76,33 +77,26 @@ impl Manifest {
     }
 }
 
-/// Frames one staged entry as a WAL record payload (16 bytes LE).
-pub fn encode_wal_entry(key: crate::Key, value: crate::Value) -> [u8; 16] {
-    let mut out = [0u8; 16];
-    out[0..8].copy_from_slice(&key.to_le_bytes());
-    out[8..16].copy_from_slice(&value.to_le_bytes());
+/// Frames one staged entry as a WAL record payload: one 16-byte entry slot
+/// ([`entries::put`]).
+pub fn encode_wal_entry(key: crate::Key, value: crate::Value) -> [u8; ENTRY_BYTES] {
+    let mut out = [0u8; ENTRY_BYTES];
+    entries::put(&mut out, (key, value));
     out
 }
 
 /// Decodes a WAL record payload back into staged entries. Payloads are a
-/// concatenation of 16-byte `(key, value)` pairs; anything else means the
-/// record was produced by different code and is rejected, never guessed at.
+/// concatenation of 16-byte entry slots; anything else means the record was
+/// produced by different code and is rejected, never guessed at.
 pub fn decode_wal_entries(payload: &[u8]) -> IndexResult<Vec<crate::Entry>> {
-    if !payload.len().is_multiple_of(16) {
+    let (slots, rest) = payload.as_chunks::<ENTRY_BYTES>();
+    if !rest.is_empty() {
         return Err(IndexError::Internal(format!(
             "WAL entry payload of {} bytes is not a whole number of (key, value) pairs",
             payload.len()
         )));
     }
-    Ok(payload
-        .chunks_exact(16)
-        .map(|pair| {
-            (
-                u64::from_le_bytes(pair[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(pair[8..16].try_into().expect("8 bytes")),
-            )
-        })
-        .collect())
+    Ok(slots.iter().map(entries::get).collect())
 }
 
 /// A little-endian byte-string builder for `save_meta` implementations.

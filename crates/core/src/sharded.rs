@@ -614,15 +614,6 @@ impl<I: DiskIndex> IndexRead for ShardedIndex<I> {
         Ok(out.len())
     }
 
-    fn scan_batch(&self, ranges: &[(Key, usize)], out: &mut Vec<Vec<Entry>>) -> IndexResult<()> {
-        out.clear();
-        out.resize_with(ranges.len(), Vec::new);
-        for (i, &(start, count)) in ranges.iter().enumerate() {
-            self.scan(start, count, &mut out[i])?;
-        }
-        Ok(())
-    }
-
     fn len(&self) -> u64 {
         self.snapshot().shards.iter().map(|h| h.front.len()).sum()
     }

@@ -553,32 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_matches_sequential_scans_for_every_design() {
-        let keys = Dataset::Osm.generate_keys(4_000, 9);
-        let w = Workload::build(&keys, WorkloadSpec::new(WorkloadKind::LookupOnly, 1, 0));
-        let ranges: Vec<(Key, usize)> = vec![
-            (keys[100], 50),
-            (0, 10),
-            (keys[100], 50), // duplicate range
-            (keys[keys.len() - 1] + 1, 5),
-            (keys[2_000], 0),
-        ];
-        for choice in IndexChoice::ALL_DESIGNS {
-            let disk = RunConfig::default().make_disk();
-            let mut index = choice.build(disk);
-            index.bulk_load(&w.bulk).expect("bulk load");
-            let mut batched: Vec<Vec<lidx_core::Entry>> = Vec::new();
-            index.scan_batch(&ranges, &mut batched).expect("scan_batch");
-            assert_eq!(batched.len(), ranges.len(), "{choice:?}");
-            let mut single = Vec::new();
-            for (i, &(start, count)) in ranges.iter().enumerate() {
-                index.scan(start, count, &mut single).expect("scan");
-                assert_eq!(batched[i], single, "{choice:?} range {i} diverges");
-            }
-        }
-    }
-
-    #[test]
     fn index_choice_names_roundtrip() {
         for c in IndexChoice::ALL {
             assert_eq!(IndexChoice::from_name(c.name()), Some(c));

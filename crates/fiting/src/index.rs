@@ -2,19 +2,17 @@
 
 use std::sync::Arc;
 
+use lidx_core::entries::{self, EntryArray};
 use lidx_core::{
-    index::validate_bulk_load, spend, Entry, IndexError, IndexKind, IndexRead, IndexResult,
-    IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
-    Value,
+    index::validate_bulk_load, merge_newest_wins, spend, Entry, IndexError, IndexKind, IndexRead,
+    IndexResult, IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter,
+    StepLaps, Value,
 };
 use lidx_models::pla::ShrinkingCone;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
 use crate::directory::Directory;
-use crate::segment::{
-    self, entries_per_block, find_in_block, read_all_data, read_buffer, search_buffer, search_data,
-    write_buffer_region, write_data_region, SegmentMeta,
-};
+use crate::segment::{read_data_from, search_buffer, search_data, SegmentMeta};
 
 /// Configuration of the on-disk FITing-tree.
 #[derive(Debug, Clone, Copy)]
@@ -131,29 +129,29 @@ impl FitingTree {
     }
 
     fn buffer_blocks_per_segment(&self) -> u32 {
-        (self.config.buffer_entries.div_ceil(entries_per_block(self.disk.block_size()))) as u32
+        (self.config.buffer_entries.div_ceil(entries::per_block(self.disk.block_size()))) as u32
     }
 
     /// Creates segments (extents + metadata) covering `entries`, which must be
     /// sorted and non-empty unless the index is being initialised empty.
     fn build_segments(&mut self, entries: &[Entry]) -> IndexResult<Vec<SegmentMeta>> {
-        let per_block = entries_per_block(self.disk.block_size());
+        let per_block = entries::per_block(self.disk.block_size());
         let buffer_blocks = self.buffer_blocks_per_segment();
         if entries.is_empty() {
             // One empty segment anchored at key 0 keeps every code path
             // uniform for an index that starts out empty.
-            let data_blocks = 1;
-            let start = self.disk.allocate(self.seg_file, data_blocks + buffer_blocks)?;
-            write_data_region(&self.disk, self.seg_file, start, data_blocks, &[])?;
-            return Ok(vec![SegmentMeta {
+            let start = self.disk.allocate(self.seg_file, 1 + buffer_blocks)?;
+            let meta = SegmentMeta {
                 first_key: 0,
                 slope: 0.0,
                 start_block: start,
-                data_blocks,
+                data_blocks: 1,
                 buffer_blocks,
                 count: 0,
                 buffer_count: 0,
-            }]);
+            };
+            meta.data(self.seg_file).write(&self.disk, &[])?;
+            return Ok(vec![meta]);
         }
 
         let mut cone = ShrinkingCone::new(self.config.epsilon);
@@ -172,8 +170,7 @@ impl FitingTree {
             let slice = &entries[seg.start_index..seg.start_index + seg.len];
             let data_blocks = seg.len.div_ceil(per_block).max(1) as u32;
             let start = self.disk.allocate(self.seg_file, data_blocks + buffer_blocks)?;
-            write_data_region(&self.disk, self.seg_file, start, data_blocks, slice)?;
-            metas.push(SegmentMeta {
+            let meta = SegmentMeta {
                 first_key: seg.first_key,
                 slope: seg.model.slope,
                 start_block: start,
@@ -181,17 +178,18 @@ impl FitingTree {
                 buffer_blocks,
                 count: seg.len as u32,
                 buffer_count: 0,
-            });
+            };
+            meta.data(self.seg_file).write(&self.disk, slice)?;
+            metas.push(meta);
         }
         Ok(metas)
     }
 
-    fn read_overflow(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Vec<Entry>> {
-        if self.overflow_count == 0 {
-            return Ok(Vec::new());
-        }
-        let buf = cursor.read(self.seg_file, 0, BlockKind::Utility)?;
-        Ok((0..self.overflow_count as usize).map(|i| segment::entry_at(buf, i)).collect())
+    /// The overflow buffer: block 0 of the segment file, holding
+    /// `overflow_count` entries, charged to `Utility`.
+    fn overflow(&self) -> EntryArray {
+        let len = self.overflow_count as usize;
+        EntryArray { file: self.seg_file, first_block: 0, blocks: 1, len, kind: BlockKind::Utility }
     }
 
     /// Probes the overflow buffer for `key`: a binary search over its sorted
@@ -204,8 +202,8 @@ impl FitingTree {
         if self.overflow_count == 0 {
             return Ok(None);
         }
-        let buf = cursor.read(self.seg_file, 0, BlockKind::Utility)?;
-        find_in_block(buf, 0..self.overflow_count as usize, key)
+        let block = self.overflow().block(cursor, 0, SeqHint::Auto)?;
+        Ok(EntryArray::find(&block.slots(0..block.valid)?, key))
     }
 
     /// Answers `key` from its covering segment `meta`: the ε-window of the
@@ -231,20 +229,8 @@ impl FitingTree {
         self.search_segment(cursor, &meta, key)
     }
 
-    fn write_overflow(&self, entries: &[Entry]) -> IndexResult<()> {
-        let bs = self.disk.block_size();
-        let mut buf = vec![0u8; bs];
-        for (i, &(k, v)) in entries.iter().enumerate() {
-            let off = i * segment::ENTRY_BYTES;
-            buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-        }
-        self.disk.write(self.seg_file, 0, BlockKind::Utility, &buf)?;
-        Ok(())
-    }
-
     fn overflow_capacity(&self) -> usize {
-        entries_per_block(self.disk.block_size())
+        entries::per_block(self.disk.block_size())
     }
 
     /// The wave strategy of [`lookup_batch`](IndexRead::lookup_batch) on a
@@ -262,7 +248,7 @@ impl FitingTree {
         out: &mut [Option<Value>],
     ) -> IndexResult<()> {
         let epsilon = self.config.epsilon;
-        let per_block = entries_per_block(self.disk.block_size());
+        let per_block = entries::per_block(self.disk.block_size());
         let mut metas: Vec<(u32, Option<SegmentMeta>)> = Vec::with_capacity(order.len());
         let mut blocks: std::collections::BTreeSet<BlockId> = std::collections::BTreeSet::new();
         let mut cursor = self.disk.cursor();
@@ -323,15 +309,14 @@ impl FitingTree {
         telemetry.telemetry().add(OpClass::Smo, 1);
         // The maintenance stream reads through its own scan cursor.
         let mut cursor = self.disk.scan_cursor();
-        let mut stored = read_all_data(&mut cursor, self.seg_file, &old)?;
-        let buffer = read_buffer(&mut cursor, self.seg_file, &old)?;
+        let mut stored = old.data(self.seg_file).all(&mut cursor)?;
+        stored.extend(old.buffer(self.seg_file).all(&mut cursor)?);
         drop(cursor);
-        stored.extend_from_slice(&buffer);
         // Data region and delta buffer are disjoint by construction, so this
         // sort sees no equal keys.
         stored.sort_unstable_by_key(|&(k, _)| k);
         let mut merged = Vec::with_capacity(stored.len() + extra.len());
-        lidx_core::merge_newest_wins(extra.iter().copied(), stored, usize::MAX, &mut merged);
+        merge_newest_wins(extra.iter().copied(), stored, usize::MAX, &mut merged);
 
         let news = self.build_segments(&merged)?;
         let was_first = old.first_key == self.global_min_key;
@@ -399,7 +384,7 @@ impl IndexRead for FitingTree {
         // first in key order.
         let mut cursor = self.disk.scan_cursor();
         if start < self.global_min_key && self.overflow_count > 0 {
-            let overflow = self.read_overflow(&mut cursor)?;
+            let overflow = self.overflow().all(&mut cursor)?;
             for &(k, v) in overflow.iter().filter(|&&(k, _)| k >= start) {
                 out.push((k, v));
                 if out.len() == count {
@@ -427,46 +412,12 @@ impl IndexRead for FitingTree {
             };
             first_segment = false;
             let needed = count - out.len();
-            let data = segment::read_data_from(
-                &mut cursor,
-                self.seg_file,
-                &meta,
-                from_pos,
-                start,
-                needed,
-            )?;
-            let buffer = if meta.buffer_count > 0 {
-                read_buffer(&mut cursor, self.seg_file, &meta)?
-            } else {
-                Vec::new()
-            };
-            let mut di = data.iter().peekable();
-            let mut bi = buffer.iter().peekable();
-            while out.len() < count {
-                let next = match (di.peek(), bi.peek()) {
-                    (Some(&&d), Some(&&b)) => {
-                        if d.0 <= b.0 {
-                            di.next();
-                            d
-                        } else {
-                            bi.next();
-                            b
-                        }
-                    }
-                    (Some(&&d), None) => {
-                        di.next();
-                        d
-                    }
-                    (None, Some(&&b)) => {
-                        bi.next();
-                        b
-                    }
-                    (None, None) => break,
-                };
-                if next.0 >= start {
-                    out.push(next);
-                }
-            }
+            let data = read_data_from(&mut cursor, self.seg_file, &meta, from_pos, start, needed)?;
+            let buffer = meta.buffer(self.seg_file).all(&mut cursor)?;
+            // Data region and delta buffer are disjoint by construction.
+            let (data, buffer) = (data.into_iter(), buffer.into_iter());
+            let from_start = |e: &Entry| e.0 >= start;
+            merge_newest_wins(buffer.filter(from_start), data.filter(from_start), needed, out);
             if out.len() == count {
                 return Ok(out.len());
             }
@@ -532,7 +483,7 @@ impl IndexWrite for FitingTree {
         // the first segment with a single resegmentation SMO.
         let below = order.partition_point(|&i| entries[i as usize].0 < self.global_min_key);
         if below > 0 {
-            let mut overflow = self.read_overflow(&mut self.disk.cursor())?;
+            let mut overflow = self.overflow().all(&mut self.disk.cursor())?;
             laps.lap(&mut self.breakdown, InsertStep::Search);
             for &i in &order[..below] {
                 let (key, value) = entries[i as usize];
@@ -547,14 +498,14 @@ impl IndexWrite for FitingTree {
             }
             if overflow.len() <= self.overflow_capacity() {
                 self.overflow_count = overflow.len() as u32;
-                self.write_overflow(&overflow)?;
+                self.overflow().write(&self.disk, &overflow)?;
                 laps.lap(&mut self.breakdown, InsertStep::Insert);
             } else {
                 let (first, _) =
                     self.directory.find(&mut self.disk.cursor(), self.global_min_key)?;
                 self.resegment(first, &overflow)?;
                 self.overflow_count = 0;
-                self.write_overflow(&[])?;
+                self.overflow().write(&self.disk, &[])?;
                 laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
         }
@@ -588,11 +539,7 @@ impl IndexWrite for FitingTree {
             let first_in_data =
                 search_data(&mut cursor, self.seg_file, &meta, first_key, self.config.epsilon)?
                     .is_some();
-            let mut buffer = if meta.buffer_count > 0 {
-                read_buffer(&mut cursor, self.seg_file, &meta)?
-            } else {
-                Vec::new()
-            };
+            let mut buffer = meta.buffer(self.seg_file).all(&mut cursor)?;
             // Classify each key: buffer overwrite, data-region overwrite, or
             // brand new (appended to the in-memory buffer). `search_data`
             // probes benefit from the sorted order via the cursor.
@@ -630,23 +577,17 @@ impl IndexWrite for FitingTree {
                 // then persist the merged buffer and its occupancy once (the
                 // directory write is the paper's "extra block").
                 if !data_overwrites.is_empty() {
-                    let mut data =
-                        read_all_data(&mut self.disk.scan_cursor(), self.seg_file, &meta)?;
+                    let region = meta.data(self.seg_file);
+                    let mut data = region.all(&mut self.disk.scan_cursor())?;
                     for &(key, value) in &data_overwrites {
                         if let Ok(pos) = data.binary_search_by_key(&key, |&(k, _)| k) {
                             data[pos].1 = value;
                         }
                     }
-                    write_data_region(
-                        &self.disk,
-                        self.seg_file,
-                        meta.start_block,
-                        meta.data_blocks,
-                        &data,
-                    )?;
+                    region.write(&self.disk, &data)?;
                 }
                 if buffer_dirty {
-                    write_buffer_region(&self.disk, self.seg_file, &meta, &buffer)?;
+                    meta.buffer(self.seg_file).write(&self.disk, &buffer)?;
                     if buffer.len() != meta.buffer_count as usize {
                         let mut updated = meta;
                         updated.buffer_count = buffer.len() as u32;
@@ -1115,6 +1056,27 @@ mod tests {
                 "{keys} keys: the scan returned {scan:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_overflow_count_past_its_block_fails_every_path_below_the_minimum() {
+        let mut t = tree(512);
+        t.bulk_load(&(1_000..2_000u64).map(|k| (k, k + 1)).collect::<Vec<_>>()).unwrap();
+        t.insert(5, 6).unwrap();
+        // The meta holds the segment file (4 bytes), the global minimum (8)
+        // and then the overflow count; a 512-byte block holds 32 entries.
+        let mut meta = t.save_meta().unwrap();
+        assert_eq!(meta[12..16], 1u32.to_le_bytes());
+        meta[12..16].copy_from_slice(&33u32.to_le_bytes());
+        let config = FitingConfig { epsilon: 16, buffer_entries: 16 };
+        let mut forged = FitingTree::load(Arc::clone(t.disk()), config, &meta).unwrap();
+        let mut out = Vec::new();
+        let scan = forged.scan(0, 10, &mut out);
+        assert!(matches!(scan, Err(IndexError::Internal(_))), "scan {scan:?}");
+        let lookup = forged.lookup(5);
+        assert!(matches!(lookup, Err(IndexError::Internal(_))), "lookup {lookup:?}");
+        let insert = forged.insert(3, 4);
+        assert!(matches!(insert, Err(IndexError::Internal(_))), "insert {insert:?}");
     }
 
     #[test]

@@ -13,23 +13,17 @@
 //! PGM (shortcoming S1 does not apply): the model is stored in the parent, so
 //! reaching a key costs only the data blocks covered by the error range.
 //!
-//! Entries are 16 bytes and never straddle a block boundary (block sizes are
-//! powers of two ≥ 64). Unused data slots are padded with the sentinel key
-//! `u64::MAX`, which is larger than any valid key, so binary search works
-//! without knowing the exact count.
+//! Both regions are sorted entry arrays ([`lidx_core::entries`]), the layout
+//! PGM's data level and insert run use too: [`SegmentMeta::data`] and
+//! [`SegmentMeta::buffer`] name them. What stays this module's own is the
+//! search policy: the data probe reads only the ε-window's blocks and stops
+//! on a hit, and the buffer probe reads every occupied block.
 
-use std::ops::Range;
-
+use lidx_core::entries::{self, EntryArray};
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, SlotTable};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, SeqHint};
 
 use lidx_models::LinearModel;
-
-/// Size of one stored entry in bytes.
-pub const ENTRY_BYTES: usize = 16;
-
-/// Sentinel key used to pad unused slots in data blocks.
-pub const SENTINEL_KEY: Key = Key::MAX;
 
 /// Directory metadata describing one segment.
 ///
@@ -60,9 +54,33 @@ impl SegmentMeta {
         self.data_blocks + self.buffer_blocks
     }
 
+    /// The data region in segment file `file`: `count` entries in
+    /// `data_blocks` blocks from `start_block`, charged to `Leaf`.
+    pub fn data(&self, file: u32) -> EntryArray {
+        EntryArray {
+            file,
+            first_block: self.start_block,
+            blocks: self.data_blocks,
+            len: self.count as usize,
+            kind: BlockKind::Leaf,
+        }
+    }
+
+    /// The delta buffer in segment file `file`: `buffer_count` entries in the
+    /// `buffer_blocks` blocks after the data region, charged to `Leaf`.
+    pub fn buffer(&self, file: u32) -> EntryArray {
+        EntryArray {
+            file,
+            first_block: self.start_block + self.data_blocks,
+            blocks: self.buffer_blocks,
+            len: self.buffer_count as usize,
+            kind: BlockKind::Leaf,
+        }
+    }
+
     /// Capacity of the delta buffer in entries, given the block size.
     pub fn buffer_capacity(&self, block_size: usize) -> u32 {
-        self.buffer_blocks.saturating_mul(entries_per_block(block_size) as u32)
+        self.buffer_blocks.saturating_mul(entries::per_block(block_size) as u32)
     }
 
     /// Checks that the record's entry counts fit its extent: `count` entries
@@ -71,7 +89,7 @@ impl SegmentMeta {
     /// that overruns them would send a probe into the buffer region or the
     /// next segment's blocks.
     pub(crate) fn check_extent(&self, block_size: usize) -> IndexResult<()> {
-        let per_block = entries_per_block(block_size) as u64;
+        let per_block = entries::per_block(block_size) as u64;
         let fits = u64::from(self.count) <= u64::from(self.data_blocks) * per_block
             && u64::from(self.buffer_count) <= u64::from(self.buffer_blocks) * per_block
             && self
@@ -98,98 +116,6 @@ impl SegmentMeta {
     }
 }
 
-/// Number of entries per block for a given block size.
-pub fn entries_per_block(block_size: usize) -> usize {
-    block_size / ENTRY_BYTES
-}
-
-/// Serialises `entries` (plus sentinel padding) into the data region of a
-/// segment extent and writes it to `disk`, charging [`BlockKind::Leaf`].
-pub fn write_data_region(
-    disk: &Disk,
-    file: u32,
-    start_block: BlockId,
-    data_blocks: u32,
-    entries: &[Entry],
-) -> IndexResult<()> {
-    let bs = disk.block_size();
-    let per_block = entries_per_block(bs);
-    let capacity = data_blocks as usize * per_block;
-    if entries.len() > capacity {
-        return Err(IndexError::Internal(format!(
-            "segment data region overflow: {} entries into {} slots",
-            entries.len(),
-            capacity
-        )));
-    }
-    let mut buf = vec![0u8; bs];
-    for b in 0..data_blocks {
-        let base = b as usize * per_block;
-        for slot in 0..per_block {
-            let off = slot * ENTRY_BYTES;
-            let (k, v) = entries.get(base + slot).copied().unwrap_or((SENTINEL_KEY, 0));
-            buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-        }
-        disk.write(file, start_block + b, BlockKind::Leaf, &buf)?;
-    }
-    Ok(())
-}
-
-/// Writes the sorted delta-buffer entries into the buffer region.
-pub fn write_buffer_region(
-    disk: &Disk,
-    file: u32,
-    meta: &SegmentMeta,
-    entries: &[Entry],
-) -> IndexResult<()> {
-    let bs = disk.block_size();
-    let per_block = entries_per_block(bs);
-    let capacity = meta.buffer_blocks as usize * per_block;
-    if entries.len() > capacity {
-        return Err(IndexError::Internal(format!(
-            "segment buffer overflow: {} entries into {} slots",
-            entries.len(),
-            capacity
-        )));
-    }
-    let mut buf = vec![0u8; bs];
-    let start = meta.start_block + meta.data_blocks;
-    for b in 0..meta.buffer_blocks {
-        let base = b as usize * per_block;
-        for slot in 0..per_block {
-            let off = slot * ENTRY_BYTES;
-            let (k, v) = entries.get(base + slot).copied().unwrap_or((SENTINEL_KEY, 0));
-            buf[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&v.to_le_bytes());
-        }
-        disk.write(file, start + b, BlockKind::Leaf, &buf)?;
-    }
-    Ok(())
-}
-
-/// Decodes the entry stored at `slot` of a raw block buffer.
-pub fn entry_at(buf: &[u8], slot: usize) -> Entry {
-    let off = slot * ENTRY_BYTES;
-    let k = Key::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-    let v = Value::from_le_bytes(buf[off + 8..off + 16].try_into().unwrap());
-    (k, v)
-}
-
-/// The payload stored under `key` among the entries in slots `slots` of one
-/// pinned block, found by binary search where they lie; the entries must be
-/// sorted by key. A range beyond the block is a typed error.
-pub(crate) fn find_in_block(
-    buf: &[u8],
-    slots: Range<usize>,
-    key: Key,
-) -> IndexResult<Option<Value>> {
-    let table = SlotTable::<ENTRY_BYTES>::new(buf, slots.start * ENTRY_BYTES, slots.len())?;
-    let pos = table.partition_point(|k| k < key);
-    Ok((pos < table.len() && table.key(pos) == key)
-        .then(|| Value::from_le_bytes(table.slot(pos)[8..].try_into().expect("8-byte payload"))))
-}
-
 /// Searches the data region of a segment for `key`, reading through the
 /// operation's `cursor`.
 ///
@@ -206,17 +132,16 @@ pub fn search_data(
     if meta.count == 0 {
         return Ok(None);
     }
-    let per_block = entries_per_block(cursor.disk().block_size());
+    let per_block = entries::per_block(cursor.disk().block_size());
     let pred = meta.predict(key);
     let lo = pred.saturating_sub(epsilon);
     let hi = (pred + epsilon).min(meta.count as usize - 1);
-    let first_block = lo / per_block;
-    let last_block = hi / per_block;
+    let (data, first_block, last_block) = (meta.data(file), lo / per_block, hi / per_block);
     for b in first_block..=last_block {
-        let buf = cursor.read(file, meta.start_block + b as u32, BlockKind::Leaf)?;
+        let block = data.block(cursor, b, SeqHint::Auto)?;
         let slot_lo = if b == first_block { lo - b * per_block } else { 0 };
         let slot_hi = if b == last_block { hi - b * per_block } else { per_block - 1 };
-        if let Some(v) = find_in_block(buf, slot_lo..slot_hi + 1, key)? {
+        if let Some(v) = EntryArray::find(&block.slots(slot_lo..slot_hi + 1)?, key) {
             return Ok(Some(v));
         }
     }
@@ -225,8 +150,8 @@ pub fn search_data(
 
 /// Probes the delta buffer of a segment for `key`, reading through the
 /// operation's `cursor` and binary-searching each pinned block in place.
-/// Every block holding buffered entries is read, in order, as
-/// [`read_buffer`] reads them, so a probe costs the same blocks whether or
+/// Every block holding buffered entries is read, in order, as reading the
+/// whole buffer would read them, so a probe costs the same blocks whether or
 /// not an early block holds the key.
 pub fn search_buffer(
     cursor: &mut BlockCursor<'_>,
@@ -234,49 +159,16 @@ pub fn search_buffer(
     meta: &SegmentMeta,
     key: Key,
 ) -> IndexResult<Option<Value>> {
-    let per_block = entries_per_block(cursor.disk().block_size());
+    let buffer = meta.buffer(file);
+    let occupied = buffer.len.div_ceil(entries::per_block(cursor.disk().block_size()));
     let mut found = None;
-    let mut remaining = meta.buffer_count as usize;
-    let start = meta.start_block + meta.data_blocks;
-    for b in 0..meta.buffer_blocks {
-        if remaining == 0 {
-            break;
-        }
-        let buf = cursor.read(file, start + b, BlockKind::Leaf)?;
-        let take = remaining.min(per_block);
+    for b in 0..occupied {
+        let block = buffer.block(cursor, b, SeqHint::Auto)?;
         if found.is_none() {
-            found = find_in_block(buf, 0..take, key)?;
+            found = EntryArray::find(&block.slots(0..block.valid)?, key);
         }
-        remaining -= take;
     }
     Ok(found)
-}
-
-/// Reads the valid entries of the data region (`count` entries) through
-/// `cursor`, charging one read per data block. Used by resegmentation and
-/// the delta fill's data rewrite, each through a fresh
-/// [`Disk::scan_cursor`]: the whole-segment stream is counted as scan reads
-/// and, at queue depth > 1, read ahead.
-pub fn read_all_data(
-    cursor: &mut BlockCursor<'_>,
-    file: u32,
-    meta: &SegmentMeta,
-) -> IndexResult<Vec<Entry>> {
-    let per_block = entries_per_block(cursor.disk().block_size());
-    let mut out = Vec::with_capacity(meta.count as usize);
-    let mut remaining = meta.count as usize;
-    for b in 0..meta.data_blocks {
-        if remaining == 0 {
-            break;
-        }
-        let buf = cursor.read(file, meta.start_block + b, BlockKind::Leaf)?;
-        let take = remaining.min(per_block);
-        for slot in 0..take {
-            out.push(entry_at(buf, slot));
-        }
-        remaining -= take;
-    }
-    Ok(out)
 }
 
 /// Reads data-region entries for a range scan through the scan's `cursor`:
@@ -293,54 +185,15 @@ pub fn read_data_from(
     min_key: Key,
     needed: usize,
 ) -> IndexResult<Vec<Entry>> {
-    let per_block = entries_per_block(cursor.disk().block_size());
-    let count = meta.count as usize;
+    let (data, per_block) = (meta.data(file), entries::per_block(cursor.disk().block_size()));
     let mut out = Vec::new();
-    if count == 0 || from_pos >= count {
-        return Ok(out);
-    }
-    let mut matched = 0usize;
-    let mut block = from_pos / per_block;
-    let last_block = (count - 1) / per_block;
-    while block <= last_block && matched < needed {
-        let buf = cursor.read(file, meta.start_block + block as u32, BlockKind::Leaf)?;
-        let slot_lo = if block == from_pos / per_block { from_pos % per_block } else { 0 };
-        let slot_hi = per_block.min(count - block * per_block);
-        for slot in slot_lo..slot_hi {
-            let e = entry_at(buf, slot);
-            if e.0 >= min_key {
-                matched += 1;
-            }
-            out.push(e);
-        }
-        block += 1;
-    }
-    Ok(out)
-}
-
-/// Reads the valid entries of the delta buffer (sorted) through the
-/// operation's `cursor`, charging one read per buffer block actually holding
-/// data: point-class for an insert, scan-class for a scan or maintenance
-/// stream's scan cursor.
-pub fn read_buffer(
-    cursor: &mut BlockCursor<'_>,
-    file: u32,
-    meta: &SegmentMeta,
-) -> IndexResult<Vec<Entry>> {
-    let per_block = entries_per_block(cursor.disk().block_size());
-    let mut out = Vec::with_capacity(meta.buffer_count as usize);
-    let mut remaining = meta.buffer_count as usize;
-    let start = meta.start_block + meta.data_blocks;
-    for b in 0..meta.buffer_blocks {
-        if remaining == 0 {
-            break;
-        }
-        let buf = cursor.read(file, start + b, BlockKind::Leaf)?;
-        let take = remaining.min(per_block);
-        for slot in 0..take {
-            out.push(entry_at(buf, slot));
-        }
-        remaining -= take;
+    let (mut pos, mut matched) = (from_pos, 0);
+    while pos < data.len && matched < needed {
+        let end = data.len.min((pos / per_block + 1) * per_block);
+        let decoded = out.len();
+        data.read(cursor, pos..end, &mut out)?;
+        matched += out[decoded..].iter().filter(|e| e.0 >= min_key).count();
+        pos = end;
     }
     Ok(out)
 }
@@ -348,13 +201,13 @@ pub fn read_buffer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lidx_storage::DiskConfig;
+    use lidx_storage::{Disk, DiskConfig};
 
     fn setup(count: usize) -> (std::sync::Arc<Disk>, u32, SegmentMeta, Vec<Entry>) {
         let disk = Disk::in_memory(DiskConfig::with_block_size(256));
         let file = disk.create_file().unwrap();
         let entries: Vec<Entry> = (0..count as u64).map(|i| (i * 10, i * 10 + 1)).collect();
-        let per_block = entries_per_block(256);
+        let per_block = entries::per_block(256);
         let data_blocks = count.div_ceil(per_block).max(1) as u32;
         let buffer_blocks = 1;
         let start = disk.allocate(file, data_blocks + buffer_blocks).unwrap();
@@ -369,8 +222,8 @@ mod tests {
             count: count as u32,
             buffer_count: 0,
         };
-        write_data_region(&disk, file, start, data_blocks, &entries).unwrap();
-        write_buffer_region(&disk, file, &meta, &[]).unwrap();
+        meta.data(file).write(&disk, &entries).unwrap();
+        meta.buffer(file).write(&disk, &[]).unwrap();
         (disk, file, meta, entries)
     }
 
@@ -402,13 +255,13 @@ mod tests {
     #[test]
     fn read_all_data_and_buffer_roundtrip() {
         let (disk, file, mut meta, entries) = setup(50);
-        assert_eq!(read_all_data(&mut disk.scan_cursor(), file, &meta).unwrap(), entries);
-        assert!(read_buffer(&mut disk.cursor(), file, &meta).unwrap().is_empty());
+        assert_eq!(meta.data(file).all(&mut disk.scan_cursor()).unwrap(), entries);
+        assert!(meta.buffer(file).all(&mut disk.cursor()).unwrap().is_empty());
 
         let buffered: Vec<Entry> = vec![(3, 4), (7, 8)];
         meta.buffer_count = buffered.len() as u32;
-        write_buffer_region(&disk, file, &meta, &buffered).unwrap();
-        assert_eq!(read_buffer(&mut disk.cursor(), file, &meta).unwrap(), buffered);
+        meta.buffer(file).write(&disk, &buffered).unwrap();
+        assert_eq!(meta.buffer(file).all(&mut disk.cursor()).unwrap(), buffered);
         for (key, expected) in [(3, Some(4)), (7, Some(8)), (5, None), (u64::MAX, None)] {
             let found = search_buffer(&mut disk.cursor(), file, &meta, key).unwrap();
             assert_eq!(found, expected, "buffer probe for {key}");
@@ -423,11 +276,11 @@ mod tests {
         let buffered: Vec<Entry> = (0..20u64).map(|i| (i * 2, i)).collect();
         meta.buffer_count = buffered.len() as u32;
         disk.allocate(file, 2).unwrap();
-        write_buffer_region(&disk, file, &meta, &buffered).unwrap();
+        meta.buffer(file).write(&disk, &buffered).unwrap();
         disk.stats().reset();
         disk.reset_access_state();
         // The key sits in the first block; the probe still reads the second,
-        // as `read_buffer` would.
+        // as reading the whole buffer would.
         assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 4).unwrap(), Some(2));
         assert_eq!(disk.stats().reads(), 2);
         assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 38).unwrap(), Some(19));
@@ -438,10 +291,8 @@ mod tests {
     fn overflow_is_rejected() {
         let (disk, file, meta, _) = setup(10);
         let too_many: Vec<Entry> = (0..10_000u64).map(|i| (i, i)).collect();
-        assert!(
-            write_data_region(&disk, file, meta.start_block, meta.data_blocks, &too_many).is_err()
-        );
-        assert!(write_buffer_region(&disk, file, &meta, &too_many).is_err());
+        assert!(meta.data(file).write(&disk, &too_many).is_err());
+        assert!(meta.buffer(file).write(&disk, &too_many).is_err());
     }
 
     #[test]

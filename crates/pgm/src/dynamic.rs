@@ -1,14 +1,18 @@
 //! The dynamic (LSM-style) PGM-index implementing
 //! [`DiskIndex`](lidx_core::DiskIndex).
 //!
-//! New keys land in a small sorted *insert run* stored in its own file; when
-//! the run fills up it is merged with the existing static components in the
-//! classic logarithmic-method fashion: components occupy exponentially
-//! growing "levels", and flushing the run merges it with every occupied level
-//! from the smallest upwards until a free level is reached, where the merged
-//! result is rebuilt as a fresh [`StaticPgm`]. Merged components release
-//! their blocks (their files would be deleted on a real system), which is why
-//! PGM's storage footprint stays the smallest of the studied indexes (§6.3).
+//! New keys land in a small sorted *insert run* stored in its own file (a
+//! sorted entry array, [`lidx_core::entries`], rewritten whole once per
+//! insert batch); when the run fills up it is merged with the existing
+//! static components in the classic logarithmic-method fashion: components
+//! occupy exponentially growing "levels", and flushing the run merges it
+//! with every occupied level from the smallest upwards until a free level is
+//! reached, where the merged result is rebuilt as a fresh [`StaticPgm`].
+//! Every merge, the flush's and a scan's, is
+//! [`lidx_core::merge_newest_wins`]: the newer entry wins on an equal key.
+//! Merged components release their blocks (their files would be deleted on
+//! a real system), which is why PGM's storage footprint stays the smallest
+//! of the studied indexes (§6.3).
 //!
 //! Reads must consult the insert run and then every component from newest
 //! (smallest) to oldest — the multi-file read amplification the paper blames
@@ -16,13 +20,15 @@
 
 use std::sync::Arc;
 
+use lidx_core::entries::{self, EntryArray};
 use lidx_core::{
-    index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
+    index::validate_bulk_load, merge_newest_wins, Entry, IndexError, IndexKind, IndexRead,
+    IndexResult, IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter,
+    StepLaps, Value,
 };
 use lidx_storage::{BlockCursor, BlockKind, Disk, OpClass};
 
-use crate::static_pgm::{entries_in, write_entries, StaticPgm};
+use crate::static_pgm::StaticPgm;
 
 /// Configuration of the dynamic PGM-index.
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +62,6 @@ pub struct PgmIndex {
     breakdown: InsertBreakdown,
 }
 
-const ENTRY_BYTES: usize = 16;
-
 impl PgmIndex {
     /// Creates an empty dynamic PGM-index with default configuration.
     pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
@@ -70,8 +74,8 @@ impl PgmIndex {
         assert!(config.insert_run_entries >= 1);
         let run_file = disk.create_file()?;
         let run_blocks =
-            (config.insert_run_entries * ENTRY_BYTES).div_ceil(disk.block_size()).max(1) as u32;
-        disk.allocate(run_file, run_blocks)?;
+            config.insert_run_entries.div_ceil(entries::per_block(disk.block_size())).max(1);
+        disk.allocate(run_file, run_blocks as u32)?;
         Ok(PgmIndex {
             disk,
             config,
@@ -127,28 +131,22 @@ impl PgmIndex {
         (self.config.insert_run_entries as u64) << (i + 1)
     }
 
+    /// The insert run holding `len` entries: the blocks from the run file's
+    /// first that cover them (one when it is empty), charged to `Utility`.
+    fn run_array(&self, len: usize) -> EntryArray {
+        let blocks = len.div_ceil(entries::per_block(self.disk.block_size())).max(1) as u32;
+        EntryArray { file: self.run_file, first_block: 0, blocks, len, kind: BlockKind::Utility }
+    }
+
     /// The insert run's entries, read through the operation's `cursor`:
     /// point-class for lookups and inserts, scan-class for a scan's cursor.
     fn read_run(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<Vec<Entry>> {
-        if self.run == 0 {
-            return Ok(Vec::new());
-        }
-        let bs = self.disk.block_size();
-        let per_block = bs / ENTRY_BYTES;
-        let blocks = (self.run as usize).div_ceil(per_block) as u32;
-        let mut out = Vec::with_capacity(self.run as usize);
-        for b in 0..blocks {
-            let buf = cursor.read(self.run_file, b, BlockKind::Utility)?;
-            let start = b as usize * per_block;
-            out.extend(entries_in(buf, 0, (self.run as usize - start).min(per_block))?);
-        }
-        Ok(out)
+        self.run_array(self.run as usize).all(cursor)
     }
 
+    /// Rewrites the run as `entries`: the blocks covering them, or one.
     fn write_run(&self, entries: &[Entry]) -> IndexResult<()> {
-        let per_block = self.disk.block_size() / ENTRY_BYTES;
-        let blocks = entries.len().div_ceil(per_block).max(1) as u32;
-        write_entries(&self.disk, self.run_file, 0, blocks, BlockKind::Utility, entries)
+        self.run_array(entries.len()).write(&self.disk, entries)
     }
 
     /// Builds `entries` into a component in a file of its own, its data
@@ -162,21 +160,6 @@ impl PgmIndex {
             self.config.epsilon,
             BlockKind::Leaf,
         )
-    }
-
-    /// Merges two sorted entry lists; on duplicate keys, `newer` wins.
-    /// Returns the merge and the number of duplicates.
-    fn merge_entries(newer: Vec<Entry>, older: Vec<Entry>) -> (Vec<Entry>, u64) {
-        let mut out = Vec::with_capacity(newer.len() + older.len());
-        let mut duplicates = 0u64;
-        let mut older = older.into_iter().peekable();
-        for (key, value) in newer {
-            out.extend(std::iter::from_fn(|| older.next_if(|&(k, _)| k < key)));
-            duplicates += u64::from(older.next_if(|&(k, _)| k == key).is_some());
-            out.push((key, value));
-        }
-        out.extend(older);
-        (out, duplicates)
     }
 
     /// Flushes the insert run into the LSM levels (the PGM structural
@@ -199,8 +182,11 @@ impl PgmIndex {
                 Some(component) => {
                     let older = component.all_entries()?;
                     component.release();
-                    let (m, dupes) = Self::merge_entries(merged, older);
-                    self.key_count -= dupes;
+                    let inputs = merged.len() + older.len();
+                    let mut m = Vec::with_capacity(inputs);
+                    merge_newest_wins(merged, older, usize::MAX, &mut m);
+                    // Each key both sides held comes out once.
+                    self.key_count -= (inputs - m.len()) as u64;
                     merged = m;
                 }
                 None => {
@@ -307,10 +293,9 @@ impl IndexRead for PgmIndex {
         for level in self.levels.iter().flatten() {
             let mut part = Vec::with_capacity(count.min(level.len() as usize));
             level.scan_into(&mut cursor, start, count, &mut part)?;
-            let (m, _) = Self::merge_entries(merged, part);
-            merged = m;
+            let newer = std::mem::take(&mut merged);
+            merge_newest_wins(newer, part, count, &mut merged);
         }
-        merged.truncate(count);
         *out = merged;
         Ok(out.len())
     }
@@ -444,17 +429,6 @@ mod tests {
 
     fn entries(n: u64, stride: u64) -> Vec<Entry> {
         (0..n).map(|i| (i * stride + 1, i * stride + 2)).collect()
-    }
-
-    #[test]
-    fn merges_prefer_newer_entries_and_count_duplicates() {
-        let newer = vec![(1, 10), (4, 40), (9, 90), (20, 200)];
-        let older = vec![(0, 0), (4, 4), (5, 5), (9, 9), (12, 12)];
-        let (merged, duplicates) = PgmIndex::merge_entries(newer, older);
-        let expected = [(0, 0), (1, 10), (4, 40), (5, 5), (9, 90), (12, 12), (20, 200)];
-        assert_eq!((merged, duplicates), (expected.to_vec(), 2));
-        assert_eq!(PgmIndex::merge_entries(vec![], vec![(3, 3)]), (vec![(3, 3)], 0));
-        assert_eq!(PgmIndex::merge_entries(vec![(3, 4)], vec![]), (vec![(3, 4)], 0));
     }
 
     #[test]

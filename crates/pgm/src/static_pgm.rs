@@ -10,10 +10,14 @@
 //! ...
 //! ```
 //!
-//! Each segment record is 28 bytes: `first_key u64, slope f64, start u64,
-//! len u32`, predicting *absolute* positions within the level below. The
-//! root level always has exactly one record, which is kept in memory with
-//! the component's metadata (the paper's memory-resident meta block).
+//! The data level is a sorted entry array ([`lidx_core::entries`], the
+//! layout of PGM's insert run and of FITing's segments too): its writer,
+//! block reads and slot codec live there. The record levels stay this
+//! module's own. Each segment record is 28 bytes: `first_key u64, slope
+//! f64, start u64, len u32`, predicting *absolute* positions within the
+//! level below. The root level always has exactly one record, which is
+//! kept in memory with the component's metadata (the paper's
+//! memory-resident meta block).
 //!
 //! Every level is searched the same way: predict a position, then run
 //! `search_window` over the ε-window around it. The component has two
@@ -30,6 +34,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
+use lidx_core::entries::{self, EntryArray, EntryBlock, ENTRY_BYTES, SENTINEL};
 use lidx_core::{
     block_pointer, Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value,
 };
@@ -39,52 +44,10 @@ use lidx_storage::{
     bytes_at, BlockCursor, BlockId, BlockKind, BlockRef, Disk, FileId, SeqHint, SlotTable,
 };
 
-/// Size of one data entry in bytes.
-const ENTRY_BYTES: usize = 16;
 /// Size of one segment record in bytes.
 const RECORD_BYTES: usize = 28;
-/// Sentinel key used to pad unused slots.
-const SENTINEL: Key = Key::MAX;
 /// What a payload read as a block pointer is called in errors.
 const FLOOR_POINTER: &str = "PGM entry block pointer";
-
-/// Decodes one data entry.
-fn entry(e: &[u8; ENTRY_BYTES]) -> Entry {
-    (Key::from_le_bytes(bytes_at(e, 0)), Value::from_le_bytes(bytes_at(e, 8)))
-}
-
-/// Writes `entries` packed into `blocks` blocks of `file` from
-/// `first_block`, charged to `kind`, padding the last block with sentinels.
-pub(crate) fn write_entries(
-    disk: &Disk,
-    file: FileId,
-    first_block: u32,
-    blocks: u32,
-    kind: BlockKind,
-    entries: &[Entry],
-) -> IndexResult<()> {
-    let mut buf = vec![0u8; disk.block_size()];
-    let mut entries = entries.iter().copied();
-    for b in 0..blocks {
-        for slot in buf.chunks_exact_mut(ENTRY_BYTES) {
-            let (k, v) = entries.next().unwrap_or((SENTINEL, 0));
-            slot[..8].copy_from_slice(&k.to_le_bytes());
-            slot[8..].copy_from_slice(&v.to_le_bytes());
-        }
-        disk.write(file, first_block + b, kind, &buf)?;
-    }
-    Ok(())
-}
-
-/// The `n` entries from slot `from` of a block of entries.
-pub(crate) fn entries_in(
-    buf: &[u8],
-    from: usize,
-    n: usize,
-) -> IndexResult<impl Iterator<Item = Entry> + '_> {
-    let slots = SlotTable::<ENTRY_BYTES>::new(buf, from * ENTRY_BYTES, n)?;
-    Ok((0..n).map(move |i| entry(slots.slot(i))))
-}
 
 /// A segment record of an inner PGM level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,13 +157,9 @@ pub struct StaticPgm {
     disk: Arc<Disk>,
     file: FileId,
     epsilon: usize,
-    /// Number of data entries.
-    len: u64,
-    /// First block of the data level.
-    data_first_block: u32,
-    data_blocks: u32,
-    /// The kind the data level is charged to.
-    data_kind: BlockKind,
+    /// The data level: the sorted entries, charged to the kind the component
+    /// was built with.
+    data: EntryArray,
     /// Inner levels, from the one directly above the data (index 0) upwards.
     levels: Vec<LevelInfo>,
     /// The single root record (memory-resident).
@@ -211,7 +170,7 @@ pub struct StaticPgm {
 }
 
 fn entries_per_block(block_size: usize) -> u64 {
-    (block_size / ENTRY_BYTES) as u64
+    entries::per_block(block_size) as u64
 }
 
 fn records_per_block(block_size: usize) -> u64 {
@@ -234,9 +193,15 @@ impl StaticPgm {
         let bs = disk.block_size();
         let per_block = entries_per_block(bs) as usize;
         let data_blocks = entries.len().div_ceil(per_block).max(1) as u32;
-        let data_first_block = disk.allocate(file, data_blocks)?;
-
-        write_entries(&disk, file, data_first_block, data_blocks, data_kind, entries)?;
+        let first_block = disk.allocate(file, data_blocks)?;
+        let data = EntryArray {
+            file,
+            first_block,
+            blocks: data_blocks,
+            len: entries.len(),
+            kind: data_kind,
+        };
+        data.write(&disk, entries)?;
 
         // Build the inner levels bottom-up.
         let mut levels = Vec::new();
@@ -269,10 +234,7 @@ impl StaticPgm {
             disk,
             file,
             epsilon,
-            len: entries.len() as u64,
-            data_first_block,
-            data_blocks,
-            data_kind,
+            data,
             levels,
             root,
             min_key: entries.first().map_or(Key::MAX, |e| e.0),
@@ -282,12 +244,12 @@ impl StaticPgm {
 
     /// Number of stored entries.
     pub fn len(&self) -> u64 {
-        self.len
+        self.data.len as u64
     }
 
     /// True if the component holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.data.len == 0
     }
 
     /// Smallest stored key (`Key::MAX` when empty).
@@ -302,7 +264,7 @@ impl StaticPgm {
 
     /// Number of blocks holding the data level.
     pub fn data_blocks(&self) -> u32 {
-        self.data_blocks
+        self.data.blocks
     }
 
     /// Number of inner levels (excluding the in-memory root and the data).
@@ -319,7 +281,7 @@ impl StaticPgm {
     /// levels.
     pub fn blocks(&self) -> u64 {
         let per = records_per_block(self.disk.block_size());
-        u64::from(self.data_blocks)
+        u64::from(self.data.blocks)
             + self.levels.iter().map(|l| l.records.div_ceil(per)).sum::<u64>()
     }
 
@@ -329,8 +291,8 @@ impl StaticPgm {
     pub fn save_meta(&self, w: &mut MetaWriter) {
         w.u32(self.file)
             .u64(self.epsilon as u64)
-            .u64(self.len)
-            .u32(self.data_blocks)
+            .u64(self.len())
+            .u32(self.data.blocks)
             .u32(self.levels.len() as u32);
         for l in &self.levels {
             w.u32(l.first_block).u64(l.records);
@@ -350,8 +312,8 @@ impl StaticPgm {
     pub fn load_meta(disk: Arc<Disk>, r: &mut MetaReader<'_>) -> IndexResult<Self> {
         let file = r.u32()?;
         let epsilon = r.u64()? as usize;
-        let len = r.u64()?;
-        let data_blocks = r.u32()?;
+        let len = r.u64()? as usize;
+        let blocks = r.u32()?;
         let level_count = r.u32()? as usize;
         let mut levels = Vec::with_capacity(level_count.min(64));
         for _ in 0..level_count {
@@ -365,10 +327,7 @@ impl StaticPgm {
             disk,
             file,
             epsilon,
-            len,
-            data_first_block: 0,
-            data_blocks,
-            data_kind: BlockKind::Leaf,
+            data: EntryArray { file, first_block: 0, blocks, len, kind: BlockKind::Leaf },
             levels,
             root,
             min_key,
@@ -432,14 +391,14 @@ impl StaticPgm {
 
     /// Reads block `b` of the data level through `cursor`.
     fn data_frame(&self, cursor: &mut BlockCursor<'_>, b: u32) -> IndexResult<BlockRef> {
-        Ok(cursor.read(self.file, self.data_first_block + b, self.data_kind)?.clone())
+        Ok(self.data.block(cursor, b as usize, SeqHint::Auto)?.frame.clone())
     }
 
     /// Locates the data position of the first entry with key `>= key`.
-    /// Returns `self.len` if every stored key is smaller. Reads go through
+    /// Returns `self.len()` if every stored key is smaller. Reads go through
     /// `cursor`, which holds the data block of the answer afterwards.
     fn locate(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<u64> {
-        if self.len == 0 {
+        if self.is_empty() {
             return Ok(0);
         }
         let rec = self.descend(cursor, key)?;
@@ -448,7 +407,7 @@ impl StaticPgm {
         // the window; otherwise it is the window's first or one past its
         // last.
         let (pos, _) = search_window::<ENTRY_BYTES, ()>(
-            self.window(&rec, key, self.len, false),
+            self.window(&rec, key, self.len(), false),
             entries_per_block(self.disk.block_size()),
             |b| self.data_frame(cursor, b),
             |k| k < key,
@@ -462,16 +421,16 @@ impl StaticPgm {
     /// precedes every stored key. Every block is read through `cursor`; a
     /// payload past the block-id range is [`IndexError::Internal`].
     pub fn floor(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<BlockId>> {
-        if self.len == 0 {
+        if self.is_empty() {
             return Ok(None);
         }
         let rec = self.descend(cursor, key)?;
         let (_, floor) = search_window(
-            self.window(&rec, key, self.len, true),
+            self.window(&rec, key, self.len(), true),
             entries_per_block(self.disk.block_size()),
             |b| self.data_frame(cursor, b),
             |k| k <= key,
-            |e| entry(e).1,
+            |e| entries::get(e).1,
         )?;
         floor.map(|p| block_pointer(p, FLOOR_POINTER)).transpose()
     }
@@ -485,22 +444,20 @@ impl StaticPgm {
         cursor: &mut BlockCursor<'_>,
         key: Key,
     ) -> IndexResult<Option<(BlockRef, usize, Option<Value>)>> {
-        let pos = self.locate(cursor, key)?;
-        if pos >= self.len {
+        let pos = self.locate(cursor, key)? as usize;
+        if pos >= self.data.len {
             return Ok(None);
         }
-        let per_block = entries_per_block(self.disk.block_size());
-        let block = pos / per_block;
-        let buf = self.data_frame(cursor, block as u32)?;
-        let slot = (pos % per_block) as usize;
-        let (k, v) = entry(SlotTable::<ENTRY_BYTES>::new(&buf, slot * ENTRY_BYTES, 1)?.slot(0));
-        let valid = (self.len - block * per_block).min(per_block) as usize;
-        Ok(Some((buf, valid, (k == key).then_some(v))))
+        let per_block = entries::per_block(self.disk.block_size());
+        let block = self.data.block(cursor, pos / per_block, SeqHint::Auto)?;
+        let slot = pos % per_block;
+        let (k, v) = entries::get(block.slots(slot..slot + 1)?.slot(0));
+        Ok(Some((block.frame.clone(), block.valid, (k == key).then_some(v))))
     }
 
     /// Point lookup.
     pub fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        if self.len == 0 || key < self.min_key || key > self.max_key {
+        if self.is_empty() || key < self.min_key || key > self.max_key {
             return Ok(None);
         }
         Ok(self.probe(&mut self.disk.cursor(), key)?.and_then(|(_, _, hit)| hit))
@@ -529,7 +486,7 @@ impl StaticPgm {
         pending: &mut Vec<u32>,
         out: &mut [Option<Value>],
     ) -> IndexResult<()> {
-        if self.len == 0 {
+        if self.is_empty() {
             return Ok(());
         }
         if self.disk.queue_depth() > 1 {
@@ -545,16 +502,14 @@ impl StaticPgm {
                 still.push(i);
                 continue;
             }
-            let pinned = cached.as_ref().map(|(buf, n)| SlotTable::<ENTRY_BYTES>::new(buf, 0, *n));
+            let pinned = cached.as_ref().map(|(frame, valid)| EntryBlock { frame, valid: *valid });
+            let pinned = pinned.map(|block| block.slots(0..block.valid));
             let pinned =
                 pinned.transpose()?.filter(|s| s.key(0) <= key && key <= s.key(s.len() - 1));
             let served = match pinned {
-                Some(slots) => {
-                    let at = slots.partition_point(|k| k < key);
-                    (at < slots.len() && slots.key(at) == key).then(|| entry(slots.slot(at)).1)
-                }
-                None => self.probe(&mut cursor, key)?.and_then(|(buf, valid, hit)| {
-                    cached = Some((buf, valid));
+                Some(slots) => EntryArray::find(&slots, key),
+                None => self.probe(&mut cursor, key)?.and_then(|(frame, valid, hit)| {
+                    cached = Some((frame, valid));
                     hit
                 }),
             };
@@ -650,18 +605,18 @@ impl StaticPgm {
         // each probe in memory: a stored key is the floor of itself.
         let windows: Vec<(u64, u64)> = active
             .iter()
-            .map(|(i, rec)| self.window(rec, keys[*i as usize], self.len, false))
+            .map(|(i, rec)| self.window(rec, keys[*i as usize], self.len(), false))
             .collect();
         let frames = self.fetch_wave(
             windows.iter().map(|&(lo, hi)| (lo / per_block, hi / per_block)),
-            self.data_first_block,
-            self.data_kind,
+            self.data.first_block,
+            self.data.kind,
         )?;
         let mut answered = BTreeSet::new();
         for (&(i, _), &window) in active.iter().zip(&windows) {
             let key = keys[i as usize];
-            let (_, floor) =
-                search_window(window, per_block, |b| Ok(frames[&b].clone()), |k| k <= key, entry)?;
+            let frame = |b| Ok(frames[&b].clone());
+            let (_, floor) = search_window(window, per_block, frame, |k| k <= key, entries::get)?;
             if let Some((_, v)) = floor.filter(|&(k, _)| k == key) {
                 out[i as usize] = Some(v);
                 answered.insert(i);
@@ -684,33 +639,27 @@ impl StaticPgm {
         count: usize,
         out: &mut Vec<Entry>,
     ) -> IndexResult<()> {
-        if self.len == 0 || count == 0 || start > self.max_key {
+        if self.is_empty() || count == 0 || start > self.max_key {
             return Ok(());
         }
         // The scan's first data block is the one `locate` ended on: the
         // cursor carries both, so it is read once.
-        let mut pos = if start <= self.min_key { 0 } else { self.locate(cursor, start)? };
-        let per_block = entries_per_block(self.disk.block_size());
+        let mut pos = if start <= self.min_key { 0 } else { self.locate(cursor, start)? as usize };
+        let per_block = entries::per_block(self.disk.block_size());
         let mut taken = 0usize;
         let mut hint = SeqHint::Auto;
-        while pos < self.len && taken < count {
-            let block = (pos / per_block) as u32;
+        while pos < self.data.len && taken < count {
             // After the first block the stream advances through physically
             // consecutive data blocks, so the sequential charge is declared
             // explicitly instead of inferred from the shared last-access
             // word (which concurrent readers would perturb).
-            let buf = cursor.read_hinted(
-                self.file,
-                self.data_first_block + block,
-                self.data_kind,
-                hint,
-            )?;
+            let block = self.data.block(cursor, pos / per_block, hint)?;
             hint = SeqHint::Sequential;
             let from = pos % per_block;
-            let n = (per_block - from).min(self.len - pos).min((count - taken) as u64) as usize;
-            out.extend(entries_in(buf, from as usize, n)?);
+            let n = (per_block - from).min(self.data.len - pos).min(count - taken);
+            out.extend(block.entries(from..from + n)?);
             taken += n;
-            pos += n as u64;
+            pos += n;
         }
         Ok(())
     }
@@ -718,12 +667,12 @@ impl StaticPgm {
     /// Reads every entry back (used by LSM merges). Charges one read per data
     /// block.
     pub fn all_entries(&self) -> IndexResult<Vec<Entry>> {
-        let mut out = Vec::with_capacity(self.len as usize);
-        self.scan_into(&mut self.disk.scan_cursor(), 0, self.len as usize, &mut out)?;
-        if self.len > 0 && out.len() != self.len as usize {
+        let len = self.data.len;
+        let mut out = Vec::with_capacity(len);
+        self.scan_into(&mut self.disk.scan_cursor(), 0, len, &mut out)?;
+        if len > 0 && out.len() != len {
             return Err(IndexError::Internal(format!(
-                "static PGM expected {} entries, read {}",
-                self.len,
+                "static PGM expected {len} entries, read {}",
                 out.len()
             )));
         }
@@ -914,11 +863,11 @@ mod tests {
             }
             rec = best.unwrap_or_else(|| record(0));
         }
-        let predicted = rec.predict(key).min(pgm.len - 1);
+        let predicted = rec.predict(key).min(pgm.len() - 1);
         let mut best = None;
-        for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(pgm.len - 1) {
-            let (first, per) = (pgm.data_first_block, entries_per_block(bs));
-            let e = slot(first, per, ENTRY_BYTES, pgm.data_kind, idx);
+        for idx in predicted.saturating_sub(eps + 1)..=(predicted + eps).min(pgm.len() - 1) {
+            let (first, per) = (pgm.data.first_block, entries_per_block(bs));
+            let e = slot(first, per, ENTRY_BYTES, pgm.data.kind, idx);
             if Key::from_le_bytes(e[..8].try_into().unwrap()) > key {
                 break;
             }
@@ -1031,7 +980,7 @@ mod tests {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
         let bounds = boundaries(100, 37);
         let pgm = directory(&disk, &bounds, 8);
-        forge(&disk, pgm.file, pgm.data_first_block, 8, 1u64 << 32);
+        forge(&disk, pgm.file, pgm.data.first_block, 8, 1u64 << 32);
         assert!(matches!(pgm.floor(&mut disk.cursor(), bounds[0].0), Err(IndexError::Internal(_))));
     }
 }

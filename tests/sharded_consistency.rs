@@ -91,13 +91,6 @@ fn assert_matches_oracle(choice: IndexChoice, router: &Router, oracle: &BTreeMap
         let expect: Vec<Entry> = oracle.range(start..).take(count).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(out, expect, "{choice:?} scan({start}, {count})");
     }
-    // The same ranges through scan_batch must agree entry-for-entry.
-    let mut batches = Vec::new();
-    router.scan_batch(&ranges, &mut batches).expect("scan_batch");
-    for (i, &(start, count)) in ranges.iter().enumerate() {
-        let expect: Vec<Entry> = oracle.range(start..).take(count).map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(batches[i], expect, "{choice:?} scan_batch({start}, {count})");
-    }
 }
 
 /// Bulk entries spread over a wide keyspace with deliberate clusters, so
