@@ -185,6 +185,23 @@ impl EntryArray {
         Ok(EntryBlock { frame, valid: self.len.saturating_sub(b * per).min(per) })
     }
 
+    /// The payload stored under `key`, found by searching every block that
+    /// holds entries in place through `cursor`. All of them are read, in
+    /// order, as reading the whole array would read them, so a probe costs
+    /// the same blocks whether or not an early block holds the key.
+    #[inline]
+    pub fn search(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<Value>> {
+        let occupied = self.len.div_ceil(per_block(cursor.disk().block_size()));
+        let mut found = None;
+        for b in 0..occupied {
+            let block = self.block(cursor, b, SeqHint::Auto)?;
+            if found.is_none() {
+                found = Self::find(&block.slots(0..block.valid)?, key);
+            }
+        }
+        Ok(found)
+    }
+
     /// The payload stored under `key` among `slots` (sorted by key), found
     /// by binary search where the slots lie.
     #[inline]

@@ -12,7 +12,7 @@ use lidx_models::pla::ShrinkingCone;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
 use crate::directory::Directory;
-use crate::segment::{read_data_from, search_buffer, search_data, SegmentMeta};
+use crate::segment::{read_data_from, search_data, SegmentMeta};
 
 /// Configuration of the on-disk FITing-tree.
 #[derive(Debug, Clone, Copy)]
@@ -216,7 +216,7 @@ impl FitingTree {
     ) -> IndexResult<Option<Value>> {
         match search_data(cursor, self.seg_file, meta, key, self.config.epsilon)? {
             Some(v) => Ok(Some(v)),
-            None => search_buffer(cursor, self.seg_file, meta, key),
+            None => meta.buffer(self.seg_file).search(cursor, key),
         }
     }
 

@@ -148,29 +148,6 @@ pub fn search_data(
     Ok(None)
 }
 
-/// Probes the delta buffer of a segment for `key`, reading through the
-/// operation's `cursor` and binary-searching each pinned block in place.
-/// Every block holding buffered entries is read, in order, as reading the
-/// whole buffer would read them, so a probe costs the same blocks whether or
-/// not an early block holds the key.
-pub fn search_buffer(
-    cursor: &mut BlockCursor<'_>,
-    file: u32,
-    meta: &SegmentMeta,
-    key: Key,
-) -> IndexResult<Option<Value>> {
-    let buffer = meta.buffer(file);
-    let occupied = buffer.len.div_ceil(entries::per_block(cursor.disk().block_size()));
-    let mut found = None;
-    for b in 0..occupied {
-        let block = buffer.block(cursor, b, SeqHint::Auto)?;
-        if found.is_none() {
-            found = EntryArray::find(&block.slots(0..block.valid)?, key);
-        }
-    }
-    Ok(found)
-}
-
 /// Reads data-region entries for a range scan through the scan's `cursor`:
 /// starting from position `from_pos`, blocks are fetched in order and
 /// decoded until `needed` entries with keys
@@ -263,7 +240,7 @@ mod tests {
         meta.buffer(file).write(&disk, &buffered).unwrap();
         assert_eq!(meta.buffer(file).all(&mut disk.cursor()).unwrap(), buffered);
         for (key, expected) in [(3, Some(4)), (7, Some(8)), (5, None), (u64::MAX, None)] {
-            let found = search_buffer(&mut disk.cursor(), file, &meta, key).unwrap();
+            let found = meta.buffer(file).search(&mut disk.cursor(), key).unwrap();
             assert_eq!(found, expected, "buffer probe for {key}");
         }
     }
@@ -281,10 +258,10 @@ mod tests {
         disk.reset_access_state();
         // The key sits in the first block; the probe still reads the second,
         // as reading the whole buffer would.
-        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 4).unwrap(), Some(2));
+        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 4).unwrap(), Some(2));
         assert_eq!(disk.stats().reads(), 2);
-        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 38).unwrap(), Some(19));
-        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 40).unwrap(), None);
+        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 38).unwrap(), Some(19));
+        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 40).unwrap(), None);
     }
 
     #[test]

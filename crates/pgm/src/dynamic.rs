@@ -91,13 +91,22 @@ impl PgmIndex {
 
     /// Reopens a dynamic PGM-index from [`IndexWrite::save_meta`] bytes
     /// against a disk that already holds its blocks. `config` must match the
-    /// one the index was created with.
+    /// one the index was created with. An insert run longer than its file
+    /// holds, or a component [`StaticPgm::load_meta`] refuses, is
+    /// [`IndexError::Internal`].
     pub fn load(disk: Arc<Disk>, config: PgmConfig, meta: &[u8]) -> IndexResult<Self> {
         let mut r = MetaReader::new(meta);
         let run_file = r.u32()?;
         let run = r.u32()?;
         let key_count = r.u64()?;
         let smo_count = r.u64()?;
+        let run_capacity =
+            u64::from(disk.num_blocks(run_file)?) * entries::per_block(disk.block_size()) as u64;
+        if u64::from(run) > run_capacity {
+            return Err(IndexError::Internal(format!(
+                "PGM insert run of {run} entries overruns its {run_capacity} slots"
+            )));
+        }
         let level_count = r.u32()? as usize;
         let mut levels = Vec::with_capacity(level_count.min(64));
         for _ in 0..level_count {
@@ -225,9 +234,9 @@ impl IndexRead for PgmIndex {
         }
         // Newest data first: the insert run, then components small to large.
         if self.run > 0 {
-            let run = self.read_run(&mut self.disk.cursor())?;
-            if let Ok(pos) = run.binary_search_by_key(&key, |&(k, _)| k) {
-                return Ok(Some(run[pos].1));
+            let run = self.run_array(self.run as usize);
+            if let Some(v) = run.search(&mut self.disk.cursor(), key)? {
+                return Ok(Some(v));
             }
         }
         for level in self.levels.iter().flatten() {
@@ -241,8 +250,8 @@ impl IndexRead for PgmIndex {
     /// Batched lookups pay PGM's multi-component read amplification once per
     /// batch instead of once per key: the insert run is read a single time
     /// and probed in memory for every key, and each component only sees the
-    /// keys that every newer component missed, with co-located sorted keys
-    /// sharing one pinned data block ([`StaticPgm::lookup_batch_sorted`]).
+    /// keys that every newer component missed, with probes that read the
+    /// same block sharing one fetch ([`StaticPgm::lookup_batch_sorted`]).
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         if keys.is_empty() {
@@ -709,5 +718,60 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(p.scan(50, 10, &mut out).unwrap(), 10);
         assert_eq!(out[0], (50, 51));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256, .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn a_damaged_meta_loads_to_an_error_or_an_index_that_does_not_panic(
+            // Each damage flips the bits `x` of one byte, or fills the eight
+            // bytes from it with zeros or ones (a count or ε gone to 0 or to
+            // near `u64::MAX`).
+            damages in proptest::collection::vec((0usize..1 << 16, 0u8..3, 1u8..255), 0..4),
+            // Past the meta's length (about half the cases) nothing is cut.
+            cut in 0usize..448,
+        ) {
+            // Two components and a non-empty insert run; quadratic keys give
+            // the bulk-loaded component an on-disk inner level.
+            let mut p = index(512, 32);
+            let data: Vec<Entry> = (0..2_000u64).map(|i| (i * i + i, i)).collect();
+            p.bulk_load(&data).unwrap();
+            p.insert_batch(&(0..40u64).map(|i| (i * 4_001 + 3, i)).collect::<Vec<_>>()).unwrap();
+            proptest::prop_assert_eq!(p.component_count(), 2);
+            proptest::prop_assert!(p.run > 0 && p.stats().height >= 3);
+            let config = p.config;
+            let mut meta = p.save_meta().unwrap();
+            let intact = damages.is_empty() && cut >= meta.len();
+            for (at, how, x) in damages {
+                let at = at % meta.len();
+                let end = (at + 8).min(meta.len());
+                match how {
+                    0 => meta[at] ^= x,
+                    1 => meta[at..end].fill(0),
+                    _ => meta[at..end].fill(0xFF),
+                }
+            }
+            meta.truncate(cut);
+
+            let probes: Vec<Key> = data.iter().step_by(37).flat_map(|&(k, _)| [k, k + 3]).collect();
+            let Ok(loaded) = PgmIndex::load(Arc::clone(p.disk()), config, &meta) else {
+                proptest::prop_assert!(!intact, "the intact meta must load");
+                return Ok(());
+            };
+            let answers: Vec<_> = probes.iter().map(|&k| loaded.lookup(k)).collect();
+            let mut batch = Vec::new();
+            let batched = loaded.lookup_batch(&probes, &mut batch);
+            let mut rows = Vec::new();
+            let scanned = loaded.scan(probes[3], 50, &mut rows);
+            if intact {
+                for (&k, answer) in probes.iter().zip(&answers) {
+                    proptest::prop_assert_eq!(answer.as_ref().ok(), Some(&p.lookup(k).unwrap()));
+                }
+                proptest::prop_assert!(batched.is_ok() && matches!(scanned, Ok(50)));
+            }
+        }
     }
 }

@@ -19,8 +19,10 @@
 //! kept in memory with the component's metadata (the paper's
 //! memory-resident meta block).
 //!
-//! Every level is searched the same way: predict a position, then run
-//! `search_window` over the ε-window around it. The component has two
+//! A per-key search reads every level the same way: predict a position,
+//! then run `search_window` over the ε-window around it. The batched lookup
+//! does the same on the inner levels and reads its data level predicted
+//! block first ([`StaticPgm::lookup_batch_sorted`]). The component has two
 //! users, which differ only in their payloads and in the block kind their
 //! data level is charged to:
 //!
@@ -31,10 +33,9 @@
 //!   `(leaf boundary, leaf block)` entries, charged wholly to
 //!   [`BlockKind::Inner`] as Table 5 counts it ([`StaticPgm::floor`]).
 
-use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use lidx_core::entries::{self, EntryArray, EntryBlock, ENTRY_BYTES, SENTINEL};
+use lidx_core::entries::{self, EntryArray, ENTRY_BYTES, SENTINEL};
 use lidx_core::{
     block_pointer, Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value,
 };
@@ -103,7 +104,8 @@ impl SegRecord {
         }
         let model =
             LinearModel { slope: self.slope, intercept: -self.slope * self.first_key as f64 };
-        self.start + model.predict_clamped(key, self.len as usize) as u64
+        // Saturating, so a forged `start` clamps like any other prediction.
+        self.start.saturating_add(model.predict_clamped(key, self.len as usize) as u64)
     }
 }
 
@@ -150,6 +152,74 @@ fn search_window<const STRIDE: usize, T>(
         idx = (block + 1) * per_block;
     }
     Ok((hi + 1, best))
+}
+
+/// One wave's frames: the distinct blocks it fetched, relative to their
+/// level's first block and sorted, and their frames in the same order.
+struct Wave {
+    blocks: Vec<u32>,
+    frames: Vec<BlockRef>,
+}
+
+impl Wave {
+    /// The frame of relative block `b`, which the wave must have fetched.
+    fn frame(&self, b: u32) -> IndexResult<&BlockRef> {
+        let at = self.blocks.binary_search(&b);
+        at.map(|at| &self.frames[at])
+            .map_err(|_| IndexError::Internal(format!("PGM block {b} is not in its wave")))
+    }
+}
+
+/// A probe of the batched data-level search: the part of its ε-window not
+/// yet ruled out, positions `lo..=hi`, and the data block it reads next.
+#[derive(Debug, Clone, Copy)]
+struct DataProbe {
+    /// The probe's index into the batch's keys.
+    i: u32,
+    key: Key,
+    lo: u64,
+    hi: u64,
+    block: u64,
+}
+
+/// What reading its block tells a [`DataProbe`].
+enum Probed {
+    /// The key is stored, with this payload.
+    Hit(Value),
+    /// The key is not stored.
+    Miss,
+    /// The key can only sit in the neighbouring block on one side, which the
+    /// probe reads next.
+    Moved,
+}
+
+impl DataProbe {
+    /// Searches the part of the window inside `frame`, the probe's block. A
+    /// stored key lies inside the window (the ε bound), so when every key of
+    /// that part is above `key` it can only lie further left, and when every
+    /// key is below it only further right. The window is cut to that side:
+    /// a probe moves one way only, reading at most every block of its
+    /// window, even over unsorted bytes.
+    fn read(&mut self, frame: &BlockRef, per_block: u64) -> IndexResult<Probed> {
+        let (start, end) = (self.block * per_block, (self.block + 1) * per_block - 1);
+        let (from, until) = (self.lo.max(start), self.hi.min(end));
+        let offset = (from - start) as usize * ENTRY_BYTES;
+        let slots = SlotTable::<ENTRY_BYTES>::new(frame, offset, (until + 1 - from) as usize)?;
+        let at = slots.partition_point(|k| k < self.key);
+        if at < slots.len() && slots.key(at) == self.key {
+            return Ok(Probed::Hit(entries::get(slots.slot(at)).1));
+        }
+        if at == 0 && self.lo < start {
+            self.hi = start - 1;
+            self.block -= 1;
+        } else if at == slots.len() && self.hi > end {
+            self.lo = end + 1;
+            self.block += 1;
+        } else {
+            return Ok(Probed::Miss);
+        }
+        Ok(Probed::Moved)
+    }
 }
 
 /// One immutable PGM component.
@@ -309,10 +379,15 @@ impl StaticPgm {
     /// level at block 0 of its file and charged to [`BlockKind::Leaf`] — from
     /// metadata written by [`save_meta`](Self::save_meta); the blocks
     /// themselves must already exist on `disk`.
+    ///
+    /// Metadata no build writes is [`IndexError::Internal`]: an ε of 0 or
+    /// one whose windows overflow, an inner level with no records, or a
+    /// level or data length past the file's blocks. Every later search
+    /// trusts those bounds.
     pub fn load_meta(disk: Arc<Disk>, r: &mut MetaReader<'_>) -> IndexResult<Self> {
         let file = r.u32()?;
-        let epsilon = r.u64()? as usize;
-        let len = r.u64()? as usize;
+        let epsilon = r.u64()?;
+        let len = r.u64()?;
         let blocks = r.u32()?;
         let level_count = r.u32()? as usize;
         let mut levels = Vec::with_capacity(level_count.min(64));
@@ -323,6 +398,32 @@ impl StaticPgm {
             SegRecord { first_key: r.u64()?, slope: r.f64()?, start: r.u64()?, len: r.u32()? };
         let min_key = r.u64()?;
         let max_key = r.u64()?;
+
+        let forged = |what: String| Err(IndexError::Internal(format!("PGM component {what}")));
+        let file_blocks = u64::from(disk.num_blocks(file)?);
+        let bs = disk.block_size();
+        if u64::from(blocks) > file_blocks {
+            return forged(format!("data of {blocks} blocks overruns its file of {file_blocks}"));
+        }
+        if len > u64::from(blocks) * entries_per_block(bs) {
+            return forged(format!("data of {len} entries overruns its {blocks} blocks"));
+        }
+        for level in &levels {
+            let blocks = level.records.div_ceil(records_per_block(bs));
+            let end = u64::from(level.first_block).saturating_add(blocks);
+            if level.records == 0 || end > file_blocks {
+                return forged(format!("{level:?} is empty or overruns {file_blocks} blocks"));
+            }
+        }
+        // A window reaches ε, plus one for a floor, past a level's last
+        // position; the checks above bound every level's length.
+        let most = levels.iter().map(|l| l.records).fold(len, u64::max);
+        if epsilon == 0 || epsilon > u64::MAX - 1 - most {
+            return forged(format!("ε {epsilon} is 0 or overflows its windows"));
+        }
+        let (Ok(epsilon), Ok(len)) = (usize::try_from(epsilon), usize::try_from(len)) else {
+            return forged(format!("ε {epsilon} or length {len} overflows usize"));
+        };
         Ok(StaticPgm {
             disk,
             file,
@@ -435,51 +536,41 @@ impl StaticPgm {
         floor.map(|p| block_pointer(p, FLOOR_POINTER)).transpose()
     }
 
-    /// Locates `key` and reads the data block its lower bound lands in
-    /// through `cursor`, which almost always still holds it: the block, its
-    /// number of entries and the payload stored with `key`, if any. `None`
-    /// if every stored key is smaller.
-    fn probe(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        key: Key,
-    ) -> IndexResult<Option<(BlockRef, usize, Option<Value>)>> {
-        let pos = self.locate(cursor, key)? as usize;
-        if pos >= self.data.len {
-            return Ok(None);
-        }
-        let per_block = entries::per_block(self.disk.block_size());
-        let block = self.data.block(cursor, pos / per_block, SeqHint::Auto)?;
-        let slot = pos % per_block;
-        let (k, v) = entries::get(block.slots(slot..slot + 1)?.slot(0));
-        Ok(Some((block.frame.clone(), block.valid, (k == key).then_some(v))))
-    }
-
-    /// Point lookup.
+    /// Point lookup: locates `key`, then reads the data block its lower
+    /// bound lands in through the cursor, which almost always still holds it.
     pub fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
         if self.is_empty() || key < self.min_key || key > self.max_key {
             return Ok(None);
         }
-        Ok(self.probe(&mut self.disk.cursor(), key)?.and_then(|(_, _, hit)| hit))
+        let mut cursor = self.disk.cursor();
+        let pos = self.locate(&mut cursor, key)? as usize;
+        if pos >= self.data.len {
+            return Ok(None);
+        }
+        let per_block = entries::per_block(self.disk.block_size());
+        let block = self.data.block(&mut cursor, pos / per_block, SeqHint::Auto)?;
+        let slot = pos % per_block;
+        let (k, v) = entries::get(block.slots(slot..slot + 1)?.slot(0));
+        Ok((k == key).then_some(v))
     }
 
     /// Batched point lookups over probe keys sorted ascending.
     ///
     /// `pending` holds indexes into `keys` / `out` not yet resolved by a
-    /// newer component, in ascending key order; every index whose key this
-    /// component stores is answered into `out` and removed from `pending`.
+    /// newer component, in ascending key order, and `out` is `None` at each
+    /// of them; every index whose key this component stores is answered
+    /// into `out` and removed from `pending`.
     ///
-    /// The data level is one globally sorted array, so consecutive probe
-    /// keys usually land in the same data block: the last fetched block is
-    /// pinned ([`BlockRef`]) and any following key inside its key range is
-    /// answered by an in-memory binary search — one block fetch and one
-    /// model descent per *run* of co-located keys instead of per key.
-    ///
-    /// On a disk with outstanding reads the wave strategy
-    /// (`lookup_batch_sorted_queued`) runs instead. Depth 1 keeps
-    /// this loop: the waves fetch whole ε-windows and give up the pinned
-    /// block, which at depth 1 costs more device reads and nearly twice the
-    /// CPU per lookup (DESIGN.md §3.6).
+    /// The probes descend the component *level by level*, and each level's
+    /// reads go through one outstanding-read queue as one set of completion
+    /// waves (charged max-per-wave above queue depth 1, a blocking read at a
+    /// time at depth 1). Each inner level fetches every block of each
+    /// probe's ε-window and resolves the covering record in memory with
+    /// `search_window`. The data level is read predicted block first: the
+    /// first wave fetches only the block holding each probe's predicted
+    /// position, and a probe whose key may lie beyond that block steps to
+    /// the neighbouring block on that one side in a later wave
+    /// (`DataProbe::read`). The answers are the per-key [`Self::lookup`]'s.
     pub fn lookup_batch_sorted(
         &self,
         keys: &[Key],
@@ -489,74 +580,6 @@ impl StaticPgm {
         if self.is_empty() {
             return Ok(());
         }
-        if self.disk.queue_depth() > 1 {
-            return self.lookup_batch_sorted_queued(keys, pending, out);
-        }
-        // The pinned last data block and its number of entries.
-        let mut cached: Option<(BlockRef, usize)> = None;
-        let mut cursor = self.disk.cursor();
-        let mut still = Vec::with_capacity(pending.len());
-        for &i in pending.iter() {
-            let key = keys[i as usize];
-            if key < self.min_key || key > self.max_key {
-                still.push(i);
-                continue;
-            }
-            let pinned = cached.as_ref().map(|(frame, valid)| EntryBlock { frame, valid: *valid });
-            let pinned = pinned.map(|block| block.slots(0..block.valid));
-            let pinned =
-                pinned.transpose()?.filter(|s| s.key(0) <= key && key <= s.key(s.len() - 1));
-            let served = match pinned {
-                Some(slots) => EntryArray::find(&slots, key),
-                None => self.probe(&mut cursor, key)?.and_then(|(frame, valid, hit)| {
-                    cached = Some((frame, valid));
-                    hit
-                }),
-            };
-            match served {
-                Some(v) => out[i as usize] = Some(v),
-                None => still.push(i),
-            }
-        }
-        *pending = still;
-        Ok(())
-    }
-
-    /// Wave-fetches the distinct blocks named by `ranges` (inclusive block
-    /// ranges relative to `first_block`) through the outstanding-read
-    /// queue, returning the pinned frames keyed by relative block id.
-    fn fetch_wave(
-        &self,
-        ranges: impl Iterator<Item = (u64, u64)>,
-        first_block: u32,
-        kind: BlockKind,
-    ) -> IndexResult<HashMap<u32, BlockRef>> {
-        let mut blocks = BTreeSet::new();
-        for (b0, b1) in ranges {
-            for b in b0..=b1 {
-                blocks.insert(b as u32);
-            }
-        }
-        let mut q = self.disk.read_queue();
-        for &b in &blocks {
-            q.submit(self.file, first_block + b, kind)?;
-        }
-        Ok(q.complete()?.into_iter().map(|c| (c.block - first_block, c.frame)).collect())
-    }
-
-    /// The outstanding-I/O variant of [`Self::lookup_batch_sorted`], taken
-    /// on a disk with outstanding reads: the pending probes descend the
-    /// component *level by level*, and each level's ε-windows are fetched as
-    /// one set of completion waves (charged max-per-wave, not
-    /// sum-of-misses), then searched in memory by [`search_window`]. The
-    /// answers produced are the same as the synchronous path; the blocks
-    /// read are whole windows and the simulated time differs.
-    fn lookup_batch_sorted_queued(
-        &self,
-        keys: &[Key],
-        pending: &mut Vec<u32>,
-        out: &mut [Option<Value>],
-    ) -> IndexResult<()> {
         let bs = self.disk.block_size();
         let rec_per_block = records_per_block(bs);
         let per_block = entries_per_block(bs);
@@ -576,17 +599,16 @@ impl StaticPgm {
                 .iter()
                 .map(|(i, rec)| self.window(rec, keys[*i as usize], level.records, true))
                 .collect();
-            let frames = self.fetch_wave(
-                windows.iter().map(|&(lo, hi)| (lo / rec_per_block, hi / rec_per_block)),
-                level.first_block,
-                BlockKind::Inner,
-            )?;
+            let blocks = windows
+                .iter()
+                .flat_map(|&(lo, hi)| (lo / rec_per_block) as u32..=(hi / rec_per_block) as u32);
+            let wave = self.fetch_wave(blocks.collect(), level.first_block, BlockKind::Inner)?;
             for ((i, rec), &window) in active.iter_mut().zip(&windows) {
                 let key = keys[*i as usize];
                 let (_, covering) = search_window(
                     window,
                     rec_per_block,
-                    |b| Ok(frames[&b].clone()),
+                    |b| wave.frame(b).cloned(),
                     |k| k <= key,
                     SegRecord::decode,
                 )?;
@@ -601,30 +623,57 @@ impl StaticPgm {
             }
         }
 
-        // Data level: one more wave over the final ε-windows, then answer
-        // each probe in memory: a stored key is the floor of itself.
-        let windows: Vec<(u64, u64)> = active
+        // Data level: each wave fetches the block every unresolved probe
+        // reads next, starting from its predicted position clamped into
+        // its window.
+        let mut probes: Vec<DataProbe> = active
             .iter()
-            .map(|(i, rec)| self.window(rec, keys[*i as usize], self.len(), false))
+            .map(|&(i, rec)| {
+                let key = keys[i as usize];
+                let (lo, hi) = self.window(&rec, key, self.len(), false);
+                DataProbe { i, key, lo, hi, block: rec.predict(key).clamp(lo, hi) / per_block }
+            })
             .collect();
-        let frames = self.fetch_wave(
-            windows.iter().map(|&(lo, hi)| (lo / per_block, hi / per_block)),
-            self.data.first_block,
-            self.data.kind,
-        )?;
-        let mut answered = BTreeSet::new();
-        for (&(i, _), &window) in active.iter().zip(&windows) {
-            let key = keys[i as usize];
-            let frame = |b| Ok(frames[&b].clone());
-            let (_, floor) = search_window(window, per_block, frame, |k| k <= key, entries::get)?;
-            if let Some((_, v)) = floor.filter(|&(k, _)| k == key) {
-                out[i as usize] = Some(v);
-                answered.insert(i);
+        while !probes.is_empty() {
+            let blocks = probes.iter().map(|p| p.block as u32).collect();
+            let wave = self.fetch_wave(blocks, self.data.first_block, self.data.kind)?;
+            let mut moved = 0;
+            for n in 0..probes.len() {
+                let mut probe = probes[n];
+                match probe.read(wave.frame(probe.block as u32)?, per_block)? {
+                    Probed::Hit(v) => out[probe.i as usize] = Some(v),
+                    Probed::Miss => {}
+                    Probed::Moved => {
+                        probes[moved] = probe;
+                        moved += 1;
+                    }
+                }
             }
+            probes.truncate(moved);
         }
         // Misses stay pending in their original (ascending-key) order.
-        pending.retain(|i| !answered.contains(i));
+        pending.retain(|&i| out[i as usize].is_none());
         Ok(())
+    }
+
+    /// Fetches the distinct `blocks` (relative to `first_block`) in
+    /// ascending order through one outstanding-read queue: waves of up to
+    /// the disk's queue depth, so at depth 1 exactly what reading each block
+    /// once costs.
+    fn fetch_wave(
+        &self,
+        mut blocks: Vec<u32>,
+        first_block: u32,
+        kind: BlockKind,
+    ) -> IndexResult<Wave> {
+        blocks.sort_unstable();
+        blocks.dedup();
+        let mut q = self.disk.read_queue();
+        for &b in &blocks {
+            q.submit(self.file, first_block + b, kind)?;
+        }
+        let frames = q.complete()?.into_iter().map(|c| c.frame).collect();
+        Ok(Wave { blocks, frames })
     }
 
     /// Collects up to `count` entries with keys `>= start` into `out`,
@@ -790,6 +839,71 @@ mod tests {
             "depth-8 window waves ({queued_ns} ns) must overlap the depth-1 cost ({sync_ns} ns)"
         );
         assert!(queued_pgm.disk.stats().overlap_saved_ns() > 0);
+    }
+
+    /// Runs `f` on a thread of its own and returns its result, failing the
+    /// test if `f` has not returned within a minute: a batch whose probes
+    /// never settle fails instead of hanging.
+    fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(f()).expect("the test waits"));
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(result) => {
+                worker.join().expect("the worker thread");
+                result
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("{what}: did not finish within a minute"),
+        }
+    }
+
+    #[test]
+    fn neighbour_steps_answer_every_probe_like_the_per_key_lookup() {
+        use lidx_storage::DeviceModel;
+        let entries = skewed_entries(3_000);
+        let stored: std::collections::BTreeSet<Key> = entries.iter().map(|e| e.0).collect();
+        // 256 B .. 4 KiB blocks of 16 .. 256 entries: an ε = 64 window of
+        // 129 entries spans up to nine blocks, an ε = 1 window at most two.
+        for block_size in [256, 512, 1024, 2048, 4096] {
+            let per = entries::per_block(block_size);
+            // Every stored key and its neighbours, plus an absent key between
+            // the last key of each data block and the first of the next.
+            let mut probes: Vec<Key> =
+                entries.iter().flat_map(|&(k, _)| [k.saturating_sub(1), k, k + 1]).collect();
+            let blocks: Vec<&[Entry]> = entries.chunks(per).collect();
+            let between = blocks.windows(2).map(|w| (w[0][per - 1].0 + w[1][0].0) / 2);
+            let between: Vec<Key> = between.filter(|k| !stored.contains(k)).collect();
+            assert!(between.len() * 2 > blocks.len(), "{block_size} B: too few absent keys");
+            probes.extend(between);
+            probes.sort_unstable();
+            let probes = Arc::new(probes);
+            for epsilon in [1, 8, 64] {
+                for depth in [1, 8] {
+                    let label = format!("{block_size} B, ε {epsilon}, depth {depth}");
+                    let config = DiskConfig::with_block_size(block_size)
+                        .device(DeviceModel::ssd())
+                        .buffer_blocks(64)
+                        .queue_depth(depth);
+                    let pgm = Arc::new(build(Disk::in_memory(config), &entries, epsilon).unwrap());
+                    let (batch, keys) = (Arc::clone(&pgm), Arc::clone(&probes));
+                    let (pending, out) = within_a_minute(&label, move || {
+                        let mut pending: Vec<u32> = (0..keys.len() as u32).collect();
+                        let mut out = vec![None; keys.len()];
+                        batch.lookup_batch_sorted(&keys, &mut pending, &mut out).unwrap();
+                        (pending, out)
+                    });
+                    for (&key, &answer) in probes.iter().zip(&out) {
+                        assert_eq!(answer, pgm.lookup(key).unwrap(), "{label}: probe {key}");
+                    }
+                    let misses: Vec<u32> =
+                        (0..out.len() as u32).filter(|&i| out[i as usize].is_none()).collect();
+                    assert_eq!(pending, misses, "{label}: exactly the misses stay pending");
+                }
+            }
+        }
     }
 
     #[test]
@@ -964,6 +1078,51 @@ mod tests {
             assert!(pinned <= 2 * levels + 2, "{pinned} frames pinned over {levels} levels");
             let (_, _, _, walked) = cold(&disk, || floor_slot_by_slot(&pgm, k + 1));
             assert!(walked > pinned, "the walk pins per slot ({walked}), the search per block");
+        }
+    }
+
+    #[test]
+    fn forged_component_metadata_is_a_typed_error() {
+        let entries = skewed_entries(30_000);
+        let pgm = build(disk(512), &entries, 16).unwrap();
+        assert!(!pgm.levels.is_empty(), "the component must have an on-disk level");
+        let mut w = MetaWriter::new();
+        pgm.save_meta(&mut w);
+        let meta = w.finish();
+        // `save_meta`'s layout: file u32, ε u64 at 4, length u64 at 12, data
+        // blocks u32 at 20, level count u32 at 24, then per level its first
+        // block u32 and its record count u64, from 28.
+        let load = |at: usize, bytes: &[u8]| {
+            let mut forged = meta.clone();
+            forged[at..at + bytes.len()].copy_from_slice(bytes);
+            StaticPgm::load_meta(Arc::clone(&pgm.disk), &mut MetaReader::new(&forged))
+        };
+        let len = pgm.len();
+        let capacity = u64::from(pgm.data.blocks) * entries_per_block(512);
+        let widest = u64::MAX - 1 - len;
+        for (what, at, bytes) in [
+            ("ε 0", 4, 0u64.to_le_bytes().to_vec()),
+            ("ε u64::MAX", 4, u64::MAX.to_le_bytes().to_vec()),
+            ("an ε whose windows overflow", 4, (widest + 1).to_le_bytes().to_vec()),
+            ("a length past the data blocks", 12, (capacity + 1).to_le_bytes().to_vec()),
+            ("data blocks past the file", 20, u32::MAX.to_le_bytes().to_vec()),
+            ("a level past the file", 28, (u32::MAX - 1).to_le_bytes().to_vec()),
+            ("a level with no records", 32, 0u64.to_le_bytes().to_vec()),
+        ] {
+            let loaded = load(at, &bytes);
+            assert!(matches!(loaded, Err(IndexError::Internal(_))), "{what}: {:?}", loaded.err());
+        }
+
+        // The widest ε that cannot overflow loads, and its windows cover
+        // whole levels, so every answer stays exact.
+        let wide = load(4, &widest.to_le_bytes()).unwrap();
+        let probes: Vec<Key> = entries.iter().step_by(997).flat_map(|e| [e.0, e.0 + 1]).collect();
+        let mut pending: Vec<u32> = (0..probes.len() as u32).collect();
+        let mut out = vec![None; probes.len()];
+        wide.lookup_batch_sorted(&probes, &mut pending, &mut out).unwrap();
+        for (&key, &answer) in probes.iter().zip(&out) {
+            assert_eq!(wide.lookup(key).unwrap(), pgm.lookup(key).unwrap(), "key {key}");
+            assert_eq!(answer, pgm.lookup(key).unwrap(), "key {key}");
         }
     }
 

@@ -4,8 +4,8 @@
 //! The batched lookup promises bit-for-bit the answers of a per-key loop,
 //! for any input — hits, misses, duplicates, unsorted probes — regardless of
 //! whether the index uses the default loop implementation or a specialised
-//! override (B+-tree leaf-run sharing, PGM single-pass run + cached data
-//! blocks). These
+//! override (B+-tree leaf-run sharing, PGM single-pass run + predicted-block
+//! data waves). These
 //! tests pin that contract for all seven `IndexChoice` designs,
 //! deterministically and under proptest-generated workloads, and
 //! additionally assert four storage invariants: lookups and batched lookups

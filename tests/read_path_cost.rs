@@ -64,6 +64,17 @@ struct ReadCost {
 /// `[0, 0, 1080, 0]`, pool hits 5 945 → 4 015, readahead hits 14 → 13,
 /// 84.72 → 82.48 ms. `fb`: `Inner` reads 9 123 → 7 690 at both depths,
 /// 1 126.92 → 1 031.26 ms at depth 1 and 1 075.68 → 980.02 ms at depth 8.
+///
+/// The four PGM rows were re-recorded when its batch became one wave
+/// strategy at every depth whose data level reads the predicted block
+/// first, stepping to a neighbouring block only when the key may lie there,
+/// instead of every block of each ε-window. Every value fell or stayed.
+/// Near-linear depth 1 (where the per-key loop with its pinned block ran
+/// before): 522 → 517 reads, 50.08 → 49.74 ms, pool hits 2 327 → 2 325.
+/// Depth 8: 571 → 567 reads, 47.40 → 47.30 ms, pool hits 2 348 → 2 339.
+/// `fb` depth 1: `Inner` 2 453 → 2 417 (the inner levels' whole-window
+/// waves read each block once), `Leaf` 7 369 → 7 318, 767.88 → 761.78 ms.
+/// `fb` depth 8: `Leaf` 7 816 → 7 707, 698.66 → 697.50 ms.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
@@ -71,7 +82,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, fiting
     ReadCost { reads: [0, 0, 581, 0], device_ns: 56300000, buffer_hits: 4799, readahead_hits: 0 },
     // ssd, pool 64, depth 1, pgm
-    ReadCost { reads: [0, 0, 522, 0], device_ns: 50080000, buffer_hits: 2327, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 517, 0], device_ns: 49740000, buffer_hits: 2325, readahead_hits: 0 },
     // ssd, pool 64, depth 1, alex
     ReadCost { reads: [0, 0, 1467, 40], device_ns: 148380000, buffer_hits: 5722, readahead_hits: 0 },
     // ssd, pool 64, depth 1, lipp
@@ -85,7 +96,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 8, fiting
     ReadCost { reads: [0, 0, 662, 0], device_ns: 54080000, buffer_hits: 4714, readahead_hits: 22 },
     // ssd, pool 64, depth 8, pgm
-    ReadCost { reads: [0, 0, 571, 0], device_ns: 47400000, buffer_hits: 2348, readahead_hits: 3 },
+    ReadCost { reads: [0, 0, 567, 0], device_ns: 47300000, buffer_hits: 2339, readahead_hits: 3 },
     // ssd, pool 64, depth 8, alex
     ReadCost { reads: [0, 0, 2023, 106], device_ns: 135820000, buffer_hits: 5721, readahead_hits: 152 },
     // ssd, pool 64, depth 8, lipp
@@ -99,7 +110,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, fiting
     ReadCost { reads: [0, 4633, 7391, 0], device_ns: 1001480000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, pgm
-    ReadCost { reads: [0, 2453, 7369, 0], device_ns: 767880000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 2417, 7318, 0], device_ns: 761780000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, alex
     ReadCost { reads: [0, 3004, 10515, 206], device_ns: 1202220000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, lipp
@@ -113,7 +124,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, fiting
     ReadCost { reads: [0, 4633, 8601, 0], device_ns: 937260000, buffer_hits: 0, readahead_hits: 1080 },
     // fb, 512 B, no pool, depth 8, pgm
-    ReadCost { reads: [0, 2417, 7816, 0], device_ns: 698660000, buffer_hits: 0, readahead_hits: 1011 },
+    ReadCost { reads: [0, 2417, 7707, 0], device_ns: 697500000, buffer_hits: 0, readahead_hits: 1011 },
     // fb, 512 B, no pool, depth 8, alex
     ReadCost { reads: [0, 3004, 12957, 0], device_ns: 996540000, buffer_hits: 0, readahead_hits: 3244 },
     // fb, 512 B, no pool, depth 8, lipp

@@ -12,7 +12,9 @@
 //! `Vec`, or a descent path collected and thrown away, anywhere on the lookup
 //! path fails it. FITing is checked twice: on its bulk-loaded data region,
 //! and after inserts, on hits in a delta buffer and in the overflow buffer
-//! below the global minimum.
+//! below the global minimum. PGM is checked twice too: on its bulk-loaded
+//! component, and after inserts, on hits in its insert run, whose blocks a
+//! lookup searches in place, and in the component behind it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -154,4 +156,32 @@ fn warm_fiting_buffer_hits_do_not_allocate() {
     // 12 500 delta-buffer hits, 8 333 overflow hits (a third of the
     // overflow probes are the miss 1) and 12 500 data-region hits.
     assert_eq!(found, 12_500 + 8_333 + 12_500, "hits and misses as built");
+}
+
+#[test]
+fn warm_pgm_run_hits_do_not_allocate() {
+    let entries = stored_entries();
+    let mut index = IndexChoice::Pgm.build(roomy_disk());
+    index.bulk_load(&entries).expect("bulk load");
+    // 100 keys between the stored ones (≡ 5 mod 7), fewer than the insert
+    // run holds, so they all stay in the run.
+    let run: Vec<Entry> = (0..100u64).map(|i| (i * 6_986 + 5, i)).collect();
+    index.insert_batch(&run).expect("run inserts");
+    assert_eq!(index.stats().smo_count, 0, "every inserted key still sits in the run");
+
+    // A third each: run hits, component hits (after the run is searched),
+    // and misses next to run keys.
+    let probe = |i: u64| -> Key {
+        let n = i / 3;
+        match i % 3 {
+            0 => run[(n % 100) as usize].0,
+            1 => entries[(n.wrapping_mul(7919) % KEYS) as usize].0,
+            _ => run[(n % 100) as usize].0 + 1,
+        }
+    };
+    for &(key, value) in &run {
+        assert_eq!(index.lookup(key).expect("lookup"), Some(value), "key {key}");
+    }
+    let found = assert_warm_lookups_do_not_allocate("pgm after inserts", index.as_ref(), probe);
+    assert_eq!(found, 2 * 16_667, "run and component hits as built");
 }
