@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use lidx_core::entries::{self, EntryArray};
+use lidx_core::entries::{self, EntryArray, Probed, Wave, WindowProbe};
 use lidx_core::{
     index::validate_bulk_load, merge_newest_wins, spend, Entry, IndexError, IndexKind, IndexRead,
     IndexResult, IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter,
@@ -233,63 +233,83 @@ impl FitingTree {
         entries::per_block(self.disk.block_size())
     }
 
-    /// The wave strategy of [`lookup_batch`](IndexRead::lookup_batch) on a
-    /// disk with outstanding reads: every probe is routed through the
-    /// directory first (inner blocks only), in ascending key order, then the
-    /// distinct ε-window data blocks and occupied delta-buffer blocks of the
-    /// whole batch are prefetched in one submission wave, and finally each
-    /// probe is resolved exactly as [`IndexRead::lookup`] would — its reads
-    /// consume the parked frames. The routing pass and the resolve pass each
-    /// read through a cursor of their own.
-    fn lookup_batch_queued(
+    /// Batched lookups over `order`, the batch's indexes into `keys` in
+    /// ascending key order. One cursor routes every probe: the ones below
+    /// the global minimum search the overflow block (their keys come first,
+    /// so the block is read once), the rest descend the directory to their
+    /// segment. The data regions are then read in waves of predicted blocks
+    /// only ([`WindowProbe`]): the first wave fetches the block holding each
+    /// probe's predicted position, and a probe whose key may lie beyond it
+    /// steps to the neighbouring block on that one side in a later wave.
+    /// Last, the misses whose segment holds buffered entries read every
+    /// occupied block of those delta buffers in one more wave. The answers
+    /// are the per-key [`IndexRead::lookup`]'s.
+    fn lookup_batch_sorted(
         &self,
         keys: &[Key],
         order: &[u32],
         out: &mut [Option<Value>],
     ) -> IndexResult<()> {
-        let epsilon = self.config.epsilon;
+        let (file, epsilon) = (self.seg_file, self.config.epsilon);
         let per_block = entries::per_block(self.disk.block_size());
-        let mut metas: Vec<(u32, Option<SegmentMeta>)> = Vec::with_capacity(order.len());
-        let mut blocks: std::collections::BTreeSet<BlockId> = std::collections::BTreeSet::new();
+        let mut probes: Vec<(u32, SegmentMeta, WindowProbe)> = Vec::with_capacity(order.len());
+        let mut buffered: Vec<(u32, SegmentMeta)> = Vec::new();
         let mut cursor = self.disk.cursor();
         for &i in order {
             let key = keys[i as usize];
             if key < self.global_min_key {
-                metas.push((i, None));
+                out[i as usize] = self.search_overflow(&mut cursor, key)?;
                 continue;
             }
             let (meta, _) = self.directory.find(&mut cursor, key)?;
-            if meta.count > 0 {
-                let pred = meta.predict(key);
-                let lo = pred.saturating_sub(epsilon);
-                let hi = (pred + epsilon).min(meta.count as usize - 1);
-                for b in lo / per_block..=hi / per_block {
-                    blocks.insert(meta.start_block + b as u32);
-                }
+            match meta.probe(key, epsilon, per_block) {
+                Some(probe) => probes.push((i, meta, probe)),
+                None if meta.buffer_count > 0 => buffered.push((i, meta)),
+                None => {}
             }
-            if meta.buffer_count > 0 {
-                let used = (meta.buffer_count as usize).div_ceil(per_block) as u32;
-                for b in 0..used {
-                    blocks.insert(meta.start_block + meta.data_blocks + b);
-                }
-            }
-            metas.push((i, Some(meta)));
         }
         drop(cursor);
 
-        let mut q = self.disk.read_queue();
-        for &b in &blocks {
-            q.prefetch(self.seg_file, b, BlockKind::Leaf, SeqHint::Auto)?;
+        let block_of =
+            |meta: &SegmentMeta, probe: &WindowProbe| meta.start_block + probe.block() as BlockId;
+        while !probes.is_empty() {
+            let blocks = probes.iter().map(|(_, meta, probe)| block_of(meta, probe)).collect();
+            let wave = Wave::fetch(&self.disk, file, blocks, BlockKind::Leaf)?;
+            let mut moved = 0;
+            for n in 0..probes.len() {
+                let (i, meta, mut probe) = probes[n];
+                match probe.read(wave.frame(block_of(&meta, &probe))?, per_block)? {
+                    Probed::Hit(v) => out[i as usize] = Some(v),
+                    Probed::Miss if meta.buffer_count > 0 => buffered.push((i, meta)),
+                    Probed::Miss => {}
+                    Probed::Moved => {
+                        probes[moved] = (i, meta, probe);
+                        moved += 1;
+                    }
+                }
+            }
+            probes.truncate(moved);
         }
-        q.flush()?;
 
-        let mut cursor = self.disk.cursor();
-        for (i, meta) in metas {
-            let key = keys[i as usize];
-            out[i as usize] = match meta {
-                None => self.search_overflow(&mut cursor, key)?,
-                Some(meta) => self.search_segment(&mut cursor, &meta, key)?,
-            };
+        if buffered.is_empty() {
+            return Ok(());
+        }
+        let occupied = |buffer: &EntryArray| 0..buffer.len.div_ceil(per_block);
+        let blocks = buffered.iter().flat_map(|(_, meta)| {
+            let buffer = meta.buffer(file);
+            occupied(&buffer).map(move |b| buffer.first_block + b as BlockId)
+        });
+        let wave = Wave::fetch(&self.disk, file, blocks.collect(), BlockKind::Leaf)?;
+        for (i, meta) in buffered {
+            let (key, buffer) = (keys[i as usize], meta.buffer(file));
+            for b in occupied(&buffer) {
+                let frame = wave.frame(buffer.first_block + b as BlockId)?;
+                let block = buffer.block_in(frame, b, per_block);
+                if let Some(v) = EntryArray::find(&block.slots(0..block.valid)?, key) {
+                    out[i as usize] = Some(v);
+                    break;
+                }
+            }
         }
         Ok(())
     }
@@ -345,29 +365,19 @@ impl IndexRead for FitingTree {
         self.lookup_with(&mut self.disk.cursor(), key)
     }
 
-    /// Batched lookups. On a disk with outstanding reads this is the wave
-    /// strategy (`lookup_batch_queued`). At queue depth 1 it is the per-key
-    /// loop in input order: the wave strategy runs in sorted key order, and
-    /// that order alone costs the read-path cost pin two more device reads
-    /// at depth 1 (DESIGN.md §3.6), so this design keeps its pair.
+    /// Batched lookups, one strategy at every queue depth: sorted by key,
+    /// routed through the directory, then waves of predicted data blocks and
+    /// one wave of the misses' delta buffers (`lookup_batch_sorted`). At
+    /// queue depth 1 a wave is a blocking read at a time.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
-        }
-        if self.disk.queue_depth() <= 1 || keys.len() <= 1 {
-            out.clear();
-            out.reserve(keys.len());
-            let mut cursor = self.disk.cursor();
-            for &key in keys {
-                out.push(self.lookup_with(&mut cursor, key)?);
-            }
-            return Ok(());
         }
         out.clear();
         out.resize(keys.len(), None);
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
-        self.lookup_batch_queued(keys, &order, out)
+        self.lookup_batch_sorted(keys, &order, out)
     }
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
@@ -939,37 +949,52 @@ mod tests {
     #[test]
     fn queued_lookup_batch_matches_depth_one_answers_and_overlaps_io() {
         use lidx_storage::DeviceModel;
-        let data = irregular_entries(20_000);
+        // Bulk keys from 100, then fresh keys between them (delta buffers)
+        // and below the minimum (the overflow block), in one batch.
+        let data: Vec<Entry> =
+            irregular_entries(20_000).into_iter().map(|(k, v)| (k + 100, v)).collect();
+        let fresh: Vec<Entry> = data
+            .iter()
+            .step_by(97)
+            .map(|&(k, _)| (k + 1, k ^ 1))
+            .filter(|e| data.binary_search_by_key(&e.0, |&(k, _)| k).is_err())
+            .chain((0..20u64).map(|k| (k * 3, k + 7)))
+            .collect();
         let mut probes: Vec<Key> = data.iter().step_by(19).map(|&(k, _)| k).collect();
-        probes.push(data.last().unwrap().0 + 3); // miss above the key space
-        probes.push(1); // miss below / between keys
+        probes.extend(fresh.iter().map(|&(k, _)| k));
+        probes.extend([data.last().unwrap().0 + 3, 1, 2, data[500].0, data[500].0]);
         probes.reverse();
         let config =
             || DiskConfig::with_block_size(512).device(DeviceModel::ssd()).buffer_blocks(64);
+        let build = |config: DiskConfig| {
+            let config_tree = FitingConfig { epsilon: 16, buffer_entries: 16 };
+            let mut t = FitingTree::with_config(Disk::in_memory(config), config_tree).unwrap();
+            t.bulk_load(&data).unwrap();
+            t.insert_batch(&fresh).unwrap();
+            assert!(t.overflow_count > 0, "the batch must reach the overflow block");
+            t.disk.stats().reset();
+            t
+        };
 
-        let mut sync = FitingTree::with_config(
-            Disk::in_memory(config()),
-            FitingConfig { epsilon: 16, buffer_entries: 16 },
-        )
-        .unwrap();
-        sync.bulk_load(&data).unwrap();
+        let sync = build(config());
         let mut sync_out = Vec::new();
-        sync.disk.stats().reset();
         sync.lookup_batch(&probes, &mut sync_out).unwrap();
         let sync_ns = sync.disk.stats().device_ns();
+        let per_key: Vec<Option<Value>> = probes.iter().map(|&k| sync.lookup(k).unwrap()).collect();
+        assert_eq!(sync_out, per_key, "the depth-1 batch must answer like per-key lookups");
+        let segments = sync.directory.all_segments().unwrap();
+        assert!(segments.iter().any(|m| m.buffer_count > 0), "the batch must reach delta buffers");
+        for &(k, v) in &fresh {
+            let at = probes.iter().position(|&p| p == k).unwrap();
+            assert_eq!(sync_out[at], Some(v), "fresh key {k}");
+        }
 
-        let mut queued = FitingTree::with_config(
-            Disk::in_memory(config().queue_depth(8)),
-            FitingConfig { epsilon: 16, buffer_entries: 16 },
-        )
-        .unwrap();
-        queued.bulk_load(&data).unwrap();
+        let queued = build(config().queue_depth(8));
         let mut queued_out = Vec::new();
-        queued.disk.stats().reset();
         queued.lookup_batch(&probes, &mut queued_out).unwrap();
         let queued_ns = queued.disk.stats().device_ns();
 
-        assert_eq!(queued_out, sync_out, "queued answers must match the sync path");
+        assert_eq!(queued_out, sync_out, "queued answers must match the depth-1 answers");
         assert!(
             queued_ns * 2 < sync_ns,
             "waved segment fetches must overlap device time ({queued_ns} vs {sync_ns})"

@@ -15,13 +15,14 @@
 //!
 //! Both regions are sorted entry arrays ([`lidx_core::entries`]), the layout
 //! PGM's data level and insert run use too: [`SegmentMeta::data`] and
-//! [`SegmentMeta::buffer`] name them. What stays this module's own is the
-//! search policy: the data probe reads only the ε-window's blocks and stops
-//! on a hit, and the buffer probe reads every occupied block.
+//! [`SegmentMeta::buffer`] name them. The data probe is the one PGM's data
+//! level uses too, a [`WindowProbe`]: it reads the block holding the model's
+//! predicted position first and steps one way from there, inside the
+//! ε-window only. The buffer probe reads every occupied block.
 
-use lidx_core::entries::{self, EntryArray};
+use lidx_core::entries::{self, EntryArray, WindowProbe};
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{BlockCursor, BlockId, BlockKind, SeqHint};
+use lidx_storage::{BlockCursor, BlockId, BlockKind};
 
 use lidx_models::LinearModel;
 
@@ -114,14 +115,23 @@ impl SegmentMeta {
             LinearModel { slope: self.slope, intercept: -self.slope * self.first_key as f64 };
         model.predict_clamped(key, self.count as usize)
     }
+
+    /// A probe for `key` over the data region's ε-window around the model's
+    /// prediction, at `per_block` entries a block; `None` for an empty
+    /// region.
+    pub fn probe(&self, key: Key, epsilon: usize, per_block: usize) -> Option<WindowProbe> {
+        WindowProbe::new(key, self.predict(key), epsilon, self.count as usize, per_block)
+    }
 }
 
 /// Searches the data region of a segment for `key`, reading through the
 /// operation's `cursor`.
 ///
-/// Only the blocks overlapping the error window `[pred - epsilon,
-/// pred + epsilon]` are fetched, exactly as the paper's I/O analysis assumes
-/// (Table 2: `2ε / B` blocks in the worst case).
+/// The block holding the model's prediction is read first; the probe steps
+/// to a neighbouring block only while the key may lie there, inside the
+/// error window `[pred - epsilon, pred + epsilon]` and on one side only
+/// ([`WindowProbe`]). Table 2's `2ε / B` blocks is the worst case; an
+/// exactly modelled key costs one block.
 pub fn search_data(
     cursor: &mut BlockCursor<'_>,
     file: u32,
@@ -129,23 +139,10 @@ pub fn search_data(
     key: Key,
     epsilon: usize,
 ) -> IndexResult<Option<Value>> {
-    if meta.count == 0 {
-        return Ok(None);
+    match meta.probe(key, epsilon, entries::per_block(cursor.disk().block_size())) {
+        Some(probe) => meta.data(file).probe(cursor, probe),
+        None => Ok(None),
     }
-    let per_block = entries::per_block(cursor.disk().block_size());
-    let pred = meta.predict(key);
-    let lo = pred.saturating_sub(epsilon);
-    let hi = (pred + epsilon).min(meta.count as usize - 1);
-    let (data, first_block, last_block) = (meta.data(file), lo / per_block, hi / per_block);
-    for b in first_block..=last_block {
-        let block = data.block(cursor, b, SeqHint::Auto)?;
-        let slot_lo = if b == first_block { lo - b * per_block } else { 0 };
-        let slot_hi = if b == last_block { hi - b * per_block } else { per_block - 1 };
-        if let Some(v) = EntryArray::find(&block.slots(slot_lo..slot_hi + 1)?, key) {
-            return Ok(Some(v));
-        }
-    }
-    Ok(None)
 }
 
 /// Reads data-region entries for a range scan through the scan's `cursor`:
@@ -223,10 +220,11 @@ mod tests {
         let (disk, file, meta, entries) = setup(200); // spans many 16-entry blocks
         disk.stats().reset();
         disk.reset_access_state();
-        let (k, _) = entries[100];
-        search_data(&mut disk.cursor(), file, &meta, k, 4).unwrap();
-        // ε = 4 on a perfect model touches at most 2 blocks of 16 entries.
-        assert!(disk.stats().reads() <= 2, "read {} blocks", disk.stats().reads());
+        // ε = 4 around entry 97 is entries 93..=101, which span two blocks
+        // of 16; the model is exact, so only the predicted block is read.
+        let (k, v) = entries[97];
+        assert_eq!(search_data(&mut disk.cursor(), file, &meta, k, 4).unwrap(), Some(v));
+        assert_eq!(disk.stats().reads(), 1);
     }
 
     #[test]

@@ -94,6 +94,10 @@ impl HybridIndex {
     /// the index was created with (including the inner flavour). The learned
     /// inner directory is rebuilt from the persisted boundary table — the
     /// same refresh path leaf splits take — so it lands in fresh blocks.
+    ///
+    /// A boundary table no index writes is [`IndexError::Internal`]: keys
+    /// that do not strictly increase, or a leaf block past the leaf file.
+    /// Both directory builds and every leaf read trust those bounds.
     pub fn load(disk: Arc<Disk>, config: HybridConfig, meta: &[u8]) -> IndexResult<Self> {
         let mut r = MetaReader::new(meta);
         let leaf_file = r.u32()?;
@@ -105,6 +109,13 @@ impl HybridIndex {
         let mut boundaries = Vec::with_capacity(boundary_count.min(1 << 20));
         for _ in 0..boundary_count {
             boundaries.push((r.u64()?, r.u32()?));
+        }
+        let leaf_blocks = disk.num_blocks(leaf_file)?;
+        let increasing = boundaries.windows(2).all(|w| w[0].0 < w[1].0);
+        if !increasing || boundaries.iter().any(|&(_, block)| block >= leaf_blocks) {
+            return Err(IndexError::Internal(format!(
+                "hybrid boundary table is out of order or overruns its {leaf_blocks} leaf blocks"
+            )));
         }
         let leaves = LeafLevel::from_parts(disk.block_size(), leaf_count);
         let mut inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
@@ -568,6 +579,60 @@ mod tests {
                 "{inner:?} deferred rebuild ({batch_writes} writes) must amortise \
                  per-split retraining ({seq_writes} writes)"
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128, .. proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn a_damaged_meta_loads_to_an_error_or_an_index_that_does_not_panic(
+            pla in proptest::prelude::any::<bool>(),
+            // Each damage flips the bits `x` of one byte, or fills the eight
+            // bytes from it with zeros or ones (a key, block or count gone to
+            // 0 or to near its maximum).
+            damages in proptest::collection::vec((0usize..1 << 16, 0u8..3, 1u8..255), 0..4),
+            // Past the meta's length (about half the cases) nothing is cut.
+            cut in 0usize..2_048,
+        ) {
+            let inner = if pla { HybridInnerKind::Pla } else { HybridInnerKind::ModelTree };
+            let (mut h, data) = build(inner, 2_000);
+            let config = h.config;
+            let mut meta = h.save_meta().unwrap();
+            proptest::prop_assert!(meta.len() < 2_048 && h.boundaries.len() > 16);
+            let intact = damages.is_empty() && cut >= meta.len();
+            for (at, how, x) in damages {
+                let at = at % meta.len();
+                let end = (at + 8).min(meta.len());
+                match how {
+                    0 => meta[at] ^= x,
+                    1 => meta[at..end].fill(0),
+                    _ => meta[at..end].fill(0xFF),
+                }
+            }
+            meta.truncate(cut);
+
+            let probes: Vec<Key> =
+                data.iter().step_by(37).flat_map(|&(k, _)| [k, k + 3]).chain([0, Key::MAX]).collect();
+            let Ok(loaded) = HybridIndex::load(Arc::clone(h.disk()), config, &meta) else {
+                proptest::prop_assert!(!intact, "the intact meta must load");
+                return Ok(());
+            };
+            let answers: Vec<_> = probes.iter().map(|&k| loaded.lookup(k)).collect();
+            let mut batch = Vec::new();
+            let batched = loaded.lookup_batch(&probes, &mut batch);
+            let mut rows = Vec::new();
+            let scanned = loaded.scan(probes[3], 50, &mut rows);
+            if intact {
+                for (&k, answer) in probes.iter().zip(&answers) {
+                    proptest::prop_assert_eq!(answer.as_ref().ok(), Some(&h.lookup(k).unwrap()));
+                }
+                let want: Vec<_> = probes.iter().map(|&k| h.lookup(k).unwrap()).collect();
+                proptest::prop_assert!(batched.is_ok() && batch == want);
+                proptest::prop_assert!(matches!(scanned, Ok(50)));
+            }
         }
     }
 

@@ -35,7 +35,7 @@
 
 use std::sync::Arc;
 
-use lidx_core::entries::{self, EntryArray, ENTRY_BYTES, SENTINEL};
+use lidx_core::entries::{self, EntryArray, Probed, Wave, WindowProbe, ENTRY_BYTES, SENTINEL};
 use lidx_core::{
     block_pointer, Entry, IndexError, IndexResult, Key, MetaReader, MetaWriter, Value,
 };
@@ -152,74 +152,6 @@ fn search_window<const STRIDE: usize, T>(
         idx = (block + 1) * per_block;
     }
     Ok((hi + 1, best))
-}
-
-/// One wave's frames: the distinct blocks it fetched, relative to their
-/// level's first block and sorted, and their frames in the same order.
-struct Wave {
-    blocks: Vec<u32>,
-    frames: Vec<BlockRef>,
-}
-
-impl Wave {
-    /// The frame of relative block `b`, which the wave must have fetched.
-    fn frame(&self, b: u32) -> IndexResult<&BlockRef> {
-        let at = self.blocks.binary_search(&b);
-        at.map(|at| &self.frames[at])
-            .map_err(|_| IndexError::Internal(format!("PGM block {b} is not in its wave")))
-    }
-}
-
-/// A probe of the batched data-level search: the part of its ε-window not
-/// yet ruled out, positions `lo..=hi`, and the data block it reads next.
-#[derive(Debug, Clone, Copy)]
-struct DataProbe {
-    /// The probe's index into the batch's keys.
-    i: u32,
-    key: Key,
-    lo: u64,
-    hi: u64,
-    block: u64,
-}
-
-/// What reading its block tells a [`DataProbe`].
-enum Probed {
-    /// The key is stored, with this payload.
-    Hit(Value),
-    /// The key is not stored.
-    Miss,
-    /// The key can only sit in the neighbouring block on one side, which the
-    /// probe reads next.
-    Moved,
-}
-
-impl DataProbe {
-    /// Searches the part of the window inside `frame`, the probe's block. A
-    /// stored key lies inside the window (the ε bound), so when every key of
-    /// that part is above `key` it can only lie further left, and when every
-    /// key is below it only further right. The window is cut to that side:
-    /// a probe moves one way only, reading at most every block of its
-    /// window, even over unsorted bytes.
-    fn read(&mut self, frame: &BlockRef, per_block: u64) -> IndexResult<Probed> {
-        let (start, end) = (self.block * per_block, (self.block + 1) * per_block - 1);
-        let (from, until) = (self.lo.max(start), self.hi.min(end));
-        let offset = (from - start) as usize * ENTRY_BYTES;
-        let slots = SlotTable::<ENTRY_BYTES>::new(frame, offset, (until + 1 - from) as usize)?;
-        let at = slots.partition_point(|k| k < self.key);
-        if at < slots.len() && slots.key(at) == self.key {
-            return Ok(Probed::Hit(entries::get(slots.slot(at)).1));
-        }
-        if at == 0 && self.lo < start {
-            self.hi = start - 1;
-            self.block -= 1;
-        } else if at == slots.len() && self.hi > end {
-            self.lo = end + 1;
-            self.block += 1;
-        } else {
-            return Ok(Probed::Miss);
-        }
-        Ok(Probed::Moved)
-    }
 }
 
 /// One immutable PGM component.
@@ -570,7 +502,7 @@ impl StaticPgm {
     /// first wave fetches only the block holding each probe's predicted
     /// position, and a probe whose key may lie beyond that block steps to
     /// the neighbouring block on that one side in a later wave
-    /// (`DataProbe::read`). The answers are the per-key [`Self::lookup`]'s.
+    /// ([`WindowProbe`]). The answers are the per-key [`Self::lookup`]'s.
     pub fn lookup_batch_sorted(
         &self,
         keys: &[Key],
@@ -582,7 +514,7 @@ impl StaticPgm {
         }
         let bs = self.disk.block_size();
         let rec_per_block = records_per_block(bs);
-        let per_block = entries_per_block(bs);
+        let per_block = entries::per_block(bs);
         // Probes outside the component's key range stay pending for older
         // components; everything else starts its descent at the root.
         let mut active: Vec<(u32, SegRecord)> = pending
@@ -599,16 +531,17 @@ impl StaticPgm {
                 .iter()
                 .map(|(i, rec)| self.window(rec, keys[*i as usize], level.records, true))
                 .collect();
-            let blocks = windows
-                .iter()
-                .flat_map(|&(lo, hi)| (lo / rec_per_block) as u32..=(hi / rec_per_block) as u32);
-            let wave = self.fetch_wave(blocks.collect(), level.first_block, BlockKind::Inner)?;
+            let blocks = windows.iter().flat_map(|&(lo, hi)| {
+                level.first_block + (lo / rec_per_block) as u32
+                    ..=level.first_block + (hi / rec_per_block) as u32
+            });
+            let wave = Wave::fetch(&self.disk, self.file, blocks.collect(), BlockKind::Inner)?;
             for ((i, rec), &window) in active.iter_mut().zip(&windows) {
                 let key = keys[*i as usize];
                 let (_, covering) = search_window(
                     window,
                     rec_per_block,
-                    |b| wave.frame(b).cloned(),
+                    |b| wave.frame(level.first_block + b).cloned(),
                     |k| k <= key,
                     SegRecord::decode,
                 )?;
@@ -626,25 +559,28 @@ impl StaticPgm {
         // Data level: each wave fetches the block every unresolved probe
         // reads next, starting from its predicted position clamped into
         // its window.
-        let mut probes: Vec<DataProbe> = active
+        let data = &self.data;
+        let mut probes: Vec<(u32, WindowProbe)> = active
             .iter()
-            .map(|&(i, rec)| {
+            .filter_map(|&(i, rec)| {
                 let key = keys[i as usize];
-                let (lo, hi) = self.window(&rec, key, self.len(), false);
-                DataProbe { i, key, lo, hi, block: rec.predict(key).clamp(lo, hi) / per_block }
+                let predicted = usize::try_from(rec.predict(key)).unwrap_or(usize::MAX);
+                WindowProbe::new(key, predicted, self.epsilon, data.len, per_block)
+                    .map(|probe| (i, probe))
             })
             .collect();
+        let block_of = |probe: &WindowProbe| data.first_block + probe.block() as BlockId;
         while !probes.is_empty() {
-            let blocks = probes.iter().map(|p| p.block as u32).collect();
-            let wave = self.fetch_wave(blocks, self.data.first_block, self.data.kind)?;
+            let blocks = probes.iter().map(|(_, probe)| block_of(probe)).collect();
+            let wave = Wave::fetch(&self.disk, data.file, blocks, data.kind)?;
             let mut moved = 0;
             for n in 0..probes.len() {
-                let mut probe = probes[n];
-                match probe.read(wave.frame(probe.block as u32)?, per_block)? {
-                    Probed::Hit(v) => out[probe.i as usize] = Some(v),
+                let (i, mut probe) = probes[n];
+                match probe.read(wave.frame(block_of(&probe))?, per_block)? {
+                    Probed::Hit(v) => out[i as usize] = Some(v),
                     Probed::Miss => {}
                     Probed::Moved => {
-                        probes[moved] = probe;
+                        probes[moved] = (i, probe);
                         moved += 1;
                     }
                 }
@@ -654,26 +590,6 @@ impl StaticPgm {
         // Misses stay pending in their original (ascending-key) order.
         pending.retain(|&i| out[i as usize].is_none());
         Ok(())
-    }
-
-    /// Fetches the distinct `blocks` (relative to `first_block`) in
-    /// ascending order through one outstanding-read queue: waves of up to
-    /// the disk's queue depth, so at depth 1 exactly what reading each block
-    /// once costs.
-    fn fetch_wave(
-        &self,
-        mut blocks: Vec<u32>,
-        first_block: u32,
-        kind: BlockKind,
-    ) -> IndexResult<Wave> {
-        blocks.sort_unstable();
-        blocks.dedup();
-        let mut q = self.disk.read_queue();
-        for &b in &blocks {
-            q.submit(self.file, first_block + b, kind)?;
-        }
-        let frames = q.complete()?.into_iter().map(|c| c.frame).collect();
-        Ok(Wave { blocks, frames })
     }
 
     /// Collects up to `count` entries with keys `>= start` into `out`,

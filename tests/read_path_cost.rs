@@ -75,12 +75,25 @@ struct ReadCost {
 /// `fb` depth 1: `Inner` 2 453 → 2 417 (the inner levels' whole-window
 /// waves read each block once), `Leaf` 7 369 → 7 318, 767.88 → 761.78 ms.
 /// `fb` depth 8: `Leaf` 7 816 → 7 707, 698.66 → 697.50 ms.
+///
+/// The four FITing rows were re-recorded when its data probe began reading
+/// the block holding the model's prediction first and stepping one way to a
+/// neighbour only while the key may lie there (per key and in the batch),
+/// and its batch became one wave strategy at every depth, reading predicted
+/// blocks only. Only `Leaf` reads, device time and hits moved, and every
+/// one fell. Near-linear depth 1 (where the per-key loop ran the batch
+/// before): 581 → 466 reads, 56.30 → 46.04 ms, pool hits 4 799 → 4 102.
+/// Depth 8: 662 → 552 reads, 54.08 → 44.06 ms, pool hits 4 714 → 4 111,
+/// readahead hits 22 → 3 (the batch takes its frames from its own waves
+/// instead of parking prefetched windows for a resolve pass).
+/// `fb` depth 1: `Leaf` 7 391 → 3 884, 1 001.48 → 800.58 ms. `fb` depth 8:
+/// `Leaf` 8 601 → 5 034, 937.26 → 737.36 ms, readahead hits 1 080 → 992.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
     ReadCost { reads: [0, 0, 856, 0], device_ns: 84040000, buffer_hits: 3678, readahead_hits: 0 },
     // ssd, pool 64, depth 1, fiting
-    ReadCost { reads: [0, 0, 581, 0], device_ns: 56300000, buffer_hits: 4799, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 466, 0], device_ns: 46040000, buffer_hits: 4102, readahead_hits: 0 },
     // ssd, pool 64, depth 1, pgm
     ReadCost { reads: [0, 0, 517, 0], device_ns: 49740000, buffer_hits: 2325, readahead_hits: 0 },
     // ssd, pool 64, depth 1, alex
@@ -94,7 +107,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 8, btree
     ReadCost { reads: [0, 0, 1047, 0], device_ns: 80560000, buffer_hits: 3690, readahead_hits: 12 },
     // ssd, pool 64, depth 8, fiting
-    ReadCost { reads: [0, 0, 662, 0], device_ns: 54080000, buffer_hits: 4714, readahead_hits: 22 },
+    ReadCost { reads: [0, 0, 552, 0], device_ns: 44060000, buffer_hits: 4111, readahead_hits: 3 },
     // ssd, pool 64, depth 8, pgm
     ReadCost { reads: [0, 0, 567, 0], device_ns: 47300000, buffer_hits: 2339, readahead_hits: 3 },
     // ssd, pool 64, depth 8, alex
@@ -108,7 +121,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, btree
     ReadCost { reads: [0, 4466, 3041, 0], device_ns: 718340000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, fiting
-    ReadCost { reads: [0, 4633, 7391, 0], device_ns: 1001480000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 4633, 3884, 0], device_ns: 800580000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, pgm
     ReadCost { reads: [0, 2417, 7318, 0], device_ns: 761780000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, alex
@@ -122,7 +135,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, btree
     ReadCost { reads: [0, 4466, 3633, 0], device_ns: 667100000, buffer_hits: 0, readahead_hits: 808 },
     // fb, 512 B, no pool, depth 8, fiting
-    ReadCost { reads: [0, 4633, 8601, 0], device_ns: 937260000, buffer_hits: 0, readahead_hits: 1080 },
+    ReadCost { reads: [0, 4633, 5034, 0], device_ns: 737360000, buffer_hits: 0, readahead_hits: 992 },
     // fb, 512 B, no pool, depth 8, pgm
     ReadCost { reads: [0, 2417, 7707, 0], device_ns: 697500000, buffer_hits: 0, readahead_hits: 1011 },
     // fb, 512 B, no pool, depth 8, alex

@@ -462,12 +462,21 @@ struct InsertCost {
 /// 60.48 s; on the SSD `Inner` writes 48 → 24, blocks 99 → 74, 248.64 →
 /// 245.76 ms; on `fb` `Inner` reads 9 169 → 6 718, `Inner` writes 20 881 →
 /// 18 353, blocks 22 017 → 19 462, 3 774.94 → 3 315.56 ms.
+///
+/// The FITing HDD and `fb` rows were recorded again when FITing's data probe
+/// began reading the block holding the model's prediction first, stepping
+/// one way to a neighbour only while the key may lie there, instead of the
+/// ε-window from its low end. Only the Search step moved. On `fb`, `Leaf`
+/// reads fell 18 175 → 11 596 and device time 4 019.24 → 3 633.70 ms. On
+/// the HDD, `Leaf` reads fell 7 927 → 7 112, but device time rose 146.0283
+/// → 146.0656 s (+37.3 ms): a step to the left neighbour is a backward seek
+/// where the low-end read was a sequential hop. The SSD row did not move.
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
     InsertCost { reads: [0, 2024, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60512100000, smo_count: 24, storage_blocks: 51, steps: [[39792100000, 4000, 0], [19760000000, 0, 1976], [960000000, 24, 72], [0, 0, 0]] },
     // hdd, no pool, fiting
-    InsertCost { reads: [0, 3821, 7927, 24], writes: [0, 1846, 4903, 25], device_ns: 146028300000, smo_count: 7, storage_blocks: 202, steps: [[58215700000, 6868, 0], [85886500000, 4729, 6597], [1926100000, 175, 177], [0, 0, 0]] },
+    InsertCost { reads: [0, 3821, 7112, 24], writes: [0, 1846, 4903, 25], device_ns: 146065600000, smo_count: 7, storage_blocks: 202, steps: [[58253000000, 6053, 0], [85886500000, 4729, 6597], [1926100000, 175, 177], [0, 0, 0]] },
     // hdd, no pool, pgm
     InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 3208], device_ns: 52331400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [32050000000, 0, 3205], [200600000, 8, 18], [0, 0, 0]] },
     // hdd, no pool, alex
@@ -495,7 +504,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // fb, 512 B, ssd, no pool, btree
     InsertCost { reads: [0, 4098, 2000, 0], writes: [0, 101, 2095, 0], device_ns: 871800000, smo_count: 98, storage_blocks: 959, steps: [[598480000, 6000, 0], [228600000, 0, 1905], [44720000, 98, 291], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, fiting
-    InsertCost { reads: [0, 6007, 18175, 0], writes: [0, 2000, 16217, 0], device_ns: 4019240000, smo_count: 7, storage_blocks: 1159, steps: [[1615900000, 21903, 0], [2351740000, 1993, 17937], [51600000, 286, 280], [0, 0, 0]] },
+    InsertCost { reads: [0, 6007, 11596, 0], writes: [0, 2000, 16217, 0], device_ns: 3633700000, smo_count: 7, storage_blocks: 1159, steps: [[1230360000, 15324, 0], [2351740000, 1993, 17937], [51600000, 286, 280], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, pgm
     InsertCost { reads: [0, 0, 19, 17961], writes: [0, 0, 75, 17972], device_ns: 3324320000, smo_count: 3, storage_blocks: 702, steps: [[1157500000, 17961, 0], [2156280000, 0, 17969], [10540000, 19, 78], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, alex
