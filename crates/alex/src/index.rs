@@ -351,9 +351,7 @@ impl AlexIndex {
         let old_blocks = node.total_blocks(self.disk.block_size());
         let prev = node.header.prev;
         let next = node.header.next;
-        // The cursor holds a block of the node about to be freed.
-        cursor.release();
-        self.disk.free(self.data_file, node.start, old_blocks);
+        cursor.free(self.data_file, node.start, old_blocks);
         self.data_nodes -= 1;
 
         // A split partitions the entries with the 2-way routing model's own
@@ -521,35 +519,14 @@ impl AlexIndex {
         }
         Ok(ptr.block)
     }
-
-    /// Writes the deferred statistics header of a batch-cached leaf, if any
-    /// (the once-per-touched-node maintenance write of `insert_batch`).
-    fn flush_cached_leaf(
-        &mut self,
-        cursor: &mut BlockCursor<'_>,
-        cached: &mut Option<CachedLeaf>,
-        laps: &mut StepLaps,
-    ) -> IndexResult<()> {
-        if let Some(c) = cached.take() {
-            if c.dirty {
-                c.node.write_header(cursor)?;
-                laps.lap(&mut self.breakdown, InsertStep::Maintenance);
-            }
-        }
-        Ok(())
-    }
 }
 
-/// The leaf a batched insert is currently filling: its in-memory header is
-/// authoritative (the on-disk copy is stale until the deferred maintenance
-/// write), so the batch must route follow-up keys to this handle instead of
-/// re-loading the node from disk.
+/// The leaf a batched insert is currently filling, kept so that follow-up
+/// keys that provably route to it skip the descent.
 struct CachedLeaf {
     /// The inner-node path that led here, kept for a potential SMO.
     path: Vec<(InnerNode, u32)>,
     node: DataNode,
-    /// True once an insert changed the occupancy statistics.
-    dirty: bool,
     /// A key known to route to this node; by monotonicity of the model
     /// routing, every key in `[witness, max]` provably descends here.
     witness: Key,
@@ -720,70 +697,65 @@ impl IndexWrite for AlexIndex {
         Ok(())
     }
 
-    /// The one write path (`insert` is a batch of one): the current leaf's
-    /// statistics header stays in memory and is written once per touched
-    /// node per batch instead of once per key — the maintenance-batching
-    /// counterpart of `lookup_batch`'s pinned descent. A key reuses the
-    /// cached leaf when it provably routes there
-    /// (`witness <= key <= max`, monotone model routing); any other key
-    /// first flushes the deferred header, so the on-disk statistics are
-    /// never stale when a node is re-loaded. SMOs receive the cached
-    /// in-memory header (the authoritative occupancy), and the freed node's
-    /// deferred write is simply dropped.
+    /// The one write path (`insert` is a batch of one), run on one
+    /// write-back cursor ([`Disk::write_back`]): every read and write of
+    /// the batch goes through it, so a block the batch writes again — the
+    /// node's bitmap and slot blocks, its statistics header after every
+    /// insert that changes the count — reaches the disk once per batch,
+    /// charged at its first write. A key reuses the cached leaf when it
+    /// provably routes there (`witness <= key <= max`, monotone model
+    /// routing); any other key descends afresh, reading the header the
+    /// batch last wrote. SMOs receive the cached leaf and its parent path.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
         let mut laps = StepLaps::start(&self.disk);
-        // One cursor carries the batch's every read and write: re-reads of
-        // the block read last cost nothing, as §6.5 has it.
         let disk = Arc::clone(&self.disk);
-        let mut cursor = disk.cursor();
-        let mut cached: Option<CachedLeaf> = None;
-        for &(key, value) in entries {
-            loop {
-                // Route the key: reuse the cached leaf when possible.
-                let mut hit = false;
-                if let Some(c) = cached.as_mut() {
-                    if key >= c.witness {
-                        if c.max.is_none() && c.node.header.count > 0 {
-                            c.max = Some(c.node.max_key(&mut cursor)?);
+        disk.write_back(|cursor| {
+            let mut cached: Option<CachedLeaf> = None;
+            for &(key, value) in entries {
+                loop {
+                    // Route the key: reuse the cached leaf when possible.
+                    let mut hit = false;
+                    if let Some(c) = cached.as_mut() {
+                        if key >= c.witness {
+                            if c.max.is_none() && c.node.header.count > 0 {
+                                c.max = Some(c.node.max_key(cursor)?);
+                            }
+                            hit = c.max.is_some_and(|m| key <= m);
                         }
-                        hit = c.max.is_some_and(|m| key <= m);
                     }
-                }
-                if !hit {
-                    // The lazy max-key read above is routing, not maintenance.
+                    if !hit {
+                        let (path, node) = self.descend(cursor, key)?;
+                        cached = Some(CachedLeaf { path, node, witness: key, max: None });
+                    }
                     laps.lap(&mut self.breakdown, InsertStep::Search);
-                    self.flush_cached_leaf(&mut cursor, &mut cached, &mut laps)?;
-                    let (path, node) = self.descend(&mut cursor, key)?;
-                    cached = Some(CachedLeaf { path, node, dirty: false, witness: key, max: None });
-                }
-                laps.lap(&mut self.breakdown, InsertStep::Search);
 
-                let c = cached.as_mut().expect("cached leaf just resolved");
-                let prior_count = c.node.header.count;
-                if self.try_insert_into(&mut cursor, &mut c.node, key, value)? {
-                    laps.lap(&mut self.breakdown, InsertStep::Insert);
-                    if c.node.header.count != prior_count {
-                        // The updated occupancy and cost-model statistics
-                        // are the maintenance overhead of Fig. 6.
-                        c.dirty = true;
+                    let c = cached.as_mut().expect("cached leaf just resolved");
+                    let prior_count = c.node.header.count;
+                    if self.try_insert_into(cursor, &mut c.node, key, value)? {
+                        laps.lap(&mut self.breakdown, InsertStep::Insert);
+                        if c.node.header.count != prior_count {
+                            // The updated occupancy and cost-model statistics
+                            // are the maintenance overhead of Fig. 6.
+                            c.node.write_header(cursor)?;
+                            laps.lap(&mut self.breakdown, InsertStep::Maintenance);
+                        }
+                        break;
                     }
-                    break;
-                }
 
-                // Too full: SMO with the authoritative in-memory header and
-                // the cached parent path, then retry this key. The freed
-                // node's deferred header write is dropped with it, and the
-                // failed fill attempt's reads are part of the SMO's cost.
-                let c = cached.take().expect("cached leaf just resolved");
-                self.smo(&mut cursor, &c.path, c.node)?;
-                laps.lap(&mut self.breakdown, InsertStep::Smo);
+                    // Too full: SMO with the cached leaf and its parent
+                    // path, then retry this key. The failed fill attempt's
+                    // reads are part of the SMO's cost.
+                    let c = cached.take().expect("cached leaf just resolved");
+                    self.smo(cursor, &c.path, c.node)?;
+                    laps.lap(&mut self.breakdown, InsertStep::Smo);
+                }
+                self.breakdown.finish_insert();
             }
-            self.breakdown.finish_insert();
-        }
-        self.flush_cached_leaf(&mut cursor, &mut cached, &mut laps)
+            Ok(())
+        })
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {
@@ -791,8 +763,8 @@ impl IndexWrite for AlexIndex {
     }
 
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
-        // Node blocks (inner and data, headers included) are written eagerly,
-        // so the handle's plain fields are the whole state.
+        // Node blocks (inner and data, headers included) are on disk once a
+        // batch returns, so the handle's plain fields are the whole state.
         let mut w = MetaWriter::new();
         w.u32(self.inner_file)
             .u32(self.data_file)
@@ -1326,7 +1298,9 @@ mod tests {
     #[test]
     fn insert_batch_writes_each_touched_header_once() {
         // A sorted co-located run: the sequential loop writes the leaf's
-        // statistics header once per key, the batch once per touched node.
+        // statistics header once per key; the batch writes it per key too,
+        // but through its write-back cursor, which charges it and stores it
+        // once per touched node.
         let mut a = index(512);
         a.bulk_load(&entries(2_000, 10)).unwrap();
         let run: Vec<Entry> = (0..256u64).map(|i| (i * 10 + 5, i)).collect();
@@ -1339,8 +1313,8 @@ mod tests {
             "batched maintenance must write headers per node, not per key (got {})",
             delta.writes(InsertStep::Maintenance)
         );
-        // The deferred header did land: a re-loaded node sees the batch's
-        // occupancy (lookups agree and the key count is exact).
+        // The stored header is the last one written: a re-loaded node sees
+        // the batch's occupancy (lookups agree and the key count is exact).
         assert_eq!(a.len(), 2_000 + 256);
         for &(k, v) in run.iter().step_by(17) {
             assert_eq!(a.lookup(k).unwrap(), Some(v), "key {k}");

@@ -4,6 +4,7 @@
 //! key) is the greatest one not exceeding the search key — a *floor* lookup.
 //! All their I/O is charged to [`BlockKind::Inner`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key};
@@ -32,6 +33,32 @@ pub trait InnerDirectory {
 
     /// Height of the directory including the in-memory root.
     fn height(&self) -> u32;
+
+    /// Blocks of the directory's file that the directories a rebuild
+    /// replaced have freed.
+    fn freed_blocks(&self) -> u64;
+}
+
+/// Runs a directory build that allocates in `file` only, then frees
+/// `superseded`, the range the directory it replaces was appended into,
+/// and makes it the range this build appended. Only builds allocate in the
+/// file, so every block of an appended range is its build's, and freeing it
+/// walks nothing. A build that reuses freed space
+/// ([`lidx_storage::DiskConfig::reuse_freed_space`]) places those blocks
+/// outside its range, so they stay allocated for good: space lost, never a
+/// live block freed.
+fn replace_directory<T>(
+    disk: &Disk,
+    file: FileId,
+    superseded: &mut Range<BlockId>,
+    build: impl FnOnce() -> IndexResult<T>,
+) -> IndexResult<T> {
+    let start = disk.num_blocks(file)?;
+    let built = build()?;
+    let end = disk.num_blocks(file)?;
+    disk.free(file, superseded.start, superseded.len() as u32);
+    *superseded = start..end;
+    Ok(built)
 }
 
 // ---------------------------------------------------------------------------
@@ -42,13 +69,15 @@ pub trait InnerDirectory {
 /// inner structure a FITing-tree or PGM would use (Table 5, "FITing-Tree" /
 /// "PGM" columns): a [`StaticPgm`] over the `(boundary, leaf block)` pairs,
 /// routed by its floor query. The whole directory, boundary array included,
-/// is charged to [`BlockKind::Inner`], and every rebuild writes a fresh
-/// component into the directory's one file.
+/// is charged to [`BlockKind::Inner`], and every rebuild appends a fresh
+/// component to the directory's one file and frees the one it replaces.
 pub struct PlaInner {
     disk: Arc<Disk>,
     file: FileId,
     epsilon: usize,
     pgm: Option<StaticPgm>,
+    /// The blocks the current component was appended into.
+    blocks: Range<BlockId>,
     first_leaf: BlockId,
 }
 
@@ -56,20 +85,22 @@ impl PlaInner {
     /// Creates an empty PLA directory with error bound `epsilon`.
     pub fn new(disk: Arc<Disk>, epsilon: usize) -> IndexResult<Self> {
         let file = disk.create_file()?;
-        Ok(PlaInner { disk, file, epsilon: epsilon.max(1), pgm: None, first_leaf: 0 })
+        Ok(PlaInner { disk, file, epsilon: epsilon.max(1), pgm: None, blocks: 0..0, first_leaf: 0 })
     }
 }
 
 impl InnerDirectory for PlaInner {
     fn rebuild(&mut self, boundaries: &[Boundary]) -> IndexResult<()> {
         let entries: Vec<Entry> = boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
-        let pgm = StaticPgm::build(
-            Arc::clone(&self.disk),
-            self.file,
-            &entries,
-            self.epsilon,
-            BlockKind::Inner,
-        )?;
+        let pgm = replace_directory(&self.disk, self.file, &mut self.blocks, || {
+            StaticPgm::build(
+                Arc::clone(&self.disk),
+                self.file,
+                &entries,
+                self.epsilon,
+                BlockKind::Inner,
+            )
+        })?;
         self.pgm = Some(pgm);
         self.first_leaf = boundaries.first().map_or(0, |b| b.1);
         Ok(())
@@ -88,6 +119,10 @@ impl InnerDirectory for PlaInner {
         // base level + record levels + in-memory root
         2 + self.pgm.as_ref().map_or(0, |p| p.inner_levels() as u32)
     }
+
+    fn freed_blocks(&self) -> u64 {
+        self.disk.freed_blocks(self.file)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -102,13 +137,15 @@ const GAP_FACTOR: usize = 2;
 /// nodes of ALEX and LIPP (Table 5, "ALEX" / "LIPP" columns): a LIPP subtree
 /// ([`lidx_lipp::node`]) over the `(boundary, leaf block)` pairs, charged to
 /// [`BlockKind::Inner`]. A slot holds a boundary with its leaf, or a child
-/// keyed by the first boundary it holds; every rebuild writes a fresh tree
-/// into the directory's one file.
+/// keyed by the first boundary it holds; every rebuild appends a fresh tree
+/// to the directory's one file and frees the one it replaces.
 pub struct ModelTreeInner {
     disk: Arc<Disk>,
     file: FileId,
     /// Start block of the root node; `None` before the first rebuild.
     root: Option<BlockId>,
+    /// The blocks the current tree was appended into.
+    blocks: Range<BlockId>,
     nodes: u64,
     height: u32,
     first_leaf: BlockId,
@@ -118,7 +155,15 @@ impl ModelTreeInner {
     /// Creates an empty model-tree directory.
     pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
         let file = disk.create_file()?;
-        Ok(ModelTreeInner { disk, file, root: None, nodes: 0, height: 0, first_leaf: 0 })
+        Ok(ModelTreeInner {
+            disk,
+            file,
+            root: None,
+            blocks: 0..0,
+            nodes: 0,
+            height: 0,
+            first_leaf: 0,
+        })
     }
 }
 
@@ -126,7 +171,9 @@ impl InnerDirectory for ModelTreeInner {
     fn rebuild(&mut self, boundaries: &[Boundary]) -> IndexResult<()> {
         let entries: Vec<Entry> = boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
         let capacity = |n: usize| n.saturating_mul(GAP_FACTOR).clamp(8, 1 << 20) as u32;
-        let built = build_subtree(&self.disk, self.file, BlockKind::Inner, &entries, &capacity)?;
+        let built = replace_directory(&self.disk, self.file, &mut self.blocks, || {
+            build_subtree(&self.disk, self.file, BlockKind::Inner, &entries, &capacity)
+        })?;
         self.root = Some(built.root);
         self.nodes = built.nodes;
         self.height = built.depth;
@@ -181,6 +228,10 @@ impl InnerDirectory for ModelTreeInner {
 
     fn height(&self) -> u32 {
         self.height
+    }
+
+    fn freed_blocks(&self) -> u64 {
+        self.disk.freed_blocks(self.file)
     }
 }
 

@@ -420,11 +420,14 @@ impl IndexWrite for LippIndex {
     /// **once per batch** instead of once per key per path level — the
     /// write-side counterpart of `lookup_batch`'s
     /// header caching, and the Fig. 6 maintenance cost LIPP pays worst of
-    /// all designs. Slot writes (the actual data) still go to disk per
-    /// entry, so the on-disk structure is never behind; only the statistics
-    /// headers are deferred. A subtree rebuild first flushes every deferred
-    /// header and drops the cache, so the rebuild (and any node re-load
-    /// after it) always sees accurate on-disk statistics.
+    /// all designs. Slot writes (the actual data) go through the batch's
+    /// one write-back cursor per entry ([`Disk::write_back`]), so every
+    /// read of the batch sees them, and a block written again, such as a
+    /// slot block that several keys land in or a block 0 whose slot and
+    /// header both change, reaches the disk once when the batch returns;
+    /// only the statistics headers are deferred. A subtree rebuild first
+    /// writes every deferred header and drops the cache, so the rebuild
+    /// (and any node re-load after it) always sees accurate statistics.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
@@ -434,116 +437,119 @@ impl IndexWrite for LippIndex {
         let mut dirty: Vec<BlockId> = Vec::new();
 
         let mut laps = StepLaps::start(&self.disk);
-        // One cursor carries the batch's every read and write: a slot's
-        // read-modify-write re-reads the block its search just read.
+        // One write-back cursor carries the batch's every read and write: a
+        // slot's read-modify-write re-reads the block its search just read,
+        // and a block the batch writes again reaches the disk once.
         let disk = Arc::clone(&self.disk);
-        let mut cursor = disk.cursor();
-        for &(key, value) in entries {
-            // Descend through the cache (in-memory headers authoritative),
-            // remembering the path for the statistics maintenance pass. A
-            // descent visits each node at most once, so one past the node
-            // count means a child pointer is cyclic.
-            let mut path: Vec<(BlockId, u32)> = Vec::new();
-            let mut block = self.root;
-            let mut budget = self.node_count;
-            let (slot_content, slot, leaf) = loop {
-                spend(&mut budget, "LIPP walk")?;
-                if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
-                    e.insert(LippNode::load(&mut cursor, self.file, block, BlockKind::Leaf)?);
-                }
-                let node = &nodes[&block];
-                let slot = node.predict(key);
-                match node.read_slot(&mut cursor, slot)? {
-                    Slot::Child(_, b) => {
-                        path.push((block, slot));
-                        block = b;
+        disk.write_back(|cursor| {
+            for &(key, value) in entries {
+                // Descend through the cache (in-memory headers authoritative),
+                // remembering the path for the statistics maintenance pass. A
+                // descent visits each node at most once, so one past the node
+                // count means a child pointer is cyclic.
+                let mut path: Vec<(BlockId, u32)> = Vec::new();
+                let mut block = self.root;
+                let mut budget = self.node_count;
+                let (slot_content, slot, leaf) = loop {
+                    spend(&mut budget, "LIPP walk")?;
+                    if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
+                        e.insert(LippNode::load(cursor, self.file, block, BlockKind::Leaf)?);
                     }
-                    other => break (other, slot, block),
-                }
-            };
-            laps.lap(&mut self.breakdown, InsertStep::Search);
+                    let node = &nodes[&block];
+                    let slot = node.predict(key);
+                    match node.read_slot(cursor, slot)? {
+                        Slot::Child(_, b) => {
+                            path.push((block, slot));
+                            block = b;
+                        }
+                        other => break (other, slot, block),
+                    }
+                };
+                laps.lap(&mut self.breakdown, InsertStep::Search);
 
-            let mut conflicted = false;
-            let node = nodes.get_mut(&leaf).expect("cached");
-            match slot_content {
-                Slot::Data(k, _) if k == key => {
-                    // Upsert in place: no statistics change.
-                    node.write_slot(&mut cursor, slot, Slot::Data(key, value))?;
-                    laps.lap(&mut self.breakdown, InsertStep::Insert);
-                    self.breakdown.finish_insert();
-                    continue;
+                let mut conflicted = false;
+                let node = nodes.get_mut(&leaf).expect("cached");
+                match slot_content {
+                    Slot::Data(k, _) if k == key => {
+                        // Upsert in place: no statistics change.
+                        node.write_slot(cursor, slot, Slot::Data(key, value))?;
+                        laps.lap(&mut self.breakdown, InsertStep::Insert);
+                        self.breakdown.finish_insert();
+                        continue;
+                    }
+                    Slot::Null => {
+                        node.write_slot(cursor, slot, Slot::Data(key, value))?;
+                        node.header.data_count += 1;
+                        laps.lap(&mut self.breakdown, InsertStep::Insert);
+                    }
+                    Slot::Data(k0, v0) => {
+                        // Conflict: push both keys into a freshly created child
+                        // node (LIPP's per-insert SMO, roughly one in three
+                        // inserts, O7).
+                        conflicted = true;
+                        self.smo_count += 1;
+                        let telemetry = Arc::clone(&self.disk);
+                        let _span = telemetry.telemetry().span(OpClass::Smo);
+                        telemetry.telemetry().add(OpClass::Smo, 1);
+                        let mut pair = [(k0, v0), (key, value)];
+                        pair.sort_unstable_by_key(|e| e.0);
+                        let child = self.build(&pair)?;
+                        node.write_slot(cursor, slot, Slot::Child(pair[0].0, child))?;
+                        node.header.data_count -= 1;
+                        node.header.child_count += 1;
+                        laps.lap(&mut self.breakdown, InsertStep::Smo);
+                    }
+                    Slot::Child(..) => unreachable!("descent only stops at NULL or DATA slots"),
                 }
-                Slot::Null => {
-                    node.write_slot(&mut cursor, slot, Slot::Data(key, value))?;
-                    node.header.data_count += 1;
-                    laps.lap(&mut self.breakdown, InsertStep::Insert);
+                self.key_count += 1;
+
+                // Maintenance, deferred: bump the statistics of the leaf and
+                // every ancestor in memory only (written once per batch — the
+                // paper calls out this full-path write cost for LIPP).
+                for b in std::iter::once(leaf).chain(path.iter().map(|&(b, _)| b)) {
+                    let header = &mut nodes.get_mut(&b).expect("cached").header;
+                    header.num_inserts += 1;
+                    if conflicted {
+                        header.num_conflicts += 1;
+                    }
+                    dirty.push(b);
                 }
-                Slot::Data(k0, v0) => {
-                    // Conflict: push both keys into a freshly created child
-                    // node (LIPP's per-insert SMO, roughly one in three
-                    // inserts, O7).
-                    conflicted = true;
-                    self.smo_count += 1;
-                    let telemetry = Arc::clone(&self.disk);
-                    let _span = telemetry.telemetry().span(OpClass::Smo);
-                    telemetry.telemetry().add(OpClass::Smo, 1);
-                    let mut pair = [(k0, v0), (key, value)];
-                    pair.sort_unstable_by_key(|e| e.0);
-                    let child = self.build(&pair)?;
-                    node.write_slot(&mut cursor, slot, Slot::Child(pair[0].0, child))?;
-                    node.header.data_count -= 1;
-                    node.header.child_count += 1;
+
+                // Subtree-rebuild check against the (accurate) in-memory stats.
+                let mut rebuild_target: Option<usize> = None;
+                for (i, &(b, _)) in path.iter().enumerate() {
+                    if self.should_rebuild(&nodes[&b]) {
+                        rebuild_target = Some(i);
+                        break;
+                    }
+                }
+                let leaf_needs_rebuild =
+                    rebuild_target.is_none() && self.should_rebuild(&nodes[&leaf]);
+                if rebuild_target.is_some() || leaf_needs_rebuild {
+                    // Flush every deferred header before restructuring, then
+                    // drop the cache: the rebuild frees blocks that may be
+                    // re-allocated, so no stale handle may survive it.
+                    self.flush_dirty_headers(cursor, &mut nodes, &mut dirty, &mut laps)?;
+                    if let Some(i) = rebuild_target {
+                        let target = nodes[&path[i].0].clone();
+                        let parent = if i == 0 {
+                            None
+                        } else {
+                            Some((nodes[&path[i - 1].0].clone(), path[i - 1].1))
+                        };
+                        self.rebuild_subtree(cursor, &target, parent)?;
+                    } else {
+                        let target = nodes[&leaf].clone();
+                        let parent = path.last().map(|&(b, s)| (nodes[&b].clone(), s));
+                        self.rebuild_subtree(cursor, &target, parent)?;
+                    }
+                    nodes.clear();
                     laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
-                Slot::Child(..) => unreachable!("descent only stops at NULL or DATA slots"),
+                self.breakdown.finish_insert();
             }
-            self.key_count += 1;
-
-            // Maintenance, deferred: bump the statistics of the leaf and
-            // every ancestor in memory only (written once per batch — the
-            // paper calls out this full-path write cost for LIPP).
-            for b in std::iter::once(leaf).chain(path.iter().map(|&(b, _)| b)) {
-                let header = &mut nodes.get_mut(&b).expect("cached").header;
-                header.num_inserts += 1;
-                if conflicted {
-                    header.num_conflicts += 1;
-                }
-                dirty.push(b);
-            }
-
-            // Subtree-rebuild check against the (accurate) in-memory stats.
-            let mut rebuild_target: Option<usize> = None;
-            for (i, &(b, _)) in path.iter().enumerate() {
-                if self.should_rebuild(&nodes[&b]) {
-                    rebuild_target = Some(i);
-                    break;
-                }
-            }
-            let leaf_needs_rebuild = rebuild_target.is_none() && self.should_rebuild(&nodes[&leaf]);
-            if rebuild_target.is_some() || leaf_needs_rebuild {
-                // Flush every deferred header before restructuring, then
-                // drop the cache: the rebuild frees blocks that may be
-                // re-allocated, so no stale handle may survive it.
-                self.flush_dirty_headers(&mut cursor, &mut nodes, &mut dirty, &mut laps)?;
-                if let Some(i) = rebuild_target {
-                    let target = nodes[&path[i].0].clone();
-                    let parent = if i == 0 {
-                        None
-                    } else {
-                        Some((nodes[&path[i - 1].0].clone(), path[i - 1].1))
-                    };
-                    self.rebuild_subtree(&mut cursor, &target, parent)?;
-                } else {
-                    let target = nodes[&leaf].clone();
-                    let parent = path.last().map(|&(b, s)| (nodes[&b].clone(), s));
-                    self.rebuild_subtree(&mut cursor, &target, parent)?;
-                }
-                nodes.clear();
-                laps.lap(&mut self.breakdown, InsertStep::Smo);
-            }
-            self.breakdown.finish_insert();
-        }
-        self.flush_dirty_headers(&mut cursor, &mut nodes, &mut dirty, &mut laps)
+            self.flush_dirty_headers(cursor, &mut nodes, &mut dirty, &mut laps)
+        })
     }
 
     fn insert_breakdown(&self) -> InsertBreakdown {
@@ -552,8 +558,8 @@ impl IndexWrite for LippIndex {
 
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
         // Node blocks (headers included — `flush_dirty_headers` runs before
-        // any batch returns) are written eagerly, so the handle's plain
-        // fields are the whole state.
+        // any batch returns, and the batch's cursor stores what it wrote) are
+        // on disk, so the handle's plain fields are the whole state.
         let mut w = MetaWriter::new();
         w.u32(self.file)
             .u32(self.root)

@@ -388,11 +388,8 @@ impl LippNode {
             budget,
             |_| {},
             |cursor, node| {
-                // The cursor holds a block of this extent: let go of it before
-                // the extent is freed.
-                cursor.release();
-                let disk = cursor.disk();
-                disk.free(node.file, node.start, node.total_blocks(disk.block_size()));
+                let blocks = node.total_blocks(cursor.disk().block_size());
+                cursor.free(node.file, node.start, blocks);
             },
         )
     }

@@ -703,6 +703,34 @@ impl Disk {
         BlockCursor::new(self, true)
     }
 
+    /// Runs one write batch on a write-back point cursor: the batch's
+    /// writes through `cursor` stay in the cursor, its reads through the
+    /// cursor return them, and once `batch` returns every block it dirtied
+    /// is stored once, in first-write order. A block is charged at its
+    /// first write, exactly as [`Disk::write`] charges it; its later writes
+    /// and the final store charge nothing (see the
+    /// [cursor docs](crate::cursor)).
+    ///
+    /// The dirty blocks are stored even when `batch` fails, so what the
+    /// batch wrote before its error lands as it would have written through;
+    /// the batch's error is then the one returned. A store that fails stops
+    /// the flush, as a failed device write models a crash at that write.
+    ///
+    /// The caller must hold the blocks it writes exclusively for the batch:
+    /// until the flush, a read that does not go through `cursor` sees the
+    /// pre-batch bytes.
+    pub fn write_back<T, E: From<StorageError>>(
+        &self,
+        batch: impl FnOnce(&mut BlockCursor<'_>) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut cursor = BlockCursor::write_back(self);
+        let result = batch(&mut cursor);
+        let stored = cursor.store_dirty();
+        let value = result?;
+        stored?;
+        Ok(value)
+    }
+
     /// Reads one block as a pinned, zero-copy [`BlockRef`] under an explicit
     /// [`AccessClass`] (see [`Disk::read_ref`] for the pinning guarantees)
     /// and sequential-cost hint ([`SeqHint`]): scan streams that know their
@@ -936,7 +964,8 @@ impl Disk {
         self.queue_depth > 1
     }
 
-    /// Writes one block. Writes always reach the device (write-through).
+    /// Writes one block through to the device: stores it, then charges it.
+    /// A [`Disk::write_back`] batch runs the two halves apart.
     pub fn write(
         &self,
         file: FileId,
@@ -944,9 +973,42 @@ impl Disk {
         kind: BlockKind,
         data: &[u8],
     ) -> StorageResult<()> {
+        self.store(file, block, data, || BlockRef::from_vec(data.to_vec()))?;
+        self.charge_write(file, block, kind);
+        Ok(())
+    }
+
+    /// The accounting half of [`Disk::write`]: unless `kind` is memory
+    /// resident, counts one write of `kind`, charges the device's write
+    /// cost and moves the last-access word to the block.
+    pub(crate) fn charge_write(&self, file: FileId, block: BlockId, kind: BlockKind) {
+        if !self.is_memory_resident(kind) {
+            self.last_device_access.store(pack_access(file, block), Ordering::Relaxed);
+            self.stats.record_write(kind);
+            self.charge(self.device.write_cost());
+        }
+    }
+
+    /// Refuses a buffer that is not exactly one block.
+    pub(crate) fn check_block_len(&self, data: &[u8]) -> StorageResult<()> {
         if data.len() != self.block_size {
             return Err(StorageError::BadBufferSize { got: data.len(), expected: self.block_size });
         }
+        Ok(())
+    }
+
+    /// The store half of [`Disk::write`], which charges nothing: puts the
+    /// bytes in the backend, stamps them on a durable disk, drops a parked
+    /// readahead copy and publishes `frame()`, a frame holding `data`, to
+    /// the pool (called only when the disk has one).
+    pub(crate) fn store(
+        &self,
+        file: FileId,
+        block: BlockId,
+        data: &[u8],
+        frame: impl FnOnce() -> BlockRef,
+    ) -> StorageResult<()> {
+        self.check_block_len(data)?;
         self.backend.write_block(file, block, data)?;
         if self.verify_checksums {
             // Stamp after a successful block write only: a failed or torn
@@ -960,17 +1022,12 @@ impl Disk {
             };
             self.backend.write_stamp(file, block, &stamp.encode())?;
         }
-        if !self.is_memory_resident(kind) {
-            self.last_device_access.store(pack_access(file, block), Ordering::Relaxed);
-            self.stats.record_write(kind);
-            self.charge(self.device.write_cost());
-        }
         // A parked readahead frame for this block is now stale.
         self.readahead.lock().take(&(file, block));
         // Publish a new frame for the pooled copy; readers that pinned the
         // previous frame keep their snapshot (immutable frames).
         if self.pool.capacity() > 0 {
-            self.pool.put_ref(file, block, BlockRef::from_vec(data.to_vec()));
+            self.pool.put_ref(file, block, frame());
         }
         Ok(())
     }

@@ -34,7 +34,9 @@
 //!   The cursor also holds the operation's access class: a
 //!   [`Disk::scan_cursor`] reads data kinds scan-class, so a scan's every
 //!   read follows one rule. It is the read door of every index crate and
-//!   of the WAL (batches read through a [`queue::ReadQueue`]).
+//!   of the WAL (batches read through a [`queue::ReadQueue`]). A write
+//!   batch on a [`Disk::write_back`] cursor keeps its writes in the cursor
+//!   and stores each block it dirtied once when the batch returns.
 //! * [`mod@format`] — the crash-safe on-disk format: CRC32 block stamps
 //!   ([`format::BlockStamp`]) verified on every read of a durable disk, and
 //!   the double-buffered, checksummed [`format::Superblock`] that anchors a
