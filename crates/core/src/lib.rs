@@ -26,8 +26,8 @@
 //!   layer's checksummed superblock at every checkpoint: the design tag, its
 //!   [`index::IndexWrite::save_meta`] bytes, and the WAL segment files to
 //!   replay. [`write_buffer::WriteBuffer`] is the one durable front: it
-//!   attaches the WAL (`with_wal` / `with_wal_replayed`) so staged entries
-//!   survive a kill mid-drain.
+//!   attaches the WAL (`with_wal`, which creates or replays it) so staged
+//!   entries survive a kill mid-drain.
 //! * [`metrics`] — latency recording (mean / p50 / p99 / standard deviation),
 //!   throughput derivation from the simulated device time, and the
 //!   search / insert / SMO / maintenance breakdown of Fig. 6.

@@ -152,10 +152,9 @@ pub struct WriteBuffer<I> {
     drained_entries: u64,
     /// When attached, every staged entry is appended here before it enters
     /// the overlay, and drains run the checkpoint protocol (sync → drain →
-    /// save_meta → superblock persist → truncate).
-    wal: Option<WalSegment>,
-    /// The design tag written into the manifest (only used with a WAL).
-    tag: String,
+    /// save_meta → superblock persist → truncate). With the log goes the
+    /// design tag its manifest carries.
+    wal: Option<(WalSegment, String)>,
 }
 
 impl<I: DiskIndex> WriteBuffer<I> {
@@ -170,45 +169,36 @@ impl<I: DiskIndex> WriteBuffer<I> {
             drains: 0,
             drained_entries: 0,
             wal: None,
-            tag: String::new(),
         }
     }
 
-    /// Wraps `inner` with a freshly created write-ahead log on its disk.
+    /// Wraps `inner` behind a write-ahead log on its disk: a fresh log in a
+    /// new file (`wal: None`), or the log in `file` after a restart, replayed
+    /// into the staging overlay. Returns the buffer and the entries replayed.
     ///
     /// Every staged entry is logged (group-committed) before it becomes
     /// visible, and every drain ends in a full checkpoint: WAL sync, drain,
     /// [`IndexWrite::save_meta`], superblock persist of the [`Manifest`]
     /// (carrying `tag`), WAL truncate. A process killed at any point resumes
-    /// from the last checkpoint plus the WAL's replayable suffix.
-    pub fn with_wal(inner: I, config: WriteBufferConfig, tag: &str) -> IndexResult<Self> {
-        let wal = WalSegment::create(inner.disk())?;
-        let mut wb = Self::new(inner, config);
-        wb.wal = Some(wal);
-        wb.tag = tag.to_string();
-        Ok(wb)
-    }
-
-    /// Reopens a WAL-backed buffer after a restart: replays the log segment
-    /// stored in `wal_file` into the staging overlay (newest-wins, so
-    /// re-staging entries an interrupted drain already applied is harmless)
-    /// and returns the buffer plus the number of replayed entries.
-    ///
-    /// `inner` must already be the design's `load`-ed handle over the same
-    /// disk. The disk's caches are invalidated so every post-recovery read
-    /// observes device state, not frames cached while replaying.
-    pub fn with_wal_replayed(
+    /// from the last checkpoint plus the WAL's replayable suffix: re-staging
+    /// entries an interrupted drain already applied is harmless
+    /// (newest-wins). A replaying `inner` must be the design's `load`-ed
+    /// handle over the same disk, whose caches are then invalidated.
+    pub fn with_wal(
         inner: I,
         config: WriteBufferConfig,
         tag: &str,
-        wal_file: FileId,
+        wal: Option<FileId>,
     ) -> IndexResult<(Self, u64)> {
         let disk = Arc::clone(inner.disk());
-        let _span = disk.telemetry().span(OpClass::Recovery);
-        let (wal, payloads) = WalSegment::open(&disk, wal_file)?;
         let mut wb = Self::new(inner, config);
-        wb.wal = Some(wal);
-        wb.tag = tag.to_string();
+        let Some(file) = wal else {
+            wb.wal = Some((WalSegment::create(&disk)?, tag.to_string()));
+            return Ok((wb, 0));
+        };
+        let _span = disk.telemetry().span(OpClass::Recovery);
+        let (wal, payloads) = WalSegment::open(&disk, file)?;
+        wb.wal = Some((wal, tag.to_string()));
         let mut replayed = 0u64;
         for payload in payloads {
             for (key, value) in decode_wal_entries(&payload)? {
@@ -253,7 +243,7 @@ impl<I: DiskIndex> WriteBuffer<I> {
         // durable *before* the drain starts mutating index blocks — a kill
         // mid-drain then replays the full staged set over the last
         // checkpoint's structure.
-        if let Some(wal) = &mut self.wal {
+        if let Some((wal, _)) = &mut self.wal {
             wal.sync()?;
         }
         self.drains += 1;
@@ -282,7 +272,7 @@ impl<I: DiskIndex> WriteBuffer<I> {
     /// what a crash right now could lose to nothing. No-op without a WAL.
     pub fn sync_wal(&mut self) -> IndexResult<()> {
         match &mut self.wal {
-            Some(wal) => Ok(wal.sync()?),
+            Some((wal, _)) => Ok(wal.sync()?),
             None => Ok(()),
         }
     }
@@ -302,7 +292,7 @@ impl<I: DiskIndex> WriteBuffer<I> {
     /// durable, so a kill between the two steps merely replays entries the
     /// drain already applied (idempotent under newest-wins).
     fn write_checkpoint(&mut self, clean: bool) -> IndexResult<()> {
-        let Some(wal) = &mut self.wal else {
+        let Some((wal, tag)) = &mut self.wal else {
             return Ok(());
         };
         let disk = Arc::clone(self.inner.disk());
@@ -310,7 +300,7 @@ impl<I: DiskIndex> WriteBuffer<I> {
         disk.stats().record_checkpoint();
         let index_meta = self.inner.save_meta()?;
         let manifest =
-            Manifest { index_kind: self.tag.clone(), index_meta, wal_files: vec![wal.file()] };
+            Manifest { index_kind: tag.clone(), index_meta, wal_files: vec![wal.file()] };
         self.inner.disk().persist(&manifest.encode(), clean)?;
         wal.truncate()?;
         Ok(())
@@ -412,7 +402,7 @@ impl<I: DiskIndex> IndexWrite for WriteBuffer<I> {
     /// first — a stage that cannot be logged does not happen. No index I/O
     /// happens on the non-draining path.
     fn insert(&mut self, key: Key, value: Value) -> IndexResult<()> {
-        if let Some(wal) = &mut self.wal {
+        if let Some((wal, _)) = &mut self.wal {
             wal.append(&encode_wal_entry(key, value))?;
         }
         self.staged.insert(key, value);

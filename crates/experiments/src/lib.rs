@@ -29,7 +29,7 @@ pub mod runner;
 pub mod sharded_recovery;
 
 pub use recovery::{
-    create_durable_index, create_durable_index_with, reopen_durable_index, DurableIndex,
+    create_durable_index_with, open_durable_index, reopen_durable_index, DurableIndex,
 };
 pub use runner::{IndexChoice, RunConfig, WorkloadReport};
 pub use sharded_recovery::{DurableShardedRouter, SplitFault};

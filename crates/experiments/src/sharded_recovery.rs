@@ -36,8 +36,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use lidx_core::{Entry, IndexError, IndexRead, IndexResult, IndexWrite, Key, WriteBufferConfig};
+use lidx_storage::DiskConfig;
 
-use crate::recovery::{create_durable_index, reopen_durable_index, DurableIndex};
+use crate::recovery::{open_durable_index, DurableIndex};
 use crate::runner::IndexChoice;
 
 /// Simulated kill points inside [`DurableShardedRouter::split_shard`]: the
@@ -65,7 +66,7 @@ pub enum SplitFault {
 /// `s`, exactly as in the in-memory router.
 pub struct DurableShardedRouter {
     dir: PathBuf,
-    block_size: usize,
+    disk: DiskConfig,
     config: WriteBufferConfig,
     choice: IndexChoice,
     generation: u64,
@@ -84,63 +85,52 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl DurableShardedRouter {
-    /// Creates a fresh sharded store for `choice` in `dir` (wiping any
-    /// previous store there) with the given boundaries (`boundaries.len()
-    /// + 1` shards).
-    pub fn create(
+    /// Creates or reopens the sharded store in `dir`, returning the router
+    /// and the total WAL entries replayed across shards.
+    ///
+    /// `create: Some((choice, boundaries))` wipes any store there and starts
+    /// `boundaries.len() + 1` empty shards of `choice`. `None` decodes the
+    /// `ROUTER` manifest (rejecting it on any checksum mismatch), reopens
+    /// every listed shard store (replaying each shard's WAL tail) and sweeps
+    /// directories no committed manifest references — orphans of a killed
+    /// split.
+    pub fn open(
         dir: &Path,
         block_size: usize,
-        choice: IndexChoice,
-        config: WriteBufferConfig,
-        boundaries: Vec<Key>,
-    ) -> IndexResult<Self> {
-        assert!(
-            boundaries.windows(2).all(|w| w[0] < w[1]),
-            "shard boundaries must be strictly increasing"
-        );
-        if dir.exists() {
-            std::fs::remove_dir_all(dir).map_err(io_err)?;
-        }
-        std::fs::create_dir_all(dir).map_err(io_err)?;
-        let mut shards = Vec::with_capacity(boundaries.len() + 1);
-        for s in 0..=boundaries.len() {
-            let name = format!("shard-0-{s}");
-            let front = create_durable_index(&dir.join(&name), block_size, choice, config, None)?;
-            shards.push((name, front));
-        }
-        let mut router = DurableShardedRouter {
-            dir: dir.to_path_buf(),
-            block_size,
-            config,
-            choice,
-            generation: 0,
-            boundaries,
-            shards,
-        };
-        router.commit_manifest()?;
-        Ok(router)
-    }
-
-    /// Reopens the sharded store in `dir`: decodes the `ROUTER` manifest
-    /// (rejecting it on any checksum mismatch), reopens every listed shard
-    /// store (replaying each shard's WAL tail) and sweeps directories no
-    /// committed manifest references — orphans of a killed split. Returns
-    /// the router and the total WAL entries replayed across shards.
-    pub fn reopen(
-        dir: &Path,
-        block_size: usize,
+        create: Option<(IndexChoice, Vec<Key>)>,
         config: WriteBufferConfig,
     ) -> IndexResult<(Self, u64)> {
-        let body = std::fs::read_to_string(dir.join("ROUTER")).map_err(io_err)?;
-        let (index_name, generation, boundaries, names) = decode_manifest(&body)?;
-        let choice = IndexChoice::from_name(&index_name).ok_or_else(|| {
-            IndexError::Internal(format!("ROUTER manifest names unknown design '{index_name}'"))
-        })?;
+        let creating = create.is_some();
+        let (choice, generation, boundaries, names) = match create {
+            Some((choice, boundaries)) => {
+                assert!(
+                    boundaries.windows(2).all(|w| w[0] < w[1]),
+                    "shard boundaries must be strictly increasing"
+                );
+                if dir.exists() {
+                    std::fs::remove_dir_all(dir).map_err(io_err)?;
+                }
+                std::fs::create_dir_all(dir).map_err(io_err)?;
+                let names = (0..=boundaries.len()).map(|s| format!("shard-0-{s}")).collect();
+                (choice, 0, boundaries, names)
+            }
+            None => {
+                let body = std::fs::read_to_string(dir.join("ROUTER")).map_err(io_err)?;
+                let (index_name, generation, boundaries, names) = decode_manifest(&body)?;
+                let choice = IndexChoice::from_name(&index_name).ok_or_else(|| {
+                    IndexError::Internal(format!(
+                        "ROUTER manifest names unknown design '{index_name}'"
+                    ))
+                })?;
+                (choice, generation, boundaries, names)
+            }
+        };
+        let (disk, create) = (DiskConfig::with_block_size(block_size), creating.then_some(choice));
         let mut shards = Vec::with_capacity(names.len());
         let mut replayed_total = 0;
         for name in &names {
             let (front, replayed) =
-                reopen_durable_index(&dir.join(name), block_size, config, None)?;
+                open_durable_index(&dir.join(name), disk, create, config, None)?;
             replayed_total += replayed;
             shards.push((name.clone(), front));
         }
@@ -158,15 +148,18 @@ impl DurableShardedRouter {
                 }
             }
         }
-        let router = DurableShardedRouter {
+        let mut router = DurableShardedRouter {
             dir: dir.to_path_buf(),
-            block_size,
+            disk,
             config,
             choice,
             generation,
             boundaries,
             shards,
         };
+        if creating {
+            router.commit_manifest()?;
+        }
         Ok((router, replayed_total))
     }
 
@@ -282,13 +275,9 @@ impl DurableShardedRouter {
         let mut halves = Vec::with_capacity(2);
         for (half, slice) in [&all[..at], &all[at..]].into_iter().enumerate() {
             let name = format!("shard-{generation}-{half}");
-            let mut front = create_durable_index(
-                &self.dir.join(&name),
-                self.block_size,
-                self.choice,
-                self.config,
-                None,
-            )?;
+            let dir = self.dir.join(&name);
+            let create = Some(self.choice);
+            let (mut front, _) = open_durable_index(&dir, self.disk, create, self.config, None)?;
             front.bulk_load(slice)?;
             front.checkpoint(true)?;
             halves.push((name, front));
@@ -416,21 +405,16 @@ mod tests {
     #[test]
     fn durable_sharded_round_trip() {
         let dir = scratch("roundtrip");
-        let mut router = DurableShardedRouter::create(
-            &dir,
-            4096,
-            IndexChoice::BTree,
-            WriteBufferConfig::default(),
-            vec![2_000, 4_000],
-        )
-        .unwrap();
+        let create = Some((IndexChoice::BTree, vec![2_000, 4_000]));
+        let (mut router, _) =
+            DurableShardedRouter::open(&dir, 4096, create, WriteBufferConfig::default()).unwrap();
         router.bulk_load(&entries()).unwrap();
         router.insert(2_000, 77).unwrap();
         router.checkpoint().unwrap();
         drop(router);
 
         let (recovered, replayed) =
-            DurableShardedRouter::reopen(&dir, 4096, WriteBufferConfig::default()).unwrap();
+            DurableShardedRouter::open(&dir, 4096, None, WriteBufferConfig::default()).unwrap();
         assert_eq!(replayed, 0);
         assert_eq!(recovered.boundaries(), &[2_000, 4_000]);
         assert_eq!(recovered.lookup(2_000).unwrap(), Some(77));
@@ -444,19 +428,14 @@ mod tests {
     #[test]
     fn torn_manifest_is_rejected() {
         let dir = scratch("torn");
-        let router = DurableShardedRouter::create(
-            &dir,
-            4096,
-            IndexChoice::BTree,
-            WriteBufferConfig::default(),
-            vec![1_000],
-        )
-        .unwrap();
+        let create = Some((IndexChoice::BTree, vec![1_000]));
+        let (router, _) =
+            DurableShardedRouter::open(&dir, 4096, create, WriteBufferConfig::default()).unwrap();
         drop(router);
         let manifest = dir.join("ROUTER");
         let body = std::fs::read_to_string(&manifest).unwrap();
         std::fs::write(&manifest, &body[..body.len() - 3]).unwrap();
-        let err = DurableShardedRouter::reopen(&dir, 4096, WriteBufferConfig::default());
+        let err = DurableShardedRouter::open(&dir, 4096, None, WriteBufferConfig::default());
         assert!(err.is_err(), "a torn manifest must fail closed");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -327,8 +327,9 @@ impl IndexRead for PgmIndex {
 
     fn storage_blocks(&self) -> u64 {
         // Merged components release their files, so PGM's live footprint is
-        // the allocation minus what has been freed (§6.3).
-        self.disk.total_blocks() - self.disk.stats().freed_blocks()
+        // the allocation minus what the pager holds freed (§6.3).
+        let files = 0..self.disk.num_files();
+        self.disk.total_blocks() - files.map(|f| self.disk.freed_blocks(f)).sum::<u64>()
     }
 }
 
@@ -693,6 +694,19 @@ mod tests {
         let live = p.storage_blocks();
         let gross = p.disk().total_blocks();
         assert!(live < gross, "released component files must not count as live storage");
+    }
+
+    #[test]
+    fn storage_blocks_outlive_a_stats_reset() {
+        let mut p = index(512, 16);
+        p.bulk_load(&entries(2_000, 2)).unwrap();
+        for i in 0..400u64 {
+            p.insert(i * 2 + 2, i).unwrap();
+        }
+        let live = p.storage_blocks();
+        assert!(live < p.disk().total_blocks(), "merges must have released components");
+        p.disk().stats().reset();
+        assert_eq!(p.storage_blocks(), live, "the live footprint is not a counter");
     }
 
     #[test]

@@ -22,17 +22,20 @@
 //! `lidx-core` read/write trait split keeps exclusive (`&mut self`) anyway.
 
 use std::collections::{HashMap, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::backend::{MemoryBackend, StorageBackend};
+use crate::backend::{FileBackend, MemoryBackend, StorageBackend};
 use crate::buffer::{AccessClass, BlockRef, ShardedBufferPool};
 use crate::cursor::BlockCursor;
 use crate::device::DeviceModel;
 use crate::error::{StorageError, StorageResult};
+use crate::fault::{Barrier, FaultPlan, FaultingBackend};
+use crate::format::Superblock;
 use crate::pager::Pager;
 use crate::stats::{BlockKind, IoStats, OpStats};
 use crate::{BlockId, DEFAULT_BLOCK_SIZE};
@@ -84,8 +87,7 @@ pub struct DiskConfig {
     /// [`StorageError::ChecksumMismatch`] on torn or bit-flipped blocks.
     /// Off by default for in-memory evaluation disks (verification is pure
     /// overhead there and the depth-1 counters must stay bit-identical);
-    /// the durable constructors ([`Disk::create_durable`] / [`Disk::open`])
-    /// turn it on.
+    /// [`Disk::open_durable`] turns it on.
     pub verify_checksums: bool,
 }
 
@@ -144,14 +146,6 @@ impl DiskConfig {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Enables (or disables) per-block checksum stamping and verified reads
-    /// (see [`DiskConfig::verify_checksums`]).
-    #[must_use]
-    pub fn verify_checksums(mut self, verify: bool) -> Self {
-        self.verify_checksums = verify;
         self
     }
 
@@ -288,6 +282,26 @@ impl ReadaheadCache {
     }
 }
 
+/// Whether [`Disk::open_durable`] starts a store or reopens one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DurableMode {
+    /// Wipe any store in the directory and start an empty one.
+    Create,
+    /// Reopen the store from its best valid superblock.
+    Open,
+}
+
+/// What only a durable disk has.
+struct Durable {
+    dir: PathBuf,
+    /// Generation of the last superblock written (or loaded); the next
+    /// [`Disk::persist`] writes generation + 1 into the alternate slot.
+    superblock_generation: AtomicU64,
+    /// Tears superblocks and logs their barriers; the backend wrapper
+    /// executes the block faults.
+    fault_plan: Option<FaultPlan>,
+}
+
 /// A simulated (or real) disk shared by the blocks of one index instance.
 pub struct Disk {
     backend: Box<dyn StorageBackend>,
@@ -314,15 +328,8 @@ pub struct Disk {
     /// Monotonic write counter feeding the block stamps' generation field;
     /// resumed from the superblock on reopen.
     write_generation: AtomicU64,
-    /// Backing directory of a durable disk ([`Disk::create_durable`] /
-    /// [`Disk::open`]); `None` for in-memory evaluation disks.
-    dir: Option<std::path::PathBuf>,
-    /// Generation of the last superblock written (or loaded); the next
-    /// [`Disk::persist`] writes generation + 1 into the alternate slot.
-    superblock_generation: AtomicU64,
-    /// Fault plan consulted by [`Disk::persist`] for superblock tears. Block
-    /// level faults live in the [`crate::fault::FaultingBackend`] wrapper.
-    fault_plan: Option<crate::fault::FaultPlan>,
+    /// `None` for in-memory evaluation disks.
+    durable: Option<Durable>,
 }
 
 impl std::fmt::Debug for Disk {
@@ -345,16 +352,13 @@ impl Disk {
     /// Creates a disk over an arbitrary backend. The backend's block size
     /// must match the configuration.
     pub fn with_backend(backend: Box<dyn StorageBackend>, config: DiskConfig) -> Arc<Self> {
-        Self::build(backend, config, None, None, 0, 0)
+        Self::build(backend, config, None)
     }
 
     fn build(
         backend: Box<dyn StorageBackend>,
         config: DiskConfig,
-        dir: Option<std::path::PathBuf>,
-        fault_plan: Option<crate::fault::FaultPlan>,
-        superblock_generation: u64,
-        write_generation: u64,
+        durable: Option<Durable>,
     ) -> Arc<Self> {
         assert_eq!(
             backend.block_size(),
@@ -377,88 +381,53 @@ impl Disk {
             memory_resident: config.memory_resident,
             queue_depth: config.queue_depth.max(1),
             verify_checksums: config.verify_checksums,
-            write_generation: AtomicU64::new(write_generation),
-            dir,
-            superblock_generation: AtomicU64::new(superblock_generation),
-            fault_plan,
+            write_generation: AtomicU64::new(0),
+            durable,
         })
     }
 
-    /// Creates a fresh durable disk in `dir` (wiping any previous store
-    /// there), with per-block checksums on. The disk has no superblock until
-    /// the first [`Disk::persist`]; crash before that and [`Disk::open`]
-    /// reports the store as uninitialised.
-    pub fn create_durable(
-        dir: impl Into<std::path::PathBuf>,
-        config: DiskConfig,
-    ) -> StorageResult<Arc<Self>> {
-        Self::create_durable_with_faults(dir, config, None)
-    }
-
-    /// [`Disk::create_durable`] with a [`crate::fault::FaultPlan`] wrapped
-    /// around the file backend (and consulted for superblock tears).
-    pub fn create_durable_with_faults(
-        dir: impl Into<std::path::PathBuf>,
+    /// Creates or reopens the durable store in `dir`, the one durable entry
+    /// point. Checksums are always on; a [`FaultPlan`] runs the files inside
+    /// a [`FaultingBackend`]. [`DurableMode::Create`] wipes any store there
+    /// (it has no superblock until the first [`Disk::persist`]);
+    /// [`DurableMode::Open`] also returns the best valid superblock, whose
+    /// per-file block counts are authoritative (a torn trailing extend
+    /// cannot shrink the address space) and whose write generation resumes.
+    pub fn open_durable(
+        dir: impl Into<PathBuf>,
         mut config: DiskConfig,
-        plan: Option<crate::fault::FaultPlan>,
-    ) -> StorageResult<Arc<Self>> {
+        plan: Option<FaultPlan>,
+        mode: DurableMode,
+    ) -> StorageResult<(Arc<Self>, Option<Superblock>)> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        for entry in std::fs::read_dir(&dir)? {
-            let path = entry?.path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.ends_with(".blk") || name.ends_with(".sum") || name.starts_with("superblock.") {
-                std::fs::remove_file(&path)?;
-            }
-        }
-        config.verify_checksums = true;
-        let file_backend = crate::backend::FileBackend::new(&dir, config.block_size)?;
-        let backend: Box<dyn StorageBackend> = match &plan {
-            Some(p) => {
-                Box::new(crate::fault::FaultingBackend::new(Box::new(file_backend), p.clone()))
-            }
-            None => Box::new(file_backend),
+        let superblock = match mode {
+            DurableMode::Create => None,
+            DurableMode::Open => Some(Superblock::load_best(&dir)?.ok_or_else(|| {
+                StorageError::Corrupt(format!("no valid superblock in {}", dir.display()))
+            })?),
         };
-        Ok(Self::build(backend, config, Some(dir), plan, 0, 0))
+        let files = match &superblock {
+            None => FileBackend::new(&dir, config.block_size)?,
+            Some(sb) => FileBackend::open_existing(&dir, config.block_size, &sb.file_blocks)?,
+        };
+        let backend: Box<dyn StorageBackend> = match &plan {
+            Some(p) => Box::new(FaultingBackend::new(Box::new(files), p.clone())),
+            None => Box::new(files),
+        };
+        config.verify_checksums = true;
+        let (generation, writes) =
+            superblock.as_ref().map_or((0, 0), |sb| (sb.generation, sb.write_generation));
+        let durable =
+            Durable { dir, superblock_generation: AtomicU64::new(generation), fault_plan: plan };
+        let disk = Self::build(backend, config, Some(durable));
+        disk.write_generation.store(writes, Ordering::SeqCst);
+        Ok((disk, superblock))
     }
 
-    /// Reopens a durable disk from its directory, returning the disk and the
-    /// best valid superblock (highest generation whose CRC checks out — a
-    /// torn newest slot falls back to the previous checkpoint). The
-    /// superblock's per-file block counts are authoritative; a torn trailing
-    /// extend cannot shrink the visible address space. All caches start
-    /// cold and the write generation resumes from the checkpoint.
-    pub fn open(
-        dir: impl Into<std::path::PathBuf>,
-        config: DiskConfig,
-    ) -> StorageResult<(Arc<Self>, crate::format::Superblock)> {
-        Self::open_with_faults(dir, config, None)
-    }
-
-    /// [`Disk::open`] with a [`crate::fault::FaultPlan`] wrapped around the
-    /// file backend (e.g. to inject transient read errors during replay).
-    pub fn open_with_faults(
-        dir: impl Into<std::path::PathBuf>,
-        mut config: DiskConfig,
-        plan: Option<crate::fault::FaultPlan>,
-    ) -> StorageResult<(Arc<Self>, crate::format::Superblock)> {
-        let dir = dir.into();
-        let sb = crate::format::Superblock::load_best(&dir)?.ok_or_else(|| {
-            StorageError::Corrupt(format!("no valid superblock in {}", dir.display()))
-        })?;
-        config.verify_checksums = true;
-        let file_backend =
-            crate::backend::FileBackend::open_existing(&dir, config.block_size, &sb.file_blocks)?;
-        let backend: Box<dyn StorageBackend> = match &plan {
-            Some(p) => {
-                Box::new(crate::fault::FaultingBackend::new(Box::new(file_backend), p.clone()))
-            }
-            None => Box::new(file_backend),
-        };
-        let disk =
-            Self::build(backend, config, Some(dir), plan, sb.generation, sb.write_generation);
-        disk.invalidate_caches();
-        Ok((disk, sb))
+    /// [`Disk::open_durable`] creating a store without a fault plan, for the
+    /// perf ledger; the next benchmark change deletes it.
+    pub fn create_durable(dir: impl Into<PathBuf>, config: DiskConfig) -> StorageResult<Arc<Self>> {
+        Ok(Self::open_durable(dir, config, None, DurableMode::Create)?.0)
     }
 
     /// Writes a new superblock checkpoint carrying `meta` (the index layer's
@@ -467,15 +436,19 @@ impl Disk {
     /// later crash is detectable. Consults the fault plan for an armed
     /// superblock tear (the torn slot is left on disk and an error is
     /// returned, simulating a crash mid-checkpoint).
+    /// Every file is synced before the slot naming its blocks is written.
     pub fn persist(&self, meta: &[u8], clean_shutdown: bool) -> StorageResult<()> {
-        let dir = self.dir.as_deref().ok_or_else(|| {
+        let durable = self.durable.as_ref().ok_or_else(|| {
             StorageError::Corrupt("persist() on a disk without a backing directory".into())
         })?;
         let file_blocks: Vec<u32> = (0..self.backend.num_files())
-            .map(|f| self.backend.num_blocks(f))
+            .map(|f| {
+                self.backend.sync(f)?;
+                self.backend.num_blocks(f)
+            })
             .collect::<StorageResult<_>>()?;
-        let generation = self.superblock_generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let sb = crate::format::Superblock {
+        let generation = durable.superblock_generation.fetch_add(1, Ordering::SeqCst) + 1;
+        let sb = Superblock {
             format_version: crate::format::FORMAT_VERSION,
             generation,
             write_generation: self.write_generation.load(Ordering::SeqCst),
@@ -483,14 +456,23 @@ impl Disk {
             file_blocks,
             meta: meta.to_vec(),
         };
-        let tear = self.fault_plan.as_ref().and_then(|p| p.take_superblock_tear());
-        sb.write_slot(dir, tear)
+        let plan = durable.fault_plan.as_ref();
+        sb.write_slot(&durable.dir, plan.and_then(FaultPlan::take_superblock_tear))?;
+        if let Some(plan) = plan {
+            plan.log_barrier(Barrier::Superblock);
+        }
+        Ok(())
+    }
+
+    /// [`StorageBackend::sync`] of `file`.
+    pub(crate) fn sync(&self, file: FileId) -> StorageResult<()> {
+        self.backend.sync(file)
     }
 
     /// Drops every cached frame and forgets all access history: buffer pool,
     /// readahead cache (its generation tags advance, so stale order entries
     /// can never resurrect a pre-clear frame) and the sequential-access
-    /// detector. Called on [`Disk::open`] and after recovery replay, so a
+    /// detector. Called after recovery replay, so a
     /// parked pre-crash frame can never serve a read that should see
     /// recovered bytes.
     pub fn invalidate_caches(&self) {
@@ -568,10 +550,15 @@ impl Disk {
         Ok(adopted)
     }
 
+    /// Number of files on the disk.
+    pub fn num_files(&self) -> u32 {
+        self.backend.num_files()
+    }
+
     /// Total blocks allocated across all files (the "storage size on disk"
     /// metric of §6.3).
     pub fn total_blocks(&self) -> u64 {
-        (0..self.backend.num_files()).map(|f| self.backend.num_blocks(f).unwrap_or(0) as u64).sum()
+        (0..self.num_files()).map(|f| self.backend.num_blocks(f).unwrap_or(0) as u64).sum()
     }
 
     /// Total bytes allocated across all files.
@@ -1536,12 +1523,21 @@ mod durable_tests {
         std::env::temp_dir().join(format!("lidx-disk-{tag}-{}", std::process::id()))
     }
 
+    fn create(dir: &std::path::Path, config: DiskConfig, plan: Option<FaultPlan>) -> Arc<Disk> {
+        Disk::open_durable(dir, config, plan, DurableMode::Create).unwrap().0
+    }
+
+    fn reopen(dir: &std::path::Path, config: DiskConfig) -> (Arc<Disk>, Superblock) {
+        let (disk, sb) = Disk::open_durable(dir, config, None, DurableMode::Open).unwrap();
+        (disk, sb.expect("an open returns its superblock"))
+    }
+
     #[test]
     fn durable_disk_round_trips_through_restart() {
         let dir = tempdir("roundtrip");
         let meta = b"index manifest bytes".to_vec();
         {
-            let d = Disk::create_durable(&dir, DiskConfig::with_block_size(256)).unwrap();
+            let d = create(&dir, DiskConfig::with_block_size(256), None);
             let f = d.create_file().unwrap();
             d.allocate(f, 4).unwrap();
             let mut data = vec![0u8; 256];
@@ -1549,7 +1545,7 @@ mod durable_tests {
             d.write(f, 2, BlockKind::Leaf, &data).unwrap();
             d.persist(&meta, true).unwrap();
         }
-        let (d, sb) = Disk::open(&dir, DiskConfig::with_block_size(256)).unwrap();
+        let (d, sb) = reopen(&dir, DiskConfig::with_block_size(256));
         assert_eq!(sb.meta, meta);
         assert!(sb.clean_shutdown);
         assert_eq!(sb.file_blocks, vec![4]);
@@ -1564,13 +1560,13 @@ mod durable_tests {
     #[test]
     fn persist_bumps_generation_and_newest_wins() {
         let dir = tempdir("generations");
-        let d = Disk::create_durable(&dir, DiskConfig::with_block_size(128)).unwrap();
+        let d = create(&dir, DiskConfig::with_block_size(128), None);
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
         d.persist(b"first", false).unwrap();
         d.persist(b"second", true).unwrap();
         drop(d);
-        let (_d, sb) = Disk::open(&dir, DiskConfig::with_block_size(128)).unwrap();
+        let (_d, sb) = reopen(&dir, DiskConfig::with_block_size(128));
         assert_eq!(sb.meta, b"second");
         assert_eq!(sb.generation, 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -1580,12 +1576,7 @@ mod durable_tests {
     fn bit_flip_on_read_is_a_checksum_mismatch() {
         let dir = tempdir("bitflip");
         let plan = FaultPlan::new();
-        let d = Disk::create_durable_with_faults(
-            &dir,
-            DiskConfig::with_block_size(128),
-            Some(plan.clone()),
-        )
-        .unwrap();
+        let d = create(&dir, DiskConfig::with_block_size(128), Some(plan.clone()));
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
         d.write(f, 0, BlockKind::Leaf, &[9u8; 128]).unwrap();
@@ -1607,12 +1598,7 @@ mod durable_tests {
     fn transient_read_errors_are_retried_with_backoff() {
         let dir = tempdir("transient");
         let plan = FaultPlan::new();
-        let d = Disk::create_durable_with_faults(
-            &dir,
-            DiskConfig::with_block_size(128),
-            Some(plan.clone()),
-        )
-        .unwrap();
+        let d = create(&dir, DiskConfig::with_block_size(128), Some(plan.clone()));
         let f = d.create_file().unwrap();
         d.allocate(f, 1).unwrap();
         d.write(f, 0, BlockKind::Leaf, &[3u8; 128]).unwrap();
@@ -1638,7 +1624,7 @@ mod durable_tests {
         let dir = tempdir("invalidate");
         let cfg = DiskConfig::with_block_size(128).buffer_blocks(64);
         {
-            let d = Disk::create_durable(&dir, cfg).unwrap();
+            let d = create(&dir, cfg, None);
             let f = d.create_file().unwrap();
             d.allocate(f, 8).unwrap();
             for b in 0..8 {
@@ -1649,11 +1635,11 @@ mod durable_tests {
         // Mutate the files behind the disk's back between sessions, as a
         // recovery replay would: a reopened disk must not serve stale frames.
         {
-            let d = Disk::create_durable(&dir, cfg).unwrap();
-            drop(d); // create_durable wipes; rebuild the file fresh
+            let d = create(&dir, cfg, None);
+            drop(d); // a create wipes; rebuild the file fresh
         }
         let (d, _sb) = {
-            let d = Disk::create_durable(&dir, cfg).unwrap();
+            let d = create(&dir, cfg, None);
             let f = d.create_file().unwrap();
             d.allocate(f, 8).unwrap();
             for b in 0..8 {
@@ -1661,7 +1647,7 @@ mod durable_tests {
             }
             d.persist(&[], true).unwrap();
             drop(d);
-            Disk::open(&dir, cfg).unwrap()
+            reopen(&dir, cfg)
         };
         for b in 0..8u32 {
             let got = d.read_ref(0, b, BlockKind::Leaf).unwrap();

@@ -17,9 +17,13 @@
 //! meant to be retried; the [`Disk`](crate::Disk) read path does so with
 //! bounded backoff, counting each retry in
 //! [`IoStats::io_retries`](crate::IoStats::io_retries).
+//! The plan also logs every sync [`Barrier`] of the wrapper and of
+//! [`Disk::persist`](crate::Disk::persist), in order.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::backend::StorageBackend;
 use crate::error::{StorageError, StorageResult};
@@ -50,6 +54,16 @@ struct FaultState {
     writes_torn: AtomicU64,
     reads_flipped: AtomicU64,
     transients_served: AtomicU64,
+    barriers: Mutex<Vec<Barrier>>,
+}
+
+/// One sync barrier logged by a [`FaultPlan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Barrier {
+    /// Every earlier write to this file is on the device.
+    File(u32),
+    /// A superblock slot naming the synced files is on the device.
+    Superblock,
 }
 
 /// A clonable schedule of injected faults (see module docs).
@@ -82,6 +96,7 @@ impl FaultPlan {
                 writes_torn: AtomicU64::new(0),
                 reads_flipped: AtomicU64::new(0),
                 transients_served: AtomicU64::new(0),
+                barriers: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -129,7 +144,16 @@ impl FaultPlan {
         (v != DISARMED).then_some(v as usize)
     }
 
-    /// Disarms every pending fault (triggered-fault counters are kept).
+    /// Every barrier logged so far, oldest first.
+    pub fn barriers(&self) -> Vec<Barrier> {
+        self.state.barriers.lock().clone()
+    }
+
+    pub(crate) fn log_barrier(&self, barrier: Barrier) {
+        self.state.barriers.lock().push(barrier);
+    }
+
+    /// Disarms every pending fault (fault counters and barriers are kept).
     pub fn clear(&self) {
         self.state.fail_write_at.store(DISARMED, Ordering::SeqCst);
         self.state.tear_write_at.store(DISARMED, Ordering::SeqCst);
@@ -216,11 +240,6 @@ impl FaultingBackend {
     pub fn new(inner: Box<dyn StorageBackend>, plan: FaultPlan) -> FaultingBackend {
         FaultingBackend { inner, plan }
     }
-
-    /// The shared fault plan handle.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
 }
 
 impl StorageBackend for FaultingBackend {
@@ -277,6 +296,12 @@ impl StorageBackend for FaultingBackend {
 
     fn num_files(&self) -> u32 {
         self.inner.num_files()
+    }
+
+    fn sync(&self, file: u32) -> StorageResult<()> {
+        self.inner.sync(file)?;
+        self.plan.log_barrier(Barrier::File(file));
+        Ok(())
     }
 }
 

@@ -82,9 +82,9 @@ pub use buffer::{BlockRef, BufferPool, ShardedBufferPool};
 pub use codec::{bytes_at, BlockReader, BlockWriter, SlotTable};
 pub use cursor::BlockCursor;
 pub use device::DeviceModel;
-pub use disk::{Disk, DiskConfig, FileId, SeqHint};
+pub use disk::{Disk, DiskConfig, DurableMode, FileId, SeqHint};
 pub use error::{StorageError, StorageResult};
-pub use fault::{FaultPlan, FaultingBackend};
+pub use fault::{Barrier, FaultPlan, FaultingBackend};
 pub use format::{crc32, BlockStamp, Superblock, FORMAT_VERSION};
 pub use pager::Pager;
 pub use queue::{Completion, ReadQueue};

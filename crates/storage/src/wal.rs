@@ -89,13 +89,14 @@ impl WalSegment {
     /// the segment (positioned to append after the valid prefix) and the
     /// payloads of every intact record, in append order.
     ///
-    /// A header that fails its block checksum or carries the wrong magic is
-    /// treated as the aftermath of a crash inside [`truncate`](Self::truncate)
-    /// (the only time the header is rewritten after creation): the log's
-    /// contents are already captured by the checkpoint that preceded the
-    /// truncate, so the segment is reset to empty rather than failing the
-    /// open. Replayed-entry counts are recorded in the disk's
-    /// [`IoStats`](crate::stats::IoStats).
+    /// A header that fails its block checksum is treated as the aftermath of
+    /// a crash inside [`truncate`](Self::truncate) (the only time the header
+    /// is rewritten after creation): the log's contents are already captured
+    /// by the checkpoint that preceded the truncate, so the segment is reset
+    /// to empty rather than failing the open. A header that verifies but
+    /// carries the wrong magic, or a file without one, is not a log: the
+    /// open fails and writes nothing. Replayed-entry counts are recorded in
+    /// the disk's [`IoStats`](crate::stats::IoStats).
     pub fn open(disk: &Arc<Disk>, file: FileId) -> StorageResult<(Self, Vec<Vec<u8>>)> {
         let bs = disk.block_size();
         // The superblock's count for this file is the allocation at the
@@ -114,14 +115,9 @@ impl WalSegment {
             tail_len: 0,
             dirty: false,
         };
-        if allocated == 0 {
-            wal.ensure_allocated(0)?;
-            wal.write_header()?;
-            return Ok((wal, Vec::new()));
-        }
         let epoch = match wal.read_header() {
             Ok(epoch) => epoch,
-            Err(StorageError::ChecksumMismatch { .. }) | Err(StorageError::Corrupt(_)) => {
+            Err(StorageError::ChecksumMismatch { .. }) => {
                 // Torn mid-truncate: the preceding checkpoint already owns
                 // this log's contents. Old record blocks may carry unknown
                 // epochs, so zero them before reusing the file.
@@ -154,11 +150,6 @@ impl WalSegment {
         self.file
     }
 
-    /// Current epoch of the log.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Appends one record. The record is framed, checksummed, and buffered;
     /// it reaches the device when the tail block fills or at the next
     /// [`sync`](Self::sync). Returns the number of log bytes appended.
@@ -180,9 +171,10 @@ impl WalSegment {
         Ok(record.len())
     }
 
-    /// Forces every buffered byte to the device. After a successful sync all
-    /// previously appended records survive a crash (up to torn-write faults,
-    /// which replay detects and trims).
+    /// Forces every buffered byte to the device and ends in the log file's
+    /// sync barrier. After a successful sync all previously appended records
+    /// survive a crash (up to torn-write faults, which replay detects and
+    /// trims).
     pub fn sync(&mut self) -> StorageResult<()> {
         if self.dirty {
             // A group-commit boundary: everything staged since the last sync
@@ -194,6 +186,7 @@ impl WalSegment {
             if self.tail_len > 0 {
                 self.flush_tail(false)?;
             }
+            disk.sync(self.file)?;
             self.dirty = false;
             disk.stats().record_wal_sync();
         }
@@ -374,11 +367,19 @@ pub fn decode_record(
 mod tests {
     use super::*;
     use crate::device::DeviceModel;
-    use crate::disk::{Disk, DiskConfig};
+    use crate::disk::{Disk, DiskConfig, DurableMode};
     use crate::fault::FaultPlan;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("lidx-wal-{tag}-{}", std::process::id()))
+    }
+
+    fn create(dir: &std::path::Path, config: DiskConfig, plan: Option<FaultPlan>) -> Arc<Disk> {
+        Disk::open_durable(dir, config, plan, DurableMode::Create).unwrap().0
+    }
+
+    fn reopen(dir: &std::path::Path, config: DiskConfig, plan: Option<FaultPlan>) -> Arc<Disk> {
+        Disk::open_durable(dir, config, plan, DurableMode::Open).unwrap().0
     }
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
@@ -391,7 +392,7 @@ mod tests {
         let want = payloads(40);
         let file;
         {
-            let disk = Disk::create_durable(&dir, DiskConfig::default()).unwrap();
+            let disk = create(&dir, DiskConfig::default(), None);
             let mut wal = WalSegment::create(&disk).unwrap();
             file = wal.file();
             for p in &want {
@@ -402,7 +403,7 @@ mod tests {
             assert!(disk.stats().wal_bytes() > 0);
             disk.persist(&[], false).unwrap();
         }
-        let (disk, _sb) = Disk::open(&dir, DiskConfig::default()).unwrap();
+        let disk = reopen(&dir, DiskConfig::default(), None);
         let (mut wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got, want);
         assert_eq!(disk.stats().replayed_entries(), want.len() as u64);
@@ -412,7 +413,7 @@ mod tests {
         wal.sync().unwrap();
         disk.persist(&[], false).unwrap();
         drop(wal);
-        let (disk, _sb) = Disk::open(&dir, DiskConfig::default()).unwrap();
+        let disk = reopen(&dir, DiskConfig::default(), None);
         let (_wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got.len(), want.len() + 1);
         assert_eq!(got.last().unwrap(), b"after-reopen");
@@ -434,7 +435,7 @@ mod tests {
             let dir = tempdir(&format!("open-cost-{pool}"));
             let config = DiskConfig::with_block_size(128).device(device).buffer_blocks(pool);
             let file = {
-                let disk = Disk::create_durable(&dir, config).unwrap();
+                let disk = create(&dir, config, None);
                 let mut wal = WalSegment::create(&disk).unwrap();
                 for p in &want {
                     wal.append(p).unwrap();
@@ -443,7 +444,7 @@ mod tests {
                 disk.persist(&[], false).unwrap();
                 wal.file()
             };
-            let (disk, _sb) = Disk::open(&dir, config).unwrap();
+            let disk = reopen(&dir, config, None);
             disk.stats().reset();
             let (wal, got) = WalSegment::open(&disk, file).unwrap();
             assert_eq!(got, want, "pool {pool}");
@@ -458,7 +459,7 @@ mod tests {
     #[test]
     fn truncate_retires_records_via_epoch() {
         let dir = tempdir("truncate");
-        let disk = Disk::create_durable(&dir, DiskConfig::default()).unwrap();
+        let disk = create(&dir, DiskConfig::default(), None);
         let mut wal = WalSegment::create(&disk).unwrap();
         let file = wal.file();
         wal.append(b"old-1").unwrap();
@@ -471,7 +472,7 @@ mod tests {
         drop(wal);
         drop(disk);
 
-        let (disk, _sb) = Disk::open(&dir, DiskConfig::default()).unwrap();
+        let disk = reopen(&dir, DiskConfig::default(), None);
         let (_wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got, vec![b"new-1".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -481,9 +482,7 @@ mod tests {
     fn torn_tail_write_trims_to_valid_prefix() {
         let dir = tempdir("torn-tail");
         let plan = FaultPlan::new();
-        let disk =
-            Disk::create_durable_with_faults(&dir, DiskConfig::default(), Some(plan.clone()))
-                .unwrap();
+        let disk = create(&dir, DiskConfig::default(), Some(plan.clone()));
         let mut wal = WalSegment::create(&disk).unwrap();
         let file = wal.file();
         wal.append(b"survives").unwrap();
@@ -497,8 +496,7 @@ mod tests {
         drop(wal);
         drop(disk);
 
-        let (disk, _sb) =
-            Disk::open_with_faults(&dir, DiskConfig::default(), Some(FaultPlan::new())).unwrap();
+        let disk = reopen(&dir, DiskConfig::default(), Some(FaultPlan::new()));
         let (_wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got, vec![b"survives".to_vec()]);
         std::fs::remove_dir_all(&dir).ok();
@@ -512,7 +510,7 @@ mod tests {
         // while the log is small, then append far past the recorded
         // allocation before the kill.
         let dir = tempdir("grown-tail");
-        let disk = Disk::create_durable(&dir, DiskConfig::with_block_size(256)).unwrap();
+        let disk = create(&dir, DiskConfig::with_block_size(256), None);
         let mut wal = WalSegment::create(&disk).unwrap();
         let file = wal.file();
         disk.persist(b"checkpoint-before-growth", false).unwrap();
@@ -530,7 +528,7 @@ mod tests {
         drop(wal);
         drop(disk);
 
-        let (disk, _sb) = Disk::open(&dir, DiskConfig::with_block_size(256)).unwrap();
+        let disk = reopen(&dir, DiskConfig::with_block_size(256), None);
         let (_wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got, want, "every synced record replays, including the grown tail");
         std::fs::remove_dir_all(&dir).ok();
@@ -540,7 +538,7 @@ mod tests {
     fn records_span_block_boundaries() {
         let dir = tempdir("spanning");
         let config = DiskConfig::default();
-        let disk = Disk::create_durable(&dir, config).unwrap();
+        let disk = create(&dir, config, None);
         let bs = disk.block_size();
         let mut wal = WalSegment::create(&disk).unwrap();
         let file = wal.file();
@@ -554,7 +552,7 @@ mod tests {
         disk.persist(&[], false).unwrap();
         drop(wal);
         drop(disk);
-        let (disk, _sb) = Disk::open(&dir, config).unwrap();
+        let disk = reopen(&dir, config, None);
         let (_wal, got) = WalSegment::open(&disk, file).unwrap();
         assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).ok();

@@ -8,13 +8,22 @@
 //! an intact meta must answer exactly like the index that saved it. The
 //! blocks on the disk are never damaged, only the meta that points into
 //! them.
+//!
+//! The same damage reaches a durable store through its [`Manifest`]: the
+//! damaged bytes are persisted as the newest superblock (its CRC valid)
+//! and the store is reopened through the one durable open. Damage to the
+//! manifest's own fields (magic, lengths, design tag, WAL list) must give
+//! an error or the saved index; damage inside the design's meta, as above,
+//! an error or an index that does not panic.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use lidx_core::{Key, Value};
-use lidx_experiments::IndexChoice;
-use lidx_storage::{Disk, DiskConfig};
+use lidx_core::{IndexRead, IndexWrite, Key, Manifest, Value, WriteBufferConfig};
+use lidx_experiments::{open_durable_index, IndexChoice};
+use lidx_storage::{Disk, DiskConfig, DurableMode, Superblock};
 use proptest::prelude::*;
 
 /// One saved design: its disk, its meta and what it answers.
@@ -38,10 +47,16 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The bulk load and the inserts every design is given.
+struct Data {
+    bulk: Vec<(Key, Value)>,
+    inserts: Vec<(Key, Value)>,
+}
+
 /// Every design, bulk loaded with 3 000 keys on 512-byte blocks, then
 /// given 600 inserts (fresh keys and overwrites) and saved; built once.
-fn saved() -> &'static [Saved] {
-    static SAVED: OnceLock<Vec<Saved>> = OnceLock::new();
+fn saved() -> &'static (Data, Vec<Saved>) {
+    static SAVED: OnceLock<(Data, Vec<Saved>)> = OnceLock::new();
     SAVED.get_or_init(|| {
         let mut state = 0xDA4A_6ED3_E7A0;
         let mut keys: Vec<Key> =
@@ -64,7 +79,7 @@ fn saved() -> &'static [Saved] {
         let probes: Vec<Key> =
             oracle.keys().step_by(41).flat_map(|&k| [k, k + 1]).chain([0, Key::MAX]).collect();
         let scan_from = *oracle.keys().nth(oracle.len() / 3).expect("keys");
-        IndexChoice::ALL_DESIGNS
+        let saved = IndexChoice::ALL_DESIGNS
             .into_iter()
             .map(|choice| {
                 let disk = Disk::in_memory(DiskConfig::with_block_size(512));
@@ -86,8 +101,63 @@ fn saved() -> &'static [Saved] {
                 index.scan(scan_from, SCAN_ROWS, &mut scanned).expect("scan");
                 Saved { choice, disk, meta, probes: probes.clone(), answers, scan_from, scanned }
             })
+            .collect();
+        (Data { bulk, inserts }, saved)
+    })
+}
+
+const BLOCK: usize = 512;
+
+/// Every design built as a durable store from the same data and closed
+/// after a clean checkpoint; its directory and encoded manifest. Built once.
+fn stores() -> &'static [(PathBuf, Manifest)] {
+    static STORES: OnceLock<Vec<(PathBuf, Manifest)>> = OnceLock::new();
+    STORES.get_or_init(|| {
+        let (data, _) = saved();
+        IndexChoice::ALL_DESIGNS
+            .into_iter()
+            .map(|choice| {
+                let dir = scratch(&format!("store-{}", choice.name()));
+                let config = DiskConfig::with_block_size(BLOCK);
+                let wb = WriteBufferConfig::default();
+                let (mut front, _) =
+                    open_durable_index(&dir, config, Some(choice), wb, None).expect("create");
+                front.bulk_load(&data.bulk).expect("bulk load");
+                front.insert_batch(&data.inserts).expect("inserts");
+                front.checkpoint(true).expect("checkpoint");
+                let superblock = Superblock::load_best(&dir).expect("load").expect("a checkpoint");
+                (dir, Manifest::decode(&superblock.meta).expect("manifest"))
+            })
             .collect()
     })
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("lidx-damaged-meta-{tag}-{}", std::process::id()))
+}
+
+/// A copy of the store in `from`, so each case damages its own.
+fn copy_store(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("case dir");
+    for entry in std::fs::read_dir(from).expect("store dir") {
+        let path = entry.expect("entry").path();
+        std::fs::copy(&path, to.join(path.file_name().expect("name"))).expect("copy");
+    }
+}
+
+/// Damages `bytes` in place: each damage flips the bits `x` of one byte, or
+/// fills the eight bytes from it with zeros or ones (a key, block or count
+/// gone to 0 or to near its maximum); then cuts at `cut`.
+fn damage(bytes: &mut Vec<u8>, at: impl IntoIterator<Item = (usize, u8, u8)>, cut: usize) {
+    for (at, how, x) in at {
+        let end = (at + 8).min(bytes.len());
+        match how {
+            0 => bytes[at] ^= x,
+            1 => bytes[at..end].fill(0),
+            _ => bytes[at..end].fill(0xFF),
+        }
+    }
+    bytes.truncate(cut);
 }
 
 proptest! {
@@ -103,21 +173,13 @@ proptest! {
         // Past the meta's length (about half the cases) nothing is cut.
         cut in 0usize..4_096,
     ) {
-        let saved = &saved()[design];
+        let saved = &saved().1[design];
         let name = saved.choice.name();
         let mut meta = saved.meta.clone();
         prop_assert!(meta.len() < 4_096, "{}: a {}-byte meta", name, meta.len());
         let intact = damages.is_empty() && cut >= meta.len();
-        for (at, how, x) in damages {
-            let at = at % meta.len();
-            let end = (at + 8).min(meta.len());
-            match how {
-                0 => meta[at] ^= x,
-                1 => meta[at..end].fill(0),
-                _ => meta[at..end].fill(0xFF),
-            }
-        }
-        meta.truncate(cut);
+        let len = meta.len();
+        damage(&mut meta, damages.into_iter().map(|(at, how, x)| (at % len, how, x)), cut);
 
         let Ok(loaded) = saved.choice.load(Arc::clone(&saved.disk), &meta) else {
             prop_assert!(!intact, "{}: the intact meta must load", name);
@@ -129,6 +191,76 @@ proptest! {
         let mut rows = Vec::new();
         let scanned = loaded.scan(saved.scan_from, SCAN_ROWS, &mut rows);
         if intact {
+            let answers: Vec<_> = answers.into_iter().map(Result::ok).collect();
+            let want: Vec<_> = saved.answers.iter().map(|&a| Some(a)).collect();
+            prop_assert_eq!(answers, want, "{}: per-key lookups", name);
+            prop_assert!(batched.is_ok(), "{}: {:?}", name, batched);
+            prop_assert_eq!(&batch, &saved.answers, "{}: the batch", name);
+            prop_assert!(scanned.is_ok(), "{}: {:?}", name, scanned);
+            prop_assert_eq!(&rows, &saved.scanned, "{}: the scan", name);
+        }
+    }
+}
+
+/// Cases of the manifest property; its last case removes the stores.
+const MANIFEST_CASES: u32 = 256;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: MANIFEST_CASES, .. ProptestConfig::default() })]
+
+    #[test]
+    fn a_damaged_manifest_opens_to_an_error_or_an_index_that_does_not_panic(
+        design in 0usize..IndexChoice::ALL_DESIGNS.len(),
+        // Half the damages land on the manifest's own fields, which are a
+        // few dozen of its bytes: `in_fields` picks them.
+        damages in proptest::collection::vec((0usize..1 << 16, 0u8..2, 0u8..3, 1u8..255), 0..3),
+        cut in 0usize..4_096,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let saved = &saved().1[design];
+        let name = saved.choice.name();
+        let (store, manifest) = &stores()[design];
+        let original = manifest.encode();
+        let mut bytes = original.clone();
+        let intact = damages.is_empty() && cut >= bytes.len();
+        // The fields: magic, tag length, tag and meta length up front; the
+        // WAL count and ids at the back.
+        let head = 12 + manifest.index_kind.len();
+        let tail = 4 + 4 * manifest.wal_files.len();
+        let fields: Vec<usize> = (0..head).chain(bytes.len() - tail..bytes.len()).collect();
+        let at = damages.into_iter().map(|(at, in_fields, how, x)| {
+            let at = if in_fields == 1 { fields[at % fields.len()] } else { at % original.len() };
+            (at, how, x)
+        });
+        damage(&mut bytes, at, cut);
+        let same_design = Manifest::decode(&bytes).is_ok_and(|m| {
+            m.index_kind == manifest.index_kind && m.index_meta == manifest.index_meta
+        });
+
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = scratch(&format!("case-{case}"));
+        copy_store(store, &dir);
+        if case + 1 == MANIFEST_CASES as usize {
+            stores().iter().for_each(|(store, _)| drop(std::fs::remove_dir_all(store)));
+        }
+        let config = DiskConfig::with_block_size(BLOCK);
+        let (disk, _) = Disk::open_durable(&dir, config, None, DurableMode::Open).expect("open");
+        disk.persist(&bytes, false).expect("persist the damaged manifest");
+        drop(disk);
+        let opened = open_durable_index(&dir, config, None, WriteBufferConfig::default(), None);
+        let Ok((front, _)) = opened else {
+            std::fs::remove_dir_all(&dir).ok();
+            prop_assert!(!intact, "{}: the intact manifest must open", name);
+            return Ok(());
+        };
+        let answers: Vec<_> = saved.probes.iter().map(|&k| front.lookup(k)).collect();
+        let mut batch = Vec::new();
+        let batched = front.lookup_batch(&saved.probes, &mut batch);
+        let mut rows = Vec::new();
+        let scanned = front.scan(saved.scan_from, SCAN_ROWS, &mut rows);
+        drop(front);
+        std::fs::remove_dir_all(&dir).ok();
+        if same_design {
             let answers: Vec<_> = answers.into_iter().map(Result::ok).collect();
             let want: Vec<_> = saved.answers.iter().map(|&a| Some(a)).collect();
             prop_assert_eq!(answers, want, "{}: per-key lookups", name);

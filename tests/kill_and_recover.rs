@@ -19,6 +19,10 @@
 //!   EIOs; the bounded-backoff retry path absorbs them. Exact, and the
 //!   retries are visible in `IoStats::io_retries`.
 //!
+//! Every case stands on the checkpoint's sync barriers, logged by the fault
+//! plan: the WAL at the drain's fsync-point, then every file the superblock
+//! names, then the superblock.
+//!
 //! Sharded mode extends the matrix: a durable sharded router killed in the
 //! middle of an online shard split must recover to *exactly* the pre-split
 //! or the post-split boundary set — a kill before the manifest rename
@@ -28,14 +32,16 @@
 //! half-moved shard, no lost key.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use lidx_core::{payload_for, IndexRead, IndexWrite, Key, Value, WriteBufferConfig};
-use lidx_experiments::recovery::{create_durable_index, reopen_durable_index, DurableIndex};
+use lidx_core::{
+    payload_for, IndexRead, IndexResult, IndexWrite, Key, Manifest, Value, WriteBufferConfig,
+};
+use lidx_experiments::recovery::{open_durable_index, DurableIndex};
 use lidx_experiments::sharded_recovery::{DurableShardedRouter, SplitFault};
 use lidx_experiments::IndexChoice;
-use lidx_storage::{Disk, FaultPlan, OpClass};
+use lidx_storage::{Barrier, Disk, DiskConfig, FaultPlan, OpClass, Superblock};
 
 const BLOCK: usize = 4096;
 const BULK: usize = 3_000;
@@ -51,6 +57,18 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 fn scratch(tag: &str, choice: IndexChoice) -> PathBuf {
     std::env::temp_dir().join(format!("lidx-kar-{tag}-{}-{}", choice.name(), std::process::id()))
+}
+
+/// A fresh durable store of `choice` in `dir`, on `BLOCK`-byte blocks.
+fn create(dir: &Path, choice: IndexChoice, plan: Option<FaultPlan>) -> IndexResult<DurableIndex> {
+    let disk = DiskConfig::with_block_size(BLOCK);
+    Ok(open_durable_index(dir, disk, Some(choice), WriteBufferConfig::default(), plan)?.0)
+}
+
+/// The store in `dir` reopened, with the number of WAL entries replayed.
+fn reopen(dir: &Path, plan: Option<FaultPlan>) -> IndexResult<(DurableIndex, u64)> {
+    let disk = DiskConfig::with_block_size(BLOCK);
+    open_durable_index(dir, disk, None, WriteBufferConfig::default(), plan)
 }
 
 fn bulk_entries() -> Vec<(Key, Value)> {
@@ -121,9 +139,7 @@ fn clean_kill_recovers_exactly() {
     let oracle = oracle_at(&bulk, &ops, OPS);
     for choice in IndexChoice::ALL_DESIGNS {
         let dir = scratch("clean", choice);
-        let mut front =
-            create_durable_index(&dir, BLOCK, choice, WriteBufferConfig::default(), None)
-                .expect("create");
+        let mut front = create(&dir, choice, None).expect("create");
         front.bulk_load(&bulk).expect("bulk load");
         for &(k, v) in &ops {
             front.insert(k, v).expect("insert");
@@ -139,10 +155,38 @@ fn clean_kill_recovers_exactly() {
         front.checkpoint(true).expect("clean checkpoint");
         drop(front);
 
-        let (recovered, replayed) =
-            reopen_durable_index(&dir, BLOCK, WriteBufferConfig::default(), None).expect("reopen");
+        let (recovered, replayed) = reopen(&dir, None).expect("reopen");
         assert_eq!(replayed, 0, "{}: a clean checkpoint leaves no WAL tail", choice.name());
         assert_matches_oracle(&recovered, &oracle, choice.name());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// One checkpoint (a drain) logs the WAL's barrier, then one barrier per
+/// file in file order, then the superblock's; a superblock barrier ahead of
+/// a file's would let a crash keep a checkpoint naming unsynced blocks.
+#[test]
+fn a_checkpoint_syncs_the_wal_then_every_file_then_the_superblock() {
+    let bulk = bulk_entries();
+    let ops = op_stream(&bulk);
+    for choice in IndexChoice::ALL_DESIGNS {
+        let dir = scratch("barriers", choice);
+        let plan = FaultPlan::new();
+        let mut front = create(&dir, choice, Some(plan.clone())).expect("create");
+        front.bulk_load(&bulk).expect("bulk load");
+        for &(k, v) in &ops {
+            front.insert(k, v).expect("insert");
+        }
+        let before = plan.barriers().len();
+        front.flush().expect("checkpoint");
+        let superblock = Superblock::load_best(&dir).expect("load").expect("a checkpoint");
+        let manifest = Manifest::decode(&superblock.meta).expect("manifest");
+        let files = superblock.file_blocks.len() as u32;
+        let mut want = vec![Barrier::File(manifest.wal_files[0])];
+        want.extend((0..files).map(Barrier::File));
+        want.push(Barrier::Superblock);
+        assert_eq!(plan.barriers()[before..], want[..], "{}", choice.name());
+        assert!(files >= 2, "{}: the index has a file besides the WAL", choice.name());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -155,14 +199,7 @@ fn mid_drain_kill_replays_the_full_staged_set() {
     for choice in IndexChoice::ALL_DESIGNS {
         let dir = scratch("middrain", choice);
         let plan = FaultPlan::new();
-        let mut front = create_durable_index(
-            &dir,
-            BLOCK,
-            choice,
-            WriteBufferConfig::default(),
-            Some(plan.clone()),
-        )
-        .expect("create");
+        let mut front = create(&dir, choice, Some(plan.clone())).expect("create");
         front.bulk_load(&bulk).expect("bulk load");
         for &(k, v) in &ops {
             front.insert(k, v).expect("insert");
@@ -178,8 +215,7 @@ fn mid_drain_kill_replays_the_full_staged_set() {
         assert_eq!(plan.writes_failed(), 1, "{}: exactly one write fails", choice.name());
         drop(front); // the kill
 
-        let (recovered, replayed) =
-            reopen_durable_index(&dir, BLOCK, WriteBufferConfig::default(), None).expect("reopen");
+        let (recovered, replayed) = reopen(&dir, None).expect("reopen");
         assert_eq!(
             replayed,
             OPS as u64,
@@ -213,14 +249,7 @@ fn torn_wal_record_recovers_a_consistent_prefix() {
     for choice in IndexChoice::ALL_DESIGNS {
         let dir = scratch("tornwal", choice);
         let plan = FaultPlan::new();
-        let mut front = create_durable_index(
-            &dir,
-            BLOCK,
-            choice,
-            WriteBufferConfig::default(),
-            Some(plan.clone()),
-        )
-        .expect("create");
+        let mut front = create(&dir, choice, Some(plan.clone())).expect("create");
         front.bulk_load(&bulk).expect("bulk load");
         for &(k, v) in &ops {
             front.insert(k, v).expect("insert");
@@ -232,8 +261,7 @@ fn torn_wal_record_recovers_a_consistent_prefix() {
         assert_eq!(plan.writes_torn(), 1, "{}: exactly one write tears", choice.name());
         drop(front); // the kill
 
-        let (recovered, replayed) =
-            reopen_durable_index(&dir, BLOCK, WriteBufferConfig::default(), None).expect("reopen");
+        let (recovered, replayed) = reopen(&dir, None).expect("reopen");
         let replayed = replayed as usize;
         assert!(
             replayed < OPS,
@@ -256,14 +284,7 @@ fn torn_superblock_falls_back_to_the_previous_checkpoint() {
     for choice in IndexChoice::ALL_DESIGNS {
         let dir = scratch("tornsb", choice);
         let plan = FaultPlan::new();
-        let mut front = create_durable_index(
-            &dir,
-            BLOCK,
-            choice,
-            WriteBufferConfig::default(),
-            Some(plan.clone()),
-        )
-        .expect("create");
+        let mut front = create(&dir, choice, Some(plan.clone())).expect("create");
         front.bulk_load(&bulk).expect("bulk load");
         for &(k, v) in &ops {
             front.insert(k, v).expect("insert");
@@ -281,8 +302,7 @@ fn torn_superblock_falls_back_to_the_previous_checkpoint() {
         drop(front); // the kill
 
         let (recovered, replayed) =
-            reopen_durable_index(&dir, BLOCK, WriteBufferConfig::default(), None)
-                .expect("reopen falls back to the intact slot");
+            reopen(&dir, None).expect("reopen falls back to the intact slot");
         assert_eq!(replayed, 0, "{}: the WAL was already truncated", choice.name());
         assert_matches_oracle(&recovered, &oracle, choice.name());
         std::fs::remove_dir_all(&dir).ok();
@@ -299,14 +319,10 @@ fn sharded_store(
     ops: &[(Key, Value)],
 ) -> (DurableShardedRouter, Vec<Key>, usize) {
     let boundaries = vec![bulk[bulk.len() / 3].0, bulk[2 * bulk.len() / 3].0];
-    let mut router = DurableShardedRouter::create(
-        dir,
-        BLOCK,
-        choice,
-        WriteBufferConfig::default(),
-        boundaries.clone(),
-    )
-    .expect("create sharded store");
+    let create = Some((choice, boundaries.clone()));
+    let (mut router, _) =
+        DurableShardedRouter::open(dir, BLOCK, create, WriteBufferConfig::default())
+            .expect("create sharded store");
     router.bulk_load(bulk).expect("bulk load");
     for &(k, v) in ops {
         router.insert(k, v).expect("insert");
@@ -363,7 +379,7 @@ fn mid_split_kill_before_commit_recovers_the_pre_split_boundaries() {
         drop(router);
 
         let (recovered, _) =
-            DurableShardedRouter::reopen(&dir, BLOCK, WriteBufferConfig::default())
+            DurableShardedRouter::open(&dir, BLOCK, None, WriteBufferConfig::default())
                 .expect("reopen");
         assert_eq!(
             recovered.boundaries(),
@@ -400,7 +416,7 @@ fn mid_split_kill_after_commit_recovers_the_post_split_boundaries() {
         drop(router);
 
         let (recovered, replayed) =
-            DurableShardedRouter::reopen(&dir, BLOCK, WriteBufferConfig::default())
+            DurableShardedRouter::open(&dir, BLOCK, None, WriteBufferConfig::default())
                 .expect("reopen");
         let mut want = boundaries.clone();
         want.insert(hot, pivot);
@@ -441,7 +457,7 @@ fn completed_split_survives_a_clean_kill() {
         drop(router);
 
         let (recovered, replayed) =
-            DurableShardedRouter::reopen(&dir, BLOCK, WriteBufferConfig::default())
+            DurableShardedRouter::open(&dir, BLOCK, None, WriteBufferConfig::default())
                 .expect("reopen");
         assert_eq!(replayed, 0, "{}: clean checkpoint leaves no WAL tail", choice.name());
         assert_eq!(recovered.shard_count(), 4, "{}: the split persisted", choice.name());
@@ -457,9 +473,7 @@ fn transient_read_errors_during_reopen_are_retried() {
     let oracle = oracle_at(&bulk, &ops, OPS);
     for choice in IndexChoice::ALL_DESIGNS {
         let dir = scratch("transient", choice);
-        let mut front =
-            create_durable_index(&dir, BLOCK, choice, WriteBufferConfig::default(), None)
-                .expect("create");
+        let mut front = create(&dir, choice, None).expect("create");
         front.bulk_load(&bulk).expect("bulk load");
         for &(k, v) in &ops {
             front.insert(k, v).expect("insert");
@@ -470,8 +484,7 @@ fn transient_read_errors_during_reopen_are_retried() {
         let plan = FaultPlan::new();
         plan.transient_read_errors(3);
         let (recovered, replayed) =
-            reopen_durable_index(&dir, BLOCK, WriteBufferConfig::default(), Some(plan.clone()))
-                .expect("reopen rides out the EIO burst");
+            reopen(&dir, Some(plan.clone())).expect("reopen rides out the EIO burst");
         assert_eq!(replayed, 0, "{}: nothing to replay", choice.name());
         assert_matches_oracle(&recovered, &oracle, choice.name());
         let stats = disk_of(&recovered).snapshot();
