@@ -228,7 +228,8 @@ impl<I: DiskIndex> WriteBuffer<I> {
 
     /// Drains every staged entry into the wrapped index through its
     /// [`IndexWrite::insert_batch`] path, in ascending key order, in chunks
-    /// of at most [`WriteBufferConfig::drain`] entries.
+    /// of at most [`WriteBufferConfig::drain`] entries, then (with a WAL
+    /// attached) writes a checkpoint.
     ///
     /// A chunk leaves the staging buffer only once its `insert_batch` call
     /// succeeded, so a mid-drain error keeps every not-yet-applied entry
@@ -236,8 +237,17 @@ impl<I: DiskIndex> WriteBuffer<I> {
     /// where the failure happened. The drain counters likewise only cover
     /// entries actually handed over.
     pub fn flush(&mut self) -> IndexResult<()> {
+        if self.drain()? {
+            self.write_checkpoint(false)?;
+        }
+        Ok(())
+    }
+
+    /// The drain of [`WriteBuffer::flush`] without its checkpoint; returns
+    /// whether anything was staged.
+    fn drain(&mut self) -> IndexResult<bool> {
         if self.staged.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         // Fsync-point: with a WAL attached, every staged entry must be
         // durable *before* the drain starts mutating index blocks — a kill
@@ -247,25 +257,22 @@ impl<I: DiskIndex> WriteBuffer<I> {
             wal.sync()?;
         }
         self.drains += 1;
-        {
-            // The drain is the group-commit pause every overlapping reader
-            // and writer feels; the span is scoped to the batch loop so the
-            // checkpoint tail reports under its own class.
-            let disk = Arc::clone(self.inner.disk());
-            let _span = disk.telemetry().span(OpClass::Drain);
-            while !self.staged.is_empty() {
-                let chunk: Vec<Entry> =
-                    self.staged.iter().take(self.config.drain).map(|(&k, &v)| (k, v)).collect();
-                self.inner.insert_batch(&chunk)?;
-                self.drained_entries += chunk.len() as u64;
-                disk.telemetry().add(OpClass::Drain, chunk.len() as u64);
-                for &(key, _) in &chunk {
-                    self.staged.remove(&key);
-                }
+        // The drain is the group-commit pause every overlapping reader and
+        // writer feels; the span covers the batch loop only, so the
+        // checkpoint tail reports under its own class.
+        let disk = Arc::clone(self.inner.disk());
+        let _span = disk.telemetry().span(OpClass::Drain);
+        while !self.staged.is_empty() {
+            let chunk: Vec<Entry> =
+                self.staged.iter().take(self.config.drain).map(|(&k, &v)| (k, v)).collect();
+            self.inner.insert_batch(&chunk)?;
+            self.drained_entries += chunk.len() as u64;
+            disk.telemetry().add(OpClass::Drain, chunk.len() as u64);
+            for &(key, _) in &chunk {
+                self.staged.remove(&key);
             }
         }
-        self.write_checkpoint(false)?;
-        Ok(())
+        Ok(true)
     }
 
     /// Forces buffered WAL bytes to the device without draining, bounding
@@ -277,12 +284,12 @@ impl<I: DiskIndex> WriteBuffer<I> {
         }
     }
 
-    /// Drains everything and writes a durable checkpoint with the given
+    /// Drains everything and writes one durable checkpoint with the given
     /// clean-shutdown flag. `checkpoint(true)` is the orderly-shutdown path;
     /// crash-recovery tests call `checkpoint(false)` to leave the directory
     /// in the same shape a kill would. No-op without a WAL beyond the drain.
     pub fn checkpoint(&mut self, clean: bool) -> IndexResult<()> {
-        self.flush()?;
+        self.drain()?;
         self.write_checkpoint(clean)
     }
 

@@ -90,10 +90,11 @@ impl DurableShardedRouter {
     ///
     /// `create: Some((choice, boundaries))` wipes any store there and starts
     /// `boundaries.len() + 1` empty shards of `choice`. `None` decodes the
-    /// `ROUTER` manifest (rejecting it on any checksum mismatch), reopens
-    /// every listed shard store (replaying each shard's WAL tail) and sweeps
-    /// directories no committed manifest references — orphans of a killed
-    /// split.
+    /// `ROUTER` manifest (rejecting it on a checksum mismatch or a malformed,
+    /// repeated or out-of-order field), reopens every listed shard store
+    /// (replaying each shard's WAL tail), fails unless each holds only keys
+    /// of its range, and sweeps directories no committed manifest
+    /// references — orphans of a killed split.
     pub fn open(
         dir: &Path,
         block_size: usize,
@@ -128,9 +129,12 @@ impl DurableShardedRouter {
         let (disk, create) = (DiskConfig::with_block_size(block_size), creating.then_some(choice));
         let mut shards = Vec::with_capacity(names.len());
         let mut replayed_total = 0;
-        for name in &names {
+        for (s, name) in names.iter().enumerate() {
             let (front, replayed) =
                 open_durable_index(&dir.join(name), disk, create, config, None)?;
+            if !creating {
+                check_shard_range(&front, name, s, &boundaries)?;
+            }
             replayed_total += replayed;
             shards.push((name.clone(), front));
         }
@@ -336,6 +340,44 @@ fn io_err(e: std::io::Error) -> IndexError {
     IndexError::Internal(format!("sharded store io: {e}"))
 }
 
+/// Fails unless every key shard `s` holds lies in the range the manifest
+/// gives it, `[boundaries[s - 1], boundaries[s])`. A manifest that decodes
+/// but names the wrong directory or boundary would otherwise route keys to
+/// shards that do not hold them; and the sweep after the opens would delete
+/// the directories it failed to name.
+fn check_shard_range(
+    front: &DurableIndex,
+    name: &str,
+    s: usize,
+    boundaries: &[Key],
+) -> IndexResult<()> {
+    let mut first = Vec::new();
+    front.scan(0, 1, &mut first)?;
+    let below = s > 0 && first.first().is_some_and(|e| e.0 < boundaries[s - 1]);
+    let above = match boundaries.get(s) {
+        Some(&hi) => front.scan(hi, 1, &mut first)? > 0,
+        None => false,
+    };
+    if below || above {
+        return Err(IndexError::Internal(format!(
+            "ROUTER manifest: shard {name} holds keys outside its range"
+        )));
+    }
+    Ok(())
+}
+
+/// A shard directory name as [`DurableShardedRouter`] writes them,
+/// `shard-<generation>-<index>`: nothing that leaves the store directory.
+fn is_shard_name(name: &str) -> bool {
+    name.strip_prefix("shard-").is_some_and(|rest| {
+        let mut parts = rest.split('-');
+        let number = |p: Option<&str>| {
+            p.is_some_and(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()))
+        };
+        number(parts.next()) && number(parts.next()) && parts.next().is_none()
+    })
+}
+
 /// Decodes and checksum-verifies a `ROUTER` manifest body, returning
 /// `(index name, generation, boundaries, shard dir names)`.
 fn decode_manifest(body: &str) -> IndexResult<(String, u64, Vec<Key>, Vec<String>)> {
@@ -356,12 +398,20 @@ fn decode_manifest(body: &str) -> IndexResult<(String, u64, Vec<Key>, Vec<String
     }
     let mut index_name = String::new();
     let mut generation = 0;
+    let mut count = None;
     let mut names = Vec::new();
     let mut lows: Vec<Key> = Vec::new();
     for line in lines {
         let mut parts = line.split(' ');
         match parts.next() {
-            Some("shards") => {}
+            Some("shards") => {
+                count = Some(
+                    parts
+                        .next()
+                        .and_then(|n| n.parse::<usize>().ok())
+                        .ok_or_else(|| bad("bad shard count"))?,
+                );
+            }
             Some("index") => {
                 index_name = parts.next().ok_or_else(|| bad("bad index line"))?.to_string();
             }
@@ -377,16 +427,25 @@ fn decode_manifest(body: &str) -> IndexResult<(String, u64, Vec<Key>, Vec<String
                     .next()
                     .and_then(|l| l.parse().ok())
                     .ok_or_else(|| bad("shard without range"))?;
+                if !is_shard_name(name) || names.iter().any(|n| n == name) {
+                    return Err(bad("bad or repeated shard name"));
+                }
+                if lows.last().map_or(lo != 0, |&prev| lo <= prev) {
+                    return Err(bad("shard ranges do not start at 0 and increase"));
+                }
                 names.push(name.to_string());
                 lows.push(lo);
             }
             _ => return Err(bad("unknown line")),
         }
+        if parts.next().is_some() {
+            return Err(bad("trailing field"));
+        }
     }
-    if names.is_empty() {
-        return Err(bad("no shards"));
+    if names.is_empty() || count != Some(names.len()) {
+        return Err(bad("shard count does not match the shard lines"));
     }
-    // `lows[0]` is always 0; the remaining lows are the boundaries.
+    // `lows[0]` is 0; the remaining lows are the boundaries.
     Ok((index_name, generation, lows[1..].to_vec(), names))
 }
 
@@ -423,6 +482,25 @@ mod tests {
         recovered.scan(1_990, 4, &mut out).unwrap();
         assert_eq!(out.first(), Some(&(1_996, 1_997)), "stitches across the boundary");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The range check on reopen scans every shard, so a shard the bulk
+    /// load left empty must still reopen, for every design.
+    #[test]
+    fn a_store_with_an_empty_shard_reopens() {
+        for choice in IndexChoice::ALL_DESIGNS {
+            let dir = scratch(&format!("empty-{}", choice.name()));
+            let create = Some((choice, vec![1_000, 1_000_000]));
+            let wb = WriteBufferConfig::default();
+            let (mut router, _) = DurableShardedRouter::open(&dir, 4096, create, wb).unwrap();
+            router.bulk_load(&entries()[..100]).unwrap();
+            router.checkpoint().unwrap();
+            drop(router);
+            let (recovered, _) = DurableShardedRouter::open(&dir, 4096, None, wb)
+                .unwrap_or_else(|e| panic!("{}: {e}", choice.name()));
+            assert_eq!(recovered.len(), 100, "{}", choice.name());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

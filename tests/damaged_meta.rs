@@ -15,6 +15,11 @@
 //! manifest's own fields (magic, lengths, design tag, WAL list) must give
 //! an error or the saved index; damage inside the design's meta, as above,
 //! an error or an index that does not panic.
+//!
+//! A sharded store's `ROUTER` manifest takes the same damage, with its
+//! checksum recomputed so the decoder's field checks are what stand in the
+//! way: the reopened router must answer exactly like the saved one, or the
+//! open must fail.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use lidx_core::{IndexRead, IndexWrite, Key, Manifest, Value, WriteBufferConfig};
-use lidx_experiments::{open_durable_index, IndexChoice};
+use lidx_experiments::{open_durable_index, DurableShardedRouter, IndexChoice};
 use lidx_storage::{Disk, DiskConfig, DurableMode, Superblock};
 use proptest::prelude::*;
 
@@ -136,12 +141,18 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("lidx-damaged-meta-{tag}-{}", std::process::id()))
 }
 
-/// A copy of the store in `from`, so each case damages its own.
+/// A copy of the store in `from` (its subdirectories included), so each
+/// case damages its own.
 fn copy_store(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).expect("case dir");
     for entry in std::fs::read_dir(from).expect("store dir") {
         let path = entry.expect("entry").path();
-        std::fs::copy(&path, to.join(path.file_name().expect("name"))).expect("copy");
+        let target = to.join(path.file_name().expect("name"));
+        if path.is_dir() {
+            copy_store(&path, &target);
+        } else {
+            std::fs::copy(&path, target).expect("copy");
+        }
     }
 }
 
@@ -269,5 +280,126 @@ proptest! {
             prop_assert!(scanned.is_ok(), "{}: {:?}", name, scanned);
             prop_assert_eq!(&rows, &saved.scanned, "{}: the scan", name);
         }
+    }
+}
+
+/// The sharded stores of the router property.
+struct Routers {
+    /// The full contents each store must scan back.
+    full: Vec<(Key, Value)>,
+    /// One store directory per design.
+    dirs: Vec<PathBuf>,
+}
+
+/// Every design as a durable 3-shard store, split at a third and two thirds
+/// of the keys, given the same bulk load and inserts and checkpointed.
+/// Built once.
+fn routers() -> &'static Routers {
+    static ROUTERS: OnceLock<Routers> = OnceLock::new();
+    ROUTERS.get_or_init(|| {
+        let (data, _) = saved();
+        let mut oracle: BTreeMap<Key, Value> = data.bulk.iter().copied().collect();
+        oracle.extend(data.inserts.iter().copied());
+        let full: Vec<(Key, Value)> = oracle.into_iter().collect();
+        let boundaries = vec![full[full.len() / 3].0, full[2 * full.len() / 3].0];
+        let dirs = IndexChoice::ALL_DESIGNS
+            .into_iter()
+            .map(|choice| {
+                let dir = scratch(&format!("router-{}", choice.name()));
+                let create = Some((choice, boundaries.clone()));
+                let wb = WriteBufferConfig::default();
+                let (mut router, _) =
+                    DurableShardedRouter::open(&dir, BLOCK, create, wb).expect("create");
+                router.bulk_load(&data.bulk).expect("bulk load");
+                for &(key, value) in &data.inserts {
+                    router.insert(key, value).expect("insert");
+                }
+                router.checkpoint().expect("checkpoint");
+                dir
+            })
+            .collect();
+        Routers { full, dirs }
+    })
+}
+
+/// The `ROUTER` manifest's checksum: FNV-1a over its body.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// Cases of the router property; its last case removes the stores.
+const ROUTER_CASES: u32 = 192;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: ROUTER_CASES, .. ProptestConfig::default() })]
+
+    #[test]
+    fn a_damaged_router_manifest_opens_to_an_error_or_the_saved_router(
+        design in 0usize..IndexChoice::ALL_DESIGNS.len(),
+        // Half the damages are flips of the digits of the shard lines (their
+        // directory names and ranges), of low bits only, so a digit often
+        // stays a digit and the line still parses.
+        damages in proptest::collection::vec((0usize..1 << 16, 0u8..2, 0u8..3, 1u8..255), 0..3),
+        // Past the body's length (about three cases in four) nothing is cut.
+        cut in 0usize..512,
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let saved = &saved().1[design];
+        let name = saved.choice.name();
+        let Routers { full, dirs: stores } = routers();
+        let store = &stores[design];
+        let text = std::fs::read(store.join("ROUTER")).expect("ROUTER");
+        let body_len = text.len() - "checksum 0123456789abcdef\n".len();
+        let mut body = text[..body_len].to_vec();
+        prop_assert!(body.len() < 256, "{}: a {}-byte ROUTER body", name, body.len());
+        let intact = damages.is_empty() && cut >= body.len();
+        let shard_lines = body.windows(6).position(|w| w == b"shard ").expect("a shard line");
+        let digits: Vec<usize> =
+            (shard_lines..body.len()).filter(|&i| body[i].is_ascii_digit()).collect();
+        let len = body.len();
+        let at = damages.into_iter().map(|(at, in_digits, how, x)| {
+            if in_digits == 1 {
+                (digits[at % digits.len()], 0, x % 15 + 1)
+            } else {
+                (at % len, how, x)
+            }
+        });
+        damage(&mut body, at, cut);
+        if body.last() != Some(&b'\n') {
+            body.push(b'\n');
+        }
+        let checksum = format!("checksum {:016x}\n", fnv1a(&body));
+        body.extend_from_slice(checksum.as_bytes());
+
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let dir = scratch(&format!("router-case-{case}"));
+        copy_store(store, &dir);
+        if case + 1 == ROUTER_CASES as usize {
+            stores.iter().for_each(|store| drop(std::fs::remove_dir_all(store)));
+        }
+        std::fs::write(dir.join("ROUTER"), &body).expect("write the damaged ROUTER");
+        let opened = DurableShardedRouter::open(&dir, BLOCK, None, WriteBufferConfig::default());
+        let Ok((router, _)) = opened else {
+            std::fs::remove_dir_all(&dir).ok();
+            prop_assert!(!intact, "{}: the intact ROUTER must open", name);
+            return Ok(());
+        };
+        let answers: Vec<_> = saved.probes.iter().map(|&k| router.lookup(k).ok()).collect();
+        let mut rows = Vec::new();
+        let scanned = router.scan(0, usize::MAX, &mut rows);
+        drop(router);
+        std::fs::remove_dir_all(&dir).ok();
+        let want: Vec<_> = saved.answers.iter().map(|&a| Some(a)).collect();
+        prop_assert_eq!(answers, want, "{}: per-key lookups", name);
+        prop_assert!(scanned.is_ok(), "{}: {:?}", name, scanned);
+        prop_assert!(
+            &rows == full,
+            "{}: a full scan of {} rows, not {}",
+            name,
+            rows.len(),
+            full.len()
+        );
     }
 }

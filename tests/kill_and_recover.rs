@@ -191,6 +191,34 @@ fn a_checkpoint_syncs_the_wal_then_every_file_then_the_superblock() {
     }
 }
 
+/// `checkpoint(clean)` drains what is staged and writes one checkpoint
+/// carrying `clean`: one superblock slot, one WAL truncate, not the drain's
+/// own checkpoint followed by a second.
+#[test]
+fn a_checkpoint_with_staged_entries_persists_once() {
+    let bulk = bulk_entries();
+    let ops = op_stream(&bulk);
+    for choice in IndexChoice::ALL_DESIGNS {
+        let dir = scratch("persist-once", choice);
+        let plan = FaultPlan::new();
+        let mut front = create(&dir, choice, Some(plan.clone())).expect("create");
+        front.bulk_load(&bulk).expect("bulk load");
+        for &(k, v) in &ops {
+            front.insert(k, v).expect("insert");
+        }
+        assert!(front.staged_len() > 0, "{}: entries are staged", choice.name());
+        let before = plan.barriers().len();
+        front.checkpoint(true).expect("checkpoint");
+        let superblocks =
+            plan.barriers()[before..].iter().filter(|&&b| b == Barrier::Superblock).count();
+        assert_eq!(superblocks, 1, "{}: one checkpoint, one superblock", choice.name());
+        assert_eq!(front.staged_len(), 0, "{}: the checkpoint drained", choice.name());
+        let superblock = Superblock::load_best(&dir).expect("load").expect("a checkpoint");
+        assert!(superblock.clean_shutdown, "{}: the one slot carries `clean`", choice.name());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn mid_drain_kill_replays_the_full_staged_set() {
     let bulk = bulk_entries();
