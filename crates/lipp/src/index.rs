@@ -167,30 +167,6 @@ impl LippIndex {
         Ok(())
     }
 
-    /// Writes the statistics header of every node in `dirty` once (the
-    /// Maintenance step) and empties the list. The in-memory cache is
-    /// authoritative while headers are deferred, so this is the only place
-    /// inserts touch headers on disk. `dirty` lists a node once per insert
-    /// that bumped it; headers go out in first-touch order — for one insert
-    /// that is the leaf, then its ancestors from the root down, which leaves
-    /// the device head on the deepest ancestor (the usual rebuild target).
-    fn flush_dirty_headers(
-        &mut self,
-        cursor: &mut BlockCursor<'_>,
-        nodes: &mut std::collections::HashMap<BlockId, LippNode>,
-        dirty: &mut Vec<BlockId>,
-        laps: &mut StepLaps,
-    ) -> IndexResult<()> {
-        let mut written = std::collections::HashSet::new();
-        for b in dirty.drain(..) {
-            if let (true, Some(node)) = (written.insert(b), nodes.get_mut(&b)) {
-                node.write_header(cursor)?;
-            }
-        }
-        laps.lap(&mut self.breakdown, InsertStep::Maintenance);
-        Ok(())
-    }
-
     /// Loads the node at `block` for a read walk that may still load
     /// `budget` nodes, seeded from [`LippIndex::node_count`] (see [`lidx_core::spend`]).
     fn visit(
@@ -414,62 +390,44 @@ impl IndexWrite for LippIndex {
         Ok(())
     }
 
-    /// The one write path (`insert` is a batch of one): the per-node
-    /// statistics (`num_inserts`, `num_conflicts`, slot counts) accumulate
-    /// in an in-memory node cache and each touched node's header is written
-    /// **once per batch** instead of once per key per path level — the
-    /// write-side counterpart of `lookup_batch`'s
-    /// header caching, and the Fig. 6 maintenance cost LIPP pays worst of
-    /// all designs. Slot writes (the actual data) go through the batch's
-    /// one write-back cursor per entry ([`Disk::write_back`]), so every
-    /// read of the batch sees them, and a block written again, such as a
-    /// slot block that several keys land in or a block 0 whose slot and
-    /// header both change, reaches the disk once when the batch returns;
-    /// only the statistics headers are deferred. A subtree rebuild first
-    /// writes every deferred header and drops the cache, so the rebuild
-    /// (and any node re-load after it) always sees accurate statistics.
+    /// The one write path (`insert` is a batch of one), a per-key loop on
+    /// the batch's one write-back cursor ([`Disk::write_back`]). Each key
+    /// descends, writes its slot, then bumps and writes the statistics
+    /// header (`num_inserts`, `num_conflicts`) of its leaf and of every
+    /// ancestor from the root down (the full-path maintenance the paper
+    /// calls out for LIPP, Fig. 6), and finally rebuilds the shallowest
+    /// node on its path that has grown too conflicted. Every read goes
+    /// through the cursor, so it sees the batch's own writes, and a block
+    /// written again, such as a header that several keys bump or a block 0
+    /// whose slot and header both change, is charged at its first write and
+    /// reaches the disk once when the batch returns.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        let mut nodes: std::collections::HashMap<BlockId, LippNode> =
-            std::collections::HashMap::new();
-        let mut dirty: Vec<BlockId> = Vec::new();
-
         let mut laps = StepLaps::start(&self.disk);
-        // One write-back cursor carries the batch's every read and write: a
-        // slot's read-modify-write re-reads the block its search just read,
-        // and a block the batch writes again reaches the disk once.
         let disk = Arc::clone(&self.disk);
         disk.write_back(|cursor| {
             for &(key, value) in entries {
-                // Descend through the cache (in-memory headers authoritative),
-                // remembering the path for the statistics maintenance pass. A
-                // descent visits each node at most once, so one past the node
-                // count means a child pointer is cyclic.
-                let mut path: Vec<(BlockId, u32)> = Vec::new();
-                let mut block = self.root;
+                // Descend, keeping each ancestor with the slot it routed the
+                // key through. A descent visits each node at most once, so
+                // one past the node count means a child pointer is cyclic.
+                let mut path: Vec<(LippNode, u32)> = Vec::new();
                 let mut budget = self.node_count;
-                let (slot_content, slot, leaf) = loop {
-                    spend(&mut budget, "LIPP walk")?;
-                    if let std::collections::hash_map::Entry::Vacant(e) = nodes.entry(block) {
-                        e.insert(LippNode::load(cursor, self.file, block, BlockKind::Leaf)?);
-                    }
-                    let node = &nodes[&block];
+                let mut node = self.visit(cursor, self.root, &mut budget)?;
+                let (slot, content) = loop {
                     let slot = node.predict(key);
                     match node.read_slot(cursor, slot)? {
                         Slot::Child(_, b) => {
-                            path.push((block, slot));
-                            block = b;
+                            let child = self.visit(cursor, b, &mut budget)?;
+                            path.push((std::mem::replace(&mut node, child), slot));
                         }
-                        other => break (other, slot, block),
+                        other => break (slot, other),
                     }
                 };
                 laps.lap(&mut self.breakdown, InsertStep::Search);
 
-                let mut conflicted = false;
-                let node = nodes.get_mut(&leaf).expect("cached");
-                match slot_content {
+                let conflicted = match content {
                     Slot::Data(k, _) if k == key => {
                         // Upsert in place: no statistics change.
                         node.write_slot(cursor, slot, Slot::Data(key, value))?;
@@ -481,12 +439,12 @@ impl IndexWrite for LippIndex {
                         node.write_slot(cursor, slot, Slot::Data(key, value))?;
                         node.header.data_count += 1;
                         laps.lap(&mut self.breakdown, InsertStep::Insert);
+                        false
                     }
                     Slot::Data(k0, v0) => {
                         // Conflict: push both keys into a freshly created child
                         // node (LIPP's per-insert SMO, roughly one in three
                         // inserts, O7).
-                        conflicted = true;
                         self.smo_count += 1;
                         let telemetry = Arc::clone(&self.disk);
                         let _span = telemetry.telemetry().span(OpClass::Smo);
@@ -498,57 +456,35 @@ impl IndexWrite for LippIndex {
                         node.header.data_count -= 1;
                         node.header.child_count += 1;
                         laps.lap(&mut self.breakdown, InsertStep::Smo);
+                        true
                     }
                     Slot::Child(..) => unreachable!("descent only stops at NULL or DATA slots"),
-                }
+                };
                 self.key_count += 1;
 
-                // Maintenance, deferred: bump the statistics of the leaf and
-                // every ancestor in memory only (written once per batch — the
-                // paper calls out this full-path write cost for LIPP).
-                for b in std::iter::once(leaf).chain(path.iter().map(|&(b, _)| b)) {
-                    let header = &mut nodes.get_mut(&b).expect("cached").header;
-                    header.num_inserts += 1;
-                    if conflicted {
-                        header.num_conflicts += 1;
-                    }
-                    dirty.push(b);
+                // Maintenance: the leaf's statistics, then every ancestor's
+                // from the root down.
+                for n in std::iter::once(&mut node).chain(path.iter_mut().map(|(n, _)| n)) {
+                    n.header.num_inserts += 1;
+                    n.header.num_conflicts += u32::from(conflicted);
+                    n.write_header(cursor)?;
                 }
+                laps.lap(&mut self.breakdown, InsertStep::Maintenance);
 
-                // Subtree-rebuild check against the (accurate) in-memory stats.
-                let mut rebuild_target: Option<usize> = None;
-                for (i, &(b, _)) in path.iter().enumerate() {
-                    if self.should_rebuild(&nodes[&b]) {
-                        rebuild_target = Some(i);
-                        break;
-                    }
-                }
-                let leaf_needs_rebuild =
-                    rebuild_target.is_none() && self.should_rebuild(&nodes[&leaf]);
-                if rebuild_target.is_some() || leaf_needs_rebuild {
-                    // Flush every deferred header before restructuring, then
-                    // drop the cache: the rebuild frees blocks that may be
-                    // re-allocated, so no stale handle may survive it.
-                    self.flush_dirty_headers(cursor, &mut nodes, &mut dirty, &mut laps)?;
-                    if let Some(i) = rebuild_target {
-                        let target = nodes[&path[i].0].clone();
-                        let parent = if i == 0 {
-                            None
-                        } else {
-                            Some((nodes[&path[i - 1].0].clone(), path[i - 1].1))
-                        };
-                        self.rebuild_subtree(cursor, &target, parent)?;
-                    } else {
-                        let target = nodes[&leaf].clone();
-                        let parent = path.last().map(|&(b, s)| (nodes[&b].clone(), s));
-                        self.rebuild_subtree(cursor, &target, parent)?;
-                    }
-                    nodes.clear();
+                // Rebuild the shallowest node on the path that needs it,
+                // repointing its parent's slot (or the root).
+                let shallowest =
+                    path.iter().map(|(n, _)| n).chain([&node]).position(|n| self.should_rebuild(n));
+                if let Some(i) = shallowest {
+                    path.push((node, slot));
+                    path.truncate(i + 1);
+                    let (target, _) = path.pop().expect("the rebuild target is on the path");
+                    self.rebuild_subtree(cursor, &target, path.pop())?;
                     laps.lap(&mut self.breakdown, InsertStep::Smo);
                 }
                 self.breakdown.finish_insert();
             }
-            self.flush_dirty_headers(cursor, &mut nodes, &mut dirty, &mut laps)
+            Ok(())
         })
     }
 
@@ -557,9 +493,9 @@ impl IndexWrite for LippIndex {
     }
 
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
-        // Node blocks (headers included — `flush_dirty_headers` runs before
-        // any batch returns, and the batch's cursor stores what it wrote) are
-        // on disk, so the handle's plain fields are the whole state.
+        // Node blocks (headers included: the batch's cursor stores what it
+        // wrote before the batch returns) are on disk, so the handle's plain
+        // fields are the whole state.
         let mut w = MetaWriter::new();
         w.u32(self.file)
             .u32(self.root)
@@ -889,7 +825,8 @@ mod tests {
         let data = clustered(5_000);
         l.bulk_load(&data).unwrap();
         // Keys landing in one deep cluster: a sequential insert pays a header
-        // write per path level per key; the batch pays one per touched node.
+        // write per path level per key; the batch's cursor charges one per
+        // touched node.
         let base = data[2_500].0;
         let batch: Vec<Entry> = (0..128u64).map(|i| (base + 2 * i + 1, i)).collect();
         let before_b = l.insert_breakdown();
@@ -920,7 +857,8 @@ mod tests {
         let data: Vec<Entry> = (0..500u64).map(|i| (i * 1_000, i)).collect();
         l.bulk_load(&data).unwrap();
         // Same hammering as the sequential rebuild test, one batch: conflicts
-        // accumulate in the cached headers and must trigger rebuilds mid-batch.
+        // accumulate in the headers the batch writes and must trigger
+        // rebuilds mid-batch.
         let batch: Vec<Entry> = (0..3_000u64).map(|i| (100_000 + i * 7, i)).collect();
         l.insert_batch(&batch).unwrap();
         assert!(l.stats().smo_count > 100, "rebuilds must fire inside the batch");
@@ -1023,7 +961,7 @@ mod tests {
         l.insert_batch(&batch).unwrap();
         assert_eq!(l.insert_breakdown().reads(InsertStep::Maintenance), 0, "no header read");
 
-        // Reload the root from disk: the header the batch flushed last must
+        // Reload the root from disk: the header the batch wrote last must
         // sit beside every slot the batch wrote into block 0.
         let mut cursor = l.disk.cursor();
         let root = LippNode::load(&mut cursor, l.file, l.root, BlockKind::Leaf).unwrap();
