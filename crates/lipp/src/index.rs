@@ -150,13 +150,20 @@ impl LippIndex {
         let telemetry = Arc::clone(&self.disk);
         let _span = telemetry.telemetry().span(OpClass::Smo);
         telemetry.telemetry().add(OpClass::Smo, 1);
-        // Each walk of the subtree may load the tree's every node once.
-        let budget = self.node_count;
+        // One walk collects the subtree's entries and frees each node once
+        // its slots are read (children before their parent); it may load
+        // the tree's every node once.
         let mut entries = Vec::new();
-        node.collect_subtree(cursor, &mut entries, budget)?;
-        // Subtract the nodes that are about to disappear.
-        let removed = count_nodes(cursor, node, budget)?;
-        node.free_subtree(cursor, budget)?;
+        let mut removed = 0;
+        node.walk_subtree(
+            cursor,
+            self.node_count,
+            |e| entries.push(e),
+            |cursor, n| {
+                removed += 1;
+                cursor.free(n.file, n.start, n.total_blocks(cursor.disk().block_size()));
+            },
+        )?;
         self.node_count -= removed;
         let new_block = self.build(&entries)?;
         let first = entries.first().map_or(0, |e| e.0);
@@ -185,14 +192,6 @@ impl LippIndex {
             >= f64::from(h.build_size.max(64)) * self.config.rebuild_insert_factor;
         grown && h.num_conflicts * 4 >= h.num_inserts
     }
-}
-
-/// Counts the nodes of a subtree (used when a rebuild replaces them), a
-/// [`LippNode::walk_subtree`] under `budget`.
-fn count_nodes(cursor: &mut BlockCursor<'_>, node: &LippNode, budget: u64) -> IndexResult<u64> {
-    let mut nodes = 0;
-    node.walk_subtree(cursor, budget, |_| {}, |_, _| nodes += 1)?;
-    Ok(nodes)
 }
 
 impl IndexRead for LippIndex {
@@ -871,6 +870,70 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
+    /// An index on 512-byte blocks, no pool, that rebuilds a subtree once
+    /// its inserts reach half its build size.
+    fn eager_rebuilds() -> LippIndex {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let config = LippConfig { rebuild_insert_factor: 0.5, ..Default::default() };
+        LippIndex::with_config(disk, config).unwrap()
+    }
+
+    /// Every node's header, children before their parent.
+    fn headers(l: &LippIndex) -> Vec<crate::node::LippHeader> {
+        let mut cursor = l.disk.cursor();
+        let root = LippNode::load(&mut cursor, l.file, l.root, BlockKind::Leaf).unwrap();
+        let mut headers = Vec::new();
+        root.walk_subtree(&mut cursor, l.node_count, |_| {}, |_, n| headers.push(n.header))
+            .unwrap();
+        headers
+    }
+
+    /// A batch keeps each node's statistics exactly as per-key inserts do:
+    /// the counts, inserts and conflicts a rebuild decides on are written
+    /// by every insert, not held back for the end of the batch.
+    #[test]
+    fn a_batch_and_per_key_inserts_keep_the_same_statistics() {
+        let (mut batched, mut per_key) = (eager_rebuilds(), eager_rebuilds());
+        // Keys clustered 7 apart over a few root slots: they conflict, and
+        // the subtrees they grow are rebuilt.
+        let bulk: Vec<Entry> = (0..500u64).map(|i| (i * 1_000, i)).collect();
+        batched.bulk_load(&bulk).unwrap();
+        per_key.bulk_load(&bulk).unwrap();
+        let batch: Vec<Entry> = (0..3_000u64).map(|i| (100_000 + i * 7, i)).collect();
+        batched.insert_batch(&batch).unwrap();
+        for &(k, v) in &batch {
+            per_key.insert(k, v).unwrap();
+        }
+        assert!(per_key.disk.stats().freed_blocks() > 0, "some subtree was rebuilt");
+        assert_eq!(batched.stats().smo_count, per_key.stats().smo_count);
+        assert_eq!(batched.node_count(), per_key.node_count());
+        assert_eq!(headers(&batched), headers(&per_key));
+    }
+
+    /// A rebuild collects and frees its subtree in one walk that reads each
+    /// block at most once: on a disk with no pool, the Smo step of an
+    /// insert that rebuilds reads no more blocks than the rebuild frees.
+    /// (The subtree root's block 0 is already in hand; the parent's slot
+    /// block that the repointing may read is the one read outside it.)
+    #[test]
+    fn a_rebuild_reads_each_block_of_its_subtree_once() {
+        let mut l = eager_rebuilds();
+        let data: Vec<Entry> = (0..500u64).map(|i| (i * 1_000, i)).collect();
+        l.bulk_load(&data).unwrap();
+        let mut rebuilds = 0;
+        for i in 0..3_000u64 {
+            let (freed, before) = (l.disk.stats().freed_blocks(), l.insert_breakdown());
+            l.insert(100_000 + i * 7, i).unwrap();
+            let freed = l.disk.stats().freed_blocks() - freed;
+            let reads = l.insert_breakdown().since(&before).reads(InsertStep::Smo);
+            if freed > 0 {
+                assert!(reads <= freed, "insert {i}: {reads} reads to rebuild {freed} blocks");
+                rebuilds += 1;
+            }
+        }
+        assert!(rebuilds >= 3, "{rebuilds} rebuilds");
+    }
+
     /// The nodes a lookup of `key` visits, root first, each with the slot
     /// it probes there.
     fn path_of(l: &LippIndex, key: Key) -> Vec<(LippNode, u32)> {
@@ -980,7 +1043,7 @@ mod tests {
         assert_eq!((h.data_count, h.child_count), (data_slots, child_slots));
         assert!(child_slots > 0 && data_slots > 0);
         let mut stored = Vec::new();
-        root.collect_subtree(&mut cursor, &mut stored, l.node_count).unwrap();
+        root.walk_subtree(&mut cursor, l.node_count, |e| stored.push(e), |_, _| {}).unwrap();
         let mut want: Vec<Entry> = bulk.iter().copied().chain(batch.iter().copied()).collect();
         want.sort_unstable();
         assert_eq!(stored, want, "every slot the batch wrote survives its header write");
@@ -1080,10 +1143,10 @@ mod tests {
         assert!(matches!(scanned, Err(IndexError::Internal(_))), "{scanned:?}");
     }
 
-    /// A child slot that names an ancestor fails each subtree walk a
-    /// rebuild makes with a typed error instead of a stack overflow.
+    /// A child slot that names an ancestor fails the subtree walk a rebuild
+    /// makes with a typed error instead of a stack overflow.
     #[test]
-    fn a_cyclic_child_pointer_fails_every_subtree_walk() {
+    fn a_cyclic_child_pointer_fails_the_subtree_walk() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
         let file = disk.create_file().unwrap();
         let (capacity, model) = (8u32, lidx_models::LinearModel::new(0.1, 0.0));
@@ -1096,14 +1159,10 @@ mod tests {
         slots[3] = Slot::Child(10, child);
         let root =
             LippNode::write_new(&disk, file, parent, BlockKind::Leaf, model, &slots, 2).unwrap();
-        let nodes = 2;
-        let mut cursor = disk.cursor();
-        let collected = root.collect_subtree(&mut cursor, &mut Vec::new(), nodes);
-        assert!(matches!(collected, Err(IndexError::Internal(_))), "{collected:?}");
-        let counted = count_nodes(&mut cursor, &root, nodes);
-        assert!(matches!(counted, Err(IndexError::Internal(_))), "{counted:?}");
-        let freed = root.free_subtree(&mut cursor, nodes);
-        assert!(matches!(freed, Err(IndexError::Internal(_))), "{freed:?}");
+        let (mut entries, mut done) = (0, 0);
+        let walked = root.walk_subtree(&mut disk.cursor(), 2, |_| entries += 1, |_, _| done += 1);
+        assert!(matches!(walked, Err(IndexError::Internal(_))), "{walked:?}");
+        assert_eq!(done, 0, "no node of the cycle finishes its walk");
     }
 
     #[test]

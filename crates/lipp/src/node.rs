@@ -158,8 +158,8 @@ pub struct LippNode {
     /// The decoded header.
     pub header: LippHeader,
     /// Block 0 as this handle loaded or last wrote it: the header bytes
-    /// (possibly behind [`LippNode::header`] while statistics are deferred)
-    /// and the first [`head_slots`] slots.
+    /// (behind [`LippNode::header`] between a statistics bump and its
+    /// [`LippNode::write_header`]) and the first [`head_slots`] slots.
     block0: BlockRef,
 }
 
@@ -330,12 +330,15 @@ impl LippNode {
         Ok(LippNode { file, start, kind, header, block0: BlockRef::from_vec(buf) })
     }
 
-    /// Walks this node's subtree depth first in slot order, reading every
-    /// slot with [`LippNode::read_slot`]: `data` sees each stored entry, in key order,
-    /// and `done` each node once its subtree is walked (children before
-    /// their parent). Children are loaded with this node's block kind. The
-    /// walk may load `budget` nodes, the tree's node
-    /// count (see [`lidx_core::spend`]), and keeps its path on the heap, so a cyclic
+    /// Walks this node's subtree depth first in slot order: `data` sees
+    /// each stored entry, in key order, and `done` each node once its
+    /// subtree is walked (children before their parent). Children are
+    /// loaded through `cursor` with this node's block kind. Each node on the
+    /// path keeps the frame of the block it read its last slot from, so a
+    /// return from a child reads nothing again: the walk reads each block
+    /// of the subtree at most once, and this node's block 0 not at all. The
+    /// walk may load `budget` nodes, the tree's node count (see
+    /// [`lidx_core::spend`]), and keeps its path on the heap, so a cyclic
     /// child pointer is an error, neither a hang nor a stack overflow.
     pub(crate) fn walk_subtree(
         &self,
@@ -344,15 +347,22 @@ impl LippNode {
         mut data: impl FnMut(Entry),
         mut done: impl FnMut(&mut BlockCursor<'_>, &LippNode),
     ) -> IndexResult<()> {
-        // Each node on the path with the next slot to read.
-        let mut path = vec![(self.clone(), 0u32)];
-        while let Some((node, slot)) = path.last_mut() {
+        let bs = cursor.disk().block_size();
+        // Each node on the path with the next slot to read and the block
+        // (with its frame) that the walk read last in this node.
+        let mut path = vec![(self.clone(), 0u32, self.start, self.block0.clone())];
+        while let Some((node, slot, held, frame)) = path.last_mut() {
             if *slot == node.header.capacity {
-                let (node, _) = path.pop().expect("the path is not empty");
+                let (node, ..) = path.pop().expect("the path is not empty");
                 done(cursor, &node);
                 continue;
             }
-            let read = node.read_slot(cursor, *slot)?;
+            let (block, off) = node.slot_location(*slot, bs);
+            if block != *held {
+                *frame = cursor.read(node.file, block, node.kind)?.clone();
+                *held = block;
+            }
+            let read = get_slot(frame, off)?;
             *slot += 1;
             match read {
                 Slot::Null => {}
@@ -360,38 +370,12 @@ impl LippNode {
                 Slot::Child(_, block) => {
                     spend(&mut budget, "LIPP walk")?;
                     let child = LippNode::load(cursor, node.file, block, node.kind)?;
-                    path.push((child, 0));
+                    let frame = child.block0.clone();
+                    path.push((child, 0, block, frame));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Collects every entry stored in this node's subtree, in key order.
-    /// The walk may load `budget` nodes, the tree's node count, so a cyclic
-    /// child pointer is an error.
-    pub fn collect_subtree(
-        &self,
-        cursor: &mut BlockCursor<'_>,
-        out: &mut Vec<Entry>,
-        budget: u64,
-    ) -> IndexResult<()> {
-        self.walk_subtree(cursor, budget, |e| out.push(e), |_, _| {})
-    }
-
-    /// Frees this node's extent and every descendant's, children first.
-    /// The walk may load `budget` nodes, the tree's node count, so a cyclic
-    /// child pointer is an error.
-    pub fn free_subtree(&self, cursor: &mut BlockCursor<'_>, budget: u64) -> IndexResult<()> {
-        self.walk_subtree(
-            cursor,
-            budget,
-            |_| {},
-            |cursor, node| {
-                let blocks = node.total_blocks(cursor.disk().block_size());
-                cursor.free(node.file, node.start, blocks);
-            },
-        )
     }
 }
 
@@ -579,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn collect_and_free_subtree() {
+    fn one_walk_collects_and_frees_a_subtree() {
         let d = disk();
         let file = d.create_file().unwrap();
         // Child node with two entries.
@@ -602,12 +586,14 @@ mod tests {
         let parent =
             LippNode::write_new(&d, file, start, BlockKind::Leaf, model, &slots, 4).unwrap();
 
+        // One walk collects the entries and frees each node after its slots.
         let mut out = Vec::new();
-        parent.collect_subtree(&mut d.cursor(), &mut out, 2).unwrap();
-        assert_eq!(out, vec![(5, 50), (10, 100), (20, 200), (30, 300)]);
-
         let before_freed = d.stats().freed_blocks();
-        parent.free_subtree(&mut d.cursor(), 2).unwrap();
+        let free = |cursor: &mut BlockCursor<'_>, node: &LippNode| {
+            cursor.free(node.file, node.start, node.total_blocks(512));
+        };
+        parent.walk_subtree(&mut d.cursor(), 2, |e| out.push(e), free).unwrap();
+        assert_eq!(out, vec![(5, 50), (10, 100), (20, 200), (30, 300)]);
         let freed = d.stats().freed_blocks() - before_freed;
         assert_eq!(
             freed,
@@ -634,7 +620,7 @@ mod tests {
         let mut cursor = d.cursor();
         let root = LippNode::load(&mut cursor, file, built.root, BlockKind::Inner).unwrap();
         let mut out = Vec::new();
-        root.collect_subtree(&mut cursor, &mut out, built.nodes).unwrap();
+        root.walk_subtree(&mut cursor, built.nodes, |e| out.push(e), |_, _| {}).unwrap();
         assert_eq!(out, entries);
         assert!(d.stats().reads_of(BlockKind::Inner) >= built.nodes);
         assert_eq!(d.stats().reads_of(BlockKind::Leaf), 0, "children inherit the kind");
@@ -645,7 +631,7 @@ mod tests {
             if let Slot::Child(first, block) = root.read_slot(&mut cursor, slot).unwrap() {
                 let child = LippNode::load(&mut cursor, file, block, BlockKind::Inner).unwrap();
                 let mut held = Vec::new();
-                child.collect_subtree(&mut cursor, &mut held, built.nodes).unwrap();
+                child.walk_subtree(&mut cursor, built.nodes, |e| held.push(e), |_, _| {}).unwrap();
                 assert_eq!(first, held[0].0);
                 children += 1;
             }

@@ -583,6 +583,16 @@ struct InsertCost {
 /// replaces: 74 → 50 blocks on the 4 KiB rows, and on `fb` 3 716 → 960
 /// (PLA) and 19 462 → 1 146 (model tree). Every other value of those rows,
 /// and every other row, is unchanged.
+///
+/// The three LIPP rows were recorded again when a subtree rebuild began
+/// collecting, counting and freeing its nodes in one walk instead of three,
+/// each path level keeping the frame of the slot block it read last. Only
+/// reads and device time fell; writes, SMOs and storage did not move. On
+/// the HDD, Smo-step reads 100 → 34, 8.29 → 7.63 s (all reads 4 312 →
+/// 4 246); on the SSD, whose pool had answered the walks' re-reads, only
+/// the Search step moved (1 437 → 1 435 reads, as fewer pool hits leave a
+/// different recency order), 669.6 → 669.4 ms; on `fb`, Smo-step reads
+/// 2 117 → 709, 1.9010 → 1.7603 s (all reads 9 372 → 7 964).
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
@@ -594,7 +604,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, alex
     InsertCost { reads: [0, 4008, 5925, 1875], writes: [0, 4, 3942, 1875], device_ns: 173854600000, smo_count: 4, storage_blocks: 103, steps: [[60060200000, 6008, 0], [94241200000, 5758, 3876], [843200000, 42, 74], [18710000000, 0, 1871]] },
     // hdd, no pool, lipp
-    InsertCost { reads: [0, 0, 4312, 0], writes: [0, 0, 4357, 0], device_ns: 86541500000, smo_count: 361, storage_blocks: 516, steps: [[41971500000, 4212, 0], [16400000000, 0, 1640], [8290000000, 100, 729], [19880000000, 0, 1988]] },
+    InsertCost { reads: [0, 0, 4246, 0], writes: [0, 0, 4357, 0], device_ns: 85881500000, smo_count: 361, storage_blocks: 516, steps: [[41971500000, 4212, 0], [16400000000, 0, 1640], [7630000000, 34, 729], [19880000000, 0, 1988]] },
     // hdd, no pool, hybrid-pla
     InsertCost { reads: [0, 2000, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60480000000, smo_count: 24, storage_blocks: 50, steps: [[40000000000, 4000, 0], [19760000000, 0, 1976], [720000000, 0, 72], [0, 0, 0]] },
     // hdd, no pool, hybrid-modeltree
@@ -608,7 +618,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // ssd, pool 64, alex
     InsertCost { reads: [0, 0, 76, 0], writes: [0, 4, 3942, 1875], device_ns: 706120000, smo_count: 4, storage_blocks: 103, steps: [[0, 0, 0], [472620000, 75, 3876], [8980000, 1, 74], [224520000, 0, 1871]] },
     // ssd, pool 64, lipp
-    InsertCost { reads: [0, 0, 1468, 0], writes: [0, 0, 4357, 0], device_ns: 669600000, smo_count: 361, storage_blocks: 516, steps: [[143660000, 1437, 0], [196800000, 0, 1640], [90580000, 31, 729], [238560000, 0, 1988]] },
+    InsertCost { reads: [0, 0, 1466, 0], writes: [0, 0, 4357, 0], device_ns: 669400000, smo_count: 361, storage_blocks: 516, steps: [[143460000, 1435, 0], [196800000, 0, 1640], [90580000, 31, 729], [238560000, 0, 1988]] },
     // ssd, pool 64, hybrid-pla
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 50, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, hybrid-modeltree
@@ -622,7 +632,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // fb, 512 B, ssd, no pool, alex
     InsertCost { reads: [0, 2002, 80568, 2002], writes: [0, 2, 65674, 2003], device_ns: 13990200000, smo_count: 2, storage_blocks: 1300, steps: [[400200000, 4002, 0], [13295420000, 80387, 65317], [54580000, 183, 362], [240000000, 0, 2000]] },
     // fb, 512 B, ssd, no pool, lipp
-    InsertCost { reads: [0, 0, 9372, 0], writes: [0, 0, 8175, 0], device_ns: 1900960000, smo_count: 926, storage_blocks: 15631, steps: [[708500000, 7255, 0], [131640000, 0, 1097], [488060000, 2117, 2305], [572760000, 0, 4773]] },
+    InsertCost { reads: [0, 0, 7964, 0], writes: [0, 0, 8175, 0], device_ns: 1760320000, smo_count: 926, storage_blocks: 15631, steps: [[708500000, 7255, 0], [131640000, 0, 1097], [347420000, 709, 2305], [572760000, 0, 4773]] },
     // fb, 512 B, ssd, no pool, hybrid-pla
     InsertCost { reads: [0, 7620, 2000, 0], writes: [0, 2759, 2095, 0], device_ns: 1399680000, smo_count: 95, storage_blocks: 960, steps: [[817200000, 9620, 0], [228600000, 0, 1905], [353880000, 0, 2949], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, hybrid-modeltree
