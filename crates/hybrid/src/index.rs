@@ -1,5 +1,6 @@
 //! The hybrid index: learned inner directory over a B+-tree leaf level.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use lidx_btree::{Boundary, LeafLevel, LeafView};
@@ -7,7 +8,7 @@ use lidx_core::{
     index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
     IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
 };
-use lidx_storage::{BlockId, BlockKind, Disk, OpClass};
+use lidx_storage::{BlockId, BlockKind, Disk, FileId, OpClass};
 
 use crate::inner::{InnerDirectory, ModelTreeInner, PlaInner};
 
@@ -55,6 +56,10 @@ pub struct HybridIndex {
     /// The leaf level's own file.
     leaf_file: u32,
     leaves: LeafLevel,
+    /// The learned directory's own file, and the blocks of it that the
+    /// current directory was appended into.
+    dir_file: FileId,
+    dir_blocks: Range<BlockId>,
     inner: Box<dyn InnerDirectory + Send + Sync>,
     /// In-memory copy of the `(boundary, leaf block)` pairs, used only to
     /// rebuild the inner directory after leaf splits (meta-style state; all
@@ -70,17 +75,15 @@ impl HybridIndex {
     /// Creates an empty hybrid index.
     pub fn new(disk: Arc<Disk>, config: HybridConfig) -> IndexResult<Self> {
         let leaf_file = disk.create_file()?;
-        let leaves = LeafLevel::new(disk.block_size());
-        let inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
-            HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
-            HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(&disk))?),
-        };
+        let dir_file = disk.create_file()?;
         Ok(HybridIndex {
+            leaves: LeafLevel::new(disk.block_size()),
+            inner: directory(&disk, config, dir_file),
             disk,
             config,
             leaf_file,
-            leaves,
-            inner,
+            dir_file,
+            dir_blocks: 0..0,
             boundaries: Vec::new(),
             key_count: 0,
             smo_count: 0,
@@ -90,17 +93,22 @@ impl HybridIndex {
     }
 
     /// Reopens a hybrid index from [`IndexWrite::save_meta`] bytes against a
-    /// disk that already holds its leaf blocks. `config` must match the one
-    /// the index was created with (including the inner flavour). The learned
+    /// disk that already holds its blocks. `config` must match the one the
+    /// index was created with (including the inner flavour). The learned
     /// inner directory is rebuilt from the persisted boundary table — the
-    /// same refresh path leaf splits take — so it lands in fresh blocks.
+    /// same refresh path leaf splits take — into the directory's own file,
+    /// and the saved directory's blocks are freed.
     ///
     /// A boundary table no index writes is [`IndexError::Internal`]: keys
     /// that do not strictly increase, or a leaf block past the leaf file.
-    /// Both directory builds and every leaf read trust those bounds.
+    /// Both directory builds and every leaf read trust those bounds. So is
+    /// a directory file that is the leaf file, or a directory range past
+    /// the end of its file.
     pub fn load(disk: Arc<Disk>, config: HybridConfig, meta: &[u8]) -> IndexResult<Self> {
         let mut r = MetaReader::new(meta);
         let leaf_file = r.u32()?;
+        let dir_file = r.u32()?;
+        let dir_blocks = r.u32()?..r.u32()?;
         let leaf_count = r.u64()?;
         let loaded = r.u32()? != 0;
         let key_count = r.u64()?;
@@ -117,31 +125,65 @@ impl HybridIndex {
                 "hybrid boundary table is out of order or overruns its {leaf_blocks} leaf blocks"
             )));
         }
-        let leaves = LeafLevel::from_parts(disk.block_size(), leaf_count);
-        let mut inner: Box<dyn InnerDirectory + Send + Sync> = match config.inner {
-            HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(&disk), config.epsilon)?),
-            HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(&disk))?),
-        };
-        if !boundaries.is_empty() {
-            inner.rebuild(&boundaries)?;
+        let dir_len = disk.num_blocks(dir_file)?;
+        if dir_file == leaf_file || dir_blocks.start > dir_blocks.end || dir_blocks.end > dir_len {
+            return Err(IndexError::Internal(format!(
+                "hybrid directory {dir_blocks:?} of file {dir_file} (leaf file {leaf_file}, \
+                 {dir_len} blocks)"
+            )));
         }
-        Ok(HybridIndex {
+        let mut index = HybridIndex {
+            leaves: LeafLevel::from_parts(disk.block_size(), leaf_count),
+            inner: directory(&disk, config, dir_file),
             disk,
             config,
             leaf_file,
-            leaves,
-            inner,
+            dir_file,
+            dir_blocks,
             boundaries,
             key_count,
             smo_count,
             loaded,
             breakdown: InsertBreakdown::new(),
-        })
+        };
+        if !index.boundaries.is_empty() {
+            index.rebuild_directory()?;
+        }
+        Ok(index)
+    }
+
+    /// Builds the directory over the boundary table into the directory's
+    /// file, then frees the range the directory it replaces was appended
+    /// into and makes it the range this build appended. Only builds
+    /// allocate in the file, so every block of an appended range is its
+    /// build's, and freeing it walks nothing. A build that reuses freed
+    /// space ([`lidx_storage::DiskConfig::reuse_freed_space`]) places those
+    /// blocks outside its range, so they stay allocated for good: space
+    /// lost, never a live block freed.
+    fn rebuild_directory(&mut self) -> IndexResult<()> {
+        let start = self.disk.num_blocks(self.dir_file)?;
+        self.inner.rebuild(&self.boundaries)?;
+        let end = self.disk.num_blocks(self.dir_file)?;
+        let superseded = std::mem::replace(&mut self.dir_blocks, start..end);
+        self.disk.free(self.dir_file, superseded.start, superseded.len() as u32);
+        Ok(())
     }
 
     /// Number of leaf blocks.
     pub fn leaf_count(&self) -> u64 {
         self.leaves.leaf_count()
+    }
+}
+
+/// An empty directory of `config`'s flavour that builds into `file`.
+fn directory(
+    disk: &Arc<Disk>,
+    config: HybridConfig,
+    file: FileId,
+) -> Box<dyn InnerDirectory + Send + Sync> {
+    match config.inner {
+        HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(disk), file, config.epsilon)),
+        HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(disk), file)),
     }
 }
 
@@ -245,7 +287,7 @@ impl IndexRead for HybridIndex {
     fn storage_blocks(&self) -> u64 {
         // A rebuilt directory frees the one it replaces, so the live
         // footprint is the allocation minus what has been freed (§6.3).
-        self.disk.total_blocks() - self.inner.freed_blocks()
+        self.disk.total_blocks().saturating_sub(self.disk.freed_blocks(self.dir_file))
     }
 }
 
@@ -256,7 +298,7 @@ impl IndexWrite for HybridIndex {
         }
         validate_bulk_load(entries)?;
         self.boundaries = self.leaves.bulk_build(&self.disk, self.leaf_file, entries, LEAF_FILL)?;
-        self.inner.rebuild(&self.boundaries)?;
+        self.rebuild_directory()?;
         self.key_count = entries.len() as u64;
         self.loaded = true;
         Ok(())
@@ -334,7 +376,7 @@ impl IndexWrite for HybridIndex {
             // above is bookkeeping only.
             let telemetry = Arc::clone(&self.disk);
             let _span = telemetry.telemetry().span(OpClass::Smo);
-            self.inner.rebuild(&self.boundaries)?;
+            self.rebuild_directory()?;
             laps.lap(&mut self.breakdown, InsertStep::Smo);
         }
         Ok(())
@@ -347,9 +389,13 @@ impl IndexWrite for HybridIndex {
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
         // Leaf blocks are written eagerly; the inner directory is derivable
         // from the boundary table (it is rebuilt on load), so the meta is
-        // the leaf-level parts plus the boundaries.
+        // the leaf-level parts, the directory's file and blocks (which a
+        // load frees) and the boundaries.
         let mut w = MetaWriter::new();
         w.u32(self.leaf_file)
+            .u32(self.dir_file)
+            .u32(self.dir_blocks.start)
+            .u32(self.dir_blocks.end)
             .u64(self.leaves.leaf_count())
             .u32(self.loaded as u32)
             .u64(self.key_count)
@@ -615,6 +661,50 @@ mod tests {
             assert!(splits >= 50, "{inner:?}: {splits} splits");
             assert!(4 * blocks <= 5 * btree, "{inner:?}: {blocks} blocks, the B+-tree {btree}");
         }
+    }
+
+    /// A reopen rebuilds the directory into the directory's own file and
+    /// frees the saved one, so reopening on one disk again and again leaves
+    /// the footprint and the file count where the saved index had them.
+    /// Before, each reopen built into a new file and leaked the saved
+    /// directory: 27 (PLA) or 80 (model tree) blocks per reopen here.
+    #[test]
+    fn reopens_keep_the_footprint_and_the_files() {
+        for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
+            let (mut h, data) = build(inner, 20_000);
+            let disk = Arc::clone(h.disk());
+            let saved = (h.storage_blocks(), disk.num_files());
+            for reopen in 1..=3 {
+                let meta = h.save_meta().unwrap();
+                h = HybridIndex::load(Arc::clone(&disk), h.config, &meta).unwrap();
+                let now = (h.storage_blocks(), disk.num_files());
+                assert_eq!(now, saved, "{inner:?}: reopen {reopen}");
+            }
+            for &(k, v) in data.iter().step_by(997) {
+                assert_eq!(h.lookup(k).unwrap(), Some(v), "{inner:?} key {k}");
+            }
+        }
+    }
+
+    /// A meta whose directory file is the leaf file, or whose directory
+    /// range runs past its file or backwards, is refused.
+    #[test]
+    fn a_directory_outside_its_file_is_refused() {
+        let (mut h, _) = build(HybridInnerKind::ModelTree, 2_000);
+        let meta = h.save_meta().unwrap();
+        let dir_len = h.disk().num_blocks(h.dir_file).unwrap();
+        // The meta starts with the leaf file, the directory file and the
+        // directory's first and past-the-end blocks.
+        let forged = |at: usize, value: u32| {
+            let mut bytes = meta.clone();
+            bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            HybridIndex::load(Arc::clone(h.disk()), h.config, &bytes)
+        };
+        for (at, value) in [(4, h.leaf_file), (12, dir_len + 1), (8, h.dir_blocks.end + 1)] {
+            let loaded = forged(at, value).map(|_| ());
+            assert!(matches!(loaded, Err(IndexError::Internal(_))), "{at}: {loaded:?}");
+        }
+        assert!(forged(4, h.dir_file).is_ok(), "the intact meta loads");
     }
 
     #[test]

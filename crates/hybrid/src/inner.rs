@@ -4,7 +4,6 @@
 //! key) is the greatest one not exceeding the search key — a *floor* lookup.
 //! All their I/O is charged to [`BlockKind::Inner`].
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use lidx_core::{block_pointer, spend, Entry, IndexError, IndexResult, Key};
@@ -33,32 +32,6 @@ pub trait InnerDirectory {
 
     /// Height of the directory including the in-memory root.
     fn height(&self) -> u32;
-
-    /// Blocks of the directory's file that the directories a rebuild
-    /// replaced have freed.
-    fn freed_blocks(&self) -> u64;
-}
-
-/// Runs a directory build that allocates in `file` only, then frees
-/// `superseded`, the range the directory it replaces was appended into,
-/// and makes it the range this build appended. Only builds allocate in the
-/// file, so every block of an appended range is its build's, and freeing it
-/// walks nothing. A build that reuses freed space
-/// ([`lidx_storage::DiskConfig::reuse_freed_space`]) places those blocks
-/// outside its range, so they stay allocated for good: space lost, never a
-/// live block freed.
-fn replace_directory<T>(
-    disk: &Disk,
-    file: FileId,
-    superseded: &mut Range<BlockId>,
-    build: impl FnOnce() -> IndexResult<T>,
-) -> IndexResult<T> {
-    let start = disk.num_blocks(file)?;
-    let built = build()?;
-    let end = disk.num_blocks(file)?;
-    disk.free(file, superseded.start, superseded.len() as u32);
-    *superseded = start..end;
-    Ok(built)
 }
 
 // ---------------------------------------------------------------------------
@@ -70,37 +43,28 @@ fn replace_directory<T>(
 /// "PGM" columns): a [`StaticPgm`] over the `(boundary, leaf block)` pairs,
 /// routed by its floor query. The whole directory, boundary array included,
 /// is charged to [`BlockKind::Inner`], and every rebuild appends a fresh
-/// component to the directory's one file and frees the one it replaces.
+/// component to the directory's file.
 pub struct PlaInner {
     disk: Arc<Disk>,
     file: FileId,
     epsilon: usize,
     pgm: Option<StaticPgm>,
-    /// The blocks the current component was appended into.
-    blocks: Range<BlockId>,
     first_leaf: BlockId,
 }
 
 impl PlaInner {
-    /// Creates an empty PLA directory with error bound `epsilon`.
-    pub fn new(disk: Arc<Disk>, epsilon: usize) -> IndexResult<Self> {
-        let file = disk.create_file()?;
-        Ok(PlaInner { disk, file, epsilon: epsilon.max(1), pgm: None, blocks: 0..0, first_leaf: 0 })
+    /// Creates an empty PLA directory with error bound `epsilon` that
+    /// builds into `file`.
+    pub fn new(disk: Arc<Disk>, file: FileId, epsilon: usize) -> Self {
+        PlaInner { disk, file, epsilon: epsilon.max(1), pgm: None, first_leaf: 0 }
     }
 }
 
 impl InnerDirectory for PlaInner {
     fn rebuild(&mut self, boundaries: &[Boundary]) -> IndexResult<()> {
         let entries: Vec<Entry> = boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
-        let pgm = replace_directory(&self.disk, self.file, &mut self.blocks, || {
-            StaticPgm::build(
-                Arc::clone(&self.disk),
-                self.file,
-                &entries,
-                self.epsilon,
-                BlockKind::Inner,
-            )
-        })?;
+        let disk = Arc::clone(&self.disk);
+        let pgm = StaticPgm::build(disk, self.file, &entries, self.epsilon, BlockKind::Inner)?;
         self.pgm = Some(pgm);
         self.first_leaf = boundaries.first().map_or(0, |b| b.1);
         Ok(())
@@ -119,10 +83,6 @@ impl InnerDirectory for PlaInner {
         // base level + record levels + in-memory root
         2 + self.pgm.as_ref().map_or(0, |p| p.inner_levels() as u32)
     }
-
-    fn freed_blocks(&self) -> u64 {
-        self.disk.freed_blocks(self.file)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -138,32 +98,21 @@ const GAP_FACTOR: usize = 2;
 /// ([`lidx_lipp::node`]) over the `(boundary, leaf block)` pairs, charged to
 /// [`BlockKind::Inner`]. A slot holds a boundary with its leaf, or a child
 /// keyed by the first boundary it holds; every rebuild appends a fresh tree
-/// to the directory's one file and frees the one it replaces.
+/// to the directory's file.
 pub struct ModelTreeInner {
     disk: Arc<Disk>,
     file: FileId,
     /// Start block of the root node; `None` before the first rebuild.
     root: Option<BlockId>,
-    /// The blocks the current tree was appended into.
-    blocks: Range<BlockId>,
     nodes: u64,
     height: u32,
     first_leaf: BlockId,
 }
 
 impl ModelTreeInner {
-    /// Creates an empty model-tree directory.
-    pub fn new(disk: Arc<Disk>) -> IndexResult<Self> {
-        let file = disk.create_file()?;
-        Ok(ModelTreeInner {
-            disk,
-            file,
-            root: None,
-            blocks: 0..0,
-            nodes: 0,
-            height: 0,
-            first_leaf: 0,
-        })
+    /// Creates an empty model-tree directory that builds into `file`.
+    pub fn new(disk: Arc<Disk>, file: FileId) -> Self {
+        ModelTreeInner { disk, file, root: None, nodes: 0, height: 0, first_leaf: 0 }
     }
 }
 
@@ -171,9 +120,7 @@ impl InnerDirectory for ModelTreeInner {
     fn rebuild(&mut self, boundaries: &[Boundary]) -> IndexResult<()> {
         let entries: Vec<Entry> = boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
         let capacity = |n: usize| n.saturating_mul(GAP_FACTOR).clamp(8, 1 << 20) as u32;
-        let built = replace_directory(&self.disk, self.file, &mut self.blocks, || {
-            build_subtree(&self.disk, self.file, BlockKind::Inner, &entries, &capacity)
-        })?;
+        let built = build_subtree(&self.disk, self.file, BlockKind::Inner, &entries, &capacity)?;
         self.root = Some(built.root);
         self.nodes = built.nodes;
         self.height = built.depth;
@@ -229,10 +176,6 @@ impl InnerDirectory for ModelTreeInner {
     fn height(&self) -> u32 {
         self.height
     }
-
-    fn freed_blocks(&self) -> u64 {
-        self.disk.freed_blocks(self.file)
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +209,7 @@ mod tests {
     #[test]
     fn pla_inner_floor_lookups() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = PlaInner::new(Arc::clone(&disk), 8).unwrap();
+        let mut dir = PlaInner::new(Arc::clone(&disk), disk.create_file().unwrap(), 8);
         let bounds = boundaries(5_000, 37);
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() > 0);
@@ -277,7 +220,7 @@ mod tests {
     #[test]
     fn model_tree_inner_floor_lookups() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         let bounds = boundaries(5_000, 37);
         dir.rebuild(&bounds).unwrap();
         assert!(dir.node_count() >= 1);
@@ -287,7 +230,7 @@ mod tests {
     #[test]
     fn model_tree_handles_clustered_boundaries() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut dir = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         let mut bounds: Vec<Boundary> = Vec::new();
         for c in 0..50u64 {
             for i in 0..40u64 {
@@ -302,7 +245,7 @@ mod tests {
     #[test]
     fn inner_io_is_attributed_to_inner_blocks() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut dir = PlaInner::new(Arc::clone(&disk), 8).unwrap();
+        let mut dir = PlaInner::new(Arc::clone(&disk), disk.create_file().unwrap(), 8);
         let bounds = boundaries(2_000, 11);
         dir.rebuild(&bounds).unwrap();
         disk.stats().reset();
@@ -341,7 +284,7 @@ mod tests {
         // the model tree that is its own root.
         let beyond = 1u64 << 32;
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         mt.rebuild(&[(10, 7)]).unwrap();
         for tag in [DATA, CHILD] {
             forge_root_slots(&disk, &mt, tag, beyond);
@@ -355,7 +298,7 @@ mod tests {
     #[test]
     fn a_cyclic_child_pointer_is_an_error_not_a_stack_overflow() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         mt.rebuild(&[(10, 7)]).unwrap();
         assert_eq!(mt.node_count(), 1);
         // Every slot of the root names the root itself as a child whose
@@ -375,7 +318,7 @@ mod tests {
     #[test]
     fn a_child_without_a_boundary_below_its_key_is_an_error() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         // Three adjacent boundaries conflict in one slot of an 18-slot,
         // one-block root, so they form a child keyed 100.
         let mut bounds: Vec<Boundary> = vec![(100, 1), (101, 2), (102, 3)];
@@ -398,7 +341,7 @@ mod tests {
     #[test]
     fn a_one_block_model_tree_node_costs_one_inner_read() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mut mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         // Nine evenly spaced boundaries: 18 slots, within the 19 that share
         // block 0 with the header at 512 bytes, and one slot each.
         let bounds = boundaries(9, 1_000);
@@ -436,7 +379,7 @@ mod tests {
                 }
             }
             let disk = Disk::in_memory(DiskConfig::with_block_size(block_size));
-            let mut mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+            let mut mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
             mt.rebuild(&bounds).unwrap();
             let floor = |key: Key| {
                 let i = bounds.partition_point(|b| b.0 <= key);
@@ -452,9 +395,9 @@ mod tests {
     #[test]
     fn directories_refuse_lookups_before_rebuild() {
         let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let pla = PlaInner::new(Arc::clone(&disk), 8).unwrap();
+        let pla = PlaInner::new(Arc::clone(&disk), disk.create_file().unwrap(), 8);
         assert!(pla.find_leaf(&mut disk.cursor(), 1).is_err());
-        let mt = ModelTreeInner::new(Arc::clone(&disk)).unwrap();
+        let mt = ModelTreeInner::new(Arc::clone(&disk), disk.create_file().unwrap());
         assert!(mt.find_leaf(&mut disk.cursor(), 1).is_err());
     }
 }
