@@ -471,7 +471,8 @@ impl IndexWrite for LippIndex {
                 laps.lap(&mut self.breakdown, InsertStep::Maintenance);
 
                 // Rebuild the shallowest node on the path that needs it,
-                // repointing its parent's slot (or the root).
+                // repointing its parent's slot (or the root). The leaf joins
+                // the path so that it can be the target; its slot goes unused.
                 let shallowest =
                     path.iter().map(|(n, _)| n).chain([&node]).position(|n| self.should_rebuild(n));
                 if let Some(i) = shallowest {
