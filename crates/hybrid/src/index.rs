@@ -97,7 +97,7 @@ impl HybridIndex {
     /// index was created with (including the inner flavour). The learned
     /// inner directory is rebuilt from the persisted boundary table — the
     /// same refresh path leaf splits take — into the directory's own file,
-    /// and the saved directory's blocks are freed.
+    /// after the saved directory's blocks are freed.
     ///
     /// A boundary table no index writes is [`IndexError::Internal`]: keys
     /// that do not strictly increase, or a leaf block past the leaf file.
@@ -132,6 +132,11 @@ impl HybridIndex {
                  {dir_len} blocks)"
             )));
         }
+        // The saved directory is freed before the rebuild, so a build that
+        // reuses freed space may land in it, and the rebuild frees nothing
+        // the saved range holds. The pager counts a repeated free once, so
+        // a second load of one meta on one disk frees nothing more.
+        disk.free(dir_file, dir_blocks.start, dir_blocks.len() as u32);
         let mut index = HybridIndex {
             leaves: LeafLevel::from_parts(disk.block_size(), leaf_count),
             inner: directory(&disk, config, dir_file),
@@ -139,7 +144,7 @@ impl HybridIndex {
             config,
             leaf_file,
             dir_file,
-            dir_blocks,
+            dir_blocks: 0..0,
             boundaries,
             key_count,
             smo_count,
@@ -287,7 +292,7 @@ impl IndexRead for HybridIndex {
     fn storage_blocks(&self) -> u64 {
         // A rebuilt directory frees the one it replaces, so the live
         // footprint is the allocation minus what has been freed (§6.3).
-        self.disk.total_blocks().saturating_sub(self.disk.freed_blocks(self.dir_file))
+        self.disk.total_blocks() - self.disk.freed_blocks(self.dir_file)
     }
 }
 
@@ -414,7 +419,10 @@ mod tests {
     use lidx_storage::{BlockKind, DiskConfig};
 
     fn build(inner: HybridInnerKind, n: u64) -> (HybridIndex, Vec<Entry>) {
-        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        build_on(Disk::in_memory(DiskConfig::with_block_size(512)), inner, n)
+    }
+
+    fn build_on(disk: Arc<Disk>, inner: HybridInnerKind, n: u64) -> (HybridIndex, Vec<Entry>) {
         let mut h = HybridIndex::new(disk, HybridConfig { inner, epsilon: 16 }).unwrap();
         let mut keys: Vec<u64> = (0..n).map(|i| i * 13 + (i % 29) * 7).collect();
         keys.sort_unstable();
@@ -682,6 +690,41 @@ mod tests {
             }
             for &(k, v) in data.iter().step_by(997) {
                 assert_eq!(h.lookup(k).unwrap(), Some(v), "{inner:?} key {k}");
+            }
+        }
+    }
+
+    /// Loading one meta twice on one disk frees the saved directory once.
+    /// Without reuse each load appends its own directory and the freed
+    /// count stays the saved range's; with reuse each load builds into the
+    /// freed range, the disk does not grow, and no live block is freed.
+    #[test]
+    fn one_meta_loaded_twice_frees_its_directory_once() {
+        for reuse in [false, true] {
+            let config = DiskConfig::with_block_size(512).reuse_freed_space(reuse);
+            let (mut h, data) =
+                build_on(Disk::in_memory(config), HybridInnerKind::ModelTree, 20_000);
+            let (disk, dir_file, saved) = (Arc::clone(h.disk()), h.dir_file, h.dir_blocks.len());
+            let (meta, total, config) = (h.save_meta().unwrap(), disk.total_blocks(), h.config);
+            drop(h);
+            let mut loads = (1..=2).map(|load| {
+                let h = HybridIndex::load(Arc::clone(&disk), config, &meta).unwrap();
+                if reuse {
+                    assert_eq!(disk.total_blocks(), total, "load {load}");
+                } else {
+                    assert_eq!(disk.freed_blocks(dir_file), saved as u64, "load {load}");
+                }
+                h
+            });
+            drop(loads.next());
+            let mut h = loads.next().unwrap();
+            // Leaf splits rebuild the directory and free the loaded one.
+            let fresh: Vec<Entry> = (0..2_000u64).map(|i| (i * 13 + 5, i)).collect();
+            h.insert_batch(&fresh).unwrap();
+            assert!(h.smo_count > 0);
+            for &(k, v) in data.iter().step_by(97).chain(&fresh) {
+                let want = fresh.iter().find(|e| e.0 == k).map_or(v, |e| e.1);
+                assert_eq!(h.lookup(k).unwrap(), Some(want), "reuse {reuse} key {k}");
             }
         }
     }

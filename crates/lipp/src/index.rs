@@ -1163,6 +1163,9 @@ mod tests {
         let (mut entries, mut done) = (0, 0);
         let walked = root.walk_subtree(&mut disk.cursor(), 2, |_| entries += 1, |_, _| done += 1);
         assert!(matches!(walked, Err(IndexError::Internal(_))), "{walked:?}");
+        // The root, its child and the root again each give their one entry
+        // before the budget of two child steps runs out.
+        assert_eq!(entries, 3, "entries seen before the cycle is caught");
         assert_eq!(done, 0, "no node of the cycle finishes its walk");
     }
 

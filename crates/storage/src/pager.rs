@@ -100,29 +100,29 @@ impl Pager {
         state.allocated_blocks = state.allocated_blocks.max(u64::from(total));
     }
 
-    /// Marks an extent as freed (invalidated by an SMO).
+    /// Marks an extent as freed (invalidated by an SMO). Blocks of the
+    /// extent that are already free stay counted once, so freeing a range
+    /// twice is the same as freeing it once.
     pub fn free(&mut self, file: u32, start: BlockId, count: u32) {
         if count == 0 {
             return;
         }
         let state = self.file_mut(file);
-        state.freed_blocks += u64::from(count);
-        // Coalesce with an adjacent preceding extent if present.
-        let mut start = start;
-        let mut count = count;
-        if let Some((&prev_start, &prev_len)) = state.freed.range(..start).next_back() {
-            if prev_start + prev_len == start {
-                state.freed.remove(&prev_start);
-                start = prev_start;
-                count += prev_len;
+        let end = start + count;
+        // Merge every freed extent that overlaps or touches the range into
+        // one, counting the blocks the range shares with them.
+        let (mut lo, mut hi, mut already) = (start, end, 0u32);
+        while let Some((&s, &len)) = state.freed.range(..=end).next_back() {
+            if s + len < start {
+                break;
             }
+            state.freed.remove(&s);
+            already += (s + len).min(end).saturating_sub(s.max(start));
+            lo = lo.min(s);
+            hi = hi.max(s + len);
         }
-        // Coalesce with an adjacent following extent if present.
-        if let Some(&next_len) = state.freed.get(&(start + count)) {
-            state.freed.remove(&(start + count));
-            count += next_len;
-        }
-        state.freed.insert(start, count);
+        state.freed_blocks += u64::from(count - already);
+        state.freed.insert(lo, hi - lo);
     }
 
     /// Total blocks currently sitting in freed extents of `file`.
@@ -183,6 +183,23 @@ mod tests {
         p.free(0, 0, 4);
         assert_eq!(p.freed_extents(0), 1, "three adjacent extents must coalesce into one");
         assert_eq!(p.try_reuse(0, 12), Some(0));
+    }
+
+    #[test]
+    fn a_repeated_or_overlapping_free_counts_each_block_once() {
+        let mut p = Pager::new();
+        p.set_reuse_freed(true);
+        p.note_extend(0, 0, 64);
+        p.free(0, 10, 8);
+        p.free(0, 10, 8);
+        assert_eq!(p.freed_blocks(0), 8);
+        // Overlapping both ends and bridging to a second extent.
+        p.free(0, 30, 4);
+        p.free(0, 6, 26);
+        assert_eq!(p.freed_blocks(0), 28);
+        assert_eq!(p.freed_extents(0), 1);
+        assert_eq!(p.try_reuse(0, 28), Some(6));
+        assert_eq!(p.freed_blocks(0), 0);
     }
 
     #[test]
