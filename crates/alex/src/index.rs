@@ -596,7 +596,10 @@ impl IndexRead for AlexIndex {
         }
         let mut nodes = std::collections::HashMap::new();
         for c in q.complete()? {
-            nodes.insert(c.block, DataNode::from_header_bytes(self.data_file, c.block, &c.frame)?);
+            nodes.insert(
+                c.block,
+                DataNode::from_frame(&self.disk, self.data_file, c.block, c.frame)?,
+            );
         }
 
         // Phase 3: one wave prefetching every probe's predicted slot block.
@@ -648,8 +651,9 @@ impl IndexRead for AlexIndex {
         loop {
             spend(&mut budget, "ALEX sibling walk")?;
             // The bitmap distinguishes real entries from gap duplicates — the
-            // extra utility I/O the paper highlights for ALEX scans (S3). The
-            // scan fetches each bitmap block and each slot block once and
+            // extra utility I/O the paper highlights for ALEX scans (S3).
+            // Here its bits start in the header block the node's load read;
+            // the scan fetches each spill block and each slot block once and
             // walks them in memory.
             node.scan_slots(&mut cursor, slot, start, count, out)?;
             if out.len() >= count || node.header.next == INVALID_BLOCK {
@@ -700,9 +704,9 @@ impl IndexWrite for AlexIndex {
     /// The one write path (`insert` is a batch of one), run on one
     /// write-back cursor ([`Disk::write_back`]): every read and write of
     /// the batch goes through it, so a block the batch writes again — the
-    /// node's bitmap and slot blocks, its statistics header after every
-    /// insert that changes the count — reaches the disk once per batch,
-    /// charged at its first write. A key reuses the cached leaf when it
+    /// node's slot blocks, its block 0 with the bitmap bit and then the
+    /// statistics header of every fresh insert — reaches the disk once per
+    /// batch, charged at its first write. A key reuses the cached leaf when it
     /// provably routes there (`witness <= key <= max`, monotone model
     /// routing); any other key descends afresh, reading the header the
     /// batch last wrote. SMOs receive the cached leaf and its parent path.
@@ -738,7 +742,9 @@ impl IndexWrite for AlexIndex {
                         laps.lap(&mut self.breakdown, InsertStep::Insert);
                         if c.node.header.count != prior_count {
                             // The updated occupancy and cost-model statistics
-                            // are the maintenance overhead of Fig. 6.
+                            // are the maintenance of Fig. 6. Unless the bit
+                            // the Insert step set lies in a spill block, they
+                            // share its block 0, so this write is free.
                             c.node.write_header(cursor)?;
                             laps.lap(&mut self.breakdown, InsertStep::Maintenance);
                         }
@@ -782,6 +788,7 @@ impl IndexWrite for AlexIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::HEADER_BYTES;
     use lidx_storage::{BlockKind, DiskConfig};
     use proptest::prelude::*;
 
@@ -1021,6 +1028,10 @@ mod tests {
         }
     }
 
+    /// A scan walks nodes in key order and reads each node's bitmap to skip
+    /// gap copies. The bitmap bits of a node of at most `(bs -
+    /// HEADER_BYTES)·8` slots sit in its header block, so the scan reads no
+    /// `Utility` block; a node whose bitmap spills reads its spill block.
     #[test]
     fn scan_crosses_data_nodes_in_key_order() {
         let mut a = index(512);
@@ -1030,14 +1041,20 @@ mod tests {
         let mut out = Vec::new();
         let n = a.scan(data[start_idx].0, 500, &mut out).unwrap();
         assert_eq!(n, 500);
-        assert_eq!(out[0], data[start_idx]);
-        assert_eq!(out[499], data[start_idx + 499]);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-        // Scans must consult the bitmap (utility blocks).
+        assert_eq!(out, data[start_idx..start_idx + 500]);
         let before = a.disk().snapshot();
         a.scan(data[100].0, 200, &mut out).unwrap();
+        assert_eq!(out, data[100..300], "the bitmap skips every gap copy");
         let delta = a.disk().snapshot().since(&before);
-        assert!(delta.reads_of(BlockKind::Utility) > 0, "scans read the bitmap");
+        assert_eq!(delta.reads_of(BlockKind::Utility), 0, "the bitmap is in the header block");
+        assert!(delta.reads_of(BlockKind::Leaf) > 0);
+
+        let (a, data) = one_spilled_node();
+        let before = a.disk().snapshot();
+        a.scan(data[0].0, data.len(), &mut out).unwrap();
+        assert_eq!(out, data);
+        let delta = a.disk().snapshot().since(&before);
+        assert_eq!(delta.reads_of(BlockKind::Utility), 1, "one spill block");
     }
 
     #[test]
@@ -1245,21 +1262,51 @@ mod tests {
         }
     }
 
+    /// Every fresh insert persists the node statistics, and the header
+    /// shares block 0 with the bitmap bit the Insert step already charged:
+    /// the Maintenance step writes no block of its own.
     #[test]
     fn maintenance_writes_show_up_in_the_breakdown() {
         let mut a = index(512);
         a.bulk_load(&entries(2_000, 6)).unwrap();
-        for i in 0..300u64 {
-            a.insert(i * 6 + 4, i).unwrap();
+        // Three keys into each of 50 spots between neighbouring bulk keys:
+        // a few per node, under every density bound, and enough to shift.
+        for i in (0..2_000u64).step_by(40) {
+            for d in 2..5 {
+                a.insert(i * 6 + d, i).unwrap();
+            }
         }
         let b = a.insert_breakdown();
-        assert_eq!(b.inserts, 300);
+        assert_eq!((b.inserts, a.stats().smo_count), (150, 0));
         assert!(b.reads(InsertStep::Search) > 0);
-        assert!(b.writes(InsertStep::Insert) > 0);
-        assert!(
-            b.writes(InsertStep::Maintenance) >= 300,
-            "every fresh insert persists the node statistics"
-        );
+        assert!(b.writes(InsertStep::Insert) >= 2 * 150, "block 0 and a slot block per insert");
+        assert_eq!(b.writes(InsertStep::Maintenance), 0);
+        assert_eq!(b.device_ns(InsertStep::Maintenance), 0);
+        // A reload sees the statistics every insert wrote.
+        let meta = a.save_meta().unwrap();
+        let reopened = AlexIndex::load(Arc::clone(&a.disk), a.config, &meta).unwrap();
+        let nodes = data_nodes(&reopened);
+        assert_eq!(nodes.iter().map(|n| n.header.num_inserts).sum::<u64>(), 150);
+        assert!(nodes.iter().map(|n| n.header.num_shifts).sum::<u64>() > 0);
+        assert_eq!(nodes.iter().map(|n| u64::from(n.header.count)).sum::<u64>(), 2_150);
+    }
+
+    /// On 4 KiB blocks a per-key fresh insert whose shift stays in one slot
+    /// block stores exactly two blocks: block 0, with the bit and the
+    /// statistics, and the slot block. It reads no bitmap block.
+    #[test]
+    fn a_fresh_insert_stores_its_header_block_and_one_slot_block() {
+        let mut a = index(4096);
+        a.bulk_load(&entries(2_000, 10)).unwrap();
+        let root = a.route(&mut a.disk.cursor(), 505, None).unwrap();
+        let node = DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
+        assert_eq!(node.geometry(4096), DataGeometry { bitmap_blocks: 0, slot_blocks: 1 });
+        let before = a.disk().snapshot();
+        a.insert(505, 1).unwrap();
+        let delta = a.disk().snapshot().since(&before);
+        assert_eq!((delta.writes(), delta.writes_of(BlockKind::Leaf)), (2, 2));
+        assert_eq!(delta.reads_of(BlockKind::Utility), 0);
+        assert_eq!(a.lookup(505).unwrap(), Some(1));
     }
 
     #[test]
@@ -1297,10 +1344,10 @@ mod tests {
 
     #[test]
     fn insert_batch_writes_each_touched_header_once() {
-        // A sorted co-located run: the sequential loop writes the leaf's
-        // statistics header once per key; the batch writes it per key too,
-        // but through its write-back cursor, which charges it and stores it
-        // once per touched node.
+        // A sorted co-located run: the batch writes each leaf's statistics
+        // header per key, through its write-back cursor, into the block 0
+        // whose bitmap bit the Insert step already charged, so Maintenance is
+        // charged nothing and block 0 is stored once per touched node.
         let mut a = index(512);
         a.bulk_load(&entries(2_000, 10)).unwrap();
         let run: Vec<Entry> = (0..256u64).map(|i| (i * 10 + 5, i)).collect();
@@ -1368,23 +1415,66 @@ mod tests {
         assert_eq!(a.stats().smo_count, 1);
     }
 
-    /// A node under its density bound always has a gap, so a bitmap block
-    /// with every bit set is corrupt: the insert fails with a typed error
-    /// and starts no expansion.
+    /// One bulk-loaded data node of 3 000 keys at stride 10 on 512-byte
+    /// blocks (capacity 4 286): its bitmap spills one block past block 0.
+    fn one_spilled_node() -> (AlexIndex, Vec<Entry>) {
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let config = AlexConfig { target_leaf_entries: 4_096, ..Default::default() };
+        let mut a = AlexIndex::with_config(disk, config).unwrap();
+        let data = entries(3_000, 10);
+        a.bulk_load(&data).unwrap();
+        let node = data_nodes(&a).remove(0);
+        assert_eq!((a.data_nodes, node.geometry(512).bitmap_blocks), (1, 1));
+        (a, data)
+    }
+
+    /// A node under its density bound always has a gap, so a bitmap with
+    /// every bit set is corrupt: the insert fails with a typed error and
+    /// starts no expansion. The bitmap is forged in block 0's tail, and for
+    /// a node whose bitmap spills, in its spill block too.
     #[test]
     fn a_bitmap_with_no_gap_is_an_error_not_an_expansion() {
-        let mut a = one_data_node();
-        let mut cursor = a.disk.cursor();
-        let root = a.route(&mut cursor, Key::MIN, None).unwrap();
-        let node = DataNode::load(&mut cursor, a.data_file, root).unwrap();
-        assert_eq!(node.geometry(512).bitmap_blocks, 1);
-        cursor.write(a.data_file, root + 1, BlockKind::Utility, &[0xFF; 512]).unwrap();
-        drop(cursor);
-        for key in [0, 15, 555, 10_000] {
-            let inserted = a.insert(key, 1);
-            assert!(matches!(inserted, Err(IndexError::Internal(_))), "key {key}: {inserted:?}");
+        for (mut a, len) in [(one_data_node(), 100), (one_spilled_node().0, 3_000)] {
+            let mut cursor = a.disk.cursor();
+            let root = a.route(&mut cursor, Key::MIN, None).unwrap();
+            let node = DataNode::load(&mut cursor, a.data_file, root).unwrap();
+            let mut block0 = cursor.read(a.data_file, root, BlockKind::Leaf).unwrap().to_vec();
+            block0[HEADER_BYTES..].fill(0xFF);
+            cursor.write(a.data_file, root, BlockKind::Leaf, &block0).unwrap();
+            for spill in 1..=node.geometry(512).bitmap_blocks {
+                cursor.write(a.data_file, root + spill, BlockKind::Utility, &[0xFF; 512]).unwrap();
+            }
+            drop(cursor);
+            for key in [0, 15, 555, 10_000] {
+                let inserted = a.insert(key, 1);
+                assert!(
+                    matches!(inserted, Err(IndexError::Internal(_))),
+                    "key {key}: {inserted:?}"
+                );
+            }
+            assert_eq!((a.stats().smo_count, a.len()), (0, len));
+            assert_eq!(a.lookup(11).unwrap(), Some(12));
         }
-        assert_eq!((a.stats().smo_count, a.len()), (0, 100));
+    }
+
+    /// A bitmap that marks gap copies as entries makes a node's slots
+    /// repeat keys. An insert that needs an SMO collects them and fails
+    /// with a typed error instead of rebuilding the node with duplicates,
+    /// and the node stays as it was.
+    #[test]
+    fn a_bitmap_that_marks_gap_copies_fails_the_smo() {
+        let mut a = one_data_node();
+        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+        let mut node = DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
+        for slot in 0..node.header.capacity {
+            node.set_bit(&mut a.disk.cursor(), slot, true).unwrap();
+        }
+        // 116 entries would cross the bound 0.8 · 143 = 114.4.
+        node.header.count = 115;
+        node.write_header(&mut a.disk.cursor()).unwrap();
+        let inserted = a.insert(5, 5);
+        assert!(matches!(inserted, Err(IndexError::Internal(_))), "{inserted:?}");
+        assert_eq!((a.len(), a.stats().leaf_nodes), (100, 1));
         assert_eq!(a.lookup(11).unwrap(), Some(12));
     }
 
@@ -1428,8 +1518,9 @@ mod tests {
             if !real.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("node {}: real entries out of order", node.start));
             }
+            let bs = a.disk.block_size();
             let bitmap_end =
-                node.geometry(a.disk.block_size()).bitmap_blocks * a.disk.block_size() as u32 * 8;
+                ((1 + node.geometry(bs).bitmap_blocks as usize) * bs - HEADER_BYTES) as u32 * 8;
             if capacity < bitmap_end {
                 if let Some(s) = node.find_bit(&mut cursor, capacity, bitmap_end - 1, true).unwrap()
                 {
@@ -1452,23 +1543,78 @@ mod tests {
         Ok(())
     }
 
+    /// For every data node whose bitmap spills past block 0: `find_bit`
+    /// from either side of block 0's last bit to the other, for both bit
+    /// values, and `scan_slots` over that boundary agree with a bit-by-bit
+    /// reading of the bitmap and the slots.
+    fn check_spill_boundary(a: &AlexIndex) -> Result<(), String> {
+        let bs = a.disk.block_size();
+        let edge = ((bs - HEADER_BYTES) * 8) as u32;
+        let mut cursor = a.disk.cursor();
+        for node in data_nodes(a) {
+            let capacity = node.header.capacity;
+            if node.geometry(bs).bitmap_blocks == 0 {
+                continue;
+            }
+            let (lo, hi) = (edge.saturating_sub(200), (edge + 200).min(capacity - 1));
+            let bits: Vec<bool> = (lo..=hi)
+                .map(|s| node.find_bit(&mut cursor, s, s, true).unwrap() == Some(s))
+                .collect();
+            let naive = |from: u32, toward: u32, want: bool| -> Option<u32> {
+                let hit = |&s: &u32| bits[(s - lo) as usize] == want;
+                if toward >= from {
+                    (from..=toward).find(hit)
+                } else {
+                    (toward..=from).rev().find(hit)
+                }
+            };
+            for (from, toward) in
+                [(lo, hi), (hi, lo), (edge - 1, hi), (edge, lo), (edge - 64, edge)]
+            {
+                for want in [false, true] {
+                    let got = node.find_bit(&mut cursor, from, toward, want).unwrap();
+                    if got != naive(from, toward, want) {
+                        return Err(format!(
+                            "node {}: find_bit {from} -> {toward} for {want} gave {got:?}",
+                            node.start
+                        ));
+                    }
+                }
+            }
+            let real: Vec<Entry> = (lo..=hi)
+                .filter(|&s| bits[(s - lo) as usize])
+                .map(|s| node.read_slot(&mut cursor, s).unwrap())
+                .collect();
+            let mut scanned = Vec::new();
+            node.scan_slots(&mut cursor, lo, Key::MIN, real.len(), &mut scanned).unwrap();
+            if scanned != real {
+                return Err(format!("node {}: scan_slots over slot {edge} disagrees", node.start));
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
         /// ALEX against a `BTreeMap` through per-key `insert` and multi-key
-        /// `insert_batch` (the cached-leaf path) into one data node of more
-        /// than 4 096 slots at 512-byte blocks: 32 slots per slot block and
-        /// 4 096 per bitmap block. A hot cluster of keys around slot 4 096
-        /// packs that region, so shifts in both directions cross slot-block
-        /// and bitmap-block boundaries; keys below the minimum and above the
-        /// maximum take the node's edges. A far outlier in the bulk set
-        /// packs the other keys into the middle of the node, behind leading
-        /// gaps that the first key below the minimum is copied into. After
-        /// every step each key is looked up, a full scan matches, and the
-        /// gap copies hold.
+        /// `insert_batch` (the cached-leaf path) into one data node of 2 858
+        /// to 5 143 slots at 512-byte blocks: 32 slots per slot block, and
+        /// a bitmap that keeps 3 648 bits beside the header and spills into
+        /// a block of its own past them (from the start or after the node
+        /// grows). A hot cluster of keys around slot 3 648, or the node's
+        /// last slot block if it is smaller, packs that region, so shifts in
+        /// both directions cross slot-block and bitmap-block boundaries; keys
+        /// below the minimum and above the maximum take the node's edges. A
+        /// far outlier in the bulk set packs the other keys into the middle
+        /// of the node, behind leading gaps that the first key below the
+        /// minimum is copied into. After every step each key is looked up, a
+        /// full scan matches, the gap copies hold, and `find_bit` in both
+        /// directions and `scan_slots` across block 0's end agree with a
+        /// bit-by-bit reading of the bitmap.
         #[test]
         fn closest_gap_inserts_keep_gap_copies_and_match_an_oracle(
-            bulk in 3_000u64..3_600,
+            bulk in 2_000u64..3_600,
             outlier in any::<bool>(),
             steps in proptest::collection::vec(
                 (any::<bool>(), proptest::collection::vec((0u8..4, any::<u64>()), 1..120)),
@@ -1484,8 +1630,9 @@ mod tests {
             }
             a.bulk_load(&data).unwrap();
             let root = data_nodes(&a).remove(0);
-            prop_assert!(root.header.capacity > 4_096);
-            let hot = root.read_slot(&mut a.disk.cursor(), 4_096).unwrap().0;
+            let spill_at = ((512 - HEADER_BYTES) * 8) as u32;
+            let hot_slot = spill_at.min(root.header.capacity - 32);
+            let hot = root.read_slot(&mut a.disk.cursor(), hot_slot).unwrap().0;
             let (min, max) = (data[0].0, data[data.len() - 1].0);
             let mut oracle: std::collections::BTreeMap<Key, Value> = data.iter().copied().collect();
             for (per_key, picks) in steps {
@@ -1516,8 +1663,93 @@ mod tests {
                 let mut scanned = Vec::new();
                 a.scan(Key::MIN, oracle.len() + 1, &mut scanned).unwrap();
                 prop_assert!(scanned.iter().copied().eq(oracle.iter().map(|(&k, &v)| (k, v))));
-                if let Err(broken) = check_gap_copies(&a) {
+                if let Err(broken) = check_gap_copies(&a).and_then(|()| check_spill_boundary(&a)) {
                     prop_assert!(false, "{}", broken);
+                }
+            }
+        }
+    }
+
+    /// Runs a lookup, a batched lookup, a scan and an insert of `key` on
+    /// `a`, each under the watchdog, and returns each one's verdict: an
+    /// answer or a typed error. A panic or a hang fails the caller.
+    fn every_operation(a: AlexIndex, key: Key) -> [IndexResult<()>; 4] {
+        let a = Arc::new(a);
+        let read = |walk: fn(&AlexIndex, Key) -> IndexResult<()>| {
+            let a = Arc::clone(&a);
+            within_deadline(move || walk(&a, key))
+        };
+        let lookup = read(|a, key| a.lookup(key).map(drop));
+        let batch = read(|a, key| a.lookup_batch(&[key, key / 2, Key::MAX], &mut Vec::new()));
+        let scan = read(|a, key| a.scan(key, 64, &mut Vec::new()).map(drop));
+        let mut a = Arc::into_inner(a).expect("the walks are done");
+        let insert = within_deadline(move || a.insert(key, 1));
+        [lookup, batch, scan, insert]
+    }
+
+    /// A data node whose capacity puts its extent past the end of the file
+    /// is an `Internal` error for every operation that loads it, not a read
+    /// of another node's blocks or of blocks that do not exist.
+    #[test]
+    fn a_capacity_past_the_file_is_an_internal_error() {
+        for capacity in [10_000, u32::MAX] {
+            let (a, data) = one_spilled_node();
+            let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+            let mut block0 =
+                a.disk.cursor().read(a.data_file, root, BlockKind::Leaf).unwrap().to_vec();
+            block0[4..8].copy_from_slice(&capacity.to_le_bytes());
+            a.disk.write(a.data_file, root, BlockKind::Leaf, &block0).unwrap();
+            for (op, verdict) in ["lookup", "lookup_batch", "scan", "insert"]
+                .into_iter()
+                .zip(every_operation(a, data[7].0))
+            {
+                assert!(matches!(verdict, Err(IndexError::Internal(_))), "{op}: {verdict:?}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Damaged block 0 of one data node: its bytes are cut (zero from
+        /// some byte on, a torn write) and flipped, in the header and in the
+        /// bitmap beside it, for nodes whose bitmap fits in block 0 and a
+        /// node whose bitmap spills. A lookup, a batched lookup, a scan and
+        /// an insert then each give an answer or a typed error, never a
+        /// panic or a hang.
+        #[test]
+        fn a_damaged_header_block_gives_an_answer_or_a_typed_error(
+            spill in any::<bool>(),
+            pick in any::<u32>(),
+            cut in 0usize..1_024,
+            flips in proptest::collection::vec((any::<bool>(), 0usize..512, any::<u8>()), 0..6),
+            probe in any::<u64>(),
+        ) {
+            let (a, data) = if spill {
+                one_spilled_node()
+            } else {
+                let mut a = index(512);
+                let data = entries(2_000, 3);
+                a.bulk_load(&data).unwrap();
+                (a, data)
+            };
+            let nodes = data_nodes(&a);
+            let node = &nodes[pick as usize % nodes.len()];
+            let mut block0 =
+                a.disk.cursor().read(a.data_file, node.start, BlockKind::Leaf).unwrap().to_vec();
+            if cut < block0.len() {
+                block0[cut..].fill(0);
+            }
+            for (in_header, at, mask) in flips {
+                block0[if in_header { at % HEADER_BYTES } else { at }] ^= mask.max(1);
+            }
+            a.disk.write(a.data_file, node.start, BlockKind::Leaf, &block0).unwrap();
+            // A key of the damaged node, and one anywhere.
+            let own = node.read_slot(&mut a.disk.cursor(), 0).unwrap().0;
+            let key = if probe % 2 == 0 { own } else { probe % (data[data.len() - 1].0 + 100) };
+            for verdict in every_operation(a, key) {
+                if let Err(e) = verdict {
+                    prop_assert!(!e.to_string().is_empty());
                 }
             }
         }

@@ -3,17 +3,32 @@
 //! # Data node extent
 //!
 //! ```text
-//! block 0            : header (model, capacity, count, stats, sibling links)
-//! blocks 1..1+BM     : bitmap, 1 bit per slot (BM = ceil(capacity / (8·bs)))
+//! block 0            : header (HEADER_BYTES: model, capacity, count, stats,
+//!                      sibling links), then the bitmap, 1 bit per slot
+//! blocks 1..1+BM     : the bitmap's spill past block 0, if any
+//!                      (BM = 0 up to (bs - HEADER_BYTES)·8 slots, 32 320 at 4 KiB)
 //! blocks 1+BM..      : slots, 16 bytes each (gapped array)
 //! ```
+//!
+//! The bitmap is one bit string that starts right after the header: slot
+//! `s` owns bit `HEADER_BYTES·8 + s` of the extent's first `1 + BM` blocks
+//! (`bit_location`, the one mapping every bitmap access goes through).
+//! Block 0 is read as a `Leaf` block, for the header and its bitmap bits
+//! alike; spill blocks are `Utility` blocks. A [`DataNode`] handle keeps the
+//! block-0 frame it was loaded from or last wrote, so its bitmap bits are
+//! read from that frame, and a header write patches the frame's first
+//! [`HEADER_BYTES`] and costs one block write and no read. An insert sets
+//! its bit and rewrites the statistics in the same block, so on a
+//! write-back cursor the header write rides on the block the bit already
+//! dirtied.
 //!
 //! Gap slots duplicate their nearest left real entry (leading gaps duplicate
 //! the first real entry), so point lookups never need the bitmap — the disk
 //! translation of ALEX's "overwrite preceding empty slots" trick (S5). The
 //! bitmap is only consulted by inserts (to find gaps) and scans (to skip
-//! duplicates), which is exactly where the paper locates ALEX's utility
-//! overhead (S3).
+//! duplicates), which is where the paper locates ALEX's utility overhead
+//! (S3); here it shares the header's block, so a node whose bitmap fits
+//! there pays no block for it.
 //!
 //! An insert follows ALEX's closest-gap rule ([`DataNode::closest_gap`]): a
 //! fresh key finds the nearest free slot on either side of its lower bound
@@ -37,19 +52,32 @@ use lidx_core::entries::{self, ENTRY_BYTES};
 use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
 use lidx_storage::{
-    bytes_at, BlockCursor, BlockId, BlockKind, BlockReader, BlockWriter, Disk, SeqHint,
+    bytes_at, BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk, SeqHint,
 };
 
 /// Size of one slot in bytes: a `(key, payload)` entry in the shared slot
 /// codec ([`lidx_core::entries`]).
 pub const SLOT_BYTES: usize = ENTRY_BYTES;
 
+/// Bytes of block 0 the data-node header reserves; the bitmap follows it.
+/// A multiple of 8, so each 64-bit bitmap word covers 64 slots that start
+/// at a multiple of 64.
+pub const HEADER_BYTES: usize = 56;
+
 const TAG_DATA: u8 = 0xD1;
 const TAG_INNER: u8 = 0xA1;
 
-/// Word `w` of a bitmap block: bit `i` of the word is the bit of slot
-/// `64·w + i` of the block (byte `i / 8`, bit `i % 8` of the word's bytes).
-/// A block that ends inside the word reads as zero past its end.
+/// Where the bitmap keeps `slot`'s bit: the block's offset in the extent
+/// (0 is the header block, the spill blocks follow it) and the bit's index
+/// in that block (byte `bit / 8`, bit `bit % 8`).
+fn bit_location(slot: u32, block_size: usize) -> (u32, usize) {
+    let bit = HEADER_BYTES * 8 + slot as usize;
+    ((bit / (block_size * 8)) as u32, bit % (block_size * 8))
+}
+
+/// Word `w` of a bitmap block: bit `i` of the word is bit `64·w + i` of the
+/// block (byte `i / 8`, bit `i % 8` of the word's bytes). A block that ends
+/// inside the word reads as zero past its end.
 fn bitmap_word(buf: &[u8], w: usize) -> u64 {
     let mut bytes = [0u8; 8];
     let word = &buf[w * 8..(w * 8 + 8).min(buf.len())];
@@ -94,20 +122,18 @@ pub struct DataHeader {
     pub prev: BlockId,
     /// Start block of the next data node, or [`lidx_storage::INVALID_BLOCK`].
     pub next: BlockId,
-    /// Statistics maintained for the cost model (updated on every insert —
-    /// the maintenance overhead of Fig. 6).
+    /// Statistics maintained for the cost model, updated on every fresh
+    /// insert (the maintenance of Fig. 6, which shares block 0 with the
+    /// bitmap bit the insert sets).
     pub num_inserts: u64,
     /// Total slots shifted by inserts into this node.
     pub num_shifts: u64,
-    /// Lookups served by this node (the paper notes ALEX would even update
-    /// this on reads; our implementation follows the paper's optimisation of
-    /// not persisting it for read-only queries).
-    pub num_lookups: u64,
 }
 
 impl DataHeader {
-    fn encode(&self, block_size: usize) -> IndexResult<Vec<u8>> {
-        let mut w = BlockWriter::new(block_size);
+    /// Encodes the header into its [`HEADER_BYTES`] at the front of block 0.
+    fn encode(&self) -> IndexResult<Vec<u8>> {
+        let mut w = BlockWriter::new(HEADER_BYTES);
         w.put_u8(TAG_DATA)?;
         w.put_u8(0)?;
         w.put_u16(0)?;
@@ -119,10 +145,11 @@ impl DataHeader {
         w.put_u32(self.next)?;
         w.put_u64(self.num_inserts)?;
         w.put_u64(self.num_shifts)?;
-        w.put_u64(self.num_lookups)?;
         Ok(w.finish())
     }
 
+    /// Decodes the header from the front of block 0. A count above the
+    /// capacity is an error.
     fn decode(buf: &[u8]) -> IndexResult<Self> {
         let mut r = BlockReader::new(buf);
         let tag = r.get_u8()?;
@@ -133,6 +160,11 @@ impl DataHeader {
         r.get_u16()?;
         let capacity = r.get_u32()?;
         let count = r.get_u32()?;
+        if count > capacity {
+            return Err(IndexError::Internal(format!(
+                "ALEX data node holds {count} entries in {capacity} slots"
+            )));
+        }
         let slope = r.get_f64()?;
         let intercept = r.get_f64()?;
         let prev = r.get_u32()?;
@@ -145,7 +177,6 @@ impl DataHeader {
             next,
             num_inserts: r.get_u64()?,
             num_shifts: r.get_u64()?,
-            num_lookups: r.get_u64()?,
         })
     }
 }
@@ -153,7 +184,9 @@ impl DataHeader {
 /// Geometry of a data node extent for a given block size and capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DataGeometry {
-    /// Blocks used by the bitmap.
+    /// Bitmap blocks after the header block: the bitmap's spill past block
+    /// 0's tail, 0 for a node of at most `(block_size - HEADER_BYTES)·8`
+    /// slots.
     pub bitmap_blocks: u32,
     /// Blocks used by the slot array.
     pub slot_blocks: u32,
@@ -162,13 +195,13 @@ pub struct DataGeometry {
 impl DataGeometry {
     /// Computes the geometry for `capacity` slots.
     pub fn for_capacity(capacity: u32, block_size: usize) -> Self {
-        let bitmap_blocks = (capacity as usize).div_ceil(block_size * 8) as u32;
+        let bitmap_blocks = bit_location(capacity.saturating_sub(1), block_size).0;
         let slots_per_block = block_size / SLOT_BYTES;
         let slot_blocks = (capacity as usize).div_ceil(slots_per_block).max(1) as u32;
         DataGeometry { bitmap_blocks, slot_blocks }
     }
 
-    /// Total blocks of the extent (header + bitmap + slots).
+    /// Total blocks of the extent (header + bitmap spill + slots).
     pub fn total_blocks(&self) -> u32 {
         1 + self.bitmap_blocks + self.slot_blocks
     }
@@ -183,20 +216,39 @@ pub struct DataNode {
     pub start: BlockId,
     /// The decoded header.
     pub header: DataHeader,
+    /// Block 0 as this handle loaded or last wrote it: the header bytes
+    /// (behind [`DataNode::header`] between a statistics bump and its
+    /// [`DataNode::write_header`]) and the bitmap bits that fit beside them.
+    block0: BlockRef,
 }
 
 impl DataNode {
-    /// Reads the header of the data node at `start` through the
-    /// operation's cursor (one block read).
+    /// Reads the data node at `start` (block 0: its header and the bitmap
+    /// bits beside it, one `Leaf` read) through the operation's cursor.
     pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
-        let buf = cursor.read(file, start, BlockKind::Leaf)?;
-        Self::from_header_bytes(file, start, buf)
+        let frame = cursor.read(file, start, BlockKind::Leaf)?.clone();
+        Self::from_frame(cursor.disk(), file, start, frame)
     }
 
-    /// Builds a handle from an already-fetched header block (e.g. one
-    /// delivered by a read-queue completion wave), avoiding a second read.
-    pub fn from_header_bytes(file: u32, start: BlockId, buf: &[u8]) -> IndexResult<Self> {
-        Ok(DataNode { file, start, header: DataHeader::decode(buf)? })
+    /// Builds a handle from an already-fetched block 0 (e.g. one delivered
+    /// by a read-queue completion wave), avoiding a second read. A header
+    /// whose extent runs past the end of the file is an error.
+    pub fn from_frame(
+        disk: &Disk,
+        file: u32,
+        start: BlockId,
+        block0: BlockRef,
+    ) -> IndexResult<Self> {
+        let node = DataNode { file, start, header: DataHeader::decode(&block0)?, block0 };
+        let end = u64::from(start) + u64::from(node.total_blocks(disk.block_size()));
+        let file_blocks = disk.num_blocks(file)?;
+        if end > u64::from(file_blocks) {
+            return Err(IndexError::Internal(format!(
+                "ALEX data node at block {start} has {} slots, an extent past the file's {} blocks",
+                node.header.capacity, file_blocks
+            )));
+        }
+        Ok(node)
     }
 
     /// The extent geometry implied by the header.
@@ -209,10 +261,20 @@ impl DataNode {
         self.geometry(block_size).total_blocks()
     }
 
-    /// Persists the header (one block write).
-    pub fn write_header(&self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
-        let buf = self.header.encode(cursor.disk().block_size())?;
+    /// Persists the header through the operation's cursor: one block write
+    /// of block 0 with the header bytes patched into the handle's frame, so
+    /// the bitmap bits that share the block are kept and nothing is read.
+    pub fn write_header(&mut self, cursor: &mut BlockCursor<'_>) -> IndexResult<()> {
+        let mut buf = self.block0.to_vec();
+        buf[..HEADER_BYTES].copy_from_slice(&self.header.encode()?);
+        self.write_block0(cursor, buf)
+    }
+
+    /// Writes `buf` as block 0 through the operation's cursor and makes it
+    /// the handle's frame.
+    fn write_block0(&mut self, cursor: &mut BlockCursor<'_>, buf: Vec<u8>) -> IndexResult<()> {
         cursor.write(self.file, self.start, BlockKind::Leaf, &buf)?;
+        self.block0 = BlockRef::from_vec(buf);
         Ok(())
     }
 
@@ -252,24 +314,40 @@ impl DataNode {
         Ok(())
     }
 
-    /// The bitmap block holding `slot`'s bit (charged as a utility block),
-    /// and the bit's index inside it.
-    fn bit_block(&self, slot: u32, block_size: usize) -> (BlockId, usize) {
-        let bits = block_size * 8;
-        (self.start + 1 + slot / bits as u32, slot as usize % bits)
+    /// The bitmap block at `offset` in the extent: the handle's own frame
+    /// for the header block, a `Utility` read through `cursor` for a spill
+    /// block.
+    fn bitmap_block<'a>(
+        &'a self,
+        cursor: &'a mut BlockCursor<'_>,
+        offset: u32,
+    ) -> IndexResult<&'a BlockRef> {
+        if offset == 0 {
+            return Ok(&self.block0);
+        }
+        Ok(cursor.read(self.file, self.start + offset, BlockKind::Utility)?)
     }
 
-    /// Sets the bitmap bit for `slot`: a read-modify-write through the
-    /// operation's cursor.
-    pub fn set_bit(&self, cursor: &mut BlockCursor<'_>, slot: u32, value: bool) -> IndexResult<()> {
-        let (block, bit) = self.bit_block(slot, cursor.disk().block_size());
-        let mut buf = cursor.read(self.file, block, BlockKind::Utility)?.to_vec();
+    /// Sets the bitmap bit for `slot`: a write of the handle's block 0 with
+    /// the bit patched into its frame, or a read-modify-write of a spill
+    /// block through the operation's cursor.
+    pub fn set_bit(
+        &mut self,
+        cursor: &mut BlockCursor<'_>,
+        slot: u32,
+        value: bool,
+    ) -> IndexResult<()> {
+        let (offset, bit) = bit_location(slot, cursor.disk().block_size());
+        let mut buf = self.bitmap_block(cursor, offset)?.to_vec();
         if value {
             buf[bit / 8] |= 1 << (bit % 8);
         } else {
             buf[bit / 8] &= !(1 << (bit % 8));
         }
-        cursor.write(self.file, block, BlockKind::Utility, &buf)?;
+        if offset == 0 {
+            return self.write_block0(cursor, buf);
+        }
+        cursor.write(self.file, self.start + offset, BlockKind::Utility, &buf)?;
         Ok(())
     }
 
@@ -373,8 +451,9 @@ impl DataNode {
     /// The slot nearest to `from` whose bitmap bit is `occupied`, searching
     /// from `from` toward `toward` (both inclusive, either direction) and no
     /// farther, or `None` if no slot of that range has it. The search tests
-    /// a 64-bit word of the bitmap frame at a time and reads each bitmap
-    /// block it crosses once through `cursor`.
+    /// a 64-bit word of a bitmap block at a time: the bits in block 0 come
+    /// from the handle's frame, and each spill block it crosses is read once
+    /// through `cursor`.
     pub fn find_bit(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -382,23 +461,28 @@ impl DataNode {
         toward: u32,
         occupied: bool,
     ) -> IndexResult<Option<u32>> {
-        let bits = (cursor.disk().block_size() * 8) as u32;
+        let bs = cursor.disk().block_size();
         let up = toward >= from;
         let mut slot = from;
         loop {
-            let base = slot / bits * bits;
-            let buf = cursor.read(self.file, self.start + 1 + slot / bits, BlockKind::Utility)?;
+            let (offset, bit) = bit_location(slot, bs);
             // The part of the range this bitmap block covers, walked a word
-            // at a time.
-            let end = if up { toward.min(base + bits - 1) } else { toward.max(base) };
+            // at a time. A word never straddles two blocks: the bitmap starts
+            // at a multiple of 64 bits.
+            let end = if up {
+                toward.min(slot.saturating_add((bs * 8 - 1 - bit) as u32))
+            } else {
+                toward.max(slot.saturating_sub(bit as u32))
+            };
+            let buf = self.bitmap_block(cursor, offset)?;
             loop {
-                let word_base = slot - (slot - base) % 64;
+                let word_base = slot - slot % 64;
                 let (lo, hi) = if up {
                     (slot - word_base, end.min(word_base + 63) - word_base)
                 } else {
                     (end.max(word_base) - word_base, slot - word_base)
                 };
-                let word = bitmap_word(buf, ((word_base - base) / 64) as usize);
+                let word = bitmap_word(buf, bit_location(word_base, bs).1 / 64);
                 let word = if occupied { word } else { !word };
                 let hits = word & (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
                 if hits != 0 {
@@ -522,11 +606,13 @@ impl DataNode {
     /// `from_slot`, appending those with keys `>= start` to `out` until it
     /// holds `limit` entries. Bitmap blocks and slot blocks are each fetched
     /// once and decoded in memory, so the I/O cost is `slots/B` slot blocks
-    /// plus the covering bitmap blocks — the scan cost the paper attributes
-    /// to ALEX (Table 2 / S3). The fetches take `cursor`'s class: through a
-    /// scan's cursor they are scan reads, so at queue depth > 1 a miss also
-    /// prefetches the blocks that follow it; an SMO collecting a node's
-    /// entries on its insert's cursor reads point-class.
+    /// plus the covering spill blocks — the scan cost the paper attributes
+    /// to ALEX (Table 2 / S3); the bits in block 0 come from the handle's
+    /// frame, which the node's load already read. The fetches take
+    /// `cursor`'s class: through a scan's cursor they are scan reads, so
+    /// above queue depth 1 a miss also prefetches the blocks that follow it;
+    /// an SMO collecting a node's entries on its insert's cursor reads
+    /// point-class.
     pub fn scan_slots(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -537,21 +623,18 @@ impl DataNode {
     ) -> IndexResult<()> {
         let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
-        let bits_per_block = (bs * 8) as u32;
         let geo = self.geometry(bs);
-        let mut bitmap_block_idx = u32::MAX;
-        let mut bitmap_frame: Option<lidx_storage::BlockRef> = None;
+        let mut bitmap_offset = 0;
+        let mut bitmap = self.block0.clone();
         let mut slot = from_slot;
         while slot < self.header.capacity && out.len() < limit {
             // Fetch the bitmap block covering this slot if we do not already
-            // hold it (charged as a utility block).
-            let needed_bitmap = slot / bits_per_block;
-            if needed_bitmap != bitmap_block_idx {
-                let block = self.start + 1 + needed_bitmap;
-                bitmap_frame = Some(cursor.read(self.file, block, BlockKind::Utility)?.clone());
-                bitmap_block_idx = needed_bitmap;
+            // hold it.
+            let (offset, _) = bit_location(slot, bs);
+            if offset != bitmap_offset {
+                bitmap = self.bitmap_block(cursor, offset)?.clone();
+                bitmap_offset = offset;
             }
-            let bitmap = bitmap_frame.as_deref().expect("bitmap block pinned");
             // Fetch the slot block and walk every slot it contains.
             let slot_block = slot / per_block;
             let block = self.start + 1 + geo.bitmap_blocks + slot_block;
@@ -559,10 +642,10 @@ impl DataNode {
             let block_end = ((slot_block + 1) * per_block).min(self.header.capacity);
             while slot < block_end && out.len() < limit {
                 // The bitmap block can end before the slot block does.
-                if slot / bits_per_block != bitmap_block_idx {
+                let (offset, bit) = bit_location(slot, bs);
+                if offset != bitmap_offset {
                     break;
                 }
-                let bit = (slot % bits_per_block) as usize;
                 if bitmap[bit / 8] & (1 << (bit % 8)) != 0 {
                     let off = (slot % per_block) as usize * SLOT_BYTES;
                     let (k, v) = entries::get(&bytes_at(buf, off));
@@ -576,15 +659,21 @@ impl DataNode {
         Ok(())
     }
 
-    /// Collects all real entries in key order (bitmap-guided; used by scans,
-    /// SMOs and tests).
+    /// Collects all real entries in key order (bitmap-guided; used by SMOs
+    /// and tests). Entries whose keys do not strictly increase mean a
+    /// damaged bitmap or slot array: an error, not a node to rebuild from.
     pub fn collect_entries(
         &self,
         cursor: &mut BlockCursor<'_>,
         out: &mut Vec<Entry>,
     ) -> IndexResult<()> {
         self.scan_slots(cursor, 0, Key::MIN, usize::MAX, out)?;
-        debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "slots must be strictly increasing");
+        if let Some(w) = out.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(IndexError::Internal(format!(
+                "ALEX data node at block {} holds key {} before key {}",
+                self.start, w[0].0, w[1].0
+            )));
+        }
         Ok(())
     }
 
@@ -662,35 +751,30 @@ impl DataNode {
             disk.write(file, start + 1 + geo.bitmap_blocks + b, BlockKind::Leaf, &buf)?;
         }
 
-        // Serialise the bitmap blocks.
-        for b in 0..geo.bitmap_blocks {
-            buf.fill(0);
-            for bit in 0..bs * 8 {
-                let slot = b as usize * bs * 8 + bit;
-                if slot < capacity as usize && slots[slot].is_some() {
-                    buf[bit / 8] |= 1 << (bit % 8);
-                }
-            }
-            disk.write(file, start + 1 + b, BlockKind::Utility, &buf)?;
+        // Serialise the bitmap: one bit string after the header, over block
+        // 0 and its spill blocks. The spill blocks are written first and
+        // block 0, with the header, last.
+        let mut block0 = vec![0u8; (1 + geo.bitmap_blocks as usize) * bs];
+        for slot in (0..capacity).filter(|&s| slots[s as usize].is_some()) {
+            let (offset, bit) = bit_location(slot, bs);
+            block0[offset as usize * bs + bit / 8] |= 1 << (bit % 8);
         }
-
-        let node = DataNode {
-            file,
-            start,
-            header: DataHeader {
-                capacity,
-                count: entries.len() as u32,
-                model,
-                prev,
-                next,
-                num_inserts: 0,
-                num_shifts: 0,
-                num_lookups: 0,
-            },
+        let spill = block0.split_off(bs);
+        for (b, block) in (1..).zip(spill.chunks_exact(bs)) {
+            disk.write(file, start + b, BlockKind::Utility, block)?;
+        }
+        let header = DataHeader {
+            capacity,
+            count: entries.len() as u32,
+            model,
+            prev,
+            next,
+            num_inserts: 0,
+            num_shifts: 0,
         };
-        let buf = node.header.encode(bs)?;
-        disk.write(file, start, BlockKind::Leaf, &buf)?;
-        Ok(node)
+        block0[..HEADER_BYTES].copy_from_slice(&header.encode()?);
+        disk.write(file, start, BlockKind::Leaf, &block0)?;
+        Ok(DataNode { file, start, header, block0: BlockRef::from_vec(block0) })
     }
 }
 
@@ -895,15 +979,50 @@ mod tests {
         assert!(matches!(forged, Err(IndexError::Internal(_))), "{forged:?}");
     }
 
+    /// The bitmap fills block 0's tail first: a node spills into a bitmap
+    /// block of its own only past `(bs - HEADER_BYTES)·8` slots.
     #[test]
     fn geometry_accounts_header_bitmap_and_slots() {
         let g = DataGeometry::for_capacity(1024, 4096);
-        assert_eq!(g.bitmap_blocks, 1);
+        assert_eq!(g.bitmap_blocks, 0);
         assert_eq!(g.slot_blocks, 4);
-        assert_eq!(g.total_blocks(), 6);
+        assert_eq!(g.total_blocks(), 5);
         let g = DataGeometry::for_capacity(100_000, 4096);
-        assert_eq!(g.bitmap_blocks, 4);
+        assert_eq!(g.bitmap_blocks, 3);
         assert_eq!(g.slot_blocks, 391);
+        assert_eq!(g.total_blocks(), 395);
+        for bs in [512, 4096] {
+            let in_block0 = ((bs - HEADER_BYTES) * 8) as u32;
+            assert_eq!(DataGeometry::for_capacity(in_block0, bs).bitmap_blocks, 0, "{bs}");
+            assert_eq!(DataGeometry::for_capacity(in_block0 + 1, bs).bitmap_blocks, 1, "{bs}");
+            let two = in_block0 + (bs * 8) as u32;
+            assert_eq!(DataGeometry::for_capacity(two, bs).bitmap_blocks, 1, "{bs}");
+            assert_eq!(DataGeometry::for_capacity(two + 1, bs).bitmap_blocks, 2, "{bs}");
+        }
+        assert_eq!(bit_location(0, 4096), (0, HEADER_BYTES * 8));
+        assert_eq!(bit_location(32_319, 4096), (0, 4096 * 8 - 1));
+        assert_eq!(bit_location(32_320, 4096), (1, 0));
+    }
+
+    /// A header write patches block 0's header bytes into the handle's frame:
+    /// one block write, no read, and the bitmap bits beside the header stay.
+    #[test]
+    fn a_header_write_keeps_the_bitmap_in_its_block() {
+        let d = disk(512);
+        let entries: Vec<Entry> = (0..50u64).map(|i| (i * 100, i)).collect();
+        let mut node = build_data(&d, &entries, 128);
+        let gap = node.find_bit(&mut d.cursor(), 0, 127, false).unwrap().expect("a gap");
+        node.set_bit(&mut d.cursor(), gap, true).unwrap();
+        node.header.num_inserts = 7;
+        d.stats().reset();
+        node.write_header(&mut d.cursor()).unwrap();
+        let s = d.snapshot();
+        assert_eq!((s.reads(), s.writes_of(BlockKind::Leaf), s.writes()), (0, 1, 1));
+        let reloaded = DataNode::load(&mut d.cursor(), node.file, node.start).unwrap();
+        assert_eq!(reloaded.header, node.header);
+        assert_eq!(reloaded.find_bit(&mut d.cursor(), gap, gap, true).unwrap(), Some(gap));
+        let bits = |n: &DataNode| n.find_bit(&mut d.cursor(), 0, 127, true).unwrap();
+        assert_eq!(bits(&reloaded), bits(&node));
     }
 
     #[test]
@@ -975,73 +1094,135 @@ mod tests {
         }
     }
 
+    /// Writes `bits` as the bitmap of `node` (block 0's tail and its spill
+    /// blocks, the header bytes kept) straight to the disk, and returns the
+    /// node reloaded.
+    fn forge_bitmap(d: &Disk, node: &DataNode, bits: &[bool]) -> DataNode {
+        let bs = d.block_size();
+        let blocks = 1 + node.geometry(bs).bitmap_blocks as usize;
+        let mut buf = vec![0u8; blocks * bs];
+        buf[..HEADER_BYTES].copy_from_slice(&node.header.encode().unwrap());
+        for (slot, _) in bits.iter().enumerate().filter(|(_, &bit)| bit) {
+            let (offset, bit) = bit_location(slot as u32, bs);
+            buf[offset as usize * bs + bit / 8] |= 1 << (bit % 8);
+        }
+        for (b, block) in (0..).zip(buf.chunks_exact(bs)) {
+            let kind = if b == 0 { BlockKind::Leaf } else { BlockKind::Utility };
+            d.write(node.file, node.start + b, kind, block).unwrap();
+        }
+        DataNode::load(&mut d.cursor(), node.file, node.start).unwrap()
+    }
+
     /// `find_bit` and `closest_gap` walk the bitmap a word at a time across
-    /// bitmap-block boundaries and agree with a slot-by-slot reading of it.
+    /// bitmap-block boundaries, from block 0's tail into the spill blocks,
+    /// and agree with a slot-by-slot reading of it. The pattern and its
+    /// complement both run, so a walk that read a boundary slot's bit from
+    /// the wrong block (or from the header) disagrees in one of them.
     #[test]
     fn gap_search_matches_a_bit_by_bit_search() {
-        // 64-byte blocks: 512 bits per bitmap block, so 1 100 slots span
-        // three bitmap blocks.
+        // 64-byte blocks: block 0 keeps 64 bits beside its 56-byte header
+        // and each spill block 512, so 1 100 slots end in the third spill
+        // block (block boundaries at slots 64, 576 and 1 088).
         let d = disk(64);
-        let node = build_data(&d, &[], 1_100);
+        let empty = build_data(&d, &[], 1_100);
+        assert_eq!(empty.geometry(64).bitmap_blocks, 3);
         let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let mut bits = vec![false; 1_100];
-        for (b, block) in (0..3u32).map(|b| (b, node.start + 1 + b)) {
-            let buf: Vec<u8> = (0..64)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    // Mostly set, with gaps; the middle block has none.
-                    (x as u8 | (x >> 8) as u8) | if b == 1 { 0xFF } else { 0 }
-                })
-                .collect();
-            for (i, bit) in bits.iter_mut().enumerate().skip(b as usize * 512).take(512) {
-                let rel = i - b as usize * 512;
-                *bit = buf[rel / 8] & (1 << (rel % 8)) != 0;
-            }
-            d.write(node.file, block, BlockKind::Utility, &buf).unwrap();
-        }
-        let naive = |from: u32, toward: u32, want: bool| -> Option<u32> {
-            let hit = |&s: &u32| bits[s as usize] == want;
-            if toward >= from {
-                (from..=toward).find(hit)
-            } else {
-                (toward..=from).rev().find(hit)
-            }
-        };
-        let probes = [0u32, 1, 63, 64, 65, 300, 511, 512, 513, 700, 1_023, 1_024, 1_099];
-        for &from in &probes {
-            for &toward in &probes {
-                for want in [false, true] {
-                    let got = node.find_bit(&mut d.cursor(), from, toward, want).unwrap();
-                    assert_eq!(got, naive(from, toward, want), "{from} -> {toward}, {want}");
+        // Mostly set, with gaps; the first spill block has none.
+        let pattern: Vec<bool> = (0..1_100)
+            .map(|s| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                !x.is_multiple_of(4) || (64..576).contains(&s)
+            })
+            .collect();
+        for invert in [false, true] {
+            let bits: Vec<bool> = pattern.iter().map(|&bit| bit != invert).collect();
+            let node = forge_bitmap(&d, &empty, &bits);
+            let naive = |from: u32, toward: u32, want: bool| -> Option<u32> {
+                let hit = |&s: &u32| bits[s as usize] == want;
+                if toward >= from {
+                    (from..=toward).find(hit)
+                } else {
+                    (toward..=from).rev().find(hit)
+                }
+            };
+            let probes =
+                [0u32, 1, 63, 64, 65, 300, 511, 512, 575, 576, 577, 700, 1_087, 1_088, 1_099];
+            for &from in &probes {
+                for &toward in &probes {
+                    for want in [false, true] {
+                        let got = node.find_bit(&mut d.cursor(), from, toward, want).unwrap();
+                        let expected = naive(from, toward, want);
+                        assert_eq!(got, expected, "{from} -> {toward}, {want}, inverted {invert}");
+                    }
                 }
             }
+            for lb in (0..=1_100).step_by(7) {
+                let right = if lb < 1_100 { naive(lb, 1_099, false) } else { None };
+                let left = if lb > 0 { naive(lb - 1, 0, false) } else { None };
+                let want = match (left, right) {
+                    (Some(l), Some(r)) if lb - 1 - l < r - lb => Some(l),
+                    (l, None) => l,
+                    (_, r) => r,
+                };
+                let got = node.closest_gap(&mut d.cursor(), lb).unwrap();
+                assert_eq!(got, want, "lb {lb}, inverted {invert}");
+            }
         }
-        for lb in (0..=1_100).step_by(7) {
-            let right = if lb < 1_100 { naive(lb, 1_099, false) } else { None };
-            let left = if lb > 0 { naive(lb - 1, 0, false) } else { None };
-            let want = match (left, right) {
-                (Some(l), Some(r)) if lb - 1 - l < r - lb => Some(l),
-                (l, None) => l,
-                (_, r) => r,
-            };
-            assert_eq!(node.closest_gap(&mut d.cursor(), lb).unwrap(), want, "lb {lb}");
+    }
+
+    /// A header that cannot describe its node is an error at load: a count
+    /// above the capacity, a capacity whose extent runs past the end of the
+    /// file, or a block that is not a data node's.
+    #[test]
+    fn a_header_that_does_not_fit_its_node_is_an_error() {
+        let d = disk(512);
+        let entries: Vec<Entry> = (0..50u64).map(|i| (i * 100, i)).collect();
+        let node = build_data(&d, &entries, 128);
+        let forged = |header: DataHeader| {
+            let mut block0 =
+                d.cursor().read(node.file, node.start, BlockKind::Leaf).unwrap().to_vec();
+            block0[..HEADER_BYTES].copy_from_slice(&header.encode().unwrap());
+            d.write(node.file, node.start, BlockKind::Leaf, &block0).unwrap();
+            DataNode::load(&mut d.cursor(), node.file, node.start)
+        };
+        // The extent may end exactly at the file's end: 32 slots per block.
+        let max_capacity = (d.num_blocks(node.file).unwrap() - node.start - 1) * 32;
+        let h = node.header;
+        for header in
+            [h, DataHeader { count: h.capacity, ..h }, DataHeader { capacity: max_capacity, ..h }]
+        {
+            assert!(forged(header).is_ok(), "{header:?}");
         }
+        for (what, header) in [
+            ("count above capacity", DataHeader { count: h.capacity + 1, ..h }),
+            ("extent past the file", DataHeader { capacity: max_capacity + 1, ..h }),
+            ("a huge capacity", DataHeader { capacity: u32::MAX, ..h }),
+        ] {
+            let loaded = forged(header);
+            assert!(matches!(loaded, Err(IndexError::Internal(_))), "{what}: {loaded:?}");
+        }
+        let mut block0 = vec![0u8; 512];
+        block0[0] = TAG_INNER;
+        d.write(node.file, node.start, BlockKind::Leaf, &block0).unwrap();
+        let loaded = DataNode::load(&mut d.cursor(), node.file, node.start);
+        assert!(matches!(loaded, Err(IndexError::Internal(_))), "an inner node's tag: {loaded:?}");
     }
 
     #[test]
     fn bitmap_bits_match_occupancy() {
         let d = disk(512);
         let entries: Vec<Entry> = (0..50u64).map(|i| (i * 100, i)).collect();
-        let node = build_data(&d, &entries, 128);
-        let bit = |s| node.find_bit(&mut d.cursor(), s, s, true).unwrap() == Some(s);
-        assert_eq!((0..node.header.capacity).filter(|&s| bit(s)).count(), 50);
+        let mut node = build_data(&d, &entries, 128);
+        let bit =
+            |node: &DataNode, s| node.find_bit(&mut d.cursor(), s, s, true).unwrap() == Some(s);
+        assert_eq!((0..node.header.capacity).filter(|&s| bit(&node, s)).count(), 50);
         // Setting a gap's bit round-trips.
         let gap = node.find_bit(&mut d.cursor(), 0, node.header.capacity - 1, false).unwrap();
         let gap = gap.expect("78 of the 128 slots are gaps");
         node.set_bit(&mut d.cursor(), gap, true).unwrap();
-        assert!(bit(gap));
+        assert!(bit(&node, gap));
     }
 
     #[test]

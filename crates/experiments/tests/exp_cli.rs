@@ -40,6 +40,18 @@ fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
 /// token that changed is a LIPP value (a small node is one block, so LIPP
 /// reads and writes fewer blocks; its Fig. 6 maintenance column is
 /// unchanged), and the other designs' rows changed only in column width.
+/// Re-recorded when an ALEX data node's bitmap moved into its header block:
+/// every token that changed is an ALEX value, and the other designs' rows
+/// changed only in column width. A fresh insert writes its bit and its
+/// statistics into one block, so Fig. 6's ALEX maintenance column reads 0
+/// (fb 10.00 → 0.00 ms); its gap search and a scan read the bits from the
+/// header block the node's load read, so Table 2's ALEX insert falls 9.04 →
+/// 6.05 blocks and its scan 5.72 → 3.65 (Table 4's ALEX scan `Utility`
+/// column reads 0). The extent is a block shorter and its first slot block
+/// follows the header, so bulk writes and sizes fall (Fig. 7, Fig. 10) and
+/// HDD lookups whose slot sits in the first slot block read it sequentially
+/// (Fig. 3, Fig. 8, the layout ablation); pooled lookups (Fig. 13) moved both
+/// ways as the shorter extents map to other pool stripes.
 const GOLDEN: &str = include_str!("golden/paper_artifacts_quick_seed42.txt");
 
 /// The golden's scale line and its `(target, report)` sections.

@@ -88,6 +88,26 @@ struct ReadCost {
 /// instead of parking prefetched windows for a resolve pass).
 /// `fb` depth 1: `Leaf` 7 391 → 3 884, 1 001.48 → 800.58 ms. `fb` depth 8:
 /// `Leaf` 8 601 → 5 034, 937.26 → 737.36 ms, readahead hits 1 080 → 992.
+///
+/// The four ALEX rows were re-recorded when a data node's bitmap moved into
+/// its header block, right after the 56-byte header, spilling into blocks
+/// of its own only past `(block_size - 56)·8` slots. Lookups read what they
+/// read before; a scan takes a node's bitmap bits from the header block its
+/// load read, so it reads no bitmap block, and the slot block its search
+/// read last is still the cursor's when the stream starts. `fb` depth 1:
+/// `Leaf` 10 515 → 10 415, `Utility` 206 → 0, 1 202.22 → 1 175.14 ms. `fb`
+/// depth 8: `Leaf` 12 957 → 12 813 (readahead had brought bitmap blocks in
+/// under the demanding read's `Leaf` kind), readahead hits 3 244 → 3 028,
+/// 996.54 → 986.74 ms. The near-linear rows rose: depth 1 reads 1 507 →
+/// 2 314, 148.38 → 225.96 ms, pool hits 5 722 → 4 499; depth 8 reads 2 129
+/// → 2 846, 135.82 → 213.32 ms. The layout is not at fault. These 16 data
+/// nodes are now 8-block extents (9 before), and the pool picks a stripe as
+/// `(file ^ block) & 7`, so all 16 header blocks map to one 8-frame stripe
+/// of the 64-block pool and evict each other. With one stripe, an exact LRU
+/// over all 64 frames (a scratch copy of both builds, `MAX_SHARDS = 1`),
+/// depth 1 reads 1 483 → 1 381 blocks (146.10 → 135.78 ms) and depth 8
+/// 2 095 → 1 827 (132.84 → 128.64 ms). The stripe function is ROADMAP item
+/// 12's.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
@@ -97,7 +117,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, pgm
     ReadCost { reads: [0, 0, 517, 0], device_ns: 49740000, buffer_hits: 2325, readahead_hits: 0 },
     // ssd, pool 64, depth 1, alex
-    ReadCost { reads: [0, 0, 1467, 40], device_ns: 148380000, buffer_hits: 5722, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 2314, 0], device_ns: 225960000, buffer_hits: 4499, readahead_hits: 0 },
     // ssd, pool 64, depth 1, lipp
     ReadCost { reads: [0, 0, 2558, 0], device_ns: 235760000, buffer_hits: 2482, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-pla
@@ -111,7 +131,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 8, pgm
     ReadCost { reads: [0, 0, 567, 0], device_ns: 47300000, buffer_hits: 2339, readahead_hits: 3 },
     // ssd, pool 64, depth 8, alex
-    ReadCost { reads: [0, 0, 2023, 106], device_ns: 135820000, buffer_hits: 5721, readahead_hits: 152 },
+    ReadCost { reads: [0, 0, 2846, 0], device_ns: 213320000, buffer_hits: 4499, readahead_hits: 143 },
     // ssd, pool 64, depth 8, lipp
     ReadCost { reads: [0, 0, 3311, 0], device_ns: 200400000, buffer_hits: 2481, readahead_hits: 562 },
     // ssd, pool 64, depth 8, hybrid-pla
@@ -125,7 +145,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, pgm
     ReadCost { reads: [0, 2417, 7318, 0], device_ns: 761780000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, alex
-    ReadCost { reads: [0, 3004, 10515, 206], device_ns: 1202220000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 3004, 10415, 0], device_ns: 1175140000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, lipp
     ReadCost { reads: [0, 0, 33855, 0], device_ns: 2593220000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, hybrid-pla
@@ -139,7 +159,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, pgm
     ReadCost { reads: [0, 2417, 7707, 0], device_ns: 697500000, buffer_hits: 0, readahead_hits: 1011 },
     // fb, 512 B, no pool, depth 8, alex
-    ReadCost { reads: [0, 3004, 12957, 0], device_ns: 996540000, buffer_hits: 0, readahead_hits: 3244 },
+    ReadCost { reads: [0, 3004, 12813, 0], device_ns: 986740000, buffer_hits: 0, readahead_hits: 3028 },
     // fb, 512 B, no pool, depth 8, lipp
     ReadCost { reads: [0, 0, 38612, 0], device_ns: 1147760000, buffer_hits: 0, readahead_hits: 21361 },
     // fb, 512 B, no pool, depth 8, hybrid-pla

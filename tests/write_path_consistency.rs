@@ -474,8 +474,8 @@ fn take_max(writes: &WriteCounts) -> u32 {
 /// ALEX and LIPP run a batch on one write-back cursor: a sorted batch of
 /// fresh keys that needs no SMO stores every block it touches once, where
 /// the same keys inserted one at a time store some block again and again
-/// (ALEX's header and bitmap, LIPP's node headers), and both answer like
-/// an oracle.
+/// (ALEX's header block with its bitmap, LIPP's node headers), and both
+/// answer like an oracle.
 #[test]
 fn a_sorted_batch_stores_each_block_it_touches_once() {
     use lidx_core::IndexRead;
@@ -593,6 +593,25 @@ struct InsertCost {
 /// the Search step moved (1 437 → 1 435 reads, as fewer pool hits leave a
 /// different recency order), 669.6 → 669.4 ms; on `fb`, Smo-step reads
 /// 2 117 → 709, 1.9010 → 1.7603 s (all reads 9 372 → 7 964).
+///
+/// The three ALEX rows were recorded again when a data node's bitmap moved
+/// into its header block, right after the 56-byte header (it spills into
+/// blocks of its own only past `(block_size - 56)·8` slots). A fresh insert
+/// sets its bit in block 0 and then writes its statistics into the same
+/// block, which the insert's write-back cursor charges and stores once, so
+/// the Maintenance step writes nothing. Its gap search reads the bits from
+/// the block 0 its descent read, so the Insert step reads no bitmap block
+/// and keeps the slot block its search read last. HDD: reads `[0, 4 008,
+/// 5 925, 1 875]` → `[0, 4 008, 4 060, 0]`, writes 5 821 → 3 946 (`Utility`
+/// 1 875 → 0), Insert step 94.24 → 56.77 s, Maintenance 18.71 s and 1 871
+/// writes → 0, blocks 103 → 95, 173.85 → 117.64 s. SSD, pool 64: `Leaf`
+/// reads 76 → 68, `Utility` writes 1 875 → 0, Maintenance 224.52 ms → 0,
+/// 706.12 → 480.32 ms. `fb`: `Leaf` reads 80 568 → 80 232, `Utility` reads
+/// 2 002 → 1 479 and writes 2 003 → 364, blocks 1 300 → 1 282, 13 990.20 →
+/// 13 707.78 ms. Its Maintenance step still writes 362 blocks (240.00 →
+/// 43.44 ms): the nodes that grew past 3 648 slots spill their bitmap, and
+/// an insert whose bit lies in a spill block writes block 0 for its header
+/// alone.
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
@@ -602,7 +621,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, pgm
     InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 3208], device_ns: 52331400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [32050000000, 0, 3205], [200600000, 8, 18], [0, 0, 0]] },
     // hdd, no pool, alex
-    InsertCost { reads: [0, 4008, 5925, 1875], writes: [0, 4, 3942, 1875], device_ns: 173854600000, smo_count: 4, storage_blocks: 103, steps: [[60060200000, 6008, 0], [94241200000, 5758, 3876], [843200000, 42, 74], [18710000000, 0, 1871]] },
+    InsertCost { reads: [0, 4008, 4060, 0], writes: [0, 4, 3942, 0], device_ns: 117635300000, smo_count: 4, storage_blocks: 95, steps: [[60060200000, 6008, 0], [56772300000, 2022, 3876], [802800000, 38, 70], [0, 0, 0]] },
     // hdd, no pool, lipp
     InsertCost { reads: [0, 0, 4246, 0], writes: [0, 0, 4357, 0], device_ns: 85881500000, smo_count: 361, storage_blocks: 516, steps: [[41971500000, 4212, 0], [16400000000, 0, 1640], [7630000000, 34, 729], [19880000000, 0, 1988]] },
     // hdd, no pool, hybrid-pla
@@ -616,7 +635,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // ssd, pool 64, pgm
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 0, 15, 3208], device_ns: 386760000, smo_count: 3, storage_blocks: 30, steps: [[0, 0, 0], [384600000, 0, 3205], [2160000, 0, 18], [0, 0, 0]] },
     // ssd, pool 64, alex
-    InsertCost { reads: [0, 0, 76, 0], writes: [0, 4, 3942, 1875], device_ns: 706120000, smo_count: 4, storage_blocks: 103, steps: [[0, 0, 0], [472620000, 75, 3876], [8980000, 1, 74], [224520000, 0, 1871]] },
+    InsertCost { reads: [0, 0, 68, 0], writes: [0, 4, 3942, 0], device_ns: 480320000, smo_count: 4, storage_blocks: 95, steps: [[0, 0, 0], [471920000, 68, 3876], [8400000, 0, 70], [0, 0, 0]] },
     // ssd, pool 64, lipp
     InsertCost { reads: [0, 0, 1466, 0], writes: [0, 0, 4357, 0], device_ns: 669400000, smo_count: 361, storage_blocks: 516, steps: [[143460000, 1435, 0], [196800000, 0, 1640], [90580000, 31, 729], [238560000, 0, 1988]] },
     // ssd, pool 64, hybrid-pla
@@ -630,7 +649,7 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // fb, 512 B, ssd, no pool, pgm
     InsertCost { reads: [0, 0, 19, 17961], writes: [0, 0, 75, 17972], device_ns: 3324320000, smo_count: 3, storage_blocks: 702, steps: [[1157500000, 17961, 0], [2156280000, 0, 17969], [10540000, 19, 78], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, alex
-    InsertCost { reads: [0, 2002, 80568, 2002], writes: [0, 2, 65674, 2003], device_ns: 13990200000, smo_count: 2, storage_blocks: 1300, steps: [[400200000, 4002, 0], [13295420000, 80387, 65317], [54580000, 183, 362], [240000000, 0, 2000]] },
+    InsertCost { reads: [0, 2002, 80232, 1479], writes: [0, 2, 65674, 364], device_ns: 13707780000, smo_count: 2, storage_blocks: 1282, steps: [[400200000, 4002, 0], [13209620000, 79529, 65317], [54520000, 182, 361], [43440000, 0, 362]] },
     // fb, 512 B, ssd, no pool, lipp
     InsertCost { reads: [0, 0, 7964, 0], writes: [0, 0, 8175, 0], device_ns: 1760320000, smo_count: 926, storage_blocks: 15631, steps: [[708500000, 7255, 0], [131640000, 0, 1097], [347420000, 709, 2305], [572760000, 0, 4773]] },
     // fb, 512 B, ssd, no pool, hybrid-pla
