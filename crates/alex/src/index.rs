@@ -2,6 +2,7 @@
 //! implementation.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use lidx_core::{
     index::validate_bulk_load, spend, Entry, IndexError, IndexKind, IndexRead, IndexResult,
@@ -11,7 +12,7 @@ use lidx_core::{
 use lidx_models::LinearModel;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint, INVALID_BLOCK};
 
-use crate::node::{ChildPtr, DataGeometry, DataNode, InnerNode};
+use crate::node::{Child, DataGeometry, DataNode, DataRoute, InnerNode};
 
 /// The two on-disk layouts of Fig. 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +62,9 @@ pub struct AlexIndex {
     config: AlexConfig,
     inner_file: u32,
     data_file: u32,
-    root: ChildPtr,
+    /// The root's entry: a data root carries its route, so a lookup on a
+    /// one-node index reads no header either.
+    root: Child,
     key_count: u64,
     data_nodes: u64,
     inner_nodes: u64,
@@ -93,7 +96,7 @@ impl AlexIndex {
             config,
             inner_file,
             data_file,
-            root: ChildPtr { is_data: true, block: INVALID_BLOCK },
+            root: Child::Inner(INVALID_BLOCK),
             key_count: 0,
             data_nodes: 0,
             inner_nodes: 0,
@@ -111,8 +114,7 @@ impl AlexIndex {
         let mut r = MetaReader::new(meta);
         let inner_file = r.u32()?;
         let data_file = r.u32()?;
-        let root_is_data = r.u32()? != 0;
-        let root_block = r.u32()?;
+        let root = Child::decode(r.bytes()?)?;
         let key_count = r.u64()?;
         let data_nodes = r.u64()?;
         let inner_nodes = r.u64()?;
@@ -123,7 +125,7 @@ impl AlexIndex {
             config,
             inner_file,
             data_file,
-            root: ChildPtr { is_data: root_is_data, block: root_block },
+            root,
             key_count,
             data_nodes,
             inner_nodes,
@@ -167,13 +169,13 @@ impl AlexIndex {
         entries: &[Entry],
         leaves: &mut Vec<DataNode>,
         depth: u32,
-    ) -> IndexResult<ChildPtr> {
+    ) -> IndexResult<Child> {
         self.height = self.height.max(depth + 1);
         if entries.len() <= self.config.target_leaf_entries {
             let node = self.make_data_node(entries, INVALID_BLOCK, INVALID_BLOCK)?;
-            let ptr = ChildPtr { is_data: true, block: node.start };
+            let child = Child::Data(node.route());
             leaves.push(node);
-            return Ok(ptr);
+            return Ok(child);
         }
 
         let keys: Vec<Key> = entries.iter().map(|e| e.0).collect();
@@ -202,21 +204,21 @@ impl AlexIndex {
             // data): fall back to one big data node, as ALEX's cost model
             // would rather than build useless inner levels.
             let node = self.make_data_node(entries, INVALID_BLOCK, INVALID_BLOCK)?;
-            let ptr = ChildPtr { is_data: true, block: node.start };
+            let child = Child::Data(node.route());
             leaves.push(node);
-            return Ok(ptr);
+            return Ok(child);
         }
 
-        let mut children: Vec<Option<ChildPtr>> = vec![None; fanout];
+        let mut children: Vec<Option<Child>> = vec![None; fanout];
         for b in 0..fanout {
             let slice = &entries[boundaries[b]..boundaries[b + 1]];
             if !slice.is_empty() {
                 children[b] = Some(self.build_subtree(slice, leaves, depth + 1)?);
             }
         }
-        // Empty buckets share the nearest preceding child (or the first
-        // following one for leading empties), mirroring ALEX's duplicated
-        // child pointers.
+        // Empty buckets share the nearest preceding child's entry (or the
+        // first following one for leading empties), mirroring ALEX's
+        // duplicated child pointers.
         let first_some = children
             .iter()
             .flatten()
@@ -224,7 +226,7 @@ impl AlexIndex {
             .copied()
             .ok_or_else(|| IndexError::Internal("inner node built with no children".into()))?;
         let mut fill = first_some;
-        let resolved: Vec<ChildPtr> = children
+        let resolved: Vec<Child> = children
             .into_iter()
             .map(|c| {
                 if let Some(p) = c {
@@ -238,7 +240,7 @@ impl AlexIndex {
         let start = self.disk.allocate(self.inner_file, blocks)?;
         InnerNode::build(&self.disk, self.inner_file, start, model, &resolved)?;
         self.inner_nodes += 1;
-        Ok(ChildPtr { is_data: false, block: start })
+        Ok(Child::Inner(start))
     }
 
     /// Descends from the root to the data node covering `key`, returning the
@@ -250,44 +252,45 @@ impl AlexIndex {
         key: Key,
     ) -> IndexResult<(Vec<(InnerNode, u32)>, DataNode)> {
         let mut path = Vec::new();
-        let start = self.route(cursor, key, Some(&mut path))?;
-        Ok((path, DataNode::load(cursor, self.data_file, start)?))
+        let route = self.route(cursor, key, Some(&mut path))?;
+        Ok((path, DataNode::load(cursor, self.data_file, route.block)?))
     }
 
-    /// The data node covering `key`, read through `cursor`: the descent of
-    /// the read paths, which keeps no path and so allocates nothing.
+    /// The data node covering `key`, read through `cursor`: the scan's
+    /// descent, which keeps no path and so allocates nothing.
     fn data_node(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<DataNode> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
         }
-        let start = self.route(cursor, key, None)?;
-        DataNode::load(cursor, self.data_file, start)
+        let route = self.route(cursor, key, None)?;
+        DataNode::load(cursor, self.data_file, route.block)
     }
 
-    /// Repoints the parent of an SMO'd node (or the root) to `new_ptr`.
+    /// Repoints the parent of an SMO'd node (or the root) to `new`: a new
+    /// inner node after a split, or the expanded node's route.
     fn repoint_parent(
         &mut self,
         cursor: &mut BlockCursor<'_>,
         path: &[(InnerNode, u32)],
         old_block: BlockId,
-        new_ptr: ChildPtr,
+        new: Child,
     ) -> IndexResult<()> {
         match path.last() {
             None => {
-                self.root = new_ptr;
+                self.root = new;
                 Ok(())
             }
             Some((parent, idx)) => {
                 // The model may map several consecutive indexes to the same
-                // child; repoint every pointer that referenced the old node.
+                // child; repoint every entry that referenced the old node.
+                let is_old = |child: Child| matches!(child, Child::Data(r) if r.block == old_block);
                 let mut i = *idx;
                 loop {
-                    parent.set_child(cursor, i, new_ptr)?;
+                    parent.set_child(cursor, i, new)?;
                     if i == 0 {
                         break;
                     }
-                    let prev = parent.child_at(cursor, i - 1)?;
-                    if prev.is_data && prev.block == old_block {
+                    if is_old(parent.child_at(cursor, i - 1)?) {
                         i -= 1;
                     } else {
                         break;
@@ -295,9 +298,8 @@ impl AlexIndex {
                 }
                 let mut i = *idx + 1;
                 while i < parent.header.children {
-                    let nxt = parent.child_at(cursor, i)?;
-                    if nxt.is_data && nxt.block == old_block {
-                        parent.set_child(cursor, i, new_ptr)?;
+                    if is_old(parent.child_at(cursor, i)?) {
+                        parent.set_child(cursor, i, new)?;
                         i += 1;
                     } else {
                         break;
@@ -332,20 +334,32 @@ impl AlexIndex {
 
     /// Runs a structural modification operation on a full data node: either
     /// expands it in place (doubling the capacity) or splits it downward into
-    /// a new two-child inner node.
+    /// a new two-child inner node. The SMO is the learned-index pause the
+    /// paper attributes tail latency to: it is counted, and its whole
+    /// duration recorded, only once the rebuild has happened, so a rebuild
+    /// that fails (on a damaged node's entries, say) is no SMO.
     fn smo(
         &mut self,
         cursor: &mut BlockCursor<'_>,
         path: &[(InnerNode, u32)],
         node: DataNode,
     ) -> IndexResult<()> {
+        let started = Instant::now();
+        self.rebuild(cursor, path, node)?;
         self.smo_count += 1;
-        // The SMO is the learned-index pause the paper attributes tail
-        // latency to: time the whole operation and count it, off a local
-        // Arc so the span does not pin a borrow of `self`.
-        let telemetry = Arc::clone(&self.disk);
-        let _span = telemetry.telemetry().span(OpClass::Smo);
-        telemetry.telemetry().add(OpClass::Smo, 1);
+        let telemetry = self.disk.telemetry();
+        telemetry.record_ns(OpClass::Smo, started.elapsed().as_nanos() as u64);
+        telemetry.add(OpClass::Smo, 1);
+        Ok(())
+    }
+
+    /// The rebuild of an SMO ([`AlexIndex::smo`]).
+    fn rebuild(
+        &mut self,
+        cursor: &mut BlockCursor<'_>,
+        path: &[(InnerNode, u32)],
+        node: DataNode,
+    ) -> IndexResult<()> {
         let mut entries = Vec::with_capacity(node.header.count as usize);
         node.collect_entries(cursor, &mut entries)?;
         let old_blocks = node.total_blocks(self.disk.block_size());
@@ -390,22 +404,14 @@ impl AlexIndex {
                 self.inner_file,
                 start,
                 model,
-                &[
-                    ChildPtr { is_data: true, block: left.start },
-                    ChildPtr { is_data: true, block: right.start },
-                ],
+                &[Child::Data(left.route()), Child::Data(right.route())],
             )?;
             self.inner_nodes += 1;
             // The new data nodes sit one level below the replaced node (depth
             // `path.len()`); height is the deepest data node's depth + 1, as
             // bulk load sets it.
             self.height = self.height.max(path.len() as u32 + 2);
-            self.repoint_parent(
-                cursor,
-                path,
-                node.start,
-                ChildPtr { is_data: false, block: start },
-            )?;
+            self.repoint_parent(cursor, path, node.start, Child::Inner(start))?;
         } else {
             // Expansion: rebuild with double capacity and a retrained model.
             let capacity = grown_capacity.max(self.capacity_for(entries.len()) as usize) as u32;
@@ -415,8 +421,7 @@ impl AlexIndex {
                 DataNode::build(&self.disk, self.data_file, start, capacity, &entries, prev, next)?;
             self.data_nodes += 1;
             self.relink_neighbours(cursor, prev, next, new.start, new.start)?;
-            let new_ptr = ChildPtr { is_data: true, block: new.start };
-            self.repoint_parent(cursor, path, node.start, new_ptr)?;
+            self.repoint_parent(cursor, path, node.start, Child::Data(new.route()))?;
         }
         Ok(())
     }
@@ -492,32 +497,37 @@ impl AlexIndex {
         Ok(true)
     }
 
-    /// Routes `key` through the inner levels only, returning the start block
-    /// of the covering data node without touching the data file, and pushing
-    /// each inner node with the child index taken onto `path` if one is
-    /// given. The batch routes first: it resolves *where* every probe lands,
-    /// so the data-node header fetches can ride one submission wave instead
-    /// of being paid one blocking latency at a time. A path holds fewer than
-    /// `height` inner nodes, so a walk that meets more has followed a cyclic
-    /// child pointer: an error, not a hang.
+    /// Routes `key` through the inner levels only, returning the covering
+    /// data node's route (its start block, capacity and model, as its
+    /// parent's entry or the root carries them) without touching the data
+    /// file, and pushing each inner node with the child index taken onto
+    /// `path` if one is given. A point read goes from the route straight to
+    /// the predicted slot block; the batch routes every probe first, so
+    /// those slot blocks can ride one submission wave instead of being paid
+    /// one blocking latency at a time. A path holds fewer than `height`
+    /// inner nodes, so a walk that meets more has followed a cyclic child
+    /// entry: an error, not a hang.
     fn route(
         &self,
         cursor: &mut BlockCursor<'_>,
         key: Key,
         mut path: Option<&mut Vec<(InnerNode, u32)>>,
-    ) -> IndexResult<BlockId> {
-        let mut ptr = self.root;
+    ) -> IndexResult<DataRoute> {
+        let mut child = self.root;
         let mut budget = u64::from(self.height);
-        while !ptr.is_data {
+        loop {
+            let block = match child {
+                Child::Data(route) => return Ok(route),
+                Child::Inner(block) => block,
+            };
             spend(&mut budget, "ALEX route")?;
-            let node = InnerNode::load(cursor, self.inner_file, ptr.block)?;
+            let node = InnerNode::load(cursor, self.inner_file, block)?;
             let idx = node.child_index(key);
-            ptr = node.child_at(cursor, idx)?;
+            child = node.child_at(cursor, idx)?;
             if let Some(path) = path.as_deref_mut() {
                 path.push((node, idx));
             }
         }
-        Ok(ptr.block)
     }
 }
 
@@ -547,20 +557,32 @@ impl IndexRead for AlexIndex {
         &self.disk
     }
 
+    /// A point lookup reads the inner levels and then the predicted slot
+    /// block straight from the route its parent's entry carries: no
+    /// data-node header. An entry carries no count, and the only empty data
+    /// node is the root after an empty bulk load, so an empty index answers
+    /// `None` without a read.
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
+        if !self.loaded {
+            return Err(IndexError::NotInitialized);
+        }
+        if self.key_count == 0 {
+            return Ok(None);
+        }
         let mut cursor = self.disk.cursor();
-        self.data_node(&mut cursor, key)?.lookup(&mut cursor, key)
+        let route = self.route(&mut cursor, key, None)?;
+        route.slots(&self.disk, self.data_file)?.lookup(&mut cursor, key)
     }
 
-    /// Batched lookups sort the probe keys and run in four phases. Probes
-    /// are routed through the inner levels first, then the data-node header
-    /// blocks are fetched as one completion wave, then every probe's
-    /// predicted slot block is prefetched as a second wave, and finally the
-    /// in-node searches run through one cursor. Above queue depth 1 the
-    /// searches consume the parked frames, with only exponential-search
-    /// spillover reads left synchronous; at depth 1 the prefetch does
-    /// nothing and the searches read on demand, co-located probes sharing
-    /// each slot block through the cursor.
+    /// Batched lookups sort the probe keys and run in three phases. Probes
+    /// are routed through the inner levels first, then every probe's
+    /// predicted slot block, computed from its route, is prefetched as one
+    /// wave, and finally the in-node searches run through one cursor. No
+    /// data-node header is read. Above queue depth 1 the searches consume
+    /// the parked frames, with only exponential-search spillover reads left
+    /// synchronous; at depth 1 the prefetch does nothing and the searches
+    /// read on demand, co-located probes sharing each slot block through the
+    /// cursor.
     fn lookup_batch(&self, keys: &[Key], out: &mut Vec<Option<Value>>) -> IndexResult<()> {
         out.clear();
         if keys.is_empty() {
@@ -570,60 +592,49 @@ impl IndexRead for AlexIndex {
             return Err(IndexError::NotInitialized);
         }
         out.resize(keys.len(), None);
+        if self.key_count == 0 {
+            return Ok(());
+        }
         let mut order: Vec<u32> = (0..keys.len() as u32).collect();
         order.sort_unstable_by_key(|&i| keys[i as usize]);
 
         // Phase 1: route every probe; model routing is monotone in the key,
         // so probes landing in the same data node are consecutive in sorted
         // order and grouping is a plain run-length pass. Each group is a
-        // node's start block and the end of its run of `order`.
-        let mut groups: Vec<(BlockId, usize)> = Vec::new();
+        // node's slot array and the end of its run of `order`.
+        let mut groups: Vec<(DataRoute, usize)> = Vec::new();
         let mut cursor = self.disk.cursor();
         for (at, &i) in order.iter().enumerate() {
-            let start = self.route(&mut cursor, keys[i as usize], None)?;
-            if groups.last().map(|&(b, _)| b) != Some(start) {
-                groups.push((start, at));
+            let route = self.route(&mut cursor, keys[i as usize], None)?;
+            if groups.last().map(|&(r, _)| r.block) != Some(route.block) {
+                groups.push((route, at));
             }
             groups.last_mut().expect("group exists").1 = at + 1;
         }
 
-        // Phase 2: one wave over the distinct data-node header blocks.
-        let mut q = self.disk.read_queue();
-        let header_blocks: std::collections::BTreeSet<BlockId> =
-            groups.iter().map(|&(start, _)| start).collect();
-        for &start in &header_blocks {
-            q.submit(self.data_file, start, BlockKind::Leaf)?;
-        }
-        let mut nodes = std::collections::HashMap::new();
-        for c in q.complete()? {
-            nodes.insert(
-                c.block,
-                DataNode::from_frame(&self.disk, self.data_file, c.block, c.frame)?,
-            );
-        }
-
-        // Phase 3: one wave prefetching every probe's predicted slot block.
+        // Phase 2: one wave prefetching every probe's predicted slot block.
+        let mut slots = Vec::with_capacity(groups.len());
         let mut slot_blocks = std::collections::BTreeSet::new();
         let mut from = 0;
-        for &(start, end) in &groups {
-            let node = &nodes[&start];
+        for &(route, end) in &groups {
+            let node = route.slots(&self.disk, self.data_file)?;
             for &i in &order[from..end] {
-                let slot = node.predict(keys[i as usize]);
-                slot_blocks.insert(node.slot_block_id(&self.disk, slot));
+                slot_blocks.insert(node.locate(node.predict(keys[i as usize])).0);
             }
+            slots.push(node);
             from = end;
         }
+        let mut q = self.disk.read_queue();
         for &block in &slot_blocks {
             q.prefetch(self.data_file, block, BlockKind::Leaf, SeqHint::Auto)?;
         }
         q.flush()?;
 
-        // Phase 4: search each node, through a cursor that starts after the
-        // waves.
+        // Phase 3: search each node, through a cursor that starts after the
+        // wave.
         let mut cursor = self.disk.cursor();
         let mut from = 0;
-        for &(start, end) in &groups {
-            let node = &nodes[&start];
+        for (node, &(_, end)) in slots.iter().zip(&groups) {
             for &i in &order[from..end] {
                 out[i as usize] = node.lookup(&mut cursor, keys[i as usize])?;
             }
@@ -774,8 +785,7 @@ impl IndexWrite for AlexIndex {
         let mut w = MetaWriter::new();
         w.u32(self.inner_file)
             .u32(self.data_file)
-            .u32(self.root.is_data as u32)
-            .u32(self.root.block)
+            .bytes(&self.root.encode())
             .u64(self.key_count)
             .u64(self.data_nodes)
             .u64(self.inner_nodes)
@@ -874,13 +884,11 @@ mod tests {
         assert_eq!(a.lookup(data.last().unwrap().0 + 7).unwrap(), None);
     }
 
-    /// Depth of the deepest data node below `ptr` (a data node at `ptr`
-    /// itself is depth `depth`).
-    fn deepest_data_node(a: &AlexIndex, ptr: ChildPtr, depth: u32) -> u32 {
-        if ptr.is_data {
-            return depth;
-        }
-        let node = InnerNode::load(&mut a.disk.cursor(), a.inner_file, ptr.block).unwrap();
+    /// Depth of the deepest data node below `child` (a data node at
+    /// `child` itself is depth `depth`).
+    fn deepest_data_node(a: &AlexIndex, child: Child, depth: u32) -> u32 {
+        let Child::Inner(block) = child else { return depth };
+        let node = InnerNode::load(&mut a.disk.cursor(), a.inner_file, block).unwrap();
         (0..node.header.children)
             .map(|i| node.child_at(&mut a.disk.cursor(), i).unwrap())
             .map(|child| deepest_data_node(a, child, depth + 1))
@@ -942,26 +950,131 @@ mod tests {
         }
     }
 
+    /// A cold point lookup and a cold batch go from the parent's entry
+    /// straight to the predicted slot block: no data node's block 0 (its
+    /// header) comes into the pool, no bitmap block is read, every `Leaf`
+    /// read is a slot block, and every answer is right. The pool holds the
+    /// whole index, so every block a read brings in stays there to be seen.
     #[test]
-    fn lookup_reads_header_plus_slot_blocks() {
-        let mut a = index(4096);
-        let data = entries(100_000, 3);
-        a.bulk_load(&data).unwrap();
-        a.disk().stats().reset();
-        let queries: Vec<Key> = data.iter().step_by(1013).map(|e| e.0).collect();
-        for &k in &queries {
-            a.disk().reset_access_state();
-            a.lookup(k).unwrap();
+    fn a_lookup_reads_no_data_node_header() {
+        for depth in [1, 8] {
+            let disk = Disk::in_memory(
+                DiskConfig::with_block_size(512).buffer_blocks(1 << 16).queue_depth(depth),
+            );
+            let config = AlexConfig {
+                target_leaf_entries: 128,
+                max_leaf_entries: 1024,
+                ..Default::default()
+            };
+            let mut a = AlexIndex::with_config(disk, config).unwrap();
+            let data = skewed(20_000);
+            a.bulk_load(&data).unwrap();
+            let headers: Vec<BlockId> = data_nodes(&a).iter().map(|n| n.start).collect();
+            assert!(headers.len() > 100);
+            let pooled_headers = |a: &AlexIndex| {
+                headers.iter().filter(|&&h| a.disk.buffer_contains(a.data_file, h)).count()
+            };
+            let probes: Vec<Entry> = data.iter().step_by(997).copied().collect();
+            for &(k, v) in &probes {
+                a.disk.clear_buffer();
+                let before = a.disk.snapshot();
+                assert_eq!(a.lookup(k).unwrap(), Some(v), "key {k}");
+                let delta = a.disk.snapshot().since(&before);
+                assert!(delta.reads_of(BlockKind::Leaf) >= 1, "key {k}");
+                assert_eq!(delta.reads_of(BlockKind::Utility), 0, "key {k}");
+                assert_eq!(pooled_headers(&a), 0, "key {k} read a header at depth {depth}");
+            }
+            a.disk.clear_buffer();
+            let before = a.disk.snapshot();
+            let absent = data[data.len() - 1].0 + 1;
+            let keys: Vec<Key> = probes.iter().map(|e| e.0).chain([absent, u64::MAX]).collect();
+            let mut out = Vec::new();
+            a.lookup_batch(&keys, &mut out).unwrap();
+            let delta = a.disk.snapshot().since(&before);
+            let want: Vec<Option<Value>> =
+                probes.iter().map(|e| Some(e.1)).chain([None, None]).collect();
+            assert_eq!(out, want);
+            assert!(delta.reads_of(BlockKind::Leaf) >= probes.len() as u64 / 2);
+            assert_eq!(delta.reads_of(BlockKind::Utility), 0);
+            assert_eq!(pooled_headers(&a), 0, "the batch read a header at depth {depth}");
         }
-        let per_query = a.disk().stats().reads() as f64 / queries.len() as f64;
-        // Inner level(s) + data node header + slot block: ALEX reads at least
-        // 2 leaf blocks per lookup (the paper's Table 4 shows 2.0–2.6).
-        let leaf_per_query =
-            a.disk().stats().reads_of(BlockKind::Leaf) as f64 / queries.len() as f64;
-        assert!(leaf_per_query >= 2.0, "got {leaf_per_query} leaf blocks per lookup");
-        assert!(per_query <= 8.0, "got {per_query} blocks per lookup");
-        // Lookups never touch the bitmap.
-        assert_eq!(a.disk().stats().reads_of(BlockKind::Utility), 0);
+    }
+
+    /// An empty bulk load leaves one empty data node, whose entry carries
+    /// no count: lookups answer `None` without a device read (its gap
+    /// slots hold zero filler that a search for key 0 would find). After
+    /// one insert, the key answers.
+    #[test]
+    fn an_empty_index_answers_lookups_without_a_read() {
+        let mut a = index(512);
+        a.bulk_load(&[]).unwrap();
+        a.disk.clear_buffer();
+        let before = a.disk.snapshot();
+        assert_eq!((a.lookup(0).unwrap(), a.lookup(u64::MAX).unwrap()), (None, None));
+        let mut out = Vec::new();
+        a.lookup_batch(&[0, 7, u64::MAX], &mut out).unwrap();
+        assert_eq!(out, [None, None, None]);
+        assert_eq!(a.disk.snapshot().since(&before).reads(), 0);
+        a.insert(7, 70).unwrap();
+        assert_eq!((a.lookup(7).unwrap(), a.lookup(0).unwrap()), (Some(70), None));
+        a.lookup_batch(&[0, 7, u64::MAX], &mut out).unwrap();
+        assert_eq!(out, [None, Some(70), None]);
+    }
+
+    /// Every entry of `a`'s tree: the root's, then each inner node's, in
+    /// depth-first order.
+    fn child_entries(a: &AlexIndex) -> Vec<Child> {
+        let mut entries = vec![a.root];
+        let mut at = 0;
+        while at < entries.len() {
+            if let Child::Inner(block) = entries[at] {
+                let mut cursor = a.disk.cursor();
+                let node = InnerNode::load(&mut cursor, a.inner_file, block).unwrap();
+                for i in 0..node.header.children {
+                    entries.push(node.child_at(&mut cursor, i).unwrap());
+                }
+            }
+            at += 1;
+        }
+        entries
+    }
+
+    /// Each data entry's route (start block, capacity, model) equals its
+    /// child's header after bulk load and after a stream of inserts whose
+    /// SMOs both expand nodes and split them downward: a split adds one
+    /// inner node and an expansion none, so more SMOs than new inner nodes,
+    /// and at least one new inner node, means both kinds happened.
+    #[test]
+    fn every_data_entry_matches_its_childs_header() {
+        let check = |a: &AlexIndex| {
+            let mut cursor = a.disk.cursor();
+            let mut seen = 0;
+            for child in child_entries(a) {
+                if let Child::Data(route) = child {
+                    let node = DataNode::load(&mut cursor, a.data_file, route.block).unwrap();
+                    assert_eq!(route, node.route(), "entry for block {}", route.block);
+                    seen += 1;
+                }
+            }
+            assert!(seen as u64 >= a.data_nodes);
+        };
+        let mut a = index(512);
+        a.bulk_load(&entries(3_000, 10)).unwrap();
+        check(&a);
+        let inner_before = a.stats().inner_nodes;
+        for i in 0..3_000u64 {
+            let key = if i < 1_500 { i * 20 + 3 } else { (i - 1_500) * 2 + 5 };
+            a.insert(key, i).unwrap();
+        }
+        let s = a.stats();
+        let splits = s.inner_nodes - inner_before;
+        assert!(splits > 0 && s.smo_count > splits, "both kinds of SMO: {s:?}");
+        check(&a);
+        // A reload carries the root's entry in its meta.
+        let meta = a.save_meta().unwrap();
+        let reopened = AlexIndex::load(Arc::clone(&a.disk), a.config, &meta).unwrap();
+        assert_eq!(reopened.root, a.root);
+        check(&reopened);
     }
 
     #[test]
@@ -1196,7 +1309,7 @@ mod tests {
             a.bulk_load(&entries(2_000, 3)).unwrap();
             // Forge an inner root whose every child pointer names itself.
             let start = a.disk.allocate(a.inner_file, 1).unwrap();
-            let cyclic = ChildPtr { is_data: false, block: start };
+            let cyclic = Child::Inner(start);
             let model = LinearModel::new(0.0, 0.0);
             InnerNode::build(&a.disk, a.inner_file, start, model, &[cyclic, cyclic]).unwrap();
             a.root = cyclic;
@@ -1224,8 +1337,8 @@ mod tests {
         assert!(a.data_nodes > 2);
         // The last data node links back to the first.
         let mut cursor = a.disk.cursor();
-        let first = a.route(&mut cursor, Key::MIN, None).unwrap();
-        let last = a.route(&mut cursor, Key::MAX, None).unwrap();
+        let first = a.route(&mut cursor, Key::MIN, None).unwrap().block;
+        let last = a.route(&mut cursor, Key::MAX, None).unwrap().block;
         let mut node = DataNode::load(&mut cursor, a.data_file, last).unwrap();
         assert_eq!(node.header.next, INVALID_BLOCK);
         node.header.next = first;
@@ -1298,7 +1411,7 @@ mod tests {
     fn a_fresh_insert_stores_its_header_block_and_one_slot_block() {
         let mut a = index(4096);
         a.bulk_load(&entries(2_000, 10)).unwrap();
-        let root = a.route(&mut a.disk.cursor(), 505, None).unwrap();
+        let root = a.route(&mut a.disk.cursor(), 505, None).unwrap().block;
         let node = DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
         assert_eq!(node.geometry(4096), DataGeometry { bitmap_blocks: 0, slot_blocks: 1 });
         let before = a.disk().snapshot();
@@ -1390,7 +1503,7 @@ mod tests {
         // land between them. 100 + 14 = 114 entries, just below the bound.
         let after: Vec<Key> = (1..=7).map(|i| last + 10 * i).collect();
         let edge: Vec<Key> = after.iter().map(|k| k - 5).collect();
-        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap().block;
         let node = |a: &AlexIndex| DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
         for (i, &k) in after.iter().chain(&edge).enumerate() {
             a.insert(k, k + 1).unwrap();
@@ -1436,7 +1549,7 @@ mod tests {
     fn a_bitmap_with_no_gap_is_an_error_not_an_expansion() {
         for (mut a, len) in [(one_data_node(), 100), (one_spilled_node().0, 3_000)] {
             let mut cursor = a.disk.cursor();
-            let root = a.route(&mut cursor, Key::MIN, None).unwrap();
+            let root = a.route(&mut cursor, Key::MIN, None).unwrap().block;
             let node = DataNode::load(&mut cursor, a.data_file, root).unwrap();
             let mut block0 = cursor.read(a.data_file, root, BlockKind::Leaf).unwrap().to_vec();
             block0[HEADER_BYTES..].fill(0xFF);
@@ -1464,7 +1577,7 @@ mod tests {
     #[test]
     fn a_bitmap_that_marks_gap_copies_fails_the_smo() {
         let mut a = one_data_node();
-        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+        let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap().block;
         let mut node = DataNode::load(&mut a.disk.cursor(), a.data_file, root).unwrap();
         for slot in 0..node.header.capacity {
             node.set_bit(&mut a.disk.cursor(), slot, true).unwrap();
@@ -1476,12 +1589,17 @@ mod tests {
         assert!(matches!(inserted, Err(IndexError::Internal(_))), "{inserted:?}");
         assert_eq!((a.len(), a.stats().leaf_nodes), (100, 1));
         assert_eq!(a.lookup(11).unwrap(), Some(12));
+        // The SMO never happened: it is neither counted nor timed.
+        let telemetry = a.disk.telemetry();
+        assert_eq!(a.stats().smo_count, 0);
+        assert_eq!(telemetry.counter(OpClass::Smo), 0);
+        assert_eq!(telemetry.histogram(OpClass::Smo).count(), 0);
     }
 
     /// Every data node of `a`, from the leftmost along the sibling chain.
     fn data_nodes(a: &AlexIndex) -> Vec<DataNode> {
         let mut cursor = a.disk.cursor();
-        let mut block = a.route(&mut cursor, Key::MIN, None).unwrap();
+        let mut block = a.route(&mut cursor, Key::MIN, None).unwrap().block;
         let mut nodes = Vec::new();
         while block != INVALID_BLOCK {
             let node = DataNode::load(&mut cursor, a.data_file, block).unwrap();
@@ -1688,17 +1806,21 @@ mod tests {
     }
 
     /// A data node whose capacity puts its extent past the end of the file
-    /// is an `Internal` error for every operation that loads it, not a read
-    /// of another node's blocks or of blocks that do not exist.
+    /// is an `Internal` error for every operation that reads it, not a read
+    /// of another node's blocks or of blocks that do not exist. The
+    /// capacity is forged in both its copies: the header, which scans and
+    /// inserts load, and the entry (here the root's) that lookups route by.
     #[test]
     fn a_capacity_past_the_file_is_an_internal_error() {
         for capacity in [10_000, u32::MAX] {
-            let (a, data) = one_spilled_node();
-            let root = a.route(&mut a.disk.cursor(), Key::MIN, None).unwrap();
+            let (mut a, data) = one_spilled_node();
+            let Child::Data(route) = a.root else { panic!("one data node is the root") };
+            let root = route.block;
             let mut block0 =
                 a.disk.cursor().read(a.data_file, root, BlockKind::Leaf).unwrap().to_vec();
             block0[4..8].copy_from_slice(&capacity.to_le_bytes());
             a.disk.write(a.data_file, root, BlockKind::Leaf, &block0).unwrap();
+            a.root = Child::Data(DataRoute { capacity, ..route });
             for (op, verdict) in ["lookup", "lookup_batch", "scan", "insert"]
                 .into_iter()
                 .zip(every_operation(a, data[7].0))
@@ -1747,6 +1869,54 @@ mod tests {
             // A key of the damaged node, and one anywhere.
             let own = node.read_slot(&mut a.disk.cursor(), 0).unwrap().0;
             let key = if probe % 2 == 0 { own } else { probe % (data[data.len() - 1].0 + 100) };
+            for verdict in every_operation(a, key) {
+                if let Err(e) = verdict {
+                    prop_assert!(!e.to_string().is_empty());
+                }
+            }
+        }
+    }
+
+    /// 6 000 keys at stride 3 under one 64-way inner root on 512-byte
+    /// blocks: its 64 entries fill its header block and spill into three
+    /// blocks more.
+    fn one_wide_root() -> (AlexIndex, Vec<Entry>, u32) {
+        let mut a = index(512);
+        let data = entries(6_000, 3);
+        a.bulk_load(&data).unwrap();
+        let Child::Inner(root) = a.root else { panic!("6 000 keys need an inner root") };
+        let node = InnerNode::load(&mut a.disk.cursor(), a.inner_file, root).unwrap();
+        assert_eq!((node.header.children, node.total_blocks(512)), (64, 4));
+        (a, data, root)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Damaged blocks of the root inner node: one of its four blocks is
+        /// cut (zero from some byte on, a torn write) and has bytes flipped,
+        /// in its header or in its child entries, data routes included. A
+        /// lookup, a batched lookup, a scan and an insert then each give an
+        /// answer or a typed error, never a panic or a hang.
+        #[test]
+        fn a_damaged_inner_node_gives_an_answer_or_a_typed_error(
+            pick in 0u32..4,
+            cut in 0usize..1_024,
+            flips in proptest::collection::vec((0usize..512, any::<u8>()), 0..6),
+            probe in any::<u64>(),
+        ) {
+            let (a, data, root) = one_wide_root();
+            let block = root + pick;
+            let mut buf =
+                a.disk.cursor().read(a.inner_file, block, BlockKind::Inner).unwrap().to_vec();
+            if cut < buf.len() {
+                buf[cut..].fill(0);
+            }
+            for (at, mask) in flips {
+                buf[at] ^= mask.max(1);
+            }
+            a.disk.write(a.inner_file, block, BlockKind::Inner, &buf).unwrap();
+            let key = probe % (data[data.len() - 1].0 + 100);
             for verdict in every_operation(a, key) {
                 if let Err(e) = verdict {
                     prop_assert!(!e.to_string().is_empty());

@@ -14,6 +14,10 @@
 //! * data-node lookups never touch the bitmap — gap slots duplicate their
 //!   left neighbour, which is the disk equivalent of ALEX overwriting
 //!   preceding empty slots (shortcoming S5);
+//! * nor the data node's header: an inner node's child entry carries its
+//!   data child's capacity and model, so a lookup goes from the parent
+//!   straight to the predicted slot block, one block fewer than the
+//!   paper's ALEX reads;
 //! * inserts must read and update the bitmap and the node-header statistics,
 //!   which is exactly the utility/maintenance overhead the paper measures in
 //!   Fig. 6 (shortcoming S3);

@@ -41,15 +41,30 @@
 //! # Inner node extent
 //!
 //! ```text
-//! block 0            : header (model, child count) + as many child pointers as fit
-//! blocks 1..         : remaining child pointers
+//! block 0            : header (INNER_HEADER_BYTES: tag, child count, model)
+//!                      + as many child entries as fit
+//! blocks 1..         : remaining child entries
+//!
+//! child entry (CHILD_ENTRY_BYTES = 24):
+//!   [block u32][capacity u32][slope f64][intercept f64]
+//!   capacity 0     : an inner child whose extent starts at `block`
+//!                    (slope and intercept are zero)
+//!   capacity > 0   : a data child whose extent starts at `block`, with its
+//!                    header's capacity and model
 //! ```
 //!
-//! A child pointer packs "is data node" into bit 63 and the child's start
-//! block into the low 32 bits.
+//! A data child's entry is its [`DataRoute`]: the two header fields a point
+//! read needs, copied into the parent wherever the node is built (bulk
+//! load, expansion, split). Inserts never change a node's model or
+//! capacity, so the copy is never stale between SMOs, and a lookup goes
+//! from the parent, already in the pool, straight to the predicted slot
+//! block through a [`SlotArray`]: it reads no data-node header.
+//! `capacity_for` never builds a data node of fewer than 16 slots, so a
+//! capacity of 0 is free to mark an inner child. Scans, inserts and SMOs
+//! still load block 0 for the bitmap, count, links and statistics.
 
 use lidx_core::entries::{self, ENTRY_BYTES};
-use lidx_core::{block_pointer, Entry, IndexError, IndexResult, Key, Value};
+use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
 use lidx_models::LinearModel;
 use lidx_storage::{
     bytes_at, BlockCursor, BlockId, BlockKind, BlockReader, BlockRef, BlockWriter, Disk, SeqHint,
@@ -85,27 +100,227 @@ fn bitmap_word(buf: &[u8], w: usize) -> u64 {
     u64::from_le_bytes(bytes)
 }
 
-/// A packed child pointer: data/inner flag plus start block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChildPtr {
-    /// True if the child is a data node.
-    pub is_data: bool,
-    /// First block of the child's extent.
+/// Bytes of one child entry of an inner node (and of the root in the
+/// index's meta): `[block u32][capacity u32][slope f64][intercept f64]`.
+pub const CHILD_ENTRY_BYTES: usize = 24;
+
+/// What a data node's parent knows of it: where its extent starts, and the
+/// header fields a point read needs, its capacity and its model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DataRoute {
+    /// First block of the node's extent.
     pub block: BlockId,
+    /// Number of slots in the node's gapped array (never 0).
+    pub capacity: u32,
+    /// The node's model, mapping keys to slot positions.
+    pub model: LinearModel,
 }
 
-impl ChildPtr {
-    /// Packs the pointer into a `u64`.
-    pub fn pack(self) -> u64 {
-        (u64::from(self.is_data) << 63) | u64::from(self.block)
+impl DataRoute {
+    /// The node's slot array, once its extent is checked against the file's
+    /// block count: an entry whose extent runs past the end of the file is
+    /// an error, not a read of blocks that do not exist.
+    pub fn slots(&self, disk: &Disk, file: u32) -> IndexResult<SlotArray> {
+        check_extent(disk, file, self.block, self.capacity)?;
+        Ok(SlotArray::new(file, self.block, self.capacity, self.model, disk.block_size()))
+    }
+}
+
+/// One child entry of an inner node, or the index's root.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Child {
+    /// An inner node whose extent starts at this block.
+    Inner(BlockId),
+    /// A data node, with the route a point read takes into it.
+    Data(DataRoute),
+}
+
+impl Child {
+    /// The entry's [`CHILD_ENTRY_BYTES`]; an inner child has capacity 0 and
+    /// a zero model.
+    pub fn encode(&self) -> [u8; CHILD_ENTRY_BYTES] {
+        let (block, capacity, model) = match *self {
+            Child::Inner(block) => (block, 0, LinearModel::new(0.0, 0.0)),
+            Child::Data(route) => (route.block, route.capacity, route.model),
+        };
+        let mut out = [0u8; CHILD_ENTRY_BYTES];
+        out[..4].copy_from_slice(&block.to_le_bytes());
+        out[4..8].copy_from_slice(&capacity.to_le_bytes());
+        out[8..16].copy_from_slice(&model.slope.to_le_bytes());
+        out[16..].copy_from_slice(&model.intercept.to_le_bytes());
+        out
     }
 
-    /// Unpacks a pointer from a `u64`. A stored pointer with any of bits
-    /// 32–62 set names no block id: that is an error, not a pointer silently
-    /// truncated to another block.
-    pub fn unpack(raw: u64) -> IndexResult<Self> {
-        let block = block_pointer(raw & !(1 << 63), "ALEX child pointer")?;
-        Ok(ChildPtr { is_data: raw >> 63 == 1, block })
+    /// Decodes an entry from exactly [`CHILD_ENTRY_BYTES`]. Another length,
+    /// or an inner child (capacity 0) that carries a model, is an error.
+    pub fn decode(bytes: &[u8]) -> IndexResult<Self> {
+        if bytes.len() != CHILD_ENTRY_BYTES {
+            return Err(IndexError::Internal(format!(
+                "an ALEX child entry of {} bytes, not {CHILD_ENTRY_BYTES}",
+                bytes.len()
+            )));
+        }
+        let block = u32::from_le_bytes(bytes_at(bytes, 0));
+        let capacity = u32::from_le_bytes(bytes_at(bytes, 4));
+        let model = LinearModel::new(
+            f64::from_le_bytes(bytes_at(bytes, 8)),
+            f64::from_le_bytes(bytes_at(bytes, 16)),
+        );
+        if capacity > 0 {
+            return Ok(Child::Data(DataRoute { block, capacity, model }));
+        }
+        if bytes[8..].iter().any(|&b| b != 0) {
+            return Err(IndexError::Internal(format!(
+                "ALEX inner child entry for block {block} carries a model"
+            )));
+        }
+        Ok(Child::Inner(block))
+    }
+}
+
+/// Checks that the extent of a data node of `capacity` slots at `start` ends
+/// inside `file`.
+fn check_extent(disk: &Disk, file: u32, start: BlockId, capacity: u32) -> IndexResult<()> {
+    let blocks = DataGeometry::for_capacity(capacity, disk.block_size()).total_blocks();
+    let file_blocks = disk.num_blocks(file)?;
+    if u64::from(start) + u64::from(blocks) > u64::from(file_blocks) {
+        return Err(IndexError::Internal(format!(
+            "ALEX data node at block {start} has {capacity} slots, an extent past the file's \
+             {file_blocks} blocks"
+        )));
+    }
+    Ok(())
+}
+
+/// A data node's gapped slot array as a point read sees it: its first slot
+/// block, its capacity and the model that places keys in it. Built from a
+/// parent's entry ([`DataRoute::slots`]) or a loaded node's header
+/// ([`DataNode::slots`]), it copies those few fields, holds no frame and
+/// allocates nothing. The exponential search is written here once.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotArray {
+    file: u32,
+    first: BlockId,
+    capacity: u32,
+    model: LinearModel,
+    per_block: u32,
+}
+
+impl SlotArray {
+    /// The slot array of the data node at `start` (extent already checked).
+    fn new(
+        file: u32,
+        start: BlockId,
+        capacity: u32,
+        model: LinearModel,
+        block_size: usize,
+    ) -> Self {
+        let bitmap_blocks = DataGeometry::for_capacity(capacity, block_size).bitmap_blocks;
+        SlotArray {
+            file,
+            first: start + 1 + bitmap_blocks,
+            capacity,
+            model,
+            per_block: (block_size / SLOT_BYTES) as u32,
+        }
+    }
+
+    /// Predicted slot of `key`, clamped to the capacity.
+    pub fn predict(&self, key: Key) -> u32 {
+        self.model.predict_clamped(key, self.capacity as usize) as u32
+    }
+
+    /// The block holding `slot` and the slot's index in it.
+    pub fn locate(&self, slot: u32) -> (BlockId, usize) {
+        (self.first + slot / self.per_block, (slot % self.per_block) as usize)
+    }
+
+    /// Reads the slot at `slot` (entry may be a gap duplicate) through the
+    /// operation's cursor: the slots a walk reads in one block cost one disk
+    /// read.
+    pub fn read(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
+        let (block, idx) = self.locate(slot);
+        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
+        Ok(entries::get(&bytes_at(buf, idx * SLOT_BYTES)))
+    }
+
+    /// Finds the leftmost slot whose key is `>= key` using exponential search
+    /// from the model's prediction, as ALEX does. Returns `capacity` if every
+    /// slot key is smaller. The probes read through `cursor`, so the probes
+    /// that land in one slot block cost one disk read.
+    pub fn lower_bound(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<u32> {
+        let n = self.capacity;
+        if n == 0 {
+            return Ok(0);
+        }
+        let pred = self.predict(key);
+        let mut at = |s: u32| -> IndexResult<Key> { Ok(self.read(cursor, s)?.0) };
+
+        let (mut lo, mut hi);
+        if at(pred)? >= key {
+            // Grow leftwards until we find a key smaller than the target.
+            let mut step = 1u32;
+            hi = pred;
+            loop {
+                if step > pred {
+                    lo = 0;
+                    break;
+                }
+                let probe = pred - step;
+                if at(probe)? < key {
+                    lo = probe + 1;
+                    break;
+                }
+                if probe == 0 {
+                    lo = 0;
+                    break;
+                }
+                step *= 2;
+            }
+        } else {
+            // Grow rightwards until we find a key >= target.
+            let mut step = 1u32;
+            lo = pred + 1;
+            loop {
+                let probe = pred.saturating_add(step);
+                if probe >= n - 1 {
+                    if at(n - 1)? < key {
+                        return Ok(n);
+                    }
+                    hi = n - 1;
+                    break;
+                }
+                if at(probe)? >= key {
+                    hi = probe;
+                    break;
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        }
+        // Binary search in [lo, hi].
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if at(mid)? < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Ok(lo)
+    }
+
+    /// Point lookup in a node that holds at least one entry. Gap slots
+    /// duplicate the payload of the real entry they copy, so no bitmap
+    /// access is required; the search and the final slot read share
+    /// `cursor`.
+    pub fn lookup(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<Value>> {
+        let slot = self.lower_bound(cursor, key)?;
+        if slot >= self.capacity {
+            return Ok(None);
+        }
+        let (k, v) = self.read(cursor, slot)?;
+        Ok((k == key).then_some(v))
     }
 }
 
@@ -239,16 +454,20 @@ impl DataNode {
         start: BlockId,
         block0: BlockRef,
     ) -> IndexResult<Self> {
-        let node = DataNode { file, start, header: DataHeader::decode(&block0)?, block0 };
-        let end = u64::from(start) + u64::from(node.total_blocks(disk.block_size()));
-        let file_blocks = disk.num_blocks(file)?;
-        if end > u64::from(file_blocks) {
-            return Err(IndexError::Internal(format!(
-                "ALEX data node at block {start} has {} slots, an extent past the file's {} blocks",
-                node.header.capacity, file_blocks
-            )));
-        }
-        Ok(node)
+        let header = DataHeader::decode(&block0)?;
+        check_extent(disk, file, start, header.capacity)?;
+        Ok(DataNode { file, start, header, block0 })
+    }
+
+    /// The route a parent keeps for this node: its start block and its
+    /// header's capacity and model.
+    pub fn route(&self) -> DataRoute {
+        DataRoute { block: self.start, capacity: self.header.capacity, model: self.header.model }
+    }
+
+    /// The node's slot array, as its header describes it.
+    pub fn slots(&self, block_size: usize) -> SlotArray {
+        SlotArray::new(self.file, self.start, self.header.capacity, self.header.model, block_size)
     }
 
     /// The extent geometry implied by the header.
@@ -278,25 +497,10 @@ impl DataNode {
         Ok(())
     }
 
-    fn slot_block(&self, slot: u32, disk: &Disk) -> (BlockId, usize) {
-        let per_block = (disk.block_size() / SLOT_BYTES) as u32;
-        let geo = self.geometry(disk.block_size());
-        (self.start + 1 + geo.bitmap_blocks + slot / per_block, (slot % per_block) as usize)
-    }
-
-    /// Absolute block id holding `slot` — the prefetch target for batched
-    /// lookups that wave the predicted slot blocks before probing.
-    pub fn slot_block_id(&self, disk: &Disk, slot: u32) -> BlockId {
-        self.slot_block(slot, disk).0
-    }
-
     /// Reads the slot at `slot` (entry may be a gap duplicate) through the
-    /// operation's cursor: the slots a walk reads in one block cost one disk
-    /// read.
+    /// operation's cursor ([`SlotArray::read`]).
     pub fn read_slot(&self, cursor: &mut BlockCursor<'_>, slot: u32) -> IndexResult<Entry> {
-        let (block, idx) = self.slot_block(slot, cursor.disk());
-        let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
-        Ok(entries::get(&bytes_at(buf, idx * SLOT_BYTES)))
+        self.slots(cursor.disk().block_size()).read(cursor, slot)
     }
 
     /// Writes the slot at `slot`: a read-modify-write of its block through
@@ -307,7 +511,7 @@ impl DataNode {
         slot: u32,
         entry: Entry,
     ) -> IndexResult<()> {
-        let (block, idx) = self.slot_block(slot, cursor.disk());
+        let (block, idx) = self.slots(cursor.disk().block_size()).locate(slot);
         let mut buf = cursor.read(self.file, block, BlockKind::Leaf)?.to_vec();
         entries::put(&mut buf.as_chunks_mut().0[idx], entry);
         cursor.write(self.file, block, BlockKind::Leaf, &buf)?;
@@ -351,75 +555,10 @@ impl DataNode {
         Ok(())
     }
 
-    /// Predicted slot of `key`, clamped to the capacity.
-    pub fn predict(&self, key: Key) -> u32 {
-        self.header.model.predict_clamped(key, self.header.capacity as usize) as u32
-    }
-
-    /// Finds the leftmost slot whose key is `>= key` using exponential search
-    /// from the model's prediction, as ALEX does. Returns `capacity` if every
-    /// slot key is smaller. The probes read through `cursor`, so the probes
-    /// that land in one slot block cost one disk read.
+    /// The leftmost slot whose key is `>= key`, or `capacity` if every slot
+    /// key is smaller ([`SlotArray::lower_bound`]).
     pub fn lower_bound(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<u32> {
-        let n = self.header.capacity;
-        if n == 0 {
-            return Ok(0);
-        }
-        let pred = self.predict(key);
-        let mut at = |s: u32| -> IndexResult<Key> { Ok(self.read_slot(cursor, s)?.0) };
-
-        let (mut lo, mut hi);
-        if at(pred)? >= key {
-            // Grow leftwards until we find a key smaller than the target.
-            let mut step = 1u32;
-            hi = pred;
-            loop {
-                if step > pred {
-                    lo = 0;
-                    break;
-                }
-                let probe = pred - step;
-                if at(probe)? < key {
-                    lo = probe + 1;
-                    break;
-                }
-                if probe == 0 {
-                    lo = 0;
-                    break;
-                }
-                step *= 2;
-            }
-        } else {
-            // Grow rightwards until we find a key >= target.
-            let mut step = 1u32;
-            lo = pred + 1;
-            loop {
-                let probe = pred.saturating_add(step);
-                if probe >= n - 1 {
-                    if at(n - 1)? < key {
-                        return Ok(n);
-                    }
-                    hi = n - 1;
-                    break;
-                }
-                if at(probe)? >= key {
-                    hi = probe;
-                    break;
-                }
-                lo = probe + 1;
-                step *= 2;
-            }
-        }
-        // Binary search in [lo, hi].
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if at(mid)? < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(lo)
+        self.slots(cursor.disk().block_size()).lower_bound(cursor, key)
     }
 
     /// The largest stored key, read from the last slot (one block read).
@@ -433,19 +572,13 @@ impl DataNode {
         Ok(self.read_slot(cursor, self.header.capacity.saturating_sub(1))?.0)
     }
 
-    /// Point lookup. Gap slots duplicate the payload of the real entry they
-    /// copy, so no bitmap access is required. The search and the final slot
-    /// read share `cursor`.
+    /// Point lookup ([`SlotArray::lookup`]); an empty node answers `None`
+    /// without a read.
     pub fn lookup(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<Option<Value>> {
         if self.header.count == 0 {
             return Ok(None);
         }
-        let slot = self.lower_bound(cursor, key)?;
-        if slot >= self.header.capacity {
-            return Ok(None);
-        }
-        let (k, v) = self.read_slot(cursor, slot)?;
-        Ok((k == key).then_some(v))
+        self.slots(cursor.disk().block_size()).lookup(cursor, key)
     }
 
     /// The slot nearest to `from` whose bitmap bit is `occupied`, searching
@@ -584,7 +717,7 @@ impl DataNode {
     ) -> IndexResult<()> {
         let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
-        let first = self.slot_block(lo, cursor.disk()).0;
+        let first = self.slots(bs).locate(lo).0;
         let nblocks = hi / per_block - lo / per_block + 1;
         // The run's slot blocks are one contiguous extent: every block after
         // the first is a sequential read.
@@ -623,7 +756,7 @@ impl DataNode {
     ) -> IndexResult<()> {
         let bs = cursor.disk().block_size();
         let per_block = (bs / SLOT_BYTES) as u32;
-        let geo = self.geometry(bs);
+        let slots = self.slots(bs);
         let mut bitmap_offset = 0;
         let mut bitmap = self.block0.clone();
         let mut slot = from_slot;
@@ -637,8 +770,7 @@ impl DataNode {
             }
             // Fetch the slot block and walk every slot it contains.
             let slot_block = slot / per_block;
-            let block = self.start + 1 + geo.bitmap_blocks + slot_block;
-            let buf = cursor.read(self.file, block, BlockKind::Leaf)?;
+            let buf = cursor.read(self.file, slots.locate(slot).0, BlockKind::Leaf)?;
             let block_end = ((slot_block + 1) * per_block).min(self.header.capacity);
             while slot < block_end && out.len() < limit {
                 // The bitmap block can end before the slot block does.
@@ -781,7 +913,7 @@ impl DataNode {
 /// The persistent header of an inner node.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InnerHeader {
-    /// Number of child pointers.
+    /// Number of child entries.
     pub children: u32,
     /// Linear model mapping keys to child indexes.
     pub model: LinearModel,
@@ -798,27 +930,40 @@ pub struct InnerNode {
     pub header: InnerHeader,
 }
 
-/// Bytes of the inner-node header before the child pointer array.
+/// Bytes of the inner-node header before the child entry array.
 const INNER_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
 impl InnerNode {
-    /// Number of child pointers that fit into the first block.
-    pub fn ptrs_in_first_block(block_size: usize) -> usize {
-        (block_size - INNER_HEADER_BYTES) / 8
+    /// Number of child entries that fit into the first block.
+    pub fn entries_in_first_block(block_size: usize) -> usize {
+        (block_size - INNER_HEADER_BYTES) / CHILD_ENTRY_BYTES
     }
 
-    /// Total blocks needed for an inner node with `children` pointers.
+    /// Total blocks needed for an inner node with `children` entries.
     pub fn blocks_for(children: u32, block_size: usize) -> u32 {
-        let in_first = Self::ptrs_in_first_block(block_size) as u32;
+        let in_first = Self::entries_in_first_block(block_size) as u32;
         if children <= in_first {
             1
         } else {
-            1 + (children - in_first).div_ceil((block_size / 8) as u32)
+            1 + (children - in_first).div_ceil((block_size / CHILD_ENTRY_BYTES) as u32)
         }
     }
 
+    /// Where child entry `idx` lives: its block and its byte offset there.
+    fn entry_location(&self, idx: u32, block_size: usize) -> (BlockId, usize) {
+        let in_first = Self::entries_in_first_block(block_size) as u32;
+        if idx < in_first {
+            return (self.start, INNER_HEADER_BYTES + idx as usize * CHILD_ENTRY_BYTES);
+        }
+        let rest = idx - in_first;
+        let per_block = (block_size / CHILD_ENTRY_BYTES) as u32;
+        (self.start + 1 + rest / per_block, (rest % per_block) as usize * CHILD_ENTRY_BYTES)
+    }
+
     /// Reads the header of the inner node at `start` (one block read, which
-    /// a following [`InnerNode::child_at`] in the header block shares).
+    /// a following [`InnerNode::child_at`] in the header block shares). A
+    /// block that is not an inner node's, or an inner node without
+    /// children, is an error.
     pub fn load(cursor: &mut BlockCursor<'_>, file: u32, start: BlockId) -> IndexResult<Self> {
         let buf = cursor.read(file, start, BlockKind::Inner)?;
         let mut r = BlockReader::new(buf);
@@ -829,6 +974,9 @@ impl InnerNode {
         r.get_u8()?;
         r.get_u16()?;
         let children = r.get_u32()?;
+        if children == 0 {
+            return Err(IndexError::Internal(format!("ALEX inner node at block {start} is empty")));
+        }
         let slope = r.get_f64()?;
         let intercept = r.get_f64()?;
         Ok(InnerNode {
@@ -838,47 +986,39 @@ impl InnerNode {
         })
     }
 
-    /// Writes a complete inner node (header plus child pointers), charging
+    /// Writes a complete inner node (header plus child entries), charging
     /// one write per extent block.
     pub fn build(
         disk: &Disk,
         file: u32,
         start: BlockId,
         model: LinearModel,
-        children: &[ChildPtr],
+        children: &[Child],
     ) -> IndexResult<InnerNode> {
         let bs = disk.block_size();
-        let in_first = Self::ptrs_in_first_block(bs);
-        let mut w = BlockWriter::new(bs);
+        let mut w = BlockWriter::new(INNER_HEADER_BYTES);
         w.put_u8(TAG_INNER)?;
         w.put_u8(0)?;
         w.put_u16(0)?;
         w.put_u32(children.len() as u32)?;
         w.put_f64(model.slope)?;
         w.put_f64(model.intercept)?;
-        for ptr in children.iter().take(in_first) {
-            w.put_u64(ptr.pack())?;
-        }
-        disk.write(file, start, BlockKind::Inner, &w.finish())?;
-
-        let per_block = bs / 8;
-        let remaining = children.len().saturating_sub(in_first);
-        let extra_blocks = remaining.div_ceil(per_block);
-        let mut buf = vec![0u8; bs];
-        for b in 0..extra_blocks {
-            buf.fill(0);
-            for i in 0..per_block {
-                if let Some(ptr) = children.get(in_first + b * per_block + i) {
-                    buf[i * 8..i * 8 + 8].copy_from_slice(&ptr.pack().to_le_bytes());
-                }
-            }
-            disk.write(file, start + 1 + b as u32, BlockKind::Inner, &buf)?;
-        }
-        Ok(InnerNode {
+        let node = InnerNode {
             file,
             start,
             header: InnerHeader { children: children.len() as u32, model },
-        })
+        };
+        let mut extent = vec![0u8; node.total_blocks(bs) as usize * bs];
+        extent[..INNER_HEADER_BYTES].copy_from_slice(&w.finish());
+        for (idx, child) in (0..).zip(children) {
+            let (block, offset) = node.entry_location(idx, bs);
+            let at = (block - start) as usize * bs + offset;
+            extent[at..at + CHILD_ENTRY_BYTES].copy_from_slice(&child.encode());
+        }
+        for (block, buf) in (start..).zip(extent.chunks_exact(bs)) {
+            disk.write(file, block, BlockKind::Inner, buf)?;
+        }
+        Ok(node)
     }
 
     /// Total blocks of this node's extent.
@@ -891,42 +1031,26 @@ impl InnerNode {
         self.header.model.predict_clamped(key, self.header.children as usize) as u32
     }
 
-    /// Reads the child pointer at `idx`. Costs one extra block read only when
-    /// the pointer lives outside the header block (or `cursor` no longer
-    /// holds the header block).
-    pub fn child_at(&self, cursor: &mut BlockCursor<'_>, idx: u32) -> IndexResult<ChildPtr> {
-        let bs = cursor.disk().block_size();
-        let in_first = Self::ptrs_in_first_block(bs) as u32;
-        let (block, offset) = if idx < in_first {
-            (self.start, INNER_HEADER_BYTES + idx as usize * 8)
-        } else {
-            let rest = idx - in_first;
-            let per_block = (bs / 8) as u32;
-            (self.start + 1 + rest / per_block, ((rest % per_block) as usize) * 8)
-        };
+    /// Reads child entry `idx`. Costs one extra block read only when the
+    /// entry lives outside the header block (or `cursor` no longer holds the
+    /// header block).
+    pub fn child_at(&self, cursor: &mut BlockCursor<'_>, idx: u32) -> IndexResult<Child> {
+        let (block, offset) = self.entry_location(idx, cursor.disk().block_size());
         let buf = cursor.read(self.file, block, BlockKind::Inner)?;
-        ChildPtr::unpack(u64::from_le_bytes(buf[offset..offset + 8].try_into().unwrap()))
+        Child::decode(&buf[offset..offset + CHILD_ENTRY_BYTES])
     }
 
-    /// Overwrites the child pointer at `idx`: a read-modify-write through
-    /// the operation's cursor.
+    /// Overwrites child entry `idx`: a read-modify-write through the
+    /// operation's cursor.
     pub fn set_child(
         &self,
         cursor: &mut BlockCursor<'_>,
         idx: u32,
-        ptr: ChildPtr,
+        child: Child,
     ) -> IndexResult<()> {
-        let bs = cursor.disk().block_size();
-        let in_first = Self::ptrs_in_first_block(bs) as u32;
-        let (block, offset) = if idx < in_first {
-            (self.start, INNER_HEADER_BYTES + idx as usize * 8)
-        } else {
-            let rest = idx - in_first;
-            let per_block = (bs / 8) as u32;
-            (self.start + 1 + rest / per_block, ((rest % per_block) as usize) * 8)
-        };
+        let (block, offset) = self.entry_location(idx, cursor.disk().block_size());
         let mut buf = cursor.read(self.file, block, BlockKind::Inner)?.to_vec();
-        buf[offset..offset + 8].copy_from_slice(&ptr.pack().to_le_bytes());
+        buf[offset..offset + CHILD_ENTRY_BYTES].copy_from_slice(&child.encode());
         cursor.write(self.file, block, BlockKind::Inner, &buf)?;
         Ok(())
     }
@@ -949,34 +1073,67 @@ mod tests {
         DataNode::build(disk, file, start, capacity, entries, INVALID_BLOCK, INVALID_BLOCK).unwrap()
     }
 
+    /// A child entry round-trips through its 24 bytes, an inner child as
+    /// capacity 0 with a zero model; an inner entry that carries a model,
+    /// or a slice of another length, is an error.
     #[test]
-    fn child_ptr_packs_and_unpacks() {
-        for ptr in [
-            ChildPtr { is_data: true, block: 0 },
-            ChildPtr { is_data: false, block: 12345 },
-            ChildPtr { is_data: true, block: u32::MAX },
+    fn child_entries_round_trip() {
+        let model = LinearModel::new(0.125, -3.5);
+        for child in [
+            Child::Inner(0),
+            Child::Inner(12345),
+            Child::Inner(u32::MAX),
+            Child::Data(DataRoute { block: 0, capacity: 16, model }),
+            Child::Data(DataRoute { block: u32::MAX, capacity: u32::MAX, model }),
         ] {
-            assert_eq!(ChildPtr::unpack(ptr.pack()).unwrap(), ptr);
+            let bytes = child.encode();
+            assert_eq!(Child::decode(&bytes).unwrap(), child);
+        }
+        let mut bytes = Child::Inner(7).encode();
+        bytes[20] = 1;
+        let forged = Child::decode(&bytes);
+        assert!(matches!(forged, Err(IndexError::Internal(_))), "{forged:?}");
+        for len in [0, CHILD_ENTRY_BYTES - 1, CHILD_ENTRY_BYTES + 1] {
+            let cut = Child::decode(&vec![0; len]);
+            assert!(matches!(cut, Err(IndexError::Internal(_))), "{len} bytes: {cut:?}");
         }
     }
 
+    /// A data entry read from an inner node gives the node's slot array
+    /// only if its extent ends inside the file: a capacity or a start block
+    /// that runs past the end is an `Internal` error, not a read of blocks
+    /// that do not exist.
     #[test]
-    fn a_child_pointer_beyond_the_block_id_range_is_an_error() {
+    fn a_data_entry_whose_extent_runs_past_the_file_is_an_error() {
         let d = disk(512);
-        let file = d.create_file().unwrap();
-        let start = d.allocate(file, 1).unwrap();
-        let ptr = ChildPtr { is_data: true, block: 99 };
-        let node =
-            InnerNode::build(&d, file, start, LinearModel::new(0.0, 0.0), &[ptr, ptr]).unwrap();
-        // Forge the high half of child 1: masked to 32 bits it would still
-        // name block 99.
-        let mut buf = d.cursor().read(file, start, BlockKind::Inner).unwrap().to_vec();
-        let off = INNER_HEADER_BYTES + 8;
-        buf[off..off + 8].copy_from_slice(&(ptr.pack() | 1 << 32).to_le_bytes());
-        d.write(file, start, BlockKind::Inner, &buf).unwrap();
-        assert_eq!(node.child_at(&mut d.cursor(), 0).unwrap(), ptr);
-        let forged = node.child_at(&mut d.cursor(), 1);
-        assert!(matches!(forged, Err(IndexError::Internal(_))), "{forged:?}");
+        let entries: Vec<Entry> = (0..50u64).map(|i| (i * 100, i)).collect();
+        let data = build_data(&d, &entries, 128);
+        let route = data.route();
+        let start = d.allocate(data.file, 1).unwrap();
+        let file_blocks = d.num_blocks(data.file).unwrap();
+        // The extent may end exactly at the file's end: 32 slots per block.
+        let max_capacity = (file_blocks - route.block - 1) * 32;
+        let children = [
+            Child::Data(route),
+            Child::Data(DataRoute { capacity: max_capacity, ..route }),
+            Child::Data(DataRoute { capacity: max_capacity + 1, ..route }),
+            Child::Data(DataRoute { capacity: u32::MAX, ..route }),
+            Child::Data(DataRoute { block: file_blocks, ..route }),
+            Child::Data(DataRoute { block: u32::MAX, ..route }),
+        ];
+        let model = LinearModel::new(0.0, 0.0);
+        let node = InnerNode::build(&d, data.file, start, model, &children).unwrap();
+        for (idx, child) in (0..).zip(children) {
+            assert_eq!(node.child_at(&mut d.cursor(), idx).unwrap(), child);
+            let Child::Data(route) = child else { unreachable!("every child is a data entry") };
+            let slots = route.slots(&d, data.file);
+            if idx < 2 {
+                let found = slots.unwrap().lookup(&mut d.cursor(), 4_900).unwrap();
+                assert_eq!(found, Some(49), "entry {idx}");
+            } else {
+                assert!(matches!(slots, Err(IndexError::Internal(_))), "entry {idx}: {slots:?}");
+            }
+        }
     }
 
     /// The bitmap fills block 0's tail first: a node spills into a bitmap
@@ -1071,7 +1228,7 @@ mod tests {
         // blocks; only the middle one is pooled.
         for (lb, gap) in [(10, 70), (71, 10)] {
             let before = slots(&d);
-            let (first, _) = node.slot_block(10, &d);
+            let (first, _) = node.slots(512).locate(10);
             d.clear_buffer();
             d.cursor().read(node.file, first + 1, BlockKind::Leaf).unwrap();
             d.stats().reset();
@@ -1258,11 +1415,21 @@ mod tests {
     fn inner_node_routes_and_updates_children() {
         let d = disk(512);
         let file = d.create_file().unwrap();
-        // 200 children: spills beyond the first block at 512-byte blocks.
-        let children: Vec<ChildPtr> =
-            (0..200u32).map(|i| ChildPtr { is_data: i % 2 == 0, block: i * 10 }).collect();
+        // 200 children: 20 entries in the first 512-byte block, 21 in each
+        // of the nine that follow.
+        let children: Vec<Child> = (0..200u32)
+            .map(|i| {
+                let model = LinearModel::new(f64::from(i) / 8.0, -f64::from(i));
+                let route = DataRoute { block: i * 10, capacity: 16 + i, model };
+                if i % 2 == 0 {
+                    Child::Data(route)
+                } else {
+                    Child::Inner(i * 10)
+                }
+            })
+            .collect();
         let blocks = InnerNode::blocks_for(200, 512);
-        assert!(blocks > 1);
+        assert_eq!((InnerNode::entries_in_first_block(512), blocks), (20, 10));
         let start = d.allocate(file, blocks).unwrap();
         let model = LinearModel::new(200.0 / 2_000.0, 0.0); // keys 0..2000 -> 0..200
         let node = InnerNode::build(&d, file, start, model, &children).unwrap();
@@ -1270,16 +1437,17 @@ mod tests {
 
         let reloaded = InnerNode::load(&mut d.cursor(), file, start).unwrap();
         assert_eq!(reloaded.header.children, 200);
-        for idx in [0u32, 1, 57, 63, 64, 150, 199] {
+        for idx in [0u32, 1, 19, 20, 40, 41, 57, 63, 64, 150, 199] {
             assert_eq!(reloaded.child_at(&mut d.cursor(), idx).unwrap(), children[idx as usize]);
         }
         assert_eq!(reloaded.child_index(0), 0);
         assert_eq!(reloaded.child_index(1_000), 100);
         assert_eq!(reloaded.child_index(1_000_000), 199, "predictions clamp to the last child");
 
-        let new_ptr = ChildPtr { is_data: true, block: 9999 };
-        reloaded.set_child(&mut d.cursor(), 150, new_ptr).unwrap();
-        assert_eq!(reloaded.child_at(&mut d.cursor(), 150).unwrap(), new_ptr);
+        let model = LinearModel::new(2.0, 1.0);
+        let new_child = Child::Data(DataRoute { block: 9999, capacity: 64, model });
+        reloaded.set_child(&mut d.cursor(), 150, new_child).unwrap();
+        assert_eq!(reloaded.child_at(&mut d.cursor(), 150).unwrap(), new_child);
         assert_eq!(reloaded.child_at(&mut d.cursor(), 149).unwrap(), children[149]);
     }
 }

@@ -52,6 +52,16 @@ fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
 /// HDD lookups whose slot sits in the first slot block read it sequentially
 /// (Fig. 3, Fig. 8, the layout ablation); pooled lookups (Fig. 13) moved both
 /// ways as the shorter extents map to other pool stripes.
+/// Re-recorded when an ALEX inner node's child entry began carrying its data
+/// child's capacity and model, so a point lookup reads no data-node header:
+/// every token that changed is an ALEX value, and the other designs' rows
+/// changed only in column width (Fig. 8's rule). Every ALEX lookup column
+/// at pool 0 falls by exactly one block (Table 2's lookup 3.00 → 2.00,
+/// Fig. 4's `fb` 4.25 → 3.25, Table 4's `leaf blk (lookup)`, the layout
+/// ablation's `blk` columns); the throughput of every lookup-bearing
+/// workload rises with it (Figs. 3, 5, 8, 9, 11, 14) and Fig. 12's lookup
+/// tail falls (`fb` p99 60.20 → 50.20 ms). Pooled lookups (Fig. 13) fall
+/// by up to a block as well; no insert or scan column moved.
 const GOLDEN: &str = include_str!("golden/paper_artifacts_quick_seed42.txt");
 
 /// The golden's scale line and its `(target, report)` sections.

@@ -108,6 +108,21 @@ struct ReadCost {
 /// depth 1 reads 1 483 → 1 381 blocks (146.10 → 135.78 ms) and depth 8
 /// 2 095 → 1 827 (132.84 → 128.64 ms). The stripe function is ROADMAP item
 /// 12's.
+///
+/// The four ALEX rows were re-recorded again when an inner node's child
+/// entry began carrying its data child's capacity and model, so a point
+/// lookup goes from the parent straight to the predicted slot block and
+/// the batch drops its header wave: no lookup reads a data-node header any
+/// more. Only `Leaf` reads, device time and pool hits moved, and every one
+/// fell. Near-linear depth 1: 2 314 → 1 323 reads, 225.96 → 130.10 ms,
+/// pool hits 4 499 → 3 474. Depth 8: 2 846 → 1 857 reads, 213.32 →
+/// 118.20 ms, pool hits 4 499 → 3 474. `fb` depth 1: `Leaf` 10 415 →
+/// 8 399, 1 175.14 → 974.14 ms; `fb` depth 8: `Leaf` 12 813 → 10 797,
+/// 986.74 → 787.14 ms. `Inner` reads stay 3 004: the 24-byte entries still
+/// fit each routing node in the blocks the 8-byte pointers did. The header
+/// blocks gone from the near-linear rows' lookups were the ones the stripe
+/// alias above made evict each other, so that alias now shows only on
+/// ALEX's scans and inserts.
 #[rustfmt::skip]
 const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, btree
@@ -117,7 +132,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 1, pgm
     ReadCost { reads: [0, 0, 517, 0], device_ns: 49740000, buffer_hits: 2325, readahead_hits: 0 },
     // ssd, pool 64, depth 1, alex
-    ReadCost { reads: [0, 0, 2314, 0], device_ns: 225960000, buffer_hits: 4499, readahead_hits: 0 },
+    ReadCost { reads: [0, 0, 1323, 0], device_ns: 130100000, buffer_hits: 3474, readahead_hits: 0 },
     // ssd, pool 64, depth 1, lipp
     ReadCost { reads: [0, 0, 2558, 0], device_ns: 235760000, buffer_hits: 2482, readahead_hits: 0 },
     // ssd, pool 64, depth 1, hybrid-pla
@@ -131,7 +146,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // ssd, pool 64, depth 8, pgm
     ReadCost { reads: [0, 0, 567, 0], device_ns: 47300000, buffer_hits: 2339, readahead_hits: 3 },
     // ssd, pool 64, depth 8, alex
-    ReadCost { reads: [0, 0, 2846, 0], device_ns: 213320000, buffer_hits: 4499, readahead_hits: 143 },
+    ReadCost { reads: [0, 0, 1857, 0], device_ns: 118200000, buffer_hits: 3474, readahead_hits: 143 },
     // ssd, pool 64, depth 8, lipp
     ReadCost { reads: [0, 0, 3311, 0], device_ns: 200400000, buffer_hits: 2481, readahead_hits: 562 },
     // ssd, pool 64, depth 8, hybrid-pla
@@ -145,7 +160,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 1, pgm
     ReadCost { reads: [0, 2417, 7318, 0], device_ns: 761780000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, alex
-    ReadCost { reads: [0, 3004, 10415, 0], device_ns: 1175140000, buffer_hits: 0, readahead_hits: 0 },
+    ReadCost { reads: [0, 3004, 8399, 0], device_ns: 974140000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, lipp
     ReadCost { reads: [0, 0, 33855, 0], device_ns: 2593220000, buffer_hits: 0, readahead_hits: 0 },
     // fb, 512 B, no pool, depth 1, hybrid-pla
@@ -159,7 +174,7 @@ const READ_PATH_COST: [ReadCost; 28] = [
     // fb, 512 B, no pool, depth 8, pgm
     ReadCost { reads: [0, 2417, 7707, 0], device_ns: 697500000, buffer_hits: 0, readahead_hits: 1011 },
     // fb, 512 B, no pool, depth 8, alex
-    ReadCost { reads: [0, 3004, 12813, 0], device_ns: 986740000, buffer_hits: 0, readahead_hits: 3028 },
+    ReadCost { reads: [0, 3004, 10797, 0], device_ns: 787140000, buffer_hits: 0, readahead_hits: 3028 },
     // fb, 512 B, no pool, depth 8, lipp
     ReadCost { reads: [0, 0, 38612, 0], device_ns: 1147760000, buffer_hits: 0, readahead_hits: 21361 },
     // fb, 512 B, no pool, depth 8, hybrid-pla
