@@ -9,7 +9,7 @@ use lidx_core::{
     WriteBuffer, WriteBufferConfig,
 };
 use lidx_fiting::{FitingConfig, FitingTree};
-use lidx_hybrid::{HybridConfig, HybridIndex, HybridInnerKind};
+use lidx_hybrid::{HybridIndex, HybridInnerKind};
 use lidx_lipp::{LippConfig, LippIndex};
 use lidx_pgm::{PgmConfig, PgmIndex};
 use lidx_storage::{BlockKind, DeviceModel, Disk, DiskConfig};
@@ -114,20 +114,12 @@ impl IndexChoice {
                 .expect("alex layout1 init"),
             ),
             IndexChoice::Lipp => Box::new(LippIndex::new(disk).expect("lipp init")),
-            IndexChoice::HybridPla => Box::new(
-                HybridIndex::new(
-                    disk,
-                    HybridConfig { inner: HybridInnerKind::Pla, ..Default::default() },
-                )
-                .expect("hybrid init"),
-            ),
-            IndexChoice::HybridModelTree => Box::new(
-                HybridIndex::new(
-                    disk,
-                    HybridConfig { inner: HybridInnerKind::ModelTree, ..Default::default() },
-                )
-                .expect("hybrid init"),
-            ),
+            IndexChoice::HybridPla => {
+                Box::new(HybridIndex::new(disk, HybridInnerKind::Pla).expect("hybrid init"))
+            }
+            IndexChoice::HybridModelTree => {
+                Box::new(HybridIndex::new(disk, HybridInnerKind::ModelTree).expect("hybrid init"))
+            }
         }
     }
 
@@ -156,16 +148,12 @@ impl IndexChoice {
                 meta,
             )?),
             IndexChoice::Lipp => Box::new(LippIndex::load(disk, LippConfig::default(), meta)?),
-            IndexChoice::HybridPla => Box::new(HybridIndex::load(
-                disk,
-                HybridConfig { inner: HybridInnerKind::Pla, ..Default::default() },
-                meta,
-            )?),
-            IndexChoice::HybridModelTree => Box::new(HybridIndex::load(
-                disk,
-                HybridConfig { inner: HybridInnerKind::ModelTree, ..Default::default() },
-                meta,
-            )?),
+            IndexChoice::HybridPla => {
+                Box::new(HybridIndex::load(disk, HybridInnerKind::Pla, meta)?)
+            }
+            IndexChoice::HybridModelTree => {
+                Box::new(HybridIndex::load(disk, HybridInnerKind::ModelTree, meta)?)
+            }
         })
     }
 }

@@ -5,15 +5,26 @@ use std::sync::Arc;
 
 use lidx_btree::{Boundary, LeafLevel, LeafView};
 use lidx_core::{
-    index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult, IndexStats,
-    IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps, Value,
+    block_pointer, index::validate_bulk_load, Entry, IndexError, IndexKind, IndexRead, IndexResult,
+    IndexStats, IndexWrite, InsertBreakdown, InsertStep, Key, MetaReader, MetaWriter, StepLaps,
+    Value,
 };
-use lidx_storage::{BlockId, BlockKind, Disk, FileId, OpClass};
-
-use crate::inner::{InnerDirectory, ModelTreeInner, PlaInner};
+use lidx_lipp::node::{build_subtree, Subtree};
+use lidx_pgm::StaticPgm;
+use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, FileId, OpClass};
 
 /// Fraction of a leaf filled at bulk load, the B+-tree's default.
 const LEAF_FILL: f64 = 0.8;
+
+/// Error bound of the PLA directory.
+const EPSILON: usize = 64;
+
+/// Slot over-allocation factor of a model-tree node: a node over `n`
+/// boundaries has `GAP_FACTOR · n` slots, clamped to `8..=2^20`.
+const GAP_FACTOR: usize = 2;
+
+/// What a directory payload read back as a leaf block is called in errors.
+const LEAF_POINTER: &str = "hybrid directory leaf pointer";
 
 /// Which learned structure routes queries to the leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,25 +45,25 @@ impl HybridInnerKind {
     }
 }
 
-/// Configuration of a hybrid index.
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// The inner directory flavour.
-    pub inner: HybridInnerKind,
-    /// Error bound of the PLA directory (ignored by the model tree).
-    pub epsilon: usize,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig { inner: HybridInnerKind::Pla, epsilon: 64 }
-    }
+/// The learned directory over the `(boundary, leaf block)` pairs, in the
+/// index's directory file and charged wholly to [`BlockKind::Inner`]. Each
+/// variant is its own crate's handle, with that crate's floor query and
+/// meta.
+enum Directory {
+    /// A recursive ε-bounded PLA, the inner part of a FITing-tree or PGM
+    /// (Table 5's "FITing-Tree" / "PGM" columns): one [`StaticPgm`]
+    /// component.
+    Pla(StaticPgm),
+    /// An FMCD model tree in the spirit of ALEX's and LIPP's inner nodes
+    /// (Table 5's "ALEX" / "LIPP" columns): a LIPP subtree whose slots hold
+    /// a boundary with its leaf, or a child keyed by its first boundary.
+    ModelTree(Subtree),
 }
 
 /// A hybrid index (§6.1.2): learned inner structure, B+-tree-styled leaves.
 pub struct HybridIndex {
     disk: Arc<Disk>,
-    config: HybridConfig,
+    inner: HybridInnerKind,
     /// The leaf level's own file.
     leaf_file: u32,
     leaves: LeafLevel,
@@ -60,51 +71,53 @@ pub struct HybridIndex {
     /// current directory was appended into.
     dir_file: FileId,
     dir_blocks: Range<BlockId>,
-    inner: Box<dyn InnerDirectory + Send + Sync>,
-    /// In-memory copy of the `(boundary, leaf block)` pairs, used only to
-    /// rebuild the inner directory after leaf splits (meta-style state; all
-    /// routing I/O still goes through the on-disk directory).
+    /// The directory; `None` until the bulk load, so `Some` means loaded.
+    directory: Option<Directory>,
+    /// In-memory copy of the `(boundary, leaf block)` pairs, read back from
+    /// the directory on a reopen and used only to rebuild the directory
+    /// after leaf splits (meta-style state; all routing I/O still goes
+    /// through the on-disk directory).
     boundaries: Vec<Boundary>,
     key_count: u64,
     smo_count: u64,
-    loaded: bool,
     breakdown: InsertBreakdown,
 }
 
 impl HybridIndex {
-    /// Creates an empty hybrid index.
-    pub fn new(disk: Arc<Disk>, config: HybridConfig) -> IndexResult<Self> {
+    /// Creates an empty hybrid index routed by an `inner` directory.
+    pub fn new(disk: Arc<Disk>, inner: HybridInnerKind) -> IndexResult<Self> {
         let leaf_file = disk.create_file()?;
         let dir_file = disk.create_file()?;
         Ok(HybridIndex {
             leaves: LeafLevel::new(disk.block_size()),
-            inner: directory(&disk, config, dir_file),
             disk,
-            config,
+            inner,
             leaf_file,
             dir_file,
             dir_blocks: 0..0,
+            directory: None,
             boundaries: Vec::new(),
             key_count: 0,
             smo_count: 0,
-            loaded: false,
             breakdown: InsertBreakdown::new(),
         })
     }
 
     /// Reopens a hybrid index from [`IndexWrite::save_meta`] bytes against a
-    /// disk that already holds its blocks. `config` must match the one the
-    /// index was created with (including the inner flavour). The learned
-    /// inner directory is rebuilt from the persisted boundary table — the
-    /// same refresh path leaf splits take — into the directory's own file,
-    /// after the saved directory's blocks are freed.
+    /// disk that already holds its blocks. `inner` must be the kind the
+    /// index was created with. The saved directory is opened from its own
+    /// meta and its `(boundary, leaf block)` entries are read back into the
+    /// in-memory boundary table: the PLA's data level, or every block of
+    /// the model tree. Nothing is written or freed.
     ///
-    /// A boundary table no index writes is [`IndexError::Internal`]: keys
-    /// that do not strictly increase, or a leaf block past the leaf file.
-    /// Both directory builds and every leaf read trust those bounds. So is
-    /// a directory file that is the leaf file, or a directory range past
-    /// the end of its file.
-    pub fn load(disk: Arc<Disk>, config: HybridConfig, meta: &[u8]) -> IndexResult<Self> {
+    /// A meta no index writes is [`IndexError::Internal`]: a directory file
+    /// that is the leaf file, a directory range past the end of its file, a
+    /// PLA component in another file, a model-tree root past the file or
+    /// more nodes than the file has blocks (the walk's budget), or entries
+    /// that do not strictly increase, name a block past the leaf file or
+    /// number other than the leaf count. Every later search trusts those
+    /// bounds.
+    pub fn load(disk: Arc<Disk>, inner: HybridInnerKind, meta: &[u8]) -> IndexResult<Self> {
         let mut r = MetaReader::new(meta);
         let leaf_file = r.u32()?;
         let dir_file = r.u32()?;
@@ -113,18 +126,6 @@ impl HybridIndex {
         let loaded = r.u32()? != 0;
         let key_count = r.u64()?;
         let smo_count = r.u64()?;
-        let boundary_count = r.u32()? as usize;
-        let mut boundaries = Vec::with_capacity(boundary_count.min(1 << 20));
-        for _ in 0..boundary_count {
-            boundaries.push((r.u64()?, r.u32()?));
-        }
-        let leaf_blocks = disk.num_blocks(leaf_file)?;
-        let increasing = boundaries.windows(2).all(|w| w[0].0 < w[1].0);
-        if !increasing || boundaries.iter().any(|&(_, block)| block >= leaf_blocks) {
-            return Err(IndexError::Internal(format!(
-                "hybrid boundary table is out of order or overruns its {leaf_blocks} leaf blocks"
-            )));
-        }
         let dir_len = disk.num_blocks(dir_file)?;
         if dir_file == leaf_file || dir_blocks.start > dir_blocks.end || dir_blocks.end > dir_len {
             return Err(IndexError::Internal(format!(
@@ -132,29 +133,70 @@ impl HybridIndex {
                  {dir_len} blocks)"
             )));
         }
-        // The saved directory is freed before the rebuild, so a build that
-        // reuses freed space may land in it, and the rebuild frees nothing
-        // the saved range holds. The pager counts a repeated free once, so
-        // a second load of one meta on one disk frees nothing more.
-        disk.free(dir_file, dir_blocks.start, dir_blocks.len() as u32);
         let mut index = HybridIndex {
             leaves: LeafLevel::from_parts(disk.block_size(), leaf_count),
-            inner: directory(&disk, config, dir_file),
             disk,
-            config,
+            inner,
             leaf_file,
             dir_file,
-            dir_blocks: 0..0,
-            boundaries,
+            dir_blocks,
+            directory: None,
+            boundaries: Vec::new(),
             key_count,
             smo_count,
-            loaded,
             breakdown: InsertBreakdown::new(),
         };
-        if !index.boundaries.is_empty() {
-            index.rebuild_directory()?;
+        if loaded {
+            index.open_directory(&mut r, dir_len)?;
         }
         Ok(index)
+    }
+
+    /// Opens the directory whose meta `r` holds, in a directory file of
+    /// `dir_len` blocks, and reads its entries back into the boundary table,
+    /// checking them against the leaf level.
+    fn open_directory(&mut self, r: &mut MetaReader<'_>, dir_len: BlockId) -> IndexResult<()> {
+        let forged = |what: String| Err(IndexError::Internal(format!("hybrid directory {what}")));
+        let (directory, entries) = match self.inner {
+            HybridInnerKind::Pla => {
+                let pgm = StaticPgm::load_meta(Arc::clone(&self.disk), r, BlockKind::Inner)?;
+                if pgm.file() != self.dir_file {
+                    return forged(format!("component in file {}", pgm.file()));
+                }
+                let entries = pgm.all_entries()?;
+                (Directory::Pla(pgm), entries)
+            }
+            HybridInnerKind::ModelTree => {
+                let tree = Subtree { root: r.u32()?, nodes: r.u64()?, depth: r.u32()? };
+                if tree.root >= dir_len || !(1..=u64::from(dir_len)).contains(&tree.nodes) {
+                    return forged(format!("{tree:?} overruns its file of {dir_len} blocks"));
+                }
+                let entries =
+                    tree.entries(&mut self.disk.cursor(), self.dir_file, BlockKind::Inner)?;
+                (Directory::ModelTree(tree), entries)
+            }
+        };
+        let leaf_blocks = self.disk.num_blocks(self.leaf_file)?;
+        let mut boundaries: Vec<Boundary> = Vec::with_capacity(entries.len());
+        for (key, pointer) in entries {
+            let leaf = block_pointer(pointer, LEAF_POINTER)?;
+            if leaf >= leaf_blocks || boundaries.last().is_some_and(|&(last, _)| last >= key) {
+                return forged(format!(
+                    "entry ({key}, {leaf}) is out of order or past {leaf_blocks} leaf blocks"
+                ));
+            }
+            boundaries.push((key, leaf));
+        }
+        if boundaries.len() as u64 != self.leaves.leaf_count() {
+            return forged(format!(
+                "holds {} boundaries for {} leaves",
+                boundaries.len(),
+                self.leaves.leaf_count()
+            ));
+        }
+        self.boundaries = boundaries;
+        self.directory = Some(directory);
+        Ok(())
     }
 
     /// Builds the directory over the boundary table into the directory's
@@ -166,29 +208,46 @@ impl HybridIndex {
     /// blocks outside its range, so they stay allocated for good: space
     /// lost, never a live block freed.
     fn rebuild_directory(&mut self) -> IndexResult<()> {
-        let start = self.disk.num_blocks(self.dir_file)?;
-        self.inner.rebuild(&self.boundaries)?;
-        let end = self.disk.num_blocks(self.dir_file)?;
+        let (disk, file) = (&self.disk, self.dir_file);
+        let entries: Vec<Entry> = self.boundaries.iter().map(|&(k, b)| (k, u64::from(b))).collect();
+        let start = disk.num_blocks(file)?;
+        let directory = match self.inner {
+            HybridInnerKind::Pla => {
+                let pgm =
+                    StaticPgm::build(Arc::clone(disk), file, &entries, EPSILON, BlockKind::Inner)?;
+                Directory::Pla(pgm)
+            }
+            HybridInnerKind::ModelTree => {
+                let capacity = |n: usize| n.saturating_mul(GAP_FACTOR).clamp(8, 1 << 20) as u32;
+                let tree = build_subtree(disk, file, BlockKind::Inner, &entries, &capacity)?;
+                Directory::ModelTree(tree)
+            }
+        };
+        let end = disk.num_blocks(file)?;
+        self.directory = Some(directory);
         let superseded = std::mem::replace(&mut self.dir_blocks, start..end);
-        self.disk.free(self.dir_file, superseded.start, superseded.len() as u32);
+        self.disk.free(file, superseded.start, superseded.len() as u32);
         Ok(())
+    }
+
+    /// Returns the leaf block covering `key`: the directory's floor, or the
+    /// first leaf when `key` precedes every boundary. Every directory block
+    /// is read through the operation's `cursor`, so a batch that routes
+    /// several keys re-reads nothing.
+    fn leaf_for(&self, cursor: &mut BlockCursor<'_>, key: Key) -> IndexResult<BlockId> {
+        let floor = match &self.directory {
+            Some(Directory::Pla(pgm)) => pgm.floor(cursor, key)?,
+            Some(Directory::ModelTree(tree)) => {
+                tree.floor(cursor, self.dir_file, BlockKind::Inner, key)?
+            }
+            None => return Err(IndexError::NotInitialized),
+        };
+        floor.or(self.boundaries.first().map(|b| b.1)).ok_or(IndexError::NotInitialized)
     }
 
     /// Number of leaf blocks.
     pub fn leaf_count(&self) -> u64 {
         self.leaves.leaf_count()
-    }
-}
-
-/// An empty directory of `config`'s flavour that builds into `file`.
-fn directory(
-    disk: &Arc<Disk>,
-    config: HybridConfig,
-    file: FileId,
-) -> Box<dyn InnerDirectory + Send + Sync> {
-    match config.inner {
-        HybridInnerKind::Pla => Box::new(PlaInner::new(Arc::clone(disk), file, config.epsilon)),
-        HybridInnerKind::ModelTree => Box::new(ModelTreeInner::new(Arc::clone(disk), file)),
     }
 }
 
@@ -198,7 +257,7 @@ impl IndexRead for HybridIndex {
     }
 
     fn name(&self) -> String {
-        format!("hybrid-{}", self.config.inner.name())
+        format!("hybrid-{}", self.inner.name())
     }
 
     fn disk(&self) -> &Arc<Disk> {
@@ -206,11 +265,8 @@ impl IndexRead for HybridIndex {
     }
 
     fn lookup(&self, key: Key) -> IndexResult<Option<Value>> {
-        if !self.loaded {
-            return Err(IndexError::NotInitialized);
-        }
         let mut cursor = self.disk.cursor();
-        let leaf = self.inner.find_leaf(&mut cursor, key)?;
+        let leaf = self.leaf_for(&mut cursor, key)?;
         Ok(LeafView::new(cursor.read(self.leaf_file, leaf, BlockKind::Leaf)?)?.lookup(key))
     }
 
@@ -225,7 +281,7 @@ impl IndexRead for HybridIndex {
         if keys.is_empty() {
             return Ok(());
         }
-        if !self.loaded {
+        if self.directory.is_none() {
             return Err(IndexError::NotInitialized);
         }
         out.resize(keys.len(), None);
@@ -243,7 +299,7 @@ impl IndexRead for HybridIndex {
             if groups.is_empty() || bound.is_some_and(|b| key >= b) {
                 let idx = self.boundaries.partition_point(|&(b, _)| b <= key).saturating_sub(1);
                 bound = self.boundaries.get(idx + 1).map(|&(b, _)| b);
-                groups.push((self.inner.find_leaf(&mut cursor, key)?, at));
+                groups.push((self.leaf_for(&mut cursor, key)?, at));
             }
             groups.last_mut().expect("group exists").1 = at + 1;
         }
@@ -262,7 +318,7 @@ impl IndexRead for HybridIndex {
 
     fn scan(&self, start: Key, count: usize, out: &mut Vec<Entry>) -> IndexResult<usize> {
         out.clear();
-        if !self.loaded {
+        if self.directory.is_none() {
             return Err(IndexError::NotInitialized);
         }
         if count == 0 {
@@ -271,7 +327,7 @@ impl IndexRead for HybridIndex {
         // One scan cursor carries the directory descent (point-class inner
         // nodes) and the leaf chain (scan-class).
         let mut cursor = self.disk.scan_cursor();
-        let leaf = self.inner.find_leaf(&mut cursor, start)?;
+        let leaf = self.leaf_for(&mut cursor, start)?;
         self.leaves.scan_from(&mut cursor, self.leaf_file, leaf, start, count, out)
     }
 
@@ -280,10 +336,18 @@ impl IndexRead for HybridIndex {
     }
 
     fn stats(&self) -> IndexStats {
+        // The PLA's height counts its data level, its record levels and the
+        // in-memory root; its nodes are its blocks.
+        let (height, inner_nodes) = match (&self.directory, self.inner) {
+            (Some(Directory::Pla(pgm)), _) => (2 + pgm.inner_levels() as u32, pgm.blocks()),
+            (Some(Directory::ModelTree(tree)), _) => (tree.depth, tree.nodes),
+            (None, HybridInnerKind::Pla) => (2, 0),
+            (None, HybridInnerKind::ModelTree) => (0, 0),
+        };
         IndexStats {
             keys: self.key_count,
-            height: self.inner.height() + 1,
-            inner_nodes: self.inner.node_count(),
+            height: height + 1,
+            inner_nodes,
             leaf_nodes: self.leaves.leaf_count(),
             smo_count: self.smo_count,
         }
@@ -298,29 +362,26 @@ impl IndexRead for HybridIndex {
 
 impl IndexWrite for HybridIndex {
     fn bulk_load(&mut self, entries: &[Entry]) -> IndexResult<()> {
-        if self.loaded {
+        if self.directory.is_some() {
             return Err(IndexError::AlreadyLoaded);
         }
         validate_bulk_load(entries)?;
         self.boundaries = self.leaves.bulk_build(&self.disk, self.leaf_file, entries, LEAF_FILL)?;
         self.rebuild_directory()?;
         self.key_count = entries.len() as u64;
-        self.loaded = true;
         Ok(())
     }
 
     /// The one write path (`insert` is a batch of one): each sorted *run* of
     /// co-located entries is appended to its dense leaf with one
     /// read-modify-write, and — the big win — the learned-directory retrain
-    /// is deferred to a single [`InnerDirectory::rebuild`] at the end of the
-    /// batch instead of one per split (the P2 cost one-entry batches pay per
+    /// is deferred to a single directory rebuild at the end of the batch
+    /// instead of one per split (the P2 cost one-entry batches pay per
     /// split). While splits are pending, routing switches to
     /// the in-memory boundary table, which is exactly the state the deferred
     /// rebuild will be trained on.
-    ///
-    /// [`InnerDirectory::rebuild`]: crate::inner::InnerDirectory::rebuild
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
-        if !self.loaded {
+        if self.directory.is_none() {
             return Err(IndexError::NotInitialized);
         }
         if entries.is_empty() {
@@ -346,7 +407,7 @@ impl IndexWrite for HybridIndex {
                 let leaf = if directory_stale {
                     self.boundaries[upper_pos.saturating_sub(1)].1
                 } else {
-                    self.inner.find_leaf(&mut cursor, key)?
+                    self.leaf_for(&mut cursor, key)?
                 };
                 (leaf, cursor.read(self.leaf_file, leaf, BlockKind::Leaf)?.clone())
             };
@@ -392,22 +453,24 @@ impl IndexWrite for HybridIndex {
     }
 
     fn save_meta(&mut self) -> IndexResult<Vec<u8>> {
-        // Leaf blocks are written eagerly; the inner directory is derivable
-        // from the boundary table (it is rebuilt on load), so the meta is
-        // the leaf-level parts, the directory's file and blocks (which a
-        // load frees) and the boundaries.
+        // Leaf blocks and the directory are written eagerly, so the meta is
+        // the leaf level's parts, the directory's file and the blocks its
+        // next rebuild frees, the counters, and the directory's own meta.
         let mut w = MetaWriter::new();
         w.u32(self.leaf_file)
             .u32(self.dir_file)
             .u32(self.dir_blocks.start)
             .u32(self.dir_blocks.end)
             .u64(self.leaves.leaf_count())
-            .u32(self.loaded as u32)
+            .u32(self.directory.is_some() as u32)
             .u64(self.key_count)
-            .u64(self.smo_count)
-            .u32(self.boundaries.len() as u32);
-        for &(key, block) in &self.boundaries {
-            w.u64(key).u32(block);
+            .u64(self.smo_count);
+        match &self.directory {
+            Some(Directory::Pla(pgm)) => pgm.save_meta(&mut w),
+            Some(Directory::ModelTree(tree)) => {
+                w.u32(tree.root).u64(tree.nodes).u32(tree.depth);
+            }
+            None => {}
         }
         Ok(w.finish())
     }
@@ -423,7 +486,7 @@ mod tests {
     }
 
     fn build_on(disk: Arc<Disk>, inner: HybridInnerKind, n: u64) -> (HybridIndex, Vec<Entry>) {
-        let mut h = HybridIndex::new(disk, HybridConfig { inner, epsilon: 16 }).unwrap();
+        let mut h = HybridIndex::new(disk, inner).unwrap();
         let mut keys: Vec<u64> = (0..n).map(|i| i * 13 + (i % 29) * 7).collect();
         keys.sort_unstable();
         keys.dedup();
@@ -572,8 +635,7 @@ mod tests {
             || DiskConfig::with_block_size(512).device(DeviceModel::ssd()).buffer_blocks(64);
 
         for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
-            let hybrid_config = HybridConfig { inner, epsilon: 16 };
-            let mut sync_h = HybridIndex::new(Disk::in_memory(config()), hybrid_config).unwrap();
+            let mut sync_h = HybridIndex::new(Disk::in_memory(config()), inner).unwrap();
             sync_h.bulk_load(&data).unwrap();
             let mut expected = Vec::new();
             sync_h.disk().stats().reset();
@@ -581,7 +643,7 @@ mod tests {
             let sync_ns = sync_h.disk().stats().device_ns();
 
             let mut queued_h =
-                HybridIndex::new(Disk::in_memory(config().queue_depth(8)), hybrid_config).unwrap();
+                HybridIndex::new(Disk::in_memory(config().queue_depth(8)), inner).unwrap();
             queued_h.bulk_load(&data).unwrap();
             let mut got = Vec::new();
             queued_h.disk().stats().reset();
@@ -663,19 +725,16 @@ mod tests {
         let disk = || Disk::in_memory(DiskConfig::with_block_size(512));
         let (btree, _) = footprint(Box::new(lidx_btree::BTreeIndex::new(disk()).unwrap()));
         for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
-            let config = HybridConfig { inner, ..Default::default() };
-            let hybrid = HybridIndex::new(disk(), config).unwrap();
+            let hybrid = HybridIndex::new(disk(), inner).unwrap();
             let (blocks, splits) = footprint(Box::new(hybrid));
             assert!(splits >= 50, "{inner:?}: {splits} splits");
             assert!(4 * blocks <= 5 * btree, "{inner:?}: {blocks} blocks, the B+-tree {btree}");
         }
     }
 
-    /// A reopen rebuilds the directory into the directory's own file and
-    /// frees the saved one, so reopening on one disk again and again leaves
-    /// the footprint and the file count where the saved index had them.
-    /// Before, each reopen built into a new file and leaked the saved
-    /// directory: 27 (PLA) or 80 (model tree) blocks per reopen here.
+    /// A reopen opens the saved directory and writes and frees nothing, so
+    /// reopening on one disk again and again leaves the footprint and the
+    /// file count where the saved index had them.
     #[test]
     fn reopens_keep_the_footprint_and_the_files() {
         for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
@@ -684,7 +743,14 @@ mod tests {
             let saved = (h.storage_blocks(), disk.num_files());
             for reopen in 1..=3 {
                 let meta = h.save_meta().unwrap();
-                h = HybridIndex::load(Arc::clone(&disk), h.config, &meta).unwrap();
+                let before = disk.snapshot();
+                h = HybridIndex::load(Arc::clone(&disk), inner, &meta).unwrap();
+                let load = disk.snapshot().since(&before);
+                assert_eq!(
+                    (load.writes(), load.freed_blocks),
+                    (0, 0),
+                    "{inner:?}: reopen {reopen}"
+                );
                 let now = (h.storage_blocks(), disk.num_files());
                 assert_eq!(now, saved, "{inner:?}: reopen {reopen}");
             }
@@ -694,34 +760,34 @@ mod tests {
         }
     }
 
-    /// Loading one meta twice on one disk frees the saved directory once.
-    /// Without reuse each load appends its own directory and the freed
-    /// count stays the saved range's; with reuse each load builds into the
-    /// freed range, the disk does not grow, and no live block is freed.
+    /// Loading one meta twice on one disk writes, allocates and frees
+    /// nothing, with or without reuse of freed space. A load's first leaf
+    /// split rebuilds the directory and frees the loaded one.
     #[test]
-    fn one_meta_loaded_twice_frees_its_directory_once() {
+    fn one_meta_loaded_twice_writes_and_frees_nothing() {
         for reuse in [false, true] {
             let config = DiskConfig::with_block_size(512).reuse_freed_space(reuse);
             let (mut h, data) =
                 build_on(Disk::in_memory(config), HybridInnerKind::ModelTree, 20_000);
-            let (disk, dir_file, saved) = (Arc::clone(h.disk()), h.dir_file, h.dir_blocks.len());
-            let (meta, total, config) = (h.save_meta().unwrap(), disk.total_blocks(), h.config);
+            let disk = Arc::clone(h.disk());
+            let (meta, total, inner) = (h.save_meta().unwrap(), disk.total_blocks(), h.inner);
             drop(h);
             let mut loads = (1..=2).map(|load| {
-                let h = HybridIndex::load(Arc::clone(&disk), config, &meta).unwrap();
-                if reuse {
-                    assert_eq!(disk.total_blocks(), total, "load {load}");
-                } else {
-                    assert_eq!(disk.freed_blocks(dir_file), saved as u64, "load {load}");
-                }
+                let before = disk.snapshot();
+                let h = HybridIndex::load(Arc::clone(&disk), inner, &meta).unwrap();
+                let done = disk.snapshot().since(&before);
+                assert_eq!((done.writes(), done.freed_blocks), (0, 0), "reuse {reuse} load {load}");
+                assert_eq!(disk.total_blocks(), total, "reuse {reuse} load {load}");
                 h
             });
             drop(loads.next());
             let mut h = loads.next().unwrap();
-            // Leaf splits rebuild the directory and free the loaded one.
+            let loaded = h.dir_blocks.len() as u64;
             let fresh: Vec<Entry> = (0..2_000u64).map(|i| (i * 13 + 5, i)).collect();
+            let before = disk.snapshot();
             h.insert_batch(&fresh).unwrap();
             assert!(h.smo_count > 0);
+            assert!(disk.snapshot().since(&before).freed_blocks >= loaded, "reuse {reuse}");
             for &(k, v) in data.iter().step_by(97).chain(&fresh) {
                 let want = fresh.iter().find(|e| e.0 == k).map_or(v, |e| e.1);
                 assert_eq!(h.lookup(k).unwrap(), Some(want), "reuse {reuse} key {k}");
@@ -729,35 +795,128 @@ mod tests {
         }
     }
 
-    /// A meta whose directory file is the leaf file, or whose directory
-    /// range runs past its file or backwards, is refused.
+    /// Where the first entry of `h`'s directory is stored: the block and
+    /// the byte offset of its key word, which its payload word follows.
+    fn first_entry(h: &HybridIndex) -> (BlockId, usize) {
+        use lidx_lipp::node::{head_slots, LippNode, Slot, HEADER_BYTES, SLOT_BYTES};
+        match &h.directory {
+            // The data level is the first thing a PLA build allocates.
+            Some(Directory::Pla(_)) => (h.dir_blocks.start, 0),
+            Some(Directory::ModelTree(tree)) => {
+                let mut cursor = h.disk().cursor();
+                let root =
+                    LippNode::load(&mut cursor, h.dir_file, tree.root, BlockKind::Inner).unwrap();
+                let slot = (0..head_slots(h.disk().block_size()) as u32)
+                    .find(|&s| matches!(root.read_slot(&mut cursor, s), Ok(Slot::Data(..))))
+                    .expect("the root's first block holds a boundary");
+                (tree.root, HEADER_BYTES + slot as usize * SLOT_BYTES + 8)
+            }
+            None => unreachable!("the index is loaded"),
+        }
+    }
+
+    /// A meta whose directory does not fit its files, or whose directory
+    /// reads back other boundaries than the leaf level has, is refused.
     #[test]
     fn a_directory_outside_its_file_is_refused() {
-        let (mut h, _) = build(HybridInnerKind::ModelTree, 2_000);
-        let meta = h.save_meta().unwrap();
-        let dir_len = h.disk().num_blocks(h.dir_file).unwrap();
-        // The meta starts with the leaf file, the directory file and the
-        // directory's first and past-the-end blocks.
-        let forged = |at: usize, value: u32| {
-            let mut bytes = meta.clone();
-            bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            HybridIndex::load(Arc::clone(h.disk()), h.config, &bytes)
-        };
-        for (at, value) in [(4, h.leaf_file), (12, dir_len + 1), (8, h.dir_blocks.end + 1)] {
-            let loaded = forged(at, value).map(|_| ());
-            assert!(matches!(loaded, Err(IndexError::Internal(_))), "{at}: {loaded:?}");
+        for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
+            let (mut h, _) = build(inner, 2_000);
+            let meta = h.save_meta().unwrap();
+            let disk = Arc::clone(h.disk());
+            let dir_len = disk.num_blocks(h.dir_file).unwrap();
+            let leaves = h.leaf_count();
+            let load =
+                |bytes: &[u8]| HybridIndex::load(Arc::clone(&disk), inner, bytes).map(|_| ());
+            // The meta starts with the leaf file, the directory file and the
+            // directory's first and past-the-end blocks (u32s), then the leaf
+            // count (u64 at 16), the loaded flag, the key and SMO counts, and
+            // from byte 44 the directory's own meta: the PLA component's
+            // file first, or the model tree's root (u32) and node count.
+            let mut cases = vec![
+                ("the leaf file as directory", 4, h.leaf_file.to_le_bytes().to_vec()),
+                ("a range past its file", 12, (dir_len + 1).to_le_bytes().to_vec()),
+                ("a backwards range", 8, (h.dir_blocks.end + 1).to_le_bytes().to_vec()),
+                ("one leaf more than entries", 16, (leaves + 1).to_le_bytes().to_vec()),
+                ("one leaf fewer than entries", 16, (leaves - 1).to_le_bytes().to_vec()),
+            ];
+            match inner {
+                HybridInnerKind::Pla => {
+                    cases.push((
+                        "a component in the leaf file",
+                        44,
+                        h.leaf_file.to_le_bytes().to_vec(),
+                    ));
+                }
+                HybridInnerKind::ModelTree => cases.extend([
+                    ("a root past its file", 44, dir_len.to_le_bytes().to_vec()),
+                    ("more nodes than blocks", 48, (u64::from(dir_len) + 1).to_le_bytes().to_vec()),
+                ]),
+            }
+            for (what, at, value) in cases {
+                let mut bytes = meta.clone();
+                bytes[at..at + value.len()].copy_from_slice(&value);
+                let loaded = load(&bytes);
+                assert!(
+                    matches!(loaded, Err(IndexError::Internal(_))),
+                    "{inner:?}, {what}: {loaded:?}"
+                );
+            }
+            assert!(load(&meta).is_ok(), "{inner:?}: the intact meta loads");
+
+            // The directory's first entry forged in its block: a key above
+            // every other (out of order), or a leaf past the leaf file.
+            let (block, off) = first_entry(&h);
+            let intact = disk.cursor().read(h.dir_file, block, BlockKind::Inner).unwrap().to_vec();
+            let leaf_blocks = u64::from(disk.num_blocks(h.leaf_file).unwrap());
+            for (what, at, value) in [
+                ("a key out of order", off, Key::MAX),
+                ("a leaf past its file", off + 8, leaf_blocks),
+            ] {
+                let mut forged = intact.clone();
+                forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                disk.write(h.dir_file, block, BlockKind::Inner, &forged).unwrap();
+                let loaded = load(&meta);
+                assert!(
+                    matches!(loaded, Err(IndexError::Internal(_))),
+                    "{inner:?}, {what}: {loaded:?}"
+                );
+            }
+            disk.write(h.dir_file, block, BlockKind::Inner, &intact).unwrap();
+            assert!(load(&meta).is_ok(), "{inner:?}: the restored directory loads");
         }
-        assert!(forged(4, h.dir_file).is_ok(), "the intact meta loads");
+    }
+
+    /// A lookup's directory reads are `Inner` blocks, and it reads one leaf.
+    #[test]
+    fn a_lookup_reads_the_directory_as_inner_and_one_leaf() {
+        for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
+            let (h, data) = build(inner, 2_000);
+            for &(k, v) in data.iter().step_by(97) {
+                h.disk().stats().reset();
+                assert_eq!(
+                    h.lookup(k + 1).unwrap(),
+                    data.iter().find(|e| e.0 == k + 1).map(|e| e.1)
+                );
+                assert!(h.disk().stats().reads_of(BlockKind::Inner) > 0, "{inner:?} key {k}");
+                assert_eq!(h.disk().stats().reads_of(BlockKind::Leaf), 1, "{inner:?} key {k}");
+                assert_eq!(h.lookup(k).unwrap(), Some(v));
+            }
+        }
     }
 
     #[test]
     fn error_paths() {
-        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
-        let mut h = HybridIndex::new(disk, HybridConfig::default()).unwrap();
-        assert!(matches!(h.lookup(1), Err(IndexError::NotInitialized)));
-        h.bulk_load(&[(1, 2), (5, 6)]).unwrap();
-        assert!(matches!(h.bulk_load(&[(1, 2)]), Err(IndexError::AlreadyLoaded)));
-        assert_eq!(h.lookup(5).unwrap(), Some(6));
-        assert_eq!(h.lookup(3).unwrap(), None);
+        for inner in [HybridInnerKind::Pla, HybridInnerKind::ModelTree] {
+            let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+            let mut h = HybridIndex::new(disk, inner).unwrap();
+            assert!(matches!(h.lookup(1), Err(IndexError::NotInitialized)), "{inner:?}");
+            let mut out = Vec::new();
+            assert!(matches!(h.scan(1, 5, &mut out), Err(IndexError::NotInitialized)));
+            h.bulk_load(&[(1, 2), (5, 6)]).unwrap();
+            assert!(matches!(h.bulk_load(&[(1, 2)]), Err(IndexError::AlreadyLoaded)));
+            assert_eq!(h.lookup(5).unwrap(), Some(6), "{inner:?}");
+            assert_eq!(h.lookup(3).unwrap(), None, "{inner:?}");
+            assert_eq!(h.lookup(0).unwrap(), None, "{inner:?}: below every boundary");
+        }
     }
 }

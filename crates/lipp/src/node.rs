@@ -22,7 +22,8 @@
 //! ALEX/LIPP column) charges them to [`BlockKind::Inner`]. A handle carries
 //! the kind it was loaded or written with, and every read and write through
 //! it, and every child a subtree walk loads from it, is charged to that
-//! kind. [`build_subtree`] is the one bulk build of both.
+//! kind. [`build_subtree`] is the one bulk build of both, and
+//! [`Subtree::floor`] the directory's routing.
 //!
 //! A [`LippNode`] handle keeps the block-0 frame it was loaded from or last
 //! wrote. Its slots in block 0 are read from that frame, and a header write
@@ -408,6 +409,80 @@ pub struct Subtree {
     pub depth: u32,
 }
 
+/// What a payload read as a block pointer by [`Subtree::floor`] is called in
+/// errors.
+const FLOOR_POINTER: &str = "subtree floor block pointer";
+
+impl Subtree {
+    /// Floor lookup in a subtree of `file` whose payloads are block pointers
+    /// (the model-tree hybrid's directory): the pointer stored with the
+    /// greatest key `<= key`, or `None` when `key` precedes every stored
+    /// key. Every node is loaded through the operation's `cursor` as
+    /// `kind`, so a batch that routes several keys re-reads nothing.
+    ///
+    /// Walks from the predicted slot leftwards to the first key `<= key`,
+    /// descending into a child whose first key is `<= key` (the "walk to
+    /// the next occupied slot" cost the paper notes for LIPP-style nodes
+    /// without separate data/inner types). Such a child holds the floor:
+    /// the model is monotone, so the walk from its predicted slot reaches
+    /// its first key, and a child that yields none is a damaged subtree.
+    /// Each node the walk loads spends one unit of a budget seeded from the
+    /// node count ([`spend`]), so a cyclic child pointer is an error, not a
+    /// hang. A payload past the block-id range is [`IndexError::Internal`].
+    pub fn floor(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        file: u32,
+        kind: BlockKind,
+        key: Key,
+    ) -> IndexResult<Option<BlockId>> {
+        let mut budget = self.nodes;
+        let mut visit = |cursor: &mut BlockCursor<'_>, block| {
+            spend(&mut budget, "model-tree search")?;
+            LippNode::load(cursor, file, block, kind)
+        };
+        let mut node = visit(cursor, self.root)?;
+        // The slots of `node` left to read, from the predicted one down.
+        let mut left = node.predict(key) + 1;
+        while let Some(slot) = left.checked_sub(1) {
+            left = slot;
+            match node.read_slot(cursor, slot)? {
+                Slot::Data(stored, pointer) if stored <= key => {
+                    return block_pointer(pointer, FLOOR_POINTER).map(Some);
+                }
+                Slot::Child(first, child) if first <= key => {
+                    node = visit(cursor, child)?;
+                    left = node.predict(key) + 1;
+                }
+                _ => {}
+            }
+        }
+        if node.start != self.root {
+            return Err(IndexError::Internal(format!(
+                "model-tree node {} holds no key <= {key}",
+                node.start
+            )));
+        }
+        Ok(None)
+    }
+
+    /// Every entry of the subtree in `file`, in key order: one walk from the
+    /// root, loaded as `kind`, that reads each block of the subtree once and
+    /// may load [`Subtree::nodes`] nodes, so a cyclic child pointer is an
+    /// error.
+    pub fn entries(
+        &self,
+        cursor: &mut BlockCursor<'_>,
+        file: u32,
+        kind: BlockKind,
+    ) -> IndexResult<Vec<Entry>> {
+        let root = LippNode::load(cursor, file, self.root, kind)?;
+        let mut out = Vec::new();
+        root.walk_subtree(cursor, self.nodes, |e| out.push(e), |_, _| {})?;
+        Ok(out)
+    }
+}
+
 /// Builds a subtree over `entries` (sorted, strictly increasing) into
 /// `file`, charged to `kind`. Each node gets `capacity(n)` slots for its `n`
 /// entries and an FMCD model over their keys; a slot that one entry maps to
@@ -446,6 +521,7 @@ pub fn build_subtree(
 mod tests {
     use super::*;
     use lidx_storage::DiskConfig;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn disk() -> Arc<Disk> {
@@ -637,5 +713,198 @@ mod tests {
             }
         }
         assert_eq!(children, root.header.child_count);
+    }
+
+    /// A subtree over `(key, block)` entries as the model-tree hybrid builds
+    /// its directory: two slots per entry, charged to `Inner`.
+    fn directory(d: &Disk, file: u32, entries: &[Entry]) -> Subtree {
+        let capacity = |n: usize| n.saturating_mul(2).clamp(8, 1 << 20) as u32;
+        build_subtree(d, file, BlockKind::Inner, entries, &capacity).unwrap()
+    }
+
+    /// `n` keys `stride` apart from 5, each with a block pointer from 100.
+    fn spaced(n: u64, stride: u64) -> Vec<Entry> {
+        (0..n).map(|i| (i * stride + 5, i + 100)).collect()
+    }
+
+    /// The floor of `key` among `entries`, as a block.
+    fn floor_of(entries: &[Entry], key: Key) -> Option<BlockId> {
+        let i = entries.partition_point(|e| e.0 <= key).checked_sub(1)?;
+        Some(entries[i].1 as BlockId)
+    }
+
+    fn check_floor(d: &Disk, file: u32, tree: &Subtree, entries: &[Entry]) {
+        let find = |key| tree.floor(&mut d.cursor(), file, BlockKind::Inner, key).unwrap();
+        // Exact keys route to their own block.
+        for &(k, _) in entries.iter().step_by(13) {
+            assert_eq!(find(k), floor_of(entries, k), "key {k}");
+        }
+        // Keys between two stored keys route to the lower one's block.
+        for w in entries.windows(2).step_by(17) {
+            let probe = w[0].0 + (w[1].0 - w[0].0) / 2;
+            assert_eq!(find(probe), Some(w[0].1 as BlockId), "probe {probe}");
+        }
+        // Keys beyond the last key route to the last block; keys before the
+        // first have no floor.
+        assert_eq!(find(Key::MAX), floor_of(entries, Key::MAX));
+        assert_eq!(find(entries[0].0 - 1), None);
+    }
+
+    #[test]
+    fn floor_over_evenly_spaced_keys() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        let entries = spaced(5_000, 37);
+        let tree = directory(&d, file, &entries);
+        assert!(tree.nodes >= 1);
+        check_floor(&d, file, &tree, &entries);
+    }
+
+    #[test]
+    fn floor_over_clustered_keys() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        let mut entries: Vec<Entry> = Vec::new();
+        for c in 0..50u64 {
+            for i in 0..40u64 {
+                entries.push((c * 1_000_000 + i * 3 + 1, c * 100 + i));
+            }
+        }
+        let tree = directory(&d, file, &entries);
+        assert!(tree.nodes > 1, "clustered keys must create child nodes");
+        check_floor(&d, file, &tree, &entries);
+    }
+
+    /// Overwrites the `u64` at byte `off` of inner block `block` of `file`.
+    fn forge(d: &Disk, file: u32, block: BlockId, off: usize, value: u64) {
+        let mut buf = d.cursor().read(file, block, BlockKind::Inner).unwrap().to_vec();
+        buf[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        d.write(file, block, BlockKind::Inner, &buf).unwrap();
+    }
+
+    /// Overwrites every slot position of block 0 of `tree`'s root with
+    /// `[tag][key 0][word]`. A one-entry tree is one block: its header,
+    /// then its slots from byte [`HEADER_BYTES`].
+    fn forge_root_slots(d: &Disk, file: u32, tree: &Subtree, tag: u64, word: u64) {
+        for slot in 0..head_slots(d.block_size()) {
+            let off = HEADER_BYTES + slot * SLOT_BYTES;
+            forge(d, file, tree.root, off, tag);
+            forge(d, file, tree.root, off + 8, 0);
+            forge(d, file, tree.root, off + 16, word);
+        }
+    }
+
+    #[test]
+    fn block_pointers_beyond_the_block_id_range_are_errors() {
+        // Truncated to 32 bits, each forged pointer would name block 0: the
+        // tree's own root.
+        let beyond = 1u64 << 32;
+        let d = disk();
+        let file = d.create_file().unwrap();
+        let tree = directory(&d, file, &[(10, 7)]);
+        for tag in [SLOT_DATA, SLOT_CHILD] {
+            forge_root_slots(&d, file, &tree, tag, beyond);
+            let found = tree.floor(&mut d.cursor(), file, BlockKind::Inner, 10);
+            assert!(matches!(found, Err(IndexError::Internal(_))), "tag {tag}: {found:?}");
+        }
+    }
+
+    #[test]
+    fn a_cyclic_child_pointer_is_an_error_not_a_stack_overflow() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        let tree = directory(&d, file, &[(10, 7)]);
+        assert_eq!(tree.nodes, 1);
+        // Every slot of the root names the root itself as a child whose key
+        // admits the probe, so an unbounded search never ends.
+        forge_root_slots(&d, file, &tree, SLOT_CHILD, u64::from(tree.root));
+        // On its own thread with a deadline, so a search that never returns
+        // fails the test instead of hanging it.
+        let (done, result) = std::sync::mpsc::channel();
+        let search = std::thread::spawn(move || {
+            done.send(tree.floor(&mut d.cursor(), file, BlockKind::Inner, 10))
+        });
+        let found = result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the search never returned");
+        search.join().expect("the search's thread finished").expect("the answer was received");
+        assert!(matches!(found, Err(IndexError::Internal(_))), "{found:?}");
+    }
+
+    #[test]
+    fn a_child_without_a_key_below_the_probe_is_an_error() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        // Three adjacent keys conflict in one slot of an 18-slot, one-block
+        // root, so they form a child keyed 100.
+        let mut entries: Vec<Entry> = vec![(100, 1), (101, 2), (102, 3)];
+        entries.extend((1..7).map(|i| (i * 1_000_000, 10 + i)));
+        let tree = directory(&d, file, &entries);
+        let find = |key| tree.floor(&mut d.cursor(), file, BlockKind::Inner, key);
+        assert_eq!(find(1).unwrap(), None, "below every key");
+        // Lower the child's key word below the probe: the walk descends into
+        // a child that holds no key <= 1.
+        let mut cursor = d.cursor();
+        let root = LippNode::load(&mut cursor, file, tree.root, BlockKind::Inner).unwrap();
+        let child = (0..root.header.capacity)
+            .find(|&s| matches!(root.read_slot(&mut cursor, s), Ok(Slot::Child(100, _))))
+            .expect("the adjacent keys form a child");
+        forge(&d, file, tree.root, HEADER_BYTES + child as usize * SLOT_BYTES + 8, 0);
+        let found = find(1);
+        assert!(matches!(found, Err(IndexError::Internal(_))), "{found:?}");
+    }
+
+    #[test]
+    fn a_one_block_node_costs_one_inner_read() {
+        let d = disk();
+        let file = d.create_file().unwrap();
+        // Nine evenly spaced keys: 18 slots, within the 19 that share block
+        // 0 with the header at 512 bytes, and one slot each.
+        let entries = spaced(9, 1_000);
+        assert!(9 * 2 <= head_slots(512));
+        let tree = directory(&d, file, &entries);
+        assert_eq!(tree.nodes, 1);
+        assert_eq!(d.num_blocks(file).unwrap(), 1, "the node is one block");
+        for &(k, block) in &entries {
+            d.stats().reset();
+            let found = tree.floor(&mut d.cursor(), file, BlockKind::Inner, k + 1).unwrap();
+            assert_eq!(found, Some(block as BlockId));
+            assert_eq!(d.stats().reads_of(BlockKind::Inner), 1, "key {}", k + 1);
+            assert_eq!(d.stats().reads(), 1);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+        /// The floor is the block of the greatest key `<= key`, or `None`
+        /// below every key, and the entries come back as they were built.
+        #[test]
+        fn floor_is_the_greatest_key_at_or_below(
+            gaps in proptest::collection::vec((1u64..1_000_000, 1usize..12), 1..60),
+            block_size in prop_oneof![Just(256usize), Just(512usize), Just(1024usize)],
+        ) {
+            // Runs of keys one to four apart, the runs far apart: the runs
+            // conflict on one slot, so the root has children.
+            let mut entries: Vec<Entry> = Vec::new();
+            let mut key = 0u64;
+            for (i, &(gap, run)) in gaps.iter().enumerate() {
+                key += gap;
+                for j in 0..run as u64 {
+                    key += 1 + (gap + j) % 4;
+                    entries.push((key, (entries.len() + 100 * i) as u64));
+                }
+            }
+            let d = Disk::in_memory(DiskConfig::with_block_size(block_size));
+            let file = d.create_file().unwrap();
+            let tree = directory(&d, file, &entries);
+            let probes = entries.iter().flat_map(|&(k, _)| [k - 1, k, k + 1]).chain([0, Key::MAX]);
+            for p in probes {
+                let found = tree.floor(&mut d.cursor(), file, BlockKind::Inner, p).unwrap();
+                prop_assert_eq!(found, floor_of(&entries, p), "key {}", p);
+            }
+            let read = tree.entries(&mut d.cursor(), file, BlockKind::Inner).unwrap();
+            prop_assert_eq!(read, entries);
+        }
     }
 }

@@ -112,7 +112,7 @@ impl PgmIndex {
         for _ in 0..level_count {
             let occupied = r.u32()? != 0;
             levels.push(if occupied {
-                Some(StaticPgm::load_meta(Arc::clone(&disk), &mut r)?)
+                Some(StaticPgm::load_meta(Arc::clone(&disk), &mut r, BlockKind::Leaf)?)
             } else {
                 None
             });

@@ -264,6 +264,11 @@ impl StaticPgm {
         self.max_key
     }
 
+    /// The file the component was built into.
+    pub fn file(&self) -> FileId {
+        self.file
+    }
+
     /// Number of blocks holding the data level.
     pub fn data_blocks(&self) -> u32 {
         self.data.blocks
@@ -287,13 +292,14 @@ impl StaticPgm {
             + self.levels.iter().map(|l| l.records.div_ceil(per)).sum::<u64>()
     }
 
-    /// Serialises the component's placement metadata (file id, level table,
-    /// in-memory root record, key bounds) into `w`. The inverse of
-    /// [`load_meta`](Self::load_meta).
+    /// Serialises the component's placement metadata (file id, data level
+    /// extent, level table, in-memory root record, key bounds) into `w`. The
+    /// inverse of [`load_meta`](Self::load_meta).
     pub fn save_meta(&self, w: &mut MetaWriter) {
         w.u32(self.file)
             .u64(self.epsilon as u64)
             .u64(self.len())
+            .u32(self.data.first_block)
             .u32(self.data.blocks)
             .u32(self.levels.len() as u32);
         for l in &self.levels {
@@ -307,19 +313,26 @@ impl StaticPgm {
             .u64(self.max_key);
     }
 
-    /// Rebuilds a handle on a component [`crate::PgmIndex`] built — its data
-    /// level at block 0 of its file and charged to [`BlockKind::Leaf`] — from
-    /// metadata written by [`save_meta`](Self::save_meta); the blocks
-    /// themselves must already exist on `disk`.
+    /// Reopens a component from metadata written by
+    /// [`save_meta`](Self::save_meta), its data level charged to `data_kind`
+    /// as at its build: [`BlockKind::Leaf`] for a [`crate::PgmIndex`]
+    /// component, [`BlockKind::Inner`] for the PLA hybrid's directory. The
+    /// blocks themselves must already exist on `disk`; nothing is read or
+    /// written.
     ///
     /// Metadata no build writes is [`IndexError::Internal`]: an ε of 0 or
     /// one whose windows overflow, an inner level with no records, or a
-    /// level or data length past the file's blocks. Every later search
+    /// level or data extent past the file's blocks. Every later search
     /// trusts those bounds.
-    pub fn load_meta(disk: Arc<Disk>, r: &mut MetaReader<'_>) -> IndexResult<Self> {
+    pub fn load_meta(
+        disk: Arc<Disk>,
+        r: &mut MetaReader<'_>,
+        data_kind: BlockKind,
+    ) -> IndexResult<Self> {
         let file = r.u32()?;
         let epsilon = r.u64()?;
         let len = r.u64()?;
+        let first_block = r.u32()?;
         let blocks = r.u32()?;
         let level_count = r.u32()? as usize;
         let mut levels = Vec::with_capacity(level_count.min(64));
@@ -334,8 +347,11 @@ impl StaticPgm {
         let forged = |what: String| Err(IndexError::Internal(format!("PGM component {what}")));
         let file_blocks = u64::from(disk.num_blocks(file)?);
         let bs = disk.block_size();
-        if u64::from(blocks) > file_blocks {
-            return forged(format!("data of {blocks} blocks overruns its file of {file_blocks}"));
+        if u64::from(first_block) + u64::from(blocks) > file_blocks {
+            return forged(format!(
+                "data of {blocks} blocks from block {first_block} overruns its file of \
+                 {file_blocks}"
+            ));
         }
         if len > u64::from(blocks) * entries_per_block(bs) {
             return forged(format!("data of {len} entries overruns its {blocks} blocks"));
@@ -360,7 +376,7 @@ impl StaticPgm {
             disk,
             file,
             epsilon,
-            data: EntryArray { file, first_block: 0, blocks, len, kind: BlockKind::Leaf },
+            data: EntryArray { file, first_block, blocks, len, kind: data_kind },
             levels,
             root,
             min_key,
@@ -1005,25 +1021,35 @@ mod tests {
         let mut w = MetaWriter::new();
         pgm.save_meta(&mut w);
         let meta = w.finish();
-        // `save_meta`'s layout: file u32, ε u64 at 4, length u64 at 12, data
-        // blocks u32 at 20, level count u32 at 24, then per level its first
-        // block u32 and its record count u64, from 28.
+        // `save_meta`'s layout: file u32, ε u64 at 4, length u64 at 12, the
+        // data's first block u32 at 20 and its blocks u32 at 24, level count
+        // u32 at 28, then per level its first block u32 and its record count
+        // u64, from 32.
         let load = |at: usize, bytes: &[u8]| {
             let mut forged = meta.clone();
             forged[at..at + bytes.len()].copy_from_slice(bytes);
-            StaticPgm::load_meta(Arc::clone(&pgm.disk), &mut MetaReader::new(&forged))
+            let mut r = MetaReader::new(&forged);
+            StaticPgm::load_meta(Arc::clone(&pgm.disk), &mut r, BlockKind::Leaf)
         };
         let len = pgm.len();
         let capacity = u64::from(pgm.data.blocks) * entries_per_block(512);
         let widest = u64::MAX - 1 - len;
+        // The first data start at which the data level ends past the file.
+        let past_start = pgm.disk.num_blocks(pgm.file).unwrap() - pgm.data.blocks + 1;
         for (what, at, bytes) in [
             ("ε 0", 4, 0u64.to_le_bytes().to_vec()),
             ("ε u64::MAX", 4, u64::MAX.to_le_bytes().to_vec()),
             ("an ε whose windows overflow", 4, (widest + 1).to_le_bytes().to_vec()),
             ("a length past the data blocks", 12, (capacity + 1).to_le_bytes().to_vec()),
-            ("data blocks past the file", 20, u32::MAX.to_le_bytes().to_vec()),
-            ("a level past the file", 28, (u32::MAX - 1).to_le_bytes().to_vec()),
-            ("a level with no records", 32, 0u64.to_le_bytes().to_vec()),
+            ("a data start past the file", 20, u32::MAX.to_le_bytes().to_vec()),
+            (
+                "a data start that runs the data past the file",
+                20,
+                past_start.to_le_bytes().to_vec(),
+            ),
+            ("data blocks past the file", 24, u32::MAX.to_le_bytes().to_vec()),
+            ("a level past the file", 32, (u32::MAX - 1).to_le_bytes().to_vec()),
+            ("a level with no records", 36, 0u64.to_le_bytes().to_vec()),
         ] {
             let loaded = load(at, &bytes);
             assert!(matches!(loaded, Err(IndexError::Internal(_))), "{what}: {:?}", loaded.err());

@@ -5,8 +5,11 @@
 
 use std::collections::BTreeMap;
 
+use std::sync::Arc;
+
 use lidx_core::{DiskIndex, Entry, IndexWrite, Key, Value};
 use lidx_experiments::runner::{IndexChoice, RunConfig};
+use lidx_storage::{Disk, DiskConfig};
 use proptest::prelude::*;
 
 fn build_loaded(choice: IndexChoice, entries: &[Entry]) -> Box<dyn DiskIndex> {
@@ -98,6 +101,47 @@ fn overwriting_a_key_is_visible_everywhere() {
             "{choice:?} scan must observe the overwritten value, got {out:?}"
         );
         assert_eq!(out.iter().filter(|e| e.0 == 300).count(), 1, "{choice:?} no duplicates");
+    }
+}
+
+/// A reopen opens what the saved index wrote: for every design, `load`
+/// writes, allocates and frees no block and answers like the index that
+/// saved the meta. A hybrid's meta is its leaf level's fields and its
+/// directory's own meta, so it stays small however many leaves it has.
+#[test]
+fn a_reopen_writes_and_frees_nothing() {
+    let bulk: Vec<Entry> = (0..20_000u64).map(|i| (i * 16 + i % 13, i)).collect();
+    let inserts: Vec<Entry> = (0..2_000u64).map(|i| (i * 160 + 5, 1_000_000 + i)).collect();
+    let probes: Vec<Key> =
+        bulk.iter().chain(&inserts).step_by(89).flat_map(|e| [e.0, e.0 + 1]).collect();
+    for choice in IndexChoice::ALL_DESIGNS {
+        let name = choice.name();
+        let disk = Disk::in_memory(DiskConfig::with_block_size(512));
+        let mut index = choice.build(Arc::clone(&disk));
+        index.bulk_load(&bulk).expect("bulk load");
+        index.insert_batch(&inserts).expect("inserts");
+        let meta = index.save_meta().expect("save");
+        if matches!(choice, IndexChoice::HybridPla | IndexChoice::HybridModelTree) {
+            assert!(meta.len() < 256, "{name}: a {}-byte meta", meta.len());
+        }
+        let answers: Vec<Option<Value>> =
+            probes.iter().map(|&k| index.lookup(k).unwrap()).collect();
+        let mut scanned = Vec::new();
+        index.scan(inserts[700].0, 100, &mut scanned).unwrap();
+        drop(index);
+
+        let (before, total) = (disk.snapshot(), disk.total_blocks());
+        let loaded = choice.load(Arc::clone(&disk), &meta).expect("load");
+        let load = disk.snapshot().since(&before);
+        assert_eq!(load.writes(), 0, "{name}: blocks written by the load");
+        assert_eq!(load.freed_blocks, 0, "{name}: blocks freed by the load");
+        assert_eq!(disk.total_blocks(), total, "{name}: blocks allocated by the load");
+        let reloaded: Vec<Option<Value>> =
+            probes.iter().map(|&k| loaded.lookup(k).unwrap()).collect();
+        assert_eq!(reloaded, answers, "{name}: lookups after the load");
+        let mut rows = Vec::new();
+        loaded.scan(inserts[700].0, 100, &mut rows).unwrap();
+        assert_eq!(rows, scanned, "{name}: a scan after the load");
     }
 }
 
