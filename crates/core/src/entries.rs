@@ -121,7 +121,18 @@ impl EntryArray {
     /// in order, padding every slot past the entries with [`SENTINEL`]. More
     /// entries than the blocks hold is a typed error, and nothing is written.
     pub fn write(&self, disk: &Disk, entries: &[Entry]) -> IndexResult<()> {
-        let capacity = self.blocks as usize * per_block(disk.block_size());
+        self.write_from(disk, entries, 0)
+    }
+
+    /// Writes the array's blocks from block `first` on, in order, as
+    /// [`write`](Self::write) would write them for `entries`, the array's
+    /// entries from position 0: the blocks before `first` are left as they
+    /// are, for a caller that knows they hold what `entries` puts there.
+    /// More entries than the blocks hold is a typed error, and nothing is
+    /// written.
+    pub fn write_from(&self, disk: &Disk, entries: &[Entry], first: u32) -> IndexResult<()> {
+        let per = per_block(disk.block_size());
+        let capacity = self.blocks as usize * per;
         if entries.len() > capacity {
             return Err(IndexError::Internal(format!(
                 "{} entries overflow the {capacity} slots of {self:?}",
@@ -129,8 +140,9 @@ impl EntryArray {
             )));
         }
         let mut buf = vec![0u8; disk.block_size()];
-        let mut entries = entries.iter().copied();
-        for b in 0..self.blocks {
+        let skip = (first as usize * per).min(entries.len());
+        let mut entries = entries[skip..].iter().copied();
+        for b in first..self.blocks {
             for slot in buf.as_chunks_mut::<ENTRY_BYTES>().0 {
                 put(slot, entries.next().unwrap_or((SENTINEL, 0)));
             }
@@ -626,6 +638,38 @@ mod tests {
             assert_eq!(first, Some(entries[b as usize * 16]));
         }
         assert!(matches!(wave.frame(2), Err(IndexError::Internal(_))));
+    }
+
+    #[test]
+    fn a_write_from_a_block_stores_that_block_on_as_a_whole_write_does() {
+        // 256-byte blocks of 16 entries: 40 entries in an array of four.
+        let entries: Vec<Entry> = (0..40u64).map(|i| (i * 10, i)).collect();
+        let new_array = || {
+            let disk = Disk::in_memory(DiskConfig::with_block_size(256));
+            let file = disk.create_file().unwrap();
+            let first_block = disk.allocate(file, 4).unwrap();
+            let array = EntryArray { file, first_block, blocks: 4, len: 40, kind: BlockKind::Leaf };
+            (disk, array)
+        };
+        let block_bytes = |disk: &Disk, array: &EntryArray, b: u32| {
+            disk.cursor().read(array.file, array.first_block + b, array.kind).unwrap().to_vec()
+        };
+        let (whole, array) = new_array();
+        array.write(&whole, &entries).unwrap();
+        for first in 0..=4 {
+            let (from, array) = new_array();
+            let before = from.snapshot();
+            array.write_from(&from, &entries, first).unwrap();
+            let writes = from.snapshot().since(&before).writes_of(BlockKind::Leaf);
+            assert_eq!(writes, u64::from(4 - first), "from block {first}");
+            for b in first..4 {
+                let (got, want) = (block_bytes(&from, &array, b), block_bytes(&whole, &array, b));
+                assert_eq!(got, want, "block {b} written from block {first}");
+            }
+        }
+        let too_many: Vec<Entry> = (0..65u64).map(|k| (k, k)).collect();
+        let overflow = array.write_from(&whole, &too_many, 3);
+        assert!(matches!(overflow, Err(IndexError::Internal(_))));
     }
 
     #[test]

@@ -62,6 +62,16 @@ fn bad_options_exit_2_with_usage_and_unknown_targets_exit_1() {
 /// workload rises with it (Figs. 3, 5, 8, 9, 11, 14) and Fig. 12's lookup
 /// tail falls (`fb` p99 60.20 → 50.20 ms). Pooled lookups (Fig. 13) fall
 /// by up to a block as well; no insert or scan column moved.
+/// Re-recorded when FITing's delta buffer began carrying its own count in
+/// slot 0 of its first block and PGM's insert began rewriting its run from
+/// the block its smallest change lands in: every token that changed is a
+/// FITing or PGM value, except Fig. 14's, which are normalized to the best
+/// design per workload (PGM on every write-bearing row, which got faster).
+/// A fresh FITing insert no longer writes its directory leaf, so Table 2's
+/// FITing insert falls 6.14 → 4.16 blocks and Fig. 6's FITing insert step
+/// 30.00 → 10.80 ms on `fb` (osm 30.00 → 10.20, ycsb 29.94 → 10.06); PGM's
+/// falls 2.97 → 2.84 blocks and 14.88 → 13.52 ms. No lookup or scan column
+/// moved.
 const GOLDEN: &str = include_str!("golden/paper_artifacts_quick_seed42.txt");
 
 /// The golden's scale line and its `(target, report)` sections.

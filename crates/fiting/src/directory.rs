@@ -1,9 +1,10 @@
 //! The FITing-tree directory: a B+-tree over segment metadata.
 //!
 //! The directory is the FITing-tree's *inner structure*. Its leaf entries are
-//! full [`SegmentMeta`] records (model + occupancy + extent address), so by
-//! the time a query reaches a segment it already knows the model and how many
-//! entries are valid — no segment header ever needs to be fetched. All
+//! full [`SegmentMeta`] records (model + data occupancy + extent address +
+//! buffer flag), so by the time a query reaches a segment it already knows
+//! the model, how many data entries are valid and whether the delta buffer
+//! is worth reading — no segment header ever needs to be fetched. All
 //! directory I/O is attributed to [`BlockKind::Inner`].
 //!
 //! The directory is the B+-tree's own two levels in one file: its
@@ -19,7 +20,8 @@
 //!   2     2  count (u16 LE)
 //!   4     4  next leaf (u32)
 //!   8  36·i  record i: first_key u64, slope f64, start_block u32,
-//!            data_blocks u32, buffer_blocks u32, count u32, buffer_count u32
+//!            data_blocks u32, buffer_blocks u32, count u32,
+//!            buffered u32 (1: the delta buffer holds entries)
 //! ```
 //!
 //! Views read, owned nodes mutate (DESIGN.md §3.2). [`Directory::find`] and
@@ -27,8 +29,9 @@
 //! leaf through a [`LeafViewOf`] that decodes only the record asked for,
 //! and read through the caller's [`BlockCursor`]. A leaf is decoded into a
 //! [`LeafNodeOf`] only where it is about to change: [`Directory::update_meta`]
-//! and [`Directory::replace`]. Every reader refuses a record whose counts
-//! overrun its extent ([`IndexError::Internal`]).
+//! and [`Directory::replace`]. Every reader refuses a record whose count
+//! overruns its extent, or whose flag marks a buffer of no blocks
+//! ([`IndexError::Internal`]).
 
 use std::sync::Arc;
 
@@ -55,8 +58,13 @@ impl LeafRecord<DIR_ENTRY> for SegmentMeta {
     fn put(&self, slot: &mut [u8; DIR_ENTRY]) {
         slot[..8].copy_from_slice(&self.first_key.to_le_bytes());
         slot[8..16].copy_from_slice(&self.slope.to_le_bytes());
-        let words =
-            [self.start_block, self.data_blocks, self.buffer_blocks, self.count, self.buffer_count];
+        let words = [
+            self.start_block,
+            self.data_blocks,
+            self.buffer_blocks,
+            self.count,
+            u32::from(self.buffered),
+        ];
         for (field, word) in slot[16..].chunks_exact_mut(4).zip(words) {
             field.copy_from_slice(&word.to_le_bytes());
         }
@@ -71,7 +79,7 @@ impl LeafRecord<DIR_ENTRY> for SegmentMeta {
             data_blocks: word(20),
             buffer_blocks: word(24),
             count: word(28),
-            buffer_count: word(32),
+            buffered: word(32) != 0,
         }
     }
 }
@@ -95,8 +103,7 @@ fn decode_leaf(buf: &[u8], block_size: usize) -> IndexResult<DirLeafNode> {
     Ok(leaf)
 }
 
-/// Location of a directory entry (used to update occupancy counters in
-/// place).
+/// Location of a directory entry (used to set its buffer flag in place).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirSlot {
     /// Directory leaf block.
@@ -237,8 +244,11 @@ impl Directory {
     }
 
     /// Overwrites the metadata stored at `slot` (the entry's `first_key` must
-    /// not change). Costs one leaf write — the "extra block to update the
-    /// current item count" the paper attributes to FITing-tree inserts.
+    /// not change). Costs one leaf read and one leaf write. The paper charges
+    /// every FITing-tree insert this "extra block to update the current item
+    /// count"; here the count lives in the delta buffer's own block, so an
+    /// insert pays it only when it sets a segment's `buffered` flag, once per
+    /// buffer lifetime.
     pub fn update_meta(&mut self, slot: DirSlot, meta: SegmentMeta) -> IndexResult<()> {
         meta.check_extent(self.disk.block_size())?;
         let mut leaf = self.decode_at(slot.block)?;
@@ -320,7 +330,7 @@ mod tests {
             data_blocks: 2,
             buffer_blocks: 1,
             count: 10,
-            buffer_count: 0,
+            buffered: false,
         }
     }
 
@@ -370,17 +380,19 @@ mod tests {
     fn update_meta_persists_counters() {
         let mut dir = build(50, 512);
         let (mut m, slot) = find(&dir, 1010).unwrap();
-        m.buffer_count = 7;
+        m.buffered = true;
         m.count = 60;
         dir.update_meta(slot, m).unwrap();
         let (again, _) = find(&dir, 1010).unwrap();
-        assert_eq!(again.buffer_count, 7);
+        assert!(again.buffered);
         assert_eq!(again.count, 60);
 
-        // Counts past the extent (two data blocks of 32 entries) are refused.
+        // Counts past the extent (two data blocks of 32 entries), and a flag
+        // over no buffer block, are refused.
         let mut overrun = again;
         overrun.count = 65;
         assert!(dir.update_meta(slot, overrun).is_err());
+        assert!(dir.update_meta(slot, SegmentMeta { buffer_blocks: 0, ..again }).is_err());
 
         // Updating with a mismatched first_key is rejected.
         let mut wrong = again;
@@ -644,12 +656,13 @@ mod tests {
                             data_blocks,
                             buffer_blocks,
                             count: ((r >> 20) as u32) % (data_blocks * PER_BLOCK + 1),
-                            buffer_count: ((r >> 40) as u32) % (buffer_blocks * PER_BLOCK + 1),
+                            buffered: buffer_blocks > 0 && (r >> 40) & 1 == 1,
                         }
                     })
                     .collect();
-                // One leaf in four carries a record whose counts overrun its
-                // extent: both readers must refuse it.
+                // One leaf in four carries a record that overruns its extent,
+                // by its count or by a flag over no buffer block: both readers
+                // must refuse it.
                 let (one_in_four, at) = overrun;
                 let broken = one_in_four == 0 && !entries.is_empty();
                 if broken {
@@ -657,7 +670,7 @@ mod tests {
                     if at % 2 == 0 {
                         m.count = m.data_blocks * PER_BLOCK + 1;
                     } else {
-                        m.buffer_count = m.buffer_blocks * PER_BLOCK + 1;
+                        (m.buffer_blocks, m.buffered) = (0, true);
                     }
                 }
                 let leaf = DirLeafNode { entries, next };

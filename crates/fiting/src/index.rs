@@ -12,7 +12,10 @@ use lidx_models::pla::ShrinkingCone;
 use lidx_storage::{BlockCursor, BlockId, BlockKind, Disk, OpClass, SeqHint};
 
 use crate::directory::Directory;
-use crate::segment::{read_data_from, search_data, SegmentMeta};
+use crate::segment::{
+    buffer_len_in, find_buffered, read_buffer, read_data_from, search_buffer, search_data,
+    write_buffer, SegmentMeta,
+};
 
 /// Configuration of the on-disk FITing-tree.
 #[derive(Debug, Clone, Copy)]
@@ -20,8 +23,12 @@ pub struct FitingConfig {
     /// Error bound ε of the per-segment linear models (the paper's default
     /// is 64).
     pub epsilon: usize,
-    /// Capacity of each segment's delta buffer in entries (the paper's
-    /// default is 256).
+    /// Upper bound on each segment's delta buffer in entries (the paper's
+    /// default is 256). The buffer takes `buffer_entries / (block_size / 16)`
+    /// blocks, rounded up, and slot 0 of its first block holds the buffer's
+    /// count, so it holds at most one entry less than those blocks have
+    /// slots: 255 entries at the default on 4 KiB blocks. A group of inserts
+    /// that would pass either bound resegments.
     pub buffer_entries: usize,
 }
 
@@ -148,7 +155,7 @@ impl FitingTree {
                 data_blocks: 1,
                 buffer_blocks,
                 count: 0,
-                buffer_count: 0,
+                buffered: false,
             };
             meta.data(self.seg_file).write(&self.disk, &[])?;
             return Ok(vec![meta]);
@@ -177,7 +184,7 @@ impl FitingTree {
                 data_blocks,
                 buffer_blocks,
                 count: seg.len as u32,
-                buffer_count: 0,
+                buffered: false,
             };
             meta.data(self.seg_file).write(&self.disk, slice)?;
             metas.push(meta);
@@ -207,7 +214,8 @@ impl FitingTree {
     }
 
     /// Answers `key` from its covering segment `meta`: the ε-window of the
-    /// data region first, then the delta buffer, every read through `cursor`.
+    /// data region first, then the delta buffer if it is flagged, every read
+    /// through `cursor`.
     fn search_segment(
         &self,
         cursor: &mut BlockCursor<'_>,
@@ -216,7 +224,7 @@ impl FitingTree {
     ) -> IndexResult<Option<Value>> {
         match search_data(cursor, self.seg_file, meta, key, self.config.epsilon)? {
             Some(v) => Ok(Some(v)),
-            None => meta.buffer(self.seg_file).search(cursor, key),
+            None => search_buffer(cursor, self.seg_file, meta, key),
         }
     }
 
@@ -241,9 +249,10 @@ impl FitingTree {
     /// only ([`WindowProbe`]): the first wave fetches the block holding each
     /// probe's predicted position, and a probe whose key may lie beyond it
     /// steps to the neighbouring block on that one side in a later wave.
-    /// Last, the misses whose segment holds buffered entries read every
-    /// occupied block of those delta buffers in one more wave. The answers
-    /// are the per-key [`IndexRead::lookup`]'s.
+    /// Last, the misses whose segment's buffer is flagged read those delta
+    /// buffers' block 0 in one more wave, for their counts and first entries,
+    /// and the other blocks the counts occupy, if any, in one wave after
+    /// that. The answers are the per-key [`IndexRead::lookup`]'s.
     fn lookup_batch_sorted(
         &self,
         keys: &[Key],
@@ -264,7 +273,7 @@ impl FitingTree {
             let (meta, _) = self.directory.find(&mut cursor, key)?;
             match meta.probe(key, epsilon, per_block) {
                 Some(probe) => probes.push((i, meta, probe)),
-                None if meta.buffer_count > 0 => buffered.push((i, meta)),
+                None if meta.buffered => buffered.push((i, meta)),
                 None => {}
             }
         }
@@ -280,7 +289,7 @@ impl FitingTree {
                 let (i, meta, mut probe) = probes[n];
                 match probe.read(wave.frame(block_of(&meta, &probe))?, per_block)? {
                     Probed::Hit(v) => out[i as usize] = Some(v),
-                    Probed::Miss if meta.buffer_count > 0 => buffered.push((i, meta)),
+                    Probed::Miss if meta.buffered => buffered.push((i, meta)),
                     Probed::Miss => {}
                     Probed::Moved => {
                         probes[moved] = (i, meta, probe);
@@ -294,18 +303,27 @@ impl FitingTree {
         if buffered.is_empty() {
             return Ok(());
         }
-        let occupied = |buffer: &EntryArray| 0..buffer.len.div_ceil(per_block);
-        let blocks = buffered.iter().flat_map(|(_, meta)| {
-            let buffer = meta.buffer(file);
-            occupied(&buffer).map(move |b| buffer.first_block + b as BlockId)
-        });
-        let wave = Wave::fetch(&self.disk, file, blocks.collect(), BlockKind::Leaf)?;
+        let block_size = self.disk.block_size();
+        let heads = buffered.iter().map(|(_, meta)| meta.buffer(file, 0).first_block).collect();
+        let heads = Wave::fetch(&self.disk, file, heads, BlockKind::Leaf)?;
+        let mut buffers = Vec::with_capacity(buffered.len());
         for (i, meta) in buffered {
-            let (key, buffer) = (keys[i as usize], meta.buffer(file));
-            for b in occupied(&buffer) {
+            let head = heads.frame(meta.buffer(file, 0).first_block)?;
+            buffers.push((i, meta.buffer(file, buffer_len_in(&meta, head, block_size)?)));
+        }
+        // The blocks past block 0 that the counts occupy: an empty wave,
+        // which reads nothing, unless a buffer outgrows its first block.
+        let tail = |buffer: &EntryArray| 1..buffer.len.div_ceil(per_block);
+        let tails = buffers
+            .iter()
+            .flat_map(|(_, buffer)| tail(buffer).map(|b| buffer.first_block + b as BlockId));
+        let tails = Wave::fetch(&self.disk, file, tails.collect(), BlockKind::Leaf)?;
+        for (i, buffer) in buffers {
+            let key = keys[i as usize];
+            for b in 0..buffer.len.div_ceil(per_block) {
+                let wave = if b == 0 { &heads } else { &tails };
                 let frame = wave.frame(buffer.first_block + b as BlockId)?;
-                let block = buffer.block_in(frame, b, per_block);
-                if let Some(v) = EntryArray::find(&block.slots(0..block.valid)?, key) {
+                if let Some(v) = find_buffered(&buffer.block_in(frame, b, per_block), b, key)? {
                     out[i as usize] = Some(v);
                     break;
                 }
@@ -330,7 +348,7 @@ impl FitingTree {
         // The maintenance stream reads through its own scan cursor.
         let mut cursor = self.disk.scan_cursor();
         let mut stored = old.data(self.seg_file).all(&mut cursor)?;
-        stored.extend(old.buffer(self.seg_file).all(&mut cursor)?);
+        stored.extend(read_buffer(&mut cursor, self.seg_file, &old)?);
         drop(cursor);
         // Data region and delta buffer are disjoint by construction, so this
         // sort sees no equal keys.
@@ -423,7 +441,7 @@ impl IndexRead for FitingTree {
             first_segment = false;
             let needed = count - out.len();
             let data = read_data_from(&mut cursor, self.seg_file, &meta, from_pos, start, needed)?;
-            let buffer = meta.buffer(self.seg_file).all(&mut cursor)?;
+            let buffer = read_buffer(&mut cursor, self.seg_file, &meta)?;
             // Data region and delta buffer are disjoint by construction.
             let (data, buffer) = (data.into_iter(), buffer.into_iter());
             let from_start = |e: &Entry| e.0 >= start;
@@ -471,10 +489,13 @@ impl IndexWrite for FitingTree {
     /// delta buffer is filled in one read-modify-write pass. The entries are
     /// sorted, grouped by covering segment (one directory descent per group,
     /// plus one boundary probe when more keys follow), and each group pays
-    /// the buffer read, the buffer write, the directory meta update and any
-    /// data-region overwrite rewrite *once* — one-entry batches pay all four
-    /// per key. Keys below the global minimum are likewise folded into the
-    /// overflow buffer as one group.
+    /// the buffer read, the buffer write and any data-region overwrite
+    /// rewrite *once* — one-entry batches pay them per key. The buffer's
+    /// count is in its own block, so the directory leaf is written only by
+    /// the group that fills an empty buffer, to set its `buffered` flag: at
+    /// most once per group, and once per buffer lifetime. Keys below the
+    /// global minimum are likewise folded into the overflow buffer as one
+    /// group.
     fn insert_batch(&mut self, entries: &[Entry]) -> IndexResult<()> {
         if !self.loaded {
             return Err(IndexError::NotInitialized);
@@ -549,7 +570,7 @@ impl IndexWrite for FitingTree {
             let first_in_data =
                 search_data(&mut cursor, self.seg_file, &meta, first_key, self.config.epsilon)?
                     .is_some();
-            let mut buffer = meta.buffer(self.seg_file).all(&mut cursor)?;
+            let mut buffer = read_buffer(&mut cursor, self.seg_file, &meta)?;
             // Classify each key: buffer overwrite, data-region overwrite, or
             // brand new (appended to the in-memory buffer). `search_data`
             // probes benefit from the sorted order via the cursor.
@@ -584,8 +605,7 @@ impl IndexWrite for FitingTree {
                 && buffer.len() <= meta.buffer_capacity(self.disk.block_size()) as usize
             {
                 // Delta fill: apply data overwrites with one region rewrite,
-                // then persist the merged buffer and its occupancy once (the
-                // directory write is the paper's "extra block").
+                // then persist the merged buffer, its count with it, once.
                 if !data_overwrites.is_empty() {
                     let region = meta.data(self.seg_file);
                     let mut data = region.all(&mut self.disk.scan_cursor())?;
@@ -597,11 +617,12 @@ impl IndexWrite for FitingTree {
                     region.write(&self.disk, &data)?;
                 }
                 if buffer_dirty {
-                    meta.buffer(self.seg_file).write(&self.disk, &buffer)?;
-                    if buffer.len() != meta.buffer_count as usize {
-                        let mut updated = meta;
-                        updated.buffer_count = buffer.len() as u32;
-                        self.directory.update_meta(slot, updated)?;
+                    write_buffer(&self.disk, self.seg_file, &meta, &buffer)?;
+                    // An empty buffer's first fill sets its flag, after the
+                    // buffer block: a crash between the two leaves the flag
+                    // unset over entries the WAL tail still holds.
+                    if !meta.buffered {
+                        self.directory.update_meta(slot, SegmentMeta { buffered: true, ..meta })?;
                     }
                 }
                 laps.lap(&mut self.breakdown, InsertStep::Insert);
@@ -871,6 +892,80 @@ mod tests {
         assert!(matches!(empty.insert_batch(&[(1, 1)]), Err(IndexError::NotInitialized)));
     }
 
+    /// A 4 KiB tree with the default configuration over 20 000 keys whose
+    /// gaps switch between 2 and 300 every 512 keys, so each switch ends a
+    /// segment, with its segment records.
+    fn tree_4k() -> (FitingTree, Vec<Entry>, Vec<SegmentMeta>) {
+        let mut t = FitingTree::new(Disk::in_memory(DiskConfig::with_block_size(4096))).unwrap();
+        let mut key = 0u64;
+        let data: Vec<Entry> = (0..20_000u64)
+            .map(|i| {
+                key += if (i / 512) % 2 == 0 { 2 } else { 300 };
+                (key, i)
+            })
+            .collect();
+        t.bulk_load(&data).unwrap();
+        let metas = t.directory.all_segments().unwrap();
+        assert!(metas.len() >= 4, "need several segments");
+        (t, data, metas)
+    }
+
+    /// Block writes of `insert`, as (all, `Leaf`, `Inner`).
+    fn writes_of(t: &mut FitingTree, insert: impl FnOnce(&mut FitingTree)) -> (u64, u64, u64) {
+        let before = t.disk().snapshot();
+        insert(t);
+        let d = t.disk().snapshot().since(&before);
+        (d.writes(), d.writes_of(BlockKind::Leaf), d.writes_of(BlockKind::Inner))
+    }
+
+    /// On 4 KiB blocks the first fresh insert into an empty delta buffer
+    /// stores the buffer block and then the directory leaf whose record
+    /// flags it; every later fresh insert into that buffer stores the
+    /// buffer block alone, its count included.
+    #[test]
+    fn a_fresh_insert_into_a_buffered_segment_stores_its_buffer_block_alone() {
+        let (mut t, data, metas) = tree_4k();
+        let (meta, next) = (metas[1], metas[2].first_key);
+        let mut fresh = fresh_keys(&data, &meta, next);
+        let first = fresh.next().unwrap();
+        assert_eq!(writes_of(&mut t, |t| t.insert(first, 1).unwrap()), (2, 1, 1));
+        assert!(t.directory.find(&mut t.disk.cursor(), first).unwrap().0.buffered);
+        let rest: Vec<Key> = fresh.take(20).collect();
+        assert_eq!(rest.len(), 20);
+        for &k in &rest {
+            assert_eq!(writes_of(&mut t, |t| t.insert(k, 2).unwrap()), (1, 1, 0), "key {k}");
+        }
+        // An overwrite of a buffered key stores the same block.
+        assert_eq!(writes_of(&mut t, |t| t.insert(first, 3).unwrap()), (1, 1, 0));
+        assert_eq!(t.lookup(first).unwrap(), Some(3));
+        assert!(rest.iter().all(|&k| t.lookup(k).unwrap() == Some(2)));
+        assert_eq!(t.stats().smo_count, 0);
+    }
+
+    /// On 4 KiB blocks an `insert_batch` group stores its buffer once and
+    /// the directory at most once: once per group that fills an empty
+    /// buffer, never for one whose buffer already holds entries.
+    #[test]
+    fn an_insert_batch_group_stores_its_buffer_once_and_the_directory_at_most_once() {
+        let (mut t, data, metas) = tree_4k();
+        // Three fresh keys in each of four segments.
+        let groups: Vec<Vec<Entry>> = (1..5)
+            .map(|s| {
+                let fresh = fresh_keys(&data, &metas[s], metas[s + 1].first_key);
+                fresh.take(6).map(|k| (k, k ^ 5)).collect()
+            })
+            .collect();
+        let batch = |round: usize| -> Vec<Entry> {
+            groups.iter().flat_map(|g| g[round * 3..round * 3 + 3].iter().copied()).collect()
+        };
+        assert_eq!(writes_of(&mut t, |t| t.insert_batch(&batch(0)).unwrap()), (8, 4, 4));
+        assert_eq!(writes_of(&mut t, |t| t.insert_batch(&batch(1)).unwrap()), (4, 4, 0));
+        for &(k, v) in groups.iter().flatten() {
+            assert_eq!(t.lookup(k).unwrap(), Some(v), "key {k}");
+        }
+        assert_eq!(t.stats().smo_count, 0);
+    }
+
     #[test]
     fn one_entry_batch_probes_the_data_block_then_the_adjacent_buffer() {
         use lidx_storage::DeviceModel;
@@ -921,7 +1016,11 @@ mod tests {
             .collect();
         t.bulk_load(&data).unwrap();
         assert!(t.directory.leaf_nodes() > 16, "need segments at directory-leaf ends");
+        // The first fill of an empty buffer also re-reads and writes its
+        // directory leaf to set the record's flag; only the inserts that
+        // write no directory block are compared.
         let mut inner_reads = std::collections::BTreeSet::new();
+        let mut flag_sets = 0;
         for &(k, _) in data.iter().step_by(3) {
             if t.lookup(k + 1).unwrap().is_some() {
                 continue;
@@ -929,11 +1028,16 @@ mod tests {
             t.disk().reset_access_state();
             let before = t.disk().snapshot();
             t.insert(k + 1, 7).unwrap();
-            if t.stats().smo_count == 0 {
-                inner_reads.insert(t.disk().snapshot().since(&before).reads_of(BlockKind::Inner));
+            let d = t.disk().snapshot().since(&before);
+            if t.stats().smo_count > 0 {
+                continue;
+            }
+            match d.writes_of(BlockKind::Inner) {
+                0 => drop(inner_reads.insert(d.reads_of(BlockKind::Inner))),
+                _ => flag_sets += 1,
             }
         }
-        assert_eq!(inner_reads.len(), 1, "directory reads per insert vary: {inner_reads:?}");
+        assert!(flag_sets > 0 && inner_reads.len() == 1, "directory reads vary: {inner_reads:?}");
     }
 
     #[test]
@@ -983,7 +1087,7 @@ mod tests {
         let per_key: Vec<Option<Value>> = probes.iter().map(|&k| sync.lookup(k).unwrap()).collect();
         assert_eq!(sync_out, per_key, "the depth-1 batch must answer like per-key lookups");
         let segments = sync.directory.all_segments().unwrap();
-        assert!(segments.iter().any(|m| m.buffer_count > 0), "the batch must reach delta buffers");
+        assert!(segments.iter().any(|m| m.buffered), "the batch must reach delta buffers");
         for &(k, v) in &fresh {
             let at = probes.iter().position(|&p| p == k).unwrap();
             assert_eq!(sync_out[at], Some(v), "fresh key {k}");
@@ -1015,33 +1119,151 @@ mod tests {
         use crate::directory::DIR_ENTRY;
         use lidx_btree::LEAF_HEADER;
         let data = irregular_entries(3_000);
-        // Byte offsets in a directory record of `count` and `buffer_count`.
-        for (field, what) in [(28, "count"), (32, "buffer_count")] {
-            let mut t = tree(512);
-            t.bulk_load(&data).unwrap();
-            let metas = t.directory.all_segments().unwrap();
-            assert!(metas.len() >= 3, "need a segment with neighbours");
-            let forged = metas[1];
-            let (_, slot) = t.directory.find(&mut t.disk.cursor(), forged.first_key).unwrap();
-            // One entry more than the data region, or the delta buffer, holds
-            // (32 entries per 512-byte block).
-            let overrun = match field {
-                28 => forged.data_blocks * 32 + 1,
-                _ => forged.buffer_blocks * 32 + 1,
-            };
-            patch_directory_block(&t, slot.block, |b| {
-                let at = LEAF_HEADER + slot.slot * DIR_ENTRY + field;
-                b[at..at + 4].copy_from_slice(&overrun.to_le_bytes());
+        let mut t = tree(512);
+        t.bulk_load(&data).unwrap();
+        let metas = t.directory.all_segments().unwrap();
+        assert!(metas.len() >= 3, "need a segment with neighbours");
+        let forged = metas[1];
+        let (_, slot) = t.directory.find(&mut t.disk.cursor(), forged.first_key).unwrap();
+        // `count` sits at byte 28 of a record; one entry more than the data
+        // region holds (32 entries per 512-byte block). A forged buffer count
+        // lives in the buffer block: see
+        // `a_forged_count_record_fails_every_path_through_the_buffer`.
+        let overrun = forged.data_blocks * 32 + 1;
+        patch_directory_block(&t, slot.block, |b| {
+            let at = LEAF_HEADER + slot.slot * DIR_ENTRY + 28;
+            b[at..at + 4].copy_from_slice(&overrun.to_le_bytes());
+        });
+        let lookup = t.lookup(forged.first_key);
+        assert!(matches!(lookup, Err(IndexError::Internal(_))), "lookup {lookup:?}");
+        let mut out = Vec::new();
+        let scan = t.scan(data[0].0, data.len(), &mut out);
+        assert!(matches!(scan, Err(IndexError::Internal(_))), "scan {scan:?}");
+        // Only the forged record is refused: its neighbours still answer.
+        let first = data[0];
+        assert_eq!(t.lookup(first.0).unwrap(), Some(first.1));
+        assert_eq!(t.scan(first.0, 3, &mut out).unwrap(), 3);
+    }
+
+    /// The fresh keys of segment `meta`'s range in key order: each one past
+    /// an entry of `data`, stored by no entry and below `next`, the next
+    /// segment's first key.
+    fn fresh_keys<'a>(
+        data: &'a [Entry],
+        meta: &SegmentMeta,
+        next: Key,
+    ) -> impl Iterator<Item = Key> + 'a {
+        let (first, stored) = (meta.first_key, |k: Key| data.binary_search_by_key(&k, |e| e.0));
+        data.iter()
+            .map(|&(k, _)| k + 1)
+            .filter(move |&k| k > first && k < next && stored(k).is_err())
+    }
+
+    /// Rewrites block 0 of `meta`'s delta buffer with `patch`.
+    fn patch_buffer_head(t: &FitingTree, meta: &SegmentMeta, patch: impl FnOnce(&mut [u8])) {
+        let block = meta.buffer(t.seg_file, 0).first_block;
+        let mut buf = t.disk.cursor().read(t.seg_file, block, BlockKind::Leaf).unwrap().to_vec();
+        patch(&mut buf);
+        t.disk.write(t.seg_file, block, BlockKind::Leaf, &buf).unwrap();
+    }
+
+    /// Runs a lookup, a batched lookup, a scan and an insert of `key` on
+    /// `t`, each on a thread that must answer within 10 s, and returns each
+    /// one's verdict: an answer or a typed error. A panic or a hang fails
+    /// the caller.
+    fn every_operation(t: FitingTree, key: Key) -> [IndexResult<()>; 4] {
+        fn within_deadline<T: Send + 'static>(walk: impl FnOnce() -> T + Send + 'static) -> T {
+            let (done, result) = std::sync::mpsc::channel();
+            let walker = std::thread::spawn(move || done.send(walk()));
+            let answer = result
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the walk never returned");
+            walker.join().expect("the walk's thread finished").expect("the answer was received");
+            answer
+        }
+        let t = Arc::new(t);
+        let read = |walk: fn(&FitingTree, Key) -> IndexResult<()>| {
+            let t = Arc::clone(&t);
+            within_deadline(move || walk(&t, key))
+        };
+        let lookup = read(|t, key| t.lookup(key).map(drop));
+        let batch = read(|t, key| t.lookup_batch(&[key, key / 2, Key::MAX], &mut Vec::new()));
+        let scan = read(|t, key| t.scan(key, 64, &mut Vec::new()).map(drop));
+        let mut t = Arc::into_inner(t).expect("the walks are done");
+        let insert = within_deadline(move || t.insert(key, 1));
+        [lookup, batch, scan, insert]
+    }
+
+    /// A tree of 3 000 irregular keys on 512-byte blocks whose second
+    /// segment's delta buffer holds one fresh key, with that segment's
+    /// record and the key.
+    fn one_buffered_segment() -> (FitingTree, Vec<Entry>, SegmentMeta, Key) {
+        let data = irregular_entries(3_000);
+        let mut t = tree(512);
+        t.bulk_load(&data).unwrap();
+        let metas = t.directory.all_segments().unwrap();
+        let key = fresh_keys(&data, &metas[1], metas[2].first_key).next().unwrap();
+        t.insert(key, 7).unwrap();
+        let (meta, _) = t.directory.find(&mut t.disk.cursor(), key).unwrap();
+        assert!(meta.buffered && meta.first_key == metas[1].first_key);
+        (t, data, meta, key)
+    }
+
+    /// A count record past the buffer's capacity (31 entries in one 512-byte
+    /// block), or one without its tag, is `Internal` for every operation
+    /// that reads the buffer, while the other segments still answer.
+    #[test]
+    fn a_forged_count_record_fails_every_path_through_the_buffer() {
+        use crate::segment::BUFFER_TAG;
+        for record in [(32, BUFFER_TAG), (u64::MAX, BUFFER_TAG), (1, 0)] {
+            let (t, data, meta, key) = one_buffered_segment();
+            patch_buffer_head(&t, &meta, |b| {
+                entries::put(b.as_chunks_mut::<16>().0.first_mut().unwrap(), record)
             });
-            let lookup = t.lookup(forged.first_key);
-            assert!(matches!(lookup, Err(IndexError::Internal(_))), "{what}: lookup {lookup:?}");
-            let mut out = Vec::new();
-            let scan = t.scan(data[0].0, data.len(), &mut out);
-            assert!(matches!(scan, Err(IndexError::Internal(_))), "{what}: scan {scan:?}");
-            // Only the forged record is refused: its neighbours still answer.
             let first = data[0];
-            assert_eq!(t.lookup(first.0).unwrap(), Some(first.1), "{what}");
-            assert_eq!(t.scan(first.0, 3, &mut out).unwrap(), 3, "{what}");
+            assert_eq!(t.lookup(first.0).unwrap(), Some(first.1), "{record:?}");
+            for (op, verdict) in ["lookup", "lookup_batch", "scan", "insert"]
+                .into_iter()
+                .zip(every_operation(t, key))
+            {
+                assert!(
+                    matches!(verdict, Err(IndexError::Internal(_))),
+                    "{record:?} {op}: {verdict:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// Damaged block 0 of a delta buffer: its bytes are cut (zero from
+        /// some byte on, a torn write) and flipped, in the count record and
+        /// among the entries. A lookup, a batched lookup, a scan and an
+        /// insert then each give an answer or a typed error, never a panic
+        /// or a hang.
+        #[test]
+        fn a_damaged_buffer_block_gives_an_answer_or_a_typed_error(
+            cut in 0usize..600,
+            flips in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..512, proptest::prelude::any::<u8>()), 0..6),
+            probe in proptest::prelude::any::<u64>(),
+        ) {
+            let (t, data, meta, key) = one_buffered_segment();
+            patch_buffer_head(&t, &meta, |b| {
+                if cut < b.len() {
+                    b[cut..].fill(0);
+                }
+                for (in_record, at, mask) in flips {
+                    b[if in_record { at % 16 } else { at }] ^= mask.max(1);
+                }
+            });
+            // The buffered key, or one anywhere.
+            let key = if probe % 2 == 0 { key } else { probe % (data[data.len() - 1].0 + 100) };
+            for verdict in every_operation(t, key) {
+                if let Err(e) = verdict {
+                    proptest::prop_assert!(!e.to_string().is_empty());
+                }
+            }
         }
     }
 

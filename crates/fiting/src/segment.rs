@@ -3,28 +3,45 @@
 //! A segment is an extent of consecutive blocks in the segment file:
 //!
 //! ```text
-//! [ data blocks: (key u64, payload u64) * count, sentinel-padded ]
-//! [ buffer blocks: (key u64, payload u64) * buffer_count, sorted ]
+//! [ data blocks:   (key u64, payload u64) * count, sentinel-padded ]
+//! [ buffer blocks: (len u64, BUFFER_TAG u64), then
+//!                  (key u64, payload u64) * len, sorted, sentinel-padded ]
 //! ```
 //!
-//! The segment itself carries **no header** — its linear model and occupancy
-//! counters live in the directory entry pointing at it ([`SegmentMeta`]).
+//! The segment itself carries **no header** — its linear model and data
+//! occupancy live in the directory entry pointing at it ([`SegmentMeta`]).
 //! This mirrors the design property the paper highlights for FITing-tree and
 //! PGM (shortcoming S1 does not apply): the model is stored in the parent, so
 //! reaching a key costs only the data blocks covered by the error range.
 //!
+//! The delta buffer carries its own count: slot 0 of its first block is a
+//! count record, and its entries follow from slot 1. The directory entry
+//! only flags whether the buffer holds entries ([`SegmentMeta::buffered`]),
+//! so a fresh insert into a buffer that already holds some writes the buffer
+//! block and nothing else; the directory leaf is written once per buffer
+//! lifetime, when the flag is set. A buffer block is read only once its flag
+//! is set, and the flag is set only after the block is written, so bulk load
+//! and resegmentation write no buffer block at all.
+//!
 //! Both regions are sorted entry arrays ([`lidx_core::entries`]), the layout
 //! PGM's data level and insert run use too: [`SegmentMeta::data`] and
-//! [`SegmentMeta::buffer`] name them. The data probe is the one PGM's data
-//! level uses too, a [`WindowProbe`]: it reads the block holding the model's
-//! predicted position first and steps one way from there, inside the
-//! ε-window only. The buffer probe reads every occupied block.
+//! [`SegmentMeta::buffer`] name them, and the count record goes through the
+//! same slot codec. The data probe is the one PGM's data level uses too, a
+//! [`WindowProbe`]: it reads the block holding the model's predicted
+//! position first and steps one way from there, inside the ε-window only.
+//! The buffer probe reads block 0 for the count, then every other block the
+//! count occupies.
 
-use lidx_core::entries::{self, EntryArray, WindowProbe};
+use lidx_core::entries::{self, EntryArray, EntryBlock, WindowProbe};
 use lidx_core::{Entry, IndexError, IndexResult, Key, Value};
-use lidx_storage::{BlockCursor, BlockId, BlockKind};
+use lidx_storage::{BlockCursor, BlockId, BlockKind, BlockRef, Disk, SeqHint};
 
 use lidx_models::LinearModel;
+
+/// The payload of a delta buffer's count record, `"FITDELTA"` in ASCII: a
+/// slot 0 without it is not a count record, and reading it is
+/// [`IndexError::Internal`].
+pub(crate) const BUFFER_TAG: Value = Value::from_le_bytes(*b"FITDELTA");
 
 /// Directory metadata describing one segment.
 ///
@@ -45,8 +62,10 @@ pub struct SegmentMeta {
     pub buffer_blocks: u32,
     /// Number of valid entries in the data region.
     pub count: u32,
-    /// Number of valid entries in the delta buffer.
-    pub buffer_count: u32,
+    /// Whether the delta buffer holds entries. Its count is the buffer's
+    /// own, in the count record of its first block; an unset flag means
+    /// an empty buffer whose blocks are never read.
+    pub buffered: bool,
 }
 
 impl SegmentMeta {
@@ -67,32 +86,35 @@ impl SegmentMeta {
         }
     }
 
-    /// The delta buffer in segment file `file`: `buffer_count` entries in the
-    /// `buffer_blocks` blocks after the data region, charged to `Leaf`.
-    pub fn buffer(&self, file: u32) -> EntryArray {
+    /// The delta buffer in segment file `file` holding `len` entries: the
+    /// `buffer_blocks` blocks after the data region, charged to `Leaf`. Its
+    /// position 0 is the count record, so the array holds `len + 1` slots
+    /// and entry `i` sits at position `i + 1`.
+    pub fn buffer(&self, file: u32, len: usize) -> EntryArray {
         EntryArray {
             file,
             first_block: self.start_block + self.data_blocks,
             blocks: self.buffer_blocks,
-            len: self.buffer_count as usize,
+            len: len + 1,
             kind: BlockKind::Leaf,
         }
     }
 
-    /// Capacity of the delta buffer in entries, given the block size.
+    /// Capacity of the delta buffer in entries, given the block size: its
+    /// slots less the one the count record takes.
     pub fn buffer_capacity(&self, block_size: usize) -> u32 {
-        self.buffer_blocks.saturating_mul(entries::per_block(block_size) as u32)
+        self.buffer_blocks.saturating_mul(entries::per_block(block_size) as u32).saturating_sub(1)
     }
 
-    /// Checks that the record's entry counts fit its extent: `count` entries
-    /// in `data_blocks`, `buffer_count` in `buffer_blocks`, and the extent
-    /// within `u32` block ids. The read paths trust these bounds, so a record
-    /// that overruns them would send a probe into the buffer region or the
-    /// next segment's blocks.
+    /// Checks that the record fits its extent: `count` entries in
+    /// `data_blocks`, a set `buffered` flag over at least one buffer block,
+    /// and the extent within `u32` block ids. The read paths trust these
+    /// bounds, so a record that overruns them would send a probe into the
+    /// buffer region or the next segment's blocks.
     pub(crate) fn check_extent(&self, block_size: usize) -> IndexResult<()> {
         let per_block = entries::per_block(block_size) as u64;
         let fits = u64::from(self.count) <= u64::from(self.data_blocks) * per_block
-            && u64::from(self.buffer_count) <= u64::from(self.buffer_blocks) * per_block
+            && (!self.buffered || self.buffer_blocks > 0)
             && self
                 .start_block
                 .checked_add(self.data_blocks)
@@ -172,6 +194,100 @@ pub fn read_data_from(
     Ok(out)
 }
 
+/// The entry count of `meta`'s delta buffer, decoded from `frame`, the
+/// buffer's block 0 as read. A slot 0 that is no count record, or a count
+/// past the buffer's capacity, is [`IndexError::Internal`].
+pub fn buffer_len_in(
+    meta: &SegmentMeta,
+    frame: &BlockRef,
+    block_size: usize,
+) -> IndexResult<usize> {
+    let head = EntryBlock { frame, valid: 1 };
+    let record = head.entries(0..1)?.next();
+    match record {
+        Some((len, BUFFER_TAG)) if len <= u64::from(meta.buffer_capacity(block_size)) => {
+            Ok(len as usize)
+        }
+        _ => Err(IndexError::Internal(format!(
+            "delta buffer of {meta:?} holds {record:?} where its count record belongs"
+        ))),
+    }
+}
+
+/// The entry count of `meta`'s delta buffer, read from its block 0 through
+/// `cursor`; 0, with no read, when the buffer is not flagged.
+fn buffer_len(cursor: &mut BlockCursor<'_>, file: u32, meta: &SegmentMeta) -> IndexResult<usize> {
+    if !meta.buffered {
+        return Ok(0);
+    }
+    let block_size = cursor.disk().block_size();
+    let head = meta.buffer(file, 0).block(cursor, 0, SeqHint::Auto)?;
+    buffer_len_in(meta, head.frame, block_size)
+}
+
+/// The entries of `meta`'s delta buffer, read through `cursor`: block 0 for
+/// the count (kept by the cursor, so reading its entries costs nothing
+/// more), then the other blocks the count occupies, in order.
+pub fn read_buffer(
+    cursor: &mut BlockCursor<'_>,
+    file: u32,
+    meta: &SegmentMeta,
+) -> IndexResult<Vec<Entry>> {
+    let len = buffer_len(cursor, file, meta)?;
+    let mut out = Vec::with_capacity(len);
+    meta.buffer(file, len).read(cursor, 1..len + 1, &mut out)?;
+    Ok(out)
+}
+
+/// The payload stored under `key` among the entries of `block`, block `b`
+/// of a delta buffer: past the count record in block 0.
+pub fn find_buffered(block: &EntryBlock<'_>, b: usize, key: Key) -> IndexResult<Option<Value>> {
+    Ok(EntryArray::find(&block.slots(usize::from(b == 0)..block.valid)?, key))
+}
+
+/// Searches `meta`'s delta buffer for `key` through `cursor`: block 0 for
+/// the count, then every other block the count occupies, in order, as
+/// reading the whole buffer would, so a probe costs the same blocks
+/// whether or not an early block holds the key. An unflagged buffer reads
+/// nothing.
+pub fn search_buffer(
+    cursor: &mut BlockCursor<'_>,
+    file: u32,
+    meta: &SegmentMeta,
+    key: Key,
+) -> IndexResult<Option<Value>> {
+    let len = buffer_len(cursor, file, meta)?;
+    if len == 0 {
+        return Ok(None);
+    }
+    let buffer = meta.buffer(file, len);
+    let occupied = buffer.len.div_ceil(entries::per_block(cursor.disk().block_size()));
+    let mut found = None;
+    for b in 0..occupied {
+        let block = buffer.block(cursor, b, SeqHint::Auto)?;
+        if found.is_none() {
+            found = find_buffered(&block, b, key)?;
+        }
+    }
+    Ok(found)
+}
+
+/// Writes `entries` (sorted by key) as `meta`'s delta buffer: the count
+/// record, then the entries, as all `buffer_blocks` blocks. More entries
+/// than [`SegmentMeta::buffer_capacity`] is a typed error, and nothing is
+/// written.
+pub fn write_buffer(
+    disk: &Disk,
+    file: u32,
+    meta: &SegmentMeta,
+    entries: &[Entry],
+) -> IndexResult<()> {
+    let mut slots = Vec::with_capacity(entries.len() + 1);
+    slots.push((entries.len() as Key, BUFFER_TAG));
+    slots.extend_from_slice(entries);
+    meta.buffer(file, entries.len()).write(disk, &slots)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,10 +310,9 @@ mod tests {
             data_blocks,
             buffer_blocks,
             count: count as u32,
-            buffer_count: 0,
+            buffered: false,
         };
         meta.data(file).write(&disk, &entries).unwrap();
-        meta.buffer(file).write(&disk, &[]).unwrap();
         (disk, file, meta, entries)
     }
 
@@ -231,14 +346,25 @@ mod tests {
     fn read_all_data_and_buffer_roundtrip() {
         let (disk, file, mut meta, entries) = setup(50);
         assert_eq!(meta.data(file).all(&mut disk.scan_cursor()).unwrap(), entries);
-        assert!(meta.buffer(file).all(&mut disk.cursor()).unwrap().is_empty());
+        // An unflagged buffer is empty and reads nothing, whatever its
+        // blocks hold: bulk load never writes them.
+        disk.stats().reset();
+        assert!(read_buffer(&mut disk.cursor(), file, &meta).unwrap().is_empty());
+        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 0).unwrap(), None);
+        assert_eq!(disk.stats().reads(), 0);
 
-        let buffered: Vec<Entry> = vec![(3, 4), (7, 8)];
-        meta.buffer_count = buffered.len() as u32;
-        meta.buffer(file).write(&disk, &buffered).unwrap();
-        assert_eq!(meta.buffer(file).all(&mut disk.cursor()).unwrap(), buffered);
-        for (key, expected) in [(3, Some(4)), (7, Some(8)), (5, None), (u64::MAX, None)] {
-            let found = meta.buffer(file).search(&mut disk.cursor(), key).unwrap();
+        // Key 1 equals the count record's key: the search must not take the
+        // record for an entry.
+        let buffered: Vec<Entry> = vec![(1, 4), (7, 8)];
+        write_buffer(&disk, file, &meta, &buffered).unwrap();
+        meta.buffered = true;
+        disk.stats().reset();
+        disk.reset_access_state();
+        assert_eq!(read_buffer(&mut disk.cursor(), file, &meta).unwrap(), buffered);
+        assert_eq!(disk.stats().reads(), 1, "the count and the entries share block 0");
+        for (key, expected) in [(1, Some(4)), (7, Some(8)), (2, None), (5, None), (u64::MAX, None)]
+        {
+            let found = search_buffer(&mut disk.cursor(), file, &meta, key).unwrap();
             assert_eq!(found, expected, "buffer probe for {key}");
         }
     }
@@ -246,20 +372,22 @@ mod tests {
     #[test]
     fn a_buffer_probe_reads_every_occupied_block_in_order() {
         let (disk, file, mut meta, _) = setup(10);
-        // Three buffer blocks, two of them occupied (16 entries per block).
+        // Three buffer blocks, two of them occupied (16 slots per block:
+        // the count record and 15 entries, then 5 more).
         meta.buffer_blocks = 3;
+        meta.buffered = true;
         let buffered: Vec<Entry> = (0..20u64).map(|i| (i * 2, i)).collect();
-        meta.buffer_count = buffered.len() as u32;
         disk.allocate(file, 2).unwrap();
-        meta.buffer(file).write(&disk, &buffered).unwrap();
+        write_buffer(&disk, file, &meta, &buffered).unwrap();
         disk.stats().reset();
         disk.reset_access_state();
         // The key sits in the first block; the probe still reads the second,
         // as reading the whole buffer would.
-        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 4).unwrap(), Some(2));
+        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 4).unwrap(), Some(2));
         assert_eq!(disk.stats().reads(), 2);
-        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 38).unwrap(), Some(19));
-        assert_eq!(meta.buffer(file).search(&mut disk.cursor(), 40).unwrap(), None);
+        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 38).unwrap(), Some(19));
+        assert_eq!(search_buffer(&mut disk.cursor(), file, &meta, 40).unwrap(), None);
+        assert_eq!(read_buffer(&mut disk.cursor(), file, &meta).unwrap(), buffered);
     }
 
     #[test]
@@ -267,7 +395,29 @@ mod tests {
         let (disk, file, meta, _) = setup(10);
         let too_many: Vec<Entry> = (0..10_000u64).map(|i| (i, i)).collect();
         assert!(meta.data(file).write(&disk, &too_many).is_err());
-        assert!(meta.buffer(file).write(&disk, &too_many).is_err());
+        assert!(write_buffer(&disk, file, &meta, &too_many).is_err());
+        // One block of 16 slots holds the count record and 15 entries.
+        assert!(write_buffer(&disk, file, &meta, &too_many[..16]).is_err());
+        write_buffer(&disk, file, &meta, &too_many[..15]).unwrap();
+    }
+
+    #[test]
+    fn a_forged_count_record_is_a_typed_error() {
+        let (disk, file, mut meta, _) = setup(10);
+        meta.buffered = true;
+        write_buffer(&disk, file, &meta, &[(3, 4)]).unwrap();
+        let block = meta.start_block + meta.data_blocks;
+        // Past the capacity of 15, a wrong tag, and a block never written
+        // (all zero).
+        for record in [(16, BUFFER_TAG), (u64::MAX, BUFFER_TAG), (1, 0), (0, 0)] {
+            let mut buf = vec![0u8; 256];
+            entries::put(buf.as_chunks_mut::<16>().0.first_mut().unwrap(), record);
+            disk.write(file, block, BlockKind::Leaf, &buf).unwrap();
+            let read = read_buffer(&mut disk.cursor(), file, &meta);
+            assert!(matches!(read, Err(IndexError::Internal(_))), "{record:?}: {read:?}");
+            let search = search_buffer(&mut disk.cursor(), file, &meta, 3);
+            assert!(matches!(search, Err(IndexError::Internal(_))), "{record:?}: {search:?}");
+        }
     }
 
     #[test]
@@ -279,19 +429,27 @@ mod tests {
             data_blocks: 4,
             buffer_blocks: 1,
             count: 60,
-            buffer_count: 2,
+            buffered: true,
         };
         assert_eq!(meta.total_blocks(), 5);
-        assert_eq!(meta.buffer_capacity(256), 16);
+        assert_eq!(meta.buffer_capacity(256), 15, "16 slots less the count record");
         assert_eq!(meta.predict(100), 0);
         assert_eq!(meta.predict(120), 10);
         assert_eq!(meta.predict(1_000_000), 59, "prediction clamps to count-1");
         assert!(meta.check_extent(256).is_ok());
-        // 4 data blocks of 16 entries hold 64; one buffer block holds 16.
-        assert!(SegmentMeta { count: 64, buffer_count: 16, ..meta }.check_extent(256).is_ok());
+        // 4 data blocks of 16 entries hold 64.
+        assert!(SegmentMeta { count: 64, ..meta }.check_extent(256).is_ok());
         assert!(SegmentMeta { count: 65, ..meta }.check_extent(256).is_err());
-        assert!(SegmentMeta { buffer_count: 17, ..meta }.check_extent(256).is_err());
+        // A flagged buffer needs a block to hold its count record.
+        assert!(SegmentMeta { buffer_blocks: 0, ..meta }.check_extent(256).is_err());
+        assert!(SegmentMeta { buffer_blocks: 0, buffered: false, ..meta }
+            .check_extent(256)
+            .is_ok());
         assert!(SegmentMeta { start_block: u32::MAX - 4, ..meta }.check_extent(256).is_err());
-        assert_eq!(SegmentMeta { buffer_blocks: u32::MAX, ..meta }.buffer_capacity(256), u32::MAX);
+        assert_eq!(
+            SegmentMeta { buffer_blocks: u32::MAX, ..meta }.buffer_capacity(256),
+            u32::MAX - 1
+        );
+        assert_eq!(SegmentMeta { buffer_blocks: 0, ..meta }.buffer_capacity(256), 0);
     }
 }

@@ -153,9 +153,12 @@ impl PgmIndex {
         self.run_array(self.run as usize).all(cursor)
     }
 
-    /// Rewrites the run as `entries`: the blocks covering them, or one.
-    fn write_run(&self, entries: &[Entry]) -> IndexResult<()> {
-        self.run_array(entries.len()).write(&self.disk, entries)
+    /// Rewrites the run as `entries`, whose positions before `from` hold
+    /// what the stored run holds there: the blocks covering them (or one),
+    /// from the block holding position `from` on.
+    fn write_run(&self, entries: &[Entry], from: usize) -> IndexResult<()> {
+        let first = from / entries::per_block(self.disk.block_size());
+        self.run_array(entries.len()).write_from(&self.disk, entries, first as u32)
     }
 
     /// Builds `entries` into a component in a file of its own, its data
@@ -214,7 +217,7 @@ impl PgmIndex {
         let component = self.build_component(&merged)?;
         self.levels[target] = Some(component);
         self.run = 0;
-        self.write_run(&[])?;
+        self.write_run(&[], 0)?;
         Ok(())
     }
 }
@@ -357,7 +360,10 @@ impl IndexWrite for PgmIndex {
     /// The one write path (`insert` is a batch of one): entries are
     /// appended to the run in memory, so the run blocks are read once per
     /// batch and the run is rewritten once at the end — where one-entry
-    /// batches pay a run read and a run write *per key*. LSM flushes fire
+    /// batches pay a run read and a run write *per key*. The rewrite starts
+    /// at the block holding the batch's smallest changed position: a sorted
+    /// insert at position `p` leaves the blocks before `p / per_block` as
+    /// they are. LSM flushes fire
     /// at the same entries under every partition of a stream into batches
     /// (the run crossing its capacity), so the logical outcome — including
     /// the lazily-reconciled key count, which depends on *when* duplicates
@@ -375,24 +381,33 @@ impl IndexWrite for PgmIndex {
         let mut run = self.read_run(&mut self.disk.cursor())?;
         laps.lap(&mut self.breakdown, InsertStep::Search);
 
+        // The smallest run position the batch changed since the run was
+        // last stored: positions before it hold what they held.
+        let mut changed = usize::MAX;
         for &(key, value) in entries {
-            match run.binary_search_by_key(&key, |&(k, _)| k) {
-                Ok(pos) => run[pos].1 = value,
+            let pos = match run.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(pos) => {
+                    run[pos].1 = value;
+                    pos
+                }
                 Err(pos) => {
                     run.insert(pos, (key, value));
                     self.key_count += 1;
+                    pos
                 }
-            }
+            };
+            changed = changed.min(pos);
             self.breakdown.finish_insert();
             if run.len() > self.config.insert_run_entries {
                 self.flush_run(std::mem::take(&mut run))?;
+                changed = usize::MAX;
                 laps.lap(&mut self.breakdown, InsertStep::Smo);
             }
         }
         // `flush_run` already persisted an empty run if it ran last.
         if !run.is_empty() {
             self.run = run.len() as u32;
-            self.write_run(&run)?;
+            self.write_run(&run, changed)?;
         }
         laps.lap(&mut self.breakdown, InsertStep::Insert);
         Ok(())
@@ -659,6 +674,32 @@ mod tests {
 
         let mut empty = index(512, 16);
         assert!(matches!(empty.insert_batch(&[(1, 1)]), Err(IndexError::NotInitialized)));
+    }
+
+    /// A per-key insert rewrites the run from the block its key lands in:
+    /// at the front of a two-block run both blocks, at the back the last
+    /// one alone.
+    #[test]
+    fn an_insert_rewrites_the_run_from_the_block_it_changes() {
+        // 512-byte blocks of 32 entries: 40 run entries fill two blocks.
+        let mut p = index(512, 64);
+        p.bulk_load(&entries(100, 10)).unwrap();
+        for i in 0..40u64 {
+            p.insert(10_000 + i * 10, i).unwrap();
+        }
+        let run_writes = |p: &mut PgmIndex, key: Key| {
+            let before = p.disk().snapshot();
+            p.insert(key, 7).unwrap();
+            p.disk().snapshot().since(&before).writes_of(BlockKind::Utility)
+        };
+        assert_eq!(run_writes(&mut p, 10_005), 2, "a fresh key at the front");
+        assert_eq!(run_writes(&mut p, 10_000), 2, "an overwrite at the front");
+        assert_eq!(run_writes(&mut p, 20_000), 1, "a fresh key at the back");
+        assert_eq!(run_writes(&mut p, 10_390), 1, "an overwrite in the last block");
+        assert_eq!(p.stats().smo_count, 0);
+        for (key, value) in [(10_005, 7), (10_000, 7), (10_010, 1), (10_390, 7), (20_000, 7)] {
+            assert_eq!(p.lookup(key).unwrap(), Some(value), "key {key}");
+        }
     }
 
     #[test]

@@ -612,14 +612,35 @@ struct InsertCost {
 /// 43.44 ms): the nodes that grew past 3 648 slots spill their bitmap, and
 /// an insert whose bit lies in a spill block writes block 0 for its header
 /// alone.
+///
+/// The three FITing rows were recorded again when a segment's delta buffer
+/// began carrying its own count in slot 0 of its first block, the directory
+/// record keeping only a flag that the buffer holds entries. A fresh insert
+/// writes its buffer block and no directory leaf; the leaf is read and
+/// written only when an empty buffer's first insert sets the flag. HDD:
+/// `Inner` writes 1 846 → 16, `Inner` reads 3 821 → 1 991 (the flag
+/// writes' leaf re-reads are all that is left of `update_meta`'s), Insert
+/// step 85.89 → 49.29 s, 146.07 → 109.47 s. SSD, pool 64: `Inner` writes
+/// 1 846 → 16, 812.88 → 593.28 ms. `fb`: `Inner` writes 2 000 → 16, reads
+/// 6 007 → 4 023, 3 633.70 → 3 193.70 ms. A 4 KiB buffer holds 255 entries,
+/// not 256, so a few resegmentations come an insert earlier: the HDD row's
+/// `Leaf` reads 7 112 → 7 109, and on `fb`, whose 512-byte buffers of eight
+/// blocks hold 255 entries too, `Leaf` writes 16 217 → 16 210 and storage
+/// 1 159 → 1 152 blocks, with the SMO count unchanged.
+///
+/// The three PGM rows were recorded again when its insert began rewriting
+/// the run from the block holding the batch's smallest changed position,
+/// not the whole run: `Utility` writes 3 208 → 2 825 on the HDD and the SSD
+/// (52.33 → 48.50 s, 386.76 → 340.80 ms) and 17 972 → 10 350 on `fb`
+/// (3 324.32 → 2 409.68 ms). Reads, SMOs and storage did not move.
 #[rustfmt::skip]
 const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // hdd, no pool, btree
     InsertCost { reads: [0, 2024, 2000, 0], writes: [0, 24, 2024, 0], device_ns: 60512100000, smo_count: 24, storage_blocks: 51, steps: [[39792100000, 4000, 0], [19760000000, 0, 1976], [960000000, 24, 72], [0, 0, 0]] },
     // hdd, no pool, fiting
-    InsertCost { reads: [0, 3821, 7112, 24], writes: [0, 1846, 4903, 25], device_ns: 146065600000, smo_count: 7, storage_blocks: 202, steps: [[58253000000, 6053, 0], [85886500000, 4729, 6597], [1926100000, 175, 177], [0, 0, 0]] },
+    InsertCost { reads: [0, 1991, 7109, 24], writes: [0, 16, 4903, 25], device_ns: 109465300000, smo_count: 7, storage_blocks: 202, steps: [[58252700000, 6050, 0], [49286500000, 2899, 4767], [1926100000, 175, 177], [0, 0, 0]] },
     // hdd, no pool, pgm
-    InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 3208], device_ns: 52331400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [32050000000, 0, 3205], [200600000, 8, 18], [0, 0, 0]] },
+    InsertCost { reads: [0, 0, 8, 3204], writes: [0, 0, 15, 2825], device_ns: 48501400000, smo_count: 3, storage_blocks: 30, steps: [[20080800000, 3204, 0], [28220000000, 0, 2822], [200600000, 8, 18], [0, 0, 0]] },
     // hdd, no pool, alex
     InsertCost { reads: [0, 4008, 4060, 0], writes: [0, 4, 3942, 0], device_ns: 117635300000, smo_count: 4, storage_blocks: 95, steps: [[60060200000, 6008, 0], [56772300000, 2022, 3876], [802800000, 38, 70], [0, 0, 0]] },
     // hdd, no pool, lipp
@@ -631,9 +652,9 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // ssd, pool 64, btree
     InsertCost { reads: [0, 0, 0, 0], writes: [0, 24, 2024, 0], device_ns: 245760000, smo_count: 24, storage_blocks: 51, steps: [[0, 0, 0], [237120000, 0, 1976], [8640000, 0, 72], [0, 0, 0]] },
     // ssd, pool 64, fiting
-    InsertCost { reads: [0, 0, 0, 0], writes: [0, 1846, 4903, 25], device_ns: 812880000, smo_count: 7, storage_blocks: 202, steps: [[0, 0, 0], [791640000, 0, 6597], [21240000, 0, 177], [0, 0, 0]] },
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 16, 4903, 25], device_ns: 593280000, smo_count: 7, storage_blocks: 202, steps: [[0, 0, 0], [572040000, 0, 4767], [21240000, 0, 177], [0, 0, 0]] },
     // ssd, pool 64, pgm
-    InsertCost { reads: [0, 0, 0, 0], writes: [0, 0, 15, 3208], device_ns: 386760000, smo_count: 3, storage_blocks: 30, steps: [[0, 0, 0], [384600000, 0, 3205], [2160000, 0, 18], [0, 0, 0]] },
+    InsertCost { reads: [0, 0, 0, 0], writes: [0, 0, 15, 2825], device_ns: 340800000, smo_count: 3, storage_blocks: 30, steps: [[0, 0, 0], [338640000, 0, 2822], [2160000, 0, 18], [0, 0, 0]] },
     // ssd, pool 64, alex
     InsertCost { reads: [0, 0, 68, 0], writes: [0, 4, 3942, 0], device_ns: 480320000, smo_count: 4, storage_blocks: 95, steps: [[0, 0, 0], [471920000, 68, 3876], [8400000, 0, 70], [0, 0, 0]] },
     // ssd, pool 64, lipp
@@ -645,9 +666,9 @@ const PER_KEY_INSERT_COST: [InsertCost; 21] = [
     // fb, 512 B, ssd, no pool, btree
     InsertCost { reads: [0, 4098, 2000, 0], writes: [0, 101, 2095, 0], device_ns: 871800000, smo_count: 98, storage_blocks: 959, steps: [[598480000, 6000, 0], [228600000, 0, 1905], [44720000, 98, 291], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, fiting
-    InsertCost { reads: [0, 6007, 11596, 0], writes: [0, 2000, 16217, 0], device_ns: 3633700000, smo_count: 7, storage_blocks: 1159, steps: [[1230360000, 15324, 0], [2351740000, 1993, 17937], [51600000, 286, 280], [0, 0, 0]] },
+    InsertCost { reads: [0, 4023, 11618, 0], writes: [0, 16, 16210, 0], device_ns: 3193700000, smo_count: 7, storage_blocks: 1152, steps: [[1228040000, 15352, 0], [1915260000, 9, 15953], [50400000, 280, 273], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, pgm
-    InsertCost { reads: [0, 0, 19, 17961], writes: [0, 0, 75, 17972], device_ns: 3324320000, smo_count: 3, storage_blocks: 702, steps: [[1157500000, 17961, 0], [2156280000, 0, 17969], [10540000, 19, 78], [0, 0, 0]] },
+    InsertCost { reads: [0, 0, 19, 17961], writes: [0, 0, 75, 10350], device_ns: 2409680000, smo_count: 3, storage_blocks: 702, steps: [[1157500000, 17961, 0], [1241640000, 0, 10347], [10540000, 19, 78], [0, 0, 0]] },
     // fb, 512 B, ssd, no pool, alex
     InsertCost { reads: [0, 2002, 80232, 1479], writes: [0, 2, 65674, 364], device_ns: 13707780000, smo_count: 2, storage_blocks: 1282, steps: [[400200000, 4002, 0], [13209620000, 79529, 65317], [54520000, 182, 361], [43440000, 0, 362]] },
     // fb, 512 B, ssd, no pool, lipp
